@@ -1,28 +1,16 @@
-//! Fault model and master-side recovery protocol shared by both backends.
+//! Deterministic compute-fault injection.
 //!
 //! The paper's PVM farm assumes every slave survives the whole run; on a
 //! real network of workstations machines get rebooted, reclaimed and
-//! overloaded mid-run. This module provides:
-//!
-//! * [`FaultPlan`] — deterministic per-worker fault injection: crash at
-//!   the Nth unit, stall (receive a unit and never reply), slow down by a
-//!   factor, or silently drop a result message. The discrete-event
-//!   simulator applies these to virtual time; the thread backend applies
-//!   them for real (early thread exit, injected sleeps, suppressed sends).
-//! * [`RecoveryConfig`] — the lease/timeout/backoff/exclusion policy.
-//! * [`Ledger`] — the master-side bookkeeping that makes the demand-driven
-//!   loop robust: every assignment gets a lease with a deadline; expired
-//!   leases re-enter a retry queue with exponential backoff; workers are
-//!   excluded after K consecutive failures; and completions are
-//!   *at-most-once* — a late duplicate result from a slow-but-alive worker
-//!   is recognised by its stale assignment id and discarded, so
-//!   "integrated exactly once" invariants (and frame hashes) hold with and
-//!   without faults.
-//!
-//! Time is a plain `f64` in seconds: virtual seconds in the simulator,
-//! wall-clock seconds since run start in the thread backend.
+//! overloaded mid-run. A [`FaultPlan`] schedules such failures per worker:
+//! crash at the Nth unit, stall (receive a unit and never reply), slow
+//! down by a factor, silently drop or corrupt a result, or join late. The
+//! discrete-event simulator applies these to virtual time; the thread
+//! backend applies them for real (early thread exit, injected sleeps,
+//! suppressed sends). How the master *recovers* from them is a separate
+//! concern: see [`crate::ledger`] and [`crate::core`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// One kind of injected fault, triggered by the 0-based count of units the
 /// worker has *started* (received).
@@ -235,458 +223,9 @@ impl FaultPlan {
     }
 }
 
-/// Lease/timeout policy for the recovery protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryConfig {
-    /// Base lease duration in seconds; a unit whose result has not arrived
-    /// within its lease is presumed lost and re-issued. `INFINITY`
-    /// disables recovery (the seed's trusting behaviour).
-    pub lease_timeout_s: f64,
-    /// Each re-issue of the same unit multiplies its lease by this factor
-    /// (exponential backoff against spurious timeouts).
-    pub backoff: f64,
-    /// A worker is excluded (counted lost, never assigned again) after
-    /// this many consecutive lease expiries.
-    pub max_worker_failures: u32,
-    /// A worker is quarantined (excluded, reconnects rejected for a
-    /// cooldown on the TCP backend) after this many *rejected results* —
-    /// payloads whose end-to-end checksum or decode failed verification.
-    /// Unlike lease expiries, strikes never reset: a Byzantine worker
-    /// that interleaves good and bad results is still evicted.
-    pub max_worker_strikes: u32,
-    /// Seconds a quarantined node identity is turned away at HELLO
-    /// before it may rejoin (TCP backend only).
-    pub quarantine_cooldown_s: f64,
-    /// Issue speculative backup leases for stragglers: when a pending
-    /// lease has been outstanding longer than `speculate_factor` × the
-    /// EWMA of completed-unit times, an idle worker re-executes the unit
-    /// and the first valid result wins (the loser is discarded by the
-    /// at-most-once ledger, so output bytes are unchanged).
-    pub speculate: bool,
-    /// Straggler threshold as a multiple of the completed-unit EWMA.
-    pub speculate_factor: f64,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            lease_timeout_s: f64::INFINITY,
-            backoff: 2.0,
-            max_worker_failures: 2,
-            max_worker_strikes: 3,
-            quarantine_cooldown_s: 60.0,
-            speculate: false,
-            speculate_factor: 3.0,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Recovery enabled with the given base lease and default policy.
-    pub fn with_lease(lease_timeout_s: f64) -> RecoveryConfig {
-        RecoveryConfig {
-            lease_timeout_s,
-            ..RecoveryConfig::default()
-        }
-    }
-
-    /// True if leases are finite (recovery active).
-    pub fn enabled(&self) -> bool {
-        self.lease_timeout_s.is_finite()
-    }
-
-    /// Lease duration for re-issue attempt `attempt` (0 = first issue).
-    pub fn lease_for_attempt(&self, attempt: u32) -> f64 {
-        self.lease_timeout_s * self.backoff.powi(attempt.min(20) as i32)
-    }
-}
-
-/// Aggregate fault/recovery counters for a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Faults injected by the [`FaultPlan`] (each affected unit counts).
-    pub faults_injected: u64,
-    /// Units re-issued after a lease expiry or observed worker death.
-    pub units_reassigned: u64,
-    /// Late duplicate results discarded by the at-most-once ledger.
-    pub duplicates_dropped: u64,
-    /// Workers excluded as lost.
-    pub workers_lost: u64,
-    /// Results discarded because master-side verification (checksum or
-    /// decode) failed; each one requeued its unit byte-identically.
-    pub results_rejected: u64,
-    /// Workers quarantined after crossing the strike threshold.
-    pub workers_quarantined: u64,
-    /// Speculative backup leases issued against stragglers.
-    pub backup_leases: u64,
-}
-
-/// An outstanding assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Lease<U> {
-    /// The unit (kept so it can be re-issued verbatim).
-    pub unit: U,
-    /// Worker it was assigned to.
-    pub worker: usize,
-    /// Absolute deadline in seconds.
-    pub deadline: f64,
-    /// Re-issue attempt (0 = first issue).
-    pub attempt: u32,
-    /// Time the lease was issued (for straggler detection).
-    pub issued_at: f64,
-    /// Assignment id of this lease's speculative twin, if a backup lease
-    /// for the same unit is also outstanding. First completion wins and
-    /// removes the twin, so the pair integrates at most once.
-    pub twin: Option<u64>,
-}
-
-/// A lease that expired and was requeued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Expiry {
-    /// The worker whose lease expired.
-    pub worker: usize,
-    /// True if this expiry pushed the worker over the exclusion threshold
-    /// (the caller should notify the application via `on_worker_lost`).
-    pub newly_lost: bool,
-}
-
-/// Master-side assignment ledger: leases, retry queue, worker health.
-///
-/// Every handed-out unit gets a fresh assignment id. Completion is keyed
-/// by that id, which makes integration at-most-once: once a unit has been
-/// completed (or its lease expired and the unit re-issued under a new
-/// id), the stale id no longer exists in the ledger and the late result
-/// is reported as a duplicate.
-#[derive(Debug, Clone)]
-pub struct Ledger<U> {
-    cfg: RecoveryConfig,
-    next_id: u64,
-    pending: BTreeMap<u64, Lease<U>>,
-    /// (unit, re-issue attempt, worker it was taken from)
-    retry: VecDeque<(U, u32, usize)>,
-    consecutive_fails: Vec<u32>,
-    total_fails: Vec<u64>,
-    excluded: Vec<bool>,
-    quarantined: Vec<bool>,
-    /// Lifetime count of rejected results per worker; never resets.
-    strikes: Vec<u32>,
-    /// EWMA of completed-unit wall/virtual time and its sample count.
-    ewma_unit_s: f64,
-    ewma_samples: u64,
-    /// Aggregate counters, exported into `RunReport` by the backends.
-    pub counters: FaultCounters,
-}
-
-impl<U: Clone> Ledger<U> {
-    /// Fresh ledger for `workers` workers.
-    pub fn new(cfg: RecoveryConfig, workers: usize) -> Ledger<U> {
-        Ledger {
-            cfg,
-            next_id: 0,
-            pending: BTreeMap::new(),
-            retry: VecDeque::new(),
-            consecutive_fails: vec![0; workers],
-            total_fails: vec![0; workers],
-            excluded: vec![false; workers],
-            quarantined: vec![false; workers],
-            strikes: vec![0; workers],
-            ewma_unit_s: 0.0,
-            ewma_samples: 0,
-            counters: FaultCounters::default(),
-        }
-    }
-
-    /// The policy this ledger runs.
-    pub fn config(&self) -> &RecoveryConfig {
-        &self.cfg
-    }
-
-    /// Enroll one more worker (dynamic membership: a mid-run joiner) and
-    /// return its index.
-    pub fn add_worker(&mut self) -> usize {
-        let w = self.excluded.len();
-        self.consecutive_fails.push(0);
-        self.total_fails.push(0);
-        self.excluded.push(false);
-        self.quarantined.push(false);
-        self.strikes.push(0);
-        w
-    }
-
-    /// Number of workers this ledger tracks.
-    pub fn worker_count(&self) -> usize {
-        self.excluded.len()
-    }
-
-    /// Record the assignment of `unit` to `worker` at time `now`; returns
-    /// the assignment id. The deadline honours the attempt's backoff.
-    pub fn issue(&mut self, unit: U, worker: usize, now: f64, attempt: u32) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        let deadline = now + self.cfg.lease_for_attempt(attempt);
-        self.pending.insert(
-            id,
-            Lease {
-                unit,
-                worker,
-                deadline,
-                attempt,
-                issued_at: now,
-                twin: None,
-            },
-        );
-        id
-    }
-
-    /// A result for assignment `id` arrived. `Some` means it is the first
-    /// (integrate it; the worker's failure streak resets); `None` means the
-    /// assignment is stale — a late duplicate to discard.
-    pub fn complete(&mut self, id: u64) -> Option<Lease<U>> {
-        match self.pending.remove(&id) {
-            Some(lease) => {
-                self.consecutive_fails[lease.worker] = 0;
-                if let Some(t) = lease.twin {
-                    // first of a speculative pair wins: retire the twin so
-                    // its (slower) result drops through the duplicate path
-                    self.pending.remove(&t);
-                }
-                Some(lease)
-            }
-            None => {
-                self.counters.duplicates_dropped += 1;
-                None
-            }
-        }
-    }
-
-    /// [`Ledger::complete`] that also feeds the straggler EWMA with the
-    /// lease's observed duration. Backends that know the current time
-    /// should prefer this form.
-    pub fn complete_at(&mut self, id: u64, now: f64) -> Option<Lease<U>> {
-        let lease = self.complete(id)?;
-        let dt = (now - lease.issued_at).max(0.0);
-        if dt.is_finite() {
-            self.ewma_samples += 1;
-            if self.ewma_samples == 1 {
-                self.ewma_unit_s = dt;
-            } else {
-                self.ewma_unit_s = 0.7 * self.ewma_unit_s + 0.3 * dt;
-            }
-        }
-        Some(lease)
-    }
-
-    /// A completed lease's result failed master-side verification: requeue
-    /// the unit byte-identically (the re-issue goes through `on_reassign`,
-    /// exactly like a lease expiry) and strike the offending worker.
-    /// Returns `true` when the strike crosses
-    /// [`RecoveryConfig::max_worker_strikes`] and the worker should be
-    /// quarantined via [`Ledger::quarantine`].
-    pub fn reject(&mut self, lease: Lease<U>) -> bool {
-        let w = lease.worker;
-        self.retry.push_back((lease.unit, lease.attempt + 1, w));
-        self.counters.results_rejected += 1;
-        self.total_fails[w] += 1;
-        self.strikes[w] += 1;
-        self.strikes[w] >= self.cfg.max_worker_strikes && !self.quarantined[w] && !self.excluded[w]
-    }
-
-    /// Quarantine `worker`: exclude it through the observed-death path
-    /// (requeueing whatever it still holds) and count it as quarantined.
-    pub fn quarantine(&mut self, worker: usize) -> Expiry {
-        if !self.quarantined[worker] {
-            self.quarantined[worker] = true;
-            self.counters.workers_quarantined += 1;
-        }
-        self.worker_died(worker)
-    }
-
-    /// True if `worker` was quarantined for bad results.
-    pub fn is_quarantined(&self, worker: usize) -> bool {
-        self.quarantined[worker]
-    }
-
-    /// Rejected-result count for `worker`.
-    pub fn strikes(&self, worker: usize) -> u32 {
-        self.strikes[worker]
-    }
-
-    /// Earliest pending deadline, if any lease is outstanding and finite.
-    /// With speculation enabled this includes straggler deadlines, so a
-    /// blocked master wakes in time to issue backup leases.
-    pub fn next_deadline(&self) -> Option<f64> {
-        let lease = self
-            .pending
-            .values()
-            .map(|l| l.deadline)
-            .filter(|d| d.is_finite())
-            .min_by(f64::total_cmp);
-        let spec = self.straggler_threshold().and_then(|thr| {
-            self.pending
-                .values()
-                .filter(|l| l.twin.is_none())
-                .map(|l| l.issued_at + thr)
-                .min_by(f64::total_cmp)
-        });
-        match (lease, spec) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// The straggler deadline in seconds, once the EWMA has warmed up.
-    fn straggler_threshold(&self) -> Option<f64> {
-        (self.cfg.speculate && self.ewma_samples >= 3)
-            .then(|| (self.cfg.speculate_factor * self.ewma_unit_s).max(1e-9))
-    }
-
-    /// True if any un-twinned pending lease is past its straggler
-    /// deadline (speculation enabled and warmed up).
-    pub fn has_straggler(&self, now: f64) -> bool {
-        self.straggler_threshold().is_some_and(|thr| {
-            self.pending
-                .values()
-                .any(|l| l.twin.is_none() && now - l.issued_at >= thr)
-        })
-    }
-
-    /// Pick the longest-overdue straggler a backup lease could cover:
-    /// an un-twinned pending lease past the straggler deadline, not held
-    /// by `worker` itself. Returns the original assignment id plus a
-    /// clone of its unit, attempt and owner; follow up with
-    /// [`Ledger::issue_backup`] once the unit has been prepared for
-    /// re-execution (`on_reassign`).
-    pub fn straggler_for(&self, worker: usize, now: f64) -> Option<(u64, U, u32, usize)> {
-        let thr = self.straggler_threshold()?;
-        self.pending
-            .iter()
-            .filter(|(_, l)| l.twin.is_none() && l.worker != worker && now - l.issued_at >= thr)
-            .min_by(|(_, a), (_, b)| f64::total_cmp(&a.issued_at, &b.issued_at))
-            .map(|(&id, l)| (id, l.unit.clone(), l.attempt, l.worker))
-    }
-
-    /// Issue a speculative backup lease for the straggling assignment
-    /// `orig`, linking the two as twins. Returns the backup's id.
-    pub fn issue_backup(
-        &mut self,
-        orig: u64,
-        unit: U,
-        worker: usize,
-        now: f64,
-        attempt: u32,
-    ) -> u64 {
-        let id = self.issue(unit, worker, now, attempt);
-        if let Some(l) = self.pending.get_mut(&id) {
-            l.twin = Some(orig);
-        }
-        if let Some(l) = self.pending.get_mut(&orig) {
-            l.twin = Some(id);
-        }
-        self.counters.backup_leases += 1;
-        id
-    }
-
-    /// Expire every lease whose deadline has passed: units move to the
-    /// retry queue, the owning workers take a failure (possibly crossing
-    /// the exclusion threshold).
-    pub fn expire_due(&mut self, now: f64) -> Vec<Expiry> {
-        let due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, l)| l.deadline <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        due.into_iter().map(|id| self.expire_one(id)).collect()
-    }
-
-    /// The caller observed `worker` die outright (e.g. its channel
-    /// disconnected). All of its leases are requeued immediately and the
-    /// worker is excluded.
-    pub fn worker_died(&mut self, worker: usize) -> Expiry {
-        let ids: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, l)| l.worker == worker)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
-            self.expire_one(id);
-        }
-        let newly_lost = !self.excluded[worker];
-        if newly_lost {
-            self.excluded[worker] = true;
-            self.counters.workers_lost += 1;
-        }
-        Expiry { worker, newly_lost }
-    }
-
-    fn expire_one(&mut self, id: u64) -> Expiry {
-        let lease = self.pending.remove(&id).expect("expiring a live lease");
-        let w = lease.worker;
-        match lease.twin.and_then(|t| self.pending.get_mut(&t)) {
-            Some(twin) => {
-                // the unit's speculative twin is still running: it covers
-                // the work, so expiring this copy must not requeue a third
-                twin.twin = None;
-            }
-            None => {
-                self.retry.push_back((lease.unit, lease.attempt + 1, w));
-                self.counters.units_reassigned += 1;
-            }
-        }
-        self.consecutive_fails[w] += 1;
-        self.total_fails[w] += 1;
-        let newly_lost =
-            !self.excluded[w] && self.consecutive_fails[w] >= self.cfg.max_worker_failures;
-        if newly_lost {
-            self.excluded[w] = true;
-            self.counters.workers_lost += 1;
-        }
-        Expiry {
-            worker: w,
-            newly_lost,
-        }
-    }
-
-    /// Pop the next unit awaiting re-issue, with its attempt number and
-    /// the worker whose lease on it expired.
-    pub fn take_retry(&mut self) -> Option<(U, u32, usize)> {
-        self.retry.pop_front()
-    }
-
-    /// True if any unit is waiting to be re-issued.
-    pub fn has_retry(&self) -> bool {
-        !self.retry.is_empty()
-    }
-
-    /// True if any lease is outstanding.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// True if `worker` must not be assigned further work.
-    pub fn is_excluded(&self, worker: usize) -> bool {
-        self.excluded[worker]
-    }
-
-    /// Lifetime lease-expiry count for `worker` (for `MachineReport`).
-    pub fn total_failures(&self, worker: usize) -> u64 {
-        self.total_fails[worker]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg(lease: f64, k: u32) -> RecoveryConfig {
-        RecoveryConfig {
-            lease_timeout_s: lease,
-            backoff: 2.0,
-            max_worker_failures: k,
-            ..RecoveryConfig::default()
-        }
-    }
 
     #[test]
     fn plan_queries() {
@@ -717,117 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_grows_for_midrun_joiners() {
-        let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 0);
-        assert_eq!(led.worker_count(), 0);
-        let w0 = led.add_worker();
-        let w1 = led.add_worker();
-        assert_eq!((w0, w1), (0, 1));
-        assert_eq!(led.worker_count(), 2);
-        led.issue(7, w1, 0.0, 0);
-        let ex = led.worker_died(w1);
-        assert!(ex.newly_lost);
-        assert!(led.is_excluded(w1));
-        assert!(!led.is_excluded(w0));
-        assert_eq!(led.take_retry(), Some((7, 1, w1)));
-    }
-
-    #[test]
-    fn lease_completes_exactly_once() {
-        let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 2);
-        let id = led.issue(7, 0, 0.0, 0);
-        assert!(led.has_pending());
-        assert!(led.complete(id).is_some());
-        assert!(
-            led.complete(id).is_none(),
-            "second completion is a duplicate"
-        );
-        assert_eq!(led.counters.duplicates_dropped, 1);
-        assert!(!led.has_pending());
-    }
-
-    #[test]
-    fn expiry_requeues_with_backoff_and_excludes() {
-        let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 2);
-        let id0 = led.issue(7, 0, 0.0, 0);
-        assert_eq!(led.next_deadline(), Some(10.0));
-        assert!(led.expire_due(9.9).is_empty());
-        let ex = led.expire_due(10.0);
-        assert_eq!(
-            ex,
-            vec![Expiry {
-                worker: 0,
-                newly_lost: false
-            }]
-        );
-        assert_eq!(led.counters.units_reassigned, 1);
-        // stale completion is a duplicate
-        assert!(led.complete(id0).is_none());
-        // retry carries attempt 1 → doubled lease, tagged with the loser
-        let (unit, attempt, from) = led.take_retry().unwrap();
-        assert_eq!((unit, attempt, from), (7, 1, 0));
-        led.issue(unit, 0, 100.0, attempt);
-        assert_eq!(led.next_deadline(), Some(120.0));
-        // second consecutive failure crosses the threshold
-        let ex = led.expire_due(120.0);
-        assert_eq!(
-            ex,
-            vec![Expiry {
-                worker: 0,
-                newly_lost: true
-            }]
-        );
-        assert!(led.is_excluded(0));
-        assert_eq!(led.counters.workers_lost, 1);
-        assert_eq!(led.total_failures(0), 2);
-    }
-
-    #[test]
-    fn success_resets_consecutive_failures() {
-        let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 1);
-        let _ = led.issue(1, 0, 0.0, 0);
-        led.expire_due(10.0);
-        let id = led.issue(2, 0, 20.0, 0);
-        assert!(led.complete(id).is_some());
-        // streak reset: one more failure does not exclude
-        let _ = led.issue(3, 0, 40.0, 0);
-        let ex = led.expire_due(50.0);
-        assert!(!ex[0].newly_lost);
-        assert!(!led.is_excluded(0));
-    }
-
-    #[test]
-    fn observed_death_requeues_everything_at_once() {
-        let mut led: Ledger<u32> = Ledger::new(cfg(1000.0, 5), 3);
-        led.issue(1, 2, 0.0, 0);
-        led.issue(2, 2, 0.0, 0);
-        led.issue(3, 1, 0.0, 0);
-        let ex = led.worker_died(2);
-        assert!(ex.newly_lost);
-        assert!(led.is_excluded(2));
-        assert_eq!(led.counters.units_reassigned, 2);
-        assert_eq!(led.counters.workers_lost, 1);
-        let mut retried = vec![];
-        while let Some((u, _, from)) = led.take_retry() {
-            assert_eq!(from, 2);
-            retried.push(u);
-        }
-        retried.sort_unstable();
-        assert_eq!(retried, vec![1, 2]);
-        // worker 1's lease is untouched
-        assert!(led.has_pending());
-    }
-
-    #[test]
-    fn disabled_recovery_never_expires() {
-        let mut led: Ledger<u32> = Ledger::new(RecoveryConfig::default(), 1);
-        assert!(!led.config().enabled());
-        led.issue(1, 0, 0.0, 0);
-        assert!(led.expire_due(f64::MAX).is_empty());
-        assert_eq!(led.next_deadline(), None);
-    }
-
-    #[test]
     fn fault_plan_spec_round_trips() {
         let p = FaultPlan::none()
             .crash_at(0, 3)
@@ -844,92 +272,5 @@ mod tests {
         assert!(FaultPlan::parse("x:crash@1").is_err());
         assert!(FaultPlan::parse("1:frobnicate@2").is_err());
         assert!(FaultPlan::parse("").expect("empty spec").is_empty());
-    }
-
-    #[test]
-    fn rejected_results_strike_and_quarantine() {
-        let mut led: Ledger<u32> = Ledger::new(cfg(1000.0, 5), 2);
-        for round in 0..3u32 {
-            let id = led.issue(round, 1, round as f64, 0);
-            let lease = led.complete_at(id, round as f64 + 1.0).expect("fresh");
-            let quarantine = led.reject(lease);
-            assert_eq!(
-                quarantine,
-                round == 2,
-                "third strike (default K=3) triggers quarantine"
-            );
-            // the unit requeued byte-identically, tagged with the striker
-            assert_eq!(led.take_retry(), Some((round, 1, 1)));
-        }
-        assert_eq!(led.strikes(1), 3);
-        assert_eq!(led.counters.results_rejected, 3);
-        let ex = led.quarantine(1);
-        assert!(ex.newly_lost);
-        assert!(led.is_quarantined(1) && led.is_excluded(1));
-        assert!(!led.is_quarantined(0));
-        assert_eq!(led.counters.workers_quarantined, 1);
-        assert_eq!(led.counters.workers_lost, 1);
-        // quarantining again is idempotent
-        led.quarantine(1);
-        assert_eq!(led.counters.workers_quarantined, 1);
-    }
-
-    #[test]
-    fn speculation_issues_one_backup_and_first_result_wins() {
-        let mut c = cfg(1e6, 5);
-        c.speculate = true;
-        c.speculate_factor = 2.0;
-        let mut led: Ledger<u32> = Ledger::new(c, 2);
-        // warm the EWMA with three 1-second completions
-        for i in 0..3u32 {
-            let id = led.issue(i, 0, i as f64, 0);
-            assert!(led.complete_at(id, i as f64 + 1.0).is_some());
-        }
-        let slow = led.issue(100, 0, 10.0, 0);
-        assert!(!led.has_straggler(11.9), "not overdue yet");
-        assert!(led.has_straggler(12.1), "2x the ~1s EWMA has passed");
-        assert_eq!(
-            led.straggler_for(0, 12.1),
-            None,
-            "the straggling worker itself never gets the backup"
-        );
-        let (orig, unit, attempt, from) = led.straggler_for(1, 12.1).expect("straggler");
-        assert_eq!((orig, unit, attempt, from), (slow, 100, 0, 0));
-        let backup = led.issue_backup(orig, unit, 1, 12.1, attempt);
-        assert_eq!(led.counters.backup_leases, 1);
-        assert!(
-            led.straggler_for(1, 50.0).is_none(),
-            "a twinned lease is never speculated on again"
-        );
-        // the backup finishes first: it wins, the original becomes stale
-        assert!(led.complete_at(backup, 13.0).is_some());
-        assert!(led.complete(slow).is_none(), "loser is a duplicate");
-        assert_eq!(led.counters.duplicates_dropped, 1);
-        assert!(!led.has_pending());
-    }
-
-    #[test]
-    fn expiring_a_twinned_lease_does_not_requeue_a_third_copy() {
-        let mut c = cfg(10.0, 5);
-        c.speculate = true;
-        c.speculate_factor = 2.0;
-        let mut led: Ledger<u32> = Ledger::new(c, 2);
-        for i in 0..3u32 {
-            let id = led.issue(i, 0, 0.0, 0);
-            assert!(led.complete_at(id, 0.1).is_some());
-        }
-        let slow = led.issue(100, 0, 0.0, 0);
-        let (orig, unit, attempt, _) = led.straggler_for(1, 5.0).expect("straggler");
-        let backup = led.issue_backup(orig, unit, 1, 5.0, attempt);
-        // the original lease times out while the backup still runs: the
-        // worker takes the failure but the unit must not requeue
-        let reassigned_before = led.counters.units_reassigned;
-        let ex = led.expire_due(10.0);
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].worker, 0);
-        assert_eq!(led.counters.units_reassigned, reassigned_before);
-        assert!(!led.has_retry(), "twin covers the unit");
-        assert_eq!(led.complete(slow), None, "expired original is stale");
-        assert!(led.complete_at(backup, 11.0).is_some(), "backup integrates");
     }
 }

@@ -5,12 +5,11 @@
 //! The "network of workstations" substrate — the PVM 3.1 stand-in.
 //!
 //! The paper ran on three SGI workstations coordinated by PVM over shared
-//! Ethernet. This crate reproduces that environment twice:
+//! Ethernet. This crate reproduces that environment three times:
 //!
 //! * [`threads`] — a real parallel backend: each workstation is an OS
 //!   thread, messages travel over `std::sync::mpsc` channels. Use it to
-//!   measure
-//!   actual wall-clock speedups on the machine running the benches.
+//!   measure actual wall-clock speedups on the machine running the benches.
 //! * [`net`] — a real TCP transport over `std::net`: the same protocol
 //!   across processes and machines, with length-prefixed framing, a
 //!   node-id handshake, heartbeats and the same lease recovery — the
@@ -28,11 +27,14 @@
 //!   exact 3-machine heterogeneous setup is recreated regardless of the
 //!   host.
 //!
-//! Both backends drive the same application interface — [`MasterLogic`]
-//! on the master workstation and [`WorkerLogic`] on each slave — in the
-//! same demand-driven pattern the paper describes: "The only interprocessor
+//! All three drive the same application interface — [`MasterLogic`] on the
+//! master workstation and [`WorkerLogic`] on each slave — in the same
+//! demand-driven pattern the paper describes: "The only interprocessor
 //! communication occurs between the master and each of the slaves; the
-//! slaves themselves do not need to communicate with each other."
+//! slaves themselves do not need to communicate with each other." The
+//! master side of that protocol exists once, as the sans-IO state machine
+//! [`core::MasterCore`]; each backend is a thin driver that feeds it
+//! events and realises its actions on its own transport.
 //!
 //! [`codec`] is a small hand-rolled byte codec: protocol payloads are
 //! encoded through it so the simulator charges exact byte counts to the
@@ -40,8 +42,8 @@
 //!
 //! [`fault`] makes the substrate honest about failure: a [`FaultPlan`]
 //! injects worker crashes, stalls, slowdowns and dropped results into
-//! either backend, and the lease/retry/exclusion [`fault::Ledger`] lets
-//! the master survive them with every unit integrated exactly once.
+//! the backends, and the lease/retry/exclusion [`Ledger`] of [`ledger`]
+//! lets the master survive them with every unit integrated exactly once.
 //!
 //! [`journal`] extends that honesty to the master itself: an append-only,
 //! CRC-checked record log ([`JournalWriter`]) with torn-tail recovery and
@@ -62,8 +64,10 @@
 
 pub mod chaos;
 pub mod codec;
+pub mod core;
 pub mod fault;
 pub mod journal;
+pub mod ledger;
 pub mod logic;
 pub mod message;
 pub mod net;
@@ -74,8 +78,9 @@ pub mod threads;
 
 pub use chaos::{ChaosPlan, DiskFaultKind, DiskFaultPlan, DiskFaults};
 pub use codec::{Decoder, Encoder};
-pub use fault::{FaultCounters, FaultKind, FaultPlan, Ledger, RecoveryConfig};
+pub use fault::{FaultKind, FaultPlan};
 pub use journal::{read_log, JournalFaultPlan, JournalWriter, RecoveredLog};
+pub use ledger::{FaultCounters, Ledger, RecoveryConfig};
 pub use logic::{MasterLogic, MasterWork, WorkCost, WorkerLogic};
 pub use message::{ChannelError, Endpoint, Message, NodeId};
 pub use net::{

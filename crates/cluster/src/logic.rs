@@ -1,11 +1,11 @@
-//! The master/worker application interface shared by both backends.
+//! The master/worker application interface shared by every backend.
 //!
 //! The paper's structure: "The master process handles this task in
 //! addition to collecting rendered image information and writing this
 //! information out to files. The only interprocessor communication occurs
-//! between the master and each of the slaves." Both the thread backend and
-//! the discrete-event simulator drive these traits with the same
-//! demand-driven loop:
+//! between the master and each of the slaves." The simulator, the thread
+//! backend and the TCP transport all drive these traits through the one
+//! demand-driven loop of [`crate::core::MasterCore`]:
 //!
 //! 1. every worker asks for work;
 //! 2. the master answers with a unit from [`MasterLogic::assign`] (or a
@@ -72,9 +72,9 @@ pub trait MasterLogic {
     /// Fold a completed unit into the master state; returns the master-side
     /// cost (file writing etc.), or `None` to **reject** the result:
     /// master-side verification (end-to-end checksum, payload decode)
-    /// failed, nothing was integrated, and the backend must requeue the
-    /// unit and strike the worker (`Ledger::reject`). Masters that do not
-    /// verify results simply always return `Some`.
+    /// failed, nothing was integrated, and the core requeues the unit and
+    /// strikes the worker. Masters that do not verify results simply
+    /// always return `Some`. `unit` is always the unit as issued.
     fn integrate(
         &mut self,
         worker: usize,
@@ -101,7 +101,7 @@ pub trait MasterLogic {
 
     /// True once every unit has been integrated and the job is complete.
     ///
-    /// Backends consult this when `assign` returns `None` for an idle
+    /// The core consults this when `assign` returns `None` for an idle
     /// worker: `true` lets the worker shut down, `false` parks it because
     /// unfinished work still exists even though no lease or retry is
     /// visible at this instant — e.g. units queued behind another worker
@@ -156,14 +156,15 @@ pub trait MasterLogic {
     /// Default: no-op.
     fn client_gone(&mut self, _client: u64) {}
 
-    /// Long-lived service mode. While `true`, the TCP master keeps the
-    /// run alive even when no assignable work exists: idle workers park
-    /// instead of shutting down, the accept window never expires the
-    /// run, and parked workers are re-polled every sweep because client
-    /// submissions may create work at any moment. A service master
-    /// returns `false` once it has been drained (no more submissions
-    /// accepted, every job terminal), which releases the workers and
-    /// ends the run. The default (`false`) preserves one-shot semantics.
+    /// Long-lived service mode. While `true`, the run stays alive even
+    /// when no assignable work exists: idle workers park instead of
+    /// shutting down, and on the TCP transport — the only one with
+    /// clients — the accept window never expires the run and parked
+    /// workers are re-polled every sweep, because client submissions may
+    /// create work at any moment. A service master returns `false` once
+    /// it has been drained (no more submissions accepted, every job
+    /// terminal), which releases the workers and ends the run. The
+    /// default (`false`) preserves one-shot semantics.
     fn service_active(&self) -> bool {
         false
     }

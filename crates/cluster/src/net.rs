@@ -23,17 +23,25 @@
 //!   duplicates and half-open connections with a `REJECT` frame, and
 //!   hands accepted joiners the job header so they start pulling units
 //!   immediately. A worker that disconnects, times out or sends garbage
-//!   has its outstanding leases requeued through the [`Ledger`] —
+//!   has its outstanding leases requeued by the shared [`MasterCore`] —
 //!   surviving workers re-render the units byte-identically.
 //! * **Deterministic chaos** — a [`NetFaultPlan`] gates every
 //!   connection's reads and writes (drop-after-N-bytes, stall, delay,
 //!   partition windows), so churn scenarios replay identically.
 //!
+//! The master is a *driver* of the sans-IO [`MasterCore`]: decoded
+//! `REQUEST`/`RESULT` frames, closed sockets and the sweep clock become
+//! core events, and the core's actions become `UNIT`/`SHUTDOWN` frames.
+//! Who gets which unit, leases, strikes and speculation are decided
+//! there, not here.
+//!
 //! Unit and result types cross the wire through the [`Wire`] trait,
 //! encoded with the honest [`crate::codec`] byte codec.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
-use crate::fault::{FaultPlan, Ledger, RecoveryConfig};
+use crate::core::{Action, MasterCore};
+use crate::fault::FaultPlan;
+use crate::ledger::RecoveryConfig;
 use crate::logic::{MasterLogic, WorkerLogic};
 use crate::message::{ChannelError, Message, NodeId};
 use crate::netfault::{full_jitter_delay, ConnFaultState, Gate, JitterRng, NetFaultPlan};
@@ -387,15 +395,6 @@ impl TcpClusterConfig {
     }
 }
 
-/// Master-side view of one worker (same states as the thread backend's
-/// loop).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WState {
-    Active,
-    Parked,
-    Done,
-}
-
 /// Where a connection is in its lifecycle.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -526,15 +525,14 @@ impl Conn {
     }
 }
 
-/// One enrolled worker: protocol state plus per-worker accounting.
+/// One enrolled worker: its connection plus per-worker accounting. Its
+/// protocol state (active, parked, done; leases; strikes) is the core's.
+#[derive(Default)]
 struct Slot {
     conn: Option<usize>,
-    state: WState,
-    /// A message from this worker is guaranteed to arrive (a unit is out,
-    /// or the post-handshake REQUEST hasn't landed yet).
-    in_flight: bool,
-    /// The worker has sent its first REQUEST.
-    started: bool,
+    /// Node identity announced in `HELLO` (0 = anonymous); a quarantine
+    /// turns it away for the cooldown.
+    identity: u64,
     rtt_s: f64,
     last_ping_s: f64,
     busy_s: f64,
@@ -596,774 +594,615 @@ impl TcpMaster {
     /// their leases requeued on the survivors — the run completes with
     /// byte-identical output, exactly as the in-process backends
     /// guarantee for injected crashes.
-    pub fn run<M>(
-        self,
-        mut master: M,
-        cfg: &TcpClusterConfig,
-    ) -> Result<(M, RunReport), ChannelError>
+    pub fn run<M>(self, master: M, cfg: &TcpClusterConfig) -> Result<(M, RunReport), ChannelError>
     where
         M: MasterLogic,
         M::Unit: Wire,
         M::Result: Wire,
     {
-        let start = Instant::now();
-        let net = cfg.net.clone();
         self.listener
             .set_nonblocking(true)
             .map_err(|e| io_to_channel(&e))?;
-
-        let mut conns: Vec<Option<Conn>> = Vec::new();
-        let mut slots: Vec<Slot> = Vec::new();
-        let mut identities: BTreeMap<u64, usize> = BTreeMap::new();
-        // node ids quarantined for bad results, mapped to the time their
-        // cooldown ends; reconnects before then are turned away
-        let mut quarantined_until: BTreeMap<u64, f64> = BTreeMap::new();
-        let mut ledger: Ledger<M::Unit> = Ledger::new(cfg.recovery, 0);
-        let mut accepted = 0u64; // accept-order index, keys the fault plan
-        let mut joined_total = 0u64;
-        let mut left_early = 0u64;
-        let mut rejected = 0u64;
-        let mut job_complete = false;
-        // latched once `master.service_active()` is ever observed true:
-        // a drained service terminates cleanly instead of TimedOut
-        let mut service_seen = false;
-        let mut ping_seq = 0u64;
-        let mut total_msgs = 0u64;
-        let mut total_bytes = 0u64;
-        let mut total_master_busy = 0.0f64;
-        let now = |start: &Instant| start.elapsed().as_secs_f64();
-
-        // Retire a connection: close, fold its byte totals into the run
-        // accounting, unlink it from its worker slot.
-        macro_rules! retire_conn {
-            ($ci:expr) => {{
-                let ci: usize = $ci;
-                if let Some(c) = conns[ci].take() {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    total_msgs += c.msgs_in + c.msgs_out;
-                    total_bytes += c.bytes_in + c.bytes_out;
-                    if let Some(w) = c.worker {
-                        slots[w].wire_in += c.bytes_in;
-                        slots[w].wire_out += c.bytes_out;
-                        slots[w].conn = None;
-                    }
-                    if c.phase == Phase::Client {
-                        master.client_gone(ci as u64);
-                    }
-                }
-            }};
-        }
-
-        // Observed death of worker `w` (closed socket, read deadline, or
-        // a protocol violation): requeue its leases, tell the application.
-        macro_rules! worker_gone {
-            ($w:expr) => {{
-                let w: usize = $w;
-                if slots[w].state != WState::Done {
-                    let ex = ledger.worker_died(w);
-                    if ex.newly_lost {
-                        master.on_worker_lost(w);
-                    }
-                    slots[w].state = WState::Done;
-                    slots[w].in_flight = false;
-                    slots[w].left_s = now(&start);
-                    left_early += 1;
-                    now_trace::global().instant(
-                        0,
-                        "farm.membership",
-                        &[("event", 1), ("worker", w as u64)],
-                        false,
-                    );
-                    if let Some(ci) = slots[w].conn {
-                        retire_conn!(ci);
-                    }
-                }
-            }};
-        }
-
-        // Normal end of service for worker `w` (SHUTDOWN queued): the
-        // connection closes once the frame has flushed.
-        macro_rules! finish_worker {
-            ($w:expr) => {{
-                let w: usize = $w;
-                slots[w].state = WState::Done;
-                slots[w].in_flight = false;
-                slots[w].left_s = now(&start);
-                if let Some(ci) = slots[w].conn {
-                    if let Some(c) = conns[ci].as_mut() {
-                        c.close_after_flush = true;
-                    }
-                }
-            }};
-        }
-
-        // Queue a frame to worker `w`; Err(()) if its connection is gone.
-        macro_rules! send_to {
-            ($w:expr, $t:expr, $p:expr) => {{
-                let w: usize = $w;
-                match slots[w].conn.and_then(|ci| conns[ci].as_mut()) {
-                    Some(c) => c
-                        .queue(&Message {
-                            from: 0,
-                            to: w + 1,
-                            tag: $t,
-                            payload: $p,
-                        })
-                        .map_err(|_| ()),
-                    None => Err(()),
-                }
-            }};
-        }
-
-        // Answer worker `w`'s request for work: a requeued unit first,
-        // then a fresh assignment, else park or shut down.
-        macro_rules! give_work {
-            ($w:expr) => {{
-                let w: usize = $w;
-                if ledger.is_excluded(w) {
-                    let _ = send_to!(w, tag::SHUTDOWN, Vec::new());
-                    finish_worker!(w);
-                } else {
-                    let next = match ledger.take_retry() {
-                        Some((mut unit, attempt, from)) => {
-                            master.on_reassign(from, &mut unit);
-                            Some((unit, attempt, None))
-                        }
-                        None => match master.assign(w) {
-                            Some(u) => Some((u, 0, None)),
-                            // no fresh work: maybe back up a straggler's
-                            // lease (first valid result wins, the loser
-                            // is dropped as a duplicate)
-                            None => ledger.straggler_for(w, now(&start)).map(
-                                |(orig, mut unit, attempt, from)| {
-                                    master.on_reassign(from, &mut unit);
-                                    (unit, attempt, Some(orig))
-                                },
-                            ),
-                        },
-                    };
-                    match next {
-                        Some((unit, attempt, twin_of)) => {
-                            let assign = match twin_of {
-                                Some(orig) => {
-                                    ledger.issue_backup(orig, unit.clone(), w, now(&start), attempt)
-                                }
-                                None => ledger.issue(unit.clone(), w, now(&start), attempt),
-                            };
-                            let mut e = Encoder::new();
-                            e.u64(assign);
-                            unit.wire_encode(&mut e);
-                            if send_to!(w, tag::UNIT, e.finish()).is_err() {
-                                worker_gone!(w);
-                            } else {
-                                slots[w].state = WState::Active;
-                                slots[w].in_flight = true;
-                            }
-                        }
-                        None => {
-                            // a live service may grow new work at any
-                            // moment (client submissions), so its idle
-                            // workers park instead of shutting down
-                            if master.service_active() || ledger.has_pending() || ledger.has_retry()
-                            {
-                                slots[w].state = WState::Parked;
-                            } else {
-                                let _ = send_to!(w, tag::SHUTDOWN, Vec::new());
-                                finish_worker!(w);
-                                job_complete = true;
-                            }
-                        }
-                    }
-                }
-            }};
-        }
-
-        // A completed lease's result failed verification: requeue the
-        // unit, strike the worker, and quarantine it (node-id cooldown +
-        // exclusion + shutdown) once the strike limit is crossed.
-        macro_rules! reject_result {
-            ($w:expr, $lease:expr) => {{
-                let w: usize = $w;
-                if ledger.reject($lease) && slots[w].state != WState::Done {
-                    let id = identities.iter().find(|(_, &s)| s == w).map(|(&i, _)| i);
-                    if let Some(id) = id {
-                        quarantined_until
-                            .insert(id, now(&start) + cfg.recovery.quarantine_cooldown_s);
-                    }
-                    let ex = ledger.quarantine(w);
-                    if ex.newly_lost {
-                        master.on_worker_lost(w);
-                    }
-                    now_trace::global().instant(
-                        0,
-                        "farm.quarantine",
-                        &[("worker", w as u64)],
-                        false,
-                    );
-                    let _ = send_to!(w, tag::SHUTDOWN, Vec::new());
-                    finish_worker!(w);
-                    left_early += 1;
-                    now_trace::global().instant(
-                        0,
-                        "farm.membership",
-                        &[("event", 1), ("worker", w as u64)],
-                        false,
-                    );
-                }
-            }};
-        }
-
-        // Turn a handshaking connection away with a `REJECT` frame.
-        macro_rules! reject_conn {
-            ($ci:expr, $reason:expr) => {{
-                let ci: usize = $ci;
-                let t = now(&start);
-                if let Some(c) = conns[ci].as_mut() {
-                    let mut e = Encoder::new();
-                    e.str($reason);
-                    let _ = c.queue(&Message {
-                        from: 0,
-                        to: 0,
-                        tag: tag::REJECT,
-                        payload: e.finish(),
-                    });
-                    c.phase = Phase::Draining;
-                    c.close_after_flush = true;
-                    c.retire_at_s = t + 1.0;
-                }
-                rejected += 1;
-                now_trace::global().instant(0, "farm.membership", &[("event", 2)], false);
-            }};
-        }
-
-        // A connection died at the socket level: route to the right
-        // bookkeeping for its phase.
-        macro_rules! conn_died {
-            ($ci:expr) => {{
-                let ci: usize = $ci;
-                let info = conns[ci].as_ref().map(|c| (c.phase, c.worker));
-                match info {
-                    Some((Phase::Enrolled, Some(w))) if slots[w].state != WState::Done => {
-                        worker_gone!(w); // retires the conn itself
-                    }
-                    Some((Phase::Hello, _)) => {
-                        rejected += 1;
-                        now_trace::global().instant(0, "farm.membership", &[("event", 2)], false);
-                        retire_conn!(ci);
-                    }
-                    Some(_) => retire_conn!(ci),
-                    None => {}
-                }
-            }};
-        }
-
+        let mut run = MasterRun::new(master, cfg);
         loop {
-            let t = now(&start);
-            let mut activity = false;
-
-            // -- accept: new connections enter the Hello phase ---------
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        activity = true;
-                        let _ = stream.set_nodelay(true);
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let fault = cfg.net_faults.state_for(accepted);
-                        accepted += 1;
-                        let ci = conns.len();
-                        conns.push(Some(Conn::new(stream, t, fault)));
-                        let live = slots.iter().filter(|s| s.state != WState::Done).count();
-                        if live >= net.max_workers {
-                            reject_conn!(ci, "farm full");
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(io_to_channel(&e)),
-                }
+            let t = run.now();
+            let mut activity = run.accept(&self.listener, t)?;
+            let (frames, dead) = run.io_sweep(t);
+            activity |= !frames.is_empty() || !dead.is_empty();
+            for (ci, msg) in frames {
+                run.dispatch(ci, msg, t);
             }
-
-            // -- IO sweep: flush writes, read frames, note deaths ------
-            let mut events: Vec<(usize, Message)> = Vec::new();
-            let mut dead: Vec<usize> = Vec::new();
-            let mut drained: Vec<usize> = Vec::new();
-            for (ci, slot) in conns.iter_mut().enumerate() {
-                let Some(c) = slot.as_mut() else { continue };
-                if c.flush(t).is_err() {
-                    dead.push(ci);
-                    continue;
-                }
-                if c.close_after_flush && c.flushed() {
-                    drained.push(ci);
-                    continue;
-                }
-                let mut frames = Vec::new();
-                let alive = c.read(t, &mut frames).is_ok();
-                // frames parsed before a death are still valid traffic
-                for (msg, _n) in frames {
-                    events.push((ci, msg));
-                }
-                if !alive {
-                    dead.push(ci);
-                }
-            }
-            activity |= !events.is_empty() || !dead.is_empty() || !drained.is_empty();
-            for ci in drained {
-                retire_conn!(ci);
-            }
-
-            // -- dispatch decoded frames -------------------------------
-            for (ci, msg) in events {
-                let info = conns[ci].as_ref().map(|c| (c.phase, c.worker));
-                let Some((phase, wopt)) = info else { continue };
-                match phase {
-                    Phase::Hello => {
-                        if tag::is_client(msg.tag) {
-                            // control-plane client: no handshake, the
-                            // first request frame IS the introduction;
-                            // the conn index (never reused in a run) is
-                            // the client's push token
-                            match master.client_frame(ci as u64, msg.tag, &msg.payload) {
-                                Some((rtag, payload)) => {
-                                    if let Some(c) = conns[ci].as_mut() {
-                                        c.phase = Phase::Client;
-                                        let _ = c.queue(&Message {
-                                            from: 0,
-                                            to: 0,
-                                            tag: rtag,
-                                            payload,
-                                        });
-                                    }
-                                }
-                                None => {
-                                    // this master serves no clients
-                                    rejected += 1;
-                                    retire_conn!(ci);
-                                }
-                            }
-                            continue;
-                        }
-                        if msg.tag != tag::HELLO {
-                            rejected += 1;
-                            retire_conn!(ci);
-                            continue;
-                        }
-                        let (identity, fp) = match parse_hello(&msg.payload) {
-                            Ok(v) => v,
-                            Err(_) => {
-                                rejected += 1;
-                                retire_conn!(ci);
-                                continue;
-                            }
-                        };
-                        if !cfg.fingerprint.is_empty() && !fp.is_empty() && fp != cfg.fingerprint {
-                            reject_conn!(ci, "scene fingerprint mismatch");
-                            continue;
-                        }
-                        if identity != 0
-                            && identities
-                                .get(&identity)
-                                .is_some_and(|&w| slots[w].state != WState::Done)
-                        {
-                            reject_conn!(ci, "duplicate node id");
-                            continue;
-                        }
-                        if identity != 0
-                            && quarantined_until
-                                .get(&identity)
-                                .is_some_and(|&until| t < until)
-                        {
-                            reject_conn!(ci, "quarantined");
-                            continue;
-                        }
-                        // enroll: new worker slot, WELCOME with node id
-                        // (index + 1; node 0 is the master) + job header
-                        let w = slots.len();
-                        let lw = ledger.add_worker();
-                        debug_assert_eq!(lw, w);
-                        slots.push(Slot {
-                            conn: Some(ci),
-                            state: WState::Active,
-                            in_flight: true, // the coming first REQUEST
-                            started: false,
-                            rtt_s: 0.0,
-                            last_ping_s: t,
-                            busy_s: 0.0,
-                            units_done: 0,
-                            joined_s: t,
-                            left_s: 0.0,
-                            wire_in: 0,
-                            wire_out: 0,
-                        });
-                        if identity != 0 {
-                            identities.insert(identity, w);
-                        }
-                        joined_total += 1;
-                        now_trace::global().instant(
-                            0,
-                            "farm.membership",
-                            &[("event", 0), ("worker", w as u64)],
-                            false,
-                        );
-                        let c = conns[ci].as_mut().expect("enrolling conn is live");
-                        c.phase = Phase::Enrolled;
-                        c.worker = Some(w);
-                        let mut e = Encoder::new();
-                        e.u64((w + 1) as u64).bytes(&cfg.job_header);
-                        let _ = send_to!(w, tag::WELCOME, e.finish());
-                    }
-                    Phase::Enrolled => {
-                        let w = wopt.expect("enrolled conn has a worker");
-                        if slots[w].state == WState::Done {
-                            continue; // late frame from a finished worker
-                        }
-                        match msg.tag {
-                            tag::REQUEST => {
-                                slots[w].in_flight = false;
-                                slots[w].started = true;
-                                give_work!(w);
-                            }
-                            tag::RESULT => {
-                                slots[w].in_flight = false;
-                                slots[w].started = true;
-                                let mut payload = msg.payload;
-                                // byzantine-result injection: damage the
-                                // result bytes past the assign+busy
-                                // header, as if the worker had computed
-                                // wrong pixels
-                                if cfg.compute_faults.corrupts(w, slots[w].units_done)
-                                    && payload.len() > 16
-                                {
-                                    let last = payload.len() - 1;
-                                    payload[last] ^= 0x20;
-                                    ledger.counters.faults_injected += 1;
-                                }
-                                let mut d = Decoder::new(&payload);
-                                let header =
-                                    (|| -> Result<_, DecodeError> { Ok((d.u64()?, d.f64()?)) })();
-                                match header {
-                                    Ok((assign, busy_s)) => {
-                                        slots[w].busy_s = busy_s;
-                                        slots[w].units_done += 1;
-                                        match M::Result::wire_decode(&mut d) {
-                                            Ok(result) => {
-                                                if let Some(lease) = ledger.complete_at(assign, t) {
-                                                    let t0 = Instant::now();
-                                                    let verdict = master.integrate(
-                                                        w,
-                                                        lease.unit.clone(),
-                                                        result,
-                                                    );
-                                                    total_master_busy += t0.elapsed().as_secs_f64();
-                                                    if verdict.is_none() {
-                                                        reject_result!(w, lease);
-                                                    }
-                                                }
-                                                // stale id: late duplicate,
-                                                // counted by the ledger and
-                                                // discarded
-                                            }
-                                            Err(_) => {
-                                                // undecodable result under a
-                                                // valid header: bad bytes,
-                                                // not a dead peer — reject
-                                                // and strike
-                                                if let Some(lease) = ledger.complete_at(assign, t) {
-                                                    reject_result!(w, lease);
-                                                }
-                                            }
-                                        }
-                                        if slots[w].state != WState::Done {
-                                            give_work!(w);
-                                        }
-                                    }
-                                    Err(_) => {
-                                        // can't even tell which lease this
-                                        // answers: broken peer
-                                        worker_gone!(w);
-                                    }
-                                }
-                            }
-                            tag::PONG => {
-                                let mut d = Decoder::new(&msg.payload);
-                                if let (Ok(_seq), Ok(sent_ns)) = (d.u64(), d.u64()) {
-                                    let rtt = (start.elapsed().as_nanos() as u64)
-                                        .saturating_sub(sent_ns)
-                                        as f64
-                                        / 1e9;
-                                    let s = &mut slots[w];
-                                    s.rtt_s = if s.rtt_s == 0.0 {
-                                        rtt
-                                    } else {
-                                        0.8 * s.rtt_s + 0.2 * rtt
-                                    };
-                                }
-                            }
-                            // a HELLO replay or unknown tag mid-run is a
-                            // protocol violation: cut the peer loose and
-                            // requeue its work
-                            _ => worker_gone!(w),
-                        }
-                    }
-                    Phase::Client => {
-                        // a client may pipeline further requests on the
-                        // same connection; anything else is a violation
-                        if !tag::is_client(msg.tag) {
-                            retire_conn!(ci);
-                            continue;
-                        }
-                        match master.client_frame(ci as u64, msg.tag, &msg.payload) {
-                            Some((rtag, payload)) => {
-                                if let Some(c) = conns[ci].as_mut() {
-                                    let _ = c.queue(&Message {
-                                        from: 0,
-                                        to: 0,
-                                        tag: rtag,
-                                        payload,
-                                    });
-                                }
-                            }
-                            None => retire_conn!(ci),
-                        }
-                    }
-                    Phase::Draining => {} // rejected peer; ignore inbound
-                }
-            }
-
-            // -- unsolicited pushes to client connections --------------
-            for (client, ptag, payload) in master.client_pushes() {
-                activity = true;
-                let Some(c) = usize::try_from(client)
-                    .ok()
-                    .and_then(|ci| conns.get_mut(ci))
-                    .and_then(|s| s.as_mut())
-                else {
-                    continue; // client already hung up; drop the push
-                };
-                if c.phase != Phase::Client {
-                    continue;
-                }
-                let _ = c.queue(&Message {
-                    from: 0,
-                    to: 0,
-                    tag: ptag,
-                    payload,
-                });
-                // a push proves the stream is wanted: a quietly-watching
-                // client must not trip the idle read timeout
-                c.last_read_s = t;
-            }
-
-            // -- socket-level deaths (after their final frames) --------
+            activity |= run.push_to_clients(t);
+            // socket-level deaths, after their final frames
             for ci in dead {
-                conn_died!(ci);
+                run.conn_died(ci);
             }
-
-            // -- deadlines: handshakes, read timeouts, drains, leases --
-            let t = now(&start);
-            for ci in 0..conns.len() {
-                let Some(c) = conns[ci].as_ref() else {
-                    continue;
-                };
-                match c.phase {
-                    Phase::Hello if t - c.opened_s > net.handshake_timeout_s => {
-                        // slow-loris half-connection: never said HELLO
-                        rejected += 1;
-                        now_trace::global().instant(0, "farm.membership", &[("event", 2)], false);
-                        retire_conn!(ci);
-                        activity = true;
-                    }
-                    Phase::Draining if c.retire_at_s > 0.0 && t >= c.retire_at_s => {
-                        retire_conn!(ci);
-                        activity = true;
-                    }
-                    Phase::Enrolled
-                        if net.read_timeout_s > 0.0 && t - c.last_read_s > net.read_timeout_s =>
-                    {
-                        let w = c.worker.expect("enrolled conn has a worker");
-                        if slots[w].state != WState::Done {
-                            worker_gone!(w);
-                            activity = true;
-                        }
-                    }
-                    Phase::Client
-                        if net.read_timeout_s > 0.0 && t - c.last_read_s > net.read_timeout_s =>
-                    {
-                        // an idle client holds no leases; just hang up
-                        retire_conn!(ci);
-                        activity = true;
-                    }
-                    _ => {}
-                }
+            let t = run.now();
+            activity |= run.check_deadlines(t);
+            // a worker may still enrol while the quorum was never met and
+            // the accept window is open
+            let joinable =
+                (run.report.workers_joined as usize) < cfg.workers && t < cfg.net.accept_window_s;
+            run.schedule(t, joinable);
+            run.heartbeats(t);
+            if run.should_stop(t, joinable)? {
+                break;
             }
-            for e in ledger.expire_due(t) {
-                activity = true;
-                if e.newly_lost {
-                    master.on_worker_lost(e.worker);
-                    let _ = send_to!(e.worker, tag::SHUTDOWN, Vec::new());
-                    if slots[e.worker].state != WState::Done {
-                        slots[e.worker].state = WState::Done;
-                        slots[e.worker].in_flight = false;
-                        slots[e.worker].left_s = t;
-                        left_early += 1;
-                        now_trace::global().instant(
-                            0,
-                            "farm.membership",
-                            &[("event", 1), ("worker", e.worker as u64)],
-                            false,
-                        );
-                    }
-                    if let Some(ci) = slots[e.worker].conn {
-                        if let Some(c) = conns[ci].as_mut() {
-                            c.close_after_flush = true;
-                        }
-                    }
-                }
-            }
-
-            // -- scheduler: the thread backend's certainty logic -------
-            let service = master.service_active();
-            service_seen |= service;
-            let certain = slots
-                .iter()
-                .any(|s| s.state == WState::Active && s.in_flight && !s.started)
-                || ledger.has_pending();
-            // a live service re-polls parked workers every sweep: a
-            // client submission can create work while `certain` holds;
-            // a straggling lease re-polls them too, so an idle worker
-            // can draw a speculative backup lease
-            if ledger.has_retry() || !certain || service || ledger.has_straggler(t) {
-                let parked: Vec<usize> = (0..slots.len())
-                    .filter(|&w| slots[w].state == WState::Parked)
-                    .collect();
-                for w in parked {
-                    give_work!(w);
-                }
-            }
-            if !service
-                && !certain
-                && !ledger.has_pending()
-                && !ledger.has_retry()
-                && slots.iter().all(|s| s.state != WState::Parked)
-                && slots.iter().any(|s| s.state != WState::Done)
-            {
-                // nothing certain, nothing parked, no recoverable work:
-                // release everyone still connected
-                for w in 0..slots.len() {
-                    if slots[w].state != WState::Done {
-                        let _ = send_to!(w, tag::SHUTDOWN, Vec::new());
-                        finish_worker!(w);
-                    }
-                }
-                job_complete = true;
-            }
-
-            // -- heartbeats --------------------------------------------
-            for w in 0..slots.len() {
-                if slots[w].state != WState::Done && t - slots[w].last_ping_s >= net.heartbeat_s {
-                    ping_seq += 1;
-                    let mut e = Encoder::new();
-                    e.u64(ping_seq).u64(start.elapsed().as_nanos() as u64);
-                    slots[w].last_ping_s = t;
-                    if send_to!(w, tag::PING, e.finish()).is_err() {
-                        worker_gone!(w);
-                    }
-                }
-            }
-
-            // -- termination -------------------------------------------
-            let hello_open = conns.iter().flatten().any(|c| c.phase == Phase::Hello);
-            if service {
-                // long-lived service: stay up regardless of the accept
-                // window — clients and workers may arrive at any time,
-                // and the application decides when the service drains
-            } else if slots.is_empty() {
-                if service_seen {
-                    // drained service with no workers left (or none ever
-                    // joined): every job is terminal, exit cleanly
-                    break;
-                }
-                if !hello_open && t >= net.accept_window_s {
-                    return Err(ChannelError::TimedOut);
-                }
-            } else if slots.iter().all(|s| s.state == WState::Done) {
-                let clean = job_complete && !ledger.has_pending() && !ledger.has_retry();
-                // keep the door open for replacement joiners only while
-                // the quorum was never met and the window is still open
-                if service_seen
-                    || clean
-                    || joined_total as usize >= cfg.workers
-                    || t >= net.accept_window_s
-                {
-                    break;
-                }
-            }
-
             if !activity {
-                std::thread::sleep(Duration::from_millis(net.poll_interval_ms.max(1)));
+                std::thread::sleep(Duration::from_millis(cfg.net.poll_interval_ms.max(1)));
             }
         }
+        run.drain();
+        Ok(run.into_report())
+    }
+}
 
-        // -- drain: flush final SHUTDOWN/REJECT frames, then close -----
-        let drain_deadline = Instant::now() + Duration::from_secs(2);
+/// A running TCP master: the sans-IO core plus what the transport adds
+/// around it — connections, membership bookkeeping, fault gates and byte
+/// accounting.
+struct MasterRun<'a, M: MasterLogic> {
+    cfg: &'a TcpClusterConfig,
+    start: Instant,
+    core: MasterCore<M>,
+    conns: Vec<Option<Conn>>,
+    slots: Vec<Slot>,
+    /// Live node identities, to refuse a second claimant.
+    identities: BTreeMap<u64, usize>,
+    /// Node ids quarantined for bad results, mapped to the time their
+    /// cooldown ends; reconnects before then are turned away.
+    quarantined_until: BTreeMap<u64, f64>,
+    /// Accept-order index, keys the net-fault plan.
+    accepted: u64,
+    /// Latched once `service_active()` is ever observed true: a drained
+    /// service terminates cleanly instead of `TimedOut`.
+    service_seen: bool,
+    ping_seq: u64,
+    /// Run-wide totals accumulate here directly (messages, bytes,
+    /// membership counts, injected faults, master busy time).
+    report: RunReport,
+}
+
+impl<'a, M> MasterRun<'a, M>
+where
+    M: MasterLogic,
+    M::Unit: Wire,
+    M::Result: Wire,
+{
+    fn new(master: M, cfg: &'a TcpClusterConfig) -> MasterRun<'a, M> {
+        MasterRun {
+            cfg,
+            start: Instant::now(),
+            core: MasterCore::new(master, cfg.recovery),
+            conns: Vec::new(),
+            slots: Vec::new(),
+            identities: BTreeMap::new(),
+            quarantined_until: BTreeMap::new(),
+            accepted: 0,
+            service_seen: false,
+            ping_seq: 0,
+            report: RunReport::default(),
+        }
+    }
+
+    fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Retire a connection: close, fold its byte totals into the run
+    /// accounting, unlink it from its worker slot.
+    fn retire_conn(&mut self, ci: usize) {
+        let Some(c) = self.conns[ci].take() else {
+            return;
+        };
+        let _ = c.stream.shutdown(Shutdown::Both);
+        self.report.messages += c.msgs_in + c.msgs_out;
+        self.report.bytes += c.bytes_in + c.bytes_out;
+        if let Some(w) = c.worker {
+            self.slots[w].wire_in += c.bytes_in;
+            self.slots[w].wire_out += c.bytes_out;
+            self.slots[w].conn = None;
+        }
+        if c.phase == Phase::Client {
+            self.core.master_mut().client_gone(ci as u64);
+        }
+    }
+
+    /// A connection that never became a worker or client is dropped.
+    fn turn_away(&mut self, ci: usize) {
+        self.report.workers_rejected += 1;
+        now_trace::global().instant(0, "farm.membership", &[("event", 2)], false);
+        self.retire_conn(ci);
+    }
+
+    /// Turn a handshaking connection away with a `REJECT` frame.
+    fn reject_conn(&mut self, ci: usize, reason: &str, t: f64) {
+        if let Some(c) = self.conns[ci].as_mut() {
+            let mut e = Encoder::new();
+            e.str(reason);
+            let _ = c.queue(&Message {
+                from: 0,
+                to: 0,
+                tag: tag::REJECT,
+                payload: e.finish(),
+            });
+            c.phase = Phase::Draining;
+            c.close_after_flush = true;
+            c.retire_at_s = t + 1.0;
+        }
+        self.report.workers_rejected += 1;
+        now_trace::global().instant(0, "farm.membership", &[("event", 2)], false);
+    }
+
+    /// Worker `w` is out of the run before its end (died, excluded or
+    /// quarantined): the membership bookkeeping every such path shares.
+    fn departed(&mut self, w: usize, t: f64) {
+        self.slots[w].left_s = t;
+        self.report.workers_left += 1;
+        now_trace::global().instant(
+            0,
+            "farm.membership",
+            &[("event", 1), ("worker", w as u64)],
+            false,
+        );
+    }
+
+    /// Observed death of worker `w` (closed socket, read deadline, a
+    /// protocol violation or an undeliverable frame): the core requeues
+    /// its leases and tells the application.
+    fn worker_gone(&mut self, w: usize) {
+        if self.core.is_live(w) {
+            self.core.left(w);
+            self.departed(w, self.now());
+            if let Some(ci) = self.slots[w].conn {
+                self.retire_conn(ci);
+            }
+        }
+    }
+
+    /// Queue a frame to worker `w`; false if its connection is gone.
+    fn send_to(&mut self, w: usize, tag: u32, payload: Vec<u8>) -> bool {
+        let conn = self.slots[w].conn.and_then(|ci| self.conns[ci].as_mut());
+        conn.is_some_and(|c| {
+            c.queue(&Message {
+                from: 0,
+                to: w + 1,
+                tag,
+                payload,
+            })
+            .is_ok()
+        })
+    }
+
+    /// Tell worker `w` to stop; its connection closes once the frame has
+    /// flushed.
+    fn shut_down(&mut self, w: usize) {
+        self.send_to(w, tag::SHUTDOWN, Vec::new());
+        if let Some(c) = self.slots[w].conn.and_then(|ci| self.conns[ci].as_mut()) {
+            c.close_after_flush = true;
+        }
+    }
+
+    /// Realise the core's pending actions as frames.
+    fn pump(&mut self) {
+        while let Some(action) = self.core.next_action() {
+            match action {
+                Action::Send {
+                    worker,
+                    assign_id,
+                    unit,
+                } => {
+                    let mut e = Encoder::new();
+                    e.u64(assign_id);
+                    unit.wire_encode(&mut e);
+                    if !self.send_to(worker, tag::UNIT, e.finish()) {
+                        self.worker_gone(worker);
+                    }
+                }
+                Action::Shutdown { worker } => {
+                    self.shut_down(worker);
+                    let t = self.now();
+                    self.slots[worker].left_s = t;
+                }
+                Action::Lost {
+                    worker,
+                    quarantined,
+                } => {
+                    let t = self.now();
+                    let id = self.slots[worker].identity;
+                    if quarantined && id != 0 {
+                        let until = t + self.cfg.recovery.quarantine_cooldown_s;
+                        self.quarantined_until.insert(id, until);
+                    }
+                    self.shut_down(worker);
+                    self.departed(worker, t);
+                }
+            }
+        }
+    }
+
+    /// New connections enter the `Hello` phase; true if any arrived.
+    fn accept(&mut self, listener: &TcpListener, t: f64) -> Result<bool, ChannelError> {
+        let mut any = false;
         loop {
-            let t = now(&start);
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    any = true;
+                    let _ = stream.set_nodelay(true);
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let fault = self.cfg.net_faults.state_for(self.accepted);
+                    self.accepted += 1;
+                    let ci = self.conns.len();
+                    self.conns.push(Some(Conn::new(stream, t, fault)));
+                    let live = (0..self.slots.len())
+                        .filter(|&w| self.core.is_live(w))
+                        .count();
+                    if live >= self.cfg.net.max_workers {
+                        self.reject_conn(ci, "farm full", t);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(any),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(io_to_channel(&e)),
+            }
+        }
+    }
+
+    /// Flush writes and read frames on every connection. Returns the
+    /// decoded frames and the connections that died at the socket level
+    /// (frames parsed before a death are still valid traffic).
+    fn io_sweep(&mut self, t: f64) -> (Vec<(usize, Message)>, Vec<usize>) {
+        let mut frames: Vec<(usize, Message)> = Vec::new();
+        let mut dead: Vec<usize> = Vec::new();
+        let mut drained: Vec<usize> = Vec::new();
+        let mut inbox = Vec::new();
+        for (ci, slot) in self.conns.iter_mut().enumerate() {
+            let Some(c) = slot.as_mut() else { continue };
+            if c.flush(t).is_err() {
+                dead.push(ci);
+                continue;
+            }
+            if c.close_after_flush && c.flushed() {
+                drained.push(ci);
+                continue;
+            }
+            let alive = c.read(t, &mut inbox).is_ok();
+            frames.extend(inbox.drain(..).map(|(msg, _n)| (ci, msg)));
+            if !alive {
+                dead.push(ci);
+            }
+        }
+        for ci in drained {
+            self.retire_conn(ci);
+        }
+        (frames, dead)
+    }
+
+    /// Route one decoded frame by its connection's phase.
+    fn dispatch(&mut self, ci: usize, msg: Message, t: f64) {
+        let Some(c) = self.conns[ci].as_ref() else {
+            return;
+        };
+        match (c.phase, c.worker) {
+            (Phase::Hello, _) => self.on_opener(ci, msg, t),
+            (Phase::Enrolled, Some(w)) => self.on_worker_frame(w, msg, t),
+            (Phase::Client, _) => {
+                // a client may pipeline further requests on the same
+                // connection; anything else is a violation
+                if !tag::is_client(msg.tag) || !self.client_request(ci, &msg) {
+                    self.retire_conn(ci);
+                }
+            }
+            // a rejected peer's inbound is ignored
+            (Phase::Draining, _) | (Phase::Enrolled, None) => {}
+        }
+    }
+
+    /// Route a client request through `MasterLogic::client_frame` and
+    /// queue the reply; false if this master refuses it. The conn index
+    /// (never reused in a run) is the client's push token.
+    fn client_request(&mut self, ci: usize, msg: &Message) -> bool {
+        let reply = self
+            .core
+            .master_mut()
+            .client_frame(ci as u64, msg.tag, &msg.payload);
+        let (Some((rtag, payload)), Some(c)) = (reply, self.conns[ci].as_mut()) else {
+            return false;
+        };
+        c.phase = Phase::Client;
+        let _ = c.queue(&Message {
+            from: 0,
+            to: 0,
+            tag: rtag,
+            payload,
+        });
+        true
+    }
+
+    /// First frame of a connection: a client request (no handshake, the
+    /// request *is* the introduction) or a worker's `HELLO`.
+    fn on_opener(&mut self, ci: usize, msg: Message, t: f64) {
+        if tag::is_client(msg.tag) {
+            if !self.client_request(ci, &msg) {
+                // this master serves no clients
+                self.turn_away(ci);
+            }
+            return;
+        }
+        let hello = (msg.tag == tag::HELLO)
+            .then(|| parse_hello(&msg.payload).ok())
+            .flatten();
+        let Some((identity, fp)) = hello else {
+            return self.turn_away(ci);
+        };
+        let expected = &self.cfg.fingerprint;
+        if !expected.is_empty() && !fp.is_empty() && fp != *expected {
+            return self.reject_conn(ci, "scene fingerprint mismatch", t);
+        }
+        if identity != 0 {
+            if (self.identities.get(&identity)).is_some_and(|&w| self.core.is_live(w)) {
+                return self.reject_conn(ci, "duplicate node id", t);
+            }
+            if (self.quarantined_until.get(&identity)).is_some_and(|&until| t < until) {
+                return self.reject_conn(ci, "quarantined", t);
+            }
+        }
+        // enroll: new worker slot, WELCOME with node id (index + 1; node
+        // 0 is the master) + job header
+        let w = self.core.joined();
+        debug_assert_eq!(w, self.slots.len());
+        self.slots.push(Slot {
+            conn: Some(ci),
+            identity,
+            last_ping_s: t,
+            joined_s: t,
+            ..Slot::default()
+        });
+        if identity != 0 {
+            self.identities.insert(identity, w);
+        }
+        self.report.workers_joined += 1;
+        now_trace::global().instant(
+            0,
+            "farm.membership",
+            &[("event", 0), ("worker", w as u64)],
+            false,
+        );
+        let c = self.conns[ci].as_mut().expect("enrolling conn is live");
+        c.phase = Phase::Enrolled;
+        c.worker = Some(w);
+        let mut e = Encoder::new();
+        e.u64((w + 1) as u64).bytes(&self.cfg.job_header);
+        self.send_to(w, tag::WELCOME, e.finish());
+    }
+
+    /// A frame from enrolled worker `w`.
+    fn on_worker_frame(&mut self, w: usize, msg: Message, t: f64) {
+        if !self.core.is_live(w) {
+            return; // late frame from a finished worker
+        }
+        match msg.tag {
+            tag::REQUEST => self.core.request(w, t),
+            tag::RESULT => {
+                let mut payload = msg.payload;
+                // byzantine-result injection: damage the result bytes past
+                // the assign+busy header, as if the worker had computed
+                // wrong pixels
+                if self
+                    .cfg
+                    .compute_faults
+                    .corrupts(w, self.slots[w].units_done)
+                    && payload.len() > 16
+                {
+                    let last = payload.len() - 1;
+                    payload[last] ^= 0x20;
+                    self.report.faults_injected += 1;
+                }
+                let mut d = Decoder::new(&payload);
+                let header = (|| -> Result<_, DecodeError> { Ok((d.u64()?, d.f64()?)) })();
+                let Ok((assign, busy_s)) = header else {
+                    // can't even tell which lease this answers: broken peer
+                    return self.worker_gone(w);
+                };
+                self.slots[w].busy_s = busy_s;
+                self.slots[w].units_done += 1;
+                // an undecodable result under a valid header is bad bytes,
+                // not a dead peer: the core rejects it and strikes
+                let result = M::Result::wire_decode(&mut d);
+                let t0 = Instant::now();
+                self.core.result(w, assign, result, t);
+                self.report.master_busy_s += t0.elapsed().as_secs_f64();
+                // a result doubles as the next work request
+                self.core.request(w, t);
+            }
+            tag::PONG => {
+                let mut d = Decoder::new(&msg.payload);
+                if let (Ok(_seq), Ok(sent_ns)) = (d.u64(), d.u64()) {
+                    let now_ns = self.start.elapsed().as_nanos() as u64;
+                    let rtt = now_ns.saturating_sub(sent_ns) as f64 / 1e9;
+                    let s = &mut self.slots[w];
+                    s.rtt_s = if s.rtt_s == 0.0 {
+                        rtt
+                    } else {
+                        0.8 * s.rtt_s + 0.2 * rtt
+                    };
+                }
+            }
+            // a HELLO replay or unknown tag mid-run is a protocol
+            // violation: cut the peer loose and requeue its work
+            _ => self.worker_gone(w),
+        }
+        self.pump();
+    }
+
+    /// Queue the master's unsolicited frames on their client connections;
+    /// frames for clients that already hung up are dropped.
+    fn push_to_clients(&mut self, t: f64) -> bool {
+        let pushes = self.core.master_mut().client_pushes();
+        let any = !pushes.is_empty();
+        for (client, ptag, payload) in pushes {
+            let conn = usize::try_from(client)
+                .ok()
+                .and_then(|ci| self.conns.get_mut(ci))
+                .and_then(|s| s.as_mut());
+            let Some(c) = conn.filter(|c| c.phase == Phase::Client) else {
+                continue;
+            };
+            let _ = c.queue(&Message {
+                from: 0,
+                to: 0,
+                tag: ptag,
+                payload,
+            });
+            // a push proves the stream is wanted: a quietly-watching
+            // client must not trip the idle read timeout
+            c.last_read_s = t;
+        }
+        any
+    }
+
+    /// A connection died at the socket level: route to the right
+    /// bookkeeping for its phase.
+    fn conn_died(&mut self, ci: usize) {
+        match self.conns[ci].as_ref().map(|c| (c.phase, c.worker)) {
+            Some((Phase::Enrolled, Some(w))) if self.core.is_live(w) => {
+                self.worker_gone(w); // retires the conn itself
+            }
+            Some((Phase::Hello, _)) => self.turn_away(ci),
+            Some(_) => self.retire_conn(ci),
+            None => {}
+        }
+    }
+
+    /// Handshake, drain and read deadlines, then lease deadlines; true if
+    /// anything fired.
+    fn check_deadlines(&mut self, t: f64) -> bool {
+        let net = &self.cfg.net;
+        let mut any = false;
+        for ci in 0..self.conns.len() {
+            let Some(c) = self.conns[ci].as_ref() else {
+                continue;
+            };
+            let silent = net.read_timeout_s > 0.0 && t - c.last_read_s > net.read_timeout_s;
+            match c.phase {
+                // slow-loris half-connection: never said HELLO
+                Phase::Hello if t - c.opened_s > net.handshake_timeout_s => self.turn_away(ci),
+                Phase::Draining if c.retire_at_s > 0.0 && t >= c.retire_at_s => {
+                    self.retire_conn(ci)
+                }
+                Phase::Enrolled if silent => match c.worker {
+                    Some(w) if self.core.is_live(w) => self.worker_gone(w),
+                    _ => continue,
+                },
+                // an idle client holds no leases; just hang up
+                Phase::Client if silent => self.retire_conn(ci),
+                _ => continue,
+            }
+            any = true;
+        }
+        let expired = !self.core.tick(t).is_empty();
+        self.pump();
+        any || expired
+    }
+
+    /// Re-poll parked workers when the core has reason to — and, for a
+    /// live service, every sweep: a client submission can create work at
+    /// any moment and no core event announces it. (Frames queued here go
+    /// out on the next sweep; they do not count as activity, so an idle
+    /// service still sleeps between polls.)
+    fn schedule(&mut self, t: f64, joinable: bool) {
+        let service = self.core.master().service_active();
+        self.service_seen |= service;
+        self.core.set_joinable(joinable);
+        if service || self.core.wakeable(t) {
+            self.core.wake(t);
+        }
+        self.pump();
+    }
+
+    fn heartbeats(&mut self, t: f64) {
+        for w in 0..self.slots.len() {
+            if self.core.is_live(w) && t - self.slots[w].last_ping_s >= self.cfg.net.heartbeat_s {
+                self.ping_seq += 1;
+                let mut e = Encoder::new();
+                e.u64(self.ping_seq)
+                    .u64(self.start.elapsed().as_nanos() as u64);
+                self.slots[w].last_ping_s = t;
+                if !self.send_to(w, tag::PING, e.finish()) {
+                    self.worker_gone(w);
+                }
+            }
+        }
+    }
+
+    /// Is the run over? `Err(TimedOut)` when no worker ever joined within
+    /// the accept window.
+    fn should_stop(&self, t: f64, joinable: bool) -> Result<bool, ChannelError> {
+        if self.core.master().service_active() {
+            // long-lived service: stay up regardless of the accept window
+            // — clients and workers may arrive at any time, and the
+            // application decides when the service drains
+            return Ok(false);
+        }
+        if self.slots.is_empty() {
+            // a drained service with no workers left (or none ever
+            // joined) has every job terminal: exit cleanly
+            let hello_open = self.conns.iter().flatten().any(|c| c.phase == Phase::Hello);
+            if !self.service_seen && !hello_open && t >= self.cfg.net.accept_window_s {
+                return Err(ChannelError::TimedOut);
+            }
+            return Ok(self.service_seen);
+        }
+        // every worker is done: stop unless work is still owed and a
+        // replacement joiner may yet arrive
+        Ok(self.core.finished() && (self.service_seen || self.core.job_complete() || !joinable))
+    }
+
+    /// Flush final `SHUTDOWN`/`REJECT` frames, then close everything.
+    fn drain(&mut self) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let t = self.now();
             let mut unflushed = false;
-            for ci in 0..conns.len() {
-                let Some(c) = conns[ci].as_mut() else {
+            for ci in 0..self.conns.len() {
+                let Some(c) = self.conns[ci].as_mut() else {
                     continue;
                 };
                 if c.flush(t).is_err() || c.flushed() {
-                    retire_conn!(ci);
+                    self.retire_conn(ci);
                 } else {
                     unflushed = true;
                 }
             }
-            if !unflushed || Instant::now() >= drain_deadline {
+            if !unflushed || Instant::now() >= deadline {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        for ci in 0..conns.len() {
-            retire_conn!(ci);
+        for ci in 0..self.conns.len() {
+            self.retire_conn(ci);
         }
+    }
 
-        // -- report ----------------------------------------------------
-        let makespan = start.elapsed().as_secs_f64();
-        let mut report = RunReport {
-            makespan_s: makespan,
-            messages: total_msgs,
-            bytes: total_bytes,
-            master_busy_s: total_master_busy,
-            faults_injected: ledger.counters.faults_injected,
-            units_reassigned: ledger.counters.units_reassigned,
-            duplicates_dropped: ledger.counters.duplicates_dropped,
-            workers_lost: ledger.counters.workers_lost,
-            workers_joined: joined_total,
-            workers_left: left_early,
-            workers_rejected: rejected,
-            results_rejected: ledger.counters.results_rejected,
-            workers_quarantined: ledger.counters.workers_quarantined,
-            backup_leases: ledger.counters.backup_leases,
+    fn into_report(mut self) -> (M, RunReport) {
+        self.report.makespan_s = self.start.elapsed().as_secs_f64();
+        let machine = |(w, s): (usize, &Slot)| MachineReport {
+            name: format!("tcp-worker-{w}"),
+            busy_s: s.busy_s,
+            units_done: s.units_done,
+            bytes_sent: s.wire_in,
+            bytes_received: s.wire_out,
+            rtt_s: s.rtt_s,
+            joined_s: s.joined_s,
+            left_s: s.left_s,
             ..Default::default()
         };
-        for (w, s) in slots.iter().enumerate() {
-            report.machines.push(MachineReport {
-                name: format!("tcp-worker-{w}"),
-                busy_s: s.busy_s,
-                units_done: s.units_done,
-                bytes_sent: s.wire_in,
-                bytes_received: s.wire_out,
-                failures: ledger.total_failures(w),
-                rtt_s: s.rtt_s,
-                lost: ledger.is_excluded(w),
-                joined_s: s.joined_s,
-                left_s: s.left_s,
-            });
-        }
-        Ok((master, report))
+        self.report.machines = self.slots.iter().enumerate().map(machine).collect();
+        let (master, mut counters, health) = self.core.finish();
+        counters.faults_injected = self.report.faults_injected;
+        self.report.absorb_recovery(&counters, &health);
+        (master, self.report)
     }
 }
 

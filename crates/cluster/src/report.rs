@@ -1,4 +1,6 @@
-//! Run reports shared by both backends.
+//! Run reports shared by all backends.
+
+use crate::ledger::FaultCounters;
 
 /// What a recorded timeline span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +130,22 @@ impl RunReport {
     /// Total compute performed across machines (for conservation checks).
     pub fn total_busy_s(&self) -> f64 {
         self.machines.iter().map(|m| m.busy_s).sum()
+    }
+
+    /// Copy in what the recovery protocol did: its run-wide counters and,
+    /// per machine, `(lease failures, excluded)`.
+    pub(crate) fn absorb_recovery(&mut self, c: &FaultCounters, health: &[(u64, bool)]) {
+        self.faults_injected = c.faults_injected;
+        self.units_reassigned = c.units_reassigned;
+        self.duplicates_dropped = c.duplicates_dropped;
+        self.workers_lost = c.workers_lost;
+        self.results_rejected = c.results_rejected;
+        self.workers_quarantined = c.workers_quarantined;
+        self.backup_leases = c.backup_leases;
+        for (m, &(failures, lost)) in self.machines.iter_mut().zip(health) {
+            m.failures = failures;
+            m.lost = lost;
+        }
     }
 
     /// Replay this report into the global trace recorder.

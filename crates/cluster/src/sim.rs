@@ -16,19 +16,24 @@
 //! Unlike the paper's PVM setup, machines are allowed to fail: a
 //! [`FaultPlan`] injects crashes, stalls, slowdowns and dropped results
 //! deterministically into the virtual timeline, and the master recovers
-//! through the lease/retry/exclusion protocol of [`crate::fault`] when
-//! [`SimCluster::recovery`] enables finite leases.
+//! through the lease/retry/exclusion protocol of [`crate::core`] when
+//! [`SimCluster::recovery`] enables finite leases. The simulator is one of
+//! three drivers of that protocol: it turns its event heap into core
+//! events on the virtual clock and charges the resulting messages to the
+//! bus model; the policy itself lives in [`MasterCore`].
 //!
 //! A worker's `work_units` may itself come from multi-threaded execution
 //! (the intra-worker tile pool): the worker logic then charges the pool's
 //! deterministic critical path rather than summed thread time, so virtual
 //! timelines remain reproducible on any host.
 
-use crate::fault::{FaultPlan, Ledger, RecoveryConfig};
+use crate::core::{Action, MasterCore};
+use crate::fault::FaultPlan;
+use crate::ledger::RecoveryConfig;
 use crate::logic::{MasterLogic, WorkerLogic};
 use crate::report::{MachineReport, RunReport, SpanKind, TimelineSpan};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// A simulated workstation.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,11 +96,11 @@ impl Default for EthernetSpec {
 
 /// Simulation event.
 enum Event<U, R> {
-    /// A request (optionally carrying a finished unit's result, tagged
-    /// with its assignment id) reaches the master.
+    /// A request (optionally carrying a finished assignment's result)
+    /// reaches the master.
     RequestAtMaster {
         worker: usize,
-        done: Option<(u64, U, R)>,
+        done: Option<(u64, R)>,
     },
     /// The master is ready to answer `worker`.
     MasterReply { worker: usize },
@@ -110,11 +115,11 @@ enum Event<U, R> {
     WorkerSend {
         worker: usize,
         assign: u64,
-        done: (U, R),
+        result: R,
         bytes: u64,
     },
-    /// A lease deadline passed; expire whatever is overdue and wake
-    /// parked workers to pick up the requeued units.
+    /// The core's next deadline passed: expire what is overdue and let
+    /// parked workers pick up requeued or straggling units.
     LeaseCheck,
 }
 
@@ -223,7 +228,7 @@ impl SimCluster {
     /// // 8 seconds of speed-1 work on aggregate power 4: about 2 virtual s
     /// assert!(report.makespan_s >= 2.0 && report.makespan_s < 4.0);
     /// ```
-    pub fn run<M, W>(&self, mut master: M, mut workers: Vec<W>) -> (M, RunReport)
+    pub fn run<M, W>(&self, master: M, workers: Vec<W>) -> (M, RunReport)
     where
         M: MasterLogic,
         W: WorkerLogic<Unit = M::Unit, Result = M::Result>,
@@ -231,79 +236,34 @@ impl SimCluster {
         assert_eq!(workers.len(), self.machines.len(), "one worker per machine");
         let n = workers.len();
         assert!(n > 0, "need at least one machine");
-
-        let mut queue: BinaryHeap<Scheduled<M::Unit, M::Result>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |q: &mut BinaryHeap<Scheduled<M::Unit, M::Result>>,
-                    seq: &mut u64,
-                    at: f64,
-                    event: Event<M::Unit, M::Result>| {
-            *seq += 1;
-            q.push(Scheduled {
-                at,
-                seq: *seq,
-                event,
-            });
+        let mut run = SimRun {
+            cluster: self,
+            workers,
+            core: MasterCore::new(master, self.recovery),
+            queue: BinaryHeap::new(),
+            seq: 0,
+            bus_free: 0.0,
+            master_free: 0.0,
+            makespan: 0.0,
+            report: RunReport {
+                machines: (self.machines.iter())
+                    .map(|m| MachineReport {
+                        name: m.name.clone(),
+                        ..Default::default()
+                    })
+                    .collect(),
+                ..Default::default()
+            },
+            units_started: vec![0; n],
+            dead: vec![false; n],
+            armed: f64::INFINITY,
         };
-
-        let mut bus_free = 0.0f64;
-        let mut master_free = 0.0f64;
-        let mut makespan = 0.0f64;
-        let mut network_busy = 0.0f64;
-        let mut master_busy = 0.0f64;
-        let mut report = RunReport {
-            machines: self
-                .machines
-                .iter()
-                .map(|m| MachineReport {
-                    name: m.name.clone(),
-                    ..Default::default()
-                })
-                .collect(),
-            ..Default::default()
-        };
-
-        let mut ledger: Ledger<M::Unit> = Ledger::new(self.recovery, n);
-        // units each worker has started (0-based fault trigger counter)
-        let mut units_started = vec![0u64; n];
-        // workers whose simulated process crashed (produce no events)
-        let mut dead = vec![false; n];
-        // idle workers waiting out pending leases instead of shutting down
-        let mut parked: BTreeSet<usize> = BTreeSet::new();
-
-        let mut active_workers = n;
-
-        // transfer over the shared bus: returns arrival time
-        macro_rules! transfer {
-            ($ready:expr, $bytes:expr, $sender:expr) => {{
-                let start = bus_free.max($ready);
-                let dur = self.net.latency_s + ($bytes as f64) / self.net.bandwidth;
-                bus_free = start + dur;
-                network_busy += dur;
-                if self.record_timeline {
-                    report.timeline.push(TimelineSpan {
-                        machine: $sender.unwrap_or(usize::MAX),
-                        start,
-                        end: bus_free,
-                        kind: SpanKind::Transfer,
-                    });
-                }
-                report.messages += 1;
-                report.bytes += $bytes;
-                if let Some(s) = $sender {
-                    report.machines[s as usize].bytes_sent += $bytes;
-                }
-                bus_free
-            }};
-        }
-
         // every worker fires an initial request when it joins the run
         // (t = 0 unless the fault plan schedules a late join)
         for w in 0..n {
-            let arrive = transfer!(self.faults.join_time(w), self.request_bytes, Some(w));
-            push(
-                &mut queue,
-                &mut seq,
+            run.core.joined();
+            let arrive = run.transfer(self.faults.join_time(w), self.request_bytes, Some(w));
+            run.push(
                 arrive,
                 Event::RequestAtMaster {
                     worker: w,
@@ -311,284 +271,272 @@ impl SimCluster {
                 },
             );
         }
+        while let Some(Scheduled { at, event, .. }) = run.queue.pop() {
+            run.step(at, event);
+        }
+        run.finish()
+    }
+}
 
-        while let Some(Scheduled { at, event, .. }) = queue.pop() {
-            // lease checks whose lease already completed are lazy-cancelled
-            // no-ops and must not stretch the makespan
-            if !matches!(event, Event::LeaseCheck) {
-                makespan = makespan.max(at);
+/// One simulated run: the event heap, the bus and master clocks, the
+/// injected-fault state of each machine, and the protocol core they drive.
+struct SimRun<'a, M: MasterLogic, W> {
+    cluster: &'a SimCluster,
+    workers: Vec<W>,
+    core: MasterCore<M>,
+    queue: BinaryHeap<Scheduled<M::Unit, M::Result>>,
+    seq: u64,
+    bus_free: f64,
+    master_free: f64,
+    makespan: f64,
+    report: RunReport,
+    /// units each worker has started (0-based fault trigger counter)
+    units_started: Vec<u64>,
+    /// workers whose simulated process crashed (produce no events)
+    dead: Vec<bool>,
+    /// earliest time a `LeaseCheck` is already scheduled for
+    armed: f64,
+}
+
+impl<M, W> SimRun<'_, M, W>
+where
+    M: MasterLogic,
+    W: WorkerLogic<Unit = M::Unit, Result = M::Result>,
+{
+    fn push(&mut self, at: f64, event: Event<M::Unit, M::Result>) {
+        self.seq += 1;
+        self.queue.push(Scheduled {
+            at,
+            seq: self.seq,
+            event,
+        });
+    }
+
+    /// Transfer over the shared bus, ready at `ready`: returns arrival time.
+    fn transfer(&mut self, ready: f64, bytes: u64, sender: Option<usize>) -> f64 {
+        let net = &self.cluster.net;
+        let start = self.bus_free.max(ready);
+        let dur = net.latency_s + (bytes as f64) / net.bandwidth;
+        self.bus_free = start + dur;
+        self.report.network_busy_s += dur;
+        self.span(
+            sender.unwrap_or(usize::MAX),
+            start,
+            self.bus_free,
+            SpanKind::Transfer,
+        );
+        self.report.messages += 1;
+        self.report.bytes += bytes;
+        if let Some(s) = sender {
+            self.report.machines[s].bytes_sent += bytes;
+        }
+        self.bus_free
+    }
+
+    fn span(&mut self, machine: usize, start: f64, end: f64, kind: SpanKind) {
+        if self.cluster.record_timeline {
+            self.report.timeline.push(TimelineSpan {
+                machine,
+                start,
+                end,
+                kind,
+            });
+        }
+    }
+
+    /// Parked workers the core wants re-polled at `now` get their reply
+    /// when the master is free to send it.
+    fn wake_parked(&mut self, now: f64, reply_at: f64) {
+        if self.core.wakeable(now) {
+            for w in self.core.take_parked() {
+                self.push(reply_at, Event::MasterReply { worker: w });
             }
-            match event {
-                Event::RequestAtMaster { worker, done } => {
-                    // master unpacks the message
-                    let mut t = master_free.max(at) + self.net.master_overhead_s;
-                    master_busy += self.net.master_overhead_s;
-                    let first = done.and_then(|(assign, unit, result)| {
-                        // at-most-once: a stale assignment id means the
-                        // unit was already re-issued — drop the duplicate.
-                        ledger.complete_at(assign, at).map(|l| (l, unit, result))
-                    });
-                    if let Some((lease, unit, result)) = first {
-                        match master.integrate(worker, unit, result) {
-                            Some(mw) => {
-                                let work_start;
-                                if mw.overlappable {
-                                    // reply first, absorb the work afterwards
-                                    work_start = t;
-                                    master_free = t + mw.work_units;
-                                } else {
-                                    work_start = t;
-                                    t += mw.work_units;
-                                    master_free = t;
-                                }
-                                if self.record_timeline && mw.work_units > 0.0 {
-                                    report.timeline.push(TimelineSpan {
-                                        machine: 0,
-                                        start: work_start,
-                                        end: work_start + mw.work_units,
-                                        kind: SpanKind::MasterWork,
-                                    });
-                                }
-                                master_busy += mw.work_units;
-                                makespan = makespan.max(master_free).max(t);
-                            }
-                            None => {
-                                // verification failed: requeue the unit
-                                // byte-identically, strike the worker and
-                                // quarantine it at the threshold
-                                master_free = t;
-                                if ledger.reject(lease) {
-                                    let ex = ledger.quarantine(worker);
-                                    now_trace::global().instant(
-                                        0,
-                                        "farm.quarantine",
-                                        &[("worker", worker as u64)],
-                                        false,
-                                    );
-                                    if ex.newly_lost {
-                                        master.on_worker_lost(worker);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        master_free = t;
-                    }
-                    // parked workers wait on outstanding leases; once the
-                    // last one resolves (or a retry is waiting) let them
-                    // come back for an answer — work or shutdown
-                    if !parked.is_empty() && (ledger.has_retry() || !ledger.has_pending()) {
-                        for w in std::mem::take(&mut parked) {
-                            push(&mut queue, &mut seq, t, Event::MasterReply { worker: w });
-                        }
-                    }
-                    push(&mut queue, &mut seq, t, Event::MasterReply { worker });
+        }
+    }
+
+    fn step(&mut self, at: f64, event: Event<M::Unit, M::Result>) {
+        // lease checks whose lease already completed are lazy-cancelled
+        // no-ops and must not stretch the makespan
+        if !matches!(event, Event::LeaseCheck) {
+            self.makespan = self.makespan.max(at);
+        }
+        match event {
+            Event::RequestAtMaster { worker, done } => self.request_at_master(at, worker, done),
+            Event::MasterReply { worker } => self.core.request(worker, at),
+            Event::UnitAtWorker {
+                worker,
+                assign,
+                unit,
+            } => self.unit_at_worker(at, worker, assign, unit),
+            Event::WorkerSend {
+                worker,
+                assign,
+                result,
+                bytes,
+            } => {
+                let arrive = self.transfer(at, bytes, Some(worker));
+                self.push(
+                    arrive,
+                    Event::RequestAtMaster {
+                        worker,
+                        done: Some((assign, result)),
+                    },
+                );
+            }
+            Event::LeaseCheck => {
+                if now_trace::enabled() {
+                    // lease-check cadence tracks virtual time, which
+                    // scales with the worker thread count
+                    now_trace::global().counter_add_nd("sim.lease_checks", 1);
                 }
-                Event::MasterReply { worker } => {
-                    if ledger.is_excluded(worker) {
-                        // a lost-then-returned worker gets no more work
-                        active_workers = active_workers.saturating_sub(1);
-                        continue;
-                    }
-                    // requeued units take priority over fresh assignments;
-                    // with no other work, an idle worker may re-execute a
-                    // straggler's unit as a speculative backup
-                    let next = match ledger.take_retry() {
-                        Some((mut unit, attempt, from)) => {
-                            master.on_reassign(from, &mut unit);
-                            Some((unit, attempt, None))
-                        }
-                        None => match master.assign(worker) {
-                            Some(u) => Some((u, 0, None)),
-                            None => ledger.straggler_for(worker, at).map(
-                                |(orig, mut unit, attempt, from)| {
-                                    master.on_reassign(from, &mut unit);
-                                    (unit, attempt, Some(orig))
-                                },
-                            ),
-                        },
-                    };
-                    match next {
-                        Some((unit, attempt, twin_of)) => {
-                            let assign = match twin_of {
-                                Some(orig) => {
-                                    ledger.issue_backup(orig, unit.clone(), worker, at, attempt)
-                                }
-                                None => ledger.issue(unit.clone(), worker, at, attempt),
-                            };
-                            if self.recovery.enabled() {
-                                let deadline = at + self.recovery.lease_for_attempt(attempt);
-                                push(&mut queue, &mut seq, deadline, Event::LeaseCheck);
-                            }
-                            let bytes = master.unit_bytes(&unit);
-                            let arrive = transfer!(at, bytes, None::<usize>);
-                            report.machines[worker].bytes_received += bytes;
-                            push(
-                                &mut queue,
-                                &mut seq,
-                                arrive,
-                                Event::UnitAtWorker {
-                                    worker,
-                                    assign,
-                                    unit,
-                                },
-                            );
-                        }
-                        None => {
-                            if ledger.has_pending() || ledger.has_retry() || !master.all_done() {
-                                // work may still come back as a retry, or
-                                // sit queued behind a worker that is
-                                // momentarily between leases — park
-                                // instead of shutting down
-                                if self.recovery.speculate {
-                                    // wake in time to issue a backup lease
-                                    // should a pending unit straggle
-                                    if let Some(d) = ledger.next_deadline() {
-                                        push(&mut queue, &mut seq, d.max(at), Event::LeaseCheck);
-                                    }
-                                }
-                                parked.insert(worker);
-                            } else {
-                                active_workers -= 1;
-                            }
-                        }
-                    }
+                if at >= self.armed {
+                    self.armed = f64::INFINITY;
                 }
-                Event::UnitAtWorker {
+                for worker in self.core.tick(at) {
+                    self.makespan = self.makespan.max(at);
+                    self.span(worker, at, at, SpanKind::Reassign);
+                }
+                self.wake_parked(at, at);
+            }
+        }
+        self.realise_actions(at);
+        // keep a check scheduled for the core's next deadline
+        if let Some(d) = self.core.next_deadline(at).filter(|&d| d < self.armed) {
+            self.armed = d;
+            self.push(d.max(at), Event::LeaseCheck);
+        }
+    }
+
+    fn request_at_master(&mut self, at: f64, worker: usize, done: Option<(u64, M::Result)>) {
+        // master unpacks the message
+        let overhead = self.cluster.net.master_overhead_s;
+        let mut t = self.master_free.max(at) + overhead;
+        self.report.master_busy_s += overhead;
+        let integrated =
+            done.and_then(|(assign, result)| self.core.result(worker, assign, Ok(result), at));
+        match integrated {
+            Some(mw) => {
+                let work_start = t;
+                if mw.overlappable {
+                    // reply first, absorb the work afterwards
+                    self.master_free = t + mw.work_units;
+                } else {
+                    t += mw.work_units;
+                    self.master_free = t;
+                }
+                if mw.work_units > 0.0 {
+                    let end = work_start + mw.work_units;
+                    self.span(0, work_start, end, SpanKind::MasterWork);
+                }
+                self.report.master_busy_s += mw.work_units;
+                self.makespan = self.makespan.max(self.master_free).max(t);
+            }
+            // a bare request, a late duplicate or a rejected result:
+            // nothing to absorb
+            None => self.master_free = t,
+        }
+        // replies go out once the master is free: first to the parked
+        // workers this message gives a reason to re-poll, then the sender
+        self.wake_parked(at, t);
+        self.push(t, Event::MasterReply { worker });
+    }
+
+    /// The unit reaches the worker, which computes it — unless the fault
+    /// plan says this is where it crashes, stalls, slows down or loses
+    /// the result.
+    fn unit_at_worker(&mut self, at: f64, worker: usize, assign: u64, unit: M::Unit) {
+        let faults = &self.cluster.faults;
+        let idx = self.units_started[worker];
+        self.units_started[worker] += 1;
+        if self.dead[worker] {
+            return;
+        }
+        if faults.crash_unit(worker) == Some(idx) {
+            self.dead[worker] = true;
+            self.report.faults_injected += 1;
+            return;
+        }
+        if faults.stall_unit(worker) == Some(idx) {
+            self.report.faults_injected += 1;
+            return;
+        }
+        let (mut result, cost) = self.workers[worker].perform(&unit);
+        if faults.corrupts(worker, idx) {
+            W::corrupt(&mut result);
+            self.report.faults_injected += 1;
+        }
+        let spec = &self.cluster.machines[worker];
+        let mut dur = cost.work_units / spec.speed;
+        if cost.working_set_mb > spec.memory_mb && cost.working_set_mb > 0.0 {
+            // only the excess fraction of the working set pages
+            let excess = (cost.working_set_mb - spec.memory_mb) / cost.working_set_mb;
+            dur *= 1.0 + (self.cluster.net.paging_factor - 1.0) * excess;
+        }
+        let slow = faults.slowdown(worker, idx);
+        if slow != 1.0 {
+            dur *= slow;
+            self.report.faults_injected += 1;
+        }
+        self.report.machines[worker].busy_s += dur;
+        self.report.machines[worker].units_done += 1;
+        self.span(worker, at, at + dur, SpanKind::Compute);
+        if faults.drops_result(worker, idx) {
+            self.report.faults_injected += 1;
+            return;
+        }
+        self.push(
+            at + dur,
+            Event::WorkerSend {
+                worker,
+                assign,
+                result,
+                bytes: cost.result_bytes + self.cluster.request_bytes,
+            },
+        );
+    }
+
+    /// Realise the core's actions: a unit goes over the bus. No message is
+    /// modelled for a dismissal or an exclusion: the worker simply never
+    /// hears from the master again.
+    fn realise_actions(&mut self, at: f64) {
+        while let Some(action) = self.core.next_action() {
+            match action {
+                Action::Send {
                     worker,
-                    assign,
+                    assign_id,
                     unit,
                 } => {
-                    let idx = units_started[worker];
-                    units_started[worker] += 1;
-                    if dead[worker] {
-                        continue;
-                    }
-                    if self.faults.crash_unit(worker) == Some(idx) {
-                        dead[worker] = true;
-                        ledger.counters.faults_injected += 1;
-                        continue;
-                    }
-                    if self.faults.stall_unit(worker) == Some(idx) {
-                        ledger.counters.faults_injected += 1;
-                        continue;
-                    }
-                    let (mut result, cost) = workers[worker].perform(&unit);
-                    if self.faults.corrupts(worker, idx) {
-                        W::corrupt(&mut result);
-                        ledger.counters.faults_injected += 1;
-                    }
-                    let spec = &self.machines[worker];
-                    let mut dur = cost.work_units / spec.speed;
-                    if cost.working_set_mb > spec.memory_mb && cost.working_set_mb > 0.0 {
-                        // only the excess fraction of the working set pages
-                        let excess = (cost.working_set_mb - spec.memory_mb) / cost.working_set_mb;
-                        dur *= 1.0 + (self.net.paging_factor - 1.0) * excess;
-                    }
-                    let slow = self.faults.slowdown(worker, idx);
-                    if slow != 1.0 {
-                        dur *= slow;
-                        ledger.counters.faults_injected += 1;
-                    }
-                    report.machines[worker].busy_s += dur;
-                    report.machines[worker].units_done += 1;
-                    if self.record_timeline {
-                        report.timeline.push(TimelineSpan {
-                            machine: worker,
-                            start: at,
-                            end: at + dur,
-                            kind: SpanKind::Compute,
-                        });
-                    }
-                    if self.faults.drops_result(worker, idx) {
-                        ledger.counters.faults_injected += 1;
-                        continue;
-                    }
-                    push(
-                        &mut queue,
-                        &mut seq,
-                        at + dur,
-                        Event::WorkerSend {
-                            worker,
-                            assign,
-                            done: (unit, result),
-                            bytes: cost.result_bytes + self.request_bytes,
-                        },
-                    );
-                }
-                Event::WorkerSend {
-                    worker,
-                    assign,
-                    done,
-                    bytes,
-                } => {
-                    let arrive = transfer!(at, bytes, Some(worker));
-                    push(
-                        &mut queue,
-                        &mut seq,
+                    let bytes = self.core.master().unit_bytes(&unit);
+                    let arrive = self.transfer(at, bytes, None);
+                    self.report.machines[worker].bytes_received += bytes;
+                    self.push(
                         arrive,
-                        Event::RequestAtMaster {
+                        Event::UnitAtWorker {
                             worker,
-                            done: Some((assign, done.0, done.1)),
+                            assign: assign_id,
+                            unit,
                         },
                     );
                 }
-                Event::LeaseCheck => {
-                    if now_trace::enabled() {
-                        // lease-check cadence tracks virtual time, which
-                        // scales with the worker thread count
-                        now_trace::global().counter_add_nd("sim.lease_checks", 1);
-                    }
-                    let expiries = ledger.expire_due(at);
-                    let straggles = !parked.is_empty() && ledger.has_straggler(at);
-                    if expiries.is_empty() && !straggles {
-                        continue;
-                    }
-                    if !expiries.is_empty() {
-                        makespan = makespan.max(at);
-                    }
-                    for e in &expiries {
-                        if self.record_timeline {
-                            report.timeline.push(TimelineSpan {
-                                machine: e.worker,
-                                start: at,
-                                end: at,
-                                kind: SpanKind::Reassign,
-                            });
-                        }
-                        if e.newly_lost {
-                            master.on_worker_lost(e.worker);
-                        }
-                    }
-                    // wake every parked worker; each picks up one requeued
-                    // unit (or re-parks if another woke first)
-                    for w in std::mem::take(&mut parked) {
-                        push(&mut queue, &mut seq, at, Event::MasterReply { worker: w });
-                    }
-                }
+                Action::Shutdown { .. } | Action::Lost { .. } => {}
             }
         }
+    }
+
+    fn finish(mut self) -> (M, RunReport) {
+        // (a live service never dismisses its workers: they stay parked for
+        // jobs that, on this transport, no client can submit any more)
         debug_assert!(
-            !self.faults.is_empty() || active_workers == 0,
+            !self.cluster.faults.is_empty()
+                || self.core.finished()
+                || self.core.master().service_active(),
             "all workers must be shut down in a fault-free run"
         );
-        makespan = makespan.max(master_free);
-
-        report.makespan_s = makespan;
-        report.network_busy_s = network_busy;
-        report.master_busy_s = master_busy;
-        report.faults_injected = ledger.counters.faults_injected;
-        report.units_reassigned = ledger.counters.units_reassigned;
-        report.duplicates_dropped = ledger.counters.duplicates_dropped;
-        report.workers_lost = ledger.counters.workers_lost;
-        report.results_rejected = ledger.counters.results_rejected;
-        report.workers_quarantined = ledger.counters.workers_quarantined;
-        report.backup_leases = ledger.counters.backup_leases;
-        for w in 0..n {
-            report.machines[w].failures = ledger.total_failures(w);
-            report.machines[w].lost = ledger.is_excluded(w);
-        }
-        (master, report)
+        self.report.makespan_s = self.makespan.max(self.master_free);
+        let (master, mut counters, health) = self.core.finish();
+        counters.faults_injected = self.report.faults_injected;
+        self.report.absorb_recovery(&counters, &health);
+        (master, self.report)
     }
 }
 

@@ -6,13 +6,15 @@
 //! machine (the simulator is for reproducing the paper's heterogeneous
 //! 3-SGI setup deterministically).
 //!
-//! Failure handling mirrors the simulator: a [`FaultPlan`] injects faults
-//! *for real* (early thread exit for a crash, injected sleeps for a
-//! slowdown, suppressed sends for a dropped result), and the master runs
-//! the same lease/retry/exclusion [`Ledger`] over wall-clock time. A
-//! worker whose channel disconnects is treated as an observed death: its
-//! leases requeue and the run finishes on the survivors instead of
-//! panicking.
+//! This is a driver of the shared [`MasterCore`]: the master thread turns
+//! channel messages and `recv` timeouts into core events on the wall
+//! clock and realises the core's actions as channel sends. What stays
+//! here is the transport — thread spawn, the channels — and the *real*
+//! realisation of a [`FaultPlan`] (early thread exit for a crash, injected
+//! sleeps for a slowdown, suppressed sends for a dropped result). A worker
+//! whose channel disconnects is reported to the core as an observed
+//! death: its leases requeue and the run finishes on the survivors
+//! instead of panicking.
 //!
 //! Parallelism composes two levels: this backend supplies the paper's
 //! *across-workstation* level (one thread per worker), while the worker
@@ -21,7 +23,9 @@
 //! `workers x threads` cores. Both levels preserve byte-identical
 //! output, so the composition does too.
 
-use crate::fault::{FaultPlan, Ledger, RecoveryConfig};
+use crate::core::{Action, MasterCore};
+use crate::fault::FaultPlan;
+use crate::ledger::RecoveryConfig;
 use crate::logic::{MasterLogic, WorkerLogic};
 use crate::report::{MachineReport, RunReport};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,28 +39,16 @@ enum ToWorker<U> {
     Shutdown,
 }
 
-struct FromWorker<U, R> {
+struct FromWorker<R> {
     worker: usize,
     /// `None` is the initial readiness request; `Some` carries the
     /// assignment id the result answers.
-    done: Option<(u64, U, R)>,
+    done: Option<(u64, R)>,
     busy_s: f64,
 }
 
-type ResultChannel<U, R> = (Sender<FromWorker<U, R>>, Receiver<FromWorker<U, R>>);
+type ResultChannel<R> = (Sender<FromWorker<R>>, Receiver<FromWorker<R>>);
 type UnitChannel<U> = (Sender<ToWorker<U>>, Receiver<ToWorker<U>>);
-
-/// Master-side view of one worker thread.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WState {
-    /// May still send a message the master must answer.
-    Active,
-    /// Asked for work when none was assignable, but leases were still
-    /// outstanding; will be re-engaged if their units requeue.
-    Parked,
-    /// Shut down, excluded, or observed dead.
-    Done,
-}
 
 /// A thread-per-worker cluster.
 #[derive(Debug, Clone)]
@@ -88,7 +80,7 @@ impl ThreadCluster {
     /// Completes without panicking even if worker threads die mid-run:
     /// their leases requeue onto survivors, and if *every* worker is gone
     /// the run ends gracefully with whatever was integrated.
-    pub fn run<M, W>(&self, mut master: M, workers: Vec<W>) -> (M, RunReport)
+    pub fn run<M, W>(&self, master: M, workers: Vec<W>) -> (M, RunReport)
     where
         M: MasterLogic,
         M::Unit: 'static,
@@ -100,7 +92,7 @@ impl ThreadCluster {
         let start = Instant::now();
         let stop = Arc::new(AtomicBool::new(false));
 
-        let (result_tx, result_rx): ResultChannel<M::Unit, M::Result> = channel();
+        let (result_tx, result_rx): ResultChannel<M::Result> = channel();
 
         let mut unit_txs: Vec<Sender<ToWorker<M::Unit>>> = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
@@ -168,7 +160,7 @@ impl ThreadCluster {
                             if results
                                 .send(FromWorker {
                                     worker: i,
-                                    done: Some((assign, unit, result)),
+                                    done: Some((assign, result)),
                                     busy_s: busy,
                                 })
                                 .is_err()
@@ -194,106 +186,41 @@ impl ThreadCluster {
             ..Default::default()
         };
 
-        let mut ledger: Ledger<M::Unit> = Ledger::new(self.recovery, n);
-        let mut state = vec![WState::Active; n];
-        // true while a message from the worker may be on its way
-        let mut in_flight = vec![true; n]; // the readiness request
-                                           // false until the readiness request arrives
-        let mut started = vec![false; n];
-        let now = |start: Instant| start.elapsed().as_secs_f64();
-
-        // answer worker `w`'s request: a requeued unit first, then a fresh
-        // assignment, else park or shut down
-        macro_rules! give_work {
-            ($w:expr) => {{
-                let w: usize = $w;
-                if ledger.is_excluded(w) {
-                    let _ = unit_txs[w].send(ToWorker::Shutdown);
-                    state[w] = WState::Done;
-                } else {
-                    let next = match ledger.take_retry() {
-                        Some((mut unit, attempt, from)) => {
-                            master.on_reassign(from, &mut unit);
-                            Some((unit, attempt, None))
-                        }
-                        None => match master.assign(w) {
-                            Some(u) => Some((u, 0, None)),
-                            // no fresh work: maybe back up a straggler's
-                            // lease (first valid result wins, the loser is
-                            // dropped as a duplicate)
-                            None => ledger.straggler_for(w, now(start)).map(
-                                |(orig, mut unit, attempt, from)| {
-                                    master.on_reassign(from, &mut unit);
-                                    (unit, attempt, Some(orig))
-                                },
-                            ),
-                        },
-                    };
-                    match next {
-                        Some((unit, attempt, twin_of)) => {
-                            let assign = match twin_of {
-                                Some(orig) => {
-                                    ledger.issue_backup(orig, unit.clone(), w, now(start), attempt)
-                                }
-                                None => ledger.issue(unit.clone(), w, now(start), attempt),
-                            };
-                            if unit_txs[w].send(ToWorker::Unit(assign, unit)).is_err() {
-                                // observed death: requeue its leases at once
-                                let ex = ledger.worker_died(w);
-                                if ex.newly_lost {
-                                    master.on_worker_lost(w);
-                                }
-                                state[w] = WState::Done;
-                            } else {
-                                state[w] = WState::Active;
-                                in_flight[w] = true;
-                            }
-                        }
-                        None => {
-                            if ledger.has_pending() || ledger.has_retry() {
-                                state[w] = WState::Parked;
-                            } else {
-                                let _ = unit_txs[w].send(ToWorker::Shutdown);
-                                state[w] = WState::Done;
-                            }
-                        }
-                    }
-                }
-            }};
+        let mut core = MasterCore::new(master, self.recovery);
+        for _ in 0..n {
+            core.joined();
         }
+        let now = || start.elapsed().as_secs_f64();
 
         loop {
-            if state.iter().all(|&s| s == WState::Done) {
-                break;
-            }
-            // a message is certain only from a worker that holds a live
-            // lease or hasn't announced readiness yet; workers whose leases
-            // all expired may be wedged and must not block termination
-            let certain = (0..n).any(|w| state[w] == WState::Active && in_flight[w] && !started[w])
-                || ledger.has_pending();
-            if !certain {
-                // no lease outstanding: re-engage parked workers (retries
-                // or work freed by a lost worker), shut down the idle ones
-                let parked: Vec<usize> = (0..n).filter(|&w| state[w] == WState::Parked).collect();
-                for w in parked {
-                    give_work!(w);
-                }
-                if !ledger.has_pending() && (0..n).all(|w| state[w] != WState::Parked) {
-                    // only possibly-wedged workers remain: the job is as
-                    // done as it can get
-                    for w in 0..n {
-                        if state[w] != WState::Done {
-                            let _ = unit_txs[w].send(ToWorker::Shutdown);
-                            state[w] = WState::Done;
+            // realise the core's actions as channel sends
+            while let Some(action) = core.next_action() {
+                match action {
+                    Action::Send {
+                        worker,
+                        assign_id,
+                        unit,
+                    } => {
+                        let sent = unit_txs[worker].send(ToWorker::Unit(assign_id, unit));
+                        if sent.is_err() {
+                            // observed death: requeue its leases at once
+                            core.left(worker);
                         }
                     }
-                    break;
+                    Action::Shutdown { worker } | Action::Lost { worker, .. } => {
+                        let _ = unit_txs[worker].send(ToWorker::Shutdown);
+                    }
                 }
+            }
+            if core.wakeable(now()) && core.wake(now()) {
                 continue;
             }
-            let msg = match ledger.next_deadline() {
+            if core.finished() {
+                break;
+            }
+            let msg = match core.next_deadline(now()) {
                 Some(deadline) => {
-                    let wait = (deadline - now(start)).max(0.0);
+                    let wait = (deadline - now()).max(0.0);
                     result_rx.recv_timeout(Duration::from_secs_f64(wait.min(3600.0)))
                 }
                 None => result_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
@@ -301,70 +228,25 @@ impl ThreadCluster {
             match msg {
                 Ok(msg) => {
                     let w = msg.worker;
-                    in_flight[w] = false;
-                    started[w] = true;
                     report.machines[w].busy_s = msg.busy_s;
-                    if let Some((assign, unit, result)) = msg.done {
+                    if let Some((assign, result)) = msg.done {
                         report.machines[w].units_done += 1;
-                        if let Some(lease) = ledger.complete_at(assign, now(start)) {
-                            let t0 = Instant::now();
-                            if master.integrate(w, unit, result).is_none() {
-                                // verification failed: requeue the unit
-                                // byte-identically and strike the worker
-                                if ledger.reject(lease) {
-                                    let ex = ledger.quarantine(w);
-                                    now_trace::global().instant(
-                                        0,
-                                        "farm.quarantine",
-                                        &[("worker", w as u64)],
-                                        false,
-                                    );
-                                    if ex.newly_lost {
-                                        master.on_worker_lost(w);
-                                    }
-                                    let _ = unit_txs[w].send(ToWorker::Shutdown);
-                                    state[w] = WState::Done;
-                                }
-                            }
-                            report.master_busy_s += t0.elapsed().as_secs_f64();
-                        }
-                        // a stale id is a late duplicate: counted by the
-                        // ledger, result discarded
+                        let t0 = Instant::now();
+                        core.result(w, assign, Ok(result), now());
+                        report.master_busy_s += t0.elapsed().as_secs_f64();
                     }
-                    if state[w] != WState::Done {
-                        give_work!(w);
-                    }
+                    // a result doubles as the next work request
+                    core.request(w, now());
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    let t = now(start);
-                    for e in ledger.expire_due(t) {
-                        if e.newly_lost {
-                            master.on_worker_lost(e.worker);
-                            let _ = unit_txs[e.worker].send(ToWorker::Shutdown);
-                            state[e.worker] = WState::Done;
-                        }
-                    }
-                    // requeued units (and work freed by a lost worker) go
-                    // to whoever is parked
-                    let parked: Vec<usize> =
-                        (0..n).filter(|&w| state[w] == WState::Parked).collect();
-                    for w in parked {
-                        give_work!(w);
-                    }
+                    core.tick(now());
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     // every worker thread is gone: requeue what they held,
                     // report them lost, and end the run gracefully
-                    for (w, st) in state.iter_mut().enumerate() {
-                        if *st != WState::Done {
-                            let ex = ledger.worker_died(w);
-                            if ex.newly_lost {
-                                master.on_worker_lost(w);
-                            }
-                            *st = WState::Done;
-                        }
+                    for w in 0..n {
+                        core.left(w);
                     }
-                    break;
                 }
             }
         }
@@ -376,25 +258,16 @@ impl ThreadCluster {
             let _ = tx.send(ToWorker::Shutdown);
         }
         drop(unit_txs);
+        let (master, mut counters, health) = core.finish();
         for (i, h) in handles.into_iter().enumerate() {
             if let Ok((busy, injected)) = h.join() {
                 report.machines[i].busy_s = busy;
-                ledger.counters.faults_injected += injected;
+                counters.faults_injected += injected;
             }
         }
 
         report.makespan_s = start.elapsed().as_secs_f64();
-        report.faults_injected = ledger.counters.faults_injected;
-        report.units_reassigned = ledger.counters.units_reassigned;
-        report.duplicates_dropped = ledger.counters.duplicates_dropped;
-        report.workers_lost = ledger.counters.workers_lost;
-        report.results_rejected = ledger.counters.results_rejected;
-        report.workers_quarantined = ledger.counters.workers_quarantined;
-        report.backup_leases = ledger.counters.backup_leases;
-        for w in 0..n {
-            report.machines[w].failures = ledger.total_failures(w);
-            report.machines[w].lost = ledger.is_excluded(w);
-        }
+        report.absorb_recovery(&counters, &health);
         (master, report)
     }
 }
@@ -710,6 +583,55 @@ mod tests {
         assert!(r.backup_leases >= 1, "straggler must draw a backup lease");
         assert_eq!(r.workers_lost, 0, "slow-but-alive worker stays in the pool");
         assert!(wall < 30.0, "speculation must beat the 1e9 s lease");
+    }
+
+    #[test]
+    fn slow_lone_worker_outlives_a_too_short_lease() {
+        // every lease expires before its ~60 ms unit is done and nobody
+        // else can take the retry: the master waits one more backed-off
+        // lease, the late (stale) result arrives within it, and the worker
+        // redoes the unit under the doubled lease
+        let mut cluster = ThreadCluster::new(1);
+        cluster.recovery = RecoveryConfig {
+            lease_timeout_s: 0.04,
+            max_worker_failures: 10,
+            ..RecoveryConfig::default()
+        };
+        let master = CountMaster {
+            next: 0,
+            limit: 3,
+            seen: BTreeSet::new(),
+        };
+        let (m, r) = cluster.run(master, vec![SlowSquarer(Duration::from_millis(60))]);
+        assert_eq!(m.seen.len(), 3, "the run backs off instead of giving up");
+        assert!(r.duplicates_dropped >= 1 && r.units_reassigned >= 1);
+        assert_eq!(r.workers_lost, 0);
+    }
+
+    #[test]
+    fn wedged_lone_worker_is_given_up_on_after_one_more_lease() {
+        // the only worker stalls forever on its first unit and one expiry
+        // does not exclude it: patience runs out and the run ends with
+        // what it has instead of hanging
+        let mut cluster = ThreadCluster::new(1);
+        cluster.faults = FaultPlan::none().stall_at(0, 0);
+        cluster.recovery = RecoveryConfig {
+            lease_timeout_s: 0.05,
+            max_worker_failures: 10,
+            ..RecoveryConfig::default()
+        };
+        let master = CountMaster {
+            next: 0,
+            limit: 3,
+            seen: BTreeSet::new(),
+        };
+        let (m, r) = cluster.run(master, vec![Squarer]);
+        assert_eq!(m.seen.len(), 0);
+        assert!(
+            r.makespan_s >= 0.14 && r.makespan_s < 5.0,
+            "gave up after lease + backed-off lease, not before and not never ({})",
+            r.makespan_s
+        );
     }
 
     #[test]
