@@ -1,8 +1,10 @@
 //! Code-size ledger: per crate, source lines outside `#[cfg(test)]` items,
-//! test lines (`#[cfg(test)]` items plus `tests/*.rs`), `pub` item count
-//! and the longest function, plus the workspace's `NOW_*` environment
-//! variables — written to `BENCH_size.json` so the size trend sits next to
-//! `BENCH_render.json`. Run from the workspace root:
+//! test lines (`#[cfg(test)]` items plus `tests/*.rs`), `pub` item count,
+//! `pub` fields of `*Config` structs and the longest function, plus the
+//! workspace's knobs — `NOW_*` environment variables and the `--flag`
+//! literals the binaries look up in their `args` — written to
+//! `BENCH_size.json` so the size trend sits next to `BENCH_render.json`.
+//! Run from the workspace root:
 //! `cargo run --release -p now-bench --bin size_ledger [OUT]`.
 //!
 //! The scan is lexical (brace matching with string literals and `//`
@@ -17,6 +19,7 @@ struct Tally {
     src: usize,
     test: usize,
     pubs: usize,
+    config_fields: usize,
     longest: usize,
     longest_fn: String,
 }
@@ -90,11 +93,30 @@ fn item_end(lines: &[&str], from: usize) -> usize {
     lines.len().saturating_sub(1)
 }
 
-fn scan(path: &Path, tally: &mut Tally, env_vars: &mut BTreeSet<String>) {
+/// The knobs a user can set from outside: `NOW_*` environment variables
+/// and `--flag` command-line options.
+#[derive(Default)]
+struct Knobs {
+    env_vars: BTreeSet<String>,
+    cli_flags: BTreeSet<String>,
+}
+
+fn scan(path: &Path, tally: &mut Tally, knobs: &mut Knobs) {
     let text = std::fs::read_to_string(path).expect("readable source file");
     let env_name = |s: &&str| s.len() > 4 && s.bytes().all(|c| c == b'_' || c.is_ascii_uppercase());
     let literals = text.split('"').filter(|s| s.starts_with("NOW_"));
-    env_vars.extend(literals.filter(env_name).map(str::to_string));
+    knobs
+        .env_vars
+        .extend(literals.filter(env_name).map(str::to_string));
+    // a `--flag` literal handed to a lookup helper right after `args`
+    // (`flag_value`, `flag_values`, `has_flag` and thin wrappers of them)
+    let flag_name = |s: &str| s.len() > 2 && s.bytes().all(|c| c == b'-' || c.is_ascii_lowercase());
+    let pieces: Vec<&str> = text.split('"').collect();
+    for pair in pieces.windows(2) {
+        if pair[0].ends_with("(args, ") && pair[1].starts_with("--") && flag_name(pair[1]) {
+            knobs.cli_flags.insert(pair[1].to_string());
+        }
+    }
     let code = blank_literals(&text);
     let lines: Vec<&str> = code.lines().collect();
     let mut i = 0;
@@ -111,6 +133,14 @@ fn scan(path: &Path, tally: &mut Tally, env_vars: &mut BTreeSet<String>) {
         let kinds = "fn struct enum trait mod const static type use unsafe";
         let is_item = |k: &str| item.strip_prefix(k).is_some_and(|r| r.starts_with(' '));
         tally.pubs += usize::from(item.len() < line.len() && kinds.split(' ').any(is_item));
+        if item
+            .strip_prefix("struct ")
+            .is_some_and(|r| r.contains("Config {"))
+        {
+            let body = &lines[i + 1..item_end(&lines, i)];
+            let field = |l: &&&str| l.trim_start().starts_with("pub ") && l.contains(':');
+            tally.config_fields += body.iter().filter(field).count();
+        }
         let item = ["pub(crate) ", "const ", "unsafe "]
             .iter()
             .fold(item, |s, p| s.strip_prefix(p).unwrap_or(s));
@@ -131,13 +161,13 @@ fn scan(path: &Path, tally: &mut Tally, env_vars: &mut BTreeSet<String>) {
 fn main() {
     let mut crates = vec![PathBuf::from(".")];
     crates.extend(sorted_entries(Path::new("crates")));
-    let mut env_vars = BTreeSet::new();
+    let mut knobs = Knobs::default();
     let mut rows = Vec::new();
     for krate in &crates {
         let (mut tally, mut src, mut tests) = (Tally::default(), Vec::new(), Vec::new());
         rs_files(&krate.join("src"), &mut src);
         rs_files(&krate.join("tests"), &mut tests);
-        src.iter().for_each(|f| scan(f, &mut tally, &mut env_vars));
+        src.iter().for_each(|f| scan(f, &mut tally, &mut knobs));
         for f in &tests {
             tally.test += std::fs::read_to_string(f)
                 .expect("test file")
@@ -149,17 +179,23 @@ fn main() {
             .map_or("nowrender".into(), |n| n.to_string_lossy());
         rows.push(format!(
             "    \"{name}\": {{\"src_lines\": {}, \"test_lines\": {}, \"pub_items\": {}, \
-             \"longest_fn_lines\": {}, \"longest_fn\": \"{}\"}}",
-            tally.src, tally.test, tally.pubs, tally.longest, tally.longest_fn
+             \"config_fields\": {}, \"longest_fn_lines\": {}, \"longest_fn\": \"{}\"}}",
+            tally.src, tally.test, tally.pubs, tally.config_fields, tally.longest, tally.longest_fn
         ));
     }
     assert!(rows.len() > 1, "run from the workspace root");
-    let vars: Vec<String> = env_vars.iter().map(|v| format!("\"{v}\"")).collect();
+    let quoted = |names: &BTreeSet<String>| {
+        let names: Vec<String> = names.iter().map(|v| format!("\"{v}\"")).collect();
+        names.join(", ")
+    };
     let json = format!(
-        "{{\n  \"crates\": {{\n{}\n  }},\n  \"now_env_vars\": {},\n  \"now_env_var_names\": [{}]\n}}\n",
+        "{{\n  \"crates\": {{\n{}\n  }},\n  \"now_env_vars\": {},\n  \"now_env_var_names\": [{}],\n  \
+         \"cli_flags\": {},\n  \"cli_flag_names\": [{}]\n}}\n",
         rows.join(",\n"),
-        vars.len(),
-        vars.join(", ")
+        knobs.env_vars.len(),
+        quoted(&knobs.env_vars),
+        knobs.cli_flags.len(),
+        quoted(&knobs.cli_flags)
     );
     let out = std::env::args()
         .nth(1)

@@ -1,37 +1,50 @@
-//! Disk-fault injection and the unified chaos orchestrator.
+//! The fault plane: one seeded [`ChaosPlan`] spec for every injected
+//! fault, and the disk-fault domain.
 //!
-//! PRs 1–6 gave each failure domain its own deterministic plan: compute
-//! faults ([`FaultPlan`]: crashes, stalls, slowdowns, dropped and
-//! corrupted results), wire faults ([`NetFaultPlan`]: drops, stalls,
-//! delays, partitions) and master-crash injection
-//! ([`crate::JournalFaultPlan`]). This module adds the missing domain —
-//! the disk — and composes all of them under one seeded [`ChaosPlan`],
-//! so a whole storm can be expressed as a single spec string
-//! (`nowfarm --chaos` / `NOW_CHAOS`), replayed byte-identically, and
-//! asserted against a fault-free reference run.
+//! Each failure domain keeps its own typed, deterministic plan and its own
+//! runtime gate, because their triggers genuinely differ: compute faults
+//! ([`FaultPlan`]: crashes, stalls, slowdowns, dropped and corrupted
+//! results) fire on units *started*, wire faults ([`NetFaultPlan`]: drops,
+//! stalls, delays, partitions) on bytes *moved*, disk faults
+//! ([`DiskFaultPlan`]) on writes *seen*. What exists once is the way a
+//! fault is *written down* and *carried*: a whole storm is a single spec
+//! string (`nowfarm --chaos` / `NOW_CHAOS`) that parses into a
+//! [`ChaosPlan`] (`str::parse`), prints back (`Display`), replays
+//! byte-identically, and is asserted against a fault-free reference run.
+//!
+//! ## The grammar
+//!
+//! ```text
+//! seed=7|compute=1:corrupt@0,2:slow@1x40|net=2:drop@8000;~0.3:part@1-2|disk=journal:enospc@2
+//! ```
+//!
+//! `|` separates sections (`seed=N`, `compute=`, `net=`, `disk=`); `;` or
+//! `,` separates a section's clauses; every clause is `WHO:KIND@ARGS`.
+//!
+//! | section | `WHO` | `KIND@ARGS` | trigger |
+//! |---|---|---|---|
+//! | `compute` | worker index | `crash@N` `stall@N` `drop@N` `corrupt@N` `slow@NxF` `join@T` | worker's `N`th started unit (0-based) / `T` seconds in |
+//! | `net` | accept index, `*`, or `~P` (seeded roll) | `drop@BYTES` `stall@BYTES` `delay@BYTES+S` `part@FROM-TO` | bytes moved on the connection / seconds since it opened |
+//! | `disk` | path substring or `*` | `enospc@N` `eio@N` `torn@N` | the rule's `N`th matching write (0-based), once |
+//!
+//! This module owns the clause tokenizer and the printer; each domain
+//! contributes only its `(kind, args) ⇄ fault` table (`push_clause` /
+//! `clauses` on the three plan types).
 //!
 //! ## Disk faults
 //!
-//! A [`DiskFaultPlan`] mirrors [`NetFaultPlan`]'s grammar: per-path
-//! rules, each firing once on the `N`th matching write:
-//!
-//! ```text
-//! journal:enospc@2;frame_0003:eio@0;*:torn@5
-//! ```
-//!
-//! `WHO` is a path substring (or `*` for every path), `KIND@N` is
-//! `enospc@N` (write fails with `ENOSPC`), `eio@N` (fails with `EIO`) or
-//! `torn@N` (the write is cut partway and the file left torn, as if
-//! power was lost mid-write). The plan is *armed* into a [`DiskFaults`]
-//! handle — clonable, shared — that the journal writers and the image
-//! writer consult before touching the file system. Rendering must
-//! degrade gracefully: a failed journal write warns and continues
-//! unjournaled, a torn frame write is caught by the next resume's
-//! re-render.
+//! A [`DiskFaultPlan`] is *armed* into a [`DiskFaults`] handle — clonable,
+//! shared — that the journal writers and the image writer consult before
+//! touching the file system: `enospc` / `eio` fail the write with the real
+//! OS error, `torn` cuts it partway and leaves the file torn, as if power
+//! was lost mid-write. Rendering must degrade gracefully: a failed journal
+//! write warns and continues unjournaled, a torn frame write is caught by
+//! the next resume's re-render.
 
 use crate::fault::FaultPlan;
 use crate::netfault::NetFaultPlan;
-use std::fmt::Write as _;
+use std::fmt;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// What an injected disk fault does to the write that trips it.
@@ -48,6 +61,17 @@ pub enum DiskFaultKind {
 }
 
 impl DiskFaultKind {
+    const ALL: [DiskFaultKind; 3] = [Self::Enospc, Self::Eio, Self::Torn];
+
+    /// The kind's name in the chaos grammar's `disk=` section.
+    fn name(self) -> &'static str {
+        match self {
+            DiskFaultKind::Enospc => "enospc",
+            DiskFaultKind::Eio => "eio",
+            DiskFaultKind::Torn => "torn",
+        }
+    }
+
     /// The `io::Error` this fault surfaces as. `Torn` is the exception —
     /// it doesn't error at the fault site (that's the point) — and maps
     /// to a generic `WriteZero` for callers that can't tear.
@@ -104,58 +128,26 @@ impl DiskFaultPlan {
         self.with(path, DiskFaultKind::Enospc, op)
     }
 
-    /// The `op`-th write to a path containing `path` fails with `EIO`.
-    pub fn eio_at(self, path: &str, op: u64) -> DiskFaultPlan {
-        self.with(path, DiskFaultKind::Eio, op)
-    }
-
     /// The `op`-th write to a path containing `path` is torn partway.
     pub fn torn_at(self, path: &str, op: u64) -> DiskFaultPlan {
         self.with(path, DiskFaultKind::Torn, op)
     }
 
-    /// Parse a plan from the spec grammar (see the module docs):
-    /// semicolon-separated `WHO:KIND@N` clauses, `WHO` a path substring
-    /// or `*`, `KIND` one of `enospc`, `eio`, `torn`, `N` the 0-based
-    /// index of the matching write that trips the fault.
-    pub fn parse(spec: &str) -> Result<DiskFaultPlan, String> {
-        let mut plan = DiskFaultPlan::none();
-        for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
-            let (who, what) = clause
-                .split_once(':')
-                .ok_or_else(|| format!("disk fault clause missing ':': {clause:?}"))?;
-            let (kind, op) = what
-                .split_once('@')
-                .ok_or_else(|| format!("disk fault missing '@': {what:?}"))?;
-            let kind = match kind {
-                "enospc" => DiskFaultKind::Enospc,
-                "eio" => DiskFaultKind::Eio,
-                "torn" => DiskFaultKind::Torn,
-                other => return Err(format!("unknown disk fault kind: {other:?}")),
-            };
-            let op: u64 = op
-                .parse()
-                .map_err(|_| format!("bad disk fault write index: {op:?}"))?;
-            plan = plan.with(who, kind, op);
-        }
-        Ok(plan)
+    /// The `disk=` table, spec → plan: `WHO` is a path substring or `*`,
+    /// `ARGS` the 0-based index of the matching write that trips the fault.
+    fn push_clause(&mut self, c: &Clause<'_>) -> Result<(), String> {
+        let kind = DiskFaultKind::ALL
+            .into_iter()
+            .find(|k| k.name() == c.kind)
+            .ok_or_else(|| c.err(&format!("unknown disk fault `{}`", c.kind)))?;
+        *self = std::mem::take(self).with(c.who, kind, c.num(c.args, "write index")?);
+        Ok(())
     }
 
-    /// Render the plan back into the [`DiskFaultPlan::parse`] grammar.
-    pub fn to_spec(&self) -> String {
-        let mut out = String::new();
-        for r in &self.rules {
-            if !out.is_empty() {
-                out.push(';');
-            }
-            let kind = match r.kind {
-                DiskFaultKind::Enospc => "enospc",
-                DiskFaultKind::Eio => "eio",
-                DiskFaultKind::Torn => "torn",
-            };
-            let _ = write!(out, "{}:{kind}@{}", r.path, r.op);
-        }
-        out
+    /// The same table, plan → spec clauses.
+    fn clauses(&self) -> Vec<String> {
+        let clause = |r: &DiskRule| format!("{}:{}@{}", r.path, r.kind.name(), r.op);
+        self.rules.iter().map(clause).collect()
     }
 
     /// Arm the plan into a runtime handle. Every clone of the handle
@@ -237,22 +229,57 @@ impl DiskFaults {
     }
 }
 
-/// The unified chaos orchestrator: one seeded spec composing compute,
-/// network and disk fault plans. Parsed from `nowfarm --chaos SPEC` /
-/// `NOW_CHAOS`:
+/// One `WHO:KIND@ARGS` clause of a chaos spec, split but not yet
+/// interpreted: the domain tables map `(kind, args)` to their own fault
+/// and report what they cannot read through [`Clause::err`], so every
+/// error names the clause it came from.
+pub(crate) struct Clause<'a> {
+    text: &'a str,
+    pub(crate) who: &'a str,
+    pub(crate) kind: &'a str,
+    pub(crate) args: &'a str,
+}
+
+impl<'a> Clause<'a> {
+    fn split(text: &'a str) -> Result<Clause<'a>, String> {
+        let shape = || format!("fault clause `{text}`: expected WHO:KIND@ARGS");
+        let (who, what) = text.split_once(':').ok_or_else(shape)?;
+        let (kind, args) = what.split_once('@').ok_or_else(shape)?;
+        Ok(Clause {
+            text,
+            who: who.trim(),
+            kind: kind.trim(),
+            args: args.trim(),
+        })
+    }
+
+    pub(crate) fn err(&self, what: &str) -> String {
+        format!("fault clause `{}`: {what}", self.text)
+    }
+
+    /// `s` (the clause's `WHO`, or one of its `ARGS`) as a number.
+    pub(crate) fn num<T: FromStr>(&self, s: &str, what: &str) -> Result<T, String> {
+        let bad = |_| self.err(&format!("bad {what} `{s}`"));
+        s.trim().parse().map_err(bad)
+    }
+
+    /// `ARGS` split in two at `sep`, as in `slow@NxF` or `part@FROM-TO`.
+    pub(crate) fn pair(&self, sep: char) -> Result<(&'a str, &'a str), String> {
+        let missing = || self.err(&format!("{} wants two arguments around `{sep}`", self.kind));
+        self.args.split_once(sep).ok_or_else(missing)
+    }
+}
+
+/// The one fault spec: a seed plus the compute, network and disk plans,
+/// parsed from (`str::parse`) and printed to (`Display`) the grammar in
+/// the module docs, e.g. `nowfarm --chaos SPEC` / `NOW_CHAOS`:
 ///
 /// ```text
 /// seed=7|compute=1:corrupt@0,2:slow@1x40|net=2:drop@8000|disk=journal:enospc@2
 /// ```
-///
-/// Pipe-separated sections; each section's value uses that plan's own
-/// grammar ([`FaultPlan::parse`], [`NetFaultPlan::parse`],
-/// [`DiskFaultPlan::parse`]). The chaos seed feeds the net plan's
-/// probabilistic rules unless the net section sets its own `seed=`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
-    /// Seed shared across the composed plans (diagnostics + the net
-    /// plan's probabilistic rules).
+    /// Seed for the net plan's probabilistic (`~P`) rules.
     pub seed: u64,
     /// Compute faults, keyed by worker index.
     pub compute: FaultPlan,
@@ -272,69 +299,57 @@ impl ChaosPlan {
     pub fn is_empty(&self) -> bool {
         self.compute.is_empty() && self.net.is_empty() && self.disk.is_empty()
     }
+}
 
-    /// Parse a chaos spec (see the type docs for the grammar).
-    pub fn parse(spec: &str) -> Result<ChaosPlan, String> {
-        let mut seed = 0u64;
-        let mut compute = None;
-        let mut net = None;
-        let mut disk = None;
+impl FromStr for ChaosPlan {
+    type Err = String;
+
+    /// Total: any input yields a plan or an error naming the section or
+    /// clause that could not be read. Sections may come in any order; a
+    /// repeated section adds its clauses.
+    fn from_str(spec: &str) -> Result<ChaosPlan, String> {
+        let mut plan = ChaosPlan::none();
         for section in spec.split('|').map(str::trim).filter(|s| !s.is_empty()) {
+            let bad = |what: &str| format!("chaos section `{section}`: {what}");
             let (key, value) = section
                 .split_once('=')
-                .ok_or_else(|| format!("chaos section missing '=': {section:?}"))?;
-            match key.trim() {
+                .ok_or_else(|| bad("expected seed=, compute=, net= or disk="))?;
+            let push: fn(&mut ChaosPlan, &Clause<'_>) -> Result<(), String> = match key.trim() {
                 "seed" => {
-                    seed = value
-                        .parse()
-                        .map_err(|_| format!("bad chaos seed: {value:?}"))?;
+                    plan.seed = value.trim().parse().map_err(|_| bad("bad seed"))?;
+                    continue;
                 }
-                "compute" => compute = Some(value.to_string()),
-                "net" => net = Some(value.to_string()),
-                "disk" => disk = Some(value.to_string()),
-                other => return Err(format!("unknown chaos section: {other:?}")),
+                "compute" => |p, c| p.compute.push_clause(c),
+                "net" => |p, c| p.net.push_clause(c),
+                "disk" => |p, c| p.disk.push_clause(c),
+                _ => return Err(bad("unknown section (seed, compute, net, disk)")),
+            };
+            let clauses = value.split([';', ',']).map(str::trim);
+            for text in clauses.filter(|c| !c.is_empty()) {
+                push(&mut plan, &Clause::split(text)?)?;
             }
-        }
-        let mut plan = ChaosPlan {
-            seed,
-            ..ChaosPlan::default()
-        };
-        if let Some(c) = compute {
-            plan.compute = FaultPlan::parse(&c)?;
-        }
-        if let Some(n) = net {
-            // the chaos seed is the net plan's default; an explicit
-            // seed= inside the section overrides it
-            plan.net = NetFaultPlan::parse(&format!("seed={seed};{n}"))?;
-        }
-        if let Some(d) = disk {
-            plan.disk = DiskFaultPlan::parse(&d)?;
         }
         Ok(plan)
     }
+}
 
-    /// Render the plan back into the [`ChaosPlan::parse`] grammar.
-    pub fn to_spec(&self) -> String {
-        let mut out = String::new();
-        let mut push = |section: String| {
-            if !out.is_empty() {
-                out.push('|');
-            }
-            out.push_str(&section);
-        };
+impl fmt::Display for ChaosPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sections = Vec::new();
         if self.seed != 0 {
-            push(format!("seed={}", self.seed));
+            sections.push(format!("seed={}", self.seed));
         }
-        if !self.compute.is_empty() {
-            push(format!("compute={}", self.compute.to_spec()));
+        let domains = [
+            ("compute", self.compute.clauses()),
+            ("net", self.net.clauses()),
+            ("disk", self.disk.clauses()),
+        ];
+        for (key, clauses) in domains {
+            if !clauses.is_empty() {
+                sections.push(format!("{key}={}", clauses.join(";")));
+            }
         }
-        if !self.net.is_empty() {
-            push(format!("net={}", self.net.to_spec()));
-        }
-        if !self.disk.is_empty() {
-            push(format!("disk={}", self.disk.to_spec()));
-        }
-        out
+        f.write_str(&sections.join("|"))
     }
 }
 
@@ -352,10 +367,10 @@ mod tests {
 
     #[test]
     fn disk_rules_count_matching_writes_and_fire_once() {
-        let faults = DiskFaultPlan::none()
-            .enospc_at("journal", 1)
-            .eio_at("frame_0002", 0)
-            .arm();
+        let plan: ChaosPlan = "disk=journal:enospc@1;frame_0002:eio@0"
+            .parse()
+            .expect("parse");
+        let faults = plan.disk.arm();
         // journal writes: #0 clean, #1 trips ENOSPC, #2+ clean again
         assert_eq!(faults.check("/job/run.journal"), None);
         assert_eq!(
@@ -386,20 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn disk_spec_round_trips() {
-        let spec = "journal:enospc@2;frame_0003:eio@0;*:torn@5";
-        let plan = DiskFaultPlan::parse(spec).expect("parse");
-        assert_eq!(plan.to_spec(), spec);
-        assert_eq!(DiskFaultPlan::parse(&plan.to_spec()).expect("re"), plan);
-        assert!(DiskFaultPlan::parse("journal:melt@2").is_err());
-        assert!(DiskFaultPlan::parse("journal:eio").is_err());
-        assert!(DiskFaultPlan::parse("enospc@2").is_err());
-    }
-
-    #[test]
     fn chaos_spec_composes_all_three_domains() {
         let spec = "seed=7|compute=1:corrupt@0,2:slow@1x40|net=2:drop@8000|disk=journal:enospc@2";
-        let plan = ChaosPlan::parse(spec).expect("parse");
+        let plan: ChaosPlan = spec.parse().expect("parse");
         assert_eq!(plan.seed, 7);
         assert!(plan.compute.corrupts(1, 0));
         assert!((plan.compute.slowdown(2, 1) - 40.0).abs() < 1e-12);
@@ -409,13 +413,12 @@ mod tests {
             None,
             "enospc@2 waits for the third write"
         );
-        // round trip: the reparsed plan is identical
-        let reparsed = ChaosPlan::parse(&plan.to_spec()).expect("reparse");
-        assert_eq!(plan, reparsed);
-        // garbage is rejected with a reason, not a panic
-        assert!(ChaosPlan::parse("compute").is_err());
-        assert!(ChaosPlan::parse("warp=9").is_err());
-        assert!(ChaosPlan::parse("net=0:explode@1").is_err());
+        // the printer's output is the canonical spelling of the same plan
+        assert_eq!(plan.to_string(), spec.replace(',', ";"));
+        assert_eq!(
+            plan.to_string().parse::<ChaosPlan>().expect("reparse"),
+            plan
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! suppressed sends). How the master *recovers* from them is a separate
 //! concern: see [`crate::ledger`] and [`crate::core`].
 
+use crate::chaos::Clause;
 use std::collections::BTreeMap;
 
 /// One kind of injected fault, triggered by the 0-based count of units the
@@ -150,76 +151,49 @@ impl FaultPlan {
         self.faults.get(&worker).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Parse a comma-separated compute-fault spec:
-    /// `WORKER:KIND@ARG` per rule, e.g.
-    /// `1:corrupt@0,2:crash@3,0:slow@2x1.5,3:drop@4,4:stall@1,5:join@0.25`.
-    ///
-    /// Kinds: `crash@N`, `stall@N`, `drop@N` (lose the result of unit N),
-    /// `corrupt@N` (corrupt every result from unit N on), `slow@NxF`
-    /// (units from N on take F× as long), `join@T` (join T seconds in).
-    /// Unit counts are 0-based counts of *started* units, matching the
-    /// builder methods.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::none();
-        for rule in spec.split(',').map(str::trim).filter(|r| !r.is_empty()) {
-            let (worker, rest) = rule
-                .split_once(':')
-                .ok_or_else(|| format!("fault rule `{rule}`: expected WORKER:KIND@ARG"))?;
-            let worker: usize = worker
-                .trim()
-                .parse()
-                .map_err(|_| format!("fault rule `{rule}`: bad worker index `{worker}`"))?;
-            let (kind, arg) = rest
-                .split_once('@')
-                .ok_or_else(|| format!("fault rule `{rule}`: expected KIND@ARG"))?;
-            let unit = |a: &str| -> Result<u64, String> {
-                a.parse()
-                    .map_err(|_| format!("fault rule `{rule}`: bad unit count `{a}`"))
-            };
-            plan = match kind.trim() {
-                "crash" => plan.crash_at(worker, unit(arg)?),
-                "stall" => plan.stall_at(worker, unit(arg)?),
-                "drop" => plan.drop_result_at(worker, unit(arg)?),
-                "corrupt" => plan.corrupt_from(worker, unit(arg)?),
-                "slow" => {
-                    let (n, f) = arg
-                        .split_once('x')
-                        .ok_or_else(|| format!("fault rule `{rule}`: slow wants N x FACTOR"))?;
-                    let factor: f64 = f
-                        .parse()
-                        .map_err(|_| format!("fault rule `{rule}`: bad factor `{f}`"))?;
-                    plan.slow_from(worker, unit(n)?, factor)
+    /// The chaos grammar's `compute=` table, spec → plan: `WORKER:crash@N`,
+    /// `stall@N`, `drop@N` (lose the result of unit N), `corrupt@N`
+    /// (corrupt every result from unit N on), `slow@NxF` (units from N on
+    /// take F× as long), `join@T` (join T seconds in). Unit counts are
+    /// 0-based counts of *started* units, as in the builder methods.
+    pub(crate) fn push_clause(&mut self, c: &Clause<'_>) -> Result<(), String> {
+        let worker: usize = c.num(c.who, "worker index")?;
+        let kind = match c.kind {
+            "crash" => FaultKind::CrashAtUnit(c.num(c.args, "unit count")?),
+            "stall" => FaultKind::StallAtUnit(c.num(c.args, "unit count")?),
+            "drop" => FaultKind::DropResultAtUnit(c.num(c.args, "unit count")?),
+            "corrupt" => FaultKind::CorruptFromUnit(c.num(c.args, "unit count")?),
+            "slow" => {
+                let (unit, factor) = c.pair('x')?;
+                FaultKind::SlowFromUnit {
+                    unit: c.num(unit, "unit count")?,
+                    factor: c.num(factor, "factor")?,
                 }
-                "join" => {
-                    let t: f64 = arg
-                        .parse()
-                        .map_err(|_| format!("fault rule `{rule}`: bad join time `{arg}`"))?;
-                    plan.join_at(worker, t)
-                }
-                other => return Err(format!("fault rule `{rule}`: unknown kind `{other}`")),
-            };
-        }
-        Ok(plan)
+            }
+            "join" => {
+                let t: f64 = c.num(c.args, "join time")?;
+                self.joins.insert(worker, t.max(0.0));
+                return Ok(());
+            }
+            other => return Err(c.err(&format!("unknown compute fault `{other}`"))),
+        };
+        self.faults.entry(worker).or_default().push(kind);
+        Ok(())
     }
 
-    /// Render the plan back into the [`FaultPlan::parse`] grammar.
-    pub fn to_spec(&self) -> String {
-        let mut rules = Vec::new();
-        for (&w, kinds) in &self.faults {
-            for k in kinds {
-                rules.push(match k {
-                    FaultKind::CrashAtUnit(n) => format!("{w}:crash@{n}"),
-                    FaultKind::StallAtUnit(n) => format!("{w}:stall@{n}"),
-                    FaultKind::SlowFromUnit { unit, factor } => format!("{w}:slow@{unit}x{factor}"),
-                    FaultKind::DropResultAtUnit(n) => format!("{w}:drop@{n}"),
-                    FaultKind::CorruptFromUnit(n) => format!("{w}:corrupt@{n}"),
-                });
-            }
-        }
-        for (&w, &t) in &self.joins {
-            rules.push(format!("{w}:join@{t}"));
-        }
-        rules.join(",")
+    /// The same table, plan → spec clauses.
+    pub(crate) fn clauses(&self) -> Vec<String> {
+        let faults = self.faults.iter().flat_map(|(w, kinds)| {
+            kinds.iter().map(move |k| match k {
+                FaultKind::CrashAtUnit(n) => format!("{w}:crash@{n}"),
+                FaultKind::StallAtUnit(n) => format!("{w}:stall@{n}"),
+                FaultKind::SlowFromUnit { unit, factor } => format!("{w}:slow@{unit}x{factor}"),
+                FaultKind::DropResultAtUnit(n) => format!("{w}:drop@{n}"),
+                FaultKind::CorruptFromUnit(n) => format!("{w}:corrupt@{n}"),
+            })
+        });
+        let joins = self.joins.iter().map(|(w, t)| format!("{w}:join@{t}"));
+        faults.chain(joins).collect()
     }
 }
 
@@ -256,21 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_spec_round_trips() {
-        let p = FaultPlan::none()
-            .crash_at(0, 3)
-            .stall_at(1, 2)
-            .slow_from(2, 4, 3.0)
-            .drop_result_at(2, 9)
-            .corrupt_from(5, 0)
-            .join_at(4, 1.5);
-        let spec = p.to_spec();
-        assert_eq!(FaultPlan::parse(&spec).expect("reparse"), p);
-        assert!(p.corrupts(5, 0) && p.corrupts(5, 7));
-        assert!(!p.corrupts(4, 0));
-        assert!(FaultPlan::parse("1:corrupt").is_err());
-        assert!(FaultPlan::parse("x:crash@1").is_err());
-        assert!(FaultPlan::parse("1:frobnicate@2").is_err());
-        assert!(FaultPlan::parse("").expect("empty spec").is_empty());
+    fn corrupt_from_is_open_ended_and_per_worker() {
+        let p = FaultPlan::none().corrupt_from(5, 2);
+        assert!(!p.corrupts(5, 1));
+        assert!(p.corrupts(5, 2) && p.corrupts(5, 7));
+        assert!(!p.corrupts(4, 2));
     }
 }

@@ -237,8 +237,18 @@ impl JournalWriter {
         self
     }
 
+    /// Write only `prefix` of the bytes that were due, sync, and play
+    /// dead: what a crash partway through a write leaves on disk.
+    fn die_after(&mut self, prefix: &[u8]) -> io::Result<()> {
+        self.file.write_all(prefix)?;
+        self.written += prefix.len() as u64;
+        let _ = self.file.sync_data();
+        self.dead = true;
+        Ok(())
+    }
+
     /// Write respecting the fault budget: once cumulative bytes would
-    /// exceed it, write exactly up to the budget, sync, and play dead.
+    /// exceed it, write exactly up to the budget and die.
     fn write_limited(&mut self, buf: &[u8]) -> io::Result<()> {
         if self.dead {
             return Ok(());
@@ -246,12 +256,7 @@ impl JournalWriter {
         if let Some(budget) = self.fault.kill_after_bytes {
             let remaining = budget.saturating_sub(self.written);
             if (buf.len() as u64) > remaining {
-                let cut = remaining as usize;
-                self.file.write_all(&buf[..cut])?;
-                self.written += cut as u64;
-                let _ = self.file.sync_data();
-                self.dead = true;
-                return Ok(());
+                return self.die_after(&buf[..remaining as usize]);
             }
         }
         self.file.write_all(buf)?;
@@ -275,14 +280,10 @@ impl JournalWriter {
         if let Some((label, faults)) = &self.disk {
             match faults.check(label) {
                 None => {}
+                // cut the record partway (as if power died mid-write);
+                // recovery truncates the torn tail
                 Some(DiskFaultKind::Torn) => {
-                    // cut the record partway (as if power died mid-write)
-                    // and play dead; recovery truncates the torn tail
-                    let cut = frame.len() / 2;
-                    self.file.write_all(&frame[..cut])?;
-                    self.written += cut as u64;
-                    let _ = self.file.sync_data();
-                    self.dead = true;
+                    self.die_after(&frame[..frame.len() / 2])?;
                     return Ok(false);
                 }
                 Some(kind) => return Err(kind.to_io_error()),

@@ -31,9 +31,6 @@ pub struct RecoveryConfig {
     /// Unlike lease expiries, strikes never reset: a Byzantine worker
     /// that interleaves good and bad results is still evicted.
     pub max_worker_strikes: u32,
-    /// Seconds a quarantined node identity is turned away at HELLO
-    /// before it may rejoin (TCP backend only).
-    pub quarantine_cooldown_s: f64,
     /// Issue speculative backup leases for stragglers: when a pending
     /// lease has been outstanding longer than `speculate_factor` × the
     /// EWMA of completed-unit times, an idle worker re-executes the unit
@@ -51,7 +48,6 @@ impl Default for RecoveryConfig {
             backoff: 2.0,
             max_worker_failures: 2,
             max_worker_strikes: 3,
-            quarantine_cooldown_s: 60.0,
             speculate: false,
             speculate_factor: 3.0,
         }

@@ -51,16 +51,17 @@
 //! so master-crash-and-resume can be tested as deterministically as worker
 //! crashes.
 //!
-//! [`netfault`] does the same for the wire: a seeded [`NetFaultPlan`]
-//! drops, stalls, delays or partitions individual connections at exact
-//! byte counts, so membership churn on the TCP transport replays
+//! [`netfault`] does the same for the wire: a [`NetFaultPlan`] drops,
+//! stalls, delays or partitions individual connections at exact byte
+//! counts, so membership churn on the TCP transport replays
 //! deterministically.
 //!
-//! [`chaos`] completes the set: a [`DiskFaultPlan`] injects `ENOSPC`,
-//! `EIO` and torn writes into the journal and frame writers, and a
-//! seeded [`ChaosPlan`] composes compute, network and disk fault plans
-//! into one spec string so a full storm can be armed, replayed and
-//! diffed against a fault-free run.
+//! [`chaos`] completes the set and ties it together: a [`DiskFaultPlan`]
+//! injects `ENOSPC`, `EIO` and torn writes into the journal and frame
+//! writers, and the seeded [`ChaosPlan`] is the one fault spec — one
+//! grammar, parser and printer for compute, network and disk faults — so
+//! a full storm can be armed, replayed and diffed against a fault-free
+//! run.
 
 pub mod chaos;
 pub mod codec;
@@ -82,14 +83,12 @@ pub use fault::{FaultKind, FaultPlan};
 pub use journal::{read_log, JournalFaultPlan, JournalWriter, RecoveredLog};
 pub use ledger::{FaultCounters, Ledger, RecoveryConfig};
 pub use logic::{MasterLogic, MasterWork, WorkCost, WorkerLogic};
-pub use message::{ChannelError, Endpoint, Message, NodeId};
+pub use message::{ChannelError, Message, NodeId};
 pub use net::{
     connect_worker, ConnectConfig, FrameBuf, NetConfig, TcpClusterConfig, TcpMaster, TcpWorkerConn,
     Wire, WorkerSummary,
 };
-pub use netfault::{
-    full_jitter_delay, ConnFaultState, FaultedStream, Gate, JitterRng, NetFault, NetFaultPlan,
-};
+pub use netfault::{full_jitter_delay, ConnFaultState, Gate, JitterRng, NetFault, NetFaultPlan};
 pub use report::{MachineReport, RunReport, SpanKind, TimelineSpan};
 pub use sim::{EthernetSpec, MachineSpec, SimCluster};
 pub use threads::ThreadCluster;

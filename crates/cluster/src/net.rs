@@ -25,8 +25,8 @@
 //!   immediately. A worker that disconnects, times out or sends garbage
 //!   has its outstanding leases requeued by the shared [`MasterCore`] —
 //!   surviving workers re-render the units byte-identically.
-//! * **Deterministic chaos** — a [`NetFaultPlan`] gates every
-//!   connection's reads and writes (drop-after-N-bytes, stall, delay,
+//! * **Deterministic chaos** — the [`ChaosPlan`]'s net section gates
+//!   every connection's reads and writes (drop-after-N-bytes, stall, delay,
 //!   partition windows), so churn scenarios replay identically.
 //!
 //! The master is a *driver* of the sans-IO [`MasterCore`]: decoded
@@ -38,13 +38,13 @@
 //! Unit and result types cross the wire through the [`Wire`] trait,
 //! encoded with the honest [`crate::codec`] byte codec.
 
+use crate::chaos::ChaosPlan;
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::core::{Action, MasterCore};
-use crate::fault::FaultPlan;
 use crate::ledger::RecoveryConfig;
 use crate::logic::{MasterLogic, WorkerLogic};
 use crate::message::{ChannelError, Message, NodeId};
-use crate::netfault::{full_jitter_delay, ConnFaultState, Gate, JitterRng, NetFaultPlan};
+use crate::netfault::{full_jitter_delay, ConnFaultState, Gate, JitterRng};
 use crate::report::{MachineReport, RunReport};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -325,8 +325,6 @@ pub struct NetConfig {
     /// A connection that doesn't complete its `HELLO` within this many
     /// seconds is dropped (slow-loris protection).
     pub handshake_timeout_s: f64,
-    /// Sleep between poll sweeps when the loop is idle, in milliseconds.
-    pub poll_interval_ms: u64,
     /// Upper bound on simultaneously enrolled live workers; connections
     /// beyond it are rejected with a `REJECT` frame.
     pub max_workers: usize,
@@ -339,11 +337,17 @@ impl Default for NetConfig {
             accept_window_s: 30.0,
             read_timeout_s: 30.0,
             handshake_timeout_s: 5.0,
-            poll_interval_ms: 1,
             max_workers: 4096,
         }
     }
 }
+
+/// Sleep between poll sweeps when the loop is idle.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
+
+/// Seconds a quarantined node identity is turned away at `HELLO` before
+/// it may rejoin.
+const QUARANTINE_COOLDOWN_S: f64 = 60.0;
 
 // ---------------------------------------------------------------------
 // Master
@@ -367,15 +371,15 @@ pub struct TcpClusterConfig {
     /// Expected scene fingerprint. When non-empty, a `HELLO` carrying a
     /// different non-empty fingerprint is rejected before enrollment.
     pub fingerprint: Vec<u8>,
-    /// Deterministic network-fault schedule, keyed by accept order.
-    pub net_faults: NetFaultPlan,
-    /// Deterministic compute-fault schedule, keyed by worker slot. Only
-    /// `corrupt@N` rules are meaningful on this backend (the worker
-    /// process is remote, so crashes/stalls can't be injected from
+    /// Deterministic fault injection (tests and drills; not a product
+    /// knob). The net section gates connections by accept order. Of the
+    /// compute section only `corrupt@N` rules act on this backend (the
+    /// worker process is remote, so crashes/stalls can't be injected from
     /// here): the master damages the matching results on arrival, as if
     /// the worker had computed wrong bytes, and the verification +
-    /// quarantine machinery must absorb it.
-    pub compute_faults: FaultPlan,
+    /// quarantine machinery must absorb it. The disk section is armed by
+    /// whoever owns the journal (`now_core`'s TCP drivers).
+    pub chaos: ChaosPlan,
 }
 
 impl TcpClusterConfig {
@@ -389,8 +393,7 @@ impl TcpClusterConfig {
             net: NetConfig::default(),
             job_header: Vec::new(),
             fingerprint: Vec::new(),
-            net_faults: NetFaultPlan::none(),
-            compute_faults: FaultPlan::none(),
+            chaos: ChaosPlan::none(),
         }
     }
 }
@@ -629,7 +632,7 @@ impl TcpMaster {
                 break;
             }
             if !activity {
-                std::thread::sleep(Duration::from_millis(cfg.net.poll_interval_ms.max(1)));
+                std::thread::sleep(POLL_INTERVAL);
             }
         }
         run.drain();
@@ -810,7 +813,7 @@ where
                     let t = self.now();
                     let id = self.slots[worker].identity;
                     if quarantined && id != 0 {
-                        let until = t + self.cfg.recovery.quarantine_cooldown_s;
+                        let until = t + QUARANTINE_COOLDOWN_S;
                         self.quarantined_until.insert(id, until);
                     }
                     self.shut_down(worker);
@@ -831,7 +834,8 @@ where
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let fault = self.cfg.net_faults.state_for(self.accepted);
+                    let chaos = &self.cfg.chaos;
+                    let fault = chaos.net.state_for(self.accepted, chaos.seed);
                     self.accepted += 1;
                     let ci = self.conns.len();
                     self.conns.push(Some(Conn::new(stream, t, fault)));
@@ -989,12 +993,8 @@ where
                 // byzantine-result injection: damage the result bytes past
                 // the assign+busy header, as if the worker had computed
                 // wrong pixels
-                if self
-                    .cfg
-                    .compute_faults
-                    .corrupts(w, self.slots[w].units_done)
-                    && payload.len() > 16
-                {
+                let corrupt = &self.cfg.chaos.compute;
+                if corrupt.corrupts(w, self.slots[w].units_done) && payload.len() > 16 {
                     let last = payload.len() - 1;
                     payload[last] ^= 0x20;
                     self.report.faults_injected += 1;
@@ -1849,7 +1849,7 @@ mod tests {
         // quorum 2 keeps the door open for the honest late joiner even
         // after the byzantine worker has been quarantined
         let mut cfg = TcpClusterConfig::new(2);
-        cfg.compute_faults = FaultPlan::none().corrupt_from(0, 0);
+        cfg.chaos.compute = crate::FaultPlan::none().corrupt_from(0, 0);
         // the honest worker joins second and carries the run
         let honest = {
             let addr = addr.clone();

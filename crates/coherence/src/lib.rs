@@ -26,15 +26,15 @@
 //! * [`change`] — conservative change-voxel detection between two scenes.
 //! * [`CoherentRenderer`] — incremental sequence renderer: frame `t+1` is
 //!   frame `t` plus a re-render of exactly the dirty pixels.
-//! * [`JevansRenderer`] — the cited baseline: coherence tracked for blocks
-//!   of pixels; one dirty pixel recomputes its whole block.
+//! * [`CoherentRenderer::with_region_and_block`] — the cited Jevans
+//!   baseline: coherence tracked for blocks of pixels; one dirty pixel
+//!   recomputes its whole block.
 //! * [`diff`] — actual-vs-predicted difference maps (paper Fig. 2).
 
 pub mod change;
 pub mod diff;
 pub mod engine;
 pub mod incremental;
-pub mod jevans;
 pub mod plist;
 pub mod region;
 pub mod tiledelta;
@@ -44,7 +44,6 @@ pub use change::{changed_voxels, ChangeSet};
 pub use diff::DiffMaps;
 pub use engine::{CoherenceEngine, CoherenceStats};
 pub use incremental::{CoherentRenderer, FrameReport};
-pub use jevans::JevansRenderer;
 pub use plist::PixelList;
 pub use region::{PixelRegion, TileError};
 pub use tiledelta::{RegionBuffer, TileUpdate};

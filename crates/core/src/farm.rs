@@ -18,9 +18,8 @@ use crate::partition::{PartitionScheme, RenderUnit, Scheduler};
 use now_anim::Animation;
 use now_cluster::codec::{DecodeError, Decoder, Encoder};
 use now_cluster::{
-    connect_worker, ConnectConfig, FaultPlan, MachineSpec, MasterLogic, MasterWork, NetConfig,
-    NetFaultPlan, RecoveryConfig, SimCluster, TcpClusterConfig, TcpMaster, ThreadCluster, Wire,
-    WorkCost, WorkerLogic, WorkerSummary,
+    connect_worker, ConnectConfig, MachineSpec, MasterLogic, MasterWork, SimCluster, TcpMaster,
+    ThreadCluster, Wire, WorkCost, WorkerLogic, WorkerSummary,
 };
 use now_coherence::{CoherentRenderer, PixelRegion, RegionBuffer, TileUpdate};
 use now_grid::GridSpec;
@@ -522,17 +521,6 @@ impl FarmMaster {
         Ok(master)
     }
 
-    /// Resume an interrupted run from the journal directory `dir` — the
-    /// constructor form the CLI's `--journal DIR --resume` maps to.
-    pub fn resume_from(
-        anim: &Animation,
-        cfg: &FarmConfig,
-        workers: usize,
-        dir: &std::path::Path,
-    ) -> Result<FarmMaster, String> {
-        FarmMaster::from_spec(anim, cfg, workers, Some(&JournalSpec::resume(dir)))
-    }
-
     /// Number of frames fully assembled and "written".
     pub fn frames_finalized(&self) -> usize {
         self.frame_hashes.len()
@@ -938,39 +926,12 @@ pub fn scene_fingerprint(anim: &Animation) -> Vec<u8> {
     scene_fingerprint64(anim).to_le_bytes().to_vec()
 }
 
-/// Configuration for a TCP farm master.
-#[derive(Debug, Clone)]
-pub struct TcpFarmConfig {
-    /// Worker quorum: the run may end once this many workers have joined
-    /// and finished, even if the accept window is still open. Late joiners
-    /// beyond the quorum are welcome while the run is live.
-    pub workers: usize,
-    /// Lease/retry/exclusion policy (same machinery as the other backends).
-    pub recovery: RecoveryConfig,
-    /// Network timing: heartbeat cadence, accept window, read deadlines.
-    pub net: NetConfig,
-    /// Deterministic network-fault injection (tests and drills; not a
-    /// product knob).
-    pub net_faults: NetFaultPlan,
-    /// Deterministic compute-fault injection; on this backend only the
-    /// `corrupt@N` rules act (the master damages matching results on
-    /// arrival, standing in for a byzantine worker process).
-    pub compute_faults: FaultPlan,
-}
-
-impl TcpFarmConfig {
-    /// Defaults for `workers` worker processes.
-    pub fn new(workers: usize) -> TcpFarmConfig {
-        let base = TcpClusterConfig::new(workers);
-        TcpFarmConfig {
-            workers,
-            recovery: base.recovery,
-            net: base.net,
-            net_faults: NetFaultPlan::default(),
-            compute_faults: FaultPlan::none(),
-        }
-    }
-}
+/// Configuration for a TCP farm master: the cluster layer's own
+/// configuration (worker quorum, recovery policy, net timing, the one
+/// [`now_cluster::ChaosPlan`]). The drivers here fill in `job_header` and
+/// `fingerprint` from the scene and arm the plan's disk section on the
+/// run's journal.
+pub use now_cluster::TcpClusterConfig as TcpFarmConfig;
 
 /// Bind the master's listening socket without starting the run, so the
 /// caller can learn the real port (e.g. after binding port 0) and hand it
@@ -999,13 +960,13 @@ pub fn run_tcp_master_with(
     tcp: &TcpFarmConfig,
     journal: Option<&JournalSpec>,
 ) -> Result<FarmResult, String> {
-    let mut ccfg = TcpClusterConfig::new(tcp.workers);
-    ccfg.recovery = tcp.recovery;
-    ccfg.net = tcp.net.clone();
-    ccfg.net_faults = tcp.net_faults.clone();
-    ccfg.compute_faults = tcp.compute_faults.clone();
+    let mut ccfg = tcp.clone();
     ccfg.job_header = encode_job_header(anim, cfg);
     ccfg.fingerprint = scene_fingerprint(anim);
+    let armed = journal
+        .filter(|_| !tcp.chaos.disk.is_empty())
+        .map(|j| j.clone().with_disk_faults(tcp.chaos.disk.arm()));
+    let journal = armed.as_ref().or(journal);
     let master = FarmMaster::from_spec(anim, cfg, tcp.workers, journal)?;
     let frames = anim.frames as u32;
     if master.all_done() {
@@ -1017,16 +978,6 @@ pub fn run_tcp_master_with(
         .run(master, &ccfg)
         .map_err(|e| format!("tcp master: {e}"))?;
     Ok(collect(master, report, frames))
-}
-
-/// Bind and run a TCP farm master in one call.
-pub fn run_tcp_master(
-    anim: &Animation,
-    cfg: &FarmConfig,
-    listen: &str,
-    tcp: &TcpFarmConfig,
-) -> Result<FarmResult, String> {
-    run_tcp_master_on(bind_tcp_master(listen)?, anim, cfg, tcp)
 }
 
 /// Connect to a TCP farm master and serve units until it shuts us down.
@@ -1041,26 +992,7 @@ pub fn serve_tcp_worker(
     addr: &str,
     connect: &ConnectConfig,
 ) -> Result<WorkerSummary, String> {
-    let mut connect = connect.clone();
-    if connect.fingerprint.is_empty() {
-        connect.fingerprint = scene_fingerprint(anim);
-    }
-    let conn = connect_worker(addr, &connect).map_err(|e| format!("connect {addr}: {e}"))?;
-    let (coherence, grid_voxels) = match check_job_header(conn.job_header(), anim) {
-        Ok(adopted) => adopted,
-        Err(e) => {
-            // disconnect cleanly so the master sees a dead worker instead
-            // of waiting on one that will never request units
-            conn.leave();
-            return Err(e);
-        }
-    };
-    let mut cfg = base.clone();
-    cfg.coherence = coherence;
-    cfg.grid_voxels = grid_voxels;
-    let spec = shared_spec(anim, &cfg);
-    let worker = FarmWorker::new(Arc::new(anim.clone()), spec, cfg);
-    conn.serve(worker).map_err(|e| format!("worker serve: {e}"))
+    serve_tcp_worker_cached(anim, base, addr, connect, &mut WorkerCache::new())
 }
 
 /// Worker-side state kept across TCP reconnects.
@@ -1092,10 +1024,11 @@ impl WorkerCache {
         self.builds
     }
 
-    /// Borrow a worker for `(anim, cfg)`, building one only when the
-    /// cached worker was made for a different scene or settings.
-    fn lease(&mut self, anim: &Animation, cfg: &FarmConfig) -> &mut FarmWorker {
-        let key = (scene_fingerprint64(anim), cfg.coherence, cfg.grid_voxels);
+    /// Borrow a worker for `(anim, cfg)` — `scene` is `anim`'s content
+    /// fingerprint — building one only when the cached worker was made
+    /// for a different scene or settings.
+    fn lease(&mut self, scene: u64, anim: &Animation, cfg: &FarmConfig) -> &mut FarmWorker {
+        let key = (scene, cfg.coherence, cfg.grid_voxels);
         if self.key != Some(key) || self.worker.is_none() {
             let spec = shared_spec(anim, cfg);
             self.worker = Some(FarmWorker::new(Arc::new(anim.clone()), spec, cfg.clone()));
@@ -1116,14 +1049,17 @@ pub fn serve_tcp_worker_cached(
     connect: &ConnectConfig,
     cache: &mut WorkerCache,
 ) -> Result<WorkerSummary, String> {
+    let scene = scene_fingerprint64(anim);
     let mut connect = connect.clone();
     if connect.fingerprint.is_empty() {
-        connect.fingerprint = scene_fingerprint(anim);
+        connect.fingerprint = scene.to_le_bytes().to_vec();
     }
     let conn = connect_worker(addr, &connect).map_err(|e| format!("connect {addr}: {e}"))?;
     let (coherence, grid_voxels) = match check_job_header(conn.job_header(), anim) {
         Ok(adopted) => adopted,
         Err(e) => {
+            // disconnect cleanly so the master sees a dead worker instead
+            // of waiting on one that will never request units
             conn.leave();
             return Err(e);
         }
@@ -1131,51 +1067,12 @@ pub fn serve_tcp_worker_cached(
     let mut cfg = base.clone();
     cfg.coherence = coherence;
     cfg.grid_voxels = grid_voxels;
-    let worker = cache.lease(anim, &cfg);
+    let worker = cache.lease(scene, anim, &cfg);
     // A new enrollment always starts from a fresh unit queue on the
     // master, and every first unit of a queue arrives with `restart`
     // set, so the reused worker's coherence and wire state re-seed
     // correctly; only the expensive scene/grid build is skipped.
     conn.serve(worker).map_err(|e| format!("worker serve: {e}"))
-}
-
-// ---------------------------------------------------------------------
-// Transport seam
-// ---------------------------------------------------------------------
-
-/// Which substrate carries the master/worker protocol.
-///
-/// All three run the same [`FarmMaster`]/[`FarmWorker`] logic and produce
-/// byte-identical frame hashes; they differ only in what a "workstation"
-/// is (simulated machine, OS thread, or OS process on a socket).
-#[derive(Debug, Clone)]
-pub enum Transport {
-    /// Deterministic discrete-event simulator (virtual time).
-    Sim(SimCluster),
-    /// OS threads over in-process channels (wall time).
-    Threads(ThreadCluster),
-    /// TCP master listening on an address (wall time, real network);
-    /// worker processes must be started separately with
-    /// [`serve_tcp_worker`] or `nowfarm worker`.
-    Tcp {
-        /// Address to listen on, e.g. `127.0.0.1:7201`.
-        listen: String,
-        /// Master-side farm configuration.
-        cfg: TcpFarmConfig,
-    },
-}
-
-/// Run the farm over the chosen [`Transport`].
-pub fn run_farm(
-    anim: &Animation,
-    cfg: &FarmConfig,
-    transport: &Transport,
-) -> Result<FarmResult, String> {
-    match transport {
-        Transport::Sim(cluster) => Ok(run_sim(anim, cfg, cluster)),
-        Transport::Threads(cluster) => Ok(run_threads_on(anim, cfg, cluster)),
-        Transport::Tcp { listen, cfg: tcp } => run_tcp_master(anim, cfg, listen, tcp),
-    }
 }
 
 #[cfg(test)]

@@ -44,8 +44,8 @@ use now_cluster::codec::{DecodeError, Decoder, Encoder};
 use now_cluster::journal::{JournalFaultPlan, JournalWriter};
 use now_cluster::net::{read_frame, tag, write_frame};
 use now_cluster::{
-    connect_worker, ConnectConfig, MasterLogic, MasterWork, Message, RunReport, SimCluster,
-    TcpClusterConfig, TcpMaster, Wire, WorkCost, WorkerLogic, WorkerSummary,
+    connect_worker, ConnectConfig, DiskFaults, MasterLogic, MasterWork, Message, RunReport,
+    SimCluster, TcpMaster, Wire, WorkCost, WorkerLogic, WorkerSummary,
 };
 use now_coherence::{PixelRegion, TileUpdate};
 use now_grid::GridSpec;
@@ -469,6 +469,9 @@ pub struct ServiceMaster {
     /// count reaches the key.
     cancel_plan: BTreeMap<u64, Vec<u64>>,
     journal: Option<JournalWriter>,
+    /// armed disk faults for every per-job journal and frame write
+    /// (the TCP driver arms the chaos plan's disk section here)
+    disk: DiskFaults,
     /// tenant → (tokens, logical clock at last refill) for the admission
     /// rate limiter; kept apart from `tenants` so tenants that only ever
     /// get rate-limited never enter the fair-share scheduler
@@ -509,6 +512,7 @@ impl ServiceMaster {
             grant_log: Vec::new(),
             cancel_plan: BTreeMap::new(),
             journal: None,
+            disk: DiskFaults::none(),
             rate: BTreeMap::new(),
             watchers: BTreeMap::new(),
             pushes: Vec::new(),
@@ -829,11 +833,12 @@ impl ServiceMaster {
         let anim = job.anim.clone().ok_or(())?;
         let spec_dir = self.job_dir(id);
         let journal = spec_dir.map(|dir| {
-            if dir.join(JOURNAL_FILE).is_file() {
+            let spec = if dir.join(JOURNAL_FILE).is_file() {
                 JournalSpec::resume(dir)
             } else {
                 JournalSpec::new(dir)
-            }
+            };
+            spec.with_disk_faults(self.disk.clone())
         });
         match FarmMaster::from_spec(&anim, &fcfg, 1, journal.as_ref()) {
             Ok(m) => {
@@ -1196,6 +1201,12 @@ impl MasterLogic for ServiceMaster {
 // The worker
 // ---------------------------------------------------------------------
 
+/// Per-job render states a [`ServiceWorker`] keeps before evicting the
+/// least recently used.
+const MAX_JOBS: usize = 8;
+/// Parsed scenes a [`ServiceWorker`] keeps, likewise.
+const MAX_SCENES: usize = 32;
+
 /// Scene-agnostic worker: joins the service knowing nothing, learns each
 /// job from its first [`ServiceUnit`] and keeps per-job render state (a
 /// [`FarmWorker`], including coherence state) in a small LRU cache.
@@ -1205,8 +1216,6 @@ impl MasterLogic for ServiceMaster {
 pub struct ServiceWorker {
     settings: RenderSettings,
     cost: CostModel,
-    max_jobs: usize,
-    max_scenes: usize,
     /// job id → (last-used tick, per-job farm state)
     jobs: BTreeMap<u64, (u64, FarmWorker)>,
     /// scene *content* fingerprint → (last-used tick, parsed animation).
@@ -1229,20 +1238,12 @@ impl ServiceWorker {
         ServiceWorker {
             settings,
             cost,
-            max_jobs: 8,
-            max_scenes: 32,
             jobs: BTreeMap::new(),
             scenes: BTreeMap::new(),
             spec_fps: BTreeMap::new(),
             scene_builds: 0,
             tick: 0,
         }
-    }
-
-    /// Builder: cap the per-job state cache (minimum 1).
-    pub fn with_job_cache(mut self, n: usize) -> ServiceWorker {
-        self.max_jobs = n.max(1);
-        self
     }
 
     /// How many distinct scene contents this worker has built (a second
@@ -1263,7 +1264,7 @@ impl ServiceWorker {
         // an unparsable spec is talking to a broken master
         let anim = Arc::new(from_spec(spec).expect("master-validated scene spec must parse"));
         let fp = scene_fingerprint64(&anim);
-        if self.spec_fps.len() >= 4 * self.max_scenes {
+        if self.spec_fps.len() >= 4 * MAX_SCENES {
             // the memo only saves parses; dumping it on overflow is safe
             self.spec_fps.clear();
         }
@@ -1273,7 +1274,7 @@ impl ServiceWorker {
             *used = self.tick;
             return Arc::clone(cached);
         }
-        while self.scenes.len() >= self.max_scenes {
+        while self.scenes.len() >= MAX_SCENES {
             let oldest = self
                 .scenes
                 .iter()
@@ -1312,7 +1313,7 @@ impl WorkerLogic for ServiceWorker {
         let spec = GridSpec::for_scene(anim.swept_bounds(), cfg.grid_voxels);
         let mut w = FarmWorker::new(anim, spec, cfg);
         let out = w.perform(&su.unit);
-        while self.jobs.len() >= self.max_jobs {
+        while self.jobs.len() >= MAX_JOBS {
             let oldest = self
                 .jobs
                 .iter()
@@ -1359,14 +1360,11 @@ fn service_job_header() -> Vec<u8> {
 /// terminal.
 pub fn run_service_master(
     listener: TcpMaster,
-    master: ServiceMaster,
+    mut master: ServiceMaster,
     tcp: &TcpFarmConfig,
 ) -> Result<(ServiceMaster, RunReport), String> {
-    let mut ccfg = TcpClusterConfig::new(tcp.workers.max(1));
-    ccfg.recovery = tcp.recovery;
-    ccfg.net = tcp.net.clone();
-    ccfg.net_faults = tcp.net_faults.clone();
-    ccfg.compute_faults = tcp.compute_faults.clone();
+    let mut ccfg = tcp.clone();
+    master.disk = tcp.chaos.disk.arm();
     ccfg.job_header = service_job_header();
     // fingerprint stays empty: service workers are scene-agnostic
     listener

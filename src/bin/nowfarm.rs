@@ -68,8 +68,7 @@
 //!                      token earned per E submission attempts; throttled
 //!                      submits are rejected with an explicit reason
 //!   --lease S          lease recovery with an S-second base lease
-//!   --heartbeat-s S    ping cadence towards live workers (default 0.25)
-//!   --chaos SPEC       seeded combined fault injection (see below)
+//!   --heartbeat-s/--accept-window-s/--chaos as for `master`
 //! nowfarm submit SCENE --connect ADDR       submit a job to a service
 //!   --tenant T         tenant to bill against (default "default")
 //!   --priority P       priority within the tenant (default 0)
@@ -95,22 +94,20 @@
 //! built-in animation — handy for `master`/`worker`, where every process
 //! must construct the identical scene.
 //!
-//! The master also honours `NOW_NET_FAULTS` (a [`NetFaultPlan`] spec such
-//! as `seed=7;0:drop@4096;~0.5:stall@1024`) for deterministic network
-//! fault injection in tests and drills. It is an environment variable,
-//! not a flag, on purpose: it is a test hook, not a product knob.
+//! `--chaos SPEC` (or the `NOW_CHAOS` environment variable; the flag wins)
+//! is the one fault hook of `master` and `serve`: a seeded [`ChaosPlan`]
+//! spec arming compute, network and disk faults at once, e.g.
+//! `seed=11|compute=1:corrupt@0|net=0:drop@8000|disk=run.journal:enospc@6`
+//! (sections split on `|`, clauses `WHO:KIND@ARGS` on `;` or `,`; the
+//! grammar table is in DESIGN.md §8). Compute faults (`corrupt@N` per
+//! connection) exercise the Byzantine defense: damaged results are
+//! rejected by checksum, requeued, and the offending worker is
+//! quarantined. Net faults (`drop@BYTES`, `stall@BYTES`, `delay@BYTES+S`,
+//! `part@FROM-TO` per accepted connection, `*` or `~P`) gate the wire at
+//! exact byte counts. Disk faults (`enospc@N`, `eio@N`, `torn@N` per path
+//! substring) hit the journal and frame writes, which degrade gracefully.
+//! It is a test and drill hook, not a product knob.
 //!
-//! `--chaos SPEC` (or `NOW_CHAOS`) arms a whole [`ChaosPlan`] — compute,
-//! network and disk faults from one seeded spec, e.g.
-//! `seed=11|compute=1:corrupt@0|net=0:drop@8000|disk=run.journal:enospc@6`.
-//! Compute faults (`corrupt@N` per connection) exercise the Byzantine
-//! defense: damaged results are rejected by checksum, requeued, and the
-//! offending worker is quarantined. Disk faults (`enospc@N`, `eio@N`,
-//! `torn@N` per path substring) hit the journal and frame writes, which
-//! degrade gracefully. An explicit `NOW_NET_FAULTS` still overrides the
-//! chaos plan's net section.
-//!
-//! [`NetFaultPlan`]: nowrender::cluster::NetFaultPlan
 //! [`ChaosPlan`]: nowrender::cluster::ChaosPlan
 //!
 //! Output bytes are identical for every `--pool` value and for every
@@ -121,7 +118,7 @@ use now_math::Color;
 use nowrender::anim::scenes::{from_spec, glassball, newton, orbit};
 use nowrender::anim::Animation;
 use nowrender::cluster::{
-    ChaosPlan, ConnectConfig, MachineSpec, NetFaultPlan, RecoveryConfig, SimCluster,
+    ChaosPlan, ConnectConfig, MachineSpec, RecoveryConfig, SimCluster, TcpMaster,
 };
 use nowrender::coherence::CoherentRenderer;
 use nowrender::core::service::ServiceConfig;
@@ -339,19 +336,69 @@ fn parse_scheme(args: &[String], anim: &Animation) -> Result<PartitionScheme, St
     }
 }
 
-/// The combined fault plan from `--chaos SPEC` or `NOW_CHAOS` (the flag
-/// wins). `None` when neither is set.
-fn chaos_plan(args: &[String]) -> Result<Option<ChaosPlan>, String> {
-    let spec = match flag_value(args, "--chaos") {
-        Some(s) => Some(s.to_string()),
-        None => std::env::var("NOW_CHAOS")
-            .ok()
-            .filter(|s| !s.trim().is_empty()),
+/// A flag whose value must be a positive, finite number of seconds.
+fn seconds_flag(args: &[String], flag: &str) -> Result<Option<f64>, String> {
+    let Some(v) = flag_value(args, flag) else {
+        return Ok(None);
     };
-    let Some(spec) = spec else { return Ok(None) };
-    let plan = ChaosPlan::parse(&spec).map_err(|e| format!("chaos plan: {e}"))?;
-    eprintln!("chaos plan armed: {}", plan.to_spec());
-    Ok(Some(plan))
+    match v.parse::<f64>() {
+        Ok(s) if s > 0.0 && s.is_finite() => Ok(Some(s)),
+        Ok(_) => Err(format!("{flag} must be positive")),
+        Err(_) => Err(format!("bad {flag} value")),
+    }
+}
+
+/// The TCP master configuration `master` and `serve` share: the worker
+/// quorum, `--lease`, `--heartbeat-s`, `--accept-window-s`, and the one
+/// fault plan from `--chaos SPEC` or `NOW_CHAOS` (the flag wins).
+fn tcp_config(args: &[String], workers: usize) -> Result<TcpFarmConfig, String> {
+    let mut tcp = TcpFarmConfig::new(workers);
+    if let Some(v) = flag_value(args, "--lease") {
+        let lease: f64 = v.parse().map_err(|_| "bad --lease value")?;
+        tcp.recovery = RecoveryConfig::with_lease(lease);
+    }
+    if let Some(hb) = seconds_flag(args, "--heartbeat-s")? {
+        tcp.net.heartbeat_s = hb;
+    }
+    if let Some(win) = seconds_flag(args, "--accept-window-s")? {
+        tcp.net.accept_window_s = win;
+    }
+    let env = std::env::var("NOW_CHAOS").ok();
+    let spec = flag_value(args, "--chaos").or(env.as_deref()).unwrap_or("");
+    tcp.chaos = spec
+        .parse::<ChaosPlan>()
+        .map_err(|e| format!("chaos plan: {e}"))?;
+    if !tcp.chaos.is_empty() {
+        eprintln!("chaos plan armed: {}", tcp.chaos);
+    }
+    Ok(tcp)
+}
+
+/// Bind the master's listener and announce the real port. A master or
+/// service restarted with `--resume` rebinds the fixed port its
+/// predecessor held; the kernel may keep it busy briefly after a kill, so
+/// retry the bind instead of failing the resume.
+fn bind_retry(listen: &str) -> Result<TcpMaster, String> {
+    let mut attempt = 0;
+    let listener = loop {
+        match bind_tcp_master(listen) {
+            Ok(l) => break l,
+            Err(e) if attempt < 12 => {
+                attempt += 1;
+                eprintln!("{e}; retrying bind ({attempt}/12)");
+                std::thread::sleep(std::time::Duration::from_millis(250));
+            }
+            Err(e) => return Err(e),
+        }
+    };
+    let addr = listener
+        .local_addr()
+        .map_err(|e| format!("local addr: {e}"))?;
+    // scripts and tests parse this line to learn the real port after
+    // binding port 0, so print it alone and flush before blocking
+    println!("listening on {addr}");
+    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| format!("stdout: {e}"))?;
+    Ok(listener)
 }
 
 /// The journal configuration selected by `--journal DIR` / `--resume`.
@@ -601,76 +648,12 @@ fn cmd_master(args: &[String]) -> CliResult {
         keep_frames: true,
         wire_delta: !has_flag(args, "--raw-wire"),
     };
-    let mut tcp = TcpFarmConfig::new(workers);
-    if let Some(v) = flag_value(args, "--lease") {
-        let lease: f64 = v.parse().map_err(|_| "bad --lease value")?;
-        tcp.recovery = RecoveryConfig::with_lease(lease);
+    let tcp = tcp_config(args, workers)?;
+    let journal = journal_spec(args)?;
+    if journal.is_none() && !tcp.chaos.disk.is_empty() {
+        eprintln!("warning: chaos disk faults need --journal DIR; none will fire");
     }
-    if let Some(v) = flag_value(args, "--heartbeat-s") {
-        let hb: f64 = v.parse().map_err(|_| "bad --heartbeat-s value")?;
-        if hb <= 0.0 || !hb.is_finite() {
-            return Err("--heartbeat-s must be positive".into());
-        }
-        tcp.net.heartbeat_s = hb;
-    }
-    if let Some(v) = flag_value(args, "--accept-window-s") {
-        let win: f64 = v.parse().map_err(|_| "bad --accept-window-s value")?;
-        if win <= 0.0 || !win.is_finite() {
-            return Err("--accept-window-s must be positive".into());
-        }
-        tcp.net.accept_window_s = win;
-    }
-    // one seeded spec for compute + net + disk faults at once
-    let chaos = chaos_plan(args)?;
-    if let Some(plan) = &chaos {
-        tcp.net_faults = plan.net.clone();
-        tcp.compute_faults = plan.compute.clone();
-    }
-    // deterministic fault injection for tests/drills; an env var (not a
-    // flag) so it never looks like a supported product option. An
-    // explicit net spec overrides the chaos plan's net section.
-    if let Ok(spec) = std::env::var("NOW_NET_FAULTS") {
-        if !spec.trim().is_empty() {
-            tcp.net_faults =
-                NetFaultPlan::parse(&spec).map_err(|e| format!("NOW_NET_FAULTS: {e}"))?;
-            eprintln!("net-fault plan armed: {}", tcp.net_faults.to_spec());
-        }
-    }
-
-    let mut journal = journal_spec(args)?;
-    if let Some(plan) = &chaos {
-        if !plan.disk.is_empty() {
-            match journal.take() {
-                Some(spec) => journal = Some(spec.with_disk_faults(plan.disk.arm())),
-                None => eprintln!("warning: chaos disk faults need --journal DIR; none will fire"),
-            }
-        }
-    }
-    let listen = flag_value(args, "--listen").unwrap_or("127.0.0.1:0");
-    // a master restarted with --resume rebinds the same fixed port its
-    // predecessor held; the kernel may keep it busy briefly after a kill,
-    // so retry the bind instead of failing the resume
-    let listener = {
-        let mut attempt = 0;
-        loop {
-            match bind_tcp_master(listen) {
-                Ok(l) => break l,
-                Err(e) if attempt < 12 => {
-                    attempt += 1;
-                    eprintln!("{e}; retrying bind ({attempt}/12)");
-                    std::thread::sleep(std::time::Duration::from_millis(250));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    };
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local addr: {e}"))?;
-    // scripts and tests parse this line to learn the real port after
-    // binding port 0, so print it alone and flush before blocking
-    println!("listening on {addr}");
-    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| format!("stdout: {e}"))?;
+    let listener = bind_retry(flag_value(args, "--listen").unwrap_or("127.0.0.1:0"))?;
     println!("waiting for {workers} worker(s) ...");
 
     let result = run_tcp_master_with(listener, &anim, &cfg, &tcp, journal.as_ref())?;
@@ -711,19 +694,11 @@ fn cmd_worker(args: &[String]) -> CliResult {
         .parse()
         .map_err(|_| "bad --retries value")?;
     let mut connect = ConnectConfig::default();
-    if let Some(v) = flag_value(args, "--heartbeat-s") {
-        let hb: f64 = v.parse().map_err(|_| "bad --heartbeat-s value")?;
-        if hb <= 0.0 || !hb.is_finite() {
-            return Err("--heartbeat-s must be positive".into());
-        }
+    if let Some(hb) = seconds_flag(args, "--heartbeat-s")? {
         // hearing nothing for ~10 ping intervals means the master is gone
         connect.read_timeout_s = (hb * 10.0).max(2.0);
     }
-    if let Some(v) = flag_value(args, "--accept-window-s") {
-        let win: f64 = v.parse().map_err(|_| "bad --accept-window-s value")?;
-        if win <= 0.0 || !win.is_finite() {
-            return Err("--accept-window-s must be positive".into());
-        }
+    if let Some(win) = seconds_flag(args, "--accept-window-s")? {
         // keep knocking for roughly the master's accept window: worst-case
         // backoff per attempt is the cap, so size the attempt budget to it
         connect.attempts = ((win / connect.backoff_cap_s.max(0.01)).ceil() as u32).max(3);
@@ -856,56 +831,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --workers value")?;
-    let mut tcp = TcpFarmConfig::new(workers.max(1));
-    if let Some(v) = flag_value(args, "--lease") {
-        let lease: f64 = v.parse().map_err(|_| "bad --lease value")?;
-        tcp.recovery = RecoveryConfig::with_lease(lease);
-    }
-    if let Some(v) = flag_value(args, "--heartbeat-s") {
-        let hb: f64 = v.parse().map_err(|_| "bad --heartbeat-s value")?;
-        if hb <= 0.0 || !hb.is_finite() {
-            return Err("--heartbeat-s must be positive".into());
-        }
-        tcp.net.heartbeat_s = hb;
-    }
-    if let Some(plan) = chaos_plan(args)? {
-        tcp.net_faults = plan.net.clone();
-        tcp.compute_faults = plan.compute.clone();
-        if !plan.disk.is_empty() {
-            eprintln!("warning: chaos disk faults are a single-job `master` hook; none will fire");
-        }
-    }
-    if let Ok(spec) = std::env::var("NOW_NET_FAULTS") {
-        if !spec.trim().is_empty() {
-            tcp.net_faults =
-                NetFaultPlan::parse(&spec).map_err(|e| format!("NOW_NET_FAULTS: {e}"))?;
-            eprintln!("net-fault plan armed: {}", tcp.net_faults.to_spec());
-        }
-    }
-
-    let listen = flag_value(args, "--listen").unwrap_or("127.0.0.1:0");
-    // like `master --resume`: a restarted service rebinds its fixed port,
-    // which the kernel may hold busy briefly after a kill
-    let listener = {
-        let mut attempt = 0;
-        loop {
-            match bind_tcp_master(listen) {
-                Ok(l) => break l,
-                Err(e) if attempt < 12 => {
-                    attempt += 1;
-                    eprintln!("{e}; retrying bind ({attempt}/12)");
-                    std::thread::sleep(std::time::Duration::from_millis(250));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    };
+    let tcp = tcp_config(args, workers.max(1))?;
+    let listener = bind_retry(flag_value(args, "--listen").unwrap_or("127.0.0.1:0"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local addr: {e}"))?;
-    // scripts and tests parse this line to learn the real port
-    println!("listening on {addr}");
-    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| format!("stdout: {e}"))?;
     println!("service up; drain with `nowfarm drain --connect {addr}`");
 
     let (master, report) = run_service_master(listener, master, &tcp)?;

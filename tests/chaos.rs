@@ -334,10 +334,10 @@ fn threads_chaos_soak_is_byte_identical_under_combined_faults() {
 
     let anim = newton::animation_sized(W, H, FRAMES);
     let dir = scratch_dir("soak");
-    let chaos = ChaosPlan::parse(
-        "seed=11|compute=1:corrupt@1,2:slow@4x25|disk=frame_:eio@0;run.journal:enospc@6",
-    )
-    .expect("chaos spec parses");
+    let chaos: ChaosPlan =
+        "seed=11|compute=1:corrupt@1,2:slow@4x25|disk=frame_:eio@0;run.journal:enospc@6"
+            .parse()
+            .expect("chaos spec parses");
     let disk = chaos.disk.arm();
 
     let mut cluster = ThreadCluster::new(3);
@@ -383,8 +383,9 @@ fn tcp_chaos_soak_quarantines_and_stays_byte_identical() {
     use nowrender::cluster::ChaosPlan;
     use nowrender::core::{bind_tcp_master, run_tcp_master_on, serve_tcp_worker, TcpFarmConfig};
 
-    let chaos =
-        ChaosPlan::parse("seed=7|compute=0:corrupt@0|net=1:drop@6000").expect("chaos spec parses");
+    let chaos: ChaosPlan = "seed=7|compute=0:corrupt@0|net=1:drop@6000"
+        .parse()
+        .expect("chaos spec parses");
 
     let anim = newton::animation_sized(W, H, FRAMES);
     let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
@@ -403,8 +404,7 @@ fn tcp_chaos_soak_quarantines_and_stays_byte_identical() {
         .collect();
 
     let mut tcp = TcpFarmConfig::new(3);
-    tcp.net_faults = chaos.net.clone();
-    tcp.compute_faults = chaos.compute.clone();
+    tcp.chaos = chaos;
     let result = run_tcp_master_on(listener, &anim, &cfg(), &tcp).expect("master");
 
     assert_eq!(
@@ -492,6 +492,57 @@ fn any_single_bit_flip_on_the_wire_is_detected_and_never_integrated() {
     assert_eq!(master.units_done, 1);
 }
 
+/// The service's TCP driver arms the plan's disk section on every per-job
+/// journal and frame write, like the one-shot master does on its own: the
+/// second frame's file write fails with `EIO`, that job's journal degrades
+/// (it and the later frames are simply not persisted), and the job still
+/// completes with the fault-free job hash.
+#[test]
+fn service_disk_faults_are_armed_by_the_tcp_driver() {
+    use nowrender::core::service::{run_service_master, ServiceConfig, ServiceMaster};
+    use nowrender::core::{bind_tcp_master, serve_service_worker, JobSpec, JobState};
+    use nowrender::core::{ServiceClient, TcpFarmConfig};
+
+    let run = |tag: &str, chaos: &str| {
+        let root = scratch_dir(tag);
+        let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let mut tcp = TcpFarmConfig::new(1);
+        tcp.chaos = chaos.parse().expect("chaos spec parses");
+        let master = ServiceMaster::new(ServiceConfig {
+            root: Some(root.clone()),
+            ..ServiceConfig::default()
+        })
+        .expect("service");
+        let master = std::thread::spawn(move || run_service_master(listener, master, &tcp));
+        let mut client = ServiceClient::connect(&addr, 30.0).expect("client");
+        let spec = JobSpec::new("demo:glassball:3:24x18");
+        let id = client.submit(&spec).expect("transport").expect("admitted");
+        client.drain().expect("drain");
+        let worker = std::thread::spawn(move || {
+            serve_service_worker(&addr, &Default::default(), &RenderSettings::default())
+        });
+        let (master, _) = master.join().expect("master thread").expect("service");
+        worker.join().expect("worker thread").expect("worker");
+        let status = master.status(id).expect("job known");
+        assert_eq!(status.state, JobState::Done);
+        (status.job_hash, root.join("jobs").join("job_000001"))
+    };
+
+    let (clean_hash, clean_dir) = run("svc-clean", "");
+    let (hash, dir) = run("svc-eio", "seed=5|disk=frame_0001:eio@0");
+    assert_eq!(hash, clean_hash, "a dying disk must not change a pixel");
+    assert!(clean_dir.join("frame_0001.tga").is_file());
+    assert!(dir.join("frame_0000.tga").is_file());
+    assert!(
+        !dir.join("frame_0001.tga").exists(),
+        "the scheduled write fault never fired"
+    );
+    for d in [clean_dir, dir] {
+        let _ = std::fs::remove_dir_all(d.parent().and_then(|p| p.parent()).expect("root"));
+    }
+}
+
 /// A TCP worker yanked off the wire *while a unit is leased to it*: a
 /// deterministic fault plan hard-drops its connection after 5000 bytes.
 /// The lease requeues to the survivor and the frames stay byte-identical
@@ -525,7 +576,7 @@ fn tcp_leave_while_leased_requeues_byte_identically() {
 
     let mut tcp = TcpFarmConfig::new(2);
     // the first accepted connection dies mid-run, mid-lease
-    tcp.net_faults = NetFaultPlan::none().seeded(7).drop_after(0, 5_000);
+    tcp.chaos.net = NetFaultPlan::none().drop_after(0, 5_000);
     let result = run_tcp_master_on(listener, &anim, &cfg(), &tcp).expect("master");
 
     assert_eq!(

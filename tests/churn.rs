@@ -14,6 +14,7 @@ use nowrender::raytrace::RenderSettings;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A scene heavy enough that the churn below lands mid-run on a fast
@@ -65,7 +66,7 @@ fn spawn_master(
     hashes: &Path,
     extra: &[&str],
     env: &[(&str, &str)],
-) -> (Child, String) {
+) -> (Child, String, JoinHandle<String>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_nowfarm"));
     cmd.args(["master", SCENE, "--listen", "127.0.0.1:0", "--workers", "2"])
         .args(extra)
@@ -90,9 +91,11 @@ fn spawn_master(
             break addr.to_string();
         }
     };
-    // keep draining so the master never blocks on a full stdout pipe
-    std::thread::spawn(move || for _ in lines.by_ref() {});
-    (master, addr)
+    // keep draining so the master never blocks on a full stdout pipe;
+    // the rest of its output (the run summary) is the thread's result
+    let log =
+        std::thread::spawn(move || lines.map_while(Result::ok).collect::<Vec<_>>().join("\n"));
+    (master, addr, log)
 }
 
 fn spawn_worker(addr: &str) -> Child {
@@ -124,7 +127,7 @@ fn reap(mut w: Child) {
 fn churned_farm_matches_single_process() {
     let dir = scratch_dir("mp");
     let hashes = dir.join("hashes.txt");
-    let (mut master, addr) = spawn_master(&dir, &hashes, &[], &[]);
+    let (mut master, addr, _log) = spawn_master(&dir, &hashes, &[], &[]);
 
     let mut fleet: Vec<Child> = (0..2).map(|_| spawn_worker(&addr)).collect();
     // joiners arrive in two waves while units are already being rendered
@@ -162,7 +165,7 @@ fn churned_farm_matches_single_process() {
 fn large_fleet_churn_matches_single_process() {
     let dir = scratch_dir("fleet");
     let hashes = dir.join("hashes.txt");
-    let (mut master, addr) = spawn_master(&dir, &hashes, &[], &[]);
+    let (mut master, addr, _log) = spawn_master(&dir, &hashes, &[], &[]);
 
     // founders first, then the rest of the fleet in four waves so joins
     // keep landing while units are being rendered
@@ -200,7 +203,7 @@ fn large_fleet_churn_matches_single_process() {
 fn net_timing_flags_are_honoured() {
     let dir = scratch_dir("flags");
     let hashes = dir.join("hashes.txt");
-    let (mut master, addr) = spawn_master(
+    let (mut master, addr, _log) = spawn_master(
         &dir,
         &hashes,
         &["--heartbeat-s", "0.05", "--accept-window-s", "15"],
@@ -216,17 +219,17 @@ fn net_timing_flags_are_honoured() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `NOW_NET_FAULTS` hard-drops the third accepted connection mid-run;
-/// the lease requeues and the output is still byte-identical.
+/// `NOW_CHAOS` alone (no flag) hard-drops the third accepted connection
+/// mid-run; the lease requeues and the output is still byte-identical.
 #[test]
 fn env_fault_plan_drops_a_connection_without_changing_output() {
     let dir = scratch_dir("faults");
     let hashes = dir.join("hashes.txt");
-    let (mut master, addr) = spawn_master(
+    let (mut master, addr, log) = spawn_master(
         &dir,
         &hashes,
         &[],
-        &[("NOW_NET_FAULTS", "seed=3;2:drop@8000")],
+        &[("NOW_CHAOS", "seed=3|net=2:drop@8000")],
     );
     let fleet: Vec<Child> = (0..3).map(|_| spawn_worker(&addr)).collect();
     let status = master.wait().expect("wait master");
@@ -235,6 +238,11 @@ fn env_fault_plan_drops_a_connection_without_changing_output() {
         read_hashes(&hashes),
         reference_hashes(),
         "a fault-dropped connection must not change a single pixel"
+    );
+    let log = log.join().expect("master stdout");
+    assert!(
+        log.contains("3 joined, 1 left early"),
+        "the env-armed plan must actually drop one connection:\n{log}"
     );
     for w in fleet {
         reap(w);
