@@ -27,7 +27,7 @@ fn main() {
         for (i, r) in rays.iter().enumerate() {
             engine.on_ray((i % 4096) as u32, r, RayKind::Primary, f64::INFINITY);
         }
-        black_box(engine.entry_count());
+        black_box(engine.stats());
     });
 
     // dirty-pixel lookup on a heavily populated engine

@@ -6,8 +6,13 @@
 //!
 //! * `tracer_frame` — one Newton frame through the serial tracer:
 //!   ns/frame and rays per second.
-//! * `coherence_marks` — ray recording into a [`CoherenceEngine`]:
-//!   voxel marks per second.
+//! * `coherence_marks` — the same frame with a [`CoherenceEngine`]
+//!   recording every ray: voxel marks per second, `ns_per_mark` (the time
+//!   recording adds over `tracer_frame`, per mark), `log_bytes_per_mark`,
+//!   and `record_ratio` = this record's `mean_ns` over `tracer_frame`'s —
+//!   what a coherent first frame costs relative to a plain one. CI gates
+//!   it at 2.0 (both timings come from one host, so the ratio holds on a
+//!   1-core runner).
 //! * `changed_voxels` — scene-diff change detection on the glass-ball
 //!   animation (the sort+dedup path that replaced the `BTreeSet`).
 //! * `pool_speedup` — the same full frame rendered by the intra-worker
@@ -20,9 +25,10 @@
 //!   hovers near 1.0 however good the schedule is.
 //! * `render_matrix_*` — per-frame timing and deterministic speedup for
 //!   64x48 and 320x240 at 1/2/4 pool threads.
-//! * `coherence_entry` — pixel-list footprint after one fully recorded
-//!   320x240 frame: entry count, encoded payload bytes, amortized
-//!   `entry_bytes`, and the ratio vs the old fixed 8-byte entries.
+//! * `coherence_entry` — path-log footprint after one fully recorded
+//!   320x240 frame: entries (one per stored mark), log bytes, amortized
+//!   `entry_bytes`, and the ratio vs a fixed 8-byte `(pixel, gen)` pair
+//!   per mark.
 //!
 //! The top-level `"trace"` key carries the `now-trace` counters and
 //! histograms (ray mix, voxel steps per ray, marks per ray) from one
@@ -104,6 +110,7 @@ fn main() {
         frame_rays = stats.total_rays();
         black_box(fb);
     });
+    let tracer_mean = mean;
     records.push(Record {
         name: "tracer_frame",
         mean_ns: mean * 1e9,
@@ -122,6 +129,7 @@ fn main() {
     // --- coherence marking throughput: same frame, engine listening ---
     let spec = GridSpec::for_scene(scene.bounds(), 24 * 24 * 24);
     let mut marks = 0u64;
+    let mut log_bytes = 0u64;
     let (mean, min) = time(iters, || {
         let mut engine = CoherenceEngine::new(spec, (fw * fh) as usize);
         let mut stats = RayStats::default();
@@ -133,7 +141,7 @@ fn main() {
             &mut stats,
         ));
         marks = engine.stats().marks;
-        black_box(engine.entry_count());
+        log_bytes = engine.stats().list_bytes;
     });
     records.push(Record {
         name: "coherence_marks",
@@ -142,6 +150,15 @@ fn main() {
         extra: vec![
             ("marks".into(), marks.to_string()),
             ("marks_per_s".into(), format!("{:.0}", marks as f64 / min)),
+            (
+                "ns_per_mark".into(),
+                format!("{:.2}", (mean - tracer_mean) * 1e9 / marks as f64),
+            ),
+            (
+                "log_bytes_per_mark".into(),
+                format!("{:.3}", log_bytes as f64 / marks as f64),
+            ),
+            ("record_ratio".into(), format!("{:.3}", mean / tracer_mean)),
         ],
     });
 
@@ -294,9 +311,9 @@ fn main() {
             &mut stats,
         ));
         let dt = t0.elapsed().as_secs_f64();
-        let entries = engine.entry_count();
-        let payload = engine.payload_bytes();
-        let entry_bytes = engine.entry_bytes();
+        let entries = engine.stats().entries;
+        let payload = engine.stats().list_bytes;
+        let entry_bytes = payload as f64 / entries as f64;
         records.push(Record {
             name: "coherence_entry",
             mean_ns: dt * 1e9,
@@ -308,8 +325,8 @@ fn main() {
                 ("payload_bytes".into(), payload.to_string()),
                 ("memory_bytes".into(), engine.memory_bytes().to_string()),
                 ("entry_bytes".into(), format!("{entry_bytes:.3}")),
-                // how much smaller than the old fixed-width (pixel, gen)
-                // pairs the encoded lists are
+                // how much smaller than a fixed-width (pixel, gen) pair
+                // per mark the log is
                 (
                     "bytes_ratio_vs_fixed8".into(),
                     format!("{:.2}", entries as f64 * 8.0 / payload.max(1) as f64),

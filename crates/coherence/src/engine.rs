@@ -1,14 +1,45 @@
-//! The per-voxel pixel-list data structure.
+//! The frame-coherence data structure: one append-only log of ray paths.
+//!
+//! The paper keeps, per voxel, the list of pixels whose rays crossed it,
+//! and asks of each changed voxel "which pixels are on your list?". This
+//! engine stores the same relation transposed — per recorded ray, the
+//! voxels it crossed — and asks of each recorded ray "did you cross a
+//! changed voxel?". The dirty set is the same set by construction (a pixel
+//! is dirty iff one of its live rays has a changed voxel on its path);
+//! what changes is the cost profile: recording a ray is one sequential
+//! append instead of one scattered list push per voxel, and the per-frame
+//! query is one linear scan of the log instead of a few list reads.
+//!
+//! Record grammar (stream state starts at `(pixel, gen) = (0, 0)`; all
+//! integers LEB128 varints, see [`crate::varint`]):
+//!
+//! ```text
+//! record = head [gen] start steps codes
+//! head   = varint( zigzag(pixel - prev_pixel) << 1 | (gen != prev_gen) )
+//! gen    = varint(gen)                  -- only when the flag bit is set
+//! start  = varint(linear index of the first voxel crossed)
+//! steps  = varint(number of step codes) -- voxels crossed, less one
+//! codes  = ceil(steps / 2) bytes: two 3-bit step codes per byte, low
+//!          nibble first (`now_grid::dda::IndexWalk`: +x -x +y -y +z -z);
+//!          an odd count pads the last byte with 6, the code of no move
+//! ```
+//!
+//! Consecutive rays of one pixel (its shadow feelers, its reflections)
+//! cost a 1-byte `head`; a typical 25-voxel path is 16 bytes, ~0.65 bytes
+//! per mark.
+//!
+//! A record is *live* while its `gen` equals the pixel's current
+//! generation. [`CoherenceEngine::invalidate_pixels`] bumps the generation
+//! — every older record of the pixel is stale from then on, wherever it
+//! sits in the log — and moves the pixel's bytes from the live to the
+//! stale account, so [`CoherenceEngine::compact`] knows without looking
+//! whether there is anything to drop.
 
-use crate::plist::PixelList;
-use now_grid::dda::Traverse;
-use now_grid::{GridCells, GridSpec, Voxel};
+use crate::varint::{read_varint, unzigzag, zigzag};
+use now_grid::dda::{step_strides, IndexWalk};
+use now_grid::{GridSpec, Voxel};
 use now_math::{Interval, Ray};
 use now_raytrace::{PixelId, RayKind, RayListener};
-
-/// Stamp value that never equals a real `(pixel, gen)` pair (pixel ids are
-/// bounded well below `u32::MAX`).
-const STAMP_SENTINEL: (PixelId, u32) = (PixelId::MAX, u32::MAX);
 
 /// Bookkeeping statistics; Table 1's "overhead" column comes from the work
 /// these counters represent, and the cluster cost model charges time
@@ -17,77 +48,195 @@ const STAMP_SENTINEL: (PixelId, u32) = (PixelId::MAX, u32::MAX);
 pub struct CoherenceStats {
     /// Voxel-mark operations performed (per ray per voxel crossed).
     pub marks: u64,
-    /// Entries currently live (approximation including stale ones).
+    /// Marks currently stored in the log, live and stale (one "entry" is
+    /// one voxel of one recorded path).
     pub entries: u64,
-    /// Entries dropped by lazy purging.
+    /// Marks dropped by compaction.
     pub purged: u64,
     /// Rays recorded.
     pub rays_recorded: u64,
     /// High-water mark of `entries`.
     pub peak_entries: u64,
-    /// Encoded pixel-list payload bytes currently stored (the working-set
-    /// cost the cost model charges; ~1–2 bytes amortized per entry with
-    /// the delta/varint encoding, vs 8 for the old `(pixel, gen)` pairs).
+    /// Log bytes currently stored, live and stale (the working-set cost
+    /// the cost model charges; well under one byte per entry).
     pub list_bytes: u64,
+    /// Compaction passes that had something to drop.
+    pub compactions: u64,
 }
 
-/// The frame-coherence data structure: a uniform grid whose voxels each
-/// carry the list of pixels that fired a ray through them.
+/// The frame-coherence data structure: every recorded ray's path through
+/// a uniform grid, tagged with the pixel that fired it.
 ///
 /// Implements [`RayListener`]: install it as the tracer's listener while
 /// rendering and every ray is walked through the grid with the 3-D DDA,
-/// marking the voxels it crosses with the pixel being shaded.
+/// its voxel path appended to the log under the pixel being shaded.
 ///
-/// Equality compares the complete engine state — pixel lists (including
-/// stale entries), generation counters, dedup stamps and statistics — so
-/// tests can assert that two render paths (e.g. 1-thread and N-thread)
-/// left the engine in exactly the same state.
+/// Equality compares the complete engine state — log bytes (including
+/// stale records), generation counters, live/stale byte accounts and
+/// statistics — so tests can assert that two render paths (e.g. 1-thread
+/// and N-thread) left the engine in exactly the same state.
 #[derive(Debug, Clone)]
 pub struct CoherenceEngine {
     spec: GridSpec,
-    lists: GridCells<PixelList>,
-    /// Current generation per pixel; entries recorded under older
-    /// generations are stale.
+    log: Vec<u8>,
+    /// `(pixel, gen)` of the last record: what the next `head` is relative
+    /// to.
+    tail: (PixelId, u32),
+    /// Current generation per pixel; records of older generations are
+    /// stale.
     gen: Vec<u32>,
-    /// Per-voxel de-duplication stamp: the (pixel, gen) most recently
-    /// appended, so a pixel whose several rays cross one voxel is stored
-    /// once. Initialised to a sentinel that no real (pixel, gen) can match.
-    stamps: GridCells<(PixelId, u32)>,
+    /// Per pixel, the log bytes held by its current-generation records.
+    live: Vec<u32>,
+    /// Log bytes held by stale records; `log.len() - stale_bytes` is the
+    /// sum of `live`.
+    stale_bytes: usize,
     stats: CoherenceStats,
-    /// Reusable re-encode buffer for purge passes (not part of the
-    /// engine's observable state; excluded from `PartialEq`).
-    scratch: Vec<u8>,
+    // Scratch below: not observable state, excluded from `PartialEq`.
+    /// One ray's packed step codes, sized for the longest walk the grid
+    /// allows.
+    codes: Vec<u8>,
+    /// Changed-voxel bitmap of a `dirty_pixels` call; all zero between
+    /// calls.
+    changed: Vec<u64>,
+    /// Pixels already reported by a `dirty_pixels` call; all zero between
+    /// calls.
+    seen: Vec<u64>,
 }
 
 impl PartialEq for CoherenceEngine {
     fn eq(&self, other: &CoherenceEngine) -> bool {
-        // `scratch` is scratch — two engines with identical observable
-        // state must compare equal regardless of purge history.
         self.spec == other.spec
-            && self.lists == other.lists
+            && self.log == other.log
+            && self.tail == other.tail
             && self.gen == other.gen
-            && self.stamps == other.stamps
+            && self.live == other.live
+            && self.stale_bytes == other.stale_bytes
             && self.stats == other.stats
     }
+}
+
+/// The step code that moves nowhere (`step_strides` gives it stride 0):
+/// fills the unused half of an odd path's last byte.
+const PAD: u8 = 6;
+
+/// Longest `head [gen] start steps` prefix: 5 + 5 + 7 + 3 bytes for `u32`
+/// pixels and generations and `u16` resolutions per axis.
+const MAX_PREFIX: usize = 24;
+
+/// Write `v` as LEB128 at `buf[at..]`; returns the position after it.
+#[inline]
+fn put_varint(buf: &mut [u8; MAX_PREFIX], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        buf[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    buf[at] = v as u8;
+    at + 1
+}
+
+/// Write `head [gen]` of a `(pixel, gen)` record that follows `tail`.
+#[inline]
+fn put_head(buf: &mut [u8; MAX_PREFIX], tail: (PixelId, u32), pixel: PixelId, gen: u32) -> usize {
+    let delta = pixel as i64 - tail.0 as i64;
+    let flag = (gen != tail.1) as u64;
+    let at = put_varint(buf, 0, (zigzag(delta) << 1) | flag);
+    if flag != 0 {
+        put_varint(buf, at, gen as u64)
+    } else {
+        at
+    }
+}
+
+/// One decoded record: whose it is and where its parts sit in the log
+/// (it ends where the cursor that read it now stands).
+struct Record {
+    pixel: PixelId,
+    gen: u32,
+    /// Offset of `head`.
+    at: usize,
+    /// Offset of `start`: from here on a record does not depend on its
+    /// predecessor, so compaction moves it verbatim.
+    path: usize,
+    start: usize,
+    steps: usize,
+    /// Offset of `codes`.
+    codes: usize,
+}
+
+/// Sequential log decoder: the stream state of the record grammar.
+#[derive(Default)]
+struct Cursor {
+    pos: usize,
+    pixel: PixelId,
+    gen: u32,
+}
+
+impl Cursor {
+    /// Decode the record at `pos` and move past it (its codes are skipped
+    /// by length, not read).
+    #[inline]
+    fn read(&mut self, log: &[u8]) -> Record {
+        let at = self.pos;
+        let mut pos = at;
+        let head = read_varint(log, &mut pos);
+        self.pixel = (self.pixel as i64 + unzigzag(head >> 1)) as PixelId;
+        if head & 1 != 0 {
+            self.gen = read_varint(log, &mut pos) as u32;
+        }
+        let path = pos;
+        let start = read_varint(log, &mut pos) as usize;
+        let steps = read_varint(log, &mut pos) as usize;
+        self.pos = pos + steps.div_ceil(2);
+        Record {
+            pixel: self.pixel,
+            gen: self.gen,
+            at,
+            path,
+            start,
+            steps,
+            codes: pos,
+        }
+    }
+}
+
+/// Whether the path `start, codes` touches a voxel set in `changed`.
+#[inline]
+fn path_hits(start: usize, codes: &[u8], strides: &[isize; 8], changed: &[u64]) -> bool {
+    let hit = |at: usize| changed[at >> 6] >> (at & 63) & 1 != 0;
+    let mut at = start;
+    if hit(at) {
+        return true;
+    }
+    for &pair in codes {
+        at = at.wrapping_add_signed(strides[(pair & 7) as usize]);
+        if hit(at) {
+            return true;
+        }
+        at = at.wrapping_add_signed(strides[(pair >> 4 & 7) as usize]);
+        if hit(at) {
+            return true;
+        }
+    }
+    false
 }
 
 impl CoherenceEngine {
     /// Create an engine for a `pixel_count`-pixel image over the given grid.
     pub fn new(spec: GridSpec, pixel_count: usize) -> CoherenceEngine {
+        let longest_walk: usize = spec.res.iter().map(|&r| r as usize - 1).sum();
         CoherenceEngine {
             spec,
-            lists: GridCells::new(spec),
+            log: Vec::new(),
+            tail: (0, 0),
             gen: vec![0; pixel_count],
-            stamps: GridCells::filled(spec, STAMP_SENTINEL),
+            live: vec![0; pixel_count],
+            stale_bytes: 0,
             stats: CoherenceStats::default(),
-            scratch: Vec::new(),
+            codes: vec![0; longest_walk / 2 + 1],
+            changed: vec![0; spec.voxel_count().div_ceil(64)],
+            seen: vec![0; pixel_count.div_ceil(64)],
         }
-    }
-
-    /// The grid geometry.
-    #[inline]
-    pub fn spec(&self) -> &GridSpec {
-        &self.spec
     }
 
     /// Current statistics.
@@ -96,81 +245,67 @@ impl CoherenceEngine {
         self.stats
     }
 
-    /// Approximate bytes held by the pixel lists (the paper's observation
-    /// that "memory requirements are directly proportional to the size of
-    /// the image area" is measured through this). Counts list capacity,
-    /// not just encoded payload; see [`CoherenceEngine::payload_bytes`]
-    /// for the latter.
+    /// Bytes held by the engine (the paper's observation that "memory
+    /// requirements are directly proportional to the size of the image
+    /// area" is measured through this): the log's capacity, not just its
+    /// stored bytes, plus the per-pixel and per-voxel side tables.
     pub fn memory_bytes(&self) -> usize {
-        self.lists
-            .as_slice()
-            .iter()
-            .map(PixelList::capacity_bytes)
-            .sum::<usize>()
-            + self.gen.len() * 4
+        self.log.capacity()
+            + (self.gen.len() + self.live.len()) * 4
+            + (self.changed.len() + self.seen.len()) * 8
+            + self.codes.len()
     }
 
-    /// Encoded pixel-list payload bytes currently stored.
-    pub fn payload_bytes(&self) -> usize {
-        self.lists
-            .as_slice()
-            .iter()
-            .map(PixelList::payload_bytes)
-            .sum()
+    /// Log bytes held by stale records, of the `list_bytes` stored — what
+    /// [`CoherenceEngine::compact`] would free.
+    #[inline]
+    pub fn stale_bytes(&self) -> usize {
+        self.stale_bytes
     }
 
-    /// Amortized encoded bytes per stored entry (8.0 was the old
-    /// fixed-width cost; the delta/varint encoding lands around 1–2).
-    pub fn entry_bytes(&self) -> f64 {
-        let n = self.entry_count();
-        if n == 0 {
-            0.0
-        } else {
-            self.payload_bytes() as f64 / n as f64
-        }
-    }
-
-    /// The set of pixels (deduplicated, ascending) whose recorded rays pass
-    /// through any of the given changed voxels — i.e. the pixels that must
-    /// be recomputed for the next frame.
+    /// The set of pixels (deduplicated, ascending) with a live recorded
+    /// ray through any of the given changed voxels — i.e. the pixels that
+    /// must be recomputed for the next frame.
     ///
     /// `changed` must be sorted and deduplicated (what
-    /// [`crate::changed_voxels`] produces): a voxel scanned twice would
-    /// have its purge statistics double-counted.
+    /// [`crate::changed_voxels`] produces).
     ///
-    /// Stale entries are skipped and purged from the scanned voxels as a
-    /// side effect.
+    /// One pass over the log: stale records and records of pixels already
+    /// found dirty are skipped by their length, the rest are walked until
+    /// their first changed voxel. Engine state is untouched (`&mut` is for
+    /// the scratch bitmaps).
     pub fn dirty_pixels(&mut self, changed: &[Voxel]) -> Vec<PixelId> {
         debug_assert!(
             changed.windows(2).all(|w| w[0] < w[1]),
             "changed voxels must be sorted and deduplicated"
         );
-        // fast path: nothing changed — skip the per-pixel `seen` allocation
         if changed.is_empty() {
             return Vec::new();
         }
-        let mut dirty: Vec<PixelId> = Vec::new();
-        let mut seen = vec![false; self.gen.len()];
         for &v in changed {
-            let gen = &self.gen;
-            let scratch = &mut self.scratch;
-            let list = self.lists.get_mut(v);
-            let bytes_before = list.payload_bytes();
-            // single decode pass: purge stale entries and collect the live
-            // ones into the dirty set as they stream by
-            let removed = list.retain(scratch, |pixel, g| {
-                if g != gen[pixel as usize] {
-                    return false;
-                }
-                if !seen[pixel as usize] {
-                    seen[pixel as usize] = true;
-                    dirty.push(pixel);
-                }
-                true
-            });
-            self.stats.purged += removed as u64;
-            self.stats.entries -= removed as u64;
-            self.stats.list_bytes -= (bytes_before - list.payload_bytes()) as u64;
+            let i = self.spec.linear_index(v);
+            self.changed[i >> 6] |= 1 << (i & 63);
+        }
+        let strides = step_strides(&self.spec);
+        let mut dirty: Vec<PixelId> = Vec::new();
+        let mut cur = Cursor::default();
+        while cur.pos < self.log.len() {
+            let rec = cur.read(&self.log);
+            let p = rec.pixel as usize;
+            if rec.gen != self.gen[p] || self.seen[p >> 6] >> (p & 63) & 1 != 0 {
+                continue;
+            }
+            let codes = &self.log[rec.codes..cur.pos];
+            if path_hits(rec.start, codes, &strides, &self.changed) {
+                self.seen[p >> 6] |= 1 << (p & 63);
+                dirty.push(rec.pixel);
+            }
+        }
+        for &v in changed {
+            self.changed[self.spec.linear_index(v) >> 6] = 0;
+        }
+        for &p in &dirty {
+            self.seen[p as usize >> 6] = 0;
         }
         dirty.sort_unstable();
         dirty
@@ -178,74 +313,111 @@ impl CoherenceEngine {
 
     /// Invalidate the recorded rays of the given pixels (called right
     /// before re-rendering them, so their new rays are recorded under a
-    /// fresh generation and the old entries become stale).
+    /// fresh generation and the old records become stale).
     pub fn invalidate_pixels(&mut self, pixels: &[PixelId]) {
         for &p in pixels {
-            self.gen[p as usize] = self.gen[p as usize].wrapping_add(1);
+            let p = p as usize;
+            self.gen[p] = self.gen[p].wrapping_add(1);
+            self.stale_bytes += self.live[p] as usize;
+            self.live[p] = 0;
         }
     }
 
-    /// Eagerly drop every stale entry (bounds memory between frames; the
-    /// incremental renderer calls this when the stale fraction grows).
+    /// Drop every stale record, in place; O(1) when there is none.
+    ///
+    /// Survivors keep their order. A survivor's `head` is re-encoded
+    /// against the survivor before it and can come out longer than the one
+    /// it replaces — a larger pixel delta, or a `gen` that a dropped
+    /// record used to introduce — but never by more than the heads of the
+    /// records dropped in between (varint length is subadditive in the
+    /// delta, and an introduced `gen` was stored in one of them), so the
+    /// write cursor cannot pass the read cursor. That is asserted, not
+    /// assumed: overrunning would corrupt paths not yet read.
     pub fn compact(&mut self) {
-        let gen = &self.gen;
-        let scratch = &mut self.scratch;
-        let mut purged = 0u64;
-        let mut bytes_freed = 0u64;
-        for (_, list) in self.lists.iter_mut() {
-            let bytes_before = list.payload_bytes();
-            purged += list.retain(scratch, |pixel, g| g == gen[pixel as usize]) as u64;
-            bytes_freed += (bytes_before - list.payload_bytes()) as u64;
+        if self.stale_bytes == 0 {
+            return;
         }
+        let mut cur = Cursor::default();
+        let mut tail = (0, 0);
+        let mut write = 0;
+        let mut purged = 0u64;
+        let mut head = [0u8; MAX_PREFIX];
+        while cur.pos < self.log.len() {
+            let rec = cur.read(&self.log);
+            let p = rec.pixel as usize;
+            if rec.gen != self.gen[p] {
+                purged += rec.steps as u64 + 1;
+                continue;
+            }
+            let n = put_head(&mut head, tail, rec.pixel, rec.gen);
+            assert!(
+                write + n <= rec.path,
+                "compaction write cursor passed its read cursor"
+            );
+            self.log[write..write + n].copy_from_slice(&head[..n]);
+            self.log.copy_within(rec.path..cur.pos, write + n);
+            let len = n + cur.pos - rec.path;
+            self.live[p] = self.live[p] - (cur.pos - rec.at) as u32 + len as u32;
+            write += len;
+            tail = (rec.pixel, rec.gen);
+        }
+        self.log.truncate(write);
+        // hand the freed tail back, keeping room for a frame's worth of
+        // new records so the next append does not reallocate at once
+        self.log.shrink_to(write + write / 4);
+        self.tail = tail;
+        self.stale_bytes = 0;
         self.stats.purged += purged;
         self.stats.entries -= purged;
-        self.stats.list_bytes -= bytes_freed;
+        self.stats.list_bytes = write as u64;
+        self.stats.compactions += 1;
     }
 
-    /// Total live + stale entries currently stored.
-    pub fn entry_count(&self) -> usize {
-        self.lists.as_slice().iter().map(PixelList::len).sum()
-    }
-
-    /// Pixels recorded in a voxel's list under their current generation
-    /// (test/diagnostic helper).
-    pub fn voxel_pixels(&self, v: Voxel) -> Vec<PixelId> {
-        self.lists
-            .get(v)
-            .iter()
-            .filter(|&(pixel, g)| g == self.gen[pixel as usize])
-            .map(|(pixel, _)| pixel)
-            .collect()
+    /// Append one ray's record; returns the voxels it crosses.
+    #[inline]
+    fn append(&mut self, pixel: PixelId, walk: IndexWalk) -> u64 {
+        let start = walk.start();
+        let mut steps = 0;
+        for code in walk {
+            let slot = &mut self.codes[steps >> 1];
+            *slot = if steps & 1 == 0 {
+                code | PAD << 4
+            } else {
+                *slot & 0x0f | code << 4
+            };
+            steps += 1;
+        }
+        let gen = self.gen[pixel as usize];
+        let mut prefix = [0u8; MAX_PREFIX];
+        let n = put_head(&mut prefix, self.tail, pixel, gen);
+        let n = put_varint(&mut prefix, n, start as u64);
+        let n = put_varint(&mut prefix, n, steps as u64);
+        let body = steps.div_ceil(2);
+        let len = n + body;
+        self.log.extend_from_slice(&prefix[..n]);
+        self.log.extend_from_slice(&self.codes[..body]);
+        self.tail = (pixel, gen);
+        self.live[pixel as usize] += len as u32;
+        let marks = steps as u64 + 1;
+        self.stats.marks += marks;
+        self.stats.entries += marks;
+        self.stats.peak_entries = self.stats.peak_entries.max(self.stats.entries);
+        self.stats.list_bytes += len as u64;
+        marks
     }
 }
 
 impl RayListener for CoherenceEngine {
     fn on_ray(&mut self, pixel: PixelId, ray: &Ray, _kind: RayKind, t_max: f64) {
         self.stats.rays_recorded += 1;
-        let gen = self.gen[pixel as usize];
-        let range = Interval::new(0.0, t_max);
-        let marks_before = self.stats.marks;
-        // Split borrows: traverse is on the spec (copy), lists/stamps are
-        // disjoint fields.
-        let spec = self.spec;
-        let lists = &mut self.lists;
-        let stamps = &mut self.stamps;
-        let stats = &mut self.stats;
-        spec.traverse(ray, range, |step| {
-            stats.marks += 1;
-            let stamp = stamps.get_mut(step.voxel);
-            if *stamp != (pixel, gen) {
-                *stamp = (pixel, gen);
-                stats.list_bytes += lists.get_mut(step.voxel).push(pixel, gen) as u64;
-                stats.entries += 1;
-                stats.peak_entries = stats.peak_entries.max(stats.entries);
-            }
-            true
-        });
+        let marks = match IndexWalk::new(&self.spec, ray, Interval::new(0.0, t_max)) {
+            Some(walk) => self.append(pixel, walk),
+            None => 0,
+        };
         if now_trace::enabled() {
             // rays reach the engine in canonical shard order, so the mark
             // multiset is identical for any pool thread count
-            now_trace::global().observe("coh.marks_per_ray", self.stats.marks - marks_before);
+            now_trace::global().observe("coh.marks_per_ray", marks);
         }
     }
 }
@@ -253,7 +425,11 @@ impl RayListener for CoherenceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::{GroupListener, GroupMap};
+    use now_grid::dda::Traverse;
     use now_math::{Aabb, Point3, Vec3};
+    use now_testkit::{cases, Rng};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn engine() -> CoherenceEngine {
         let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
@@ -262,6 +438,45 @@ mod tests {
 
     fn x_ray(y: f64, z: f64) -> Ray {
         Ray::new(Point3::new(-1.0, y, z), Vec3::UNIT_X)
+    }
+
+    fn every_voxel(spec: &GridSpec) -> Vec<Voxel> {
+        let mut all: Vec<Voxel> = (0..spec.voxel_count())
+            .map(|i| spec.voxel_from_linear(i))
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// The dirty set of each voxel on its own, in `every_voxel` order.
+    fn dirty_sets(e: &mut CoherenceEngine) -> Vec<Vec<PixelId>> {
+        every_voxel(&e.spec.clone())
+            .iter()
+            .map(|&v| e.dirty_pixels(&[v]))
+            .collect()
+    }
+
+    /// The accounts the engine keeps incrementally, recomputed from the log.
+    fn assert_accounts_exact(e: &CoherenceEngine) {
+        let mut live = vec![0u32; e.live.len()];
+        let (mut stale, mut entries) = (0, 0);
+        let mut cur = Cursor::default();
+        while cur.pos < e.log.len() {
+            let rec = cur.read(&e.log);
+            entries += rec.steps as u64 + 1;
+            if rec.gen == e.gen[rec.pixel as usize] {
+                live[rec.pixel as usize] += (cur.pos - rec.at) as u32;
+            } else {
+                stale += cur.pos - rec.at;
+            }
+        }
+        assert_eq!(cur.pos, e.log.len());
+        assert_eq!((cur.pixel, cur.gen), e.tail);
+        assert_eq!(live, e.live);
+        assert_eq!(stale, e.stale_bytes);
+        assert_eq!(entries, e.stats.entries);
+        assert_eq!(e.log.len() as u64, e.stats.list_bytes);
+        assert!(e.changed.iter().chain(&e.seen).all(|&w| w == 0));
     }
 
     #[test]
@@ -290,44 +505,64 @@ mod tests {
     }
 
     #[test]
-    fn multiple_rays_of_one_pixel_dedup() {
+    fn multiple_rays_of_one_pixel_report_it_once() {
         let mut e = engine();
         e.on_ray(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.on_ray(5, &x_ray(0.5, 0.5), RayKind::Shadow, f64::INFINITY);
         e.on_ray(5, &x_ray(0.6, 0.6), RayKind::Reflected, f64::INFINITY);
-        assert_eq!(e.voxel_pixels(Voxel::new(1, 0, 0)), vec![5]);
-        // but a different pixel is a separate entry
+        assert_eq!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]), vec![5]);
+        // consecutive rays of one pixel pay a 1-byte head each
+        assert_eq!(e.stats().list_bytes, 3 * (1 + 1 + 1 + 2));
+        // a different pixel is reported beside it
         e.on_ray(6, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        assert_eq!(e.voxel_pixels(Voxel::new(1, 0, 0)), vec![5, 6]);
+        assert_eq!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]), vec![5, 6]);
     }
 
     #[test]
-    fn invalidation_makes_entries_stale() {
+    fn invalidation_makes_records_stale() {
         let mut e = engine();
         e.on_ray(4, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.invalidate_pixels(&[4]);
-        // old entry no longer reported dirty
+        // old record no longer reported dirty
         assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
         // re-record under the new generation: visible again
         e.on_ray(4, &x_ray(2.5, 2.5), RayKind::Primary, f64::INFINITY);
         assert_eq!(e.dirty_pixels(&[Voxel::new(1, 2, 2)]), vec![4]);
         // the old path stays stale
         assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
+        assert_accounts_exact(&e);
     }
 
     #[test]
-    fn compact_purges_stale_entries() {
+    fn compact_purges_stale_records() {
         let mut e = engine();
         e.on_ray(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.on_ray(2, &x_ray(1.5, 0.5), RayKind::Primary, f64::INFINITY);
-        let before = e.entry_count();
-        assert_eq!(before, 8);
+        assert_eq!(e.stats().entries, 8);
         e.invalidate_pixels(&[1]);
+        assert_eq!(e.stale_bytes() as u64 * 2, e.stats().list_bytes);
         e.compact();
-        assert_eq!(e.entry_count(), 4);
-        assert!(e.stats().purged >= 4);
+        assert_eq!(e.stats().entries, 4);
+        assert_eq!(e.stats().purged, 4);
+        assert_eq!(e.stats().compactions, 1);
+        assert_eq!(e.stale_bytes(), 0);
         // pixel 2 still intact
         assert_eq!(e.dirty_pixels(&[Voxel::new(0, 1, 0)]), vec![2]);
+        assert_accounts_exact(&e);
+    }
+
+    #[test]
+    fn compact_without_stale_records_touches_nothing() {
+        let mut e = engine();
+        e.compact();
+        e.on_ray(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        // a bumped generation with nothing recorded under the old one
+        e.invalidate_pixels(&[2]);
+        let (before, capacity) = (e.clone(), e.log.capacity());
+        e.compact();
+        assert_eq!(e, before);
+        assert_eq!(e.log.capacity(), capacity);
+        assert_eq!(e.stats().compactions, 0);
     }
 
     #[test]
@@ -343,25 +578,30 @@ mod tests {
     #[test]
     fn stats_track_marks_and_memory() {
         let mut e = engine();
-        assert_eq!(e.memory_bytes(), 400); // gen array only
+        // side tables only: 100 pixels x (gen + live), the two bitmaps
+        // (2 + 1 words), 5 bytes of step-code scratch
+        assert_eq!(e.memory_bytes(), 800 + 24 + 5);
         e.on_ray(0, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         let s = e.stats();
         assert_eq!(s.rays_recorded, 1);
         assert_eq!(s.marks, 4);
         assert_eq!(s.entries, 4);
-        assert!(e.memory_bytes() > 400);
+        // head, start, steps, 3 step codes in 2 bytes
+        assert_eq!(s.list_bytes, 5);
+        assert!(e.memory_bytes() > 829);
     }
 
     #[test]
-    fn empty_change_set_fast_path_touches_nothing() {
+    fn dirty_lookup_leaves_the_engine_untouched() {
         let mut e = engine();
         e.on_ray(8, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        let stats_before = e.stats();
-        let entries_before = e.entry_count();
+        e.on_ray(9, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.invalidate_pixels(&[9]);
+        let before = e.clone();
         assert!(e.dirty_pixels(&[]).is_empty());
-        // no purging, no statistics movement — the fast path really is a no-op
-        assert_eq!(e.stats(), stats_before);
-        assert_eq!(e.entry_count(), entries_before);
+        assert_eq!(e.dirty_pixels(&[Voxel::new(0, 0, 0)]), vec![8]);
+        assert_eq!(e, before);
+        assert_accounts_exact(&e);
     }
 
     #[test]
@@ -398,63 +638,228 @@ mod tests {
             RayKind::Primary,
             f64::INFINITY,
         );
-        assert_eq!(e.entry_count(), 0);
+        assert_eq!(e.stats().rays_recorded, 1);
+        assert_eq!(e.stats().entries, 0);
+        assert_eq!(e.stats().list_bytes, 0);
     }
 
     /// Compaction is a pure space optimization: the dirty sets reported for
-    /// every voxel must be identical before and after, and the encoded
-    /// payload must not grow. This is the contract that lets the renderer
-    /// call `compact()` at any frame boundary.
+    /// every voxel must be identical before and after, and the log must
+    /// not grow. This is the contract that lets the renderer call
+    /// `compact()` at any frame boundary.
     #[test]
     fn compaction_never_changes_dirty_pixels() {
-        let mut s = 0x00c0_ffee_1234_5678u64;
-        let mut rng = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s >> 11
-        };
+        let mut rng = Rng::with_seed(0x00c0_ffee_1234_5678);
         let mut e = engine();
         for _ in 0..200 {
-            let pixel = (rng() % 100) as PixelId;
-            let y = (rng() % 400) as f64 / 100.0;
-            let z = (rng() % 400) as f64 / 100.0;
+            let pixel = rng.u32_in(0, 100);
+            let y = rng.f64_in(0.0, 4.0);
+            let z = rng.f64_in(0.0, 4.0);
             e.on_ray(pixel, &x_ray(y, z), RayKind::Primary, f64::INFINITY);
-            if rng() % 5 == 0 {
-                e.invalidate_pixels(&[(rng() % 100) as PixelId]);
+            if rng.u32_in(0, 5) == 0 {
+                e.invalidate_pixels(&[rng.u32_in(0, 100)]);
             }
         }
-        let every_voxel: Vec<Voxel> = (0..4)
-            .flat_map(|x| (0..4).flat_map(move |y| (0..4).map(move |z| Voxel::new(x, y, z))))
-            .collect();
-        // dirty_pixels purges as it reads, so query clones
-        let before: Vec<Vec<PixelId>> = every_voxel
-            .iter()
-            .map(|&v| e.clone().dirty_pixels(&[v]))
-            .collect();
-        let payload_before = e.payload_bytes();
+        assert!(e.stale_bytes() > 0);
+        let before = dirty_sets(&mut e);
+        let bytes_before = e.stats().list_bytes;
         e.compact();
-        assert!(
-            e.payload_bytes() <= payload_before,
-            "compaction grew payload"
-        );
-        assert_eq!(
-            e.entry_count() as u64 * 8,
-            // stats.entries tracks live count; every survivor costs <= 8
-            e.stats().entries * 8
-        );
-        let after: Vec<Vec<PixelId>> = every_voxel
-            .iter()
-            .map(|&v| e.clone().dirty_pixels(&[v]))
-            .collect();
-        assert_eq!(before, after);
-        // and the amortized entry cost is small: the whole point
-        if e.entry_count() > 0 {
-            assert!(
-                e.entry_bytes() < 8.0,
-                "entry_bytes {} should beat the old fixed-width 8",
-                e.entry_bytes()
-            );
+        assert!(e.stats().list_bytes < bytes_before, "nothing was dropped");
+        assert_eq!(dirty_sets(&mut e), before);
+        assert_accounts_exact(&e);
+    }
+
+    /// In-place compaction over every subset of a short log with awkward
+    /// heads — pixel ids far apart (3-byte deltas next to 1-byte ones) and
+    /// multi-byte generations that only a dropped record introduces. The survivors must come out as the exact bytes a fresh
+    /// engine writes when it records only them, and the cursor assertion
+    /// inside `compact` must hold throughout.
+    #[test]
+    fn in_place_compaction_survives_every_subset() {
+        let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
+        let pixels = 1usize << 17;
+        // (pixel, generation bumps before its first record)
+        let records: [(PixelId, u32); 9] = [
+            (3, 0),
+            (130_000, 300),
+            (130_001, 300),
+            (2, 300),
+            (1 << 16, 0),
+            (5, 1),
+            (6, 1),
+            (131_071, 20_000),
+            (7, 0),
+        ];
+        let record = |e: &mut CoherenceEngine, i: usize| {
+            let ray = x_ray(0.5 + (i % 4) as f64, 0.5 + (i / 4) as f64);
+            e.on_ray(records[i].0, &ray, RayKind::Primary, 1.5 + i as f64 * 0.5);
+        };
+        let bumped = |keep: &dyn Fn(usize) -> bool| {
+            let mut e = CoherenceEngine::new(spec, pixels);
+            for (i, &(pixel, bumps)) in records.iter().enumerate() {
+                for _ in 0..if keep(i) { bumps } else { 0 } {
+                    e.invalidate_pixels(&[pixel]);
+                }
+            }
+            e
+        };
+        for mask in 0u32..1 << records.len() {
+            let dropped = |i: usize| mask >> i & 1 == 1;
+            let mut e = bumped(&|_| true);
+            for i in 0..records.len() {
+                record(&mut e, i);
+            }
+            let doomed: Vec<PixelId> = (0..records.len())
+                .filter(|&i| dropped(i))
+                .map(|i| records[i].0)
+                .collect();
+            e.invalidate_pixels(&doomed);
+            e.compact();
+            assert_accounts_exact(&e);
+
+            let mut fresh = bumped(&|i| !dropped(i));
+            for i in (0..records.len()).filter(|&i| !dropped(i)) {
+                record(&mut fresh, i);
+            }
+            assert_eq!(e.log, fresh.log, "mask {mask:#b}");
+            assert_eq!(e.tail, fresh.tail, "mask {mask:#b}");
+            assert_eq!(e.stats().compactions, (mask != 0) as u64);
         }
+    }
+
+    /// The paper's data structure, naively: per voxel, the set of pixels
+    /// with a live ray through it.
+    struct Model {
+        spec: GridSpec,
+        lists: BTreeMap<Voxel, BTreeSet<PixelId>>,
+        marks: u64,
+    }
+
+    impl RayListener for Model {
+        fn on_ray(&mut self, pixel: PixelId, ray: &Ray, _: RayKind, t_max: f64) {
+            for v in self.spec.traverse_vec(ray, Interval::new(0.0, t_max)) {
+                self.lists.entry(v).or_default().insert(pixel);
+                self.marks += 1;
+            }
+        }
+    }
+
+    impl Model {
+        fn invalidate(&mut self, pixels: &[PixelId]) {
+            for list in self.lists.values_mut() {
+                for p in pixels {
+                    list.remove(p);
+                }
+            }
+        }
+
+        fn dirty(&self, changed: &[Voxel]) -> Vec<PixelId> {
+            let set: BTreeSet<PixelId> = changed
+                .iter()
+                .filter_map(|v| self.lists.get(v))
+                .flatten()
+                .copied()
+                .collect();
+            set.into_iter().collect()
+        }
+    }
+
+    fn random_ray(rng: &mut Rng) -> Ray {
+        loop {
+            let o = Point3::new(
+                rng.f64_in(-2.0, 6.0),
+                rng.f64_in(-2.0, 6.0),
+                rng.f64_in(-2.0, 6.0),
+            );
+            let d = Vec3::new(
+                rng.f64_in(-1.0, 1.0),
+                rng.f64_in(-1.0, 1.0),
+                rng.f64_in(-1.0, 1.0),
+            );
+            if let Some(d) = d.try_normalized(1e-3) {
+                return Ray::new(o, d);
+            }
+        }
+    }
+
+    /// Differential oracle: random rays, invalidations, compactions and
+    /// queries against the naive per-voxel model, through the renderer's
+    /// own `GroupListener` so Jevans blocks (one group's rays scattered
+    /// over the log) and shadow filtering are part of what is compared.
+    #[test]
+    fn engine_matches_the_naive_per_voxel_model() {
+        const KINDS: [RayKind; 4] = [
+            RayKind::Primary,
+            RayKind::Reflected,
+            RayKind::Transmitted,
+            RayKind::Shadow,
+        ];
+        cases(60, |rng| {
+            let spec = GridSpec::new(
+                Aabb::new(Point3::ZERO, Point3::splat(4.0)),
+                [
+                    rng.u32_in(1, 7) as u16,
+                    rng.u32_in(1, 7) as u16,
+                    rng.u32_in(1, 7) as u16,
+                ],
+            );
+            let (w, h) = (12, 9);
+            let map = GroupMap::new(w, h, *rng.pick(&[1, 1, 2, 4]));
+            let track_shadows = rng.u32_in(0, 4) != 0;
+            let mut engine = CoherenceEngine::new(spec, map.group_count());
+            let mut model = Model {
+                spec,
+                lists: BTreeMap::new(),
+                marks: 0,
+            };
+            let voxels = every_voxel(&spec);
+            for _ in 0..rng.usize_in(50, 400) {
+                match rng.u32_in(0, 10) {
+                    0..=5 => {
+                        // a pixel's burst of rays, as the tracer fires them
+                        let pixel = rng.u32_in(0, w * h);
+                        for _ in 0..rng.usize_in(1, 5) {
+                            let ray = random_ray(rng);
+                            let kind = *rng.pick(&KINDS);
+                            let t_max = if rng.bool() {
+                                f64::INFINITY
+                            } else {
+                                rng.f64_in(0.0, 8.0)
+                            };
+                            GroupListener {
+                                engine: &mut engine,
+                                map,
+                                track_shadows,
+                            }
+                            .on_ray(pixel, &ray, kind, t_max);
+                            GroupListener {
+                                engine: &mut model,
+                                map,
+                                track_shadows,
+                            }
+                            .on_ray(pixel, &ray, kind, t_max);
+                        }
+                    }
+                    6 | 7 => {
+                        let groups = rng.vec(0, 6, |rng| rng.u32_in(0, map.group_count() as u32));
+                        engine.invalidate_pixels(&groups);
+                        model.invalidate(&groups);
+                    }
+                    8 => engine.compact(),
+                    _ => {
+                        let mut changed = rng.vec(0, 5, |rng| *rng.pick(&voxels));
+                        changed.sort_unstable();
+                        changed.dedup();
+                        assert_eq!(engine.dirty_pixels(&changed), model.dirty(&changed));
+                    }
+                }
+                assert_eq!(engine.stats().marks, model.marks);
+            }
+            assert_accounts_exact(&engine);
+            for &v in &voxels {
+                assert_eq!(engine.dirty_pixels(&[v]), model.dirty(&[v]), "{v:?}");
+            }
+            assert_eq!(engine.dirty_pixels(&voxels), model.dirty(&voxels));
+        });
     }
 }

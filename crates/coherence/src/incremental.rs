@@ -21,7 +21,7 @@ use now_raytrace::{
 
 /// Maps pixels to coherence groups (1x1 groups = pixel granularity).
 #[derive(Debug, Clone, Copy)]
-struct GroupMap {
+pub(crate) struct GroupMap {
     width: u32,
     height: u32,
     block: u32,
@@ -29,7 +29,7 @@ struct GroupMap {
 }
 
 impl GroupMap {
-    fn new(width: u32, height: u32, block: u32) -> GroupMap {
+    pub(crate) fn new(width: u32, height: u32, block: u32) -> GroupMap {
         assert!(block > 0);
         GroupMap {
             width,
@@ -39,7 +39,7 @@ impl GroupMap {
         }
     }
 
-    fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         (self.groups_x * self.height.div_ceil(self.block)) as usize
     }
 
@@ -73,13 +73,13 @@ impl GroupMap {
 
 /// Listener adapter that records rays under their *group* id, optionally
 /// skipping shadow rays.
-struct GroupListener<'a> {
-    engine: &'a mut CoherenceEngine,
-    map: GroupMap,
-    track_shadows: bool,
+pub(crate) struct GroupListener<'a, L: RayListener> {
+    pub(crate) engine: &'a mut L,
+    pub(crate) map: GroupMap,
+    pub(crate) track_shadows: bool,
 }
 
-impl RayListener for GroupListener<'_> {
+impl<L: RayListener> RayListener for GroupListener<'_, L> {
     #[inline]
     fn on_ray(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64) {
         if !self.track_shadows && kind == RayKind::Shadow {
@@ -121,7 +121,7 @@ pub struct FrameReport {
 ///
 /// The grid `spec` must cover the scene bounds of *every* frame of the
 /// sequence (the animation layer computes the swept bounds); the engine's
-/// pixel lists and the intersection accelerator share it.
+/// path log and the intersection accelerator share it.
 ///
 /// ```
 /// use now_coherence::CoherentRenderer;
@@ -154,10 +154,6 @@ pub struct CoherentRenderer {
     engine: CoherenceEngine,
     prev: Option<(Scene, Framebuffer)>,
     frame_index: usize,
-    /// Compact the engine when live+stale entries exceed this multiple of
-    /// the post-compaction size.
-    stale_factor: f64,
-    last_compact_size: usize,
     track_shadows: bool,
 }
 
@@ -193,8 +189,6 @@ impl CoherentRenderer {
             engine: CoherenceEngine::new(spec, map.group_count()),
             prev: None,
             frame_index: 0,
-            stale_factor: 2.0,
-            last_compact_size: 0,
             track_shadows: true,
         }
     }
@@ -240,7 +234,6 @@ impl CoherentRenderer {
         self.engine = CoherenceEngine::new(self.spec, self.map.group_count());
         self.prev = None;
         self.frame_index = 0;
-        self.last_compact_size = 0;
     }
 
     /// Emit the frame's coherence events into the global trace recorder.
@@ -283,6 +276,13 @@ impl CoherentRenderer {
     /// Returns the full-size framebuffer (pixels outside the region are
     /// black / stale) and a report of the work done.
     pub fn render_next(&mut self, scene: &Scene) -> (Framebuffer, FrameReport) {
+        let (fb, report) = self.render_next_borrowed(scene);
+        (fb.clone(), report)
+    }
+
+    /// [`CoherentRenderer::render_next`] without the copy: the framebuffer
+    /// is the renderer's own, which the next frame will update in place.
+    pub fn render_next_borrowed(&mut self, scene: &Scene) -> (&Framebuffer, FrameReport) {
         let accel = GridAccel::build_with_spec(scene, self.spec);
         let mut rays = RayStats::default();
         let parallel;
@@ -358,11 +358,9 @@ impl CoherentRenderer {
             }
         };
 
-        // bound memory: compact when stale entries accumulate
-        let entries = self.engine.entry_count();
-        if entries > ((self.last_compact_size.max(1024)) as f64 * self.stale_factor) as usize {
+        // bound memory: compact once the log is mostly stale records
+        if self.engine.stale_bytes() as u64 * 2 > self.engine.stats().list_bytes {
             self.engine.compact();
-            self.last_compact_size = self.engine.entry_count();
         }
 
         let report = FrameReport {
@@ -379,7 +377,7 @@ impl CoherentRenderer {
         };
         self.emit_trace(&report);
         self.frame_index += 1;
-        self.prev = Some((scene.clone(), fb.clone()));
+        let (_, fb) = self.prev.insert((scene.clone(), fb));
         (fb, report)
     }
 }
@@ -501,8 +499,8 @@ mod tests {
                 );
                 assert_eq!(report.rendered, ref_report.rendered);
             }
-            // the whole engine — pixel lists, generations, stamps, stats —
-            // must be indistinguishable from the serial run's
+            // the whole engine — log bytes, generations, byte accounts,
+            // stats — must be indistinguishable from the serial run's
             assert_eq!(
                 r.engine(),
                 reference.engine(),
@@ -521,6 +519,31 @@ mod tests {
         assert_eq!(report.pixels_rendered, 0);
         assert_eq!(report.changed_voxels, 0);
         assert_eq!(report.rays.total_rays(), 0);
+    }
+
+    #[test]
+    fn compaction_waits_until_the_log_is_mostly_stale() {
+        let spec = sequence_spec();
+        let mut r = CoherentRenderer::new(spec, 48, 36, RenderSettings::default());
+        // a first frame and a static sequence invalidate nothing
+        for _ in 0..3 {
+            let (_, report) = r.render_next(&frame_scene(0.0));
+            assert_eq!(report.coherence.compactions, 0);
+            assert_eq!(r.engine().stale_bytes(), 0);
+        }
+        // a moving ball leaves stale records behind every frame: they are
+        // dropped once they outweigh the live ones, never before
+        let mut compactions = 0;
+        for i in 1..40 {
+            let (_, report) = r.render_next(&frame_scene(i as f64 * 0.05));
+            if report.coherence.compactions > compactions {
+                compactions = report.coherence.compactions;
+                assert_eq!(r.engine().stale_bytes(), 0);
+            }
+            assert!(r.engine().stale_bytes() as u64 * 2 <= report.coherence.list_bytes);
+        }
+        assert!(compactions > 0, "40 frames of motion never compacted");
+        assert!(compactions < 20, "{compactions} compactions in 40 frames");
     }
 
     #[test]
@@ -614,8 +637,6 @@ mod tests {
             block_total >= pixel_total,
             "blocks must recompute at least as many pixels ({block_total} vs {pixel_total})"
         );
-        // block engine tracks fewer groups -> less memory
-        assert!(block_r.memory_bytes() < pixel_r.memory_bytes());
     }
 
     #[test]

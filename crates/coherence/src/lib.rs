@@ -20,9 +20,10 @@
 //!         for recomputation in the next frame
 //! ```
 //!
-//! * [`CoherenceEngine`] — per-voxel pixel lists with generation stamps; it
-//!   implements [`now_raytrace::RayListener`], so plugging it into the
-//!   tracer records every camera/reflected/refracted/shadow ray.
+//! * [`CoherenceEngine`] — the pixel lists, stored transposed as one
+//!   append-only log of ray paths with generation stamps; it implements
+//!   [`now_raytrace::RayListener`], so plugging it into the tracer records
+//!   every camera/reflected/refracted/shadow ray.
 //! * [`change`] — conservative change-voxel detection between two scenes.
 //! * [`CoherentRenderer`] — incremental sequence renderer: frame `t+1` is
 //!   frame `t` plus a re-render of exactly the dirty pixels.
@@ -35,7 +36,6 @@ pub mod change;
 pub mod diff;
 pub mod engine;
 pub mod incremental;
-pub mod plist;
 pub mod region;
 pub mod tiledelta;
 pub mod varint;
@@ -44,6 +44,5 @@ pub use change::{changed_voxels, ChangeSet};
 pub use diff::DiffMaps;
 pub use engine::{CoherenceEngine, CoherenceStats};
 pub use incremental::{CoherentRenderer, FrameReport};
-pub use plist::PixelList;
 pub use region::{PixelRegion, TileError};
 pub use tiledelta::{RegionBuffer, TileUpdate};

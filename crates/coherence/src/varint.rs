@@ -1,10 +1,10 @@
 //! Shared zigzag + LEB128 varint primitives.
 //!
-//! Two wire-adjacent encoders use these: the per-voxel [`crate::plist`]
-//! pixel lists (in-memory working-set compaction) and the
-//! [`crate::tiledelta`] tile-update codec (worker→master frame deltas).
-//! Both exploit the same structure — nearly-sorted id sequences with
-//! small gaps — so they share one delta/varint vocabulary.
+//! Two encoders use these: the [`crate::engine`] ray-path log (in-memory
+//! working set) and the [`crate::tiledelta`] tile-update codec
+//! (worker→master frame deltas). Both exploit the same structure —
+//! nearly-sorted id sequences with small gaps — so they share one
+//! delta/varint vocabulary.
 
 /// Map a signed delta onto the unsigned varint domain (small magnitudes
 /// stay small: 0, -1, 1, -2, 2 → 0, 1, 2, 3, 4).

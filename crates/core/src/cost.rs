@@ -22,7 +22,7 @@ use now_raytrace::{critical_path, plan_tile_size, ParallelStats, RayStats};
 pub struct CostModel {
     /// Per ray traced (includes its intersection work on average).
     pub per_ray_s: f64,
-    /// Per coherence voxel mark (the DDA walk + pixel-list append).
+    /// Per coherence voxel mark (the DDA walk + the path-log append).
     pub per_mark_s: f64,
     /// Per pixel shaded (sampling, color bookkeeping).
     pub per_pixel_s: f64,
@@ -131,10 +131,9 @@ impl CostModel {
     }
 
     /// Working-set estimate in MB for a coherent worker: framebuffer pair
-    /// plus the engine's pixel lists. The engine term charges the *encoded*
-    /// list bytes the engine reports (`CoherenceStats::list_bytes`, ~1–2
-    /// bytes amortized per entry since the delta/varint compaction), not a
-    /// fixed 8 bytes per entry.
+    /// plus the engine's ray-path log. The engine term charges the log
+    /// bytes the engine reports (`CoherenceStats::list_bytes`, under one
+    /// byte per stored mark), not a fixed 8 bytes per entry.
     pub fn working_set_mb(&self, region_pixels: usize, coherence: &CoherenceStats) -> f64 {
         let fb = region_pixels as f64 * 2.0 * 24.0; // two Color buffers
         let engine = coherence.list_bytes as f64 * self.engine_bytes_factor;
@@ -223,16 +222,15 @@ mod tests {
     fn working_set_grows_with_list_bytes() {
         let m = CostModel::default();
         let empty = CoherenceStats::default();
-        // ~1M entries at the compact encoding's ~1.5 B/entry
+        // ~1M entries at a generous 1.5 B/entry
         let mut busy = CoherenceStats {
             entries: 1_000_000,
             list_bytes: 1_500_000,
             ..Default::default()
         };
         assert!(m.working_set_mb(76_800, &busy) > m.working_set_mb(76_800, &empty));
-        // paging now needs ~4-8x the entries it used to: only when the
-        // *encoded* lists outgrow the paper's 32 MB slaves does the model
-        // start charging page faults
+        // only when the *encoded* log outgrows the paper's 32 MB slaves
+        // does the model start charging page faults
         busy.entries = 10_000_000;
         busy.list_bytes = 15_000_000;
         let mb = m.working_set_mb(76_800, &busy);

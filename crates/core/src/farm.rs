@@ -290,7 +290,7 @@ impl FarmWorker {
         let state = self.state.as_mut().expect("state just ensured");
         debug_assert_eq!(state.next_frame, unit.frame, "frames must be consecutive");
         let scene = self.anim.scene_at(unit.frame as usize);
-        let (fb, report) = state.renderer.render_next(&scene);
+        let (fb, report) = state.renderer.render_next_borrowed(&scene);
         state.next_frame = unit.frame + 1;
         let marks = report.coherence.marks - state.prev_marks;
         state.prev_marks = report.coherence.marks;

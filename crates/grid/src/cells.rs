@@ -4,8 +4,7 @@ use crate::spec::{GridSpec, Voxel};
 
 /// Dense per-voxel storage of `T`, indexed by [`Voxel`].
 ///
-/// Both the ray tracer (object lists per voxel) and the coherence engine
-/// (pixel lists per voxel) are a `GridCells` of a `Vec`.
+/// The ray tracer's accelerator is a `GridCells` of object lists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridCells<T> {
     spec: GridSpec,
@@ -18,16 +17,6 @@ impl<T: Default + Clone> GridCells<T> {
         GridCells {
             spec,
             cells: vec![T::default(); spec.voxel_count()],
-        }
-    }
-}
-
-impl<T: Clone> GridCells<T> {
-    /// Allocate one clone of `value` per voxel.
-    pub fn filled(spec: GridSpec, value: T) -> GridCells<T> {
-        GridCells {
-            spec,
-            cells: vec![value; spec.voxel_count()],
         }
     }
 }
@@ -59,21 +48,6 @@ impl<T> GridCells<T> {
             .enumerate()
             .map(|(i, c)| (self.spec.voxel_from_linear(i), c))
     }
-
-    /// Iterate mutably over `(voxel, cell)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Voxel, &mut T)> {
-        let spec = self.spec;
-        self.cells
-            .iter_mut()
-            .enumerate()
-            .map(move |(i, c)| (spec.voxel_from_linear(i), c))
-    }
-
-    /// Raw cell slice (linear order).
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.cells
-    }
 }
 
 #[cfg(test)]
@@ -104,15 +78,5 @@ mod tests {
             assert!(seen.insert(v));
         }
         assert_eq!(seen.len(), 8);
-    }
-
-    #[test]
-    fn iter_mut_can_update_all() {
-        let mut c = cells();
-        for (v, cell) in c.iter_mut() {
-            cell.push(v.x as u32 + v.y as u32 + v.z as u32);
-        }
-        assert_eq!(c.get(Voxel::new(1, 1, 1)), &vec![3]);
-        assert_eq!(c.as_slice().len(), 8);
     }
 }

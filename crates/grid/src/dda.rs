@@ -2,8 +2,11 @@
 //!
 //! The paper: "Each of these rays passes through a modified 3D-DDA algorithm
 //! to determine which voxels they traverse." This module is that algorithm,
-//! exposed both as an iterator ([`GridTraversal`]) and as a visitor helper
-//! ([`GridSpec::traverse`] via the extension trait below).
+//! exposed as an iterator ([`GridTraversal`]), as a visitor helper
+//! ([`GridSpec::traverse`] via the extension trait below), and as
+//! [`IndexWalk`] — the same walk reported as a start index plus one
+//! [`step code`](IndexWalk) per voxel boundary crossed, which is what the
+//! coherence engine's ray-path log stores.
 
 use crate::spec::{GridSpec, Voxel};
 use now_math::{Interval, Ray};
@@ -124,6 +127,24 @@ impl GridTraversal {
         }
     }
 
+    /// The nearest upcoming boundary crossing: its axis and ray parameter.
+    /// Ties go to the lower axis. [`IndexWalk`] steps through this same
+    /// function, so both walks take the same turn at every crossing.
+    #[inline]
+    fn nearest_crossing(t_max: &[f64; 3]) -> (usize, f64) {
+        let mut axis = 0;
+        let mut t_next = t_max[0];
+        if t_max[1] < t_next {
+            axis = 1;
+            t_next = t_max[1];
+        }
+        if t_max[2] < t_next {
+            axis = 2;
+            t_next = t_max[2];
+        }
+        (axis, t_next)
+    }
+
     #[inline]
     fn current_voxel(&self) -> Option<Voxel> {
         if self.ix < 0
@@ -154,20 +175,7 @@ impl Iterator for GridTraversal {
                 return None;
             }
         };
-        // the nearest upcoming boundary crossing
-        let (axis, t_next) = {
-            let mut axis = 0;
-            let mut t_next = self.t_max[0];
-            if self.t_max[1] < t_next {
-                axis = 1;
-                t_next = self.t_max[1];
-            }
-            if self.t_max[2] < t_next {
-                axis = 2;
-                t_next = self.t_max[2];
-            }
-            (axis, t_next)
-        };
+        let (axis, t_next) = GridTraversal::nearest_crossing(&self.t_max);
         let t_exit = t_next.min(self.t_end);
         let out = DdaStep {
             voxel,
@@ -187,6 +195,124 @@ impl Iterator for GridTraversal {
         }
         Some(out)
     }
+}
+
+/// The walk of [`GridTraversal`] as linear voxel indices: where it starts
+/// ([`IndexWalk::start`], in [`GridSpec::linear_index`] order) and, as an
+/// iterator, one *step code* per further voxel.
+///
+/// A step code is `axis * 2 + (direction is negative)`, so `0..6` is
+/// `+x, -x, +y, -y, +z, -z`; [`step_strides`] gives the linear-index delta
+/// of each. The set-up is [`GridTraversal::new`] itself and every step
+/// compares and adds the same floats in the same order, so
+/// `start, start + stride[c0], ...` is exactly the voxel sequence
+/// `GridTraversal` yields — only the interval bookkeeping is skipped.
+///
+/// ```
+/// use now_grid::dda::{step_strides, IndexWalk};
+/// use now_grid::{GridSpec, Voxel};
+/// use now_math::{Aabb, Interval, Point3, Ray, Vec3};
+///
+/// let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
+/// let ray = Ray::new(Point3::new(0.5, 5.0, 0.5), -Vec3::UNIT_Y);
+/// let walk = IndexWalk::new(&spec, &ray, Interval::non_negative()).unwrap();
+/// assert_eq!(walk.start(), spec.linear_index(Voxel::new(0, 3, 0)));
+/// assert_eq!(walk.collect::<Vec<u8>>(), vec![3, 3, 3]);
+/// assert_eq!(step_strides(&spec)[3], -4);
+/// ```
+#[derive(Debug, Clone)]
+pub struct IndexWalk {
+    start: usize,
+    t_max: [f64; 3],
+    t_delta: [f64; 3],
+    t_end: f64,
+    /// Steps left on each axis before the walk leaves the grid.
+    room: [u32; 3],
+    /// Step code of each axis for this ray's direction signs.
+    code: [u8; 3],
+}
+
+impl IndexWalk {
+    /// Start the walk of `ray` clipped to `t_range`; `None` when the ray
+    /// crosses no voxel (where [`GridTraversal`] yields nothing).
+    #[inline]
+    pub fn new(spec: &GridSpec, ray: &Ray, t_range: Interval) -> Option<IndexWalk> {
+        let t = GridTraversal::new(spec, ray, t_range);
+        if t.done {
+            return None;
+        }
+        // the start voxel is clamped into the grid, so the casts are exact
+        let at = [t.ix as u32, t.iy as u32, t.iz as u32];
+        let mut room = [0u32; 3];
+        let mut code = [0u8; 3];
+        for a in 0..3 {
+            let negative = t.step[a] < 0;
+            room[a] = if negative {
+                at[a]
+            } else {
+                spec.res[a] as u32 - 1 - at[a]
+            };
+            code[a] = 2 * a as u8 + negative as u8;
+        }
+        let start = spec.linear_index(Voxel::new(at[0] as u16, at[1] as u16, at[2] as u16));
+        Some(IndexWalk {
+            start,
+            t_max: t.t_max,
+            t_delta: t.t_delta,
+            t_end: t.t_end,
+            room,
+            code,
+        })
+    }
+
+    /// Linear index of the first voxel of the walk.
+    #[inline]
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Step over the next boundary of axis `A`, unless that leaves the grid
+    /// (an axis the ray does not move along has `t_max` = inf and is never
+    /// the nearest crossing below `t_end`).
+    #[inline(always)]
+    fn cross<const A: usize>(&mut self) -> Option<u8> {
+        if self.room[A] == 0 {
+            return None;
+        }
+        self.room[A] -= 1;
+        self.t_max[A] += self.t_delta[A];
+        Some(self.code[A])
+    }
+}
+
+impl Iterator for IndexWalk {
+    type Item = u8;
+
+    #[inline]
+    fn next(&mut self) -> Option<u8> {
+        let (axis, t_next) = GridTraversal::nearest_crossing(&self.t_max);
+        if t_next >= self.t_end {
+            // the ray ends inside the current voxel
+            return None;
+        }
+        // one arm per axis: with constant indices the three axes' state
+        // lives in registers, which a `[axis]` lookup would force to memory
+        match axis {
+            0 => self.cross::<0>(),
+            1 => self.cross::<1>(),
+            _ => self.cross::<2>(),
+        }
+    }
+}
+
+/// Linear-index delta of each [`IndexWalk`] step code. Codes 6 and 7 are
+/// never walked and move nowhere, so any 3-bit value indexes the table and
+/// a packed code stream can pad with them.
+pub fn step_strides(spec: &GridSpec) -> [isize; 8] {
+    let x = 1isize;
+    let y = spec.res[0] as isize;
+    let z = y * spec.res[1] as isize;
+    [x, -x, y, -y, z, -z, 0, 0]
 }
 
 /// Visitor-style traversal helpers on [`GridSpec`].

@@ -10,7 +10,8 @@
 //! * the ray tracer, which stores per-voxel object lists in a
 //!   [`GridCells`] to accelerate intersection, and
 //! * the coherence engine, which walks every ray fired for a pixel through
-//!   the grid and appends the pixel to each traversed voxel's pixel list.
+//!   the grid ([`dda::IndexWalk`]) and logs the voxels it crosses under
+//!   that pixel.
 //!
 //! The traversal is the Amanatides–Woo incremental algorithm: after
 //! clipping the ray to the grid bounds, each step advances the axis whose

@@ -1,6 +1,6 @@
 //! Property tests cross-checking the DDA against a brute-force overlap test.
 
-use now_grid::dda::Traverse;
+use now_grid::dda::{step_strides, IndexWalk, Traverse};
 use now_grid::{GridSpec, GridTraversal, Voxel};
 use now_math::{Aabb, Interval, Point3, Ray, Vec3};
 use now_testkit::{cases, Rng};
@@ -190,4 +190,93 @@ fn visitor_prefix() {
         assert!(prefix.len() <= k.min(full.len()).max(1).min(full.len().max(1)));
         assert_eq!(&full[..prefix.len()], &prefix[..]);
     });
+}
+
+/// The rays the index walk is most likely to get wrong: axis-aligned on a voxel boundary plane, origin inside the grid,
+/// pointing away (a miss), strictly negative directions, and the generic
+/// ray of the other properties (inside, outside, leaving the grid).
+fn nasty_ray(rng: &mut Rng, spec: &GridSpec) -> Ray {
+    let size = spec.voxel_size();
+    match rng.u64() % 6 {
+        0 => {
+            let axis = rng.usize_in(0, 3);
+            let mut d = [0.0; 3];
+            d[axis] = if rng.bool() { 1.0 } else { -1.0 };
+            // the other two coordinates sit exactly on boundary planes
+            let mut o = [
+                size.x * rng.u32_in(0, spec.res[0] as u32 + 1) as f64,
+                size.y * rng.u32_in(0, spec.res[1] as u32 + 1) as f64,
+                size.z * rng.u32_in(0, spec.res[2] as u32 + 1) as f64,
+            ];
+            o[axis] = if d[axis] > 0.0 { -1.0 } else { 9.0 };
+            Ray::new(Point3::new(o[0], o[1], o[2]), Vec3::new(d[0], d[1], d[2]))
+        }
+        1 => {
+            let o = Point3::new(
+                rng.f64_in(0.0, 8.0),
+                rng.f64_in(0.0, 8.0),
+                rng.f64_in(0.0, 8.0),
+            );
+            Ray::new(o, ray(rng).dir)
+        }
+        2 => {
+            let r = ray(rng);
+            // from outside the grid, heading away from its centre
+            let o = Point3::new(4.0, 4.0, 4.0) + r.dir * 9.0;
+            Ray::new(o, r.dir)
+        }
+        3 => {
+            let d = Vec3::new(
+                -rng.f64_in(1e-3, 1.0),
+                -rng.f64_in(1e-3, 1.0),
+                -rng.f64_in(1e-3, 1.0),
+            );
+            Ray::new(ray(rng).origin, d.normalized())
+        }
+        _ => ray(rng),
+    }
+}
+
+/// `IndexWalk` visits exactly `GridTraversal`'s voxels, in order — the
+/// coherence engine's mark counts and dirty sets rest on it.
+#[test]
+fn index_walk_visits_the_traversals_voxels() {
+    let walked = std::cell::Cell::new(0usize);
+    let missed = std::cell::Cell::new(0usize);
+    cases(4800, |rng| {
+        let spec = grid(rng);
+        let r = nasty_ray(rng, &spec);
+        // half the rays stop at a hit distance, often inside the grid
+        let range = if rng.bool() {
+            Interval::non_negative()
+        } else {
+            Interval::new(0.0, rng.f64_in(0.0, 16.0))
+        };
+        let expected: Vec<usize> = GridTraversal::new(&spec, &r, range)
+            .map(|s| spec.linear_index(s.voxel))
+            .collect();
+        let strides = step_strides(&spec);
+        let got: Vec<usize> = match IndexWalk::new(&spec, &r, range) {
+            None => Vec::new(),
+            Some(walk) => {
+                let mut at = walk.start();
+                let mut out = vec![at];
+                for code in walk {
+                    assert!(code < 6, "step code {code}");
+                    at = at.checked_add_signed(strides[code as usize]).unwrap();
+                    out.push(at);
+                }
+                out
+            }
+        };
+        assert_eq!(got, expected, "ray {r:?} range {range:?} in {spec:?}");
+        if expected.is_empty() {
+            missed.set(missed.get() + 1);
+        } else {
+            walked.set(walked.get() + 1);
+        }
+    });
+    // the generator really covers both outcomes
+    assert!(walked.get() >= 2000, "{} rays walked", walked.get());
+    assert!(missed.get() >= 400, "{} rays missed", missed.get());
 }
