@@ -9,6 +9,15 @@
 //! them on their transport. No sockets, channels, threads, clocks or
 //! sleeps live here: time enters only as the `now` argument, in virtual
 //! or wall seconds. DESIGN.md §8 tabulates how each driver maps onto it.
+//!
+//! The core keeps each worker topped up to its *lease depth*. At depth 1
+//! (the simulator, the paper's model) a worker idles for one master
+//! turnaround per unit; at depth 2 (the wall-clock drivers) its next unit
+//! is already in its inbox when it answers, and it renders while the
+//! master verifies, journals and writes — while it has company: a farm
+//! of one is leased one unit at a time at any depth. A worker answers its
+//! leases in issue order; the rules that keep that safe are here and in
+//! [`crate::ledger`], not in the drivers.
 
 use crate::codec::DecodeError;
 use crate::ledger::{FaultCounters, Ledger, RecoveryConfig};
@@ -64,6 +73,8 @@ pub struct MasterCore<M: MasterLogic> {
     ledger: Ledger<M::Unit>,
     workers: Vec<WState>,
     actions: VecDeque<Action<M::Unit>>,
+    /// Leases a worker is kept topped up to.
+    depth: usize,
     /// Some worker was dismissed because no work remained (as opposed to
     /// every worker having been lost).
     dismissed: bool,
@@ -73,12 +84,15 @@ pub struct MasterCore<M: MasterLogic> {
 
 impl<M: MasterLogic> MasterCore<M> {
     /// A core with no workers yet; enrol them with [`MasterCore::joined`].
-    pub fn new(master: M, recovery: RecoveryConfig) -> MasterCore<M> {
+    /// `depth` is how many leases a worker may hold at once (at least 1).
+    pub fn new(master: M, recovery: RecoveryConfig, depth: usize) -> MasterCore<M> {
+        assert!(depth > 0, "a worker must be able to hold a lease");
         MasterCore {
             master,
             ledger: Ledger::new(recovery, 0),
             workers: Vec::new(),
             actions: VecDeque::new(),
+            depth,
             dismissed: false,
             joinable: false,
         }
@@ -102,12 +116,14 @@ impl<M: MasterLogic> MasterCore<M> {
         }
     }
 
-    /// `worker` asks for work: a requeued unit first, then a fresh
-    /// assignment, then a speculative backup of a straggler's unit; else
-    /// it parks or is dismissed. Ignored once the worker is done.
+    /// `worker` asks for work and is topped up to the lease depth: requeued
+    /// units first, then fresh assignments, then — only if it holds nothing
+    /// — a speculative backup of a straggler's unit; with nothing to draw
+    /// and nothing in hand it parks or is dismissed. Ignored once the
+    /// worker is done.
     pub fn request(&mut self, worker: usize, now: f64) {
         if self.is_live(worker) {
-            self.give_work(worker, now, false);
+            self.fill(worker, now, false);
         }
     }
 
@@ -125,6 +141,10 @@ impl<M: MasterLogic> MasterCore<M> {
         result: Result<M::Result, DecodeError>,
         now: f64,
     ) -> Option<MasterWork> {
+        let skipped = self.ledger.expire_skipped(worker, assign_id, now);
+        if skipped.is_some_and(|e| e.newly_lost) {
+            self.exclude(worker, false);
+        }
         let lease = self.ledger.complete_at(assign_id, worker, now)?;
         let verdict = result
             .ok()
@@ -212,7 +232,7 @@ impl<M: MasterLogic> MasterCore<M> {
         let release = self.idle() && !self.master.service_active() && !rescuable;
         for w in 0..self.workers.len() {
             if self.workers[w] == WState::Parked {
-                self.give_work(w, now, release);
+                self.fill(w, now, release);
             }
         }
         let patient = self.ledger.has_retry() && now < self.ledger.patience_until();
@@ -240,7 +260,26 @@ impl<M: MasterLogic> MasterCore<M> {
         woken
     }
 
-    fn give_work(&mut self, w: usize, now: f64, release: bool) {
+    /// Lease `w` units until it holds `depth` of them or draws nothing. A
+    /// farm of one is leased one unit at a time whatever the depth: this is
+    /// a measured policy, not a safety rule (DESIGN.md §8, rule v) — with
+    /// nobody else to render, the worker's speed is the run's speed, and a
+    /// lone worker that never idles ran at a far less repeatable pace.
+    fn fill(&mut self, w: usize, now: f64, release: bool) {
+        let alone = self.workers.iter().filter(|&&s| s != WState::Done).count() < 2;
+        let depth = if alone { 1 } else { self.depth };
+        for held in self.ledger.held_by(w)..depth {
+            if !self.give_work(w, now, release, held > 0) {
+                break;
+            }
+        }
+    }
+
+    /// Lease `w` one unit if there is one for it; returns whether there
+    /// was. `prefetch`: `w` already holds a lease, so it is not idle — it
+    /// draws no speculative backup, and drawing nothing neither parks nor
+    /// dismisses it (its pending result is a message certain to arrive).
+    fn give_work(&mut self, w: usize, now: f64, release: bool, prefetch: bool) -> bool {
         // requeued units take priority over fresh assignments; with no
         // other work, an idle worker may re-execute a straggler's unit as
         // a speculative backup (first valid result wins, the loser drops
@@ -252,6 +291,7 @@ impl<M: MasterLogic> MasterCore<M> {
             }
             None => match self.master.assign(w) {
                 Some(unit) => Some((unit, 0, None)),
+                None if prefetch => None,
                 None => self
                     .ledger
                     .straggler_for(w, now)
@@ -270,7 +310,9 @@ impl<M: MasterLogic> MasterCore<M> {
                     assign_id,
                     unit,
                 });
+                return true;
             }
+            None if prefetch => {}
             // Park while work may still appear for `w`: a lease is out (its
             // unit may requeue, or its holder's queue may be freed), a live
             // service may be handed new jobs, or units sit unfinished in
@@ -286,6 +328,7 @@ impl<M: MasterLogic> MasterCore<M> {
             }
             None => self.dismiss(w),
         }
+        false
     }
 
     fn dismiss(&mut self, w: usize) {

@@ -9,6 +9,16 @@
 //! stale assignment id and discarded, so "integrated exactly once" (and
 //! frame hashes) hold with and without faults. Only [`crate::core`]
 //! drives the ledger. Time is plain `f64` seconds, virtual or wall.
+//!
+//! A worker may hold several leases (the core's lease depth). It answers
+//! them in the order they were issued, so only the oldest is *running*:
+//! the others are queued behind it with their clocks stopped, and each
+//! starts when the one ahead of it is answered. The results build on each
+//! other (a worker's coherence state and tile-delta stream run through
+//! consecutive units), so a lease that ends any other way — expired,
+//! rejected, skipped, beaten by its speculative twin — takes the holder's
+//! other leases with it: they are *voided*, requeued at no cost to the
+//! worker, and their results drop through the duplicate path.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -92,6 +102,9 @@ pub struct FaultCounters {
     pub workers_quarantined: u64,
     /// Speculative backup leases issued against stragglers.
     pub backup_leases: u64,
+    /// Leases issued to a worker that already held one (not a fault: the
+    /// overlap the lease depth buys).
+    pub leases_prefetched: u64,
 }
 
 /// An outstanding assignment.
@@ -101,11 +114,13 @@ pub(crate) struct Lease<U> {
     pub(crate) unit: U,
     /// Worker it was assigned to.
     pub(crate) worker: usize,
-    /// Absolute deadline in seconds.
+    /// Absolute deadline in seconds; infinite while queued.
     deadline: f64,
     /// Re-issue attempt (0 = first issue).
     attempt: u32,
-    /// Time the lease was issued (for straggler detection).
+    /// Time the lease's clock started (for straggler detection and the
+    /// unit-time EWMA); infinite while queued behind the holder's
+    /// earlier lease.
     issued_at: f64,
     /// Assignment id of this lease's speculative twin, if a backup lease
     /// for the same unit is also outstanding. First completion wins and
@@ -184,7 +199,10 @@ impl<U: Clone> Ledger<U> {
     /// Record the assignment of `unit` to `worker` at time `now`; returns
     /// the assignment id. The deadline honours the attempt's backoff. With
     /// `twin_of`, this is a speculative backup of that straggling
-    /// assignment and the two leases are linked as twins.
+    /// assignment and the two leases are linked as twins. If `worker`
+    /// already holds a lease this one queues behind it: lease timeouts and
+    /// the straggler factor keep meaning "one unit's time" only if its
+    /// clock starts when the worker can start on it.
     pub(crate) fn issue(
         &mut self,
         unit: U,
@@ -195,7 +213,12 @@ impl<U: Clone> Ledger<U> {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let deadline = now + self.cfg.lease_for_attempt(attempt);
+        let queued = self.held_by(worker) > 0;
+        if queued {
+            self.counters.leases_prefetched += 1;
+        }
+        let issued_at = if queued { f64::INFINITY } else { now };
+        let deadline = issued_at + self.cfg.lease_for_attempt(attempt);
         if let Some(orig) = twin_of.and_then(|t| self.pending.get_mut(&t)) {
             orig.twin = Some(id);
             self.counters.backup_leases += 1;
@@ -207,32 +230,65 @@ impl<U: Clone> Ledger<U> {
                 worker,
                 deadline,
                 attempt,
-                issued_at: now,
+                issued_at,
                 twin: twin_of,
             },
         );
         id
     }
 
+    /// Number of leases `worker` holds.
+    pub(crate) fn held_by(&self, worker: usize) -> usize {
+        self.leases_of(worker).count()
+    }
+
+    /// True if lease `id` is outstanding and `worker`'s to answer.
+    fn holds(&self, worker: usize, id: u64) -> bool {
+        self.pending.get(&id).is_some_and(|l| l.worker == worker)
+    }
+
+    /// Ids of the leases `worker` holds, oldest (the running one) first.
+    fn leases_of(&self, worker: usize) -> impl Iterator<Item = u64> + '_ {
+        self.pending
+            .iter()
+            .filter(move |(_, l)| l.worker == worker)
+            .map(|(&id, _)| id)
+    }
+
+    /// Results arrive in per-worker order, so an answer to `id` while
+    /// `worker` still holds an earlier lease means that one's result was
+    /// lost on the way: expire it now instead of waiting out its deadline.
+    /// That voids `id` too — its result was computed on top of the lost
+    /// one — so the answer then drops through the duplicate path.
+    pub(crate) fn expire_skipped(&mut self, worker: usize, id: u64, now: f64) -> Option<Expiry> {
+        let oldest = self.leases_of(worker).next()?;
+        (oldest < id && self.holds(worker, id)).then(|| {
+            self.last_expiry = now;
+            self.expire_one(oldest)
+        })
+    }
+
     /// `worker` answered assignment `id` at time `now`. `Some` means it is
-    /// the first answer (integrate it; the worker's failure streak resets
-    /// and the lease's duration feeds the straggler EWMA); `None` means the
-    /// assignment is stale — a late duplicate to discard — or was never
-    /// this worker's to answer.
+    /// the first answer (integrate it; the worker's failure streak resets,
+    /// the lease's duration feeds the straggler EWMA and the clock of the
+    /// lease queued behind it starts); `None` means the assignment is stale
+    /// — a late duplicate to discard — or was never this worker's to
+    /// answer.
     pub(crate) fn complete_at(&mut self, id: u64, worker: usize, now: f64) -> Option<Lease<U>> {
-        if self.pending.get(&id).map(|l| l.worker) != Some(worker) {
+        if !self.holds(worker, id) {
             self.counters.duplicates_dropped += 1;
             return None;
         }
         let lease = self.pending.remove(&id)?;
         self.consecutive_fails[worker] = 0;
-        if let Some(t) = lease.twin {
+        if let Some(loser) = lease.twin.and_then(|t| self.pending.remove(&t)) {
             // first of a speculative pair wins: retire the twin so its
-            // (slower) result drops through the duplicate path
-            self.pending.remove(&t);
+            // (slower) result drops through the duplicate path, and with
+            // it whatever its holder computes on top of that result
+            self.void_leases(loser.worker);
         }
         let dt = (now - lease.issued_at).max(0.0);
-        if dt.is_finite() {
+        if dt.is_finite() && lease.issued_at.is_finite() {
             self.ewma_samples += 1;
             if self.ewma_samples == 1 {
                 self.ewma_unit_s = dt;
@@ -240,18 +296,28 @@ impl<U: Clone> Ledger<U> {
                 self.ewma_unit_s = 0.7 * self.ewma_unit_s + 0.3 * dt;
             }
         }
+        let cfg = self.cfg;
+        let next = self.pending.values_mut().find(|l| l.worker == worker);
+        if let Some(next) = next.filter(|l| !l.issued_at.is_finite()) {
+            next.issued_at = now;
+            next.deadline = now + cfg.lease_for_attempt(next.attempt);
+        }
         Some(lease)
     }
 
     /// A completed lease's result failed master-side verification: requeue
     /// the unit byte-identically (the re-issue goes through `on_reassign`,
-    /// exactly like a lease expiry) and strike the offending worker. When
-    /// the strike crosses [`RecoveryConfig::max_worker_strikes`] the worker
-    /// is quarantined — excluded through the observed-death path, which
-    /// requeues whatever it still holds — and that exclusion is returned.
+    /// exactly like a lease expiry), void the worker's other leases and
+    /// strike it — once: the application dropped the worker's decode
+    /// stream, so the honest results queued behind the bad one would fail
+    /// to decode and strike again. When the strike crosses
+    /// [`RecoveryConfig::max_worker_strikes`] the worker is quarantined —
+    /// excluded through the observed-death path — and that exclusion is
+    /// returned.
     pub(crate) fn reject(&mut self, lease: Lease<U>) -> Option<Expiry> {
         let w = lease.worker;
         self.retry.push_back((lease.unit, lease.attempt + 1, w));
+        self.void_leases(w);
         self.counters.results_rejected += 1;
         self.total_fails[w] += 1;
         self.strikes[w] += 1;
@@ -280,7 +346,7 @@ impl<U: Clone> Ledger<U> {
                 .values()
                 .filter(|l| l.twin.is_none())
                 .map(|l| l.issued_at + thr)
-                .filter(|&d| d > now)
+                .filter(|&d| d > now && d.is_finite())
                 .min_by(f64::total_cmp)
         });
         let patience = (self.pending.is_empty() && !self.retry.is_empty())
@@ -336,6 +402,8 @@ impl<U: Clone> Ledger<U> {
         if !due.is_empty() {
             self.last_expiry = now;
         }
+        // only a worker's running lease has a finite deadline, so no lease
+        // in `due` is voided by the expiry of another
         due.into_iter().map(|id| self.expire_one(id)).collect()
     }
 
@@ -351,17 +419,12 @@ impl<U: Clone> Ledger<U> {
     /// disconnected). All of its leases are requeued immediately and the
     /// worker is excluded.
     pub(crate) fn worker_died(&mut self, worker: usize) -> Expiry {
-        let ids: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, l)| l.worker == worker)
-            .map(|(&id, _)| id)
-            .collect();
         // sampled first: expiring its leases may itself cross the failure
         // threshold, and the caller must still hear about the loss
         let newly_lost = !self.excluded[worker];
-        for id in ids {
-            self.expire_one(id);
+        let oldest = self.leases_of(worker).next();
+        if let Some(id) = oldest {
+            self.expire_one(id); // voids the rest
         }
         if !self.excluded[worker] {
             self.excluded[worker] = true;
@@ -370,20 +433,14 @@ impl<U: Clone> Ledger<U> {
         Expiry { worker, newly_lost }
     }
 
+    /// One fault, one penalty: expiring `id` charges its holder a single
+    /// failure and voids the rest of what it holds.
     fn expire_one(&mut self, id: u64) -> Expiry {
         let lease = self.pending.remove(&id).expect("expiring a live lease");
         let w = lease.worker;
-        match lease.twin.and_then(|t| self.pending.get_mut(&t)) {
-            Some(twin) => {
-                // the unit's speculative twin is still running: it covers
-                // the work, so expiring this copy must not requeue a third
-                twin.twin = None;
-            }
-            None => {
-                self.retry.push_back((lease.unit, lease.attempt + 1, w));
-                self.counters.units_reassigned += 1;
-            }
-        }
+        let attempt = lease.attempt + 1;
+        self.requeue(lease, attempt);
+        self.void_leases(w);
         self.consecutive_fails[w] += 1;
         self.total_fails[w] += 1;
         let newly_lost =
@@ -395,6 +452,33 @@ impl<U: Clone> Ledger<U> {
         Expiry {
             worker: w,
             newly_lost,
+        }
+    }
+
+    /// Requeue every lease `worker` holds with no failure or strike and no
+    /// backoff: the fault that ended the lease ahead of them has been
+    /// charged, and these only fall with it because their results build on
+    /// its result.
+    fn void_leases(&mut self, worker: usize) {
+        let ids: Vec<u64> = self.leases_of(worker).collect();
+        for id in ids {
+            let lease = self.pending.remove(&id).expect("voiding a live lease");
+            let attempt = lease.attempt;
+            self.requeue(lease, attempt);
+        }
+    }
+
+    /// A lease left the ledger without a result: its unit goes back on the
+    /// retry queue as attempt `attempt` — unless its speculative twin is
+    /// still running, which covers the work, so requeueing would make a
+    /// third copy.
+    fn requeue(&mut self, lease: Lease<U>, attempt: u32) {
+        match lease.twin.and_then(|t| self.pending.get_mut(&t)) {
+            Some(twin) => twin.twin = None,
+            None => {
+                self.retry.push_back((lease.unit, attempt, lease.worker));
+                self.counters.units_reassigned += 1;
+            }
         }
     }
 
@@ -660,6 +744,92 @@ mod tests {
         );
         assert_eq!(led.counters.duplicates_dropped, 1);
         assert!(!led.has_pending());
+    }
+
+    #[test]
+    fn a_queued_lease_starts_its_clock_when_the_one_ahead_is_answered() {
+        let mut c = cfg(10.0, 5);
+        c.speculate = true;
+        c.speculate_factor = 2.0;
+        let mut led: Ledger<u32> = Ledger::new(c, 1);
+        let a = led.issue(1, 0, 0.0, 0, None);
+        let b = led.issue(2, 0, 0.0, 0, None);
+        assert_eq!((led.held_by(0), led.counters.leases_prefetched), (2, 1));
+        // only the running lease has a deadline, however long the other queues
+        assert_eq!(led.next_deadline(0.0), Some(10.0));
+        assert!(led.complete_at(a, 0, 7.0).is_some());
+        assert_eq!(led.next_deadline(7.0), Some(17.0), "a full lease from 7");
+        // and its EWMA sample is its own 1 s, not the 8 s since it was sent
+        assert!(led.complete_at(b, 0, 8.0).is_some());
+        assert_eq!(led.ewma_unit_s, 0.7 * 7.0 + 0.3 * 1.0);
+    }
+
+    #[test]
+    fn one_fault_voids_the_holders_other_lease_at_no_cost() {
+        // expiry: the running lease fails, the queued one just requeues
+        let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 5), 1);
+        led.issue(1, 0, 0.0, 0, None);
+        let queued = led.issue(2, 0, 0.0, 0, None);
+        assert_eq!(led.expire_due(10.0).len(), 1, "one expiry, not two");
+        assert_eq!(led.total_failures(0), 1);
+        assert_eq!(led.counters.units_reassigned, 2);
+        assert_eq!(led.take_retry(), Some((1, 1, 0)), "backed off");
+        assert_eq!(led.take_retry(), Some((2, 0, 0)), "not backed off");
+        assert!(
+            led.complete_at(queued, 0, 11.0).is_none(),
+            "void: a duplicate"
+        );
+
+        // rejection: one strike, and the lease behind the bad result is void
+        let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 5), 1);
+        let bad = led.issue(1, 0, 0.0, 0, None);
+        let behind = led.issue(2, 0, 0.0, 0, None);
+        let lease = led.complete_at(bad, 0, 1.0).expect("fresh");
+        assert_eq!(led.reject(lease), None);
+        assert_eq!((led.strikes[0], led.held_by(0)), (1, 0));
+        assert!(led.complete_at(behind, 0, 2.0).is_none());
+        assert_eq!(led.counters.results_rejected, 1);
+        assert_eq!(led.take_retry(), Some((1, 1, 0)));
+        assert_eq!(led.take_retry(), Some((2, 0, 0)));
+    }
+
+    #[test]
+    fn answering_past_a_lease_expires_it_on_the_spot() {
+        let mut led: Ledger<u32> = Ledger::new(cfg(1000.0, 5), 2);
+        let first = led.issue(1, 0, 0.0, 0, None);
+        let second = led.issue(2, 0, 0.0, 0, None);
+        assert_eq!(led.expire_skipped(0, first, 1.0), None, "in order");
+        assert_eq!(led.expire_skipped(1, second, 1.0), None, "not its lease");
+        let ex = led
+            .expire_skipped(0, second, 1.0)
+            .expect("first was skipped");
+        assert_eq!((ex.worker, ex.newly_lost), (0, false));
+        assert_eq!((led.total_failures(0), led.held_by(0)), (1, 0));
+        assert!(led.complete_at(second, 0, 1.0).is_none(), "voided with it");
+    }
+
+    #[test]
+    fn a_retired_twin_takes_its_holders_queue_with_it() {
+        let mut c = cfg(1e6, 5);
+        c.speculate = true;
+        c.speculate_factor = 2.0;
+        let mut led: Ledger<u32> = Ledger::new(c, 2);
+        for i in 0..3u32 {
+            let id = led.issue(i, 0, 0.0, 0, None);
+            assert!(led.complete_at(id, 0, 1.0).is_some());
+        }
+        // worker 0 straggles on unit 100 with unit 101 queued behind it
+        let slow = led.issue(100, 0, 10.0, 0, None);
+        let behind = led.issue(101, 0, 10.0, 0, None);
+        let (orig, unit, attempt, _) = led.straggler_for(1, 20.0).expect("straggler");
+        let backup = led.issue(unit, 1, 20.0, attempt, Some(orig));
+        assert!(led.complete_at(backup, 1, 21.0).is_some(), "backup wins");
+        // 101 was computed on top of a result the master never took
+        assert_eq!(led.held_by(0), 0);
+        assert!(led.complete_at(slow, 0, 30.0).is_none());
+        assert!(led.complete_at(behind, 0, 31.0).is_none());
+        assert_eq!(led.take_retry(), Some((101, 0, 0)));
+        assert_eq!(led.total_failures(0), 0, "slow is not a fault");
     }
 
     #[test]

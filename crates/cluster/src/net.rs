@@ -342,8 +342,37 @@ impl Default for NetConfig {
     }
 }
 
-/// Sleep between poll sweeps when the loop is idle.
+/// Longest an idle loop waits before its next sweep. Every timer (leases,
+/// heartbeats, read deadlines, a live service's wake) is checked at least
+/// this often; traffic ends the wait early.
 const POLL_INTERVAL: Duration = Duration::from_millis(1);
+
+/// `poll(2)` from the libc that std already links.
+#[cfg(unix)]
+mod sys {
+    use std::os::raw::{c_int, c_short};
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        pub(super) fd: c_int,
+        pub(super) events: c_short,
+        pub(super) revents: c_short,
+    }
+
+    pub(super) const POLLIN: c_short = 0x001;
+    pub(super) const POLLOUT: c_short = 0x004;
+
+    /// `nfds_t`.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub(super) type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub(super) type Nfds = std::os::raw::c_uint;
+
+    extern "C" {
+        pub(super) fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: c_int) -> c_int;
+    }
+}
 
 /// Seconds a quarantined node identity is turned away at `HELLO` before
 /// it may rejoin.
@@ -632,7 +661,7 @@ impl TcpMaster {
                 break;
             }
             if !activity {
-                std::thread::sleep(POLL_INTERVAL);
+                run.wait_ready(Some(&self.listener));
             }
         }
         run.drain();
@@ -675,7 +704,7 @@ where
         MasterRun {
             cfg,
             start: Instant::now(),
-            core: MasterCore::new(master, cfg.recovery),
+            core: MasterCore::new(master, cfg.recovery, 2),
             conns: Vec::new(),
             slots: Vec::new(),
             identities: BTreeMap::new(),
@@ -1159,6 +1188,49 @@ where
         Ok(self.core.finished() && (self.service_seen || self.core.job_complete() || !joinable))
     }
 
+    /// Block until a socket has something for the next sweep — a pending
+    /// connection, readable bytes, room for unflushed ones — or
+    /// [`POLL_INTERVAL`] has passed, whichever is first. A connection whose
+    /// fault gate is shut is left out: the sweep would not touch its ready
+    /// socket, so waiting on it would spin.
+    #[cfg(unix)]
+    fn wait_ready(&mut self, listener: Option<&TcpListener>) {
+        use std::os::unix::io::AsRawFd;
+        let t = self.now();
+        let listening = listener.map(|l| (l.as_raw_fd(), sys::POLLIN));
+        let open = self.conns.iter_mut().flatten().filter_map(|c| {
+            let unflushed = if c.flushed() { 0 } else { sys::POLLOUT };
+            (c.fault.gate(t - c.opened_s) == Gate::Open)
+                .then(|| (c.stream.as_raw_fd(), sys::POLLIN | unflushed))
+        });
+        let mut fds: Vec<sys::PollFd> = listening
+            .into_iter()
+            .chain(open)
+            .map(|(fd, events)| sys::PollFd {
+                fd,
+                events,
+                revents: 0,
+            })
+            .collect();
+        // SAFETY: `fds` is a live, exclusively borrowed array of exactly
+        // `fds.len()` `pollfd`s for the whole call, and every descriptor in
+        // it belongs to a socket this struct (or the caller's listener)
+        // keeps open. The result is not needed: ready, timed out or
+        // interrupted, the caller sweeps every socket next.
+        unsafe {
+            sys::poll(
+                fds.as_mut_ptr(),
+                fds.len() as sys::Nfds,
+                POLL_INTERVAL.as_millis() as std::os::raw::c_int,
+            );
+        }
+    }
+
+    #[cfg(not(unix))]
+    fn wait_ready(&mut self, _listener: Option<&TcpListener>) {
+        std::thread::sleep(POLL_INTERVAL);
+    }
+
     /// Flush final `SHUTDOWN`/`REJECT` frames, then close everything.
     fn drain(&mut self) {
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -1178,7 +1250,7 @@ where
             if !unflushed || Instant::now() >= deadline {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            self.wait_ready(None);
         }
         for ci in 0..self.conns.len() {
             self.retire_conn(ci);
@@ -1878,7 +1950,15 @@ mod tests {
         assert!(report.machines[0].lost);
         assert_eq!(report.workers_rejected, 1, "the reconnect was refused");
         let (summary, refused) = byzantine.join().expect("byzantine");
-        assert_eq!(summary.units, 3, "shut down at the strike limit");
+        // master-side every count above is exact; worker-side it is a range:
+        // each strike voids the unit queued behind the bad one (computed
+        // all the same, dropped as a duplicate), and the SHUTDOWN may find
+        // one more prefetched unit ahead of it in the worker's inbox
+        assert!(
+            (3..=6).contains(&summary.units),
+            "shut down at the strike limit, after {} units",
+            summary.units
+        );
         assert_eq!(
             refused,
             ChannelError::Protocol("rejected by master: quarantined")

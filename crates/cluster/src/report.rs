@@ -110,6 +110,10 @@ pub struct RunReport {
     pub workers_quarantined: u64,
     /// Speculative backup leases issued against stragglers.
     pub backup_leases: u64,
+    /// Units issued to a worker that already held one: each is a master
+    /// turnaround the worker rendered through instead of waiting out (0 on
+    /// the simulator, which leases one unit at a time).
+    pub leases_prefetched: u64,
     /// Intra-worker tile-pool threads per worker (1 = serial workers, as in
     /// the paper; filled in by the farm layer after the run).
     pub worker_threads: u32,
@@ -142,6 +146,7 @@ impl RunReport {
         self.results_rejected = c.results_rejected;
         self.workers_quarantined = c.workers_quarantined;
         self.backup_leases = c.backup_leases;
+        self.leases_prefetched = c.leases_prefetched;
         for (m, &(failures, lost)) in self.machines.iter_mut().zip(health) {
             m.failures = failures;
             m.lost = lost;
@@ -210,6 +215,9 @@ impl RunReport {
         }
         if self.backup_leases > 0 {
             rec.counter_add_nd("farm.backup_leases", self.backup_leases);
+        }
+        if self.leases_prefetched > 0 {
+            rec.counter_add_nd("farm.prefetch", self.leases_prefetched);
         }
         for m in &self.machines {
             rec.observe_nd("farm.units_per_machine", m.units_done);

@@ -239,7 +239,7 @@ impl SimCluster {
         let mut run = SimRun {
             cluster: self,
             workers,
-            core: MasterCore::new(master, self.recovery),
+            core: MasterCore::new(master, self.recovery, 1),
             queue: BinaryHeap::new(),
             seq: 0,
             bus_free: 0.0,

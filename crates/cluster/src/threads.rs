@@ -186,7 +186,7 @@ impl ThreadCluster {
             ..Default::default()
         };
 
-        let mut core = MasterCore::new(master, self.recovery);
+        let mut core = MasterCore::new(master, self.recovery, 2);
         for _ in 0..n {
             core.joined();
         }

@@ -6,6 +6,11 @@
 //! requeue its leases onto survivors, matching the thread backend's
 //! handling of injected crashes. A vanished master must surface as an
 //! error on the worker, not a hang.
+//!
+//! The TCP master keeps every worker two leases deep, so the hand-rolled
+//! workers here also watch what reaches their inbox and when: the next
+//! unit arrives before the current one is answered, never more than two
+//! are held, and a fault while two are held costs what one fault costs.
 
 use now_cluster::message::{ChannelError, Message};
 use now_cluster::net::{
@@ -14,6 +19,7 @@ use now_cluster::net::{
 use now_cluster::{Decoder, Encoder, MasterLogic, MasterWork, WorkCost, WorkerLogic};
 use std::collections::BTreeSet;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::time::Duration;
 
 struct CountMaster {
     next: u64,
@@ -33,9 +39,20 @@ impl MasterLogic for CountMaster {
         }
     }
     fn integrate(&mut self, _w: usize, unit: u64, result: u64) -> Option<MasterWork> {
-        assert_eq!(result, unit * unit);
+        if result != unit * unit {
+            // wrong bytes: reject instead of integrating
+            return None;
+        }
         assert!(self.seen.insert(unit), "unit {unit} integrated twice");
         Some(MasterWork::default())
+    }
+}
+
+fn count_to(limit: u64) -> CountMaster {
+    CountMaster {
+        next: 0,
+        limit,
+        seen: BTreeSet::new(),
     }
 }
 
@@ -49,65 +66,98 @@ impl WorkerLogic for Squarer {
     }
 }
 
-/// Hand-rolled worker that speaks the wire protocol directly and drops
-/// its connection after `crash_after` units — byte-for-byte what a
-/// `kill -9` of a worker process looks like to the master.
-fn crashing_worker(addr: String, crash_after: u64) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    let hello = Message {
-        from: 0,
-        to: 0,
-        tag: tag::HELLO,
-        payload: Vec::new(),
-    };
-    write_frame(&mut stream, &hello).expect("hello");
-    let (welcome, _) = read_frame(&mut stream).expect("welcome");
-    assert_eq!(welcome.tag, tag::WELCOME);
-    let mut d = Decoder::new(&welcome.payload);
-    let node_id = d.u64().expect("node id") as usize;
+/// A hand-rolled worker endpoint that speaks the wire protocol directly,
+/// so a test decides when (and whether, and what) it answers.
+struct RawWorker {
+    stream: TcpStream,
+    node_id: usize,
+}
 
-    let request = Message {
-        from: node_id,
-        to: 0,
-        tag: tag::REQUEST,
-        payload: Vec::new(),
-    };
-    write_frame(&mut stream, &request).expect("request");
-
-    let mut done = 0u64;
-    loop {
-        let (msg, _) = match read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(_) => return,
+impl RawWorker {
+    /// Connect and shake hands anonymously, asking for nothing: a farm
+    /// member that holds no lease. A farm of one is never prefetched, so
+    /// the depth-2 tests below keep one of these enrolled for company.
+    fn enrol(addr: &str) -> RawWorker {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).unwrap();
+        let hello = Message {
+            from: 0,
+            to: 0,
+            tag: tag::HELLO,
+            payload: Vec::new(),
         };
-        match msg.tag {
-            tag::UNIT => {
-                if done >= crash_after {
-                    // the "process" dies holding a lease
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
+        write_frame(&mut stream, &hello).expect("hello");
+        let (welcome, _) = read_frame(&mut stream).expect("welcome");
+        assert_eq!(welcome.tag, tag::WELCOME);
+        let mut d = Decoder::new(&welcome.payload);
+        let node_id = d.u64().expect("node id") as usize;
+        RawWorker { stream, node_id }
+    }
+
+    /// [`RawWorker::enrol`], then ask for work.
+    fn join(addr: &str) -> RawWorker {
+        let mut w = RawWorker::enrol(addr);
+        let request = Message {
+            from: w.node_id,
+            to: 0,
+            tag: tag::REQUEST,
+            payload: Vec::new(),
+        };
+        write_frame(&mut w.stream, &request).expect("request");
+        w
+    }
+
+    /// The next `UNIT` as `(assign id, unit)`. Heartbeats go unanswered:
+    /// liveness is the socket itself. `PeerGone` once the master says
+    /// `SHUTDOWN`; a read timeout, if one is set, surfaces as `TimedOut`.
+    fn next_unit(&mut self) -> Result<(u64, u64), ChannelError> {
+        loop {
+            let (msg, _) = read_frame(&mut self.stream)?;
+            match msg.tag {
+                tag::UNIT => {
+                    let mut d = Decoder::new(&msg.payload);
+                    let assign = d.u64().expect("assign id");
+                    return Ok((assign, d.u64().expect("unit")));
                 }
-                let mut d = Decoder::new(&msg.payload);
-                let assign = d.u64().expect("assign id");
-                let unit = d.u64().expect("unit");
-                done += 1;
-                let mut e = Encoder::new();
-                e.u64(assign).f64(0.0).u64(unit * unit);
-                let result = Message {
-                    from: node_id,
-                    to: 0,
-                    tag: tag::RESULT,
-                    payload: e.finish(),
-                };
-                if write_frame(&mut stream, &result).is_err() {
-                    return;
-                }
+                tag::SHUTDOWN => return Err(ChannelError::PeerGone),
+                _ => {}
             }
-            tag::PING => { /* stay silent: liveness is the socket itself */ }
-            tag::SHUTDOWN => return,
-            _ => {}
         }
+    }
+
+    /// Answer lease `assign` with `value`; false if the master is gone.
+    fn answer(&mut self, assign: u64, value: u64) -> bool {
+        let mut e = Encoder::new();
+        e.u64(assign).f64(0.0).u64(value);
+        let result = Message {
+            from: self.node_id,
+            to: 0,
+            tag: tag::RESULT,
+            payload: e.finish(),
+        };
+        write_frame(&mut self.stream, &result).is_ok()
+    }
+
+    /// What a `kill -9` of the worker process looks like to the master.
+    fn die(self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// A worker that answers `crash_after` units honestly and drops its
+/// connection on receiving the next one, holding its leases.
+fn crashing_worker(addr: String, crash_after: u64) {
+    let mut w = RawWorker::join(&addr);
+    for _ in 0..crash_after {
+        let Ok((assign, unit)) = w.next_unit() else {
+            return;
+        };
+        if !w.answer(assign, unit * unit) {
+            return;
+        }
+    }
+    if w.next_unit().is_ok() {
+        w.die();
     }
 }
 
@@ -124,16 +174,7 @@ fn killed_worker_connection_recovers_on_survivor() {
     });
 
     let cfg = TcpClusterConfig::new(2);
-    let (m, report) = master
-        .run(
-            CountMaster {
-                next: 0,
-                limit: 40,
-                seen: BTreeSet::new(),
-            },
-            &cfg,
-        )
-        .expect("run");
+    let (m, report) = master.run(count_to(40), &cfg).expect("run");
 
     assert_eq!(m.seen.len(), 40, "every unit integrated despite the kill");
     assert_eq!(report.workers_lost, 1);
@@ -158,19 +199,145 @@ fn all_workers_killed_ends_run_gracefully() {
     };
     let cfg = TcpClusterConfig::new(2);
     let (m, report) = master
-        .run(
-            CountMaster {
-                next: 0,
-                limit: 50,
-                seen: BTreeSet::new(),
-            },
-            &cfg,
-        )
+        .run(count_to(50), &cfg)
         .expect("run must end, not hang");
     assert!(m.seen.len() <= 4, "both died after one unit each");
     assert_eq!(report.workers_lost, 2);
     h0.join().unwrap();
     h1.join().unwrap();
+}
+
+/// Serve `w` to the end of the run, answering honestly; before each answer
+/// record how many units it holds (the one it answers included).
+fn held_at_each_answer(w: &mut RawWorker) -> Vec<usize> {
+    let mut inbox = std::collections::VecDeque::new();
+    let mut held = Vec::new();
+    loop {
+        if inbox.is_empty() {
+            // nothing in hand: wait as long as it takes
+            w.stream.set_read_timeout(None).unwrap();
+            match w.next_unit() {
+                Ok(u) => inbox.push_back(u),
+                Err(_) => return held,
+            }
+        }
+        // whatever else the master sends while this unit is unanswered
+        // (a SHUTDOWN cannot be among it: it has a lease out)
+        let quiet = Duration::from_millis(40);
+        w.stream.set_read_timeout(Some(quiet)).unwrap();
+        loop {
+            match w.next_unit() {
+                Ok(u) => inbox.push_back(u),
+                Err(ChannelError::TimedOut) => break,
+                Err(e) => panic!("master hung up on a worker with a lease: {e:?}"),
+            }
+        }
+        held.push(inbox.len());
+        let (assign, unit) = inbox.pop_front().expect("front unit");
+        assert!(w.answer(assign, unit * unit));
+    }
+}
+
+#[test]
+fn next_unit_arrives_before_the_current_one_is_answered_and_never_a_third() {
+    let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
+    let addr = master.local_addr().expect("addr").to_string();
+    let recorder = std::thread::spawn(move || {
+        let bystander = RawWorker::enrol(&addr);
+        let held = held_at_each_answer(&mut RawWorker::join(&addr));
+        bystander.die();
+        held
+    });
+    let (m, report) = master
+        .run(count_to(12), &TcpClusterConfig::new(2))
+        .expect("run");
+    assert_eq!(m.seen.len(), 12);
+    let held = recorder.join().expect("recorder");
+    // two in hand at every answer until the units run out
+    let mut expect = vec![2; 11];
+    expect.push(1);
+    assert_eq!(held, expect);
+    assert_eq!(report.leases_prefetched, 11, "every unit but the first");
+    assert_eq!(report.duplicates_dropped + report.units_reassigned, 0);
+}
+
+#[test]
+fn a_farm_of_one_is_leased_one_unit_at_a_time() {
+    let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
+    let addr = master.local_addr().expect("addr").to_string();
+    let recorder = std::thread::spawn(move || held_at_each_answer(&mut RawWorker::join(&addr)));
+    let (m, report) = master
+        .run(count_to(6), &TcpClusterConfig::new(1))
+        .expect("run");
+    assert_eq!(m.seen.len(), 6);
+    assert_eq!(recorder.join().expect("recorder"), vec![1; 6]);
+    assert_eq!(report.leases_prefetched, 0);
+}
+
+#[test]
+fn worker_killed_holding_two_leases_requeues_both() {
+    let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
+    let addr = master.local_addr().expect("addr").to_string();
+    let victim_addr = addr.clone();
+    let victim = std::thread::spawn(move || {
+        let mut w = RawWorker::join(&victim_addr);
+        let first = w.next_unit().expect("first unit");
+        let second = w.next_unit().expect("prefetched unit");
+        w.die();
+        [first.1, second.1]
+    });
+    let survivor = std::thread::spawn(move || {
+        let conn = connect_worker(&addr, &ConnectConfig::default()).expect("connect");
+        conn.serve(Squarer).expect("serve")
+    });
+    let (m, report) = master
+        .run(count_to(40), &TcpClusterConfig::new(2))
+        .expect("run");
+    let held = victim.join().expect("victim thread");
+    assert_eq!(
+        m.seen.len(),
+        40,
+        "both of the dead worker's units came back"
+    );
+    assert!(held.iter().all(|u| m.seen.contains(u)));
+    assert_eq!(report.workers_lost, 1);
+    assert_eq!(report.units_reassigned, 2, "it held two leases");
+    let lost: Vec<_> = report.machines.iter().filter(|m| m.lost).collect();
+    assert_eq!(lost.len(), 1);
+    assert_eq!(lost[0].failures, 1, "one fault, one penalty");
+    assert_eq!(survivor.join().expect("survivor thread").units, 40);
+}
+
+#[test]
+fn one_bad_result_from_an_honest_worker_costs_exactly_one_strike() {
+    let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
+    let addr = master.local_addr().expect("addr").to_string();
+    // honest except for its 4th result, whose bytes arrive damaged
+    let worker = std::thread::spawn(move || {
+        let bystander = RawWorker::enrol(&addr);
+        let mut w = RawWorker::join(&addr);
+        let mut answered = 0u64;
+        while let Ok((assign, unit)) = w.next_unit() {
+            let damage = (answered == 3) as u64;
+            assert!(w.answer(assign, unit * unit + damage));
+            answered += 1;
+        }
+        bystander.die();
+        answered
+    });
+    let mut cfg = TcpClusterConfig::new(2);
+    // a second strike would be the last
+    cfg.recovery.max_worker_strikes = 2;
+    let (m, report) = master.run(count_to(30), &cfg).expect("run");
+    assert_eq!(m.seen.len(), 30, "every unit integrated once");
+    assert_eq!(report.results_rejected, 1);
+    assert_eq!(report.workers_quarantined, 0);
+    assert_eq!(report.machines[1].failures, 1, "one fault, one penalty");
+    // the unit queued behind the bad one was voided: requeued at no cost,
+    // its (honest) result dropped as a duplicate
+    assert_eq!(report.units_reassigned, 1);
+    assert_eq!(report.duplicates_dropped, 1);
+    assert_eq!(worker.join().expect("worker"), 32, "30 units + 2 redone");
 }
 
 #[test]

@@ -507,6 +507,12 @@ fn print_farm_summary(result: &FarmResult) {
             result.report.backup_leases, result.report.duplicates_dropped
         );
     }
+    if result.report.leases_prefetched > 0 {
+        println!(
+            "  overlap: {} units were sent ahead of their worker's request",
+            result.report.leases_prefetched
+        );
+    }
     for (i, m) in result.report.machines.iter().enumerate() {
         let rtt = if m.rtt_s > 0.0 {
             format!("  rtt {:6.0}us", m.rtt_s * 1e6)

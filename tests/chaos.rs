@@ -244,6 +244,40 @@ fn threads_stalled_worker_completes_within_lease_budget() {
     assert!(wall < 60.0, "stall recovery took {wall:.1}s");
 }
 
+/// The thread farm keeps every worker two leases deep, and the second
+/// unit's tile delta builds on the first one's pixels. Lose the first
+/// result in transit and the second arrives out of order: the master must
+/// treat the skipped lease as expired there and then, void the one that
+/// was answered (its delta has no base on the master) and re-issue both —
+/// not integrate a delta against stale pixels, and not sit out the lease.
+#[test]
+fn threads_lost_result_with_the_next_unit_in_hand_preserves_every_frame_byte() {
+    let anim = newton::animation_sized(W, H, FRAMES);
+    let mut cluster = ThreadCluster::new(2);
+    cluster.faults = FaultPlan::none().drop_result_at(1, 1);
+    cluster.recovery = RecoveryConfig::with_lease(30.0);
+    let t0 = std::time::Instant::now();
+    let result = run_threads_on(&anim, &cfg(), &cluster);
+    let wall = t0.elapsed().as_secs_f64();
+
+    assert_eq!(result.frame_hashes, reference_hashes());
+    assert_eq!(result.report.faults_injected, 1);
+    assert!(
+        result.report.units_reassigned >= 2,
+        "the lost unit and the one computed on top of it both re-issue"
+    );
+    assert!(result.report.duplicates_dropped >= 1);
+    assert_eq!(result.report.workers_lost, 0);
+    assert!(
+        result.report.machines[1].failures >= 1,
+        "the skip is charged"
+    );
+    assert!(
+        wall < 30.0,
+        "recovered on the spot, not at the lease timeout"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Membership churn: workers joining mid-run, on every backend
 // ---------------------------------------------------------------------

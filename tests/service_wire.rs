@@ -6,11 +6,11 @@
 //! explicit reason where the protocol allows one, and never panics.
 
 use nowrender::cluster::net::{tag, write_frame};
-use nowrender::cluster::{ConnectConfig, Message};
+use nowrender::cluster::{connect_worker, ConnectConfig, Message};
 use nowrender::core::service::{
-    run_service_master, serve_service_worker, JobState, ServiceConfig, ServiceMaster,
+    run_service_master, JobState, ServiceConfig, ServiceMaster, ServiceWorker,
 };
-use nowrender::core::{bind_tcp_master, JobSpec, ServiceClient, TcpFarmConfig};
+use nowrender::core::{bind_tcp_master, CostModel, JobSpec, ServiceClient, TcpFarmConfig};
 use nowrender::raytrace::RenderSettings;
 use std::io::Write;
 use std::net::TcpStream;
@@ -25,14 +25,14 @@ fn with_service(cfg: ServiceConfig, f: impl FnOnce(&str)) -> ServiceMaster {
     let master = ServiceMaster::new(cfg).expect("in-memory service");
     let master_thread =
         std::thread::spawn(move || run_service_master(listener, master, &tcp).expect("service"));
-    let worker_addr = addr.clone();
+    // the worker is enrolled before any client runs: a service drained
+    // before its first worker joined exits at once (by design), and a worker
+    // arriving after that has nobody to connect to — the master now answers
+    // a client in ~0.1 ms, so a drain can beat a worker thread to it
+    let conn = connect_worker(&addr, &ConnectConfig::default()).expect("worker enrolls");
     let worker_thread = std::thread::spawn(move || {
-        serve_service_worker(
-            &worker_addr,
-            &ConnectConfig::default(),
-            &RenderSettings::default(),
-        )
-        .expect("service worker")
+        let worker = ServiceWorker::new(RenderSettings::default(), CostModel::default());
+        conn.serve(worker).expect("service worker")
     });
     f(&addr);
     let _ = worker_thread.join().expect("worker thread");
