@@ -4,13 +4,30 @@
 
 use now_anim::scenes::glassball;
 use now_coherence::{changed_voxels, ChangeSet, CoherenceEngine, CoherentRenderer};
+use now_grid::dda::VoxelPathBuf;
 use now_grid::GridSpec;
-use now_math::{Aabb, Point3, Ray, Vec3};
+use now_math::{Aabb, Interval, Point3, Ray, Vec3};
 use now_raytrace::{RayKind, RayListener, RenderSettings};
 use now_testkit::bench;
 use std::hint::black_box;
 
+/// Walk `ray` through `spec` and report it with that path, as the tracer
+/// does for every ray it fires.
+fn record(
+    engine: &mut CoherenceEngine,
+    path: &mut VoxelPathBuf,
+    spec: &GridSpec,
+    pixel: u32,
+    ray: &Ray,
+    kind: RayKind,
+) {
+    path.record(spec, ray, Interval::non_negative());
+    engine.on_ray(pixel, ray, kind, f64::INFINITY, path.path());
+}
+
 fn main() {
+    let mut path = VoxelPathBuf::default();
+
     // marking throughput: a fresh engine per iteration
     let spec = GridSpec::cubic(Aabb::cube(Point3::ZERO, 8.0), 24);
     let rays: Vec<Ray> = (0..512)
@@ -25,7 +42,8 @@ fn main() {
     bench("engine_record_512_rays", 50, || {
         let mut engine = CoherenceEngine::new(spec, 4096);
         for (i, r) in rays.iter().enumerate() {
-            engine.on_ray((i % 4096) as u32, r, RayKind::Primary, f64::INFINITY);
+            let pixel = (i % 4096) as u32;
+            record(&mut engine, &mut path, &spec, pixel, r, RayKind::Primary);
         }
         black_box(engine.stats());
     });
@@ -39,7 +57,14 @@ fn main() {
             Point3::new(-9.0, 5.0 * a.sin(), 5.0 * (a * 0.7).cos()),
             Vec3::new(1.0, 0.2 * a.cos(), 0.3 * a.sin()).normalized(),
         );
-        engine.on_ray(i % 65536, &r, RayKind::Primary, f64::INFINITY);
+        record(
+            &mut engine,
+            &mut path,
+            &spec,
+            i % 65536,
+            &r,
+            RayKind::Primary,
+        );
     }
     let changed: Vec<_> =
         spec.voxels_overlapping_vec(&Aabb::cube(Point3::new(1.0, 0.5, -0.5), 1.2));
@@ -77,6 +102,7 @@ fn main() {
     let mut miss_engine = CoherenceEngine::new(mspec, 16);
     let miss = Ray::new(Point3::new(0.0, 50.0, 0.0), Vec3::UNIT_X);
     bench("record_miss_ray", 10_000, || {
-        miss_engine.on_ray(0, black_box(&miss), RayKind::Shadow, f64::INFINITY);
+        let ray = black_box(&miss);
+        record(&mut miss_engine, &mut path, &mspec, 0, ray, RayKind::Shadow);
     });
 }

@@ -40,7 +40,6 @@ fn main() {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         bench(&format!("ray_depth/depth_{depth}"), 10, || {
             let mut stats = RayStats::default();
@@ -62,7 +61,6 @@ fn main() {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         bench(&format!("supersampling/{n}x{n}"), 10, || {
             let mut stats = RayStats::default();

@@ -5,14 +5,19 @@
 //! Reported metrics:
 //!
 //! * `tracer_frame` — one Newton frame through the serial tracer:
-//!   ns/frame and rays per second.
+//!   ns/frame, rays per second and `ns_per_ray`.
+//! * `grid_walk` — the frame's rays (every kind, each over the `[0, t_max]`
+//!   it travelled) walked through the grid by [`IndexWalk`] alone, no
+//!   object tested: `ns_per_step` is the bare cost of the one walk the
+//!   tracer takes per ray, `steps` the voxels visited.
 //! * `coherence_marks` — the same frame with a [`CoherenceEngine`]
 //!   recording every ray: voxel marks per second, `ns_per_mark` (the time
 //!   recording adds over `tracer_frame`, per mark), `log_bytes_per_mark`,
 //!   and `record_ratio` = this record's `mean_ns` over `tracer_frame`'s —
 //!   what a coherent first frame costs relative to a plain one. CI gates
 //!   it at 2.0 (both timings come from one host, so the ratio holds on a
-//!   1-core runner).
+//!   1-core runner); numerator and denominator shrink together when the
+//!   walk gets cheaper, so track `ns_per_mark` for the recording cost.
 //! * `changed_voxels` — scene-diff change detection on the glass-ball
 //!   animation (the sort+dedup path that replaced the `BTreeSet`).
 //! * `pool_speedup` — the same full frame rendered by the intra-worker
@@ -41,10 +46,12 @@
 
 use now_anim::scenes::{glassball, newton};
 use now_coherence::{changed_voxels, ChangeSet, CoherenceEngine};
+use now_grid::dda::IndexWalk;
 use now_grid::GridSpec;
+use now_math::Interval;
 use now_raytrace::{
     render_frame, render_frame_par, GridAccel, NullListener, ParallelStats, RayStats,
-    RenderSettings,
+    RecordingListener, RenderSettings,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -93,9 +100,11 @@ fn main() {
 
     let mut records: Vec<Record> = Vec::new();
 
-    // --- serial tracer: one Newton frame ---
+    // --- serial tracer: one Newton frame, over the grid the engine below
+    // logs paths of ---
     let scene = newton::scene(fw, fh);
-    let accel = GridAccel::build(&scene);
+    let spec = GridSpec::for_scene(scene.bounds(), 24 * 24 * 24);
+    let accel = GridAccel::build_with_spec(&scene, spec);
     let settings = RenderSettings::default();
     let mut frame_rays = 0u64;
     let (mean, min) = time(iters, || {
@@ -123,11 +132,51 @@ fn main() {
                 "rays_per_s".into(),
                 format!("{:.0}", frame_rays as f64 / min),
             ),
+            (
+                "ns_per_ray".into(),
+                format!("{:.1}", min * 1e9 / frame_rays as f64),
+            ),
+        ],
+    });
+
+    // --- the walk alone: the same rays through the grid, nothing tested ---
+    let mut census = RecordingListener::default();
+    render_frame(
+        &scene,
+        &accel,
+        &settings,
+        &mut census,
+        &mut RayStats::default(),
+    );
+    let mut steps = 0u64;
+    let (mean, min) = time(iters, || {
+        steps = 0;
+        for r in &census.rays {
+            if let Some(mut walk) = IndexWalk::new(&spec, &r.ray, Interval::new(0.0, r.t_max)) {
+                steps += 1;
+                while let Some(code) = walk.advance() {
+                    black_box(code);
+                    steps += 1;
+                }
+            }
+        }
+        black_box(steps);
+    });
+    records.push(Record {
+        name: "grid_walk",
+        mean_ns: mean * 1e9,
+        min_ns: min * 1e9,
+        extra: vec![
+            ("rays".into(), census.rays.len().to_string()),
+            ("steps".into(), steps.to_string()),
+            (
+                "ns_per_step".into(),
+                format!("{:.2}", min * 1e9 / steps as f64),
+            ),
         ],
     });
 
     // --- coherence marking throughput: same frame, engine listening ---
-    let spec = GridSpec::for_scene(scene.bounds(), 24 * 24 * 24);
     let mut marks = 0u64;
     let mut log_bytes = 0u64;
     let (mean, min) = time(iters, || {
@@ -143,6 +192,10 @@ fn main() {
         marks = engine.stats().marks;
         log_bytes = engine.stats().list_bytes;
     });
+    assert_eq!(
+        steps, marks,
+        "the tracer's recorded paths are not the standalone walks of its rays"
+    );
     records.push(Record {
         name: "coherence_marks",
         mean_ns: mean * 1e9,
@@ -254,8 +307,7 @@ fn main() {
             ("speedup".into(), format!("{:.3}", par.speedup())),
             ("wall_speedup".into(), format!("{:.3}", min_1 / min_n)),
             ("host_cores".into(), host_cores.to_string()),
-            // CI regression floor for `speedup`, ratcheted by the PR that
-            // introduced packet tracing + right-sized tiles
+            // CI regression floor for `speedup`
             ("floor".into(), "3.0".into()),
         ],
     });
@@ -298,8 +350,8 @@ fn main() {
     {
         let (cw, ch) = (320u32, 240u32);
         let scene = newton::scene(cw, ch);
-        let accel = GridAccel::build(&scene);
         let cspec = GridSpec::for_scene(scene.bounds(), 24 * 24 * 24);
+        let accel = GridAccel::build_with_spec(&scene, cspec);
         let mut engine = CoherenceEngine::new(cspec, (cw * ch) as usize);
         let mut stats = RayStats::default();
         let t0 = Instant::now();

@@ -24,6 +24,11 @@
 //!          an odd count pads the last byte with 6, the code of no move
 //! ```
 //!
+//! `start`, `steps` and `codes` are a [`VoxelPath`] as the tracer hands it
+//! over: the walk its accelerator took to find the ray's hit is the walk
+//! that is logged, so recording a ray costs an append, not a second
+//! traversal.
+//!
 //! Consecutive rays of one pixel (its shadow feelers, its reflections)
 //! cost a 1-byte `head`; a typical 25-voxel path is 16 bytes, ~0.65 bytes
 //! per mark.
@@ -36,10 +41,10 @@
 //! whether there is anything to drop.
 
 use crate::varint::{read_varint, unzigzag, zigzag};
-use now_grid::dda::{step_strides, IndexWalk};
+use now_grid::dda::{step_strides, VoxelPath};
 use now_grid::{GridSpec, Voxel};
-use now_math::{Interval, Ray};
-use now_raytrace::{PixelId, RayKind, RayListener};
+use now_math::Ray;
+use now_raytrace::{PixelId, RayKind, RayListener, ShardableListener};
 
 /// Bookkeeping statistics; Table 1's "overhead" column comes from the work
 /// these counters represent, and the cluster cost model charges time
@@ -68,8 +73,9 @@ pub struct CoherenceStats {
 /// a uniform grid, tagged with the pixel that fired it.
 ///
 /// Implements [`RayListener`]: install it as the tracer's listener while
-/// rendering and every ray is walked through the grid with the 3-D DDA,
-/// its voxel path appended to the log under the pixel being shaded.
+/// rendering — over an accelerator built on this engine's grid
+/// (`GridAccel::build_with_spec`) — and the voxel path of every ray's walk
+/// is appended to the log under the pixel being shaded.
 ///
 /// Equality compares the complete engine state — log bytes (including
 /// stale records), generation counters, live/stale byte accounts and
@@ -92,9 +98,6 @@ pub struct CoherenceEngine {
     stale_bytes: usize,
     stats: CoherenceStats,
     // Scratch below: not observable state, excluded from `PartialEq`.
-    /// One ray's packed step codes, sized for the longest walk the grid
-    /// allows.
-    codes: Vec<u8>,
     /// Changed-voxel bitmap of a `dirty_pixels` call; all zero between
     /// calls.
     changed: Vec<u64>,
@@ -114,10 +117,6 @@ impl PartialEq for CoherenceEngine {
             && self.stats == other.stats
     }
 }
-
-/// The step code that moves nowhere (`step_strides` gives it stride 0):
-/// fills the unused half of an odd path's last byte.
-const PAD: u8 = 6;
 
 /// Longest `head [gen] start steps` prefix: 5 + 5 + 7 + 3 bytes for `u32`
 /// pixels and generations and `u16` resolutions per axis.
@@ -224,7 +223,6 @@ fn path_hits(start: usize, codes: &[u8], strides: &[isize; 8], changed: &[u64]) 
 impl CoherenceEngine {
     /// Create an engine for a `pixel_count`-pixel image over the given grid.
     pub fn new(spec: GridSpec, pixel_count: usize) -> CoherenceEngine {
-        let longest_walk: usize = spec.res.iter().map(|&r| r as usize - 1).sum();
         CoherenceEngine {
             spec,
             log: Vec::new(),
@@ -233,7 +231,6 @@ impl CoherenceEngine {
             live: vec![0; pixel_count],
             stale_bytes: 0,
             stats: CoherenceStats::default(),
-            codes: vec![0; longest_walk / 2 + 1],
             changed: vec![0; spec.voxel_count().div_ceil(64)],
             seen: vec![0; pixel_count.div_ceil(64)],
         }
@@ -253,7 +250,6 @@ impl CoherenceEngine {
         self.log.capacity()
             + (self.gen.len() + self.live.len()) * 4
             + (self.changed.len() + self.seen.len()) * 8
-            + self.codes.len()
     }
 
     /// Log bytes held by stale records, of the `list_bytes` stored — what
@@ -373,29 +369,18 @@ impl CoherenceEngine {
         self.stats.compactions += 1;
     }
 
-    /// Append one ray's record; returns the voxels it crosses.
+    /// Append one record of `steps` step codes — `head [gen]`, then
+    /// whatever `body` writes, which must be the record's `start steps
+    /// codes`; returns the voxels it crosses.
     #[inline]
-    fn append(&mut self, pixel: PixelId, walk: IndexWalk) -> u64 {
-        let start = walk.start();
-        let mut steps = 0;
-        for code in walk {
-            let slot = &mut self.codes[steps >> 1];
-            *slot = if steps & 1 == 0 {
-                code | PAD << 4
-            } else {
-                *slot & 0x0f | code << 4
-            };
-            steps += 1;
-        }
+    fn append(&mut self, pixel: PixelId, steps: usize, body: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let at = self.log.len();
         let gen = self.gen[pixel as usize];
-        let mut prefix = [0u8; MAX_PREFIX];
-        let n = put_head(&mut prefix, self.tail, pixel, gen);
-        let n = put_varint(&mut prefix, n, start as u64);
-        let n = put_varint(&mut prefix, n, steps as u64);
-        let body = steps.div_ceil(2);
-        let len = n + body;
-        self.log.extend_from_slice(&prefix[..n]);
-        self.log.extend_from_slice(&self.codes[..body]);
+        let mut head = [0u8; MAX_PREFIX];
+        let n = put_head(&mut head, self.tail, pixel, gen);
+        self.log.extend_from_slice(&head[..n]);
+        body(&mut self.log);
+        let len = self.log.len() - at;
         self.tail = (pixel, gen);
         self.live[pixel as usize] += len as u32;
         let marks = steps as u64 + 1;
@@ -405,15 +390,11 @@ impl CoherenceEngine {
         self.stats.list_bytes += len as u64;
         marks
     }
-}
 
-impl RayListener for CoherenceEngine {
-    fn on_ray(&mut self, pixel: PixelId, ray: &Ray, _kind: RayKind, t_max: f64) {
+    /// Count one observed ray that left `marks` marks.
+    #[inline]
+    fn count_ray(&mut self, marks: u64) {
         self.stats.rays_recorded += 1;
-        let marks = match IndexWalk::new(&self.spec, ray, Interval::new(0.0, t_max)) {
-            Some(walk) => self.append(pixel, walk),
-            None => 0,
-        };
         if now_trace::enabled() {
             // rays reach the engine in canonical shard order, so the mark
             // multiset is identical for any pool thread count
@@ -422,18 +403,122 @@ impl RayListener for CoherenceEngine {
     }
 }
 
+/// Append `start steps codes` of `path` to `out`.
+#[inline]
+fn put_path(out: &mut Vec<u8>, path: &VoxelPath<'_>) {
+    let mut prefix = [0u8; MAX_PREFIX];
+    let n = put_varint(&mut prefix, 0, path.start as u64);
+    let n = put_varint(&mut prefix, n, path.steps as u64);
+    out.extend_from_slice(&prefix[..n]);
+    out.extend_from_slice(path.codes);
+}
+
+impl RayListener for CoherenceEngine {
+    fn on_ray(
+        &mut self,
+        pixel: PixelId,
+        _ray: &Ray,
+        _kind: RayKind,
+        _t_max: f64,
+        path: Option<VoxelPath<'_>>,
+    ) {
+        let marks = path.map_or(0, |path| {
+            debug_assert!(path.start < self.spec.voxel_count(), "path of another grid");
+            self.append(pixel, path.steps, |log| put_path(log, &path))
+        });
+        self.count_ray(marks);
+    }
+}
+
+/// One pool tile's rays, recorded off the engine's thread: every record's
+/// `start steps codes` bytes back to back, and per ray whose record they
+/// are. Only `head` depends on what precedes a record in the log, so
+/// [`CoherenceEngine::absorb_shard`] writes that and copies the rest.
+#[derive(Debug, Default)]
+pub struct PathShard {
+    bodies: Vec<u8>,
+    /// Per observed ray: its pixel, its step count and the length of its
+    /// body in `bodies` — 0 for a ray that crossed no voxel.
+    rays: Vec<(PixelId, u32, u32)>,
+}
+
+impl RayListener for PathShard {
+    #[inline]
+    fn on_ray(
+        &mut self,
+        pixel: PixelId,
+        _ray: &Ray,
+        _kind: RayKind,
+        _t_max: f64,
+        path: Option<VoxelPath<'_>>,
+    ) {
+        let at = self.bodies.len();
+        let steps = path.map_or(0, |path| {
+            put_path(&mut self.bodies, &path);
+            path.steps as u32
+        });
+        self.rays
+            .push((pixel, steps, (self.bodies.len() - at) as u32));
+    }
+}
+
+/// Tiles are absorbed in ascending order, so the log receives the records
+/// in the order — and therefore with the heads — of a 1-thread render.
+impl ShardableListener for CoherenceEngine {
+    type Shard = PathShard;
+
+    fn make_shard(&self) -> PathShard {
+        PathShard::default()
+    }
+
+    fn absorb_shard(&mut self, shard: PathShard) {
+        let mut bodies = shard.bodies.as_slice();
+        for (pixel, steps, len) in shard.rays {
+            let (body, rest) = bodies.split_at(len as usize);
+            bodies = rest;
+            let marks = match len {
+                0 => 0,
+                _ => self.append(pixel, steps as usize, |log| log.extend_from_slice(body)),
+            };
+            self.count_ray(marks);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::incremental::{GroupListener, GroupMap};
-    use now_grid::dda::Traverse;
-    use now_math::{Aabb, Point3, Vec3};
+    use now_grid::dda::{Traverse, VoxelPathBuf};
+    use now_math::{Aabb, Interval, Point3, Vec3};
     use now_testkit::{cases, Rng};
     use std::collections::{BTreeMap, BTreeSet};
 
     fn engine() -> CoherenceEngine {
         let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
         CoherenceEngine::new(spec, 100)
+    }
+
+    /// Report `ray` to `listener` the way the tracer does: with the path of
+    /// its walk over `[0, t_max]`.
+    fn fire_at(
+        listener: &mut impl RayListener,
+        spec: &GridSpec,
+        pixel: PixelId,
+        ray: &Ray,
+        kind: RayKind,
+        t_max: f64,
+    ) {
+        let mut buf = VoxelPathBuf::default();
+        buf.record(spec, ray, Interval::new(0.0, t_max));
+        listener.on_ray(pixel, ray, kind, t_max, buf.path());
+    }
+
+    impl CoherenceEngine {
+        fn fire(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64) {
+            let spec = self.spec;
+            fire_at(self, &spec, pixel, ray, kind, t_max);
+        }
     }
 
     fn x_ray(y: f64, z: f64) -> Ray {
@@ -483,9 +568,9 @@ mod tests {
     fn marking_and_dirty_lookup() {
         let mut e = engine();
         // pixel 7's ray crosses the x row of voxels at y=z=0
-        e.on_ray(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         // pixel 9's ray crosses the row at y=2.5
-        e.on_ray(9, &x_ray(2.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(9, &x_ray(2.5, 0.5), RayKind::Primary, f64::INFINITY);
 
         let dirty = e.dirty_pixels(&[Voxel::new(2, 0, 0)]);
         assert_eq!(dirty, vec![7]);
@@ -499,7 +584,7 @@ mod tests {
     fn t_max_limits_marking() {
         let mut e = engine();
         // ray stops at t = 1.5 (origin -1, so x reaches 0.5): only voxel 0
-        e.on_ray(3, &x_ray(0.5, 0.5), RayKind::Primary, 1.5);
+        e.fire(3, &x_ray(0.5, 0.5), RayKind::Primary, 1.5);
         assert_eq!(e.dirty_pixels(&[Voxel::new(0, 0, 0)]), vec![3]);
         assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
     }
@@ -507,26 +592,26 @@ mod tests {
     #[test]
     fn multiple_rays_of_one_pixel_report_it_once() {
         let mut e = engine();
-        e.on_ray(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.on_ray(5, &x_ray(0.5, 0.5), RayKind::Shadow, f64::INFINITY);
-        e.on_ray(5, &x_ray(0.6, 0.6), RayKind::Reflected, f64::INFINITY);
+        e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(5, &x_ray(0.5, 0.5), RayKind::Shadow, f64::INFINITY);
+        e.fire(5, &x_ray(0.6, 0.6), RayKind::Reflected, f64::INFINITY);
         assert_eq!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]), vec![5]);
         // consecutive rays of one pixel pay a 1-byte head each
         assert_eq!(e.stats().list_bytes, 3 * (1 + 1 + 1 + 2));
         // a different pixel is reported beside it
-        e.on_ray(6, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(6, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         assert_eq!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]), vec![5, 6]);
     }
 
     #[test]
     fn invalidation_makes_records_stale() {
         let mut e = engine();
-        e.on_ray(4, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(4, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.invalidate_pixels(&[4]);
         // old record no longer reported dirty
         assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
         // re-record under the new generation: visible again
-        e.on_ray(4, &x_ray(2.5, 2.5), RayKind::Primary, f64::INFINITY);
+        e.fire(4, &x_ray(2.5, 2.5), RayKind::Primary, f64::INFINITY);
         assert_eq!(e.dirty_pixels(&[Voxel::new(1, 2, 2)]), vec![4]);
         // the old path stays stale
         assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
@@ -536,8 +621,8 @@ mod tests {
     #[test]
     fn compact_purges_stale_records() {
         let mut e = engine();
-        e.on_ray(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.on_ray(2, &x_ray(1.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(2, &x_ray(1.5, 0.5), RayKind::Primary, f64::INFINITY);
         assert_eq!(e.stats().entries, 8);
         e.invalidate_pixels(&[1]);
         assert_eq!(e.stale_bytes() as u64 * 2, e.stats().list_bytes);
@@ -555,7 +640,7 @@ mod tests {
     fn compact_without_stale_records_touches_nothing() {
         let mut e = engine();
         e.compact();
-        e.on_ray(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         // a bumped generation with nothing recorded under the old one
         e.invalidate_pixels(&[2]);
         let (before, capacity) = (e.clone(), e.log.capacity());
@@ -569,7 +654,7 @@ mod tests {
     fn dirty_pixels_sorted_and_unique() {
         let mut e = engine();
         for p in [9, 3, 7, 3, 9] {
-            e.on_ray(p, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            e.fire(p, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         }
         let dirty = e.dirty_pixels(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
         assert_eq!(dirty, vec![3, 7, 9]);
@@ -579,23 +664,23 @@ mod tests {
     fn stats_track_marks_and_memory() {
         let mut e = engine();
         // side tables only: 100 pixels x (gen + live), the two bitmaps
-        // (2 + 1 words), 5 bytes of step-code scratch
-        assert_eq!(e.memory_bytes(), 800 + 24 + 5);
-        e.on_ray(0, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        // (2 + 1 words)
+        assert_eq!(e.memory_bytes(), 800 + 24);
+        e.fire(0, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         let s = e.stats();
         assert_eq!(s.rays_recorded, 1);
         assert_eq!(s.marks, 4);
         assert_eq!(s.entries, 4);
         // head, start, steps, 3 step codes in 2 bytes
         assert_eq!(s.list_bytes, 5);
-        assert!(e.memory_bytes() > 829);
+        assert!(e.memory_bytes() > 824);
     }
 
     #[test]
     fn dirty_lookup_leaves_the_engine_untouched() {
         let mut e = engine();
-        e.on_ray(8, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.on_ray(9, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(8, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(9, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.invalidate_pixels(&[9]);
         let before = e.clone();
         assert!(e.dirty_pixels(&[]).is_empty());
@@ -623,7 +708,7 @@ mod tests {
     #[test]
     fn sorted_contract_accepts_strictly_ascending_input() {
         let mut e = engine();
-        e.on_ray(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         // strictly ascending in the Voxel ordering: fine
         let dirty = e.dirty_pixels(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
         assert_eq!(dirty, vec![5]);
@@ -632,7 +717,7 @@ mod tests {
     #[test]
     fn rays_outside_grid_mark_nothing() {
         let mut e = engine();
-        e.on_ray(
+        e.fire(
             0,
             &Ray::new(Point3::new(0.0, 10.0, 0.0), Vec3::UNIT_X),
             RayKind::Primary,
@@ -655,7 +740,7 @@ mod tests {
             let pixel = rng.u32_in(0, 100);
             let y = rng.f64_in(0.0, 4.0);
             let z = rng.f64_in(0.0, 4.0);
-            e.on_ray(pixel, &x_ray(y, z), RayKind::Primary, f64::INFINITY);
+            e.fire(pixel, &x_ray(y, z), RayKind::Primary, f64::INFINITY);
             if rng.u32_in(0, 5) == 0 {
                 e.invalidate_pixels(&[rng.u32_in(0, 100)]);
             }
@@ -692,7 +777,7 @@ mod tests {
         ];
         let record = |e: &mut CoherenceEngine, i: usize| {
             let ray = x_ray(0.5 + (i % 4) as f64, 0.5 + (i / 4) as f64);
-            e.on_ray(records[i].0, &ray, RayKind::Primary, 1.5 + i as f64 * 0.5);
+            e.fire(records[i].0, &ray, RayKind::Primary, 1.5 + i as f64 * 0.5);
         };
         let bumped = |keep: &dyn Fn(usize) -> bool| {
             let mut e = CoherenceEngine::new(spec, pixels);
@@ -736,7 +821,14 @@ mod tests {
     }
 
     impl RayListener for Model {
-        fn on_ray(&mut self, pixel: PixelId, ray: &Ray, _: RayKind, t_max: f64) {
+        fn on_ray(
+            &mut self,
+            pixel: PixelId,
+            ray: &Ray,
+            _: RayKind,
+            t_max: f64,
+            _: Option<VoxelPath<'_>>,
+        ) {
             for v in self.spec.traverse_vec(ray, Interval::new(0.0, t_max)) {
                 self.lists.entry(v).or_default().insert(pixel);
                 self.marks += 1;
@@ -826,18 +918,18 @@ mod tests {
                             } else {
                                 rng.f64_in(0.0, 8.0)
                             };
-                            GroupListener {
+                            let mut to_engine = GroupListener {
                                 engine: &mut engine,
                                 map,
                                 track_shadows,
-                            }
-                            .on_ray(pixel, &ray, kind, t_max);
-                            GroupListener {
+                            };
+                            fire_at(&mut to_engine, &spec, pixel, &ray, kind, t_max);
+                            let mut to_model = GroupListener {
                                 engine: &mut model,
                                 map,
                                 track_shadows,
-                            }
-                            .on_ray(pixel, &ray, kind, t_max);
+                            };
+                            fire_at(&mut to_model, &spec, pixel, &ray, kind, t_max);
                         }
                     }
                     6 | 7 => {

@@ -12,11 +12,12 @@
 use crate::change::{changed_voxels, ChangeSet};
 use crate::engine::{CoherenceEngine, CoherenceStats};
 use crate::region::PixelRegion;
+use now_grid::dda::VoxelPath;
 use now_grid::GridSpec;
 use now_math::Ray;
 use now_raytrace::{
     render_pixels_par, Framebuffer, GridAccel, ParallelStats, PixelId, RayKind, RayListener,
-    RayStats, RenderSettings, Replay, Scene,
+    RayStats, RenderSettings, Scene, ShardableListener,
 };
 
 /// Maps pixels to coherence groups (1x1 groups = pixel granularity).
@@ -72,21 +73,47 @@ impl GroupMap {
 }
 
 /// Listener adapter that records rays under their *group* id, optionally
-/// skipping shadow rays.
-pub(crate) struct GroupListener<'a, L: RayListener> {
-    pub(crate) engine: &'a mut L,
+/// skipping shadow rays. Wraps the engine by `&mut` on the caller's
+/// thread and one of the engine's shards, by value, on a pool thread.
+pub(crate) struct GroupListener<L> {
+    pub(crate) engine: L,
     pub(crate) map: GroupMap,
     pub(crate) track_shadows: bool,
 }
 
-impl<L: RayListener> RayListener for GroupListener<'_, L> {
+impl<L: RayListener> RayListener for GroupListener<L> {
+    const PATHS: bool = L::PATHS;
+
     #[inline]
-    fn on_ray(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64) {
+    fn on_ray(
+        &mut self,
+        pixel: PixelId,
+        ray: &Ray,
+        kind: RayKind,
+        t_max: f64,
+        path: Option<VoxelPath<'_>>,
+    ) {
         if !self.track_shadows && kind == RayKind::Shadow {
             return;
         }
         self.engine
-            .on_ray(self.map.group_of(pixel), ray, kind, t_max);
+            .on_ray(self.map.group_of(pixel), ray, kind, t_max, path);
+    }
+}
+
+impl<L: ShardableListener> ShardableListener for GroupListener<&mut L> {
+    type Shard = GroupListener<L::Shard>;
+
+    fn make_shard(&self) -> Self::Shard {
+        GroupListener {
+            engine: self.engine.make_shard(),
+            map: self.map,
+            track_shadows: self.track_shadows,
+        }
+    }
+
+    fn absorb_shard(&mut self, shard: Self::Shard) {
+        self.engine.absorb_shard(shard.engine);
     }
 }
 
@@ -303,7 +330,7 @@ impl CoherentRenderer {
                     &self.settings,
                     &mut fb,
                     &ids,
-                    &mut Replay(&mut listener),
+                    &mut listener,
                     &mut rays,
                 );
                 (fb, true, 0usize, ids)
@@ -351,7 +378,7 @@ impl CoherentRenderer {
                     &self.settings,
                     &mut fb,
                     &ids,
-                    &mut Replay(&mut listener),
+                    &mut listener,
                     &mut rays,
                 );
                 (fb, full, changed_n, ids)

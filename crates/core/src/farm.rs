@@ -224,6 +224,9 @@ pub struct FarmWorker {
     wire: Option<RegionBuffer>,
     /// Frame the wire stream expects next (valid while `wire` is Some).
     wire_next: u32,
+    /// The plain path's framebuffer, allocated at its first unit. A unit
+    /// writes and reads back only its own pixels, so it is never cleared.
+    plain_fb: Option<Framebuffer>,
 }
 
 impl FarmWorker {
@@ -241,6 +244,7 @@ impl FarmWorker {
             state: None,
             wire: None,
             wire_next: 0,
+            plain_fb: None,
         }
     }
 
@@ -334,13 +338,15 @@ impl FarmWorker {
         let scene = self.anim.scene_at(unit.frame as usize);
         let accel = GridAccel::build_with_spec(&scene, self.spec);
         let mut rays = RayStats::default();
-        let mut fb = Framebuffer::new(self.width, self.height);
+        let fb = self
+            .plain_fb
+            .get_or_insert_with(|| Framebuffer::new(self.width, self.height));
         let ids: Vec<PixelId> = unit.region.pixel_ids(self.width).collect();
         let parallel = render_pixels_par(
             &scene,
             &accel,
             &self.cfg.settings,
-            &mut fb,
+            fb,
             &ids,
             &mut NullListener,
             &mut rays,

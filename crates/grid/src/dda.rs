@@ -2,11 +2,13 @@
 //!
 //! The paper: "Each of these rays passes through a modified 3D-DDA algorithm
 //! to determine which voxels they traverse." This module is that algorithm,
-//! exposed as an iterator ([`GridTraversal`]), as a visitor helper
-//! ([`GridSpec::traverse`] via the extension trait below), and as
-//! [`IndexWalk`] — the same walk reported as a start index plus one
-//! [`step code`](IndexWalk) per voxel boundary crossed, which is what the
-//! coherence engine's ray-path log stores.
+//! exposed as [`IndexWalk`] — the one walker a traced ray takes: it steps a
+//! linear cell index through the grid, so the accelerator reads its cell
+//! lists and the coherence engine's path log gets its step codes from the
+//! same walk ([`VoxelPathBuf`] packs them as the log stores them). The
+//! voxel-coordinate iterator [`GridTraversal`] (and the visitor helper
+//! [`GridSpec::traverse`] via the extension trait below) is the reference
+//! form: `IndexWalk` is set up by it and tested against it.
 
 use crate::spec::{GridSpec, Voxel};
 use now_math::{Interval, Ray};
@@ -41,21 +43,21 @@ pub struct DdaStep {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridTraversal {
-    pub(crate) spec: GridSpec,
+    spec: GridSpec,
     // current voxel coordinates as signed values so stepping off the grid is
     // representable
-    pub(crate) ix: i32,
-    pub(crate) iy: i32,
-    pub(crate) iz: i32,
-    pub(crate) step: [i32; 3],
+    ix: i32,
+    iy: i32,
+    iz: i32,
+    step: [i32; 3],
     // t at which the ray crosses the *next* boundary on each axis
-    pub(crate) t_max: [f64; 3],
+    t_max: [f64; 3],
     // t advance per voxel on each axis
-    pub(crate) t_delta: [f64; 3],
+    t_delta: [f64; 3],
     // current entry t and overall exit t
-    pub(crate) t: f64,
-    pub(crate) t_end: f64,
-    pub(crate) done: bool,
+    t: f64,
+    t_end: f64,
+    done: bool,
 }
 
 impl GridTraversal {
@@ -110,9 +112,8 @@ impl GridTraversal {
         }
     }
 
-    /// A traversal that yields nothing (used for rays that miss the grid and
-    /// for unused packet lanes).
-    pub(crate) fn exhausted(spec: &GridSpec) -> GridTraversal {
+    /// A traversal that yields nothing (a ray that misses the grid).
+    fn exhausted(spec: &GridSpec) -> GridTraversal {
         GridTraversal {
             spec: *spec,
             ix: 0,
@@ -197,16 +198,19 @@ impl Iterator for GridTraversal {
     }
 }
 
-/// The walk of [`GridTraversal`] as linear voxel indices: where it starts
-/// ([`IndexWalk::start`], in [`GridSpec::linear_index`] order) and, as an
-/// iterator, one *step code* per further voxel.
+/// The walk of [`GridTraversal`] as linear voxel indices: the cell the ray
+/// is in ([`IndexWalk::cell`], in [`GridSpec::linear_index`] order), the
+/// ray parameter at which it entered it ([`IndexWalk::t_enter`]) and, per
+/// [`IndexWalk::advance`] (or as an iterator), one *step code* for each
+/// further voxel.
 ///
 /// A step code is `axis * 2 + (direction is negative)`, so `0..6` is
 /// `+x, -x, +y, -y, +z, -z`; [`step_strides`] gives the linear-index delta
 /// of each. The set-up is [`GridTraversal::new`] itself and every step
-/// compares and adds the same floats in the same order, so
-/// `start, start + stride[c0], ...` is exactly the voxel sequence
-/// `GridTraversal` yields — only the interval bookkeeping is skipped.
+/// compares and adds the same floats in the same order, so the cells and
+/// entry parameters are exactly the `voxel` and `t_enter` sequence
+/// `GridTraversal` yields; the six-compare bounds check is replaced by a
+/// per-axis count of the steps left before the grid ends.
 ///
 /// ```
 /// use now_grid::dda::{step_strides, IndexWalk};
@@ -215,21 +219,28 @@ impl Iterator for GridTraversal {
 ///
 /// let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
 /// let ray = Ray::new(Point3::new(0.5, 5.0, 0.5), -Vec3::UNIT_Y);
-/// let walk = IndexWalk::new(&spec, &ray, Interval::non_negative()).unwrap();
-/// assert_eq!(walk.start(), spec.linear_index(Voxel::new(0, 3, 0)));
-/// assert_eq!(walk.collect::<Vec<u8>>(), vec![3, 3, 3]);
+/// let mut walk = IndexWalk::new(&spec, &ray, Interval::non_negative()).unwrap();
+/// assert_eq!(walk.cell(), spec.linear_index(Voxel::new(0, 3, 0)));
+/// assert_eq!(walk.t_enter(), 1.0);
+/// assert_eq!(walk.advance(), Some(3));
+/// assert_eq!(walk.cell(), spec.linear_index(Voxel::new(0, 2, 0)));
+/// assert_eq!(walk.collect::<Vec<u8>>(), vec![3, 3]);
 /// assert_eq!(step_strides(&spec)[3], -4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexWalk {
-    start: usize,
+    cell: usize,
+    /// Ray parameter at which the ray entered `cell`.
+    t: f64,
     t_max: [f64; 3],
     t_delta: [f64; 3],
     t_end: f64,
     /// Steps left on each axis before the walk leaves the grid.
     room: [u32; 3],
-    /// Step code of each axis for this ray's direction signs.
+    /// Step code and linear-index stride of each axis for this ray's
+    /// direction signs.
     code: [u8; 3],
+    stride: [isize; 3],
 }
 
 impl IndexWalk {
@@ -243,8 +254,10 @@ impl IndexWalk {
         }
         // the start voxel is clamped into the grid, so the casts are exact
         let at = [t.ix as u32, t.iy as u32, t.iz as u32];
+        let strides = step_strides(spec);
         let mut room = [0u32; 3];
         let mut code = [0u8; 3];
+        let mut stride = [0isize; 3];
         for a in 0..3 {
             let negative = t.step[a] < 0;
             room[a] = if negative {
@@ -253,34 +266,65 @@ impl IndexWalk {
                 spec.res[a] as u32 - 1 - at[a]
             };
             code[a] = 2 * a as u8 + negative as u8;
+            stride[a] = strides[code[a] as usize];
         }
-        let start = spec.linear_index(Voxel::new(at[0] as u16, at[1] as u16, at[2] as u16));
+        let cell = spec.linear_index(Voxel::new(at[0] as u16, at[1] as u16, at[2] as u16));
         Some(IndexWalk {
-            start,
+            cell,
+            t: t.t,
             t_max: t.t_max,
             t_delta: t.t_delta,
             t_end: t.t_end,
             room,
             code,
+            stride,
         })
     }
 
-    /// Linear index of the first voxel of the walk.
+    /// Linear index of the voxel the walk is in.
     #[inline]
-    pub fn start(&self) -> usize {
-        self.start
+    pub fn cell(&self) -> usize {
+        self.cell
     }
 
-    /// Step over the next boundary of axis `A`, unless that leaves the grid
-    /// (an axis the ray does not move along has `t_max` = inf and is never
-    /// the nearest crossing below `t_end`).
+    /// Ray parameter at which the ray entered [`IndexWalk::cell`] (for the
+    /// first voxel, where the clipped ray starts).
+    #[inline]
+    pub fn t_enter(&self) -> f64 {
+        self.t
+    }
+
+    /// Move into the next voxel and return the step code crossed, or `None`
+    /// (and stay put, however often it is asked) when the ray ends inside
+    /// the current voxel or leaves the grid.
+    #[inline]
+    pub fn advance(&mut self) -> Option<u8> {
+        let (axis, t_next) = GridTraversal::nearest_crossing(&self.t_max);
+        if t_next >= self.t_end {
+            // the ray ends inside the current voxel
+            return None;
+        }
+        // one arm per axis: with constant indices the three axes' state
+        // lives in registers, which a `[axis]` lookup would force to memory
+        match axis {
+            0 => self.cross::<0>(t_next),
+            1 => self.cross::<1>(t_next),
+            _ => self.cross::<2>(t_next),
+        }
+    }
+
+    /// Step over the boundary of axis `A` at `t_next`, unless that leaves
+    /// the grid (an axis the ray does not move along has `t_max` = inf and
+    /// is never the nearest crossing below `t_end`).
     #[inline(always)]
-    fn cross<const A: usize>(&mut self) -> Option<u8> {
+    fn cross<const A: usize>(&mut self, t_next: f64) -> Option<u8> {
         if self.room[A] == 0 {
             return None;
         }
         self.room[A] -= 1;
         self.t_max[A] += self.t_delta[A];
+        self.cell = self.cell.wrapping_add_signed(self.stride[A]);
+        self.t = t_next;
         Some(self.code[A])
     }
 }
@@ -290,18 +334,7 @@ impl Iterator for IndexWalk {
 
     #[inline]
     fn next(&mut self) -> Option<u8> {
-        let (axis, t_next) = GridTraversal::nearest_crossing(&self.t_max);
-        if t_next >= self.t_end {
-            // the ray ends inside the current voxel
-            return None;
-        }
-        // one arm per axis: with constant indices the three axes' state
-        // lives in registers, which a `[axis]` lookup would force to memory
-        match axis {
-            0 => self.cross::<0>(),
-            1 => self.cross::<1>(),
-            _ => self.cross::<2>(),
-        }
+        self.advance()
     }
 }
 
@@ -313,6 +346,107 @@ pub fn step_strides(spec: &GridSpec) -> [isize; 8] {
     let y = spec.res[0] as isize;
     let z = y * spec.res[1] as isize;
     [x, -x, y, -y, z, -z, 0, 0]
+}
+
+/// The step code that moves nowhere ([`step_strides`] gives it stride 0):
+/// fills the unused half of an odd path's last byte.
+const PAD: u8 = 6;
+
+/// The voxels one ray crossed, in the form the coherence engine's path log
+/// stores them: the first voxel and one step code per further voxel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VoxelPath<'a> {
+    /// Linear index of the first voxel crossed.
+    pub start: usize,
+    /// Number of step codes: voxels crossed, less one.
+    pub steps: usize,
+    /// `ceil(steps / 2)` bytes: two 3-bit step codes per byte, low nibble
+    /// first; an odd count pads the last byte with 6, the code of no move.
+    pub codes: &'a [u8],
+}
+
+/// Reusable buffer a walk is recorded into as it is taken.
+///
+/// The walker's owner calls [`begin`](VoxelPathBuf::begin) at the first
+/// voxel and [`push`](VoxelPathBuf::push) after every
+/// [`IndexWalk::advance`]; a closest-hit query that walked one voxel past
+/// its hit then drops the overshoot with
+/// [`keep_before`](VoxelPathBuf::keep_before). Entry parameters are kept
+/// beside the codes for exactly that cut.
+#[derive(Debug, Clone, Default)]
+pub struct VoxelPathBuf {
+    start: usize,
+    codes: Vec<u8>,
+    /// `t_enter` of every voxel on the path; empty = the ray crossed none.
+    enters: Vec<f64>,
+}
+
+impl VoxelPathBuf {
+    /// Forget the recorded path: a ray that crossed no voxel.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.codes.clear();
+        self.enters.clear();
+    }
+
+    /// Start a path at the voxel `walk` is in.
+    #[inline]
+    pub fn begin(&mut self, walk: &IndexWalk) {
+        self.clear();
+        self.start = walk.cell();
+        self.enters.push(walk.t_enter());
+    }
+
+    /// Append the step `code` that took the walk into a voxel at `t_enter`.
+    #[inline]
+    pub fn push(&mut self, code: u8, t_enter: f64) {
+        debug_assert!(!self.enters.is_empty(), "push before begin");
+        match self.codes.last_mut() {
+            Some(last) if self.enters.len() & 1 == 0 => *last = *last & 0x0f | code << 4,
+            _ => self.codes.push(code | PAD << 4),
+        }
+        self.enters.push(t_enter);
+    }
+
+    /// Record the standalone walk of `ray` over `t_range` (no path when it
+    /// crosses no voxel): what a query's recorded walk is held against.
+    pub fn record(&mut self, spec: &GridSpec, ray: &Ray, t_range: Interval) {
+        self.clear();
+        if let Some(mut walk) = IndexWalk::new(spec, ray, t_range) {
+            self.begin(&walk);
+            while let Some(code) = walk.advance() {
+                self.push(code, walk.t_enter());
+            }
+        }
+    }
+
+    /// Keep only the voxels the ray entered before `t_max` — the path
+    /// `IndexWalk` takes when its range is cut at `t_max`: a voxel entered
+    /// at `t >= t_max` is not walked, and a ray that reaches the grid at or
+    /// after `t_max` crosses none.
+    pub fn keep_before(&mut self, t_max: f64) {
+        let mut voxels = self.enters.len();
+        while voxels > 0 && self.enters[voxels - 1] >= t_max {
+            voxels -= 1;
+        }
+        self.enters.truncate(voxels);
+        let steps = voxels.saturating_sub(1);
+        self.codes.truncate(steps.div_ceil(2));
+        if steps & 1 == 1 {
+            let last = &mut self.codes[steps / 2];
+            *last = *last & 0x0f | PAD << 4;
+        }
+    }
+
+    /// The recorded path, `None` when the ray crossed no voxel.
+    #[inline]
+    pub fn path(&self) -> Option<VoxelPath<'_>> {
+        (!self.enters.is_empty()).then(|| VoxelPath {
+            start: self.start,
+            steps: self.enters.len() - 1,
+            codes: &self.codes,
+        })
+    }
 }
 
 /// Visitor-style traversal helpers on [`GridSpec`].

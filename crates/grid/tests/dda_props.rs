@@ -1,6 +1,6 @@
 //! Property tests cross-checking the DDA against a brute-force overlap test.
 
-use now_grid::dda::{step_strides, IndexWalk, Traverse};
+use now_grid::dda::{step_strides, IndexWalk, Traverse, VoxelPathBuf};
 use now_grid::{GridSpec, GridTraversal, Voxel};
 use now_math::{Aabb, Interval, Point3, Ray, Vec3};
 use now_testkit::{cases, Rng};
@@ -237,8 +237,9 @@ fn nasty_ray(rng: &mut Rng, spec: &GridSpec) -> Ray {
     }
 }
 
-/// `IndexWalk` visits exactly `GridTraversal`'s voxels, in order — the
-/// coherence engine's mark counts and dirty sets rest on it.
+/// `IndexWalk` visits exactly `GridTraversal`'s voxels, in order and with
+/// its entry parameters — the accelerator's early-out, the coherence
+/// engine's mark counts and the dirty sets rest on it.
 #[test]
 fn index_walk_visits_the_traversals_voxels() {
     let walked = std::cell::Cell::new(0usize);
@@ -252,20 +253,24 @@ fn index_walk_visits_the_traversals_voxels() {
         } else {
             Interval::new(0.0, rng.f64_in(0.0, 16.0))
         };
-        let expected: Vec<usize> = GridTraversal::new(&spec, &r, range)
-            .map(|s| spec.linear_index(s.voxel))
+        let expected: Vec<(usize, u64)> = GridTraversal::new(&spec, &r, range)
+            .map(|s| (spec.linear_index(s.voxel), s.t_enter.to_bits()))
             .collect();
         let strides = step_strides(&spec);
-        let got: Vec<usize> = match IndexWalk::new(&spec, &r, range) {
+        let got: Vec<(usize, u64)> = match IndexWalk::new(&spec, &r, range) {
             None => Vec::new(),
-            Some(walk) => {
-                let mut at = walk.start();
-                let mut out = vec![at];
-                for code in walk {
+            Some(mut walk) => {
+                let mut at = walk.cell();
+                let mut out = vec![(at, walk.t_enter().to_bits())];
+                while let Some(code) = walk.advance() {
                     assert!(code < 6, "step code {code}");
                     at = at.checked_add_signed(strides[code as usize]).unwrap();
-                    out.push(at);
+                    assert_eq!(walk.cell(), at, "cell and step code disagree");
+                    out.push((at, walk.t_enter().to_bits()));
                 }
+                // a finished walk stays finished, where it stopped
+                assert_eq!(walk.advance(), None);
+                assert_eq!(walk.cell(), at);
                 out
             }
         };
@@ -279,4 +284,74 @@ fn index_walk_visits_the_traversals_voxels() {
     // the generator really covers both outcomes
     assert!(walked.get() >= 2000, "{} rays walked", walked.get());
     assert!(missed.get() >= 400, "{} rays missed", missed.get());
+}
+
+/// The voxels a packed path visits, decoded the way the path log's reader
+/// does.
+fn path_cells(spec: &GridSpec, path: &VoxelPathBuf) -> Vec<usize> {
+    let Some(p) = path.path() else {
+        return Vec::new();
+    };
+    assert_eq!(p.codes.len(), p.steps.div_ceil(2));
+    let strides = step_strides(spec);
+    let mut at = p.start;
+    let mut out = vec![at];
+    for i in 0..p.codes.len() * 2 {
+        let code = p.codes[i / 2] >> (4 * (i & 1)) & 0x0f;
+        if i < p.steps {
+            assert!(code < 6, "step code {code}");
+            at = at.checked_add_signed(strides[code as usize]).unwrap();
+            out.push(at);
+        } else {
+            assert_eq!(code, 6, "an odd path pads with the code of no move");
+        }
+    }
+    out
+}
+
+/// What lets the tracer record the walk it takes *before* it knows where
+/// the ray ends: a walk of `[0, far]` cut back with `keep_before(t)` is,
+/// byte for byte, the walk of `[0, t]`.
+#[test]
+fn a_recorded_walk_cut_at_t_is_the_walk_of_the_cut_range() {
+    let cut_short = std::cell::Cell::new(0usize);
+    let emptied = std::cell::Cell::new(0usize);
+    cases(4800, |rng| {
+        let spec = grid(rng);
+        let r = nasty_ray(rng, &spec);
+        let far = if rng.bool() { f64::INFINITY } else { 16.0 };
+        let mut long = VoxelPathBuf::default();
+        let Some(mut walk) = IndexWalk::new(&spec, &r, Interval::new(0.0, far)) else {
+            // no walk of a shorter range exists either
+            assert!(IndexWalk::new(&spec, &r, Interval::new(0.0, rng.f64_in(0.0, 16.0))).is_none());
+            return;
+        };
+        long.begin(&walk);
+        let mut enters = vec![walk.t_enter()];
+        while let Some(code) = walk.advance() {
+            long.push(code, walk.t_enter());
+            enters.push(walk.t_enter());
+        }
+        let full = path_cells(&spec, &long);
+        assert_eq!(full.len(), enters.len());
+        // cut at a random distance, or exactly where some voxel is entered
+        let t = match rng.u32_in(0, 3) {
+            0 => *rng.pick(&enters),
+            _ => rng.f64_in(0.0, 16.0),
+        };
+        long.keep_before(t);
+        let mut short = VoxelPathBuf::default();
+        short.record(&spec, &r, Interval::new(0.0, t));
+        let (got, want) = (long.path(), short.path());
+        assert_eq!(got, want, "ray {r:?} cut at {t} in {spec:?}");
+        let kept = path_cells(&spec, &long);
+        assert_eq!(kept[..], full[..kept.len()]);
+        if kept.is_empty() {
+            emptied.set(emptied.get() + 1);
+        } else if kept.len() < full.len() {
+            cut_short.set(cut_short.get() + 1);
+        }
+    });
+    assert!(cut_short.get() >= 800, "{} walks cut", cut_short.get());
+    assert!(emptied.get() >= 50, "{} walks emptied", emptied.get());
 }

@@ -187,37 +187,6 @@ impl Aabb {
         Interval::new(t0, t1)
     }
 
-    /// Slab test for two independent rays at once.
-    ///
-    /// Lane `i` of the result is **bit-identical** to
-    /// `self.ray_range(rays[i], t_range)`: the SIMD path (taken when
-    /// [`crate::simd::enabled`] is on) mirrors the scalar op sequence per
-    /// lane, and the fallback simply calls [`Aabb::ray_range`] twice.
-    pub fn ray_range2(&self, r0: &Ray, r1: &Ray, t_range: Interval) -> [Interval; 2] {
-        if crate::simd::enabled() {
-            let orig = [
-                [r0.origin.x, r1.origin.x],
-                [r0.origin.y, r1.origin.y],
-                [r0.origin.z, r1.origin.z],
-            ];
-            let dir = [
-                [r0.dir.x, r1.dir.x],
-                [r0.dir.y, r1.dir.y],
-                [r0.dir.z, r1.dir.z],
-            ];
-            let got = crate::simd::ray_range2(
-                [self.min.x, self.min.y, self.min.z],
-                [self.max.x, self.max.y, self.max.z],
-                orig,
-                dir,
-                (t_range.min, t_range.max),
-            );
-            got.map(|(lo, hi)| Interval::new(lo, hi))
-        } else {
-            [self.ray_range(r0, t_range), self.ray_range(r1, t_range)]
-        }
-    }
-
     /// True if the ray hits the box within `t_range`.
     #[inline]
     pub fn hit(&self, ray: &Ray, t_range: Interval) -> bool {
@@ -364,47 +333,6 @@ mod tests {
         let b = Aabb::new(Point3::new(-1.0, 2.0, 3.0), Point3::new(4.0, 5.0, 6.0));
         for c in b.corners() {
             assert!(b.contains(c));
-        }
-    }
-
-    #[test]
-    fn ray_range2_matches_ray_range_per_lane() {
-        let b = Aabb::new(Point3::new(-1.5, 0.0, 2.0), Point3::new(3.0, 4.5, 7.0));
-        let mut s = 0x0bad_cafe_dead_beefu64;
-        let mut rnd = |scale: f64| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * scale
-        };
-        for case in 0..1000 {
-            let mut r = [
-                Ray::new(
-                    Point3::new(rnd(10.0), rnd(10.0), rnd(10.0)),
-                    Vec3::new(rnd(2.0), rnd(2.0), rnd(2.0)),
-                ),
-                Ray::new(
-                    Point3::new(rnd(10.0), rnd(10.0), rnd(10.0)),
-                    Vec3::new(rnd(2.0), rnd(2.0), rnd(2.0)),
-                ),
-            ];
-            if case % 6 == 0 {
-                r[case % 2].dir.y = 0.0;
-            }
-            let got = b.ray_range2(&r[0], &r[1], Interval::non_negative());
-            for (l, ray) in r.iter().enumerate() {
-                let want = b.ray_range(ray, Interval::non_negative());
-                assert_eq!(
-                    got[l].min.to_bits(),
-                    want.min.to_bits(),
-                    "case {case} lane {l} min"
-                );
-                assert_eq!(
-                    got[l].max.to_bits(),
-                    want.max.to_bits(),
-                    "case {case} lane {l} max"
-                );
-            }
         }
     }
 

@@ -30,7 +30,6 @@ pub mod interval;
 pub mod onb;
 pub mod poly;
 pub mod ray;
-pub mod simd;
 pub mod transform;
 pub mod vec3;
 

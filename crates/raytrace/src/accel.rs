@@ -5,19 +5,26 @@
 //! subdivision for fast ray tracing", which the paper cites as [6]).
 //! Bounded objects are rasterised into per-voxel object lists; unbounded
 //! objects (infinite planes) are kept in a separate list tested on every
-//! query.
+//! query. A query walks its ray through the grid once
+//! ([`now_grid::dda::IndexWalk`]) and, for a listener that asks, records
+//! the voxels of that walk as the path the coherence engine logs.
 
 use crate::object::ObjectId;
 use crate::scene::Scene;
 use crate::shape::Hit;
 use crate::stats::RayStats;
-use now_grid::{GridCells, GridSpec, GridTraversal, PacketTraversal, PACKET_WIDTH};
+use now_grid::dda::{IndexWalk, VoxelPathBuf};
+use now_grid::GridSpec;
 use now_math::{Interval, Ray, RAY_BIAS};
 
 /// Spatial index over a scene's objects.
 #[derive(Debug, Clone)]
 pub struct GridAccel {
-    cells: GridCells<Vec<ObjectId>>,
+    spec: GridSpec,
+    /// Cell `c` (in [`GridSpec::linear_index`] order) lists
+    /// `ids[offsets[c]..offsets[c + 1]]`, in ascending object order.
+    offsets: Vec<u32>,
+    ids: Vec<ObjectId>,
     unbounded: Vec<ObjectId>,
 }
 
@@ -35,28 +42,59 @@ impl GridAccel {
     /// Build an index using an explicit grid geometry. The coherence engine
     /// passes its own spec here so both systems share one grid.
     pub fn build_with_spec(scene: &Scene, spec: GridSpec) -> GridAccel {
-        let mut cells: GridCells<Vec<ObjectId>> = GridCells::new(spec);
+        let bounds: Vec<_> = scene.objects.iter().map(|o| o.world_aabb()).collect();
+        // count, then fill: two passes over the same rasterisation
+        let mut offsets = vec![0u32; spec.voxel_count() + 1];
         let mut unbounded = Vec::new();
-        for (i, o) in scene.objects.iter().enumerate() {
-            let id = i as ObjectId;
-            match o.world_aabb() {
-                Some(b) => spec.voxels_overlapping(&b, |v| cells.get_mut(v).push(id)),
-                None => unbounded.push(id),
+        for (i, b) in bounds.iter().enumerate() {
+            match b {
+                Some(b) => spec.voxels_overlapping(b, |v| offsets[spec.linear_index(v)] += 1),
+                None => unbounded.push(i as ObjectId),
             }
         }
-        GridAccel { cells, unbounded }
+        let mut total = 0u32;
+        for o in &mut offsets {
+            total += std::mem::replace(o, total);
+        }
+        // `offsets[c]` is cell c's write cursor: it starts where the list
+        // starts and ends where the next cell's starts
+        let mut ids = vec![0; total as usize];
+        for (i, b) in bounds.iter().enumerate() {
+            if let Some(b) = b {
+                spec.voxels_overlapping(b, |v| {
+                    let at = &mut offsets[spec.linear_index(v)];
+                    ids[*at as usize] = i as ObjectId;
+                    *at += 1;
+                });
+            }
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        GridAccel {
+            spec,
+            offsets,
+            ids,
+            unbounded,
+        }
     }
 
     /// The grid geometry shared with the coherence engine.
     #[inline]
     pub fn spec(&self) -> &GridSpec {
-        self.cells.spec()
+        &self.spec
     }
 
     /// Ids of unbounded objects (always tested).
     #[inline]
     pub fn unbounded(&self) -> &[ObjectId] {
         &self.unbounded
+    }
+
+    /// Ids of the bounded objects overlapping the voxel of linear index
+    /// `cell`, ascending.
+    #[inline]
+    pub fn cell(&self, cell: usize) -> &[ObjectId] {
+        &self.ids[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
     }
 
     /// Closest intersection along `ray` within `range`.
@@ -71,35 +109,64 @@ impl GridAccel {
         range: Interval,
         stats: &mut RayStats,
     ) -> Option<(ObjectId, Hit)> {
+        self.closest::<false>(scene, ray, range, stats, &mut VoxelPathBuf::default())
+    }
+
+    /// [`GridAccel::intersect`], with the walk it takes optionally recorded
+    /// (`RECORD`) into `path`: the voxels `ray` crosses in `[0, t]`, `t`
+    /// being the hit distance or `range.max` — what an `IndexWalk` over
+    /// `[0, t]` visits.
+    ///
+    /// The walk starts at `t = 0` whatever `range.min` is (objects are
+    /// still tested against `range`), so the voxel a ray starts in is on
+    /// its path, and it runs front to back until a voxel is entered beyond
+    /// the best hit so far; `keep_before` then drops what lies at or past
+    /// the final hit.
+    pub fn closest<const RECORD: bool>(
+        &self,
+        scene: &Scene,
+        ray: &Ray,
+        range: Interval,
+        stats: &mut RayStats,
+        path: &mut VoxelPathBuf,
+    ) -> Option<(ObjectId, Hit)> {
         let mut best: Option<(ObjectId, Hit)> = None;
         let mut best_t = range.max;
-
-        for &id in &self.unbounded {
+        let mut test = |id: ObjectId, best_t: &mut f64| {
             stats.intersection_tests += 1;
             if let Some(h) =
-                scene.objects[id as usize].intersect(ray, Interval::new(range.min, best_t))
+                scene.objects[id as usize].intersect(ray, Interval::new(range.min, *best_t))
             {
-                best_t = h.t;
+                *best_t = h.t;
                 best = Some((id, h));
             }
+        };
+
+        for &id in &self.unbounded {
+            test(id, &mut best_t);
         }
 
-        // Walk the grid front to back; once a voxel's entry t exceeds the
-        // best hit found so far, no later voxel can contain a closer hit.
         let mut steps: u64 = 0;
-        for step in GridTraversal::new(self.cells.spec(), ray, range) {
-            if step.t_enter > best_t {
-                break;
+        if RECORD {
+            path.clear();
+        }
+        if let Some(mut walk) = IndexWalk::new(&self.spec, ray, Interval::new(0.0, range.max)) {
+            if RECORD {
+                path.begin(&walk);
             }
-            steps += 1;
-            for &id in self.cells.get(step.voxel) {
-                stats.intersection_tests += 1;
-                if let Some(h) =
-                    scene.objects[id as usize].intersect(ray, Interval::new(range.min, best_t))
-                {
-                    best_t = h.t;
-                    best = Some((id, h));
+            // once a voxel's entry t exceeds the best hit found so far, no
+            // later voxel can contain a closer hit
+            while walk.t_enter() <= best_t {
+                steps += 1;
+                for &id in self.cell(walk.cell()) {
+                    test(id, &mut best_t);
                 }
+                if !advance::<RECORD>(&mut walk, path) {
+                    break;
+                }
+            }
+            if RECORD {
+                path.keep_before(best_t);
             }
         }
         if now_trace::enabled() {
@@ -110,120 +177,81 @@ impl GridAccel {
         best
     }
 
-    /// Closest intersections for up to [`PACKET_WIDTH`] coherent rays.
-    ///
-    /// Lane `i` of the result equals `self.intersect(scene, &rays[i],
-    /// range, ..)` exactly: each lane runs the identical per-voxel tests
-    /// with its own front-to-back early-out, and packet lanes replay the
-    /// scalar DDA walk bit-for-bit (see [`PacketTraversal`]). The packet
-    /// form batches traversal *setup* across lanes and steps the walks in
-    /// lockstep, which keeps the voxel object lists of neighboring rays
-    /// hot in cache.
-    pub fn intersect_packet(
-        &self,
-        scene: &Scene,
-        rays: &[Ray],
-        range: Interval,
-        stats: &mut RayStats,
-    ) -> [Option<(ObjectId, Hit)>; PACKET_WIDTH] {
-        debug_assert!(!rays.is_empty() && rays.len() <= PACKET_WIDTH);
-        let n = rays.len();
-        let mut best: [Option<(ObjectId, Hit)>; PACKET_WIDTH] = [None; PACKET_WIDTH];
-        let mut best_t = [range.max; PACKET_WIDTH];
-
-        for (l, ray) in rays.iter().enumerate() {
-            for &id in &self.unbounded {
-                stats.intersection_tests += 1;
-                if let Some(h) =
-                    scene.objects[id as usize].intersect(ray, Interval::new(range.min, best_t[l]))
-                {
-                    best_t[l] = h.t;
-                    best[l] = Some((id, h));
-                }
-            }
-        }
-
-        let mut traversal = PacketTraversal::new(self.cells.spec(), rays, range);
-        let mut steps = [0u64; PACKET_WIDTH];
-        let mut active = [false; PACKET_WIDTH];
-        active[..n].fill(true);
-        let mut remaining = n;
-        // Lockstep round-robin: one DDA step per live lane per sweep, with
-        // the same break-before-count early-out as the scalar walk.
-        while remaining > 0 {
-            for (l, ray) in rays.iter().enumerate() {
-                if !active[l] {
-                    continue;
-                }
-                let step = match traversal.next_lane(l) {
-                    Some(s) => s,
-                    None => {
-                        active[l] = false;
-                        remaining -= 1;
-                        continue;
-                    }
-                };
-                if step.t_enter > best_t[l] {
-                    active[l] = false;
-                    remaining -= 1;
-                    continue;
-                }
-                steps[l] += 1;
-                for &id in self.cells.get(step.voxel) {
-                    stats.intersection_tests += 1;
-                    if let Some(h) = scene.objects[id as usize]
-                        .intersect(ray, Interval::new(range.min, best_t[l]))
-                    {
-                        best_t[l] = h.t;
-                        best[l] = Some((id, h));
-                    }
-                }
-            }
-        }
-        if now_trace::enabled() {
-            let rec = now_trace::global();
-            for &s in &steps[..n] {
-                rec.observe("grid.steps_per_ray", s);
-            }
-        }
-        best
-    }
-
     /// Any-hit occlusion test: is anything between `ray.origin` and
     /// distance `dist` along the ray? Used for shadow rays.
     pub fn occluded(&self, scene: &Scene, ray: &Ray, dist: f64, stats: &mut RayStats) -> bool {
+        self.any_hit::<false>(scene, ray, dist, stats, &mut VoxelPathBuf::default())
+    }
+
+    /// [`GridAccel::occluded`], with the feeler's walk over `[0, dist]`
+    /// optionally recorded (`RECORD`) into `path`. Objects are tested
+    /// (against `[RAY_BIAS, dist - RAY_BIAS]`) until the first occluder; a
+    /// recorded walk is then finished without testing, because the feeler's
+    /// path is logged whole whether or not it reached its light.
+    pub fn any_hit<const RECORD: bool>(
+        &self,
+        scene: &Scene,
+        ray: &Ray,
+        dist: f64,
+        stats: &mut RayStats,
+        path: &mut VoxelPathBuf,
+    ) -> bool {
         let range = Interval::new(RAY_BIAS, dist - RAY_BIAS);
-        if range.is_empty() {
-            return false;
-        }
-        for &id in &self.unbounded {
-            stats.intersection_tests += 1;
-            if scene.objects[id as usize].intersects(ray, range) {
-                return true;
-            }
-        }
-        let mut hit = false;
-        let mut steps: u64 = 0;
-        for step in GridTraversal::new(self.cells.spec(), ray, range) {
-            if step.t_enter > range.max {
-                break;
-            }
-            steps += 1;
-            for &id in self.cells.get(step.voxel) {
+        let mut blocked = |ids: &[ObjectId]| {
+            ids.iter().any(|&id| {
                 stats.intersection_tests += 1;
-                if scene.objects[id as usize].intersects(ray, range) {
-                    hit = true;
-                    break;
+                scene.objects[id as usize].intersects(ray, range)
+            })
+        };
+        let mut hit = !range.is_empty() && blocked(&self.unbounded);
+        let testing = !range.is_empty() && !hit;
+        if !RECORD && !testing {
+            return hit;
+        }
+
+        let mut steps: u64 = 0;
+        if RECORD {
+            path.clear();
+        }
+        if let Some(mut walk) = IndexWalk::new(&self.spec, ray, Interval::new(0.0, dist)) {
+            if RECORD {
+                path.begin(&walk);
+            }
+            if testing {
+                loop {
+                    steps += 1;
+                    if blocked(self.cell(walk.cell())) {
+                        hit = true;
+                        break;
+                    }
+                    if !advance::<RECORD>(&mut walk, path) {
+                        break;
+                    }
                 }
             }
-            if hit {
-                break;
+            if RECORD {
+                while advance::<RECORD>(&mut walk, path) {}
             }
         }
-        if now_trace::enabled() {
+        if testing && now_trace::enabled() {
             now_trace::global().observe("grid.steps_per_ray", steps);
         }
         hit
+    }
+}
+
+/// Take `walk` one voxel further, recording the step if asked; `false`
+/// when the walk is over.
+#[inline(always)]
+fn advance<const RECORD: bool>(walk: &mut IndexWalk, path: &mut VoxelPathBuf) -> bool {
+    match walk.advance() {
+        Some(code) => {
+            if RECORD {
+                path.push(code, walk.t_enter());
+            }
+            true
+        }
+        None => false,
     }
 }
 
@@ -305,38 +333,80 @@ mod tests {
         assert!(stats.intersection_tests > 0);
     }
 
+    /// The flat cell lists against the obvious build: one `Vec` per voxel,
+    /// pushed object by object.
     #[test]
-    fn packet_intersect_matches_scalar_per_lane() {
+    fn cell_lists_match_a_per_voxel_vec_build() {
+        let mut scene = test_scene();
+        // an object partly outside the grid and one covering all of it
+        scene.add_object(Object::new(
+            Geometry::Sphere {
+                center: Point3::new(6.0, 0.0, 0.0),
+                radius: 2.5,
+            },
+            Material::matte(Color::WHITE),
+        ));
+        scene.add_object(Object::new(
+            Geometry::Cuboid {
+                min: Point3::splat(-20.0),
+                max: Point3::splat(20.0),
+            },
+            Material::matte(Color::WHITE),
+        ));
+        let spec = GridSpec::for_scene(test_scene().bounds(), 12 * 12 * 12);
+        let accel = GridAccel::build_with_spec(&scene, spec);
+        let mut lists: Vec<Vec<ObjectId>> = vec![Vec::new(); spec.voxel_count()];
+        for (i, o) in scene.objects.iter().enumerate() {
+            if let Some(b) = o.world_aabb() {
+                spec.voxels_overlapping(&b, |v| lists[spec.linear_index(v)].push(i as ObjectId));
+            }
+        }
+        assert!(lists.iter().any(|l| l.len() > 1) && lists.iter().any(|l| l.len() == 1));
+        for (cell, list) in lists.iter().enumerate() {
+            assert_eq!(accel.cell(cell), list.as_slice(), "cell {cell}");
+        }
+        assert_eq!(accel.unbounded(), &[0]);
+    }
+
+    /// Recording a query's walk changes neither its answer nor its work,
+    /// and the recorded path is the standalone walk over `[0, t]`.
+    #[test]
+    fn recorded_walks_match_a_standalone_walk() {
         let scene = test_scene();
         let accel = GridAccel::build(&scene);
-        let range = Interval::new(1e-9, f64::INFINITY);
-        for i in 0..120 {
-            let n = 1 + (i % PACKET_WIDTH);
-            let rays: Vec<Ray> = (0..n)
-                .map(|k| {
-                    let a = (i * PACKET_WIDTH + k) as f64 * 0.13;
-                    let origin =
-                        Point3::new(8.0 * a.cos(), 3.0 * (a * 0.4).sin() + 1.0, 8.0 * a.sin());
-                    let target =
-                        Point3::new((i % 9) as f64 - 4.0, ((k % 5) as f64 - 2.0) * 0.4, 0.0);
-                    Ray::new(origin, (target - origin).normalized())
-                })
-                .collect();
-            let mut packet_stats = RayStats::default();
-            let hits = accel.intersect_packet(&scene, &rays, range, &mut packet_stats);
-            let mut scalar_stats = RayStats::default();
-            for (l, ray) in rays.iter().enumerate() {
-                let want = accel.intersect(&scene, ray, range, &mut scalar_stats);
-                assert_eq!(hits[l], want, "packet {i} lane {l}");
-            }
-            for (l, hit) in hits.iter().enumerate().skip(n) {
-                assert!(hit.is_none(), "packet {i}: unused lane {l} not empty");
-            }
-            assert_eq!(
-                packet_stats.intersection_tests, scalar_stats.intersection_tests,
-                "packet {i}: early-out behavior diverged"
-            );
+        let range = Interval::new(RAY_BIAS, f64::INFINITY);
+        let (mut plain, mut recording) = (RayStats::default(), RayStats::default());
+        let (mut got, mut want) = (VoxelPathBuf::default(), VoxelPathBuf::default());
+        let mut standalone = |ray: &Ray, t_max: f64| {
+            want.record(accel.spec(), ray, Interval::new(0.0, t_max));
+            want.path().map(|p| (p.start, p.steps, p.codes.to_vec()))
+        };
+        let (mut hits, mut blocked) = (0, 0);
+        for i in 0..300 {
+            let a = i as f64 * 0.17;
+            // every third origin sits inside the grid, below the plane or not
+            let r = if i % 3 == 0 { 2.0 } else { 8.0 };
+            let origin = Point3::new(r * a.cos(), 3.0 * (a * 0.3).sin() + 1.0, r * a.sin());
+            let target = Point3::new((i % 9) as f64 - 4.0, ((i % 5) as f64 - 2.0) * 0.4, 0.0);
+            let ray = Ray::new(origin, (target - origin).normalized());
+
+            let hit = accel.closest::<true>(&scene, &ray, range, &mut recording, &mut got);
+            assert_eq!(hit, accel.intersect(&scene, &ray, range, &mut plain));
+            hits += hit.is_some() as u32;
+            let t_max = hit.map_or(f64::INFINITY, |(_, h)| h.t);
+            let path = got.path().map(|p| (p.start, p.steps, p.codes.to_vec()));
+            assert_eq!(path, standalone(&ray, t_max), "ray {i}, hit at {t_max}");
+
+            let dist = 4.0 + (i % 7) as f64;
+            let occluded = accel.any_hit::<true>(&scene, &ray, dist, &mut recording, &mut got);
+            assert_eq!(occluded, accel.occluded(&scene, &ray, dist, &mut plain));
+            blocked += occluded as u32;
+            let path = got.path().map(|p| (p.start, p.steps, p.codes.to_vec()));
+            assert_eq!(path, standalone(&ray, dist), "feeler {i} over {dist}");
         }
+        assert!(hits > 50 && hits < 300, "{hits} hits");
+        assert!(blocked > 20 && blocked < 300, "{blocked} occluded feelers");
+        assert_eq!(plain, recording, "recording changed the work done");
     }
 
     #[test]

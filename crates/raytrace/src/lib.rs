@@ -56,9 +56,7 @@ pub use camera::Camera;
 pub use csg::Csg;
 pub use framebuffer::{Framebuffer, PixelId};
 pub use light::{AreaLight, Light, LightSample, PointLight, SpotLight};
-pub use listener::{
-    NullListener, RayKind, RayListener, RecordingListener, Replay, ShardableListener,
-};
+pub use listener::{NullListener, RayKind, RayListener, RecordingListener, ShardableListener};
 pub use material::Material;
 pub use object::{Object, ObjectId};
 pub use pool::{critical_path, plan_tile_size, resolve_thread_count, ParallelStats};

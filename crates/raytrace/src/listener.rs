@@ -3,11 +3,12 @@
 //! "As rays are fired during the rendering process, the frame coherence
 //! algorithm tracks their paths and marks all of the voxels that they pass
 //! through." The tracer reports every ray it fires — with the pixel it
-//! belongs to, its kind, and the distance it travelled — to a
-//! [`RayListener`]; the coherence engine's listener walks each reported
-//! segment through the voxel grid.
+//! belongs to, its kind, the distance it travelled and the voxels its one
+//! walk through the accelerator's grid crossed — to a [`RayListener`]; the
+//! coherence engine's listener appends that path to its log.
 
 use crate::framebuffer::PixelId;
+use now_grid::dda::VoxelPath;
 use now_math::Ray;
 
 /// Classification of a fired ray.
@@ -25,7 +26,13 @@ pub enum RayKind {
 
 /// Observer of every ray fired while shading.
 pub trait RayListener {
-    /// Called once per fired ray.
+    /// Whether the tracer records each ray's voxel path for this listener.
+    /// A listener that only counts or logs rays sets it to `false`: the
+    /// recording is compiled out of its renders, an occluded shadow feeler
+    /// stops at its occluder, and `on_ray` gets `path: None` throughout.
+    const PATHS: bool = true;
+
+    /// Called once per fired ray, after the ray has been traced.
     ///
     /// * `pixel` — the pixel being shaded (all recursive rays carry the
     ///   originating pixel).
@@ -34,7 +41,19 @@ pub trait RayListener {
     /// * `t_max` — distance travelled: the hit distance, the distance to
     ///   the light for shadow rays, or `f64::INFINITY` for rays that left
     ///   the scene.
-    fn on_ray(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64);
+    /// * `path` — the voxels of the accelerator's grid the ray crossed in
+    ///   `[0, t_max]`, exactly as a standalone
+    ///   [`IndexWalk`](now_grid::dda::IndexWalk) over that range reports
+    ///   them; `None` when it crossed none. The slice is the tracer's
+    ///   scratch: copy what must outlive the call.
+    fn on_ray(
+        &mut self,
+        pixel: PixelId,
+        ray: &Ray,
+        kind: RayKind,
+        t_max: f64,
+        path: Option<VoxelPath<'_>>,
+    );
 }
 
 /// Listener that ignores everything (plain, non-coherent rendering).
@@ -42,8 +61,10 @@ pub trait RayListener {
 pub struct NullListener;
 
 impl RayListener for NullListener {
+    const PATHS: bool = false;
+
     #[inline]
-    fn on_ray(&mut self, _: PixelId, _: &Ray, _: RayKind, _: f64) {}
+    fn on_ray(&mut self, _: PixelId, _: &Ray, _: RayKind, _: f64, _: Option<VoxelPath<'_>>) {}
 }
 
 /// A recorded ray, as captured by [`RecordingListener`].
@@ -59,8 +80,8 @@ pub struct RecordedRay {
     pub t_max: f64,
 }
 
-/// Listener that stores every reported ray; used by tests and by the
-/// bench harness for ray-census figures.
+/// Listener that stores every reported ray (not its path); used by tests
+/// and by the bench harness for ray-census figures.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingListener {
     /// All recorded rays in firing order.
@@ -68,7 +89,16 @@ pub struct RecordingListener {
 }
 
 impl RayListener for RecordingListener {
-    fn on_ray(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64) {
+    const PATHS: bool = false;
+
+    fn on_ray(
+        &mut self,
+        pixel: PixelId,
+        ray: &Ray,
+        kind: RayKind,
+        t_max: f64,
+        _: Option<VoxelPath<'_>>,
+    ) {
         self.rays.push(RecordedRay {
             pixel,
             ray: *ray,
@@ -79,9 +109,18 @@ impl RayListener for RecordingListener {
 }
 
 impl<L: RayListener + ?Sized> RayListener for &mut L {
+    const PATHS: bool = L::PATHS;
+
     #[inline]
-    fn on_ray(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64) {
-        (**self).on_ray(pixel, ray, kind, t_max);
+    fn on_ray(
+        &mut self,
+        pixel: PixelId,
+        ray: &Ray,
+        kind: RayKind,
+        t_max: f64,
+        path: Option<VoxelPath<'_>>,
+    ) {
+        (**self).on_ray(pixel, ray, kind, t_max, path);
     }
 }
 
@@ -91,12 +130,13 @@ impl<L: RayListener + ?Sized> RayListener for &mut L {
 /// join, shards are absorbed back into the parent **in ascending tile
 /// order**, which is exactly the order a 1-thread render would have fired
 /// the same rays in. A listener whose state is order-sensitive (the
-/// coherence engine's per-voxel dedup stamps are) therefore ends up in a
-/// state identical to the sequential run.
+/// coherence engine's path log is) therefore ends up in a state identical
+/// to the sequential run.
 ///
 /// [`Shard`]: ShardableListener::Shard
 pub trait ShardableListener: RayListener {
-    /// Per-thread observer; moved into a pool worker.
+    /// Per-thread observer; moved into a pool worker. It is handed paths
+    /// exactly when the parent is (`PATHS` must agree).
     type Shard: RayListener + Send;
 
     /// Create an empty shard for one tile.
@@ -134,40 +174,6 @@ impl ShardableListener for RecordingListener {
     }
 }
 
-/// Adapter making *any* `&mut`-threaded listener shardable by recording
-/// each tile's rays and replaying them into the wrapped listener at absorb
-/// time.
-///
-/// Replay happens in ascending tile order, so the wrapped listener sees
-/// the exact ray sequence of a 1-thread render — this is what lets the
-/// coherence engine (whose voxel stamps make it order-sensitive) keep
-/// byte-identical state under the pool. The price is one `RecordedRay` per
-/// ray; listeners with a cheaper native merge can implement
-/// [`ShardableListener`] directly instead.
-#[derive(Debug)]
-pub struct Replay<'a, L: RayListener>(pub &'a mut L);
-
-impl<L: RayListener> RayListener for Replay<'_, L> {
-    #[inline]
-    fn on_ray(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64) {
-        self.0.on_ray(pixel, ray, kind, t_max);
-    }
-}
-
-impl<L: RayListener> ShardableListener for Replay<'_, L> {
-    type Shard = RecordingListener;
-
-    fn make_shard(&self) -> RecordingListener {
-        RecordingListener::default()
-    }
-
-    fn absorb_shard(&mut self, shard: RecordingListener) {
-        for r in shard.rays {
-            self.0.on_ray(r.pixel, &r.ray, r.kind, r.t_max);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,8 +183,8 @@ mod tests {
     fn recording_listener_captures_in_order() {
         let mut l = RecordingListener::default();
         let r = Ray::new(Point3::ZERO, Vec3::UNIT_X);
-        l.on_ray(3, &r, RayKind::Primary, 5.0);
-        l.on_ray(3, &r, RayKind::Shadow, 2.0);
+        l.on_ray(3, &r, RayKind::Primary, 5.0, None);
+        l.on_ray(3, &r, RayKind::Shadow, 2.0, None);
         assert_eq!(l.rays.len(), 2);
         assert_eq!(l.rays[0].kind, RayKind::Primary);
         assert_eq!(l.rays[1].t_max, 2.0);
@@ -192,6 +198,7 @@ mod tests {
                 &Ray::new(Point3::ZERO, Vec3::UNIT_Y),
                 RayKind::Primary,
                 1.0,
+                None,
             );
         }
         let mut rec = RecordingListener::default();
@@ -206,31 +213,11 @@ mod tests {
         let r = Ray::new(Point3::ZERO, Vec3::UNIT_X);
         let mut s0 = parent.make_shard();
         let mut s1 = parent.make_shard();
-        s1.on_ray(9, &r, RayKind::Shadow, 2.0);
-        s0.on_ray(1, &r, RayKind::Primary, 1.0);
+        s1.on_ray(9, &r, RayKind::Shadow, 2.0, None);
+        s0.on_ray(1, &r, RayKind::Primary, 1.0, None);
         parent.absorb_shard(s0);
         parent.absorb_shard(s1);
         assert_eq!(parent.rays[0].pixel, 1);
         assert_eq!(parent.rays[1].pixel, 9);
-    }
-
-    #[test]
-    fn replay_adapter_reproduces_sequential_order() {
-        let mut inner = RecordingListener::default();
-        let r = Ray::new(Point3::ZERO, Vec3::UNIT_Y);
-        {
-            let mut replay = Replay(&mut inner);
-            // direct rays pass straight through
-            replay.on_ray(0, &r, RayKind::Primary, 1.0);
-            let mut s0 = replay.make_shard();
-            let mut s1 = replay.make_shard();
-            // shards filled "out of order" (as racing threads would)
-            s1.on_ray(2, &r, RayKind::Primary, 3.0);
-            s0.on_ray(1, &r, RayKind::Primary, 2.0);
-            replay.absorb_shard(s0);
-            replay.absorb_shard(s1);
-        }
-        let pixels: Vec<_> = inner.rays.iter().map(|r| r.pixel).collect();
-        assert_eq!(pixels, vec![0, 1, 2]);
     }
 }

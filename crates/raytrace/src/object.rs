@@ -26,6 +26,8 @@ pub struct Object {
     pub name: String,
     xf: Affine,
     inv_xf: Affine,
+    /// `xf.is_identity()`, cached: it is asked on every intersection test.
+    identity: bool,
 }
 
 impl Object {
@@ -37,6 +39,7 @@ impl Object {
             name: String::new(),
             xf: Affine::IDENTITY,
             inv_xf: Affine::IDENTITY,
+            identity: true,
         }
     }
 
@@ -55,6 +58,7 @@ impl Object {
     /// Replace the transform (panics if singular).
     pub fn set_transform(&mut self, xf: Affine) {
         self.inv_xf = xf.inverse().expect("object transform must be invertible");
+        self.identity = xf.is_identity();
         self.xf = xf;
     }
 
@@ -71,7 +75,7 @@ impl Object {
 
     /// Closest world-space intersection inside `range`.
     pub fn intersect(&self, ray: &Ray, range: Interval) -> Option<Hit> {
-        if self.xf.is_identity() {
+        if self.identity {
             return self.geometry.intersect(ray, range);
         }
         let local_ray = self.inv_xf.ray(ray);
@@ -86,7 +90,7 @@ impl Object {
     /// Any-hit predicate for shadow rays.
     #[inline]
     pub fn intersects(&self, ray: &Ray, range: Interval) -> bool {
-        if self.xf.is_identity() {
+        if self.identity {
             return self.geometry.intersects(ray, range);
         }
         self.geometry.intersects(&self.inv_xf.ray(ray), range)

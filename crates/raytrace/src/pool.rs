@@ -18,7 +18,7 @@
 //!    order after the join. Tiles are consecutive chunks of the caller's
 //!    id order, so the absorb sequence replays the exact ray order of a
 //!    1-thread render — order-sensitive listeners (the coherence engine's
-//!    dedup stamps) end in identical state.
+//!    path log) end in identical state.
 //!
 //! Virtual cost accounting ([`ParallelStats`]) charges the *critical
 //! path*, not summed thread time, and computes it by deterministic greedy
@@ -28,7 +28,7 @@
 
 use crate::accel::GridAccel;
 use crate::framebuffer::{Framebuffer, PixelId};
-use crate::listener::ShardableListener;
+use crate::listener::{RayListener, ShardableListener};
 use crate::render::{shade_ids, RenderSettings, ShadeScratch};
 use crate::scene::Scene;
 use crate::stats::RayStats;
@@ -160,9 +160,10 @@ pub fn critical_path(tile_rays: &[u64], threads: u32) -> u64 {
 ///
 /// `tile_hint` (from [`RenderSettings::tile_hint`] / `nowfarm --tile WxH`)
 /// overrides the derived size; either way the result is clamped and
-/// rounded up to a multiple of 8 so packet lanes inside a tile stay full.
-/// The cost model calls this too ([`now_core`]'s `CostModel`), so sim
-/// predictions and real runs cut identical tiles.
+/// rounded up to a multiple of 8 (the simulator's virtual timelines are
+/// pinned to the tile plans this yields). The cost model calls this too
+/// ([`now_core`]'s `CostModel`), so sim predictions and real runs cut
+/// identical tiles.
 pub fn plan_tile_size(pixels: usize, threads: u32, tile_hint: u32) -> usize {
     let threads = threads.max(1) as usize;
     let base = if tile_hint > 0 {
@@ -215,6 +216,12 @@ pub fn render_tiles<S: ShardableListener>(
     stats: &mut RayStats,
     threads: u32,
 ) -> ParallelStats {
+    const {
+        assert!(
+            S::PATHS == <S::Shard as RayListener>::PATHS,
+            "a shard must take ray paths exactly when its parent does"
+        )
+    };
     let threads = threads.max(1) as usize;
     let tracing = settings.trace && now_trace::enabled();
     if threads == 1 || ids.len() < MIN_PAR_PIXELS {

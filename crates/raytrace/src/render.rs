@@ -10,13 +10,13 @@
 use crate::accel::GridAccel;
 use crate::framebuffer::{Framebuffer, PixelId};
 use crate::light::LightSample;
-use crate::listener::{RayKind, RayListener, Replay, ShardableListener};
+use crate::listener::{RayKind, RayListener, ShardableListener};
 use crate::pool::{self, ParallelStats};
 use crate::scene::Scene;
 use crate::stats::RayStats;
-use crate::tracer::{shade_traced, trace, TraceCtx};
-use now_grid::PACKET_WIDTH;
-use now_math::{Color, Interval, Ray, RAY_BIAS};
+use crate::tracer::{trace, TraceCtx};
+use now_grid::dda::VoxelPathBuf;
+use now_math::Color;
 
 /// Adaptive anti-aliasing parameters (POV-Ray-style recursive pixel
 /// subdivision).
@@ -70,13 +70,6 @@ pub struct RenderSettings {
     /// count and thread count; see [`pool::plan_tile_size`]. Purely a
     /// scheduling knob: any value produces byte-identical frames.
     pub tile_hint: u32,
-    /// Trace coherent primary rays in [`now_grid::PACKET_WIDTH`]-wide
-    /// packets through the grid DDA (secondaries always stay scalar).
-    /// Packet lanes replay the scalar walk bit-for-bit, so this is purely
-    /// a throughput knob — frames and listener state are identical either
-    /// way. Automatically disabled when supersampling or adaptive
-    /// anti-aliasing make primaries non-coherent per pixel.
-    pub packets: bool,
 }
 
 impl Default for RenderSettings {
@@ -88,7 +81,6 @@ impl Default for RenderSettings {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         }
     }
 }
@@ -97,14 +89,6 @@ impl RenderSettings {
     /// Concrete thread count for this setting (resolves `threads == 0`).
     pub fn resolve_threads(&self) -> u32 {
         pool::resolve_thread_count(self.threads)
-    }
-    /// True when primary rays are traced in packets: requested, and each
-    /// pixel fires exactly one center sample (supersampling / adaptive
-    /// sampling interleave secondary work between primaries, so packets
-    /// would win nothing there).
-    #[inline]
-    pub fn use_packets(&self) -> bool {
-        self.packets && self.adaptive.is_none() && self.sqrt_samples <= 1
     }
     /// Fixed sub-pixel offsets for this setting (deterministic; identical
     /// for every pixel and frame).
@@ -131,6 +115,7 @@ impl RenderSettings {
 pub struct ShadeScratch {
     offsets: Vec<(f64, f64)>,
     lights: Vec<LightSample>,
+    path: VoxelPathBuf,
 }
 
 impl ShadeScratch {
@@ -139,6 +124,7 @@ impl ShadeScratch {
         ShadeScratch {
             offsets: settings.sample_offsets(),
             lights: Vec::new(),
+            path: VoxelPathBuf::default(),
         }
     }
 }
@@ -146,7 +132,7 @@ impl ShadeScratch {
 /// Shade a single pixel (averaging supersamples, adaptively if enabled).
 ///
 /// Convenience wrapper that builds a fresh [`ShadeScratch`]; hot loops use
-/// [`shade_pixel_with`] (or the packet path) with a per-thread scratch.
+/// [`shade_pixel_with`] with a per-thread scratch.
 #[allow(clippy::too_many_arguments)] // deliberate flat kernel signature: the hot path avoids a context struct per pixel
 pub fn shade_pixel<L: RayListener>(
     scene: &Scene,
@@ -185,14 +171,14 @@ pub fn shade_pixel_with<L: RayListener>(
     stats: &mut RayStats,
     scratch: &mut ShadeScratch,
 ) -> Color {
-    let lights = std::mem::take(&mut scratch.lights);
     let mut ctx = TraceCtx {
         scene,
         accel,
         settings,
         listener,
         stats,
-        lights,
+        lights: std::mem::take(&mut scratch.lights),
+        path: std::mem::take(&mut scratch.path),
     };
     let color = if let Some(adaptive) = settings.adaptive {
         // corners of the pixel (positions shared with neighbouring pixels
@@ -218,70 +204,14 @@ pub fn shade_pixel_with<L: RayListener>(
         sum * (1.0 / offsets.len() as f64)
     };
     scratch.lights = ctx.lights;
+    scratch.path = ctx.path;
     stats.pixels += 1;
     color
 }
 
-/// Shade up to [`PACKET_WIDTH`] pixels whose primary rays are traced as
-/// one coherent packet through the grid.
-///
-/// Per-lane arithmetic — clip, DDA walk, intersection tests, shading — is
-/// bit-identical to [`shade_pixel_with`] on the same pixel (the packet
-/// machinery batches *setup*, never folds across lanes), and lanes are
-/// shaded in order, so the listener observes the exact sequential ray
-/// stream. Requires `settings.use_packets()` (one center sample per
-/// pixel).
-#[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel
-fn shade_packet<L: RayListener>(
-    scene: &Scene,
-    accel: &GridAccel,
-    settings: &RenderSettings,
-    group: &[(u32, u32, PixelId)],
-    listener: &mut L,
-    stats: &mut RayStats,
-    scratch: &mut ShadeScratch,
-    out: &mut [Color],
-) {
-    debug_assert!(!group.is_empty() && group.len() <= PACKET_WIDTH);
-    debug_assert!(settings.use_packets());
-    let n = group.len();
-    let rays: [Ray; PACKET_WIDTH] = std::array::from_fn(|i| {
-        let (x, y, _) = group[i.min(n - 1)];
-        scene.camera.primary_ray(x, y, 0.5, 0.5)
-    });
-    for _ in 0..n {
-        stats.count_ray(RayKind::Primary);
-    }
-    let range = Interval::new(RAY_BIAS, f64::INFINITY);
-    let hits = accel.intersect_packet(scene, &rays[..n], range, stats);
-
-    let depth = settings.max_depth;
-    let lights = std::mem::take(&mut scratch.lights);
-    let mut ctx = TraceCtx {
-        scene,
-        accel,
-        settings,
-        listener,
-        stats,
-        lights,
-    };
-    for (l, &(_, _, pixel)) in group.iter().enumerate() {
-        let c = shade_traced(&mut ctx, pixel, &rays[l], RayKind::Primary, depth, hits[l]);
-        // mirror the scalar single-sample accumulation `(BLACK + c) * 1/1`
-        // so -0.0 components normalize identically
-        let mut sum = Color::BLACK;
-        sum += c;
-        out[l] = sum;
-        ctx.stats.pixels += 1;
-    }
-    scratch.lights = ctx.lights;
-}
-
-/// Shade a run of pixel ids, dispatching to the packet path when the
-/// settings allow it, and hand each `(id, color)` to `sink` in id order.
-///
-/// This is the one shading loop shared by the serial path and every pool
-/// tile, so scalar and packeted rendering are chosen in exactly one place.
+/// Shade a run of pixel ids and hand each `(id, color)` to `sink` in id
+/// order: the one shading loop shared by the serial path and every pool
+/// tile.
 #[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel
 pub(crate) fn shade_ids<L: RayListener>(
     scene: &Scene,
@@ -294,33 +224,10 @@ pub(crate) fn shade_ids<L: RayListener>(
     scratch: &mut ShadeScratch,
     mut sink: impl FnMut(PixelId, Color),
 ) {
-    if settings.use_packets() {
-        let mut colors = [Color::BLACK; PACKET_WIDTH];
-        for chunk in ids.chunks(PACKET_WIDTH) {
-            let mut group = [(0u32, 0u32, 0 as PixelId); PACKET_WIDTH];
-            for (g, &id) in group.iter_mut().zip(chunk) {
-                *g = (id % width, id / width, id);
-            }
-            shade_packet(
-                scene,
-                accel,
-                settings,
-                &group[..chunk.len()],
-                listener,
-                stats,
-                scratch,
-                &mut colors,
-            );
-            for (&id, &c) in chunk.iter().zip(&colors) {
-                sink(id, c);
-            }
-        }
-    } else {
-        for &id in ids {
-            let (x, y) = (id % width, id / width);
-            let c = shade_pixel_with(scene, accel, settings, x, y, id, listener, stats, scratch);
-            sink(id, c);
-        }
+    for &id in ids {
+        let (x, y) = (id % width, id / width);
+        let c = shade_pixel_with(scene, accel, settings, x, y, id, listener, stats, scratch);
+        sink(id, c);
     }
 }
 
@@ -426,64 +333,63 @@ fn emit_ray_counters(before: &RayStats, after: &RayStats) {
     rec.counter_add("render.pixels_shaded", after.pixels - before.pixels);
 }
 
+/// Render `ids` through the tile pool (serially when one thread
+/// suffices) under a trace span of the given name: the body of both
+/// public pixel-set entry points.
+#[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel
+fn render_ids<S: ShardableListener>(
+    span_name: &'static str,
+    scene: &Scene,
+    accel: &GridAccel,
+    settings: &RenderSettings,
+    fb: &mut Framebuffer,
+    ids: &[PixelId],
+    listener: &mut S,
+    stats: &mut RayStats,
+) -> ParallelStats {
+    check_frame_dims(scene, fb);
+    let tracing = settings.trace && now_trace::enabled();
+    let before = if tracing { *stats } else { RayStats::default() };
+    let mut span = tracing.then(|| now_trace::global().span(0, span_name));
+    let threads = settings.resolve_threads();
+    let par = pool::render_tiles(scene, accel, settings, fb, ids, listener, stats, threads);
+    if tracing {
+        emit_ray_counters(&before, stats);
+        if let Some(s) = span.as_mut() {
+            s.arg("pixels", ids.len() as u64);
+            s.arg("tiles", par.tiles as u64);
+        }
+    }
+    par
+}
+
 /// Render an arbitrary set of pixels into an existing framebuffer.
 ///
 /// With `settings.threads` resolving to 1 this is the plain sequential
-/// loop; otherwise the ids are handed to the tile pool with the listener
-/// wrapped in [`Replay`], which keeps its observed ray order identical to
-/// the sequential run. Callers that want the pool's [`ParallelStats`] (or
-/// a listener with a cheaper native merge) use [`render_pixels_par`].
-pub fn render_pixels<L: RayListener>(
+/// loop; otherwise the ids are handed to the tile pool, whose shard merge
+/// keeps the listener's observed ray order identical to the sequential
+/// run. Callers that want the pool's [`ParallelStats`] use
+/// [`render_pixels_par`].
+pub fn render_pixels<S: ShardableListener>(
     scene: &Scene,
     accel: &GridAccel,
     settings: &RenderSettings,
     fb: &mut Framebuffer,
     ids: impl IntoIterator<Item = PixelId>,
-    listener: &mut L,
+    listener: &mut S,
     stats: &mut RayStats,
 ) {
-    check_frame_dims(scene, fb);
-    let tracing = settings.trace && now_trace::enabled();
-    let before = if tracing { *stats } else { RayStats::default() };
-    let mut span = tracing.then(|| now_trace::global().span(0, "render.pixels"));
-    let threads = settings.resolve_threads();
-    if threads <= 1 {
-        let ids: Vec<PixelId> = ids.into_iter().collect();
-        let mut scratch = ShadeScratch::new(settings);
-        let width = fb.width();
-        shade_ids(
-            scene,
-            accel,
-            settings,
-            width,
-            &ids,
-            listener,
-            stats,
-            &mut scratch,
-            |id, c| fb.set_id(id, c),
-        );
-        if let Some(s) = span.as_mut() {
-            s.arg("pixels", ids.len() as u64);
-        }
-    } else {
-        let ids: Vec<PixelId> = ids.into_iter().collect();
-        if let Some(s) = span.as_mut() {
-            s.arg("pixels", ids.len() as u64);
-        }
-        pool::render_tiles(
-            scene,
-            accel,
-            settings,
-            fb,
-            &ids,
-            &mut Replay(listener),
-            stats,
-            threads,
-        );
-    }
-    if tracing {
-        emit_ray_counters(&before, stats);
-    }
+    let ids: Vec<PixelId> = ids.into_iter().collect();
+    render_ids(
+        "render.pixels",
+        scene,
+        accel,
+        settings,
+        fb,
+        &ids,
+        listener,
+        stats,
+    );
 }
 
 /// Render a pixel set through the tile pool, reporting how the work
@@ -502,28 +408,24 @@ pub fn render_pixels_par<S: ShardableListener>(
     listener: &mut S,
     stats: &mut RayStats,
 ) -> ParallelStats {
-    check_frame_dims(scene, fb);
-    let tracing = settings.trace && now_trace::enabled();
-    let before = if tracing { *stats } else { RayStats::default() };
-    let mut span = tracing.then(|| now_trace::global().span(0, "render.pixels_par"));
-    let threads = settings.resolve_threads();
-    let par = pool::render_tiles(scene, accel, settings, fb, ids, listener, stats, threads);
-    if tracing {
-        emit_ray_counters(&before, stats);
-        if let Some(s) = span.as_mut() {
-            s.arg("pixels", ids.len() as u64);
-            s.arg("tiles", par.tiles as u64);
-        }
-    }
-    par
+    render_ids(
+        "render.pixels_par",
+        scene,
+        accel,
+        settings,
+        fb,
+        ids,
+        listener,
+        stats,
+    )
 }
 
 /// Render a complete frame.
-pub fn render_frame<L: RayListener>(
+pub fn render_frame<S: ShardableListener>(
     scene: &Scene,
     accel: &GridAccel,
     settings: &RenderSettings,
-    listener: &mut L,
+    listener: &mut S,
     stats: &mut RayStats,
 ) -> Framebuffer {
     let mut fb = Framebuffer::new(scene.camera.width(), scene.camera.height());
@@ -654,7 +556,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let a = render_frame(
             &s,
@@ -705,69 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn packets_on_and_off_are_byte_and_listener_identical() {
-        use crate::listener::RecordingListener;
-        let s = scene();
-        let accel = GridAccel::build(&s);
-        let on = RenderSettings::default();
-        assert!(on.use_packets());
-        let off = RenderSettings {
-            packets: false,
-            ..on.clone()
-        };
-        let mut rec_on = RecordingListener::default();
-        let mut rec_off = RecordingListener::default();
-        let mut stats_on = RayStats::default();
-        let mut stats_off = RayStats::default();
-        let a = render_frame(&s, &accel, &on, &mut rec_on, &mut stats_on);
-        let b = render_frame(&s, &accel, &off, &mut rec_off, &mut stats_off);
-        assert_eq!(a, b, "packeted frame differs from scalar frame");
-        assert_eq!(rec_on.rays, rec_off.rays, "listener ray stream differs");
-        assert_eq!(stats_on, stats_off, "ray stats differ");
-        // pooled render with packets also matches
-        let pooled = RenderSettings {
-            threads: 3,
-            ..on.clone()
-        };
-        let mut rec_p = RecordingListener::default();
-        let mut stats_p = RayStats::default();
-        let (c, _) = render_frame_par(&s, &accel, &pooled, &mut rec_p, &mut stats_p);
-        assert_eq!(c, a);
-        assert_eq!(rec_p.rays, rec_on.rays);
-    }
-
-    #[test]
-    fn supersampling_disables_packets_but_not_correctness() {
-        let s = scene();
-        let accel = GridAccel::build(&s);
-        let ss = RenderSettings {
-            sqrt_samples: 2,
-            ..RenderSettings::default()
-        };
-        assert!(!ss.use_packets());
-        let ad = RenderSettings {
-            adaptive: Some(Adaptive::default()),
-            ..RenderSettings::default()
-        };
-        assert!(!ad.use_packets());
-        // supersampled render is identical with the packets flag on or off
-        // (the flag is ignored on that path)
-        let off = RenderSettings {
-            packets: false,
-            ..ss.clone()
-        };
-        let a = render_frame(&s, &accel, &ss, &mut NullListener, &mut RayStats::default());
-        let b = render_frame(
-            &s,
-            &accel,
-            &off,
-            &mut NullListener,
-            &mut RayStats::default(),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn render_pixels_dispatches_to_pool_transparently() {
         let s = scene();
         let accel = GridAccel::build(&s);
@@ -805,7 +643,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         }
         .sample_offsets();
         assert_eq!(offsets.len(), 9);
@@ -827,7 +664,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let adaptive = RenderSettings {
             max_depth: 2,
@@ -839,7 +675,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let mut flat_stats = RayStats::default();
         let _ = render_frame(&s, &accel, &plain, &mut NullListener, &mut flat_stats);
@@ -867,7 +702,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let full = render_frame(
             &s,
@@ -904,7 +738,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let ad = RenderSettings {
             max_depth: 2,
@@ -916,7 +749,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let a = render_frame(
             &s,
@@ -941,7 +773,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let four = RenderSettings {
             max_depth: 3,
@@ -950,7 +781,6 @@ mod tests {
             threads: 1,
             trace: false,
             tile_hint: 0,
-            packets: true,
         };
         let a = render_frame(
             &s,

@@ -78,13 +78,11 @@ impl Texture {
         match self {
             Texture::Solid(c) => *c,
             Texture::Checker { a, b, scale } => {
-                let q = (p / *scale).abs();
                 // floor in each axis; offset by a large even constant so
                 // negative coordinates don't mirror the pattern
                 let ix = (p.x / scale + 1024.0).floor() as i64;
                 let iy = (p.y / scale + 1024.0).floor() as i64;
                 let iz = (p.z / scale + 1024.0).floor() as i64;
-                let _ = q;
                 if (ix + iy + iz) % 2 == 0 {
                     *a
                 } else {

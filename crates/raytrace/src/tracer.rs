@@ -13,6 +13,7 @@ use crate::render::RenderSettings;
 use crate::scene::Scene;
 use crate::shape::Hit;
 use crate::stats::RayStats;
+use now_grid::dda::VoxelPathBuf;
 use now_math::{Color, Interval, Ray, RAY_BIAS};
 
 /// Everything a trace needs, bundled to keep recursion signatures small.
@@ -29,16 +30,53 @@ pub struct TraceCtx<'a, L: RayListener> {
     pub stats: &'a mut RayStats,
     /// Reusable light-sample buffer for the direct-lighting loop. Owned by
     /// the context so the shading hot path never allocates per ray; it is
-    /// taken, filled, and returned inside [`shade_traced`], so one buffer
-    /// serves every recursion depth.
+    /// taken, filled, and returned inside [`trace`], so one buffer serves
+    /// every recursion depth.
     pub lights: Vec<LightSample>,
+    /// Where the accelerator records the walk of the ray in flight when the
+    /// listener wants paths; handed to the listener before the next ray is
+    /// fired, so one buffer serves every ray.
+    pub path: VoxelPathBuf,
+}
+
+impl<L: RayListener> TraceCtx<'_, L> {
+    /// Nearest hit of `ray`; its walk is recorded into `self.path` exactly
+    /// when the listener takes paths.
+    #[inline]
+    fn closest(&mut self, ray: &Ray, range: Interval) -> Option<(ObjectId, Hit)> {
+        let (accel, scene) = (self.accel, self.scene);
+        if L::PATHS {
+            accel.closest::<true>(scene, ray, range, self.stats, &mut self.path)
+        } else {
+            accel.closest::<false>(scene, ray, range, self.stats, &mut self.path)
+        }
+    }
+
+    /// Whether anything blocks `ray` within `dist`; recorded like
+    /// [`TraceCtx::closest`].
+    #[inline]
+    fn occluded(&mut self, ray: &Ray, dist: f64) -> bool {
+        let (accel, scene) = (self.accel, self.scene);
+        if L::PATHS {
+            accel.any_hit::<true>(scene, ray, dist, self.stats, &mut self.path)
+        } else {
+            accel.any_hit::<false>(scene, ray, dist, self.stats, &mut self.path)
+        }
+    }
+
+    /// Report the ray just traced, with the path its walk left behind.
+    #[inline]
+    fn report(&mut self, pixel: PixelId, ray: &Ray, kind: RayKind, t_max: f64) {
+        let path = if L::PATHS { self.path.path() } else { None };
+        self.listener.on_ray(pixel, ray, kind, t_max, path);
+    }
 }
 
 /// Trace one ray and return the radiance it carries.
 ///
 /// `pixel` is the pixel being shaded; all recursive rays report it to the
 /// listener so the coherence engine can attribute every voxel crossing to
-/// the right pixel list. `depth` counts *remaining* bounces.
+/// the right pixel. `depth` counts *remaining* bounces.
 pub fn trace<L: RayListener>(
     ctx: &mut TraceCtx<'_, L>,
     pixel: PixelId,
@@ -48,32 +86,11 @@ pub fn trace<L: RayListener>(
 ) -> Color {
     ctx.stats.count_ray(kind);
     let range = Interval::new(RAY_BIAS, f64::INFINITY);
-    let hit = ctx.accel.intersect(ctx.scene, ray, range, ctx.stats);
-    shade_traced(ctx, pixel, ray, kind, depth, hit)
-}
-
-/// Shade a ray whose nearest intersection (if any) has already been found.
-///
-/// This is the back half of [`trace`], split out so the packet path can
-/// batch the intersection queries ([`GridAccel::intersect_packet`]) and
-/// then shade each lane through the identical code. The caller is
-/// responsible for having counted the ray via [`RayStats::count_ray`].
-pub fn shade_traced<L: RayListener>(
-    ctx: &mut TraceCtx<'_, L>,
-    pixel: PixelId,
-    ray: &Ray,
-    kind: RayKind,
-    depth: u32,
-    hit: Option<(ObjectId, Hit)>,
-) -> Color {
-    let (obj_id, h) = match hit {
-        Some(found) => found,
-        None => {
-            ctx.listener.on_ray(pixel, ray, kind, f64::INFINITY);
-            return ctx.scene.background;
-        }
+    let hit = ctx.closest(ray, range);
+    ctx.report(pixel, ray, kind, hit.map_or(f64::INFINITY, |(_, h)| h.t));
+    let Some((obj_id, h)) = hit else {
+        return ctx.scene.background;
     };
-    ctx.listener.on_ray(pixel, ray, kind, h.t);
 
     let obj = &ctx.scene.objects[obj_id as usize];
     let mat = &obj.material;
@@ -99,9 +116,9 @@ pub fn shade_traced<L: RayListener>(
             let l_dir = to_light / dist;
             let shadow_ray = Ray::new(h.point + n * RAY_BIAS, l_dir);
             ctx.stats.count_ray(RayKind::Shadow);
-            ctx.listener
-                .on_ray(pixel, &shadow_ray, RayKind::Shadow, dist);
-            if ctx.accel.occluded(ctx.scene, &shadow_ray, dist, ctx.stats) {
+            let occluded = ctx.occluded(&shadow_ray, dist);
+            ctx.report(pixel, &shadow_ray, RayKind::Shadow, dist);
+            if occluded {
                 continue;
             }
             let intensity = s.intensity;
@@ -200,6 +217,7 @@ mod tests {
             listener: &mut listener,
             stats: &mut stats,
             lights: Vec::new(),
+            path: VoxelPathBuf::default(),
         };
         let c = trace(&mut ctx, 0, &ray, RayKind::Primary, 5);
         (c, stats)
@@ -320,6 +338,7 @@ mod tests {
             listener: &mut listener,
             stats: &mut stats,
             lights: Vec::new(),
+            path: VoxelPathBuf::default(),
         };
         let _ = trace(
             &mut ctx,
@@ -369,6 +388,7 @@ mod tests {
             listener: &mut listener,
             stats: &mut stats,
             lights: Vec::new(),
+            path: VoxelPathBuf::default(),
         };
         let _ = trace(
             &mut ctx,
@@ -508,6 +528,7 @@ mod tests {
             listener: &mut listener,
             stats: &mut stats,
             lights: Vec::new(),
+            path: VoxelPathBuf::default(),
         };
         let c = trace(
             &mut ctx,

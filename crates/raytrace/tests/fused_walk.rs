@@ -1,0 +1,234 @@
+//! One grid walk per ray: the path the tracer hands its listener — the
+//! walk its accelerator took to find the hit — must be, for every ray of
+//! every kind, the path a standalone `IndexWalk` over `[0, t_max]` takes.
+//! The coherence engine logs the former; its mark counts, dirty sets and
+//! log bytes were defined by the latter.
+
+use now_anim::scenes::{glassball, newton, orbit};
+use now_anim::Animation;
+use now_grid::dda::{IndexWalk, VoxelPath, VoxelPathBuf};
+use now_grid::GridSpec;
+use now_math::{Interval, Ray};
+use now_raytrace::{
+    render_frame, GridAccel, NullListener, PixelId, RayKind, RayListener, RayStats, RenderSettings,
+    Scene, ShardableListener,
+};
+
+/// How many rays of each interesting sort were checked.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    /// Hits found (on an unbounded object) before the ray reaches the grid.
+    hits_before_the_grid: u64,
+    /// Rays that start inside the grid, as every secondary ray does.
+    start_inside: u64,
+    occluded: u64,
+    unoccluded: u64,
+    pathless: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, o: Tally) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.hits_before_the_grid += o.hits_before_the_grid;
+        self.start_inside += o.start_inside;
+        self.occluded += o.occluded;
+        self.unoccluded += o.unoccluded;
+        self.pathless += o.pathless;
+    }
+}
+
+/// Receives both what the old listener API carried (`ray`, `t_max`) and
+/// the tracer's path, and holds one against the other.
+struct Differential<'a> {
+    scene: &'a Scene,
+    accel: &'a GridAccel,
+    want: VoxelPathBuf,
+    tally: Tally,
+}
+
+impl RayListener for Differential<'_> {
+    fn on_ray(
+        &mut self,
+        pixel: PixelId,
+        ray: &Ray,
+        kind: RayKind,
+        t_max: f64,
+        path: Option<VoxelPath<'_>>,
+    ) {
+        let spec = self.accel.spec();
+        self.want.record(spec, ray, Interval::new(0.0, t_max));
+        assert_eq!(
+            path,
+            self.want.path(),
+            "pixel {pixel}: {kind:?} ray {ray:?} over [0, {t_max}]"
+        );
+
+        let t = &mut self.tally;
+        t.pathless += path.is_none() as u64;
+        t.start_inside += spec.bounds.contains(ray.origin) as u64;
+        if kind == RayKind::Shadow {
+            let mut unused = RayStats::default();
+            if self.accel.occluded(self.scene, ray, t_max, &mut unused) {
+                t.occluded += 1;
+            } else {
+                t.unoccluded += 1;
+            }
+        } else if t_max.is_finite() {
+            t.hits += 1;
+            let reaches_grid = IndexWalk::new(spec, ray, Interval::non_negative()).is_some();
+            t.hits_before_the_grid += (path.is_none() && reaches_grid) as u64;
+        } else {
+            t.misses += 1;
+        }
+    }
+}
+
+impl<'a> ShardableListener for Differential<'a> {
+    type Shard = Differential<'a>;
+
+    fn make_shard(&self) -> Differential<'a> {
+        Differential {
+            scene: self.scene,
+            accel: self.accel,
+            want: VoxelPathBuf::default(),
+            tally: Tally::default(),
+        }
+    }
+
+    fn absorb_shard(&mut self, shard: Differential<'a>) {
+        self.tally += shard.tally;
+    }
+}
+
+/// Check every ray of `frames` of `anim`, over the grid the farm would
+/// use; returns the tally.
+fn check(anim: &Animation, voxels: u32, frames: &[usize]) -> Tally {
+    let spec = GridSpec::for_scene(anim.swept_bounds(), voxels);
+    let mut total = Tally::default();
+    for &f in frames {
+        let scene = anim.scene_at(f);
+        let accel = GridAccel::build_with_spec(&scene, spec);
+        let mut listener = Differential {
+            scene: &scene,
+            accel: &accel,
+            want: VoxelPathBuf::default(),
+            tally: Tally::default(),
+        };
+        let settings = RenderSettings::default();
+        let mut stats = RayStats::default();
+        let fb = render_frame(&scene, &accel, &settings, &mut listener, &mut stats);
+        let tally = listener.tally;
+        assert_eq!(
+            tally.hits + tally.misses + tally.occluded + tally.unoccluded,
+            stats.total_rays()
+        );
+
+        // recording is invisible: same pixels and same work as a plain
+        // render, and the pool's shards see the same rays
+        let mut plain = RayStats::default();
+        let reference = render_frame(&scene, &accel, &settings, &mut NullListener, &mut plain);
+        assert_eq!(fb, reference, "frame {f}: recording changed the image");
+        assert_eq!(stats, plain, "frame {f}: recording changed the work done");
+        let pooled = RenderSettings {
+            threads: 3,
+            ..settings
+        };
+        listener.tally = Tally::default();
+        let fb = render_frame(
+            &scene,
+            &accel,
+            &pooled,
+            &mut listener,
+            &mut RayStats::default(),
+        );
+        assert_eq!(fb, reference);
+        assert_eq!(listener.tally, tally, "frame {f}: pool shards");
+
+        total += tally;
+    }
+    total
+}
+
+#[test]
+fn newton_paths_are_the_standalone_walks() {
+    let t = check(&newton::animation_sized(64, 48, 12), 24 * 24 * 24, &[0, 7]);
+    assert!(t.hits > 3000 && t.misses > 3000, "{t:?}");
+    assert!(t.occluded > 1000 && t.unoccluded > 1000, "{t:?}");
+    assert!(t.start_inside > 5000, "{t:?}");
+}
+
+#[test]
+fn glassball_paths_are_the_standalone_walks() {
+    let t = check(
+        &glassball::animation_sized(64, 48, 8),
+        24 * 24 * 24,
+        &[0, 5],
+    );
+    assert!(t.hits > 5000, "{t:?}");
+    assert!(t.occluded > 500 && t.unoccluded > 1000, "{t:?}");
+    assert!(t.start_inside > 5000, "{t:?}");
+}
+
+#[test]
+fn orbit_paths_are_the_standalone_walks() {
+    // a coarse grid too: long steps, many objects per cell
+    let anim = orbit::animation_sized(64, 48, 8, 6, 1.0);
+    let fine = check(&anim, 24 * 24 * 24, &[0, 3]);
+    let coarse = check(&anim, 6 * 6 * 6, &[3]);
+    for t in [fine, coarse] {
+        assert!(t.hits > 1000 && t.misses > 20, "{t:?}");
+        assert!(t.occluded > 50 && t.unoccluded > 500, "{t:?}");
+    }
+}
+
+/// The cases the demo scenes do not reach, on a scene built for them: the
+/// grid covers three glass spheres only, a glass plane lies below it and
+/// the light outside it. Seen from under the plane every primary ray hits
+/// the plane before it would enter the grid; seen from between the
+/// spheres every primary ray starts mid-voxel.
+#[test]
+fn hits_before_the_grid_and_origins_inside_it() {
+    use now_math::{Color, Point3, Vec3};
+    use now_raytrace::{Camera, Geometry, Material, Object, PointLight};
+    let scene_from = |eye: Point3, target: Point3, fov: f64| {
+        let mut scene = Scene::new(Camera::look_at(eye, target, Vec3::UNIT_Y, fov, 48, 36));
+        scene.add_object(Object::new(
+            Geometry::Plane {
+                point: Point3::new(0.0, -1.5, 0.0),
+                normal: Vec3::UNIT_Y,
+            },
+            Material::glass(),
+        ));
+        for (x, z) in [(-0.5, -0.4), (0.6, -0.8), (0.1, 0.3)] {
+            scene.add_object(Object::new(
+                Geometry::Sphere {
+                    center: Point3::new(x, 0.0, z),
+                    radius: 0.3,
+                },
+                Material::glass(),
+            ));
+        }
+        scene.add_light(PointLight::new(Point3::new(2.0, 4.0, 3.0), Color::WHITE));
+        Animation::still(scene, 1)
+    };
+
+    let below = scene_from(
+        Point3::new(0.0, -3.0, 0.4),
+        Point3::new(0.0, 0.0, -0.2),
+        35.0,
+    );
+    let t = check(&below, 10 * 10 * 10, &[0]);
+    assert!(t.hits_before_the_grid > 500, "{t:?}");
+
+    let between = scene_from(
+        Point3::new(0.0, 0.1, -0.3),
+        Point3::new(0.6, 0.0, -0.8),
+        90.0,
+    );
+    let t = check(&between, 10 * 10 * 10, &[0]);
+    assert!(t.start_inside >= 48 * 36, "{t:?}");
+    assert!(t.hits > 500 && t.misses > 100, "{t:?}");
+}

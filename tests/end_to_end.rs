@@ -259,7 +259,6 @@ fn adaptive_antialiasing_keeps_coherence_exact() {
         threads: 1,
         trace: false,
         tile_hint: 0,
-        packets: true,
     };
     let cost = CostModel::default();
     let (plain, _) = render_sequence(
