@@ -213,7 +213,6 @@ fn tile_sweep(w: u32, h: u32, frames: usize) {
             cost: CostModel::default(),
             grid_voxels: 20 * 20 * 20,
             keep_frames: false,
-            wire_delta: true,
         };
         let r = run_sim(&anim, &cfg, &cluster);
         let util = 100.0 * r.report.machines.iter().map(|m| m.busy_s).sum::<f64>()
@@ -270,7 +269,6 @@ fn adaptive_vs_static(w: u32, h: u32, frames: usize) {
                 cost: CostModel::default(),
                 grid_voxels: 20 * 20 * 20,
                 keep_frames: false,
-                wire_delta: true,
             };
             let r = run_sim(&anim, &cfg, &SimCluster::new(machines.clone()));
             times.push(r.report.makespan_s);
@@ -344,7 +342,6 @@ fn machine_mix(w: u32, h: u32, frames: usize) {
             cost: CostModel::default(),
             grid_voxels: 20 * 20 * 20,
             keep_frames: false,
-            wire_delta: true,
         };
         let r = run_sim(&anim, &cfg, &SimCluster::new(machines));
         let b = *base.get_or_insert(r.report.makespan_s);

@@ -3,7 +3,7 @@
 //! `pub` fields of `*Config` structs and the longest function, plus the
 //! workspace's knobs — `NOW_*` environment variables and the `--flag`
 //! literals the binaries look up in their `args` — written to
-//! `BENCH_size.json` so the size trend sits next to `BENCH_render.json`.
+//! `BENCH_size.json`, which CI diffs against the tree.
 //! Run from the workspace root:
 //! `cargo run --release -p now-bench --bin size_ledger [OUT]`.
 //!

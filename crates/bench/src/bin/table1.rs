@@ -114,7 +114,6 @@ fn main() {
         cost,
         grid_voxels,
         keep_frames: false,
-        wire_delta: true,
     };
     let dist = run_sim(
         &anim,

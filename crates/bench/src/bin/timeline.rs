@@ -65,7 +65,6 @@ fn main() {
             cost: CostModel::default(),
             grid_voxels: 20 * 20 * 20,
             keep_frames: false,
-            wire_delta: true,
         };
         let r = run_sim(&anim, &cfg, &cluster);
         println!("\n=== {name} — makespan {:.1}s ===", r.report.makespan_s);

@@ -2,8 +2,10 @@
 
 //! # now-bench
 //!
-//! Benchmark harnesses regenerating every table and figure of the paper,
-//! plus the ablation studies called out in `DESIGN.md`.
+//! Harnesses regenerating every table and figure of the paper on the
+//! simulator's virtual clock, plus the ablation studies called out in
+//! `DESIGN.md`. Nothing here measures wall time: timings come from
+//! `nowbench/` (the benchmark `BENCHMARK.json` names) and from nowhere else.
 //!
 //! Binaries:
 //!
@@ -15,11 +17,10 @@
 //!   (Newton frame 22) as TGA/PGM files plus printed statistics.
 //! * `ablations` — grid-resolution sweep, coherence-granularity sweep
 //!   (pixel vs Jevans blocks), tile-size sweep, adaptive vs static
-//!   partitioning, machine-mix sweep, thread-backend scaling.
-//!
-//! Criterion benches live in `benches/`.
-
-use std::time::Duration;
+//!   partitioning, machine-mix sweep, per-scene payoff, shadow tracking,
+//!   sequence length.
+//! * `timeline` — ASCII Gantt rows of one simulated farm run.
+//! * `size_ledger` — the code-size ledger, `BENCH_size.json`.
 
 /// Format virtual seconds as `h:mm:ss` (the paper's format).
 pub fn hms(seconds: f64) -> String {
@@ -32,11 +33,6 @@ pub fn hms(seconds: f64) -> String {
     } else {
         format!("{m}:{s:02}")
     }
-}
-
-/// Format a wall-clock duration tersely.
-pub fn wall(d: Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
 }
 
 /// Thousands separators for ray counts.

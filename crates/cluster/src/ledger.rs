@@ -22,6 +22,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+/// Each re-issue of the same unit multiplies its lease by this factor
+/// (exponential backoff against spurious timeouts).
+const LEASE_BACKOFF: f64 = 2.0;
+
 /// Lease/timeout policy for the recovery protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
@@ -29,9 +33,6 @@ pub struct RecoveryConfig {
     /// within its lease is presumed lost and re-issued. `INFINITY`
     /// disables recovery (the seed's trusting behaviour).
     pub lease_timeout_s: f64,
-    /// Each re-issue of the same unit multiplies its lease by this factor
-    /// (exponential backoff against spurious timeouts).
-    pub backoff: f64,
     /// A worker is excluded (counted lost, never assigned again) after
     /// this many consecutive lease expiries.
     pub max_worker_failures: u32,
@@ -55,7 +56,6 @@ impl Default for RecoveryConfig {
     fn default() -> RecoveryConfig {
         RecoveryConfig {
             lease_timeout_s: f64::INFINITY,
-            backoff: 2.0,
             max_worker_failures: 2,
             max_worker_strikes: 3,
             speculate: false,
@@ -80,7 +80,7 @@ impl RecoveryConfig {
 
     /// Lease duration for re-issue attempt `attempt` (0 = first issue).
     pub fn lease_for_attempt(&self, attempt: u32) -> f64 {
-        self.lease_timeout_s * self.backoff.powi(attempt.min(20) as i32)
+        self.lease_timeout_s * LEASE_BACKOFF.powi(attempt.min(20) as i32)
     }
 }
 
@@ -515,7 +515,6 @@ mod tests {
     fn cfg(lease: f64, k: u32) -> RecoveryConfig {
         RecoveryConfig {
             lease_timeout_s: lease,
-            backoff: 2.0,
             max_worker_failures: k,
             ..RecoveryConfig::default()
         }

@@ -325,9 +325,6 @@ pub struct NetConfig {
     /// A connection that doesn't complete its `HELLO` within this many
     /// seconds is dropped (slow-loris protection).
     pub handshake_timeout_s: f64,
-    /// Upper bound on simultaneously enrolled live workers; connections
-    /// beyond it are rejected with a `REJECT` frame.
-    pub max_workers: usize,
 }
 
 impl Default for NetConfig {
@@ -337,7 +334,6 @@ impl Default for NetConfig {
             accept_window_s: 30.0,
             read_timeout_s: 30.0,
             handshake_timeout_s: 5.0,
-            max_workers: 4096,
         }
     }
 }
@@ -377,6 +373,10 @@ mod sys {
 /// Seconds a quarantined node identity is turned away at `HELLO` before
 /// it may rejoin.
 const QUARANTINE_COOLDOWN_S: f64 = 60.0;
+
+/// Upper bound on simultaneously enrolled live workers; connections beyond
+/// it are rejected with a `REJECT` frame.
+const MAX_WORKERS: usize = 4096;
 
 // ---------------------------------------------------------------------
 // Master
@@ -871,7 +871,7 @@ where
                     let live = (0..self.slots.len())
                         .filter(|&w| self.core.is_live(w))
                         .count();
-                    if live >= self.cfg.net.max_workers {
+                    if live >= MAX_WORKERS {
                         self.reject_conn(ci, "farm full", t);
                     }
                 }

@@ -448,7 +448,6 @@ mod tests {
         cluster.faults = FaultPlan::none().crash_at(1, 2);
         cluster.recovery = RecoveryConfig {
             lease_timeout_s: 0.25,
-            backoff: 2.0,
             max_worker_failures: 1,
             ..RecoveryConfig::default()
         };
@@ -474,7 +473,6 @@ mod tests {
         cluster.faults = FaultPlan::none().stall_at(2, 1);
         cluster.recovery = RecoveryConfig {
             lease_timeout_s: 0.15,
-            backoff: 2.0,
             max_worker_failures: 1,
             ..RecoveryConfig::default()
         };
@@ -506,7 +504,6 @@ mod tests {
         cluster.faults = FaultPlan::none().slow_from(0, 1, 50.0);
         cluster.recovery = RecoveryConfig {
             lease_timeout_s: 0.08,
-            backoff: 2.0,
             max_worker_failures: 20,
             ..RecoveryConfig::default()
         };
@@ -640,7 +637,6 @@ mod tests {
         cluster.faults = FaultPlan::none().crash_at(0, 1).crash_at(1, 1);
         cluster.recovery = RecoveryConfig {
             lease_timeout_s: 5.0,
-            backoff: 2.0,
             max_worker_failures: 3,
             ..RecoveryConfig::default()
         };

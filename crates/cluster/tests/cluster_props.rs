@@ -280,7 +280,6 @@ fn sim_faulty_runs_complete_exactly_once() {
         cluster.faults = faults;
         cluster.recovery = RecoveryConfig {
             lease_timeout_s: rng.f64_in(3.0, 10.0),
-            backoff: 2.0,
             max_worker_failures: rng.u32_in(1, 4),
             ..RecoveryConfig::default()
         };

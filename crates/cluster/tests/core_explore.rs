@@ -131,7 +131,6 @@ impl World {
             max_worker_strikes: 2,
             speculate: true,
             speculate_factor: 2.0,
-            ..RecoveryConfig::default()
         };
         let bag = Bag {
             next: 0,

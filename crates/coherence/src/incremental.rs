@@ -498,6 +498,21 @@ mod tests {
         }
     }
 
+    /// The path log's footprint after one fully recorded Newton frame:
+    /// two 3-bit step codes per byte plus a short head per ray, far under
+    /// the 8 bytes a fixed `(pixel, gen)` pair per mark would cost.
+    #[test]
+    fn a_recorded_newton_frame_costs_under_two_bytes_per_mark() {
+        let scene = now_anim::scenes::newton::scene(96, 72);
+        let spec = GridSpec::for_scene(scene.bounds(), 24 * 24 * 24);
+        let mut r = CoherentRenderer::new(spec, 96, 72, RenderSettings::default());
+        let (_, report) = r.render_next(&scene);
+        assert!(report.full_render);
+        let stats = r.engine().stats();
+        let entry_bytes = stats.list_bytes as f64 / stats.entries as f64;
+        assert!(entry_bytes <= 2.0, "{entry_bytes} log bytes per mark");
+    }
+
     #[test]
     fn pool_threads_leave_identical_engine_state() {
         let spec = sequence_spec();

@@ -47,11 +47,6 @@ pub struct FarmConfig {
     /// Keep finished frame pixels in the result (tests); hashes are always
     /// kept.
     pub keep_frames: bool,
-    /// Ship compacted tile deltas worker → master (the distributed
-    /// framebuffer). Off = the legacy 7-bytes-per-pixel encoding, kept as
-    /// the measurement baseline. Worker-side only: the master decodes
-    /// every mode regardless, and frames are byte-identical either way.
-    pub wire_delta: bool,
 }
 
 impl FarmConfig {
@@ -64,7 +59,6 @@ impl FarmConfig {
             cost: CostModel::default(),
             grid_voxels: 24 * 24 * 24,
             keep_frames: false,
-            wire_delta: true,
         }
     }
 }
@@ -264,7 +258,7 @@ impl FarmWorker {
             unit.region,
             self.width,
             &mut self.wire,
-            self.cfg.wire_delta,
+            true, // compact: the farm has no RAW mode
         );
         self.wire_next = unit.frame + 1;
         update
@@ -1115,7 +1109,6 @@ mod tests {
             cost: CostModel::default(),
             grid_voxels: 4096,
             keep_frames: false,
-            wire_delta: true,
         }
     }
 
@@ -1435,40 +1428,6 @@ mod tests {
             acc
         };
         assert_eq!(h, result.frame_hashes[2]);
-    }
-
-    #[test]
-    fn wire_delta_off_is_byte_identical_and_costs_more() {
-        let anim = anim();
-        let on = cfg(
-            PartitionScheme::FrameDivision {
-                tile_w: 16,
-                tile_h: 16,
-                adaptive: true,
-            },
-            true,
-        );
-        let mut off = on.clone();
-        off.wire_delta = false;
-        let with = run_sim(&anim, &on, &paper_cluster());
-        let without = run_sim(&anim, &off, &paper_cluster());
-        // the codec is lossless: delta on/off must not move a single pixel
-        assert_eq!(with.frame_hashes, without.frame_hashes);
-        assert_eq!(with.frame_hashes, reference_hashes(&anim, &on));
-        // and the threads backend agrees with both settings
-        assert_eq!(run_threads(&anim, &off, 3).frame_hashes, with.frame_hashes);
-        // delta-off ships legacy raw tiles: strictly more frame bytes
-        assert!(
-            with.frame_bytes_wire < without.frame_bytes_wire,
-            "delta {} vs raw {}",
-            with.frame_bytes_wire,
-            without.frame_bytes_wire
-        );
-        // raw mode costs exactly what the seed protocol did: 7 B/pixel
-        assert_eq!(
-            without.frame_bytes_wire,
-            without.units_done * 5 + 7 * without.pixels_shipped
-        );
     }
 
     #[test]

@@ -809,7 +809,6 @@ impl ServiceMaster {
             cost: self.cfg.cost,
             grid_voxels: spec.grid_voxels,
             keep_frames: false,
-            wire_delta: true,
         }
     }
 
@@ -1308,7 +1307,6 @@ impl WorkerLogic for ServiceWorker {
             cost: self.cost,
             grid_voxels: su.grid_voxels,
             keep_frames: false,
-            wire_delta: true,
         };
         let spec = GridSpec::for_scene(anim.swept_bounds(), cfg.grid_voxels);
         let mut w = FarmWorker::new(anim, spec, cfg);

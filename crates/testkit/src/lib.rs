@@ -2,22 +2,19 @@
 
 //! # now-testkit
 //!
-//! A tiny, dependency-free stand-in for the property-testing and
-//! micro-benchmark crates the workspace used to pull from crates.io
-//! (`proptest`, `criterion`). The build environment for this repository is
-//! fully offline, so every test and bench harness runs on this kit instead.
+//! A tiny, dependency-free stand-in for the property-testing crate the
+//! workspace used to pull from crates.io (`proptest`). The build
+//! environment for this repository is fully offline, so every property
+//! test runs on this kit instead.
 //!
 //! * [`Rng`] — a deterministic SplitMix64 generator with range helpers.
 //! * [`cases`] — run a property over `n` generated cases; on failure the
 //!   panic message carries the case index and seed so the exact input can
 //!   be replayed with [`Rng::with_seed`].
-//! * [`bench`] — a minimal timing harness for `harness = false` benches.
 //! * [`golden`] — golden-file assertions with `NOW_BLESS=1` regeneration,
 //!   used by the trace-determinism harness and image regression tests.
 
 pub mod golden;
-
-use std::time::Instant;
 
 /// Deterministic pseudo-random generator (SplitMix64).
 ///
@@ -122,58 +119,6 @@ pub fn cases(n: u64, property: impl Fn(&mut Rng)) {
     }
 }
 
-/// Result of one [`bench`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchStats {
-    /// Iterations measured.
-    pub iters: u32,
-    /// Mean wall time per iteration in nanoseconds.
-    pub mean_ns: f64,
-    /// Fastest single iteration in nanoseconds.
-    pub min_ns: f64,
-}
-
-/// Minimal timing harness: warm up, then time `iters` iterations of `f`,
-/// printing a criterion-style line. Returns the stats for programmatic use.
-pub fn bench(name: &str, iters: u32, mut f: impl FnMut()) -> BenchStats {
-    assert!(iters > 0);
-    // warmup
-    for _ in 0..iters.div_ceil(10).min(3) {
-        f();
-    }
-    let mut min_ns = f64::INFINITY;
-    let total = Instant::now();
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        min_ns = min_ns.min(t.elapsed().as_nanos() as f64);
-    }
-    let mean_ns = total.elapsed().as_nanos() as f64 / iters as f64;
-    let stats = BenchStats {
-        iters,
-        mean_ns,
-        min_ns,
-    };
-    println!(
-        "{name:<40} {:>12}/iter (min {:>12}, {iters} iters)",
-        fmt_ns(mean_ns),
-        fmt_ns(min_ns)
-    );
-    stats
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,12 +162,5 @@ mod tests {
             let v = rng.u32_in(0, 100);
             assert!(v != v, "always fails");
         });
-    }
-
-    #[test]
-    fn bench_runs() {
-        let s = bench("noop", 5, || {});
-        assert_eq!(s.iters, 5);
-        assert!(s.mean_ns >= 0.0);
     }
 }

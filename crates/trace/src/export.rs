@@ -94,8 +94,7 @@ pub fn chrome_json(snap: &Snapshot) -> String {
     format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
-/// Export counters and histograms as a flat metrics JSON object, suitable
-/// for merging into `BENCH_render.json`.
+/// Export counters and histograms as a flat metrics JSON object.
 pub fn metrics_json(snap: &Snapshot) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(

@@ -23,7 +23,6 @@ fn main() {
         cost: CostModel::default(),
         grid_voxels: 4096,
         keep_frames: false,
-        wire_delta: true,
     };
 
     // reference: the paper's 3-machine cluster, no faults
@@ -40,7 +39,6 @@ fn main() {
     faulty.faults = FaultPlan::none().crash_at(1, 3);
     faulty.recovery = RecoveryConfig {
         lease_timeout_s: 30.0,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };
@@ -64,7 +62,6 @@ fn main() {
     threads.faults = FaultPlan::none().stall_at(2, 1);
     threads.recovery = RecoveryConfig {
         lease_timeout_s: 0.5,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };

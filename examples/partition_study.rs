@@ -63,7 +63,6 @@ fn main() {
             cost: CostModel::default(),
             grid_voxels: 20 * 20 * 20,
             keep_frames: false,
-            wire_delta: true,
         };
         let r = run_sim(&anim, &cfg, &cluster);
         let util = 100.0 * r.report.machines.iter().map(|m| m.busy_s).sum::<f64>()

@@ -26,8 +26,6 @@
 //!                      (one hex per line); exit nonzero on any mismatch
 //!   --journal DIR      write-ahead journal + durable frames into DIR
 //!   --resume           resume an interrupted run from --journal DIR
-//!   --raw-wire         ship 7-byte raw pixels instead of compressed tile
-//!                      deltas (the frames are byte-identical either way)
 //! nowfarm master SCENE [opts]               TCP master for a multi-process farm
 //!   --listen ADDR      address to listen on (default 127.0.0.1:0; the
 //!                      chosen port is printed as `listening on ...`)
@@ -38,13 +36,15 @@
 //!   --heartbeat-s S    ping cadence towards live workers (default 0.25)
 //!   --accept-window-s S  how long the door stays open for (re)joining
 //!                      workers before an idle master gives up (default 30)
-//!   --scheme/--plain/--pool/--out/--hashes/--expect-hashes as for `farm`
+//!   --scheme/--plain/--pool/--tile/--out/--hashes/--expect-hashes as for `farm`
 //!   --journal DIR      write-ahead journal + durable frames into DIR
 //!   --resume           resume an interrupted run from --journal DIR
 //!   --chaos SPEC       seeded combined fault injection (see below)
 //! nowfarm worker SCENE [opts]               TCP worker process
 //!   --connect ADDR     master address (required)
+//!   --service          join a service instead of a one-job master (below)
 //!   --pool N           tile-pool threads for this worker (0 = auto)
+//!   --tile WxH         pool tile-size hint, as for `render`
 //!   --retries N        after a dropped session, reconnect up to N times
 //!                      (rides out a master restart with --resume)
 //!   --heartbeat-s S    expected master ping cadence; silence for ~10
@@ -54,6 +54,7 @@
 //! nowfarm demo   NAME [frames [WxH]]        render a built-in animation
 //!                                           (newton | glassball | orbit)
 //!   --pool N           intra-worker tile-pool threads (0 = auto; default 1)
+//!   --tile/--out       as for `render`
 //!
 //! nowfarm serve  [opts]                     long-lived multi-tenant service
 //!   --listen ADDR      address to listen on (default 127.0.0.1:0; the
@@ -68,7 +69,7 @@
 //!                      token earned per E submission attempts; throttled
 //!                      submits are rejected with an explicit reason
 //!   --lease S          lease recovery with an S-second base lease
-//!   --heartbeat-s/--accept-window-s/--chaos as for `master`
+//!   --heartbeat-s/--accept-window-s/--chaos/--pool/--tile as for `master`
 //! nowfarm submit SCENE --connect ADDR       submit a job to a service
 //!   --tenant T         tenant to bill against (default "default")
 //!   --priority P       priority within the tenant (default 0)
@@ -112,7 +113,8 @@
 //!
 //! Output bytes are identical for every `--pool` value and for every
 //! backend (sim, threads, tcp); the flags only change where and how the
-//! pixels are computed.
+//! pixels are computed. A `--flag` the subcommand does not list above is
+//! an error (exit status 2), not an ignored word.
 
 use now_math::Color;
 use nowrender::anim::scenes::{from_spec, glassball, newton, orbit};
@@ -133,32 +135,171 @@ use nowrender::raytrace::{image_io, Framebuffer, RenderSettings};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
+/// A subcommand's flags as `(flag, takes_value)`.
+type Flags = &'static [(&'static str, bool)];
+
+/// A subcommand: its name, the flags it looks up, the function that runs it.
+type Command = (&'static str, Flags, fn(&[String]) -> CliResult);
+
+/// Every subcommand. `main` checks the command line against a command's
+/// flags before running it.
+const COMMANDS: &[Command] = &[
+    ("info", &[], cmd_info),
+    (
+        "render",
+        &[
+            ("--out", true),
+            ("--plain", false),
+            ("--block", true),
+            ("--pool", true),
+            ("--tile", true),
+        ],
+        cmd_render,
+    ),
+    (
+        "farm",
+        &[
+            ("--out", true),
+            ("--threads", true),
+            ("--machines", true),
+            ("--scheme", true),
+            ("--plain", false),
+            ("--pool", true),
+            ("--tile", true),
+            ("--trace", true),
+            ("--hashes", true),
+            ("--expect-hashes", true),
+            ("--journal", true),
+            ("--resume", false),
+        ],
+        cmd_farm,
+    ),
+    (
+        "master",
+        &[
+            ("--listen", true),
+            ("--workers", true),
+            ("--lease", true),
+            ("--heartbeat-s", true),
+            ("--accept-window-s", true),
+            ("--scheme", true),
+            ("--plain", false),
+            ("--pool", true),
+            ("--tile", true),
+            ("--out", true),
+            ("--hashes", true),
+            ("--expect-hashes", true),
+            ("--journal", true),
+            ("--resume", false),
+            ("--chaos", true),
+        ],
+        cmd_master,
+    ),
+    (
+        "worker",
+        &[
+            ("--connect", true),
+            ("--service", false),
+            ("--pool", true),
+            ("--tile", true),
+            ("--retries", true),
+            ("--heartbeat-s", true),
+            ("--accept-window-s", true),
+        ],
+        cmd_worker,
+    ),
+    (
+        "demo",
+        &[("--pool", true), ("--tile", true), ("--out", true)],
+        cmd_demo,
+    ),
+    (
+        "serve",
+        &[
+            ("--listen", true),
+            ("--workers", true),
+            ("--root", true),
+            ("--resume", false),
+            ("--max-queued", true),
+            ("--weight", true),
+            ("--rate-limit", true),
+            ("--lease", true),
+            ("--heartbeat-s", true),
+            ("--accept-window-s", true),
+            ("--chaos", true),
+            ("--pool", true),
+            ("--tile", true),
+        ],
+        cmd_serve,
+    ),
+    (
+        "submit",
+        &[
+            ("--connect", true),
+            ("--tenant", true),
+            ("--priority", true),
+            ("--plain", false),
+            ("--watch", false),
+        ],
+        cmd_submit,
+    ),
+    (
+        "status",
+        &[("--connect", true), ("--root", true)],
+        cmd_status,
+    ),
+    ("cancel", &[("--connect", true)], cmd_cancel),
+    ("jobs", &[("--connect", true)], cmd_jobs),
+    ("drain", &[("--connect", true)], cmd_drain),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("info") => cmd_info(&args[1..]),
-        Some("render") => cmd_render(&args[1..]),
-        Some("farm") => cmd_farm(&args[1..]),
-        Some("master") => cmd_master(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
-        Some("demo") => cmd_demo(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("cancel") => cmd_cancel(&args[1..]),
-        Some("jobs") => cmd_jobs(&args[1..]),
-        Some("drain") => cmd_drain(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: nowfarm <info|render|farm|master|worker|demo|serve|submit|status|cancel|jobs|drain> ... (see the README)"
-            );
-            exit(2);
-        }
+    let command = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.0 == name));
+    let Some(&(name, flags, run)) = command else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        eprintln!("usage: nowfarm <{}> ... (see the README)", names.join("|"));
+        exit(2);
     };
-    if let Err(e) = result {
+    if let Err(e) = check_flags(name, flags, &args[1..]) {
+        eprintln!("error: {e}");
+        exit(2);
+    }
+    if let Err(e) = run(&args[1..]) {
         eprintln!("error: {e}");
         exit(1);
     }
+}
+
+/// Reject a `--flag` that is not in the subcommand's table. The word after
+/// a value-taking flag is its value, whatever it looks like.
+fn check_flags(sub: &str, flags: Flags, args: &[String]) -> Result<(), String> {
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with("--") {
+            continue;
+        }
+        match flags.iter().find(|(flag, _)| flag == word) {
+            Some(&(_, true)) => {
+                words.next();
+            }
+            Some(_) => {}
+            None => {
+                let valid: Vec<&str> = flags.iter().map(|f| f.0).collect();
+                return Err(format!(
+                    "unknown flag `{word}`; `nowfarm {sub}` takes: {}",
+                    if valid.is_empty() {
+                        "no flags".to_string()
+                    } else {
+                        valid.join(" ")
+                    }
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 type CliResult = Result<(), String>;
@@ -573,7 +714,6 @@ fn cmd_farm(args: &[String]) -> CliResult {
         cost: CostModel::default(),
         grid_voxels: 24 * 24 * 24,
         keep_frames: true,
-        wire_delta: !has_flag(args, "--raw-wire"),
     };
     if trace_path.is_some() {
         cfg.settings.trace = true;
@@ -652,7 +792,6 @@ fn cmd_master(args: &[String]) -> CliResult {
         cost: CostModel::default(),
         grid_voxels: 24 * 24 * 24,
         keep_frames: true,
-        wire_delta: !has_flag(args, "--raw-wire"),
     };
     let tcp = tcp_config(args, workers)?;
     let journal = journal_spec(args)?;
@@ -1086,5 +1225,65 @@ mod tests {
         assert_eq!(settings.threads, 4);
         assert_eq!(settings.tile_hint, 256);
         assert!(render_settings(&["--tile".to_string(), "what".to_string()]).is_err());
+    }
+
+    /// The usage block of the module doc as `(subcommand, flag)` pairs: a
+    /// `nowfarm SUB ...` line opens a subcommand and may name flags, an
+    /// indented line starting `--a/--b` documents those flags for it.
+    fn documented_flags() -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        let mut sub = String::new();
+        let doc = include_str!("nowfarm.rs")
+            .lines()
+            .map_while(|l| l.strip_prefix("//!"))
+            .skip_while(|l| !l.contains("```text"))
+            .skip(1)
+            .take_while(|l| !l.contains("```"));
+        for line in doc {
+            let mut words = line.split_whitespace();
+            let first = words.next().unwrap_or("");
+            let flags: Vec<&str> = if first == "nowfarm" {
+                sub = words.next().expect("subcommand").to_string();
+                words.filter(|w| w.starts_with("--")).collect()
+            } else if first.starts_with("--") {
+                first.split('/').collect()
+            } else {
+                continue;
+            };
+            out.extend(flags.iter().map(|f| (sub.clone(), f.to_string())));
+        }
+        out
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_and_documented_ones_accepted() {
+        let words = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
+        let table = |sub: &str| COMMANDS.iter().find(|c| c.0 == sub).expect("subcommand").1;
+        for sub in ["render", "farm", "master", "worker", "serve", "submit"] {
+            let err = check_flags(sub, table(sub), &words("demo:newton:1:32x24 --pol 3"))
+                .expect_err("unknown flag accepted");
+            assert!(err.contains("`--pol`") && err.contains(sub), "{err}");
+            assert!(err.contains(table(sub)[0].0), "no flag list in: {err}");
+        }
+        let documented = documented_flags();
+        for (sub, flag) in &documented {
+            let known = table(sub).iter().find(|(f, _)| f == flag);
+            let &(_, takes_value) = known.unwrap_or_else(|| panic!("{sub} {flag} not in table"));
+            let line = format!("scene {flag}{}", if takes_value { " v" } else { "" });
+            assert_eq!(check_flags(sub, table(sub), &words(&line)), Ok(()));
+        }
+        // and nothing is accepted that the doc does not mention
+        for &(sub, flags, _) in COMMANDS {
+            for (flag, _) in flags {
+                let pair = (sub.to_string(), flag.to_string());
+                assert!(documented.contains(&pair), "{sub} {flag} is undocumented");
+            }
+        }
+        // the word after a value-taking flag is its value; the word after
+        // a bare flag is checked like any other
+        let farm = table("farm");
+        assert_eq!(check_flags("farm", farm, &words("s --out --odd")), Ok(()));
+        assert!(check_flags("farm", farm, &words("s --resume --odd")).is_err());
+        assert!(check_flags("info", table("info"), &words("s --out d")).is_err());
     }
 }

@@ -100,7 +100,6 @@ fn farm_renders_across_the_cut_exactly() {
             cost: CostModel::default(),
             grid_voxels: 4096,
             keep_frames: false,
-            wire_delta: true,
         };
         let result = run_sim(&anim, &cfg, &SimCluster::paper());
         for f in 0..FRAMES {

@@ -29,7 +29,6 @@ fn cfg() -> FarmConfig {
         cost: CostModel::default(),
         grid_voxels: 4096,
         keep_frames: false,
-        wire_delta: true,
     }
 }
 
@@ -48,7 +47,6 @@ fn sim_worker_crash_preserves_every_frame_byte() {
     cluster.faults = FaultPlan::none().crash_at(1, 5);
     cluster.recovery = RecoveryConfig {
         lease_timeout_s: 30.0,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };
@@ -77,7 +75,6 @@ fn sim_stalled_and_slow_workers_preserve_every_frame_byte() {
     cluster.faults = FaultPlan::none().stall_at(1, 2).slow_from(2, 1, 50.0);
     cluster.recovery = RecoveryConfig {
         lease_timeout_s: 20.0,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };
@@ -116,7 +113,6 @@ fn threads_worker_crash_preserves_every_frame_byte() {
     cluster.faults = FaultPlan::none().crash_at(1, 4);
     cluster.recovery = RecoveryConfig {
         lease_timeout_s: 2.0,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };
@@ -156,7 +152,6 @@ fn threads_worker_crash_plus_journal_kill_then_resume_is_byte_identical() {
         cluster.faults = FaultPlan::none().crash_at(1, 3);
         cluster.recovery = RecoveryConfig {
             lease_timeout_s: 2.0,
-            backoff: 2.0,
             max_worker_failures: 1,
             ..RecoveryConfig::default()
         };
@@ -229,7 +224,6 @@ fn threads_stalled_worker_completes_within_lease_budget() {
     cluster.faults = FaultPlan::none().stall_at(2, 1);
     cluster.recovery = RecoveryConfig {
         lease_timeout_s: 1.0,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };
@@ -317,7 +311,6 @@ fn sim_poisson_churn_preserves_every_frame_byte() {
     cluster.faults = plan;
     cluster.recovery = RecoveryConfig {
         lease_timeout_s: 5.0,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };

@@ -46,7 +46,6 @@ fn master_cfg() -> FarmConfig {
         cost: CostModel::default(),
         grid_voxels: 24 * 24 * 24,
         keep_frames: false,
-        wire_delta: true,
     }
 }
 

@@ -22,7 +22,6 @@ fn sim_runs_are_bit_identical() {
         cost: CostModel::default(),
         grid_voxels: 4096,
         keep_frames: false,
-        wire_delta: true,
     };
     let cluster = SimCluster::paper();
     let a = run_sim(&anim, &cfg, &cluster);

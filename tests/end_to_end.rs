@@ -28,7 +28,6 @@ fn base_cfg(scheme: PartitionScheme, coherence: bool) -> FarmConfig {
         cost: CostModel::default(),
         grid_voxels: 16 * 16 * 16,
         keep_frames: false,
-        wire_delta: true,
     }
 }
 

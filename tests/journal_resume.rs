@@ -42,7 +42,6 @@ fn cfg() -> FarmConfig {
         cost: CostModel::default(),
         grid_voxels: 4096,
         keep_frames: false,
-        wire_delta: true,
     }
 }
 

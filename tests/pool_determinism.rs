@@ -11,7 +11,7 @@ use nowrender::core::{
     render_sequence, run_sim, CostModel, FarmConfig, PartitionScheme, SequenceMode, SingleMachine,
 };
 use nowrender::grid::GridSpec;
-use nowrender::raytrace::RenderSettings;
+use nowrender::raytrace::{render_frame_par, GridAccel, NullListener, RayStats, RenderSettings};
 
 const W: u32 = 48;
 const H: u32 = 36;
@@ -95,6 +95,23 @@ fn coherent_renderer_engine_state_matches_serial_exactly() {
     }
 }
 
+/// The deterministic schedule speedup (total rays over the rays on the
+/// busiest lane) of a 128x96 Newton frame cut for 4 threads: a pure
+/// function of the scene and the tile plan, so it is gated here, on any
+/// host, and not by a timing run.
+#[test]
+fn four_thread_tile_plan_keeps_a_3x_schedule_speedup() {
+    let scene = newton::scene(128, 96);
+    let accel = GridAccel::build(&scene);
+    let plan = || {
+        let mut stats = RayStats::default();
+        render_frame_par(&scene, &accel, &settings(4), &mut NullListener, &mut stats).1
+    };
+    let par = plan();
+    assert!(par.speedup() >= 3.0, "schedule speedup {}", par.speedup());
+    assert_eq!(par, plan(), "the plan differs between two runs");
+}
+
 #[test]
 fn auto_thread_selection_changes_nothing_but_speed() {
     // threads: 0 resolves from NOW_THREADS (CI sets 3) or the host's
@@ -134,7 +151,6 @@ fn farm_cfg(threads: u32) -> FarmConfig {
         cost: CostModel::default(),
         grid_voxels: 4096,
         keep_frames: false,
-        wire_delta: true,
     }
 }
 
@@ -167,7 +183,6 @@ fn chaos_with_pooled_workers_preserves_every_frame_byte() {
     cluster.faults = FaultPlan::none().crash_at(1, 3);
     cluster.recovery = RecoveryConfig {
         lease_timeout_s: 30.0,
-        backoff: 2.0,
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };

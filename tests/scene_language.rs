@@ -61,7 +61,6 @@ fn parsed_scene_runs_on_the_farm() {
         cost: CostModel::default(),
         grid_voxels: 4096,
         keep_frames: false,
-        wire_delta: true,
     };
     let r = run_sim(&anim, &cfg, &SimCluster::paper());
     assert_eq!(r.frame_hashes.len(), 4);

@@ -43,7 +43,6 @@ fn farm_cfg(threads: u32) -> FarmConfig {
         cost: CostModel::default(),
         grid_voxels: 4096,
         keep_frames: false,
-        wire_delta: true,
     }
 }
 
