@@ -12,7 +12,7 @@
 //!
 //! The core keeps each worker topped up to its *lease depth*. At depth 1
 //! (the simulator, the paper's model) a worker idles for one master
-//! turnaround per unit; at depth 2 (the wall-clock drivers) its next unit
+//! turnaround per unit; at depth 2 (the wall-clock driver) its next unit
 //! is already in its inbox when it answers, and it renders while the
 //! master verifies, journals and writes — while it has company: a farm
 //! of one is leased one unit at a time at any depth. A worker answers its
@@ -105,8 +105,8 @@ impl<M: MasterLogic> MasterCore<M> {
         self.ledger.add_worker()
     }
 
-    /// The driver observed `worker` die (closed socket, dropped channel,
-    /// read deadline, protocol violation): requeue everything it holds.
+    /// The driver observed `worker` die (closed socket, read deadline,
+    /// protocol violation): requeue everything it holds.
     pub fn left(&mut self, worker: usize) {
         if self.is_live(worker) {
             if self.ledger.worker_died(worker).newly_lost {
@@ -218,14 +218,15 @@ impl<M: MasterLogic> MasterCore<M> {
     /// offered, so one that still draws nothing is *released*, not
     /// re-parked (else the `all_done` park rule would spin). Workers
     /// neither parked nor done let their leases expire: they may be slow
-    /// or wedged for good, which an in-process transport can never
-    /// observe. With units requeued they get one more backed-off lease to
-    /// speak up and draw the retry; then, or at once if nothing is
-    /// requeued, they are dismissed — the job is as done as it can get,
-    /// and waiting longer could hang. A live service holds the backstop
-    /// (clients may submit work), as does a driver that still admits
-    /// joiners while units are unfinished. Returns whether anything was
-    /// queued: a wake that changed nothing must not be retried in a loop.
+    /// or wedged for good, which no transport can tell apart (a wedged
+    /// worker may still answer heartbeats). With units requeued they get
+    /// one more backed-off lease to speak up and draw the retry; then, or
+    /// at once if nothing is requeued, they are dismissed — the job is as
+    /// done as it can get, and waiting longer could hang. A live service
+    /// holds the backstop (clients may submit work), as does a driver that
+    /// still admits joiners while units are unfinished. Returns whether
+    /// anything was queued: a wake that changed nothing must not be
+    /// retried in a loop.
     pub fn wake(&mut self, now: f64) -> bool {
         let queued = self.actions.len();
         let rescuable = self.joinable && !self.master.all_done();

@@ -5,16 +5,17 @@
 //! overloaded mid-run. A [`FaultPlan`] schedules such failures per worker:
 //! crash at the Nth unit, stall (receive a unit and never reply), slow
 //! down by a factor, silently drop or corrupt a result, or join late. The
-//! discrete-event simulator applies these to virtual time; the thread
-//! backend applies them for real (early thread exit, injected sleeps,
-//! suppressed sends). How the master *recovers* from them is a separate
-//! concern: see [`crate::ledger`] and [`crate::core`].
+//! discrete-event simulator applies these to virtual time; on the wall
+//! clock the TCP worker's serve loop realises them for real (in-process
+//! workers only), except corruption, which the master applies on arrival.
+//! How the master *recovers* from them is a separate concern: see
+//! [`crate::ledger`] and [`crate::core`].
 
 use crate::chaos::Clause;
 use std::collections::BTreeMap;
 
 /// One kind of injected fault, triggered by the 0-based count of units the
-/// worker has *started* (received).
+/// worker has *started* (received); see [`FaultKind::CorruptFromUnit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The worker dies when it receives its `n`th unit (0-based): the unit
@@ -37,10 +38,12 @@ pub enum FaultKind {
     /// in transit (the work request it doubles as is lost too, so the
     /// worker sits idle until the master re-engages or excludes it).
     DropResultAtUnit(u64),
-    /// Every result from the `n`th unit onward is silently corrupted
-    /// (bit-flipped) before it reaches the master — a Byzantine worker.
-    /// The master's end-to-end checksum must catch it, requeue the unit
-    /// and eventually quarantine the worker.
+    /// Every result from the `n`th onward is silently corrupted
+    /// (bit-flipped) — a Byzantine worker. On the wall clock `n` counts
+    /// the results the master has *received* from the worker, in process
+    /// or remote (a dropped one does not count), and the master flips a
+    /// bit on arrival. The master's end-to-end checksum must catch it,
+    /// requeue the unit and eventually quarantine the worker.
     CorruptFromUnit(u64),
 }
 

@@ -5,19 +5,16 @@
 //! The "network of workstations" substrate — the PVM 3.1 stand-in.
 //!
 //! The paper ran on three SGI workstations coordinated by PVM over shared
-//! Ethernet. This crate reproduces that environment three times:
+//! Ethernet. This crate reproduces that environment on two clocks:
 //!
-//! * [`threads`] — a real parallel backend: each workstation is an OS
-//!   thread, messages travel over `std::sync::mpsc` channels. Use it to
-//!   measure actual wall-clock speedups on the machine running the benches.
-//! * [`net`] — a real TCP transport over `std::net`: the same protocol
-//!   across processes and machines, with length-prefixed framing, a
-//!   node-id handshake, heartbeats and the same lease recovery — the
-//!   deployment model the paper actually ran (PVM daemons over Ethernet).
-//!   Connections come in three roles: handshaking joiners, enrolled
-//!   workers, and control-plane *clients* whose request frames are routed
-//!   through [`MasterLogic::client_frame`] (job submit/status/cancel for
-//!   a long-lived service master).
+//! * [`net`] — the one wall-clock driver, a real TCP transport over
+//!   `std::net` with framing, a node-id handshake, heartbeats and lease
+//!   recovery — the deployment model the paper actually ran (PVM daemons
+//!   over Ethernet). Connections come in three roles: handshaking joiners,
+//!   enrolled workers, and control-plane *clients* whose request frames
+//!   are routed through [`MasterLogic::client_frame`] (job
+//!   submit/status/cancel for a long-lived service master). [`threads`]
+//!   runs it in process, one worker thread per loopback socket.
 //! * [`sim`] — a deterministic discrete-event simulator of heterogeneous
 //!   workstations on a shared-bus Ethernet. Machines have relative speeds
 //!   (the paper's fast SGI is 2x the other two) and the bus has latency,
@@ -27,22 +24,22 @@
 //!   exact 3-machine heterogeneous setup is recreated regardless of the
 //!   host.
 //!
-//! All three drive the same application interface — [`MasterLogic`] on the
+//! Both drive the same application interface — [`MasterLogic`] on the
 //! master workstation and [`WorkerLogic`] on each slave — in the same
 //! demand-driven pattern the paper describes: "The only interprocessor
 //! communication occurs between the master and each of the slaves; the
 //! slaves themselves do not need to communicate with each other." The
 //! master side of that protocol exists once, as the sans-IO state machine
-//! [`core::MasterCore`]; each backend is a thin driver that feeds it
-//! events and realises its actions on its own transport.
+//! [`core::MasterCore`]; each clock has one thin driver that feeds it
+//! events and realises its actions.
 //!
 //! [`codec`] is a small hand-rolled byte codec: protocol payloads are
 //! encoded through it so the simulator charges exact byte counts to the
 //! Ethernet model.
 //!
 //! [`fault`] makes the substrate honest about failure: a [`FaultPlan`]
-//! injects worker crashes, stalls, slowdowns and dropped results into
-//! the backends, and the lease/retry/exclusion [`Ledger`] of [`ledger`]
+//! injects worker crashes, stalls, slowdowns and bad results into the
+//! drivers, and the lease/retry/exclusion [`Ledger`] of [`ledger`]
 //! lets the master survive them with every unit integrated exactly once.
 //!
 //! [`journal`] extends that honesty to the master itself: an append-only,

@@ -3,9 +3,10 @@
 //! The paper's structure: "The master process handles this task in
 //! addition to collecting rendered image information and writing this
 //! information out to files. The only interprocessor communication occurs
-//! between the master and each of the slaves." The simulator, the thread
-//! backend and the TCP transport all drive these traits through the one
-//! demand-driven loop of [`crate::core::MasterCore`]:
+//! between the master and each of the slaves." The simulator and the
+//! wall-clock TCP driver (remote workers, or in-process ones via the
+//! thread backend) both drive these traits through the one demand-driven
+//! loop of [`crate::core::MasterCore`]:
 //!
 //! 1. every worker asks for work;
 //! 2. the master answers with a unit from [`MasterLogic::assign`] (or a
@@ -17,7 +18,7 @@
 
 /// Cost accounting for one unit of worker computation.
 ///
-/// The thread backend ignores `work_units` (real CPU time is the cost);
+/// The wall-clock driver ignores `work_units` (real CPU time is the cost);
 /// the simulator divides it by the machine's speed factor to get virtual
 /// seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,11 +182,12 @@ pub trait WorkerLogic: Send {
     fn perform(&mut self, unit: &Self::Unit) -> (Self::Result, WorkCost);
 
     /// Deterministically damage a result in place, for `corrupt@N` fault
-    /// injection (`FaultKind::CorruptFromUnit`): the in-process backends
-    /// call this on a result the fault plan marks as corrupted, and the
-    /// master's verification must then reject it. The default is a no-op,
-    /// which makes corruption faults vacuous for workers that don't
-    /// implement it — such workers can't be used in corruption drills.
+    /// injection (`FaultKind::CorruptFromUnit`): the simulator calls this
+    /// on a result the fault plan marks as corrupted, and the master's
+    /// verification must then reject it. The default is a no-op, which
+    /// makes corruption faults vacuous on the simulator for workers that
+    /// don't implement it. (The wall-clock driver damages the encoded
+    /// result bytes instead, so it needs no help from the worker.)
     fn corrupt(_result: &mut Self::Result) {}
 }
 

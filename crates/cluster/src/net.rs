@@ -1,9 +1,10 @@
 //! Real TCP transport: the master/worker protocol over actual sockets.
 //!
 //! The paper's farm ran on PVM daemons exchanging tagged messages across
-//! real machines; [`crate::threads`] and [`crate::sim`] only ever moved
-//! those messages inside one process. This module carries the same
-//! [`MasterLogic`]/[`WorkerLogic`] protocol across a network:
+//! real machines; [`crate::sim`] only models them. This module is the one
+//! wall-clock driver of the [`MasterLogic`]/[`WorkerLogic`] protocol, over
+//! sockets to worker processes or — via [`crate::threads`] — loopback ones
+//! to worker threads:
 //!
 //! * **Framing** — every [`Message`] travels as
 //!   `magic (u32) | version (u32) | length (u32) | Message::encode()`.
@@ -41,6 +42,7 @@
 use crate::chaos::ChaosPlan;
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::core::{Action, MasterCore};
+use crate::fault::FaultPlan;
 use crate::ledger::RecoveryConfig;
 use crate::logic::{MasterLogic, WorkerLogic};
 use crate::message::{ChannelError, Message, NodeId};
@@ -314,9 +316,9 @@ pub struct NetConfig {
     pub heartbeat_s: f64,
     /// How long the master keeps waiting when it has no workers at all:
     /// a run that never sees a single successful handshake within this
-    /// window fails with `TimedOut`. Once any worker has joined, the
-    /// window also bounds how long a fully-departed farm waits for
-    /// replacement joiners.
+    /// window fails with `TimedOut`. A fully departed farm still owed
+    /// units waits for joiners only while this window is open and fewer
+    /// than the `TcpClusterConfig::workers` quorum have ever joined.
     pub accept_window_s: f64,
     /// A connected worker whose socket stays silent this long is
     /// presumed dead and its leases are requeued. Heartbeat pongs keep a
@@ -402,12 +404,12 @@ pub struct TcpClusterConfig {
     pub fingerprint: Vec<u8>,
     /// Deterministic fault injection (tests and drills; not a product
     /// knob). The net section gates connections by accept order. Of the
-    /// compute section only `corrupt@N` rules act on this backend (the
-    /// worker process is remote, so crashes/stalls can't be injected from
-    /// here): the master damages the matching results on arrival, as if
-    /// the worker had computed wrong bytes, and the verification +
-    /// quarantine machinery must absorb it. The disk section is armed by
-    /// whoever owns the journal (`now_core`'s TCP drivers).
+    /// compute section the master realises `corrupt@N` only, counting the
+    /// *results it has received* from that worker, not units started: it
+    /// damages them on arrival and verification + quarantine must absorb
+    /// it. The rest act in the serve loop, so on in-process workers only
+    /// ([`crate::ThreadCluster`]). The disk section is armed by whoever
+    /// owns the journal (`now_core`'s TCP drivers).
     pub chaos: ChaosPlan,
 }
 
@@ -485,9 +487,14 @@ impl Conn {
         }
     }
 
-    /// Queue one frame for the flush sweep.
-    fn queue(&mut self, msg: &Message) -> Result<(), ChannelError> {
-        let frame = encode_frame(msg)?;
+    /// Queue one master (node 0) frame to node `to` for the flush sweep.
+    fn queue(&mut self, to: NodeId, tag: u32, payload: Vec<u8>) -> Result<(), ChannelError> {
+        let frame = encode_frame(&Message {
+            from: 0,
+            to,
+            tag,
+            payload,
+        })?;
         self.wbuf.extend_from_slice(&frame);
         self.msgs_out += 1;
         Ok(())
@@ -579,19 +586,12 @@ struct Slot {
 
 /// The `HELLO` payload: `(identity, fingerprint)`. An empty payload is
 /// the lenient anonymous form (pre-v2 workers and hand-rolled tests).
-fn parse_hello(payload: &[u8]) -> Result<(u64, Vec<u8>), ChannelError> {
+fn parse_hello(payload: &[u8]) -> Option<(u64, Vec<u8>)> {
     if payload.is_empty() {
-        return Ok((0, Vec::new()));
+        return Some((0, Vec::new()));
     }
     let mut d = Decoder::new(payload);
-    let identity = d
-        .u64()
-        .map_err(|_| ChannelError::Protocol("bad HELLO payload"))?;
-    let fp = d
-        .bytes()
-        .map_err(|_| ChannelError::Protocol("bad HELLO payload"))?
-        .to_vec();
-    Ok((identity, fp))
+    Some((d.u64().ok()?, d.bytes().ok()?.to_vec()))
 }
 
 /// The listening (master) end of a TCP cluster.
@@ -624,8 +624,7 @@ impl TcpMaster {
     /// is live (validated against `cfg.fingerprint`), and workers that
     /// die, stall past the read deadline, or violate the protocol have
     /// their leases requeued on the survivors — the run completes with
-    /// byte-identical output, exactly as the in-process backends
-    /// guarantee for injected crashes.
+    /// byte-identical output.
     pub fn run<M>(self, master: M, cfg: &TcpClusterConfig) -> Result<(M, RunReport), ChannelError>
     where
         M: MasterLogic,
@@ -635,38 +634,59 @@ impl TcpMaster {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| io_to_channel(&e))?;
-        let mut run = MasterRun::new(master, cfg);
-        loop {
-            let t = run.now();
-            let mut activity = run.accept(&self.listener, t)?;
-            let (frames, dead) = run.io_sweep(t);
-            activity |= !frames.is_empty() || !dead.is_empty();
-            for (ci, msg) in frames {
-                run.dispatch(ci, msg, t);
-            }
-            activity |= run.push_to_clients(t);
-            // socket-level deaths, after their final frames
-            for ci in dead {
-                run.conn_died(ci);
-            }
-            let t = run.now();
-            activity |= run.check_deadlines(t);
-            // a worker may still enrol while the quorum was never met and
-            // the accept window is open
-            let joinable =
-                (run.report.workers_joined as usize) < cfg.workers && t < cfg.net.accept_window_s;
-            run.schedule(t, joinable);
-            run.heartbeats(t);
-            if run.should_stop(t, joinable)? {
-                break;
-            }
-            if !activity {
-                run.wait_ready(Some(&self.listener));
-            }
-        }
-        run.drain();
-        Ok(run.into_report())
+        run_master(master, cfg, Some(&self.listener), Vec::new())
     }
+}
+
+/// The master's sweep loop, the one wall-clock driver of [`MasterCore`]:
+/// joiners arrive on `listener`, if any; `enrolled` connections become
+/// slots `0..n` in order before the first sweep ([`crate::ThreadCluster`]).
+pub(crate) fn run_master<M>(
+    master: M,
+    cfg: &TcpClusterConfig,
+    listener: Option<&TcpListener>,
+    enrolled: Vec<TcpStream>,
+) -> Result<(M, RunReport), ChannelError>
+where
+    M: MasterLogic,
+    M::Unit: Wire,
+    M::Result: Wire,
+{
+    let mut run = MasterRun::new(master, cfg);
+    for stream in enrolled {
+        let ci = run.add_conn(stream, 0.0).map_err(|e| io_to_channel(&e))?;
+        run.enrol(ci, 0, 0.0);
+    }
+    loop {
+        let t = run.now();
+        let mut activity = run.accept(listener, t)?;
+        let (frames, dead) = run.io_sweep(t);
+        activity |= !frames.is_empty() || !dead.is_empty();
+        for (ci, msg) in frames {
+            run.dispatch(ci, msg, t);
+        }
+        activity |= run.push_to_clients(t);
+        // socket-level deaths, after their final frames
+        for ci in dead {
+            run.conn_died(ci);
+        }
+        let t = run.now();
+        activity |= run.check_deadlines(t);
+        // a worker may still enrol while the quorum was never met and
+        // the accept window is open
+        let joinable =
+            (run.report.workers_joined as usize) < cfg.workers && t < cfg.net.accept_window_s;
+        run.schedule(t, joinable);
+        run.heartbeats(t);
+        if run.should_stop(t, joinable)? {
+            break;
+        }
+        if !activity {
+            run.wait_ready(listener);
+        }
+    }
+    run.drain();
+    Ok(run.into_report())
 }
 
 /// A running TCP master: the sans-IO core plus what the transport adds
@@ -751,12 +771,7 @@ where
         if let Some(c) = self.conns[ci].as_mut() {
             let mut e = Encoder::new();
             e.str(reason);
-            let _ = c.queue(&Message {
-                from: 0,
-                to: 0,
-                tag: tag::REJECT,
-                payload: e.finish(),
-            });
+            let _ = c.queue(0, tag::REJECT, e.finish());
             c.phase = Phase::Draining;
             c.close_after_flush = true;
             c.retire_at_s = t + 1.0;
@@ -794,15 +809,7 @@ where
     /// Queue a frame to worker `w`; false if its connection is gone.
     fn send_to(&mut self, w: usize, tag: u32, payload: Vec<u8>) -> bool {
         let conn = self.slots[w].conn.and_then(|ci| self.conns[ci].as_mut());
-        conn.is_some_and(|c| {
-            c.queue(&Message {
-                from: 0,
-                to: w + 1,
-                tag,
-                payload,
-            })
-            .is_ok()
-        })
+        conn.is_some_and(|c| c.queue(w + 1, tag, payload).is_ok())
     }
 
     /// Tell worker `w` to stop; its connection closes once the frame has
@@ -832,8 +839,7 @@ where
                 }
                 Action::Shutdown { worker } => {
                     self.shut_down(worker);
-                    let t = self.now();
-                    self.slots[worker].left_s = t;
+                    self.slots[worker].left_s = self.now();
                 }
                 Action::Lost {
                     worker,
@@ -852,22 +858,32 @@ where
         }
     }
 
-    /// New connections enter the `Hello` phase; true if any arrived.
-    fn accept(&mut self, listener: &TcpListener, t: f64) -> Result<bool, ChannelError> {
+    /// Take over a connected socket in the `Hello` phase, gated by the
+    /// net-fault plan's rule for its accept order; returns its index.
+    fn add_conn(&mut self, stream: TcpStream, t: f64) -> std::io::Result<usize> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let chaos = &self.cfg.chaos;
+        let fault = chaos.net.state_for(self.accepted, chaos.seed);
+        self.accepted += 1;
+        self.conns.push(Some(Conn::new(stream, t, fault)));
+        Ok(self.conns.len() - 1)
+    }
+
+    /// New connections on `listener` enter the `Hello` phase; true if any
+    /// arrived.
+    fn accept(&mut self, listener: Option<&TcpListener>, t: f64) -> Result<bool, ChannelError> {
+        let Some(listener) = listener else {
+            return Ok(false);
+        };
         let mut any = false;
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     any = true;
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
+                    let Ok(ci) = self.add_conn(stream, t) else {
                         continue;
-                    }
-                    let chaos = &self.cfg.chaos;
-                    let fault = chaos.net.state_for(self.accepted, chaos.seed);
-                    self.accepted += 1;
-                    let ci = self.conns.len();
-                    self.conns.push(Some(Conn::new(stream, t, fault)));
+                    };
                     let live = (0..self.slots.len())
                         .filter(|&w| self.core.is_live(w))
                         .count();
@@ -944,12 +960,7 @@ where
             return false;
         };
         c.phase = Phase::Client;
-        let _ = c.queue(&Message {
-            from: 0,
-            to: 0,
-            tag: rtag,
-            payload,
-        });
+        let _ = c.queue(0, rtag, payload);
         true
     }
 
@@ -964,7 +975,7 @@ where
             return;
         }
         let hello = (msg.tag == tag::HELLO)
-            .then(|| parse_hello(&msg.payload).ok())
+            .then(|| parse_hello(&msg.payload))
             .flatten();
         let Some((identity, fp)) = hello else {
             return self.turn_away(ci);
@@ -981,8 +992,12 @@ where
                 return self.reject_conn(ci, "quarantined", t);
             }
         }
-        // enroll: new worker slot, WELCOME with node id (index + 1; node
-        // 0 is the master) + job header
+        self.enrol(ci, identity, t);
+    }
+
+    /// Bind connection `ci` to a new worker slot and queue its `WELCOME`:
+    /// node id (slot + 1; node 0 is the master) and job header.
+    fn enrol(&mut self, ci: usize, identity: u64, t: f64) {
         let w = self.core.joined();
         debug_assert_eq!(w, self.slots.len());
         self.slots.push(Slot {
@@ -1078,12 +1093,7 @@ where
             let Some(c) = conn.filter(|c| c.phase == Phase::Client) else {
                 continue;
             };
-            let _ = c.queue(&Message {
-                from: 0,
-                to: 0,
-                tag: ptag,
-                payload,
-            });
+            let _ = c.queue(0, ptag, payload);
             // a push proves the stream is wanted: a quietly-watching
             // client must not trip the idle read timeout
             c.last_read_s = t;
@@ -1344,7 +1354,7 @@ pub struct TcpWorkerConn {
     writer: Arc<Mutex<TcpStream>>,
     closer: TcpStream,
     events: Receiver<Result<(Message, u64), ChannelError>>,
-    reader: std::thread::JoinHandle<(u64, u64)>,
+    reader: std::thread::JoinHandle<u64>,
     node_id: NodeId,
     job_header: Vec<u8>,
     bytes_out: u64,
@@ -1403,93 +1413,89 @@ pub fn connect_worker(addr: &str, cfg: &ConnectConfig) -> Result<TcpWorkerConn, 
         payload: e.finish(),
     };
     let bytes_out = write_frame(&mut stream, &hello)?;
-    let (welcome, welcome_bytes) = read_frame(&mut stream)?;
-    if welcome.tag == tag::REJECT {
-        let mut d = Decoder::new(&welcome.payload);
-        // map the wire reason onto static strings (ChannelError carries
-        // &'static str) so callers can match on it
-        return Err(ChannelError::Protocol(match d.str() {
-            Ok("scene fingerprint mismatch") => "rejected by master: scene fingerprint mismatch",
-            Ok("duplicate node id") => "rejected by master: duplicate node id",
-            Ok("farm full") => "rejected by master: farm full",
-            Ok("quarantined") => "rejected by master: quarantined",
-            _ => "rejected by master",
-        }));
-    }
-    if welcome.tag != tag::WELCOME {
-        return Err(ChannelError::Protocol("expected WELCOME"));
-    }
-    let mut d = Decoder::new(&welcome.payload);
-    let node_id = d
-        .u64()
-        .map_err(|_| ChannelError::Protocol("bad WELCOME payload"))? as NodeId;
-    let job_header = d
-        .bytes()
-        .map_err(|_| ChannelError::Protocol("bad WELCOME payload"))?
-        .to_vec();
-
-    let reader_stream = stream.try_clone().map_err(|e| io_to_channel(&e))?;
-    let closer = stream.try_clone().map_err(|e| io_to_channel(&e))?;
-    let writer = Arc::new(Mutex::new(stream));
-    let (tx, rx) = channel();
-    let ping_writer = Arc::clone(&writer);
-    let reader = std::thread::spawn(move || {
-        let mut stream = reader_stream;
-        let mut pong_bytes = 0u64;
-        let mut pongs = 0u64;
-        loop {
-            match read_frame(&mut stream) {
-                Ok((msg, n)) if msg.tag == tag::PING => {
-                    // answer immediately, even mid-compute, so the master
-                    // measures link RTT rather than unit latency
-                    let pong = Message {
-                        from: node_id,
-                        to: 0,
-                        tag: tag::PONG,
-                        payload: msg.payload,
-                    };
-                    let sent = {
-                        let mut w = ping_writer.lock().expect("writer lock");
-                        write_frame(&mut *w, &pong)
-                    };
-                    match sent {
-                        Ok(b) => {
-                            pong_bytes += b + n;
-                            pongs += 1;
-                        }
-                        Err(_) => {
-                            let _ = tx.send(Err(ChannelError::PeerGone));
-                            break;
-                        }
-                    }
-                }
-                Ok(frame) => {
-                    let done = frame.0.tag == tag::SHUTDOWN;
-                    if tx.send(Ok(frame)).is_err() || done {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    break;
-                }
-            }
-        }
-        (pong_bytes, pongs)
-    });
-    Ok(TcpWorkerConn {
-        writer,
-        closer,
-        events: rx,
-        reader,
-        node_id,
-        job_header,
-        bytes_out,
-        bytes_in: welcome_bytes,
-    })
+    TcpWorkerConn::welcomed(stream, bytes_out)
 }
 
 impl TcpWorkerConn {
+    /// The worker end once its `HELLO` is out (`bytes_out` bytes) or the
+    /// master enrolled it directly (in process): read the `WELCOME` (or
+    /// `REJECT`) and start the reader thread that answers heartbeats.
+    pub(crate) fn welcomed(mut stream: TcpStream, bytes_out: u64) -> Result<Self, ChannelError> {
+        let (welcome, welcome_bytes) = read_frame(&mut stream)?;
+        if welcome.tag == tag::REJECT {
+            let mut d = Decoder::new(&welcome.payload);
+            // map the wire reason onto static strings (ChannelError carries
+            // &'static str) so callers can match on it
+            return Err(ChannelError::Protocol(match d.str() {
+                Ok("scene fingerprint mismatch") => {
+                    "rejected by master: scene fingerprint mismatch"
+                }
+                Ok("duplicate node id") => "rejected by master: duplicate node id",
+                Ok("farm full") => "rejected by master: farm full",
+                Ok("quarantined") => "rejected by master: quarantined",
+                _ => "rejected by master",
+            }));
+        }
+        if welcome.tag != tag::WELCOME {
+            return Err(ChannelError::Protocol("expected WELCOME"));
+        }
+        let mut d = Decoder::new(&welcome.payload);
+        let welcome = (|| Some((d.u64().ok()? as NodeId, d.bytes().ok()?.to_vec())))();
+        let (node_id, job_header) = welcome.ok_or(ChannelError::Protocol("bad WELCOME payload"))?;
+        let reader_stream = stream.try_clone().map_err(|e| io_to_channel(&e))?;
+        let closer = stream.try_clone().map_err(|e| io_to_channel(&e))?;
+        let writer = Arc::new(Mutex::new(stream));
+        let (tx, rx) = channel();
+        let ping_writer = Arc::clone(&writer);
+        let reader = std::thread::spawn(move || {
+            let mut stream = reader_stream;
+            let mut pong_bytes = 0u64;
+            loop {
+                match read_frame(&mut stream) {
+                    Ok((msg, n)) if msg.tag == tag::PING => {
+                        // answer immediately, even mid-compute, so the master
+                        // measures link RTT rather than unit latency
+                        let pong = Message {
+                            from: node_id,
+                            to: 0,
+                            tag: tag::PONG,
+                            payload: msg.payload,
+                        };
+                        let sent = write_frame(&mut *ping_writer.lock().expect("lock"), &pong);
+                        match sent {
+                            Ok(b) => pong_bytes += b + n,
+                            Err(_) => {
+                                let _ = tx.send(Err(ChannelError::PeerGone));
+                                break;
+                            }
+                        }
+                    }
+                    Ok(frame) => {
+                        let done = frame.0.tag == tag::SHUTDOWN;
+                        if tx.send(Ok(frame)).is_err() || done {
+                            break;
+                        }
+                    }
+                    Err(e) => {
+                        let _ = tx.send(Err(e));
+                        break;
+                    }
+                }
+            }
+            pong_bytes
+        });
+        Ok(TcpWorkerConn {
+            writer,
+            closer,
+            events: rx,
+            reader,
+            node_id,
+            job_header,
+            bytes_out,
+            bytes_in: welcome_bytes,
+        })
+    }
+
     /// The node id the master assigned during the handshake.
     pub fn node_id(&self) -> NodeId {
         self.node_id
@@ -1508,10 +1514,7 @@ impl TcpWorkerConn {
             tag,
             payload,
         };
-        let mut w = self.writer.lock().expect("writer lock");
-        let n = write_frame(&mut *w, &msg)?;
-        drop(w);
-        self.bytes_out += n;
+        self.bytes_out += write_frame(&mut *self.writer.lock().expect("writer lock"), &msg)?;
         Ok(())
     }
 
@@ -1532,15 +1535,34 @@ impl TcpWorkerConn {
     /// Returns `Err` if the master disappears (socket closed or silent
     /// past the read timeout) or violates the protocol; a worker should
     /// treat that as "the run is over for me".
-    pub fn serve<W>(mut self, mut logic: W) -> Result<WorkerSummary, ChannelError>
+    pub fn serve<W>(self, logic: W) -> Result<WorkerSummary, ChannelError>
     where
         W: WorkerLogic,
         W::Unit: Wire,
         W::Result: Wire,
     {
-        let mut busy = 0.0f64;
-        let mut units = 0u64;
-        self.send(tag::REQUEST, Vec::new())?;
+        self.serve_with(logic, &FaultPlan::none()).0
+    }
+
+    /// [`TcpWorkerConn::serve`] under the compute faults of slot node id − 1,
+    /// the one place `join`, `crash`, `stall`, `slow` and `drop` are
+    /// realised (DESIGN.md §8); also returns how many fired.
+    pub(crate) fn serve_with<W>(
+        mut self,
+        mut logic: W,
+        faults: &FaultPlan,
+    ) -> (Result<WorkerSummary, ChannelError>, u64)
+    where
+        W: WorkerLogic,
+        W::Unit: Wire,
+        W::Result: Wire,
+    {
+        let w = self.node_id.saturating_sub(1);
+        let (mut busy, mut units, mut injected) = (0.0f64, 0u64, 0u64);
+        std::thread::sleep(Duration::from_secs_f64(faults.join_time(w)));
+        if let Err(e) = self.send(tag::REQUEST, Vec::new()) {
+            return (Err(e), 0);
+        }
         let outcome = loop {
             match self.events.recv() {
                 Ok(Ok((msg, nbytes))) => {
@@ -1548,19 +1570,36 @@ impl TcpWorkerConn {
                     match msg.tag {
                         tag::UNIT => {
                             let mut d = Decoder::new(&msg.payload);
-                            let decoded = (|| -> Result<_, DecodeError> {
-                                let assign = d.u64()?;
-                                let unit = W::Unit::wire_decode(&mut d)?;
-                                Ok((assign, unit))
-                            })();
-                            let (assign, unit) = match decoded {
-                                Ok(v) => v,
-                                Err(_) => break Err(ChannelError::Protocol("bad unit payload")),
+                            let decoded =
+                                (|| Some((d.u64().ok()?, W::Unit::wire_decode(&mut d).ok()?)))();
+                            let Some((assign, unit)) = decoded else {
+                                break Err(ChannelError::Protocol("bad unit payload"));
                             };
+                            // every unit started before this one was computed
+                            let idx = units;
+                            if faults.crash_unit(w) == Some(idx) {
+                                injected += 1;
+                                break Ok(());
+                            }
+                            if faults.stall_unit(w) == Some(idx) {
+                                // mute (pongs still flow) until SHUTDOWN or EOF
+                                injected += 1;
+                                while self.events.recv().is_ok() {}
+                                break Ok(());
+                            }
                             let t0 = Instant::now();
                             let (result, _cost) = logic.perform(&unit);
+                            let factor = faults.slowdown(w, idx);
+                            if factor > 1.0 {
+                                injected += 1;
+                                std::thread::sleep(t0.elapsed().mul_f64(factor - 1.0));
+                            }
                             busy += t0.elapsed().as_secs_f64();
                             units += 1;
+                            if faults.drops_result(w, idx) {
+                                injected += 1;
+                                continue;
+                            }
                             let mut e = Encoder::new();
                             e.u64(assign).f64(busy);
                             result.wire_encode(&mut e);
@@ -1578,7 +1617,7 @@ impl TcpWorkerConn {
             }
         };
         let _ = self.closer.shutdown(Shutdown::Both);
-        let (pong_bytes, _pongs) = self.reader.join().unwrap_or((0, 0));
+        let pong_bytes = self.reader.join().unwrap_or(0);
         let summary = WorkerSummary {
             node_id: self.node_id,
             units,
@@ -1586,7 +1625,7 @@ impl TcpWorkerConn {
             bytes_sent: self.bytes_out + pong_bytes,
             bytes_received: self.bytes_in,
         };
-        outcome.map(|()| summary)
+        (outcome.map(|()| summary), injected)
     }
 }
 

@@ -36,7 +36,7 @@ pub struct MachineReport {
     /// Machine name.
     pub name: String,
     /// Seconds spent computing (virtual seconds in the simulator, wall
-    /// seconds in the thread backend).
+    /// seconds on the wall-clock driver).
     pub busy_s: f64,
     /// Work units completed.
     pub units_done: u64,
@@ -50,8 +50,7 @@ pub struct MachineReport {
     /// Lease expiries charged to this machine over the whole run.
     pub failures: u64,
     /// Smoothed master↔worker round-trip time in seconds, measured by
-    /// heartbeat pings; 0 on backends without a real network (sim,
-    /// threads).
+    /// heartbeat pings; 0 on the simulator, which has no real network.
     pub rtt_s: f64,
     /// True if the machine was excluded as lost (crashed, stalled or
     /// repeatedly timed out).
@@ -194,30 +193,20 @@ impl RunReport {
         rec.counter_add_nd("farm.reassigns", self.units_reassigned);
         rec.counter_add_nd("farm.duplicates_dropped", self.duplicates_dropped);
         rec.counter_add_nd("farm.workers_lost", self.workers_lost);
-        // membership churn is wall-clock-driven; guard the zero case so
-        // fault-free runs leave the trace stream untouched
-        if self.workers_joined > 0 {
-            rec.counter_add_nd("farm.workers_joined", self.workers_joined);
-        }
-        if self.workers_left > 0 {
-            rec.counter_add_nd("farm.workers_left", self.workers_left);
-        }
-        if self.workers_rejected > 0 {
-            rec.counter_add_nd("farm.workers_rejected", self.workers_rejected);
-        }
-        // integrity events only exist under fault injection; guard the
-        // zero case so clean runs keep their golden traces
-        if self.results_rejected > 0 {
-            rec.counter_add_nd("farm.results_rejected", self.results_rejected);
-        }
-        if self.workers_quarantined > 0 {
-            rec.counter_add_nd("farm.workers_quarantined", self.workers_quarantined);
-        }
-        if self.backup_leases > 0 {
-            rec.counter_add_nd("farm.backup_leases", self.backup_leases);
-        }
-        if self.leases_prefetched > 0 {
-            rec.counter_add_nd("farm.prefetch", self.leases_prefetched);
+        // membership churn is wall-clock-driven and integrity events only
+        // exist under fault injection: guard the zero case so clean runs
+        // keep their golden traces
+        let guarded = [
+            ("farm.workers_joined", self.workers_joined),
+            ("farm.workers_left", self.workers_left),
+            ("farm.workers_rejected", self.workers_rejected),
+            ("farm.results_rejected", self.results_rejected),
+            ("farm.workers_quarantined", self.workers_quarantined),
+            ("farm.backup_leases", self.backup_leases),
+            ("farm.prefetch", self.leases_prefetched),
+        ];
+        for (name, n) in guarded.into_iter().filter(|&(_, n)| n > 0) {
+            rec.counter_add_nd(name, n);
         }
         for m in &self.machines {
             rec.observe_nd("farm.units_per_machine", m.units_done);

@@ -17,8 +17,8 @@
 //! [`FaultPlan`] injects crashes, stalls, slowdowns and dropped results
 //! deterministically into the virtual timeline, and the master recovers
 //! through the lease/retry/exclusion protocol of [`crate::core`] when
-//! [`SimCluster::recovery`] enables finite leases. The simulator is one of
-//! three drivers of that protocol: it turns its event heap into core
+//! [`SimCluster::recovery`] enables finite leases. The simulator is the
+//! virtual clock's driver of that protocol: it turns its event heap into core
 //! events on the virtual clock and charges the resulting messages to the
 //! bus model; the policy itself lives in [`MasterCore`].
 //!

@@ -1,20 +1,13 @@
 //! Real-parallel backend: each workstation is an OS thread.
 //!
-//! Runs the same [`MasterLogic`] / [`WorkerLogic`] pair as the simulator,
-//! but over `std::sync::mpsc` channels with real wall-clock timing. Use it
-//! to measure actual parallel speedups of the render farm on the host
-//! machine (the simulator is for reproducing the paper's heterogeneous
-//! 3-SGI setup deterministically).
-//!
-//! This is a driver of the shared [`MasterCore`]: the master thread turns
-//! channel messages and `recv` timeouts into core events on the wall
-//! clock and realises the core's actions as channel sends. What stays
-//! here is the transport — thread spawn, the channels — and the *real*
-//! realisation of a [`FaultPlan`] (early thread exit for a crash, injected
-//! sleeps for a slowdown, suppressed sends for a dropped result). A worker
-//! whose channel disconnects is reported to the core as an observed
-//! death: its leases requeue and the run finishes on the survivors
-//! instead of panicking.
+//! A thin in-process launcher for the one wall-clock driver: the calling
+//! thread runs [`crate::net`]'s master sweep loop over loopback sockets to
+//! one worker thread per workstation, each running the ordinary
+//! [`TcpWorkerConn`] serve loop. Leases, heartbeats, recovery, fault
+//! realisation and wire accounting are all the TCP driver's. Use it to
+//! measure actual parallel speedups of the render farm on the host (the
+//! simulator reproduces the paper's heterogeneous 3-SGI setup
+//! deterministically).
 //!
 //! Parallelism composes two levels: this backend supplies the paper's
 //! *across-workstation* level (one thread per worker), while the worker
@@ -23,40 +16,20 @@
 //! `workers x threads` cores. Both levels preserve byte-identical
 //! output, so the composition does too.
 
-use crate::core::{Action, MasterCore};
 use crate::fault::FaultPlan;
 use crate::ledger::RecoveryConfig;
 use crate::logic::{MasterLogic, WorkerLogic};
-use crate::report::{MachineReport, RunReport};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-enum ToWorker<U> {
-    /// An assignment: ledger id plus the unit.
-    Unit(u64, U),
-    Shutdown,
-}
-
-struct FromWorker<R> {
-    worker: usize,
-    /// `None` is the initial readiness request; `Some` carries the
-    /// assignment id the result answers.
-    done: Option<(u64, R)>,
-    busy_s: f64,
-}
-
-type ResultChannel<R> = (Sender<FromWorker<R>>, Receiver<FromWorker<R>>);
-type UnitChannel<U> = (Sender<ToWorker<U>>, Receiver<ToWorker<U>>);
+use crate::net::{run_master, TcpClusterConfig, TcpWorkerConn, Wire};
+use crate::report::RunReport;
+use std::net::{TcpListener, TcpStream};
 
 /// A thread-per-worker cluster.
 #[derive(Debug, Clone)]
 pub struct ThreadCluster {
     /// Number of worker threads.
     pub workers: usize,
-    /// Deterministic fault injection (empty by default); faults are
-    /// realised with real thread exits, sleeps and suppressed sends.
+    /// Deterministic fault injection (empty by default); thread `i` is
+    /// worker `i`. Handed to the serve loops and the master (DESIGN.md §8).
     pub faults: FaultPlan,
     /// Lease/timeout recovery policy over wall-clock seconds (disabled by
     /// default).
@@ -83,191 +56,35 @@ impl ThreadCluster {
     pub fn run<M, W>(&self, master: M, workers: Vec<W>) -> (M, RunReport)
     where
         M: MasterLogic,
-        M::Unit: 'static,
-        M::Result: 'static,
+        M::Unit: Wire,
+        M::Result: Wire,
         W: WorkerLogic<Unit = M::Unit, Result = M::Result> + 'static,
     {
         assert_eq!(workers.len(), self.workers, "one WorkerLogic per worker");
-        let n = self.workers;
-        let start = Instant::now();
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let (result_tx, result_rx): ResultChannel<M::Result> = channel();
-
-        let mut unit_txs: Vec<Sender<ToWorker<M::Unit>>> = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for (i, mut logic) in workers.into_iter().enumerate() {
-            let (tx, rx): UnitChannel<M::Unit> = channel();
-            unit_txs.push(tx);
-            let results = result_tx.clone();
-            let plan = self.faults.clone();
-            let stop = Arc::clone(&stop);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback listener");
+        let addr = listener.local_addr().expect("loopback listener address");
+        let mut master_ends = Vec::with_capacity(self.workers);
+        let mut handles = Vec::with_capacity(self.workers);
+        for logic in workers {
+            // one pair at a time: the i-th master end becomes slot i, and
+            // its node id tells the i-th thread which faults are its own
+            let stream = TcpStream::connect(addr).expect("connect over loopback");
+            master_ends.push(listener.accept().expect("accept over loopback").0);
+            let _ = stream.set_nodelay(true);
+            let faults = self.faults.clone();
             handles.push(std::thread::spawn(move || {
-                // a late joiner sits out the start of the run, then
-                // announces readiness like any other worker
-                let join_delay = plan.join_time(i);
-                if join_delay > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(join_delay));
-                }
-                // announce readiness
-                results
-                    .send(FromWorker {
-                        worker: i,
-                        done: None,
-                        busy_s: 0.0,
-                    })
-                    .ok();
-                let mut busy = 0.0f64;
-                let mut injected = 0u64;
-                let mut idx = 0u64; // units started, 0-based
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        ToWorker::Unit(assign, unit) => {
-                            let unit_idx = idx;
-                            idx += 1;
-                            if plan.crash_unit(i) == Some(unit_idx) {
-                                // the "machine" dies: drop the channels and go
-                                return (busy, injected + 1);
-                            }
-                            if plan.stall_unit(i) == Some(unit_idx) {
-                                // wedged process: alive but mute
-                                injected += 1;
-                                while !stop.load(Ordering::Relaxed) {
-                                    std::thread::sleep(Duration::from_millis(2));
-                                }
-                                return (busy, injected);
-                            }
-                            let t0 = Instant::now();
-                            let (mut result, _cost) = logic.perform(&unit);
-                            let factor = plan.slowdown(i, unit_idx);
-                            if factor > 1.0 {
-                                injected += 1;
-                                std::thread::sleep(t0.elapsed().mul_f64(factor - 1.0));
-                            }
-                            busy += t0.elapsed().as_secs_f64();
-                            if plan.corrupts(i, unit_idx) {
-                                // byzantine worker: damage the result bytes
-                                // and let the master's verification catch it
-                                W::corrupt(&mut result);
-                                injected += 1;
-                            }
-                            if plan.drops_result(i, unit_idx) {
-                                // computed, but the message is "lost in
-                                // transit"; wait for the master to react
-                                injected += 1;
-                                continue;
-                            }
-                            if results
-                                .send(FromWorker {
-                                    worker: i,
-                                    done: Some((assign, result)),
-                                    busy_s: busy,
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                        ToWorker::Shutdown => break,
-                    }
-                }
-                (busy, injected)
+                TcpWorkerConn::welcomed(stream, 0).map_or(0, |c| c.serve_with(logic, &faults).1)
             }));
         }
-        drop(result_tx);
-
-        let mut report = RunReport {
-            machines: (0..n)
-                .map(|i| MachineReport {
-                    name: format!("thread-{i}"),
-                    ..Default::default()
-                })
-                .collect(),
-            ..Default::default()
-        };
-
-        let mut core = MasterCore::new(master, self.recovery, 2);
-        for _ in 0..n {
-            core.joined();
+        let mut cfg = TcpClusterConfig::new(self.workers);
+        cfg.recovery = self.recovery;
+        cfg.chaos.compute = self.faults.clone();
+        let (master, mut report) = run_master(master, &cfg, None, master_ends)
+            .expect("a run with every worker enrolled cannot time out");
+        for (i, (h, m)) in handles.into_iter().zip(&mut report.machines).enumerate() {
+            report.faults_injected += h.join().unwrap_or(0);
+            m.name = format!("thread-{i}");
         }
-        let now = || start.elapsed().as_secs_f64();
-
-        loop {
-            // realise the core's actions as channel sends
-            while let Some(action) = core.next_action() {
-                match action {
-                    Action::Send {
-                        worker,
-                        assign_id,
-                        unit,
-                    } => {
-                        let sent = unit_txs[worker].send(ToWorker::Unit(assign_id, unit));
-                        if sent.is_err() {
-                            // observed death: requeue its leases at once
-                            core.left(worker);
-                        }
-                    }
-                    Action::Shutdown { worker } | Action::Lost { worker, .. } => {
-                        let _ = unit_txs[worker].send(ToWorker::Shutdown);
-                    }
-                }
-            }
-            if core.wakeable(now()) && core.wake(now()) {
-                continue;
-            }
-            if core.finished() {
-                break;
-            }
-            let msg = match core.next_deadline(now()) {
-                Some(deadline) => {
-                    let wait = (deadline - now()).max(0.0);
-                    result_rx.recv_timeout(Duration::from_secs_f64(wait.min(3600.0)))
-                }
-                None => result_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match msg {
-                Ok(msg) => {
-                    let w = msg.worker;
-                    report.machines[w].busy_s = msg.busy_s;
-                    if let Some((assign, result)) = msg.done {
-                        report.machines[w].units_done += 1;
-                        let t0 = Instant::now();
-                        core.result(w, assign, Ok(result), now());
-                        report.master_busy_s += t0.elapsed().as_secs_f64();
-                    }
-                    // a result doubles as the next work request
-                    core.request(w, now());
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    core.tick(now());
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // every worker thread is gone: requeue what they held,
-                    // report them lost, and end the run gracefully
-                    for w in 0..n {
-                        core.left(w);
-                    }
-                }
-            }
-        }
-
-        // release anything still blocked: wedged workers poll this flag,
-        // parked-on-recv workers see their channel close when unit_txs drops
-        stop.store(true, Ordering::Relaxed);
-        for tx in &unit_txs {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
-        drop(unit_txs);
-        let (master, mut counters, health) = core.finish();
-        for (i, h) in handles.into_iter().enumerate() {
-            if let Ok((busy, injected)) = h.join() {
-                report.machines[i].busy_s = busy;
-                counters.faults_injected += injected;
-            }
-        }
-
-        report.makespan_s = start.elapsed().as_secs_f64();
-        report.absorb_recovery(&counters, &health);
         (master, report)
     }
 }
@@ -277,6 +94,7 @@ mod tests {
     use super::*;
     use crate::logic::{MasterWork, WorkCost};
     use std::collections::BTreeSet;
+    use std::time::{Duration, Instant};
 
     struct CountMaster {
         next: u64,
@@ -350,6 +168,10 @@ mod tests {
         assert!(r.makespan_s >= 0.0);
         assert_eq!(r.workers_lost, 0);
         assert_eq!(r.units_reassigned, 0);
+        // the wire is real: every unit went out and every result came back
+        assert!(r.bytes > 0);
+        assert!(r.messages >= 2 * 200, "{} messages", r.messages);
+        assert!(r.machines.iter().all(|m| m.bytes_sent > 0));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The happy path is covered by unit tests in `net.rs`; here we kill
 //! peers. A "killed worker process" is simulated exactly the way the OS
 //! produces it — the TCP connection drops mid-run — and the master must
-//! requeue its leases onto survivors, matching the thread backend's
-//! handling of injected crashes. A vanished master must surface as an
+//! requeue its leases onto survivors, as it does for the thread backend's
+//! injected crashes (the same loop, over loopback). A vanished master must surface as an
 //! error on the worker, not a hang.
 //!
 //! The TCP master keeps every worker two leases deep, so the hand-rolled
@@ -205,6 +205,50 @@ fn all_workers_killed_ends_run_gracefully() {
     assert_eq!(report.workers_lost, 2);
     h0.join().unwrap();
     h1.join().unwrap();
+}
+
+/// Both workers leave with units still owed. A farm that waits for
+/// replacements does so only while its quorum was never met and the
+/// accept window is open (`NetConfig::accept_window_s`): at quorum 2 the
+/// run ends at once with what it has, at quorum 3 it holds out for the
+/// third worker, who connects half a second later and finishes the job.
+#[test]
+fn a_departed_farm_waits_for_joiners_only_while_its_quorum_is_unmet() {
+    for quorum in [2, 3] {
+        let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
+        let addr = master.local_addr().expect("addr").to_string();
+        let mut threads: Vec<_> = (0..2)
+            .map(|_| {
+                let a = addr.clone();
+                std::thread::spawn(move || crashing_worker(a, 1))
+            })
+            .collect();
+        if quorum == 3 {
+            threads.push(std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(500));
+                let conn = connect_worker(&addr, &ConnectConfig::default()).expect("connect");
+                conn.serve(Squarer).expect("serve");
+            }));
+        }
+        let (m, report) = master
+            .run(count_to(50), &TcpClusterConfig::new(quorum))
+            .expect("run");
+        assert_eq!(report.workers_lost, 2, "quorum {quorum}");
+        if quorum == 2 {
+            assert!(m.seen.len() < 50, "both died owing units");
+            assert!(
+                report.makespan_s < 5.0,
+                "ended at once, not at the 30 s window ({:.2} s)",
+                report.makespan_s
+            );
+        } else {
+            assert_eq!(m.seen.len(), 50, "the replacement finished the job");
+            assert_eq!(report.workers_joined, 3);
+        }
+        for t in threads {
+            t.join().expect("worker thread");
+        }
+    }
 }
 
 /// Serve `w` to the end of the run, answering honestly; before each answer

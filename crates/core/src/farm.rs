@@ -942,7 +942,8 @@ pub fn bind_tcp_master(listen: &str) -> Result<TcpMaster, String> {
 
 /// Run the farm master over a bound TCP listener: wait for the configured
 /// number of worker processes, hand out units, assemble frames. Frame
-/// hashes are byte-identical to the sim and thread backends.
+/// hashes are byte-identical to the sim and thread backends (the latter is
+/// this same TCP master over loopback).
 pub fn run_tcp_master_on(
     listener: TcpMaster,
     anim: &Animation,
