@@ -82,21 +82,23 @@ fn sequence_length(w: u32, h: u32) {
         let anim = newton::animation_sized(w, h, frames);
         let settings = RenderSettings::default();
         let cost = CostModel::default();
-        let (_, plain) = now_core::render_sequence(
+        let plain = now_core::render_sequence(
             &anim,
             &settings,
             &cost,
             SequenceMode::Plain,
             SingleMachine::unit(),
             20 * 20 * 20,
+            |_, _| {},
         );
-        let (_, coh) = now_core::render_sequence(
+        let coh = now_core::render_sequence(
             &anim,
             &settings,
             &cost,
             SequenceMode::Coherent,
             SingleMachine::unit(),
             20 * 20 * 20,
+            |_, _| {},
         );
         println!(
             "{:>8} {:>12.1} {:>12.1} {:>11.2}x {:>9.2}x",
@@ -124,13 +126,14 @@ fn grid_sweep(w: u32, h: u32, frames: usize) {
     );
     for n in [8u32, 12, 16, 24, 32, 48] {
         let anim = newton_anim(w, h, frames);
-        let (_, rep) = now_core::render_sequence(
+        let rep = now_core::render_sequence(
             &anim,
             &RenderSettings::default(),
             &CostModel::default(),
             SequenceMode::Coherent,
             SingleMachine::unit(),
             n * n * n,
+            |_, _| {},
         );
         let recomputed: u64 = rep.pixels_per_frame[1..].iter().sum();
         println!(
@@ -159,13 +162,14 @@ fn granularity_sweep(w: u32, h: u32, frames: usize) {
         } else {
             SequenceMode::BlockCoherent(block)
         };
-        let (_, rep) = now_core::render_sequence(
+        let rep = now_core::render_sequence(
             &anim,
             &RenderSettings::default(),
             &CostModel::default(),
             mode,
             SingleMachine::unit(),
             24 * 24 * 24,
+            |_, _| {},
         );
         let recomputed: u64 = rep.pixels_per_frame[1..].iter().sum();
         let label = if block == 1 {
@@ -421,21 +425,23 @@ fn scene_sweep(w: u32, h: u32, frames: usize) {
     for (name, anim) in scenes {
         let settings = RenderSettings::default();
         let cost = CostModel::default();
-        let (_, plain) = now_core::render_sequence(
+        let plain = now_core::render_sequence(
             &anim,
             &settings,
             &cost,
             SequenceMode::Plain,
             SingleMachine::unit(),
             20 * 20 * 20,
+            |_, _| {},
         );
-        let (_, coh) = now_core::render_sequence(
+        let coh = now_core::render_sequence(
             &anim,
             &settings,
             &cost,
             SequenceMode::Coherent,
             SingleMachine::unit(),
             20 * 20 * 20,
+            |_, _| {},
         );
         println!(
             "{:>12} {:>14} {:>14} {:>9.2}x {:>11.2}x",

@@ -71,13 +71,14 @@ fn main() {
 
     // (1) single processor, no coherence, on the fastest machine
     eprintln!("[1/5] single processor, no coherence ...");
-    let (_, plain) = now_core::render_sequence(
+    let plain = now_core::render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Plain,
         fast,
         grid_voxels,
+        |_, _| {},
     );
     cols.push(Column {
         name: "single",
@@ -89,13 +90,14 @@ fn main() {
 
     // (2) single processor with frame coherence
     eprintln!("[2/5] single processor + frame coherence ...");
-    let (_, coh) = now_core::render_sequence(
+    let coh = now_core::render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Coherent,
         fast,
         grid_voxels,
+        |_, _| {},
     );
     cols.push(Column {
         name: "single+FC",

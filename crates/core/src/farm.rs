@@ -91,9 +91,7 @@ pub struct UnitOutput {
 impl UnitOutput {
     /// Encode everything the checksum covers, in wire order.
     fn encode_content(&self, e: &mut Encoder) {
-        e.u8(self.update.mode);
-        e.u32(self.update.count);
-        e.bytes(&self.update.payload);
+        encode_tile(e, &self.update);
         e.u64(self.rays.primary)
             .u64(self.rays.reflected)
             .u64(self.rays.transmitted)
@@ -135,14 +133,7 @@ impl Wire for UnitOutput {
     }
 
     fn wire_decode(d: &mut Decoder<'_>) -> Result<UnitOutput, DecodeError> {
-        let mode = d.u8()?;
-        let count = d.u32()?;
-        let payload = d.bytes()?.to_vec();
-        let update = TileUpdate {
-            mode,
-            count,
-            payload,
-        };
+        let update = decode_tile(d)?;
         let rays = RayStats {
             primary: d.u64()?,
             reflected: d.u64()?,
@@ -167,6 +158,21 @@ impl Wire for UnitOutput {
             checksum,
         })
     }
+}
+
+/// A [`TileUpdate`]'s wire layout, `u8 mode, u32 count, bytes payload`:
+/// inside a `RESULT` and a service `FRAME_DELTA` push alike.
+pub(crate) fn encode_tile(e: &mut Encoder, tile: &TileUpdate) {
+    e.u8(tile.mode).u32(tile.count).bytes(&tile.payload);
+}
+
+/// Read back what [`encode_tile`] wrote.
+pub(crate) fn decode_tile(d: &mut Decoder<'_>) -> Result<TileUpdate, DecodeError> {
+    Ok(TileUpdate {
+        mode: d.u8()?,
+        count: d.u32()?,
+        payload: d.bytes()?.to_vec(),
+    })
 }
 
 /// Pixel updates accumulated for one frame plus the count of region
@@ -1091,15 +1097,17 @@ mod tests {
     }
 
     fn reference_hashes(anim: &Animation, cfg: &FarmConfig) -> Vec<u64> {
-        let (frames, _) = render_sequence(
+        let mut hashes = Vec::new();
+        render_sequence(
             anim,
             &cfg.settings,
             &cfg.cost,
             SequenceMode::Plain,
             crate::single::SingleMachine::unit(),
             cfg.grid_voxels,
+            |_, fb| hashes.push(frame_hash(&fb)),
         );
-        frames.iter().map(frame_hash).collect()
+        hashes
     }
 
     fn cfg(scheme: PartitionScheme, coherence: bool) -> FarmConfig {

@@ -29,12 +29,13 @@
 //!
 //! Every piece runs on both the deterministic simulator (scale drills:
 //! thousands of jobs over hundreds of simulated workers, byte-identical
-//! across runs) and real TCP (the `nowfarm serve` subcommand plus the
-//! `nowload` generator).
+//! across runs) and real TCP (the `nowfarm serve` and `nowfarm load`
+//! subcommands).
 
 use crate::cost::CostModel;
 use crate::farm::{
-    fnv1a, scene_fingerprint64, FarmConfig, FarmMaster, FarmWorker, TcpFarmConfig, UnitOutput,
+    decode_tile, encode_tile, fnv1a, scene_fingerprint64, FarmConfig, FarmMaster, FarmWorker,
+    TcpFarmConfig, UnitOutput,
 };
 use crate::journal::{JournalSpec, JOURNAL_FILE};
 use crate::partition::{PartitionScheme, RenderUnit};
@@ -1034,10 +1035,8 @@ impl MasterLogic for ServiceMaster {
                 .u32(region.x0)
                 .u32(region.y0)
                 .u32(region.w)
-                .u32(region.h)
-                .u8(tile.mode)
-                .u32(tile.count)
-                .bytes(&tile.payload);
+                .u32(region.h);
+            encode_tile(&mut e, &tile);
             let payload = e.finish();
             for &c in &watched {
                 self.pushes.push((c, tag::FRAME_DELTA, payload.clone()));
@@ -1588,19 +1587,7 @@ impl ServiceClient {
                             w: d.u32()?,
                             h: d.u32()?,
                         };
-                        let mode = d.u8()?;
-                        let count = d.u32()?;
-                        let payload = d.bytes()?.to_vec();
-                        Ok((
-                            job,
-                            frame,
-                            region,
-                            TileUpdate {
-                                mode,
-                                count,
-                                payload,
-                            },
-                        ))
+                        Ok((job, frame, region, decode_tile(&mut d)?))
                     })();
                     let (job, frame, region, tile) =
                         parsed.map_err(|e| format!("bad frame delta: {e}"))?;

@@ -104,8 +104,9 @@ pub struct SequenceReport {
 /// Render a whole animation on one (virtual) processor.
 ///
 /// The paper's single-processor baseline ran on the fast 200 MHz machine
-/// ([`SingleMachine::fastest`]). Returned framebuffers are the finished
-/// frames, byte-identical to what any other mode produces.
+/// ([`SingleMachine::fastest`]). Each finished frame goes to `sink` with
+/// its index as soon as it is rendered, byte-identical to what any other
+/// mode produces; the run itself keeps no finished frame.
 pub fn render_sequence(
     anim: &Animation,
     settings: &RenderSettings,
@@ -113,14 +114,14 @@ pub fn render_sequence(
     mode: SequenceMode,
     machine: SingleMachine,
     grid_voxels: u32,
-) -> (Vec<Framebuffer>, SequenceReport) {
+    mut sink: impl FnMut(usize, Framebuffer),
+) -> SequenceReport {
     let width = anim.base.camera.width();
     let height = anim.base.camera.height();
     let spec = GridSpec::for_scene(anim.swept_bounds(), grid_voxels);
     let file_write = cost.file_write_work(width, height);
     let total_pixels = (width as u64) * (height as u64);
 
-    let mut frames = Vec::with_capacity(anim.frames);
     let mut frame_s = Vec::with_capacity(anim.frames);
     let mut pixels_per_frame = Vec::with_capacity(anim.frames);
     let mut frame_efficiency = Vec::with_capacity(anim.frames);
@@ -144,7 +145,7 @@ pub fn render_sequence(
                 frame_efficiency.push(par.efficiency());
                 threads_used = threads_used.max(par.threads);
                 total_rays.merge(&rays);
-                frames.push(fb);
+                sink(f, fb);
             }
         }
         SequenceMode::Coherent | SequenceMode::BlockCoherent(_) => {
@@ -178,13 +179,13 @@ pub fn render_sequence(
                 total_rays.merge(&report.rays);
                 total_marks += marks;
                 peak_mem = peak_mem.max(report.memory_bytes);
-                frames.push(fb);
+                sink(f, fb);
             }
         }
     }
 
     let total_s: f64 = frame_s.iter().sum();
-    let report = SequenceReport {
+    SequenceReport {
         mode_coherent: !matches!(mode, SequenceMode::Plain),
         first_frame_s: frame_s.first().copied().unwrap_or(0.0),
         avg_frame_s: if frame_s.is_empty() {
@@ -200,8 +201,7 @@ pub fn render_sequence(
         peak_memory_bytes: peak_mem,
         threads: threads_used,
         frame_efficiency,
-    };
-    (frames, report)
+    }
 }
 
 #[cfg(test)]
@@ -209,31 +209,31 @@ mod tests {
     use super::*;
     use now_anim::scenes::glassball;
 
-    fn small_anim() -> Animation {
-        glassball::animation_sized(40, 30, 6)
+    /// `render_sequence` of a 6-frame 40x30 glass ball on a 4096-voxel
+    /// grid, with the frames collected.
+    fn run(
+        settings: &RenderSettings,
+        mode: SequenceMode,
+        machine: SingleMachine,
+    ) -> (Vec<Framebuffer>, SequenceReport) {
+        let mut frames = Vec::new();
+        let report = render_sequence(
+            &glassball::animation_sized(40, 30, 6),
+            settings,
+            &CostModel::default(),
+            mode,
+            machine,
+            4096,
+            |_, fb| frames.push(fb),
+        );
+        (frames, report)
     }
 
     #[test]
     fn coherent_and_plain_produce_identical_frames() {
-        let anim = small_anim();
         let settings = RenderSettings::default();
-        let cost = CostModel::default();
-        let (plain, rp) = render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Plain,
-            SingleMachine::fastest(),
-            4096,
-        );
-        let (coh, rc) = render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Coherent,
-            SingleMachine::fastest(),
-            4096,
-        );
+        let (plain, rp) = run(&settings, SequenceMode::Plain, SingleMachine::fastest());
+        let (coh, rc) = run(&settings, SequenceMode::Coherent, SingleMachine::fastest());
         assert_eq!(plain.len(), 6);
         for (i, (a, b)) in plain.iter().zip(coh.iter()).enumerate() {
             assert!(a.same_image(b), "frame {i} differs");
@@ -246,25 +246,9 @@ mod tests {
 
     #[test]
     fn first_frame_overhead_is_modest() {
-        let anim = small_anim();
         let settings = RenderSettings::default();
-        let cost = CostModel::default();
-        let (_, rp) = render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Plain,
-            SingleMachine::fastest(),
-            4096,
-        );
-        let (_, rc) = render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Coherent,
-            SingleMachine::fastest(),
-            4096,
-        );
+        let (_, rp) = run(&settings, SequenceMode::Plain, SingleMachine::fastest());
+        let (_, rc) = run(&settings, SequenceMode::Coherent, SingleMachine::fastest());
         let overhead = rc.first_frame_s / rp.first_frame_s - 1.0;
         // the paper reports ~12%; accept a sane band
         assert!(
@@ -275,24 +259,12 @@ mod tests {
 
     #[test]
     fn block_coherent_matches_images_but_recomputes_more() {
-        let anim = small_anim();
         let settings = RenderSettings::default();
-        let cost = CostModel::default();
-        let (coh, rc) = render_sequence(
-            &anim,
+        let (coh, rc) = run(&settings, SequenceMode::Coherent, SingleMachine::unit());
+        let (blk, rb) = run(
             &settings,
-            &cost,
-            SequenceMode::Coherent,
-            SingleMachine::unit(),
-            4096,
-        );
-        let (blk, rb) = render_sequence(
-            &anim,
-            &settings,
-            &cost,
             SequenceMode::BlockCoherent(8),
             SingleMachine::unit(),
-            4096,
         );
         for (a, b) in coh.iter().zip(blk.iter()) {
             assert!(a.same_image(b));
@@ -304,8 +276,6 @@ mod tests {
 
     #[test]
     fn pooled_sequence_keeps_frames_and_shrinks_virtual_time() {
-        let anim = small_anim();
-        let cost = CostModel::default();
         let serial = RenderSettings::default();
         let pooled = RenderSettings {
             threads: 4,
@@ -316,8 +286,8 @@ mod tests {
             SequenceMode::Coherent,
             SequenceMode::BlockCoherent(8),
         ] {
-            let (a, ra) = render_sequence(&anim, &serial, &cost, mode, SingleMachine::unit(), 4096);
-            let (b, rb) = render_sequence(&anim, &pooled, &cost, mode, SingleMachine::unit(), 4096);
+            let (a, ra) = run(&serial, mode, SingleMachine::unit());
+            let (b, rb) = run(&pooled, mode, SingleMachine::unit());
             for (i, (fa, fb)) in a.iter().zip(b.iter()).enumerate() {
                 assert!(fa.same_image(fb), "{mode:?} frame {i} differs under pool");
             }
@@ -330,45 +300,23 @@ mod tests {
             assert!(rb.frame_efficiency.iter().all(|&e| e > 0.0 && e <= 1.0));
         }
         // a full plain frame always has enough pixels to fan out
-        let (_, rp) = render_sequence(
-            &anim,
-            &pooled,
-            &cost,
-            SequenceMode::Plain,
-            SingleMachine::unit(),
-            4096,
-        );
-        let (_, rs) = render_sequence(
-            &anim,
-            &serial,
-            &cost,
-            SequenceMode::Plain,
-            SingleMachine::unit(),
-            4096,
-        );
+        let (_, rp) = run(&pooled, SequenceMode::Plain, SingleMachine::unit());
+        let (_, rs) = run(&serial, SequenceMode::Plain, SingleMachine::unit());
         assert!(rp.total_s < rs.total_s, "pool must shorten plain frames");
     }
 
     #[test]
     fn speed_divides_time() {
-        let anim = small_anim();
         let settings = RenderSettings::default();
-        let cost = CostModel::default();
-        let (_, slow) = render_sequence(
-            &anim,
+        let (_, slow) = run(
             &settings,
-            &cost,
             SequenceMode::Plain,
             SingleMachine::with_speed(1.0),
-            4096,
         );
-        let (_, fast) = render_sequence(
-            &anim,
+        let (_, fast) = run(
             &settings,
-            &cost,
             SequenceMode::Plain,
             SingleMachine::with_speed(2.0),
-            4096,
         );
         assert!((slow.total_s / fast.total_s - 2.0).abs() < 1e-9);
     }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nowfarm info   SCENE                      inspect a scene file
-//! nowfarm render SCENE [opts]               render the animation to TGA
+//! nowfarm render SCENE [opts]               render on this machine to TGA
 //!   --out DIR          output directory (default: out)
 //!   --plain            disable frame coherence
 //!   --block N          Jevans block coherence with NxN blocks
@@ -22,8 +22,6 @@
 //!                      (open in chrome://tracing or ui.perfetto.dev;
 //!                      see DESIGN.md §10 for the schema)
 //!   --hashes FILE      write per-frame FNV fingerprints, one hex per line
-//!   --expect-hashes F  compare the run's fingerprints to the file F
-//!                      (one hex per line); exit nonzero on any mismatch
 //!   --journal DIR      write-ahead journal + durable frames into DIR
 //!   --resume           resume an interrupted run from --journal DIR
 //! nowfarm master SCENE [opts]               TCP master for a multi-process farm
@@ -36,7 +34,7 @@
 //!   --heartbeat-s S    ping cadence towards live workers (default 0.25)
 //!   --accept-window-s S  how long the door stays open for (re)joining
 //!                      workers before an idle master gives up (default 30)
-//!   --scheme/--plain/--pool/--tile/--out/--hashes/--expect-hashes as for `farm`
+//!   --scheme/--plain/--pool/--tile/--out/--hashes as for `farm`
 //!   --journal DIR      write-ahead journal + durable frames into DIR
 //!   --resume           resume an interrupted run from --journal DIR
 //!   --chaos SPEC       seeded combined fault injection (see below)
@@ -51,10 +49,6 @@
 //!                      heartbeats makes the worker declare the master lost
 //!   --accept-window-s S  keep retrying the initial connect (with jittered
 //!                      backoff) for about S seconds before giving up
-//! nowfarm demo   NAME [frames [WxH]]        render a built-in animation
-//!                                           (newton | glassball | orbit)
-//!   --pool N           intra-worker tile-pool threads (0 = auto; default 1)
-//!   --tile/--out       as for `render`
 //!
 //! nowfarm serve  [opts]                     long-lived multi-tenant service
 //!   --listen ADDR      address to listen on (default 127.0.0.1:0; the
@@ -85,6 +79,17 @@
 //! nowfarm cancel ID  --connect ADDR         cancel a live job
 //! nowfarm jobs       --connect ADDR         list every job
 //! nowfarm drain      --connect ADDR         stop admitting; exit when idle
+//! nowfarm load   SCENE --connect ADDR       seeded multi-tenant load: submit,
+//!                                           cancel a sample, wait until every
+//!                                           job is terminal, report the split
+//!   --jobs N           jobs to submit (default 20)
+//!   --tenant T         tenant to submit as (repeatable, picked uniformly;
+//!                      default "default"); the service owns the real
+//!                      fair-share weights via `serve --weight`
+//!   --seed S           RNG seed for tenant/priority/cancel choices (default 1)
+//!   --priority-spread P  priorities drawn uniformly from -P..=P (default 0)
+//!   --cancel-frac F    fraction of admitted jobs to cancel mid-run
+//!   --drain            send DRAIN once every job is terminal
 //! ```
 //!
 //! `worker --service --connect ADDR` joins a service instead of a
@@ -92,8 +97,9 @@
 //! scene from its first unit and caches per-job render state.
 //!
 //! `SCENE` is a scene file, or a spec `demo:NAME[:FRAMES[:WxH]]` naming a
-//! built-in animation — handy for `master`/`worker`, where every process
-//! must construct the identical scene.
+//! built-in animation (newton | glassball | orbit; 10 frames at 160x120
+//! by default) — `render demo:newton` needs no file, and `master`/`worker`
+//! processes construct the identical scene from the same spec.
 //!
 //! `--chaos SPEC` (or the `NOW_CHAOS` environment variable; the flag wins)
 //! is the one fault hook of `master` and `serve`: a seeded [`ChaosPlan`]
@@ -117,21 +123,20 @@
 //! an error (exit status 2), not an ignored word.
 
 use now_math::Color;
-use nowrender::anim::scenes::{from_spec, glassball, newton, orbit};
+use nowrender::anim::scenes::from_spec;
 use nowrender::anim::Animation;
 use nowrender::cluster::{
     ChaosPlan, ConnectConfig, MachineSpec, RecoveryConfig, SimCluster, TcpMaster,
 };
-use nowrender::coherence::CoherentRenderer;
 use nowrender::core::service::ServiceConfig;
 use nowrender::core::{
-    bind_tcp_master, run_service_master, run_sim_with, run_tcp_master_with, run_threads_with,
-    serve_service_worker_with, serve_tcp_worker_cached, CostModel, FarmConfig, FarmResult, JobSpec,
-    JobState, JournalSpec, PartitionScheme, ServiceClient, ServiceMaster, ServiceWorker,
-    TcpFarmConfig, WorkerCache,
+    bind_tcp_master, render_sequence, run_service_master, run_sim_with, run_tcp_master_with,
+    run_threads_with, serve_service_worker_with, serve_tcp_worker_cached, CostModel, FarmConfig,
+    FarmResult, JobSpec, JobState, JournalSpec, PartitionScheme, SequenceMode, ServiceClient,
+    ServiceMaster, ServiceWorker, SingleMachine, TcpFarmConfig, WorkerCache,
 };
-use nowrender::grid::GridSpec;
 use nowrender::raytrace::{image_io, Framebuffer, RenderSettings};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -168,7 +173,6 @@ const COMMANDS: &[Command] = &[
             ("--tile", true),
             ("--trace", true),
             ("--hashes", true),
-            ("--expect-hashes", true),
             ("--journal", true),
             ("--resume", false),
         ],
@@ -188,7 +192,6 @@ const COMMANDS: &[Command] = &[
             ("--tile", true),
             ("--out", true),
             ("--hashes", true),
-            ("--expect-hashes", true),
             ("--journal", true),
             ("--resume", false),
             ("--chaos", true),
@@ -207,11 +210,6 @@ const COMMANDS: &[Command] = &[
             ("--accept-window-s", true),
         ],
         cmd_worker,
-    ),
-    (
-        "demo",
-        &[("--pool", true), ("--tile", true), ("--out", true)],
-        cmd_demo,
     ),
     (
         "serve",
@@ -251,6 +249,19 @@ const COMMANDS: &[Command] = &[
     ("cancel", &[("--connect", true)], cmd_cancel),
     ("jobs", &[("--connect", true)], cmd_jobs),
     ("drain", &[("--connect", true)], cmd_drain),
+    (
+        "load",
+        &[
+            ("--connect", true),
+            ("--jobs", true),
+            ("--tenant", true),
+            ("--seed", true),
+            ("--priority-spread", true),
+            ("--cancel-frac", true),
+            ("--drain", false),
+        ],
+        cmd_load,
+    ),
 ];
 
 fn main() {
@@ -332,14 +343,29 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// The value of `flag` parsed as a `T`, or `default` when it is absent.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    flag_value(args, flag).map_or(Ok(default), |v| {
+        v.parse().map_err(|_| format!("bad {flag} value"))
+    })
+}
+
+/// Every value of a repeatable flag, in order.
+fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
+    args.iter()
+        .enumerate()
+        .filter(|(_, a)| *a == flag)
+        .filter_map(|(i, _)| args.get(i + 1))
+        .map(String::as_str)
+        .collect()
+}
+
 /// Render settings with the `--pool` thread count applied (1 = serial,
 /// 0 = auto via `NOW_THREADS` / available parallelism) and the `--tile`
 /// WxH hint folded into `tile_hint` (pixels per pool tile).
 fn render_settings(args: &[String]) -> Result<RenderSettings, String> {
     let mut settings = RenderSettings::default();
-    if let Some(v) = flag_value(args, "--pool") {
-        settings.threads = v.parse().map_err(|_| "bad --pool value".to_string())?;
-    }
+    settings.threads = parsed_flag(args, "--pool", settings.threads)?;
     if let Some(v) = flag_value(args, "--tile") {
         settings.tile_hint = parse_tile_hint(v)?;
     }
@@ -385,57 +411,42 @@ fn cmd_info(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Render on this machine: [`render_sequence`], each frame written as it
+/// finishes.
 fn cmd_render(args: &[String]) -> CliResult {
     let path = args.first().ok_or("render needs a scene file")?;
     let anim = load_animation(path)?;
     let dir = outdir(args)?;
-    let (w, h) = (anim.base.camera.width(), anim.base.camera.height());
-    let spec = GridSpec::for_scene(anim.swept_bounds(), 24 * 24 * 24);
-
-    let block: u32 = flag_value(args, "--block")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let coherent = !has_flag(args, "--plain");
-
-    let t0 = std::time::Instant::now();
-    if coherent {
-        let mut renderer = CoherentRenderer::with_region_and_block(
-            spec,
-            w,
-            h,
-            nowrender::coherence::PixelRegion::full(w, h),
-            block,
-            render_settings(args)?,
-        );
-        for f in 0..anim.frames {
-            let (fb, rep) = renderer.render_next(&anim.scene_at(f));
-            write_frame(&fb, &dir, f)?;
-            println!(
-                "frame {f:3}: {:6} px recomputed, {:8} rays",
-                rep.pixels_rendered,
-                rep.rays.total_rays()
-            );
-        }
+    let mode = if has_flag(args, "--plain") {
+        SequenceMode::Plain
+    } else if flag_value(args, "--block").is_some() {
+        SequenceMode::BlockCoherent(parsed_flag(args, "--block", 1)?)
     } else {
-        use nowrender::raytrace::{render_frame, GridAccel, NullListener, RayStats};
-        for f in 0..anim.frames {
-            let scene = anim.scene_at(f);
-            let accel = GridAccel::build_with_spec(&scene, spec);
-            let mut rays = RayStats::default();
-            let fb = render_frame(
-                &scene,
-                &accel,
-                &render_settings(args)?,
-                &mut NullListener,
-                &mut rays,
-            );
-            write_frame(&fb, &dir, f)?;
-            println!("frame {f:3}: full render, {:8} rays", rays.total_rays());
-        }
+        SequenceMode::Coherent
+    };
+    let t0 = std::time::Instant::now();
+    let mut written = Ok(());
+    let report = render_sequence(
+        &anim,
+        &render_settings(args)?,
+        &CostModel::default(),
+        mode,
+        SingleMachine::fastest(),
+        FarmConfig::paper_default().grid_voxels,
+        |f, fb| {
+            if written.is_ok() {
+                written = write_frame(&fb, &dir, f);
+            }
+        },
+    );
+    written?;
+    for (f, px) in report.pixels_per_frame.iter().enumerate() {
+        println!("frame {f:3}: {px:6} px recomputed");
     }
     println!(
-        "{} frames -> {} in {:.2}s",
+        "{} frames, {} rays -> {} in {:.2}s",
         anim.frames,
+        report.rays.total_rays(),
         dir.display(),
         t0.elapsed().as_secs_f64()
     );
@@ -570,39 +581,36 @@ fn write_hashes(args: &[String], hashes: &[u64]) -> CliResult {
     Ok(())
 }
 
-/// Compare the run's fingerprints against a `--expect-hashes` reference
-/// file (the format `--hashes` writes). Any mismatch is an error, so
-/// cross-process comparisons fail the exit status, not just a log line.
-fn check_expected_hashes(args: &[String], hashes: &[u64]) -> CliResult {
-    let Some(path) = flag_value(args, "--expect-hashes") else {
-        return Ok(());
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let expected: Vec<u64> = text
-        .lines()
-        .map(|l| {
-            u64::from_str_radix(l.trim(), 16).map_err(|_| format!("{path}: bad hash line `{l}`"))
-        })
-        .collect::<Result<_, _>>()?;
-    if expected.len() != hashes.len() {
-        return Err(format!(
-            "hash mismatch: {path} has {} frames, this run produced {}",
-            expected.len(),
-            hashes.len()
-        ));
-    }
-    for (f, (got, want)) in hashes.iter().zip(&expected).enumerate() {
-        if got != want {
-            return Err(format!(
-                "hash mismatch at frame {f}: got {got:016x}, {path} says {want:016x}"
-            ));
+/// The `FarmConfig` of `farm`, `master` and `worker`: `--plain`, `--pool`
+/// and `--tile` over the paper defaults, frames kept for `--out`. (A
+/// worker adopts scheme, coherence and grid from the master's job header.)
+fn farm_config(args: &[String]) -> Result<FarmConfig, String> {
+    Ok(FarmConfig {
+        coherence: !has_flag(args, "--plain"),
+        settings: render_settings(args)?,
+        keep_frames: true,
+        ..FarmConfig::paper_default()
+    })
+}
+
+/// The end of a `farm` or `master` run: the summary, `--hashes`, and the
+/// kept frames as TGA files under `--out`.
+fn finish_farm_run(args: &[String], anim: &Animation, result: &FarmResult) -> CliResult {
+    print_farm_summary(result);
+    write_hashes(args, &result.frame_hashes)?;
+    let dir = outdir(args)?;
+    let (w, h) = (anim.base.camera.width(), anim.base.camera.height());
+    for (f, rgb) in result.frames_rgb.iter().enumerate() {
+        let mut fb = Framebuffer::new(w, h);
+        for (i, px) in rgb.iter().enumerate() {
+            fb.set_id(i as u32, Color::from_u8(px[0], px[1], px[2]));
         }
+        write_frame(&fb, &dir, f)?;
     }
-    println!("{} frame hashes match {path}", hashes.len());
+    println!("{} frames -> {}", result.frames_rgb.len(), dir.display());
     Ok(())
 }
 
-/// The farm/master run summary shared by `farm` and `master`.
 fn print_farm_summary(result: &FarmResult) {
     println!(
         "makespan {:.2}s, {} rays, {} units, {} messages, {} bytes over the wire",
@@ -648,6 +656,12 @@ fn print_farm_summary(result: &FarmResult) {
             result.report.backup_leases, result.report.duplicates_dropped
         );
     }
+    if result.resumed_units > 0 {
+        println!(
+            "  resumed: {} units skipped via the journal",
+            result.resumed_units
+        );
+    }
     if result.report.leases_prefetched > 0 {
         println!(
             "  overlap: {} units were sent ahead of their worker's request",
@@ -686,34 +700,13 @@ fn print_farm_summary(result: &FarmResult) {
     }
 }
 
-/// Materialise kept frames as TGA files in the output directory.
-fn write_kept_frames(result: &FarmResult, dir: &Path, w: u32, h: u32) -> CliResult {
-    for (f, rgb) in result.frames_rgb.iter().enumerate() {
-        let mut fb = Framebuffer::new(w, h);
-        for (i, px) in rgb.iter().enumerate() {
-            fb.set_id(i as u32, Color::from_u8(px[0], px[1], px[2]));
-        }
-        write_frame(&fb, dir, f)?;
-    }
-    println!("{} frames -> {}", result.frames_rgb.len(), dir.display());
-    Ok(())
-}
-
 fn cmd_farm(args: &[String]) -> CliResult {
     let path = args.first().ok_or("farm needs a scene file")?;
     let anim = load_animation(path)?;
-    let dir = outdir(args)?;
-    let (w, h) = (anim.base.camera.width(), anim.base.camera.height());
-
-    let scheme = parse_scheme(args, &anim)?;
     let trace_path = flag_value(args, "--trace");
     let mut cfg = FarmConfig {
-        scheme,
-        coherence: !has_flag(args, "--plain"),
-        settings: render_settings(args)?,
-        cost: CostModel::default(),
-        grid_voxels: 24 * 24 * 24,
-        keep_frames: true,
+        scheme: parse_scheme(args, &anim)?,
+        ..farm_config(args)?
     };
     if trace_path.is_some() {
         cfg.settings.trace = true;
@@ -758,16 +751,7 @@ fn cmd_farm(args: &[String]) -> CliResult {
         );
     }
 
-    print_farm_summary(&result);
-    if result.resumed_units > 0 {
-        println!(
-            "  resumed: {} units skipped via the journal",
-            result.resumed_units
-        );
-    }
-    write_hashes(args, &result.frame_hashes)?;
-    check_expected_hashes(args, &result.frame_hashes)?;
-    write_kept_frames(&result, &dir, w, h)
+    finish_farm_run(args, &anim, &result)
 }
 
 fn cmd_master(args: &[String]) -> CliResult {
@@ -775,23 +759,13 @@ fn cmd_master(args: &[String]) -> CliResult {
         .first()
         .ok_or("master needs a scene (file or demo:NAME:FRAMES:WxH)")?;
     let anim = load_animation(path)?;
-    let dir = outdir(args)?;
-    let (w, h) = (anim.base.camera.width(), anim.base.camera.height());
-    let workers: usize = flag_value(args, "--workers")
-        .unwrap_or("2")
-        .parse()
-        .map_err(|_| "bad --workers value")?;
+    let workers: usize = parsed_flag(args, "--workers", 2)?;
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-
     let cfg = FarmConfig {
         scheme: parse_scheme(args, &anim)?,
-        coherence: !has_flag(args, "--plain"),
-        settings: render_settings(args)?,
-        cost: CostModel::default(),
-        grid_voxels: 24 * 24 * 24,
-        keep_frames: true,
+        ..farm_config(args)?
     };
     let tcp = tcp_config(args, workers)?;
     let journal = journal_spec(args)?;
@@ -802,16 +776,7 @@ fn cmd_master(args: &[String]) -> CliResult {
     println!("waiting for {workers} worker(s) ...");
 
     let result = run_tcp_master_with(listener, &anim, &cfg, &tcp, journal.as_ref())?;
-    print_farm_summary(&result);
-    if result.resumed_units > 0 {
-        println!(
-            "  resumed: {} units skipped via the journal",
-            result.resumed_units
-        );
-    }
-    write_hashes(args, &result.frame_hashes)?;
-    check_expected_hashes(args, &result.frame_hashes)?;
-    write_kept_frames(&result, &dir, w, h)
+    finish_farm_run(args, &anim, &result)
 }
 
 fn cmd_worker(args: &[String]) -> CliResult {
@@ -827,17 +792,8 @@ fn cmd_worker(args: &[String]) -> CliResult {
         Some(load_animation(path)?)
     };
     let addr = flag_value(args, "--connect").ok_or("worker needs --connect ADDR")?;
-    // scheme, coherence and grid resolution are the master's decisions:
-    // the worker adopts them from the handshake's job header
-    let cfg = FarmConfig {
-        settings: render_settings(args)?,
-        keep_frames: false,
-        ..FarmConfig::paper_default()
-    };
-    let retries: u32 = flag_value(args, "--retries")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| "bad --retries value")?;
+    let cfg = farm_config(args)?;
+    let retries: u32 = parsed_flag(args, "--retries", 0)?;
     let mut connect = ConnectConfig::default();
     if let Some(hb) = seconds_flag(args, "--heartbeat-s")? {
         // hearing nothing for ~10 ping intervals means the master is gone
@@ -888,58 +844,12 @@ fn cmd_worker(args: &[String]) -> CliResult {
     }
 }
 
-fn cmd_demo(args: &[String]) -> CliResult {
-    let name = args
-        .first()
-        .ok_or("demo needs a name: newton | glassball | orbit")?;
-    let frames: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(10);
-    let (w, h) = args
-        .get(2)
-        .and_then(|a| {
-            let (w, h) = a.split_once('x')?;
-            Some((w.parse().ok()?, h.parse().ok()?))
-        })
-        .unwrap_or((160, 120));
-    let anim = match name.as_str() {
-        "newton" => newton::animation_sized(w, h, frames),
-        "glassball" => glassball::animation_sized(w, h, frames),
-        "orbit" => orbit::animation_sized(w, h, frames, 8, 0.5),
-        other => return Err(format!("unknown demo `{other}`")),
-    };
-    let dir = outdir(args)?;
-    let spec = GridSpec::for_scene(anim.swept_bounds(), 24 * 24 * 24);
-    let mut renderer = CoherentRenderer::new(spec, w, h, render_settings(args)?);
-    for f in 0..anim.frames {
-        let (fb, rep) = renderer.render_next(&anim.scene_at(f));
-        write_frame(&fb, &dir, f)?;
-        println!(
-            "frame {f:3}: {:6} px recomputed ({:4.1}%)",
-            rep.pixels_rendered,
-            100.0 * rep.pixels_rendered as f64 / rep.region_pixels as f64
-        );
-    }
-    println!("{frames} frames -> {}", dir.display());
-    Ok(())
-}
-
-/// Every value of a repeatable flag, in order.
-fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect()
-}
-
 fn cmd_serve(args: &[String]) -> CliResult {
     let mut cfg = ServiceConfig {
         settings: render_settings(args)?,
         ..ServiceConfig::default()
     };
-    if let Some(v) = flag_value(args, "--max-queued") {
-        cfg.max_queued = v.parse().map_err(|_| "bad --max-queued value")?;
-    }
+    cfg.max_queued = parsed_flag(args, "--max-queued", cfg.max_queued)?;
     for spec in flag_values(args, "--weight") {
         let (tenant, w) = spec
             .split_once('=')
@@ -972,10 +882,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         ServiceMaster::new(cfg)?
     };
 
-    let workers: usize = flag_value(args, "--workers")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --workers value")?;
+    let workers: usize = parsed_flag(args, "--workers", 1)?;
     let tcp = tcp_config(args, workers.max(1))?;
     let listener = bind_retry(flag_value(args, "--listen").unwrap_or("127.0.0.1:0"))?;
     let addr = listener
@@ -1017,9 +924,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
     if let Some(t) = flag_value(args, "--tenant") {
         spec.tenant = t.to_string();
     }
-    if let Some(p) = flag_value(args, "--priority") {
-        spec.priority = p.parse().map_err(|_| "bad --priority value")?;
-    }
+    spec.priority = parsed_flag(args, "--priority", 0)?;
     spec.coherence = !has_flag(args, "--plain");
     let mut client = service_client(args)?;
     let id = match client.submit(&spec)? {
@@ -1200,6 +1105,127 @@ fn cmd_drain(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Splitmix64: tiny, seedable, plenty for load-shaping choices.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+
+    fn f64(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// How often `load` polls the job list while it waits, and when it gives up.
+const LOAD_POLL_S: f64 = 0.5;
+const LOAD_TIMEOUT_S: f64 = 600.0;
+
+/// Submit a seeded stream of jobs across tenants, cancel a seeded sample
+/// mid-run, poll until every admitted job is terminal, then print
+/// throughput and the per-tenant completion split. Fails if a job is still
+/// live after `LOAD_TIMEOUT_S` or the service stops answering.
+fn cmd_load(args: &[String]) -> CliResult {
+    let path = args
+        .first()
+        .filter(|a| !a.starts_with("--"))
+        .ok_or("load needs a scene (file or demo:NAME:FRAMES:WxH)")?;
+    let scene = scene_spec(path)?;
+    let jobs: usize = parsed_flag(args, "--jobs", 20)?;
+    let spread: i32 = parsed_flag(args, "--priority-spread", 0)?;
+    let cancel_frac: f64 = parsed_flag(args, "--cancel-frac", 0.0)?;
+    let mut tenants = flag_values(args, "--tenant");
+    if tenants.is_empty() {
+        tenants.push("default");
+    }
+    let mut rng = Rng(parsed_flag(args, "--seed", 1)?);
+    let mut client = service_client(args)?;
+    let t0 = std::time::Instant::now();
+    let mut admitted: Vec<u64> = Vec::new();
+    for _ in 0..jobs {
+        let tenant = tenants[rng.below(tenants.len() as u64) as usize];
+        let priority = if spread > 0 {
+            rng.below(2 * spread as u64 + 1) as i32 - spread
+        } else {
+            0
+        };
+        let spec = JobSpec::new(scene.as_str())
+            .tenant(tenant)
+            .priority(priority);
+        match client.submit(&spec)? {
+            Ok(id) => admitted.push(id),
+            Err(reason) => eprintln!("rejected: {reason}"),
+        }
+    }
+    println!(
+        "submitted {jobs} jobs ({} admitted, {} rejected) in {:.2}s",
+        admitted.len(),
+        jobs - admitted.len(),
+        t0.elapsed().as_secs_f64()
+    );
+
+    // the seeded cancel sample goes out while the pool is still rendering
+    let mut cancelled = 0usize;
+    for &id in &admitted {
+        if cancel_frac > 0.0 && rng.f64() < cancel_frac && client.cancel(id)?.is_ok() {
+            cancelled += 1;
+        }
+    }
+    if cancelled > 0 {
+        println!("cancelled {cancelled} jobs mid-run");
+    }
+
+    let mut last_done = 0usize;
+    let mine = loop {
+        let mut mine = client.jobs()?;
+        mine.retain(|s| admitted.contains(&s.id));
+        let done = mine.iter().filter(|s| s.state.terminal()).count();
+        let elapsed = t0.elapsed().as_secs_f64();
+        if done != last_done {
+            println!("{done}/{} terminal after {elapsed:.1}s", admitted.len());
+            last_done = done;
+        }
+        if done == admitted.len() {
+            break mine;
+        }
+        if elapsed > LOAD_TIMEOUT_S {
+            return Err(format!(
+                "timeout: only {done}/{} jobs terminal after {LOAD_TIMEOUT_S}s",
+                admitted.len()
+            ));
+        }
+        std::thread::sleep(std::time::Duration::from_secs_f64(LOAD_POLL_S));
+    };
+    let elapsed = t0.elapsed().as_secs_f64();
+    println!(
+        "all {} jobs terminal in {elapsed:.2}s ({:.1} jobs/s)",
+        admitted.len(),
+        admitted.len() as f64 / elapsed.max(1e-9)
+    );
+    let mut by_tenant: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    for s in &mine {
+        let (total, completed) = by_tenant.entry(&s.tenant).or_default();
+        *total += 1;
+        *completed += usize::from(s.state == JobState::Done);
+    }
+    for (tenant, (total, completed)) in &by_tenant {
+        println!("  tenant {tenant:<16} {completed}/{total} completed");
+    }
+    if has_flag(args, "--drain") {
+        cmd_drain(args)?;
+    }
+    Ok(())
+}
+
 fn write_frame(fb: &Framebuffer, dir: &Path, frame: usize) -> CliResult {
     let path = dir.join(format!("frame_{frame:04}.tga"));
     image_io::write_tga(fb, &path).map_err(|e| format!("write {}: {e}", path.display()))
@@ -1259,7 +1285,9 @@ mod tests {
     fn unknown_flags_are_rejected_and_documented_ones_accepted() {
         let words = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
         let table = |sub: &str| COMMANDS.iter().find(|c| c.0 == sub).expect("subcommand").1;
-        for sub in ["render", "farm", "master", "worker", "serve", "submit"] {
+        for sub in [
+            "render", "farm", "master", "worker", "serve", "submit", "load",
+        ] {
             let err = check_flags(sub, table(sub), &words("demo:newton:1:32x24 --pol 3"))
                 .expect_err("unknown flag accepted");
             assert!(err.contains("`--pol`") && err.contains(sub), "{err}");
@@ -1285,5 +1313,10 @@ mod tests {
         assert_eq!(check_flags("farm", farm, &words("s --out --odd")), Ok(()));
         assert!(check_flags("farm", farm, &words("s --resume --odd")).is_err());
         assert!(check_flags("info", table("info"), &words("s --out d")).is_err());
+        // a mistyped flag is an error, not a default: `--job 5` is not `--jobs 5`
+        let load = table("load");
+        let line = words("demo:glassball:2:64x48 --connect a --job 5");
+        let err = check_flags("load", load, &line).expect_err("--job accepted");
+        assert!(err.contains("`--job`") && err.contains("--jobs"), "{err}");
     }
 }

@@ -32,15 +32,17 @@ fn base_cfg(scheme: PartitionScheme, coherence: bool) -> FarmConfig {
 }
 
 fn reference(anim: &nowrender::anim::Animation) -> Vec<u64> {
-    let (frames, _) = render_sequence(
+    let mut hashes = Vec::new();
+    render_sequence(
         anim,
         &RenderSettings::default(),
         &CostModel::default(),
         SequenceMode::Plain,
         SingleMachine::unit(),
         16 * 16 * 16,
+        |_, fb| hashes.push(frame_hash(&fb)),
     );
-    frames.iter().map(frame_hash).collect()
+    hashes
 }
 
 #[test]
@@ -114,21 +116,25 @@ fn coherent_single_equals_plain_single_on_glassball() {
     let anim = glassball::animation_sized(W, H, FRAMES);
     let settings = RenderSettings::default();
     let cost = CostModel::default();
-    let (plain, pr) = render_sequence(
+    let mut plain = Vec::new();
+    let pr = render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Plain,
         SingleMachine::unit(),
         4096,
+        |_, fb| plain.push(fb),
     );
-    let (coh, cr) = render_sequence(
+    let mut coh = Vec::new();
+    let cr = render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Coherent,
         SingleMachine::unit(),
         4096,
+        |_, fb| coh.push(fb),
     );
     for (i, (a, b)) in plain.iter().zip(coh.iter()).enumerate() {
         assert!(a.same_image(b), "frame {i} differs");
@@ -221,21 +227,25 @@ fn soft_shadows_keep_coherence_exact() {
 
     let settings = RenderSettings::default();
     let cost = CostModel::default();
-    let (plain, _) = render_sequence(
+    let mut plain = Vec::new();
+    render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Plain,
         SingleMachine::unit(),
         4096,
+        |_, fb| plain.push(fb),
     );
-    let (coh, rc) = render_sequence(
+    let mut coh = Vec::new();
+    let rc = render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Coherent,
         SingleMachine::unit(),
         4096,
+        |_, fb| coh.push(fb),
     );
     for (i, (a, b)) in plain.iter().zip(coh.iter()).enumerate() {
         assert!(a.same_image(b), "soft-shadow frame {i} deviates");
@@ -260,21 +270,25 @@ fn adaptive_antialiasing_keeps_coherence_exact() {
         tile_hint: 0,
     };
     let cost = CostModel::default();
-    let (plain, _) = render_sequence(
+    let mut plain = Vec::new();
+    render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Plain,
         SingleMachine::unit(),
         4096,
+        |_, fb| plain.push(fb),
     );
-    let (coh, rc) = render_sequence(
+    let mut coh = Vec::new();
+    let rc = render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Coherent,
         SingleMachine::unit(),
         4096,
+        |_, fb| coh.push(fb),
     );
     for (i, (a, b)) in plain.iter().zip(coh.iter()).enumerate() {
         assert!(a.same_image(b), "adaptive frame {i} deviates");
@@ -290,21 +304,23 @@ fn paper_shape_holds_at_test_scale() {
     let settings = RenderSettings::default();
     let cost = CostModel::default();
 
-    let (_, plain) = render_sequence(
+    let plain = render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Plain,
         SingleMachine::fastest(),
         16 * 16 * 16,
+        |_, _| {},
     );
-    let (_, coh) = render_sequence(
+    let coh = render_sequence(
         &anim,
         &settings,
         &cost,
         SequenceMode::Coherent,
         SingleMachine::fastest(),
         16 * 16 * 16,
+        |_, _| {},
     );
     let dist = run_sim(
         &anim,
@@ -343,4 +359,43 @@ fn paper_shape_holds_at_test_scale() {
     // combining multiplies: frame division beats both individual techniques
     assert!(fdiv.report.makespan_s < coh.total_s);
     assert!(fdiv.report.makespan_s < dist.report.makespan_s);
+}
+
+/// `nowfarm render` writes the frames the farm computes, under every
+/// single-machine mode it offers.
+#[test]
+fn render_cli_frames_match_the_farm() {
+    use nowrender::math::Color;
+    use nowrender::raytrace::{image_io::tga_decode, Framebuffer};
+    let scene = "demo:glassball:3:40x30";
+    let anim = nowrender::anim::scenes::from_spec(scene).expect("demo spec");
+    let expected = run_sim(&anim, &FarmConfig::paper_default(), &SimCluster::paper()).frame_hashes;
+    for mode in [&[][..], &["--plain"], &["--block", "4"]] {
+        let out = std::env::temp_dir().join(format!(
+            "nowfarm_render_{}_{}",
+            std::process::id(),
+            mode.join("")
+        ));
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_nowfarm"))
+            .args(["render", scene, "--out"])
+            .arg(&out)
+            .args(mode)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("spawn nowfarm");
+        assert!(status.success(), "render {mode:?} failed");
+        let hashes: Vec<u64> = (0..anim.frames)
+            .map(|f| {
+                let bytes = std::fs::read(out.join(format!("frame_{f:04}.tga"))).expect("frame");
+                let (w, h, rgb) = tga_decode(&bytes).expect("tga");
+                let mut fb = Framebuffer::new(w, h);
+                for (i, &(r, g, b)) in rgb.iter().enumerate() {
+                    fb.set_id(i as u32, Color::from_u8(r, g, b));
+                }
+                frame_hash(&fb)
+            })
+            .collect();
+        assert_eq!(hashes, expected, "render {mode:?} deviates from the farm");
+        std::fs::remove_dir_all(&out).ok();
+    }
 }

@@ -33,22 +33,26 @@ fn every_sequence_mode_is_byte_identical_for_any_thread_count() {
         SequenceMode::BlockCoherent(8),
     ];
     for mode in modes {
-        let (serial_frames, serial_rep) = render_sequence(
+        let mut serial_frames = Vec::new();
+        let serial_rep = render_sequence(
             &anim,
             &settings(1),
             &CostModel::default(),
             mode,
             SingleMachine::unit(),
             4096,
+            |_, fb| serial_frames.push(fb),
         );
         for threads in [2u32, 7] {
-            let (frames, rep) = render_sequence(
+            let mut frames = Vec::new();
+            let rep = render_sequence(
                 &anim,
                 &settings(threads),
                 &CostModel::default(),
                 mode,
                 SingleMachine::unit(),
                 4096,
+                |_, fb| frames.push(fb),
             );
             for (f, (a, b)) in serial_frames.iter().zip(&frames).enumerate() {
                 assert!(
@@ -117,21 +121,25 @@ fn auto_thread_selection_changes_nothing_but_speed() {
     // threads: 0 resolves from NOW_THREADS (CI sets 3) or the host's
     // available parallelism; whatever it picks, bytes must not change
     let anim = newton::animation_sized(W, H, FRAMES);
-    let (serial, _) = render_sequence(
+    let mut serial = Vec::new();
+    render_sequence(
         &anim,
         &settings(1),
         &CostModel::default(),
         SequenceMode::Coherent,
         SingleMachine::unit(),
         4096,
+        |_, fb| serial.push(fb),
     );
-    let (auto, rep) = render_sequence(
+    let mut auto = Vec::new();
+    let rep = render_sequence(
         &anim,
         &settings(0),
         &CostModel::default(),
         SequenceMode::Coherent,
         SingleMachine::unit(),
         4096,
+        |_, fb| auto.push(fb),
     );
     assert!(rep.threads >= 1);
     for (a, b) in serial.iter().zip(&auto) {
