@@ -60,7 +60,7 @@ impl Animation {
     }
 
     /// The camera in effect at a frame.
-    pub fn camera_at(&self, frame: usize) -> &Camera {
+    fn camera_at(&self, frame: usize) -> &Camera {
         let mut cam = &self.base.camera;
         for (f, c) in &self.cameras {
             if *f <= frame {
@@ -77,7 +77,7 @@ impl Animation {
     /// Each tracked object's transform is its *base* transform followed by
     /// the track's sampled transform; objects without tracks are untouched,
     /// so consecutive frames differ only in tracked objects — exactly what
-    /// [`now_coherence::changed_voxels`] exploits.
+    /// `now_coherence::changed_voxels` exploits.
     pub fn scene_at(&self, frame: usize) -> Scene {
         assert!(frame < self.frames, "frame {frame} out of range");
         let mut s = self.base.clone();

@@ -131,7 +131,7 @@ pub fn scene(width: u32, height: u32) -> Scene {
 
 /// Ball center at (fractional) frame `f` of a 30-frame run: it travels
 /// left to right while bouncing with a little damping.
-pub fn ball_position(f: f64) -> Point3 {
+fn ball_position(f: f64) -> Point3 {
     let t = f / 29.0; // normalized time over the default run
     let x = -2.6 + 5.2 * t;
     // two-and-a-half damped bounces

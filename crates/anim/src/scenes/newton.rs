@@ -3,7 +3,7 @@
 //! "The Newton animation, designed by Chris Gulka, consists of a set of
 //! suspended chrome marbles, which when set into motion by raising the
 //! marble on either end, illustrates the law of the conservation of
-//! energy. This animation [consists] of one plane, five spheres, and
+//! energy. This animation \[consists\] of one plane, five spheres, and
 //! sixteen cylinders." Rebuilt procedurally: a Newton's cradle of five
 //! chrome marbles hanging from a cylinder frame over a marble floor.
 //!

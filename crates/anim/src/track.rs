@@ -79,18 +79,6 @@ impl Track {
                 .fold(Affine::IDENTITY, |acc, t| acc.then(&t.sample(frame))),
         }
     }
-
-    /// Last keyframe time, or 0 for static tracks.
-    pub fn end_frame(&self) -> f64 {
-        match self {
-            Track::Static(_) => 0.0,
-            Track::Translate(keys) => keys.last().map_or(0.0, |k| k.0),
-            Track::Rotate { keys, .. } | Track::Scale { keys, .. } => {
-                keys.last().map_or(0.0, |k| k.0)
-            }
-            Track::Compose(tracks) => tracks.iter().map(Track::end_frame).fold(0.0, f64::max),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +92,6 @@ mod tests {
         let t = Track::Static(a);
         assert_eq!(t.sample(0.0), a);
         assert_eq!(t.sample(100.0), a);
-        assert_eq!(t.end_frame(), 0.0);
     }
 
     #[test]
@@ -122,7 +109,6 @@ mod tests {
             .sample(99.0)
             .point(Point3::ZERO)
             .approx_eq(Point3::new(2.0, 0.0, 0.0), 1e-12));
-        assert_eq!(t.end_frame(), 20.0);
     }
 
     #[test]
@@ -193,7 +179,6 @@ mod tests {
             .sample(0.0)
             .point(Point3::ZERO)
             .approx_eq(Point3::UNIT_Y, 1e-12));
-        assert_eq!(t.end_frame(), 0.0);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Code-size ledger: per crate, source lines outside `#[cfg(test)]` items,
 //! test lines (`#[cfg(test)]` items plus `tests/*.rs`), `pub` item count,
 //! `pub` fields of `*Config` structs and the longest function, plus the
-//! workspace's knobs — `NOW_*` environment variables and the `--flag`
-//! literals the binaries look up in their `args` — written to
-//! `BENCH_size.json`, which CI diffs against the tree.
+//! workspace's knobs — `NOW_*` environment variables and the `--flag`s in
+//! the rows of `nowfarm`'s `COMMANDS` table — and its orphans: the `pub fn`s
+//! in `crates/*/src` whose name no other `.rs` file under `crates/`, `src/`,
+//! `tests/`, `examples/` or `nowbench/src` mentions outside a comment or
+//! string. Written to `BENCH_size.json`, which CI diffs against the tree.
 //! Run from the workspace root:
 //! `cargo run --release -p now-bench --bin size_ledger [OUT]`.
 //!
@@ -93,12 +95,19 @@ fn item_end(lines: &[&str], from: usize) -> usize {
     lines.len().saturating_sub(1)
 }
 
-/// The knobs a user can set from outside: `NOW_*` environment variables
-/// and `--flag` command-line options.
+/// What the scan collects across files: the `NOW_*` environment variables
+/// a user can set, and every `pub fn` of a library crate as `(file, name)`.
 #[derive(Default)]
 struct Knobs {
     env_vars: BTreeSet<String>,
-    cli_flags: BTreeSet<String>,
+    pub_fns: Vec<(PathBuf, String)>,
+}
+
+/// The first identifier in `s`.
+fn ident(s: &str) -> &str {
+    s.split(|c: char| !c.is_alphanumeric() && c != '_')
+        .next()
+        .unwrap_or("")
 }
 
 fn scan(path: &Path, tally: &mut Tally, knobs: &mut Knobs) {
@@ -108,15 +117,6 @@ fn scan(path: &Path, tally: &mut Tally, knobs: &mut Knobs) {
     knobs
         .env_vars
         .extend(literals.filter(env_name).map(str::to_string));
-    // a `--flag` literal handed to a lookup helper right after `args`
-    // (`flag_value`, `flag_values`, `has_flag` and thin wrappers of them)
-    let flag_name = |s: &str| s.len() > 2 && s.bytes().all(|c| c == b'-' || c.is_ascii_lowercase());
-    let pieces: Vec<&str> = text.split('"').collect();
-    for pair in pieces.windows(2) {
-        if pair[0].ends_with("(args, ") && pair[1].starts_with("--") && flag_name(pair[1]) {
-            knobs.cli_flags.insert(pair[1].to_string());
-        }
-    }
     let code = blank_literals(&text);
     let lines: Vec<&str> = code.lines().collect();
     let mut i = 0;
@@ -133,6 +133,13 @@ fn scan(path: &Path, tally: &mut Tally, knobs: &mut Knobs) {
         let kinds = "fn struct enum trait mod const static type use unsafe";
         let is_item = |k: &str| item.strip_prefix(k).is_some_and(|r| r.starts_with(' '));
         tally.pubs += usize::from(item.len() < line.len() && kinds.split(' ').any(is_item));
+        if let Some(name) = line.strip_prefix("pub fn ") {
+            if path.starts_with("crates") {
+                knobs
+                    .pub_fns
+                    .push((path.to_path_buf(), ident(name).to_string()));
+            }
+        }
         if item
             .strip_prefix("struct ")
             .is_some_and(|r| r.contains("Config {"))
@@ -147,15 +154,53 @@ fn scan(path: &Path, tally: &mut Tally, knobs: &mut Knobs) {
         if let Some(name) = item.strip_prefix("fn ") {
             let len = item_end(&lines, i) + 1 - i;
             if len > tally.longest {
-                let name = name
-                    .split(|c: char| !c.is_alphanumeric() && c != '_')
-                    .next();
                 tally.longest = len;
-                tally.longest_fn = format!("{}::{}", path.display(), name.unwrap_or(""));
+                tally.longest_fn = format!("{}::{}", path.display(), ident(name));
             }
         }
         i += 1;
     }
+}
+
+/// The `--flag`s in the rows of `nowfarm`'s `COMMANDS` table, the one
+/// place the CLI's flags are declared.
+fn cli_flags() -> BTreeSet<String> {
+    let text = std::fs::read_to_string("src/bin/nowfarm.rs").expect("nowfarm source");
+    let start = text.find("const COMMANDS").expect("a COMMANDS table");
+    let table = &text[start..start + text[start..].find("\n];").expect("its end")];
+    let flag = |s: &&str| {
+        s.len() > 2 && s.starts_with("--") && s.bytes().all(|c| c == b'-' || c.is_ascii_lowercase())
+    };
+    table.split('"').filter(flag).map(str::to_string).collect()
+}
+
+/// The `pub fn`s whose name appears in no other file of the workspace's
+/// code (comments and string literals blanked), as `file::name`.
+fn orphans(pub_fns: &[(PathBuf, String)]) -> BTreeSet<String> {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "nowbench/src"] {
+        rs_files(Path::new(dir), &mut files);
+    }
+    let idents: Vec<(PathBuf, BTreeSet<String>)> = files
+        .into_iter()
+        .map(|f| {
+            let code = blank_literals(&std::fs::read_to_string(&f).expect("readable source file"));
+            let words = code
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .map(str::to_string)
+                .collect();
+            (f, words)
+        })
+        .collect();
+    pub_fns
+        .iter()
+        .filter(|(file, name)| {
+            !idents
+                .iter()
+                .any(|(f, words)| f != file && words.contains(name))
+        })
+        .map(|(file, name)| format!("{}::{name}", file.display()))
+        .collect()
 }
 
 fn main() {
@@ -188,14 +233,18 @@ fn main() {
         let names: Vec<String> = names.iter().map(|v| format!("\"{v}\"")).collect();
         names.join(", ")
     };
+    let (flags, orphans) = (cli_flags(), orphans(&knobs.pub_fns));
     let json = format!(
         "{{\n  \"crates\": {{\n{}\n  }},\n  \"now_env_vars\": {},\n  \"now_env_var_names\": [{}],\n  \
-         \"cli_flags\": {},\n  \"cli_flag_names\": [{}]\n}}\n",
+         \"cli_flags\": {},\n  \"cli_flag_names\": [{}],\n  \
+         \"orphan_pub_fns\": {},\n  \"orphan_pub_fn_names\": [{}]\n}}\n",
         rows.join(",\n"),
         knobs.env_vars.len(),
         quoted(&knobs.env_vars),
-        knobs.cli_flags.len(),
-        quoted(&knobs.cli_flags)
+        flags.len(),
+        quoted(&flags),
+        orphans.len(),
+        quoted(&orphans)
     );
     let out = std::env::args()
         .nth(1)

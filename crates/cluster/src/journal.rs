@@ -76,11 +76,6 @@ impl JournalFaultPlan {
         self.kill_after_bytes = Some(n);
         self
     }
-
-    /// The configured byte budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.kill_after_bytes
-    }
 }
 
 /// The result of scanning a journal: every CRC-valid record in order,
@@ -308,11 +303,6 @@ impl JournalWriter {
     pub fn records(&self) -> u64 {
         self.records
     }
-
-    /// Bytes written by this writer instance (fault-budget accounting).
-    pub fn bytes_written(&self) -> u64 {
-        self.written
-    }
 }
 
 #[cfg(test)]
@@ -489,7 +479,7 @@ mod tests {
         );
         assert!(!w.alive());
         assert!(!w.append(b"cccc").unwrap(), "dead writer drops everything");
-        assert_eq!(w.bytes_written(), cut);
+        assert_eq!(w.written, cut);
         drop(w);
 
         assert_eq!(std::fs::metadata(&path).unwrap().len(), cut);

@@ -79,7 +79,7 @@ impl RecoveryConfig {
     }
 
     /// Lease duration for re-issue attempt `attempt` (0 = first issue).
-    pub fn lease_for_attempt(&self, attempt: u32) -> f64 {
+    fn lease_for_attempt(&self, attempt: u32) -> f64 {
         self.lease_timeout_s * LEASE_BACKOFF.powi(attempt.min(20) as i32)
     }
 }

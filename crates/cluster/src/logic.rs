@@ -119,7 +119,8 @@ pub trait MasterLogic {
     /// third connection role of the TCP transport, next to handshaking
     /// and enrolled workers — see `now_cluster::net`). A client opens a
     /// connection and, instead of `HELLO`, sends a request frame whose
-    /// tag satisfies [`crate::net::tag::is_client`]; the master routes
+    /// tag is a client request (`SUBMIT`, `STATUS`, `CANCEL`, `JOBS`,
+    /// `DRAIN` or `WATCH`, see [`crate::net::tag`]); the master routes
     /// the raw tag + payload here and queues the returned `(tag,
     /// payload)` reply on the same connection.
     ///

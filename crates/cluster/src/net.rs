@@ -140,7 +140,7 @@ pub mod tag {
     pub const FRAME_DELTA: u32 = 0x4E4F_001B;
 
     /// True for the request tags a control-plane client may send.
-    pub fn is_client(tag: u32) -> bool {
+    pub(super) fn is_client(tag: u32) -> bool {
         matches!(tag, SUBMIT | STATUS | CANCEL | JOBS | DRAIN | WATCH)
     }
 }
@@ -153,7 +153,7 @@ fn io_to_channel(e: &std::io::Error) -> ChannelError {
 }
 
 /// Assemble the full wire frame (header + body) for one message.
-pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, ChannelError> {
+fn encode_frame(msg: &Message) -> Result<Vec<u8>, ChannelError> {
     let body = msg.encode();
     if body.len() > MAX_FRAME_LEN {
         return Err(ChannelError::Protocol("frame exceeds MAX_FRAME_LEN"));
@@ -243,11 +243,6 @@ impl FrameBuf {
             self.pos = 0;
         }
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn unconsumed(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Pop the next complete frame, if one is buffered. `Ok(None)` means
@@ -1823,7 +1818,7 @@ mod tests {
         assert_eq!(got[0].0, msgs[0]);
         assert_eq!(got[1].0, msgs[1]);
         assert_eq!(got[1].1 as usize, HEADER_LEN + msgs[1].encode().len());
-        assert_eq!(fb.unconsumed(), 0);
+        assert_eq!(fb.buf.len(), fb.pos);
     }
 
     #[test]

@@ -130,11 +130,6 @@ impl RunReport {
         self.machines[machine].busy_s / self.makespan_s
     }
 
-    /// Total compute performed across machines (for conservation checks).
-    pub fn total_busy_s(&self) -> f64 {
-        self.machines.iter().map(|m| m.busy_s).sum()
-    }
-
     /// Copy in what the recovery protocol did: its run-wide counters and,
     /// per machine, `(lease failures, excluded)`.
     pub(crate) fn absorb_recovery(&mut self, c: &FaultCounters, health: &[(u64, bool)]) {
@@ -250,7 +245,6 @@ mod tests {
         };
         assert_eq!(r.utilisation(0), 0.5);
         assert_eq!(r.utilisation(1), 1.0);
-        assert_eq!(r.total_busy_s(), 15.0);
     }
 
     #[test]

@@ -147,6 +147,9 @@ impl<U, R> Ord for Scheduled<U, R> {
     }
 }
 
+/// Bytes of a bare work request message.
+const REQUEST_BYTES: u64 = 64;
+
 /// A simulated cluster: machine roster plus network model.
 ///
 /// Machine 0 hosts the master *coordinator*; every machine (including
@@ -159,8 +162,6 @@ pub struct SimCluster {
     pub machines: Vec<MachineSpec>,
     /// Network model.
     pub net: EthernetSpec,
-    /// Bytes of a bare work request message.
-    pub request_bytes: u64,
     /// Record per-span busy intervals into [`RunReport::timeline`]
     /// (gantt rendering; off by default to keep reports small).
     pub record_timeline: bool,
@@ -177,7 +178,6 @@ impl SimCluster {
         SimCluster {
             machines,
             net: EthernetSpec::default(),
-            request_bytes: 64,
             record_timeline: false,
             faults: FaultPlan::none(),
             recovery: RecoveryConfig::default(),
@@ -262,7 +262,7 @@ impl SimCluster {
         // (t = 0 unless the fault plan schedules a late join)
         for w in 0..n {
             run.core.joined();
-            let arrive = run.transfer(self.faults.join_time(w), self.request_bytes, Some(w));
+            let arrive = run.transfer(self.faults.join_time(w), REQUEST_BYTES, Some(w));
             run.push(
                 arrive,
                 Event::RequestAtMaster {
@@ -490,7 +490,7 @@ where
                 worker,
                 assign,
                 result,
-                bytes: cost.result_bytes + self.cluster.request_bytes,
+                bytes: cost.result_bytes + REQUEST_BYTES,
             },
         );
     }

@@ -131,23 +131,6 @@ fn object_voxels(spec: &GridSpec, obj: &Object, mut f: impl FnMut(Voxel)) {
     }
 }
 
-/// Union of per-object changed bounds (world space) — diagnostic helper for
-/// the bench harness's change-map figures.
-pub fn changed_bounds(prev: &Scene, next: &Scene) -> Option<Aabb> {
-    if prev.objects.len() != next.objects.len() {
-        return None;
-    }
-    let mut b = Aabb::EMPTY;
-    for (a, o) in prev.objects.iter().zip(next.objects.iter()) {
-        let same =
-            a.geometry == o.geometry && a.material == o.material && a.transform() == o.transform();
-        if !same {
-            b = b.union(&a.world_aabb()?).union(&o.world_aabb()?);
-        }
-    }
-    Some(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,5 +44,5 @@ pub use change::{changed_voxels, ChangeSet};
 pub use diff::DiffMaps;
 pub use engine::{CoherenceEngine, CoherenceStats};
 pub use incremental::{CoherentRenderer, FrameReport};
-pub use region::{PixelRegion, TileError};
+pub use region::PixelRegion;
 pub use tiledelta::{RegionBuffer, TileUpdate};

@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Why a tiling request is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TileError {
+enum TileError {
     /// `tile_w` or `tile_h` was zero — the loop would never advance.
     ZeroTile {
         /// Requested tile width.
@@ -38,8 +38,6 @@ impl fmt::Display for TileError {
         }
     }
 }
-
-impl std::error::Error for TileError {}
 
 /// A rectangle of pixels within a `frame_width x frame_height` image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +100,7 @@ impl PixelRegion {
     /// Rejects degenerate requests instead of silently producing an empty
     /// set: a zero tile dimension or an empty frame is a configuration
     /// error the caller should surface.
-    pub fn try_tiles(
+    fn try_tiles(
         width: u32,
         height: u32,
         tile_w: u32,
@@ -129,37 +127,14 @@ impl PixelRegion {
         Ok(out)
     }
 
-    /// [`try_tiles`](PixelRegion::try_tiles), panicking on degenerate
-    /// input (the convenient form for static configurations).
+    /// Split the frame into a grid of tiles of at most `tile_w x tile_h`
+    /// (edge tiles may be smaller), row-major. Panics on a zero tile
+    /// dimension or an empty frame (the form for static configurations).
     pub fn tiles(width: u32, height: u32, tile_w: u32, tile_h: u32) -> Vec<PixelRegion> {
         match PixelRegion::try_tiles(width, height, tile_w, tile_h) {
             Ok(tiles) => tiles,
             Err(e) => panic!("invalid tiling: {e}"),
         }
-    }
-
-    /// Split this region into `n` horizontal bands of nearly equal height
-    /// (fewer if the region has fewer rows than `n`).
-    pub fn split_rows(&self, n: u32) -> Vec<PixelRegion> {
-        let n = n.clamp(1, self.h.max(1));
-        let mut out = Vec::with_capacity(n as usize);
-        let base = self.h / n;
-        let extra = self.h % n;
-        let mut y = self.y0;
-        for i in 0..n {
-            let h = base + u32::from(i < extra);
-            if h == 0 {
-                continue;
-            }
-            out.push(PixelRegion {
-                x0: self.x0,
-                y0: y,
-                w: self.w,
-                h,
-            });
-            y += h;
-        }
-        out
     }
 }
 
@@ -244,22 +219,5 @@ mod tests {
     #[should_panic(expected = "invalid tiling")]
     fn tiles_panics_on_zero_tile() {
         let _ = PixelRegion::tiles(320, 240, 80, 0);
-    }
-
-    #[test]
-    fn split_rows_partitions() {
-        let r = PixelRegion {
-            x0: 0,
-            y0: 0,
-            w: 10,
-            h: 7,
-        };
-        let parts = r.split_rows(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().map(|p| p.h).sum::<u32>(), 7);
-        assert_eq!(parts[0].y0, 0);
-        assert_eq!(parts[1].y0, parts[0].h);
-        // more parts than rows: clamps
-        assert_eq!(r.split_rows(100).len(), 7);
     }
 }

@@ -15,7 +15,7 @@
 //! (speed 1.0): a few tens of thousands of rays per second.
 
 use now_coherence::CoherenceStats;
-use now_raytrace::{critical_path, plan_tile_size, ParallelStats, RayStats};
+use now_raytrace::{ParallelStats, RayStats};
 
 /// Work pricing constants (seconds of speed-1.0 CPU per operation).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,23 +57,11 @@ impl CostModel {
     /// CPU seconds (speed 1.0) for a frame's rendering work.
     ///
     /// `copied_pixels` is the number of pixels *not* recomputed (carried
-    /// over from the previous frame by the coherence algorithm).
-    pub fn render_work(&self, rays: &RayStats, marks: u64, copied_pixels: u64) -> f64 {
-        rays.total_rays() as f64 * self.per_ray_s
-            + marks as f64 * self.per_mark_s
-            + rays.pixels as f64 * self.per_pixel_s
-            + copied_pixels as f64 * self.per_copied_pixel_s
-    }
-
-    /// CPU seconds (speed 1.0) for a frame rendered through the intra-worker
-    /// tile pool: ray and pixel work is charged for the *critical path*
-    /// (divided by the pool's achieved speedup), while coherence marks and
-    /// pixel copies stay serial — shard replay and frame assembly happen on
-    /// one thread.
-    ///
-    /// With a serial [`ParallelStats`] (speedup 1.0) this equals
-    /// [`render_work`](CostModel::render_work) exactly, so existing
-    /// single-thread timings are unchanged.
+    /// over from the previous frame by the coherence algorithm). Ray and
+    /// pixel work is charged for the tile pool's *critical path* (divided
+    /// by its achieved speedup, 1.0 for a serial [`ParallelStats`]), while
+    /// coherence marks and pixel copies stay serial — shard replay and
+    /// frame assembly happen on one thread.
     pub fn parallel_render_work(
         &self,
         rays: &RayStats,
@@ -86,43 +74,6 @@ impl CostModel {
         concurrent / par.speedup()
             + marks as f64 * self.per_mark_s
             + copied_pixels as f64 * self.per_copied_pixel_s
-    }
-
-    /// Predicted pool statistics for a frame of `pixels` pixels firing
-    /// `total_rays` rays on `threads` threads, planned with the *same*
-    /// [`plan_tile_size`] the real tile pool uses — so a `--tile WxH` hint
-    /// ([`RenderSettings::tile_hint`]) means exactly the same thing to the
-    /// cost model as to the renderer. Rays are assumed uniform per pixel;
-    /// the prediction is the deterministic greedy schedule over the
-    /// resulting tiles.
-    ///
-    /// [`RenderSettings::tile_hint`]: now_raytrace::RenderSettings::tile_hint
-    pub fn predicted_pool_stats(
-        &self,
-        total_rays: u64,
-        pixels: usize,
-        threads: u32,
-        tile_hint: u32,
-    ) -> ParallelStats {
-        let threads = threads.max(1);
-        if threads == 1 || pixels == 0 {
-            return ParallelStats::serial(total_rays);
-        }
-        let tile = plan_tile_size(pixels, threads, tile_hint);
-        let tiles = pixels.div_ceil(tile);
-        // spread rays over tiles proportionally to tile pixel counts
-        let mut tile_rays = Vec::with_capacity(tiles);
-        for i in 0..tiles {
-            let start = i * tile;
-            let end = (start + tile).min(pixels);
-            tile_rays.push(total_rays * (end - start) as u64 / pixels as u64);
-        }
-        ParallelStats {
-            threads,
-            tiles: tiles as u32,
-            total_rays,
-            critical_rays: critical_path(&tile_rays, threads),
-        }
     }
 
     /// CPU seconds to write one finished frame to disk (24-bit Targa).
@@ -145,6 +96,16 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    /// The charge for a frame rendered serially.
+    fn serial_work(m: &CostModel, rays: &RayStats, marks: u64, copied: u64) -> f64 {
+        m.parallel_render_work(
+            rays,
+            marks,
+            copied,
+            &ParallelStats::serial(rays.total_rays()),
+        )
+    }
+
     #[test]
     fn render_work_scales_with_rays() {
         let m = CostModel::default();
@@ -154,7 +115,7 @@ mod tests {
             ..Default::default()
         };
         let b = RayStats { primary: 2000, ..a };
-        assert!(m.render_work(&b, 0, 0) > m.render_work(&a, 0, 0));
+        assert!(serial_work(&m, &b, 0, 0) > serial_work(&m, &a, 0, 0));
     }
 
     #[test]
@@ -166,9 +127,9 @@ mod tests {
             pixels: 10_000,
             ..Default::default()
         };
-        let plain = m.render_work(&rays, 0, 0);
+        let plain = serial_work(&m, &rays, 0, 0);
         // a typical ray crosses a couple dozen voxels
-        let with_marks = m.render_work(&rays, 20_000 * 24, 0);
+        let with_marks = serial_work(&m, &rays, 20_000 * 24, 0);
         let overhead = (with_marks - plain) / plain;
         // the paper reports ~12% first-frame overhead; the default model
         // must land in that neighbourhood for typical mark densities
@@ -187,12 +148,13 @@ mod tests {
             pixels: 10_000,
             ..Default::default()
         };
-        // serial stats: byte-for-byte the old serial charge
-        let serial = ParallelStats::serial(rays.total_rays());
-        assert_eq!(
-            m.parallel_render_work(&rays, 5000, 2000, &serial),
-            m.render_work(&rays, 5000, 2000)
-        );
+        // serial stats: the sum of every term
+        let serial_t = serial_work(&m, &rays, 5000, 2000);
+        let sum = 20_000.0 * m.per_ray_s
+            + 10_000.0 * m.per_pixel_s
+            + 5000.0 * m.per_mark_s
+            + 2000.0 * m.per_copied_pixel_s;
+        assert!((serial_t - sum).abs() < 1e-12);
         // a perfectly balanced 4-thread run quarters the ray/pixel work
         // but leaves marks and copies serial
         let par = ParallelStats {
@@ -202,7 +164,6 @@ mod tests {
             critical_rays: rays.total_rays() / 4,
         };
         let t = m.parallel_render_work(&rays, 5000, 2000, &par);
-        let serial_t = m.render_work(&rays, 5000, 2000);
         let marks_copies = 5000.0 * m.per_mark_s + 2000.0 * m.per_copied_pixel_s;
         assert!((t - ((serial_t - marks_copies) / 4.0 + marks_copies)).abs() < 1e-12);
         assert!(t < serial_t);
@@ -238,38 +199,5 @@ mod tests {
         busy.list_bytes = 48_000_000;
         let mb = m.working_set_mb(76_800, &busy);
         assert!(mb > 32.0, "{mb} MB");
-    }
-
-    #[test]
-    fn predicted_pool_stats_follow_the_tile_hint() {
-        let m = CostModel::default();
-        // small enough that a 2-tile hint stays inside the pool's
-        // MIN_TILE..=MAX_TILE clamp
-        let pixels = 64 * 48;
-        let rays = 500_000u64;
-        // serial prediction is exactly serial
-        assert_eq!(
-            m.predicted_pool_stats(rays, pixels, 1, 0),
-            ParallelStats::serial(rays)
-        );
-        // auto planning at 4 threads: near-perfect predicted speedup for
-        // uniform rays (many equal tiles round-robin onto the lanes)
-        let auto = m.predicted_pool_stats(rays, pixels, 4, 0);
-        assert_eq!(auto.threads, 4);
-        assert!(auto.speedup() > 3.5, "{}", auto.speedup());
-        // a coarse explicit hint (2 giant tiles) caps the speedup at ~2
-        let coarse = m.predicted_pool_stats(rays, pixels, 4, (pixels / 2) as u32);
-        assert!(coarse.tiles < auto.tiles);
-        assert!(coarse.speedup() < 2.5, "{}", coarse.speedup());
-        // and the hinted plan feeds straight into parallel_render_work
-        let stats = RayStats {
-            primary: rays,
-            pixels: pixels as u64,
-            ..Default::default()
-        };
-        assert!(
-            m.parallel_render_work(&stats, 0, 0, &auto)
-                < m.parallel_render_work(&stats, 0, 0, &coarse)
-        );
     }
 }

@@ -18,8 +18,8 @@ use crate::partition::{PartitionScheme, RenderUnit, Scheduler};
 use now_anim::Animation;
 use now_cluster::codec::{DecodeError, Decoder, Encoder};
 use now_cluster::{
-    connect_worker, ConnectConfig, MachineSpec, MasterLogic, MasterWork, SimCluster, TcpMaster,
-    ThreadCluster, Wire, WorkCost, WorkerLogic, WorkerSummary,
+    connect_worker, ConnectConfig, MasterLogic, MasterWork, SimCluster, TcpMaster, ThreadCluster,
+    Wire, WorkCost, WorkerLogic, WorkerSummary,
 };
 use now_coherence::{CoherentRenderer, PixelRegion, RegionBuffer, TileUpdate};
 use now_grid::GridSpec;
@@ -80,7 +80,7 @@ pub struct UnitOutput {
     pub marks: u64,
     /// How the unit's pixel work spread over the worker's tile pool.
     pub parallel: ParallelStats,
-    /// End-to-end content checksum ([`fnv1a`] over every other field in
+    /// End-to-end content checksum (FNV-1a over every other field in
     /// wire order), computed worker-side by [`UnitOutput::seal`] and
     /// re-verified master-side before the result touches the canvas. A
     /// mismatch — bit-flipped wire bytes, a buggy or byzantine worker —
@@ -106,7 +106,7 @@ impl UnitOutput {
     }
 
     /// The checksum the content *should* carry.
-    pub fn content_hash(&self) -> u64 {
+    fn content_hash(&self) -> u64 {
         let mut e = Encoder::new();
         self.encode_content(&mut e);
         fnv1a(e.finish())
@@ -542,11 +542,6 @@ impl FarmMaster {
         &self.last_decoded
     }
 
-    /// The journal's total record count, when journaling.
-    pub fn journal_records(&self) -> Option<u64> {
-        self.journal.as_ref().map(FarmJournal::records)
-    }
-
     fn try_finalize(&mut self) -> usize {
         let needed = self.scheduler.regions_per_frame();
         let mut finalized = 0;
@@ -744,8 +739,8 @@ fn record_farm_trace(master: &FarmMaster, report: &now_cluster::RunReport) {
     rec.counter_add("farm.frames", master.frame_hashes.len() as u64);
     // journal counters only exist for journaled runs, so the golden traces
     // of plain runs stay byte-identical
-    if let Some(records) = master.journal_records() {
-        rec.counter_add("journal.records", records);
+    if let Some(journal) = &master.journal {
+        rec.counter_add("journal.records", journal.records());
         rec.counter_add("farm.resumed_units", master.resumed_units);
     }
 }
@@ -831,79 +826,61 @@ pub fn run_threads_with(
     Ok(collect(master, report, frames))
 }
 
-/// Convenience: the paper's 3-machine simulated cluster.
-pub fn paper_cluster() -> SimCluster {
-    SimCluster::new(MachineSpec::paper_cluster())
-}
-
 // ---------------------------------------------------------------------
 // TCP transport
 // ---------------------------------------------------------------------
 
 /// Version of the job header shipped in the TCP WELCOME frame.
-const JOB_HEADER_VERSION: u32 = 1;
+const JOB_HEADER_VERSION: u32 = 2;
 
-/// Encode the job header the master ships to each worker at handshake:
-/// the scene fingerprint both sides must agree on, plus the render knobs
-/// the worker adopts from the master (coherence, grid resolution). The
-/// run journal embeds the same bytes in its RunHeader record, so resume
-/// validation and worker handshake validation reject the same mismatches.
+/// Encode the job header the master ships to each worker at handshake,
+/// `u32 version | u64 scene_fingerprint64 | u8 coherence | u32
+/// grid_voxels`: the scene fingerprint both sides must agree on, plus the
+/// render knobs the worker adopts from the master. The run journal embeds
+/// the same bytes in its RunHeader record, so resume validation and worker
+/// handshake validation reject the same mismatches.
 pub(crate) fn encode_job_header(anim: &Animation, cfg: &FarmConfig) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u32(JOB_HEADER_VERSION)
-        .u32(anim.base.camera.width())
-        .u32(anim.base.camera.height())
-        .u32(anim.frames as u32)
-        .u32(anim.base.objects.len() as u32)
-        .u32(anim.base.lights.len() as u32)
-        .u32(anim.tracks.len() as u32)
+        .u64(scene_fingerprint64(anim))
         .u8(cfg.coherence as u8)
         .u32(cfg.grid_voxels);
     e.finish()
 }
 
-/// Validate a received job header against the locally loaded animation and
-/// return the `(coherence, grid_voxels)` settings to adopt. Both processes
-/// load the scene independently, so anything that would make their pixels
+/// Validate a job header against the locally loaded animation and return
+/// the `(coherence, grid_voxels)` settings to adopt. Both processes load
+/// the scene independently, so anything that would make their pixels
 /// diverge must be rejected here, before any unit is rendered.
-fn check_job_header(header: &[u8], anim: &Animation) -> Result<(bool, u32), String> {
+pub(crate) fn check_job_header(header: &[u8], anim: &Animation) -> Result<(bool, u32), String> {
     let mut d = Decoder::new(header);
-    let next = |d: &mut Decoder<'_>| d.u32().map_err(|e| format!("bad job header: {e}"));
-    let version = next(&mut d)?;
+    let bad = |e: DecodeError| format!("bad job header: {e}");
+    let version = d.u32().map_err(bad)?;
     if version != JOB_HEADER_VERSION {
         return Err(format!(
-            "job header version mismatch: master speaks v{version}, worker v{JOB_HEADER_VERSION}"
+            "job header version mismatch: the header is v{version}, this build reads v{JOB_HEADER_VERSION}"
         ));
     }
-    let checks = [
-        ("width", anim.base.camera.width()),
-        ("height", anim.base.camera.height()),
-        ("frames", anim.frames as u32),
-        ("objects", anim.base.objects.len() as u32),
-        ("lights", anim.base.lights.len() as u32),
-        ("tracks", anim.tracks.len() as u32),
-    ];
-    for (what, local) in checks {
-        let remote = next(&mut d)?;
-        if remote != local {
-            return Err(format!(
-                "scene mismatch: master has {what}={remote}, worker has {what}={local} \
-                 (both processes must load the same scene)"
-            ));
-        }
+    let (remote, local) = (d.u64().map_err(bad)?, scene_fingerprint64(anim));
+    if remote != local {
+        return Err(format!(
+            "scene mismatch: the header's scene fingerprint is {remote:016x}, this process \
+             loaded {local:016x} (both processes must load the same scene)"
+        ));
     }
-    let coherence = d.u8().map_err(|e| format!("bad job header: {e}"))? != 0;
-    let grid_voxels = next(&mut d)?;
-    Ok((coherence, grid_voxels))
+    let coherence = d.u8().map_err(bad)? != 0;
+    Ok((coherence, d.u32().map_err(bad)?))
 }
 
-/// Content fingerprint of the scene a process has loaded, as a `u64`.
+/// Content fingerprint of the scene a process has loaded. The job header
+/// carries it, and its little-endian bytes are the `HELLO` fingerprint the
+/// master checks a joiner against before handing it the job header.
 ///
 /// Hashes the *content* of the animation — camera parameters, object
 /// geometry and materials, lights, track keyframes, camera cuts — via
 /// the full `Debug` rendering (deterministic: Rust's float formatting is
-/// the shortest round-trip form on every platform), plus the shape
-/// fields the job header validates. Two differently-spelled specs that
+/// the shortest round-trip form on every platform), plus its shape (size,
+/// frames, object/light/track counts). Two differently-spelled specs that
 /// parse to the same animation fingerprint identically, which is what
 /// the service worker's scene cache dedups on; any content difference
 /// that could make pixels diverge changes the fingerprint.
@@ -923,13 +900,6 @@ pub fn scene_fingerprint64(anim: &Animation) -> u64 {
             .flat_map(|f| f.to_le_bytes())
             .chain(content.into_bytes()),
     )
-}
-
-/// Fingerprint of the scene a process has loaded, sent in the HELLO
-/// payload so the master can reject a mismatched joiner *before* handing
-/// it the job header. Byte form of [`scene_fingerprint64`].
-pub fn scene_fingerprint(anim: &Animation) -> Vec<u8> {
-    scene_fingerprint64(anim).to_le_bytes().to_vec()
 }
 
 /// Configuration for a TCP farm master: the cluster layer's own
@@ -969,7 +939,7 @@ pub fn run_tcp_master_with(
 ) -> Result<FarmResult, String> {
     let mut ccfg = tcp.clone();
     ccfg.job_header = encode_job_header(anim, cfg);
-    ccfg.fingerprint = scene_fingerprint(anim);
+    ccfg.fingerprint = scene_fingerprint64(anim).to_le_bytes().to_vec();
     let armed = journal
         .filter(|_| !tcp.chaos.disk.is_empty())
         .map(|j| j.clone().with_disk_faults(tcp.chaos.disk.arm()));
@@ -1016,6 +986,8 @@ pub fn serve_tcp_worker(
 pub struct WorkerCache {
     key: Option<(u64, bool, u32)>,
     worker: Option<FarmWorker>,
+    /// How many times a [`FarmWorker`] was built from scratch (a rejoin
+    /// that hits the cache does not increment this).
     builds: u64,
 }
 
@@ -1023,12 +995,6 @@ impl WorkerCache {
     /// Empty cache; the first serve call always builds.
     pub fn new() -> WorkerCache {
         WorkerCache::default()
-    }
-
-    /// How many times a [`FarmWorker`] was built from scratch (a rejoin
-    /// that hits the cache does not increment this).
-    pub fn builds(&self) -> u64 {
-        self.builds
     }
 
     /// Borrow a worker for `(anim, cfg)` — `scene` is `anim`'s content
@@ -1132,7 +1098,7 @@ mod tests {
             },
             true,
         );
-        let result = run_sim(&anim, &cfg, &paper_cluster());
+        let result = run_sim(&anim, &cfg, &SimCluster::paper());
         assert_eq!(result.frame_hashes, reference_hashes(&anim, &cfg));
         assert_eq!(result.units_done as usize, 6 * FRAMES); // 3x2 tiles
         assert!(result.report.makespan_s > 0.0);
@@ -1142,7 +1108,7 @@ mod tests {
     fn sim_sequence_division_coherent_matches_reference() {
         let anim = anim();
         let cfg = cfg(PartitionScheme::SequenceDivision { adaptive: true }, true);
-        let result = run_sim(&anim, &cfg, &paper_cluster());
+        let result = run_sim(&anim, &cfg, &SimCluster::paper());
         assert_eq!(result.frame_hashes, reference_hashes(&anim, &cfg));
     }
 
@@ -1157,7 +1123,7 @@ mod tests {
             },
             false,
         );
-        let result = run_sim(&anim, &cfg, &paper_cluster());
+        let result = run_sim(&anim, &cfg, &SimCluster::paper());
         assert_eq!(result.frame_hashes, reference_hashes(&anim, &cfg));
         assert_eq!(result.marks, 0);
     }
@@ -1173,7 +1139,7 @@ mod tests {
             },
             true,
         );
-        let result = run_sim(&anim, &cfg, &paper_cluster());
+        let result = run_sim(&anim, &cfg, &SimCluster::paper());
         assert_eq!(result.frame_hashes, reference_hashes(&anim, &cfg));
     }
 
@@ -1282,9 +1248,9 @@ mod tests {
     fn scene_fingerprint_tracks_scene_shape() {
         let a = anim();
         let mut b = anim();
-        assert_eq!(scene_fingerprint(&a), scene_fingerprint(&b));
+        assert_eq!(scene_fingerprint64(&a), scene_fingerprint64(&b));
         b.frames += 1;
-        assert_ne!(scene_fingerprint(&a), scene_fingerprint(&b));
+        assert_ne!(scene_fingerprint64(&a), scene_fingerprint64(&b));
     }
 
     #[test]
@@ -1412,8 +1378,8 @@ mod tests {
             tile_h: 16,
             adaptive: true,
         };
-        let with = run_sim(&anim, &cfg(scheme, true), &paper_cluster());
-        let without = run_sim(&anim, &cfg(scheme, false), &paper_cluster());
+        let with = run_sim(&anim, &cfg(scheme, true), &SimCluster::paper());
+        let without = run_sim(&anim, &cfg(scheme, false), &SimCluster::paper());
         assert!(with.rays.total_rays() < without.rays.total_rays());
         assert!(with.pixels_shipped < without.pixels_shipped);
         assert!(with.report.makespan_s < without.report.makespan_s);
@@ -1424,7 +1390,7 @@ mod tests {
         let anim = anim();
         let mut c = cfg(PartitionScheme::SequenceDivision { adaptive: true }, true);
         c.keep_frames = true;
-        let result = run_sim(&anim, &c, &paper_cluster());
+        let result = run_sim(&anim, &c, &SimCluster::paper());
         assert_eq!(result.frames_rgb.len(), FRAMES);
         assert_eq!(result.frames_rgb[0].len(), (W * H) as usize);
         // hash of kept pixels matches the recorded fingerprint
@@ -1453,7 +1419,7 @@ mod tests {
             },
             true,
         );
-        let r = run_sim(&anim, &c, &paper_cluster());
+        let r = run_sim(&anim, &c, &SimCluster::paper());
         assert_eq!(r.frame_hashes, reference_hashes(&anim, &c));
         let raw = 7 * r.pixels_shipped;
         assert!(
@@ -1484,7 +1450,7 @@ mod tests {
                     .expect("first serve");
                 serve_tcp_worker_cached(&anim, &c, &a2, &ConnectConfig::default(), &mut cache)
                     .expect("second serve");
-                cache.builds()
+                cache.builds
             })
         };
         let r1 = run_tcp_master_on(l1, &anim, &c, &TcpFarmConfig::new(1)).expect("master 1");

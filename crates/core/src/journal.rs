@@ -10,8 +10,8 @@
 //!
 //! The record types:
 //!
-//! * **RunHeader** — the scene fingerprint (the same bytes as the TCP job
-//!   header) plus the partition scheme. A resume validates this byte-for-
+//! * **RunHeader** — the TCP job header (its version, the scene's content
+//!   fingerprint, coherence and grid) plus the partition scheme. A resume validates this byte-for-
 //!   byte: a journal from a different scene or configuration is rejected,
 //!   never silently continued.
 //! * **UnitDone** — one integrated unit (region, frame, FNV-1a of the
@@ -157,6 +157,16 @@ fn run_header_payload(anim: &Animation, cfg: &FarmConfig) -> Vec<u8> {
     e.finish()
 }
 
+/// Why a journal's RunHeader is not this run's: the job header's own
+/// complaint (another header version, another scene) when it has one.
+fn header_mismatch(stored: &[u8], anim: &Animation) -> String {
+    let mut d = Decoder::new(stored);
+    let job = d.u8().and_then(|_| d.bytes()).map_err(|e| e.to_string());
+    let why = job.and_then(|job| crate::farm::check_job_header(job, anim));
+    why.err()
+        .unwrap_or_else(|| "farm configuration mismatch".into())
+}
+
 fn unit_payload(unit: &crate::partition::RenderUnit, pixels_hash: u64) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u8(REC_UNIT_DONE);
@@ -235,9 +245,9 @@ impl FarmJournal {
         }
         if log.records[0] != header {
             return Err(format!(
-                "journal {} was written by a different run (scene or farm \
-                 configuration mismatch); refusing to resume",
-                path.display()
+                "journal {} was written by a different run ({}); refusing to resume",
+                path.display(),
+                header_mismatch(&log.records[0], anim)
             ));
         }
 

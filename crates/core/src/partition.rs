@@ -4,7 +4,7 @@
 //! The schemes:
 //!
 //! * **Sequence division** — "dividing up whole frames among the available
-//!   [processors] so that each receives a subsequence of the full
+//!   \[processors\] so that each receives a subsequence of the full
 //!   animation ... the frames must be consecutive to take advantage of any
 //!   frame coherence between them." Load imbalance is handled by adaptive
 //!   subdivision: an idle processor steals the tail half of the largest
@@ -104,11 +104,6 @@ impl PartitionScheme {
             tile_h: 80,
             adaptive: true,
         }
-    }
-
-    /// The paper's sequence-division configuration (adaptive).
-    pub fn paper_sequence_division() -> PartitionScheme {
-        PartitionScheme::SequenceDivision { adaptive: true }
     }
 }
 
@@ -512,7 +507,13 @@ mod tests {
 
     #[test]
     fn single_worker_gets_everything() {
-        let mut s = Scheduler::new(PartitionScheme::paper_sequence_division(), 8, 8, 12, 1);
+        let mut s = Scheduler::new(
+            PartitionScheme::SequenceDivision { adaptive: true },
+            8,
+            8,
+            12,
+            1,
+        );
         let per_worker = drain(&mut s, &[1]);
         assert_eq!(per_worker[0].len(), 12);
         // one restart, frames strictly consecutive

@@ -63,13 +63,17 @@ const STRIDE1: u64 = 1 << 20;
 /// File name of the service-level job-table journal under the root dir.
 pub const SERVICE_JOURNAL_FILE: &str = "service.journal";
 
+/// Admission bounds: maximum frames, and pixels (width x height), per job.
+const MAX_FRAMES: u32 = 512;
+const MAX_PIXELS: u64 = 1 << 22;
+
 /// Version byte of the service journal record format.
 const SVC_JOURNAL_VERSION: u32 = 1;
 
 /// Job-header marker a service master ships in `WELCOME`, so a plain farm
 /// worker pointed at a service (or a service worker at a farm) fails the
 /// header check instead of rendering garbage. Deliberately far away from
-/// the farm's `JOB_HEADER_VERSION = 1`.
+/// the farm's `JOB_HEADER_VERSION = 2`.
 const SERVICE_HEADER_VERSION: u32 = u32::from_le_bytes(*b"NOSV");
 
 // ---------------------------------------------------------------------
@@ -315,16 +319,10 @@ pub struct ServiceConfig {
     /// Maximum scene spec size in bytes; larger specs are rejected
     /// before parsing.
     pub max_spec_bytes: usize,
-    /// Maximum frames per job.
-    pub max_frames: u32,
-    /// Maximum pixels (width x height) per job.
-    pub max_pixels: u64,
-    /// Per-tenant fair-share weights; tenants not listed get
-    /// `default_weight`. A weight-3 tenant receives 3x the unit grants
-    /// of a weight-1 tenant while both are backlogged.
+    /// Per-tenant fair-share weights; tenants not listed get weight 1.
+    /// A weight-3 tenant receives 3x the unit grants of a weight-1 tenant
+    /// while both are backlogged.
     pub weights: Vec<(String, u32)>,
-    /// Weight for tenants absent from `weights`.
-    pub default_weight: u32,
     /// Render settings every job runs with (thread pool, depth, ...).
     pub settings: RenderSettings,
     /// Cost model (simulator pricing + master file-write accounting).
@@ -363,10 +361,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_queued: 4096,
             max_spec_bytes: 64 << 10,
-            max_frames: 512,
-            max_pixels: 1 << 22,
             weights: Vec::new(),
-            default_weight: 1,
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             root: None,
@@ -626,7 +621,7 @@ impl ServiceMaster {
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, w)| w.max(1))
-            .unwrap_or(self.cfg.default_weight.max(1));
+            .unwrap_or(1);
         self.tenants.insert(
             name.to_string(),
             TenantState {
@@ -691,15 +686,12 @@ impl ServiceMaster {
         }
         let anim = from_spec(&spec.scene).map_err(|e| format!("bad scene: {e}"))?;
         let frames = anim.frames as u32;
-        if frames == 0 || frames > self.cfg.max_frames {
-            return Err(format!(
-                "frame count {frames} outside 1..={}",
-                self.cfg.max_frames
-            ));
+        if frames == 0 || frames > MAX_FRAMES {
+            return Err(format!("frame count {frames} outside 1..={MAX_FRAMES}"));
         }
         let pixels = anim.base.camera.width() as u64 * anim.base.camera.height() as u64;
-        if pixels == 0 || pixels > self.cfg.max_pixels {
-            return Err(format!("pixel count {pixels} over {}", self.cfg.max_pixels));
+        if pixels == 0 || pixels > MAX_PIXELS {
+            return Err(format!("pixel count {pixels} over {MAX_PIXELS}"));
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -798,21 +790,6 @@ impl ServiceMaster {
         self.cancel_plan.entry(at_grant).or_default().push(job);
     }
 
-    /// Per-job farm configuration derived from the spec + service knobs.
-    fn farm_config(&self, spec: &JobSpec) -> FarmConfig {
-        FarmConfig {
-            // one queue covering the whole job; the scheduler's adaptive
-            // tail-stealing spreads a big job over idle workers while
-            // small jobs stay sequential (coherence-friendly)
-            scheme: PartitionScheme::SequenceDivision { adaptive: true },
-            coherence: spec.coherence,
-            settings: self.cfg.settings.clone(),
-            cost: self.cfg.cost,
-            grid_voxels: spec.grid_voxels,
-            keep_frames: false,
-        }
-    }
-
     /// Directory isolating one job's journal, frames and metrics.
     fn job_dir(&self, id: u64) -> Option<PathBuf> {
         self.cfg
@@ -829,7 +806,8 @@ impl ServiceMaster {
         if job.master.is_some() {
             return Ok(());
         }
-        let fcfg = self.farm_config(&job.spec);
+        let (settings, cost) = (&self.cfg.settings, self.cfg.cost);
+        let fcfg = job_farm_config(job.spec.coherence, job.spec.grid_voxels, settings, cost);
         let anim = job.anim.clone().ok_or(())?;
         let spec_dir = self.job_dir(id);
         let journal = spec_dir.map(|dir| {
@@ -1299,14 +1277,7 @@ impl WorkerLogic for ServiceWorker {
             return w.perform(&su.unit);
         }
         let anim = self.scene_for(&su.scene);
-        let cfg = FarmConfig {
-            scheme: PartitionScheme::SequenceDivision { adaptive: true },
-            coherence: su.coherence,
-            settings: self.settings.clone(),
-            cost: self.cost,
-            grid_voxels: su.grid_voxels,
-            keep_frames: false,
-        };
+        let cfg = job_farm_config(su.coherence, su.grid_voxels, &self.settings, self.cost);
         let spec = GridSpec::for_scene(anim.swept_bounds(), cfg.grid_voxels);
         let mut w = FarmWorker::new(anim, spec, cfg);
         let out = w.perform(&su.unit);
@@ -1321,6 +1292,29 @@ impl WorkerLogic for ServiceWorker {
         }
         self.jobs.insert(su.job, (tick, w));
         out
+    }
+}
+
+/// The farm configuration of one service job, the same on the master and
+/// on every worker: coherence and grid come from the job's spec (a worker
+/// reads them from the [`ServiceUnit`]), settings and cost from the
+/// process.
+fn job_farm_config(
+    coherence: bool,
+    grid_voxels: u32,
+    settings: &RenderSettings,
+    cost: CostModel,
+) -> FarmConfig {
+    FarmConfig {
+        // one queue covering the whole job; the scheduler's adaptive
+        // tail-stealing spreads a big job over idle workers while
+        // small jobs stay sequential (coherence-friendly)
+        scheme: PartitionScheme::SequenceDivision { adaptive: true },
+        coherence,
+        settings: settings.clone(),
+        cost,
+        grid_voxels,
+        keep_frames: false,
     }
 }
 
@@ -1656,22 +1650,6 @@ impl ServiceClient {
             report.frames_rgb = canvases;
         }
         Ok(report)
-    }
-
-    /// [`watch_start`] + [`watch_stream`] in one call.
-    ///
-    /// [`watch_start`]: ServiceClient::watch_start
-    /// [`watch_stream`]: ServiceClient::watch_stream
-    #[allow(clippy::result_large_err)]
-    pub fn watch(
-        &mut self,
-        id: u64,
-        progress: impl FnMut(&JobStatus),
-    ) -> Result<Result<WatchReport, String>, String> {
-        match self.watch_start(id)? {
-            Ok((st, w, h)) => Ok(Ok(self.watch_stream(&st, w, h, progress)?)),
-            Err(reason) => Ok(Err(reason)),
-        }
     }
 }
 

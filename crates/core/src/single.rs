@@ -5,7 +5,7 @@ use now_anim::Animation;
 use now_coherence::CoherentRenderer;
 use now_grid::GridSpec;
 use now_raytrace::{
-    render_frame_par, Framebuffer, GridAccel, NullListener, RayStats, RenderSettings,
+    render_pixels_par, Framebuffer, GridAccel, NullListener, PixelId, RayStats, RenderSettings,
 };
 
 /// The (virtual) workstation a single-processor run executes on.
@@ -39,18 +39,9 @@ impl SingleMachine {
         }
     }
 
-    /// Speed-only machine with unlimited memory.
-    pub fn with_speed(speed: f64) -> SingleMachine {
-        SingleMachine {
-            speed,
-            memory_mb: f64::INFINITY,
-            paging_factor: 1.0,
-        }
-    }
-
     /// Seconds to execute `work` CPU-seconds with a working set of
     /// `ws_mb` MB.
-    pub fn time_for(&self, work: f64, ws_mb: f64) -> f64 {
+    fn time_for(&self, work: f64, ws_mb: f64) -> f64 {
         let mut t = work / self.speed;
         if ws_mb > self.memory_mb && ws_mb > 0.0 {
             let excess = (ws_mb - self.memory_mb) / ws_mb;
@@ -132,12 +123,20 @@ pub fn render_sequence(
 
     match mode {
         SequenceMode::Plain => {
+            let all_ids: Vec<PixelId> = (0..total_pixels as PixelId).collect();
             for f in 0..anim.frames {
                 let scene = anim.scene_at(f);
                 let accel = GridAccel::build_with_spec(&scene, spec);
-                let mut rays = RayStats::default();
-                let (fb, par) =
-                    render_frame_par(&scene, &accel, settings, &mut NullListener, &mut rays);
+                let (mut fb, mut rays) = (Framebuffer::new(width, height), RayStats::default());
+                let par = render_pixels_par(
+                    &scene,
+                    &accel,
+                    settings,
+                    &mut fb,
+                    &all_ids,
+                    &mut NullListener,
+                    &mut rays,
+                );
                 let work = cost.parallel_render_work(&rays, 0, 0, &par) + file_write;
                 let ws_mb = (width as f64 * height as f64 * 48.0) / (1024.0 * 1024.0);
                 frame_s.push(machine.time_for(work, ws_mb));
@@ -308,15 +307,14 @@ mod tests {
     #[test]
     fn speed_divides_time() {
         let settings = RenderSettings::default();
-        let (_, slow) = run(
-            &settings,
-            SequenceMode::Plain,
-            SingleMachine::with_speed(1.0),
-        );
+        let (_, slow) = run(&settings, SequenceMode::Plain, SingleMachine::unit());
         let (_, fast) = run(
             &settings,
             SequenceMode::Plain,
-            SingleMachine::with_speed(2.0),
+            SingleMachine {
+                speed: 2.0,
+                ..SingleMachine::unit()
+            },
         );
         assert!((slow.total_s / fast.total_s - 2.0).abs() < 1e-9);
     }

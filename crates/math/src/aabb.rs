@@ -60,16 +60,6 @@ impl Aabb {
         (self.min + self.max) * 0.5
     }
 
-    /// Surface area (0 for empty boxes).
-    #[inline]
-    pub fn surface_area(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let e = self.extent();
-        2.0 * (e.x * e.y + e.y * e.z + e.z * e.x)
-    }
-
     /// Volume (0 for empty boxes).
     #[inline]
     pub fn volume(&self) -> f64 {
@@ -227,7 +217,6 @@ mod tests {
     #[test]
     fn empty_box_properties() {
         assert!(Aabb::EMPTY.is_empty());
-        assert_eq!(Aabb::EMPTY.surface_area(), 0.0);
         assert_eq!(Aabb::EMPTY.volume(), 0.0);
         assert!(!Aabb::EMPTY.overlaps(&unit_box()));
         // union identity
@@ -255,7 +244,6 @@ mod tests {
         assert_eq!(b.extent(), Vec3::new(2.0, 3.0, 4.0));
         assert_eq!(b.center(), Point3::new(1.0, 1.5, 2.0));
         assert_eq!(b.volume(), 24.0);
-        assert_eq!(b.surface_area(), 2.0 * (6.0 + 12.0 + 8.0));
         assert_eq!(b.longest_axis(), Axis::Z);
     }
 

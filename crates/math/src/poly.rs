@@ -54,7 +54,7 @@ fn depressed_cubic_root(p: f64, q: f64) -> f64 {
 }
 
 /// Solve `a x^3 + b x^2 + c x + d = 0`; returns 1..=3 real roots, ascending.
-pub fn solve_cubic(a: f64, b: f64, c: f64, d: f64) -> Vec<f64> {
+fn solve_cubic(a: f64, b: f64, c: f64, d: f64) -> Vec<f64> {
     if a.abs() < 1e-14 {
         return solve_quadratic(b, c, d);
     }

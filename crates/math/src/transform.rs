@@ -27,7 +27,7 @@ impl Mat3 {
 
     /// Diagonal (scale) matrix.
     #[inline]
-    pub fn diagonal(d: Vec3) -> Mat3 {
+    fn diagonal(d: Vec3) -> Mat3 {
         Mat3::from_rows(
             Vec3::new(d.x, 0.0, 0.0),
             Vec3::new(0.0, d.y, 0.0),
@@ -37,7 +37,7 @@ impl Mat3 {
 
     /// Matrix-vector product.
     #[inline]
-    pub fn mul_vec(&self, v: Vec3) -> Vec3 {
+    fn mul_vec(&self, v: Vec3) -> Vec3 {
         Vec3::new(
             self.rows[0].dot(v),
             self.rows[1].dot(v),
@@ -46,7 +46,7 @@ impl Mat3 {
     }
 
     /// Matrix-matrix product.
-    pub fn mul_mat(&self, o: &Mat3) -> Mat3 {
+    fn mul_mat(&self, o: &Mat3) -> Mat3 {
         let c0 = Vec3::new(o.rows[0].x, o.rows[1].x, o.rows[2].x);
         let c1 = Vec3::new(o.rows[0].y, o.rows[1].y, o.rows[2].y);
         let c2 = Vec3::new(o.rows[0].z, o.rows[1].z, o.rows[2].z);
@@ -81,7 +81,7 @@ impl Mat3 {
 
     /// Determinant.
     #[inline]
-    pub fn determinant(&self) -> f64 {
+    fn determinant(&self) -> f64 {
         self.rows[0].dot(self.rows[1].cross(self.rows[2]))
     }
 
@@ -150,19 +150,6 @@ impl Affine {
     #[inline]
     pub fn scale_uniform(s: f64) -> Affine {
         Affine::scale(Vec3::splat(s))
-    }
-
-    /// Rotation about the x axis by `angle` radians.
-    pub fn rotate_x(angle: f64) -> Affine {
-        let (s, c) = angle.sin_cos();
-        Affine {
-            linear: Mat3::from_rows(
-                Vec3::new(1.0, 0.0, 0.0),
-                Vec3::new(0.0, c, -s),
-                Vec3::new(0.0, s, c),
-            ),
-            translation: Vec3::ZERO,
-        }
     }
 
     /// Rotation about the y axis by `angle` radians.
@@ -285,19 +272,6 @@ impl Affine {
     pub fn is_identity(&self) -> bool {
         *self == Affine::IDENTITY
     }
-
-    /// Largest singular-value bound of the linear part, cheaply estimated as
-    /// the max row norm times sqrt(3). Used by the coherence engine to pad
-    /// conservative bounds.
-    pub fn linear_norm_bound(&self) -> f64 {
-        let m = self
-            .linear
-            .rows
-            .iter()
-            .map(|r| r.length())
-            .fold(0.0_f64, f64::max);
-        m * 3f64.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -340,7 +314,7 @@ mod tests {
         assert!(Affine::rotate_y(deg_to_rad(90.0))
             .point(Point3::UNIT_Z)
             .approx_eq(Point3::UNIT_X, 1e-12));
-        assert!(Affine::rotate_x(deg_to_rad(90.0))
+        assert!(Affine::rotate_axis(Vec3::UNIT_X, deg_to_rad(90.0))
             .point(Point3::UNIT_Y)
             .approx_eq(Point3::UNIT_Z, 1e-12));
     }
@@ -441,19 +415,6 @@ mod tests {
         let prod = m.mul_mat(&inv);
         for (i, row) in prod.rows.iter().enumerate() {
             assert!(row.approx_eq(Mat3::IDENTITY.rows[i], 1e-12));
-        }
-    }
-
-    #[test]
-    fn linear_norm_bound_bounds_vector_growth() {
-        let m = Affine::scale(Vec3::new(3.0, 1.0, 0.5)).then(&Affine::rotate_x(0.4));
-        let bound = m.linear_norm_bound();
-        for v in [
-            Vec3::UNIT_X,
-            Vec3::UNIT_Y,
-            Vec3::new(1.0, 1.0, 1.0).normalized(),
-        ] {
-            assert!(m.vector(v).length() <= bound + 1e-12);
         }
     }
 }

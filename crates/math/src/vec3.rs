@@ -29,17 +29,6 @@ impl Axis {
             Axis::Z => 2,
         }
     }
-
-    /// Axis from a numeric index; panics if `i > 2`.
-    #[inline]
-    pub fn from_index(i: usize) -> Axis {
-        match i {
-            0 => Axis::X,
-            1 => Axis::Y,
-            2 => Axis::Z,
-            _ => panic!("axis index out of range: {i}"),
-        }
-    }
 }
 
 /// A 3-component `f64` vector.
@@ -456,14 +445,7 @@ mod tests {
         assert_eq!(w, Vec3::new(2.0, 8.0, 1.0));
         for (i, a) in Axis::ALL.iter().enumerate() {
             assert_eq!(a.index(), i);
-            assert_eq!(Axis::from_index(i), *a);
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn axis_from_index_out_of_range_panics() {
-        let _ = Axis::from_index(3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The same uniform spatial subdivision the coherence algorithm marks is
 //! also used to accelerate ray-object intersection (Glassner-style "space
-//! subdivision for fast ray tracing", which the paper cites as [6]).
+//! subdivision for fast ray tracing", which the paper cites as \[6\]).
 //! Bounded objects are rasterised into per-voxel object lists; unbounded
 //! objects (infinite planes) are kept in a separate list tested on every
 //! query. A query walks its ray through the grid once
@@ -82,12 +82,6 @@ impl GridAccel {
     #[inline]
     pub fn spec(&self) -> &GridSpec {
         &self.spec
-    }
-
-    /// Ids of unbounded objects (always tested).
-    #[inline]
-    pub fn unbounded(&self) -> &[ObjectId] {
-        &self.unbounded
     }
 
     /// Ids of the bounded objects overlapping the voxel of linear index
@@ -365,7 +359,7 @@ mod tests {
         for (cell, list) in lists.iter().enumerate() {
             assert_eq!(accel.cell(cell), list.as_slice(), "cell {cell}");
         }
-        assert_eq!(accel.unbounded(), &[0]);
+        assert_eq!(accel.unbounded, &[0]);
     }
 
     /// Recording a query's walk changes neither its answer nor its work,
@@ -438,7 +432,7 @@ mod tests {
     fn unbounded_list_contains_the_plane() {
         let scene = test_scene();
         let accel = GridAccel::build(&scene);
-        assert_eq!(accel.unbounded(), &[0]);
+        assert_eq!(accel.unbounded, &[0]);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl TriMesh {
         self.bounds
     }
 
-    /// Number of BVH nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Closest triangle hit within `range`.
     pub fn intersect(&self, ray: &Ray, range: Interval) -> Option<Hit> {
         let mut best: Option<Hit> = None;
@@ -213,7 +208,7 @@ mod tests {
     fn bvh_matches_brute_force() {
         let tris = quad_grid(12); // 288 triangles
         let mesh = TriMesh::build(tris.clone());
-        assert!(mesh.node_count() > 10);
+        assert!(mesh.nodes.len() > 10);
         for k in 0..300 {
             let a = k as f64 * 0.213;
             let origin = Point3::new(

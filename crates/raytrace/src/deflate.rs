@@ -4,7 +4,7 @@
 //! The compressor emits a single fixed-Huffman block (BTYPE 01) with
 //! greedy LZ77 hash-chain matching, falling back to stored blocks
 //! (BTYPE 00) whenever the compressed form would be larger — so
-//! [`deflate`] output never exceeds [`stored_bound`] for any input. The
+//! [`deflate`] output never exceeds the stored-block size for any input. The
 //! decompressor handles stored and fixed-Huffman blocks, which covers
 //! every stream this crate produces (dynamic-Huffman blocks are rejected;
 //! we never emit them).
@@ -19,13 +19,13 @@
 
 /// Upper bound on [`deflate`] output: the stored-block encoding's size
 /// (5 bytes of header per 65,535-byte block, one block minimum).
-pub fn stored_bound(len: usize) -> usize {
+fn stored_bound(len: usize) -> usize {
     let blocks = len.div_ceil(0xFFFF).max(1);
     len + 5 * blocks
 }
 
 /// Adler-32 checksum over `bytes` (the zlib trailer).
-pub fn adler32(bytes: &[u8]) -> u32 {
+fn adler32(bytes: &[u8]) -> u32 {
     const MOD: u32 = 65521;
     let (mut a, mut b) = (1u32, 0u32);
     // 5552 is the largest n with n*(n+1)/2*255 + (n+1)*(65520) < 2^32
@@ -230,7 +230,7 @@ fn stored_blocks(data: &[u8]) -> Vec<u8> {
 
 /// Compress `data` into a raw deflate stream (no zlib wrapper). Picks the
 /// smaller of a fixed-Huffman block and the stored-block encoding, so the
-/// output never exceeds [`stored_bound`]`(data.len())`.
+/// output never exceeds the stored-block size, `stored_bound(data.len())`.
 pub fn deflate(data: &[u8]) -> Vec<u8> {
     let fixed = fixed_block(data);
     if fixed.len() < stored_bound(data.len()) {

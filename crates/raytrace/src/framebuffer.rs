@@ -59,12 +59,6 @@ impl Framebuffer {
         y * self.width + x
     }
 
-    /// `(x, y)` of a linear id.
-    #[inline]
-    pub fn coords_of(&self, id: PixelId) -> (u32, u32) {
-        (id % self.width, id / self.width)
-    }
-
     /// Read a pixel.
     #[inline]
     pub fn get(&self, x: u32, y: u32) -> Color {
@@ -154,7 +148,7 @@ mod tests {
         let fb = Framebuffer::new(320, 240);
         for (x, y) in [(0, 0), (319, 0), (0, 239), (319, 239), (17, 42)] {
             let id = fb.id_of(x, y);
-            assert_eq!(fb.coords_of(id), (x, y));
+            assert_eq!((id % 320, id / 320), (x, y));
         }
         assert_eq!(fb.len(), 320 * 240);
         assert!(!fb.is_empty());

@@ -221,13 +221,8 @@ pub fn png_bytes(fb: &Framebuffer) -> Vec<u8> {
     out
 }
 
-/// Write a framebuffer to a PNG file (atomically, via [`write_atomic`]).
-pub fn write_png(fb: &Framebuffer, path: &Path) -> io::Result<()> {
-    write_atomic(path, &png_bytes(fb))
-}
-
 /// Encode as binary PPM (P6), top-down RGB.
-pub fn ppm_bytes(fb: &Framebuffer) -> Vec<u8> {
+fn ppm_bytes(fb: &Framebuffer) -> Vec<u8> {
     let mut out = Vec::new();
     let _ = write!(out, "P6\n{} {}\n255\n", fb.width(), fb.height());
     for y in 0..fb.height() {
@@ -246,7 +241,7 @@ pub fn write_ppm(fb: &Framebuffer, path: &Path) -> io::Result<()> {
 
 /// Encode a binary mask as PGM (P5): 255 where `mask` is true, 0 elsewhere.
 /// Used for the Fig. 2 difference maps.
-pub fn pgm_mask_bytes(width: u32, height: u32, mask: &[bool]) -> Vec<u8> {
+fn pgm_mask_bytes(width: u32, height: u32, mask: &[bool]) -> Vec<u8> {
     assert_eq!(mask.len(), (width * height) as usize);
     let mut out = Vec::new();
     let _ = write!(out, "P5\n{width} {height}\n255\n");

@@ -59,11 +59,8 @@ pub use light::{AreaLight, Light, LightSample, PointLight, SpotLight};
 pub use listener::{NullListener, RayKind, RayListener, RecordingListener, ShardableListener};
 pub use material::Material;
 pub use object::{Object, ObjectId};
-pub use pool::{critical_path, plan_tile_size, resolve_thread_count, ParallelStats};
-pub use render::{
-    render_frame, render_frame_par, render_pixels, render_pixels_par, Adaptive, RenderSettings,
-    ShadeScratch,
-};
+pub use pool::{resolve_thread_count, ParallelStats};
+pub use render::{render_frame, render_pixels_par, Adaptive, RenderSettings, ShadeScratch};
 pub use scene::Scene;
 pub use shape::{Geometry, Hit};
 pub use stats::RayStats;

@@ -36,7 +36,7 @@ impl PointLight {
 
     /// Intensity arriving at distance `d` (before occlusion).
     #[inline]
-    pub fn intensity_at(&self, d: f64) -> Color {
+    fn intensity_at(&self, d: f64) -> Color {
         let (c, l, q) = self.attenuation;
         self.color * (1.0 / (c + l * d + q * d * d))
     }
@@ -84,7 +84,7 @@ impl SpotLight {
 
     /// Cone falloff factor toward a shaded point (1 inside the inner cone,
     /// 0 outside the outer cone, smooth in between).
-    pub fn cone_factor(&self, at: Point3) -> f64 {
+    fn cone_factor(&self, at: Point3) -> f64 {
         let to_point = (at - self.position).try_normalized(1e-12);
         let Some(d) = to_point else { return 1.0 };
         let cos = d.dot(self.direction);

@@ -47,14 +47,6 @@ impl Material {
         }
     }
 
-    /// Diffuse surface with an arbitrary texture.
-    pub fn textured(t: Texture) -> Material {
-        Material {
-            texture: t,
-            ..Material::matte(Color::WHITE)
-        }
-    }
-
     /// Shiny plastic: diffuse plus a highlight.
     pub fn plastic(c: Color) -> Material {
         Material {

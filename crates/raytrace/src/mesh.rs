@@ -6,7 +6,7 @@ use now_math::{Point3, Vec3};
 use std::sync::Arc;
 
 /// Build a mesh geometry (with its BVH) from raw triangles.
-pub fn mesh_from_triangles(triangles: Vec<[Point3; 3]>) -> Geometry {
+fn mesh_from_triangles(triangles: Vec<[Point3; 3]>) -> Geometry {
     Geometry::Mesh {
         mesh: Arc::new(TriMesh::build(triangles)),
     }
@@ -85,23 +85,6 @@ pub fn box_mesh(min: Point3, max: Point3) -> Geometry {
     mesh_from_triangles(tris)
 }
 
-/// A regular tetrahedron with the given circumradius around a center.
-pub fn tetrahedron(center: Point3, circumradius: f64) -> Geometry {
-    let s = circumradius / 3f64.sqrt();
-    let v = [
-        center + Vec3::new(s, s, s),
-        center + Vec3::new(s, -s, -s),
-        center + Vec3::new(-s, s, -s),
-        center + Vec3::new(-s, -s, s),
-    ];
-    mesh_from_triangles(vec![
-        [v[0], v[2], v[1]],
-        [v[0], v[1], v[3]],
-        [v[0], v[3], v[2]],
-        [v[1], v[2], v[3]],
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +148,7 @@ mod tests {
 
     #[test]
     fn mesh_bounds_contain_all_vertices() {
-        let g = tetrahedron(Point3::new(1.0, 2.0, 3.0), 2.0);
+        let g = uv_sphere(Point3::new(1.0, 2.0, 3.0), 2.0, 4, 6);
         let b = g.local_aabb().unwrap();
         if let Geometry::Mesh { mesh } = &g {
             for t in mesh.triangles() {
@@ -179,8 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn tetrahedron_is_watertight_from_all_sides() {
-        let g = tetrahedron(Point3::ZERO, 1.0);
+    fn coarse_sphere_is_watertight_from_all_sides() {
+        let g = uv_sphere(Point3::ZERO, 1.0, 3, 4);
         // rays toward the centroid from a sphere of directions must all hit
         for i in 0..200 {
             let a = i as f64 * 0.31;

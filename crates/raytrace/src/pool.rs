@@ -141,7 +141,7 @@ pub fn resolve_thread_count(setting: u32) -> u32 {
 /// final maximum load. Greedy list scheduling is a 2-approximation of the
 /// optimum and — unlike measuring the real threads — does not depend on
 /// the OS schedule, so virtual timelines stay reproducible.
-pub fn critical_path(tile_rays: &[u64], threads: u32) -> u64 {
+fn critical_path(tile_rays: &[u64], threads: u32) -> u64 {
     let lanes = threads.max(1) as usize;
     let mut load = vec![0u64; lanes];
     for &r in tile_rays {
@@ -161,10 +161,8 @@ pub fn critical_path(tile_rays: &[u64], threads: u32) -> u64 {
 /// `tile_hint` (from [`RenderSettings::tile_hint`] / `nowfarm --tile WxH`)
 /// overrides the derived size; either way the result is clamped and
 /// rounded up to a multiple of 8 (the simulator's virtual timelines are
-/// pinned to the tile plans this yields). The cost model calls this too
-/// ([`now_core`]'s `CostModel`), so sim predictions and real runs cut
-/// identical tiles.
-pub fn plan_tile_size(pixels: usize, threads: u32, tile_hint: u32) -> usize {
+/// pinned to the tile plans this yields).
+fn plan_tile_size(pixels: usize, threads: u32, tile_hint: u32) -> usize {
     let threads = threads.max(1) as usize;
     let base = if tile_hint > 0 {
         tile_hint as usize
@@ -205,7 +203,7 @@ fn xorshift(state: &mut u64) -> u64 {
 ///
 /// The caller has already validated `fb` against the scene camera. Falls
 /// back to a plain sequential loop when one thread suffices.
-#[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel
+#[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel_with
 pub fn render_tiles<S: ShardableListener>(
     scene: &Scene,
     accel: &GridAccel,
@@ -435,6 +433,41 @@ mod tests {
         // more lanes can only help
         assert!(critical_path(&tiles, 8) <= critical_path(&tiles, 4));
         assert!(critical_path(&tiles, 4) <= critical_path(&tiles, 1));
+    }
+
+    /// `pixels` equal-cost pixels cut as `render_tiles` cuts them and
+    /// scheduled onto `threads` lanes.
+    fn uniform_plan(pixels: usize, threads: u32, tile_hint: u32) -> ParallelStats {
+        let tile = plan_tile_size(pixels, threads, tile_hint);
+        let tile_rays: Vec<u64> = (0..pixels)
+            .step_by(tile)
+            .map(|start| tile.min(pixels - start) as u64)
+            .collect();
+        ParallelStats {
+            threads,
+            tiles: tile_rays.len() as u32,
+            total_rays: pixels as u64,
+            critical_rays: critical_path(&tile_rays, threads),
+        }
+    }
+
+    #[test]
+    fn tile_hint_overrides_the_derived_plan() {
+        // small enough that a 2-tile hint stays inside MIN_TILE..=MAX_TILE
+        let pixels = 64 * 48;
+        // auto planning at 4 threads: many equal tiles, near-perfect speedup
+        let auto = uniform_plan(pixels, 4, 0);
+        assert_eq!(auto.threads, 4);
+        assert!(auto.speedup() > 3.5, "{}", auto.speedup());
+        // a coarse hint (2 giant tiles) caps the speedup at ~2
+        let coarse = uniform_plan(pixels, 4, (pixels / 2) as u32);
+        assert_eq!(coarse.tiles, 2);
+        assert!(coarse.tiles < auto.tiles);
+        assert!(coarse.speedup() < 2.5, "{}", coarse.speedup());
+        // a hint is clamped and rounded up to a multiple of 8 like a derived size
+        assert_eq!(plan_tile_size(pixels, 4, 1), MIN_TILE);
+        assert_eq!(plan_tile_size(pixels, 4, 1 << 20), MAX_TILE);
+        assert_eq!(plan_tile_size(pixels, 4, 100), 104);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Frame and pixel-set rendering.
 //!
-//! [`render_pixels`] is the primitive everything else builds on: the
+//! [`render_pixels_par`] is the primitive everything else builds on: the
 //! coherence engine re-renders exactly its dirty-pixel set, the render farm
 //! renders rectangular sub-areas, and [`render_frame`] renders all pixels.
 //! Pixel colors are pure functions of `(scene, pixel)` — fixed supersample
@@ -67,7 +67,7 @@ pub struct RenderSettings {
     pub trace: bool,
     /// Tile-size hint for the pool, in pixels per tile (`nowfarm --tile
     /// WxH` sets `W*H`). `0` (the default) derives the size from the pixel
-    /// count and thread count; see [`pool::plan_tile_size`]. Purely a
+    /// count and thread count (`pool::plan_tile_size`). Purely a
     /// scheduling knob: any value produces byte-identical frames.
     pub tile_hint: u32,
 }
@@ -87,12 +87,12 @@ impl Default for RenderSettings {
 
 impl RenderSettings {
     /// Concrete thread count for this setting (resolves `threads == 0`).
-    pub fn resolve_threads(&self) -> u32 {
+    fn resolve_threads(&self) -> u32 {
         pool::resolve_thread_count(self.threads)
     }
     /// Fixed sub-pixel offsets for this setting (deterministic; identical
     /// for every pixel and frame).
-    pub fn sample_offsets(&self) -> Vec<(f64, f64)> {
+    fn sample_offsets(&self) -> Vec<(f64, f64)> {
         let n = self.sqrt_samples.max(1);
         let mut out = Vec::with_capacity((n * n) as usize);
         for j in 0..n {
@@ -129,38 +129,10 @@ impl ShadeScratch {
     }
 }
 
-/// Shade a single pixel (averaging supersamples, adaptively if enabled).
-///
-/// Convenience wrapper that builds a fresh [`ShadeScratch`]; hot loops use
-/// [`shade_pixel_with`] with a per-thread scratch.
+/// Shade a single pixel (averaging supersamples, adaptively if enabled)
+/// using caller-owned scratch buffers.
 #[allow(clippy::too_many_arguments)] // deliberate flat kernel signature: the hot path avoids a context struct per pixel
-pub fn shade_pixel<L: RayListener>(
-    scene: &Scene,
-    accel: &GridAccel,
-    settings: &RenderSettings,
-    x: u32,
-    y: u32,
-    pixel: PixelId,
-    listener: &mut L,
-    stats: &mut RayStats,
-) -> Color {
-    let mut scratch = ShadeScratch::new(settings);
-    shade_pixel_with(
-        scene,
-        accel,
-        settings,
-        x,
-        y,
-        pixel,
-        listener,
-        stats,
-        &mut scratch,
-    )
-}
-
-/// Shade a single pixel using caller-owned scratch buffers.
-#[allow(clippy::too_many_arguments)] // deliberate flat kernel signature: the hot path avoids a context struct per pixel
-pub fn shade_pixel_with<L: RayListener>(
+fn shade_pixel_with<L: RayListener>(
     scene: &Scene,
     accel: &GridAccel,
     settings: &RenderSettings,
@@ -212,7 +184,7 @@ pub fn shade_pixel_with<L: RayListener>(
 /// Shade a run of pixel ids and hand each `(id, color)` to `sink` in id
 /// order: the one shading loop shared by the serial path and every pool
 /// tile.
-#[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel
+#[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel_with
 pub(crate) fn shade_ids<L: RayListener>(
     scene: &Scene,
     accel: &GridAccel,
@@ -333,12 +305,14 @@ fn emit_ray_counters(before: &RayStats, after: &RayStats) {
     rec.counter_add("render.pixels_shaded", after.pixels - before.pixels);
 }
 
-/// Render `ids` through the tile pool (serially when one thread
-/// suffices) under a trace span of the given name: the body of both
-/// public pixel-set entry points.
-#[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel
-fn render_ids<S: ShardableListener>(
-    span_name: &'static str,
+/// Render an arbitrary set of pixels into an existing framebuffer through
+/// the tile pool, reporting how the work parallelised.
+///
+/// With `settings.threads` resolving to 1 this is the plain sequential
+/// loop and reports a serial [`ParallelStats`]. Otherwise shards of
+/// `listener` are merged back in ascending tile order (the sequential ray
+/// order), so listener state is identical for every thread count.
+pub fn render_pixels_par<S: ShardableListener>(
     scene: &Scene,
     accel: &GridAccel,
     settings: &RenderSettings,
@@ -350,7 +324,7 @@ fn render_ids<S: ShardableListener>(
     check_frame_dims(scene, fb);
     let tracing = settings.trace && now_trace::enabled();
     let before = if tracing { *stats } else { RayStats::default() };
-    let mut span = tracing.then(|| now_trace::global().span(0, span_name));
+    let mut span = tracing.then(|| now_trace::global().span(0, "render.pixels_par"));
     let threads = settings.resolve_threads();
     let par = pool::render_tiles(scene, accel, settings, fb, ids, listener, stats, threads);
     if tracing {
@@ -363,63 +337,6 @@ fn render_ids<S: ShardableListener>(
     par
 }
 
-/// Render an arbitrary set of pixels into an existing framebuffer.
-///
-/// With `settings.threads` resolving to 1 this is the plain sequential
-/// loop; otherwise the ids are handed to the tile pool, whose shard merge
-/// keeps the listener's observed ray order identical to the sequential
-/// run. Callers that want the pool's [`ParallelStats`] use
-/// [`render_pixels_par`].
-pub fn render_pixels<S: ShardableListener>(
-    scene: &Scene,
-    accel: &GridAccel,
-    settings: &RenderSettings,
-    fb: &mut Framebuffer,
-    ids: impl IntoIterator<Item = PixelId>,
-    listener: &mut S,
-    stats: &mut RayStats,
-) {
-    let ids: Vec<PixelId> = ids.into_iter().collect();
-    render_ids(
-        "render.pixels",
-        scene,
-        accel,
-        settings,
-        fb,
-        &ids,
-        listener,
-        stats,
-    );
-}
-
-/// Render a pixel set through the tile pool, reporting how the work
-/// parallelised.
-///
-/// Shards of `listener` are merged back in ascending tile order (the
-/// sequential ray order), so listener state is identical for every thread
-/// count. Uses one thread (and reports a serial [`ParallelStats`]) when
-/// `settings.threads` resolves to 1.
-pub fn render_pixels_par<S: ShardableListener>(
-    scene: &Scene,
-    accel: &GridAccel,
-    settings: &RenderSettings,
-    fb: &mut Framebuffer,
-    ids: &[PixelId],
-    listener: &mut S,
-    stats: &mut RayStats,
-) -> ParallelStats {
-    render_ids(
-        "render.pixels_par",
-        scene,
-        accel,
-        settings,
-        fb,
-        ids,
-        listener,
-        stats,
-    )
-}
-
 /// Render a complete frame.
 pub fn render_frame<S: ShardableListener>(
     scene: &Scene,
@@ -429,24 +346,9 @@ pub fn render_frame<S: ShardableListener>(
     stats: &mut RayStats,
 ) -> Framebuffer {
     let mut fb = Framebuffer::new(scene.camera.width(), scene.camera.height());
-    let n = fb.len() as PixelId;
-    render_pixels(scene, accel, settings, &mut fb, 0..n, listener, stats);
-    fb
-}
-
-/// Render a complete frame through the tile pool, reporting how the work
-/// parallelised.
-pub fn render_frame_par<S: ShardableListener>(
-    scene: &Scene,
-    accel: &GridAccel,
-    settings: &RenderSettings,
-    listener: &mut S,
-    stats: &mut RayStats,
-) -> (Framebuffer, ParallelStats) {
-    let mut fb = Framebuffer::new(scene.camera.width(), scene.camera.height());
     let ids: Vec<PixelId> = (0..fb.len() as PixelId).collect();
-    let par = render_pixels_par(scene, accel, settings, &mut fb, &ids, listener, stats);
-    (fb, par)
+    render_pixels_par(scene, accel, settings, &mut fb, &ids, listener, stats);
+    fb
 }
 
 #[cfg(test)]
@@ -523,21 +425,21 @@ mod tests {
         let mut fb = Framebuffer::new(40, 30);
         let evens: Vec<PixelId> = (0..fb.len() as PixelId).filter(|i| i % 2 == 0).collect();
         let odds: Vec<PixelId> = (0..fb.len() as PixelId).filter(|i| i % 2 == 1).collect();
-        render_pixels(
+        render_pixels_par(
             &s,
             &accel,
             &settings,
             &mut fb,
-            odds,
+            &odds,
             &mut NullListener,
             &mut RayStats::default(),
         );
-        render_pixels(
+        render_pixels_par(
             &s,
             &accel,
             &settings,
             &mut fb,
-            evens,
+            &evens,
             &mut NullListener,
             &mut RayStats::default(),
         );
@@ -591,7 +493,9 @@ mod tests {
             };
             let mut rec = RecordingListener::default();
             let mut stats = RayStats::default();
-            let (fb, par) = render_frame_par(&s, &accel, &settings, &mut rec, &mut stats);
+            let mut fb = Framebuffer::new(40, 30);
+            let ids: Vec<PixelId> = (0..fb.len() as PixelId).collect();
+            let par = render_pixels_par(&s, &accel, &settings, &mut fb, &ids, &mut rec, &mut stats);
             assert_eq!(fb, reference, "{threads} threads: framebuffer differs");
             assert_eq!(
                 rec.rays, serial_rec.rays,
@@ -606,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn render_pixels_dispatches_to_pool_transparently() {
+    fn render_pixels_par_dispatches_to_pool_transparently() {
         let s = scene();
         let accel = GridAccel::build(&s);
         let reference = render_frame(
@@ -621,17 +525,57 @@ mod tests {
             ..RenderSettings::default()
         };
         let mut fb = Framebuffer::new(40, 30);
-        let n = fb.len() as PixelId;
-        render_pixels(
+        let ids: Vec<PixelId> = (0..fb.len() as PixelId).collect();
+        render_pixels_par(
             &s,
             &accel,
             &pooled,
             &mut fb,
-            0..n,
+            &ids,
             &mut NullListener,
             &mut RayStats::default(),
         );
         assert_eq!(fb, reference);
+    }
+
+    #[test]
+    fn tile_hint_sets_the_pool_plan() {
+        let s = scene();
+        let accel = GridAccel::build(&s);
+        let reference = render_frame(
+            &s,
+            &accel,
+            &RenderSettings::default(),
+            &mut NullListener,
+            &mut RayStats::default(),
+        );
+        let ids: Vec<PixelId> = (0..reference.len() as PixelId).collect();
+        let run = |tile_hint: u32| {
+            let settings = RenderSettings {
+                threads: 4,
+                tile_hint,
+                ..RenderSettings::default()
+            };
+            let mut fb = Framebuffer::new(40, 30);
+            let par = render_pixels_par(
+                &s,
+                &accel,
+                &settings,
+                &mut fb,
+                &ids,
+                &mut NullListener,
+                &mut RayStats::default(),
+            );
+            assert_eq!(fb, reference, "tile hint {tile_hint}: framebuffer differs");
+            par
+        };
+        let auto = run(0);
+        // half the frame per tile: two tiles, so at most 2x on 4 threads
+        let coarse = run(ids.len() as u32 / 2);
+        assert_eq!(coarse.tiles, 2);
+        assert!(coarse.tiles < auto.tiles);
+        assert!(coarse.speedup() <= 2.0, "{}", coarse.speedup());
+        assert_eq!(coarse.total_rays, auto.total_rays);
     }
 
     #[test]
@@ -713,12 +657,12 @@ mod tests {
         // render half the pixels into a fresh buffer: identical values
         let mut fb = Framebuffer::new(40, 30);
         let half: Vec<PixelId> = (0..fb.len() as PixelId).filter(|i| i % 2 == 0).collect();
-        render_pixels(
+        render_pixels_par(
             &s,
             &accel,
             &settings,
             &mut fb,
-            half.iter().copied(),
+            &half,
             &mut NullListener,
             &mut RayStats::default(),
         );

@@ -1,7 +1,7 @@
-//! Trace exporters: Chrome `trace_event` JSON and flat metrics JSON.
+//! Trace exporter: Chrome `trace_event` JSON.
 //!
-//! Both are hand-rolled (the workspace is dependency-free); the subset of
-//! JSON emitted is small and fully escaped.
+//! Hand-rolled (the workspace is dependency-free); the subset of JSON
+//! emitted is small and fully escaped.
 
 use crate::{Clock, EventKind, Snapshot};
 
@@ -94,52 +94,6 @@ pub fn chrome_json(snap: &Snapshot) -> String {
     format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
-/// Export counters and histograms as a flat metrics JSON object.
-pub fn metrics_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"events\":{},\"dropped\":{},",
-        snap.events.len(),
-        snap.dropped
-    ));
-    out.push_str("\"counters\":{");
-    let ctrs: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|(name, c)| {
-            format!(
-                "\"{}\":{{\"value\":{},\"det\":{}}}",
-                esc(name),
-                c.value,
-                c.det
-            )
-        })
-        .collect();
-    out.push_str(&ctrs.join(","));
-    out.push_str("},\"histograms\":{");
-    let hists: Vec<String> = snap
-        .hists
-        .iter()
-        .map(|(name, h)| {
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\
-                 \"det\":{},\"buckets\":[{}]}}",
-                esc(name),
-                h.count,
-                h.sum,
-                h.max,
-                h.mean(),
-                h.det,
-                buckets.join(",")
-            )
-        })
-        .collect();
-    out.push_str(&hists.join(","));
-    out.push_str("}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,14 +127,5 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn metrics_export_carries_counters_and_histograms() {
-        let m = metrics_json(&sample());
-        assert!(m.contains("\"rays\":{\"value\":123,\"det\":true}"));
-        assert!(m.contains("\"steps\":{\"count\":1,\"sum\":3,\"max\":3"));
-        assert!(m.contains("\"mean\":3.000"));
-        assert!(m.starts_with('{') && m.ends_with('}'));
     }
 }

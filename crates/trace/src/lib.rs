@@ -44,8 +44,8 @@ pub const MAX_ARGS: usize = 4;
 /// absorbs everything larger.
 pub const HIST_BUCKETS: usize = 17;
 
-/// Default ring-buffer capacity of the global recorder, in events.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Ring-buffer capacity of a recorder, in events.
+pub const CAPACITY: usize = 1 << 16;
 
 /// Which clock an event's timestamp belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +136,7 @@ impl Histogram {
     }
 
     /// Bucket index a value falls into.
-    pub fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -164,18 +164,16 @@ impl Histogram {
 struct Inner {
     epoch: Option<Instant>,
     events: VecDeque<Event>,
-    capacity: usize,
     dropped: u64,
     counters: BTreeMap<&'static str, Counter>,
     hists: BTreeMap<&'static str, Histogram>,
 }
 
 impl Inner {
-    const fn new(capacity: usize) -> Inner {
+    const fn new() -> Inner {
         Inner {
             epoch: None,
             events: VecDeque::new(),
-            capacity,
             dropped: 0,
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
@@ -188,7 +186,7 @@ impl Inner {
     }
 
     fn push(&mut self, ev: Event) {
-        if self.events.len() >= self.capacity {
+        if self.events.len() >= CAPACITY {
             // flight-recorder semantics: drop the oldest event
             self.events.pop_front();
             self.dropped += 1;
@@ -205,11 +203,11 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A disabled recorder with [`DEFAULT_CAPACITY`].
+    /// A disabled recorder holding up to [`CAPACITY`] events.
     pub const fn new() -> Recorder {
         Recorder {
             enabled: AtomicBool::new(false),
-            inner: Mutex::new(Inner::new(DEFAULT_CAPACITY)),
+            inner: Mutex::new(Inner::new()),
         }
     }
 
@@ -238,19 +236,8 @@ impl Recorder {
     /// Drop all recorded data and restart the wall-clock epoch.
     pub fn clear(&self) {
         let mut inner = self.lock();
-        let capacity = inner.capacity;
-        *inner = Inner::new(capacity);
+        *inner = Inner::new();
         inner.epoch = Some(Instant::now());
-    }
-
-    /// Change the ring-buffer capacity (existing overflow is kept).
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity.max(1);
-        while inner.events.len() > inner.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
     }
 
     /// Record a point event on the wall clock.
@@ -566,16 +553,16 @@ mod tests {
     #[test]
     fn ring_buffer_drops_oldest() {
         let r = Recorder::new();
-        r.set_capacity(4);
         r.set_enabled(true);
-        for i in 0..10u64 {
+        let n = CAPACITY as u64 + 6;
+        for i in 0..n {
             r.instant(0, "e", &[("i", i)], true);
         }
         let snap = r.snapshot();
-        assert_eq!(snap.events.len(), 4);
+        assert_eq!(snap.events.len(), CAPACITY);
         assert_eq!(snap.dropped, 6);
         assert_eq!(snap.events[0].args[0], ("i", 6));
-        assert_eq!(snap.events[3].args[0], ("i", 9));
+        assert_eq!(snap.events[CAPACITY - 1].args[0], ("i", n - 1));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use nowrender::core::{
     serve_tcp_worker, CostModel, FarmConfig, FarmResult, JournalSpec, PartitionScheme,
     TcpFarmConfig,
 };
+use nowrender::math::Color;
 use nowrender::raytrace::RenderSettings;
 use std::path::{Path, PathBuf};
 
@@ -293,6 +294,36 @@ fn resume_rejects_mismatched_scene_and_config() {
     )
     .expect_err("mismatched scheme must not resume");
     assert!(err.contains("refusing to resume"), "got: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An edit that keeps the scene's shape (size, frames, object, light and
+/// track counts) must still be refused: the journal vouches only for
+/// frames of the scene it was written for.
+#[test]
+fn resume_refuses_a_scene_edited_in_place() {
+    let anim = anim();
+    let cfg = cfg();
+    let dir = scratch("edited");
+    run_threads_with(
+        &anim,
+        &cfg,
+        &ThreadCluster::new(2),
+        Some(&JournalSpec::new(&dir)),
+    )
+    .expect("first run");
+
+    let mut edited = anim.clone();
+    edited.base.background = Color::gray(0.25);
+    let err = run_threads_with(
+        &edited,
+        &cfg,
+        &ThreadCluster::new(2),
+        Some(&JournalSpec::resume(&dir)),
+    )
+    .expect_err("an edited scene must not resume");
+    assert!(err.contains("refusing to resume"), "got: {err}");
+    assert!(err.contains("scene mismatch"), "got: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,7 +11,9 @@ use nowrender::core::{
     render_sequence, run_sim, CostModel, FarmConfig, PartitionScheme, SequenceMode, SingleMachine,
 };
 use nowrender::grid::GridSpec;
-use nowrender::raytrace::{render_frame_par, GridAccel, NullListener, RayStats, RenderSettings};
+use nowrender::raytrace::{
+    render_pixels_par, Framebuffer, GridAccel, NullListener, PixelId, RayStats, RenderSettings,
+};
 
 const W: u32 = 48;
 const H: u32 = 36;
@@ -108,8 +110,17 @@ fn four_thread_tile_plan_keeps_a_3x_schedule_speedup() {
     let scene = newton::scene(128, 96);
     let accel = GridAccel::build(&scene);
     let plan = || {
-        let mut stats = RayStats::default();
-        render_frame_par(&scene, &accel, &settings(4), &mut NullListener, &mut stats).1
+        let (mut fb, mut stats) = (Framebuffer::new(128, 96), RayStats::default());
+        let ids: Vec<PixelId> = (0..fb.len() as PixelId).collect();
+        render_pixels_par(
+            &scene,
+            &accel,
+            &settings(4),
+            &mut fb,
+            &ids,
+            &mut NullListener,
+            &mut stats,
+        )
     };
     let par = plan();
     assert!(par.speedup() >= 3.0, "schedule speedup {}", par.speedup());

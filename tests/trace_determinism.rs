@@ -21,7 +21,7 @@ use nowrender::cluster::{MachineSpec, SimCluster};
 use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
 use nowrender::raytrace::RenderSettings;
 use nowrender::trace;
-use nowrender::trace::export::{chrome_json, metrics_json};
+use nowrender::trace::export::chrome_json;
 
 const W: u32 = 48;
 const H: u32 = 36;
@@ -130,9 +130,6 @@ fn chrome_export_shape_holds_for_a_farm_run() {
     let opens = json.matches('{').count();
     let closes = json.matches('}').count();
     assert_eq!(opens, closes, "unbalanced JSON objects");
-    let metrics = metrics_json(&snap);
-    assert!(metrics.contains("\"histograms\""));
-    assert!(metrics.contains("grid.steps_per_ray"));
 }
 
 /// Write the normalized stream for the CI cross-process diff. The file
