@@ -28,7 +28,7 @@
 
 use crate::region::PixelRegion;
 use crate::varint::{try_read_varint, unzigzag, write_varint, zigzag};
-use now_raytrace::deflate::{deflate, inflate};
+use now_raytrace::deflate::{deflate_within, inflate};
 
 /// Nothing changed; no payload.
 pub const MODE_ACK: u8 = 0;
@@ -43,6 +43,13 @@ pub const MODE_FULL_DEFLATE: u8 = 3;
 pub const MODE_DELTA: u8 = 4;
 /// [`MODE_DELTA`] payload, deflate-compressed.
 pub const MODE_DELTA_DEFLATE: u8 = 5;
+
+/// Most bytes a `FULL` payload spends on one pixel: a 5-byte id gap (the
+/// zigzag of a difference of two `u32`s needs 33 bits) and three channels.
+const FULL_MAX_BYTES_PER_PIXEL: usize = 8;
+/// Most bytes a `DELTA` payload spends on one pixel: a 5-byte id gap and
+/// three 2-byte channel deltas (zigzag of -255..=255 is below 2^14).
+const DELTA_MAX_BYTES_PER_PIXEL: usize = 11;
 
 /// One encoded tile update as it crosses the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,6 +128,29 @@ fn write_gaps(out: &mut Vec<u8>, pixels: &[(u32, [u8; 3])]) {
     }
 }
 
+/// The `FULL` payload: id gaps, then the red, green and blue planes.
+fn full_payload(pixels: &[(u32, [u8; 3])]) -> Vec<u8> {
+    let mut full = Vec::with_capacity(pixels.len() * 4);
+    write_gaps(&mut full, pixels);
+    for c in 0..3 {
+        full.extend(pixels.iter().map(|&(_, rgb)| rgb[c]));
+    }
+    full
+}
+
+/// The `DELTA` payload: id gaps, then per channel the zigzag-varint
+/// deltas of every pixel against its previous value `prevs[k]`.
+fn delta_payload(pixels: &[(u32, [u8; 3])], prevs: &[[u8; 3]]) -> Vec<u8> {
+    let mut delta = Vec::with_capacity(pixels.len() * 4);
+    write_gaps(&mut delta, pixels);
+    for c in 0..3 {
+        for (&(_, rgb), prev) in pixels.iter().zip(prevs) {
+            write_varint(&mut delta, zigzag(rgb[c] as i64 - prev[c] as i64));
+        }
+    }
+    delta
+}
+
 /// Parse `count` ids from the gap stream at `pos`.
 fn read_gaps(bytes: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, &'static str> {
     let mut ids = Vec::with_capacity(count);
@@ -186,37 +216,34 @@ impl TileUpdate {
             };
         }
 
-        // absolute stream: gaps + planar RGB
-        let mut full = Vec::with_capacity(pixels.len() * 4);
-        write_gaps(&mut full, pixels);
-        for c in 0..3 {
-            full.extend(pixels.iter().map(|&(_, rgb)| rgb[c]));
-        }
+        // The smallest payload wins, the earlier of FULL, FULL_DEFLATE,
+        // DELTA, DELTA_DEFLATE on ties. A deflated candidate is finished
+        // only while it can still win: DELTA_DEFLATE must beat FULL and
+        // DELTA, FULL_DEFLATE must beat FULL and tie or beat both DELTA
+        // modes. A stream dropped at its cap would have lost, so the mode
+        // and bytes are those of deflating all four and comparing.
+        let len = |p: &Option<Vec<u8>>| p.as_ref().map_or(usize::MAX, Vec::len);
+        let full = full_payload(pixels);
+        let delta = seeded.then(|| delta_payload(pixels, &prevs));
+        let delta_deflated = delta
+            .as_ref()
+            .and_then(|d| deflate_within(d, full.len().min(d.len()).saturating_sub(1)));
+        let full_cap = full
+            .len()
+            .saturating_sub(1)
+            .min(len(&delta))
+            .min(len(&delta_deflated));
+        let full_deflated = deflate_within(&full, full_cap);
 
         let (mut mode, mut payload) = (MODE_FULL, full);
-        let deflated = deflate(&payload);
-        if deflated.len() < payload.len() {
-            mode = MODE_FULL_DEFLATE;
-            payload = deflated;
-        }
-
-        if seeded {
-            // temporal delta stream: gaps + planar per-channel deltas
-            let mut delta = Vec::with_capacity(pixels.len() * 4);
-            write_gaps(&mut delta, pixels);
-            for c in 0..3 {
-                for (k, &(_, rgb)) in pixels.iter().enumerate() {
-                    write_varint(&mut delta, zigzag(rgb[c] as i64 - prevs[k][c] as i64));
-                }
-            }
-            let delta_deflated = deflate(&delta);
-            if delta.len() < payload.len() {
-                mode = MODE_DELTA;
-                payload = delta;
-            }
-            if delta_deflated.len() < payload.len() {
-                mode = MODE_DELTA_DEFLATE;
-                payload = delta_deflated;
+        let later = [
+            (MODE_FULL_DEFLATE, full_deflated),
+            (MODE_DELTA, delta),
+            (MODE_DELTA_DEFLATE, delta_deflated),
+        ];
+        for (m, p) in later {
+            if let Some(p) = p.filter(|p| p.len() < payload.len()) {
+                (mode, payload) = (m, p);
             }
         }
 
@@ -275,7 +302,7 @@ impl TileUpdate {
             MODE_FULL | MODE_FULL_DEFLATE => {
                 let raw;
                 let bytes: &[u8] = if self.mode == MODE_FULL_DEFLATE {
-                    raw = inflate(&self.payload)?;
+                    raw = inflate(&self.payload, n * FULL_MAX_BYTES_PER_PIXEL)?;
                     &raw
                 } else {
                     &self.payload
@@ -304,7 +331,7 @@ impl TileUpdate {
                 };
                 let raw;
                 let bytes: &[u8] = if self.mode == MODE_DELTA_DEFLATE {
-                    raw = inflate(&self.payload)?;
+                    raw = inflate(&self.payload, n * DELTA_MAX_BYTES_PER_PIXEL)?;
                     &raw
                 } else {
                     &self.payload
@@ -538,5 +565,218 @@ mod tests {
             "new region must reset the stream"
         );
         assert_eq!(enc.as_ref().unwrap().region(), other);
+    }
+
+    /// `TileUpdate::encode` spelled out: deflate both payloads with the
+    /// greedy reference encoder and take the shortest of all four
+    /// candidates, the earliest mode on ties. Also says whether the
+    /// shortest length was shared (a tie the mode order had to break).
+    fn reference_encode(
+        pixels: &[(u32, [u8; 3])],
+        region: PixelRegion,
+        width: u32,
+        state: &mut Option<RegionBuffer>,
+    ) -> (TileUpdate, bool) {
+        let seeded = matches!(state, Some(b) if b.region == region);
+        let mut buf = state
+            .take()
+            .filter(|_| seeded)
+            .unwrap_or(RegionBuffer::new(region));
+        let prevs = advance(&mut buf, width, pixels).unwrap();
+        let count = pixels.len() as u32;
+        if seeded && pixels.is_empty() {
+            *state = Some(buf);
+            let ack = TileUpdate {
+                mode: MODE_ACK,
+                count,
+                payload: Vec::new(),
+            };
+            return (ack, false);
+        }
+        let deflate = now_testkit::greedy_deflate::deflate;
+        let full = full_payload(pixels);
+        let mut candidates = vec![
+            (MODE_FULL, full.clone()),
+            (MODE_FULL_DEFLATE, deflate(&full)),
+        ];
+        if seeded {
+            let delta = delta_payload(pixels, &prevs);
+            candidates.push((MODE_DELTA_DEFLATE, deflate(&delta)));
+            candidates.push((MODE_DELTA, delta));
+            candidates.sort_by_key(|&(mode, _)| mode);
+        }
+        let (mode, payload) = candidates
+            .iter()
+            .min_by_key(|(_, p)| p.len())
+            .unwrap()
+            .clone();
+        let tied = candidates
+            .iter()
+            .filter(|(_, p)| p.len() == payload.len())
+            .count()
+            > 1;
+        if mode == MODE_FULL || mode == MODE_FULL_DEFLATE {
+            buf = RegionBuffer::new(region);
+            advance(&mut buf, width, pixels).unwrap();
+        }
+        *state = Some(buf);
+        let update = TileUpdate {
+            mode,
+            count,
+            payload,
+        };
+        (update, tied)
+    }
+
+    /// Frames `0..frames` of a small Newton cradle, as the pixel lists the
+    /// worker owning `region` ships with coherence off: the whole region,
+    /// every frame.
+    fn newton_tiles(region: PixelRegion, frames: usize) -> Vec<Vec<(u32, [u8; 3])>> {
+        use now_raytrace::{render_pixels_par, Framebuffer, GridAccel, NullListener, RayStats};
+        let anim = now_anim::scenes::newton::animation_sized(80, 60, 12);
+        let ids: Vec<u32> = region.pixel_ids(80).collect();
+        let settings = now_raytrace::RenderSettings::default();
+        (0..frames)
+            .map(|f| {
+                let scene = anim.scene_at(f);
+                let accel = GridAccel::build(&scene);
+                let mut fb = Framebuffer::new(80, 60);
+                let mut stats = RayStats::default();
+                render_pixels_par(
+                    &scene,
+                    &accel,
+                    &settings,
+                    &mut fb,
+                    &ids,
+                    &mut NullListener,
+                    &mut stats,
+                );
+                ids.iter()
+                    .map(|&id| {
+                        let (r, g, b) = fb.get_id(id).to_u8();
+                        (id, [r, g, b])
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    const NEWTON_REGION: PixelRegion = PixelRegion {
+        x0: 12,
+        y0: 10,
+        w: 40,
+        h: 30,
+    };
+
+    /// The encoder's two payloads of a real Newton tile stream deflate to
+    /// the greedy reference's bytes, and `deflate_within` keeps one exactly
+    /// when the reference stream fits its cap.
+    #[test]
+    fn newton_payloads_deflate_to_the_reference_bytes() {
+        use now_raytrace::deflate::deflate;
+        let frames = newton_tiles(NEWTON_REGION, 4);
+        let mut buf = RegionBuffer::new(NEWTON_REGION);
+        let mut payloads = Vec::new();
+        for pixels in &frames {
+            let prevs = advance(&mut buf, 80, pixels).unwrap();
+            payloads.push(full_payload(pixels));
+            payloads.push(delta_payload(pixels, &prevs));
+        }
+        for (k, payload) in payloads.iter().enumerate() {
+            let want = now_testkit::greedy_deflate::deflate(payload);
+            assert_eq!(deflate(payload), want, "payload {k}");
+            let n = want.len();
+            for cap in [0, n / 3, n - 1, n, n + 1, payload.len()] {
+                let kept = deflate_within(payload, cap);
+                assert_eq!(
+                    kept.is_some(),
+                    n <= cap,
+                    "payload {k}: {n} bytes, cap {cap}"
+                );
+                assert!(kept.is_none_or(|got| got == want), "payload {k}, cap {cap}");
+            }
+        }
+        // the first frame has no delta; the others barely differ from it
+        let sizes: Vec<usize> = payloads.iter().map(Vec::len).collect();
+        let deflated: Vec<usize> = payloads.iter().map(|p| deflate(p).len()).collect();
+        assert!(deflated[3] * 4 < deflated[2], "{sizes:?} -> {deflated:?}");
+    }
+
+    /// `TileUpdate::encode` against the four-candidate reference on random
+    /// streams — coherent drift, noise, all-zero frames whose FULL and
+    /// DELTA payloads are the same bytes, small values over unseen pixels
+    /// (FULL and DELTA the same length), empty frames, region switches —
+    /// and on the Newton stream.
+    #[test]
+    fn encode_matches_the_four_candidate_reference() {
+        let other = PixelRegion {
+            x0: 0,
+            y0: 0,
+            w: 8,
+            h: 8,
+        };
+        let mut s = 11u64;
+        let (mut enc, mut reference) = (None, None);
+        let mut last: Vec<(u32, [u8; 3])> = Vec::new();
+        let (mut ties, mut modes) = (0, [0u32; 6]);
+        for frame in 0..400 {
+            let kind = rng(&mut s) % 8;
+            let region = if kind == 7 { other } else { REGION };
+            let mut pixels = match kind {
+                0 | 1 => frame_pixels(&mut s, &last),
+                2 => REGION.pixel_ids(W).map(|id| (id, [0, 0, 0])).collect(),
+                3 => {
+                    let mut small = Vec::new();
+                    for id in REGION.pixel_ids(W) {
+                        if rng(&mut s).is_multiple_of(4) {
+                            small
+                                .push((id, [(rng(&mut s) % 64) as u8, 0, (rng(&mut s) % 2) as u8]));
+                        }
+                    }
+                    small
+                }
+                4 => REGION
+                    .pixel_ids(W)
+                    .map(|id| {
+                        (
+                            id,
+                            [rng(&mut s) as u8, rng(&mut s) as u8, rng(&mut s) as u8],
+                        )
+                    })
+                    .collect(),
+                5 => last.clone(),
+                6 => Vec::new(),
+                _ => vec![(3 * W + 2, [1, 2, 3]), (5 * W + 7, [1, 2, 4])],
+            };
+            if kind == 3 && frame % 2 == 0 {
+                // the same pixels at zero: the deltas are the FULL bytes
+                pixels.iter_mut().for_each(|p| p.1 = [0, 0, 0]);
+            }
+            let got = TileUpdate::encode(&pixels, region, W, &mut enc, true);
+            let (want, tied) = reference_encode(&pixels, region, W, &mut reference);
+            assert_eq!(got, want, "frame {frame} (kind {kind})");
+            assert_eq!(enc, reference, "frame {frame}: sender state");
+            ties += tied as u32;
+            modes[got.mode as usize] += 1;
+            if region == REGION {
+                last = pixels;
+            }
+        }
+        assert!(ties > 20, "{ties} ties");
+        // (DELTA itself never wins: a zigzag delta takes at least the byte
+        // its channel value does, and ties go to FULL)
+        for mode in [MODE_ACK, MODE_FULL, MODE_FULL_DEFLATE, MODE_DELTA_DEFLATE] {
+            assert!(
+                modes[mode as usize] > 0,
+                "mode {mode} never chosen: {modes:?}"
+            );
+        }
+
+        let (mut enc, mut reference) = (None, None);
+        for (f, pixels) in newton_tiles(NEWTON_REGION, 4).iter().enumerate() {
+            let got = TileUpdate::encode(pixels, NEWTON_REGION, 80, &mut enc, true);
+            let (want, _) = reference_encode(pixels, NEWTON_REGION, 80, &mut reference);
+            assert_eq!(got, want, "Newton frame {f}");
+        }
     }
 }

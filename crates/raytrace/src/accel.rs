@@ -91,25 +91,15 @@ impl GridAccel {
         &self.ids[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
     }
 
-    /// Closest intersection along `ray` within `range`.
+    /// Closest intersection along `ray` within `range`, the walk it takes
+    /// optionally recorded (`RECORD`) into `path`: the voxels `ray` crosses
+    /// in `[0, t]`, `t` being the hit distance or `range.max` — what an
+    /// `IndexWalk` over `[0, t]` visits.
     ///
-    /// Returns the object id and hit record. `stats` counts every
-    /// primitive intersection test performed (the cluster simulator's cost
-    /// model charges work per test).
-    pub fn intersect(
-        &self,
-        scene: &Scene,
-        ray: &Ray,
-        range: Interval,
-        stats: &mut RayStats,
-    ) -> Option<(ObjectId, Hit)> {
-        self.closest::<false>(scene, ray, range, stats, &mut VoxelPathBuf::default())
-    }
-
-    /// [`GridAccel::intersect`], with the walk it takes optionally recorded
-    /// (`RECORD`) into `path`: the voxels `ray` crosses in `[0, t]`, `t`
-    /// being the hit distance or `range.max` — what an `IndexWalk` over
-    /// `[0, t]` visits.
+    /// Returns the object id and hit record. `stats` counts the distinct
+    /// objects tested (the cluster simulator's cost model charges work per
+    /// ray, not per test); `mailbox` keeps an object that spans several
+    /// voxels from being tested again in each.
     ///
     /// The walk starts at `t = 0` whatever `range.min` is (objects are
     /// still tested against `range`), so the voxel a ray starts in is on
@@ -123,6 +113,7 @@ impl GridAccel {
         range: Interval,
         stats: &mut RayStats,
         path: &mut VoxelPathBuf,
+        mailbox: &mut Mailbox,
     ) -> Option<(ObjectId, Hit)> {
         let mut best: Option<(ObjectId, Hit)> = None;
         let mut best_t = range.max;
@@ -148,12 +139,15 @@ impl GridAccel {
             if RECORD {
                 path.begin(&walk);
             }
+            mailbox.begin(scene.objects.len());
             // once a voxel's entry t exceeds the best hit found so far, no
             // later voxel can contain a closer hit
             while walk.t_enter() <= best_t {
                 steps += 1;
                 for &id in self.cell(walk.cell()) {
-                    test(id, &mut best_t);
+                    if mailbox.first_test(id) {
+                        test(id, &mut best_t);
+                    }
                 }
                 if !advance::<RECORD>(&mut walk, path) {
                     break;
@@ -172,16 +166,20 @@ impl GridAccel {
     }
 
     /// Any-hit occlusion test: is anything between `ray.origin` and
-    /// distance `dist` along the ray? Used for shadow rays.
+    /// distance `dist` along the ray? A one-off query with its own scratch;
+    /// the tracer calls [`GridAccel::any_hit`] with buffers it reuses.
     pub fn occluded(&self, scene: &Scene, ray: &Ray, dist: f64, stats: &mut RayStats) -> bool {
-        self.any_hit::<false>(scene, ray, dist, stats, &mut VoxelPathBuf::default())
+        let (mut path, mut mailbox) = (VoxelPathBuf::default(), Mailbox::default());
+        self.any_hit::<false>(scene, ray, dist, stats, &mut path, &mut mailbox)
     }
 
-    /// [`GridAccel::occluded`], with the feeler's walk over `[0, dist]`
+    /// Whether anything lies between `ray.origin` and distance `dist` along
+    /// the ray (shadow rays), with the feeler's walk over `[0, dist]`
     /// optionally recorded (`RECORD`) into `path`. Objects are tested
-    /// (against `[RAY_BIAS, dist - RAY_BIAS]`) until the first occluder; a
-    /// recorded walk is then finished without testing, because the feeler's
-    /// path is logged whole whether or not it reached its light.
+    /// (against `[RAY_BIAS, dist - RAY_BIAS]`, each at most once, as in
+    /// [`GridAccel::closest`]) until the first occluder; a recorded walk is
+    /// then finished without testing, because the feeler's path is logged
+    /// whole whether or not it reached its light.
     pub fn any_hit<const RECORD: bool>(
         &self,
         scene: &Scene,
@@ -189,15 +187,14 @@ impl GridAccel {
         dist: f64,
         stats: &mut RayStats,
         path: &mut VoxelPathBuf,
+        mailbox: &mut Mailbox,
     ) -> bool {
         let range = Interval::new(RAY_BIAS, dist - RAY_BIAS);
-        let mut blocked = |ids: &[ObjectId]| {
-            ids.iter().any(|&id| {
-                stats.intersection_tests += 1;
-                scene.objects[id as usize].intersects(ray, range)
-            })
+        let mut blocks = |id: ObjectId| {
+            stats.intersection_tests += 1;
+            scene.objects[id as usize].intersects(ray, range)
         };
-        let mut hit = !range.is_empty() && blocked(&self.unbounded);
+        let mut hit = !range.is_empty() && self.unbounded.iter().any(|&id| blocks(id));
         let testing = !range.is_empty() && !hit;
         if !RECORD && !testing {
             return hit;
@@ -212,9 +209,11 @@ impl GridAccel {
                 path.begin(&walk);
             }
             if testing {
+                mailbox.begin(scene.objects.len());
                 loop {
                     steps += 1;
-                    if blocked(self.cell(walk.cell())) {
+                    let cell = self.cell(walk.cell());
+                    if cell.iter().any(|&id| mailbox.first_test(id) && blocks(id)) {
                         hit = true;
                         break;
                     }
@@ -231,6 +230,55 @@ impl GridAccel {
             now_trace::global().observe("grid.steps_per_ray", steps);
         }
         hit
+    }
+}
+
+/// Per-ray mailboxes: which objects the query in flight has tested.
+///
+/// A bounded object is listed in every voxel its box overlaps, so a walk
+/// meets a slender cylinder once per voxel it shares with the ray. The
+/// second meeting can be skipped without changing any answer: within one
+/// query the test range only shrinks (`[min, best_t]`, `best_t` falling)
+/// and [`Interval::surrounds`] is strict, so a repeat test returns nothing
+/// or a hit no closer than the one it already reported, which is not
+/// closer than the best. For an any-hit query the range is fixed and a
+/// first test that had hit would have ended the query.
+///
+/// One `u32` stamp per object, plus the stamp of the current query: an
+/// object was tested by this query exactly when its stamp is current. The
+/// stamp is bumped once per query and the stamps are cleared when it
+/// wraps, so no state from one query is visible to the next. One mailbox
+/// serves one thread ([`crate::ShadeScratch`] owns it); it is sized to the
+/// scene on first use.
+#[derive(Debug, Clone, Default)]
+pub struct Mailbox {
+    stamps: Vec<u32>,
+    stamp: u32,
+}
+
+impl Mailbox {
+    /// Open a query over a scene of `objects` objects: every object reads
+    /// as untested.
+    #[inline]
+    fn begin(&mut self, objects: usize) {
+        if self.stamps.len() < objects {
+            self.stamps.resize(objects, 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // a stamp left from 2^32 queries ago would read as current
+            self.stamps.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// Whether the current query has not yet tested `id`; marks it tested.
+    #[inline(always)]
+    fn first_test(&mut self, id: ObjectId) -> bool {
+        let seen = &mut self.stamps[id as usize];
+        let first = *seen != self.stamp;
+        *seen = self.stamp;
+        first
     }
 }
 
@@ -256,7 +304,7 @@ mod tests {
     use crate::material::Material;
     use crate::object::Object;
     use crate::shape::Geometry;
-    use now_math::{Color, Point3, Vec3};
+    use now_math::{Affine, Color, Point3, Vec3};
 
     fn test_scene() -> Scene {
         let cam = Camera::look_at(
@@ -289,6 +337,18 @@ mod tests {
         s
     }
 
+    /// [`GridAccel::closest`] without recording, on fresh scratch.
+    fn closest(
+        accel: &GridAccel,
+        scene: &Scene,
+        ray: &Ray,
+        range: Interval,
+        stats: &mut RayStats,
+    ) -> Option<(ObjectId, Hit)> {
+        let (mut path, mut mailbox) = (VoxelPathBuf::default(), Mailbox::default());
+        accel.closest::<false>(scene, ray, range, stats, &mut path, &mut mailbox)
+    }
+
     fn brute_force_intersect(scene: &Scene, ray: &Ray, range: Interval) -> Option<(ObjectId, Hit)> {
         let mut best: Option<(ObjectId, Hit)> = None;
         for (i, o) in scene.objects.iter().enumerate() {
@@ -313,7 +373,7 @@ mod tests {
             let origin = Point3::new(8.0 * a.cos(), 3.0 * (a * 0.3).sin() + 1.0, 8.0 * a.sin());
             let target = Point3::new((i % 9) as f64 - 4.0, ((i % 5) as f64 - 2.0) * 0.4, 0.0);
             let ray = Ray::new(origin, (target - origin).normalized());
-            let fast = accel.intersect(&scene, &ray, range, &mut stats);
+            let fast = closest(&accel, &scene, &ray, range, &mut stats);
             let slow = brute_force_intersect(&scene, &ray, range);
             match (fast, slow) {
                 (None, None) => {}
@@ -371,6 +431,7 @@ mod tests {
         let range = Interval::new(RAY_BIAS, f64::INFINITY);
         let (mut plain, mut recording) = (RayStats::default(), RayStats::default());
         let (mut got, mut want) = (VoxelPathBuf::default(), VoxelPathBuf::default());
+        let mut mailbox = Mailbox::default();
         let mut standalone = |ray: &Ray, t_max: f64| {
             want.record(accel.spec(), ray, Interval::new(0.0, t_max));
             want.path().map(|p| (p.start, p.steps, p.codes.to_vec()))
@@ -384,15 +445,17 @@ mod tests {
             let target = Point3::new((i % 9) as f64 - 4.0, ((i % 5) as f64 - 2.0) * 0.4, 0.0);
             let ray = Ray::new(origin, (target - origin).normalized());
 
-            let hit = accel.closest::<true>(&scene, &ray, range, &mut recording, &mut got);
-            assert_eq!(hit, accel.intersect(&scene, &ray, range, &mut plain));
+            let hit =
+                accel.closest::<true>(&scene, &ray, range, &mut recording, &mut got, &mut mailbox);
+            assert_eq!(hit, closest(&accel, &scene, &ray, range, &mut plain));
             hits += hit.is_some() as u32;
             let t_max = hit.map_or(f64::INFINITY, |(_, h)| h.t);
             let path = got.path().map(|p| (p.start, p.steps, p.codes.to_vec()));
             assert_eq!(path, standalone(&ray, t_max), "ray {i}, hit at {t_max}");
 
             let dist = 4.0 + (i % 7) as f64;
-            let occluded = accel.any_hit::<true>(&scene, &ray, dist, &mut recording, &mut got);
+            let occluded =
+                accel.any_hit::<true>(&scene, &ray, dist, &mut recording, &mut got, &mut mailbox);
             assert_eq!(occluded, accel.occluded(&scene, &ray, dist, &mut plain));
             blocked += occluded as u32;
             let path = got.path().map(|p| (p.start, p.steps, p.codes.to_vec()));
@@ -443,11 +506,336 @@ mod tests {
         let accel = GridAccel::build(&scene);
         let mut stats = RayStats::default();
         let ray = Ray::new(Point3::new(-8.0, 0.0, 0.0), Vec3::UNIT_X);
-        let (id, h) = accel
-            .intersect(&scene, &ray, Interval::new(1e-9, f64::INFINITY), &mut stats)
-            .unwrap();
+        let (id, h) = closest(
+            &accel,
+            &scene,
+            &ray,
+            Interval::new(1e-9, f64::INFINITY),
+            &mut stats,
+        )
+        .unwrap();
         // nearest sphere is at x=-4 (object id 1), hit at x=-4.6
         assert_eq!(id, 1);
         assert!((h.t - 3.4).abs() < 1e-9);
+    }
+
+    /// [`GridAccel::closest`] as it stood before mailboxes: every object of
+    /// every voxel walked is tested, repeats included. Returns the answer,
+    /// the recorded path and the number of tests.
+    fn unmailboxed_closest(
+        accel: &GridAccel,
+        scene: &Scene,
+        ray: &Ray,
+        range: Interval,
+        path: &mut VoxelPathBuf,
+    ) -> (Option<(ObjectId, Hit)>, u64) {
+        let (mut best, mut best_t, mut tests) = (None, range.max, 0u64);
+        let mut test = |id: ObjectId, best_t: &mut f64| {
+            tests += 1;
+            let o = &scene.objects[id as usize];
+            if let Some(h) = o.intersect(ray, Interval::new(range.min, *best_t)) {
+                *best_t = h.t;
+                best = Some((id, h));
+            }
+        };
+        for &id in &accel.unbounded {
+            test(id, &mut best_t);
+        }
+        path.clear();
+        if let Some(mut walk) = IndexWalk::new(&accel.spec, ray, Interval::new(0.0, range.max)) {
+            path.begin(&walk);
+            while walk.t_enter() <= best_t {
+                for &id in accel.cell(walk.cell()) {
+                    test(id, &mut best_t);
+                }
+                if !advance::<true>(&mut walk, path) {
+                    break;
+                }
+            }
+            path.keep_before(best_t);
+        }
+        (best, tests)
+    }
+
+    /// [`GridAccel::any_hit`] as it stood before mailboxes.
+    fn unmailboxed_any_hit(
+        accel: &GridAccel,
+        scene: &Scene,
+        ray: &Ray,
+        dist: f64,
+        path: &mut VoxelPathBuf,
+    ) -> (bool, u64) {
+        let range = Interval::new(RAY_BIAS, dist - RAY_BIAS);
+        let mut tests = 0u64;
+        let mut blocked = |ids: &[ObjectId]| {
+            ids.iter().any(|&id| {
+                tests += 1;
+                scene.objects[id as usize].intersects(ray, range)
+            })
+        };
+        let mut hit = !range.is_empty() && blocked(&accel.unbounded);
+        let testing = !range.is_empty() && !hit;
+        path.clear();
+        if let Some(mut walk) = IndexWalk::new(&accel.spec, ray, Interval::new(0.0, dist)) {
+            path.begin(&walk);
+            if testing {
+                loop {
+                    if blocked(accel.cell(walk.cell())) {
+                        hit = true;
+                        break;
+                    }
+                    if !advance::<true>(&mut walk, path) {
+                        break;
+                    }
+                }
+            }
+            while advance::<true>(&mut walk, path) {}
+        }
+        (hit, tests)
+    }
+
+    /// A capped cylinder of `radius` from `a` to `b` (local +y mapped onto
+    /// `b - a`), the way the Newton cradle builds its legs, rails and
+    /// strings.
+    fn cylinder_between(a: Point3, b: Point3, radius: f64) -> Object {
+        let span = b - a;
+        let dir = span.normalized();
+        let axis = Vec3::UNIT_Y.cross(dir);
+        let rot = match axis.try_normalized(1e-12) {
+            Some(axis) => Affine::rotate_axis(axis, Vec3::UNIT_Y.dot(dir).clamp(-1.0, 1.0).acos()),
+            None => Affine::IDENTITY,
+        };
+        let xf = Affine::scale(Vec3::new(1.0, span.length(), 1.0))
+            .then(&rot)
+            .then(&Affine::translate(a));
+        let cylinder = Geometry::Cylinder {
+            radius,
+            y0: 0.0,
+            y1: 1.0,
+            capped: true,
+        };
+        Object::new(cylinder, Material::matte(Color::WHITE)).with_transform(xf)
+    }
+
+    /// The Newton cradle's geometry: a floor plane, five marbles and
+    /// sixteen slender cylinders (legs, rails, two strings per marble),
+    /// each string crossing many voxels of a fine grid.
+    fn cradle() -> Scene {
+        let mut s = Scene::new(Camera::look_at(
+            Point3::new(1.8, 2.6, 8.5),
+            Point3::new(0.0, 2.2, 0.0),
+            Vec3::UNIT_Y,
+            38.0,
+            64,
+            48,
+        ));
+        s.add_object(Object::new(
+            Geometry::Plane {
+                point: Point3::ZERO,
+                normal: Vec3::UNIT_Y,
+            },
+            Material::matte(Color::WHITE),
+        ));
+        let ball_x = |i: usize| i as f64 - 2.0;
+        for i in 0..5 {
+            s.add_object(Object::new(
+                Geometry::Sphere {
+                    center: Point3::new(ball_x(i), 1.6, 0.0),
+                    radius: 0.5,
+                },
+                Material::chrome(Color::WHITE),
+            ));
+        }
+        for x in [-3.2, 3.2] {
+            for z in [-1.3, 1.3] {
+                s.add_object(cylinder_between(
+                    Point3::new(x, 0.0, z),
+                    Point3::new(x, 4.2, z),
+                    0.09,
+                ));
+            }
+        }
+        for z in [-1.3, 1.3] {
+            s.add_object(cylinder_between(
+                Point3::new(-3.2, 4.2, z),
+                Point3::new(3.2, 4.2, z),
+                0.07,
+            ));
+        }
+        for i in 0..5 {
+            for z in [-1.3, 1.3] {
+                s.add_object(cylinder_between(
+                    Point3::new(ball_x(i), 1.9, 0.0),
+                    Point3::new(ball_x(i), 4.2, z),
+                    0.018,
+                ));
+            }
+        }
+        s
+    }
+
+    /// A plane under a CSG lens, a tilted torus, a mesh sphere and a box
+    /// cut by a sphere: every shape whose intersection routine is not a
+    /// closed-form root pick.
+    fn assorted() -> Scene {
+        use crate::csg::Csg;
+        use std::sync::Arc;
+        let mut s = test_scene();
+        let lens = Csg::intersection(
+            Csg::Solid(Geometry::Sphere {
+                center: Point3::new(-0.4, 0.0, 0.0),
+                radius: 1.0,
+            }),
+            Csg::Solid(Geometry::Sphere {
+                center: Point3::new(0.4, 0.0, 0.0),
+                radius: 1.0,
+            }),
+        );
+        let bitten = Csg::difference(
+            Csg::Solid(Geometry::Cuboid {
+                min: Point3::splat(-0.8),
+                max: Point3::splat(0.8),
+            }),
+            Csg::Solid(Geometry::Sphere {
+                center: Point3::new(0.8, 0.8, 0.8),
+                radius: 0.7,
+            }),
+        );
+        let xf = |x: f64, y: f64| Affine::translate(Vec3::new(x, y, 1.5));
+        let mut add = |g: Geometry, xf: Affine| {
+            s.add_object(Object::new(g, Material::matte(Color::WHITE)).with_transform(xf));
+        };
+        add(
+            Geometry::CsgNode {
+                node: Arc::new(lens),
+            },
+            xf(-3.0, 1.0),
+        );
+        add(
+            Geometry::CsgNode {
+                node: Arc::new(bitten),
+            },
+            xf(3.0, 1.0),
+        );
+        add(
+            Geometry::Torus {
+                major: 1.2,
+                minor: 0.3,
+            },
+            Affine::rotate_z(0.6).then(&xf(0.0, 2.0)),
+        );
+        add(
+            crate::mesh::uv_sphere(Point3::ZERO, 0.9, 8, 12),
+            xf(0.0, -0.2),
+        );
+        s
+    }
+
+    /// Bit pattern of an answer: mailboxed and unmailboxed walks must agree
+    /// to the last bit, not within a tolerance.
+    fn bits(hit: Option<(ObjectId, Hit)>) -> Option<(ObjectId, [u64; 7])> {
+        hit.map(|(id, h)| {
+            let (p, n) = (h.point, h.normal);
+            let b = [h.t, p.x, p.y, p.z, n.x, n.y, n.z].map(f64::to_bits);
+            (id, b)
+        })
+    }
+
+    /// Mailboxed queries against the unmailboxed walk on seeded rays: the
+    /// same answers to the bit, the same recorded paths, never more tests,
+    /// and on the cradle — whose strings span many voxels — strictly fewer.
+    /// Returns `(mailboxed, unmailboxed)` test counts.
+    fn mailbox_oracle(scene: &Scene, voxels: u32, seed: u64) -> (u64, u64) {
+        let spec = GridSpec::for_scene(scene.bounds(), voxels);
+        let accel = GridAccel::build_with_spec(scene, spec);
+        let b = spec.bounds;
+        let mut rng = now_testkit::Rng::with_seed(seed);
+        let point = |rng: &mut now_testkit::Rng, pad: f64| {
+            let mut c = |lo: f64, hi: f64| rng.f64_in(lo - pad, hi + pad);
+            Point3::new(
+                c(b.min.x, b.max.x),
+                c(b.min.y, b.max.y),
+                c(b.min.z, b.max.z),
+            )
+        };
+        let (mut stats, mut mailbox) = (RayStats::default(), Mailbox::default());
+        let (mut got, mut want) = (VoxelPathBuf::default(), VoxelPathBuf::default());
+        let (mut hits, mut blocked, mut reference) = (0, 0, 0);
+        for i in 0..3000 {
+            // origins inside the grid (secondary rays) and around it
+            let origin = point(&mut rng, if i % 2 == 0 { 0.0 } else { 4.0 });
+            let Some(dir) = (point(&mut rng, 0.0) - origin).try_normalized(1e-9) else {
+                continue;
+            };
+            let ray = Ray::new(origin, dir);
+            let far = if i % 5 == 0 {
+                rng.f64_in(0.5, 12.0)
+            } else {
+                f64::INFINITY
+            };
+            let range = Interval::new(RAY_BIAS, far);
+
+            let hit = accel.closest::<true>(scene, &ray, range, &mut stats, &mut got, &mut mailbox);
+            let (want_hit, tests) = unmailboxed_closest(&accel, scene, &ray, range, &mut want);
+            assert_eq!(bits(hit), bits(want_hit), "ray {i}: {ray:?} over {range:?}");
+            assert_eq!(got.path(), want.path(), "ray {i}: recorded path");
+            hits += hit.is_some() as u32;
+            reference += tests;
+
+            let dist = rng.f64_in(0.5, 14.0);
+            let occluded =
+                accel.any_hit::<true>(scene, &ray, dist, &mut stats, &mut got, &mut mailbox);
+            let (want_occluded, tests) = unmailboxed_any_hit(&accel, scene, &ray, dist, &mut want);
+            assert_eq!(occluded, want_occluded, "feeler {i}: {ray:?} over {dist}");
+            assert_eq!(got.path(), want.path(), "feeler {i}: recorded path");
+            blocked += occluded as u32;
+            reference += tests;
+        }
+        assert!(hits > 300 && hits < 2900, "{hits} hits");
+        assert!(
+            blocked > 300 && blocked < 2900,
+            "{blocked} occluded feelers"
+        );
+        assert!(stats.intersection_tests <= reference);
+        (stats.intersection_tests, reference)
+    }
+
+    #[test]
+    fn mailboxed_queries_match_the_unmailboxed_walk() {
+        let (cradle, cradle_reference) = mailbox_oracle(&cradle(), 24 * 24 * 24, 1);
+        assert!(
+            cradle * 10 < cradle_reference * 9,
+            "cradle: {cradle} tests against {cradle_reference} unmailboxed"
+        );
+        mailbox_oracle(&assorted(), 16 * 16 * 16, 2);
+        // a coarse grid: few voxels per object, many objects per voxel
+        mailbox_oracle(&assorted(), 4 * 4 * 4, 3);
+    }
+
+    /// A wrapped stamp clears the mailbox: queries across the wrap test
+    /// every object they meet, as the first query of a fresh mailbox does.
+    #[test]
+    fn a_wrapping_stamp_forgets_every_test() {
+        let scene = cradle();
+        let accel = GridAccel::build_with_spec(&scene, GridSpec::for_scene(scene.bounds(), 4096));
+        let ray = Ray::new(Point3::new(-4.0, 4.2, 1.3), Vec3::UNIT_X);
+        let range = Interval::new(RAY_BIAS, f64::INFINITY);
+        let mut path = VoxelPathBuf::default();
+        let mut fresh = RayStats::default();
+        let want = closest(&accel, &scene, &ray, range, &mut fresh);
+        assert!(want.is_some() && fresh.intersection_tests > 1);
+
+        let mut mailbox = Mailbox::default();
+        mailbox.begin(scene.objects.len());
+        mailbox.stamps.fill(u32::MAX - 1);
+        mailbox.stamp = u32::MAX - 3;
+        for _ in 0..4 {
+            let mut stats = RayStats::default();
+            let hit =
+                accel.closest::<false>(&scene, &ray, range, &mut stats, &mut path, &mut mailbox);
+            assert_eq!(hit, want);
+            assert_eq!(stats, fresh, "stamp {}", mailbox.stamp);
+        }
+        assert_eq!(mailbox.stamp, 1, "the stamp wrapped and restarted");
     }
 }

@@ -127,8 +127,42 @@ fn hash3(data: &[u8], i: usize) -> usize {
 
 const HASH_SIZE: usize = 1 << 15;
 
-/// Greedy LZ77 + fixed-Huffman encoding of `data` as one final block.
-fn fixed_block(data: &[u8]) -> Vec<u8> {
+/// The eight bytes of `data` at `at`, as one little-endian word.
+#[inline(always)]
+fn load8(data: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `limit` (`b + limit <= data.len()`), compared a word at a time.
+#[inline(always)]
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let mut l = 0;
+    while l + 8 <= limit {
+        let diff = load8(data, a + l) ^ load8(data, b + l);
+        if diff != 0 {
+            return l + diff.trailing_zeros() as usize / 8;
+        }
+        l += 8;
+    }
+    while l < limit && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
+
+/// Greedy LZ77 + fixed-Huffman encoding of `data` as one final block, or
+/// `None` as soon as the block is known to come out longer than `cap`
+/// bytes.
+///
+/// Greedy: each position takes the longest match among its first
+/// `MAX_CHAIN` hash-chain candidates, the nearest on ties. A candidate can
+/// only replace the best if it is longer, so one whose byte at `best_len`
+/// differs is passed over before the rest of it is compared; the match
+/// chosen is the same.
+fn fixed_block(data: &[u8], cap: usize) -> Option<Vec<u8>> {
     let mut w = BitWriter::new();
     w.write(1, 1); // BFINAL
     w.write(1, 2); // BTYPE = 01 (fixed Huffman)
@@ -137,25 +171,29 @@ fn fixed_block(data: &[u8]) -> Vec<u8> {
     let mut prev = vec![u32::MAX; data.len()];
     let mut i = 0usize;
     while i < data.len() {
+        // bytes already written never shrink, so past the cap is final
+        if w.out.len() > cap {
+            return None;
+        }
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         if i + MIN_MATCH <= data.len() {
             let h = hash3(data, i);
             let mut cand = head[h];
             let floor = i.saturating_sub(WINDOW);
+            let limit = (data.len() - i).min(MAX_MATCH);
             let mut chain = MAX_CHAIN;
             while cand != u32::MAX && (cand as usize) >= floor && chain > 0 {
                 let c = cand as usize;
-                let limit = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0usize;
-                while l < limit && data[c + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = i - c;
-                    if l == limit {
-                        break;
+                // best_len < limit here: a full-length match ends the search
+                if data[c + best_len] == data[i + best_len] {
+                    let l = match_len(data, c, i, limit);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - c;
+                        if l == limit {
+                            break;
+                        }
                     }
                 }
                 cand = prev[c];
@@ -206,7 +244,8 @@ fn fixed_block(data: &[u8]) -> Vec<u8> {
     }
     let (code, bits) = fixed_lit_code(256); // end of block
     w.write(code, bits);
-    w.finish()
+    let block = w.finish();
+    (block.len() <= cap).then_some(block)
 }
 
 /// Encode `data` as stored (uncompressed) deflate blocks.
@@ -232,12 +271,20 @@ fn stored_blocks(data: &[u8]) -> Vec<u8> {
 /// smaller of a fixed-Huffman block and the stored-block encoding, so the
 /// output never exceeds the stored-block size, `stored_bound(data.len())`.
 pub fn deflate(data: &[u8]) -> Vec<u8> {
-    let fixed = fixed_block(data);
-    if fixed.len() < stored_bound(data.len()) {
-        fixed
-    } else {
-        stored_blocks(data)
+    fixed_block(data, stored_bound(data.len()) - 1).unwrap_or_else(|| stored_blocks(data))
+}
+
+/// [`deflate`]`(data)` if it is at most `cap` bytes long, else `None`.
+///
+/// For a caller that keeps the stream only if it beats `cap` bytes: the
+/// fixed-Huffman block is abandoned as soon as its output passes the cap,
+/// so a losing stream costs only the input it took to lose.
+pub fn deflate_within(data: &[u8], cap: usize) -> Option<Vec<u8>> {
+    if cap >= stored_bound(data.len()) {
+        return Some(deflate(data));
     }
+    // below the stored size only the fixed block can fit
+    fixed_block(data, cap)
 }
 
 struct BitReader<'a> {
@@ -306,10 +353,39 @@ fn read_fixed_lit(r: &mut BitReader) -> Result<u32, &'static str> {
 }
 
 /// Decompress a raw deflate stream (stored and fixed-Huffman blocks; this
-/// module never emits dynamic blocks and rejects them here).
-pub fn inflate(data: &[u8]) -> Result<Vec<u8>, &'static str> {
-    let mut r = BitReader::new(data);
+/// module never emits dynamic blocks and rejects them here) of at most
+/// `max_out` bytes.
+///
+/// A stream that would inflate past `max_out` is an error, found before
+/// the output grows past the bound: deflate expands up to 1032:1 (a
+/// length-258 match in two bytes), so a caller decoding untrusted bytes
+/// bounds the output by what it can legitimately receive.
+pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>, &'static str> {
     let mut out = Vec::new();
+    inflate_into(data, max_out, &mut out)?;
+    Ok(out)
+}
+
+/// Make room for `n` more bytes in `out`, refusing if they would take it
+/// past `max_out`. Capacity doubles as usual but is clamped to `max_out`,
+/// so the buffer is never larger than the bound either.
+#[inline]
+fn reserve_within(out: &mut Vec<u8>, n: usize, max_out: usize) -> Result<(), &'static str> {
+    let need = out.len().saturating_add(n);
+    if need > max_out {
+        return Err("inflated stream exceeds its size bound");
+    }
+    if need > out.capacity() {
+        let target = need.max(out.capacity().saturating_mul(2)).min(max_out);
+        out.reserve_exact(target - out.len());
+    }
+    Ok(())
+}
+
+/// [`inflate`] into a caller-owned buffer, which holds what was decoded
+/// even when the stream is refused.
+fn inflate_into(data: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<(), &'static str> {
+    let mut r = BitReader::new(data);
     loop {
         let bfinal = r.read(1)?;
         match r.read(2)? {
@@ -320,6 +396,7 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, &'static str> {
                 if nlen != !(len as u16) {
                     return Err("stored block NLEN mismatch");
                 }
+                reserve_within(out, len, max_out)?;
                 for _ in 0..len {
                     out.push(r.read(8)? as u8);
                 }
@@ -327,7 +404,10 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, &'static str> {
             1 => loop {
                 let sym = read_fixed_lit(&mut r)?;
                 match sym {
-                    0..=255 => out.push(sym as u8),
+                    0..=255 => {
+                        reserve_within(out, 1, max_out)?;
+                        out.push(sym as u8);
+                    }
                     256 => break,
                     257..=285 => {
                         let li = (sym - 257) as usize;
@@ -344,6 +424,7 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, &'static str> {
                         if dist > out.len() {
                             return Err("distance beyond output start");
                         }
+                        reserve_within(out, len, max_out)?;
                         let start = out.len() - dist;
                         for k in 0..len {
                             let b = out[start + k];
@@ -357,10 +438,9 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, &'static str> {
             _ => return Err("reserved block type"),
         }
         if bfinal == 1 {
-            break;
+            return Ok(());
         }
     }
-    Ok(out)
 }
 
 /// Compress `data` as a zlib stream: CMF/FLG header, deflate body,
@@ -377,9 +457,9 @@ pub fn zlib_compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress a zlib stream produced by [`zlib_compress`] (or any zlib
-/// stream whose deflate body uses stored/fixed blocks), verifying the
-/// Adler-32 trailer.
-pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, &'static str> {
+/// stream whose deflate body uses stored/fixed blocks) of at most
+/// `max_out` bytes, verifying the Adler-32 trailer.
+pub fn zlib_decompress(data: &[u8], max_out: usize) -> Result<Vec<u8>, &'static str> {
     if data.len() < 6 {
         return Err("zlib stream too short");
     }
@@ -390,7 +470,7 @@ pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, &'static str> {
     if !((cmf as u16) << 8 | data[1] as u16).is_multiple_of(31) {
         return Err("zlib header check failed");
     }
-    let out = inflate(&data[2..data.len() - 4])?;
+    let out = inflate(&data[2..data.len() - 4], max_out)?;
     let want = u32::from_be_bytes(data[data.len() - 4..].try_into().unwrap());
     if adler32(&out) != want {
         return Err("Adler-32 mismatch");
@@ -430,7 +510,12 @@ mod tests {
         ];
         for data in cases {
             let packed = deflate(&data);
-            assert_eq!(inflate(&packed).unwrap(), data, "len {}", data.len());
+            assert_eq!(
+                inflate(&packed, data.len()).unwrap(),
+                data,
+                "len {}",
+                data.len()
+            );
             assert!(
                 packed.len() <= stored_bound(data.len()),
                 "output {} exceeds stored bound {} for len {}",
@@ -439,7 +524,7 @@ mod tests {
                 data.len()
             );
             let z = zlib_compress(&data);
-            assert_eq!(zlib_decompress(&z).unwrap(), data);
+            assert_eq!(zlib_decompress(&z, data.len()).unwrap(), data);
         }
     }
 
@@ -449,7 +534,7 @@ mod tests {
             let data = noise(n, n as u64 + 1);
             let packed = deflate(&data);
             assert!(packed.len() <= stored_bound(n), "n={n}");
-            assert_eq!(inflate(&packed).unwrap(), data, "n={n}");
+            assert_eq!(inflate(&packed, n).unwrap(), data, "n={n}");
         }
     }
 
@@ -481,7 +566,7 @@ mod tests {
         let expect = b"the quick brown fox jumps over the lazy dog. \
                        the quick brown fox jumps over the lazy dog.";
         assert_eq!(
-            zlib_decompress(&reference).unwrap(),
+            zlib_decompress(&reference, expect.len()).unwrap(),
             expect,
             "reference stream must decode"
         );
@@ -491,25 +576,26 @@ mod tests {
     fn stored_block_known_answer() {
         // hand-built stored block: BFINAL=1 BTYPE=00, LEN=5, NLEN=!5
         let stream = [0x01, 0x05, 0x00, 0xFA, 0xFF, b'h', b'e', b'l', b'l', b'o'];
-        assert_eq!(inflate(&stream).unwrap(), b"hello");
+        assert_eq!(inflate(&stream, 5).unwrap(), b"hello");
+        assert!(inflate(&stream, 4).is_err(), "one byte past the bound");
     }
 
     #[test]
     fn corrupt_streams_rejected() {
-        assert!(inflate(&[]).is_err());
+        assert!(inflate(&[], 64).is_err());
         // BTYPE=10 (dynamic) is not supported
-        assert!(inflate(&[0x05]).is_err());
+        assert!(inflate(&[0x05], 64).is_err());
         // stored block with broken NLEN
-        assert!(inflate(&[0x01, 0x05, 0x00, 0x00, 0x00, 1, 2, 3, 4, 5]).is_err());
+        assert!(inflate(&[0x01, 0x05, 0x00, 0x00, 0x00, 1, 2, 3, 4, 5], 64).is_err());
         // zlib trailer tampered
         let mut z = zlib_compress(b"payload payload payload");
         let n = z.len();
         z[n - 1] ^= 0xFF;
-        assert!(zlib_decompress(&z).is_err());
+        assert!(zlib_decompress(&z, 64).is_err());
         // zlib header check bits tampered
         let mut z2 = zlib_compress(b"x");
         z2[1] ^= 0x01;
-        assert!(zlib_decompress(&z2).is_err());
+        assert!(zlib_decompress(&z2, 64).is_err());
     }
 
     #[test]
@@ -522,5 +608,108 @@ mod tests {
     fn deflate_is_deterministic() {
         let data = noise(10_000, 9);
         assert_eq!(deflate(&data), deflate(&data));
+    }
+
+    /// Inputs the encoder meets: noise, runs, ramps, short repeats, text,
+    /// and mixtures whose matches straddle the 8-byte compare.
+    fn assorted_inputs() -> Vec<Vec<u8>> {
+        let mut cases: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"a".to_vec(),
+            b"abcabcabcabd".to_vec(),
+            vec![0u8; 200_000],
+            (0u32..4000).map(|i| (i % 251) as u8).collect(),
+            (0u32..30_000).map(|i| ((i / 120) % 7) as u8).collect(),
+            b"the quick brown fox jumps over the lazy dog. ".repeat(40),
+        ];
+        for seed in 0..24u64 {
+            let n = [1usize, 7, 300, 5_000, 40_000, 70_000][seed as usize % 6];
+            // noise over a small alphabet: many short and mid-length
+            // matches, and hash chains long enough to hit MAX_CHAIN
+            let alphabet = 1 + (seed % 4) * 3;
+            cases.push(noise(n, seed).iter().map(|b| b % alphabet as u8).collect());
+            cases.push(noise(n, seed + 100));
+            // runs of random lengths around the 8-byte word and 258 cap
+            let mut runs = Vec::new();
+            let mut r = noise(2 * n / 3 + 2, seed + 200).into_iter();
+            while runs.len() < n {
+                let (len, b) = (r.next().unwrap_or(1) as usize + 1, r.next().unwrap_or(0));
+                runs.extend(std::iter::repeat_n(b % 3, len));
+            }
+            cases.push(runs);
+        }
+        cases
+    }
+
+    #[test]
+    fn deflate_emits_the_greedy_reference_bytes() {
+        for data in assorted_inputs() {
+            let want = now_testkit::greedy_deflate::deflate(&data);
+            assert_eq!(deflate(&data), want, "len {}", data.len());
+        }
+    }
+
+    /// `deflate_within` keeps exactly the streams of at most `cap` bytes,
+    /// and a kept stream is the reference's.
+    #[test]
+    fn deflate_within_keeps_exactly_the_streams_within_the_cap() {
+        for data in assorted_inputs() {
+            let want = now_testkit::greedy_deflate::deflate(&data);
+            let n = want.len();
+            let stored = stored_bound(data.len());
+            for cap in [
+                0,
+                1,
+                n / 2,
+                n.saturating_sub(1),
+                n,
+                n + 1,
+                stored - 1,
+                stored,
+            ] {
+                match deflate_within(&data, cap) {
+                    Some(got) => {
+                        assert!(n <= cap, "len {}: kept {n} > cap {cap}", data.len());
+                        assert_eq!(got, want, "len {}, cap {cap}", data.len());
+                    }
+                    None => assert!(n > cap, "len {}: dropped {n} <= cap {cap}", data.len()),
+                }
+            }
+        }
+    }
+
+    /// A deflate bomb: one literal, then length-258 matches at distance 1,
+    /// thirteen bits apiece — a few hundred bytes that inflate 1000-fold.
+    /// The bound refuses it, and the buffer never grows past the bound.
+    #[test]
+    fn inflate_refuses_a_bomb_before_passing_its_bound() {
+        let mut w = BitWriter::new();
+        w.write(1, 1); // BFINAL
+        w.write(1, 2); // fixed Huffman
+        let (code, bits) = fixed_lit_code(b'x' as u32);
+        w.write(code, bits);
+        for _ in 0..200 {
+            let (code, bits) = fixed_lit_code(285); // length 258, no extra bits
+            w.write(code, bits);
+            w.write(reverse_bits(0, 5), 5); // distance 1
+        }
+        let (code, bits) = fixed_lit_code(256);
+        w.write(code, bits);
+        let bomb = w.finish();
+        assert!(bomb.len() < 400, "{} bytes", bomb.len());
+
+        let full = 1 + 200 * 258;
+        assert_eq!(inflate(&bomb, full).unwrap(), vec![b'x'; full]);
+        for bound in [0, 1, 258, 10_000, full - 1] {
+            let mut out = Vec::new();
+            assert!(
+                inflate_into(&bomb, bound, &mut out).is_err(),
+                "bound {bound}"
+            );
+            assert!(
+                out.len() <= bound && out.capacity() <= bound,
+                "bound {bound}"
+            );
+        }
     }
 }

@@ -385,9 +385,9 @@ mod tests {
     }
 
     /// Round-trip our own zlib stream (checks the Adler-32 trailer too).
-    fn inflate_zlib(zlib: &[u8]) -> Vec<u8> {
+    fn inflate_zlib(zlib: &[u8], max_out: usize) -> Vec<u8> {
         assert_eq!(&zlib[..2], &[0x78, 0x01]);
-        crate::deflate::zlib_decompress(zlib).expect("IDAT must decode")
+        crate::deflate::zlib_decompress(zlib, max_out).expect("IDAT must decode")
     }
 
     #[test]
@@ -420,7 +420,7 @@ mod tests {
 
         // scanlines: filter byte 0 then RGB, top-down
         let idat_len = u32::from_be_bytes(bytes[33..37].try_into().unwrap()) as usize;
-        let raw = inflate_zlib(&bytes[41..41 + idat_len]);
+        let raw = inflate_zlib(&bytes[41..41 + idat_len], 2 * (1 + 3 * 3));
         assert_eq!(raw.len(), 2 * (1 + 3 * 3));
         assert_eq!(&raw[..10], &[0, 255, 0, 0, 0, 255, 0, 0, 0, 255]);
     }
@@ -433,7 +433,7 @@ mod tests {
         let fb = Framebuffer::new(200, 120); // (1+600)*120 = 72,120 bytes
         let bytes = png_bytes(&fb);
         let idat_len = u32::from_be_bytes(bytes[33..37].try_into().unwrap()) as usize;
-        let raw = inflate_zlib(&bytes[41..41 + idat_len]);
+        let raw = inflate_zlib(&bytes[41..41 + idat_len], 72_120);
         assert_eq!(raw.len(), 72_120);
         assert!(raw.iter().all(|&b| b == 0), "blank frame is all zeros");
         assert!(

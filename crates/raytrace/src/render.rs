@@ -7,7 +7,7 @@
 //! offsets, no shared state — so any partition of the pixel set renders to
 //! identical bytes.
 
-use crate::accel::GridAccel;
+use crate::accel::{GridAccel, Mailbox};
 use crate::framebuffer::{Framebuffer, PixelId};
 use crate::light::LightSample;
 use crate::listener::{RayKind, RayListener, ShardableListener};
@@ -107,15 +107,18 @@ impl RenderSettings {
 /// Per-worker reusable buffers for the shading loop.
 ///
 /// One `ShadeScratch` lives per render thread (created outside the pixel
-/// loop), so the hot path — sample offsets, light samples — never touches
-/// the allocator. The buffers carry no cross-pixel state: results are
-/// identical whether a scratch is shared across a million pixels or
-/// created fresh per pixel.
+/// loop), so the hot path — sample offsets, light samples, walk paths,
+/// mailboxes — never touches the allocator. The buffers carry no
+/// cross-pixel state: results are identical whether a scratch is shared
+/// across a million pixels or created fresh per pixel. The mailbox's stamp
+/// does survive from query to query, but every query starts on a stamp no
+/// object holds, so nothing it carries can be observed.
 #[derive(Debug, Default)]
 pub struct ShadeScratch {
     offsets: Vec<(f64, f64)>,
     lights: Vec<LightSample>,
     path: VoxelPathBuf,
+    mailbox: Mailbox,
 }
 
 impl ShadeScratch {
@@ -125,6 +128,7 @@ impl ShadeScratch {
             offsets: settings.sample_offsets(),
             lights: Vec::new(),
             path: VoxelPathBuf::default(),
+            mailbox: Mailbox::default(),
         }
     }
 }
@@ -151,6 +155,7 @@ fn shade_pixel_with<L: RayListener>(
         stats,
         lights: std::mem::take(&mut scratch.lights),
         path: std::mem::take(&mut scratch.path),
+        mailbox: std::mem::take(&mut scratch.mailbox),
     };
     let color = if let Some(adaptive) = settings.adaptive {
         // corners of the pixel (positions shared with neighbouring pixels
@@ -177,6 +182,7 @@ fn shade_pixel_with<L: RayListener>(
     };
     scratch.lights = ctx.lights;
     scratch.path = ctx.path;
+    scratch.mailbox = ctx.mailbox;
     stats.pixels += 1;
     color
 }

@@ -17,7 +17,9 @@ pub struct RayStats {
     pub transmitted: u64,
     /// Shadow rays fired.
     pub shadow: u64,
-    /// Ray-object intersection tests performed.
+    /// Ray-object intersection tests performed: distinct object tests per
+    /// query, since a grid walk tests an object once however many of its
+    /// voxels the ray crosses ([`crate::accel::Mailbox`]).
     pub intersection_tests: u64,
     /// Pixels shaded.
     pub pixels: u64,

@@ -4,7 +4,7 @@
 //! `I = I_local + k_rg * I_reflected + k_tg * I_transmitted`,
 //! where `I_local` is ambient + Phong diffuse/specular with shadow rays.
 
-use crate::accel::GridAccel;
+use crate::accel::{GridAccel, Mailbox};
 use crate::framebuffer::PixelId;
 use crate::light::LightSample;
 use crate::listener::{RayKind, RayListener};
@@ -37,6 +37,8 @@ pub struct TraceCtx<'a, L: RayListener> {
     /// listener wants paths; handed to the listener before the next ray is
     /// fired, so one buffer serves every ray.
     pub path: VoxelPathBuf,
+    /// The objects the query in flight has tested; reset by every query.
+    pub mailbox: Mailbox,
 }
 
 impl<L: RayListener> TraceCtx<'_, L> {
@@ -44,11 +46,12 @@ impl<L: RayListener> TraceCtx<'_, L> {
     /// when the listener takes paths.
     #[inline]
     fn closest(&mut self, ray: &Ray, range: Interval) -> Option<(ObjectId, Hit)> {
-        let (accel, scene) = (self.accel, self.scene);
+        let (accel, scene, stats) = (self.accel, self.scene, &mut *self.stats);
+        let (path, mailbox) = (&mut self.path, &mut self.mailbox);
         if L::PATHS {
-            accel.closest::<true>(scene, ray, range, self.stats, &mut self.path)
+            accel.closest::<true>(scene, ray, range, stats, path, mailbox)
         } else {
-            accel.closest::<false>(scene, ray, range, self.stats, &mut self.path)
+            accel.closest::<false>(scene, ray, range, stats, path, mailbox)
         }
     }
 
@@ -56,11 +59,12 @@ impl<L: RayListener> TraceCtx<'_, L> {
     /// [`TraceCtx::closest`].
     #[inline]
     fn occluded(&mut self, ray: &Ray, dist: f64) -> bool {
-        let (accel, scene) = (self.accel, self.scene);
+        let (accel, scene, stats) = (self.accel, self.scene, &mut *self.stats);
+        let (path, mailbox) = (&mut self.path, &mut self.mailbox);
         if L::PATHS {
-            accel.any_hit::<true>(scene, ray, dist, self.stats, &mut self.path)
+            accel.any_hit::<true>(scene, ray, dist, stats, path, mailbox)
         } else {
-            accel.any_hit::<false>(scene, ray, dist, self.stats, &mut self.path)
+            accel.any_hit::<false>(scene, ray, dist, stats, path, mailbox)
         }
     }
 
@@ -218,6 +222,7 @@ mod tests {
             stats: &mut stats,
             lights: Vec::new(),
             path: VoxelPathBuf::default(),
+            mailbox: Mailbox::default(),
         };
         let c = trace(&mut ctx, 0, &ray, RayKind::Primary, 5);
         (c, stats)
@@ -339,6 +344,7 @@ mod tests {
             stats: &mut stats,
             lights: Vec::new(),
             path: VoxelPathBuf::default(),
+            mailbox: Mailbox::default(),
         };
         let _ = trace(
             &mut ctx,
@@ -389,6 +395,7 @@ mod tests {
             stats: &mut stats,
             lights: Vec::new(),
             path: VoxelPathBuf::default(),
+            mailbox: Mailbox::default(),
         };
         let _ = trace(
             &mut ctx,
@@ -529,6 +536,7 @@ mod tests {
             stats: &mut stats,
             lights: Vec::new(),
             path: VoxelPathBuf::default(),
+            mailbox: Mailbox::default(),
         };
         let c = trace(
             &mut ctx,

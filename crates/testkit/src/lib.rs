@@ -13,8 +13,11 @@
 //!   be replayed with [`Rng::with_seed`].
 //! * [`golden`] — golden-file assertions with `NOW_BLESS=1` regeneration,
 //!   used by the trace-determinism harness and image regression tests.
+//! * [`greedy_deflate`] — the reference deflate encoder whose bytes
+//!   `now_raytrace::deflate` must reproduce.
 
 pub mod golden;
+pub mod greedy_deflate;
 
 /// Deterministic pseudo-random generator (SplitMix64).
 ///
