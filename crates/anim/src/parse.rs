@@ -134,6 +134,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Most samples per axis an `arealight` may ask for. Each shaded point
+/// casts n² shadow feelers, so the bound is what keeps one scene line
+/// from exhausting a worker's memory; every scene in the repo uses 3.
+const MAX_AREA_SAMPLES: u32 = 16;
+
 /// Parse a scene/animation description.
 ///
 /// ```
@@ -240,8 +245,9 @@ pub fn parse_animation(text: &str) -> Result<Animation, ParseError> {
                 c.expect("samples")?;
                 let n = c.next_u32("arealight samples")?;
                 c.finish()?;
-                if n == 0 {
-                    return Err(c.err("arealight needs at least 1 sample per axis"));
+                if !(1..=MAX_AREA_SAMPLES).contains(&n) {
+                    let bound = format!("arealight samples {n} outside 1..={MAX_AREA_SAMPLES}");
+                    return Err(c.err(format!("{bound} in `{line}`")));
                 }
                 lights.push(AreaLight::new(corner, u, v, color, n).into());
             }
@@ -720,6 +726,25 @@ mod tests {
         // zero samples rejected
         let bad = text.replace("samples 3", "samples 0");
         assert!(parse_animation(&bad).is_err());
+    }
+
+    /// `samples 65535` would have each shaded point push ≈ 4.3e9 light
+    /// samples; the parser refuses it, naming the bound and quoting the line.
+    #[test]
+    fn arealight_samples_past_the_bound_are_refused() {
+        let text = r#"
+            camera eye 0 2 8 target 0 0 0 up 0 1 0 fov 55 size 16 12
+            arealight corner -1 5 -1 u 2 0 0 v 0 0 2 color 0.8 0.8 0.8 samples 16
+            frames 1
+        "#;
+        assert!(parse_animation(text).is_ok(), "16 is inside the bound");
+        for n in [17, 65535] {
+            let bad = text.replace("samples 16", &format!("samples {n}"));
+            let err = parse_animation(&bad).unwrap_err();
+            assert_eq!(err.line, 3);
+            assert!(err.message.contains("outside 1..=16"), "{err}");
+            assert!(err.message.contains(&format!("samples {n}`")), "{err}");
+        }
     }
 
     #[test]

@@ -8,9 +8,16 @@ use crate::Animation;
 use now_math::{Affine, Point3, Vec3, EPSILON};
 use now_raytrace::{Geometry, Material, Object};
 
+/// Most frames a `demo:` spec may ask for.
+const MAX_DEMO_FRAMES: usize = 100_000;
+
+/// Widest and tallest image a `demo:` spec may ask for, in pixels.
+const MAX_DEMO_SIDE: u32 = 16_384;
+
 /// Build an [`Animation`] from a self-contained scene spec string: either
 /// a `demo:NAME[:FRAMES[:WxH]]` reference to a built-in scene (`newton`,
-/// `glassball`, `orbit`; defaults 10 frames at 160x120) or the scene
+/// `glassball`, `orbit`; defaults 10 frames at 160x120, at most 100,000
+/// frames and 16,384 pixels a side) or the scene
 /// description language accepted by [`crate::parse::parse_animation`].
 ///
 /// Unlike a file path, a spec is *transportable*: a render service can
@@ -36,6 +43,18 @@ pub fn from_spec(spec: &str) -> Result<Animation, String> {
         };
         if w == 0 || h == 0 || frames == 0 {
             return Err(format!("degenerate demo size in `{spec}`"));
+        }
+        // the scenes build per-frame tables up front: refuse a size that
+        // would exhaust memory before anything is allocated
+        if frames > MAX_DEMO_FRAMES {
+            return Err(format!(
+                "demo frame count {frames} over {MAX_DEMO_FRAMES} in `{spec}`"
+            ));
+        }
+        if w > MAX_DEMO_SIDE || h > MAX_DEMO_SIDE {
+            return Err(format!(
+                "demo size {w}x{h} over {MAX_DEMO_SIDE} a side in `{spec}`"
+            ));
         }
         return match name {
             "newton" => Ok(newton::animation_sized(w, h, frames)),

@@ -191,11 +191,6 @@ impl DiskFaults {
         DiskFaults::default()
     }
 
-    /// True when no rules are armed (writers may skip the lock).
-    pub fn is_free(&self) -> bool {
-        self.0.lock().expect("disk fault lock").rules.is_empty()
-    }
-
     /// Account one write of `path` and return the fault to inject on it,
     /// if any rule trips. Each rule counts the writes whose path
     /// contains its pattern and fires exactly once, at its configured
@@ -360,7 +355,6 @@ mod tests {
     #[test]
     fn empty_plans_are_free() {
         assert!(DiskFaultPlan::none().is_empty());
-        assert!(DiskFaults::none().is_free());
         assert_eq!(DiskFaults::none().check("/any/path"), None);
         assert!(ChaosPlan::none().is_empty());
     }

@@ -62,6 +62,7 @@
 
 pub mod chaos;
 pub mod codec;
+mod conn;
 pub mod core;
 pub mod fault;
 pub mod journal;
@@ -82,10 +83,10 @@ pub use ledger::{FaultCounters, Ledger, RecoveryConfig};
 pub use logic::{MasterLogic, MasterWork, WorkCost, WorkerLogic};
 pub use message::{ChannelError, Message, NodeId};
 pub use net::{
-    connect_worker, ConnectConfig, FrameBuf, NetConfig, TcpClusterConfig, TcpMaster, TcpWorkerConn,
-    Wire, WorkerSummary,
+    connect_worker, ConnectConfig, NetConfig, TcpClusterConfig, TcpMaster, TcpWorkerConn, Wire,
+    WorkerSummary,
 };
-pub use netfault::{full_jitter_delay, ConnFaultState, Gate, JitterRng, NetFault, NetFaultPlan};
+pub use netfault::{full_jitter_delay, JitterRng, NetFault, NetFaultPlan};
 pub use report::{MachineReport, RunReport, SpanKind, TimelineSpan};
 pub use sim::{EthernetSpec, MachineSpec, SimCluster};
 pub use threads::ThreadCluster;

@@ -8,16 +8,17 @@
 //!
 //! * **Framing** — every [`Message`] travels as
 //!   `magic (u32) | version (u32) | length (u32) | Message::encode()`.
-//!   [`read_frame`] and the incremental [`FrameBuf`] reject bad magic,
-//!   foreign versions and hostile length prefixes before allocating, and
-//!   map socket failures onto [`ChannelError`] (`TimedOut` for an idle
-//!   link, `PeerGone` for a closed one) so the caller sees network
-//!   failure as data.
+//!   [`read_frame`] and each connection's incremental decoder reject bad
+//!   magic, foreign versions and hostile length prefixes before
+//!   allocating; [`read_frame`] maps socket failures onto [`ChannelError`]
+//!   (`TimedOut` for an idle link, `PeerGone` for a closed one) so the
+//!   caller sees network failure as data.
 //! * **One network thread** — the master runs a single-threaded
 //!   readiness loop over nonblocking sockets: accept, handshake,
 //!   heartbeats, per-connection read deadlines and write backpressure
 //!   all live on one thread, regardless of worker count. No per-worker
-//!   reader threads.
+//!   reader threads. What each connection may do, and when it must close,
+//!   is decided by a socket-free core per connection (`conn.rs`).
 //! * **Elastic membership** — workers may connect at any point while the
 //!   run is live. A `HELLO` carries an optional node identity and scene
 //!   fingerprint; the master validates the fingerprint, rejects
@@ -41,14 +42,14 @@
 
 use crate::chaos::ChaosPlan;
 use crate::codec::{DecodeError, Decoder, Encoder};
+use crate::conn::{ConnCore, Event, Role};
 use crate::core::{Action, MasterCore};
 use crate::fault::FaultPlan;
 use crate::ledger::RecoveryConfig;
 use crate::logic::{MasterLogic, WorkerLogic};
 use crate::message::{ChannelError, Message, NodeId};
-use crate::netfault::{full_jitter_delay, ConnFaultState, Gate, JitterRng};
+use crate::netfault::{full_jitter_delay, JitterRng};
 use crate::report::{MachineReport, RunReport};
-use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver};
@@ -140,7 +141,7 @@ pub mod tag {
     pub const FRAME_DELTA: u32 = 0x4E4F_001B;
 
     /// True for the request tags a control-plane client may send.
-    pub(super) fn is_client(tag: u32) -> bool {
+    pub(crate) fn is_client(tag: u32) -> bool {
         matches!(tag, SUBMIT | STATUS | CANCEL | JOBS | DRAIN | WATCH)
     }
 }
@@ -153,7 +154,7 @@ fn io_to_channel(e: &std::io::Error) -> ChannelError {
 }
 
 /// Assemble the full wire frame (header + body) for one message.
-fn encode_frame(msg: &Message) -> Result<Vec<u8>, ChannelError> {
+pub(crate) fn encode_frame(msg: &Message) -> Result<Vec<u8>, ChannelError> {
     let body = msg.encode();
     if body.len() > MAX_FRAME_LEN {
         return Err(ChannelError::Protocol("frame exceeds MAX_FRAME_LEN"));
@@ -183,19 +184,19 @@ fn read_exact_mapped(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ChannelErr
     })
 }
 
-/// Validate a frame header; returns the body length.
-fn check_header(header: &[u8; HEADER_LEN]) -> Result<usize, ChannelError> {
+/// Validate a frame header; returns the body length, or what is wrong.
+pub(crate) fn check_header(header: &[u8; HEADER_LEN]) -> Result<usize, &'static str> {
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
     let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
     let len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
     if magic != MAGIC {
-        return Err(ChannelError::Protocol("bad frame magic"));
+        return Err("bad frame magic");
     }
     if version != VERSION {
-        return Err(ChannelError::Protocol("wire protocol version mismatch"));
+        return Err("wire protocol version mismatch");
     }
     if len > MAX_FRAME_LEN {
-        return Err(ChannelError::Protocol("hostile length prefix"));
+        return Err("hostile length prefix");
     }
     Ok(len)
 }
@@ -211,59 +212,12 @@ fn check_header(header: &[u8; HEADER_LEN]) -> Result<usize, ChannelError> {
 pub fn read_frame(r: &mut impl Read) -> Result<(Message, u64), ChannelError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_mapped(r, &mut header)?;
-    let len = check_header(&header)?;
+    let len = check_header(&header).map_err(ChannelError::Protocol)?;
     let mut body = vec![0u8; len];
     read_exact_mapped(r, &mut body)?;
     let msg =
         Message::decode(&body).map_err(|_| ChannelError::Protocol("undecodable message body"))?;
     Ok((msg, (HEADER_LEN + len) as u64))
-}
-
-/// Incremental frame decoder for nonblocking sockets: bytes go in as
-/// they arrive, whole frames come out. Performs the same validation as
-/// [`read_frame`] (magic, version, length prefix) as soon as a header is
-/// complete, so a hostile prefix is rejected before its body is buffered.
-#[derive(Debug, Default)]
-pub struct FrameBuf {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameBuf {
-    /// An empty buffer.
-    pub fn new() -> FrameBuf {
-        FrameBuf::default()
-    }
-
-    /// Append bytes read off the socket.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // reclaim consumed prefix before growing
-        if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= 64 * 1024) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pop the next complete frame, if one is buffered. `Ok(None)` means
-    /// more bytes are needed; errors are sticky protocol violations
-    /// (the connection should be dropped).
-    pub fn next_frame(&mut self) -> Result<Option<(Message, u64)>, ChannelError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let header: [u8; HEADER_LEN] = avail[..HEADER_LEN].try_into().expect("header slice");
-        let len = check_header(&header)?;
-        if avail.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let body = &avail[HEADER_LEN..HEADER_LEN + len];
-        let msg = Message::decode(body)
-            .map_err(|_| ChannelError::Protocol("undecodable message body"))?;
-        self.pos += HEADER_LEN + len;
-        Ok(Some((msg, (HEADER_LEN + len) as u64)))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -302,9 +256,10 @@ impl Wire for Vec<u8> {
 // Timing / liveness knobs
 // ---------------------------------------------------------------------
 
-/// Every timing constant of the transport in one place, so ops can trade
-/// liveness (fast failure detection) against sensitivity (tolerating
-/// slow links) without touching code.
+/// The transport's tunable timing: how fast the master probes its
+/// workers, and how long it waits for a farm to form. The per-connection
+/// deadlines are fixed: 5 s to send a first frame, 30 s of silence from
+/// an enrolled worker or a client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Heartbeat (ping) cadence in seconds.
@@ -315,13 +270,6 @@ pub struct NetConfig {
     /// units waits for joiners only while this window is open and fewer
     /// than the `TcpClusterConfig::workers` quorum have ever joined.
     pub accept_window_s: f64,
-    /// A connected worker whose socket stays silent this long is
-    /// presumed dead and its leases are requeued. Heartbeat pongs keep a
-    /// healthy link well under this. 0 disables the deadline.
-    pub read_timeout_s: f64,
-    /// A connection that doesn't complete its `HELLO` within this many
-    /// seconds is dropped (slow-loris protection).
-    pub handshake_timeout_s: f64,
 }
 
 impl Default for NetConfig {
@@ -329,8 +277,6 @@ impl Default for NetConfig {
         NetConfig {
             heartbeat_s: 0.25,
             accept_window_s: 30.0,
-            read_timeout_s: 30.0,
-            handshake_timeout_s: 5.0,
         }
     }
 }
@@ -370,6 +316,17 @@ mod sys {
 /// Seconds a quarantined node identity is turned away at `HELLO` before
 /// it may rejoin.
 const QUARANTINE_COOLDOWN_S: f64 = 60.0;
+
+/// Seconds an enrolled worker or a client may stay silent before the
+/// master hangs up (a worker's leases requeue). Heartbeat pongs keep a
+/// live worker far inside it, a watching client is kept by the pushes it
+/// gets, and it is long enough that a loaded host never trips it.
+pub(crate) const READ_TIMEOUT_S: f64 = 30.0;
+
+/// Seconds a new connection has to send its first frame — `HELLO`, or a
+/// client request — before it is dropped as a slow-loris. Long enough for
+/// any real peer, which sends that frame as soon as it connects.
+pub(crate) const HANDSHAKE_TIMEOUT_S: f64 = 5.0;
 
 /// Upper bound on simultaneously enrolled live workers; connections beyond
 /// it are rejected with a `REJECT` frame.
@@ -424,169 +381,24 @@ impl TcpClusterConfig {
     }
 }
 
-/// Where a connection is in its lifecycle.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Accepted; waiting for a valid `HELLO`.
-    Hello,
-    /// Handshake complete; bound to a worker slot.
-    Enrolled,
-    /// Control-plane client: opened with a request tag instead of
-    /// `HELLO`; requests are routed through `MasterLogic::client_frame`.
-    Client,
-    /// Sending final frames (`REJECT`/`SHUTDOWN`); inbound is ignored.
-    Draining,
-}
-
-/// One nonblocking connection owned by the master's poll loop.
-struct Conn {
-    stream: TcpStream,
-    frames: FrameBuf,
-    /// Outbound bytes not yet accepted by the kernel (backpressure).
-    wbuf: Vec<u8>,
-    wpos: usize,
-    phase: Phase,
-    /// Worker slot once enrolled.
-    worker: Option<usize>,
-    opened_s: f64,
-    last_read_s: f64,
-    /// Close the socket once `wbuf` has fully drained.
-    close_after_flush: bool,
-    /// Hard retire time for draining connections (0 = none).
-    retire_at_s: f64,
-    fault: ConnFaultState,
-    bytes_in: u64,
-    bytes_out: u64,
-    msgs_in: u64,
-    msgs_out: u64,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, now_s: f64, fault: ConnFaultState) -> Conn {
-        Conn {
-            stream,
-            frames: FrameBuf::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            phase: Phase::Hello,
-            worker: None,
-            opened_s: now_s,
-            last_read_s: now_s,
-            close_after_flush: false,
-            retire_at_s: 0.0,
-            fault,
-            bytes_in: 0,
-            bytes_out: 0,
-            msgs_in: 0,
-            msgs_out: 0,
-        }
-    }
-
-    /// Queue one master (node 0) frame to node `to` for the flush sweep.
-    fn queue(&mut self, to: NodeId, tag: u32, payload: Vec<u8>) -> Result<(), ChannelError> {
-        let frame = encode_frame(&Message {
-            from: 0,
-            to,
-            tag,
-            payload,
-        })?;
-        self.wbuf.extend_from_slice(&frame);
-        self.msgs_out += 1;
-        Ok(())
-    }
-
-    /// True once every queued byte reached the kernel.
-    fn flushed(&self) -> bool {
-        self.wpos == self.wbuf.len()
-    }
-
-    /// Push queued bytes into the socket until it would block.
-    /// `Err` means the connection is dead (or fault-dropped).
-    fn flush(&mut self, now_s: f64) -> Result<(), ChannelError> {
-        match self.fault.gate(now_s - self.opened_s) {
-            Gate::Closed => return Err(ChannelError::PeerGone),
-            Gate::Blocked => return Ok(()),
-            Gate::Open => {}
-        }
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return Err(ChannelError::PeerGone),
-                Ok(n) => {
-                    self.wpos += n;
-                    self.bytes_out += n as u64;
-                    self.fault.on_bytes(n as u64);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(ChannelError::PeerGone),
-            }
-        }
-        if self.flushed() && !self.wbuf.is_empty() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        }
-        Ok(())
-    }
-
-    /// Drain readable bytes and decode complete frames into `out`.
-    /// `Err` means the connection died or violated the protocol.
-    fn read(&mut self, now_s: f64, out: &mut Vec<(Message, u64)>) -> Result<(), ChannelError> {
-        match self.fault.gate(now_s - self.opened_s) {
-            Gate::Closed => return Err(ChannelError::PeerGone),
-            Gate::Blocked => return Ok(()),
-            Gate::Open => {}
-        }
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(ChannelError::PeerGone),
-                Ok(n) => {
-                    self.bytes_in += n as u64;
-                    self.fault.on_bytes(n as u64);
-                    self.last_read_s = now_s;
-                    self.frames.push(&chunk[..n]);
-                    while let Some(frame) = self.frames.next_frame()? {
-                        self.msgs_in += 1;
-                        out.push(frame);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(ChannelError::PeerGone),
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One enrolled worker: its connection plus per-worker accounting. Its
 /// protocol state (active, parked, done; leases; strikes) is the core's.
 #[derive(Default)]
 struct Slot {
     conn: Option<usize>,
-    /// Node identity announced in `HELLO` (0 = anonymous); a quarantine
-    /// turns it away for the cooldown.
+    /// Node identity announced in `HELLO` (0 = anonymous), turned away
+    /// while it has a live slot or until its quarantine cooldown ends.
     identity: u64,
+    quarantined_until: f64,
     rtt_s: f64,
     last_ping_s: f64,
     busy_s: f64,
     units_done: u64,
     joined_s: f64,
     left_s: f64,
-    /// Bytes the master received from this worker, folded in at retire.
+    /// Bytes the master received from and sent to this worker.
     wire_in: u64,
-    /// Bytes the master sent to this worker, folded in at retire.
     wire_out: u64,
-}
-
-/// The `HELLO` payload: `(identity, fingerprint)`. An empty payload is
-/// the lenient anonymous form (pre-v2 workers and hand-rolled tests).
-fn parse_hello(payload: &[u8]) -> Option<(u64, Vec<u8>)> {
-    if payload.is_empty() {
-        return Some((0, Vec::new()));
-    }
-    let mut d = Decoder::new(payload);
-    Some((d.u64().ok()?, d.bytes().ok()?.to_vec()))
 }
 
 /// The listening (master) end of a TCP cluster.
@@ -655,16 +467,9 @@ where
     loop {
         let t = run.now();
         let mut activity = run.accept(listener, t)?;
-        let (frames, dead) = run.io_sweep(t);
-        activity |= !frames.is_empty() || !dead.is_empty();
-        for (ci, msg) in frames {
-            run.dispatch(ci, msg, t);
-        }
+        run.io_sweep(t);
+        activity |= run.dispatch(t);
         activity |= run.push_to_clients(t);
-        // socket-level deaths, after their final frames
-        for ci in dead {
-            run.conn_died(ci);
-        }
         let t = run.now();
         activity |= run.check_deadlines(t);
         // a worker may still enrol while the quorum was never met and
@@ -684,20 +489,62 @@ where
     Ok(run.into_report())
 }
 
+/// A `farm.membership` trace instant: `event` 0 joined, 1 left, 2
+/// rejected.
+fn membership(event: u64, worker: Option<usize>) {
+    let args = [("event", event), ("worker", worker.unwrap_or(0) as u64)];
+    let args = &args[..1 + usize::from(worker.is_some())];
+    now_trace::global().instant(0, "farm.membership", args, false);
+}
+
+/// Hand the bytes `conn` may send at `t` to the socket until it would
+/// block.
+fn write_out(stream: &mut TcpStream, conn: &mut ConnCore, t: f64) {
+    let out = conn.outbound(t);
+    let mut n = 0;
+    let gone = loop {
+        match (n < out.len()).then(|| stream.write(&out[n..])) {
+            None => break false,
+            Some(Ok(0)) => break true,
+            Some(Ok(k)) => n += k,
+            Some(Err(e)) if e.kind() == ErrorKind::Interrupted => {}
+            Some(Err(e)) => break e.kind() != ErrorKind::WouldBlock,
+        }
+    };
+    conn.wrote(n);
+    if gone {
+        conn.hang_up();
+    }
+}
+
+/// Read what the socket has into `conn`, if it may read at `t`.
+fn read_in(stream: &mut TcpStream, conn: &mut ConnCore, t: f64) {
+    if !conn.readable(t) {
+        return;
+    }
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return conn.hang_up(),
+            Ok(n) if conn.on_read(&chunk[..n], t) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() != ErrorKind::WouldBlock => return conn.hang_up(),
+            _ => return,
+        }
+    }
+}
+
 /// A running TCP master: the sans-IO core plus what the transport adds
-/// around it — connections, membership bookkeeping, fault gates and byte
-/// accounting.
+/// around it — sockets, membership bookkeeping and byte accounting. What
+/// each connection may do, and when it must close, its [`ConnCore`] says.
 struct MasterRun<'a, M: MasterLogic> {
     cfg: &'a TcpClusterConfig,
     start: Instant,
     core: MasterCore<M>,
-    conns: Vec<Option<Conn>>,
+    /// Every connection's socket and protocol state, `None` once closed
+    /// (an index is never reused in a run).
+    conns: Vec<Option<(TcpStream, ConnCore)>>,
     slots: Vec<Slot>,
-    /// Live node identities, to refuse a second claimant.
-    identities: BTreeMap<u64, usize>,
-    /// Node ids quarantined for bad results, mapped to the time their
-    /// cooldown ends; reconnects before then are turned away.
-    quarantined_until: BTreeMap<u64, f64>,
     /// Accept-order index, keys the net-fault plan.
     accepted: u64,
     /// Latched once `service_active()` is ever observed true: a drained
@@ -722,8 +569,6 @@ where
             core: MasterCore::new(master, cfg.recovery, 2),
             conns: Vec::new(),
             slots: Vec::new(),
-            identities: BTreeMap::new(),
-            quarantined_until: BTreeMap::new(),
             accepted: 0,
             service_seen: false,
             ping_seq: 0,
@@ -735,44 +580,38 @@ where
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Retire a connection: close, fold its byte totals into the run
-    /// accounting, unlink it from its worker slot.
-    fn retire_conn(&mut self, ci: usize) {
-        let Some(c) = self.conns[ci].take() else {
+    /// Connection `ci`'s protocol state, while it is open.
+    fn conn(&mut self, ci: usize) -> Option<&mut ConnCore> {
+        self.conns[ci].as_mut().map(|(_, conn)| conn)
+    }
+
+    /// The one close path: shut the socket, fold its traffic into the run
+    /// accounting, and settle what it was to the run — a joiner turned away
+    /// is a rejection, a worker's slot is unlinked and its death observed,
+    /// a client is forgotten. A joiner still handshaking when the run ends
+    /// was never anything.
+    fn close(&mut self, ci: usize) {
+        let Some((stream, conn)) = self.conns[ci].take() else {
             return;
         };
-        let _ = c.stream.shutdown(Shutdown::Both);
-        self.report.messages += c.msgs_in + c.msgs_out;
-        self.report.bytes += c.bytes_in + c.bytes_out;
-        if let Some(w) = c.worker {
-            self.slots[w].wire_in += c.bytes_in;
-            self.slots[w].wire_out += c.bytes_out;
-            self.slots[w].conn = None;
+        let _ = stream.shutdown(Shutdown::Both);
+        self.report.messages += conn.messages;
+        self.report.bytes += conn.bytes_in + conn.bytes_out;
+        match conn.role() {
+            Some(Role::TurnedAway) => {
+                self.report.workers_rejected += 1;
+                membership(2, None);
+            }
+            Some(Role::Worker(w)) => {
+                let slot = &mut self.slots[w];
+                slot.wire_in += conn.bytes_in;
+                slot.wire_out += conn.bytes_out;
+                slot.conn = None;
+                self.worker_gone(w);
+            }
+            Some(Role::Client) => self.core.master_mut().client_gone(ci as u64),
+            None => {}
         }
-        if c.phase == Phase::Client {
-            self.core.master_mut().client_gone(ci as u64);
-        }
-    }
-
-    /// A connection that never became a worker or client is dropped.
-    fn turn_away(&mut self, ci: usize) {
-        self.report.workers_rejected += 1;
-        now_trace::global().instant(0, "farm.membership", &[("event", 2)], false);
-        self.retire_conn(ci);
-    }
-
-    /// Turn a handshaking connection away with a `REJECT` frame.
-    fn reject_conn(&mut self, ci: usize, reason: &str, t: f64) {
-        if let Some(c) = self.conns[ci].as_mut() {
-            let mut e = Encoder::new();
-            e.str(reason);
-            let _ = c.queue(0, tag::REJECT, e.finish());
-            c.phase = Phase::Draining;
-            c.close_after_flush = true;
-            c.retire_at_s = t + 1.0;
-        }
-        self.report.workers_rejected += 1;
-        now_trace::global().instant(0, "farm.membership", &[("event", 2)], false);
     }
 
     /// Worker `w` is out of the run before its end (died, excluded or
@@ -780,12 +619,7 @@ where
     fn departed(&mut self, w: usize, t: f64) {
         self.slots[w].left_s = t;
         self.report.workers_left += 1;
-        now_trace::global().instant(
-            0,
-            "farm.membership",
-            &[("event", 1), ("worker", w as u64)],
-            false,
-        );
+        membership(1, Some(w));
     }
 
     /// Observed death of worker `w` (closed socket, read deadline, a
@@ -796,23 +630,21 @@ where
             self.core.left(w);
             self.departed(w, self.now());
             if let Some(ci) = self.slots[w].conn {
-                self.retire_conn(ci);
+                self.close(ci);
             }
         }
     }
 
     /// Queue a frame to worker `w`; false if its connection is gone.
     fn send_to(&mut self, w: usize, tag: u32, payload: Vec<u8>) -> bool {
-        let conn = self.slots[w].conn.and_then(|ci| self.conns[ci].as_mut());
-        conn.is_some_and(|c| c.queue(w + 1, tag, payload).is_ok())
+        let conn = self.slots[w].conn.and_then(|ci| self.conn(ci));
+        conn.is_some_and(|c| c.send(tag, payload))
     }
 
-    /// Tell worker `w` to stop; its connection closes once the frame has
-    /// flushed.
+    /// Tell worker `w` to stop; its connection closes once that is flushed.
     fn shut_down(&mut self, w: usize) {
-        self.send_to(w, tag::SHUTDOWN, Vec::new());
-        if let Some(c) = self.slots[w].conn.and_then(|ci| self.conns[ci].as_mut()) {
-            c.close_after_flush = true;
+        if let Some(c) = self.slots[w].conn.and_then(|ci| self.conn(ci)) {
+            c.shut_down();
         }
     }
 
@@ -841,10 +673,8 @@ where
                     quarantined,
                 } => {
                     let t = self.now();
-                    let id = self.slots[worker].identity;
-                    if quarantined && id != 0 {
-                        let until = t + QUARANTINE_COOLDOWN_S;
-                        self.quarantined_until.insert(id, until);
+                    if quarantined {
+                        self.slots[worker].quarantined_until = t + QUARANTINE_COOLDOWN_S;
                     }
                     self.shut_down(worker);
                     self.departed(worker, t);
@@ -853,19 +683,19 @@ where
         }
     }
 
-    /// Take over a connected socket in the `Hello` phase, gated by the
-    /// net-fault plan's rule for its accept order; returns its index.
+    /// Take over a connected socket, gated by the net-fault plan's rule
+    /// for its accept order; returns its index.
     fn add_conn(&mut self, stream: TcpStream, t: f64) -> std::io::Result<usize> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         let chaos = &self.cfg.chaos;
-        let fault = chaos.net.state_for(self.accepted, chaos.seed);
+        let faults = chaos.net.for_conn(self.accepted, chaos.seed);
         self.accepted += 1;
-        self.conns.push(Some(Conn::new(stream, t, fault)));
+        self.conns.push(Some((stream, ConnCore::new(t, faults))));
         Ok(self.conns.len() - 1)
     }
 
-    /// New connections on `listener` enter the `Hello` phase; true if any
+    /// Take over the connections waiting on `listener`; true if any
     /// arrived.
     fn accept(&mut self, listener: Option<&TcpListener>, t: f64) -> Result<bool, ChannelError> {
         let Some(listener) = listener else {
@@ -882,8 +712,8 @@ where
                     let live = (0..self.slots.len())
                         .filter(|&w| self.core.is_live(w))
                         .count();
-                    if live >= MAX_WORKERS {
-                        self.reject_conn(ci, "farm full", t);
+                    if let Some(c) = self.conn(ci).filter(|_| live >= MAX_WORKERS) {
+                        c.reject("farm full", t);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(any),
@@ -893,105 +723,79 @@ where
         }
     }
 
-    /// Flush writes and read frames on every connection. Returns the
-    /// decoded frames and the connections that died at the socket level
-    /// (frames parsed before a death are still valid traffic).
-    fn io_sweep(&mut self, t: f64) -> (Vec<(usize, Message)>, Vec<usize>) {
-        let mut frames: Vec<(usize, Message)> = Vec::new();
-        let mut dead: Vec<usize> = Vec::new();
-        let mut drained: Vec<usize> = Vec::new();
-        let mut inbox = Vec::new();
-        for (ci, slot) in self.conns.iter_mut().enumerate() {
-            let Some(c) = slot.as_mut() else { continue };
-            if c.flush(t).is_err() {
-                dead.push(ci);
-                continue;
-            }
-            if c.close_after_flush && c.flushed() {
-                drained.push(ci);
-                continue;
-            }
-            let alive = c.read(t, &mut inbox).is_ok();
-            frames.extend(inbox.drain(..).map(|(msg, _n)| (ci, msg)));
-            if !alive {
-                dead.push(ci);
-            }
+    /// Move bytes on every connection: its queued frames out until the
+    /// socket would block, then whatever the socket has in.
+    fn io_sweep(&mut self, t: f64) {
+        for (stream, conn) in self.conns.iter_mut().flatten() {
+            write_out(stream, conn, t);
+            read_in(stream, conn, t);
         }
-        for ci in drained {
-            self.retire_conn(ci);
-        }
-        (frames, dead)
     }
 
-    /// Route one decoded frame by its connection's phase.
-    fn dispatch(&mut self, ci: usize, msg: Message, t: f64) {
-        let Some(c) = self.conns[ci].as_ref() else {
-            return;
-        };
-        match (c.phase, c.worker) {
-            (Phase::Hello, _) => self.on_opener(ci, msg, t),
-            (Phase::Enrolled, Some(w)) => self.on_worker_frame(w, msg, t),
-            (Phase::Client, _) => {
-                // a client may pipeline further requests on the same
-                // connection; anything else is a violation
-                if !tag::is_client(msg.tag) || !self.client_request(ci, &msg) {
-                    self.retire_conn(ci);
+    /// Hand every connection's decoded frames to their handlers; true if
+    /// there were any.
+    fn dispatch(&mut self, t: f64) -> bool {
+        let mut any = false;
+        for ci in 0..self.conns.len() {
+            while let Some(event) = self.conn(ci).and_then(|c| c.next_event()) {
+                any = true;
+                match event {
+                    Event::Hello {
+                        identity,
+                        fingerprint,
+                    } => self.on_hello(ci, identity, &fingerprint, t),
+                    Event::Worker(w, msg) => self.on_worker_frame(w, msg, t),
+                    Event::Client(msg) => self.client_request(ci, &msg),
                 }
             }
-            // a rejected peer's inbound is ignored
-            (Phase::Draining, _) | (Phase::Enrolled, None) => {}
         }
+        any
     }
 
     /// Route a client request through `MasterLogic::client_frame` and
-    /// queue the reply; false if this master refuses it. The conn index
+    /// queue the reply; a master that refuses it hangs up. The conn index
     /// (never reused in a run) is the client's push token.
-    fn client_request(&mut self, ci: usize, msg: &Message) -> bool {
+    fn client_request(&mut self, ci: usize, msg: &Message) {
         let reply = self
             .core
             .master_mut()
             .client_frame(ci as u64, msg.tag, &msg.payload);
-        let (Some((rtag, payload)), Some(c)) = (reply, self.conns[ci].as_mut()) else {
-            return false;
-        };
-        c.phase = Phase::Client;
-        let _ = c.queue(0, rtag, payload);
-        true
+        match (reply, self.conn(ci)) {
+            (Some((rtag, payload)), Some(c)) => c.reply(rtag, payload),
+            // this master serves no clients, or refuses this request
+            (None, Some(c)) => c.refuse(),
+            (_, None) => {}
+        }
     }
 
-    /// First frame of a connection: a client request (no handshake, the
-    /// request *is* the introduction) or a worker's `HELLO`.
-    fn on_opener(&mut self, ci: usize, msg: Message, t: f64) {
-        if tag::is_client(msg.tag) {
-            if !self.client_request(ci, &msg) {
-                // this master serves no clients
-                self.turn_away(ci);
-            }
-            return;
-        }
-        let hello = (msg.tag == tag::HELLO)
-            .then(|| parse_hello(&msg.payload))
-            .flatten();
-        let Some((identity, fp)) = hello else {
-            return self.turn_away(ci);
+    /// A `HELLO` on connection `ci`: enrol it, or refuse it for a
+    /// run-wide reason. Identity 0 is anonymous and never anyone's twin.
+    fn on_hello(&mut self, ci: usize, identity: u64, fingerprint: &[u8], t: f64) {
+        let expected = self.cfg.fingerprint.as_slice();
+        let twin = |s: &Slot| identity != 0 && s.identity == identity;
+        let refusal = if !expected.is_empty() && !fingerprint.is_empty() && fingerprint != expected
+        {
+            Some("scene fingerprint mismatch")
+        } else if (0..self.slots.len()).any(|w| twin(&self.slots[w]) && self.core.is_live(w)) {
+            Some("duplicate node id")
+        } else if self
+            .slots
+            .iter()
+            .any(|s| twin(s) && t < s.quarantined_until)
+        {
+            Some("quarantined")
+        } else {
+            None
         };
-        let expected = &self.cfg.fingerprint;
-        if !expected.is_empty() && !fp.is_empty() && fp != *expected {
-            return self.reject_conn(ci, "scene fingerprint mismatch", t);
+        match (refusal, self.conn(ci)) {
+            (Some(reason), Some(c)) => c.reject(reason, t),
+            (None, Some(_)) => self.enrol(ci, identity, t),
+            (_, None) => {}
         }
-        if identity != 0 {
-            if (self.identities.get(&identity)).is_some_and(|&w| self.core.is_live(w)) {
-                return self.reject_conn(ci, "duplicate node id", t);
-            }
-            if (self.quarantined_until.get(&identity)).is_some_and(|&until| t < until) {
-                return self.reject_conn(ci, "quarantined", t);
-            }
-        }
-        self.enrol(ci, identity, t);
     }
 
-    /// Bind connection `ci` to a new worker slot and queue its `WELCOME`:
-    /// node id (slot + 1; node 0 is the master) and job header.
+    /// Bind connection `ci` to a new worker slot; its core queues the
+    /// `WELCOME`.
     fn enrol(&mut self, ci: usize, identity: u64, t: f64) {
         let w = self.core.joined();
         debug_assert_eq!(w, self.slots.len());
@@ -1002,22 +806,11 @@ where
             joined_s: t,
             ..Slot::default()
         });
-        if identity != 0 {
-            self.identities.insert(identity, w);
-        }
         self.report.workers_joined += 1;
-        now_trace::global().instant(
-            0,
-            "farm.membership",
-            &[("event", 0), ("worker", w as u64)],
-            false,
-        );
-        let c = self.conns[ci].as_mut().expect("enrolling conn is live");
-        c.phase = Phase::Enrolled;
-        c.worker = Some(w);
-        let mut e = Encoder::new();
-        e.u64((w + 1) as u64).bytes(&self.cfg.job_header);
-        self.send_to(w, tag::WELCOME, e.finish());
+        membership(0, Some(w));
+        let job_header = &self.cfg.job_header;
+        let (_, conn) = self.conns[ci].as_mut().expect("enrolling conn is live");
+        conn.enrol(w, job_header);
     }
 
     /// A frame from enrolled worker `w`.
@@ -1068,9 +861,8 @@ where
                     };
                 }
             }
-            // a HELLO replay or unknown tag mid-run is a protocol
-            // violation: cut the peer loose and requeue its work
-            _ => self.worker_gone(w),
+            // the conn core hands a worker's frames over only with these tags
+            _ => {}
         }
         self.pump();
     }
@@ -1081,59 +873,29 @@ where
         let pushes = self.core.master_mut().client_pushes();
         let any = !pushes.is_empty();
         for (client, ptag, payload) in pushes {
-            let conn = usize::try_from(client)
+            let open = usize::try_from(client)
                 .ok()
-                .and_then(|ci| self.conns.get_mut(ci))
-                .and_then(|s| s.as_mut());
-            let Some(c) = conn.filter(|c| c.phase == Phase::Client) else {
-                continue;
-            };
-            let _ = c.queue(0, ptag, payload);
-            // a push proves the stream is wanted: a quietly-watching
-            // client must not trip the idle read timeout
-            c.last_read_s = t;
+                .filter(|&ci| ci < self.conns.len());
+            if let Some(c) = open.and_then(|ci| self.conn(ci)) {
+                c.push(ptag, payload, t);
+            }
         }
         any
     }
 
-    /// A connection died at the socket level: route to the right
-    /// bookkeeping for its phase.
-    fn conn_died(&mut self, ci: usize) {
-        match self.conns[ci].as_ref().map(|c| (c.phase, c.worker)) {
-            Some((Phase::Enrolled, Some(w))) if self.core.is_live(w) => {
-                self.worker_gone(w); // retires the conn itself
-            }
-            Some((Phase::Hello, _)) => self.turn_away(ci),
-            Some(_) => self.retire_conn(ci),
-            None => {}
-        }
-    }
-
-    /// Handshake, drain and read deadlines, then lease deadlines; true if
-    /// anything fired.
+    /// Tick every connection's deadlines and close each its core is done
+    /// with, then expire leases; true if anything closed or expired.
     fn check_deadlines(&mut self, t: f64) -> bool {
-        let net = &self.cfg.net;
         let mut any = false;
         for ci in 0..self.conns.len() {
-            let Some(c) = self.conns[ci].as_ref() else {
+            let Some(conn) = self.conn(ci) else {
                 continue;
             };
-            let silent = net.read_timeout_s > 0.0 && t - c.last_read_s > net.read_timeout_s;
-            match c.phase {
-                // slow-loris half-connection: never said HELLO
-                Phase::Hello if t - c.opened_s > net.handshake_timeout_s => self.turn_away(ci),
-                Phase::Draining if c.retire_at_s > 0.0 && t >= c.retire_at_s => {
-                    self.retire_conn(ci)
-                }
-                Phase::Enrolled if silent => match c.worker {
-                    Some(w) if self.core.is_live(w) => self.worker_gone(w),
-                    _ => continue,
-                },
-                // an idle client holds no leases; just hang up
-                Phase::Client if silent => self.retire_conn(ci),
-                _ => continue,
+            conn.tick(t);
+            if conn.close().is_some() {
+                self.close(ci);
+                any = true;
             }
-            any = true;
         }
         let expired = !self.core.tick(t).is_empty();
         self.pump();
@@ -1182,7 +944,7 @@ where
         if self.slots.is_empty() {
             // a drained service with no workers left (or none ever
             // joined) has every job terminal: exit cleanly
-            let hello_open = self.conns.iter().flatten().any(|c| c.phase == Phase::Hello);
+            let hello_open = (self.conns.iter().flatten()).any(|(_, c)| c.role().is_none());
             if !self.service_seen && !hello_open && t >= self.cfg.net.accept_window_s {
                 return Err(ChannelError::TimedOut);
             }
@@ -1203,11 +965,14 @@ where
         use std::os::unix::io::AsRawFd;
         let t = self.now();
         let listening = listener.map(|l| (l.as_raw_fd(), sys::POLLIN));
-        let open = self.conns.iter_mut().flatten().filter_map(|c| {
-            let unflushed = if c.flushed() { 0 } else { sys::POLLOUT };
-            (c.fault.gate(t - c.opened_s) == Gate::Open)
-                .then(|| (c.stream.as_raw_fd(), sys::POLLIN | unflushed))
-        });
+        let open = self
+            .conns
+            .iter_mut()
+            .flatten()
+            .filter_map(|(stream, conn)| {
+                let unflushed = if conn.interest(t)? { sys::POLLOUT } else { 0 };
+                Some((stream.as_raw_fd(), sys::POLLIN | unflushed))
+            });
         let mut fds: Vec<sys::PollFd> = listening
             .into_iter()
             .chain(open)
@@ -1239,26 +1004,21 @@ where
     /// Flush final `SHUTDOWN`/`REJECT` frames, then close everything.
     fn drain(&mut self) {
         let deadline = Instant::now() + Duration::from_secs(2);
+        let unflushed = |(_, c): &(TcpStream, ConnCore)| c.close().is_none() && !c.flushed();
         loop {
             let t = self.now();
-            let mut unflushed = false;
-            for ci in 0..self.conns.len() {
-                let Some(c) = self.conns[ci].as_mut() else {
-                    continue;
-                };
-                if c.flush(t).is_err() || c.flushed() {
-                    self.retire_conn(ci);
-                } else {
-                    unflushed = true;
+            for (stream, conn) in self.conns.iter_mut().flatten() {
+                if !conn.flushed() {
+                    write_out(stream, conn, t);
                 }
             }
-            if !unflushed || Instant::now() >= deadline {
+            if !self.conns.iter().flatten().any(unflushed) || Instant::now() >= deadline {
                 break;
             }
             self.wait_ready(None);
         }
         for ci in 0..self.conns.len() {
-            self.retire_conn(ci);
+            self.close(ci);
         }
     }
 
@@ -1704,9 +1464,18 @@ mod tests {
     fn tcp_cluster_processes_every_unit_exactly_once() {
         let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
         let addr = master.local_addr().expect("addr").to_string();
-        let handles = spawn_workers(addr, 2);
-        let cfg = TcpClusterConfig::new(2);
-        let (m, report) = master.run(CountMaster::new(50), &cfg).expect("run");
+        let run = std::thread::spawn(move || {
+            let cfg = TcpClusterConfig::new(2);
+            master.run(CountMaster::new(50), &cfg).expect("run")
+        });
+        // both enrol before either asks for work, and 50 units take the
+        // first one 100 ms alone: the second is serving long before that
+        let conns = [(); 2].map(|_| connect_worker(&addr, &ConnectConfig::default()));
+        let serve = |conn: Result<TcpWorkerConn, _>| conn.expect("connect").serve(SlowSquarer(2));
+        let handles: Vec<_> = (conns.into_iter())
+            .map(|conn| std::thread::spawn(move || serve(conn)))
+            .collect();
+        let (m, report) = run.join().expect("master");
         assert_eq!(m.seen.len(), 50);
         assert_eq!(
             report.machines.iter().map(|m| m.units_done).sum::<u64>(),
@@ -1718,10 +1487,38 @@ mod tests {
         assert!(report.messages > 0);
         assert!(report.bytes > 0);
         for h in handles {
-            let s = h.join().expect("worker thread");
+            let s = h.join().expect("worker thread").expect("serve");
             assert!(s.units > 0, "demand-driven: every worker got units");
             assert!(s.bytes_sent > 0 && s.bytes_received > 0);
         }
+    }
+
+    #[test]
+    fn a_joiner_still_handshaking_when_the_run_ends_is_not_a_rejection() {
+        let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
+        let addr = master.local_addr().expect("addr").to_string();
+        // both queue ahead of the worker, so the master accepts them
+        // before the run can end: one silent, one halfway into a HELLO
+        let silent = TcpStream::connect(&addr).expect("connect");
+        let mut torn = TcpStream::connect(&addr).expect("connect");
+        let hello = Message {
+            from: 0,
+            to: 0,
+            tag: tag::HELLO,
+            payload: Vec::new(),
+        };
+        let hello = encode_frame(&hello).expect("frame");
+        torn.write_all(&hello[..HEADER_LEN / 2]).expect("write");
+        let handles = spawn_workers(addr, 1);
+        let cfg = TcpClusterConfig::new(1);
+        let (m, report) = master.run(CountMaster::new(5), &cfg).expect("run");
+        assert_eq!(m.seen.len(), 5);
+        assert_eq!(report.workers_joined, 1);
+        assert_eq!(report.workers_rejected, 0, "nobody was turned away");
+        for h in handles {
+            h.join().expect("worker");
+        }
+        drop((silent, torn));
     }
 
     #[test]
@@ -1783,52 +1580,6 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err, ChannelError::TimedOut);
-    }
-
-    #[test]
-    fn frame_buf_reassembles_dribbled_bytes() {
-        let msgs = [
-            Message {
-                from: 3,
-                to: 0,
-                tag: tag::REQUEST,
-                payload: vec![],
-            },
-            Message {
-                from: 3,
-                to: 0,
-                tag: tag::RESULT,
-                payload: vec![1, 2, 3, 4, 5],
-            },
-        ];
-        let mut wire = Vec::new();
-        for m in &msgs {
-            wire.extend_from_slice(&encode_frame(m).expect("encode"));
-        }
-        // one byte at a time: frames must pop exactly at their boundary
-        let mut fb = FrameBuf::new();
-        let mut got = Vec::new();
-        for &b in &wire {
-            fb.push(&[b]);
-            while let Some((msg, n)) = fb.next_frame().expect("clean stream") {
-                got.push((msg, n));
-            }
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, msgs[0]);
-        assert_eq!(got[1].0, msgs[1]);
-        assert_eq!(got[1].1 as usize, HEADER_LEN + msgs[1].encode().len());
-        assert_eq!(fb.buf.len(), fb.pos);
-    }
-
-    #[test]
-    fn frame_buf_rejects_bad_magic_before_body() {
-        let mut fb = FrameBuf::new();
-        fb.push(b"GET / HTTP/1.1\r\n");
-        assert_eq!(
-            fb.next_frame().unwrap_err(),
-            ChannelError::Protocol("bad frame magic")
-        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! network analogue of [`crate::fault::FaultPlan`] for compute faults.
 //!
 //! The plan is *threaded through the framing layer*, not bolted onto the
-//! sockets: the master's poll loop consults a [`ConnFaultState`] gate
-//! before every read/write sweep. Plans are written in the `net=` section
-//! of the one chaos grammar (see [`crate::chaos`]).
+//! sockets: each connection's sans-IO core gates its reads and writes by
+//! the faults [`NetFaultPlan::for_conn`] resolves for it. Plans are
+//! written in the `net=` section of the one chaos grammar (see
+//! [`crate::chaos`]).
 
 use crate::chaos::Clause;
 use std::collections::BTreeMap;
@@ -96,11 +97,6 @@ impl NetFaultPlan {
         out
     }
 
-    /// Build the runtime gate for connection number `conn`.
-    pub fn state_for(&self, conn: u64, seed: u64) -> ConnFaultState {
-        ConnFaultState::new(self.for_conn(conn, seed))
-    }
-
     /// The chaos grammar's `net=` table, spec → plan: `WHO` is a
     /// connection index, `*` (all) or `~P` (probability P); the fault is
     /// `drop@BYTES`, `stall@BYTES`, `delay@BYTES+SECONDS` or `part@FROM-TO`.
@@ -155,97 +151,6 @@ impl NetFaultPlan {
             .chain(random)
             .map(|(who, f)| clause(who, f))
             .collect()
-    }
-}
-
-/// What the fault gate says the connection may do right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// Bytes may flow.
-    Open,
-    /// No bytes may flow right now, but the connection is alive
-    /// (stall / delay / partition).
-    Blocked,
-    /// The connection is dead: reads see EOF, writes fail.
-    Closed,
-}
-
-/// Runtime fault state for one connection: counts bytes in both
-/// directions and evaluates the connection's faults against them and the
-/// connection-relative clock.
-#[derive(Debug, Clone, Default)]
-pub struct ConnFaultState {
-    faults: Vec<NetFault>,
-    /// Total bytes moved (reads + writes).
-    bytes: u64,
-    /// Wall-clock instant (seconds since the conn opened) when an armed
-    /// `DelayAfter` unfreezes; set the first time its byte threshold hits.
-    delay_until: Vec<Option<f64>>,
-}
-
-impl ConnFaultState {
-    /// Build the state for a set of faults (empty = always `Open`).
-    pub fn new(faults: Vec<NetFault>) -> Self {
-        let delay_until = vec![None; faults.len()];
-        Self {
-            faults,
-            bytes: 0,
-            delay_until,
-        }
-    }
-
-    /// A fault-free gate (always `Open`).
-    pub fn open() -> Self {
-        Self::default()
-    }
-
-    /// True when this connection has no faults attached.
-    pub fn is_free(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Account `n` bytes moved (either direction).
-    pub fn on_bytes(&mut self, n: u64) {
-        self.bytes = self.bytes.saturating_add(n);
-    }
-
-    /// Total bytes this gate has accounted.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Evaluate the gate at `now` seconds since the connection opened.
-    /// `Closed` wins over `Blocked` wins over `Open`.
-    pub fn gate(&mut self, now_s: f64) -> Gate {
-        let mut gate = Gate::Open;
-        for (i, fault) in self.faults.iter().enumerate() {
-            match *fault {
-                NetFault::DropAfter(limit) => {
-                    if self.bytes >= limit {
-                        return Gate::Closed;
-                    }
-                }
-                NetFault::StallAfter(limit) => {
-                    if self.bytes >= limit {
-                        gate = Gate::Blocked;
-                    }
-                }
-                NetFault::DelayAfter { bytes, for_s } => {
-                    if self.bytes >= bytes {
-                        let until = *self.delay_until[i].get_or_insert(now_s + for_s);
-                        if now_s < until {
-                            gate = Gate::Blocked;
-                        }
-                    }
-                }
-                NetFault::Partition { from_s, to_s } => {
-                    if now_s >= from_s && now_s < to_s {
-                        gate = Gate::Blocked;
-                    }
-                }
-            }
-        }
-        gate
     }
 }
 
@@ -311,67 +216,7 @@ mod tests {
         let plan = NetFaultPlan::none();
         assert!(plan.is_empty());
         assert!(plan.for_conn(0, 0).is_empty());
-        let mut state = plan.state_for(3, 0);
-        assert!(state.is_free());
-        assert_eq!(state.gate(10.0), Gate::Open);
-    }
-
-    #[test]
-    fn drop_after_closes_at_threshold() {
-        let mut s = ConnFaultState::new(vec![NetFault::DropAfter(100)]);
-        s.on_bytes(99);
-        assert_eq!(s.gate(0.0), Gate::Open);
-        s.on_bytes(1);
-        assert_eq!(s.gate(0.0), Gate::Closed);
-    }
-
-    #[test]
-    fn stall_blocks_forever_after_threshold() {
-        let mut s = ConnFaultState::new(vec![NetFault::StallAfter(10)]);
-        assert_eq!(s.gate(0.0), Gate::Open);
-        s.on_bytes(10);
-        assert_eq!(s.gate(0.0), Gate::Blocked);
-        assert_eq!(s.gate(1e9), Gate::Blocked);
-    }
-
-    #[test]
-    fn delay_blocks_then_recovers() {
-        let mut s = ConnFaultState::new(vec![NetFault::DelayAfter {
-            bytes: 5,
-            for_s: 2.0,
-        }]);
-        assert_eq!(s.gate(0.0), Gate::Open);
-        s.on_bytes(5);
-        // armed at t=1.0 → blocked until t=3.0
-        assert_eq!(s.gate(1.0), Gate::Blocked);
-        assert_eq!(s.gate(2.9), Gate::Blocked);
-        assert_eq!(s.gate(3.0), Gate::Open);
-        assert_eq!(s.gate(10.0), Gate::Open);
-    }
-
-    #[test]
-    fn partition_window_blocks_only_inside() {
-        let mut s = ConnFaultState::new(vec![NetFault::Partition {
-            from_s: 1.0,
-            to_s: 2.0,
-        }]);
-        assert_eq!(s.gate(0.5), Gate::Open);
-        assert_eq!(s.gate(1.0), Gate::Blocked);
-        assert_eq!(s.gate(1.9), Gate::Blocked);
-        assert_eq!(s.gate(2.0), Gate::Open);
-    }
-
-    #[test]
-    fn closed_wins_over_blocked() {
-        let mut s = ConnFaultState::new(vec![
-            NetFault::StallAfter(0),
-            NetFault::DropAfter(0),
-            NetFault::Partition {
-                from_s: 0.0,
-                to_s: 9.0,
-            },
-        ]);
-        assert_eq!(s.gate(0.5), Gate::Closed);
+        assert!(plan.for_conn(3, 0).is_empty());
     }
 
     #[test]

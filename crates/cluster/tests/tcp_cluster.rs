@@ -322,21 +322,24 @@ fn a_farm_of_one_is_leased_one_unit_at_a_time() {
 fn worker_killed_holding_two_leases_requeues_both() {
     let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
     let addr = master.local_addr().expect("addr").to_string();
-    let victim_addr = addr.clone();
+    let run = std::thread::spawn(move || {
+        master
+            .run(count_to(40), &TcpClusterConfig::new(2))
+            .expect("run")
+    });
+    // the survivor is enrolled (WELCOME read) before the victim says
+    // HELLO: a farm of one is leased one unit at a time, so a victim that
+    // asked first would hold a single lease and never see a second
+    let conn = connect_worker(&addr, &ConnectConfig::default()).expect("connect");
     let victim = std::thread::spawn(move || {
-        let mut w = RawWorker::join(&victim_addr);
+        let mut w = RawWorker::join(&addr);
         let first = w.next_unit().expect("first unit");
         let second = w.next_unit().expect("prefetched unit");
         w.die();
         [first.1, second.1]
     });
-    let survivor = std::thread::spawn(move || {
-        let conn = connect_worker(&addr, &ConnectConfig::default()).expect("connect");
-        conn.serve(Squarer).expect("serve")
-    });
-    let (m, report) = master
-        .run(count_to(40), &TcpClusterConfig::new(2))
-        .expect("run");
+    let survivor = std::thread::spawn(move || conn.serve(Squarer).expect("serve"));
+    let (m, report) = run.join().expect("master thread");
     let held = victim.join().expect("victim thread");
     assert_eq!(
         m.seen.len(),

@@ -165,14 +165,6 @@ impl GridAccel {
         best
     }
 
-    /// Any-hit occlusion test: is anything between `ray.origin` and
-    /// distance `dist` along the ray? A one-off query with its own scratch;
-    /// the tracer calls [`GridAccel::any_hit`] with buffers it reuses.
-    pub fn occluded(&self, scene: &Scene, ray: &Ray, dist: f64, stats: &mut RayStats) -> bool {
-        let (mut path, mut mailbox) = (VoxelPathBuf::default(), Mailbox::default());
-        self.any_hit::<false>(scene, ray, dist, stats, &mut path, &mut mailbox)
-    }
-
     /// Whether anything lies between `ray.origin` and distance `dist` along
     /// the ray (shadow rays), with the feeler's walk over `[0, dist]`
     /// optionally recorded (`RECORD`) into `path`. Objects are tested
@@ -349,6 +341,17 @@ mod tests {
         accel.closest::<false>(scene, ray, range, stats, &mut path, &mut mailbox)
     }
 
+    fn occluded(
+        accel: &GridAccel,
+        scene: &Scene,
+        ray: &Ray,
+        dist: f64,
+        stats: &mut RayStats,
+    ) -> bool {
+        let (mut path, mut mailbox) = (VoxelPathBuf::default(), Mailbox::default());
+        accel.any_hit::<false>(scene, ray, dist, stats, &mut path, &mut mailbox)
+    }
+
     fn brute_force_intersect(scene: &Scene, ray: &Ray, range: Interval) -> Option<(ObjectId, Hit)> {
         let mut best: Option<(ObjectId, Hit)> = None;
         for (i, o) in scene.objects.iter().enumerate() {
@@ -456,7 +459,10 @@ mod tests {
             let dist = 4.0 + (i % 7) as f64;
             let occluded =
                 accel.any_hit::<true>(&scene, &ray, dist, &mut recording, &mut got, &mut mailbox);
-            assert_eq!(occluded, accel.occluded(&scene, &ray, dist, &mut plain));
+            assert_eq!(
+                occluded,
+                self::occluded(&accel, &scene, &ray, dist, &mut plain)
+            );
             blocked += occluded as u32;
             let path = got.path().map(|p| (p.start, p.steps, p.codes.to_vec()));
             assert_eq!(path, standalone(&ray, dist), "feeler {i} over {dist}");
@@ -474,12 +480,12 @@ mod tests {
         // from left of the row, looking right through all spheres
         let origin = Point3::new(-8.0, 0.0, 0.0);
         let ray = Ray::new(origin, Vec3::UNIT_X);
-        assert!(accel.occluded(&scene, &ray, 16.0, &mut stats));
+        assert!(occluded(&accel, &scene, &ray, 16.0, &mut stats));
         // a ray passing above all spheres
         let high = Ray::new(Point3::new(-8.0, 3.0, 0.0), Vec3::UNIT_X);
-        assert!(!accel.occluded(&scene, &high, 16.0, &mut stats));
+        assert!(!occluded(&accel, &scene, &high, 16.0, &mut stats));
         // very short range stops before the first sphere
-        assert!(!accel.occluded(&scene, &ray, 1.0, &mut stats));
+        assert!(!occluded(&accel, &scene, &ray, 1.0, &mut stats));
     }
 
     #[test]
@@ -488,7 +494,7 @@ mod tests {
         let accel = GridAccel::build(&scene);
         let mut stats = RayStats::default();
         let ray = Ray::new(Point3::new(50.0, 5.0, 50.0), -Vec3::UNIT_Y);
-        assert!(accel.occluded(&scene, &ray, 100.0, &mut stats));
+        assert!(occluded(&accel, &scene, &ray, 100.0, &mut stats));
     }
 
     #[test]

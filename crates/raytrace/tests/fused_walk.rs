@@ -9,6 +9,7 @@ use now_anim::Animation;
 use now_grid::dda::{IndexWalk, VoxelPath, VoxelPathBuf};
 use now_grid::GridSpec;
 use now_math::{Interval, Ray};
+use now_raytrace::accel::Mailbox;
 use now_raytrace::{
     render_frame, GridAccel, NullListener, PixelId, RayKind, RayListener, RayStats, RenderSettings,
     Scene, ShardableListener,
@@ -46,6 +47,7 @@ struct Differential<'a> {
     scene: &'a Scene,
     accel: &'a GridAccel,
     want: VoxelPathBuf,
+    mailbox: Mailbox,
     tally: Tally,
 }
 
@@ -71,7 +73,9 @@ impl RayListener for Differential<'_> {
         t.start_inside += spec.bounds.contains(ray.origin) as u64;
         if kind == RayKind::Shadow {
             let mut unused = RayStats::default();
-            if self.accel.occluded(self.scene, ray, t_max, &mut unused) {
+            // unrecorded, so `want` is scratch the query leaves untouched
+            let (want, mailbox) = (&mut self.want, &mut self.mailbox);
+            if (self.accel).any_hit::<false>(self.scene, ray, t_max, &mut unused, want, mailbox) {
                 t.occluded += 1;
             } else {
                 t.unoccluded += 1;
@@ -94,6 +98,7 @@ impl<'a> ShardableListener for Differential<'a> {
             scene: self.scene,
             accel: self.accel,
             want: VoxelPathBuf::default(),
+            mailbox: Mailbox::default(),
             tally: Tally::default(),
         }
     }
@@ -115,6 +120,7 @@ fn check(anim: &Animation, voxels: u32, frames: &[usize]) -> Tally {
             scene: &scene,
             accel: &accel,
             want: VoxelPathBuf::default(),
+            mailbox: Mailbox::default(),
             tally: Tally::default(),
         };
         let settings = RenderSettings::default();

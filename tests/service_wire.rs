@@ -114,6 +114,48 @@ fn oversized_scene_spec_is_rejected_not_parsed() {
     assert_eq!(m.counters.completed, 0);
 }
 
+/// A scene that parses and passes admission (one frame, 8x8 pixels) but
+/// asks each shaded point for 65535² area-light samples.
+const SAMPLES_BOMB: &str = "camera eye 0 2 8 target 0 0 0 up 0 1 0 fov 55 size 8 8
+arealight corner -1 5 -1 u 2 0 0 v 0 0 2 color 1 1 1 samples 65535
+material matte name m color 0.5 0.5 0.5
+sphere name ball center 0 0 0 radius 1 material m
+frames 1
+";
+
+/// The job hash of `demo:glassball:1:10x8`, as every service run
+/// renders it.
+const GLASSBALL_1_10X8: u64 = 0x24f9_9cbe_3c14_9fc4;
+
+/// One SUBMIT must not take the service down: a `demo:` spec asking for
+/// billions of frames (the master would build their keys before checking
+/// the count) and an area light asking for 65535² samples (every worker
+/// that leased the unit would die) are refused at admission with the
+/// bound they broke, and the next job renders to its golden hash.
+#[test]
+fn resource_bombs_are_refused_and_the_next_job_renders() {
+    let m = with_service(ServiceConfig::default(), |addr| {
+        let mut c = client(addr);
+        let frames = JobSpec::new("demo:newton:4000000000:8x8");
+        let reason = c.submit(&frames).expect("transport").expect_err("refused");
+        assert!(reason.contains("over 100000"), "{reason}");
+        let reason = (c.submit(&JobSpec::new(SAMPLES_BOMB)))
+            .expect("transport")
+            .expect_err("refused");
+        assert!(reason.contains("outside 1..=16"), "{reason}");
+        let id = c
+            .submit(&JobSpec::new("demo:glassball:1:10x8"))
+            .expect("transport")
+            .expect("admitted");
+        assert_eq!(wait_terminal(&mut c, id), JobState::Done);
+        let st = c.status(id).expect("transport").expect("known job");
+        assert_eq!(st.job_hash, GLASSBALL_1_10X8, "{:#x}", st.job_hash);
+        c.drain().expect("drain");
+    });
+    assert_eq!(m.counters.rejected, 2);
+    assert_eq!(m.counters.completed, 1);
+}
+
 #[test]
 fn cancel_of_unknown_and_finished_jobs_fails_cleanly() {
     let m = with_service(ServiceConfig::default(), |addr| {
