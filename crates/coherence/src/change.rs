@@ -4,27 +4,33 @@
 //! moving into it) in the next frame, all of the pixels whose rays pass
 //! through that voxel must be updated." This module computes — purely from
 //! the two scene descriptions — a conservative set of voxels in which
-//! change occurs.
+//! change occurs, and the [`Bound`]s of the placements that changed.
 
+use crate::bound::Bound;
 use now_grid::{GridSpec, Voxel};
-use now_math::{Aabb, Point3, Vec3};
-use now_raytrace::{Geometry, Object, Scene};
+use now_math::Aabb;
+use now_raytrace::{Object, Scene};
 
-/// The voxels in which change occurs between two frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What changed between two frames.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChangeSet {
     /// Conservative fallback: everything may have changed (camera moved,
     /// lights changed, objects added/removed, an infinite object changed,
     /// or global shading terms changed).
     Everything,
-    /// Only these voxels changed (sorted, deduplicated).
-    Voxels(Vec<Voxel>),
+    /// Only these voxels changed, and only inside these bounds.
+    Voxels {
+        /// The changed voxels (sorted, deduplicated).
+        voxels: Vec<Voxel>,
+        /// The old and the new placement of every changed object.
+        movers: Vec<Bound>,
+    },
 }
 
 impl ChangeSet {
     /// True if no voxel changed.
     pub fn is_empty(&self) -> bool {
-        matches!(self, ChangeSet::Voxels(v) if v.is_empty())
+        matches!(self, ChangeSet::Voxels { voxels, .. } if voxels.is_empty())
     }
 
     /// Number of changed voxels, or the total voxel count for
@@ -32,7 +38,7 @@ impl ChangeSet {
     pub fn len(&self, spec: &GridSpec) -> usize {
         match self {
             ChangeSet::Everything => spec.voxel_count(),
-            ChangeSet::Voxels(v) => v.len(),
+            ChangeSet::Voxels { voxels, .. } => voxels.len(),
         }
     }
 }
@@ -50,7 +56,8 @@ impl ChangeSet {
 /// * an unbounded object (infinite plane) changed → `Everything`;
 /// * a bounded object whose geometry, transform or material changed →
 ///   voxels overlapping its bounds in the **old frame ∪ new frame**
-///   (it vacates the former and occupies the latter).
+///   (it vacates the former and occupies the latter), and its [`Bound`]
+///   in both frames.
 pub fn changed_voxels(spec: &GridSpec, prev: &Scene, next: &Scene) -> ChangeSet {
     if prev.objects.len() != next.objects.len()
         || prev.lights != next.lights
@@ -66,45 +73,37 @@ pub fn changed_voxels(spec: &GridSpec, prev: &Scene, next: &Scene) -> ChangeSet 
     // sampling mark the same voxel many times), and `dirty_pixels`
     // requires a sorted, deduplicated slice anyway.
     let mut voxels: Vec<Voxel> = Vec::new();
+    let mut movers = Vec::new();
     for (a, b) in prev.objects.iter().zip(next.objects.iter()) {
         let same =
             a.geometry == b.geometry && a.material == b.material && a.transform() == b.transform();
         if same {
             continue;
         }
-        if a.world_aabb().is_none() || b.world_aabb().is_none() {
+        let (Some(was), Some(is)) = (Bound::of(a), Bound::of(b)) else {
             // an unbounded object changed: no way to localise it
             return ChangeSet::Everything;
-        }
-        for obj in [a, b] {
-            object_voxels(spec, obj, |v| {
-                voxels.push(v);
-            });
+        };
+        for (obj, bound) in [(a, was), (b, is)] {
+            object_voxels(spec, obj, &bound, |v| voxels.push(v));
+            movers.push(bound);
         }
     }
     voxels.sort_unstable();
     voxels.dedup();
-    ChangeSet::Voxels(voxels)
+    ChangeSet::Voxels { voxels, movers }
 }
 
 /// Mark the voxels a (bounded) object occupies, as tightly as the geometry
-/// allows.
+/// allows; `bound` is its [`Bound::of`].
 ///
 /// Slender cylinders (the Newton cradle's strings) get special treatment:
 /// their axis-aligned bounds are enormous relative to the geometry (a thin
-/// diagonal tube fills its whole bounding box's diagonal), so they are
-/// rasterised by sampling along the axis instead. Everything else uses its
-/// world AABB.
-fn object_voxels(spec: &GridSpec, obj: &Object, mut f: impl FnMut(Voxel)) {
-    if let Geometry::Cylinder { radius, y0, y1, .. } = obj.geometry {
-        let xf = obj.transform();
-        let a = xf.point(Point3::new(0.0, y0, 0.0));
-        let b = xf.point(Point3::new(0.0, y1, 0.0));
-        // world-space radius bound from the transformed cross-section axes
-        let world_r = radius
-            * xf.vector(Vec3::UNIT_X)
-                .length()
-                .max(xf.vector(Vec3::UNIT_Z).length());
+/// diagonal tube fills its whole bounding box's diagonal), so their capsule
+/// is rasterised by sampling along the axis instead. Everything else uses
+/// its world AABB.
+fn object_voxels(spec: &GridSpec, obj: &Object, bound: &Bound, mut f: impl FnMut(Voxel)) {
+    if let Bound::Capsule { a, b, radius } = *bound {
         let len = a.distance(b);
         let min_edge = spec.voxel_size().min_component();
         // sample densely enough that consecutive sample cubes overlap
@@ -112,13 +111,13 @@ fn object_voxels(spec: &GridSpec, obj: &Object, mut f: impl FnMut(Voxel)) {
         let steps = (len / step).ceil() as usize + 1;
         // a slender cylinder benefits from axis sampling; a fat one (radius
         // comparable to its bounds) may as well use the box
-        if world_r < len && steps < 10_000 {
+        if radius < len && steps < 10_000 {
             // pad must cover the half-gap between consecutive samples, or a
             // voxel the cylinder clips at a corner between samples would be
             // missed (Chebyshev: any cylinder point is within
-            // world_r + step/2 of some sample point)
+            // radius + step/2 of some sample point)
             let actual_step = len / steps as f64;
-            let pad = world_r + actual_step * 0.5 + 1e-9;
+            let pad = radius + actual_step * 0.5 + 1e-9;
             for i in 0..=steps {
                 let p = a.lerp(b, i as f64 / steps as f64);
                 spec.voxels_overlapping(&Aabb::cube(p, pad), &mut f);
@@ -128,6 +127,40 @@ fn object_voxels(spec: &GridSpec, obj: &Object, mut f: impl FnMut(Voxel)) {
     }
     if let Some(bb) = obj.world_aabb() {
         spec.voxels_overlapping(&bb, f);
+    }
+}
+
+/// The voxels some transition of a sequence changes: the union of
+/// [`changed_voxels`] over its consecutive frame pairs. A pair that
+/// changes [`ChangeSet::Everything`] adds nothing — it re-renders the whole
+/// region and never queries the log — so camera cuts keep the mask.
+///
+/// Every changed set a renderer of the sequence is asked about lies inside
+/// the mask, so a ray whose walk misses it can never make its pixel dirty:
+/// the engine walks it but does not store it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MoverMask {
+    /// One bit per voxel, by linear index.
+    pub(crate) bits: Vec<u64>,
+}
+
+impl MoverMask {
+    /// The mask of the sequence `frames` over the grid `spec`.
+    pub fn of_sequence(spec: &GridSpec, frames: impl IntoIterator<Item = Scene>) -> MoverMask {
+        let mut bits = vec![0u64; spec.voxel_count().div_ceil(64)];
+        let mut prev: Option<Scene> = None;
+        for scene in frames {
+            if let Some(ChangeSet::Voxels { voxels, .. }) =
+                prev.map(|p| changed_voxels(spec, &p, &scene))
+            {
+                for v in voxels {
+                    let i = spec.linear_index(v);
+                    bits[i >> 6] |= 1 << (i & 63);
+                }
+            }
+            prev = Some(scene);
+        }
+        MoverMask { bits }
     }
 }
 
@@ -190,7 +223,7 @@ mod tests {
         b.objects[0].set_transform(Affine::translate(Vec3::new(0.3, 0.0, 0.0)));
         let spec = spec_for(&a);
         match changed_voxels(&spec, &a, &b) {
-            ChangeSet::Voxels(vs) => {
+            ChangeSet::Voxels { voxels: vs, .. } => {
                 assert!(!vs.is_empty());
                 assert!(vs.len() < spec.voxel_count() / 4, "change must be local");
                 // every changed voxel is near the ball's swept volume
@@ -212,7 +245,7 @@ mod tests {
         b.objects[0].set_transform(Affine::translate(Vec3::new(4.0, 0.0, 0.0)));
         let wide = GridSpec::cubic(Aabb::cube(Point3::ZERO, 8.0), 16);
         match changed_voxels(&wide, &a, &b) {
-            ChangeSet::Voxels(vs) => {
+            ChangeSet::Voxels { voxels: vs, .. } => {
                 // the voxels between the two ends (e.g. around x=2, y=0) are
                 // NOT flagged
                 let mid = wide.voxel_of(Point3::new(2.0, 0.0, 0.0)).unwrap();
@@ -233,7 +266,12 @@ mod tests {
         b.objects[0].material = Material::chrome(Color::WHITE);
         let spec = spec_for(&a);
         match changed_voxels(&spec, &a, &b) {
-            ChangeSet::Voxels(vs) => assert!(!vs.is_empty()),
+            ChangeSet::Voxels { voxels, movers } => {
+                assert!(!voxels.is_empty());
+                // the ball did not move: both placements are the same ball
+                assert_eq!(movers.len(), 2);
+                assert_eq!(movers[0], movers[1]);
+            }
             ChangeSet::Everything => panic!(),
         }
     }
@@ -333,7 +371,7 @@ mod tests {
                 .then(&now_math::Affine::translate(Vec3::new(-1.7, -1.2, 0.4))),
         );
         let mut marked = std::collections::BTreeSet::new();
-        super::object_voxels(&spec, &obj, |v| {
+        super::object_voxels(&spec, &obj, &Bound::of(&obj).unwrap(), |v| {
             marked.insert(v);
         });
         assert!(!marked.is_empty());
@@ -356,11 +394,58 @@ mod tests {
     }
 
     #[test]
+    fn sheared_cylinder_voxelisation_covers_the_whole_tube() {
+        // regression: rotating a tube and then scaling it non-uniformly
+        // shears its cross-section into an ellipse whose long semi-axis
+        // (the largest singular value, 4 x 0.3 here) exceeds the longest
+        // transformed cross-section axis (0.3 x sqrt(8.5))
+        let spec = GridSpec::cubic(Aabb::cube(Point3::ZERO, 4.0), 32);
+        let obj = Object::new(
+            Geometry::Cylinder {
+                radius: 0.3,
+                y0: -1.0,
+                y1: 1.0,
+                capped: true,
+            },
+            Material::default(),
+        )
+        .with_transform(
+            Affine::rotate_axis(Vec3::UNIT_Y, std::f64::consts::FRAC_PI_4)
+                .then(&Affine::scale(Vec3::new(4.0, 1.0, 1.0))),
+        );
+        let mut marked = std::collections::BTreeSet::new();
+        super::object_voxels(&spec, &obj, &Bound::of(&obj).unwrap(), |v| {
+            marked.insert(v);
+        });
+        let mut samples = 0;
+        for i in 0..=200 {
+            let y = -1.0 + i as f64 / 100.0;
+            for k in 0..128 {
+                let (s, c) = (k as f64 * std::f64::consts::TAU / 128.0).sin_cos();
+                for r in [0.3, 0.15] {
+                    let p = obj.transform().point(Point3::new(r * c, y, r * s));
+                    let v = spec.voxel_of(p).expect("the tube is inside the grid");
+                    assert!(
+                        marked.contains(&v),
+                        "missed voxel {v:?} at y={y}, angle {k}"
+                    );
+                    samples += 1;
+                }
+            }
+        }
+        assert_eq!(samples, 2 * 201 * 128);
+    }
+
+    #[test]
     fn changeset_len_and_empty() {
         let spec = GridSpec::cubic(Aabb::cube(Point3::ZERO, 1.0), 4);
         assert_eq!(ChangeSet::Everything.len(&spec), 64);
         assert!(!ChangeSet::Everything.is_empty());
-        assert!(ChangeSet::Voxels(vec![]).is_empty());
-        assert_eq!(ChangeSet::Voxels(vec![Voxel::new(0, 0, 0)]).len(&spec), 1);
+        let local = |voxels| ChangeSet::Voxels {
+            voxels,
+            movers: Vec::new(),
+        };
+        assert!(local(vec![]).is_empty());
+        assert_eq!(local(vec![Voxel::new(0, 0, 0)]).len(&spec), 1);
     }
 }

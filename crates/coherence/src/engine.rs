@@ -4,19 +4,23 @@
 //! and asks of each changed voxel "which pixels are on your list?". This
 //! engine stores the same relation transposed — per recorded ray, the
 //! voxels it crossed — and asks of each recorded ray "did you cross a
-//! changed voxel?". The dirty set is the same set by construction (a pixel
-//! is dirty iff one of its live rays has a changed voxel on its path);
-//! what changes is the cost profile: recording a ray is one sequential
-//! append instead of one scattered list push per voxel, and the per-frame
-//! query is one linear scan of the log instead of a few list reads.
+//! changed voxel?". A pixel is dirty iff one of its live rays has a changed
+//! voxel on its path *and* its segment comes within a changed object's
+//! bound (DESIGN.md §14): the voxel test is the paper's, the bound test
+//! drops the rays that only pass near a mover. Recording a ray is one
+//! sequential append instead of one scattered list push per voxel, and the
+//! per-frame query is one linear scan of the log.
 //!
 //! Record grammar (stream state starts at `(pixel, gen) = (0, 0)`; all
 //! integers LEB128 varints, see [`crate::varint`]):
 //!
 //! ```text
-//! record = head [gen] start steps codes
+//! record = head [gen] seg start steps codes
 //! head   = varint( zigzag(pixel - prev_pixel) << 1 | (gen != prev_gen) )
 //! gen    = varint(gen)                  -- only when the flag bit is set
+//! seg    = 12 bytes: the ray over [0, t_max] clipped to the grid box, as
+//!          its entry and exit points, x y z each a little-endian u16
+//!          (0 = the box's min face, 65535 = its max face)
 //! start  = varint(linear index of the first voxel crossed)
 //! steps  = varint(number of step codes) -- voxels crossed, less one
 //! codes  = ceil(steps / 2) bytes: two 3-bit step codes per byte, low
@@ -30,8 +34,13 @@
 //! traversal.
 //!
 //! Consecutive rays of one pixel (its shadow feelers, its reflections)
-//! cost a 1-byte `head`; a typical 25-voxel path is 16 bytes, ~0.65 bytes
-//! per mark.
+//! cost a 1-byte `head`; a typical 25-voxel path is 28 bytes with its
+//! segment.
+//!
+//! An engine given a [`MoverMask`] stores only the rays whose path enters
+//! it: no changed set of the sequence lies outside the mask, so a ray that
+//! misses it can never pass the voxel test. Such a ray is walked (and
+//! counted in [`CoherenceStats::marks`]) but not logged.
 //!
 //! A record is *live* while its `gen` equals the pixel's current
 //! generation. [`CoherenceEngine::invalidate_pixels`] bumps the generation
@@ -40,37 +49,113 @@
 //! stale account, so [`CoherenceEngine::compact`] knows without looking
 //! whether there is anything to drop.
 
+use crate::bound::Bound;
+use crate::change::MoverMask;
 use crate::varint::{read_varint, unzigzag, zigzag};
 use now_grid::dda::{step_strides, VoxelPath};
 use now_grid::{GridSpec, Voxel};
-use now_math::Ray;
+use now_math::{Aabb, Axis, Interval, Point3, Ray, Vec3};
 use now_raytrace::{PixelId, RayKind, RayListener, ShardableListener};
+use std::sync::Arc;
 
 /// Bookkeeping statistics; Table 1's "overhead" column comes from the work
 /// these counters represent, and the cluster cost model charges time
 /// proportional to `marks`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoherenceStats {
-    /// Voxel-mark operations performed (per ray per voxel crossed).
+    /// Voxel-mark operations performed (per ray per voxel crossed): every
+    /// walked mark, stored or not.
     pub marks: u64,
     /// Marks currently stored in the log, live and stale (one "entry" is
-    /// one voxel of one recorded path).
+    /// one voxel of one recorded path); under a mover mask, fewer than
+    /// `marks` ever added.
     pub entries: u64,
     /// Marks dropped by compaction.
     pub purged: u64,
-    /// Rays recorded.
+    /// Rays observed.
     pub rays_recorded: u64,
     /// High-water mark of `entries`.
     pub peak_entries: u64,
     /// Log bytes currently stored, live and stale (the working-set cost
-    /// the cost model charges; well under one byte per entry).
+    /// the cost model charges).
     pub list_bytes: u64,
     /// Compaction passes that had something to drop.
     pub compactions: u64,
+    /// Dirty-set queries answered at voxel granularity because a changed
+    /// bound reached outside the grid box the segments are clipped to.
+    pub fallbacks: u64,
 }
 
-/// The frame-coherence data structure: every recorded ray's path through
-/// a uniform grid, tagged with the pixel that fired it.
+/// Bytes of a record's `seg`.
+const SEG_BYTES: usize = 12;
+
+/// Largest quantised coordinate (16 bits per axis).
+const SEG_MAX: f64 = 65535.0;
+
+/// Quanta per axis by which a decoded segment may stray from the true
+/// one and still be found near a bound. Rounding moves each endpoint by at
+/// most half a quantum per axis, so every point of the true clipped
+/// segment lies within half a quantum per axis of the decoded segment; the
+/// other half covers the f64 error of clipping and of the distance tests.
+const PAD_QUANTA: f64 = 1.0;
+
+/// How `seg` encodes a ray segment: clipped to the grid box, endpoints at
+/// 16 bits per axis of the box.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SegmentCodec {
+    bounds: Aabb,
+}
+
+impl SegmentCodec {
+    /// One quantum per axis: the box extent over 65535.
+    fn quantum(&self) -> Vec3 {
+        self.bounds.extent() / SEG_MAX
+    }
+
+    /// The Euclidean pad a bound is grown by: `PAD_QUANTA` quanta per axis.
+    fn pad(&self) -> f64 {
+        (self.quantum() * PAD_QUANTA).length()
+    }
+
+    /// Whether `b` lies inside the box the segments are clipped to (the
+    /// part of a ray outside it is not stored).
+    fn covers(&self, b: &Bound) -> bool {
+        let bb = b.aabb();
+        self.bounds.contains(bb.min) && self.bounds.contains(bb.max)
+    }
+
+    /// Append the `seg` of `ray` over `[0, t_max]`.
+    fn put(&self, out: &mut Vec<u8>, ray: &Ray, t_max: f64) {
+        let clip = self.bounds.ray_range(ray, Interval::new(0.0, t_max));
+        // a ray with a path crosses the box: the walk clips the same way
+        debug_assert!(!clip.is_empty(), "a recorded ray misses the grid box");
+        let (t0, t1) = if clip.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (clip.min, clip.max)
+        };
+        let e = self.bounds.extent();
+        for p in [ray.at(t0), ray.at(t1)] {
+            for a in Axis::ALL {
+                let q = ((p[a] - self.bounds.min[a]) / e[a] * SEG_MAX)
+                    .round()
+                    .clamp(0.0, SEG_MAX) as u16;
+                out.extend_from_slice(&q.to_le_bytes());
+            }
+        }
+    }
+
+    /// The endpoints a `seg` encodes.
+    fn get(&self, seg: &[u8]) -> (Point3, Point3) {
+        let u = |i: usize| u16::from_le_bytes([seg[2 * i], seg[2 * i + 1]]) as f64;
+        let q = self.quantum();
+        let at = |k: usize| self.bounds.min + Vec3::new(u(k), u(k + 1), u(k + 2)).hadamard(q);
+        (at(0), at(3))
+    }
+}
+
+/// The frame-coherence data structure: every recorded ray's segment and
+/// path through a uniform grid, tagged with the pixel that fired it.
 ///
 /// Implements [`RayListener`]: install it as the tracer's listener while
 /// rendering — over an accelerator built on this engine's grid
@@ -78,12 +163,16 @@ pub struct CoherenceStats {
 /// is appended to the log under the pixel being shaded.
 ///
 /// Equality compares the complete engine state — log bytes (including
-/// stale records), generation counters, live/stale byte accounts and
-/// statistics — so tests can assert that two render paths (e.g. 1-thread
-/// and N-thread) left the engine in exactly the same state.
+/// stale records), generation counters, live/stale byte accounts, the
+/// mask and statistics — so tests can assert that two render paths (e.g.
+/// 1-thread and N-thread) left the engine in exactly the same state.
 #[derive(Debug, Clone)]
 pub struct CoherenceEngine {
     spec: GridSpec,
+    seg: SegmentCodec,
+    /// Voxels some transition changes; `None` stores every ray.
+    mask: Option<Arc<MoverMask>>,
+    strides: [isize; 8],
     log: Vec<u8>,
     /// `(pixel, gen)` of the last record: what the next `head` is relative
     /// to.
@@ -109,6 +198,7 @@ pub struct CoherenceEngine {
 impl PartialEq for CoherenceEngine {
     fn eq(&self, other: &CoherenceEngine) -> bool {
         self.spec == other.spec
+            && self.mask == other.mask
             && self.log == other.log
             && self.tail == other.tail
             && self.gen == other.gen
@@ -154,9 +244,9 @@ struct Record {
     gen: u32,
     /// Offset of `head`.
     at: usize,
-    /// Offset of `start`: from here on a record does not depend on its
+    /// Offset of `seg`: from here on a record does not depend on its
     /// predecessor, so compaction moves it verbatim.
-    path: usize,
+    seg: usize,
     start: usize,
     steps: usize,
     /// Offset of `codes`.
@@ -183,7 +273,8 @@ impl Cursor {
         if head & 1 != 0 {
             self.gen = read_varint(log, &mut pos) as u32;
         }
-        let path = pos;
+        let seg = pos;
+        pos += SEG_BYTES;
         let start = read_varint(log, &mut pos) as usize;
         let steps = read_varint(log, &mut pos) as usize;
         self.pos = pos + steps.div_ceil(2);
@@ -191,7 +282,7 @@ impl Cursor {
             pixel: self.pixel,
             gen: self.gen,
             at,
-            path,
+            seg,
             start,
             steps,
             codes: pos,
@@ -220,11 +311,23 @@ fn path_hits(start: usize, codes: &[u8], strides: &[isize; 8], changed: &[u64]) 
     false
 }
 
+/// Whether a ray with `path` is stored under `mask`.
+#[inline]
+fn masked_in(mask: &Option<Arc<MoverMask>>, strides: &[isize; 8], path: &VoxelPath<'_>) -> bool {
+    mask.as_ref()
+        .is_none_or(|m| path_hits(path.start, path.codes, strides, &m.bits))
+}
+
 impl CoherenceEngine {
     /// Create an engine for a `pixel_count`-pixel image over the given grid.
     pub fn new(spec: GridSpec, pixel_count: usize) -> CoherenceEngine {
         CoherenceEngine {
             spec,
+            seg: SegmentCodec {
+                bounds: spec.bounds,
+            },
+            mask: None,
+            strides: step_strides(&spec),
             log: Vec::new(),
             tail: (0, 0),
             gen: vec![0; pixel_count],
@@ -236,6 +339,29 @@ impl CoherenceEngine {
         }
     }
 
+    /// Store only the rays whose path enters `mask` (built over this
+    /// engine's grid). Dirty sets stay exactly those of an unmasked
+    /// engine, as long as every changed set queried lies inside the mask.
+    pub fn with_mask(mut self, mask: Arc<MoverMask>) -> CoherenceEngine {
+        assert_eq!(
+            mask.bits.len(),
+            self.changed.len(),
+            "mover mask of another grid"
+        );
+        self.mask = Some(mask);
+        self
+    }
+
+    /// Forget every record and statistic; the grid, the pixel count and
+    /// the mask stay.
+    pub fn clear(&mut self) {
+        let mask = self.mask.take();
+        *self = CoherenceEngine {
+            mask,
+            ..CoherenceEngine::new(self.spec, self.gen.len())
+        };
+    }
+
     /// Current statistics.
     #[inline]
     pub fn stats(&self) -> CoherenceStats {
@@ -245,7 +371,8 @@ impl CoherenceEngine {
     /// Bytes held by the engine (the paper's observation that "memory
     /// requirements are directly proportional to the size of the image
     /// area" is measured through this): the log's capacity, not just its
-    /// stored bytes, plus the per-pixel and per-voxel side tables.
+    /// stored bytes, plus the per-pixel and per-voxel side tables. A mover
+    /// mask is shared between renderers and not counted.
     pub fn memory_bytes(&self) -> usize {
         self.log.capacity()
             + (self.gen.len() + self.live.len()) * 4
@@ -259,21 +386,42 @@ impl CoherenceEngine {
         self.stale_bytes
     }
 
-    /// The set of pixels (deduplicated, ascending) with a live recorded
-    /// ray through any of the given changed voxels — i.e. the pixels that
-    /// must be recomputed for the next frame.
+    /// The set of pixels (deduplicated, ascending) that must be recomputed
+    /// for the next frame: those with a live recorded ray whose path
+    /// crosses one of the `changed` voxels and whose segment comes within
+    /// one of the `movers` (the old and new bounds of every changed
+    /// object, what [`crate::changed_voxels`] produces beside `changed`).
     ///
-    /// `changed` must be sorted and deduplicated (what
-    /// [`crate::changed_voxels`] produces).
+    /// `changed` must be sorted and deduplicated. When a mover reaches
+    /// outside the grid box, whose outside the stored segments do not
+    /// cover, the answer is the voxel test's alone (counted in
+    /// [`CoherenceStats::fallbacks`]).
     ///
     /// One pass over the log: stale records and records of pixels already
     /// found dirty are skipped by their length, the rest are walked until
-    /// their first changed voxel. Engine state is untouched (`&mut` is for
-    /// the scratch bitmaps).
-    pub fn dirty_pixels(&mut self, changed: &[Voxel]) -> Vec<PixelId> {
+    /// their first changed voxel. Log state is untouched (`&mut` is for
+    /// the scratch bitmaps and the fallback count).
+    pub fn dirty_pixels(&mut self, changed: &[Voxel], movers: &[Bound]) -> Vec<PixelId> {
+        let exact = movers.iter().all(|b| self.seg.covers(b));
+        if !changed.is_empty() && !exact {
+            self.stats.fallbacks += 1;
+        }
+        self.scan(changed, exact.then_some(movers))
+    }
+
+    /// [`CoherenceEngine::dirty_pixels`] with the bound test when `movers`
+    /// is given, the voxel test alone when not.
+    fn scan(&mut self, changed: &[Voxel], movers: Option<&[Bound]>) -> Vec<PixelId> {
         debug_assert!(
             changed.windows(2).all(|w| w[0] < w[1]),
             "changed voxels must be sorted and deduplicated"
+        );
+        debug_assert!(
+            self.mask.as_ref().is_none_or(|m| changed.iter().all(|&v| {
+                let i = self.spec.linear_index(v);
+                m.bits[i >> 6] >> (i & 63) & 1 != 0
+            })),
+            "a changed voxel outside the mover mask"
         );
         if changed.is_empty() {
             return Vec::new();
@@ -282,7 +430,7 @@ impl CoherenceEngine {
             let i = self.spec.linear_index(v);
             self.changed[i >> 6] |= 1 << (i & 63);
         }
-        let strides = step_strides(&self.spec);
+        let pad = self.seg.pad();
         let mut dirty: Vec<PixelId> = Vec::new();
         let mut cur = Cursor::default();
         while cur.pos < self.log.len() {
@@ -292,10 +440,17 @@ impl CoherenceEngine {
                 continue;
             }
             let codes = &self.log[rec.codes..cur.pos];
-            if path_hits(rec.start, codes, &strides, &self.changed) {
-                self.seen[p >> 6] |= 1 << (p & 63);
-                dirty.push(rec.pixel);
+            if !path_hits(rec.start, codes, &self.strides, &self.changed) {
+                continue;
             }
+            if let Some(movers) = movers {
+                let (p0, p1) = self.seg.get(&self.log[rec.seg..]);
+                if !movers.iter().any(|b| b.near_segment(p0, p1, pad)) {
+                    continue;
+                }
+            }
+            self.seen[p >> 6] |= 1 << (p & 63);
+            dirty.push(rec.pixel);
         }
         for &v in changed {
             self.changed[self.spec.linear_index(v) >> 6] = 0;
@@ -347,12 +502,12 @@ impl CoherenceEngine {
             }
             let n = put_head(&mut head, tail, rec.pixel, rec.gen);
             assert!(
-                write + n <= rec.path,
+                write + n <= rec.seg,
                 "compaction write cursor passed its read cursor"
             );
             self.log[write..write + n].copy_from_slice(&head[..n]);
-            self.log.copy_within(rec.path..cur.pos, write + n);
-            let len = n + cur.pos - rec.path;
+            self.log.copy_within(rec.seg..cur.pos, write + n);
+            let len = n + cur.pos - rec.seg;
             self.live[p] = self.live[p] - (cur.pos - rec.at) as u32 + len as u32;
             write += len;
             tail = (rec.pixel, rec.gen);
@@ -369,11 +524,10 @@ impl CoherenceEngine {
         self.stats.compactions += 1;
     }
 
-    /// Append one record of `steps` step codes — `head [gen]`, then
-    /// whatever `body` writes, which must be the record's `start steps
-    /// codes`; returns the voxels it crosses.
+    /// Append one record of `marks` voxels — `head [gen]`, then whatever
+    /// `body` writes, which must be the record's `seg start steps codes`.
     #[inline]
-    fn append(&mut self, pixel: PixelId, steps: usize, body: impl FnOnce(&mut Vec<u8>)) -> u64 {
+    fn append(&mut self, pixel: PixelId, marks: u64, body: impl FnOnce(&mut Vec<u8>)) {
         let at = self.log.len();
         let gen = self.gen[pixel as usize];
         let mut head = [0u8; MAX_PREFIX];
@@ -383,17 +537,15 @@ impl CoherenceEngine {
         let len = self.log.len() - at;
         self.tail = (pixel, gen);
         self.live[pixel as usize] += len as u32;
-        let marks = steps as u64 + 1;
-        self.stats.marks += marks;
         self.stats.entries += marks;
         self.stats.peak_entries = self.stats.peak_entries.max(self.stats.entries);
         self.stats.list_bytes += len as u64;
-        marks
     }
 
-    /// Count one observed ray that left `marks` marks.
+    /// Count one observed ray whose walk made `marks` marks.
     #[inline]
     fn count_ray(&mut self, marks: u64) {
+        self.stats.marks += marks;
         self.stats.rays_recorded += 1;
         if now_trace::enabled() {
             // rays reach the engine in canonical shard order, so the mark
@@ -403,9 +555,10 @@ impl CoherenceEngine {
     }
 }
 
-/// Append `start steps codes` of `path` to `out`.
+/// Append `seg start steps codes` of `ray` over `[0, t_max]` with `path`.
 #[inline]
-fn put_path(out: &mut Vec<u8>, path: &VoxelPath<'_>) {
+fn put_body(out: &mut Vec<u8>, seg: &SegmentCodec, ray: &Ray, t_max: f64, path: &VoxelPath<'_>) {
+    seg.put(out, ray, t_max);
     let mut prefix = [0u8; MAX_PREFIX];
     let n = put_varint(&mut prefix, 0, path.start as u64);
     let n = put_varint(&mut prefix, n, path.steps as u64);
@@ -417,28 +570,37 @@ impl RayListener for CoherenceEngine {
     fn on_ray(
         &mut self,
         pixel: PixelId,
-        _ray: &Ray,
+        ray: &Ray,
         _kind: RayKind,
-        _t_max: f64,
+        t_max: f64,
         path: Option<VoxelPath<'_>>,
     ) {
         let marks = path.map_or(0, |path| {
             debug_assert!(path.start < self.spec.voxel_count(), "path of another grid");
-            self.append(pixel, path.steps, |log| put_path(log, &path))
+            let marks = path.steps as u64 + 1;
+            if masked_in(&self.mask, &self.strides, &path) {
+                let seg = self.seg;
+                self.append(pixel, marks, |log| put_body(log, &seg, ray, t_max, &path));
+            }
+            marks
         });
         self.count_ray(marks);
     }
 }
 
-/// One pool tile's rays, recorded off the engine's thread: every record's
-/// `start steps codes` bytes back to back, and per ray whose record they
-/// are. Only `head` depends on what precedes a record in the log, so
-/// [`CoherenceEngine::absorb_shard`] writes that and copies the rest.
-#[derive(Debug, Default)]
+/// One pool tile's rays, recorded off the engine's thread: every stored
+/// record's `seg start steps codes` bytes back to back, and per observed
+/// ray whose record they are. Only `head` depends on what precedes a
+/// record in the log, so [`CoherenceEngine::absorb_shard`] writes that and
+/// copies the rest.
+#[derive(Debug)]
 pub struct PathShard {
+    seg: SegmentCodec,
+    mask: Option<Arc<MoverMask>>,
+    strides: [isize; 8],
     bodies: Vec<u8>,
-    /// Per observed ray: its pixel, its step count and the length of its
-    /// body in `bodies` — 0 for a ray that crossed no voxel.
+    /// Per observed ray: its pixel, the marks its walk made and the length
+    /// of its body in `bodies` — 0 for a ray that is not stored.
     rays: Vec<(PixelId, u32, u32)>,
 }
 
@@ -447,18 +609,20 @@ impl RayListener for PathShard {
     fn on_ray(
         &mut self,
         pixel: PixelId,
-        _ray: &Ray,
+        ray: &Ray,
         _kind: RayKind,
-        _t_max: f64,
+        t_max: f64,
         path: Option<VoxelPath<'_>>,
     ) {
         let at = self.bodies.len();
-        let steps = path.map_or(0, |path| {
-            put_path(&mut self.bodies, &path);
-            path.steps as u32
+        let marks = path.map_or(0, |path| {
+            if masked_in(&self.mask, &self.strides, &path) {
+                put_body(&mut self.bodies, &self.seg, ray, t_max, &path);
+            }
+            path.steps as u32 + 1
         });
         self.rays
-            .push((pixel, steps, (self.bodies.len() - at) as u32));
+            .push((pixel, marks, (self.bodies.len() - at) as u32));
     }
 }
 
@@ -468,19 +632,24 @@ impl ShardableListener for CoherenceEngine {
     type Shard = PathShard;
 
     fn make_shard(&self) -> PathShard {
-        PathShard::default()
+        PathShard {
+            seg: self.seg,
+            mask: self.mask.clone(),
+            strides: self.strides,
+            bodies: Vec::new(),
+            rays: Vec::new(),
+        }
     }
 
     fn absorb_shard(&mut self, shard: PathShard) {
         let mut bodies = shard.bodies.as_slice();
-        for (pixel, steps, len) in shard.rays {
+        for (pixel, marks, len) in shard.rays {
             let (body, rest) = bodies.split_at(len as usize);
             bodies = rest;
-            let marks = match len {
-                0 => 0,
-                _ => self.append(pixel, steps as usize, |log| log.extend_from_slice(body)),
-            };
-            self.count_ray(marks);
+            if len > 0 {
+                self.append(pixel, marks as u64, |log| log.extend_from_slice(body));
+            }
+            self.count_ray(marks as u64);
         }
     }
 }
@@ -519,6 +688,11 @@ mod tests {
             let spec = self.spec;
             fire_at(self, &spec, pixel, ray, kind, t_max);
         }
+
+        /// The paper's voxel-granular dirty set: the voxel test alone.
+        fn voxel_dirty(&mut self, changed: &[Voxel]) -> Vec<PixelId> {
+            self.scan(changed, None)
+        }
     }
 
     fn x_ray(y: f64, z: f64) -> Ray {
@@ -537,7 +711,7 @@ mod tests {
     fn dirty_sets(e: &mut CoherenceEngine) -> Vec<Vec<PixelId>> {
         every_voxel(&e.spec.clone())
             .iter()
-            .map(|&v| e.dirty_pixels(&[v]))
+            .map(|&v| e.voxel_dirty(&[v]))
             .collect()
     }
 
@@ -572,11 +746,11 @@ mod tests {
         // pixel 9's ray crosses the row at y=2.5
         e.fire(9, &x_ray(2.5, 0.5), RayKind::Primary, f64::INFINITY);
 
-        let dirty = e.dirty_pixels(&[Voxel::new(2, 0, 0)]);
+        let dirty = e.voxel_dirty(&[Voxel::new(2, 0, 0)]);
         assert_eq!(dirty, vec![7]);
-        let dirty = e.dirty_pixels(&[Voxel::new(0, 2, 0), Voxel::new(3, 0, 0)]);
+        let dirty = e.voxel_dirty(&[Voxel::new(0, 2, 0), Voxel::new(3, 0, 0)]);
         assert_eq!(dirty, vec![7, 9]);
-        let dirty = e.dirty_pixels(&[Voxel::new(0, 0, 3)]);
+        let dirty = e.voxel_dirty(&[Voxel::new(0, 0, 3)]);
         assert!(dirty.is_empty());
     }
 
@@ -585,8 +759,8 @@ mod tests {
         let mut e = engine();
         // ray stops at t = 1.5 (origin -1, so x reaches 0.5): only voxel 0
         e.fire(3, &x_ray(0.5, 0.5), RayKind::Primary, 1.5);
-        assert_eq!(e.dirty_pixels(&[Voxel::new(0, 0, 0)]), vec![3]);
-        assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
+        assert_eq!(e.voxel_dirty(&[Voxel::new(0, 0, 0)]), vec![3]);
+        assert!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]).is_empty());
     }
 
     #[test]
@@ -595,12 +769,12 @@ mod tests {
         e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.fire(5, &x_ray(0.5, 0.5), RayKind::Shadow, f64::INFINITY);
         e.fire(5, &x_ray(0.6, 0.6), RayKind::Reflected, f64::INFINITY);
-        assert_eq!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]), vec![5]);
+        assert_eq!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]), vec![5]);
         // consecutive rays of one pixel pay a 1-byte head each
-        assert_eq!(e.stats().list_bytes, 3 * (1 + 1 + 1 + 2));
+        assert_eq!(e.stats().list_bytes, 3 * (1 + SEG_BYTES as u64 + 1 + 1 + 2));
         // a different pixel is reported beside it
         e.fire(6, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        assert_eq!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]), vec![5, 6]);
+        assert_eq!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]), vec![5, 6]);
     }
 
     #[test]
@@ -609,12 +783,12 @@ mod tests {
         e.fire(4, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.invalidate_pixels(&[4]);
         // old record no longer reported dirty
-        assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
+        assert!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]).is_empty());
         // re-record under the new generation: visible again
         e.fire(4, &x_ray(2.5, 2.5), RayKind::Primary, f64::INFINITY);
-        assert_eq!(e.dirty_pixels(&[Voxel::new(1, 2, 2)]), vec![4]);
+        assert_eq!(e.voxel_dirty(&[Voxel::new(1, 2, 2)]), vec![4]);
         // the old path stays stale
-        assert!(e.dirty_pixels(&[Voxel::new(1, 0, 0)]).is_empty());
+        assert!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]).is_empty());
         assert_accounts_exact(&e);
     }
 
@@ -632,7 +806,7 @@ mod tests {
         assert_eq!(e.stats().compactions, 1);
         assert_eq!(e.stale_bytes(), 0);
         // pixel 2 still intact
-        assert_eq!(e.dirty_pixels(&[Voxel::new(0, 1, 0)]), vec![2]);
+        assert_eq!(e.voxel_dirty(&[Voxel::new(0, 1, 0)]), vec![2]);
         assert_accounts_exact(&e);
     }
 
@@ -656,7 +830,7 @@ mod tests {
         for p in [9, 3, 7, 3, 9] {
             e.fire(p, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         }
-        let dirty = e.dirty_pixels(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
+        let dirty = e.voxel_dirty(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
         assert_eq!(dirty, vec![3, 7, 9]);
     }
 
@@ -671,8 +845,8 @@ mod tests {
         assert_eq!(s.rays_recorded, 1);
         assert_eq!(s.marks, 4);
         assert_eq!(s.entries, 4);
-        // head, start, steps, 3 step codes in 2 bytes
-        assert_eq!(s.list_bytes, 5);
+        // head, seg, start, steps, 3 step codes in 2 bytes
+        assert_eq!(s.list_bytes, 1 + SEG_BYTES as u64 + 1 + 1 + 2);
         assert!(e.memory_bytes() > 824);
     }
 
@@ -683,8 +857,8 @@ mod tests {
         e.fire(9, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         e.invalidate_pixels(&[9]);
         let before = e.clone();
-        assert!(e.dirty_pixels(&[]).is_empty());
-        assert_eq!(e.dirty_pixels(&[Voxel::new(0, 0, 0)]), vec![8]);
+        assert!(e.voxel_dirty(&[]).is_empty());
+        assert_eq!(e.voxel_dirty(&[Voxel::new(0, 0, 0)]), vec![8]);
         assert_eq!(e, before);
         assert_accounts_exact(&e);
     }
@@ -694,7 +868,7 @@ mod tests {
     #[should_panic(expected = "sorted and deduplicated")]
     fn adjacent_duplicate_voxels_violate_the_contract() {
         let mut e = engine();
-        e.dirty_pixels(&[Voxel::new(1, 0, 0), Voxel::new(1, 0, 0)]);
+        e.voxel_dirty(&[Voxel::new(1, 0, 0), Voxel::new(1, 0, 0)]);
     }
 
     #[test]
@@ -702,7 +876,7 @@ mod tests {
     #[should_panic(expected = "sorted and deduplicated")]
     fn unsorted_voxels_violate_the_contract() {
         let mut e = engine();
-        e.dirty_pixels(&[Voxel::new(2, 0, 0), Voxel::new(1, 0, 0)]);
+        e.voxel_dirty(&[Voxel::new(2, 0, 0), Voxel::new(1, 0, 0)]);
     }
 
     #[test]
@@ -710,7 +884,7 @@ mod tests {
         let mut e = engine();
         e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         // strictly ascending in the Voxel ordering: fine
-        let dirty = e.dirty_pixels(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
+        let dirty = e.voxel_dirty(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
         assert_eq!(dirty, vec![5]);
     }
 
@@ -942,16 +1116,268 @@ mod tests {
                         let mut changed = rng.vec(0, 5, |rng| *rng.pick(&voxels));
                         changed.sort_unstable();
                         changed.dedup();
-                        assert_eq!(engine.dirty_pixels(&changed), model.dirty(&changed));
+                        assert_eq!(engine.voxel_dirty(&changed), model.dirty(&changed));
                     }
                 }
                 assert_eq!(engine.stats().marks, model.marks);
             }
             assert_accounts_exact(&engine);
             for &v in &voxels {
-                assert_eq!(engine.dirty_pixels(&[v]), model.dirty(&[v]), "{v:?}");
+                assert_eq!(engine.voxel_dirty(&[v]), model.dirty(&[v]), "{v:?}");
             }
-            assert_eq!(engine.dirty_pixels(&voxels), model.dirty(&voxels));
+            assert_eq!(engine.voxel_dirty(&voxels), model.dirty(&voxels));
         });
+    }
+
+    /// `p` with its `a` coordinate replaced by `v`.
+    fn with_axis(p: Point3, a: usize, v: f64) -> Point3 {
+        let mut c = [p.x, p.y, p.z];
+        c[a] = v;
+        Point3::new(c[0], c[1], c[2])
+    }
+
+    /// The `seg` oracle: every point of a ray's true segment over `[0,
+    /// t_max]` that lies inside the grid box is within the codec's pad of
+    /// the decoded segment — for origins inside the box, outside it and
+    /// exactly on a face, axis-parallel, grazing and general directions,
+    /// and `t_max` of 0, finite and infinite. With `PAD_QUANTA` at 0 it
+    /// fails: rounding alone moves the endpoints.
+    #[test]
+    fn decoded_segments_stay_within_the_pad_of_the_true_ones() {
+        let bounds = Aabb::new(Point3::new(-1.0, 0.5, -3.0), Point3::new(7.0, 2.0, 9.0));
+        let codec = SegmentCodec { bounds };
+        let (lo, hi) = (bounds.min, bounds.max);
+        let mut rng = Rng::with_seed(0x0005_e60c_0dec);
+        // [on a face, t_max = 0, t_max = inf, axis-parallel, grazing]
+        let mut reached = [0u32; 5];
+        let mut points = 0u64;
+        for _ in 0..3000 {
+            let mut origin = Point3::new(
+                rng.f64_in(lo.x - 3.0, hi.x + 3.0),
+                rng.f64_in(lo.y - 3.0, hi.y + 3.0),
+                rng.f64_in(lo.z - 3.0, hi.z + 3.0),
+            );
+            let on_face = rng.u32_in(0, 3) == 0;
+            if on_face {
+                let a = rng.usize_in(0, 3);
+                let face = if rng.bool() { lo } else { hi };
+                origin = with_axis(origin, a, [face.x, face.y, face.z][a]);
+            }
+            let axis = rng.usize_in(0, 3);
+            let sign = if rng.bool() { 1.0 } else { -1.0 };
+            let unit = with_axis(Vec3::ZERO, axis, sign);
+            let kind = rng.u32_in(0, 4);
+            let dir = match kind {
+                0 => unit,
+                1 => (unit + with_axis(Vec3::ZERO, (axis + 1) % 3, 1e-9)).normalized(),
+                _ => random_ray(&mut rng).dir,
+            };
+            let t_max = match rng.u32_in(0, 4) {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                _ => rng.f64_in(0.0, 20.0),
+            };
+            let ray = Ray::new(origin, dir);
+            let clip = bounds.ray_range(&ray, Interval::new(0.0, t_max));
+            if clip.is_empty() {
+                continue;
+            }
+            let mut seg = Vec::new();
+            codec.put(&mut seg, &ray, t_max);
+            assert_eq!(seg.len(), SEG_BYTES);
+            let (d0, d1) = codec.get(&seg);
+            let end = t_max.min(clip.max + 1.0);
+            let mut inside = 0;
+            for k in 0..=256 {
+                let u = k as f64 / 256.0;
+                for t in [end * u, clip.min + (clip.max - clip.min) * u] {
+                    let p = ray.at(t);
+                    if !bounds.contains(p) {
+                        continue;
+                    }
+                    let point = Bound::Ball {
+                        center: p,
+                        radius: 0.0,
+                    };
+                    assert!(
+                        point.near_segment(d0, d1, codec.pad()),
+                        "{ray:?} t_max {t_max}: the point at t = {t} is off the decoded segment"
+                    );
+                    inside += 1;
+                }
+            }
+            points += inside;
+            let seen = [
+                on_face,
+                t_max == 0.0,
+                t_max.is_infinite(),
+                kind == 0,
+                kind == 1,
+            ];
+            for (n, hit) in reached.iter_mut().zip(seen) {
+                *n += (hit && inside > 0) as u32;
+            }
+        }
+        assert!(reached.iter().all(|&n| n >= 20), "{reached:?}");
+        assert!(points > 100_000, "{points} points checked");
+    }
+
+    /// A ball, capsule or box somewhere in `b`, up to `size` across.
+    fn random_bound(rng: &mut Rng, b: &Aabb, size: f64) -> Bound {
+        let mut p = || {
+            Point3::new(
+                rng.f64_in(b.min.x, b.max.x),
+                rng.f64_in(b.min.y, b.max.y),
+                rng.f64_in(b.min.z, b.max.z),
+            )
+        };
+        let (a, c) = (p(), p());
+        let r = rng.f64_in(0.05, size);
+        match rng.u32_in(0, 3) {
+            0 => Bound::Ball {
+                center: a,
+                radius: r,
+            },
+            1 => Bound::Capsule {
+                a,
+                b: a.lerp(c, 0.3),
+                radius: r * 0.3,
+            },
+            _ => Bound::Box(Aabb::new(a, a + (c - a).abs() * (size / 4.0))),
+        }
+    }
+
+    /// The changed voxels of `movers`: every voxel their boxes overlap.
+    fn voxels_of(spec: &GridSpec, movers: &[Bound]) -> Vec<Voxel> {
+        let mut voxels: Vec<Voxel> = movers
+            .iter()
+            .flat_map(|b| spec.voxels_overlapping_vec(&b.aabb()))
+            .collect();
+        voxels.sort_unstable();
+        voxels.dedup();
+        voxels
+    }
+
+    /// Differential oracle of the ray-exact dirty set: it is a subset of
+    /// the voxel-level set and a superset of the set an f64 reference
+    /// computes from the unquantised rays (path through a changed voxel,
+    /// segment meeting an unpadded bound). An engine masked by the union
+    /// of every query's voxels answers every query alike.
+    #[test]
+    fn exact_dirty_sets_sit_between_the_f64_reference_and_the_voxel_set() {
+        let box4 = Aabb::new(Point3::ZERO, Point3::splat(4.0));
+        let (mut tighter, mut referenced) = (0, 0);
+        for seed in 0..40 {
+            let mut rng = Rng::with_seed(0xd1_ff00 + seed);
+            let spec = GridSpec::new(
+                box4,
+                [
+                    rng.u32_in(1, 9) as u16,
+                    rng.u32_in(1, 9) as u16,
+                    rng.u32_in(1, 9) as u16,
+                ],
+            );
+            let queries: Vec<Vec<Bound>> = (0..8)
+                .map(|_| {
+                    let n = rng.usize_in(1, 4);
+                    (0..n)
+                        .map(|_| random_bound(&mut rng, &box4.expand(-0.8), 0.8))
+                        .collect()
+                })
+                .collect();
+            let mut bits = vec![0u64; spec.voxel_count().div_ceil(64)];
+            for v in queries.iter().flat_map(|q| voxels_of(&spec, q)) {
+                let i = spec.linear_index(v);
+                bits[i >> 6] |= 1 << (i & 63);
+            }
+            let pixels = 60;
+            let mut plain = CoherenceEngine::new(spec, pixels);
+            let mut masked =
+                CoherenceEngine::new(spec, pixels).with_mask(Arc::new(MoverMask { bits }));
+            // the rays each pixel's current generation fired
+            let mut live: Vec<Vec<(Ray, f64)>> = vec![Vec::new(); pixels];
+            for query in &queries {
+                for _ in 0..rng.usize_in(20, 120) {
+                    let pixel = rng.u32_in(0, pixels as u32);
+                    let ray = random_ray(&mut rng);
+                    let t_max = if rng.bool() {
+                        f64::INFINITY
+                    } else {
+                        rng.f64_in(0.0, 8.0)
+                    };
+                    plain.fire(pixel, &ray, RayKind::Primary, t_max);
+                    fire_at(&mut masked, &spec, pixel, &ray, RayKind::Primary, t_max);
+                    live[pixel as usize].push((ray, t_max));
+                }
+                let doomed = rng.vec(0, 6, |rng| rng.u32_in(0, pixels as u32));
+                plain.invalidate_pixels(&doomed);
+                masked.invalidate_pixels(&doomed);
+                for &p in &doomed {
+                    live[p as usize].clear();
+                }
+                let voxels = voxels_of(&spec, query);
+                let exact = plain.dirty_pixels(&voxels, query);
+                assert_eq!(masked.dirty_pixels(&voxels, query), exact, "seed {seed}");
+                let coarse = plain.voxel_dirty(&voxels);
+                assert!(exact.iter().all(|p| coarse.contains(p)), "seed {seed}");
+                let reference: Vec<PixelId> = (0..pixels as PixelId)
+                    .filter(|&p| {
+                        live[p as usize].iter().any(|(ray, t_max)| {
+                            let range = Interval::new(0.0, *t_max);
+                            let through = spec
+                                .traverse_vec(ray, range)
+                                .iter()
+                                .any(|v| voxels.binary_search(v).is_ok());
+                            let clip = spec.bounds.ray_range(ray, range);
+                            through
+                                && !clip.is_empty()
+                                && query.iter().any(|b| {
+                                    b.near_segment(ray.at(clip.min), ray.at(clip.max), 0.0)
+                                })
+                        })
+                    })
+                    .collect();
+                assert!(
+                    reference.iter().all(|p| exact.contains(p)),
+                    "seed {seed}: {reference:?} not within {exact:?}"
+                );
+                tighter += (exact.len() < coarse.len()) as u32;
+                referenced += !reference.is_empty() as u32;
+            }
+            assert_eq!(plain.stats().marks, masked.stats().marks);
+            assert!(masked.stats().entries <= plain.stats().entries);
+            assert_eq!(plain.stats().fallbacks, 0);
+            assert_accounts_exact(&plain);
+            assert_accounts_exact(&masked);
+        }
+        assert!(
+            tighter >= 50,
+            "the bound test dropped pixels in only {tighter} queries"
+        );
+        assert!(
+            referenced >= 100,
+            "{referenced} queries with a reference pixel"
+        );
+    }
+
+    /// A mover reaching outside the grid box, where no segment is stored,
+    /// gets the voxel-level answer and is counted.
+    #[test]
+    fn a_mover_outside_the_grid_falls_back_to_the_voxel_test() {
+        let mut e = engine();
+        e.fire(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        let voxels = [Voxel::new(3, 0, 0)];
+        let far = Bound::Ball {
+            center: Point3::new(3.5, 3.5, 3.5),
+            radius: 0.2,
+        };
+        assert!(e.dirty_pixels(&voxels, &[far]).is_empty());
+        assert_eq!(e.stats().fallbacks, 0);
+        let leaving = Bound::Ball {
+            center: Point3::new(4.0, 3.5, 3.5),
+            radius: 0.2,
+        };
+        assert_eq!(e.dirty_pixels(&voxels, &[leaving]), vec![7]);
+        assert_eq!(e.stats().fallbacks, 1);
     }
 }

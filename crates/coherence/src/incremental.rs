@@ -9,7 +9,7 @@
 //! pixel in the block needs to be updated, all pixels in the block are
 //! re-computed"), which the paper contrasts against.
 
-use crate::change::{changed_voxels, ChangeSet};
+use crate::change::{changed_voxels, ChangeSet, MoverMask};
 use crate::engine::{CoherenceEngine, CoherenceStats};
 use crate::region::PixelRegion;
 use now_grid::dda::VoxelPath;
@@ -19,6 +19,7 @@ use now_raytrace::{
     render_pixels_par, Framebuffer, GridAccel, ParallelStats, PixelId, RayKind, RayListener,
     RayStats, RenderSettings, Scene, ShardableListener,
 };
+use std::sync::Arc;
 
 /// Maps pixels to coherence groups (1x1 groups = pixel granularity).
 #[derive(Debug, Clone, Copy)]
@@ -233,6 +234,16 @@ impl CoherentRenderer {
         self
     }
 
+    /// Store only the rays that can reach a mover: `mask` is the
+    /// [`MoverMask`] of the sequence this renderer will render, over its
+    /// grid. Frames, re-rendered pixels and ray counts stay exactly those
+    /// of an unmasked renderer; the log, its compactions and the per-frame
+    /// scan shrink by the share of rays that miss every mover.
+    pub fn with_mover_mask(mut self, mask: Arc<MoverMask>) -> Self {
+        self.engine = CoherenceEngine::new(self.spec, self.map.group_count()).with_mask(mask);
+        self
+    }
+
     /// The region this renderer owns.
     pub fn region(&self) -> PixelRegion {
         self.region
@@ -258,7 +269,7 @@ impl CoherentRenderer {
     /// camera moved: "any camera movement logically separates one sequence
     /// from another").
     pub fn reset(&mut self) {
-        self.engine = CoherenceEngine::new(self.spec, self.map.group_count());
+        self.engine.clear();
         self.prev = None;
         self.frame_index = 0;
     }
@@ -340,7 +351,9 @@ impl CoherentRenderer {
                 let changed_n = change.len(&self.spec);
                 let (dirty_groups, full): (Vec<u32>, bool) = match &change {
                     ChangeSet::Everything => (Vec::new(), true),
-                    ChangeSet::Voxels(vs) => (self.engine.dirty_pixels(vs), false),
+                    ChangeSet::Voxels { voxels, movers } => {
+                        (self.engine.dirty_pixels(voxels, movers), false)
+                    }
                 };
                 let mut fb = prev_fb;
                 let ids: Vec<PixelId> = if full {

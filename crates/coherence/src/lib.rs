@@ -24,7 +24,13 @@
 //!   append-only log of ray paths with generation stamps; it implements
 //!   [`now_raytrace::RayListener`], so plugging it into the tracer records
 //!   every camera/reflected/refracted/shadow ray.
-//! * [`change`] — conservative change-voxel detection between two scenes.
+//! * [`change`] — conservative change-voxel detection between two scenes,
+//!   and the [`MoverMask`] of a whole sequence (a ray that misses it is
+//!   walked but never stored).
+//! * [`bound`] — the tight [`Bound`] of a changed object's old and new
+//!   placement; a pixel is dirty only when one of its rays both crosses a
+//!   changed voxel and passes within such a bound (an extension of the
+//!   paper's voxel-granular test).
 //! * [`CoherentRenderer`] — incremental sequence renderer: frame `t+1` is
 //!   frame `t` plus a re-render of exactly the dirty pixels.
 //! * [`CoherentRenderer::with_region_and_block`] — the cited Jevans
@@ -32,6 +38,7 @@
 //!   recomputes its whole block.
 //! * [`diff`] — actual-vs-predicted difference maps (paper Fig. 2).
 
+pub mod bound;
 pub mod change;
 pub mod diff;
 pub mod engine;
@@ -40,7 +47,8 @@ pub mod region;
 pub mod tiledelta;
 pub mod varint;
 
-pub use change::{changed_voxels, ChangeSet};
+pub use bound::Bound;
+pub use change::{changed_voxels, ChangeSet, MoverMask};
 pub use diff::DiffMaps;
 pub use engine::{CoherenceEngine, CoherenceStats};
 pub use incremental::{CoherentRenderer, FrameReport};

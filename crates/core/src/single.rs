@@ -2,11 +2,12 @@
 
 use crate::cost::CostModel;
 use now_anim::Animation;
-use now_coherence::CoherentRenderer;
+use now_coherence::{CoherentRenderer, MoverMask};
 use now_grid::GridSpec;
 use now_raytrace::{
     render_pixels_par, Framebuffer, GridAccel, NullListener, PixelId, RayStats, RenderSettings,
 };
+use std::sync::Arc;
 
 /// The (virtual) workstation a single-processor run executes on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,6 +153,7 @@ pub fn render_sequence(
                 SequenceMode::BlockCoherent(b) => b,
                 _ => 1,
             };
+            let mask = MoverMask::of_sequence(&spec, (0..anim.frames).map(|f| anim.scene_at(f)));
             let mut renderer = CoherentRenderer::with_region_and_block(
                 spec,
                 width,
@@ -159,7 +161,8 @@ pub fn render_sequence(
                 now_coherence::PixelRegion::full(width, height),
                 block,
                 settings.clone(),
-            );
+            )
+            .with_mover_mask(Arc::new(mask));
             let mut prev_marks = 0u64;
             for f in 0..anim.frames {
                 let scene = anim.scene_at(f);

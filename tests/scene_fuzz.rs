@@ -1,34 +1,39 @@
 //! Seeded random-scene differential test of the paper's central claim, on
 //! scenes nobody hand-picked: for every generated animation the
 //! incremental (coherent) frame equals the from-scratch frame, the
-//! re-rendered set covers every pixel that actually changed, and the
+//! re-rendered set covers every pixel that actually changed, the
 //! coherence engine ends in the same state — log bytes included — whether
-//! one thread rendered or three.
+//! one thread rendered or three, and a renderer under the sequence's mover
+//! mask re-renders exactly what an unmasked one does.
 //!
 //! The generator builds scenes through the Rust API: spheres, cylinders
 //! and cuboids in every material, at least one mover thinner than a voxel,
-//! often an object that leaves the grid altogether, and now and then no
-//! object at all. The grid is fixed per seed and deliberately *not* sized
-//! to the motion.
+//! movers scaled non-uniformly before and after their rotation (so some
+//! are sheared), often an object that leaves the grid altogether, and now
+//! and then no object at all. The grid is fixed per seed and deliberately
+//! *not* sized to the motion.
 
 use now_testkit::Rng;
-use nowrender::coherence::CoherentRenderer;
+use nowrender::coherence::{CoherentRenderer, MoverMask};
 use nowrender::grid::GridSpec;
 use nowrender::math::{Aabb, Affine, Color, Point3, Vec3};
 use nowrender::raytrace::{
     render_frame, Camera, Framebuffer, Geometry, GridAccel, Material, NullListener, Object,
     PointLight, RayStats, RenderSettings, Scene,
 };
+use std::sync::Arc;
 
 const W: u32 = 48;
 const H: u32 = 36;
 const FRAMES: usize = 4;
 const SEEDS: u64 = 64;
 
-/// A mover: which object, where it starts, and how it turns and travels
-/// from frame to frame.
+/// A mover: which object, how it is scaled before and after it turns,
+/// where it starts, and how it turns and travels from frame to frame.
 struct Mover {
     object: usize,
+    pre: Vec3,
+    post: Vec3,
     home: Vec3,
     spin: Vec3,
     step: Vec3,
@@ -37,8 +42,23 @@ struct Mover {
 impl Mover {
     fn transform_at(&self, f: usize) -> Affine {
         let f = f as f64;
-        Affine::rotate_axis(self.spin, 0.4 * f).then(&Affine::translate(self.home + self.step * f))
+        Affine::scale(self.pre)
+            .then(&Affine::rotate_axis(self.spin, 0.4 * f))
+            .then(&Affine::scale(self.post))
+            .then(&Affine::translate(self.home + self.step * f))
     }
+}
+
+/// A per-axis scale: uniform 1 half the time, else each axis in [0.6, 1.5].
+fn scale(rng: &mut Rng) -> Vec3 {
+    if rng.bool() {
+        return Vec3::splat(1.0);
+    }
+    Vec3::new(
+        rng.f64_in(0.6, 1.5),
+        rng.f64_in(0.6, 1.5),
+        rng.f64_in(0.6, 1.5),
+    )
 }
 
 struct Fuzzed {
@@ -188,6 +208,8 @@ fn generate(rng: &mut Rng) -> Fuzzed {
         leaves_grid |= leaves;
         movers.push(Mover {
             object: base.add_object(Object::new(g, material(rng))) as usize,
+            pre: scale(rng),
+            post: scale(rng),
             home: point_in(rng, &inner) - Point3::ZERO,
             spin: Vec3::new(rng.f64_in(-1.0, 1.0), 1.0, rng.f64_in(-1.0, 1.0)).normalized(),
             step,
@@ -221,13 +243,24 @@ fn coherent_equals_scratch_on_generated_scenes() {
     let mut empty_scenes = 0;
     let mut leavers = 0;
     let mut marks = 0;
+    let (mut sheared, mut masked_out, mut fell_back) = (0, 0, 0);
     for seed in 0..SEEDS {
         let mut rng = Rng::with_seed(0x0005_ce9e_f022 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let fuzzed = generate(&mut rng);
         empty_scenes += fuzzed.base.objects.is_empty() as u32;
         leavers += fuzzed.leaves_grid as u32;
+        sheared += fuzzed.movers.iter().any(|m| m.post != Vec3::splat(1.0)) as u32;
+        let mask = Arc::new(MoverMask::of_sequence(
+            &fuzzed.spec,
+            (0..FRAMES).map(|f| fuzzed.scene_at(f)),
+        ));
         let mut serial = CoherentRenderer::new(fuzzed.spec, W, H, settings(1));
         let mut pooled = CoherentRenderer::new(fuzzed.spec, W, H, settings(3));
+        let masked = |threads| {
+            CoherentRenderer::new(fuzzed.spec, W, H, settings(threads))
+                .with_mover_mask(Arc::clone(&mask))
+        };
+        let (mut masked_serial, mut masked_pooled) = (masked(1), masked(3));
         let mut previous: Option<Framebuffer> = None;
         for f in 0..FRAMES {
             let scene = fuzzed.scene_at(f);
@@ -243,6 +276,31 @@ fn coherent_equals_scratch_on_generated_scenes() {
             assert_eq!(pooled_report.rendered, report.rendered);
             assert_eq!(pooled_report.rays, report.rays);
             assert_eq!(pooled_report.coherence, report.coherence);
+
+            // the mask changes what is stored, never what is re-rendered
+            let (masked_fb, masked_report) = masked_serial.render_next(&scene);
+            assert!(masked_fb == fb, "seed {seed} frame {f}: masked frame");
+            assert_eq!(
+                masked_report.rendered, report.rendered,
+                "seed {seed} frame {f}"
+            );
+            assert_eq!(masked_report.full_render, report.full_render);
+            assert_eq!(masked_report.changed_voxels, report.changed_voxels);
+            assert_eq!(masked_report.rays, report.rays);
+            let (c, m) = (report.coherence, masked_report.coherence);
+            assert_eq!(
+                (m.marks, m.rays_recorded, m.fallbacks),
+                (c.marks, c.rays_recorded, c.fallbacks),
+                "seed {seed} frame {f}"
+            );
+            assert!(m.entries <= c.entries && m.list_bytes <= c.list_bytes);
+            let (masked_pooled_fb, masked_pooled_report) = masked_pooled.render_next(&scene);
+            assert!(
+                masked_pooled_fb == fb,
+                "seed {seed} frame {f}: masked, 3 threads"
+            );
+            assert_eq!(masked_pooled_report.rendered, report.rendered);
+            assert_eq!(masked_pooled_report.coherence, m);
 
             if let Some(previous) = &previous {
                 assert!(!report.full_render, "seed {seed} frame {f}");
@@ -262,6 +320,14 @@ fn coherent_equals_scratch_on_generated_scenes() {
             pooled.engine(),
             "seed {seed}: engine state differs between 1 and 3 pool threads"
         );
+        assert_eq!(
+            masked_serial.engine(),
+            masked_pooled.engine(),
+            "seed {seed}: masked engine state differs between 1 and 3 pool threads"
+        );
+        let stats = masked_serial.coherence_stats();
+        masked_out += (stats.entries + stats.purged < stats.marks) as u32;
+        fell_back += (stats.fallbacks > 0) as u32;
         marks += serial.coherence_stats().marks;
     }
     // the generator reaches what it was written to reach
@@ -271,5 +337,14 @@ fn coherent_equals_scratch_on_generated_scenes() {
         "{leavers} scenes with an object leaving the grid"
     );
     assert!(partial_frames >= 60, "{partial_frames} partial re-renders");
+    assert!(sheared >= 16, "{sheared} scenes with a sheared mover");
+    assert!(
+        masked_out >= 48,
+        "the mask dropped a walked mark in only {masked_out} scenes"
+    );
+    assert!(
+        fell_back >= 10,
+        "a mover outside the grid forced the voxel-level set in only {fell_back} scenes"
+    );
     assert!(marks > 1_000_000, "{marks} marks");
 }
