@@ -22,8 +22,22 @@
 //! The CRC (the shared [`now_math::crc32`], same as the PNG encoder) is
 //! over the payload only, so a torn length prefix, a torn payload and
 //! trailing garbage are all caught the same way: the first frame that
-//! fails to validate ends the log. Each append is `fsync`ed before it is
-//! acknowledged, so an acknowledged record survives a crash.
+//! fails to validate ends the log. A zero-length frame ends it too: no
+//! writer emits an empty payload, and a zero-filled tail (a power cut on a
+//! filesystem that commits the file size before the data, or a
+//! preallocated file) would otherwise read as a run of empty records,
+//! since the CRC-32 of nothing is 0.
+//!
+//! ## Durability: append and stage
+//!
+//! [`JournalWriter::append`] writes a record and `sync_data`s it before
+//! returning, so an acknowledged append survives a crash.
+//! [`JournalWriter::stage`] writes the same frame without the sync: it
+//! becomes durable with the next `append`, because `sync_data` on the
+//! journal's descriptor covers every byte written before it (group
+//! commit). A crash can lose staged records not yet followed by an
+//! append, never an appended one, and what it leaves is still a prefix of
+//! the log plus at most a torn tail — the state [`scan`] recovers from.
 //!
 //! ## Torn-tail recovery
 //!
@@ -112,7 +126,7 @@ pub fn scan(bytes: &[u8]) -> RecoveredLog {
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_RECORD || bytes.len() - pos - 8 < len {
+        if len == 0 || len > MAX_RECORD || bytes.len() - pos - 8 < len {
             log.torn = true;
             break;
         }
@@ -146,8 +160,9 @@ fn sync_parent(path: &Path) {
     }
 }
 
-/// Append-only writer over the journal format, with per-append `fsync`
-/// and optional deterministic crash injection.
+/// Append-only writer over the journal format: [`append`](Self::append)
+/// syncs each record, [`stage`](Self::stage) leaves it for the next
+/// append's sync to cover. Optional deterministic crash injection.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: std::fs::File,
@@ -155,10 +170,13 @@ pub struct JournalWriter {
     /// counts), not the total file length after recovery.
     written: u64,
     records: u64,
+    /// `sync_data` calls this writer issued on the journal file.
+    syncs: u64,
     dead: bool,
     fault: JournalFaultPlan,
-    /// Optional armed disk-fault plan, consulted once per append under
-    /// the given label (typically the journal's path).
+    /// Optional armed disk-fault plan, consulted once per record written
+    /// (appended or staged) under the given label (typically the
+    /// journal's path).
     disk: Option<(String, DiskFaults)>,
 }
 
@@ -175,13 +193,14 @@ impl JournalWriter {
             file,
             written: 0,
             records: 0,
+            syncs: 0,
             dead: false,
             fault,
             disk: None,
         };
         w.write_limited(MAGIC)?;
         if !w.dead {
-            w.file.sync_data()?;
+            w.sync()?;
             sync_parent(path);
         }
         Ok(w)
@@ -206,30 +225,36 @@ impl JournalWriter {
             return Ok((w, log));
         }
         let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
-        if log.torn {
-            file.set_len(log.valid_len)?;
-            file.sync_data()?;
-        }
         file.seek(SeekFrom::Start(log.valid_len))?;
-        let w = JournalWriter {
+        let mut w = JournalWriter {
             file,
             written: 0,
             records: log.records.len() as u64,
+            syncs: 0,
             dead: false,
             fault,
             disk: None,
         };
+        if log.torn {
+            w.file.set_len(log.valid_len)?;
+            w.sync()?;
+        }
         Ok((w, log))
     }
 
-    /// Attach an armed [`DiskFaults`] plan: every append first consults
-    /// the plan under `label` (usually the journal's path) and suffers
-    /// whichever fault trips — `ENOSPC`/`EIO` surface as the append's
-    /// `Err`, a torn write cuts the record partway and kills the writer
+    /// Attach an armed [`DiskFaults`] plan: every append or stage first
+    /// consults the plan under `label` (usually the journal's path) and
+    /// suffers whichever fault trips — `ENOSPC`/`EIO` surface as the
+    /// call's `Err`, a torn write cuts the record partway and kills the writer
     /// exactly like a [`JournalFaultPlan`] budget crash.
     pub fn with_disk_faults(mut self, label: &str, faults: DiskFaults) -> JournalWriter {
         self.disk = Some((label.to_string(), faults));
         self
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.syncs += 1;
+        self.file.sync_data()
     }
 
     /// Write only `prefix` of the bytes that were due, sync, and play
@@ -237,7 +262,7 @@ impl JournalWriter {
     fn die_after(&mut self, prefix: &[u8]) -> io::Result<()> {
         self.file.write_all(prefix)?;
         self.written += prefix.len() as u64;
-        let _ = self.file.sync_data();
+        let _ = self.sync();
         self.dead = true;
         Ok(())
     }
@@ -259,12 +284,33 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Append one record (length prefix, CRC, payload) and `fsync` it.
+    /// Append one record (length prefix, CRC, payload) and `sync_data`
+    /// it, which also makes every record staged before it durable.
     /// Returns `Ok(true)` when the record is durably on disk, `Ok(false)`
     /// when the writer is dead (fault injected) and the record was
-    /// dropped or cut short.
+    /// dropped or cut short. An empty payload is refused
+    /// (`InvalidInput`): [`scan`] reads a zero-length frame as a torn tail.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<bool> {
+        if !self.stage(payload)? {
+            return Ok(false);
+        }
+        self.sync()?;
+        Ok(true)
+    }
+
+    /// Write one record exactly as [`append`](Self::append) does — same
+    /// frame, same fault budget, same disk-fault check — but without the
+    /// sync: the record becomes durable with the next append. Returns
+    /// `Ok(true)` when the record was written, `Ok(false)` when the writer
+    /// is dead and the record was dropped or cut short.
+    pub fn stage(&mut self, payload: &[u8]) -> io::Result<bool> {
         assert!(payload.len() <= MAX_RECORD, "journal record too large");
+        if payload.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "empty journal record",
+            ));
+        }
         if self.dead {
             return Ok(false);
         }
@@ -288,7 +334,6 @@ impl JournalWriter {
         if self.dead {
             return Ok(false);
         }
-        self.file.sync_data()?;
         self.records += 1;
         Ok(true)
     }
@@ -299,9 +344,15 @@ impl JournalWriter {
     }
 
     /// Total valid records in the journal: those recovered at open plus
-    /// those appended since.
+    /// those appended or staged since.
     pub fn records(&self) -> u64 {
         self.records
+    }
+
+    /// `sync_data` calls this writer has issued on the journal file
+    /// (creation, torn-tail truncation and each append).
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 }
 
@@ -324,12 +375,17 @@ mod tests {
     #[test]
     fn append_then_read_roundtrip() {
         let path = scratch("roundtrip");
-        let payloads: [&[u8]; 3] = [b"alpha", b"", b"a longer third record payload"];
+        let payloads: [&[u8]; 3] = [b"alpha", b"b", b"a longer third record payload"];
         let mut w = JournalWriter::create(&path, JournalFaultPlan::none()).unwrap();
         for p in payloads {
             assert!(w.append(p).unwrap());
         }
         assert_eq!(w.records(), 3);
+        let err = w.append(b"").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "empty append");
+        let err = w.stage(b"").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "empty stage");
+        assert_eq!(w.records(), 3, "a refused record is not counted");
 
         let log = read_log(&path).unwrap();
         assert!(!log.torn);
@@ -370,6 +426,18 @@ mod tests {
                 || clean.ends.contains(&(cut as u64))
                 || (cut == MAGIC.len() && expect == 0);
             assert_eq!(log.torn, cut != 0 && !at_boundary, "torn flag at {cut}");
+
+            // the same cut followed by a zero-filled tail (what a power
+            // cut can leave when the size is committed before the data)
+            // recovers the same records and reads as torn
+            for pad in [1, 8, 64] {
+                let mut padded = full[..cut].to_vec();
+                padded.resize(cut + pad, 0);
+                let log = scan(&padded);
+                assert_eq!(log.records.len(), expect, "cut {cut} + {pad} zeros");
+                assert!(log.torn, "cut {cut} + {pad} zeros must read as torn");
+                assert!(log.valid_len <= cut as u64);
+            }
         }
         cleanup(&path);
     }
@@ -514,6 +582,96 @@ mod tests {
 
         let (_, log) = JournalWriter::open_recover(&path, JournalFaultPlan::none()).unwrap();
         assert_eq!(log.records, vec![b"first".to_vec(), b"third".to_vec()]);
+        cleanup(&path);
+    }
+
+    /// Staged records are written at once, synced by nothing, and read
+    /// back like appended ones once a later append has synced them all.
+    #[test]
+    fn staged_records_become_durable_with_the_next_append() {
+        let path = scratch("stage");
+        let mut w = JournalWriter::create(&path, JournalFaultPlan::none()).unwrap();
+        assert_eq!(w.syncs(), 1, "creation syncs the magic");
+        assert!(w.append(b"header").unwrap());
+        for p in [b"unit-0", b"unit-1", b"unit-2"] {
+            assert!(w.stage(p).unwrap());
+        }
+        assert_eq!(w.syncs(), 2, "staging issues no sync");
+        assert!(w.append(b"frame").unwrap());
+        assert_eq!(w.syncs(), 3, "one sync covers the staged records");
+        assert_eq!(w.records(), 5);
+        drop(w);
+
+        let log = read_log(&path).unwrap();
+        assert!(!log.torn);
+        let expect: [&[u8]; 5] = [b"header", b"unit-0", b"unit-1", b"unit-2", b"frame"];
+        assert_eq!(log.records, expect.map(<[u8]>::to_vec));
+        cleanup(&path);
+    }
+
+    /// `kill_after_bytes` counts staged bytes: a cut inside a staged
+    /// record recovers to the record before it.
+    #[test]
+    fn fault_budget_cuts_inside_a_staged_record() {
+        let path = scratch("stage_fault");
+        let first_len = (MAGIC.len() + 8 + 4) as u64;
+        let cut = first_len + 8 + 2;
+        let mut w =
+            JournalWriter::create(&path, JournalFaultPlan::none().kill_after_bytes(cut)).unwrap();
+        assert!(w.append(b"aaaa").unwrap());
+        assert!(!w.stage(b"bbbb").unwrap(), "stage past budget is dropped");
+        assert!(!w.alive());
+        assert_eq!(w.written, cut);
+        drop(w);
+
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), cut);
+        let (_, log) = JournalWriter::open_recover(&path, JournalFaultPlan::none()).unwrap();
+        assert!(log.torn);
+        assert_eq!(log.records, vec![b"aaaa".to_vec()]);
+        cleanup(&path);
+    }
+
+    /// A dead writer drops staged records like appended ones.
+    #[test]
+    fn dead_writer_drops_staged_records() {
+        let path = scratch("stage_dead");
+        let cut = (MAGIC.len() + 8 + 4) as u64;
+        let mut w =
+            JournalWriter::create(&path, JournalFaultPlan::none().kill_after_bytes(cut)).unwrap();
+        assert!(w.stage(b"kept").unwrap());
+        assert!(!w.stage(b"x").unwrap(), "the budget is spent: dies here");
+        assert!(!w.alive());
+        assert!(!w.stage(b"dropped").unwrap());
+        assert!(!w.append(b"dropped too").unwrap());
+        assert_eq!(w.records(), 1);
+        drop(w);
+        assert_eq!(read_log(&path).unwrap().records, vec![b"kept".to_vec()]);
+        cleanup(&path);
+    }
+
+    /// A `disk=` rule counts staged writes and appends as one sequence of
+    /// writes: the N-th record fails whichever call wrote it.
+    #[test]
+    fn disk_faults_count_staged_writes_like_appends() {
+        use crate::chaos::DiskFaultPlan;
+        let path = scratch("stage_disk");
+        let faults = DiskFaultPlan::none()
+            .enospc_at("run.journal", 1)
+            .torn_at("run.journal", 3)
+            .arm();
+        let mut w = JournalWriter::create(&path, JournalFaultPlan::none())
+            .unwrap()
+            .with_disk_faults(path.to_str().unwrap(), faults.clone());
+        assert!(w.append(b"header").unwrap());
+        let err = w.stage(b"no-space").unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(28), "ENOSPC on the 2nd write");
+        assert!(w.stage(b"unit").unwrap());
+        assert!(!w.stage(b"torn").unwrap(), "the 4th write is torn");
+        assert!(!w.alive());
+        assert_eq!(faults.injected(), 2);
+        drop(w);
+        let log = read_log(&path).unwrap();
+        assert_eq!(log.records, vec![b"header".to_vec(), b"unit".to_vec()]);
         cleanup(&path);
     }
 

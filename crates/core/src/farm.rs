@@ -751,6 +751,7 @@ fn record_farm_trace(master: &FarmMaster, report: &now_cluster::RunReport) {
     // of plain runs stay byte-identical
     if let Some(journal) = &master.journal {
         rec.counter_add("journal.records", journal.records());
+        rec.counter_add("journal.syncs", journal.syncs());
         rec.counter_add("farm.resumed_units", master.resumed_units);
     }
 }

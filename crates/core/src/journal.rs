@@ -17,11 +17,16 @@
 //! * **UnitDone** — one integrated unit (region, frame, FNV-1a of the
 //!   shipped pixels). Pure write-ahead evidence: resume re-renders every
 //!   unit of unfinalized frames, so these records exist for audit and
-//!   debugging, not replay.
+//!   debugging, not replay. They are *staged*, not synced: a unit is
+//!   recorded before its frame can finalize, so the sync of its frame's
+//!   FrameDone makes it durable (one journal sync per frame, not per
+//!   unit). A crash loses at most the UnitDone records of frames that
+//!   were not finalized, which resume re-renders anyway.
 //! * **FrameDone** — one finalized frame (index + canvas fingerprint),
-//!   appended *after* the frame's pixels were durably written to
-//!   `frame_NNNN.tga` via temp-file + fsync + rename. A FrameDone record
-//!   therefore guarantees the frame file it describes exists and is whole.
+//!   appended and synced *after* the frame's pixels were durably written
+//!   to `frame_NNNN.tga` via temp-file + fsync + rename. A FrameDone
+//!   record therefore guarantees the frame file it describes exists and
+//!   is whole.
 //!
 //! Resume is frame-granular: finalization is strictly in-order and
 //! whole-frame, so `k` valid FrameDone records mean frames `0..k` are
@@ -60,7 +65,7 @@ pub struct JournalSpec {
     pub resume: bool,
     /// Deterministic crash injection for the journal writer (tests).
     pub fault: JournalFaultPlan,
-    /// Armed disk-fault plan consulted on every journal append and frame
+    /// Armed disk-fault plan consulted on every journal record and frame
     /// write (chaos harness); the default handle injects nothing.
     pub disk: DiskFaults,
 }
@@ -315,12 +320,13 @@ impl FarmJournal {
     }
 
     /// Record one integrated unit (write-ahead, before the pixels join the
-    /// pending frame).
+    /// pending frame). The record is staged: its frame's FrameDone append
+    /// makes it durable.
     pub fn record_unit(&mut self, unit: &crate::partition::RenderUnit, pixels_hash: u64) {
         if self.broken {
             return;
         }
-        if let Err(e) = self.writer.append(&unit_payload(unit, pixels_hash)) {
+        if let Err(e) = self.writer.stage(&unit_payload(unit, pixels_hash)) {
             self.degrade("unit record", e);
         }
     }
@@ -350,9 +356,14 @@ impl FarmJournal {
         }
     }
 
-    /// Total valid records in the journal (recovered + appended).
+    /// Total valid records in the journal (recovered + written).
     pub fn records(&self) -> u64 {
         self.writer.records()
+    }
+
+    /// `sync_data` calls issued on the journal file by this run.
+    pub fn syncs(&self) -> u64 {
+        self.writer.syncs()
     }
 
     /// The journal directory.

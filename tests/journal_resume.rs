@@ -6,7 +6,9 @@
 //! payload, or inside the file magic itself. Crash points are enumerated
 //! from a completed probe journal, then injected deterministically with
 //! [`JournalFaultPlan`], which cuts the journal at an exact byte and
-//! drops everything after — the on-disk state of a real `kill -9`.
+//! drops everything after — the on-disk state of a real `kill -9`. Each
+//! cut is also resumed with a zero-filled tail behind it, which a power
+//! cut can leave on a filesystem that commits the size before the data.
 
 use nowrender::anim::scenes::glassball;
 use nowrender::anim::Animation;
@@ -78,6 +80,24 @@ fn journal_path(dir: &Path) -> PathBuf {
     dir.join("run.journal")
 }
 
+/// Zero-tail lengths resumed behind every crash point.
+const ZERO_PADS: [usize; 3] = [8, 64, 4096];
+
+/// Copy a crashed run's directory (journal and frame files) to `to` and
+/// append `pad` zero bytes to the copy's journal.
+fn zero_padded_copy(from: &Path, to: &Path, pad: usize) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("mkdir padded copy");
+    for entry in std::fs::read_dir(from).expect("read crashed dir") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy");
+    }
+    let path = journal_path(to);
+    let mut bytes = std::fs::read(&path).expect("read crashed journal");
+    bytes.resize(bytes.len() + pad, 0);
+    std::fs::write(&path, &bytes).expect("pad journal");
+}
+
 #[test]
 fn threads_crash_at_every_record_boundary_resumes_byte_identical() {
     let anim = anim();
@@ -107,6 +127,23 @@ fn threads_crash_at_every_record_boundary_resumes_byte_identical() {
         let crashed = run_threads_with(&anim, &cfg, &ThreadCluster::new(2), Some(&spec))
             .expect("crashed run");
         assert_eq!(crashed.frame_hashes, reference);
+
+        for pad in ZERO_PADS {
+            let padded = scratch(&format!("threads_cut{cut}_zeros{pad}"));
+            zero_padded_copy(&dir, &padded, pad);
+            let resumed = run_threads_with(
+                &anim,
+                &cfg,
+                &ThreadCluster::new(2),
+                Some(&JournalSpec::resume(&padded)),
+            )
+            .expect("resume over a zero tail");
+            assert_eq!(
+                resumed.frame_hashes, reference,
+                "resume after a crash at byte {cut} plus {pad} zero bytes must be byte-identical"
+            );
+            let _ = std::fs::remove_dir_all(&padded);
+        }
 
         let resumed = run_threads_with(
             &anim,

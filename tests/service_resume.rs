@@ -10,6 +10,10 @@
 //! * the in-flight job resumes from its per-job journal — frames it
 //!   durably finished before the kill are not re-rendered, and its final
 //!   bytes are identical to an uninterrupted job with the same spec.
+//!
+//! Before the restart every journal under the root gets a zero-filled
+//! tail, which a power cut can leave on a filesystem that commits a
+//! file's size before its data: resume must read it as torn.
 
 #![cfg(unix)]
 
@@ -126,6 +130,18 @@ fn sigkilled_service_resumes_finished_queued_and_inflight_jobs() {
     let job1_frame = root.join("jobs/job_000001/frame_0000.tga");
     let frame_bytes = std::fs::read(&job1_frame).expect("job 1 frame persisted");
     assert!(!frame_bytes.is_empty());
+    let mut journals = vec![root.join("service.journal")];
+    for job in std::fs::read_dir(root.join("jobs")).expect("jobs dir") {
+        let journal = job.expect("job dir").path().join("run.journal");
+        if journal.is_file() {
+            journals.push(journal);
+        }
+    }
+    for journal in &journals {
+        let mut bytes = std::fs::read(journal).expect("read journal");
+        bytes.resize(bytes.len() + 4096, 0);
+        std::fs::write(journal, &bytes).expect("zero-pad journal");
+    }
 
     // --- phase 2: restart with --resume on the same fixed port
     let (mut serve, addr) = spawn_serve(&root, &addr, true);

@@ -15,10 +15,14 @@
 //! stream to `target/tmp/`, named by `NOW_THREADS`; CI runs it under
 //! `NOW_THREADS=1` and `NOW_THREADS=3` and diffs the two files, proving the
 //! invariance across *processes*, not just within one.
+//!
+//! `a_journaled_run_syncs_once_per_frame` reads the journal's counters
+//! from a trace: no other test in this file journals, so nothing else
+//! feeds them while it captures.
 
-use nowrender::anim::scenes::newton;
+use nowrender::anim::scenes::{glassball, newton};
 use nowrender::cluster::{MachineSpec, SimCluster};
-use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_sim, run_sim_with, CostModel, FarmConfig, JournalSpec, PartitionScheme};
 use nowrender::raytrace::RenderSettings;
 use nowrender::trace;
 use nowrender::trace::export::chrome_json;
@@ -145,4 +149,45 @@ fn ci_normalized_trace_file() {
     let path = dir.join(format!("trace-normalized-{label}.txt"));
     std::fs::write(&path, &norm).expect("write normalized trace");
     assert!(norm.starts_with("# now-trace normalized v1"));
+}
+
+/// Group commit: a UnitDone record is staged and made durable by its
+/// frame's FrameDone sync, so a journaled run issues one journal
+/// `sync_data` per frame plus one for creation and one for the RunHeader,
+/// whatever its unit count — while every record is still written.
+#[test]
+fn a_journaled_run_syncs_once_per_frame() {
+    let frames: u64 = 3;
+    let anim = glassball::animation_sized(32, 24, frames as usize);
+    for (tile_w, units) in [(16, 6), (8, 12)] {
+        let cfg = FarmConfig {
+            scheme: PartitionScheme::FrameDivision {
+                tile_w,
+                tile_h: 24,
+                adaptive: true,
+            },
+            ..farm_cfg(1)
+        };
+        let dir =
+            std::env::temp_dir().join(format!("now_trace_syncs_{tile_w}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (result, snap) = trace::capture(|| {
+            run_sim_with(
+                &anim,
+                &cfg,
+                &SimCluster::paper(),
+                Some(&JournalSpec::new(&dir)),
+            )
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        let result = result.expect("journaled run");
+        assert_eq!(result.units_done, units);
+        let counter = |name: &str| snap.counters.get(name).map(|c| c.value);
+        assert_eq!(counter("journal.records"), Some(1 + units + frames));
+        assert_eq!(
+            counter("journal.syncs"),
+            Some(2 + frames),
+            "{units} units: one sync per FrameDone, plus creation and header"
+        );
+    }
 }
