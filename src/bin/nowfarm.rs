@@ -1,96 +1,10 @@
 //! `nowfarm` — command-line front end for the nowrender system.
 //!
-//! ```text
-//! nowfarm info   SCENE                      inspect a scene file
-//! nowfarm render SCENE [opts]               render on this machine to TGA
-//!   --out DIR          output directory (default: out)
-//!   --plain            disable frame coherence
-//!   --block N          Jevans block coherence with NxN blocks
-//!   --pool N           intra-worker tile-pool threads (0 = auto; default 1)
-//!   --tile WxH         pool tile-size hint in pixels (e.g. 64x16); the
-//!                      pool clamps it to its sane range and the cost
-//!                      model plans with the identical value
-//! nowfarm farm   SCENE [opts]               render on a cluster
-//!   --out DIR          output directory (default: out)
-//!   --threads N        real thread backend with N workers
-//!   --machines SPEC    simulated cluster, SPEC like 2.0x64,1.0x32,1.0x32
-//!   --scheme S         seq | frame | hybrid   (default: frame)
-//!   --plain            disable frame coherence
-//!   --pool N           tile-pool threads inside every worker (0 = auto)
-//!   --tile WxH         pool tile-size hint, as for `render`
-//!   --trace FILE       record a Chrome trace_event JSON of the run
-//!                      (open in chrome://tracing or ui.perfetto.dev;
-//!                      see DESIGN.md §10 for the schema)
-//!   --hashes FILE      write per-frame FNV fingerprints, one hex per line
-//!   --journal DIR      write-ahead journal + durable frames into DIR
-//!   --resume           resume an interrupted run from --journal DIR
-//! nowfarm master SCENE [opts]               TCP master for a multi-process farm
-//!   --listen ADDR      address to listen on (default 127.0.0.1:0; the
-//!                      chosen port is printed as `listening on ...`)
-//!   --workers N        worker quorum: the run may finish once N workers
-//!                      have joined and completed; more may join mid-run
-//!                      (default 2)
-//!   --lease S          enable lease recovery with an S-second base lease
-//!   --heartbeat-s S    ping cadence towards live workers (default 0.25)
-//!   --accept-window-s S  how long the door stays open for (re)joining
-//!                      workers before an idle master gives up (default 30)
-//!   --scheme/--plain/--pool/--tile/--out/--hashes as for `farm`
-//!   --journal DIR      write-ahead journal + durable frames into DIR
-//!   --resume           resume an interrupted run from --journal DIR
-//!   --chaos SPEC       seeded combined fault injection (see below)
-//! nowfarm worker SCENE [opts]               TCP worker process
-//!   --connect ADDR     master address (required)
-//!   --service          join a service instead of a one-job master (below)
-//!   --pool N           tile-pool threads for this worker (0 = auto)
-//!   --tile WxH         pool tile-size hint, as for `render`
-//!   --retries N        after a dropped session, reconnect up to N times
-//!                      (rides out a master restart with --resume)
-//!   --heartbeat-s S    expected master ping cadence; silence for ~10
-//!                      heartbeats makes the worker declare the master lost
-//!   --accept-window-s S  keep retrying the initial connect (with jittered
-//!                      backoff) for about S seconds before giving up
-//!
-//! nowfarm serve  [opts]                     long-lived multi-tenant service
-//!   --listen ADDR      address to listen on (default 127.0.0.1:0; the
-//!                      chosen port is printed as `listening on ...`)
-//!   --workers N        worker quorum hint (default 1; more may join)
-//!   --root DIR         durability root: service journal + per-job
-//!                      journal/frames/metrics under DIR/jobs/job_NNNNNN
-//!   --resume           reopen the job table from DIR's service journal
-//!   --max-queued N     admission bound on live jobs (default 4096)
-//!   --weight T=W       fair-share weight for tenant T (repeatable)
-//!   --rate-limit B/E   per-tenant admission token bucket: burst B, one
-//!                      token earned per E submission attempts; throttled
-//!                      submits are rejected with an explicit reason
-//!   --lease S          lease recovery with an S-second base lease
-//!   --heartbeat-s/--accept-window-s/--chaos/--pool/--tile as for `master`
-//! nowfarm submit SCENE --connect ADDR       submit a job to a service
-//!   --tenant T         tenant to bill against (default "default")
-//!   --priority P       priority within the tenant (default 0)
-//!   --plain            disable frame coherence for this job
-//!   --watch            stream the job's tiles as they land on the master,
-//!                      reassemble the frames client-side and verify them
-//!                      against the job hash (prints `watch verified`)
-//! nowfarm status ID  --connect ADDR         one job's state
-//! nowfarm status [ID] --root DIR            offline per-job metrics from a
-//!                                           service root: ray counters plus
-//!                                           resumed/requeued/rejected/
-//!                                           workers-lost recovery counts
-//! nowfarm cancel ID  --connect ADDR         cancel a live job
-//! nowfarm jobs       --connect ADDR         list every job
-//! nowfarm drain      --connect ADDR         stop admitting; exit when idle
-//! nowfarm load   SCENE --connect ADDR       seeded multi-tenant load: submit,
-//!                                           cancel a sample, wait until every
-//!                                           job is terminal, report the split
-//!   --jobs N           jobs to submit (default 20)
-//!   --tenant T         tenant to submit as (repeatable, picked uniformly;
-//!                      default "default"); the service owns the real
-//!                      fair-share weights via `serve --weight`
-//!   --seed S           RNG seed for tenant/priority/cancel choices (default 1)
-//!   --priority-spread P  priorities drawn uniformly from -P..=P (default 0)
-//!   --cancel-frac F    fraction of admitted jobs to cancel mid-run
-//!   --drain            send DRAIN once every job is terminal
-//! ```
+//! `nowfarm` (or `nowfarm --help`) lists every subcommand with its flags,
+//! printed from the `COMMANDS` table, where each flag's row carries its
+//! one-line doc. A `--flag` the subcommand's row does not list is an error
+//! (exit status 2) that lists the ones it does, so `nowfarm render --help`
+//! shows `render`'s flags.
 //!
 //! `worker --service --connect ADDR` joins a service instead of a
 //! single-job master: no scene argument — the worker learns each job's
@@ -119,8 +33,7 @@
 //!
 //! Output bytes are identical for every `--pool` value and for every
 //! backend (sim, threads, tcp); the flags only change where and how the
-//! pixels are computed. A `--flag` the subcommand does not list above is
-//! an error (exit status 2), not an ignored word.
+//! pixels are computed.
 
 use now_math::Color;
 use nowrender::anim::scenes::from_spec;
@@ -140,138 +53,248 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-/// A subcommand's flags as `(flag, takes_value)`.
-type Flags = &'static [(&'static str, bool)];
+/// A subcommand's flags as `(flag, value, doc)`: `value` names the word
+/// the flag takes ("" for a bare flag), `doc` is its line in the usage.
+type Flags = &'static [(&'static str, &'static str, &'static str)];
 
-/// A subcommand: its name, the flags it looks up, the function that runs it.
-type Command = (&'static str, Flags, fn(&[String]) -> CliResult);
+/// A subcommand: its name, its arguments, what it does, the flags it
+/// looks up, the function that runs it.
+type Command = (
+    &'static str,
+    &'static str,
+    &'static str,
+    Flags,
+    fn(&[String]) -> CliResult,
+);
 
 /// Every subcommand. `main` checks the command line against a command's
-/// flags before running it.
+/// flags before running it, and prints the usage from here.
 const COMMANDS: &[Command] = &[
-    ("info", &[], cmd_info),
+    ("info", "SCENE", "inspect a scene", &[], cmd_info),
     (
         "render",
+        "SCENE",
+        "render on this machine to TGA",
         &[
-            ("--out", true),
-            ("--plain", false),
-            ("--block", true),
-            ("--pool", true),
-            ("--tile", true),
+            ("--out", "DIR", "output directory (default: out)"),
+            ("--plain", "", "disable frame coherence"),
+            ("--block", "N", "Jevans block coherence with NxN blocks"),
+            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
+            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
         ],
         cmd_render,
     ),
     (
         "farm",
+        "SCENE",
+        "render on a cluster",
         &[
-            ("--out", true),
-            ("--threads", true),
-            ("--machines", true),
-            ("--scheme", true),
-            ("--plain", false),
-            ("--pool", true),
-            ("--tile", true),
-            ("--trace", true),
-            ("--hashes", true),
-            ("--journal", true),
-            ("--resume", false),
+            ("--out", "DIR", "output directory (default: out)"),
+            ("--threads", "N", "real thread backend with N workers"),
+            (
+                "--machines",
+                "SPEC",
+                "simulated cluster, e.g. 2.0x64,1.0x32",
+            ),
+            ("--scheme", "S", "seq | frame | hybrid (default: frame)"),
+            ("--plain", "", "disable frame coherence"),
+            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
+            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
+            ("--trace", "FILE", "Chrome trace_event JSON of the run"),
+            (
+                "--hashes",
+                "FILE",
+                "per-frame FNV fingerprints, one hex per line",
+            ),
+            ("--journal", "DIR", "write-ahead journal + durable frames"),
+            ("--resume", "", "resume an interrupted run from its journal"),
         ],
         cmd_farm,
     ),
     (
         "master",
+        "SCENE",
+        "TCP master for a multi-process farm",
         &[
-            ("--listen", true),
-            ("--workers", true),
-            ("--lease", true),
-            ("--heartbeat-s", true),
-            ("--accept-window-s", true),
-            ("--scheme", true),
-            ("--plain", false),
-            ("--pool", true),
-            ("--tile", true),
-            ("--out", true),
-            ("--hashes", true),
-            ("--journal", true),
-            ("--resume", false),
-            ("--chaos", true),
+            ("--listen", "ADDR", "listen address (default 127.0.0.1:0)"),
+            (
+                "--workers",
+                "N",
+                "worker quorum; more may join mid-run (default 2)",
+            ),
+            ("--lease", "S", "lease recovery with an S-second base lease"),
+            ("--heartbeat-s", "S", "ping cadence (default 0.25)"),
+            ("--accept-window-s", "S", "how long to wait for a peer"),
+            ("--scheme", "S", "seq | frame | hybrid (default: frame)"),
+            ("--plain", "", "disable frame coherence"),
+            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
+            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
+            ("--out", "DIR", "output directory (default: out)"),
+            (
+                "--hashes",
+                "FILE",
+                "per-frame FNV fingerprints, one hex per line",
+            ),
+            ("--journal", "DIR", "write-ahead journal + durable frames"),
+            ("--resume", "", "resume an interrupted run from its journal"),
+            (
+                "--chaos",
+                "SPEC",
+                "seeded fault injection (grammar: DESIGN.md §8)",
+            ),
         ],
         cmd_master,
     ),
     (
         "worker",
+        "SCENE",
+        "TCP worker process (no SCENE with --service)",
         &[
-            ("--connect", true),
-            ("--service", false),
-            ("--pool", true),
-            ("--tile", true),
-            ("--retries", true),
-            ("--heartbeat-s", true),
-            ("--accept-window-s", true),
+            ("--connect", "ADDR", "master or service address"),
+            (
+                "--service",
+                "",
+                "join a service instead of a one-job master",
+            ),
+            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
+            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
+            (
+                "--retries",
+                "N",
+                "reconnect up to N times after a dropped session",
+            ),
+            ("--heartbeat-s", "S", "ping cadence (default 0.25)"),
+            ("--accept-window-s", "S", "how long to wait for a peer"),
         ],
         cmd_worker,
     ),
     (
         "serve",
+        "",
+        "long-lived multi-tenant service",
         &[
-            ("--listen", true),
-            ("--workers", true),
-            ("--root", true),
-            ("--resume", false),
-            ("--max-queued", true),
-            ("--weight", true),
-            ("--rate-limit", true),
-            ("--lease", true),
-            ("--heartbeat-s", true),
-            ("--accept-window-s", true),
-            ("--chaos", true),
-            ("--pool", true),
-            ("--tile", true),
+            ("--listen", "ADDR", "listen address (default 127.0.0.1:0)"),
+            ("--workers", "N", "worker quorum hint (default 1)"),
+            ("--root", "DIR", "service journal + DIR/jobs/job_NNNNNN"),
+            (
+                "--resume",
+                "",
+                "reopen the job table from DIR's service journal",
+            ),
+            (
+                "--max-queued",
+                "N",
+                "admission bound on live jobs (default 4096)",
+            ),
+            (
+                "--weight",
+                "T=W",
+                "fair-share weight W for tenant T (repeatable)",
+            ),
+            (
+                "--rate-limit",
+                "B/E",
+                "per-tenant burst B, one token per E submits",
+            ),
+            ("--lease", "S", "lease recovery with an S-second base lease"),
+            ("--heartbeat-s", "S", "ping cadence (default 0.25)"),
+            ("--accept-window-s", "S", "how long to wait for a peer"),
+            (
+                "--chaos",
+                "SPEC",
+                "seeded fault injection (grammar: DESIGN.md §8)",
+            ),
+            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
+            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
         ],
         cmd_serve,
     ),
     (
         "submit",
+        "SCENE",
+        "submit a job to a service",
         &[
-            ("--connect", true),
-            ("--tenant", true),
-            ("--priority", true),
-            ("--plain", false),
-            ("--watch", false),
+            ("--connect", "ADDR", "master or service address"),
+            ("--tenant", "T", "tenant to bill against (default: default)"),
+            ("--priority", "P", "priority within the tenant (default 0)"),
+            ("--plain", "", "disable frame coherence for this job"),
+            ("--watch", "", "stream, reassemble and verify the frames"),
         ],
         cmd_submit,
     ),
     (
         "status",
-        &[("--connect", true), ("--root", true)],
+        "[ID]",
+        "one job's state, or per-job metrics offline from a root",
+        &[
+            ("--connect", "ADDR", "master or service address"),
+            ("--root", "DIR", "service root to read offline"),
+        ],
         cmd_status,
     ),
-    ("cancel", &[("--connect", true)], cmd_cancel),
-    ("jobs", &[("--connect", true)], cmd_jobs),
-    ("drain", &[("--connect", true)], cmd_drain),
+    (
+        "cancel",
+        "ID",
+        "cancel a live job",
+        &[("--connect", "ADDR", "master or service address")],
+        cmd_cancel,
+    ),
+    (
+        "jobs",
+        "",
+        "list every job",
+        &[("--connect", "ADDR", "master or service address")],
+        cmd_jobs,
+    ),
+    (
+        "drain",
+        "",
+        "stop admitting; exit when idle",
+        &[("--connect", "ADDR", "master or service address")],
+        cmd_drain,
+    ),
     (
         "load",
+        "SCENE",
+        "seeded multi-tenant load until every job is terminal",
         &[
-            ("--connect", true),
-            ("--jobs", true),
-            ("--tenant", true),
-            ("--seed", true),
-            ("--priority-spread", true),
-            ("--cancel-frac", true),
-            ("--drain", false),
+            ("--connect", "ADDR", "master or service address"),
+            ("--jobs", "N", "jobs to submit (default 20)"),
+            ("--tenant", "T", "tenant to submit as (repeatable)"),
+            ("--seed", "S", "RNG seed for tenant/priority/cancel choices"),
+            ("--priority-spread", "P", "priorities drawn from -P..=P"),
+            ("--cancel-frac", "F", "fraction of admitted jobs to cancel"),
+            ("--drain", "", "send DRAIN once every job is terminal"),
         ],
         cmd_load,
     ),
 ];
+
+/// `flags` one to a line, each with its value word and doc.
+fn flag_lines(flags: &[(&str, &str, &str)]) -> String {
+    let line = |(flag, value, doc): &(&str, &str, &str)| {
+        format!("\n    {:<24}{doc}", format!("{flag} {value}"))
+    };
+    flags.iter().map(line).collect()
+}
+
+/// The usage: every subcommand with its flags.
+fn usage() -> String {
+    let mut out = String::from("usage: nowfarm <subcommand> [args] [flags]");
+    for &(name, args, about, flags, _) in COMMANDS {
+        let call = format!("{name} {args}");
+        out += &format!("\n  nowfarm {call:<16}{about}{}", flag_lines(flags));
+    }
+    out
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args
         .first()
         .and_then(|name| COMMANDS.iter().find(|c| c.0 == name));
-    let Some(&(name, flags, run)) = command else {
-        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
-        eprintln!("usage: nowfarm <{}> ... (see the README)", names.join("|"));
+    let Some(&(name, _, _, flags, run)) = command else {
+        eprintln!("{}", usage());
         exit(2);
     };
     if let Err(e) = check_flags(name, flags, &args[1..]) {
@@ -292,20 +315,21 @@ fn check_flags(sub: &str, flags: Flags, args: &[String]) -> Result<(), String> {
         if !word.starts_with("--") {
             continue;
         }
-        match flags.iter().find(|(flag, _)| flag == word) {
-            Some(&(_, true)) => {
-                words.next();
+        match flags.iter().find(|(flag, ..)| flag == word) {
+            Some((_, value, _)) => {
+                if !value.is_empty() {
+                    words.next();
+                }
             }
-            Some(_) => {}
-            None => {
-                let valid: Vec<&str> = flags.iter().map(|f| f.0).collect();
+            None if flags.is_empty() => {
                 return Err(format!(
-                    "unknown flag `{word}`; `nowfarm {sub}` takes: {}",
-                    if valid.is_empty() {
-                        "no flags".to_string()
-                    } else {
-                        valid.join(" ")
-                    }
+                    "unknown flag `{word}`; `nowfarm {sub}` takes no flags"
+                ));
+            }
+            None => {
+                let valid = flag_lines(flags);
+                return Err(format!(
+                    "unknown flag `{word}`; `nowfarm {sub}` takes:{valid}"
                 ));
             }
         }
@@ -1253,58 +1277,40 @@ mod tests {
         assert!(render_settings(&["--tile".to_string(), "what".to_string()]).is_err());
     }
 
-    /// The usage block of the module doc as `(subcommand, flag)` pairs: a
-    /// `nowfarm SUB ...` line opens a subcommand and may name flags, an
-    /// indented line starting `--a/--b` documents those flags for it.
-    fn documented_flags() -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let mut sub = String::new();
-        let doc = include_str!("nowfarm.rs")
-            .lines()
-            .map_while(|l| l.strip_prefix("//!"))
-            .skip_while(|l| !l.contains("```text"))
-            .skip(1)
-            .take_while(|l| !l.contains("```"));
-        for line in doc {
-            let mut words = line.split_whitespace();
-            let first = words.next().unwrap_or("");
-            let flags: Vec<&str> = if first == "nowfarm" {
-                sub = words.next().expect("subcommand").to_string();
-                words.filter(|w| w.starts_with("--")).collect()
-            } else if first.starts_with("--") {
-                first.split('/').collect()
-            } else {
-                continue;
-            };
-            out.extend(flags.iter().map(|f| (sub.clone(), f.to_string())));
-        }
-        out
-    }
-
+    /// Every flag row carries its doc; the usage prints each under its
+    /// subcommand, an unknown flag's error prints the subcommand's, and
+    /// every flag in a row is accepted there.
     #[test]
     fn unknown_flags_are_rejected_and_documented_ones_accepted() {
         let words = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
-        let table = |sub: &str| COMMANDS.iter().find(|c| c.0 == sub).expect("subcommand").1;
+        let table = |sub: &str| COMMANDS.iter().find(|c| c.0 == sub).expect("subcommand").3;
         for sub in [
             "render", "farm", "master", "worker", "serve", "submit", "load",
         ] {
             let err = check_flags(sub, table(sub), &words("demo:newton:1:32x24 --pol 3"))
                 .expect_err("unknown flag accepted");
             assert!(err.contains("`--pol`") && err.contains(sub), "{err}");
-            assert!(err.contains(table(sub)[0].0), "no flag list in: {err}");
+            assert_eq!(err.split_once(':').unwrap().1, flag_lines(table(sub)));
         }
-        let documented = documented_flags();
-        for (sub, flag) in &documented {
-            let known = table(sub).iter().find(|(f, _)| f == flag);
-            let &(_, takes_value) = known.unwrap_or_else(|| panic!("{sub} {flag} not in table"));
-            let line = format!("scene {flag}{}", if takes_value { " v" } else { "" });
-            assert_eq!(check_flags(sub, table(sub), &words(&line)), Ok(()));
-        }
-        // and nothing is accepted that the doc does not mention
-        for &(sub, flags, _) in COMMANDS {
-            for (flag, _) in flags {
-                let pair = (sub.to_string(), flag.to_string());
-                assert!(documented.contains(&pair), "{sub} {flag} is undocumented");
+        let usage = usage();
+        let sections: Vec<&str> = usage.split("\n  nowfarm ").skip(1).collect();
+        assert_eq!(sections.len(), COMMANDS.len());
+        for (&(sub, _, about, flags, _), section) in COMMANDS.iter().zip(sections) {
+            assert!(
+                section.starts_with(sub) && section.contains(about),
+                "{section}"
+            );
+            for &(flag, value, doc) in flags {
+                assert!(
+                    doc.len() > 8 && !doc.starts_with("--"),
+                    "{sub} {flag}: {doc:?}"
+                );
+                assert!(
+                    section.contains(&flag_lines(&[(flag, value, doc)])),
+                    "{sub} {flag}"
+                );
+                let line = format!("scene {flag}{}", if value.is_empty() { "" } else { " v" });
+                assert_eq!(check_flags(sub, flags, &words(&line)), Ok(()));
             }
         }
         // the word after a value-taking flag is its value; the word after

@@ -123,6 +123,29 @@ sphere name ball center 0 0 0 radius 1 material m
 frames 1
 ";
 
+/// Scenes whose parse the master's thread survived only by luck, or not
+/// at all: a zero field of view and a zero-length cylinder each tripped a
+/// constructor's assert inside `from_spec`, and 64 KiB of top-detail mesh
+/// spheres cost it seconds and gigabytes. Each with the bound it breaks.
+fn parse_bombs() -> Vec<(String, &'static str)> {
+    let camera = "camera eye 0 2 8 target 0 0 0 up 0 1 0 fov 55 size 8 8\n";
+    let scene = |body: &str| format!("{camera}material matte name m color 0.5 0.5 0.5\n{body}");
+    let cylinder = "cylinder name c base 0 1 0 top 0 1 0 radius 1 material m\n";
+    let mut meshes = scene("");
+    for i in 0..1000 {
+        meshes += &format!("meshsphere name s{i} center 0 0 0 radius 1 detail 64 material m\n");
+    }
+    assert!(meshes.len() <= ServiceConfig::default().max_spec_bytes);
+    vec![
+        (
+            camera.replace("fov 55", "fov 0") + "frames 1\n",
+            "fov 0 outside",
+        ),
+        (scene(cylinder), "base and top must differ"),
+        (meshes, "over 65536 triangles"),
+    ]
+}
+
 /// The job hash of `demo:glassball:1:10x8`, as every service run
 /// renders it.
 const GLASSBALL_1_10X8: u64 = 0x24f9_9cbe_3c14_9fc4;
@@ -131,7 +154,8 @@ const GLASSBALL_1_10X8: u64 = 0x24f9_9cbe_3c14_9fc4;
 /// billions of frames (the master would build their keys before checking
 /// the count) and an area light asking for 65535² samples (every worker
 /// that leased the unit would die) are refused at admission with the
-/// bound they broke, and the next job renders to its golden hash.
+/// bound they broke, and the next job renders to its golden hash. So are
+/// the [`parse_bombs`].
 #[test]
 fn resource_bombs_are_refused_and_the_next_job_renders() {
     let m = with_service(ServiceConfig::default(), |addr| {
@@ -143,6 +167,12 @@ fn resource_bombs_are_refused_and_the_next_job_renders() {
             .expect("transport")
             .expect_err("refused");
         assert!(reason.contains("outside 1..=16"), "{reason}");
+        for (scene, bound) in parse_bombs() {
+            let reason = (c.submit(&JobSpec::new(scene)))
+                .expect("transport")
+                .expect_err("refused");
+            assert!(reason.contains(bound), "{reason}");
+        }
         let id = c
             .submit(&JobSpec::new("demo:glassball:1:10x8"))
             .expect("transport")
@@ -152,7 +182,7 @@ fn resource_bombs_are_refused_and_the_next_job_renders() {
         assert_eq!(st.job_hash, GLASSBALL_1_10X8, "{:#x}", st.job_hash);
         c.drain().expect("drain");
     });
-    assert_eq!(m.counters.rejected, 2);
+    assert_eq!(m.counters.rejected, 5);
     assert_eq!(m.counters.completed, 1);
 }
 
