@@ -59,7 +59,7 @@ impl Color {
 
     /// Clamp each channel into `[0, 1]`.
     #[inline]
-    pub fn clamped(self) -> Color {
+    fn clamped(self) -> Color {
         Color::new(
             crate::clamp(self.r, 0.0, 1.0),
             crate::clamp(self.g, 0.0, 1.0),

@@ -1,11 +1,10 @@
-//! Intra-worker tile pool: std-only work-stealing parallelism.
+//! Intra-worker tile pool: std-only parallelism over one ordered tile queue.
 //!
-//! The paper parallelises only *across* workstations; each worker shades
-//! its pixels serially. This module adds the second level modern
-//! distributed tracers use: a frame (or any pixel set) is cut into small
-//! tiles that threads claim dynamically — a shared injector seeds the
-//! work, each thread keeps a LIFO deque of claimed tiles, and starved
-//! threads steal from victims visited in pseudo-random order.
+//! The paper parallelises only *across* workstations, each of which asks
+//! the master for the next sub-area of a frame when it is done with the
+//! last. This module adds the same scheme one level down: a frame (or any
+//! pixel set) is cut into small tiles that wait on one queue in id order,
+//! and each pool thread takes the front tile until the queue is empty.
 //!
 //! Two invariants survive the parallelism:
 //!
@@ -46,8 +45,10 @@ const TILES_PER_THREAD: usize = 8;
 /// Tile size clamp.
 const MIN_TILE: usize = 64;
 const MAX_TILE: usize = 4096;
-/// Tiles moved from the injector to a thread's local deque per claim.
-const INJECTOR_BATCH: usize = 2;
+/// Most OS threads one pool run spawns, whatever `threads` asks for. A run
+/// also spawns no more threads than it has tiles: a thread without a tile
+/// would only idle.
+const MAX_POOL_THREADS: usize = 256;
 /// Trace track of pool worker `i` is `POOL_TRACK_BASE + i` (track 0 is the
 /// caller's thread).
 const POOL_TRACK_BASE: u32 = 100;
@@ -156,24 +157,17 @@ fn critical_path(tile_rays: &[u64], threads: u32) -> u64 {
     load.into_iter().max().unwrap_or(0)
 }
 
-/// Pixels per tile for a pool run over `pixels` ids on `threads` threads.
-///
-/// `tile_hint` (from [`RenderSettings::tile_hint`] / `nowfarm --tile WxH`)
-/// overrides the derived size; either way the result is clamped and
-/// rounded up to a multiple of 8 (the simulator's virtual timelines are
-/// pinned to the tile plans this yields).
-fn plan_tile_size(pixels: usize, threads: u32, tile_hint: u32) -> usize {
+/// Pixels per tile for a pool run over `pixels` ids on `threads` threads:
+/// [`TILES_PER_THREAD`] tiles per thread, clamped and rounded up to a
+/// multiple of 8 (the simulator's virtual timelines are pinned to the tile
+/// plans this yields).
+fn plan_tile_size(pixels: usize, threads: u32) -> usize {
     let threads = threads.max(1) as usize;
-    let base = if tile_hint > 0 {
-        tile_hint as usize
-    } else {
-        pixels.div_ceil(threads * TILES_PER_THREAD)
-    };
-    let clamped = base.clamp(MIN_TILE, MAX_TILE);
-    clamped.div_ceil(8) * 8
+    let base = pixels.div_ceil(threads * TILES_PER_THREAD);
+    base.clamp(MIN_TILE, MAX_TILE).div_ceil(8) * 8
 }
 
-/// A claimed unit of work: one tile's ids plus its private shard.
+/// A queued unit of work: one tile's ids plus its private shard.
 struct Tile<'a, S> {
     idx: usize,
     ids: &'a [PixelId],
@@ -188,21 +182,13 @@ struct TileDone<S> {
     stats: RayStats,
 }
 
-/// Cheap xorshift for the steal-victim order; seeded per thread.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
 /// Render `ids` into `fb` on `threads` threads, observing rays through
 /// per-tile shards of `listener`.
 ///
 /// The caller has already validated `fb` against the scene camera. Falls
-/// back to a plain sequential loop when one thread suffices.
+/// back to a plain sequential loop when one thread suffices. Spawns one OS
+/// thread per tile at most, and never more than `MAX_POOL_THREADS`; the
+/// returned [`ParallelStats`] still describe `threads` lanes.
 #[allow(clippy::too_many_arguments)] // flat kernel signature, like shade_pixel_with
 pub fn render_tiles<S: ShardableListener>(
     scene: &Scene,
@@ -220,7 +206,7 @@ pub fn render_tiles<S: ShardableListener>(
             "a shard must take ray paths exactly when its parent does"
         )
     };
-    let threads = threads.max(1) as usize;
+    let threads = threads.max(1);
     let tracing = settings.trace && now_trace::enabled();
     if threads == 1 || ids.len() < MIN_PAR_PIXELS {
         let before = stats.total_rays();
@@ -240,89 +226,33 @@ pub fn render_tiles<S: ShardableListener>(
         return ParallelStats::serial(stats.total_rays() - before);
     }
 
-    let tile_size = plan_tile_size(ids.len(), threads as u32, settings.tile_hint);
+    let tile_size = plan_tile_size(ids.len(), threads);
     let width = fb.width();
 
-    // All tiles start in the injector; shards are created up front so they
-    // travel inside the tiles (the parent listener never crosses threads).
-    let injector: Mutex<VecDeque<Tile<'_, S::Shard>>> = Mutex::new(
-        ids.chunks(tile_size)
-            .enumerate()
-            .map(|(idx, ids)| Tile {
-                idx,
-                ids,
-                shard: listener.make_shard(),
-            })
-            .collect(),
-    );
-    let locals: Vec<Mutex<VecDeque<Tile<'_, S::Shard>>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+    // All tiles wait on one queue in id order; shards are created up front
+    // so they travel inside the tiles (the parent listener never crosses
+    // threads).
+    let tiles: VecDeque<Tile<'_, S::Shard>> = ids
+        .chunks(tile_size)
+        .enumerate()
+        .map(|(idx, ids)| Tile {
+            idx,
+            ids,
+            shard: listener.make_shard(),
+        })
+        .collect();
+    let spawned = (threads as usize).min(tiles.len()).min(MAX_POOL_THREADS);
+    let queue = Mutex::new(tiles);
+    // The guard drops when `next` returns, so no tile renders under the lock.
+    let next = || queue.lock().expect("pool lock").pop_front();
 
     let mut done: Vec<TileDone<S::Shard>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..spawned)
             .map(|me| {
-                let injector = &injector;
-                let locals = &locals;
                 scope.spawn(move || {
                     let mut out: Vec<TileDone<S::Shard>> = Vec::new();
-                    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((me as u64 + 1) << 17);
                     let mut scratch = ShadeScratch::new(settings);
-                    loop {
-                        // Each acquisition step is its own statement so the
-                        // MutexGuard temporaries drop between steps — chaining
-                        // them with `or_else` would hold our own deque's lock
-                        // across the injector/steal locks and deadlock.
-                        // 1. newest tile from our own deque (LIFO: warm data)
-                        let mut tile = locals[me].lock().expect("pool lock").pop_back();
-                        // 2. a batch from the injector (run one, bank the rest)
-                        if tile.is_none() {
-                            let mut banked = Vec::new();
-                            {
-                                let mut inj = injector.lock().expect("pool lock");
-                                tile = inj.pop_front();
-                                if tile.is_some() {
-                                    for _ in 1..INJECTOR_BATCH {
-                                        match inj.pop_front() {
-                                            Some(t) => banked.push(t),
-                                            None => break,
-                                        }
-                                    }
-                                }
-                            }
-                            if !banked.is_empty() {
-                                locals[me].lock().expect("pool lock").extend(banked);
-                            }
-                        }
-                        // 3. steal the oldest tile of a random victim
-                        if tile.is_none() {
-                            let start = (xorshift(&mut rng) as usize) % threads;
-                            for v in (0..threads).map(|k| (start + k) % threads) {
-                                if v == me {
-                                    continue;
-                                }
-                                tile = locals[v].lock().expect("pool lock").pop_front();
-                                if let Some(t) = &tile {
-                                    if tracing {
-                                        // which thread stole which tile is OS
-                                        // schedule — never in the golden stream
-                                        let rec = now_trace::global();
-                                        rec.instant(
-                                            POOL_TRACK_BASE + me as u32,
-                                            "pool.steal",
-                                            &[("victim", v as u64), ("tile", t.idx as u64)],
-                                            false,
-                                        );
-                                        rec.counter_add_nd("pool.steals", 1);
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(mut tile) = tile else {
-                            // No queue had work. Tiles are never re-queued,
-                            // so nothing to wait for: exit.
-                            break;
-                        };
+                    while let Some(mut tile) = next() {
                         let mut tile_span = tracing.then(|| {
                             now_trace::global().span(POOL_TRACK_BASE + me as u32, "pool.tile")
                         });
@@ -381,10 +311,10 @@ pub fn render_tiles<S: ShardableListener>(
     }
     let total_rays: u64 = tile_rays.iter().sum();
     ParallelStats {
-        threads: threads as u32,
+        threads,
         tiles: tile_rays.len() as u32,
         total_rays,
-        critical_rays: critical_path(&tile_rays, threads as u32),
+        critical_rays: critical_path(&tile_rays, threads),
     }
 }
 
@@ -437,8 +367,8 @@ mod tests {
 
     /// `pixels` equal-cost pixels cut as `render_tiles` cuts them and
     /// scheduled onto `threads` lanes.
-    fn uniform_plan(pixels: usize, threads: u32, tile_hint: u32) -> ParallelStats {
-        let tile = plan_tile_size(pixels, threads, tile_hint);
+    fn uniform_plan(pixels: usize, threads: u32) -> ParallelStats {
+        let tile = plan_tile_size(pixels, threads);
         let tile_rays: Vec<u64> = (0..pixels)
             .step_by(tile)
             .map(|start| tile.min(pixels - start) as u64)
@@ -452,22 +382,15 @@ mod tests {
     }
 
     #[test]
-    fn tile_hint_overrides_the_derived_plan() {
-        // small enough that a 2-tile hint stays inside MIN_TILE..=MAX_TILE
-        let pixels = 64 * 48;
-        // auto planning at 4 threads: many equal tiles, near-perfect speedup
-        let auto = uniform_plan(pixels, 4, 0);
+    fn derived_tile_plan_balances_and_stays_clamped() {
+        // 4 threads over 64x48 pixels: many equal tiles, near-perfect speedup
+        let auto = uniform_plan(64 * 48, 4);
         assert_eq!(auto.threads, 4);
         assert!(auto.speedup() > 3.5, "{}", auto.speedup());
-        // a coarse hint (2 giant tiles) caps the speedup at ~2
-        let coarse = uniform_plan(pixels, 4, (pixels / 2) as u32);
-        assert_eq!(coarse.tiles, 2);
-        assert!(coarse.tiles < auto.tiles);
-        assert!(coarse.speedup() < 2.5, "{}", coarse.speedup());
-        // a hint is clamped and rounded up to a multiple of 8 like a derived size
-        assert_eq!(plan_tile_size(pixels, 4, 1), MIN_TILE);
-        assert_eq!(plan_tile_size(pixels, 4, 1 << 20), MAX_TILE);
-        assert_eq!(plan_tile_size(pixels, 4, 100), 104);
+        // derived sizes are clamped and rounded up to a multiple of 8
+        assert_eq!(plan_tile_size(64 * 48, 100), MIN_TILE);
+        assert_eq!(plan_tile_size(1 << 20, 1), MAX_TILE);
+        assert_eq!(plan_tile_size(800, 1), 104);
     }
 
     #[test]

@@ -56,20 +56,17 @@ pub struct RenderSettings {
     /// Intra-worker tile-pool threads. `1` (the default) renders serially,
     /// exactly like the paper's per-workstation renderer; `0` means auto
     /// (`NOW_THREADS` if set, else the host's available parallelism);
-    /// `n >= 2` uses exactly `n` threads. Any value produces byte-identical
+    /// `n >= 2` plans tiles and charges virtual time for `n` lanes, but
+    /// spawns at most one OS thread per tile and at most 256, so no value
+    /// exhausts the host's threads. Any value produces byte-identical
     /// frames and identical listener state.
     pub threads: u32,
     /// Emit renderer-layer events (render spans, per-kind ray counters,
-    /// tile run/steal events) into the global [`now_trace`] recorder.
+    /// per-tile spans) into the global [`now_trace`] recorder.
     /// Recording still requires the recorder to be enabled; with the
     /// default `false` the renderer stays dark even while other layers
     /// trace. See DESIGN.md §10.
     pub trace: bool,
-    /// Tile-size hint for the pool, in pixels per tile (`nowfarm --tile
-    /// WxH` sets `W*H`). `0` (the default) derives the size from the pixel
-    /// count and thread count (`pool::plan_tile_size`). Purely a
-    /// scheduling knob: any value produces byte-identical frames.
-    pub tile_hint: u32,
 }
 
 impl Default for RenderSettings {
@@ -80,7 +77,6 @@ impl Default for RenderSettings {
             adaptive: None,
             threads: 1,
             trace: false,
-            tile_hint: 0,
         }
     }
 }
@@ -463,7 +459,6 @@ mod tests {
             adaptive: None,
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let a = render_frame(
             &s,
@@ -492,7 +487,7 @@ mod tests {
         let mut serial_stats = RayStats::default();
         let reference = render_frame(&s, &accel, &serial, &mut serial_rec, &mut serial_stats);
 
-        for threads in [2u32, 3, 7] {
+        for threads in [2u32, 3, 7, 19, 20, 100_000] {
             let settings = RenderSettings {
                 threads,
                 ..serial.clone()
@@ -545,46 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_hint_sets_the_pool_plan() {
-        let s = scene();
-        let accel = GridAccel::build(&s);
-        let reference = render_frame(
-            &s,
-            &accel,
-            &RenderSettings::default(),
-            &mut NullListener,
-            &mut RayStats::default(),
-        );
-        let ids: Vec<PixelId> = (0..reference.len() as PixelId).collect();
-        let run = |tile_hint: u32| {
-            let settings = RenderSettings {
-                threads: 4,
-                tile_hint,
-                ..RenderSettings::default()
-            };
-            let mut fb = Framebuffer::new(40, 30);
-            let par = render_pixels_par(
-                &s,
-                &accel,
-                &settings,
-                &mut fb,
-                &ids,
-                &mut NullListener,
-                &mut RayStats::default(),
-            );
-            assert_eq!(fb, reference, "tile hint {tile_hint}: framebuffer differs");
-            par
-        };
-        let auto = run(0);
-        // half the frame per tile: two tiles, so at most 2x on 4 threads
-        let coarse = run(ids.len() as u32 / 2);
-        assert_eq!(coarse.tiles, 2);
-        assert!(coarse.tiles < auto.tiles);
-        assert!(coarse.speedup() <= 2.0, "{}", coarse.speedup());
-        assert_eq!(coarse.total_rays, auto.total_rays);
-    }
-
-    #[test]
     fn supersampling_offsets_tile_the_pixel() {
         let offsets = RenderSettings {
             max_depth: 1,
@@ -592,7 +547,6 @@ mod tests {
             adaptive: None,
             threads: 1,
             trace: false,
-            tile_hint: 0,
         }
         .sample_offsets();
         assert_eq!(offsets.len(), 9);
@@ -613,7 +567,6 @@ mod tests {
             adaptive: None,
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let adaptive = RenderSettings {
             max_depth: 2,
@@ -624,7 +577,6 @@ mod tests {
             }),
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let mut flat_stats = RayStats::default();
         let _ = render_frame(&s, &accel, &plain, &mut NullListener, &mut flat_stats);
@@ -651,7 +603,6 @@ mod tests {
             adaptive: Some(Adaptive::default()),
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let full = render_frame(
             &s,
@@ -687,7 +638,6 @@ mod tests {
             adaptive: None,
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let ad = RenderSettings {
             max_depth: 2,
@@ -698,7 +648,6 @@ mod tests {
             }),
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let a = render_frame(
             &s,
@@ -722,7 +671,6 @@ mod tests {
             adaptive: None,
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let four = RenderSettings {
             max_depth: 3,
@@ -730,7 +678,6 @@ mod tests {
             adaptive: None,
             threads: 1,
             trace: false,
-            tile_hint: 0,
         };
         let a = render_frame(
             &s,

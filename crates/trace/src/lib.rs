@@ -310,8 +310,8 @@ impl Recorder {
         self.counter_impl(name, delta, true);
     }
 
-    /// Add to a counter whose value depends on scheduling (e.g. work-steal
-    /// counts); excluded from the normalized stream.
+    /// Add to a counter whose value depends on scheduling (e.g. the tile
+    /// pool's tile count); excluded from the normalized stream.
     pub fn counter_add_nd(&self, name: &'static str, delta: u64) {
         self.counter_impl(name, delta, false);
     }

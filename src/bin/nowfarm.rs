@@ -80,7 +80,6 @@ const COMMANDS: &[Command] = &[
             ("--plain", "", "disable frame coherence"),
             ("--block", "N", "Jevans block coherence with NxN blocks"),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
-            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
         ],
         cmd_render,
     ),
@@ -99,7 +98,6 @@ const COMMANDS: &[Command] = &[
             ("--scheme", "S", "seq | frame | hybrid (default: frame)"),
             ("--plain", "", "disable frame coherence"),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
-            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
             ("--trace", "FILE", "Chrome trace_event JSON of the run"),
             (
                 "--hashes",
@@ -128,7 +126,6 @@ const COMMANDS: &[Command] = &[
             ("--scheme", "S", "seq | frame | hybrid (default: frame)"),
             ("--plain", "", "disable frame coherence"),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
-            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
             ("--out", "DIR", "output directory (default: out)"),
             (
                 "--hashes",
@@ -157,7 +154,6 @@ const COMMANDS: &[Command] = &[
                 "join a service instead of a one-job master",
             ),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
-            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
             (
                 "--retries",
                 "N",
@@ -205,7 +201,6 @@ const COMMANDS: &[Command] = &[
                 "seeded fault injection (grammar: DESIGN.md §8)",
             ),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
-            ("--tile", "WxH", "pool tile-size hint in pixels, e.g. 64x16"),
         ],
         cmd_serve,
     ),
@@ -385,24 +380,11 @@ fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
 }
 
 /// Render settings with the `--pool` thread count applied (1 = serial,
-/// 0 = auto via `NOW_THREADS` / available parallelism) and the `--tile`
-/// WxH hint folded into `tile_hint` (pixels per pool tile).
+/// 0 = auto via `NOW_THREADS` / available parallelism).
 fn render_settings(args: &[String]) -> Result<RenderSettings, String> {
     let mut settings = RenderSettings::default();
     settings.threads = parsed_flag(args, "--pool", settings.threads)?;
-    if let Some(v) = flag_value(args, "--tile") {
-        settings.tile_hint = parse_tile_hint(v)?;
-    }
     Ok(settings)
-}
-
-/// Parse a `--tile WxH` spec into a pixels-per-tile hint.
-fn parse_tile_hint(spec: &str) -> Result<u32, String> {
-    let err = || format!("bad --tile value {spec:?} (expected WxH, e.g. 64x16)");
-    let (w, h) = spec.split_once(['x', 'X']).ok_or_else(err)?;
-    let w: u32 = w.parse().map_err(|_| err())?;
-    let h: u32 = h.parse().map_err(|_| err())?;
-    w.checked_mul(h).filter(|&p| p > 0).ok_or_else(err)
 }
 
 fn outdir(args: &[String]) -> Result<PathBuf, String> {
@@ -605,8 +587,8 @@ fn write_hashes(args: &[String], hashes: &[u64]) -> CliResult {
     Ok(())
 }
 
-/// The `FarmConfig` of `farm`, `master` and `worker`: `--plain`, `--pool`
-/// and `--tile` over the paper defaults, frames kept for `--out`. (A
+/// The `FarmConfig` of `farm`, `master` and `worker`: `--plain` and
+/// `--pool` over the paper defaults, frames kept for `--out`. (A
 /// worker adopts scheme, coherence and grid from the master's job header.)
 fn farm_config(args: &[String]) -> Result<FarmConfig, String> {
     Ok(FarmConfig {
@@ -1260,21 +1242,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tile_flag_parses_into_pixel_hint() {
-        assert_eq!(parse_tile_hint("64x16"), Ok(1024));
-        assert_eq!(parse_tile_hint("8X8"), Ok(64));
-        assert!(parse_tile_hint("64").is_err());
-        assert!(parse_tile_hint("0x16").is_err());
-        assert!(parse_tile_hint("ax16").is_err());
-
-        let args: Vec<String> = ["--pool", "4", "--tile", "32x8"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let settings = render_settings(&args).unwrap();
-        assert_eq!(settings.threads, 4);
-        assert_eq!(settings.tile_hint, 256);
-        assert!(render_settings(&["--tile".to_string(), "what".to_string()]).is_err());
+    fn pool_flag_sets_the_thread_count() {
+        let args: Vec<String> = ["--pool", "4"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(render_settings(&args).unwrap().threads, 4);
+        assert_eq!(render_settings(&[]).unwrap().threads, 1);
+        assert!(render_settings(&["--pool".to_string(), "what".to_string()]).is_err());
     }
 
     /// Every flag row carries its doc; the usage prints each under its

@@ -267,7 +267,6 @@ fn adaptive_antialiasing_keeps_coherence_exact() {
         }),
         threads: 1,
         trace: false,
-        tile_hint: 0,
     };
     let cost = CostModel::default();
     let mut plain = Vec::new();

@@ -1,5 +1,5 @@
-//! Two-level parallelism determinism: the intra-worker work-stealing tile
-//! pool must be invisible in every output. For any thread count the
+//! Two-level parallelism determinism: the intra-worker tile pool (one
+//! ordered tile queue) must be invisible in every output. For any thread count the
 //! framebuffers are byte-identical, the coherence engine ends in exactly
 //! the same state as a serial run, and the cluster backends produce the
 //! same frame hashes — with or without injected faults.

@@ -6,8 +6,8 @@
 //! contract (DESIGN.md §10): everything flagged `det` — ray/mark/pixel
 //! counters, voxel-step and marks-per-ray histograms, per-frame coherence
 //! instants and frame fingerprints — is a pure function of (scene, config),
-//! while wall/virtual timings, tile schedules and steal events stay out of
-//! the normalized stream. A regression here means either nondeterminism
+//! while wall/virtual timings and tile schedules stay out of the
+//! normalized stream. A regression here means either nondeterminism
 //! leaked into the renderer, or timing-dependent data was wrongly flagged
 //! deterministic.
 //!
