@@ -75,8 +75,8 @@ pub struct MasterCore<M: MasterLogic> {
     actions: VecDeque<Action<M::Unit>>,
     /// Leases a worker is kept topped up to.
     depth: usize,
-    /// Some worker was dismissed because no work remained (as opposed to
-    /// every worker having been lost).
+    /// Some worker was dismissed because no work remained, or a wake
+    /// released the run (as opposed to every worker having been lost).
     dismissed: bool,
     /// The driver still admits new workers (elastic membership).
     joinable: bool,
@@ -210,7 +210,15 @@ impl<M: MasterLogic> MasterCore<M> {
     pub fn wakeable(&self, now: f64) -> bool {
         let parked = self.workers.contains(&WState::Parked);
         (parked && (self.ledger.has_retry() || self.ledger.has_straggler(now)))
-            || (self.idle() && !self.finished())
+            || (self.idle() && !self.finished() && self.releasable())
+    }
+
+    /// No joiner can still come for unfinished work: the driver admits no
+    /// more workers, or no more work will ever be assigned. Until then an
+    /// idle run holds its backstop — a joiner may rescue owed units, and a
+    /// live service's clients may submit more.
+    fn releasable(&self) -> bool {
+        !self.joinable || self.master.all_done()
     }
 
     /// Re-poll every parked worker; also the termination backstop. When no
@@ -222,15 +230,15 @@ impl<M: MasterLogic> MasterCore<M> {
     /// worker may still answer heartbeats). With units requeued they get
     /// one more backed-off lease to speak up and draw the retry; then, or
     /// at once if nothing is requeued, they are dismissed — the job is as
-    /// done as it can get, and waiting longer could hang. A live service
-    /// holds the backstop (clients may submit work), as does a driver that
-    /// still admits joiners while units are unfinished. Returns whether
-    /// anything was queued: a wake that changed nothing must not be
-    /// retried in a loop.
+    /// done as it can get, and waiting longer could hang. A driver that
+    /// still admits joiners holds the backstop while more work may be
+    /// assigned (`releasable`). A release marks the run complete even
+    /// when nobody is left to dismiss (a drained service that never had a
+    /// worker). Returns whether anything was queued: a wake that changed
+    /// nothing must not be retried in a loop.
     pub fn wake(&mut self, now: f64) -> bool {
         let queued = self.actions.len();
-        let rescuable = self.joinable && !self.master.all_done();
-        let release = self.idle() && !self.master.service_active() && !rescuable;
+        let release = self.idle() && self.releasable();
         for w in 0..self.workers.len() {
             if self.workers[w] == WState::Parked {
                 self.fill(w, now, release);
@@ -238,6 +246,7 @@ impl<M: MasterLogic> MasterCore<M> {
         }
         let patient = self.ledger.has_retry() && now < self.ledger.patience_until();
         if release && self.idle() && !patient {
+            self.dismissed = true;
             for w in 0..self.workers.len() {
                 if self.is_live(w) {
                     self.dismiss(w);
@@ -315,16 +324,12 @@ impl<M: MasterLogic> MasterCore<M> {
             }
             None if prefetch => {}
             // Park while work may still appear for `w`: a lease is out (its
-            // unit may requeue, or its holder's queue may be freed), a live
-            // service may be handed new jobs, or units sit unfinished in
-            // another worker's queue (`all_done`, asked last: it may scan
-            // the whole job table). The retry queue is empty here — it was
-            // tried first.
-            None if !release
-                && (self.ledger.has_pending()
-                    || self.master.service_active()
-                    || !self.master.all_done()) =>
-            {
+            // unit may requeue, or its holder's queue may be freed), or more
+            // work may yet be assigned — units unfinished in another
+            // worker's queue, or a live service's future jobs (`all_done`,
+            // asked last: it may scan the whole job table). The retry queue
+            // is empty here — it was tried first.
+            None if !release && (self.ledger.has_pending() || !self.master.all_done()) => {
                 self.workers[w] = WState::Parked;
             }
             None => self.dismiss(w),
@@ -350,13 +355,14 @@ impl<M: MasterLogic> MasterCore<M> {
     }
 
     /// The run ended because the work ran out, not the workers: someone
-    /// was dismissed for lack of work and nothing is leased or requeued.
+    /// was dismissed for lack of work, or a wake released the run, and
+    /// nothing is leased or requeued.
     pub(crate) fn job_complete(&self) -> bool {
         self.dismissed && !self.ledger.has_pending() && !self.ledger.has_retry()
     }
 
-    /// Whether the driver still admits new workers: while it does and units
-    /// are unfinished, [`MasterCore::wake`] holds its backstop.
+    /// Whether the driver still admits new workers: while it does and more
+    /// work may be assigned, [`MasterCore::wake`] holds its backstop.
     pub(crate) fn set_joinable(&mut self, joinable: bool) {
         self.joinable = joinable;
     }

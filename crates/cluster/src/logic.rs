@@ -9,8 +9,11 @@
 //! loop of [`crate::core::MasterCore`]:
 //!
 //! 1. every worker asks for work;
-//! 2. the master answers with a unit from [`MasterLogic::assign`] (or a
-//!    shutdown if `None`);
+//! 2. the master answers with a unit from [`MasterLogic::assign`]; with
+//!    none to give it parks the worker while more work may still be
+//!    assigned ([`MasterLogic::all_done`] is false — a long-lived service
+//!    is such a master until it is drained), and shuts it down once none
+//!    will ever be;
 //! 3. the worker runs [`WorkerLogic::perform`] and returns the result,
 //!    which doubles as the next work request;
 //! 4. the master folds the result in via [`MasterLogic::integrate`]
@@ -100,15 +103,19 @@ pub trait MasterLogic {
     /// release it so survivors pick up the remaining work. Default: no-op.
     fn on_worker_lost(&mut self, _worker: usize) {}
 
-    /// True once every unit has been integrated and the job is complete.
+    /// True once no more work will ever be assigned: the master's one
+    /// "is the work over" question.
     ///
     /// The core consults this when `assign` returns `None` for an idle
     /// worker: `true` lets the worker shut down, `false` parks it because
-    /// unfinished work still exists even though no lease or retry is
+    /// more work may still appear even though no lease or retry is
     /// visible at this instant — e.g. units queued behind another worker
     /// whose lease just completed and whose next assignment hasn't been
-    /// issued yet. Masters whose schedulers hold per-worker queues must
-    /// override this; the default (`true`) is only correct for
+    /// issued yet, or a long-lived service's future jobs (a service
+    /// answers `true` only once it is drained and every job is terminal).
+    /// While it is `false`, a driver that still admits joiners keeps an
+    /// idle run alive. Masters whose schedulers hold per-worker queues
+    /// must override this; the default (`true`) is only correct for
     /// bag-of-tasks masters where `assign` returning `None` means the
     /// bag is empty.
     fn all_done(&self) -> bool {
@@ -157,19 +164,6 @@ pub trait MasterLogic {
     /// violation). Masters holding per-client push state should drop it.
     /// Default: no-op.
     fn client_gone(&mut self, _client: u64) {}
-
-    /// Long-lived service mode. While `true`, the run stays alive even
-    /// when no assignable work exists: idle workers park instead of
-    /// shutting down, and on the TCP transport — the only one with
-    /// clients — the accept window never expires the run and parked
-    /// workers are re-polled every sweep, because client submissions may
-    /// create work at any moment. A service master returns `false` once
-    /// it has been drained (no more submissions accepted, every job
-    /// terminal), which releases the workers and ends the run. The
-    /// default (`false`) preserves one-shot semantics.
-    fn service_active(&self) -> bool {
-        false
-    }
 }
 
 /// Worker-side application logic.

@@ -268,7 +268,8 @@ pub struct NetConfig {
     /// a run that never sees a single successful handshake within this
     /// window fails with `TimedOut`. A fully departed farm still owed
     /// units waits for joiners only while this window is open and fewer
-    /// than the `TcpClusterConfig::workers` quorum have ever joined.
+    /// than the `TcpClusterConfig::workers` quorum have ever joined. A
+    /// service's window is unbounded (`f64::INFINITY`).
     pub accept_window_s: f64,
 }
 
@@ -282,8 +283,8 @@ impl Default for NetConfig {
 }
 
 /// Longest an idle loop waits before its next sweep. Every timer (leases,
-/// heartbeats, read deadlines, a live service's wake) is checked at least
-/// this often; traffic ends the wait early.
+/// heartbeats, read deadlines) is checked at least this often; traffic
+/// ends the wait early.
 const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 /// `poll(2)` from the libc that std already links.
@@ -342,6 +343,8 @@ pub struct TcpClusterConfig {
     /// Target worker count: the membership quorum. The run does not fail
     /// with `TimedOut` while fewer than this many workers have ever
     /// joined and the accept window is open; more may join at any time.
+    /// A service runs with an unbounded quorum (`usize::MAX`): it admits
+    /// workers for as long as it runs.
     pub workers: usize,
     /// Lease/timeout recovery policy over wall-clock seconds. Defaults to
     /// disabled; process deaths are still recovered via the closed socket.
@@ -466,17 +469,20 @@ where
     }
     loop {
         let t = run.now();
+        // a worker may still enrol while the quorum was never met and the
+        // accept window is open; the core must know before this sweep's
+        // frames are dispatched, or a first-sweep `SUBMIT` would release
+        // the run
+        let joinable =
+            (run.report.workers_joined as usize) < cfg.workers && t < cfg.net.accept_window_s;
+        run.core.set_joinable(joinable);
         let mut activity = run.accept(listener, t)?;
         run.io_sweep(t);
         activity |= run.dispatch(t);
         activity |= run.push_to_clients(t);
         let t = run.now();
         activity |= run.check_deadlines(t);
-        // a worker may still enrol while the quorum was never met and
-        // the accept window is open
-        let joinable =
-            (run.report.workers_joined as usize) < cfg.workers && t < cfg.net.accept_window_s;
-        run.schedule(t, joinable);
+        run.schedule(t);
         run.heartbeats(t);
         if run.should_stop(t, joinable)? {
             break;
@@ -547,9 +553,6 @@ struct MasterRun<'a, M: MasterLogic> {
     slots: Vec<Slot>,
     /// Accept-order index, keys the net-fault plan.
     accepted: u64,
-    /// Latched once `service_active()` is ever observed true: a drained
-    /// service terminates cleanly instead of `TimedOut`.
-    service_seen: bool,
     ping_seq: u64,
     /// Run-wide totals accumulate here directly (messages, bytes,
     /// membership counts, injected faults, master busy time).
@@ -570,7 +573,6 @@ where
             conns: Vec::new(),
             slots: Vec::new(),
             accepted: 0,
-            service_seen: false,
             ping_seq: 0,
             report: RunReport::default(),
         }
@@ -616,10 +618,15 @@ where
 
     /// Worker `w` is out of the run before its end (died, excluded or
     /// quarantined): the membership bookkeeping every such path shares.
+    /// Whoever is parked is woken once: the application may have released
+    /// a queue `w` owned, work no core event announces.
     fn departed(&mut self, w: usize, t: f64) {
         self.slots[w].left_s = t;
         self.report.workers_left += 1;
         membership(1, Some(w));
+        if !self.core.finished() {
+            self.core.wake(t);
+        }
     }
 
     /// Observed death of worker `w` (closed socket, read deadline, a
@@ -733,9 +740,12 @@ where
     }
 
     /// Hand every connection's decoded frames to their handlers; true if
-    /// there were any.
+    /// there were any. A served client frame is the one event that can
+    /// create or end work without the core seeing it (a `SUBMIT`, a
+    /// `DRAIN`), so the parked workers are woken once after any.
     fn dispatch(&mut self, t: f64) -> bool {
         let mut any = false;
+        let mut served = false;
         for ci in 0..self.conns.len() {
             while let Some(event) = self.conn(ci).and_then(|c| c.next_event()) {
                 any = true;
@@ -745,27 +755,34 @@ where
                         fingerprint,
                     } => self.on_hello(ci, identity, &fingerprint, t),
                     Event::Worker(w, msg) => self.on_worker_frame(w, msg, t),
-                    Event::Client(msg) => self.client_request(ci, &msg),
+                    Event::Client(msg) => served |= self.client_request(ci, &msg),
                 }
             }
+        }
+        if served {
+            self.core.wake(t);
+            self.pump();
         }
         any
     }
 
     /// Route a client request through `MasterLogic::client_frame` and
     /// queue the reply; a master that refuses it hangs up. The conn index
-    /// (never reused in a run) is the client's push token.
-    fn client_request(&mut self, ci: usize, msg: &Message) {
+    /// (never reused in a run) is the client's push token. True if the
+    /// master answered.
+    fn client_request(&mut self, ci: usize, msg: &Message) -> bool {
         let reply = self
             .core
             .master_mut()
             .client_frame(ci as u64, msg.tag, &msg.payload);
+        let served = reply.is_some();
         match (reply, self.conn(ci)) {
             (Some((rtag, payload)), Some(c)) => c.reply(rtag, payload),
             // this master serves no clients, or refuses this request
             (None, Some(c)) => c.refuse(),
             (_, None) => {}
         }
+        served
     }
 
     /// A `HELLO` on connection `ci`: enrol it, or refuse it for a
@@ -902,16 +919,10 @@ where
         any || expired
     }
 
-    /// Re-poll parked workers when the core has reason to — and, for a
-    /// live service, every sweep: a client submission can create work at
-    /// any moment and no core event announces it. (Frames queued here go
-    /// out on the next sweep; they do not count as activity, so an idle
-    /// service still sleeps between polls.)
-    fn schedule(&mut self, t: f64, joinable: bool) {
-        let service = self.core.master().service_active();
-        self.service_seen |= service;
-        self.core.set_joinable(joinable);
-        if service || self.core.wakeable(t) {
+    /// Re-poll parked workers when the core has reason to. (Frames queued
+    /// here go out on the next sweep; they do not count as activity.)
+    fn schedule(&mut self, t: f64) {
+        if self.core.wakeable(t) {
             self.core.wake(t);
         }
         self.pump();
@@ -933,26 +944,18 @@ where
     }
 
     /// Is the run over? `Err(TimedOut)` when no worker ever joined within
-    /// the accept window.
+    /// the accept window and the work is not over.
     fn should_stop(&self, t: f64, joinable: bool) -> Result<bool, ChannelError> {
-        if self.core.master().service_active() {
-            // long-lived service: stay up regardless of the accept window
-            // — clients and workers may arrive at any time, and the
-            // application decides when the service drains
-            return Ok(false);
-        }
-        if self.slots.is_empty() {
-            // a drained service with no workers left (or none ever
-            // joined) has every job terminal: exit cleanly
+        if self.slots.is_empty() && !self.core.job_complete() {
             let hello_open = (self.conns.iter().flatten()).any(|(_, c)| c.role().is_none());
-            if !self.service_seen && !hello_open && t >= self.cfg.net.accept_window_s {
+            if !hello_open && t >= self.cfg.net.accept_window_s {
                 return Err(ChannelError::TimedOut);
             }
-            return Ok(self.service_seen);
+            return Ok(false);
         }
         // every worker is done: stop unless work is still owed and a
         // replacement joiner may yet arrive
-        Ok(self.core.finished() && (self.service_seen || self.core.job_complete() || !joinable))
+        Ok(self.core.finished() && (self.core.job_complete() || !joinable))
     }
 
     /// Block until a socket has something for the next sweep — a pending
@@ -1058,9 +1061,6 @@ pub struct ConnectConfig {
     pub backoff_s: f64,
     /// Ceiling on the jitter window.
     pub backoff_cap_s: f64,
-    /// Seed for the jitter schedule; 0 derives one from wall time and
-    /// pid (production), nonzero replays deterministically (tests).
-    pub jitter_seed: u64,
     /// Treat the master as gone after this many seconds of socket
     /// silence (the master pings every `heartbeat_s`, so a healthy link
     /// is never silent for long). 0 disables the timeout.
@@ -1080,7 +1080,6 @@ impl Default for ConnectConfig {
             attempts: 20,
             backoff_s: 0.1,
             backoff_cap_s: 2.0,
-            jitter_seed: 0,
             read_timeout_s: 30.0,
             identity: 0,
             fingerprint: Vec::new(),
@@ -1127,11 +1126,7 @@ pub struct TcpWorkerConn {
 /// identity, full farm) surfaces as [`ChannelError::Protocol`] with the
 /// rejection reason.
 pub fn connect_worker(addr: &str, cfg: &ConnectConfig) -> Result<TcpWorkerConn, ChannelError> {
-    let mut rng = if cfg.jitter_seed == 0 {
-        JitterRng::from_entropy()
-    } else {
-        JitterRng::new(cfg.jitter_seed)
-    };
+    let mut rng = JitterRng::from_entropy();
     let attempts = cfg.attempts.max(1);
     let mut stream = None;
     for attempt in 0..attempts {
@@ -1554,7 +1549,6 @@ mod tests {
                 attempts: 200,
                 backoff_s: 0.02,
                 backoff_cap_s: 0.1,
-                jitter_seed: 11,
                 read_timeout_s: 10.0,
                 ..ConnectConfig::default()
             };

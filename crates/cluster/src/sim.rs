@@ -529,7 +529,7 @@ where
         debug_assert!(
             !self.cluster.faults.is_empty()
                 || self.core.finished()
-                || self.core.master().service_active(),
+                || !self.core.master().all_done(),
             "all workers must be shut down in a fault-free run"
         );
         self.report.makespan_s = self.makespan.max(self.master_free);

@@ -194,11 +194,14 @@ mod tests {
             type Unit = u64;
             type Result = u64;
             fn perform(&mut self, unit: &u64) -> (u64, WorkCost) {
-                // a small real computation
+                // a small real computation, plus a fixed real duration so
+                // the 60 units outlast every thread's start-up even when
+                // the loop alone is over in microseconds
                 let mut acc = *unit;
                 for i in 0..200_000u64 {
                     acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
                 }
+                std::thread::sleep(Duration::from_millis(2));
                 (acc, WorkCost::compute_only(0.0))
             }
         }

@@ -133,3 +133,35 @@ fn idle_worker_parks_while_a_late_joiner_holds_unfinished_units() {
     assert_eq!(early.join().expect("early worker").units, UNITS);
     late.join().expect("late joiner");
 }
+
+#[test]
+fn a_departure_wakes_the_parked_worker_while_the_quorum_is_unmet() {
+    // as above, but at quorum 3 the door stays open after the late
+    // joiner's crash: the queue its departure releases must still reach
+    // the parked early worker at once, not when the 30 s window closes
+    let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
+    let addr = master.local_addr().expect("addr").to_string();
+    let early = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let conn = connect_worker(&addr, &ConnectConfig::default()).expect("connect");
+            conn.serve(Adder).expect("serve")
+        })
+    };
+    let late = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        let conn = connect_worker(&addr, &ConnectConfig::default()).expect("late connect");
+        conn.leave();
+    });
+    let (m, r) = master
+        .run(OwnerQueues::new(), &TcpClusterConfig::new(3))
+        .expect("run");
+    early_worker_finished_the_job("tcp", &m, &r);
+    assert!(
+        r.makespan_s < 10.0,
+        "waited {:.1}s for a joiner",
+        r.makespan_s
+    );
+    assert_eq!(early.join().expect("early worker").units, UNITS);
+    late.join().expect("late joiner");
+}

@@ -1053,7 +1053,7 @@ impl MasterLogic for ServiceMaster {
     }
 
     fn all_done(&self) -> bool {
-        self.all_jobs_terminal()
+        self.draining && self.all_jobs_terminal()
     }
 
     fn client_frame(&mut self, client: u64, t: u32, payload: &[u8]) -> Option<(u32, Vec<u8>)> {
@@ -1166,10 +1166,6 @@ impl MasterLogic for ServiceMaster {
             clients.retain(|&c| c != client);
         }
         self.watchers.retain(|_, clients| !clients.is_empty());
-    }
-
-    fn service_active(&self) -> bool {
-        !self.draining || !self.all_jobs_terminal()
     }
 }
 
@@ -1348,7 +1344,8 @@ fn service_job_header() -> Vec<u8> {
 /// open connections straight into `SUBMIT`/`STATUS`/`CANCEL`/`JOBS`/
 /// `DRAIN` frames. Returns the master (job table intact) plus the run
 /// report once a `DRAIN` request has been honored and every job is
-/// terminal.
+/// terminal. `tcp`'s worker quorum and accept window do not apply: a
+/// service admits workers for as long as it runs, with or without any.
 pub fn run_service_master(
     listener: TcpMaster,
     mut master: ServiceMaster,
@@ -1357,6 +1354,8 @@ pub fn run_service_master(
     let mut ccfg = tcp.clone();
     master.disk = tcp.chaos.disk.arm();
     ccfg.job_header = service_job_header();
+    ccfg.workers = usize::MAX;
+    ccfg.net.accept_window_s = f64::INFINITY;
     // fingerprint stays empty: service workers are scene-agnostic
     listener
         .run(master, &ccfg)

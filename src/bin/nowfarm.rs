@@ -170,7 +170,6 @@ const COMMANDS: &[Command] = &[
         "long-lived multi-tenant service",
         &[
             ("--listen", "ADDR", "listen address (default 127.0.0.1:0)"),
-            ("--workers", "N", "worker quorum hint (default 1)"),
             ("--root", "DIR", "service journal + DIR/jobs/job_NNNNNN"),
             (
                 "--resume",
@@ -194,7 +193,6 @@ const COMMANDS: &[Command] = &[
             ),
             ("--lease", "S", "lease recovery with an S-second base lease"),
             ("--heartbeat-s", "S", "ping cadence (default 0.25)"),
-            ("--accept-window-s", "S", "how long to wait for a peer"),
             (
                 "--chaos",
                 "SPEC",
@@ -507,7 +505,8 @@ fn seconds_flag(args: &[String], flag: &str) -> Result<Option<f64>, String> {
 }
 
 /// The TCP master configuration `master` and `serve` share: the worker
-/// quorum, `--lease`, `--heartbeat-s`, `--accept-window-s`, and the one
+/// quorum, `--lease`, `--heartbeat-s`, `--accept-window-s` (a `master`
+/// flag only: a service's quorum and window are unbounded), and the one
 /// fault plan from `--chaos SPEC` or `NOW_CHAOS` (the flag wins).
 fn tcp_config(args: &[String], workers: usize) -> Result<TcpFarmConfig, String> {
     let mut tcp = TcpFarmConfig::new(workers);
@@ -888,8 +887,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         ServiceMaster::new(cfg)?
     };
 
-    let workers: usize = parsed_flag(args, "--workers", 1)?;
-    let tcp = tcp_config(args, workers.max(1))?;
+    let tcp = tcp_config(args, 1)?;
     let listener = bind_retry(flag_value(args, "--listen").unwrap_or("127.0.0.1:0"))?;
     let addr = listener
         .local_addr()
@@ -1296,5 +1294,13 @@ mod tests {
         let line = words("demo:glassball:2:64x48 --connect a --job 5");
         let err = check_flags("load", load, &line).expect_err("--job accepted");
         assert!(err.contains("`--job`") && err.contains("--jobs"), "{err}");
+        // a service admits workers for as long as it runs: the quorum and
+        // accept-window flags are `master`'s alone (`main` exits 2 on them)
+        for flag in ["--workers 2", "--accept-window-s 5"] {
+            let err = check_flags("serve", table("serve"), &words(flag)).expect_err(flag);
+            assert!(err.contains(flag.split(' ').next().unwrap()), "{err}");
+            let line = words(&format!("demo:newton:1:32x24 {flag}"));
+            assert_eq!(check_flags("master", table("master"), &line), Ok(()));
+        }
     }
 }

@@ -3,17 +3,24 @@
 //! garbage SUBMIT payloads, oversized scene specs, cancels of unknown or
 //! finished jobs, junk opener tags, and clients that vanish mid-request.
 //! In every case the master keeps serving other clients, answers with an
-//! explicit reason where the protocol allows one, and never panics.
+//! explicit reason where the protocol allows one, and never panics. The
+//! last tests hold the service's lifetime rule: an idle live service
+//! leaves its parked workers alone, a served `SUBMIT` wakes them, and a
+//! `DRAIN` ends the run with or without workers.
 
 use nowrender::cluster::net::{tag, write_frame};
-use nowrender::cluster::{connect_worker, ConnectConfig, Message};
+use nowrender::cluster::{
+    connect_worker, ConnectConfig, MachineSpec, MasterLogic, MasterWork, Message, SimCluster,
+};
 use nowrender::core::service::{
-    run_service_master, JobState, ServiceConfig, ServiceMaster, ServiceWorker,
+    run_service_master, run_service_sim, JobState, ServiceConfig, ServiceMaster, ServiceWorker,
 };
 use nowrender::core::{bind_tcp_master, CostModel, JobSpec, ServiceClient, TcpFarmConfig};
 use nowrender::raytrace::RenderSettings;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Run `f` against a live TCP service with one real worker attached,
@@ -291,4 +298,128 @@ fn pipelined_requests_answered_in_order() {
         c.drain().expect("drain");
     });
     assert_eq!(m.counters.completed, 1);
+}
+
+/// A [`ServiceMaster`] that counts the core's `assign` calls.
+struct CountingService {
+    inner: ServiceMaster,
+    assigns: Arc<AtomicU64>,
+}
+
+impl MasterLogic for CountingService {
+    type Unit = <ServiceMaster as MasterLogic>::Unit;
+    type Result = <ServiceMaster as MasterLogic>::Result;
+
+    fn assign(&mut self, worker: usize) -> Option<Self::Unit> {
+        self.assigns.fetch_add(1, Ordering::Relaxed);
+        self.inner.assign(worker)
+    }
+    fn integrate(&mut self, w: usize, unit: Self::Unit, r: Self::Result) -> Option<MasterWork> {
+        self.inner.integrate(w, unit, r)
+    }
+    fn unit_bytes(&self, unit: &Self::Unit) -> u64 {
+        self.inner.unit_bytes(unit)
+    }
+    fn on_reassign(&mut self, from: usize, unit: &mut Self::Unit) {
+        self.inner.on_reassign(from, unit)
+    }
+    fn on_worker_lost(&mut self, worker: usize) {
+        self.inner.on_worker_lost(worker)
+    }
+    fn all_done(&self) -> bool {
+        self.inner.all_done()
+    }
+    fn client_frame(&mut self, client: u64, t: u32, payload: &[u8]) -> Option<(u32, Vec<u8>)> {
+        self.inner.client_frame(client, t, payload)
+    }
+    fn client_pushes(&mut self) -> Vec<(u64, u32, Vec<u8>)> {
+        self.inner.client_pushes()
+    }
+    fn client_gone(&mut self, client: u64) {
+        self.inner.client_gone(client)
+    }
+}
+
+#[test]
+fn idle_service_leaves_parked_workers_alone_until_a_submit() {
+    let spec = JobSpec::new("demo:newton:3:24x18");
+    let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let assigns = Arc::new(AtomicU64::new(0));
+    let master = CountingService {
+        inner: ServiceMaster::new(ServiceConfig::default()).expect("in-memory service"),
+        assigns: Arc::clone(&assigns),
+    };
+    // the service's own lifetime: any number of workers, for as long as
+    // it runs
+    let mut tcp = TcpFarmConfig::new(usize::MAX);
+    tcp.net.accept_window_s = f64::INFINITY;
+    let master_thread = std::thread::spawn(move || listener.run(master, &tcp).expect("service"));
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let conn = connect_worker(&addr, &ConnectConfig::default()).expect("worker enrolls");
+            std::thread::spawn(move || {
+                let worker = ServiceWorker::new(RenderSettings::default(), CostModel::default());
+                conn.serve(worker)
+            })
+        })
+        .collect();
+
+    // both workers asked once and parked; nothing wakes them while idle
+    std::thread::sleep(Duration::from_millis(200));
+    let before = assigns.load(Ordering::Relaxed);
+    std::thread::sleep(Duration::from_millis(300));
+    let idle = assigns.load(Ordering::Relaxed) - before;
+    assert!(
+        idle <= 4,
+        "an idle service polled its parked workers {idle} times"
+    );
+
+    // a served SUBMIT wakes them, and the job renders what the simulator does
+    let mut c = client(&addr);
+    let id = c.submit(&spec).expect("transport").expect("admitted");
+    assert_eq!(wait_terminal(&mut c, id), JobState::Done);
+    let hash = c.status(id).expect("transport").expect("known").job_hash;
+    let mut sim_master = ServiceMaster::new(ServiceConfig::default()).expect("service");
+    let sim_id = sim_master.submit(spec).expect("admitted");
+    let machines = (0..2)
+        .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 256.0))
+        .collect();
+    let (sim_master, _) = run_service_sim(sim_master, &SimCluster::new(machines));
+    assert_eq!(hash, sim_master.status(sim_id).expect("known").job_hash);
+
+    // DRAIN releases both workers and ends the run
+    c.drain().expect("drain");
+    for w in workers {
+        w.join()
+            .expect("worker thread")
+            .expect("worker ends cleanly");
+    }
+    let (m, _report) = master_thread.join().expect("master thread");
+    assert!(m.inner.all_jobs_terminal());
+}
+
+#[test]
+fn drained_service_without_workers_exits() {
+    let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    // a short window must not end a service: it admits workers for as
+    // long as it runs
+    let mut tcp = TcpFarmConfig::new(1);
+    tcp.net.accept_window_s = 0.1;
+    let master = ServiceMaster::new(ServiceConfig::default()).expect("in-memory service");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let ended = run_service_master(listener, master, &tcp);
+        let _ = tx.send(ended.map(|(m, report)| (m.all_jobs_terminal(), report.workers_joined)));
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    client(&addr).drain().expect("drain");
+    let ended = rx.recv_timeout(Duration::from_secs(20));
+    let ended = ended.expect("a drained service exits").expect("service");
+    assert_eq!(
+        ended,
+        (true, 0),
+        "every job terminal, no worker ever joined"
+    );
 }
