@@ -6,10 +6,15 @@
 //! * **Sequence division** — "dividing up whole frames among the available
 //!   \[processors\] so that each receives a subsequence of the full
 //!   animation ... the frames must be consecutive to take advantage of any
-//!   frame coherence between them." Load imbalance is handled by adaptive
+//!   frame coherence between them." With several workers the frames are
+//!   cut into one chunk per worker and chunk i is pre-owned by worker i;
+//!   a lone chunk (one worker, or one frame) is owned by nobody, so the
+//!   first worker that asks claims the whole job — a service job goes to
+//!   the first idle worker. Load imbalance is handled by adaptive
 //!   subdivision: an idle processor steals the tail half of the largest
 //!   remaining subsequence — paying a fresh (coherence-free) first frame
-//!   for the stolen piece, which is the scheme's inherent cost.
+//!   for the stolen piece, which is the scheme's inherent cost — so a
+//!   long job's tail spreads over the idle workers.
 //! * **Frame division** — "each frame is divided into subareas, each of
 //!   which is computed by a separate processor for the entire animation
 //!   sequence." With more subareas than processors (the paper's 80x80
@@ -151,13 +156,16 @@ impl Scheduler {
         let full = PixelRegion::full(width, height);
         match scheme {
             PartitionScheme::SequenceDivision { adaptive } => {
-                // contiguous chunks, one per worker, pre-owned
+                // contiguous chunks, one per worker: chunk i is pre-owned
+                // by worker i when there are several, a lone chunk goes
+                // to whichever worker asks first
                 let w = workers as u32;
+                let chunks = w.min(frames);
                 let base = frames / w;
                 let extra = frames % w;
                 let mut queues = Vec::new();
                 let mut start = 0u32;
-                for i in 0..w.min(frames) {
+                for i in 0..chunks {
                     let len = base + u32::from(i < extra);
                     if len == 0 {
                         continue;
@@ -166,7 +174,7 @@ impl Scheduler {
                         region: full,
                         next: start,
                         end: start + len,
-                        owner: Some(i as usize),
+                        owner: (chunks > 1).then_some(i as usize),
                         fresh: true,
                     });
                     start += len;

@@ -51,7 +51,8 @@ use now_cluster::{
 use now_coherence::{PixelRegion, TileUpdate};
 use now_grid::GridSpec;
 use now_raytrace::RenderSettings;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -456,6 +457,10 @@ impl Job {
 pub struct ServiceMaster {
     cfg: ServiceConfig,
     jobs: BTreeMap<u64, Job>,
+    /// Ids of the jobs that are not terminal (`Queued` or `Running`):
+    /// what `assign`, admission and `all_done` walk instead of the whole
+    /// table, which keeps every job ever submitted.
+    live: BTreeSet<u64>,
     next_id: u64,
     tenants: BTreeMap<String, TenantState>,
     draining: bool,
@@ -501,6 +506,7 @@ impl ServiceMaster {
         let mut m = ServiceMaster {
             cfg,
             jobs: BTreeMap::new(),
+            live: BTreeSet::new(),
             next_id: 1,
             tenants: BTreeMap::new(),
             draining: false,
@@ -560,6 +566,7 @@ impl ServiceMaster {
                 self.ensure_tenant(&spec.tenant);
                 self.counters.submitted += 1;
                 self.next_id = self.next_id.max(id + 1);
+                self.live.insert(id);
                 self.jobs.insert(
                     id,
                     Job {
@@ -579,6 +586,7 @@ impl ServiceMaster {
                 if let Some(j) = self.jobs.get_mut(&id) {
                     j.state = JobState::Cancelled;
                     j.anim = None;
+                    self.live.remove(&id);
                     self.counters.cancelled += 1;
                 }
             }
@@ -591,6 +599,7 @@ impl ServiceMaster {
                     j.job_hash = hash;
                     j.frames_done = frames;
                     j.anim = None;
+                    self.live.remove(&id);
                     self.counters.completed += 1;
                 }
             }
@@ -680,8 +689,7 @@ impl ServiceMaster {
         if spec.scene.len() > self.cfg.max_spec_bytes {
             return Err("scene spec too large".to_string());
         }
-        let live = self.jobs.values().filter(|j| !j.state.terminal()).count();
-        if live >= self.cfg.max_queued {
+        if self.live.len() >= self.cfg.max_queued {
             return Err("queue full".to_string());
         }
         let anim = from_spec(&spec.scene).map_err(|e| format!("bad scene: {e}"))?;
@@ -700,6 +708,7 @@ impl ServiceMaster {
         e.u8(REC_SUBMITTED).u64(id);
         spec.wire_encode(&mut e);
         self.journal_append(e.finish());
+        self.live.insert(id);
         self.jobs.insert(
             id,
             Job {
@@ -730,6 +739,7 @@ impl ServiceMaster {
                 j.state = JobState::Cancelled;
                 j.master = None;
                 j.anim = None;
+                self.live.remove(&id);
                 self.counters.cancelled += 1;
                 let mut e = Encoder::new();
                 e.u8(REC_CANCELLED).u64(id);
@@ -762,7 +772,7 @@ impl ServiceMaster {
 
     /// True once every job in the table is `Done` or `Cancelled`.
     pub fn all_jobs_terminal(&self) -> bool {
-        self.jobs.values().all(|j| j.state.terminal())
+        self.live.is_empty()
     }
 
     /// Unit grants per tenant (fairness accounting).
@@ -831,9 +841,10 @@ impl ServiceMaster {
     }
 
     /// Record a grant and fire any due cancel-plan triggers.
-    fn note_grant(&mut self, tenant: &str, id: u64, unit: &RenderUnit, state: JobState) {
+    fn note_grant(&mut self, id: u64, unit: &RenderUnit, state: JobState) {
         self.grants += 1;
-        if let Some(t) = self.tenants.get_mut(tenant) {
+        let spec = &self.jobs[&id].spec;
+        if let Some(t) = self.tenants.get_mut(&spec.tenant) {
             t.pass += STRIDE1 / t.weight as u64;
             t.grants += 1;
         }
@@ -841,8 +852,8 @@ impl ServiceMaster {
             self.grant_log.push(GrantRecord {
                 seq: self.grants,
                 job: id,
-                tenant: tenant.to_string(),
-                priority: self.jobs[&id].spec.priority,
+                tenant: spec.tenant.clone(),
+                priority: spec.priority,
                 frame: unit.frame,
                 region: (unit.region.x0, unit.region.y0),
                 state,
@@ -894,6 +905,7 @@ impl ServiceMaster {
         job.job_hash = hash;
         job.frames_done = m.frames_finalized() as u32;
         job.anim = None;
+        self.live.remove(&id);
         self.counters.completed += 1;
         let frames_done = job.frames_done;
         let units_done = job.units_done;
@@ -929,44 +941,40 @@ impl MasterLogic for ServiceMaster {
 
     fn assign(&mut self, worker: usize) -> Option<ServiceUnit> {
         // stride scheduling: serve the tenant with the lowest pass that
-        // has anything assignable, ties broken by name for determinism
-        let mut order: Vec<(u64, String)> = self
-            .tenants
+        // has anything assignable, ties broken by name for determinism;
+        // within the tenant: strict priority, then submit order
+        let mut cands: Vec<(u64, &str, Reverse<i32>, u64)> = self
+            .live
             .iter()
-            .map(|(name, t)| (t.pass, name.clone()))
+            .map(|&id| {
+                let spec = &self.jobs[&id].spec;
+                let pass = self.tenants[&spec.tenant].pass;
+                (pass, spec.tenant.as_str(), Reverse(spec.priority), id)
+            })
             .collect();
-        order.sort();
-        for (_, tenant) in order {
-            // within the tenant: strict priority, then submit order
-            let mut cands: Vec<(i32, u64)> = self
-                .jobs
-                .iter()
-                .filter(|(_, j)| !j.state.terminal() && j.spec.tenant == tenant)
-                .map(|(&id, j)| (j.spec.priority, id))
-                .collect();
-            cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            for (_, id) in cands {
-                if self.ensure_master(id).is_err() {
-                    continue;
-                }
-                let job = self.jobs.get_mut(&id).expect("candidate job exists");
-                let Some(m) = job.master.as_mut() else {
-                    continue;
+        cands.sort_unstable();
+        let order: Vec<u64> = cands.into_iter().map(|(.., id)| id).collect();
+        for id in order {
+            if self.ensure_master(id).is_err() {
+                continue;
+            }
+            let job = self.jobs.get_mut(&id).expect("candidate job exists");
+            let Some(m) = job.master.as_mut() else {
+                continue;
+            };
+            // a job with nothing assignable *for this worker right now*
+            // is skipped, not blocking (work conservation)
+            if let Some(unit) = m.assign(worker) {
+                job.state = JobState::Running;
+                let su = ServiceUnit {
+                    job: id,
+                    scene: job.spec.scene.clone(),
+                    coherence: job.spec.coherence,
+                    grid_voxels: job.spec.grid_voxels,
+                    unit,
                 };
-                // a job with nothing assignable *for this worker right
-                // now* is skipped, not blocking (work conservation)
-                if let Some(unit) = m.assign(worker) {
-                    job.state = JobState::Running;
-                    let su = ServiceUnit {
-                        job: id,
-                        scene: job.spec.scene.clone(),
-                        coherence: job.spec.coherence,
-                        grid_voxels: job.spec.grid_voxels,
-                        unit,
-                    };
-                    self.note_grant(&tenant, id, &unit, JobState::Running);
-                    return Some(su);
-                }
+                self.note_grant(id, &unit, JobState::Running);
+                return Some(su);
             }
         }
         None
@@ -1045,8 +1053,9 @@ impl MasterLogic for ServiceMaster {
     }
 
     fn on_worker_lost(&mut self, worker: usize) {
-        for job in self.jobs.values_mut() {
-            if let Some(m) = job.master.as_mut() {
+        // only a live job has a master
+        for id in &self.live {
+            if let Some(m) = self.jobs.get_mut(id).and_then(|j| j.master.as_mut()) {
                 m.on_worker_lost(worker);
             }
         }
@@ -1302,9 +1311,9 @@ fn job_farm_config(
     cost: CostModel,
 ) -> FarmConfig {
     FarmConfig {
-        // one queue covering the whole job; the scheduler's adaptive
-        // tail-stealing spreads a big job over idle workers while
-        // small jobs stay sequential (coherence-friendly)
+        // one unowned queue covering the whole job: the first idle
+        // worker that asks claims it, and the scheduler's adaptive
+        // tail-stealing spreads a long job's tail over idle workers
         scheme: PartitionScheme::SequenceDivision { adaptive: true },
         coherence,
         settings: settings.clone(),
@@ -1733,6 +1742,69 @@ mod tests {
         let r = crate::farm::run_sim(&anim, &fcfg, &sim(3));
         let want = fnv1a(r.frame_hashes.iter().flat_map(|h| h.to_le_bytes()));
         assert_eq!(got, want, "service job hash must equal the farm's frames");
+    }
+
+    /// The live set is exactly the table's non-terminal jobs.
+    fn assert_live_set(m: &ServiceMaster) {
+        let want: BTreeSet<u64> = (m.jobs.iter())
+            .filter(|(_, j)| !j.state.terminal())
+            .map(|(&id, _)| id)
+            .collect();
+        assert_eq!(m.live, want);
+        assert_eq!(m.all_jobs_terminal(), want.is_empty());
+    }
+
+    #[test]
+    fn live_set_follows_every_transition_and_resume() {
+        let root = std::env::temp_dir().join(format!("nowsvc_live_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cfg = ServiceConfig {
+            root: Some(root.clone()),
+            max_queued: 3,
+            ..ServiceConfig::default()
+        };
+        let mut m = ServiceMaster::new(cfg.clone()).expect("service");
+        let mut ids = Vec::new();
+        for spec in [
+            "demo:glassball:1:8x6",
+            "demo:glassball:1:8x6",
+            "demo:newton:2:8x6",
+        ] {
+            ids.push(m.submit(JobSpec::new(spec)).expect("admitted"));
+            assert_live_set(&m);
+        }
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
+        assert_eq!(
+            m.submit(JobSpec::new("demo:glassball:1:8x6")).unwrap_err(),
+            "queue full"
+        );
+        assert_eq!(m.cancel(b), Ok(()));
+        assert_live_set(&m);
+        // a cancel makes room: the live set, not the table, is the bound
+        let d = m
+            .submit(JobSpec::new("demo:glassball:1:8x6"))
+            .expect("room again");
+        assert_live_set(&m);
+        // a's one unit, then c's first frame: a is Done, c is Running
+        let mut worker = ServiceWorker::new(cfg.settings.clone(), cfg.cost);
+        for want in [a, c] {
+            let su = m.assign(0).expect("a unit");
+            assert_eq!(su.job, want);
+            let (out, _) = worker.perform(&su);
+            assert!(m.integrate(0, su, out).is_some());
+            assert_live_set(&m);
+        }
+        assert_eq!(m.status(a).unwrap().state, JobState::Done);
+        assert_eq!(m.status(c).unwrap().state, JobState::Running);
+        drop(m);
+
+        let m = ServiceMaster::resume(cfg).expect("resume");
+        assert_live_set(&m);
+        assert_eq!(m.live, BTreeSet::from([c, d]));
+        let (m, _) = run_service_sim(m, &sim(2));
+        assert_live_set(&m);
+        assert!(m.live.is_empty());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -181,3 +181,57 @@ fn released_queues_keep_cover_exact() {
         }
     });
 }
+
+/// A one-worker sequence division is one chunk that nobody owns yet: the
+/// first label that asks claims the whole run with a restart, whatever
+/// its number, and a label that asks later finds nothing it may take
+/// (two frames are below the steal floor).
+#[test]
+fn a_lone_chunk_goes_to_whoever_asks_first() {
+    for first in [0, 1, 7] {
+        for adaptive in [false, true] {
+            let scheme = PartitionScheme::SequenceDivision { adaptive };
+            let mut sched = Scheduler::new(scheme, 16, 8, 2, 1);
+            let u = sched.next_unit(first).expect("the first asker gets work");
+            assert_eq!((u.frame, u.restart), (0, true), "label {first}");
+            let other = if first == 0 { 1 } else { 0 };
+            assert_eq!(sched.next_unit(other), None, "label {first} owns the run");
+            let u = sched.next_unit(first).expect("second frame");
+            assert_eq!((u.frame, u.restart), (1, false), "label {first}");
+            assert_eq!(sched.remaining_units(), 0);
+        }
+    }
+    // one frame over several workers is a lone chunk too
+    let scheme = PartitionScheme::SequenceDivision { adaptive: true };
+    let mut sched = Scheduler::new(scheme, 16, 8, 1, 3);
+    let u = sched.next_unit(2).expect("worker 2 asks first");
+    assert_eq!((u.frame, u.restart), (0, true));
+}
+
+/// With several workers, chunk i stays pre-owned by worker i (the
+/// paper's static split, which `table1` and `timeline` reproduce): even
+/// when the workers ask in reverse order, each one's first unit is the
+/// first frame of its own chunk.
+#[test]
+fn several_workers_keep_chunk_i_on_worker_i() {
+    for workers in 2..=5usize {
+        for frames in [workers as u32, 17, 45] {
+            for adaptive in [false, true] {
+                let scheme = PartitionScheme::SequenceDivision { adaptive };
+                let mut sched = Scheduler::new(scheme, 16, 8, frames, workers);
+                let w = workers as u32;
+                let starts: Vec<u32> = (0..w)
+                    .map(|i| i * (frames / w) + i.min(frames % w))
+                    .collect();
+                for i in (0..workers).rev() {
+                    let u = sched.next_unit(i).expect("every worker has a chunk");
+                    assert_eq!(
+                        (u.frame, u.restart),
+                        (starts[i], true),
+                        "{workers} workers, {frames} frames, worker {i}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -39,7 +39,7 @@ use now_math::Color;
 use nowrender::anim::scenes::from_spec;
 use nowrender::anim::Animation;
 use nowrender::cluster::{
-    ChaosPlan, ConnectConfig, MachineSpec, RecoveryConfig, SimCluster, TcpMaster,
+    ChaosPlan, ConnectConfig, MachineSpec, RecoveryConfig, RunReport, SimCluster, TcpMaster,
 };
 use nowrender::core::service::ServiceConfig;
 use nowrender::core::{
@@ -673,7 +673,13 @@ fn print_farm_summary(result: &FarmResult) {
             result.report.leases_prefetched
         );
     }
-    for (i, m) in result.report.machines.iter().enumerate() {
+    print_machines(&result.report);
+}
+
+/// One line per machine of a run: busy time, utilisation, units and,
+/// where known, round trip, wire bytes and membership.
+fn print_machines(report: &RunReport) {
+    for (i, m) in report.machines.iter().enumerate() {
         let rtt = if m.rtt_s > 0.0 {
             format!("  rtt {:6.0}us", m.rtt_s * 1e6)
         } else {
@@ -695,7 +701,7 @@ fn print_farm_summary(result: &FarmResult) {
             "  {:<28} busy {:8.2}s  util {:3.0}%  units {:4}{}{}{}{}",
             m.name,
             m.busy_s,
-            100.0 * result.report.utilisation(i),
+            100.0 * report.utilisation(i),
             m.units_done,
             rtt,
             wire,
@@ -910,6 +916,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     for (tenant, grants) in master.tenant_grants() {
         println!("  tenant {tenant:<16} {grants:6} unit grants");
     }
+    print_machines(&report);
     Ok(())
 }
 

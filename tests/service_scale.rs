@@ -166,3 +166,46 @@ fn churn_while_queued_jobs_complete() {
         "crashes and joins must never change rendered bytes"
     );
 }
+
+/// A job goes to whichever worker asks first: twenty queued two-frame
+/// jobs from two tenants on two equal workers keep both of them busy
+/// (a job pinned to worker 0 would leave worker 1 idle, since a
+/// two-frame job is below the steal floor), and the split never
+/// changes a job's bytes. The simulator's machine 0 hosts the
+/// coordinator and runs worker 0; machine 1 runs worker 1.
+#[test]
+fn two_equal_workers_split_queued_jobs() {
+    const SPEC: &str = "demo:newton:2:48x36";
+    let equal = |n: usize| {
+        SimCluster::new(
+            (0..n)
+                .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 256.0))
+                .collect(),
+        )
+    };
+    let mut m = ServiceMaster::new(ServiceConfig::default()).expect("in-memory service");
+    for i in 0..20 {
+        m.submit(JobSpec::new(SPEC).tenant(TENANTS[i % 2]))
+            .expect("admit");
+    }
+    let (m, report) = run_service_sim(m, &equal(2));
+    assert!(m.all_jobs_terminal());
+    let units: Vec<u64> = report.machines.iter().map(|r| r.units_done).collect();
+    let total: u64 = units.iter().sum();
+    assert_eq!(total, 40, "20 jobs x 2 frames");
+    for (w, &k) in units.iter().enumerate() {
+        assert!(
+            k * 10 >= total * 4,
+            "worker {w} rendered {k} of {total} units"
+        );
+    }
+
+    let mut one = ServiceMaster::new(ServiceConfig::default()).expect("in-memory service");
+    let id = one.submit(JobSpec::new(SPEC)).expect("admit");
+    let (one, _) = run_service_sim(one, &equal(1));
+    let want = one.status(id).expect("known job").job_hash;
+    for s in m.statuses() {
+        assert_eq!(s.state, JobState::Done);
+        assert_eq!(s.job_hash, want, "job {} renders other bytes", s.id);
+    }
+}
