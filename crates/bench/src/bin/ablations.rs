@@ -19,101 +19,86 @@
 //! * `shadows` — shadow-ray coherence on/off (the paper's shadow
 //!   extension): conservativeness cost of not tracking shadow rays is
 //!   reported as missed pixels.
+//! * `length` — coherence speedup against sequence length.
 //!
-//! Usage: `ablations [subcommand] [--quick]`
+//! Usage: `ablations [subcommand...] [--quick]`; any other argument exits 2.
 
 use now_anim::scenes::{glassball, newton, orbit};
 use now_anim::Animation;
-use now_bench::commas;
+use now_bench::{commas, paper_tiles, Cli, Outcome, Row};
 use now_cluster::{MachineSpec, SimCluster};
-use now_core::{run_sim, CostModel, FarmConfig, PartitionScheme, SequenceMode, SingleMachine};
+use now_core::PartitionScheme::{FrameDivision, SequenceDivision};
+use now_core::SequenceMode::{BlockCoherent, Coherent, Plain};
+use now_core::{SequenceReport, SingleMachine};
 use now_raytrace::RenderSettings;
 
+/// A study, run at a frame size and frame count.
+type Study = fn(u32, u32, usize);
+
+/// The studies by subcommand.
+const STUDIES: &[(&str, Study)] = &[
+    ("grid", grid_sweep),
+    ("granularity", granularity_sweep),
+    ("tiles", tile_sweep),
+    ("adaptive", adaptive_vs_static),
+    ("machines", machine_mix),
+    ("scenes", scene_sweep),
+    ("shadows", shadow_tracking),
+    ("length", sequence_length),
+];
+
+/// Target voxel count of the coherence grid, unless a study sweeps it.
+const GRID: u32 = 20 * 20 * 20;
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let which: Vec<&str> = args
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    let all = which.is_empty();
-    let run = |name: &str| all || which.contains(&name);
+    let names: Vec<&str> = STUDIES.iter().map(|(name, _)| *name).collect();
+    let cli = Cli::from_env(&["--quick"], &names);
+    let (w, h, frames) = if cli.quick {
+        (80, 60, 10)
+    } else {
+        (160, 120, 20)
+    };
+    for &(name, study) in STUDIES {
+        if cli.subcommands.is_empty() || cli.subcommands.iter().any(|s| s == name) {
+            study(w, h, frames);
+        }
+    }
+}
 
-    let (w, h, frames) = if quick { (80, 60, 10) } else { (160, 120, 20) };
+/// The sequence rendered plainly and coherently on a speed-1.0 machine.
+fn plain_and_coherent(anim: &Animation) -> [Outcome; 2] {
+    [Plain, Coherent].map(|mode| Row::Single(mode, SingleMachine::unit(), GRID).run(anim))
+}
 
-    if run("grid") {
-        grid_sweep(w, h, frames);
-    }
-    if run("granularity") {
-        granularity_sweep(w, h, frames);
-    }
-    if run("tiles") {
-        tile_sweep(w, h, frames);
-    }
-    if run("adaptive") {
-        adaptive_vs_static(w, h, frames);
-    }
-    if run("machines") {
-        machine_mix(w, h, frames);
-    }
-    if run("scenes") {
-        scene_sweep(w, h, frames);
-    }
-    if run("shadows") {
-        shadow_tracking(w, h, frames);
-    }
-    if run("length") {
-        sequence_length(w, h);
-    }
+/// Pixels re-rendered after the first frame, and peak coherence memory
+/// in MB.
+fn recomputed_and_mb(rep: &SequenceReport) -> (u64, f64) {
+    let recomputed = rep.pixels_per_frame[1..].iter().sum();
+    (recomputed, rep.peak_memory_bytes as f64 / (1024.0 * 1024.0))
 }
 
 /// Sequence-length sweep: the paper's "experimentation with large, complex
 /// animations that can more fully benefit from the frame coherence
 /// techniques" — the one-off first-frame cost amortises, so coherence
 /// speedup grows with run length.
-fn sequence_length(w: u32, h: u32) {
+fn sequence_length(w: u32, h: u32, _frames: usize) {
     println!("\n=== ablation: sequence length (Newton, {w}x{h}) ===");
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>10}",
         "frames", "plain (s)", "coherent (s)", "speedup", "rays/plain"
     );
     for frames in [5usize, 10, 20, 45, 90] {
-        let anim = newton::animation_sized(w, h, frames);
-        let settings = RenderSettings::default();
-        let cost = CostModel::default();
-        let plain = now_core::render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Plain,
-            SingleMachine::unit(),
-            20 * 20 * 20,
-            |_, _| {},
-        );
-        let coh = now_core::render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Coherent,
-            SingleMachine::unit(),
-            20 * 20 * 20,
-            |_, _| {},
-        );
+        let [plain, coh] = plain_and_coherent(&newton::animation_sized(w, h, frames));
         println!(
             "{:>8} {:>12.1} {:>12.1} {:>11.2}x {:>9.2}x",
             frames,
-            plain.total_s,
-            coh.total_s,
-            plain.total_s / coh.total_s,
-            plain.rays.total_rays() as f64 / coh.rays.total_rays() as f64
+            plain.total_s(),
+            coh.total_s(),
+            plain.total_s() / coh.total_s(),
+            plain.rays() as f64 / coh.rays() as f64
         );
     }
     println!("(speedup grows with run length as the first-frame cost amortises)");
-}
-
-fn newton_anim(w: u32, h: u32, frames: usize) -> Animation {
-    newton::animation_sized(w, h, frames)
 }
 
 /// Grid resolution sweep: finer grids predict tighter dirty sets but cost
@@ -124,26 +109,19 @@ fn grid_sweep(w: u32, h: u32, frames: usize) {
         "{:>10} {:>12} {:>14} {:>12} {:>12} {:>10}",
         "grid", "rays", "marks", "recomputed", "mem (MB)", "time (s)"
     );
+    let anim = newton::animation_sized(w, h, frames);
     for n in [8u32, 12, 16, 24, 32, 48] {
-        let anim = newton_anim(w, h, frames);
-        let rep = now_core::render_sequence(
-            &anim,
-            &RenderSettings::default(),
-            &CostModel::default(),
-            SequenceMode::Coherent,
-            SingleMachine::unit(),
-            n * n * n,
-            |_, _| {},
-        );
-        let recomputed: u64 = rep.pixels_per_frame[1..].iter().sum();
+        let run = Row::Single(Coherent, SingleMachine::unit(), n * n * n).run(&anim);
+        let rep = run.sequence().expect("a single-processor row");
+        let (recomputed, mb) = recomputed_and_mb(rep);
         println!(
             "{:>7}^3 {:>12} {:>14} {:>12} {:>12.1} {:>10.1}",
             n,
-            commas(rep.rays.total_rays()),
+            commas(run.rays()),
             commas(rep.marks),
             commas(recomputed),
-            rep.peak_memory_bytes as f64 / (1024.0 * 1024.0),
-            rep.total_s
+            mb,
+            run.total_s()
         );
     }
 }
@@ -155,35 +133,21 @@ fn granularity_sweep(w: u32, h: u32, frames: usize) {
         "{:>12} {:>12} {:>12} {:>12} {:>10}",
         "granularity", "rays", "recomputed", "mem (MB)", "time (s)"
     );
-    let anim = newton_anim(w, h, frames);
+    let anim = newton::animation_sized(w, h, frames);
     for block in [1u32, 2, 4, 8, 16, 32] {
-        let mode = if block == 1 {
-            SequenceMode::Coherent
-        } else {
-            SequenceMode::BlockCoherent(block)
+        let (mode, label) = match block {
+            1 => (Coherent, "pixel".to_string()),
+            _ => (BlockCoherent(block), format!("{block}x{block}")),
         };
-        let rep = now_core::render_sequence(
-            &anim,
-            &RenderSettings::default(),
-            &CostModel::default(),
-            mode,
-            SingleMachine::unit(),
-            24 * 24 * 24,
-            |_, _| {},
-        );
-        let recomputed: u64 = rep.pixels_per_frame[1..].iter().sum();
-        let label = if block == 1 {
-            "pixel".to_string()
-        } else {
-            format!("{block}x{block}")
-        };
+        let run = Row::Single(mode, SingleMachine::unit(), 24 * 24 * 24).run(&anim);
+        let (recomputed, mb) = recomputed_and_mb(run.sequence().expect("a single-processor row"));
         println!(
             "{:>12} {:>12} {:>12} {:>12.1} {:>10.1}",
             label,
-            commas(rep.rays.total_rays()),
+            commas(run.rays()),
             commas(recomputed),
-            rep.peak_memory_bytes as f64 / (1024.0 * 1024.0),
-            rep.total_s
+            mb,
+            run.total_s()
         );
     }
     println!("(the paper: Jevans computes coherence for blocks; ours is per-pixel)");
@@ -196,8 +160,7 @@ fn tile_sweep(w: u32, h: u32, frames: usize) {
         "{:>10} {:>8} {:>12} {:>12} {:>10} {:>10}",
         "tile", "units", "time (s)", "messages", "net busy", "util%"
     );
-    let anim = newton_anim(w, h, frames);
-    let cluster = SimCluster::paper();
+    let anim = newton::animation_sized(w, h, frames);
     for (tw, th) in [
         (w, h),
         (w / 2, h / 2),
@@ -206,25 +169,20 @@ fn tile_sweep(w: u32, h: u32, frames: usize) {
         (8, 8),
         (2, 2),
     ] {
-        let cfg = FarmConfig {
-            scheme: PartitionScheme::FrameDivision {
-                tile_w: tw.max(1),
-                tile_h: th.max(1),
-                adaptive: true,
-            },
-            coherence: true,
-            settings: RenderSettings::default(),
-            cost: CostModel::default(),
-            grid_voxels: 20 * 20 * 20,
-            keep_frames: false,
+        let (tile_w, tile_h) = (tw.max(1), th.max(1));
+        let scheme = FrameDivision {
+            tile_w,
+            tile_h,
+            adaptive: true,
         };
-        let r = run_sim(&anim, &cfg, &cluster);
+        let run = Row::Farm(scheme, true, SimCluster::paper(), GRID).run(&anim);
+        let r = run.farm().expect("a farm row");
         let util = 100.0 * r.report.machines.iter().map(|m| m.busy_s).sum::<f64>()
             / (r.report.makespan_s * r.report.machines.len() as f64);
         println!(
             "{:>6}x{:<3} {:>8} {:>12.1} {:>12} {:>9.1}s {:>9.0}%",
-            tw.max(1),
-            th.max(1),
+            tile_w,
+            tile_h,
             r.units_done,
             r.report.makespan_s,
             r.report.messages,
@@ -240,7 +198,7 @@ fn tile_sweep(w: u32, h: u32, frames: usize) {
 /// Adaptive vs static sequence division under heterogeneity.
 fn adaptive_vs_static(w: u32, h: u32, frames: usize) {
     println!("\n=== ablation: adaptive vs static sequence division ===");
-    let anim = newton_anim(w, h, frames);
+    let anim = newton::animation_sized(w, h, frames);
     println!(
         "{:>32} {:>12} {:>10}",
         "cluster", "static (s)", "adaptive (s)"
@@ -264,19 +222,11 @@ fn adaptive_vs_static(w: u32, h: u32, frames: usize) {
             ],
         ),
     ] {
-        let mut times = Vec::new();
-        for adaptive in [false, true] {
-            let cfg = FarmConfig {
-                scheme: PartitionScheme::SequenceDivision { adaptive },
-                coherence: true,
-                settings: RenderSettings::default(),
-                cost: CostModel::default(),
-                grid_voxels: 20 * 20 * 20,
-                keep_frames: false,
-            };
-            let r = run_sim(&anim, &cfg, &SimCluster::new(machines.clone()));
-            times.push(r.report.makespan_s);
-        }
+        let times = [false, true].map(|adaptive| {
+            let cluster = SimCluster::new(machines.clone());
+            let row = Row::Farm(SequenceDivision { adaptive }, true, cluster, GRID);
+            row.run(&anim).total_s()
+        });
         println!(
             "{:>32} {:>12.1} {:>10.1}   ({:.2}x from adaptivity)",
             name,
@@ -291,41 +241,26 @@ fn adaptive_vs_static(w: u32, h: u32, frames: usize) {
 /// environments, as well as more homogeneous ones".
 fn machine_mix(w: u32, h: u32, frames: usize) {
     println!("\n=== ablation: machine mixes (coherent frame division) ===");
-    let anim = newton_anim(w, h, frames);
+    let anim = newton::animation_sized(w, h, frames);
     println!(
         "{:>36} {:>10} {:>12} {:>10}",
         "cluster", "power", "time (s)", "speedup"
     );
+    let homogeneous = |n: usize| -> Vec<MachineSpec> {
+        (0..n)
+            .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 64.0))
+            .collect()
+    };
     let mut base = None;
-    let mixes: Vec<(String, Vec<MachineSpec>)> = vec![
-        ("1x 1.0".into(), vec![MachineSpec::new("m0", 1.0, 64.0)]),
+    let mixes: Vec<(&str, Vec<MachineSpec>)> = vec![
+        ("1x 1.0", homogeneous(1)),
+        ("2x 1.0", homogeneous(2)),
+        ("3x 1.0", homogeneous(3)),
+        ("paper: 2.0+1.0+1.0", MachineSpec::paper_cluster()),
+        ("4x 1.0", homogeneous(4)),
+        ("6x 1.0", homogeneous(6)),
         (
-            "2x 1.0".into(),
-            (0..2)
-                .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 64.0))
-                .collect(),
-        ),
-        (
-            "3x 1.0".into(),
-            (0..3)
-                .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 64.0))
-                .collect(),
-        ),
-        ("paper: 2.0+1.0+1.0".into(), MachineSpec::paper_cluster()),
-        (
-            "4x 1.0".into(),
-            (0..4)
-                .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 64.0))
-                .collect(),
-        ),
-        (
-            "6x 1.0".into(),
-            (0..6)
-                .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 64.0))
-                .collect(),
-        ),
-        (
-            "2.0+2.0+1.0".into(),
+            "2.0+2.0+1.0",
             vec![
                 MachineSpec::new("f1", 2.0, 64.0),
                 MachineSpec::new("f2", 2.0, 64.0),
@@ -335,26 +270,17 @@ fn machine_mix(w: u32, h: u32, frames: usize) {
     ];
     for (name, machines) in mixes {
         let power: f64 = machines.iter().map(|m| m.speed).sum();
-        let cfg = FarmConfig {
-            scheme: PartitionScheme::FrameDivision {
-                tile_w: w / 4,
-                tile_h: h / 3,
-                adaptive: true,
-            },
-            coherence: true,
-            settings: RenderSettings::default(),
-            cost: CostModel::default(),
-            grid_voxels: 20 * 20 * 20,
-            keep_frames: false,
-        };
-        let r = run_sim(&anim, &cfg, &SimCluster::new(machines));
-        let b = *base.get_or_insert(r.report.makespan_s);
+        let cluster = SimCluster::new(machines);
+        let makespan_s = Row::Farm(paper_tiles(w, h), true, cluster, GRID)
+            .run(&anim)
+            .total_s();
+        let b = *base.get_or_insert(makespan_s);
         println!(
             "{:>36} {:>10.1} {:>12.1} {:>9.2}x",
             name,
             power,
-            r.report.makespan_s,
-            b / r.report.makespan_s
+            makespan_s,
+            b / makespan_s
         );
     }
     println!("(speedup should track aggregate power while coherence restarts stay amortised)");
@@ -368,7 +294,7 @@ fn shadow_tracking(w: u32, h: u32, frames: usize) {
     use now_raytrace::{render_frame, GridAccel, NullListener, RayStats};
 
     println!("\n=== ablation: shadow-ray coherence (the paper's shadow extension) ===");
-    let anim = newton_anim(w, h, frames);
+    let anim = newton::animation_sized(w, h, frames);
     let spec = GridSpec::for_scene(anim.swept_bounds(), 24 * 24 * 24);
 
     for (name, track) in [
@@ -423,33 +349,14 @@ fn scene_sweep(w: u32, h: u32, frames: usize) {
         ("orbit", orbit::animation_sized(w, h, frames, 8, 0.5)),
     ];
     for (name, anim) in scenes {
-        let settings = RenderSettings::default();
-        let cost = CostModel::default();
-        let plain = now_core::render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Plain,
-            SingleMachine::unit(),
-            20 * 20 * 20,
-            |_, _| {},
-        );
-        let coh = now_core::render_sequence(
-            &anim,
-            &settings,
-            &cost,
-            SequenceMode::Coherent,
-            SingleMachine::unit(),
-            20 * 20 * 20,
-            |_, _| {},
-        );
+        let [plain, coh] = plain_and_coherent(&anim);
         println!(
             "{:>12} {:>14} {:>14} {:>9.2}x {:>11.2}x",
             name,
-            commas(plain.rays.total_rays()),
-            commas(coh.rays.total_rays()),
-            plain.rays.total_rays() as f64 / coh.rays.total_rays() as f64,
-            plain.total_s / coh.total_s
+            commas(plain.rays()),
+            commas(coh.rays()),
+            plain.rays() as f64 / coh.rays() as f64,
+            plain.total_s() / coh.total_s()
         );
     }
     println!("(\"performance depends on the amount of frame coherence we can actually extract\")");

@@ -10,36 +10,18 @@
 //!   (printed as text diagrams of which processor renders what).
 //! * **Fig. 5** — frame 22 of the Newton animation (`fig5_newton22.tga`).
 //!
-//! Usage: `figures [--outdir DIR] [--size WxH]`
+//! Usage: `figures [--outdir DIR] [--size WxH]`; any other argument exits 2.
 
 use now_anim::scenes::{glassball, newton};
+use now_bench::Cli;
 use now_coherence::{CoherentRenderer, DiffMaps};
-use now_core::PartitionScheme;
 use now_grid::GridSpec;
 use now_raytrace::{image_io, RenderSettings};
-use std::path::PathBuf;
 
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut outdir = PathBuf::from("out");
-    let (mut w, mut h) = (320u32, 240u32);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--outdir" => {
-                if let Some(d) = it.next() {
-                    outdir = PathBuf::from(d);
-                }
-            }
-            "--size" => {
-                if let Some((sw, sh)) = it.next().and_then(|v| v.split_once('x')) {
-                    w = sw.parse().unwrap_or(w);
-                    h = sh.parse().unwrap_or(h);
-                }
-            }
-            _ => {}
-        }
-    }
+    let cli = Cli::from_env(&["--outdir DIR", "--size WxH"], &[]);
+    let outdir = cli.outdir.unwrap_or("out".into());
+    let (w, h) = cli.size.unwrap_or((320, 240));
     std::fs::create_dir_all(&outdir)?;
 
     // ---- Fig. 1 + Fig. 2: glass ball in the brick room -----------------
@@ -68,14 +50,12 @@ fn main() -> std::io::Result<()> {
     print_sequence_division(4, 16);
     println!("\nFig 4(b) — frame division (4 processors, frame split 2x2):");
     print_frame_division(4);
-    // also dump the real scheduler's tiling for the paper's geometry
     let tiles = now_coherence::PixelRegion::tiles(320, 240, 80, 80);
     println!(
         "\npaper geometry: 320x240 in 80x80 sub-areas = {} tiles (demand-driven over {} units for 45 frames)",
         tiles.len(),
         tiles.len() * 45
     );
-    let _ = PartitionScheme::paper_frame_division();
 
     // ---- Fig. 5: Newton frame 22 ---------------------------------------
     eprintln!("[fig 5] Newton frame 22 at {w}x{h} ...");

@@ -16,225 +16,117 @@
 //! coherence x distribution multiplicative (sequence division ~5x, frame
 //! division ~7x, frame division > sequence division).
 //!
-//! Usage: `table1 [--quick] [--frames N] [--size WxH]`
+//! Usage: `table1 [--quick] [--frames N] [--size WxH]`; any other argument
+//! exits 2.
 
 use now_anim::scenes::newton;
-use now_bench::{commas, hms};
+use now_bench::{commas, hms, paper_tiles, Cli, Outcome, Row};
 use now_cluster::SimCluster;
-use now_core::{run_sim, CostModel, FarmConfig, PartitionScheme, SequenceMode, SingleMachine};
-use now_raytrace::RenderSettings;
-
-struct Column {
-    name: &'static str,
-    rays: u64,
-    first_frame_s: Option<f64>,
-    avg_frame_s: f64,
-    total_s: f64,
-}
+use now_core::PartitionScheme::SequenceDivision;
+use now_core::SequenceMode::{Coherent, Plain};
+use now_core::SingleMachine;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut frames: usize = if quick { 18 } else { 45 };
-    let (mut w, mut h) = if quick { (160u32, 120u32) } else { (320, 240) };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--frames" => frames = it.next().and_then(|v| v.parse().ok()).unwrap_or(frames),
-            "--size" => {
-                if let Some((sw, sh)) = it.next().and_then(|v| v.split_once('x')) {
-                    w = sw.parse().unwrap_or(w);
-                    h = sh.parse().unwrap_or(h);
-                }
-            }
-            _ => {}
-        }
-    }
+    let cli = Cli::from_env(&["--quick", "--frames N", "--size WxH"], &[]);
+    let (frames, size) = if cli.quick {
+        (18, (160, 120))
+    } else {
+        (45, (320, 240))
+    };
+    let (frames, (w, h)) = (cli.frames.unwrap_or(frames), cli.size.unwrap_or(size));
 
-    let grid_voxels = 28 * 28 * 28;
-    let tile = (w.div_ceil(4), h.div_ceil(3)); // the paper's 80x80 at 320x240
+    let grid = 28 * 28 * 28;
     println!(
         "Table 1 reproduction — Newton sequence, {frames} frames at {w}x{h}, \
-         grid target {grid_voxels} voxels, tiles {}x{}",
-        tile.0, tile.1
+         grid target {grid} voxels, tiles {}x{}",
+        w.div_ceil(4),
+        h.div_ceil(3)
     );
     println!("cluster: 1x 200MHz/64MB + 2x 100MHz/32MB, 10 Mb/s shared Ethernet\n");
 
-    let settings = RenderSettings::default();
-    let cost = CostModel::default();
+    // the single-processor columns run on the paper's fast 200 MHz SGI
+    let (fast, tiles, paper) = (
+        SingleMachine::fastest(),
+        paper_tiles(w, h),
+        SimCluster::paper,
+    );
+    let seq_div = SequenceDivision { adaptive: true };
+    let columns = [
+        ("single", Row::Single(Plain, fast, grid)),
+        ("single+FC", Row::Single(Coherent, fast, grid)),
+        ("distributed", Row::Farm(tiles, false, paper(), grid)),
+        ("FC seq div", Row::Farm(seq_div, true, paper(), grid)),
+        ("FC frame div", Row::Farm(tiles, true, paper(), grid)),
+    ];
     let anim = newton::animation_sized(w, h, frames);
-    let cluster = SimCluster::paper();
-    // the paper's single-processor baseline machine: the fast 200 MHz SGI
-    let fast = SingleMachine::fastest();
+    let runs: Vec<Outcome> = columns
+        .iter()
+        .enumerate()
+        .map(|(i, (name, row))| {
+            eprintln!("[{}/{}] {name} ...", i + 1, columns.len());
+            row.run(&anim)
+        })
+        .collect();
+    // frames must be byte-identical across every configuration
+    for run in &runs[1..] {
+        assert_eq!(run.frame_hashes(), runs[0].frame_hashes());
+    }
 
-    let mut cols: Vec<Column> = Vec::new();
-
-    // (1) single processor, no coherence, on the fastest machine
-    eprintln!("[1/5] single processor, no coherence ...");
-    let plain = now_core::render_sequence(
-        &anim,
-        &settings,
-        &cost,
-        SequenceMode::Plain,
-        fast,
-        grid_voxels,
-        |_, _| {},
-    );
-    cols.push(Column {
-        name: "single",
-        rays: plain.rays.total_rays(),
-        first_frame_s: Some(plain.first_frame_s),
-        avg_frame_s: plain.avg_frame_s,
-        total_s: plain.total_s,
-    });
-
-    // (2) single processor with frame coherence
-    eprintln!("[2/5] single processor + frame coherence ...");
-    let coh = now_core::render_sequence(
-        &anim,
-        &settings,
-        &cost,
-        SequenceMode::Coherent,
-        fast,
-        grid_voxels,
-        |_, _| {},
-    );
-    cols.push(Column {
-        name: "single+FC",
-        rays: coh.rays.total_rays(),
-        first_frame_s: Some(coh.first_frame_s),
-        avg_frame_s: coh.avg_frame_s,
-        total_s: coh.total_s,
-    });
-
-    // (4) distributed, no coherence (demand-driven blocks)
-    eprintln!("[3/5] distributed, no coherence ...");
-    let mk_cfg = |scheme, coherence| FarmConfig {
-        scheme,
-        coherence,
-        settings: settings.clone(),
-        cost,
-        grid_voxels,
-        keep_frames: false,
-    };
-    let dist = run_sim(
-        &anim,
-        &mk_cfg(
-            PartitionScheme::FrameDivision {
-                tile_w: tile.0,
-                tile_h: tile.1,
-                adaptive: true,
-            },
-            false,
-        ),
-        &cluster,
-    );
-    cols.push(Column {
-        name: "distributed",
-        rays: dist.rays.total_rays(),
-        first_frame_s: None,
-        avg_frame_s: dist.report.makespan_s / frames as f64,
-        total_s: dist.report.makespan_s,
-    });
-
-    // (6) coherence + sequence division
-    eprintln!("[4/5] coherence + sequence division ...");
-    let seq = run_sim(
-        &anim,
-        &mk_cfg(PartitionScheme::SequenceDivision { adaptive: true }, true),
-        &cluster,
-    );
-    cols.push(Column {
-        name: "FC seq div",
-        rays: seq.rays.total_rays(),
-        first_frame_s: None,
-        avg_frame_s: seq.report.makespan_s / frames as f64,
-        total_s: seq.report.makespan_s,
-    });
-
-    // (8) coherence + frame division
-    eprintln!("[5/5] coherence + frame division ...");
-    let fdiv = run_sim(
-        &anim,
-        &mk_cfg(
-            PartitionScheme::FrameDivision {
-                tile_w: tile.0,
-                tile_h: tile.1,
-                adaptive: true,
-            },
-            true,
-        ),
-        &cluster,
-    );
-    cols.push(Column {
-        name: "FC frame div",
-        rays: fdiv.rays.total_rays(),
-        first_frame_s: None,
-        avg_frame_s: fdiv.report.makespan_s / frames as f64,
-        total_s: fdiv.report.makespan_s,
-    });
-
-    // frames must be byte-identical across all distributed configurations
-    assert_eq!(dist.frame_hashes, seq.frame_hashes);
-    assert_eq!(dist.frame_hashes, fdiv.frame_hashes);
-
-    let base = cols[0].total_s;
+    let base = runs[0].total_s();
     println!();
     println!(
         "{:<16} {:>14} {:>12} {:>12} {:>12} {:>10}",
         "configuration", "# rays", "first frame", "avg frame", "total", "speedup"
     );
     println!("{}", "-".repeat(80));
-    for c in &cols {
+    for ((name, _), run) in columns.iter().zip(&runs) {
+        let first_frame = run.sequence().map(|r| hms(r.first_frame_s));
         println!(
             "{:<16} {:>14} {:>12} {:>12} {:>12} {:>9.2}x",
-            c.name,
-            commas(c.rays),
-            c.first_frame_s.map_or("-".to_string(), hms),
-            hms(c.avg_frame_s),
-            hms(c.total_s),
-            base / c.total_s
+            name,
+            commas(run.rays()),
+            first_frame.unwrap_or("-".into()),
+            hms(run.total_s() / frames as f64),
+            hms(run.total_s()),
+            base / run.total_s()
         );
     }
 
+    print_shape_targets(&runs);
+}
+
+/// The paper's Table 1 claims next to ours, from the five columns' runs.
+fn print_shape_targets(runs: &[Outcome]) {
+    let speedup = |c: usize| runs[0].total_s() / runs[c].total_s();
+    let first_frame_s = |c: usize| runs[c].sequence().map_or(0.0, |r| r.first_frame_s);
+    let overhead = 100.0 * (first_frame_s(1) / first_frame_s(0) - 1.0);
+    let frame_div_wins = runs[4].total_s() < runs[3].total_s();
+    let rays = runs[0].rays() as f64 / runs[1].rays() as f64;
+    let ratio = |x: f64| format!("{x:.2}x");
+    let targets = [
+        ("ray reduction (1)/(2):", "~5.0x", ratio(rays)),
+        ("FC speedup (3):", "~2.9x", ratio(speedup(1))),
+        ("distribution speedup (5):", "~2.0x", ratio(speedup(2))),
+        ("FC x seq division (7):", "~5.0x", ratio(speedup(3))),
+        ("FC x frame division (9):", "~7.0x", ratio(speedup(4))),
+        (
+            "FC first-frame overhead:",
+            "~12%",
+            format!("{overhead:.0}%"),
+        ),
+        (
+            "frame div > seq div:",
+            "yes",
+            (if frame_div_wins { "yes" } else { "NO" }).into(),
+        ),
+    ];
     println!();
     println!("paper's Table 1 shape targets (Newton, 45 frames, 320x240):");
-    println!(
-        "  ray reduction (1)/(2):        paper ~5.0x   ours {:.2}x",
-        cols[0].rays as f64 / cols[1].rays as f64
-    );
-    println!(
-        "  FC speedup (3):               paper ~2.9x   ours {:.2}x",
-        base / cols[1].total_s
-    );
-    println!(
-        "  distribution speedup (5):     paper ~2.0x   ours {:.2}x",
-        base / cols[2].total_s
-    );
-    println!(
-        "  FC x seq division (7):        paper ~5.0x   ours {:.2}x",
-        base / cols[3].total_s
-    );
-    println!(
-        "  FC x frame division (9):      paper ~7.0x   ours {:.2}x",
-        base / cols[4].total_s
-    );
-    println!(
-        "  FC first-frame overhead:      paper ~12%    ours {:.0}%",
-        100.0 * (cols[1].first_frame_s.unwrap() / cols[0].first_frame_s.unwrap() - 1.0)
-    );
-    println!(
-        "  frame div > seq div:          paper yes     ours {}",
-        if cols[4].total_s < cols[3].total_s {
-            "yes"
-        } else {
-            "NO"
-        }
-    );
+    for (target, paper, ours) in targets {
+        println!("  {target:<30}paper {paper:<8}ours {ours}");
+    }
     println!(
         "  better than multiplicative:   paper yes ({:.1}% for frame div)",
-        100.0
-            * ((base / cols[4].total_s) / ((base / cols[1].total_s) * (base / cols[2].total_s))
-                - 1.0)
+        100.0 * (speedup(4) / (speedup(1) * speedup(2)) - 1.0)
     );
 }

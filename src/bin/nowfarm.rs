@@ -50,6 +50,7 @@ use nowrender::core::{
 };
 use nowrender::raytrace::{image_io, Framebuffer, RenderSettings};
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -296,7 +297,10 @@ fn main() {
     }
     if let Err(e) = run(&args[1..]) {
         eprintln!("error: {e}");
-        exit(1);
+        // an error naming one of the subcommand's flags is about how it was
+        // called (a bad or missing value): exit as on an unknown flag
+        let misuse = flags.iter().any(|(flag, ..)| e.contains(flag));
+        exit(if misuse { 2 } else { 1 });
     }
 }
 
@@ -363,7 +367,7 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 /// The value of `flag` parsed as a `T`, or `default` when it is absent.
 fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
     flag_value(args, flag).map_or(Ok(default), |v| {
-        v.parse().map_err(|_| format!("bad {flag} value"))
+        v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
     })
 }
 
@@ -419,15 +423,15 @@ fn cmd_info(args: &[String]) -> CliResult {
 /// finishes.
 fn cmd_render(args: &[String]) -> CliResult {
     let path = args.first().ok_or("render needs a scene file")?;
-    let anim = load_animation(path)?;
-    let dir = outdir(args)?;
     let mode = if has_flag(args, "--plain") {
         SequenceMode::Plain
     } else if flag_value(args, "--block").is_some() {
-        SequenceMode::BlockCoherent(parsed_flag(args, "--block", 1)?)
+        SequenceMode::BlockCoherent(parsed_flag(args, "--block", NonZeroU32::MIN)?.get())
     } else {
         SequenceMode::Coherent
     };
+    let anim = load_animation(path)?;
+    let dir = outdir(args)?;
     let t0 = std::time::Instant::now();
     let mut written = Ok(());
     let report = render_sequence(
@@ -457,20 +461,22 @@ fn cmd_render(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// `--machines SPEEDxMEM_MB,...`: one simulated machine per entry.
 fn parse_machines(spec: &str) -> Result<Vec<MachineSpec>, String> {
     spec.split(',')
         .enumerate()
         .map(|(i, m)| {
-            let (speed, mem) = m
-                .split_once('x')
-                .ok_or_else(|| format!("bad machine `{m}` (want SPEEDxMEM_MB)"))?;
-            Ok(MachineSpec::new(
-                &format!("sim-{i}"),
-                speed.parse().map_err(|_| format!("bad speed `{speed}`"))?,
-                mem.parse().map_err(|_| format!("bad memory `{mem}`"))?,
-            ))
+            let bad = || format!("--machines: bad sim-{i} `{m}` (want SPEEDxMEM_MB, both > 0)");
+            let both = |(speed, mem): (&str, &str)| positive(speed).zip(positive(mem));
+            let (speed, mem) = m.split_once('x').and_then(both).ok_or_else(bad)?;
+            Ok(MachineSpec::new(&format!("sim-{i}"), speed, mem))
         })
         .collect()
+}
+
+/// `v` as a positive, finite number.
+fn positive(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|x: &f64| *x > 0.0 && x.is_finite())
 }
 
 /// The partition scheme selected by `--scheme`, sized for the animation.
@@ -497,11 +503,8 @@ fn seconds_flag(args: &[String], flag: &str) -> Result<Option<f64>, String> {
     let Some(v) = flag_value(args, flag) else {
         return Ok(None);
     };
-    match v.parse::<f64>() {
-        Ok(s) if s > 0.0 && s.is_finite() => Ok(Some(s)),
-        Ok(_) => Err(format!("{flag} must be positive")),
-        Err(_) => Err(format!("bad {flag} value")),
-    }
+    let s = positive(v).ok_or_else(|| format!("{flag} must be a positive number, not `{v}`"))?;
+    Ok(Some(s))
 }
 
 /// The TCP master configuration `master` and `serve` share: the worker
@@ -510,8 +513,7 @@ fn seconds_flag(args: &[String], flag: &str) -> Result<Option<f64>, String> {
 /// fault plan from `--chaos SPEC` or `NOW_CHAOS` (the flag wins).
 fn tcp_config(args: &[String], workers: usize) -> Result<TcpFarmConfig, String> {
     let mut tcp = TcpFarmConfig::new(workers);
-    if let Some(v) = flag_value(args, "--lease") {
-        let lease: f64 = v.parse().map_err(|_| "bad --lease value")?;
+    if let Some(lease) = seconds_flag(args, "--lease")? {
         tcp.recovery = RecoveryConfig::with_lease(lease);
     }
     if let Some(hb) = seconds_flag(args, "--heartbeat-s")? {
@@ -1245,6 +1247,36 @@ fn write_frame(fb: &Framebuffer, dir: &Path, frame: usize) -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A zero or negative `--block`, `--lease` or `--machines` value is an
+    /// error naming the flag (`main` exits 2 on it), not a panic or a
+    /// nonsense run.
+    #[test]
+    fn bad_block_lease_and_machine_values_are_refused_by_name() {
+        let args = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
+        for v in ["0", "-1", "x"] {
+            let err = cmd_render(&args(&format!("demo:newton:1:8x6 --block {v}"))).unwrap_err();
+            assert!(err.contains("--block"), "{err}");
+        }
+        for v in ["0", "-1", "nan", "inf"] {
+            let err = tcp_config(&args(&format!("--lease {v}")), 1).unwrap_err();
+            assert!(err.contains("--lease"), "{err}");
+        }
+        assert!(tcp_config(&args("--lease 0.0001"), 1).is_ok());
+        for spec in [
+            "0x64",
+            "-1x64",
+            "nanx64",
+            "1x0",
+            "2.0x64,1x-5",
+            "1",
+            "infx64",
+        ] {
+            let err = parse_machines(spec).unwrap_err();
+            assert!(err.contains("--machines"), "{spec}: {err}");
+        }
+        assert_eq!(parse_machines("2.0x64,1.0x32").unwrap().len(), 2);
+    }
 
     #[test]
     fn pool_flag_sets_the_thread_count() {
