@@ -59,6 +59,10 @@ impl ChangeSet {
 ///   (it vacates the former and occupies the latter), and its [`Bound`]
 ///   in both frames.
 pub fn changed_voxels(spec: &GridSpec, prev: &Scene, next: &Scene) -> ChangeSet {
+    if now_trace::enabled() {
+        // computed where the renderer runs, never on a pool thread
+        now_trace::global().counter_add("coh.change_sets", 1);
+    }
     if prev.objects.len() != next.objects.len()
         || prev.lights != next.lights
         || !prev.camera.same_view(&next.camera)
@@ -138,29 +142,44 @@ fn object_voxels(spec: &GridSpec, obj: &Object, bound: &Bound, mut f: impl FnMut
 /// Every changed set a renderer of the sequence is asked about lies inside
 /// the mask, so a ray whose walk misses it can never make its pixel dirty:
 /// the engine walks it but does not store it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The mask keeps the change set of every transition it was built from, so
+/// the renderers that share it look each one up ([`MoverMask::transition`])
+/// instead of computing it again per renderer and frame.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoverMask {
     /// One bit per voxel, by linear index.
     pub(crate) bits: Vec<u64>,
+    /// `changes[f]` is [`changed_voxels`] from frame `f` to frame `f + 1`.
+    pub(crate) changes: Vec<ChangeSet>,
 }
 
 impl MoverMask {
     /// The mask of the sequence `frames` over the grid `spec`.
     pub fn of_sequence(spec: &GridSpec, frames: impl IntoIterator<Item = Scene>) -> MoverMask {
         let mut bits = vec![0u64; spec.voxel_count().div_ceil(64)];
+        let mut changes = Vec::new();
         let mut prev: Option<Scene> = None;
         for scene in frames {
-            if let Some(ChangeSet::Voxels { voxels, .. }) =
-                prev.map(|p| changed_voxels(spec, &p, &scene))
-            {
-                for v in voxels {
-                    let i = spec.linear_index(v);
-                    bits[i >> 6] |= 1 << (i & 63);
+            if let Some(p) = prev {
+                let change = changed_voxels(spec, &p, &scene);
+                if let ChangeSet::Voxels { voxels, .. } = &change {
+                    for &v in voxels {
+                        let i = spec.linear_index(v);
+                        bits[i >> 6] |= 1 << (i & 63);
+                    }
                 }
+                changes.push(change);
             }
             prev = Some(scene);
         }
-        MoverMask { bits }
+        MoverMask { bits, changes }
+    }
+
+    /// What changes from frame `f` of the sequence to frame `f + 1`;
+    /// `None` past its last frame.
+    pub fn transition(&self, f: usize) -> Option<&ChangeSet> {
+        self.changes.get(f)
     }
 }
 
@@ -434,6 +453,31 @@ mod tests {
             }
         }
         assert_eq!(samples, 2 * 201 * 128);
+    }
+
+    /// The mask keeps what [`changed_voxels`] says of every transition of
+    /// its sequence — local moves, a standstill and a light change alike —
+    /// and nothing past the last frame.
+    #[test]
+    fn a_mask_keeps_the_change_set_of_every_transition() {
+        let frame = |f: usize| {
+            let mut s = base_scene();
+            let x = [0.0, 0.3, 0.3, 1.0, 1.6][f];
+            s.objects[0].set_transform(Affine::translate(Vec3::new(x, 0.0, 0.0)));
+            if f == 4 {
+                s.lights[0] = PointLight::new(Point3::new(0.0, 9.0, 0.0), Color::WHITE).into();
+            }
+            s
+        };
+        let spec = spec_for(&frame(0));
+        let mask = MoverMask::of_sequence(&spec, (0..5).map(frame));
+        for f in 0..4 {
+            let want = changed_voxels(&spec, &frame(f), &frame(f + 1));
+            assert_eq!(mask.transition(f), Some(&want), "transition {f}");
+        }
+        assert!(mask.transition(1).unwrap().is_empty());
+        assert_eq!(mask.transition(3), Some(&ChangeSet::Everything));
+        assert_eq!(mask.transition(4), None);
     }
 
     #[test]

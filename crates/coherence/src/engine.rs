@@ -49,7 +49,7 @@
 //! stale account, so [`CoherenceEngine::compact`] knows without looking
 //! whether there is anything to drop.
 
-use crate::bound::Bound;
+use crate::bound::{Bound, Slab};
 use crate::change::MoverMask;
 use crate::varint::{read_varint, unzigzag, zigzag};
 use now_grid::dda::{step_strides, VoxelPath};
@@ -352,6 +352,11 @@ impl CoherenceEngine {
         self
     }
 
+    /// The mover mask rays are stored under, if any.
+    pub(crate) fn mask(&self) -> Option<&Arc<MoverMask>> {
+        self.mask.as_ref()
+    }
+
     /// Forget every record and statistic; the grid, the pixel count and
     /// the mask stay.
     pub fn clear(&mut self) {
@@ -431,10 +436,16 @@ impl CoherenceEngine {
             self.changed[i >> 6] |= 1 << (i & 63);
         }
         let pad = self.seg.pad();
+        // the filters run cheapest first: the voxel test, then one box per
+        // mover, then the exact distance test
+        let movers: Option<Vec<(&Bound, Aabb)>> =
+            movers.map(|ms| ms.iter().map(|b| (b, b.reject_box(pad))).collect());
+        let (mut read, mut voxel_hits, mut exact_tests) = (0u64, 0u64, 0u64);
         let mut dirty: Vec<PixelId> = Vec::new();
         let mut cur = Cursor::default();
         while cur.pos < self.log.len() {
             let rec = cur.read(&self.log);
+            read += 1;
             let p = rec.pixel as usize;
             if rec.gen != self.gen[p] || self.seen[p >> 6] >> (p & 63) & 1 != 0 {
                 continue;
@@ -443,14 +454,30 @@ impl CoherenceEngine {
             if !path_hits(rec.start, codes, &self.strides, &self.changed) {
                 continue;
             }
-            if let Some(movers) = movers {
+            voxel_hits += 1;
+            if let Some(movers) = &movers {
                 let (p0, p1) = self.seg.get(&self.log[rec.seg..]);
-                if !movers.iter().any(|b| b.near_segment(p0, p1, pad)) {
+                let slab = Slab::new(p0, p1);
+                let near = movers.iter().any(|(b, reject)| {
+                    slab.meets(reject) && {
+                        exact_tests += 1;
+                        b.near_segment(p0, p1, pad)
+                    }
+                });
+                if !near {
                     continue;
                 }
             }
             self.seen[p >> 6] |= 1 << (p & 63);
             dirty.push(rec.pixel);
+        }
+        if now_trace::enabled() {
+            // the scan runs on the renderer's own thread over a log whose
+            // bytes are the same for any pool thread count
+            let rec = now_trace::global();
+            rec.counter_add("coh.scan_records", read);
+            rec.counter_add("coh.scan_voxel_hits", voxel_hits);
+            rec.counter_add("coh.scan_exact_tests", exact_tests);
         }
         for &v in changed {
             self.changed[self.spec.linear_index(v) >> 6] = 0;
@@ -1292,8 +1319,10 @@ mod tests {
             }
             let pixels = 60;
             let mut plain = CoherenceEngine::new(spec, pixels);
-            let mut masked =
-                CoherenceEngine::new(spec, pixels).with_mask(Arc::new(MoverMask { bits }));
+            let mut masked = CoherenceEngine::new(spec, pixels).with_mask(Arc::new(MoverMask {
+                bits,
+                changes: Vec::new(),
+            }));
             // the rays each pixel's current generation fired
             let mut live: Vec<Vec<(Ray, f64)>> = vec![Vec::new(); pixels];
             for query in &queries {

@@ -296,7 +296,8 @@ impl FarmWorker {
                     1,
                     self.cfg.settings.clone(),
                 )
-                .with_mover_mask(Arc::clone(mask)),
+                .with_mover_mask(Arc::clone(mask))
+                .from_frame(unit.frame as usize),
                 prev_marks: 0,
                 next_frame: unit.frame,
             });

@@ -76,6 +76,10 @@ fn normalized_trace_is_thread_pool_invariant() {
         "ctr rays.primary",
         "hist grid.steps_per_ray",
         "hist coh.marks_per_ray",
+        "ctr coh.change_sets",
+        "ctr coh.scan_records",
+        "ctr coh.scan_voxel_hits",
+        "ctr coh.scan_exact_tests",
     ] {
         assert!(serial.contains(needle), "normalized stream lost {needle}");
     }
@@ -190,4 +194,42 @@ fn a_journaled_run_syncs_once_per_frame() {
             "{units} units: one sync per FrameDone, plus creation and header"
         );
     }
+}
+
+/// A farm worker computes the animation's change sets once, building its
+/// mover mask, and its tile renderers look them up: W workers over F
+/// frames compute at most W x (F - 1), however many tiles, restarts and
+/// steals the run has. The scan counts the records it reads, those that
+/// cross a changed voxel, and the exact bound tests the box reject lets
+/// through.
+#[test]
+fn farm_workers_compute_each_change_set_once() {
+    let anim = newton::animation_sized(W, H, FRAMES);
+    let cfg = FarmConfig {
+        scheme: PartitionScheme::FrameDivision {
+            tile_w: 12,
+            tile_h: 12,
+            adaptive: true,
+        },
+        ..farm_cfg(1)
+    };
+    let cluster = SimCluster::paper();
+    let (result, snap) = trace::capture(|| run_sim(&anim, &cfg, &cluster));
+    assert_eq!(result.frame_hashes.len(), FRAMES);
+    let counter = |name: &str| snap.counters.get(name).map_or(0, |c| c.value);
+    let (workers, transitions) = (cluster.machines.len() as u64, FRAMES as u64 - 1);
+    let change_sets = counter("coh.change_sets");
+    assert!(
+        change_sets >= transitions && change_sets <= workers * transitions,
+        "{change_sets} change sets: {workers} workers, {transitions} transitions, 16 tiles"
+    );
+    let (read, voxel_hits, exact) = (
+        counter("coh.scan_records"),
+        counter("coh.scan_voxel_hits"),
+        counter("coh.scan_exact_tests"),
+    );
+    assert!(
+        read > voxel_hits && voxel_hits > 0 && exact > 0,
+        "{read} {voxel_hits} {exact}"
+    );
 }
