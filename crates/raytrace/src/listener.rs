@@ -40,7 +40,11 @@ pub trait RayListener {
     /// * `kind` — primary / reflected / transmitted / shadow.
     /// * `t_max` — distance travelled: the hit distance, the distance to
     ///   the light for shadow rays, or `f64::INFINITY` for rays that left
-    ///   the scene.
+    ///   the scene. A listener with `PATHS` is told less of an occluded
+    ///   shadow feeler whose occluder's first hit lies in the grid box:
+    ///   the distance to that hit, past which nothing can change the
+    ///   feeler's answer while the occluder stays put
+    ///   ([`GridAccel::any_hit`](crate::GridAccel::any_hit)).
     /// * `path` — the voxels of the accelerator's grid the ray crossed in
     ///   `[0, t_max]`, exactly as a standalone
     ///   [`IndexWalk`](now_grid::dda::IndexWalk) over that range reports

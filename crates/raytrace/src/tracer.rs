@@ -55,10 +55,11 @@ impl<L: RayListener> TraceCtx<'_, L> {
         }
     }
 
-    /// Whether anything blocks `ray` within `dist`; recorded like
+    /// Whether anything blocks `ray` within `dist`, and how far its
+    /// recorded walk went ([`GridAccel::any_hit`]); recorded like
     /// [`TraceCtx::closest`].
     #[inline]
-    fn occluded(&mut self, ray: &Ray, dist: f64) -> bool {
+    fn occluded(&mut self, ray: &Ray, dist: f64) -> (bool, f64) {
         let (accel, scene, stats) = (self.accel, self.scene, &mut *self.stats);
         let (path, mailbox) = (&mut self.path, &mut self.mailbox);
         if L::PATHS {
@@ -120,8 +121,8 @@ pub fn trace<L: RayListener>(
             let l_dir = to_light / dist;
             let shadow_ray = Ray::new(h.point + n * RAY_BIAS, l_dir);
             ctx.stats.count_ray(RayKind::Shadow);
-            let occluded = ctx.occluded(&shadow_ray, dist);
-            ctx.report(pixel, &shadow_ray, RayKind::Shadow, dist);
+            let (occluded, t_max) = ctx.occluded(&shadow_ray, dist);
+            ctx.report(pixel, &shadow_ray, RayKind::Shadow, t_max);
             if occluded {
                 continue;
             }
