@@ -37,9 +37,10 @@
 //! shared — that the journal writers and the image writer consult before
 //! touching the file system: `enospc` / `eio` fail the write with the real
 //! OS error, `torn` cuts it partway and leaves the file torn, as if power
-//! was lost mid-write. Rendering must degrade gracefully: a failed journal
-//! write warns and continues unjournaled, a torn frame write is caught by
-//! the next resume's re-render.
+//! was lost mid-write. Rendering must degrade gracefully: a failed or torn
+//! journal record stops the records with a warning while the frame files
+//! continue, and a failed or torn frame file is re-rendered by the next
+//! resume.
 
 use crate::fault::FaultPlan;
 use crate::netfault::NetFaultPlan;

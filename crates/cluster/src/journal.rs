@@ -245,8 +245,9 @@ impl JournalWriter {
     /// Attach an armed [`DiskFaults`] plan: every append or stage first
     /// consults the plan under `label` (usually the journal's path) and
     /// suffers whichever fault trips — `ENOSPC`/`EIO` surface as the
-    /// call's `Err`, a torn write cuts the record partway and kills the writer
-    /// exactly like a [`JournalFaultPlan`] budget crash.
+    /// call's `Err`, a torn write cuts the record partway and kills the
+    /// writer as a [`JournalFaultPlan`] budget does, though it is no crash
+    /// ([`JournalWriter::crashed`] stays false).
     pub fn with_disk_faults(mut self, label: &str, faults: DiskFaults) -> JournalWriter {
         self.disk = Some((label.to_string(), faults));
         self
@@ -338,9 +339,11 @@ impl JournalWriter {
         Ok(true)
     }
 
-    /// False once the fault plan has killed the writer.
-    pub fn alive(&self) -> bool {
-        !self.dead
+    /// True once the fault plan's byte budget has killed the writer (a
+    /// simulated crash); a torn disk fault kills it too, but is no crash.
+    pub fn crashed(&self) -> bool {
+        let budget = self.fault.kill_after_bytes;
+        self.dead && budget.is_some_and(|b| self.written >= b)
     }
 
     /// Total valid records in the journal: those recovered at open plus
@@ -545,7 +548,7 @@ mod tests {
             !w.append(b"bbbb").unwrap(),
             "append past budget must report dropped"
         );
-        assert!(!w.alive());
+        assert!(w.crashed());
         assert!(!w.append(b"cccc").unwrap(), "dead writer drops everything");
         assert_eq!(w.written, cut);
         drop(w);
@@ -573,10 +576,16 @@ mod tests {
         assert!(w.append(b"first").unwrap());
         let err = w.append(b"no-space").unwrap_err();
         assert_eq!(err.raw_os_error(), Some(28), "ENOSPC on the 2nd append");
-        assert!(w.alive(), "an errored append does not kill the writer");
-        assert!(w.append(b"third").unwrap());
+        assert!(
+            w.append(b"third").unwrap(),
+            "an errored append does not kill the writer"
+        );
         assert!(!w.append(b"torn").unwrap(), "torn write reports dropped");
-        assert!(!w.alive());
+        assert!(
+            !w.append(b"after").unwrap(),
+            "a torn write kills the writer"
+        );
+        assert!(!w.crashed(), "a torn write is no crash");
         assert_eq!(faults.injected(), 2);
         drop(w);
 
@@ -620,7 +629,7 @@ mod tests {
             JournalWriter::create(&path, JournalFaultPlan::none().kill_after_bytes(cut)).unwrap();
         assert!(w.append(b"aaaa").unwrap());
         assert!(!w.stage(b"bbbb").unwrap(), "stage past budget is dropped");
-        assert!(!w.alive());
+        assert!(w.crashed());
         assert_eq!(w.written, cut);
         drop(w);
 
@@ -640,7 +649,7 @@ mod tests {
             JournalWriter::create(&path, JournalFaultPlan::none().kill_after_bytes(cut)).unwrap();
         assert!(w.stage(b"kept").unwrap());
         assert!(!w.stage(b"x").unwrap(), "the budget is spent: dies here");
-        assert!(!w.alive());
+        assert!(w.crashed());
         assert!(!w.stage(b"dropped").unwrap());
         assert!(!w.append(b"dropped too").unwrap());
         assert_eq!(w.records(), 1);
@@ -667,7 +676,8 @@ mod tests {
         assert_eq!(err.raw_os_error(), Some(28), "ENOSPC on the 2nd write");
         assert!(w.stage(b"unit").unwrap());
         assert!(!w.stage(b"torn").unwrap(), "the 4th write is torn");
-        assert!(!w.alive());
+        assert!(!w.stage(b"after").unwrap(), "a torn write kills the writer");
+        assert!(!w.crashed(), "a torn write is no crash");
         assert_eq!(faults.injected(), 2);
         drop(w);
         let log = read_log(&path).unwrap();
@@ -680,7 +690,7 @@ mod tests {
     fn zero_budget_kills_magic() {
         let path = scratch("zero");
         let w = JournalWriter::create(&path, JournalFaultPlan::none().kill_after_bytes(0)).unwrap();
-        assert!(!w.alive());
+        assert!(w.crashed());
         drop(w);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         let (mut w, log) = JournalWriter::open_recover(&path, JournalFaultPlan::none()).unwrap();

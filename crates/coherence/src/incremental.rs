@@ -339,30 +339,14 @@ impl CoherentRenderer {
     /// is the renderer's own, which the next frame will update in place.
     pub fn render_next_borrowed(&mut self, scene: &Scene) -> (&Framebuffer, FrameReport) {
         let accel = GridAccel::build_with_spec(scene, self.spec);
-        let mut rays = RayStats::default();
-        let parallel;
-
-        let (fb, full_render, changed, rendered_ids) = match self.prev.take() {
-            None => {
-                // first frame: render the whole region from scratch
-                let mut fb = Framebuffer::new(self.map.width, self.map.height);
-                let ids: Vec<PixelId> = self.region.pixel_ids(self.map.width).collect();
-                let mut listener = GroupListener {
-                    engine: &mut self.engine,
-                    map: self.map,
-                    track_shadows: self.track_shadows,
-                };
-                parallel = render_pixels_par(
-                    scene,
-                    &accel,
-                    &self.settings,
-                    &mut fb,
-                    &ids,
-                    &mut listener,
-                    &mut rays,
-                );
-                (fb, true, 0usize, ids)
-            }
+        let w = self.map.width;
+        // A frame differs from the next only in the framebuffer it starts
+        // from, whether it re-renders the whole region, and which groups'
+        // recorded rays go stale: none on the first frame (nothing is
+        // recorded yet), every group of the region after an `Everything`
+        // transition, the dirty groups otherwise.
+        let (mut fb, full_render, changed, stale) = match self.prev.take() {
+            None => (Framebuffer::new(w, self.map.height), true, 0, Vec::new()),
             Some((prev_scene, prev_fb)) => {
                 // a masked renderer's transitions were computed with its mask
                 let mask = self.engine.mask().cloned();
@@ -375,55 +359,47 @@ impl CoherentRenderer {
                         &computed
                     }
                 };
-                let changed_n = change.len(&self.spec);
-                let (dirty_groups, full): (Vec<u32>, bool) = match change {
-                    ChangeSet::Everything => (Vec::new(), true),
+                let (full, stale) = match change {
+                    ChangeSet::Everything => {
+                        let groups: std::collections::BTreeSet<u32> = self
+                            .region
+                            .pixel_ids(w)
+                            .map(|p| self.map.group_of(p))
+                            .collect();
+                        (true, groups.into_iter().collect())
+                    }
                     ChangeSet::Voxels { voxels, movers } => {
-                        (self.engine.dirty_pixels(voxels, movers), false)
+                        (false, self.engine.dirty_pixels(voxels, movers))
                     }
                 };
-                let mut fb = prev_fb;
-                let ids: Vec<PixelId> = if full {
-                    self.region.pixel_ids(self.map.width).collect()
-                } else {
-                    let w = self.map.width;
-                    dirty_groups
-                        .iter()
-                        .flat_map(|&g| self.map.pixels_of_group(g))
-                        .filter(|&p| self.region.contains_id(p, w))
-                        .collect()
-                };
-                // invalidate the groups being recomputed so their old
-                // recorded rays go stale
-                if full {
-                    // a full re-render regenerates every group in the region
-                    let groups: std::collections::BTreeSet<u32> = self
-                        .region
-                        .pixel_ids(self.map.width)
-                        .map(|p| self.map.group_of(p))
-                        .collect();
-                    let groups: Vec<u32> = groups.into_iter().collect();
-                    self.engine.invalidate_pixels(&groups);
-                } else {
-                    self.engine.invalidate_pixels(&dirty_groups);
-                }
-                let mut listener = GroupListener {
-                    engine: &mut self.engine,
-                    map: self.map,
-                    track_shadows: self.track_shadows,
-                };
-                parallel = render_pixels_par(
-                    scene,
-                    &accel,
-                    &self.settings,
-                    &mut fb,
-                    &ids,
-                    &mut listener,
-                    &mut rays,
-                );
-                (fb, full, changed_n, ids)
+                (prev_fb, full, change.len(&self.spec), stale)
             }
         };
+        let ids: Vec<PixelId> = if full_render {
+            self.region.pixel_ids(w).collect()
+        } else {
+            stale
+                .iter()
+                .flat_map(|&g| self.map.pixels_of_group(g))
+                .filter(|&p| self.region.contains_id(p, w))
+                .collect()
+        };
+        self.engine.invalidate_pixels(&stale);
+        let mut rays = RayStats::default();
+        let mut listener = GroupListener {
+            engine: &mut self.engine,
+            map: self.map,
+            track_shadows: self.track_shadows,
+        };
+        let parallel = render_pixels_par(
+            scene,
+            &accel,
+            &self.settings,
+            &mut fb,
+            &ids,
+            &mut listener,
+            &mut rays,
+        );
 
         // bound memory: compact once the log is mostly stale records
         if self.engine.stale_bytes() as u64 * 2 > self.engine.stats().list_bytes {
@@ -434,8 +410,8 @@ impl CoherentRenderer {
             frame_index: self.frame_index,
             full_render,
             changed_voxels: changed,
-            pixels_rendered: rendered_ids.len(),
-            rendered: rendered_ids,
+            pixels_rendered: ids.len(),
+            rendered: ids,
             region_pixels: self.region.len(),
             rays,
             coherence: self.engine.stats(),

@@ -44,9 +44,6 @@ pub struct FarmConfig {
     pub cost: CostModel,
     /// Target voxel count of the shared grid.
     pub grid_voxels: u32,
-    /// Keep finished frame pixels in the result (tests); hashes are always
-    /// kept.
-    pub keep_frames: bool,
 }
 
 impl FarmConfig {
@@ -58,7 +55,6 @@ impl FarmConfig {
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 24 * 24 * 24,
-            keep_frames: false,
         }
     }
 }
@@ -421,7 +417,6 @@ pub struct FarmMaster {
     frames: u32,
     width: u32,
     file_write_s: f64,
-    keep_frames: bool,
     /// rolling canvas of quantised pixels
     canvas: Vec<[u8; 3]>,
     /// receiver side of each worker's tile-update stream (a worker works
@@ -433,8 +428,6 @@ pub struct FarmMaster {
     next_finalize: u32,
     /// fingerprints of finalized frames, in order
     pub frame_hashes: Vec<u64>,
-    /// full frames if `keep_frames`
-    pub frames_rgb: Vec<Vec<[u8; 3]>>,
     /// aggregate ray counters
     pub rays: RayStats,
     /// aggregate coherence marks
@@ -482,13 +475,11 @@ impl FarmMaster {
             frames,
             width,
             file_write_s: cfg.cost.file_write_work(width, height),
-            keep_frames: cfg.keep_frames,
             canvas: vec![[0u8; 3]; (width * height) as usize],
             decode: BTreeMap::new(),
             pending: BTreeMap::new(),
             next_finalize: 0,
             frame_hashes: Vec::new(),
-            frames_rgb: Vec::new(),
             rays: RayStats::default(),
             marks: 0,
             parallel: ParallelStats {
@@ -511,7 +502,8 @@ impl FarmMaster {
     }
 
     /// Create the master, optionally journaled: with a [`JournalSpec`] the
-    /// run writes ahead to a durable log, and a `resume` spec restores the
+    /// run writes each frame file into the spec's directory as the frame
+    /// finalizes, beside a durable log, and a `resume` spec restores the
     /// finalized prefix of an interrupted run (see [`crate::journal`]).
     pub fn from_spec(
         anim: &Animation,
@@ -529,9 +521,6 @@ impl FarmMaster {
                 master.frame_hashes = state.frame_hashes;
                 if let Some(canvas) = state.canvas {
                     master.canvas = canvas;
-                }
-                if master.keep_frames {
-                    master.frames_rgb = state.frames_rgb;
                 }
             }
         }
@@ -571,9 +560,6 @@ impl FarmMaster {
                 // durable frame pixels first, then the record that vouches
                 // for them — a crash between the two re-renders the frame
                 j.record_frame(self.next_finalize, hash, &self.canvas);
-            }
-            if self.keep_frames {
-                self.frames_rgb.push(self.canvas.clone());
             }
             self.next_finalize += 1;
             finalized += 1;
@@ -701,8 +687,6 @@ pub struct FarmResult {
     pub report: now_cluster::RunReport,
     /// Fingerprints of the finished frames in order.
     pub frame_hashes: Vec<u64>,
-    /// Finished frames (quantised RGB) if `keep_frames` was set.
-    pub frames_rgb: Vec<Vec<[u8; 3]>>,
     /// Total rays fired across the cluster.
     pub rays: RayStats,
     /// Total coherence marks across the cluster.
@@ -773,7 +757,6 @@ fn collect(master: FarmMaster, mut report: now_cluster::RunReport, frames: u32) 
     FarmResult {
         report,
         frame_hashes: master.frame_hashes,
-        frames_rgb: master.frames_rgb,
         rays: master.rays,
         marks: master.marks,
         pixels_shipped: master.pixels_shipped,
@@ -1095,7 +1078,6 @@ mod tests {
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 4096,
-            keep_frames: false,
         }
     }
 
@@ -1398,23 +1380,21 @@ mod tests {
     }
 
     #[test]
-    fn keep_frames_returns_full_pixels() {
+    fn frame_files_decode_to_the_frame_hashes() {
         let anim = anim();
-        let mut c = cfg(PartitionScheme::SequenceDivision { adaptive: true }, true);
-        c.keep_frames = true;
-        let result = run_sim(&anim, &c, &SimCluster::paper());
-        assert_eq!(result.frames_rgb.len(), FRAMES);
-        assert_eq!(result.frames_rgb[0].len(), (W * H) as usize);
-        // hash of kept pixels matches the recorded fingerprint
-        let h = {
-            let mut acc = 0xcbf29ce484222325u64;
-            for b in result.frames_rgb[2].iter().flatten() {
-                acc ^= *b as u64;
-                acc = acc.wrapping_mul(0x100000001b3);
-            }
-            acc
-        };
-        assert_eq!(h, result.frame_hashes[2]);
+        let c = cfg(PartitionScheme::SequenceDivision { adaptive: true }, true);
+        let dir = std::env::temp_dir().join(format!("now_farm_frames_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = JournalSpec::new(&dir);
+        let result = run_sim_with(&anim, &c, &SimCluster::paper(), Some(&spec)).expect("run");
+        assert_eq!(result.frame_hashes, reference_hashes(&anim, &c));
+        for (f, &hash) in result.frame_hashes.iter().enumerate() {
+            let bytes = std::fs::read(dir.join(format!("frame_{f:04}.tga"))).expect("frame file");
+            let (w, h, px) = now_raytrace::image_io::tga_decode(&bytes).expect("tga");
+            assert_eq!((w, h), (W, H));
+            assert_eq!(fnv1a(px.into_iter().flat_map(|(r, g, b)| [r, g, b])), hash);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! The farm's durable run journal: what the master writes ahead, and how
 //! a restarted master resumes from it.
 //!
+//! A farm run's directory is its output: `run.journal` beside the
+//! `frame_NNNN.tga` files, each written once, when its frame finalizes.
+//!
 //! Built on the generic record log in [`now_cluster::journal`], this
 //! module defines the three farm record types and the resume protocol.
 //! The multi-tenant service ([`crate::service`]) stacks on top: each
@@ -30,12 +33,12 @@
 //!
 //! Resume is frame-granular: finalization is strictly in-order and
 //! whole-frame, so `k` valid FrameDone records mean frames `0..k` are
-//! done and everything from `k` on must be re-rendered. The master reloads
-//! frame `k-1`'s pixels as its rolling canvas (verifying the journaled
-//! fingerprint against the re-read file), skips every unit below `k`, and
-//! re-enqueues the rest; the scheduler's fresh-queue restart semantics
-//! then guarantee byte-identical pixels, exactly as they already do for
-//! worker-crash reassignment.
+//! done and everything from `k` on must be re-rendered. The master re-reads
+//! every finalized frame file, checks it against its journaled
+//! fingerprint, keeps frame `k-1`'s pixels as its rolling canvas, skips
+//! every unit below `k`, and re-enqueues the rest; the scheduler's
+//! fresh-queue restart semantics then guarantee byte-identical pixels,
+//! exactly as they already do for worker-crash reassignment.
 
 use crate::farm::FarmConfig;
 use crate::partition::PartitionScheme;
@@ -116,20 +119,21 @@ pub struct ResumeState {
     /// The rolling canvas as of the last finalized frame (None when no
     /// frame finalized before the crash).
     pub canvas: Option<Vec<[u8; 3]>>,
-    /// Pixels of every finalized frame (for `keep_frames` runs).
-    pub frames_rgb: Vec<Vec<[u8; 3]>>,
 }
 
-/// The master's handle on its journal: an open writer plus the frame
-/// directory, with IO errors degraded to a one-line warning (a failing
-/// journal disk must not kill the render it exists to protect).
+/// The master's handle on its run directory: an open record log plus the
+/// frame files beside it. The frame files are the run's output, so a
+/// failing record log costs records, never frames: an IO error stops the
+/// records with a one-line warning and the frames keep being written.
 #[derive(Debug)]
 pub struct FarmJournal {
     dir: PathBuf,
     writer: JournalWriter,
     width: u32,
     height: u32,
-    broken: bool,
+    /// Set by the first failed record or frame file: no later record is
+    /// written, so no FrameDone can vouch past a frame that is missing.
+    records_stopped: bool,
     disk: DiskFaults,
 }
 
@@ -194,6 +198,8 @@ impl FarmJournal {
     /// RunHeader byte-for-byte against this run's scene + configuration,
     /// replays the FrameDone records, re-reads and fingerprint-checks each
     /// finalized frame file, and returns the reconstructed [`ResumeState`].
+    /// A resume that finds no record (a missing journal, or a crash before
+    /// the first record) is a fresh run.
     pub fn open(
         anim: &Animation,
         cfg: &FarmConfig,
@@ -202,62 +208,45 @@ impl FarmJournal {
         std::fs::create_dir_all(&spec.dir)
             .map_err(|e| format!("create journal dir {}: {e}", spec.dir.display()))?;
         let path = spec.dir.join(JOURNAL_FILE);
+        let (writer, records) = if spec.resume {
+            let (writer, log) = JournalWriter::open_recover(&path, spec.fault)
+                .map_err(|e| format!("recover journal {}: {e}", path.display()))?;
+            (writer, log.records)
+        } else {
+            let writer = JournalWriter::create(&path, spec.fault)
+                .map_err(|e| format!("create journal {}: {e}", path.display()))?;
+            (writer, Vec::new())
+        };
+        let mut journal = FarmJournal {
+            dir: spec.dir.clone(),
+            writer: writer.with_disk_faults(&path.display().to_string(), spec.disk.clone()),
+            width: anim.base.camera.width(),
+            height: anim.base.camera.height(),
+            records_stopped: false,
+            disk: spec.disk.clone(),
+        };
         let header = run_header_payload(anim, cfg);
-        let width = anim.base.camera.width();
-        let height = anim.base.camera.height();
-
-        let label = path.display().to_string();
-        if !spec.resume {
-            let mut writer = JournalWriter::create(&path, spec.fault)
-                .map_err(|e| format!("create journal {}: {e}", path.display()))?
-                .with_disk_faults(&label, spec.disk.clone());
-            writer
-                .append(&header)
-                .map_err(|e| format!("journal run header: {e}"))?;
-            return Ok((
-                FarmJournal {
-                    dir: spec.dir.clone(),
-                    writer,
-                    width,
-                    height,
-                    broken: false,
-                    disk: spec.disk.clone(),
-                },
-                None,
-            ));
-        }
-
-        let (writer, log) = JournalWriter::open_recover(&path, spec.fault)
-            .map_err(|e| format!("recover journal {}: {e}", path.display()))?;
-        let mut writer = writer.with_disk_faults(&label, spec.disk.clone());
-        if log.records.is_empty() {
-            // nothing durable survived (missing journal, or a crash before
-            // the first record): behave exactly like a fresh run
-            writer
-                .append(&header)
-                .map_err(|e| format!("journal run header: {e}"))?;
-            return Ok((
-                FarmJournal {
-                    dir: spec.dir.clone(),
-                    writer,
-                    width,
-                    height,
-                    broken: false,
-                    disk: spec.disk.clone(),
-                },
-                None,
-            ));
-        }
-        if log.records[0] != header {
+        let Some((stored, done)) = records.split_first() else {
+            journal.record("run header", &header, true);
+            return Ok((journal, None));
+        };
+        if *stored != header {
             return Err(format!(
                 "journal {} was written by a different run ({}); refusing to resume",
                 path.display(),
-                header_mismatch(&log.records[0], anim)
+                header_mismatch(stored, anim)
             ));
         }
+        let state = journal.replay(done)?;
+        Ok((journal, Some(state)))
+    }
 
+    /// Replay the records after the RunHeader: every FrameDone's frame
+    /// file is re-read and checked against its fingerprint, and the last
+    /// one becomes the rolling canvas.
+    fn replay(&self, records: &[Vec<u8>]) -> Result<ResumeState, String> {
         let mut state = ResumeState::default();
-        for rec in &log.records[1..] {
+        for rec in records {
             let mut d = Decoder::new(rec);
             match d.u8().map_err(|e| format!("journal record: {e}"))? {
                 REC_UNIT_DONE => {} // audit-only; unfinalized frames re-render
@@ -271,72 +260,78 @@ impl FarmJournal {
                             state.next_finalize
                         ));
                     }
-                    let file = frame_file(&spec.dir, frame);
-                    let bytes = std::fs::read(&file)
-                        .map_err(|e| format!("read finalized {}: {e}", file.display()))?;
-                    let (w, h, px) = tga_decode(&bytes)
-                        .map_err(|e| format!("decode finalized {}: {e}", file.display()))?;
-                    if (w, h) != (width, height) {
-                        return Err(format!(
-                            "finalized {} is {w}x{h}, run is {width}x{height}",
-                            file.display()
-                        ));
-                    }
-                    let canvas: Vec<[u8; 3]> = px.into_iter().map(|(r, g, b)| [r, g, b]).collect();
-                    let disk_hash = crate::farm::fnv1a(canvas.iter().flatten().copied());
-                    if disk_hash != hash {
+                    let canvas = self.read_frame(frame)?;
+                    if crate::farm::fnv1a(canvas.iter().flatten().copied()) != hash {
                         return Err(format!(
                             "finalized {} does not match its journaled \
                              fingerprint; refusing to resume over a corrupt frame",
-                            file.display()
+                            frame_file(&self.dir, frame).display()
                         ));
                     }
                     state.frame_hashes.push(hash);
-                    state.frames_rgb.push(canvas.clone());
                     state.canvas = Some(canvas);
                     state.next_finalize += 1;
                 }
                 tag => return Err(format!("journal record with unknown tag {tag}")),
             }
         }
-        Ok((
-            FarmJournal {
-                dir: spec.dir.clone(),
-                writer,
-                width,
-                height,
-                broken: false,
-                disk: spec.disk.clone(),
-            },
-            Some(state),
-        ))
+        Ok(state)
     }
 
-    fn degrade(&mut self, what: &str, err: std::io::Error) {
-        if !self.broken {
-            eprintln!("warning: journal write failed ({what}: {err}); run continues unjournaled");
-            self.broken = true;
+    /// Read back a finalized frame file's pixels.
+    fn read_frame(&self, frame: u32) -> Result<Vec<[u8; 3]>, String> {
+        let file = frame_file(&self.dir, frame);
+        let bytes =
+            std::fs::read(&file).map_err(|e| format!("read finalized {}: {e}", file.display()))?;
+        let (w, h, px) =
+            tga_decode(&bytes).map_err(|e| format!("decode finalized {}: {e}", file.display()))?;
+        if (w, h) != (self.width, self.height) {
+            return Err(format!(
+                "finalized {} is {w}x{h}, run is {}x{}",
+                file.display(),
+                self.width,
+                self.height
+            ));
         }
+        Ok(px.into_iter().map(|(r, g, b)| [r, g, b]).collect())
+    }
+
+    /// Write one record, staged or appended. A failed one stops the
+    /// records with a one-line warning; a crash stops them silently.
+    fn record(&mut self, what: &str, payload: &[u8], append: bool) {
+        if self.records_stopped {
+            return;
+        }
+        let written = if append {
+            self.writer.append(payload)
+        } else {
+            self.writer.stage(payload)
+        };
+        let why = match written {
+            Ok(true) => return,
+            Ok(false) if self.writer.crashed() => return,
+            Ok(false) => "torn write".to_string(),
+            Err(e) => e.to_string(),
+        };
+        eprintln!("warning: journal {what} failed ({why}); records stop, frame files continue");
+        self.records_stopped = true;
     }
 
     /// Record one integrated unit (write-ahead, before the pixels join the
     /// pending frame). The record is staged: its frame's FrameDone append
     /// makes it durable.
     pub fn record_unit(&mut self, unit: &crate::partition::RenderUnit, pixels_hash: u64) {
-        if self.broken {
-            return;
-        }
-        if let Err(e) = self.writer.stage(&unit_payload(unit, pixels_hash)) {
-            self.degrade("unit record", e);
-        }
+        self.record("unit record", &unit_payload(unit, pixels_hash), false);
     }
 
     /// Persist a finalized frame: write its pixels atomically to
-    /// `frame_NNNN.tga`, then append the FrameDone record. If the injected
-    /// fault has killed the writer, the frame file is also skipped — the
-    /// on-disk state then matches a real crash at the fault's byte offset.
+    /// `frame_NNNN.tga`, then append the FrameDone record that vouches for
+    /// them. A failed frame file leaves that file absent and stops the
+    /// records. A writer killed by an injected crash
+    /// (`kill_after_bytes`) writes neither: the directory then matches a
+    /// real crash at the fault's byte offset.
     pub fn record_frame(&mut self, frame: u32, hash: u64, canvas: &[[u8; 3]]) {
-        if self.broken || !self.writer.alive() {
+        if self.writer.crashed() {
             return;
         }
         let file = frame_file(&self.dir, frame);
@@ -348,12 +343,14 @@ impl FarmJournal {
         };
         let bytes = tga_bytes_rgb8(self.width, self.height, canvas);
         if let Err(e) = write_atomic_with(&file, &bytes, fault) {
-            self.degrade("frame file", e);
+            eprintln!(
+                "warning: {} not written ({e}); records stop",
+                file.display()
+            );
+            self.records_stopped = true;
             return;
         }
-        if let Err(e) = self.writer.append(&frame_payload(frame, hash)) {
-            self.degrade("frame record", e);
-        }
+        self.record("frame record", &frame_payload(frame, hash), true);
     }
 
     /// Total valid records in the journal (recovered + written).

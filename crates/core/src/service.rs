@@ -1319,7 +1319,6 @@ fn job_farm_config(
         settings: settings.clone(),
         cost,
         grid_voxels,
-        keep_frames: false,
     }
 }
 

@@ -22,7 +22,6 @@ fn main() {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,
-        keep_frames: false,
     };
 
     // reference: the paper's 3-machine cluster, no faults

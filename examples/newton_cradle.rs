@@ -5,13 +5,12 @@
 //!
 //! Run with: `cargo run --release --example newton_cradle [frames [size]]`
 //! where `size` is `WIDTHxHEIGHT` (default 160x120 to keep the example
-//! quick; the paper used 320x240).
+//! quick; the paper used 320x240). The frames land in the run directory
+//! `out/newton_cradle`, each written as it finalizes.
 
-use now_math::Color;
 use nowrender::anim::scenes::newton;
 use nowrender::cluster::SimCluster;
-use nowrender::core::{run_sim, FarmConfig, PartitionScheme};
-use nowrender::raytrace::{image_io, Framebuffer};
+use nowrender::core::{run_sim_with, FarmConfig, JournalSpec, PartitionScheme};
 use std::path::Path;
 
 fn main() -> std::io::Result<()> {
@@ -34,10 +33,10 @@ fn main() -> std::io::Result<()> {
         tile_h: h.div_ceil(3),
         adaptive: true,
     };
-    cfg.keep_frames = true;
 
     let cluster = SimCluster::paper();
-    let result = run_sim(&anim, &cfg, &cluster);
+    let run = JournalSpec::new(Path::new("out").join("newton_cradle"));
+    let result = run_sim_with(&anim, &cfg, &cluster, Some(&run)).map_err(std::io::Error::other)?;
 
     println!(
         "virtual makespan: {:.1} s   rays: {}   marks: {}   units: {}",
@@ -56,17 +55,12 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // write first, middle and last frames as Targa (Fig. 5 shows frame 22)
-    let out = Path::new("out");
-    std::fs::create_dir_all(out)?;
+    // first, middle and last frames (Fig. 5 shows frame 22)
     for &f in &[0, frames / 2, frames - 1] {
-        let mut fb = Framebuffer::new(w, h);
-        for (i, rgb) in result.frames_rgb[f].iter().enumerate() {
-            fb.set_id(i as u32, Color::from_u8(rgb[0], rgb[1], rgb[2]));
-        }
-        let path = out.join(format!("newton_{f:02}.tga"));
-        image_io::write_tga(&fb, &path)?;
-        println!("wrote {}", path.display());
+        println!(
+            "frame {f:2}: {}",
+            run.dir.join(format!("frame_{f:04}.tga")).display()
+        );
     }
     Ok(())
 }

@@ -62,7 +62,6 @@ fn main() {
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 20 * 20 * 20,
-            keep_frames: false,
         };
         let r = run_sim(&anim, &cfg, &cluster);
         let util = 100.0 * r.report.machines.iter().map(|m| m.busy_s).sum::<f64>()

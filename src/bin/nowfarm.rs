@@ -35,7 +35,6 @@
 //! backend (sim, threads, tcp); the flags only change where and how the
 //! pixels are computed.
 
-use now_math::Color;
 use nowrender::anim::scenes::from_spec;
 use nowrender::anim::Animation;
 use nowrender::cluster::{
@@ -89,7 +88,7 @@ const COMMANDS: &[Command] = &[
         "SCENE",
         "render on a cluster",
         &[
-            ("--out", "DIR", "output directory (default: out)"),
+            ("--out", "DIR", "frames + run.journal (default: out)"),
             ("--threads", "N", "real thread backend with N workers"),
             (
                 "--machines",
@@ -105,8 +104,7 @@ const COMMANDS: &[Command] = &[
                 "FILE",
                 "per-frame FNV fingerprints, one hex per line",
             ),
-            ("--journal", "DIR", "write-ahead journal + durable frames"),
-            ("--resume", "", "resume an interrupted run from its journal"),
+            ("--resume", "", "resume the interrupted run in --out DIR"),
         ],
         cmd_farm,
     ),
@@ -127,14 +125,13 @@ const COMMANDS: &[Command] = &[
             ("--scheme", "S", "seq | frame | hybrid (default: frame)"),
             ("--plain", "", "disable frame coherence"),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
-            ("--out", "DIR", "output directory (default: out)"),
+            ("--out", "DIR", "frames + run.journal (default: out)"),
             (
                 "--hashes",
                 "FILE",
                 "per-frame FNV fingerprints, one hex per line",
             ),
-            ("--journal", "DIR", "write-ahead journal + durable frames"),
-            ("--resume", "", "resume an interrupted run from its journal"),
+            ("--resume", "", "resume the interrupted run in --out DIR"),
             (
                 "--chaos",
                 "SPEC",
@@ -560,15 +557,15 @@ fn bind_retry(listen: &str) -> Result<TcpMaster, String> {
     Ok(listener)
 }
 
-/// The journal configuration selected by `--journal DIR` / `--resume`.
-fn journal_spec(args: &[String]) -> Result<Option<JournalSpec>, String> {
-    match flag_value(args, "--journal") {
-        Some(dir) if has_flag(args, "--resume") => Ok(Some(JournalSpec::resume(dir))),
-        Some(dir) => Ok(Some(JournalSpec::new(dir))),
-        None if has_flag(args, "--resume") => {
-            Err("--resume needs --journal DIR (the journal to resume from)".into())
-        }
-        None => Ok(None),
+/// The run directory of `farm` and `master`: `--out DIR` (default `out`)
+/// holds the frame files beside `run.journal`, and `--resume` finishes the
+/// run journaled there.
+fn run_dir(args: &[String]) -> JournalSpec {
+    let dir = flag_value(args, "--out").unwrap_or("out");
+    if has_flag(args, "--resume") {
+        JournalSpec::resume(dir)
+    } else {
+        JournalSpec::new(dir)
     }
 }
 
@@ -589,32 +586,26 @@ fn write_hashes(args: &[String], hashes: &[u64]) -> CliResult {
 }
 
 /// The `FarmConfig` of `farm`, `master` and `worker`: `--plain` and
-/// `--pool` over the paper defaults, frames kept for `--out`. (A
-/// worker adopts scheme, coherence and grid from the master's job header.)
+/// `--pool` over the paper defaults. (A worker adopts scheme, coherence
+/// and grid from the master's job header.)
 fn farm_config(args: &[String]) -> Result<FarmConfig, String> {
     Ok(FarmConfig {
         coherence: !has_flag(args, "--plain"),
         settings: render_settings(args)?,
-        keep_frames: true,
         ..FarmConfig::paper_default()
     })
 }
 
-/// The end of a `farm` or `master` run: the summary, `--hashes`, and the
-/// kept frames as TGA files under `--out`.
-fn finish_farm_run(args: &[String], anim: &Animation, result: &FarmResult) -> CliResult {
+/// The end of a `farm` or `master` run: the summary and `--hashes`. The
+/// frames are already in the run directory, written as they finalized.
+fn finish_farm_run(args: &[String], run: &JournalSpec, result: &FarmResult) -> CliResult {
     print_farm_summary(result);
     write_hashes(args, &result.frame_hashes)?;
-    let dir = outdir(args)?;
-    let (w, h) = (anim.base.camera.width(), anim.base.camera.height());
-    for (f, rgb) in result.frames_rgb.iter().enumerate() {
-        let mut fb = Framebuffer::new(w, h);
-        for (i, px) in rgb.iter().enumerate() {
-            fb.set_id(i as u32, Color::from_u8(px[0], px[1], px[2]));
-        }
-        write_frame(&fb, &dir, f)?;
-    }
-    println!("{} frames -> {}", result.frames_rgb.len(), dir.display());
+    println!(
+        "{} frames -> {}",
+        result.frame_hashes.len(),
+        run.dir.display()
+    );
     Ok(())
 }
 
@@ -727,7 +718,7 @@ fn cmd_farm(args: &[String]) -> CliResult {
         nowrender::trace::global().set_enabled(true);
     }
 
-    let journal = journal_spec(args)?;
+    let run = run_dir(args);
     let result = if let Some(n) = flag_value(args, "--threads") {
         let n: usize = n.parse().map_err(|_| "bad --threads value")?;
         println!("running on {n} real worker threads ...");
@@ -735,7 +726,7 @@ fn cmd_farm(args: &[String]) -> CliResult {
             &anim,
             &cfg,
             &nowrender::cluster::ThreadCluster::new(n),
-            journal.as_ref(),
+            Some(&run),
         )?
     } else {
         let machines = match flag_value(args, "--machines") {
@@ -746,7 +737,7 @@ fn cmd_farm(args: &[String]) -> CliResult {
         let mut cluster = SimCluster::new(machines);
         // gantt spans feed the Chrome export's virtual-time process
         cluster.record_timeline = trace_path.is_some();
-        run_sim_with(&anim, &cfg, &cluster, journal.as_ref())?
+        run_sim_with(&anim, &cfg, &cluster, Some(&run))?
     };
 
     if let Some(path) = trace_path {
@@ -764,7 +755,7 @@ fn cmd_farm(args: &[String]) -> CliResult {
         );
     }
 
-    finish_farm_run(args, &anim, &result)
+    finish_farm_run(args, &run, &result)
 }
 
 fn cmd_master(args: &[String]) -> CliResult {
@@ -781,15 +772,12 @@ fn cmd_master(args: &[String]) -> CliResult {
         ..farm_config(args)?
     };
     let tcp = tcp_config(args, workers)?;
-    let journal = journal_spec(args)?;
-    if journal.is_none() && !tcp.chaos.disk.is_empty() {
-        eprintln!("warning: chaos disk faults need --journal DIR; none will fire");
-    }
+    let run = run_dir(args);
     let listener = bind_retry(flag_value(args, "--listen").unwrap_or("127.0.0.1:0"))?;
     println!("waiting for {workers} worker(s) ...");
 
-    let result = run_tcp_master_with(listener, &anim, &cfg, &tcp, journal.as_ref())?;
-    finish_farm_run(args, &anim, &result)
+    let result = run_tcp_master_with(listener, &anim, &cfg, &tcp, Some(&run))?;
+    finish_farm_run(args, &run, &result)
 }
 
 fn cmd_worker(args: &[String]) -> CliResult {

@@ -99,7 +99,6 @@ fn farm_renders_across_the_cut_exactly() {
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 4096,
-            keep_frames: false,
         };
         let result = run_sim(&anim, &cfg, &SimCluster::paper());
         for f in 0..FRAMES {

@@ -28,7 +28,6 @@ fn cfg() -> FarmConfig {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,
-        keep_frames: false,
     }
 }
 
@@ -521,9 +520,9 @@ fn any_single_bit_flip_on_the_wire_is_detected_and_never_integrated() {
 
 /// The service's TCP driver arms the plan's disk section on every per-job
 /// journal and frame write, like the one-shot master does on its own: the
-/// second frame's file write fails with `EIO`, that job's journal degrades
-/// (it and the later frames are simply not persisted), and the job still
-/// completes with the fault-free job hash.
+/// second frame's file write fails with `EIO`, that file is the one
+/// missing (the job's records stop there, its later frames are still
+/// written), and the job still completes with the fault-free job hash.
 #[test]
 fn service_disk_faults_are_armed_by_the_tcp_driver() {
     use nowrender::core::service::{run_service_master, ServiceConfig, ServiceMaster};
@@ -565,6 +564,7 @@ fn service_disk_faults_are_armed_by_the_tcp_driver() {
         !dir.join("frame_0001.tga").exists(),
         "the scheduled write fault never fired"
     );
+    assert!(dir.join("frame_0002.tga").is_file(), "frames outlive it");
     for d in [clean_dir, dir] {
         let _ = std::fs::remove_dir_all(d.parent().and_then(|p| p.parent()).expect("root"));
     }

@@ -45,7 +45,6 @@ fn master_cfg() -> FarmConfig {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 24 * 24 * 24,
-        keep_frames: false,
     }
 }
 

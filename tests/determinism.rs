@@ -21,7 +21,6 @@ fn sim_runs_are_bit_identical() {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,
-        keep_frames: false,
     };
     let cluster = SimCluster::paper();
     let a = run_sim(&anim, &cfg, &cluster);

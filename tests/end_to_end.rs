@@ -27,7 +27,6 @@ fn base_cfg(scheme: PartitionScheme, coherence: bool) -> FarmConfig {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 16 * 16 * 16,
-        keep_frames: false,
     }
 }
 

@@ -13,7 +13,7 @@
 use nowrender::anim::scenes::glassball;
 use nowrender::anim::Animation;
 use nowrender::cluster::journal::{read_log, JournalFaultPlan, MAGIC};
-use nowrender::cluster::{ConnectConfig, ThreadCluster};
+use nowrender::cluster::{ChaosPlan, ConnectConfig, ThreadCluster};
 use nowrender::core::{
     bind_tcp_master, run_sim_with, run_tcp_master_with, run_threads, run_threads_with,
     serve_tcp_worker, CostModel, FarmConfig, FarmResult, JournalSpec, PartitionScheme,
@@ -44,7 +44,6 @@ fn cfg() -> FarmConfig {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,
-        keep_frames: false,
     }
 }
 
@@ -224,11 +223,12 @@ fn tcp_crash_at_every_record_boundary_resumes_byte_identical() {
 #[test]
 fn sim_resume_restores_canvas_and_kept_frames() {
     let anim = anim();
-    let mut cfg = cfg();
-    cfg.keep_frames = true;
+    let cfg = cfg();
     let cluster = nowrender::cluster::SimCluster::paper();
 
-    let clean = run_sim_with(&anim, &cfg, &cluster, None).expect("clean run");
+    let clean_dir = scratch("sim_clean");
+    let clean = run_sim_with(&anim, &cfg, &cluster, Some(&JournalSpec::new(&clean_dir)))
+        .expect("clean run");
 
     // probe deterministically (the simulator's record order is stable),
     // then cut right after the second FrameDone record
@@ -252,16 +252,22 @@ fn sim_resume_restores_canvas_and_kept_frames() {
     let resumed =
         run_sim_with(&anim, &cfg, &cluster, Some(&JournalSpec::resume(&dir))).expect("resume run");
     assert_eq!(resumed.frame_hashes, clean.frame_hashes);
-    assert_eq!(
-        resumed.frames_rgb, clean.frames_rgb,
-        "kept frames must include the journal-restored prefix, byte-identical"
-    );
+    for f in 0..FRAMES {
+        let name = format!("frame_{f:04}.tga");
+        assert_eq!(
+            std::fs::read(dir.join(&name)).expect("resumed frame"),
+            std::fs::read(clean_dir.join(&name)).expect("clean frame"),
+            "{name}: the journal-restored prefix and the re-rendered rest \
+             must be byte-identical to a clean run's frame files"
+        );
+    }
     assert!(
         resumed.resumed_units > 0,
         "frames 0..2 were restored, not re-rendered"
     );
-    let _ = std::fs::remove_dir_all(&probe);
-    let _ = std::fs::remove_dir_all(&dir);
+    for d in [probe, dir, clean_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 #[test]
@@ -407,5 +413,86 @@ fn journaled_run_persists_every_finalized_frame() {
             "leftover temp file for frame {f}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A threads run into `dir` under the disk faults of a chaos `spec`,
+/// with how many of them fired.
+fn run_with_disk_faults(dir: &Path, spec: &str) -> (FarmResult, u64) {
+    let disk = spec.parse::<ChaosPlan>().expect("chaos spec").disk.arm();
+    let result = run_threads_with(
+        &anim(),
+        &cfg(),
+        &ThreadCluster::new(2),
+        Some(&JournalSpec::new(dir).with_disk_faults(disk.clone())),
+    )
+    .expect("run starts");
+    (result, disk.injected())
+}
+
+/// A failing record log costs records, never frames: with the journal's
+/// fourth record write refused for a full disk, or torn, or its first
+/// (the RunHeader) refused, every frame file is still written,
+/// byte-identical to a clean run's.
+#[test]
+fn frame_files_outlive_a_failing_journal() {
+    let clean = scratch("clean_files");
+    run_threads_with(
+        &anim(),
+        &cfg(),
+        &ThreadCluster::new(2),
+        Some(&JournalSpec::new(&clean)),
+    )
+    .expect("clean run");
+    for (i, (fault, kept)) in [("enospc@3", 3), ("torn@3", 3), ("enospc@0", 0)]
+        .into_iter()
+        .enumerate()
+    {
+        let dir = scratch(&format!("failing_{i}"));
+        let (result, fired) = run_with_disk_faults(&dir, &format!("disk=run.journal:{fault}"));
+        assert_eq!(fired, 1, "the scheduled {fault} fault fired");
+        assert_eq!(result.frame_hashes, reference_hashes());
+        for f in 0..FRAMES {
+            let name = format!("frame_{f:04}.tga");
+            assert_eq!(
+                std::fs::read(dir.join(&name)).unwrap_or_default(),
+                std::fs::read(clean.join(&name)).expect("clean frame"),
+                "{fault}: {name}"
+            );
+        }
+        let log = read_log(&journal_path(&dir)).expect("journal");
+        assert_eq!(log.records.len(), kept, "{fault}: the records stopped");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&clean);
+}
+
+/// A frame file that cannot be written is the only one missing, and it
+/// stops the records there: no FrameDone vouches past it, so a resume
+/// re-renders from that frame and completes with the reference hashes.
+#[test]
+fn a_failed_frame_file_is_the_only_one_missing_and_resume_restores_it() {
+    let dir = scratch("eio");
+    let (result, fired) = run_with_disk_faults(&dir, "disk=frame_0001:eio@0");
+    assert_eq!(fired, 1, "the scheduled frame fault fired");
+    assert_eq!(result.frame_hashes, reference_hashes());
+    for f in 0..FRAMES {
+        let present = dir.join(format!("frame_{f:04}.tga")).exists();
+        assert_eq!(present, f != 1, "frame {f}");
+    }
+    let log = read_log(&journal_path(&dir)).expect("journal");
+    let vouched = log.records.iter().filter(|r| r[0] == 3).count();
+    assert_eq!(vouched, 1, "only frame 0 precedes the missing file");
+
+    let resumed = run_threads_with(
+        &anim(),
+        &cfg(),
+        &ThreadCluster::new(2),
+        Some(&JournalSpec::resume(&dir)),
+    )
+    .expect("resume run");
+    assert_eq!(resumed.frame_hashes, reference_hashes());
+    assert!(resumed.resumed_units > 0, "frame 0 was restored");
+    assert!(dir.join("frame_0001.tga").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -169,7 +169,6 @@ fn farm_cfg(threads: u32) -> FarmConfig {
         settings: settings(threads),
         cost: CostModel::default(),
         grid_voxels: 4096,
-        keep_frames: false,
     }
 }
 

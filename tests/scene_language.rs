@@ -60,7 +60,6 @@ fn parsed_scene_runs_on_the_farm() {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,
-        keep_frames: false,
     };
     let r = run_sim(&anim, &cfg, &SimCluster::paper());
     assert_eq!(r.frame_hashes.len(), 4);

@@ -4,10 +4,14 @@
 //! worker processes on localhost must produce frame hashes byte-identical
 //! to the single-process thread backend — including when one worker
 //! process is killed mid-run and its leases recover on the survivor.
+//! A run's `--out` directory is its journal: it holds `run.journal` and
+//! one Targa file per frame, written once, and nothing else.
 
 use nowrender::anim::scenes::newton;
 use nowrender::core::{run_threads, CostModel, FarmConfig, PartitionScheme};
+use nowrender::raytrace::image_io::tga_decode;
 use nowrender::raytrace::RenderSettings;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -32,7 +36,6 @@ fn master_cfg() -> FarmConfig {
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 24 * 24 * 24,
-        keep_frames: false,
     }
 }
 
@@ -94,6 +97,84 @@ fn read_hashes(path: &Path) -> Vec<u64> {
         .collect()
 }
 
+/// Every file of a run directory by name, with its bytes.
+fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path
+                .file_name()
+                .expect("name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("read run file"))
+        })
+        .collect()
+}
+
+/// The run directory holds exactly `run.journal` and one frame file per
+/// frame, and each frame decodes to pixels whose FNV-1a over the RGB
+/// bytes (the fingerprint the master takes of its canvas) is that
+/// frame's `--hashes` line.
+fn check_run_dir(dir: &Path, hashes: &Path) {
+    let files = dir_files(dir);
+    let mut want: Vec<String> = (0..FRAMES).map(|f| format!("frame_{f:04}.tga")).collect();
+    want.push("run.journal".into());
+    assert_eq!(files.keys().cloned().collect::<Vec<_>>(), want);
+    for (f, hash) in read_hashes(hashes).into_iter().enumerate() {
+        let (w, h, px) = tga_decode(&files[&format!("frame_{f:04}.tga")]).expect("tga");
+        assert_eq!((w, h), (W, H));
+        let fnv = px
+            .into_iter()
+            .flat_map(|(r, g, b)| [r, g, b])
+            .fold(0xcbf29ce484222325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100000001b3)
+            });
+        assert_eq!(fnv, hash, "frame {f} on disk is not the frame hashed");
+    }
+}
+
+/// `nowfarm SUB SCENE ... --resume` over a finished run directory: it
+/// renders no unit and leaves every file byte-identical.
+fn resume_finished_run(sub_args: &[&str], dir: &Path, hashes: &Path) {
+    let before = dir_files(dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_nowfarm"))
+        .args(sub_args)
+        .arg("--out")
+        .arg(dir)
+        .arg("--hashes")
+        .arg(hashes)
+        .arg("--resume")
+        .stderr(Stdio::null())
+        .output()
+        .expect("run resume");
+    assert!(out.status.success(), "resume exited with {}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(" rays, 0 units,"), "{stdout}");
+    assert!(dir_files(dir) == before, "the resume rewrote a file");
+    assert_eq!(read_hashes(hashes), reference_hashes());
+}
+
+#[test]
+fn farm_writes_each_frame_once_into_its_run_directory() {
+    let dir = scratch_dir("farm");
+    let (run, hashes) = (dir.join("run"), dir.join("hashes.txt"));
+    let status = Command::new(env!("CARGO_BIN_EXE_nowfarm"))
+        .args(["farm", SCENE, "--threads", "2", "--out"])
+        .arg(&run)
+        .arg("--hashes")
+        .arg(&hashes)
+        .stdout(Stdio::null())
+        .status()
+        .expect("spawn farm");
+    assert!(status.success(), "farm exited with {status}");
+    assert_eq!(read_hashes(&hashes), reference_hashes());
+    check_run_dir(&run, &hashes);
+    resume_finished_run(&["farm", SCENE, "--threads", "2"], &run, &hashes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn multi_process_farm_matches_single_process() {
     let dir = scratch_dir("mp");
@@ -108,20 +189,20 @@ fn multi_process_farm_matches_single_process() {
     assert!(w2.wait().expect("wait w2").success());
 
     assert_eq!(read_hashes(&hashes), reference_hashes());
-    // the master also materialised every frame
-    for f in 0..FRAMES {
-        let frame = dir.join("frames").join(format!("frame_{f:04}.tga"));
-        assert!(frame.exists(), "missing {}", frame.display());
-    }
+    // the master wrote every frame into its run directory, once
+    let run = dir.join("frames");
+    check_run_dir(&run, &hashes);
+    let master = ["master", SCENE, "--listen", "127.0.0.1:0", "--workers", "2"];
+    resume_finished_run(&master, &run, &hashes);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Spawn `nowfarm master` on a *fixed* address with a journal, so a
-/// killed master can be restarted on the same port with `--resume`.
+/// Spawn `nowfarm master` on a *fixed* address, so a killed master can
+/// be restarted on the same port with `--resume` of its run directory.
 fn spawn_journaled_master(addr: &str, dir: &Path, hashes: &Path, resume: bool) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_nowfarm"));
     cmd.args(["master", SCENE, "--listen", addr, "--workers", "2"])
-        .arg("--journal")
+        .arg("--out")
         .arg(dir.join("journal"))
         .arg("--hashes")
         .arg(hashes)
@@ -167,10 +248,7 @@ fn multi_process_farm_survives_killed_master_via_resume() {
         "kill -9 + --resume must reproduce the uninterrupted hashes"
     );
     // every finalized frame is durably on disk next to the journal
-    for f in 0..FRAMES {
-        let frame = dir.join("journal").join(format!("frame_{f:04}.tga"));
-        assert!(frame.exists(), "missing {}", frame.display());
-    }
+    check_run_dir(&dir.join("journal"), &hashes);
 
     // The workers' exit codes are timing-dependent (a fast machine can
     // finish the whole run before the kill; a resumed-complete master

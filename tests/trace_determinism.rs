@@ -46,7 +46,6 @@ fn farm_cfg(threads: u32) -> FarmConfig {
         },
         cost: CostModel::default(),
         grid_voxels: 4096,
-        keep_frames: false,
     }
 }
 
