@@ -28,7 +28,7 @@
 
 use now_anim::Animation;
 use now_cluster::SimCluster;
-use now_core::farm::frame_hash;
+use now_core::farm::Canvas;
 use now_core::{
     render_sequence, run_sim, CostModel, FarmConfig, FarmResult, PartitionScheme, SequenceMode,
     SequenceReport, SingleMachine,
@@ -51,9 +51,9 @@ pub enum Row {
 /// What a [`Row`]'s run produced.
 #[derive(Debug)]
 pub enum Outcome {
-    /// The single-processor report and each frame's [`frame_hash`].
+    /// The single-processor report and each frame's [`Canvas::hash`].
     Single(SequenceReport, Vec<u64>),
-    /// The farm's result, which carries each frame's [`frame_hash`].
+    /// The farm's result, which carries each frame's [`Canvas::hash`].
     Farm(FarmResult),
 }
 
@@ -71,7 +71,7 @@ impl Row {
                     *mode,
                     *machine,
                     *grid_voxels,
-                    |f, fb| hashes[f] = frame_hash(&fb),
+                    |f, fb| hashes[f] = Canvas::of(&fb).hash(),
                 );
                 Outcome::Single(report, hashes)
             }
@@ -105,7 +105,7 @@ impl Outcome {
         }
     }
 
-    /// Each frame's [`frame_hash`], in order.
+    /// Each frame's [`Canvas::hash`], in order.
     pub fn frame_hashes(&self) -> &[u64] {
         match self {
             Outcome::Single(_, hashes) => hashes,

@@ -185,14 +185,57 @@ pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// Fingerprint a framebuffer the same way the farm fingerprints its
-/// assembled frames (quantised RGB, row-major).
-pub fn frame_hash(fb: &Framebuffer) -> u64 {
-    fnv1a(fb.pixels().iter().flat_map(|c| {
-        let (r, g, b) = c.to_u8();
-        [r, g, b]
-    }))
+/// A frame canvas: one frame's quantised RGB, row-major. The master's
+/// in-order finalize, a resumed journal and a watching client each keep
+/// one rolling canvas, bring it from one frame to the next by applying
+/// the next frame's changed pixels, and so fingerprint every frame the
+/// same way, with [`Canvas::hash`].
+#[derive(Debug, Clone)]
+pub struct Canvas {
+    pub(crate) width: u32,
+    pub(crate) height: u32,
+    pub(crate) rgb: Vec<[u8; 3]>,
 }
+
+impl Canvas {
+    /// A black canvas, where every run starts.
+    pub(crate) fn new(width: u32, height: u32) -> Canvas {
+        let rgb = vec![[0; 3]; width as usize * height as usize];
+        Canvas { width, height, rgb }
+    }
+
+    /// A framebuffer's pixels, quantised as a frame file stores them.
+    pub fn of(fb: &Framebuffer) -> Canvas {
+        let rgb = fb.pixels().iter().map(|c| c.to_u8().into()).collect();
+        let (width, height) = (fb.width(), fb.height());
+        Canvas { width, height, rgb }
+    }
+
+    /// Apply one frame's changed pixels, in order, and return the finished
+    /// frame's fingerprint. A pixel outside the canvas is an error naming
+    /// it (a damaged stream); the pixels before it are applied.
+    pub(crate) fn finish(&mut self, pixels: &[(PixelId, [u8; 3])]) -> Result<u64, PixelId> {
+        for &(id, rgb) in pixels {
+            *self.rgb.get_mut(id as usize).ok_or(id)? = rgb;
+        }
+        Ok(self.hash())
+    }
+
+    /// The frame's fingerprint: FNV-1a over its quantised RGB, row-major.
+    pub fn hash(&self) -> u64 {
+        fnv1a(self.rgb.iter().flatten().copied())
+    }
+}
+
+/// A job's fingerprint: FNV-1a over its frame fingerprints' little-endian
+/// bytes, in frame order.
+pub(crate) fn job_hash(frame_hashes: &[u64]) -> u64 {
+    fnv1a(frame_hashes.iter().flat_map(|h| h.to_le_bytes()))
+}
+
+/// A frame the master finished: its index, the pixels that changed it
+/// from the frame before (as applied to the canvas), and its hash.
+pub(crate) type FinishedFrame = (u32, Vec<(PixelId, [u8; 3])>, u64);
 
 // ---------------------------------------------------------------------
 // Worker
@@ -415,17 +458,15 @@ impl WorkerLogic for FarmWorker {
 pub struct FarmMaster {
     scheduler: Scheduler,
     frames: u32,
-    width: u32,
     file_write_s: f64,
-    /// rolling canvas of quantised pixels
-    canvas: Vec<[u8; 3]>,
+    /// the last finalized frame, which the next one's pixels update
+    canvas: Canvas,
     /// receiver side of each worker's tile-update stream (a worker works
     /// one region queue at a time, and any switch arrives as a
     /// stream-resetting FULL, so one buffer per worker suffices)
     decode: BTreeMap<usize, Option<RegionBuffer>>,
     /// per-frame pending updates and how many region-updates have arrived
     pending: BTreeMap<u32, PendingFrame>,
-    next_finalize: u32,
     /// fingerprints of finalized frames, in order
     pub frame_hashes: Vec<u64>,
     /// aggregate ray counters
@@ -442,10 +483,6 @@ pub struct FarmMaster {
     pub frame_bytes_wire: u64,
     /// units completed
     pub units_done: u64,
-    /// pixels decoded from the most recent [`MasterLogic::integrate`]
-    /// call (the progressive-streaming layer re-encodes these for
-    /// watching clients without re-entering the decode stream)
-    last_decoded: Vec<(PixelId, [u8; 3])>,
     /// units skipped at assignment because a resumed journal had already
     /// finalized their frames
     pub resumed_units: u64,
@@ -459,9 +496,6 @@ pub struct FarmMaster {
     pub workers_lost_seen: u64,
     /// write-ahead journal, when the run is durable
     journal: Option<FarmJournal>,
-    /// frames below this index were restored from the journal: their
-    /// units are skipped, never re-rendered
-    skip_below: u32,
 }
 
 impl FarmMaster {
@@ -473,12 +507,10 @@ impl FarmMaster {
         FarmMaster {
             scheduler: Scheduler::new(cfg.scheme, width, height, frames, workers),
             frames,
-            width,
             file_write_s: cfg.cost.file_write_work(width, height),
-            canvas: vec![[0u8; 3]; (width * height) as usize],
+            canvas: Canvas::new(width, height),
             decode: BTreeMap::new(),
             pending: BTreeMap::new(),
-            next_finalize: 0,
             frame_hashes: Vec::new(),
             rays: RayStats::default(),
             marks: 0,
@@ -491,13 +523,11 @@ impl FarmMaster {
             pixels_shipped: 0,
             frame_bytes_wire: 0,
             units_done: 0,
-            last_decoded: Vec::new(),
             resumed_units: 0,
             results_rejected: 0,
             units_requeued: 0,
             workers_lost_seen: 0,
             journal: None,
-            skip_below: 0,
         }
     }
 
@@ -513,91 +543,46 @@ impl FarmMaster {
     ) -> Result<FarmMaster, String> {
         let mut master = FarmMaster::new(anim, cfg, workers);
         if let Some(spec) = journal {
-            let (journal, resumed) = FarmJournal::open(anim, cfg, spec)?;
-            master.journal = Some(journal);
-            if let Some(state) = resumed {
-                master.next_finalize = state.next_finalize;
-                master.skip_below = state.next_finalize;
-                master.frame_hashes = state.frame_hashes;
-                if let Some(canvas) = state.canvas {
-                    master.canvas = canvas;
-                }
-            }
+            let (hashes, canvas) = (&mut master.frame_hashes, &mut master.canvas);
+            master.journal = Some(FarmJournal::open(anim, cfg, spec, hashes, canvas)?);
         }
         Ok(master)
     }
 
-    /// Number of frames fully assembled and "written".
-    pub fn frames_finalized(&self) -> usize {
-        self.frame_hashes.len()
-    }
-
-    /// Width of the canvas in pixels (the animation's image width).
-    pub fn canvas_width(&self) -> u32 {
-        self.width
-    }
-
-    /// The pixels decoded by the most recent `integrate` call.
-    pub fn last_decoded(&self) -> &[(PixelId, [u8; 3])] {
-        &self.last_decoded
-    }
-
-    fn try_finalize(&mut self) -> usize {
+    /// Finalize, in order, every frame whose regions have all arrived.
+    fn try_finalize(&mut self) -> Vec<FinishedFrame> {
         let needed = self.scheduler.regions_per_frame();
-        let mut finalized = 0;
-        while self.next_finalize < self.frames {
-            match self.pending.get(&self.next_finalize) {
+        let mut finished = Vec::new();
+        loop {
+            let frame = self.frame_hashes.len() as u32;
+            match self.pending.get(&frame) {
                 Some((_, count)) if *count == needed => {}
                 _ => break,
             }
-            let (updates, _) = self.pending.remove(&self.next_finalize).expect("checked");
-            for (id, rgb) in updates {
-                self.canvas[id as usize] = rgb;
-            }
-            let hash = fnv1a(self.canvas.iter().flatten().copied());
+            let (pixels, _) = self.pending.remove(&frame).expect("checked");
+            let hash = self
+                .canvas
+                .finish(&pixels)
+                .expect("decoded pixels lie in the frame");
             self.frame_hashes.push(hash);
             if let Some(j) = self.journal.as_mut() {
                 // durable frame pixels first, then the record that vouches
                 // for them — a crash between the two re-renders the frame
-                j.record_frame(self.next_finalize, hash, &self.canvas);
+                j.record_frame(frame, hash, &self.canvas);
             }
-            self.next_finalize += 1;
-            finalized += 1;
+            finished.push((frame, pixels, hash));
         }
-        finalized
-    }
-}
-
-impl MasterLogic for FarmMaster {
-    type Unit = RenderUnit;
-    type Result = UnitOutput;
-
-    fn assign(&mut self, worker: usize) -> Option<RenderUnit> {
-        let mut skipped = false;
-        loop {
-            let mut unit = self.scheduler.next_unit(worker)?;
-            if unit.frame < self.skip_below {
-                // this frame was finalized before the crash: its pixels
-                // are already durable, the unit never leaves the master
-                self.resumed_units += 1;
-                skipped = true;
-                continue;
-            }
-            if skipped {
-                // the queue's restart flag was consumed by a skipped unit;
-                // the worker must rebuild coherence from this frame
-                unit.restart = true;
-            }
-            return Some(unit);
-        }
+        finished
     }
 
-    fn integrate(
+    /// [`MasterLogic::integrate`], handing back the frames the result
+    /// finished, in frame order.
+    pub(crate) fn integrate_frames(
         &mut self,
         worker: usize,
         unit: RenderUnit,
         result: UnitOutput,
-    ) -> Option<MasterWork> {
+    ) -> Option<(MasterWork, Vec<FinishedFrame>)> {
         if !result.verify() {
             // damaged content (bit-flipped wire bytes, a byzantine or
             // buggy worker): nothing touches the canvas. Drop the
@@ -613,7 +598,7 @@ impl MasterLogic for FarmMaster {
         // result can only fail to decode after an earlier rejection broke
         // the stream — which is itself a rejection, never a panic
         let stream = self.decode.entry(worker).or_insert(None);
-        let pixels = match result.update.decode(unit.region, self.width, stream) {
+        let pixels = match result.update.decode(unit.region, self.canvas.width, stream) {
             Ok(pixels) => pixels,
             Err(_) => {
                 *stream = None;
@@ -636,14 +621,50 @@ impl MasterLogic for FarmMaster {
             j.record_unit(&unit, pixels_hash);
         }
         let entry = self.pending.entry(unit.frame).or_default();
-        entry.0.extend_from_slice(&pixels);
+        entry.0.extend(pixels);
         entry.1 += 1;
-        self.last_decoded = pixels;
-        let finalized = self.try_finalize();
-        Some(MasterWork {
-            work_units: finalized as f64 * self.file_write_s,
+        let finished = self.try_finalize();
+        let work = MasterWork {
+            work_units: finished.len() as f64 * self.file_write_s,
             overlappable: true,
-        })
+        };
+        Some((work, finished))
+    }
+}
+
+impl MasterLogic for FarmMaster {
+    type Unit = RenderUnit;
+    type Result = UnitOutput;
+
+    fn assign(&mut self, worker: usize) -> Option<RenderUnit> {
+        let mut skipped = false;
+        loop {
+            let mut unit = self.scheduler.next_unit(worker)?;
+            if (unit.frame as usize) < self.frame_hashes.len() {
+                // this frame was finalized before a crash (the scheduler
+                // hands out each unit once): its pixels are already
+                // durable, the unit never leaves the master
+                self.resumed_units += 1;
+                skipped = true;
+                continue;
+            }
+            if skipped {
+                // the queue's restart flag was consumed by a skipped unit;
+                // the worker must rebuild coherence from this frame
+                unit.restart = true;
+            }
+            return Some(unit);
+        }
+    }
+
+    fn integrate(
+        &mut self,
+        worker: usize,
+        unit: RenderUnit,
+        result: UnitOutput,
+    ) -> Option<MasterWork> {
+        self.integrate_frames(worker, unit, result)
+            .map(|(work, _)| work)
     }
 
     fn unit_bytes(&self, _unit: &RenderUnit) -> u64 {
@@ -671,7 +692,7 @@ impl MasterLogic for FarmMaster {
     fn all_done(&self) -> bool {
         // every region of every frame integrated — nothing left in any
         // worker's queue, so idle workers may really shut down
-        self.next_finalize >= self.frames
+        self.frame_hashes.len() as u32 >= self.frames
     }
 }
 
@@ -749,7 +770,7 @@ fn collect(master: FarmMaster, mut report: now_cluster::RunReport, frames: u32) 
     // frame; only a total loss may return a partial result
     if (report.workers_lost as usize) < report.machines.len() {
         assert_eq!(
-            master.frames_finalized() as u32,
+            master.frame_hashes.len() as u32,
             frames,
             "every frame must be assembled and written"
         );
@@ -1066,7 +1087,7 @@ mod tests {
             SequenceMode::Plain,
             crate::single::SingleMachine::unit(),
             cfg.grid_voxels,
-            |_, fb| hashes.push(frame_hash(&fb)),
+            |_, fb| hashes.push(Canvas::of(&fb).hash()),
         );
         hashes
     }
@@ -1096,6 +1117,49 @@ mod tests {
         assert_eq!(result.frame_hashes, reference_hashes(&anim, &cfg));
         assert_eq!(result.units_done as usize, 6 * FRAMES); // 3x2 tiles
         assert!(result.report.makespan_s > 0.0);
+    }
+
+    /// Frame 1 can be whole before frame 0 is: here region B's queue
+    /// moves to a third worker after its frame-0 lease is given up, and
+    /// that lease's retry reports last. The master holds frame 1 until
+    /// frame 0 is done, then finishes both, in order.
+    #[test]
+    fn frame_division_finalizes_in_order_when_a_later_frame_lands_first() {
+        let anim = Arc::new(anim());
+        let cfg = cfg(
+            PartitionScheme::FrameDivision {
+                tile_w: W / 2,
+                tile_h: H,
+                adaptive: false,
+            },
+            true,
+        );
+        let spec = shared_spec(&anim, &cfg);
+        let mut workers: Vec<FarmWorker> = (0..3)
+            .map(|_| FarmWorker::new(Arc::clone(&anim), spec, cfg.clone()))
+            .collect();
+        let mut master = FarmMaster::new(&anim, &cfg, 3);
+        let a0 = master.assign(0).expect("region A, frame 0");
+        let mut b0 = master.assign(1).expect("region B, frame 0");
+        master.on_reassign(1, &mut b0);
+        let b1 = master.assign(2).expect("region B, frame 1");
+        let a1 = master.assign(0).expect("region A, frame 1");
+        assert_eq!((a0.frame, b0.frame, b1.frame, a1.frame), (0, 0, 1, 1));
+        assert_eq!((a0.region, b0.region), (a1.region, b1.region));
+        let mut land = |w: usize, unit: RenderUnit| {
+            let (out, _) = workers[w].perform(&unit);
+            let (_, finished) = master.integrate_frames(w, unit, out).expect("verified");
+            finished
+                .into_iter()
+                .map(|(f, _, hash)| (f, hash))
+                .collect::<Vec<_>>()
+        };
+        assert!(land(0, a0).is_empty());
+        assert!(land(2, b1).is_empty(), "frame 1 lands before frame 0");
+        assert!(land(0, a1).is_empty(), "frame 1 is whole, frame 0 is not");
+        let want = reference_hashes(&anim, &cfg);
+        assert_eq!(land(0, b0), vec![(0, want[0]), (1, want[1])]);
+        assert_eq!(master.frame_hashes, want[..2]);
     }
 
     #[test]
@@ -1392,7 +1456,13 @@ mod tests {
             let bytes = std::fs::read(dir.join(format!("frame_{f:04}.tga"))).expect("frame file");
             let (w, h, px) = now_raytrace::image_io::tga_decode(&bytes).expect("tga");
             assert_eq!((w, h), (W, H));
-            assert_eq!(fnv1a(px.into_iter().flat_map(|(r, g, b)| [r, g, b])), hash);
+            let rgb = px.into_iter().map(|(r, g, b)| [r, g, b]).collect();
+            let canvas = Canvas {
+                width: W,
+                height: H,
+                rgb,
+            };
+            assert_eq!(canvas.hash(), hash);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

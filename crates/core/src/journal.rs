@@ -40,7 +40,7 @@
 //! fresh-queue restart semantics then guarantee byte-identical pixels,
 //! exactly as they already do for worker-crash reassignment.
 
-use crate::farm::FarmConfig;
+use crate::farm::{Canvas, FarmConfig};
 use crate::partition::PartitionScheme;
 use now_anim::Animation;
 use now_cluster::chaos::{DiskFaultKind, DiskFaults};
@@ -108,19 +108,6 @@ impl JournalSpec {
     }
 }
 
-/// Master state reconstructed from a journal by [`FarmJournal::open`].
-#[derive(Debug, Default)]
-pub struct ResumeState {
-    /// First frame that still needs rendering (== count of valid
-    /// FrameDone records).
-    pub next_finalize: u32,
-    /// Fingerprints of the already-finalized frames, in order.
-    pub frame_hashes: Vec<u64>,
-    /// The rolling canvas as of the last finalized frame (None when no
-    /// frame finalized before the crash).
-    pub canvas: Option<Vec<[u8; 3]>>,
-}
-
 /// The master's handle on its run directory: an open record log plus the
 /// frame files beside it. The frame files are the run's output, so a
 /// failing record log costs records, never frames: an IO error stops the
@@ -129,8 +116,6 @@ pub struct ResumeState {
 pub struct FarmJournal {
     dir: PathBuf,
     writer: JournalWriter,
-    width: u32,
-    height: u32,
     /// Set by the first failed record or frame file: no later record is
     /// written, so no FrameDone can vouch past a frame that is missing.
     records_stopped: bool,
@@ -139,6 +124,33 @@ pub struct FarmJournal {
 
 fn frame_file(dir: &Path, frame: u32) -> PathBuf {
     dir.join(format!("frame_{frame:04}.tga"))
+}
+
+/// Write one frame's file, `frame_NNNN.tga` in `dir`, atomically (temp
+/// file, fsync, rename): how every frame of a farm run, a service job and
+/// `nowfarm render` reaches the disk.
+pub fn write_frame_file(
+    dir: &Path,
+    frame: u32,
+    canvas: &Canvas,
+    fault: WriteFault,
+) -> std::io::Result<()> {
+    let bytes = tga_bytes_rgb8(canvas.width, canvas.height, &canvas.rgb);
+    write_atomic_with(&frame_file(dir, frame), &bytes, fault)
+}
+
+/// Clear `dir` for a fresh run: remove every `frame_*.tga` and every
+/// `*.tmp` an atomic write left behind, so the directory ends up holding
+/// only what the new run writes.
+pub fn clear_frame_files(dir: &Path) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if name.starts_with("frame_") && name.ends_with(".tga") || name.ends_with(".tmp") {
+            std::fs::remove_file(&path)?;
+        }
+    }
+    Ok(())
 }
 
 /// The RunHeader payload: tag, the TCP job-header bytes (scene
@@ -197,14 +209,21 @@ impl FarmJournal {
     /// Resume: recovers the log (truncating any torn tail), validates the
     /// RunHeader byte-for-byte against this run's scene + configuration,
     /// replays the FrameDone records, re-reads and fingerprint-checks each
-    /// finalized frame file, and returns the reconstructed [`ResumeState`].
-    /// A resume that finds no record (a missing journal, or a crash before
-    /// the first record) is a fresh run.
+    /// finalized frame file, and restores the master's state: the frames'
+    /// fingerprints go onto `frame_hashes`, the last one's pixels become
+    /// `canvas`.
+    ///
+    /// A fresh run, and a resume that finds no record (a missing journal,
+    /// or a crash before the first record), clears the directory's frame
+    /// files ([`clear_frame_files`]) before the RunHeader is written; a
+    /// resume that finds records deletes nothing.
     pub fn open(
         anim: &Animation,
         cfg: &FarmConfig,
         spec: &JournalSpec,
-    ) -> Result<(FarmJournal, Option<ResumeState>), String> {
+        frame_hashes: &mut Vec<u64>,
+        canvas: &mut Canvas,
+    ) -> Result<FarmJournal, String> {
         std::fs::create_dir_all(&spec.dir)
             .map_err(|e| format!("create journal dir {}: {e}", spec.dir.display()))?;
         let path = spec.dir.join(JOURNAL_FILE);
@@ -220,15 +239,15 @@ impl FarmJournal {
         let mut journal = FarmJournal {
             dir: spec.dir.clone(),
             writer: writer.with_disk_faults(&path.display().to_string(), spec.disk.clone()),
-            width: anim.base.camera.width(),
-            height: anim.base.camera.height(),
             records_stopped: false,
             disk: spec.disk.clone(),
         };
         let header = run_header_payload(anim, cfg);
         let Some((stored, done)) = records.split_first() else {
+            clear_frame_files(&spec.dir)
+                .map_err(|e| format!("clear frame files in {}: {e}", spec.dir.display()))?;
             journal.record("run header", &header, true);
-            return Ok((journal, None));
+            return Ok(journal);
         };
         if *stored != header {
             return Err(format!(
@@ -237,15 +256,19 @@ impl FarmJournal {
                 header_mismatch(stored, anim)
             ));
         }
-        let state = journal.replay(done)?;
-        Ok((journal, Some(state)))
+        journal.replay(done, frame_hashes, canvas)?;
+        Ok(journal)
     }
 
     /// Replay the records after the RunHeader: every FrameDone's frame
     /// file is re-read and checked against its fingerprint, and the last
     /// one becomes the rolling canvas.
-    fn replay(&self, records: &[Vec<u8>]) -> Result<ResumeState, String> {
-        let mut state = ResumeState::default();
+    fn replay(
+        &self,
+        records: &[Vec<u8>],
+        frame_hashes: &mut Vec<u64>,
+        canvas: &mut Canvas,
+    ) -> Result<(), String> {
         for rec in records {
             let mut d = Decoder::new(rec);
             match d.u8().map_err(|e| format!("journal record: {e}"))? {
@@ -253,47 +276,50 @@ impl FarmJournal {
                 REC_FRAME_DONE => {
                     let frame = d.u32().map_err(|e| format!("journal record: {e}"))?;
                     let hash = d.u64().map_err(|e| format!("journal record: {e}"))?;
-                    if frame != state.next_finalize {
+                    let expected = frame_hashes.len();
+                    if frame as usize != expected {
                         return Err(format!(
-                            "journal finalized frame {frame} out of order \
-                             (expected {})",
-                            state.next_finalize
+                            "journal finalized frame {frame} out of order (expected {expected})"
                         ));
                     }
-                    let canvas = self.read_frame(frame)?;
-                    if crate::farm::fnv1a(canvas.iter().flatten().copied()) != hash {
+                    *canvas = self.read_frame(frame, canvas)?;
+                    if canvas.hash() != hash {
                         return Err(format!(
                             "finalized {} does not match its journaled \
                              fingerprint; refusing to resume over a corrupt frame",
                             frame_file(&self.dir, frame).display()
                         ));
                     }
-                    state.frame_hashes.push(hash);
-                    state.canvas = Some(canvas);
-                    state.next_finalize += 1;
+                    frame_hashes.push(hash);
                 }
                 tag => return Err(format!("journal record with unknown tag {tag}")),
             }
         }
-        Ok(state)
+        Ok(())
     }
 
-    /// Read back a finalized frame file's pixels.
-    fn read_frame(&self, frame: u32) -> Result<Vec<[u8; 3]>, String> {
+    /// Read back a finalized frame file's pixels, which must be the size
+    /// of `like`.
+    fn read_frame(&self, frame: u32, like: &Canvas) -> Result<Canvas, String> {
         let file = frame_file(&self.dir, frame);
         let bytes =
             std::fs::read(&file).map_err(|e| format!("read finalized {}: {e}", file.display()))?;
         let (w, h, px) =
             tga_decode(&bytes).map_err(|e| format!("decode finalized {}: {e}", file.display()))?;
-        if (w, h) != (self.width, self.height) {
+        if (w, h) != (like.width, like.height) {
             return Err(format!(
                 "finalized {} is {w}x{h}, run is {}x{}",
                 file.display(),
-                self.width,
-                self.height
+                like.width,
+                like.height
             ));
         }
-        Ok(px.into_iter().map(|(r, g, b)| [r, g, b]).collect())
+        let rgb = px.into_iter().map(|(r, g, b)| [r, g, b]).collect();
+        Ok(Canvas {
+            width: w,
+            height: h,
+            rgb,
+        })
     }
 
     /// Write one record, staged or appended. A failed one stops the
@@ -330,7 +356,7 @@ impl FarmJournal {
     /// records. A writer killed by an injected crash
     /// (`kill_after_bytes`) writes neither: the directory then matches a
     /// real crash at the fault's byte offset.
-    pub fn record_frame(&mut self, frame: u32, hash: u64, canvas: &[[u8; 3]]) {
+    pub fn record_frame(&mut self, frame: u32, hash: u64, canvas: &Canvas) {
         if self.writer.crashed() {
             return;
         }
@@ -341,8 +367,7 @@ impl FarmJournal {
             Some(DiskFaultKind::Eio) => WriteFault::Eio,
             Some(DiskFaultKind::Torn) => WriteFault::Torn,
         };
-        let bytes = tga_bytes_rgb8(self.width, self.height, canvas);
-        if let Err(e) = write_atomic_with(&file, &bytes, fault) {
+        if let Err(e) = write_frame_file(&self.dir, frame, canvas, fault) {
             eprintln!(
                 "warning: {} not written ({e}); records stop",
                 file.display()
@@ -361,10 +386,5 @@ impl FarmJournal {
     /// `sync_data` calls issued on the journal file by this run.
     pub fn syncs(&self) -> u64 {
         self.writer.syncs()
-    }
-
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }

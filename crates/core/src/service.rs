@@ -34,8 +34,8 @@
 
 use crate::cost::CostModel;
 use crate::farm::{
-    decode_tile, encode_tile, fnv1a, scene_fingerprint64, FarmConfig, FarmMaster, FarmWorker,
-    TcpFarmConfig, UnitOutput,
+    decode_tile, encode_tile, job_hash, scene_fingerprint64, Canvas, FarmConfig, FarmMaster,
+    FarmWorker, TcpFarmConfig, UnitOutput,
 };
 use crate::journal::{JournalSpec, JOURNAL_FILE};
 use crate::partition::{PartitionScheme, RenderUnit};
@@ -433,6 +433,12 @@ struct Job {
 }
 
 impl Job {
+    /// The job's image size; (0, 0) once it is terminal and its scene is
+    /// dropped.
+    fn frame_size(&self) -> (u32, u32) {
+        (self.anim.as_ref()).map_or((0, 0), |a| (a.base.camera.width(), a.base.camera.height()))
+    }
+
     fn status(&self, id: u64) -> JobStatus {
         JobStatus {
             id,
@@ -443,7 +449,7 @@ impl Job {
             frames_done: self
                 .master
                 .as_ref()
-                .map(|m| m.frames_finalized() as u32)
+                .map(|m| m.frame_hashes.len() as u32)
                 .unwrap_or(self.frames_done),
             units_done: self.units_done,
             job_hash: self.job_hash,
@@ -900,10 +906,10 @@ impl ServiceMaster {
             return;
         };
         let Some(m) = job.master.take() else { return };
-        let hash = fnv1a(m.frame_hashes.iter().flat_map(|h| h.to_le_bytes()));
+        let hash = job_hash(&m.frame_hashes);
         job.state = JobState::Done;
         job.job_hash = hash;
-        job.frames_done = m.frames_finalized() as u32;
+        job.frames_done = m.frame_hashes.len() as u32;
         job.anim = None;
         self.live.remove(&id);
         self.counters.completed += 1;
@@ -1000,40 +1006,31 @@ impl MasterLogic for ServiceMaster {
         }
         let watched: Vec<u64> = self.watchers.get(&unit.job).cloned().unwrap_or_default();
         let job = self.jobs.get_mut(&unit.job).expect("live job");
+        let (w, h) = job.frame_size();
         let m = job.master.as_mut().expect("live job has a master");
-        let (region, frame) = (unit.unit.region, unit.unit.frame);
-        let frames_before = m.frames_finalized();
         // the per-job master verifies the result's content checksum; a
         // rejection propagates so the transport requeues + strikes
-        let mw = m.integrate(worker, unit.unit, result)?;
+        let (mw, finished) = m.integrate_frames(worker, unit.unit, result)?;
         job.units_done += 1;
-        if !watched.is_empty() {
-            // re-encode the freshly decoded pixels as a self-contained
-            // tile (no temporal delta): a watcher holds no per-worker
-            // stream state — it assembles frames from the job's start,
-            // each frame seeded from the one before it
-            let mut fresh = None;
-            let tile =
-                TileUpdate::encode(m.last_decoded(), region, m.canvas_width(), &mut fresh, true);
+        // one self-contained tile per finished frame, in frame order: the
+        // frame's changed pixels over the whole frame, which a watcher
+        // applies to its one rolling canvas
+        let whole = PixelRegion { x0: 0, y0: 0, w, h };
+        for (frame, pixels, _) in finished.iter().filter(|_| !watched.is_empty()) {
+            let tile = TileUpdate::encode(pixels, whole, w, &mut None, true);
             let mut e = Encoder::new();
-            e.u64(unit.job)
-                .u32(frame)
-                .u32(region.x0)
-                .u32(region.y0)
-                .u32(region.w)
-                .u32(region.h);
+            e.u64(unit.job).u32(*frame).u32(0).u32(0).u32(w).u32(h);
             encode_tile(&mut e, &tile);
             let payload = e.finish();
             for &c in &watched {
                 self.pushes.push((c, tag::FRAME_DELTA, payload.clone()));
             }
         }
-        let frames_after = m.frames_finalized();
         let done = m.all_done();
         if done {
             self.finalize_job(unit.job);
         }
-        if !watched.is_empty() && (frames_after > frames_before || done) {
+        if !watched.is_empty() && (!finished.is_empty() || done) {
             self.push_status(unit.job);
         }
         Some(mw)
@@ -1146,11 +1143,7 @@ impl MasterLogic for ServiceMaster {
                     return err("unknown job id");
                 };
                 let st = job.status(id);
-                let (w, h) = job
-                    .anim
-                    .as_ref()
-                    .map(|a| (a.base.camera.width(), a.base.camera.height()))
-                    .unwrap_or((0, 0));
+                let (w, h) = job.frame_size();
                 if !st.state.terminal() {
                     self.watchers.entry(id).or_default().push(client);
                 }
@@ -1539,16 +1532,17 @@ impl ServiceClient {
         }
     }
 
-    /// Consume a registered watch stream until the job is terminal,
-    /// assembling frames client-side from the pushed region tiles.
-    /// `progress` fires on every `FRAME_PROGRESS` push (frame boundaries
-    /// and the terminal status).
+    /// Consume a registered watch stream until the job is terminal. Each
+    /// `FRAME_DELTA` push is one finished frame, in frame order, and is
+    /// applied to one rolling canvas; `progress` fires on every
+    /// `FRAME_PROGRESS` push (frame boundaries and the terminal status).
     ///
     /// When the watch was registered before the job's first unit, the
-    /// stream covers every pixel of every frame: the reassembled frames
-    /// hash to the job hash, and the report says so in `verified`. A
-    /// watch attached mid-run still converges visually but cannot
-    /// reconstruct the frames that streamed before it joined.
+    /// stream covers every frame: the fingerprints of the canvas after
+    /// each push are the job's frame hashes, and the report says whether
+    /// they hash to the job hash in `verified`. A watch attached mid-run
+    /// still converges visually but cannot reconstruct the frames that
+    /// streamed before it joined.
     pub fn watch_stream(
         &mut self,
         st: &JobStatus,
@@ -1562,71 +1556,43 @@ impl ServiceClient {
             delta_bytes: 0,
             pixels: 0,
             verified: false,
-            frames_rgb: Vec::new(),
+            frame_hashes: Vec::new(),
         };
         if st.state.terminal() {
             return Ok(report);
         }
         let from_start = st.units_done == 0 && st.frames_done == 0;
-        let frames = st.frames as usize;
-        let area = width as usize * height as usize;
-        // lazily allocated canvases; frame f's region seeds from frame
-        // f-1's at the first tile for (f, region) — a region streams its
-        // frames in order, so the seed rows are final when read
-        let mut canvases: Vec<Vec<[u8; 3]>> = vec![Vec::new(); frames];
+        let mut canvas = Canvas::new(width, height);
         let final_st = loop {
             let (msg, _) = read_frame(&mut self.stream).map_err(|e| format!("watch recv: {e}"))?;
             match msg.tag {
                 tag::FRAME_DELTA => {
                     let mut d = Decoder::new(&msg.payload);
                     let parsed = (|| -> Result<_, DecodeError> {
-                        let job = d.u64()?;
-                        let frame = d.u32()?;
+                        let (job, _frame) = (d.u64()?, d.u32()?);
                         let region = PixelRegion {
                             x0: d.u32()?,
                             y0: d.u32()?,
                             w: d.u32()?,
                             h: d.u32()?,
                         };
-                        Ok((job, frame, region, decode_tile(&mut d)?))
+                        Ok((job, region, decode_tile(&mut d)?))
                     })();
-                    let (job, frame, region, tile) =
+                    let (job, region, tile) =
                         parsed.map_err(|e| format!("bad frame delta: {e}"))?;
                     if job != st.id {
                         continue;
                     }
                     report.deltas += 1;
                     report.delta_bytes += tile.wire_len();
-                    let f = frame as usize;
-                    if f >= frames {
-                        return Err(format!("frame {frame} outside job of {frames}"));
-                    }
-                    if canvases[f].is_empty() {
-                        canvases[f] = vec![[0u8; 3]; area];
-                    }
-                    if f > 0 && !canvases[f - 1].is_empty() {
-                        let (before, after) = canvases.split_at_mut(f);
-                        let (prev, cur) = (&before[f - 1], &mut after[0]);
-                        for row in 0..region.h {
-                            let a = ((region.y0 + row) * width + region.x0) as usize;
-                            let b = a + region.w as usize;
-                            if b <= area {
-                                cur[a..b].copy_from_slice(&prev[a..b]);
-                            }
-                        }
-                    }
-                    let mut state = None;
                     let pixels = tile
-                        .decode(region, width, &mut state)
+                        .decode(region, width, &mut None)
                         .map_err(|e| format!("bad frame delta tile: {e}"))?;
-                    for (id, rgb) in pixels {
-                        let at = id as usize;
-                        if at >= area {
-                            return Err(format!("pixel {id} outside {width}x{height}"));
-                        }
-                        canvases[f][at] = rgb;
-                        report.pixels += 1;
-                    }
+                    let hash = canvas
+                        .finish(&pixels)
+                        .map_err(|id| format!("pixel {id} outside {width}x{height}"))?;
+                    report.pixels += pixels.len() as u64;
+                    report.frame_hashes.push(hash);
                 }
                 tag::FRAME_PROGRESS => {
                     let mut d = Decoder::new(&msg.payload);
@@ -1644,18 +1610,9 @@ impl ServiceClient {
             }
         };
         report.status = final_st;
-        if report.status.state == JobState::Done && from_start && area > 0 {
-            let mut hashes = Vec::with_capacity(frames);
-            for canvas in &mut canvases {
-                if canvas.is_empty() {
-                    canvas.resize(area, [0u8; 3]);
-                }
-                hashes.push(fnv1a(canvas.iter().flatten().copied()));
-            }
-            let job_hash = fnv1a(hashes.iter().flat_map(|h| h.to_le_bytes()));
-            report.verified = job_hash == report.status.job_hash;
-            report.frames_rgb = canvases;
-        }
+        report.verified = report.status.state == JobState::Done
+            && from_start
+            && job_hash(&report.frame_hashes) == report.status.job_hash;
         Ok(report)
     }
 }
@@ -1666,18 +1623,18 @@ pub struct WatchReport {
     /// The job's terminal status (or its status at registration, if the
     /// job was already terminal when the watch attached).
     pub status: JobStatus,
-    /// `FRAME_DELTA` pushes received.
+    /// `FRAME_DELTA` pushes received: one per finished frame.
     pub deltas: u64,
     /// Wire bytes of the received tiles (mode + count + payload).
     pub delta_bytes: u64,
     /// Pixels applied from the stream.
     pub pixels: u64,
     /// True when the watch covered the whole job and the client-side
-    /// frame reassembly reproduced the job hash bit-for-bit.
+    /// frames reproduced the job hash bit-for-bit.
     pub verified: bool,
-    /// The reassembled frames (row-major quantised RGB), populated only
-    /// when the job completed and the watch started from its first unit.
-    pub frames_rgb: Vec<Vec<[u8; 3]>>,
+    /// The fingerprint of each frame the stream carried, in order: the
+    /// job's frame hashes when the watch started from its first unit.
+    pub frame_hashes: Vec<u64>,
 }
 
 // Service journal record kinds (first payload byte).
@@ -1739,7 +1696,7 @@ mod tests {
             ..FarmConfig::paper_default()
         };
         let r = crate::farm::run_sim(&anim, &fcfg, &sim(3));
-        let want = fnv1a(r.frame_hashes.iter().flat_map(|h| h.to_le_bytes()));
+        let want = job_hash(&r.frame_hashes);
         assert_eq!(got, want, "service job hash must equal the farm's frames");
     }
 

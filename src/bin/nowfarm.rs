@@ -40,6 +40,8 @@ use nowrender::anim::Animation;
 use nowrender::cluster::{
     ChaosPlan, ConnectConfig, MachineSpec, RecoveryConfig, RunReport, SimCluster, TcpMaster,
 };
+use nowrender::core::farm::Canvas;
+use nowrender::core::journal::{clear_frame_files, write_frame_file};
 use nowrender::core::service::ServiceConfig;
 use nowrender::core::{
     bind_tcp_master, render_sequence, run_service_master, run_sim_with, run_tcp_master_with,
@@ -47,7 +49,8 @@ use nowrender::core::{
     FarmResult, JobSpec, JobState, JournalSpec, PartitionScheme, SequenceMode, ServiceClient,
     ServiceMaster, ServiceWorker, SingleMachine, TcpFarmConfig, WorkerCache,
 };
-use nowrender::raytrace::{image_io, Framebuffer, RenderSettings};
+use nowrender::raytrace::image_io::{self, WriteFault};
+use nowrender::raytrace::RenderSettings;
 use std::collections::BTreeMap;
 use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
@@ -389,6 +392,7 @@ fn render_settings(args: &[String]) -> Result<RenderSettings, String> {
 fn outdir(args: &[String]) -> Result<PathBuf, String> {
     let dir = PathBuf::from(flag_value(args, "--out").unwrap_or("out"));
     std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+    clear_frame_files(&dir).map_err(|e| format!("clear {}: {e}", dir.display()))?;
     Ok(dir)
 }
 
@@ -417,7 +421,7 @@ fn cmd_info(args: &[String]) -> CliResult {
 }
 
 /// Render on this machine: [`render_sequence`], each frame written as it
-/// finishes.
+/// finishes into `--out`, cleared first of any earlier run's frames.
 fn cmd_render(args: &[String]) -> CliResult {
     let path = args.first().ok_or("render needs a scene file")?;
     let mode = if has_flag(args, "--plain") {
@@ -440,7 +444,8 @@ fn cmd_render(args: &[String]) -> CliResult {
         FarmConfig::paper_default().grid_voxels,
         |f, fb| {
             if written.is_ok() {
-                written = write_frame(&fb, &dir, f);
+                written = write_frame_file(&dir, f as u32, &Canvas::of(&fb), WriteFault::None)
+                    .map_err(|e| format!("write frame {f} into {}: {e}", dir.display()));
             }
         },
     );
@@ -1225,11 +1230,6 @@ fn cmd_load(args: &[String]) -> CliResult {
         cmd_drain(args)?;
     }
     Ok(())
-}
-
-fn write_frame(fb: &Framebuffer, dir: &Path, frame: usize) -> CliResult {
-    let path = dir.join(format!("frame_{frame:04}.tga"));
-    image_io::write_tga(fb, &path).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 #[cfg(test)]

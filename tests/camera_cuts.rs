@@ -11,7 +11,7 @@ use nowrender::anim::scenes::glassball;
 use nowrender::anim::{Animation, Segment};
 use nowrender::cluster::SimCluster;
 use nowrender::coherence::CoherentRenderer;
-use nowrender::core::farm::frame_hash;
+use nowrender::core::farm::Canvas;
 use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
 use nowrender::grid::GridSpec;
 use nowrender::raytrace::{
@@ -40,13 +40,14 @@ fn cut_animation() -> Animation {
 fn scratch(anim: &Animation, spec: GridSpec, f: usize) -> u64 {
     let scene = anim.scene_at(f);
     let accel = GridAccel::build_with_spec(&scene, spec);
-    frame_hash(&render_frame(
+    Canvas::of(&render_frame(
         &scene,
         &accel,
         &RenderSettings::default(),
         &mut NullListener,
         &mut RayStats::default(),
     ))
+    .hash()
 }
 
 #[test]
@@ -72,7 +73,7 @@ fn incremental_renderer_survives_the_cut() {
     let mut forced_full = 0;
     for f in 0..FRAMES {
         let (fb, report) = r.render_next(&anim.scene_at(f));
-        assert_eq!(frame_hash(&fb), scratch(&anim, spec, f), "frame {f}");
+        assert_eq!(Canvas::of(&fb).hash(), scratch(&anim, spec, f), "frame {f}");
         if f > 0 && report.full_render {
             forced_full += 1;
         }
@@ -121,7 +122,7 @@ fn per_segment_renderers_match_one_long_renderer() {
     let mut r = CoherentRenderer::new(spec, W, H, RenderSettings::default());
     for f in 0..FRAMES {
         let (fb, _) = r.render_next(&anim.scene_at(f));
-        hashes_single.push(frame_hash(&fb));
+        hashes_single.push(Canvas::of(&fb).hash());
     }
 
     let mut hashes_segmented = Vec::new();
@@ -129,7 +130,7 @@ fn per_segment_renderers_match_one_long_renderer() {
         let mut r = CoherentRenderer::new(spec, W, H, RenderSettings::default());
         for f in seg.start..seg.end {
             let (fb, _) = r.render_next(&anim.scene_at(f));
-            hashes_segmented.push(frame_hash(&fb));
+            hashes_segmented.push(Canvas::of(&fb).hash());
         }
     }
     assert_eq!(hashes_single, hashes_segmented);

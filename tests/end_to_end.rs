@@ -5,7 +5,7 @@
 
 use nowrender::anim::scenes::{glassball, newton};
 use nowrender::cluster::{MachineSpec, SimCluster};
-use nowrender::core::farm::frame_hash;
+use nowrender::core::farm::Canvas;
 use nowrender::core::{
     render_sequence, run_sim, run_threads, CostModel, FarmConfig, PartitionScheme, SequenceMode,
     SingleMachine,
@@ -39,7 +39,7 @@ fn reference(anim: &nowrender::anim::Animation) -> Vec<u64> {
         SequenceMode::Plain,
         SingleMachine::unit(),
         16 * 16 * 16,
-        |_, fb| hashes.push(frame_hash(&fb)),
+        |_, fb| hashes.push(Canvas::of(&fb).hash()),
     );
     hashes
 }
@@ -390,7 +390,7 @@ fn render_cli_frames_match_the_farm() {
                 for (i, &(r, g, b)) in rgb.iter().enumerate() {
                     fb.set_id(i as u32, Color::from_u8(r, g, b));
                 }
-                frame_hash(&fb)
+                Canvas::of(&fb).hash()
             })
             .collect();
         assert_eq!(hashes, expected, "render {mode:?} deviates from the farm");

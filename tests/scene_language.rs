@@ -5,7 +5,7 @@
 use nowrender::anim::parse::parse_animation;
 use nowrender::cluster::SimCluster;
 use nowrender::coherence::CoherentRenderer;
-use nowrender::core::farm::frame_hash;
+use nowrender::core::farm::Canvas;
 use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
 use nowrender::grid::GridSpec;
 use nowrender::raytrace::{render_frame, GridAccel, NullListener, RayStats, RenderSettings};
@@ -76,7 +76,11 @@ fn parsed_scene_runs_on_the_farm() {
             &mut NullListener,
             &mut RayStats::default(),
         );
-        assert_eq!(r.frame_hashes[f], frame_hash(&reference), "frame {f}");
+        assert_eq!(
+            r.frame_hashes[f],
+            Canvas::of(&reference).hash(),
+            "frame {f}"
+        );
     }
 }
 

@@ -1,20 +1,45 @@
 //! Progressive frame streaming over the service wire: a client that
-//! registers a watch before the job's first unit receives every region
-//! tile as it lands on the master, reassembles the frames locally, and
-//! can prove bit-for-bit agreement with the master's job hash — the
-//! "distributed framebuffer" contract. Also covers the worker-side
-//! scene-content cache: two spellings of the same scene share one parsed
-//! animation.
+//! registers a watch before the job's first unit receives every frame as
+//! the master finishes it, applies each to one rolling canvas, and can
+//! prove bit-for-bit agreement with the master's job hash and with the
+//! farm's frame hashes — the "distributed framebuffer" contract. Also
+//! covers the worker-side scene-content cache: two spellings of the same
+//! scene share one parsed animation.
 
-use nowrender::cluster::{ConnectConfig, WorkerLogic};
+use nowrender::anim::scenes::from_spec;
+use nowrender::cluster::{ConnectConfig, WorkerLogic, WorkerSummary};
 use nowrender::coherence::PixelRegion;
 use nowrender::core::partition::RenderUnit;
 use nowrender::core::service::{run_service_master, ServiceConfig, ServiceMaster};
 use nowrender::core::{
-    bind_tcp_master, serve_service_worker_with, CostModel, JobSpec, JobState, ServiceClient,
-    ServiceUnit, ServiceWorker, TcpFarmConfig,
+    bind_tcp_master, run_threads, serve_service_worker_with, CostModel, FarmConfig, JobSpec,
+    JobState, PartitionScheme, ServiceClient, ServiceUnit, ServiceWorker, TcpFarmConfig,
 };
 use nowrender::raytrace::RenderSettings;
+use std::thread::JoinHandle;
+
+/// The frame hashes of `scene` rendered by `run_threads` under a service
+/// job's farm configuration (sequence division, coherence, the default
+/// job grid).
+fn farm_hashes(scene: &str) -> Vec<u64> {
+    let anim = from_spec(scene).expect("demo spec");
+    let cfg = FarmConfig {
+        scheme: PartitionScheme::SequenceDivision { adaptive: true },
+        grid_voxels: JobSpec::default().grid_voxels,
+        ..FarmConfig::paper_default()
+    };
+    run_threads(&anim, &cfg, 2).frame_hashes
+}
+
+/// A service worker thread on `addr`.
+fn spawn_worker(addr: &str) -> JoinHandle<WorkerSummary> {
+    let addr = addr.to_string();
+    std::thread::spawn(move || {
+        let mut worker = ServiceWorker::new(RenderSettings::default(), CostModel::default());
+        serve_service_worker_with(&mut worker, &addr, &ConnectConfig::default())
+            .expect("service worker")
+    })
+}
 
 #[test]
 fn watch_stream_rebuilds_byte_identical_frames_over_tcp() {
@@ -39,12 +64,7 @@ fn watch_stream_rebuilds_byte_identical_frames_over_tcp() {
     assert_eq!(st.state, JobState::Queued);
     assert_eq!((w, h), (24, 18));
 
-    let worker_addr = addr.clone();
-    let worker_thread = std::thread::spawn(move || {
-        let mut worker = ServiceWorker::new(RenderSettings::default(), CostModel::default());
-        serve_service_worker_with(&mut worker, &worker_addr, &ConnectConfig::default())
-            .expect("service worker")
-    });
+    let worker_thread = spawn_worker(&addr);
 
     let mut boundaries = 0u32;
     let report = c
@@ -65,8 +85,8 @@ fn watch_stream_rebuilds_byte_identical_frames_over_tcp() {
         report.verified,
         "reassembled frames must hash to the job hash"
     );
-    assert_eq!(report.frames_rgb.len(), 3);
-    assert!(report.frames_rgb.iter().all(|f| f.len() == 24 * 18));
+    assert_eq!(report.deltas, 3, "one push per finished frame");
+    assert_eq!(report.frame_hashes, farm_hashes("demo:glassball:3:24x18"));
     // the stream carries compacted tiles, not 7-byte raw pixels
     assert!(
         report.delta_bytes < report.pixels * 7,
@@ -94,6 +114,40 @@ fn watch_stream_rebuilds_byte_identical_frames_over_tcp() {
     worker_thread.join().expect("worker thread");
     let (m, _report) = master_thread.join().expect("master thread");
     assert_eq!(m.counters.completed, 1);
+}
+
+/// A job long enough that the second of two workers steals its tail:
+/// results reach the master out of frame order, yet the watcher
+/// gets them in frame order and its frame hashes are the farm's.
+#[test]
+fn watch_of_a_job_split_over_two_workers_matches_the_farm() {
+    const SCENE: &str = "demo:newton:24:48x36";
+    let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let tcp = TcpFarmConfig::new(1);
+    let master = ServiceMaster::new(ServiceConfig::default()).expect("in-memory service");
+    let master_thread =
+        std::thread::spawn(move || run_service_master(listener, master, &tcp).expect("service"));
+
+    let mut c = ServiceClient::connect(&addr, 60.0).expect("client");
+    let id = c
+        .submit(&JobSpec::new(SCENE))
+        .expect("transport")
+        .expect("admitted");
+    let (st, w, h) = c.watch_start(id).expect("transport").expect("watchable");
+    let workers = [spawn_worker(&addr), spawn_worker(&addr)];
+    let report = c.watch_stream(&st, w, h, |_| {}).expect("watch stream");
+    c.drain().expect("drain");
+    let units: Vec<u64> = workers
+        .map(|w| w.join().expect("worker thread").units)
+        .into();
+    master_thread.join().expect("master thread");
+
+    assert_eq!(report.status.state, JobState::Done);
+    assert!(units.iter().all(|&u| u >= 1), "a worker idled: {units:?}");
+    assert!(report.verified, "watched frames must hash to the job hash");
+    assert_eq!(report.deltas, 24);
+    assert_eq!(report.frame_hashes, farm_hashes(SCENE));
 }
 
 #[test]

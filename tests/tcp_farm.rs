@@ -175,6 +175,42 @@ fn farm_writes_each_frame_once_into_its_run_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh `farm` or `render` run owns its `--out` directory: a shorter
+/// run into a used one leaves none of the longer run's frames, nor a temp
+/// file a torn write left behind.
+#[test]
+fn a_fresh_run_clears_the_frames_of_the_last_one() {
+    let dir = scratch_dir("fresh");
+    let frames =
+        |n: usize| -> Vec<String> { (0..n).map(|f| format!("frame_{f:04}.tga")).collect() };
+    for (sub, extra) in [("farm", &["--threads", "2"][..]), ("render", &[][..])] {
+        let run = dir.join(sub);
+        for scene in ["demo:newton:8:32x24", "demo:newton:4:32x24"] {
+            std::fs::create_dir_all(&run).expect("mkdir run");
+            std::fs::write(run.join("frame_0009.tga.tmp"), b"torn").expect("stray temp");
+            let status = Command::new(env!("CARGO_BIN_EXE_nowfarm"))
+                .args([sub, scene])
+                .args(extra)
+                .arg("--out")
+                .arg(&run)
+                .stdout(Stdio::null())
+                .status()
+                .expect("spawn nowfarm");
+            assert!(status.success(), "{sub} {scene} exited with {status}");
+        }
+        let mut want = frames(4);
+        if sub == "farm" {
+            want.push("run.journal".into());
+        }
+        assert_eq!(
+            dir_files(&run).into_keys().collect::<Vec<_>>(),
+            want,
+            "{sub}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn multi_process_farm_matches_single_process() {
     let dir = scratch_dir("mp");
