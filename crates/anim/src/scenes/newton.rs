@@ -99,46 +99,31 @@ pub fn scene(width: u32, height: u32) -> Scene {
         ..Material::matte(Color::new(0.25, 0.22, 0.2))
     };
     let string_mat = Material::matte(Color::gray(0.85));
+    let rod = |a, b, radius, mat: &Material, name: String| {
+        cylinder_between(a, b, radius, mat.clone()).named(&name)
+    };
 
     // (4 cylinders) legs
     for (ix, &x) in [-LEG_X, LEG_X].iter().enumerate() {
         for (iz, &z) in [-RAIL_Z, RAIL_Z].iter().enumerate() {
-            s.add_object(
-                cylinder_between(
-                    Point3::new(x, 0.0, z),
-                    Point3::new(x, RAIL_Y, z),
-                    0.09,
-                    frame_mat.clone(),
-                )
-                .named(&format!("leg{}{}", ix, iz)),
-            );
+            let (foot, top) = (Point3::new(x, 0.0, z), Point3::new(x, RAIL_Y, z));
+            s.add_object(rod(foot, top, 0.09, &frame_mat, format!("leg{ix}{iz}")));
         }
     }
     // (2 cylinders) top rails
     for (iz, &z) in [-RAIL_Z, RAIL_Z].iter().enumerate() {
-        s.add_object(
-            cylinder_between(
-                Point3::new(-LEG_X, RAIL_Y, z),
-                Point3::new(LEG_X, RAIL_Y, z),
-                0.07,
-                frame_mat.clone(),
-            )
-            .named(&format!("rail{iz}")),
+        let (left, right) = (
+            Point3::new(-LEG_X, RAIL_Y, z),
+            Point3::new(LEG_X, RAIL_Y, z),
         );
+        s.add_object(rod(left, right, 0.07, &frame_mat, format!("rail{iz}")));
     }
     // (10 cylinders) strings: each marble hangs in a V from both rails
     for i in 0..5 {
         let top = Point3::new(ball_x(i), BALL_Y + R * 0.6, 0.0);
         for (iz, &z) in [-RAIL_Z, RAIL_Z].iter().enumerate() {
-            s.add_object(
-                cylinder_between(
-                    top,
-                    Point3::new(ball_x(i), RAIL_Y, z),
-                    0.018,
-                    string_mat.clone(),
-                )
-                .named(&format!("string{i}{iz}")),
-            );
+            let rail = Point3::new(ball_x(i), RAIL_Y, z);
+            s.add_object(rod(top, rail, 0.018, &string_mat, format!("string{i}{iz}")));
         }
     }
 

@@ -35,7 +35,7 @@
 use crate::cost::CostModel;
 use crate::farm::{
     decode_tile, encode_tile, job_hash, scene_fingerprint64, Canvas, FarmConfig, FarmMaster,
-    FarmWorker, TcpFarmConfig, UnitOutput,
+    FarmWorker, PackedPixels, TcpFarmConfig, UnitOutput,
 };
 use crate::journal::{JournalSpec, JOURNAL_FILE};
 use crate::partition::{PartitionScheme, RenderUnit};
@@ -1016,8 +1016,9 @@ impl MasterLogic for ServiceMaster {
         // frame's changed pixels over the whole frame, which a watcher
         // applies to its one rolling canvas
         let whole = PixelRegion { x0: 0, y0: 0, w, h };
-        for (frame, pixels, _) in finished.iter().filter(|_| !watched.is_empty()) {
-            let tile = TileUpdate::encode(pixels, whole, w, &mut None, true);
+        for (frame, units, _) in finished.iter().filter(|_| !watched.is_empty()) {
+            let pixels: Vec<_> = units.iter().flat_map(PackedPixels::iter).collect();
+            let tile = TileUpdate::encode(&pixels, whole, w, &mut None, true);
             let mut e = Encoder::new();
             e.u64(unit.job).u32(*frame).u32(0).u32(0).u32(w).u32(h);
             encode_tile(&mut e, &tile);
@@ -1589,7 +1590,7 @@ impl ServiceClient {
                         .decode(region, width, &mut None)
                         .map_err(|e| format!("bad frame delta tile: {e}"))?;
                     let hash = canvas
-                        .finish(&pixels)
+                        .finish(pixels.iter().copied())
                         .map_err(|id| format!("pixel {id} outside {width}x{height}"))?;
                     report.pixels += pixels.len() as u64;
                     report.frame_hashes.push(hash);
