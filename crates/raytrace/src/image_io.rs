@@ -126,6 +126,7 @@ pub fn tga_bytes_rgb8(width: u32, height: u32, px: &[[u8; 3]]) -> Vec<u8> {
 
 /// Encode a framebuffer as an uncompressed 24-bit Targa (type 2) file.
 pub fn tga_bytes(fb: &Framebuffer) -> Vec<u8> {
+    assert!(fb.is_whole(), "not a whole frame");
     let px: Vec<[u8; 3]> = fb
         .pixels()
         .iter()
@@ -223,6 +224,7 @@ pub fn png_bytes(fb: &Framebuffer) -> Vec<u8> {
 
 /// Encode as binary PPM (P6), top-down RGB.
 fn ppm_bytes(fb: &Framebuffer) -> Vec<u8> {
+    assert!(fb.is_whole(), "not a whole frame");
     let mut out = Vec::new();
     let _ = write!(out, "P6\n{} {}\n255\n", fb.width(), fb.height());
     for y in 0..fb.height() {
@@ -289,6 +291,14 @@ mod tests {
         assert_eq!(px[3], (128, 128, 128));
         // bottom row (black) comes last in top-down order
         assert_eq!(px[4], (0, 0, 0));
+    }
+
+    /// A region renderer's buffer holds one window of the frame; an image
+    /// file needs all of it.
+    #[test]
+    #[should_panic(expected = "not a whole frame")]
+    fn writing_a_window_panics() {
+        let _ = tga_bytes(&Framebuffer::window(3, 2, 1, 0, 2, 2));
     }
 
     #[test]
