@@ -180,6 +180,8 @@ pub fn animation() -> Animation {
 /// Swing angle of the left marble in the **second rendering run**, which
 /// continues exactly where run 1 stops (the paper: "this animation is
 /// broken into two separate rendering runs; we will focus on the first").
+/// Only its tests build run 2; the experiments render run 1.
+#[cfg(test)]
 fn left_angle_run2(t: f64) -> f64 {
     if t < 5.0 {
         // finish the fall run 1 left unfinished (run 1 ended half-way
@@ -196,6 +198,7 @@ fn left_angle_run2(t: f64) -> f64 {
 }
 
 /// Right-marble angle in the second run.
+#[cfg(test)]
 fn right_angle_run2(t: f64) -> f64 {
     if t < 5.0 {
         0.0
@@ -208,14 +211,11 @@ fn right_angle_run2(t: f64) -> f64 {
     }
 }
 
-/// The paper's **second rendering run**: 45 more frames continuing run 1's
-/// motion and coming to rest.
-pub fn animation_run2() -> Animation {
-    animation_run2_sized(320, 240, 45)
-}
-
-/// Second run at arbitrary resolution / frame count.
-pub fn animation_run2_sized(width: u32, height: u32, frames: usize) -> Animation {
+/// The paper's **second rendering run** (45 frames at 320x240 there),
+/// continuing run 1's motion and coming to rest, at any resolution and
+/// frame count.
+#[cfg(test)]
+fn animation_run2_sized(width: u32, height: u32, frames: usize) -> Animation {
     let base = scene(width, height);
     let mut anim = Animation::still(base, frames);
     let scale = frames as f64 / 45.0;

@@ -37,6 +37,17 @@
 //! cost a 1-byte `head`; a typical 25-voxel path is 28 bytes with its
 //! segment.
 //!
+//! The log is held in fixed blocks of `BLOCK` (64 KiB), read in order as
+//! one record stream. A block holds whole records: a record that does not
+//! fit in the last block's room opens a fresh block, and a record longer
+//! than a block gets a block of exactly its length. So the log never asks
+//! the allocator for more than one block at a time and never copies itself
+//! to grow; a block is below glibc's default 128 KiB mmap threshold, so
+//! blocks come from the heap and a block that compaction frees is the next
+//! one handed out. (One doubling buffer of several MB instead is mmapped,
+//! and freeing it raises glibc's threshold, after which every later log is
+//! carved from a heap that keeps its holes.)
+//!
 //! An engine given a [`MoverMask`] stores only the rays whose path enters
 //! it: no changed set of the sequence lies outside the mask, so a ray that
 //! misses it can never pass the voxel test. Such a ray is walked (and
@@ -89,6 +100,9 @@ pub struct CoherenceStats {
 /// Bytes of a record's `seg`.
 const SEG_BYTES: usize = 12;
 
+/// Bytes of one log block.
+const BLOCK: usize = 64 * 1024;
+
 /// Largest quantised coordinate (16 bits per axis).
 const SEG_MAX: f64 = 65535.0;
 
@@ -124,8 +138,8 @@ impl SegmentCodec {
         self.bounds.contains(bb.min) && self.bounds.contains(bb.max)
     }
 
-    /// Append the `seg` of `ray` over `[0, t_max]`.
-    fn put(&self, out: &mut Vec<u8>, ray: &Ray, t_max: f64) {
+    /// Write the `seg` of `ray` over `[0, t_max]` to `out[..SEG_BYTES]`.
+    fn put(&self, out: &mut [u8], ray: &Ray, t_max: f64) {
         let clip = self.bounds.ray_range(ray, Interval::new(0.0, t_max));
         // a ray with a path crosses the box: the walk clips the same way
         debug_assert!(!clip.is_empty(), "a recorded ray misses the grid box");
@@ -135,12 +149,14 @@ impl SegmentCodec {
             (clip.min, clip.max)
         };
         let e = self.bounds.extent();
+        let mut at = 0;
         for p in [ray.at(t0), ray.at(t1)] {
             for a in Axis::ALL {
                 let q = ((p[a] - self.bounds.min[a]) / e[a] * SEG_MAX)
                     .round()
                     .clamp(0.0, SEG_MAX) as u16;
-                out.extend_from_slice(&q.to_le_bytes());
+                out[at..at + 2].copy_from_slice(&q.to_le_bytes());
+                at += 2;
             }
         }
     }
@@ -162,7 +178,7 @@ impl SegmentCodec {
 /// (`GridAccel::build_with_spec`) — and the voxel path of every ray's walk
 /// is appended to the log under the pixel being shaded.
 ///
-/// Equality compares the complete engine state — log bytes (including
+/// Equality compares the complete engine state — log blocks (including
 /// stale records), generation counters, live/stale byte accounts, the
 /// mask and statistics — so tests can assert that two render paths (e.g.
 /// 1-thread and N-thread) left the engine in exactly the same state.
@@ -173,7 +189,8 @@ pub struct CoherenceEngine {
     /// Voxels some transition changes; `None` stores every ray.
     mask: Option<Arc<MoverMask>>,
     strides: [isize; 8],
-    log: Vec<u8>,
+    /// The record stream, in blocks of whole records (module docs).
+    log: Vec<Vec<u8>>,
     /// `(pixel, gen)` of the last record: what the next `head` is relative
     /// to.
     tail: (PixelId, u32),
@@ -182,7 +199,7 @@ pub struct CoherenceEngine {
     gen: Vec<u32>,
     /// Per pixel, the log bytes held by its current-generation records.
     live: Vec<u32>,
-    /// Log bytes held by stale records; `log.len() - stale_bytes` is the
+    /// Log bytes held by stale records; `list_bytes - stale_bytes` is the
     /// sum of `live`.
     stale_bytes: usize,
     stats: CoherenceStats,
@@ -214,7 +231,7 @@ const MAX_PREFIX: usize = 24;
 
 /// Write `v` as LEB128 at `buf[at..]`; returns the position after it.
 #[inline]
-fn put_varint(buf: &mut [u8; MAX_PREFIX], mut at: usize, mut v: u64) -> usize {
+fn put_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
     while v >= 0x80 {
         buf[at] = v as u8 | 0x80;
         v >>= 7;
@@ -237,8 +254,7 @@ fn put_head(buf: &mut [u8; MAX_PREFIX], tail: (PixelId, u32), pixel: PixelId, ge
     }
 }
 
-/// One decoded record: whose it is and where its parts sit in the log
-/// (it ends where the cursor that read it now stands).
+/// One decoded record: whose it is and where its parts sit in its block.
 struct Record {
     pixel: PixelId,
     gen: u32,
@@ -251,9 +267,12 @@ struct Record {
     steps: usize,
     /// Offset of `codes`.
     codes: usize,
+    /// Offset past the record.
+    end: usize,
 }
 
-/// Sequential log decoder: the stream state of the record grammar.
+/// Sequential log decoder: the stream state of the record grammar. The
+/// state runs on from block to block; `pos` is within the current one.
 #[derive(Default)]
 struct Cursor {
     pos: usize,
@@ -262,21 +281,21 @@ struct Cursor {
 }
 
 impl Cursor {
-    /// Decode the record at `pos` and move past it (its codes are skipped
-    /// by length, not read).
+    /// Decode the record at `pos` of `block` and move past it (its codes
+    /// are skipped by length, not read).
     #[inline]
-    fn read(&mut self, log: &[u8]) -> Record {
+    fn read(&mut self, block: &[u8]) -> Record {
         let at = self.pos;
         let mut pos = at;
-        let head = read_varint(log, &mut pos);
+        let head = read_varint(block, &mut pos);
         self.pixel = (self.pixel as i64 + unzigzag(head >> 1)) as PixelId;
         if head & 1 != 0 {
-            self.gen = read_varint(log, &mut pos) as u32;
+            self.gen = read_varint(block, &mut pos) as u32;
         }
         let seg = pos;
         pos += SEG_BYTES;
-        let start = read_varint(log, &mut pos) as usize;
-        let steps = read_varint(log, &mut pos) as usize;
+        let start = read_varint(block, &mut pos) as usize;
+        let steps = read_varint(block, &mut pos) as usize;
         self.pos = pos + steps.div_ceil(2);
         Record {
             pixel: self.pixel,
@@ -286,8 +305,51 @@ impl Cursor {
             start,
             steps,
             codes: pos,
+            end: self.pos,
         }
     }
+}
+
+/// Every record of a block log in order, each with the block that holds
+/// it.
+struct Records<'a> {
+    blocks: std::slice::Iter<'a, Vec<u8>>,
+    block: &'a [u8],
+    cur: Cursor,
+}
+
+impl<'a> Records<'a> {
+    fn of(log: &'a [Vec<u8>]) -> Records<'a> {
+        Records {
+            blocks: log.iter(),
+            block: &[],
+            cur: Cursor::default(),
+        }
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (&'a [u8], Record);
+
+    #[inline]
+    fn next(&mut self) -> Option<(&'a [u8], Record)> {
+        while self.cur.pos == self.block.len() {
+            self.block = self.blocks.next()?;
+            self.cur.pos = 0;
+        }
+        Some((self.block, self.cur.read(self.block)))
+    }
+}
+
+/// The block of `log` a `len`-byte record is appended to: the last one if
+/// it has the room, else a fresh one of `BLOCK` bytes (of `len` bytes for a
+/// record longer than that).
+#[inline]
+fn block_for(log: &mut Vec<Vec<u8>>, len: usize) -> &mut Vec<u8> {
+    if log.last().is_none_or(|b| b.capacity() - b.len() < len) {
+        log.push(Vec::with_capacity(len.max(BLOCK)));
+    }
+    log.last_mut().expect("a block was just ensured")
 }
 
 /// Whether the path `start, codes` touches a voxel set in `changed`.
@@ -375,11 +437,11 @@ impl CoherenceEngine {
 
     /// Bytes held by the engine (the paper's observation that "memory
     /// requirements are directly proportional to the size of the image
-    /// area" is measured through this): the log's capacity, not just its
-    /// stored bytes, plus the per-pixel and per-voxel side tables. A mover
-    /// mask is shared between renderers and not counted.
+    /// area" is measured through this): the log blocks held, their unused
+    /// tails included, plus the per-pixel and per-voxel side tables. A
+    /// mover mask is shared between renderers and not counted.
     pub fn memory_bytes(&self) -> usize {
-        self.log.capacity()
+        self.log.iter().map(Vec::capacity).sum::<usize>()
             + (self.gen.len() + self.live.len()) * 4
             + (self.changed.len() + self.seen.len()) * 8
     }
@@ -442,21 +504,19 @@ impl CoherenceEngine {
             movers.map(|ms| ms.iter().map(|b| (b, b.reject_box(pad))).collect());
         let (mut read, mut voxel_hits, mut exact_tests) = (0u64, 0u64, 0u64);
         let mut dirty: Vec<PixelId> = Vec::new();
-        let mut cur = Cursor::default();
-        while cur.pos < self.log.len() {
-            let rec = cur.read(&self.log);
+        for (block, rec) in Records::of(&self.log) {
             read += 1;
             let p = rec.pixel as usize;
             if rec.gen != self.gen[p] || self.seen[p >> 6] >> (p & 63) & 1 != 0 {
                 continue;
             }
-            let codes = &self.log[rec.codes..cur.pos];
+            let codes = &block[rec.codes..rec.end];
             if !path_hits(rec.start, codes, &self.strides, &self.changed) {
                 continue;
             }
             voxel_hits += 1;
             if let Some(movers) = &movers {
-                let (p0, p1) = self.seg.get(&self.log[rec.seg..]);
+                let (p0, p1) = self.seg.get(&block[rec.seg..]);
                 let slab = Slab::new(p0, p1);
                 let near = movers.iter().any(|(b, reject)| {
                     slab.meets(reject) && {
@@ -501,67 +561,62 @@ impl CoherenceEngine {
         }
     }
 
-    /// Drop every stale record, in place; O(1) when there is none.
+    /// Drop every stale record; O(1) when there is none.
     ///
-    /// Survivors keep their order. A survivor's `head` is re-encoded
-    /// against the survivor before it and can come out longer than the one
-    /// it replaces — a larger pixel delta, or a `gen` that a dropped
-    /// record used to introduce — but never by more than the heads of the
-    /// records dropped in between (varint length is subadditive in the
-    /// delta, and an introduced `gen` was stored in one of them), so the
-    /// write cursor cannot pass the read cursor. That is asserted, not
-    /// assumed: overrunning would corrupt paths not yet read.
+    /// The survivors are streamed, in order, into fresh blocks, each old
+    /// block dropped once it has been read. A survivor's `head` is
+    /// re-encoded against the survivor before it (a larger pixel delta, or
+    /// a `gen` that a dropped record used to introduce); the rest of it
+    /// does not depend on its predecessor and is copied verbatim.
     pub fn compact(&mut self) {
         if self.stale_bytes == 0 {
             return;
         }
         let mut cur = Cursor::default();
         let mut tail = (0, 0);
-        let mut write = 0;
+        let mut written = 0;
         let mut purged = 0u64;
         let mut head = [0u8; MAX_PREFIX];
-        while cur.pos < self.log.len() {
-            let rec = cur.read(&self.log);
-            let p = rec.pixel as usize;
-            if rec.gen != self.gen[p] {
-                purged += rec.steps as u64 + 1;
-                continue;
+        for block in std::mem::take(&mut self.log) {
+            cur.pos = 0;
+            while cur.pos < block.len() {
+                let rec = cur.read(&block);
+                let p = rec.pixel as usize;
+                if rec.gen != self.gen[p] {
+                    purged += rec.steps as u64 + 1;
+                    continue;
+                }
+                let n = put_head(&mut head, tail, rec.pixel, rec.gen);
+                let len = n + rec.end - rec.seg;
+                let out = block_for(&mut self.log, len);
+                out.extend_from_slice(&head[..n]);
+                out.extend_from_slice(&block[rec.seg..rec.end]);
+                self.live[p] = self.live[p] - (rec.end - rec.at) as u32 + len as u32;
+                written += len;
+                tail = (rec.pixel, rec.gen);
             }
-            let n = put_head(&mut head, tail, rec.pixel, rec.gen);
-            assert!(
-                write + n <= rec.seg,
-                "compaction write cursor passed its read cursor"
-            );
-            self.log[write..write + n].copy_from_slice(&head[..n]);
-            self.log.copy_within(rec.seg..cur.pos, write + n);
-            let len = n + cur.pos - rec.seg;
-            self.live[p] = self.live[p] - (cur.pos - rec.at) as u32 + len as u32;
-            write += len;
-            tail = (rec.pixel, rec.gen);
         }
-        self.log.truncate(write);
-        // hand the freed tail back, keeping room for a frame's worth of
-        // new records so the next append does not reallocate at once
-        self.log.shrink_to(write + write / 4);
         self.tail = tail;
         self.stale_bytes = 0;
         self.stats.purged += purged;
         self.stats.entries -= purged;
-        self.stats.list_bytes = write as u64;
+        self.stats.list_bytes = written as u64;
         self.stats.compactions += 1;
     }
 
-    /// Append one record of `marks` voxels — `head [gen]`, then whatever
-    /// `body` writes, which must be the record's `seg start steps codes`.
+    /// Append one record of `marks` voxels: `head [gen]`, then the `body`
+    /// parts back to back, which must make the record's `seg start steps
+    /// codes`.
     #[inline]
-    fn append(&mut self, pixel: PixelId, marks: u64, body: impl FnOnce(&mut Vec<u8>)) {
-        let at = self.log.len();
+    fn append(&mut self, pixel: PixelId, marks: u64, body: [&[u8]; 2]) {
         let gen = self.gen[pixel as usize];
         let mut head = [0u8; MAX_PREFIX];
         let n = put_head(&mut head, self.tail, pixel, gen);
-        self.log.extend_from_slice(&head[..n]);
-        body(&mut self.log);
-        let len = self.log.len() - at;
+        let len = n + body[0].len() + body[1].len();
+        let block = block_for(&mut self.log, len);
+        block.extend_from_slice(&head[..n]);
+        block.extend_from_slice(body[0]);
+        block.extend_from_slice(body[1]);
         self.tail = (pixel, gen);
         self.live[pixel as usize] += len as u32;
         self.stats.entries += marks;
@@ -582,15 +637,20 @@ impl CoherenceEngine {
     }
 }
 
-/// Append `seg start steps codes` of `ray` over `[0, t_max]` with `path`.
+/// `seg start steps` of `ray` over `[0, t_max]` with `path`, and its
+/// length: a record's body up to its `codes`, which are `path.codes`.
 #[inline]
-fn put_body(out: &mut Vec<u8>, seg: &SegmentCodec, ray: &Ray, t_max: f64, path: &VoxelPath<'_>) {
-    seg.put(out, ray, t_max);
-    let mut prefix = [0u8; MAX_PREFIX];
-    let n = put_varint(&mut prefix, 0, path.start as u64);
+fn body_prefix(
+    seg: &SegmentCodec,
+    ray: &Ray,
+    t_max: f64,
+    path: &VoxelPath<'_>,
+) -> ([u8; SEG_BYTES + MAX_PREFIX], usize) {
+    let mut prefix = [0u8; SEG_BYTES + MAX_PREFIX];
+    seg.put(&mut prefix, ray, t_max);
+    let n = put_varint(&mut prefix, SEG_BYTES, path.start as u64);
     let n = put_varint(&mut prefix, n, path.steps as u64);
-    out.extend_from_slice(&prefix[..n]);
-    out.extend_from_slice(path.codes);
+    (prefix, n)
 }
 
 impl RayListener for CoherenceEngine {
@@ -606,8 +666,8 @@ impl RayListener for CoherenceEngine {
             debug_assert!(path.start < self.spec.voxel_count(), "path of another grid");
             let marks = path.steps as u64 + 1;
             if masked_in(&self.mask, &self.strides, &path) {
-                let seg = self.seg;
-                self.append(pixel, marks, |log| put_body(log, &seg, ray, t_max, &path));
+                let (prefix, n) = body_prefix(&self.seg, ray, t_max, &path);
+                self.append(pixel, marks, [&prefix[..n], path.codes]);
             }
             marks
         });
@@ -644,7 +704,9 @@ impl RayListener for PathShard {
         let at = self.bodies.len();
         let marks = path.map_or(0, |path| {
             if masked_in(&self.mask, &self.strides, &path) {
-                put_body(&mut self.bodies, &self.seg, ray, t_max, &path);
+                let (prefix, n) = body_prefix(&self.seg, ray, t_max, &path);
+                self.bodies.extend_from_slice(&prefix[..n]);
+                self.bodies.extend_from_slice(path.codes);
             }
             path.steps as u32 + 1
         });
@@ -674,7 +736,7 @@ impl ShardableListener for CoherenceEngine {
             let (body, rest) = bodies.split_at(len as usize);
             bodies = rest;
             if len > 0 {
-                self.append(pixel, marks as u64, |log| log.extend_from_slice(body));
+                self.append(pixel, marks as u64, [body, &[]]);
             }
             self.count_ray(marks as u64);
         }
@@ -686,7 +748,7 @@ mod tests {
     use super::*;
     use crate::incremental::{GroupListener, GroupMap};
     use crate::region::PixelRegion;
-    use now_grid::dda::{Traverse, VoxelPathBuf};
+    use now_grid::dda::{Traverse, VoxelPath, VoxelPathBuf};
     use now_math::{Aabb, Interval, Point3, Vec3};
     use now_testkit::{cases, Rng};
     use std::collections::{BTreeMap, BTreeSet};
@@ -743,26 +805,41 @@ mod tests {
             .collect()
     }
 
-    /// The accounts the engine keeps incrementally, recomputed from the log.
+    /// The accounts the engine keeps incrementally, recomputed from the
+    /// log, and the block layout: every block holds whole records and is
+    /// `BLOCK` bytes, or exactly the one record longer than that.
     fn assert_accounts_exact(e: &CoherenceEngine) {
         let mut live = vec![0u32; e.live.len()];
-        let (mut stale, mut entries) = (0, 0);
-        let mut cur = Cursor::default();
-        while cur.pos < e.log.len() {
-            let rec = cur.read(&e.log);
-            entries += rec.steps as u64 + 1;
-            if rec.gen == e.gen[rec.pixel as usize] {
-                live[rec.pixel as usize] += (cur.pos - rec.at) as u32;
-            } else {
-                stale += cur.pos - rec.at;
+        let (mut stale, mut entries, mut bytes) = (0, 0, 0);
+        let mut tail = (0, 0);
+        for block in &e.log {
+            let mut cur = Cursor {
+                pos: 0,
+                pixel: tail.0,
+                gen: tail.1,
+            };
+            while cur.pos < block.len() {
+                let rec = cur.read(block);
+                entries += rec.steps as u64 + 1;
+                if rec.gen == e.gen[rec.pixel as usize] {
+                    live[rec.pixel as usize] += (rec.end - rec.at) as u32;
+                } else {
+                    stale += rec.end - rec.at;
+                }
+                if block.capacity() != BLOCK {
+                    assert!(rec.at == 0 && rec.end == block.capacity() && rec.end > BLOCK);
+                }
             }
+            assert_eq!(cur.pos, block.len(), "a record straddles two blocks");
+            assert!(!block.is_empty());
+            bytes += block.len();
+            tail = (cur.pixel, cur.gen);
         }
-        assert_eq!(cur.pos, e.log.len());
-        assert_eq!((cur.pixel, cur.gen), e.tail);
+        assert_eq!(tail, e.tail);
         assert_eq!(live, e.live);
         assert_eq!(stale, e.stale_bytes);
         assert_eq!(entries, e.stats.entries);
-        assert_eq!(e.log.len() as u64, e.stats.list_bytes);
+        assert_eq!(bytes as u64, e.stats.list_bytes);
         assert!(e.changed.iter().chain(&e.seen).all(|&w| w == 0));
     }
 
@@ -845,10 +922,10 @@ mod tests {
         e.fire(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
         // a bumped generation with nothing recorded under the old one
         e.invalidate_pixels(&[2]);
-        let (before, capacity) = (e.clone(), e.log.capacity());
+        let (before, memory) = (e.clone(), e.memory_bytes());
         e.compact();
         assert_eq!(e, before);
-        assert_eq!(e.log.capacity(), capacity);
+        assert_eq!(e.memory_bytes(), memory);
         assert_eq!(e.stats().compactions, 0);
     }
 
@@ -956,34 +1033,76 @@ mod tests {
         assert_accounts_exact(&e);
     }
 
-    /// In-place compaction over every subset of a short log with awkward
-    /// heads — pixel ids far apart (3-byte deltas next to 1-byte ones) and
-    /// multi-byte generations that only a dropped record introduces. The survivors must come out as the exact bytes a fresh
-    /// engine writes when it records only them, and the cursor assertion
-    /// inside `compact` must hold throughout.
+    /// Packed step codes of a `steps`-code path from voxel 0 of a 4x4x4
+    /// grid: it visits every voxel in its first 63 steps, then steps +x
+    /// and -x in turn. A long record whose voxel tests are cheap: a query
+    /// of any voxel hits it within 63 steps.
+    fn snake_codes(steps: usize) -> Vec<u8> {
+        let mut moves = Vec::with_capacity(steps);
+        for z in 0..4 {
+            for y in 0..4 {
+                moves.extend([(z * 4 + y) % 2; 3]);
+                if y < 3 {
+                    moves.push(2 + z % 2);
+                }
+            }
+            if z < 3 {
+                moves.push(4);
+            }
+        }
+        while moves.len() < steps {
+            moves.push(moves.len() % 2);
+        }
+        moves.truncate(steps);
+        moves
+            .chunks(2)
+            .map(|c| c[0] as u8 | (*c.get(1).unwrap_or(&6) as u8) << 4)
+            .collect()
+    }
+
+    /// Compaction over every subset of a log of several blocks with awkward
+    /// heads — pixel ids far apart (3-byte deltas next to 1-byte ones),
+    /// multi-byte generations that only a dropped record introduces, and
+    /// long records that fill blocks, one longer than a block. The
+    /// survivors must come out as the exact blocks a fresh engine writes
+    /// when it records only them, and the dirty set of every voxel must
+    /// not change.
     #[test]
-    fn in_place_compaction_survives_every_subset() {
+    fn compaction_survives_every_subset() {
         let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
         let pixels = 1usize << 17;
-        // (pixel, generation bumps before its first record)
-        let records: [(PixelId, u32); 9] = [
-            (3, 0),
-            (130_000, 300),
-            (130_001, 300),
-            (2, 300),
-            (1 << 16, 0),
-            (5, 1),
-            (6, 1),
-            (131_071, 20_000),
-            (7, 0),
+        // (pixel, generation bumps before its first record, steps of a
+        // long synthetic path or 0 for a traced ray)
+        let records: [(PixelId, u32, usize); 9] = [
+            (3, 0, 0),
+            (130_000, 300, 50_000),
+            (130_001, 300, 0),
+            (2, 300, 60_000),
+            (1 << 16, 0, 140_000),
+            (5, 1, 0),
+            (6, 1, 90_000),
+            (131_071, 20_000, 0),
+            (7, 0, 70_000),
         ];
+        let snakes: Vec<Vec<u8>> = records.iter().map(|r| snake_codes(r.2)).collect();
         let record = |e: &mut CoherenceEngine, i: usize| {
             let ray = x_ray(0.5 + (i % 4) as f64, 0.5 + (i / 4) as f64);
-            e.fire(records[i].0, &ray, RayKind::Primary, 1.5 + i as f64 * 0.5);
+            let (pixel, _, steps) = records[i];
+            if steps == 0 {
+                e.fire(pixel, &ray, RayKind::Primary, 1.5 + i as f64 * 0.5);
+            } else {
+                let codes = &snakes[i];
+                let path = VoxelPath {
+                    start: 0,
+                    steps,
+                    codes,
+                };
+                e.on_ray(pixel, &ray, RayKind::Primary, f64::INFINITY, Some(path));
+            }
         };
         let bumped = |keep: &dyn Fn(usize) -> bool| {
             let mut e = CoherenceEngine::new(spec, pixels);
-            for (i, &(pixel, bumps)) in records.iter().enumerate() {
+            for (i, &(pixel, bumps, _)) in records.iter().enumerate() {
                 for _ in 0..if keep(i) { bumps } else { 0 } {
                     e.invalidate_pixels(&[pixel]);
                 }
@@ -996,13 +1115,16 @@ mod tests {
             for i in 0..records.len() {
                 record(&mut e, i);
             }
+            assert_eq!(e.log.len(), 4, "three blocks and a long record's own");
             let doomed: Vec<PixelId> = (0..records.len())
                 .filter(|&i| dropped(i))
                 .map(|i| records[i].0)
                 .collect();
             e.invalidate_pixels(&doomed);
+            let before = dirty_sets(&mut e);
             e.compact();
             assert_accounts_exact(&e);
+            assert_eq!(dirty_sets(&mut e), before, "mask {mask:#b}");
 
             let mut fresh = bumped(&|i| !dropped(i));
             for i in (0..records.len()).filter(|&i| !dropped(i)) {
@@ -1012,6 +1134,105 @@ mod tests {
             assert_eq!(e.tail, fresh.tail, "mask {mask:#b}");
             assert_eq!(e.stats().compactions, (mask != 0) as u64);
         }
+    }
+
+    /// A log of several blocks is the record stream a single buffer holds:
+    /// its blocks concatenated are the bytes of the grammar written record
+    /// after record, and they decode to the records fed in. Every block
+    /// but a long record's own is `BLOCK` bytes, and the engine holds less
+    /// than one block beyond its stored bytes and side tables, plus what
+    /// each earlier block leaves unused at its end.
+    #[test]
+    fn a_log_of_several_blocks_is_one_record_stream() {
+        let mut rng = Rng::with_seed(0xb10c_0000_0064);
+        let mut e = engine();
+        let side_tables = e.memory_bytes();
+        let mut stream = Vec::new();
+        let mut fed = Vec::new();
+        let mut tail = (0, 0);
+        let mut buf = VoxelPathBuf::default();
+        for k in 0..400 {
+            let pixel = rng.u32_in(0, 100);
+            if rng.u32_in(0, 4) == 0 {
+                e.invalidate_pixels(&[pixel]);
+            }
+            let ray = x_ray(rng.f64_in(0.0, 4.0), rng.f64_in(0.0, 4.0));
+            let snake;
+            let path = if k == 200 {
+                // longer than a block
+                snake = snake_codes(140_001);
+                VoxelPath {
+                    start: 0,
+                    steps: 140_001,
+                    codes: &snake,
+                }
+            } else if rng.u32_in(0, 3) == 0 {
+                let steps = rng.usize_in(100, 9_000);
+                snake = snake_codes(steps);
+                VoxelPath {
+                    start: 0,
+                    steps,
+                    codes: &snake,
+                }
+            } else {
+                buf.record(&e.spec, &ray, Interval::new(0.0, f64::INFINITY));
+                buf.path().expect("the ray crosses the grid")
+            };
+            e.on_ray(pixel, &ray, RayKind::Primary, f64::INFINITY, Some(path));
+
+            let gen = e.gen[pixel as usize];
+            let mut head = [0u8; MAX_PREFIX];
+            let n = put_head(&mut head, tail, pixel, gen);
+            stream.extend_from_slice(&head[..n]);
+            let (prefix, n) = body_prefix(&e.seg, &ray, f64::INFINITY, &path);
+            stream.extend_from_slice(&prefix[..n]);
+            stream.extend_from_slice(path.codes);
+            tail = (pixel, gen);
+            fed.push((pixel, gen, path.start, path.steps, path.codes.to_vec()));
+        }
+        assert!(e.log.len() >= 3, "{} blocks", e.log.len());
+        assert_eq!(
+            e.log.iter().filter(|b| b.capacity() != BLOCK).count(),
+            1,
+            "only the long record has a block of its own"
+        );
+        assert_eq!(e.log.concat(), stream);
+        let decoded: Vec<_> = Records::of(&e.log)
+            .map(|(block, r)| {
+                (
+                    r.pixel,
+                    r.gen,
+                    r.start,
+                    r.steps,
+                    block[r.codes..r.end].to_vec(),
+                )
+            })
+            .collect();
+        assert_eq!(decoded, fed);
+        assert_accounts_exact(&e);
+
+        // memory beyond the stored bytes and the side tables is the blocks'
+        // unused tails: under one block in the last, and in every other
+        // less than the record that opened the next block
+        let slack_bounded = |e: &CoherenceEngine| {
+            let tail = |b: &Vec<u8>| b.capacity() - b.len();
+            let slack = e.memory_bytes() - side_tables - e.stats().list_bytes as usize;
+            assert_eq!(slack, e.log.iter().map(tail).sum::<usize>());
+            assert!(e.log.last().is_none_or(|b| tail(b) < BLOCK));
+            for w in e.log.windows(2) {
+                let opener = Cursor::default().read(&w[1]).end;
+                assert!(tail(&w[0]) < opener);
+            }
+        };
+        slack_bounded(&e);
+        let (blocks, memory) = (e.log.len(), e.memory_bytes());
+        e.invalidate_pixels(&(0..50).collect::<Vec<PixelId>>());
+        let before = dirty_sets(&mut e);
+        e.compact();
+        assert_accounts_exact(&e);
+        assert_eq!(dirty_sets(&mut e), before);
+        assert!(e.log.len() <= blocks && e.memory_bytes() <= memory);
+        slack_bounded(&e);
     }
 
     /// The paper's data structure, naively: per voxel, the set of pixels
@@ -1225,9 +1446,8 @@ mod tests {
             if clip.is_empty() {
                 continue;
             }
-            let mut seg = Vec::new();
+            let mut seg = [0u8; SEG_BYTES];
             codec.put(&mut seg, &ray, t_max);
-            assert_eq!(seg.len(), SEG_BYTES);
             let (d0, d1) = codec.get(&seg);
             let end = t_max.min(clip.max + 1.0);
             let mut inside = 0;

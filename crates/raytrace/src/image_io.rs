@@ -222,25 +222,6 @@ pub fn png_bytes(fb: &Framebuffer) -> Vec<u8> {
     out
 }
 
-/// Encode as binary PPM (P6), top-down RGB.
-fn ppm_bytes(fb: &Framebuffer) -> Vec<u8> {
-    assert!(fb.is_whole(), "not a whole frame");
-    let mut out = Vec::new();
-    let _ = write!(out, "P6\n{} {}\n255\n", fb.width(), fb.height());
-    for y in 0..fb.height() {
-        for x in 0..fb.width() {
-            let (r, g, b) = fb.get(x, y).to_u8();
-            out.extend_from_slice(&[r, g, b]);
-        }
-    }
-    out
-}
-
-/// Write a framebuffer to a PPM file (atomically, via [`write_atomic`]).
-pub fn write_ppm(fb: &Framebuffer, path: &Path) -> io::Result<()> {
-    write_atomic(path, &ppm_bytes(fb))
-}
-
 /// Encode a binary mask as PGM (P5): 255 where `mask` is true, 0 elsewhere.
 /// Used for the Fig. 2 difference maps.
 fn pgm_mask_bytes(width: u32, height: u32, mask: &[bool]) -> Vec<u8> {
@@ -307,13 +288,6 @@ mod tests {
         let mut bytes = tga_bytes(&sample_fb());
         bytes.truncate(20);
         assert!(tga_decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn ppm_header() {
-        let bytes = ppm_bytes(&sample_fb());
-        assert!(bytes.starts_with(b"P6\n3 2\n255\n"));
-        assert_eq!(bytes.len(), 11 + 18);
     }
 
     #[test]

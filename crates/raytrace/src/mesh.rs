@@ -55,8 +55,10 @@ pub fn uv_sphere(center: Point3, radius: f64, stacks: u32, slices: u32) -> Geome
     mesh_from_triangles(tris)
 }
 
-/// An axis-aligned box as 12 triangles (outward winding).
-pub fn box_mesh(min: Point3, max: Point3) -> Geometry {
+/// An axis-aligned box as 12 triangles (outward winding): the tests'
+/// mesh with a known analytic twin.
+#[cfg(test)]
+fn box_mesh(min: Point3, max: Point3) -> Geometry {
     let p = |x: f64, y: f64, z: f64| Point3::new(x, y, z);
     let (a, b) = (min, max);
     let v = [

@@ -59,7 +59,7 @@ pub fn assert_same_stream(label: &str, a: &str, b: &str) {
 
 /// True when the `NOW_BLESS` environment variable asks goldens to be
 /// regenerated instead of checked.
-pub fn blessing() -> bool {
+fn blessing() -> bool {
     std::env::var("NOW_BLESS").is_ok_and(|v| v == "1")
 }
 

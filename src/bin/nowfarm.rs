@@ -671,10 +671,15 @@ fn print_farm_summary(result: &FarmResult) {
             result.report.leases_prefetched
         );
     }
+    print_peak_memory();
+    print_machines(&result.report);
+}
+
+/// Print this process's peak resident set, where the system reports it.
+fn print_peak_memory() {
     if let Some(kb) = peak_rss_kb() {
         println!("  peak memory {kb} KB (this process's VmHWM)");
     }
-    print_machines(&result.report);
 }
 
 /// This process's peak resident set in KB, where the system reports it
@@ -839,6 +844,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
                     "worker {} done: {} units, {:.2}s busy, {} bytes sent, {} bytes received",
                     s.node_id, s.units, s.busy_s, s.bytes_sent, s.bytes_received
                 );
+                print_peak_memory();
                 return Ok(());
             }
             Err(e)
@@ -926,6 +932,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     for (tenant, grants) in master.tenant_grants() {
         println!("  tenant {tenant:<16} {grants:6} unit grants");
     }
+    print_peak_memory();
     print_machines(&report);
     Ok(())
 }

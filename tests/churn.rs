@@ -217,8 +217,14 @@ fn net_timing_flags_are_honoured() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `NOW_CHAOS` alone (no flag) hard-drops the third accepted connection
+/// `NOW_CHAOS` alone (no flag) hard-drops the first accepted connection
 /// mid-run; the lease requeues and the output is still byte-identical.
+///
+/// The drop is armed at 1,500 bytes, a few units into a connection (a
+/// unit moves 300–600 bytes), and below the least any worker of this
+/// farm moved in measured runs: 5,152 bytes, a late joiner with 8 units.
+/// The first accepted connection moved 9.5–17.7 KB. An 8,000-byte drop on
+/// the third connection, a possible late joiner, did not always fire.
 #[test]
 fn env_fault_plan_drops_a_connection_without_changing_output() {
     let dir = scratch_dir("faults");
@@ -227,7 +233,7 @@ fn env_fault_plan_drops_a_connection_without_changing_output() {
         &dir,
         &hashes,
         &[],
-        &[("NOW_CHAOS", "seed=3|net=2:drop@8000")],
+        &[("NOW_CHAOS", "seed=3|net=0:drop@1500")],
     );
     let fleet: Vec<Child> = (0..3).map(|_| spawn_worker(&addr)).collect();
     let status = master.wait().expect("wait master");
