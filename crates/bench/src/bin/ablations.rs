@@ -27,6 +27,7 @@ use now_anim::scenes::{glassball, newton, orbit};
 use now_anim::Animation;
 use now_bench::{commas, paper_tiles, Cli, Outcome, Row};
 use now_cluster::{MachineSpec, SimCluster};
+use now_core::DirtyTest::Exact;
 use now_core::PartitionScheme::{FrameDivision, SequenceDivision};
 use now_core::SequenceMode::{BlockCoherent, Coherent, Plain};
 use now_core::{SequenceReport, SingleMachine};
@@ -67,7 +68,7 @@ fn main() {
 
 /// The sequence rendered plainly and coherently on a speed-1.0 machine.
 fn plain_and_coherent(anim: &Animation) -> [Outcome; 2] {
-    [Plain, Coherent].map(|mode| Row::Single(mode, SingleMachine::unit(), GRID).run(anim))
+    [Plain, Coherent(Exact)].map(|mode| Row::Single(mode, SingleMachine::unit(), GRID).run(anim))
 }
 
 /// Pixels re-rendered after the first frame, and peak coherence memory
@@ -111,7 +112,7 @@ fn grid_sweep(w: u32, h: u32, frames: usize) {
     );
     let anim = newton::animation_sized(w, h, frames);
     for n in [8u32, 12, 16, 24, 32, 48] {
-        let run = Row::Single(Coherent, SingleMachine::unit(), n * n * n).run(&anim);
+        let run = Row::Single(Coherent(Exact), SingleMachine::unit(), n * n * n).run(&anim);
         let rep = run.sequence().expect("a single-processor row");
         let (recomputed, mb) = recomputed_and_mb(rep);
         println!(
@@ -136,7 +137,7 @@ fn granularity_sweep(w: u32, h: u32, frames: usize) {
     let anim = newton::animation_sized(w, h, frames);
     for block in [1u32, 2, 4, 8, 16, 32] {
         let (mode, label) = match block {
-            1 => (Coherent, "pixel".to_string()),
+            1 => (Coherent(Exact), "pixel".to_string()),
             _ => (BlockCoherent(block), format!("{block}x{block}")),
         };
         let run = Row::Single(mode, SingleMachine::unit(), 24 * 24 * 24).run(&anim);
@@ -175,7 +176,7 @@ fn tile_sweep(w: u32, h: u32, frames: usize) {
             tile_h,
             adaptive: true,
         };
-        let run = Row::Farm(scheme, true, SimCluster::paper(), GRID).run(&anim);
+        let run = Row::Farm(scheme, Some(Exact), SimCluster::paper(), GRID).run(&anim);
         let r = run.farm().expect("a farm row");
         let util = 100.0 * r.report.machines.iter().map(|m| m.busy_s).sum::<f64>()
             / (r.report.makespan_s * r.report.machines.len() as f64);
@@ -224,7 +225,7 @@ fn adaptive_vs_static(w: u32, h: u32, frames: usize) {
     ] {
         let times = [false, true].map(|adaptive| {
             let cluster = SimCluster::new(machines.clone());
-            let row = Row::Farm(SequenceDivision { adaptive }, true, cluster, GRID);
+            let row = Row::Farm(SequenceDivision { adaptive }, Some(Exact), cluster, GRID);
             row.run(&anim).total_s()
         });
         println!(
@@ -271,7 +272,7 @@ fn machine_mix(w: u32, h: u32, frames: usize) {
     for (name, machines) in mixes {
         let power: f64 = machines.iter().map(|m| m.speed).sum();
         let cluster = SimCluster::new(machines);
-        let makespan_s = Row::Farm(paper_tiles(w, h), true, cluster, GRID)
+        let makespan_s = Row::Farm(paper_tiles(w, h), Some(Exact), cluster, GRID)
             .run(&anim)
             .total_s();
         let b = *base.get_or_insert(makespan_s);

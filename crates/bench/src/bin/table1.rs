@@ -9,6 +9,10 @@
 //! | (6)(7) | distributed + coherence, **sequence division** |
 //! | (8)(9) | distributed + coherence, **frame division** |
 //!
+//! Columns (2), (6) and (8) are printed twice: with the ray-exact dirty
+//! test (the bound test, DESIGN.md §14), then with the paper's algorithm
+//! (a pixel is dirty when one of its rays crosses a changed voxel).
+//!
 //! Times are virtual seconds from the calibrated cost model on the
 //! simulated 3-SGI cluster (one 200 MHz machine, two 100 MHz). Absolute
 //! values are not comparable to the 1998 hardware; the reproduced shape
@@ -22,6 +26,7 @@
 use now_anim::scenes::newton;
 use now_bench::{commas, hms, paper_tiles, Cli, Outcome, Row};
 use now_cluster::SimCluster;
+use now_core::DirtyTest::{Exact, Paper};
 use now_core::PartitionScheme::SequenceDivision;
 use now_core::SequenceMode::{Coherent, Plain};
 use now_core::SingleMachine;
@@ -51,35 +56,62 @@ fn main() {
         SimCluster::paper,
     );
     let seq_div = SequenceDivision { adaptive: true };
+    // the rows whose dirty test is the bound test (DESIGN.md §14)...
     let columns = [
         ("single", Row::Single(Plain, fast, grid)),
-        ("single+FC", Row::Single(Coherent, fast, grid)),
-        ("distributed", Row::Farm(tiles, false, paper(), grid)),
-        ("FC seq div", Row::Farm(seq_div, true, paper(), grid)),
-        ("FC frame div", Row::Farm(tiles, true, paper(), grid)),
+        ("single+FC", Row::Single(Coherent(Exact), fast, grid)),
+        ("distributed", Row::Farm(tiles, None, paper(), grid)),
+        ("FC seq div", Row::Farm(seq_div, Some(Exact), paper(), grid)),
+        ("FC frame div", Row::Farm(tiles, Some(Exact), paper(), grid)),
+    ];
+    // ...and the paper's algorithm: a ray through a changed voxel
+    let voxel_columns = [
+        ("single+FC", Row::Single(Coherent(Paper), fast, grid)),
+        ("FC seq div", Row::Farm(seq_div, Some(Paper), paper(), grid)),
+        ("FC frame div", Row::Farm(tiles, Some(Paper), paper(), grid)),
     ];
     let anim = newton::animation_sized(w, h, frames);
-    let runs: Vec<Outcome> = columns
-        .iter()
-        .enumerate()
-        .map(|(i, (name, row))| {
-            eprintln!("[{}/{}] {name} ...", i + 1, columns.len());
+    let run_all = |rows: &[(&str, Row)], group: &str| -> Vec<Outcome> {
+        let n = rows.len();
+        let runs = rows.iter().enumerate().map(|(i, (name, row))| {
+            eprintln!("[{}/{n}] {name} ({group}) ...", i + 1);
             row.run(&anim)
-        })
-        .collect();
+        });
+        runs.collect()
+    };
+    let exact = run_all(&columns, "ray-exact");
+    let voxel = run_all(&voxel_columns, "paper's algorithm");
     // frames must be byte-identical across every configuration
-    for run in &runs[1..] {
-        assert_eq!(run.frame_hashes(), runs[0].frame_hashes());
+    for run in exact.iter().chain(&voxel) {
+        assert_eq!(run.frame_hashes(), exact[0].frame_hashes());
     }
 
-    let base = runs[0].total_s();
+    let base = exact[0].total_s();
     println!();
+    print_rows(&columns, &exact, base, frames);
+    print_shape_targets(
+        "paper's Table 1 shape targets (Newton, 45 frames, 320x240):",
+        [&exact[0], &exact[1], &exact[2], &exact[3], &exact[4]],
+    );
+
+    println!();
+    println!("the paper's algorithm (dirty when a ray crosses a changed voxel):");
+    print_rows(&voxel_columns, &voxel, base, frames);
+    print_shape_targets(
+        "the same targets, paper's algorithm:",
+        [&exact[0], &voxel[0], &exact[2], &voxel[1], &voxel[2]],
+    );
+}
+
+/// One table line per run: rays, first frame, mean and total time, and
+/// the speedup over `base` seconds.
+fn print_rows(columns: &[(&str, Row)], runs: &[Outcome], base: f64, frames: usize) {
     println!(
         "{:<16} {:>14} {:>12} {:>12} {:>12} {:>10}",
         "configuration", "# rays", "first frame", "avg frame", "total", "speedup"
     );
     println!("{}", "-".repeat(80));
-    for ((name, _), run) in columns.iter().zip(&runs) {
+    for ((name, _), run) in columns.iter().zip(runs) {
         let first_frame = run.sequence().map(|r| hms(r.first_frame_s));
         println!(
             "{:<16} {:>14} {:>12} {:>12} {:>12} {:>9.2}x",
@@ -91,12 +123,11 @@ fn main() {
             base / run.total_s()
         );
     }
-
-    print_shape_targets(&runs);
 }
 
-/// The paper's Table 1 claims next to ours, from the five columns' runs.
-fn print_shape_targets(runs: &[Outcome]) {
+/// The paper's Table 1 claims next to ours, from the runs of its five
+/// columns: single, single+FC, distributed, FC seq div, FC frame div.
+fn print_shape_targets(title: &str, runs: [&Outcome; 5]) {
     let speedup = |c: usize| runs[0].total_s() / runs[c].total_s();
     let first_frame_s = |c: usize| runs[c].sequence().map_or(0.0, |r| r.first_frame_s);
     let overhead = 100.0 * (first_frame_s(1) / first_frame_s(0) - 1.0);
@@ -121,7 +152,7 @@ fn print_shape_targets(runs: &[Outcome]) {
         ),
     ];
     println!();
-    println!("paper's Table 1 shape targets (Newton, 45 frames, 320x240):");
+    println!("{title}");
     for (target, paper, ours) in targets {
         println!("  {target:<30}paper {paper:<8}ours {ours}");
     }

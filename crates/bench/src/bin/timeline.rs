@@ -8,6 +8,7 @@
 use now_anim::scenes::newton;
 use now_bench::{paper_tiles, Cli, Row};
 use now_cluster::{RunReport, SimCluster, SpanKind};
+use now_core::DirtyTest::Exact;
 use now_core::PartitionScheme::SequenceDivision;
 
 fn main() {
@@ -19,9 +20,9 @@ fn main() {
 
     let (tiles, seq_div) = (paper_tiles(w, h), SequenceDivision { adaptive: true });
     for (name, scheme, coherence) in [
-        ("frame division, no coherence", tiles, false),
-        ("sequence division + coherence", seq_div, true),
-        ("frame division + coherence", tiles, true),
+        ("frame division, no coherence", tiles, None),
+        ("sequence division + coherence", seq_div, Some(Exact)),
+        ("frame division + coherence", tiles, Some(Exact)),
     ] {
         let run = Row::Farm(scheme, coherence, cluster.clone(), 20 * 20 * 20).run(&anim);
         let report = &run.farm().expect("a farm row").report;

@@ -30,8 +30,8 @@ use now_anim::Animation;
 use now_cluster::SimCluster;
 use now_core::farm::Canvas;
 use now_core::{
-    render_sequence, run_sim, CostModel, FarmConfig, FarmResult, PartitionScheme, SequenceMode,
-    SequenceReport, SingleMachine,
+    render_sequence, run_sim, CostModel, DirtyTest, FarmConfig, FarmResult, PartitionScheme,
+    SequenceMode, SequenceReport, SingleMachine,
 };
 use now_raytrace::RenderSettings;
 use std::path::PathBuf;
@@ -43,9 +43,9 @@ use std::str::FromStr;
 pub enum Row {
     /// The whole sequence on one workstation, in the given mode.
     Single(SequenceMode, SingleMachine, u32),
-    /// A farm on the simulator: its partition scheme, with frame coherence
-    /// on or off, on the given cluster.
-    Farm(PartitionScheme, bool, SimCluster, u32),
+    /// A farm on the simulator: its partition scheme, frame coherence with
+    /// the given dirty test or (`None`) off, on the given cluster.
+    Farm(PartitionScheme, Option<DirtyTest>, SimCluster, u32),
 }
 
 /// What a [`Row`]'s run produced.
@@ -75,10 +75,11 @@ impl Row {
                 );
                 Outcome::Single(report, hashes)
             }
-            Row::Farm(scheme, coherence, cluster, grid_voxels) => {
+            Row::Farm(scheme, test, cluster, grid_voxels) => {
                 let cfg = FarmConfig {
                     scheme: *scheme,
-                    coherence: *coherence,
+                    coherence: test.is_some(),
+                    dirty_test: test.unwrap_or_default(),
                     grid_voxels: *grid_voxels,
                     ..FarmConfig::paper_default()
                 };
@@ -279,8 +280,9 @@ mod tests {
     #[test]
     fn single_and_farm_rows_render_the_same_frames() {
         let anim = now_anim::scenes::newton::animation_sized(48, 36, 4);
-        let single = Row::Single(SequenceMode::Coherent, SingleMachine::unit(), 4096);
-        let farm = Row::Farm(paper_tiles(48, 36), true, SimCluster::paper(), 4096);
+        let exact = DirtyTest::Exact;
+        let single = Row::Single(SequenceMode::Coherent(exact), SingleMachine::unit(), 4096);
+        let farm = Row::Farm(paper_tiles(48, 36), Some(exact), SimCluster::paper(), 4096);
         let (single, farm) = (single.run(&anim), farm.run(&anim));
         assert_eq!(single.frame_hashes().len(), 4);
         assert_eq!(single.frame_hashes(), farm.frame_hashes());

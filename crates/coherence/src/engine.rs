@@ -1,21 +1,29 @@
-//! The frame-coherence data structure: one append-only log of ray paths.
+//! The frame-coherence data structure: one append-only log of ray records.
 //!
 //! The paper keeps, per voxel, the list of pixels whose rays crossed it,
 //! and asks of each changed voxel "which pixels are on your list?". This
-//! engine stores the same relation transposed — per recorded ray, the
-//! voxels it crossed — and asks of each recorded ray "did you cross a
-//! changed voxel?". A pixel is dirty iff one of its live rays has a changed
-//! voxel on its path *and* its segment comes within a changed object's
-//! bound (DESIGN.md §14): the voxel test is the paper's, the bound test
-//! drops the rays that only pass near a mover. Recording a ray is one
-//! sequential append instead of one scattered list push per voxel, and the
-//! per-frame query is one linear scan of the log.
+//! engine stores the same relation transposed — per recorded ray, a record
+//! tagged with its pixel — and asks of each recorded ray "can you see the
+//! change?". Recording a ray is one sequential append instead of one
+//! scattered list push per voxel, and the per-frame query is one linear
+//! scan of the log.
+//!
+//! An engine is built for one [`DirtyTest`], and each test has one record
+//! grammar (DESIGN.md §14):
+//!
+//! * [`DirtyTest::Exact`] (the default): a pixel is dirty iff one of its
+//!   live rays has its segment come within a changed object's padded
+//!   bound. A record is the ray's segment, and nothing of its voxel path.
+//! * [`DirtyTest::Paper`]: the paper's test — a pixel is dirty iff one of
+//!   its live rays crosses a changed voxel. A record is the ray's voxel
+//!   path.
 //!
 //! Record grammar (stream state starts at `(pixel, gen) = (0, 0)`; all
 //! integers LEB128 varints, see [`crate::varint`]):
 //!
 //! ```text
-//! record = head [gen] seg start steps codes
+//! exact  = head [gen] seg
+//! paper  = head [gen] start steps codes
 //! head   = varint( zigzag(pixel - prev_pixel) << 1 | (gen != prev_gen) )
 //! gen    = varint(gen)                  -- only when the flag bit is set
 //! seg    = 12 bytes: the ray over [0, t_max] clipped to the grid box, as
@@ -34,8 +42,8 @@
 //! traversal.
 //!
 //! Consecutive rays of one pixel (its shadow feelers, its reflections)
-//! cost a 1-byte `head`; a typical 25-voxel path is 28 bytes with its
-//! segment.
+//! cost a 1-byte `head`, so an exact record is 13 or 14 bytes; a typical
+//! 25-voxel path is 16 bytes as a paper record.
 //!
 //! The log is held in fixed blocks of `BLOCK` (64 KiB), read in order as
 //! one record stream. A block holds whole records: a record that does not
@@ -50,7 +58,7 @@
 //!
 //! An engine given a [`MoverMask`] stores only the rays whose path enters
 //! it: no changed set of the sequence lies outside the mask, so a ray that
-//! misses it can never pass the voxel test. Such a ray is walked (and
+//! misses it can never cross a changed voxel. Such a ray is walked (and
 //! counted in [`CoherenceStats::marks`]) but not logged.
 //!
 //! A record is *live* while its `gen` equals the pixel's current
@@ -69,6 +77,20 @@ use now_math::{Aabb, Axis, Interval, Point3, Ray, Vec3};
 use now_raytrace::{PixelId, RayKind, RayListener, ShardableListener};
 use std::sync::Arc;
 
+/// Which test makes a pixel dirty, and so what a record of the log holds
+/// (module docs). Fixed when the engine is built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum DirtyTest {
+    /// A live ray's segment comes within a changed object's padded bound;
+    /// a record is `head [gen] seg`. Where a bound reaches outside the grid
+    /// box the segments are clipped to, the answer is every pixel.
+    #[default]
+    Exact,
+    /// The paper's test: a live ray crosses a changed voxel; a record is
+    /// `head [gen] start steps codes`.
+    Paper,
+}
+
 /// Bookkeeping statistics; Table 1's "overhead" column comes from the work
 /// these counters represent, and the cluster cost model charges time
 /// proportional to `marks`.
@@ -77,11 +99,11 @@ pub struct CoherenceStats {
     /// Voxel-mark operations performed (per ray per voxel crossed): every
     /// walked mark, stored or not.
     pub marks: u64,
-    /// Marks currently stored in the log, live and stale (one "entry" is
-    /// one voxel of one recorded path); under a mover mask, fewer than
-    /// `marks` ever added.
+    /// Entries currently stored in the log, live and stale: one per record
+    /// of an exact engine, one per voxel of a recorded path of a paper
+    /// engine. Under a mover mask, fewer than were walked.
     pub entries: u64,
-    /// Marks dropped by compaction.
+    /// Entries dropped by compaction.
     pub purged: u64,
     /// Rays observed.
     pub rays_recorded: u64,
@@ -92,8 +114,9 @@ pub struct CoherenceStats {
     pub list_bytes: u64,
     /// Compaction passes that had something to drop.
     pub compactions: u64,
-    /// Dirty-set queries answered at voxel granularity because a changed
-    /// bound reached outside the grid box the segments are clipped to.
+    /// Dirty-set queries of an exact engine answered with every pixel
+    /// because a changed bound reached outside the grid box the segments
+    /// are clipped to.
     pub fallbacks: u64,
 }
 
@@ -170,21 +193,24 @@ impl SegmentCodec {
     }
 }
 
-/// The frame-coherence data structure: every recorded ray's segment and
-/// path through a uniform grid, tagged with the pixel that fired it.
+/// The frame-coherence data structure: one record per stored ray, tagged
+/// with the pixel that fired it — its segment or its voxel path through a
+/// uniform grid, as the engine's [`DirtyTest`] asks.
 ///
 /// Implements [`RayListener`]: install it as the tracer's listener while
 /// rendering — over an accelerator built on this engine's grid
-/// (`GridAccel::build_with_spec`) — and the voxel path of every ray's walk
-/// is appended to the log under the pixel being shaded.
+/// (`GridAccel::build_with_spec`) — and every ray's record is appended to
+/// the log under the pixel being shaded.
 ///
-/// Equality compares the complete engine state — log blocks (including
-/// stale records), generation counters, live/stale byte accounts, the
-/// mask and statistics — so tests can assert that two render paths (e.g.
-/// 1-thread and N-thread) left the engine in exactly the same state.
+/// Equality compares the complete engine state — the test, log blocks
+/// (including stale records), generation counters, live/stale byte
+/// accounts, the mask and statistics — so tests can assert that two
+/// render paths (e.g. 1-thread and N-thread) left the engine in exactly
+/// the same state.
 #[derive(Debug, Clone)]
 pub struct CoherenceEngine {
     spec: GridSpec,
+    test: DirtyTest,
     seg: SegmentCodec,
     /// Voxels some transition changes; `None` stores every ray.
     mask: Option<Arc<MoverMask>>,
@@ -204,8 +230,8 @@ pub struct CoherenceEngine {
     stale_bytes: usize,
     stats: CoherenceStats,
     // Scratch below: not observable state, excluded from `PartialEq`.
-    /// Changed-voxel bitmap of a `dirty_pixels` call; all zero between
-    /// calls.
+    /// Changed-voxel bitmap of a paper engine's `dirty_pixels` call; all
+    /// zero between calls.
     changed: Vec<u64>,
     /// Pixels already reported by a `dirty_pixels` call; all zero between
     /// calls.
@@ -215,6 +241,7 @@ pub struct CoherenceEngine {
 impl PartialEq for CoherenceEngine {
     fn eq(&self, other: &CoherenceEngine) -> bool {
         self.spec == other.spec
+            && self.test == other.test
             && self.mask == other.mask
             && self.log == other.log
             && self.tail == other.tail
@@ -225,9 +252,12 @@ impl PartialEq for CoherenceEngine {
     }
 }
 
-/// Longest `head [gen] start steps` prefix: 5 + 5 + 7 + 3 bytes for `u32`
-/// pixels and generations and `u16` resolutions per axis.
-const MAX_PREFIX: usize = 24;
+/// Longest `head [gen]`: 5 + 5 bytes for `u32` pixels and generations.
+const MAX_HEAD: usize = 10;
+
+/// Longest record body before a paper record's `codes`: `seg`, or `start
+/// steps` (two varints of at most 10 bytes).
+const MAX_BODY: usize = 20;
 
 /// Write `v` as LEB128 at `buf[at..]`; returns the position after it.
 #[inline]
@@ -243,7 +273,7 @@ fn put_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
 
 /// Write `head [gen]` of a `(pixel, gen)` record that follows `tail`.
 #[inline]
-fn put_head(buf: &mut [u8; MAX_PREFIX], tail: (PixelId, u32), pixel: PixelId, gen: u32) -> usize {
+fn put_head(buf: &mut [u8; MAX_HEAD], tail: (PixelId, u32), pixel: PixelId, gen: u32) -> usize {
     let delta = pixel as i64 - tail.0 as i64;
     let flag = (gen != tail.1) as u64;
     let at = put_varint(buf, 0, (zigzag(delta) << 1) | flag);
@@ -260,15 +290,26 @@ struct Record {
     gen: u32,
     /// Offset of `head`.
     at: usize,
-    /// Offset of `seg`: from here on a record does not depend on its
-    /// predecessor, so compaction moves it verbatim.
-    seg: usize,
+    /// Offset of the body, `seg` or `start`: from here on a record does
+    /// not depend on its predecessor, so compaction moves it verbatim.
+    body: usize,
+    /// A paper record's path: its first voxel, its step count and the
+    /// offset of its `codes` (0, 0 and `end` for an exact record).
     start: usize,
     steps: usize,
-    /// Offset of `codes`.
     codes: usize,
     /// Offset past the record.
     end: usize,
+}
+
+/// What a stored record of a ray whose walk made `marks` marks counts for
+/// in [`CoherenceStats::entries`].
+#[inline]
+fn entries(test: DirtyTest, marks: u64) -> u64 {
+    match test {
+        DirtyTest::Exact => 1,
+        DirtyTest::Paper => marks,
+    }
 }
 
 /// Sequential log decoder: the stream state of the record grammar. The
@@ -281,10 +322,10 @@ struct Cursor {
 }
 
 impl Cursor {
-    /// Decode the record at `pos` of `block` and move past it (its codes
-    /// are skipped by length, not read).
+    /// Decode the `test` record at `pos` of `block` and move past it (a
+    /// paper record's codes are skipped by length, not read).
     #[inline]
-    fn read(&mut self, block: &[u8]) -> Record {
+    fn read(&mut self, block: &[u8], test: DirtyTest) -> Record {
         let at = self.pos;
         let mut pos = at;
         let head = read_varint(block, &mut pos);
@@ -292,16 +333,23 @@ impl Cursor {
         if head & 1 != 0 {
             self.gen = read_varint(block, &mut pos) as u32;
         }
-        let seg = pos;
-        pos += SEG_BYTES;
-        let start = read_varint(block, &mut pos) as usize;
-        let steps = read_varint(block, &mut pos) as usize;
+        let body = pos;
+        let (start, steps) = match test {
+            DirtyTest::Exact => {
+                pos += SEG_BYTES;
+                (0, 0)
+            }
+            DirtyTest::Paper => {
+                let start = read_varint(block, &mut pos) as usize;
+                (start, read_varint(block, &mut pos) as usize)
+            }
+        };
         self.pos = pos + steps.div_ceil(2);
         Record {
             pixel: self.pixel,
             gen: self.gen,
             at,
-            seg,
+            body,
             start,
             steps,
             codes: pos,
@@ -315,14 +363,16 @@ impl Cursor {
 struct Records<'a> {
     blocks: std::slice::Iter<'a, Vec<u8>>,
     block: &'a [u8],
+    test: DirtyTest,
     cur: Cursor,
 }
 
 impl<'a> Records<'a> {
-    fn of(log: &'a [Vec<u8>]) -> Records<'a> {
+    fn of(log: &'a [Vec<u8>], test: DirtyTest) -> Records<'a> {
         Records {
             blocks: log.iter(),
             block: &[],
+            test,
             cur: Cursor::default(),
         }
     }
@@ -337,7 +387,7 @@ impl<'a> Iterator for Records<'a> {
             self.block = self.blocks.next()?;
             self.cur.pos = 0;
         }
-        Some((self.block, self.cur.read(self.block)))
+        Some((self.block, self.cur.read(self.block, self.test)))
     }
 }
 
@@ -380,11 +430,48 @@ fn masked_in(mask: &Option<Arc<MoverMask>>, strides: &[isize; 8], path: &VoxelPa
         .is_none_or(|m| path_hits(path.start, path.codes, strides, &m.bits))
 }
 
+/// The body of the `test` record of `ray` over `[0, t_max]` with `path`:
+/// its first part and length — `seg`, or `start steps` — and its second,
+/// empty or the path's `codes`.
+#[inline]
+fn record_body<'p>(
+    test: DirtyTest,
+    seg: &SegmentCodec,
+    ray: &Ray,
+    t_max: f64,
+    path: &VoxelPath<'p>,
+) -> ([u8; MAX_BODY], usize, &'p [u8]) {
+    let mut prefix = [0u8; MAX_BODY];
+    match test {
+        DirtyTest::Exact => {
+            seg.put(&mut prefix, ray, t_max);
+            (prefix, SEG_BYTES, &[])
+        }
+        DirtyTest::Paper => {
+            let n = put_varint(&mut prefix, 0, path.start as u64);
+            let n = put_varint(&mut prefix, n, path.steps as u64);
+            (prefix, n, path.codes)
+        }
+    }
+}
+
 impl CoherenceEngine {
-    /// Create an engine for a `pixel_count`-pixel image over the given grid.
+    /// Create an exact engine ([`DirtyTest::Exact`]) for a
+    /// `pixel_count`-pixel image over the given grid.
     pub fn new(spec: GridSpec, pixel_count: usize) -> CoherenceEngine {
+        CoherenceEngine::with_test(spec, pixel_count, DirtyTest::default())
+    }
+
+    /// Create an engine that answers with `test` for a `pixel_count`-pixel
+    /// image over the given grid.
+    pub(crate) fn with_test(
+        spec: GridSpec,
+        pixel_count: usize,
+        test: DirtyTest,
+    ) -> CoherenceEngine {
         CoherenceEngine {
             spec,
+            test,
             seg: SegmentCodec {
                 bounds: spec.bounds,
             },
@@ -419,13 +506,18 @@ impl CoherenceEngine {
         self.mask.as_ref()
     }
 
-    /// Forget every record and statistic; the grid, the pixel count and
-    /// the mask stay.
+    /// The test the engine answers with.
+    pub(crate) fn test(&self) -> DirtyTest {
+        self.test
+    }
+
+    /// Forget every record and statistic; the grid, the pixel count, the
+    /// test and the mask stay.
     pub fn clear(&mut self) {
         let mask = self.mask.take();
         *self = CoherenceEngine {
             mask,
-            ..CoherenceEngine::new(self.spec, self.gen.len())
+            ..CoherenceEngine::with_test(self.spec, self.gen.len(), self.test)
         };
     }
 
@@ -454,31 +546,22 @@ impl CoherenceEngine {
     }
 
     /// The set of pixels (deduplicated, ascending) that must be recomputed
-    /// for the next frame: those with a live recorded ray whose path
-    /// crosses one of the `changed` voxels and whose segment comes within
-    /// one of the `movers` (the old and new bounds of every changed
-    /// object, what [`crate::changed_voxels`] produces beside `changed`).
+    /// for the next frame, given the `changed` voxels and the `movers` (the
+    /// old and new bounds of every changed object, what
+    /// [`crate::changed_voxels`] produces beside `changed`): those with a
+    /// live recorded ray whose segment comes within one of the `movers`
+    /// (exact), or whose path crosses one of the `changed` voxels (paper).
     ///
-    /// `changed` must be sorted and deduplicated. When a mover reaches
-    /// outside the grid box, whose outside the stored segments do not
-    /// cover, the answer is the voxel test's alone (counted in
-    /// [`CoherenceStats::fallbacks`]).
+    /// `changed` must be sorted and deduplicated; an empty one changes
+    /// nothing. When a mover reaches outside the grid box, whose outside
+    /// the stored segments do not cover, an exact engine answers with
+    /// every pixel (counted in [`CoherenceStats::fallbacks`]).
     ///
     /// One pass over the log: stale records and records of pixels already
-    /// found dirty are skipped by their length, the rest are walked until
-    /// their first changed voxel. Log state is untouched (`&mut` is for
-    /// the scratch bitmaps and the fallback count).
+    /// found dirty are skipped by their length, the rest are tested. Log
+    /// state is untouched (`&mut` is for the scratch bitmaps and the
+    /// fallback count).
     pub fn dirty_pixels(&mut self, changed: &[Voxel], movers: &[Bound]) -> Vec<PixelId> {
-        let exact = movers.iter().all(|b| self.seg.covers(b));
-        if !changed.is_empty() && !exact {
-            self.stats.fallbacks += 1;
-        }
-        self.scan(changed, exact.then_some(movers))
-    }
-
-    /// [`CoherenceEngine::dirty_pixels`] with the bound test when `movers`
-    /// is given, the voxel test alone when not.
-    fn scan(&mut self, changed: &[Voxel], movers: Option<&[Bound]>) -> Vec<PixelId> {
         debug_assert!(
             changed.windows(2).all(|w| w[0] < w[1]),
             "changed voxels must be sorted and deduplicated"
@@ -493,59 +576,72 @@ impl CoherenceEngine {
         if changed.is_empty() {
             return Vec::new();
         }
-        for &v in changed {
-            let i = self.spec.linear_index(v);
-            self.changed[i >> 6] |= 1 << (i & 63);
-        }
-        let pad = self.seg.pad();
-        // the filters run cheapest first: the voxel test, then one box per
-        // mover, then the exact distance test
-        let movers: Option<Vec<(&Bound, Aabb)>> =
-            movers.map(|ms| ms.iter().map(|b| (b, b.reject_box(pad))).collect());
-        let (mut read, mut voxel_hits, mut exact_tests) = (0u64, 0u64, 0u64);
-        let mut dirty: Vec<PixelId> = Vec::new();
-        for (block, rec) in Records::of(&self.log) {
-            read += 1;
-            let p = rec.pixel as usize;
-            if rec.gen != self.gen[p] || self.seen[p >> 6] >> (p & 63) & 1 != 0 {
-                continue;
+        let (dirty, read, coarse, exact_tests) = match self.test {
+            DirtyTest::Exact if !movers.iter().all(|b| self.seg.covers(b)) => {
+                self.stats.fallbacks += 1;
+                return (0..self.gen.len() as PixelId).collect();
             }
-            let codes = &block[rec.codes..rec.end];
-            if !path_hits(rec.start, codes, &self.strides, &self.changed) {
-                continue;
+            DirtyTest::Exact => {
+                let (seg, pad) = (self.seg, self.seg.pad());
+                // the filters run cheapest first: one box per mover, then
+                // the exact distance test
+                let movers: Vec<(&Bound, Aabb)> =
+                    movers.iter().map(|b| (b, b.reject_box(pad))).collect();
+                let mut exact_tests = 0u64;
+                let (dirty, read, coarse) = scan(
+                    &self.log,
+                    self.test,
+                    &self.gen,
+                    &mut self.seen,
+                    |block, rec| {
+                        let (p0, p1) = seg.get(&block[rec.body..rec.end]);
+                        let slab = Slab::new(p0, p1);
+                        let (mut met, mut near) = (false, false);
+                        for (b, reject) in &movers {
+                            if slab.meets(reject) {
+                                met = true;
+                                exact_tests += 1;
+                                if b.near_segment(p0, p1, pad) {
+                                    near = true;
+                                    break;
+                                }
+                            }
+                        }
+                        (met, near)
+                    },
+                );
+                (dirty, read, coarse, exact_tests)
             }
-            voxel_hits += 1;
-            if let Some(movers) = &movers {
-                let (p0, p1) = self.seg.get(&block[rec.seg..]);
-                let slab = Slab::new(p0, p1);
-                let near = movers.iter().any(|(b, reject)| {
-                    slab.meets(reject) && {
-                        exact_tests += 1;
-                        b.near_segment(p0, p1, pad)
-                    }
-                });
-                if !near {
-                    continue;
+            DirtyTest::Paper => {
+                for &v in changed {
+                    let i = self.spec.linear_index(v);
+                    self.changed[i >> 6] |= 1 << (i & 63);
                 }
+                let (strides, bits) = (&self.strides, &self.changed);
+                let (dirty, read, coarse) = scan(
+                    &self.log,
+                    self.test,
+                    &self.gen,
+                    &mut self.seen,
+                    |block, rec| {
+                        let hit = path_hits(rec.start, &block[rec.codes..rec.end], strides, bits);
+                        (hit, hit)
+                    },
+                );
+                for &v in changed {
+                    self.changed[self.spec.linear_index(v) >> 6] = 0;
+                }
+                (dirty, read, coarse, 0)
             }
-            self.seen[p >> 6] |= 1 << (p & 63);
-            dirty.push(rec.pixel);
-        }
+        };
         if now_trace::enabled() {
             // the scan runs on the renderer's own thread over a log whose
             // bytes are the same for any pool thread count
             let rec = now_trace::global();
             rec.counter_add("coh.scan_records", read);
-            rec.counter_add("coh.scan_voxel_hits", voxel_hits);
+            rec.counter_add("coh.scan_voxel_hits", coarse);
             rec.counter_add("coh.scan_exact_tests", exact_tests);
         }
-        for &v in changed {
-            self.changed[self.spec.linear_index(v) >> 6] = 0;
-        }
-        for &p in &dirty {
-            self.seen[p as usize >> 6] = 0;
-        }
-        dirty.sort_unstable();
         dirty
     }
 
@@ -566,8 +662,8 @@ impl CoherenceEngine {
     /// The survivors are streamed, in order, into fresh blocks, each old
     /// block dropped once it has been read. A survivor's `head` is
     /// re-encoded against the survivor before it (a larger pixel delta, or
-    /// a `gen` that a dropped record used to introduce); the rest of it
-    /// does not depend on its predecessor and is copied verbatim.
+    /// a `gen` that a dropped record used to introduce); its body does not
+    /// depend on its predecessor and is copied verbatim.
     pub fn compact(&mut self) {
         if self.stale_bytes == 0 {
             return;
@@ -576,21 +672,21 @@ impl CoherenceEngine {
         let mut tail = (0, 0);
         let mut written = 0;
         let mut purged = 0u64;
-        let mut head = [0u8; MAX_PREFIX];
+        let mut head = [0u8; MAX_HEAD];
         for block in std::mem::take(&mut self.log) {
             cur.pos = 0;
             while cur.pos < block.len() {
-                let rec = cur.read(&block);
+                let rec = cur.read(&block, self.test);
                 let p = rec.pixel as usize;
                 if rec.gen != self.gen[p] {
-                    purged += rec.steps as u64 + 1;
+                    purged += entries(self.test, rec.steps as u64 + 1);
                     continue;
                 }
                 let n = put_head(&mut head, tail, rec.pixel, rec.gen);
-                let len = n + rec.end - rec.seg;
+                let len = n + rec.end - rec.body;
                 let out = block_for(&mut self.log, len);
                 out.extend_from_slice(&head[..n]);
-                out.extend_from_slice(&block[rec.seg..rec.end]);
+                out.extend_from_slice(&block[rec.body..rec.end]);
                 self.live[p] = self.live[p] - (rec.end - rec.at) as u32 + len as u32;
                 written += len;
                 tail = (rec.pixel, rec.gen);
@@ -604,13 +700,12 @@ impl CoherenceEngine {
         self.stats.compactions += 1;
     }
 
-    /// Append one record of `marks` voxels: `head [gen]`, then the `body`
-    /// parts back to back, which must make the record's `seg start steps
-    /// codes`.
+    /// Append one record worth `entries` entries: `head [gen]`, then the
+    /// `body` parts back to back, which must make the record's body.
     #[inline]
-    fn append(&mut self, pixel: PixelId, marks: u64, body: [&[u8]; 2]) {
+    fn append(&mut self, pixel: PixelId, entries: u64, body: [&[u8]; 2]) {
         let gen = self.gen[pixel as usize];
-        let mut head = [0u8; MAX_PREFIX];
+        let mut head = [0u8; MAX_HEAD];
         let n = put_head(&mut head, self.tail, pixel, gen);
         let len = n + body[0].len() + body[1].len();
         let block = block_for(&mut self.log, len);
@@ -619,7 +714,7 @@ impl CoherenceEngine {
         block.extend_from_slice(body[1]);
         self.tail = (pixel, gen);
         self.live[pixel as usize] += len as u32;
-        self.stats.entries += marks;
+        self.stats.entries += entries;
         self.stats.peak_entries = self.stats.peak_entries.max(self.stats.entries);
         self.stats.list_bytes += len as u64;
     }
@@ -637,20 +732,38 @@ impl CoherenceEngine {
     }
 }
 
-/// `seg start steps` of `ray` over `[0, t_max]` with `path`, and its
-/// length: a record's body up to its `codes`, which are `path.codes`.
-#[inline]
-fn body_prefix(
-    seg: &SegmentCodec,
-    ray: &Ray,
-    t_max: f64,
-    path: &VoxelPath<'_>,
-) -> ([u8; SEG_BYTES + MAX_PREFIX], usize) {
-    let mut prefix = [0u8; SEG_BYTES + MAX_PREFIX];
-    seg.put(&mut prefix, ray, t_max);
-    let n = put_varint(&mut prefix, SEG_BYTES, path.start as u64);
-    let n = put_varint(&mut prefix, n, path.steps as u64);
-    (prefix, n)
+/// One pass over the live records of `log` whose pixel is not yet dirty:
+/// `test` answers, per record, whether it passed the coarse filter and
+/// whether it makes its pixel dirty. Returns the dirty pixels, ascending,
+/// the records read and the coarse passes; `seen` (all zero between
+/// calls) is the scratch set of pixels found dirty.
+fn scan(
+    log: &[Vec<u8>],
+    grammar: DirtyTest,
+    gen: &[u32],
+    seen: &mut [u64],
+    mut test: impl FnMut(&[u8], &Record) -> (bool, bool),
+) -> (Vec<PixelId>, u64, u64) {
+    let (mut read, mut coarse) = (0u64, 0u64);
+    let mut dirty: Vec<PixelId> = Vec::new();
+    for (block, rec) in Records::of(log, grammar) {
+        read += 1;
+        let p = rec.pixel as usize;
+        if rec.gen != gen[p] || seen[p >> 6] >> (p & 63) & 1 != 0 {
+            continue;
+        }
+        let (passed, hit) = test(block, &rec);
+        coarse += passed as u64;
+        if hit {
+            seen[p >> 6] |= 1 << (p & 63);
+            dirty.push(rec.pixel);
+        }
+    }
+    for &p in &dirty {
+        seen[p as usize >> 6] = 0;
+    }
+    dirty.sort_unstable();
+    (dirty, read, coarse)
 }
 
 impl RayListener for CoherenceEngine {
@@ -666,8 +779,8 @@ impl RayListener for CoherenceEngine {
             debug_assert!(path.start < self.spec.voxel_count(), "path of another grid");
             let marks = path.steps as u64 + 1;
             if masked_in(&self.mask, &self.strides, &path) {
-                let (prefix, n) = body_prefix(&self.seg, ray, t_max, &path);
-                self.append(pixel, marks, [&prefix[..n], path.codes]);
+                let (prefix, n, codes) = record_body(self.test, &self.seg, ray, t_max, &path);
+                self.append(pixel, entries(self.test, marks), [&prefix[..n], codes]);
             }
             marks
         });
@@ -675,13 +788,28 @@ impl RayListener for CoherenceEngine {
     }
 }
 
+#[cfg(test)]
+impl CoherenceEngine {
+    /// Each stored record's `head`, `gen` (0 when it has none) and body
+    /// lengths, in log order.
+    pub(crate) fn record_parts(&self) -> Vec<(usize, usize, usize)> {
+        Records::of(&self.log, self.test)
+            .map(|(block, r)| {
+                let mut gen = r.at;
+                read_varint(block, &mut gen);
+                (gen - r.at, r.body - gen, r.end - r.body)
+            })
+            .collect()
+    }
+}
+
 /// One pool tile's rays, recorded off the engine's thread: every stored
-/// record's `seg start steps codes` bytes back to back, and per observed
-/// ray whose record they are. Only `head` depends on what precedes a
-/// record in the log, so [`CoherenceEngine::absorb_shard`] writes that and
-/// copies the rest.
+/// record's body bytes back to back, and per observed ray whose record
+/// they are. Only `head` depends on what precedes a record in the log, so
+/// [`CoherenceEngine::absorb_shard`] writes that and copies the rest.
 #[derive(Debug)]
 pub struct PathShard {
+    test: DirtyTest,
     seg: SegmentCodec,
     mask: Option<Arc<MoverMask>>,
     strides: [isize; 8],
@@ -704,9 +832,9 @@ impl RayListener for PathShard {
         let at = self.bodies.len();
         let marks = path.map_or(0, |path| {
             if masked_in(&self.mask, &self.strides, &path) {
-                let (prefix, n) = body_prefix(&self.seg, ray, t_max, &path);
+                let (prefix, n, codes) = record_body(self.test, &self.seg, ray, t_max, &path);
                 self.bodies.extend_from_slice(&prefix[..n]);
-                self.bodies.extend_from_slice(path.codes);
+                self.bodies.extend_from_slice(codes);
             }
             path.steps as u32 + 1
         });
@@ -722,6 +850,7 @@ impl ShardableListener for CoherenceEngine {
 
     fn make_shard(&self) -> PathShard {
         PathShard {
+            test: self.test,
             seg: self.seg,
             mask: self.mask.clone(),
             strides: self.strides,
@@ -736,7 +865,7 @@ impl ShardableListener for CoherenceEngine {
             let (body, rest) = bodies.split_at(len as usize);
             bodies = rest;
             if len > 0 {
-                self.append(pixel, marks as u64, [body, &[]]);
+                self.append(pixel, entries(self.test, marks as u64), [body, &[]]);
             }
             self.count_ray(marks as u64);
         }
@@ -753,9 +882,15 @@ mod tests {
     use now_testkit::{cases, Rng};
     use std::collections::{BTreeMap, BTreeSet};
 
-    fn engine() -> CoherenceEngine {
-        let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
-        CoherenceEngine::new(spec, 100)
+    const TESTS: [DirtyTest; 2] = [DirtyTest::Exact, DirtyTest::Paper];
+
+    fn spec4() -> GridSpec {
+        GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4)
+    }
+
+    /// A 100-pixel engine over a 4x4x4 grid of unit voxels.
+    fn engine(test: DirtyTest) -> CoherenceEngine {
+        CoherenceEngine::with_test(spec4(), 100, test)
     }
 
     /// Report `ray` to `listener` the way the tracer does: with the path of
@@ -779,9 +914,14 @@ mod tests {
             fire_at(self, &spec, pixel, ray, kind, t_max);
         }
 
-        /// The paper's voxel-granular dirty set: the voxel test alone.
-        fn voxel_dirty(&mut self, changed: &[Voxel]) -> Vec<PixelId> {
-            self.scan(changed, None)
+        /// The dirty set when the objects filling the `changed` voxels
+        /// move: the voxels' boxes are the movers.
+        fn dirty_of(&mut self, changed: &[Voxel]) -> Vec<PixelId> {
+            let movers: Vec<Bound> = changed
+                .iter()
+                .map(|&v| Bound::Box(self.spec.voxel_bounds(v)))
+                .collect();
+            self.dirty_pixels(changed, &movers)
         }
     }
 
@@ -801,16 +941,17 @@ mod tests {
     fn dirty_sets(e: &mut CoherenceEngine) -> Vec<Vec<PixelId>> {
         every_voxel(&e.spec.clone())
             .iter()
-            .map(|&v| e.voxel_dirty(&[v]))
+            .map(|&v| e.dirty_of(&[v]))
             .collect()
     }
 
     /// The accounts the engine keeps incrementally, recomputed from the
-    /// log, and the block layout: every block holds whole records and is
-    /// `BLOCK` bytes, or exactly the one record longer than that.
+    /// log, the record grammar of its test, and the block layout: every
+    /// block holds whole records and is `BLOCK` bytes, or exactly the one
+    /// record longer than that.
     fn assert_accounts_exact(e: &CoherenceEngine) {
         let mut live = vec![0u32; e.live.len()];
-        let (mut stale, mut entries, mut bytes) = (0, 0, 0);
+        let (mut stale, mut stored, mut bytes) = (0, 0, 0);
         let mut tail = (0, 0);
         for block in &e.log {
             let mut cur = Cursor {
@@ -819,8 +960,11 @@ mod tests {
                 gen: tail.1,
             };
             while cur.pos < block.len() {
-                let rec = cur.read(block);
-                entries += rec.steps as u64 + 1;
+                let rec = cur.read(block, e.test);
+                stored += entries(e.test, rec.steps as u64 + 1);
+                if e.test == DirtyTest::Exact {
+                    assert_eq!(rec.end - rec.body, SEG_BYTES, "an exact record is its seg");
+                }
                 if rec.gen == e.gen[rec.pixel as usize] {
                     live[rec.pixel as usize] += (rec.end - rec.at) as u32;
                 } else {
@@ -838,173 +982,234 @@ mod tests {
         assert_eq!(tail, e.tail);
         assert_eq!(live, e.live);
         assert_eq!(stale, e.stale_bytes);
-        assert_eq!(entries, e.stats.entries);
+        assert_eq!(stored, e.stats.entries);
         assert_eq!(bytes as u64, e.stats.list_bytes);
         assert!(e.changed.iter().chain(&e.seen).all(|&w| w == 0));
     }
 
     #[test]
     fn marking_and_dirty_lookup() {
-        let mut e = engine();
-        // pixel 7's ray crosses the x row of voxels at y=z=0
-        e.fire(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        // pixel 9's ray crosses the row at y=2.5
-        e.fire(9, &x_ray(2.5, 0.5), RayKind::Primary, f64::INFINITY);
+        for test in TESTS {
+            let mut e = engine(test);
+            // pixel 7's ray crosses the x row of voxels at y=z=0
+            e.fire(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            // pixel 9's ray crosses the row at y=2.5
+            e.fire(9, &x_ray(2.5, 0.5), RayKind::Primary, f64::INFINITY);
 
-        let dirty = e.voxel_dirty(&[Voxel::new(2, 0, 0)]);
-        assert_eq!(dirty, vec![7]);
-        let dirty = e.voxel_dirty(&[Voxel::new(0, 2, 0), Voxel::new(3, 0, 0)]);
-        assert_eq!(dirty, vec![7, 9]);
-        let dirty = e.voxel_dirty(&[Voxel::new(0, 0, 3)]);
-        assert!(dirty.is_empty());
+            let dirty = e.dirty_of(&[Voxel::new(2, 0, 0)]);
+            assert_eq!(dirty, vec![7], "{test:?}");
+            let dirty = e.dirty_of(&[Voxel::new(0, 2, 0), Voxel::new(3, 0, 0)]);
+            assert_eq!(dirty, vec![7, 9], "{test:?}");
+            let dirty = e.dirty_of(&[Voxel::new(0, 0, 3)]);
+            assert!(dirty.is_empty(), "{test:?}");
+        }
+    }
+
+    /// A paper engine answers from the voxels alone: a mover anywhere in a
+    /// changed voxel dirties every ray through it, one nowhere near the
+    /// ray included; an exact engine answers from the movers.
+    #[test]
+    fn a_paper_engine_ignores_the_movers_and_an_exact_one_reads_them() {
+        let changed = [Voxel::new(2, 0, 0)];
+        let corner = Bound::Ball {
+            center: Point3::new(2.9, 0.9, 0.9),
+            radius: 0.05,
+        };
+        for (test, want) in [(DirtyTest::Paper, vec![7]), (DirtyTest::Exact, vec![])] {
+            let mut e = engine(test);
+            e.fire(7, &x_ray(0.2, 0.2), RayKind::Primary, f64::INFINITY);
+            assert_eq!(e.dirty_pixels(&changed, &[corner]), want, "{test:?}");
+            assert_eq!(
+                e.dirty_pixels(&changed, &[]),
+                match test {
+                    DirtyTest::Paper => vec![7],
+                    DirtyTest::Exact => vec![],
+                }
+            );
+        }
     }
 
     #[test]
     fn t_max_limits_marking() {
-        let mut e = engine();
-        // ray stops at t = 1.5 (origin -1, so x reaches 0.5): only voxel 0
-        e.fire(3, &x_ray(0.5, 0.5), RayKind::Primary, 1.5);
-        assert_eq!(e.voxel_dirty(&[Voxel::new(0, 0, 0)]), vec![3]);
-        assert!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]).is_empty());
+        for test in TESTS {
+            let mut e = engine(test);
+            // ray stops at t = 1.5 (origin -1, so x reaches 0.5): only voxel 0
+            e.fire(3, &x_ray(0.5, 0.5), RayKind::Primary, 1.5);
+            assert_eq!(e.dirty_of(&[Voxel::new(0, 0, 0)]), vec![3], "{test:?}");
+            assert!(e.dirty_of(&[Voxel::new(1, 0, 0)]).is_empty(), "{test:?}");
+        }
     }
 
     #[test]
     fn multiple_rays_of_one_pixel_report_it_once() {
-        let mut e = engine();
-        e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.fire(5, &x_ray(0.5, 0.5), RayKind::Shadow, f64::INFINITY);
-        e.fire(5, &x_ray(0.6, 0.6), RayKind::Reflected, f64::INFINITY);
-        assert_eq!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]), vec![5]);
-        // consecutive rays of one pixel pay a 1-byte head each
-        assert_eq!(e.stats().list_bytes, 3 * (1 + SEG_BYTES as u64 + 1 + 1 + 2));
-        // a different pixel is reported beside it
-        e.fire(6, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        assert_eq!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]), vec![5, 6]);
+        for (test, body) in [
+            (DirtyTest::Exact, SEG_BYTES as u64),
+            (DirtyTest::Paper, 1 + 1 + 2),
+        ] {
+            let mut e = engine(test);
+            e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            e.fire(5, &x_ray(0.5, 0.5), RayKind::Shadow, f64::INFINITY);
+            e.fire(5, &x_ray(0.6, 0.6), RayKind::Reflected, f64::INFINITY);
+            assert_eq!(e.dirty_of(&[Voxel::new(1, 0, 0)]), vec![5]);
+            // consecutive rays of one pixel pay a 1-byte head each
+            assert_eq!(e.stats().list_bytes, 3 * (1 + body), "{test:?}");
+            // a different pixel is reported beside it
+            e.fire(6, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            assert_eq!(e.dirty_of(&[Voxel::new(1, 0, 0)]), vec![5, 6]);
+        }
     }
 
     #[test]
     fn invalidation_makes_records_stale() {
-        let mut e = engine();
-        e.fire(4, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.invalidate_pixels(&[4]);
-        // old record no longer reported dirty
-        assert!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]).is_empty());
-        // re-record under the new generation: visible again
-        e.fire(4, &x_ray(2.5, 2.5), RayKind::Primary, f64::INFINITY);
-        assert_eq!(e.voxel_dirty(&[Voxel::new(1, 2, 2)]), vec![4]);
-        // the old path stays stale
-        assert!(e.voxel_dirty(&[Voxel::new(1, 0, 0)]).is_empty());
-        assert_accounts_exact(&e);
+        for test in TESTS {
+            let mut e = engine(test);
+            e.fire(4, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            e.invalidate_pixels(&[4]);
+            // old record no longer reported dirty
+            assert!(e.dirty_of(&[Voxel::new(1, 0, 0)]).is_empty());
+            // re-record under the new generation: visible again
+            e.fire(4, &x_ray(2.5, 2.5), RayKind::Primary, f64::INFINITY);
+            assert_eq!(e.dirty_of(&[Voxel::new(1, 2, 2)]), vec![4], "{test:?}");
+            // the old path stays stale
+            assert!(e.dirty_of(&[Voxel::new(1, 0, 0)]).is_empty());
+            assert_accounts_exact(&e);
+        }
     }
 
     #[test]
     fn compact_purges_stale_records() {
-        let mut e = engine();
-        e.fire(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.fire(2, &x_ray(1.5, 0.5), RayKind::Primary, f64::INFINITY);
-        assert_eq!(e.stats().entries, 8);
-        e.invalidate_pixels(&[1]);
-        assert_eq!(e.stale_bytes() as u64 * 2, e.stats().list_bytes);
-        e.compact();
-        assert_eq!(e.stats().entries, 4);
-        assert_eq!(e.stats().purged, 4);
-        assert_eq!(e.stats().compactions, 1);
-        assert_eq!(e.stale_bytes(), 0);
-        // pixel 2 still intact
-        assert_eq!(e.voxel_dirty(&[Voxel::new(0, 1, 0)]), vec![2]);
-        assert_accounts_exact(&e);
+        // a 4-voxel ray is one exact entry or four paper ones
+        for (test, per_ray) in [(DirtyTest::Exact, 1), (DirtyTest::Paper, 4)] {
+            let mut e = engine(test);
+            e.fire(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            e.fire(2, &x_ray(1.5, 0.5), RayKind::Primary, f64::INFINITY);
+            assert_eq!(e.stats().entries, 2 * per_ray);
+            e.invalidate_pixels(&[1]);
+            assert_eq!(e.stale_bytes() as u64 * 2, e.stats().list_bytes);
+            e.compact();
+            assert_eq!(e.stats().entries, per_ray);
+            assert_eq!(e.stats().purged, per_ray);
+            assert_eq!(e.stats().compactions, 1);
+            assert_eq!(e.stale_bytes(), 0);
+            // pixel 2 still intact
+            assert_eq!(e.dirty_of(&[Voxel::new(0, 1, 0)]), vec![2], "{test:?}");
+            assert_accounts_exact(&e);
+        }
     }
 
     #[test]
     fn compact_without_stale_records_touches_nothing() {
-        let mut e = engine();
-        e.compact();
-        e.fire(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        // a bumped generation with nothing recorded under the old one
-        e.invalidate_pixels(&[2]);
-        let (before, memory) = (e.clone(), e.memory_bytes());
-        e.compact();
-        assert_eq!(e, before);
-        assert_eq!(e.memory_bytes(), memory);
-        assert_eq!(e.stats().compactions, 0);
+        for test in TESTS {
+            let mut e = engine(test);
+            e.compact();
+            e.fire(1, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            // a bumped generation with nothing recorded under the old one
+            e.invalidate_pixels(&[2]);
+            let (before, memory) = (e.clone(), e.memory_bytes());
+            e.compact();
+            assert_eq!(e, before);
+            assert_eq!(e.memory_bytes(), memory);
+            assert_eq!(e.stats().compactions, 0);
+        }
     }
 
     #[test]
     fn dirty_pixels_sorted_and_unique() {
-        let mut e = engine();
-        for p in [9, 3, 7, 3, 9] {
-            e.fire(p, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        for test in TESTS {
+            let mut e = engine(test);
+            for p in [9, 3, 7, 3, 9] {
+                e.fire(p, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            }
+            let dirty = e.dirty_of(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
+            assert_eq!(dirty, vec![3, 7, 9], "{test:?}");
         }
-        let dirty = e.voxel_dirty(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
-        assert_eq!(dirty, vec![3, 7, 9]);
     }
 
     #[test]
     fn stats_track_marks_and_memory() {
-        let mut e = engine();
-        // side tables only: 100 pixels x (gen + live), the two bitmaps
-        // (2 + 1 words)
-        assert_eq!(e.memory_bytes(), 800 + 24);
-        e.fire(0, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        let s = e.stats();
-        assert_eq!(s.rays_recorded, 1);
-        assert_eq!(s.marks, 4);
-        assert_eq!(s.entries, 4);
-        // head, seg, start, steps, 3 step codes in 2 bytes
-        assert_eq!(s.list_bytes, 1 + SEG_BYTES as u64 + 1 + 1 + 2);
-        assert!(e.memory_bytes() > 824);
+        // head, then seg; or head, start, steps, 3 step codes in 2 bytes
+        for (test, entries, bytes) in [
+            (DirtyTest::Exact, 1, 1 + SEG_BYTES as u64),
+            (DirtyTest::Paper, 4, 1 + 1 + 1 + 2),
+        ] {
+            let mut e = engine(test);
+            // side tables only: 100 pixels x (gen + live), the two bitmaps
+            // (2 + 1 words)
+            assert_eq!(e.memory_bytes(), 800 + 24);
+            e.fire(0, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            let s = e.stats();
+            assert_eq!(s.rays_recorded, 1);
+            assert_eq!(s.marks, 4);
+            assert_eq!(s.entries, entries, "{test:?}");
+            assert_eq!(s.list_bytes, bytes, "{test:?}");
+            assert!(e.memory_bytes() > 824);
+        }
     }
 
     #[test]
     fn dirty_lookup_leaves_the_engine_untouched() {
-        let mut e = engine();
-        e.fire(8, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.fire(9, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        e.invalidate_pixels(&[9]);
-        let before = e.clone();
-        assert!(e.voxel_dirty(&[]).is_empty());
-        assert_eq!(e.voxel_dirty(&[Voxel::new(0, 0, 0)]), vec![8]);
-        assert_eq!(e, before);
-        assert_accounts_exact(&e);
+        for test in TESTS {
+            let mut e = engine(test);
+            e.fire(8, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            e.fire(9, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            e.invalidate_pixels(&[9]);
+            let before = e.clone();
+            assert!(e.dirty_of(&[]).is_empty());
+            assert_eq!(e.dirty_of(&[Voxel::new(0, 0, 0)]), vec![8], "{test:?}");
+            assert_eq!(e, before);
+            assert_accounts_exact(&e);
+        }
     }
 
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "contract checked via debug_assert")]
     #[should_panic(expected = "sorted and deduplicated")]
     fn adjacent_duplicate_voxels_violate_the_contract() {
-        let mut e = engine();
-        e.voxel_dirty(&[Voxel::new(1, 0, 0), Voxel::new(1, 0, 0)]);
+        let mut e = engine(DirtyTest::Paper);
+        e.dirty_of(&[Voxel::new(1, 0, 0), Voxel::new(1, 0, 0)]);
     }
 
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "contract checked via debug_assert")]
     #[should_panic(expected = "sorted and deduplicated")]
     fn unsorted_voxels_violate_the_contract() {
-        let mut e = engine();
-        e.voxel_dirty(&[Voxel::new(2, 0, 0), Voxel::new(1, 0, 0)]);
+        let mut e = engine(DirtyTest::Paper);
+        e.dirty_of(&[Voxel::new(2, 0, 0), Voxel::new(1, 0, 0)]);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "contract checked via debug_assert")]
+    #[should_panic(expected = "sorted and deduplicated")]
+    fn an_exact_engine_holds_the_same_contract() {
+        let mut e = engine(DirtyTest::Exact);
+        e.dirty_of(&[Voxel::new(2, 0, 0), Voxel::new(1, 0, 0)]);
     }
 
     #[test]
     fn sorted_contract_accepts_strictly_ascending_input() {
-        let mut e = engine();
-        e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        // strictly ascending in the Voxel ordering: fine
-        let dirty = e.voxel_dirty(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
-        assert_eq!(dirty, vec![5]);
+        for test in TESTS {
+            let mut e = engine(test);
+            e.fire(5, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+            // strictly ascending in the Voxel ordering: fine
+            let dirty = e.dirty_of(&[Voxel::new(0, 0, 0), Voxel::new(1, 0, 0)]);
+            assert_eq!(dirty, vec![5], "{test:?}");
+        }
     }
 
     #[test]
     fn rays_outside_grid_mark_nothing() {
-        let mut e = engine();
-        e.fire(
-            0,
-            &Ray::new(Point3::new(0.0, 10.0, 0.0), Vec3::UNIT_X),
-            RayKind::Primary,
-            f64::INFINITY,
-        );
-        assert_eq!(e.stats().rays_recorded, 1);
-        assert_eq!(e.stats().entries, 0);
-        assert_eq!(e.stats().list_bytes, 0);
+        for test in TESTS {
+            let mut e = engine(test);
+            e.fire(
+                0,
+                &Ray::new(Point3::new(0.0, 10.0, 0.0), Vec3::UNIT_X),
+                RayKind::Primary,
+                f64::INFINITY,
+            );
+            assert_eq!(e.stats().rays_recorded, 1);
+            assert_eq!(e.stats().entries, 0);
+            assert_eq!(e.stats().list_bytes, 0);
+        }
     }
 
     /// Compaction is a pure space optimization: the dirty sets reported for
@@ -1013,24 +1218,26 @@ mod tests {
     /// `compact()` at any frame boundary.
     #[test]
     fn compaction_never_changes_dirty_pixels() {
-        let mut rng = Rng::with_seed(0x00c0_ffee_1234_5678);
-        let mut e = engine();
-        for _ in 0..200 {
-            let pixel = rng.u32_in(0, 100);
-            let y = rng.f64_in(0.0, 4.0);
-            let z = rng.f64_in(0.0, 4.0);
-            e.fire(pixel, &x_ray(y, z), RayKind::Primary, f64::INFINITY);
-            if rng.u32_in(0, 5) == 0 {
-                e.invalidate_pixels(&[rng.u32_in(0, 100)]);
+        for test in TESTS {
+            let mut rng = Rng::with_seed(0x00c0_ffee_1234_5678);
+            let mut e = engine(test);
+            for _ in 0..200 {
+                let pixel = rng.u32_in(0, 100);
+                let y = rng.f64_in(0.0, 4.0);
+                let z = rng.f64_in(0.0, 4.0);
+                e.fire(pixel, &x_ray(y, z), RayKind::Primary, f64::INFINITY);
+                if rng.u32_in(0, 5) == 0 {
+                    e.invalidate_pixels(&[rng.u32_in(0, 100)]);
+                }
             }
+            assert!(e.stale_bytes() > 0);
+            let before = dirty_sets(&mut e);
+            let bytes_before = e.stats().list_bytes;
+            e.compact();
+            assert!(e.stats().list_bytes < bytes_before, "nothing was dropped");
+            assert_eq!(dirty_sets(&mut e), before, "{test:?}");
+            assert_accounts_exact(&e);
         }
-        assert!(e.stale_bytes() > 0);
-        let before = dirty_sets(&mut e);
-        let bytes_before = e.stats().list_bytes;
-        e.compact();
-        assert!(e.stats().list_bytes < bytes_before, "nothing was dropped");
-        assert_eq!(dirty_sets(&mut e), before);
-        assert_accounts_exact(&e);
     }
 
     /// Packed step codes of a `steps`-code path from voxel 0 of a 4x4x4
@@ -1060,16 +1267,16 @@ mod tests {
             .collect()
     }
 
-    /// Compaction over every subset of a log of several blocks with awkward
-    /// heads — pixel ids far apart (3-byte deltas next to 1-byte ones),
-    /// multi-byte generations that only a dropped record introduces, and
-    /// long records that fill blocks, one longer than a block. The
-    /// survivors must come out as the exact blocks a fresh engine writes
-    /// when it records only them, and the dirty set of every voxel must
-    /// not change.
+    /// Compaction over every subset of a paper log of several blocks with
+    /// awkward heads — pixel ids far apart (3-byte deltas next to 1-byte
+    /// ones), multi-byte generations that only a dropped record
+    /// introduces, and long records that fill blocks, one longer than a
+    /// block. The survivors must come out as the exact blocks a fresh
+    /// engine writes when it records only them, and the dirty set of every
+    /// voxel must not change.
     #[test]
     fn compaction_survives_every_subset() {
-        let spec = GridSpec::cubic(Aabb::new(Point3::ZERO, Point3::splat(4.0)), 4);
+        let spec = spec4();
         let pixels = 1usize << 17;
         // (pixel, generation bumps before its first record, steps of a
         // long synthetic path or 0 for a traced ray)
@@ -1101,7 +1308,7 @@ mod tests {
             }
         };
         let bumped = |keep: &dyn Fn(usize) -> bool| {
-            let mut e = CoherenceEngine::new(spec, pixels);
+            let mut e = CoherenceEngine::with_test(spec, pixels, DirtyTest::Paper);
             for (i, &(pixel, bumps, _)) in records.iter().enumerate() {
                 for _ in 0..if keep(i) { bumps } else { 0 } {
                     e.invalidate_pixels(&[pixel]);
@@ -1136,103 +1343,187 @@ mod tests {
         }
     }
 
+    /// The exact counterpart of `compaction_survives_every_subset`: an
+    /// exact record is never longer than 24 bytes, so what fills the
+    /// blocks is runs of one pixel's rays, with the same awkward heads.
+    /// Every subset of the runs dropped compacts to the blocks a fresh
+    /// engine writes for the survivors alone, and the dirty set of every
+    /// octant of the grid holds.
+    #[test]
+    fn exact_compaction_survives_every_subset() {
+        let spec = spec4();
+        let pixels = 1usize << 17;
+        // (pixel, generation bumps before its first record, rays)
+        let runs: [(PixelId, u32, usize); 7] = [
+            (3, 0, 1),
+            (130_000, 300, 4_000),
+            (130_001, 300, 1),
+            (2, 300, 6_000),
+            (1 << 16, 0, 2),
+            (131_071, 20_000, 5_000),
+            (7, 0, 3_000),
+        ];
+        let octants: Vec<(Vec<Voxel>, Bound)> = (0..8)
+            .map(|o| {
+                let lo = Point3::new(
+                    2.0 * (o & 1) as f64,
+                    2.0 * (o >> 1 & 1) as f64,
+                    2.0 * (o >> 2) as f64,
+                );
+                let b = Aabb::new(lo, lo + Vec3::splat(2.0));
+                (voxels_of(&spec, &[Bound::Box(b)]), Bound::Box(b))
+            })
+            .collect();
+        let octant_sets = |e: &mut CoherenceEngine| -> Vec<Vec<PixelId>> {
+            octants
+                .iter()
+                .map(|(voxels, b)| e.dirty_pixels(voxels, &[*b]))
+                .collect()
+        };
+        let record = |e: &mut CoherenceEngine, i: usize| {
+            let (pixel, _, rays) = runs[i];
+            for k in 0..rays {
+                let ray = x_ray(0.5 + (i % 4) as f64, 0.25 + (k % 15) as f64 * 0.25);
+                e.fire(
+                    pixel,
+                    &ray,
+                    RayKind::Primary,
+                    1.5 + (i + k % 7) as f64 * 0.5,
+                );
+            }
+        };
+        let bumped = |keep: &dyn Fn(usize) -> bool| {
+            let mut e = CoherenceEngine::new(spec, pixels);
+            for (i, &(pixel, bumps, _)) in runs.iter().enumerate() {
+                for _ in 0..if keep(i) { bumps } else { 0 } {
+                    e.invalidate_pixels(&[pixel]);
+                }
+            }
+            e
+        };
+        for mask in 0u32..1 << runs.len() {
+            let dropped = |i: usize| mask >> i & 1 == 1;
+            let mut e = bumped(&|_| true);
+            for i in 0..runs.len() {
+                record(&mut e, i);
+            }
+            assert_eq!(e.log.len(), 4, "{} blocks", e.log.len());
+            let doomed: Vec<PixelId> = (0..runs.len())
+                .filter(|&i| dropped(i))
+                .map(|i| runs[i].0)
+                .collect();
+            e.invalidate_pixels(&doomed);
+            let before = octant_sets(&mut e);
+            e.compact();
+            assert_accounts_exact(&e);
+            assert_eq!(octant_sets(&mut e), before, "mask {mask:#b}");
+
+            let mut fresh = bumped(&|i| !dropped(i));
+            for i in (0..runs.len()).filter(|&i| !dropped(i)) {
+                record(&mut fresh, i);
+            }
+            assert_eq!(e.log, fresh.log, "mask {mask:#b}");
+            assert_eq!(e.tail, fresh.tail, "mask {mask:#b}");
+            assert_eq!(e.stats().compactions, (mask != 0) as u64);
+        }
+    }
+
     /// A log of several blocks is the record stream a single buffer holds:
     /// its blocks concatenated are the bytes of the grammar written record
     /// after record, and they decode to the records fed in. Every block
-    /// but a long record's own is `BLOCK` bytes, and the engine holds less
-    /// than one block beyond its stored bytes and side tables, plus what
-    /// each earlier block leaves unused at its end.
+    /// but a long paper record's own is `BLOCK` bytes, and the engine
+    /// holds less than one block beyond its stored bytes and side tables,
+    /// plus what each earlier block leaves unused at its end.
     #[test]
     fn a_log_of_several_blocks_is_one_record_stream() {
-        let mut rng = Rng::with_seed(0xb10c_0000_0064);
-        let mut e = engine();
-        let side_tables = e.memory_bytes();
-        let mut stream = Vec::new();
-        let mut fed = Vec::new();
-        let mut tail = (0, 0);
-        let mut buf = VoxelPathBuf::default();
-        for k in 0..400 {
-            let pixel = rng.u32_in(0, 100);
-            if rng.u32_in(0, 4) == 0 {
-                e.invalidate_pixels(&[pixel]);
+        for (test, rays) in [(DirtyTest::Paper, 400), (DirtyTest::Exact, 20_000)] {
+            let mut rng = Rng::with_seed(0xb10c_0000_0064);
+            let mut e = engine(test);
+            let side_tables = e.memory_bytes();
+            let mut stream = Vec::new();
+            let mut fed = Vec::new();
+            let mut tail = (0, 0);
+            let mut buf = VoxelPathBuf::default();
+            for k in 0..rays {
+                let pixel = rng.u32_in(0, 100);
+                if rng.u32_in(0, 4) == 0 {
+                    e.invalidate_pixels(&[pixel]);
+                }
+                let ray = x_ray(rng.f64_in(0.0, 4.0), rng.f64_in(0.0, 4.0));
+                let snake;
+                let path = if test == DirtyTest::Paper && k == 200 {
+                    // longer than a block
+                    snake = snake_codes(140_001);
+                    VoxelPath {
+                        start: 0,
+                        steps: 140_001,
+                        codes: &snake,
+                    }
+                } else if test == DirtyTest::Paper && rng.u32_in(0, 3) == 0 {
+                    let steps = rng.usize_in(100, 9_000);
+                    snake = snake_codes(steps);
+                    VoxelPath {
+                        start: 0,
+                        steps,
+                        codes: &snake,
+                    }
+                } else {
+                    buf.record(&e.spec, &ray, Interval::new(0.0, f64::INFINITY));
+                    buf.path().expect("the ray crosses the grid")
+                };
+                e.on_ray(pixel, &ray, RayKind::Primary, f64::INFINITY, Some(path));
+
+                let gen = e.gen[pixel as usize];
+                let mut head = [0u8; MAX_HEAD];
+                let n = put_head(&mut head, tail, pixel, gen);
+                stream.extend_from_slice(&head[..n]);
+                let at = stream.len();
+                let (prefix, n, codes) = record_body(test, &e.seg, &ray, f64::INFINITY, &path);
+                stream.extend_from_slice(&prefix[..n]);
+                stream.extend_from_slice(codes);
+                tail = (pixel, gen);
+                let body = stream[at..].to_vec();
+                fed.push((pixel, gen, body));
             }
-            let ray = x_ray(rng.f64_in(0.0, 4.0), rng.f64_in(0.0, 4.0));
-            let snake;
-            let path = if k == 200 {
-                // longer than a block
-                snake = snake_codes(140_001);
-                VoxelPath {
-                    start: 0,
-                    steps: 140_001,
-                    codes: &snake,
+            assert!(e.log.len() >= 3, "{test:?}: {} blocks", e.log.len());
+            assert_eq!(
+                e.log.iter().filter(|b| b.capacity() != BLOCK).count(),
+                (test == DirtyTest::Paper) as usize,
+                "only a long record has a block of its own"
+            );
+            assert_eq!(e.log.concat(), stream);
+            let decoded: Vec<_> = Records::of(&e.log, test)
+                .map(|(block, r)| {
+                    assert_eq!(block[r.codes..r.end].len(), r.steps.div_ceil(2));
+                    (r.pixel, r.gen, block[r.body..r.end].to_vec())
+                })
+                .collect();
+            assert_eq!(decoded, fed);
+            assert_accounts_exact(&e);
+
+            // memory beyond the stored bytes and the side tables is the
+            // blocks' unused tails: under one block in the last, and in
+            // every other less than the record that opened the next block
+            let slack_bounded = |e: &CoherenceEngine| {
+                let tail = |b: &Vec<u8>| b.capacity() - b.len();
+                let slack = e.memory_bytes() - side_tables - e.stats().list_bytes as usize;
+                assert_eq!(slack, e.log.iter().map(tail).sum::<usize>());
+                assert!(e.log.last().is_none_or(|b| tail(b) < BLOCK));
+                for w in e.log.windows(2) {
+                    let opener = Cursor::default().read(&w[1], test).end;
+                    assert!(tail(&w[0]) < opener);
                 }
-            } else if rng.u32_in(0, 3) == 0 {
-                let steps = rng.usize_in(100, 9_000);
-                snake = snake_codes(steps);
-                VoxelPath {
-                    start: 0,
-                    steps,
-                    codes: &snake,
-                }
-            } else {
-                buf.record(&e.spec, &ray, Interval::new(0.0, f64::INFINITY));
-                buf.path().expect("the ray crosses the grid")
             };
-            e.on_ray(pixel, &ray, RayKind::Primary, f64::INFINITY, Some(path));
-
-            let gen = e.gen[pixel as usize];
-            let mut head = [0u8; MAX_PREFIX];
-            let n = put_head(&mut head, tail, pixel, gen);
-            stream.extend_from_slice(&head[..n]);
-            let (prefix, n) = body_prefix(&e.seg, &ray, f64::INFINITY, &path);
-            stream.extend_from_slice(&prefix[..n]);
-            stream.extend_from_slice(path.codes);
-            tail = (pixel, gen);
-            fed.push((pixel, gen, path.start, path.steps, path.codes.to_vec()));
+            slack_bounded(&e);
+            let (blocks, memory) = (e.log.len(), e.memory_bytes());
+            e.invalidate_pixels(&(0..50).collect::<Vec<PixelId>>());
+            let before = dirty_sets(&mut e);
+            e.compact();
+            assert_accounts_exact(&e);
+            assert_eq!(dirty_sets(&mut e), before);
+            assert!(e.log.len() <= blocks && e.memory_bytes() <= memory);
+            slack_bounded(&e);
         }
-        assert!(e.log.len() >= 3, "{} blocks", e.log.len());
-        assert_eq!(
-            e.log.iter().filter(|b| b.capacity() != BLOCK).count(),
-            1,
-            "only the long record has a block of its own"
-        );
-        assert_eq!(e.log.concat(), stream);
-        let decoded: Vec<_> = Records::of(&e.log)
-            .map(|(block, r)| {
-                (
-                    r.pixel,
-                    r.gen,
-                    r.start,
-                    r.steps,
-                    block[r.codes..r.end].to_vec(),
-                )
-            })
-            .collect();
-        assert_eq!(decoded, fed);
-        assert_accounts_exact(&e);
-
-        // memory beyond the stored bytes and the side tables is the blocks'
-        // unused tails: under one block in the last, and in every other
-        // less than the record that opened the next block
-        let slack_bounded = |e: &CoherenceEngine| {
-            let tail = |b: &Vec<u8>| b.capacity() - b.len();
-            let slack = e.memory_bytes() - side_tables - e.stats().list_bytes as usize;
-            assert_eq!(slack, e.log.iter().map(tail).sum::<usize>());
-            assert!(e.log.last().is_none_or(|b| tail(b) < BLOCK));
-            for w in e.log.windows(2) {
-                let opener = Cursor::default().read(&w[1]).end;
-                assert!(tail(&w[0]) < opener);
-            }
-        };
-        slack_bounded(&e);
-        let (blocks, memory) = (e.log.len(), e.memory_bytes());
-        e.invalidate_pixels(&(0..50).collect::<Vec<PixelId>>());
-        let before = dirty_sets(&mut e);
-        e.compact();
-        assert_accounts_exact(&e);
-        assert_eq!(dirty_sets(&mut e), before);
-        assert!(e.log.len() <= blocks && e.memory_bytes() <= memory);
-        slack_bounded(&e);
     }
 
     /// The paper's data structure, naively: per voxel, the set of pixels
@@ -1279,6 +1570,56 @@ mod tests {
         }
     }
 
+    /// An exact engine's data structure, naively: per pixel, the live rays
+    /// that crossed the grid, each tested through the segment codec.
+    struct RayModel {
+        spec: GridSpec,
+        codec: SegmentCodec,
+        live: BTreeMap<PixelId, Vec<(Ray, f64)>>,
+        marks: u64,
+    }
+
+    impl RayListener for RayModel {
+        fn on_ray(
+            &mut self,
+            pixel: PixelId,
+            ray: &Ray,
+            _: RayKind,
+            t_max: f64,
+            _: Option<VoxelPath<'_>>,
+        ) {
+            let walked = self.spec.traverse_vec(ray, Interval::new(0.0, t_max)).len();
+            self.marks += walked as u64;
+            if walked > 0 {
+                self.live.entry(pixel).or_default().push((*ray, t_max));
+            }
+        }
+    }
+
+    impl RayModel {
+        fn invalidate(&mut self, pixels: &[PixelId]) {
+            for p in pixels {
+                self.live.remove(p);
+            }
+        }
+
+        fn dirty(&self, movers: &[Bound]) -> Vec<PixelId> {
+            let pad = self.codec.pad();
+            self.live
+                .iter()
+                .filter(|(_, rays)| {
+                    rays.iter().any(|(ray, t_max)| {
+                        let mut seg = [0u8; SEG_BYTES];
+                        self.codec.put(&mut seg, ray, *t_max);
+                        let (p0, p1) = self.codec.get(&seg);
+                        movers.iter().any(|b| b.near_segment(p0, p1, pad))
+                    })
+                })
+                .map(|(&p, _)| p)
+                .collect()
+        }
+    }
+
     fn random_ray(rng: &mut Rng) -> Ray {
         loop {
             let o = Point3::new(
@@ -1297,46 +1638,87 @@ mod tests {
         }
     }
 
+    const KINDS: [RayKind; 4] = [
+        RayKind::Primary,
+        RayKind::Reflected,
+        RayKind::Transmitted,
+        RayKind::Shadow,
+    ];
+
+    /// A random grid over the 4-unit cube, a region of a 12x9 frame (the
+    /// whole frame every fourth case, what a full-frame renderer numbers),
+    /// its pixel ids and its group map.
+    fn random_layout(rng: &mut Rng, case: u32) -> (GridSpec, Vec<PixelId>, GroupMap) {
+        let spec = GridSpec::new(
+            Aabb::new(Point3::ZERO, Point3::splat(4.0)),
+            [
+                rng.u32_in(1, 7) as u16,
+                rng.u32_in(1, 7) as u16,
+                rng.u32_in(1, 7) as u16,
+            ],
+        );
+        let region = if case % 4 == 1 {
+            PixelRegion::full(12, 9)
+        } else {
+            let (x0, y0) = (rng.u32_in(0, 6), rng.u32_in(0, 5));
+            PixelRegion {
+                x0,
+                y0,
+                w: rng.u32_in(1, 13 - x0),
+                h: rng.u32_in(1, 10 - y0),
+            }
+        };
+        let ids: Vec<PixelId> = region.pixel_ids(12).collect();
+        let map = GroupMap::new(12, 9, region, *rng.pick(&[1, 1, 2, 4]));
+        (spec, ids, map)
+    }
+
+    /// A pixel's burst of rays, as the tracer fires them, to `engine` and
+    /// `model` alike through the renderer's own `GroupListener`.
+    fn fire_burst(
+        rng: &mut Rng,
+        spec: &GridSpec,
+        pixel: PixelId,
+        map: GroupMap,
+        track_shadows: bool,
+        engine: &mut CoherenceEngine,
+        model: &mut impl RayListener,
+    ) {
+        for _ in 0..rng.usize_in(1, 5) {
+            let ray = random_ray(rng);
+            let kind = *rng.pick(&KINDS);
+            let t_max = if rng.bool() {
+                f64::INFINITY
+            } else {
+                rng.f64_in(0.0, 8.0)
+            };
+            let mut to_engine = GroupListener {
+                engine: &mut *engine,
+                map,
+                track_shadows,
+            };
+            fire_at(&mut to_engine, spec, pixel, &ray, kind, t_max);
+            let mut to_model = GroupListener {
+                engine: &mut *model,
+                map,
+                track_shadows,
+            };
+            fire_at(&mut to_model, spec, pixel, &ray, kind, t_max);
+        }
+    }
+
     /// Differential oracle: random rays, invalidations, compactions and
     /// queries against the naive per-voxel model, through the renderer's
     /// own `GroupListener` so Jevans blocks (one group's rays scattered
     /// over the log) and shadow filtering are part of what is compared.
     #[test]
     fn engine_matches_the_naive_per_voxel_model() {
-        const KINDS: [RayKind; 4] = [
-            RayKind::Primary,
-            RayKind::Reflected,
-            RayKind::Transmitted,
-            RayKind::Shadow,
-        ];
         let case = std::cell::Cell::new(0);
         cases(60, |rng| {
             case.set(case.get() + 1);
-            let spec = GridSpec::new(
-                Aabb::new(Point3::ZERO, Point3::splat(4.0)),
-                [
-                    rng.u32_in(1, 7) as u16,
-                    rng.u32_in(1, 7) as u16,
-                    rng.u32_in(1, 7) as u16,
-                ],
-            );
-            // every fourth case the whole 12x9 frame (what a full-frame
-            // renderer numbers), else a region anywhere in it
-            let region = if case.get() % 4 == 1 {
-                PixelRegion::full(12, 9)
-            } else {
-                let (x0, y0) = (rng.u32_in(0, 6), rng.u32_in(0, 5));
-                PixelRegion {
-                    x0,
-                    y0,
-                    w: rng.u32_in(1, 13 - x0),
-                    h: rng.u32_in(1, 10 - y0),
-                }
-            };
-            let ids: Vec<PixelId> = region.pixel_ids(12).collect();
-            let map = GroupMap::new(12, 9, region, *rng.pick(&[1, 1, 2, 4]));
+            let (spec, ids, map) = random_layout(rng, case.get());
             let track_shadows = rng.u32_in(0, 4) != 0;
-            let mut engine = CoherenceEngine::new(spec, map.group_count());
+            let mut engine = CoherenceEngine::with_test(spec, map.group_count(), DirtyTest::Paper);
             let mut model = Model {
                 spec,
                 lists: BTreeMap::new(),
@@ -1346,29 +1728,16 @@ mod tests {
             for _ in 0..rng.usize_in(50, 400) {
                 match rng.u32_in(0, 10) {
                     0..=5 => {
-                        // a pixel's burst of rays, as the tracer fires them
                         let pixel = *rng.pick(&ids);
-                        for _ in 0..rng.usize_in(1, 5) {
-                            let ray = random_ray(rng);
-                            let kind = *rng.pick(&KINDS);
-                            let t_max = if rng.bool() {
-                                f64::INFINITY
-                            } else {
-                                rng.f64_in(0.0, 8.0)
-                            };
-                            let mut to_engine = GroupListener {
-                                engine: &mut engine,
-                                map,
-                                track_shadows,
-                            };
-                            fire_at(&mut to_engine, &spec, pixel, &ray, kind, t_max);
-                            let mut to_model = GroupListener {
-                                engine: &mut model,
-                                map,
-                                track_shadows,
-                            };
-                            fire_at(&mut to_model, &spec, pixel, &ray, kind, t_max);
-                        }
+                        fire_burst(
+                            rng,
+                            &spec,
+                            pixel,
+                            map,
+                            track_shadows,
+                            &mut engine,
+                            &mut model,
+                        );
                     }
                     6 | 7 => {
                         let groups = rng.vec(0, 6, |rng| rng.u32_in(0, map.group_count() as u32));
@@ -1380,16 +1749,74 @@ mod tests {
                         let mut changed = rng.vec(0, 5, |rng| *rng.pick(&voxels));
                         changed.sort_unstable();
                         changed.dedup();
-                        assert_eq!(engine.voxel_dirty(&changed), model.dirty(&changed));
+                        assert_eq!(engine.dirty_pixels(&changed, &[]), model.dirty(&changed));
                     }
                 }
                 assert_eq!(engine.stats().marks, model.marks);
             }
             assert_accounts_exact(&engine);
             for &v in &voxels {
-                assert_eq!(engine.voxel_dirty(&[v]), model.dirty(&[v]), "{v:?}");
+                assert_eq!(engine.dirty_pixels(&[v], &[]), model.dirty(&[v]), "{v:?}");
             }
-            assert_eq!(engine.voxel_dirty(&voxels), model.dirty(&voxels));
+            assert_eq!(engine.dirty_pixels(&voxels, &[]), model.dirty(&voxels));
+        });
+    }
+
+    /// The exact counterpart: the same random rays, invalidations and
+    /// compactions against a naive per-pixel list of live rays whose
+    /// segments go through the same codec; the queries are random movers
+    /// inside the grid box, and their voxels.
+    #[test]
+    fn exact_engine_matches_the_naive_per_ray_model() {
+        let case = std::cell::Cell::new(0);
+        cases(60, |rng| {
+            case.set(case.get() + 1);
+            let (spec, ids, map) = random_layout(rng, case.get());
+            let track_shadows = rng.u32_in(0, 4) != 0;
+            let mut engine = CoherenceEngine::new(spec, map.group_count());
+            let mut model = RayModel {
+                spec,
+                codec: engine.seg,
+                live: BTreeMap::new(),
+                marks: 0,
+            };
+            let inside = spec.bounds.expand(-0.6);
+            let query = |rng: &mut Rng, engine: &mut CoherenceEngine, model: &RayModel| {
+                let movers: Vec<Bound> = (0..rng.usize_in(1, 4))
+                    .map(|_| random_bound(rng, &inside, 0.6))
+                    .collect();
+                let voxels = voxels_of(&spec, &movers);
+                assert_eq!(engine.dirty_pixels(&voxels, &movers), model.dirty(&movers));
+            };
+            for _ in 0..rng.usize_in(50, 400) {
+                match rng.u32_in(0, 10) {
+                    0..=5 => {
+                        let pixel = *rng.pick(&ids);
+                        fire_burst(
+                            rng,
+                            &spec,
+                            pixel,
+                            map,
+                            track_shadows,
+                            &mut engine,
+                            &mut model,
+                        );
+                    }
+                    6 | 7 => {
+                        let groups = rng.vec(0, 6, |rng| rng.u32_in(0, map.group_count() as u32));
+                        engine.invalidate_pixels(&groups);
+                        model.invalidate(&groups);
+                    }
+                    8 => engine.compact(),
+                    _ => query(rng, &mut engine, &model),
+                }
+                assert_eq!(engine.stats().marks, model.marks);
+            }
+            assert_accounts_exact(&engine);
+            for _ in 0..20 {
+                query(rng, &mut engine, &model);
+            }
+            assert_eq!(engine.stats().fallbacks, 0);
         });
     }
 
@@ -1521,11 +1948,12 @@ mod tests {
         voxels
     }
 
-    /// Differential oracle of the ray-exact dirty set: it is a subset of
-    /// the voxel-level set and a superset of the set an f64 reference
-    /// computes from the unquantised rays (path through a changed voxel,
-    /// segment meeting an unpadded bound). An engine masked by the union
-    /// of every query's voxels answers every query alike.
+    /// Differential oracle of the exact dirty set: it is a superset of the
+    /// set an f64 reference computes from the unquantised rays (path
+    /// through a changed voxel, segment meeting an unpadded bound), and a
+    /// subset of what a paper engine fed the same rays answers. An engine
+    /// masked by the union of every query's voxels answers every query
+    /// alike.
     #[test]
     fn exact_dirty_sets_sit_between_the_f64_reference_and_the_voxel_set() {
         let box4 = Aabb::new(Point3::ZERO, Point3::splat(4.0));
@@ -1559,6 +1987,7 @@ mod tests {
                 bits,
                 changes: Vec::new(),
             }));
+            let mut paper = CoherenceEngine::with_test(spec, pixels, DirtyTest::Paper);
             // the rays each pixel's current generation fired
             let mut live: Vec<Vec<(Ray, f64)>> = vec![Vec::new(); pixels];
             for query in &queries {
@@ -1572,18 +2001,20 @@ mod tests {
                     };
                     plain.fire(pixel, &ray, RayKind::Primary, t_max);
                     fire_at(&mut masked, &spec, pixel, &ray, RayKind::Primary, t_max);
+                    paper.fire(pixel, &ray, RayKind::Primary, t_max);
                     live[pixel as usize].push((ray, t_max));
                 }
                 let doomed = rng.vec(0, 6, |rng| rng.u32_in(0, pixels as u32));
                 plain.invalidate_pixels(&doomed);
                 masked.invalidate_pixels(&doomed);
+                paper.invalidate_pixels(&doomed);
                 for &p in &doomed {
                     live[p as usize].clear();
                 }
                 let voxels = voxels_of(&spec, query);
                 let exact = plain.dirty_pixels(&voxels, query);
                 assert_eq!(masked.dirty_pixels(&voxels, query), exact, "seed {seed}");
-                let coarse = plain.voxel_dirty(&voxels);
+                let coarse = paper.dirty_pixels(&voxels, query);
                 assert!(exact.iter().all(|p| coarse.contains(p)), "seed {seed}");
                 let reference: Vec<PixelId> = (0..pixels as PixelId)
                     .filter(|&p| {
@@ -1614,6 +2045,7 @@ mod tests {
             assert_eq!(plain.stats().fallbacks, 0);
             assert_accounts_exact(&plain);
             assert_accounts_exact(&masked);
+            assert_accounts_exact(&paper);
         }
         assert!(
             tighter >= 50,
@@ -1625,24 +2057,47 @@ mod tests {
         );
     }
 
-    /// A mover reaching outside the grid box, where no segment is stored,
-    /// gets the voxel-level answer and is counted.
-    #[test]
-    fn a_mover_outside_the_grid_falls_back_to_the_voxel_test() {
-        let mut e = engine();
-        e.fire(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
-        let voxels = [Voxel::new(3, 0, 0)];
+    /// The changed voxel at the grid's far corner, a mover inside the grid
+    /// box there, and one reaching out of it.
+    fn corner_query() -> ([Voxel; 1], Bound, Bound) {
         let far = Bound::Ball {
             center: Point3::new(3.5, 3.5, 3.5),
             radius: 0.2,
         };
-        assert!(e.dirty_pixels(&voxels, &[far]).is_empty());
-        assert_eq!(e.stats().fallbacks, 0);
         let leaving = Bound::Ball {
             center: Point3::new(4.0, 3.5, 3.5),
             radius: 0.2,
         };
-        assert_eq!(e.dirty_pixels(&voxels, &[leaving]), vec![7]);
+        ([Voxel::new(3, 0, 0)], far, leaving)
+    }
+
+    /// A mover reaching outside the grid box, where no segment is stored,
+    /// makes an exact engine answer with every pixel, and is counted.
+    #[test]
+    fn a_mover_outside_the_grid_dirties_every_pixel_of_an_exact_engine() {
+        let mut e = engine(DirtyTest::Exact);
+        e.fire(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        let (voxels, far, leaving) = corner_query();
+        assert!(e.dirty_pixels(&voxels, &[far]).is_empty());
+        assert_eq!(e.stats().fallbacks, 0);
+        let all: Vec<PixelId> = (0..100).collect();
+        assert_eq!(e.dirty_pixels(&voxels, &[far, leaving]), all);
         assert_eq!(e.stats().fallbacks, 1);
+        // nothing changed, nothing to answer
+        assert!(e.dirty_pixels(&[], &[leaving]).is_empty());
+        assert_eq!(e.stats().fallbacks, 1);
+    }
+
+    /// A paper engine gives the voxel answer whatever the movers, inside
+    /// the grid box or not, and never falls back.
+    #[test]
+    fn a_mover_outside_the_grid_gets_the_voxel_answer_from_a_paper_engine() {
+        let mut e = engine(DirtyTest::Paper);
+        e.fire(7, &x_ray(0.5, 0.5), RayKind::Primary, f64::INFINITY);
+        e.fire(8, &x_ray(3.5, 3.5), RayKind::Primary, f64::INFINITY);
+        let (voxels, far, leaving) = corner_query();
+        assert_eq!(e.dirty_pixels(&voxels, &[far]), vec![7]);
+        assert_eq!(e.dirty_pixels(&voxels, &[leaving]), vec![7]);
+        assert_eq!(e.stats().fallbacks, 0);
     }
 }

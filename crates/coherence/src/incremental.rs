@@ -10,7 +10,7 @@
 //! re-computed"), which the paper contrasts against.
 
 use crate::change::{changed_voxels, ChangeSet, MoverMask};
-use crate::engine::{CoherenceEngine, CoherenceStats};
+use crate::engine::{CoherenceEngine, CoherenceStats, DirtyTest};
 use crate::region::PixelRegion;
 use now_grid::dda::VoxelPath;
 use now_grid::GridSpec;
@@ -257,8 +257,24 @@ impl CoherentRenderer {
     /// renderer's frames must be consecutive frames of the mask's sequence,
     /// from frame 0 or from [`CoherentRenderer::from_frame`].
     pub fn with_mover_mask(mut self, mask: Arc<MoverMask>) -> Self {
-        self.engine = CoherenceEngine::new(self.spec, self.map.group_count()).with_mask(mask);
+        self.engine = self.fresh_engine(self.engine.test()).with_mask(mask);
         self
+    }
+
+    /// Decide dirty pixels with `test` (the default is
+    /// [`DirtyTest::Exact`]); a mover mask given before is kept.
+    pub fn with_dirty_test(mut self, test: DirtyTest) -> Self {
+        let engine = self.fresh_engine(test);
+        self.engine = match self.engine.mask() {
+            Some(mask) => engine.with_mask(Arc::clone(mask)),
+            None => engine,
+        };
+        self
+    }
+
+    /// An engine with nothing recorded for this renderer's groups.
+    fn fresh_engine(&self, test: DirtyTest) -> CoherenceEngine {
+        CoherenceEngine::with_test(self.spec, self.map.group_count(), test)
     }
 
     /// The first frame this renderer renders is frame `frame` of its
@@ -520,56 +536,143 @@ mod tests {
         }
     }
 
-    /// The path log's footprint after one fully recorded Newton frame:
-    /// two 3-bit step codes per byte plus a short head per ray, far under
-    /// the 8 bytes a fixed `(pixel, gen)` pair per mark would cost.
+    /// The log's footprint after one fully recorded Newton frame. A paper
+    /// record is its path: two 3-bit step codes per byte plus a short head
+    /// per ray, far under the 8 bytes a fixed `(pixel, gen)` pair per mark
+    /// would cost. An exact record is its head and its 12-byte segment,
+    /// nothing else.
     #[test]
     fn a_recorded_newton_frame_costs_under_two_bytes_per_mark() {
         let scene = now_anim::scenes::newton::scene(96, 72);
         let spec = GridSpec::for_scene(scene.bounds(), 24 * 24 * 24);
-        let mut r = CoherentRenderer::new(spec, 96, 72, RenderSettings::default());
-        let (_, report) = r.render_next(&scene);
-        assert!(report.full_render);
-        let stats = r.engine().stats();
-        let entry_bytes = stats.list_bytes as f64 / stats.entries as f64;
-        assert!(entry_bytes <= 2.0, "{entry_bytes} log bytes per mark");
+        for test in [DirtyTest::Paper, DirtyTest::Exact] {
+            let mut r = CoherentRenderer::new(spec, 96, 72, RenderSettings::default())
+                .with_dirty_test(test);
+            let (_, report) = r.render_next(&scene);
+            assert!(report.full_render);
+            let stats = r.engine().stats();
+            match test {
+                DirtyTest::Paper => {
+                    let entry_bytes = stats.list_bytes as f64 / stats.entries as f64;
+                    assert!(entry_bytes <= 2.0, "{entry_bytes} log bytes per mark");
+                }
+                DirtyTest::Exact => {
+                    let parts = r.engine().record_parts();
+                    let heads: usize = parts.iter().map(|&(head, gen, _)| head + gen).sum();
+                    assert!(parts.iter().all(|&(_, _, body)| body == 12));
+                    assert_eq!(stats.list_bytes, (heads + 12 * parts.len()) as u64);
+                    assert_eq!(stats.entries, parts.len() as u64);
+                }
+            }
+        }
+    }
+
+    /// The glass ball's 12-frame sequence at 120x90 in the farm's 4x3
+    /// mover-masked regions on its 24^3 grid. Every exact record is a 1-2
+    /// byte head, the generation it opens if it opens one, and a 12-byte
+    /// segment; the regions' peak logs sum to at most 0.55x of what they
+    /// held when every record also carried its voxel path (2,200,468 B,
+    /// measured before the paths were dropped); and the dirty sets are the
+    /// ones the voxel-and-bound test chose then (23,921 pixels re-rendered,
+    /// fingerprint below).
+    #[test]
+    fn a_region_log_holds_no_voxel_path() {
+        const WITH_PATHS_PEAK_SUM: u64 = 2_200_468;
+        let (w, h, frames) = (120, 90, 12);
+        let anim = now_anim::scenes::glassball::animation_sized(w, h, frames);
+        let spec = GridSpec::for_scene(anim.swept_bounds(), 24 * 24 * 24);
+        let scenes: Vec<Scene> = (0..frames).map(|f| anim.scene_at(f)).collect();
+        let mask = Arc::new(MoverMask::of_sequence(&spec, scenes.iter().cloned()));
+        let (mut peak_sum, mut rendered, mut records, mut with_gen) = (0, 0, 0, 0);
+        // FNV-1a over each region's frames and re-rendered ids
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for region in PixelRegion::tiles(w, h, w.div_ceil(4), h.div_ceil(3)) {
+            let mut r = CoherentRenderer::with_region_and_block(
+                spec,
+                w,
+                h,
+                region,
+                1,
+                RenderSettings::default(),
+            )
+            .with_mover_mask(Arc::clone(&mask));
+            let mut peak = 0;
+            for (f, scene) in scenes.iter().enumerate() {
+                let (_, report) = r.render_next_borrowed(scene);
+                peak = peak.max(report.coherence.list_bytes);
+                rendered += report.rendered.len();
+                mix(f as u64);
+                for &id in &report.rendered {
+                    mix(id as u64);
+                }
+                let parts = r.engine().record_parts();
+                // 13-14 B, and the few records that open a generation
+                // carry it after their head
+                assert!(parts
+                    .iter()
+                    .all(|&(head, _, body)| (1..=2).contains(&head) && body == 12));
+                with_gen += parts.iter().filter(|&&(_, gen, _)| gen > 0).count();
+                records += parts.len();
+            }
+            assert_eq!(r.coherence_stats().fallbacks, 0);
+            peak_sum += peak;
+        }
+        assert!(
+            with_gen * 50 < records,
+            "{with_gen} of {records} records open a generation"
+        );
+        assert!(
+            peak_sum * 100 <= WITH_PATHS_PEAK_SUM * 55,
+            "{peak_sum} B at peak, {WITH_PATHS_PEAK_SUM} B with paths"
+        );
+        assert_eq!(rendered, 23_921);
+        assert_eq!(hash, 0x96c8_fe3d_7470_7190);
     }
 
     #[test]
     fn pool_threads_leave_identical_engine_state() {
         let spec = sequence_spec();
         let serial = RenderSettings::default();
-        let mut reference = CoherentRenderer::new(spec, 48, 36, serial.clone());
-        let mut ref_frames = Vec::new();
-        for i in 0..4 {
-            ref_frames.push(reference.render_next(&frame_scene(i as f64 * 0.4)));
-        }
-        for threads in [2u32, 7] {
-            let settings = RenderSettings {
-                threads,
-                ..serial.clone()
+        for test in [DirtyTest::Exact, DirtyTest::Paper] {
+            let renderer = |settings: &RenderSettings| {
+                CoherentRenderer::new(spec, 48, 36, settings.clone()).with_dirty_test(test)
             };
-            let mut r = CoherentRenderer::new(spec, 48, 36, settings);
-            for (i, (ref_fb, ref_report)) in ref_frames.iter().enumerate() {
-                let (fb, report) = r.render_next(&frame_scene(i as f64 * 0.4));
-                assert_eq!(&fb, ref_fb, "{threads} threads: frame {i} bytes differ");
-                assert_eq!(
-                    report.rays, ref_report.rays,
-                    "{threads} threads: frame {i} ray counts differ"
-                );
-                assert_eq!(
-                    report.coherence, ref_report.coherence,
-                    "{threads} threads: frame {i} coherence stats differ"
-                );
-                assert_eq!(report.rendered, ref_report.rendered);
+            let mut reference = renderer(&serial);
+            let mut ref_frames = Vec::new();
+            for i in 0..4 {
+                ref_frames.push(reference.render_next(&frame_scene(i as f64 * 0.4)));
             }
-            // the whole engine — log bytes, generations, byte accounts,
-            // stats — must be indistinguishable from the serial run's
-            assert_eq!(
-                r.engine(),
-                reference.engine(),
-                "{threads} threads: engine state differs"
-            );
+            for threads in [2u32, 7] {
+                let mut r = renderer(&RenderSettings {
+                    threads,
+                    ..serial.clone()
+                });
+                for (i, (ref_fb, ref_report)) in ref_frames.iter().enumerate() {
+                    let (fb, report) = r.render_next(&frame_scene(i as f64 * 0.4));
+                    assert_eq!(&fb, ref_fb, "{threads} threads: frame {i} bytes differ");
+                    assert_eq!(
+                        report.rays, ref_report.rays,
+                        "{threads} threads: frame {i} ray counts differ"
+                    );
+                    assert_eq!(
+                        report.coherence, ref_report.coherence,
+                        "{threads} threads: frame {i} coherence stats differ"
+                    );
+                    assert_eq!(report.rendered, ref_report.rendered);
+                }
+                // the whole engine — log bytes, generations, byte accounts,
+                // stats — must be indistinguishable from the serial run's
+                assert_eq!(
+                    r.engine(),
+                    reference.engine(),
+                    "{test:?}, {threads} threads: engine state differs"
+                );
+            }
         }
     }
 

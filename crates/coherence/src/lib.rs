@@ -21,16 +21,18 @@
 //! ```
 //!
 //! * [`CoherenceEngine`] — the pixel lists, stored transposed as one
-//!   append-only log of ray paths with generation stamps; it implements
+//!   append-only log of ray records with generation stamps; it implements
 //!   [`now_raytrace::RayListener`], so plugging it into the tracer records
-//!   every camera/reflected/refracted/shadow ray.
+//!   every camera/reflected/refracted/shadow ray. Its [`DirtyTest`] says
+//!   what a record holds: the ray's segment (exact, the default) or its
+//!   voxel path (the paper's test).
 //! * [`change`] — conservative change-voxel detection between two scenes,
 //!   and the [`MoverMask`] of a whole sequence (a ray that misses it is
 //!   walked but never stored).
 //! * [`bound`] — the tight [`Bound`] of a changed object's old and new
-//!   placement; a pixel is dirty only when one of its rays both crosses a
-//!   changed voxel and passes within such a bound (an extension of the
-//!   paper's voxel-granular test).
+//!   placement; an exact engine makes a pixel dirty only when one of its
+//!   rays passes within such a bound (an extension of the paper's
+//!   voxel-granular test).
 //! * [`CoherentRenderer`] — incremental sequence renderer: frame `t+1` is
 //!   frame `t` plus a re-render of exactly the dirty pixels.
 //! * [`CoherentRenderer::with_region_and_block`] — the cited Jevans
@@ -50,7 +52,7 @@ pub mod varint;
 pub use bound::Bound;
 pub use change::{changed_voxels, ChangeSet, MoverMask};
 pub use diff::DiffMaps;
-pub use engine::{CoherenceEngine, CoherenceStats};
+pub use engine::{CoherenceEngine, CoherenceStats, DirtyTest};
 pub use incremental::{CoherentRenderer, FrameReport};
 pub use region::PixelRegion;
 pub use tiledelta::{RegionBuffer, TileUpdate};

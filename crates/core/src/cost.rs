@@ -82,9 +82,10 @@ impl CostModel {
     }
 
     /// Working-set estimate in MB for a coherent worker: framebuffer pair
-    /// plus the engine's ray-path log. The engine term charges the log
-    /// bytes the engine reports (`CoherenceStats::list_bytes`, under one
-    /// byte per stored mark), not a fixed 8 bytes per entry.
+    /// plus the engine's log. The engine term charges the log bytes the
+    /// engine reports (`CoherenceStats::list_bytes`: 13-14 bytes per stored
+    /// ray of an exact engine, under one byte per stored mark of a paper
+    /// engine), not a fixed 8 bytes per entry.
     pub fn working_set_mb(&self, region_pixels: usize, coherence: &CoherenceStats) -> f64 {
         let fb = region_pixels as f64 * 2.0 * 24.0; // two Color buffers
         let engine = coherence.list_bytes as f64 * self.engine_bytes_factor;

@@ -22,7 +22,9 @@ use now_cluster::{
     Wire, WorkCost, WorkerLogic, WorkerSummary,
 };
 use now_coherence::varint::{read_varint, unzigzag, write_varint, zigzag};
-use now_coherence::{CoherentRenderer, MoverMask, PixelRegion, RegionBuffer, TileUpdate};
+use now_coherence::{
+    CoherentRenderer, DirtyTest, MoverMask, PixelRegion, RegionBuffer, TileUpdate,
+};
 use now_grid::GridSpec;
 use now_raytrace::{
     render_pixels_par, Framebuffer, GridAccel, NullListener, ParallelStats, PixelId, RayStats,
@@ -39,6 +41,8 @@ pub struct FarmConfig {
     /// Use the frame-coherence algorithm (off = plain distributed
     /// rendering, Table 1 columns 4–5).
     pub coherence: bool,
+    /// The test a coherent worker's engines decide dirty pixels with.
+    pub dirty_test: DirtyTest,
     /// Render settings.
     pub settings: RenderSettings,
     /// Cost model for the simulator.
@@ -53,6 +57,7 @@ impl FarmConfig {
         FarmConfig {
             scheme: PartitionScheme::paper_frame_division(),
             coherence: true,
+            dirty_test: DirtyTest::Exact,
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 24 * 24 * 24,
@@ -368,6 +373,7 @@ impl FarmWorker {
                     1,
                     self.cfg.settings.clone(),
                 )
+                .with_dirty_test(self.cfg.dirty_test)
                 .with_mover_mask(Arc::clone(mask))
                 .from_frame(unit.frame as usize),
                 prev_marks: 0,
@@ -886,23 +892,34 @@ const JOB_HEADER_VERSION: u32 = 2;
 /// Encode the job header the master ships to each worker at handshake,
 /// `u32 version | u64 scene_fingerprint64 | u8 coherence | u32
 /// grid_voxels`: the scene fingerprint both sides must agree on, plus the
-/// render knobs the worker adopts from the master. The run journal embeds
-/// the same bytes in its RunHeader record, so resume validation and worker
-/// handshake validation reject the same mismatches.
+/// render knobs the worker adopts from the master. `coherence` is 0 for a
+/// plain run, 1 for [`DirtyTest::Exact`] and 2 for [`DirtyTest::Paper`].
+/// The run journal embeds the same bytes in its RunHeader record, so
+/// resume validation and worker handshake validation reject the same
+/// mismatches.
 pub(crate) fn encode_job_header(anim: &Animation, cfg: &FarmConfig) -> Vec<u8> {
+    let coherence = match (cfg.coherence, cfg.dirty_test) {
+        (false, _) => 0,
+        (true, DirtyTest::Exact) => 1,
+        (true, DirtyTest::Paper) => 2,
+    };
     let mut e = Encoder::new();
     e.u32(JOB_HEADER_VERSION)
         .u64(scene_fingerprint64(anim))
-        .u8(cfg.coherence as u8)
+        .u8(coherence)
         .u32(cfg.grid_voxels);
     e.finish()
 }
 
 /// Validate a job header against the locally loaded animation and return
-/// the `(coherence, grid_voxels)` settings to adopt. Both processes load
-/// the scene independently, so anything that would make their pixels
-/// diverge must be rejected here, before any unit is rendered.
-pub(crate) fn check_job_header(header: &[u8], anim: &Animation) -> Result<(bool, u32), String> {
+/// the settings to adopt: the coherent run's dirty test (`None` for a
+/// plain run) and the grid's voxel count. Both processes load the scene
+/// independently, so anything that would make their pixels diverge must
+/// be rejected here, before any unit is rendered.
+pub(crate) fn check_job_header(
+    header: &[u8],
+    anim: &Animation,
+) -> Result<(Option<DirtyTest>, u32), String> {
     let mut d = Decoder::new(header);
     let bad = |e: DecodeError| format!("bad job header: {e}");
     let version = d.u32().map_err(bad)?;
@@ -918,8 +935,13 @@ pub(crate) fn check_job_header(header: &[u8], anim: &Animation) -> Result<(bool,
              loaded {local:016x} (both processes must load the same scene)"
         ));
     }
-    let coherence = d.u8().map_err(bad)? != 0;
-    Ok((coherence, d.u32().map_err(bad)?))
+    let test = match d.u8().map_err(bad)? {
+        0 => None,
+        1 => Some(DirtyTest::Exact),
+        2 => Some(DirtyTest::Paper),
+        b => return Err(format!("bad job header: coherence byte {b}")),
+    };
+    Ok((test, d.u32().map_err(bad)?))
 }
 
 /// Content fingerprint of the scene a process has loaded. The job header
@@ -1034,7 +1056,7 @@ pub fn serve_tcp_worker(
 /// the rebuild.
 #[derive(Default)]
 pub struct WorkerCache {
-    key: Option<(u64, bool, u32)>,
+    key: Option<(u64, bool, DirtyTest, u32)>,
     worker: Option<FarmWorker>,
     /// How many times a [`FarmWorker`] was built from scratch (a rejoin
     /// that hits the cache does not increment this).
@@ -1051,7 +1073,7 @@ impl WorkerCache {
     /// fingerprint — building one only when the cached worker was made
     /// for a different scene or settings.
     fn lease(&mut self, scene: u64, anim: &Animation, cfg: &FarmConfig) -> &mut FarmWorker {
-        let key = (scene, cfg.coherence, cfg.grid_voxels);
+        let key = (scene, cfg.coherence, cfg.dirty_test, cfg.grid_voxels);
         if self.key != Some(key) || self.worker.is_none() {
             let spec = shared_spec(anim, cfg);
             self.worker = Some(FarmWorker::new(Arc::new(anim.clone()), spec, cfg.clone()));
@@ -1078,7 +1100,7 @@ pub fn serve_tcp_worker_cached(
         connect.fingerprint = scene.to_le_bytes().to_vec();
     }
     let conn = connect_worker(addr, &connect).map_err(|e| format!("connect {addr}: {e}"))?;
-    let (coherence, grid_voxels) = match check_job_header(conn.job_header(), anim) {
+    let (test, grid_voxels) = match check_job_header(conn.job_header(), anim) {
         Ok(adopted) => adopted,
         Err(e) => {
             // disconnect cleanly so the master sees a dead worker instead
@@ -1088,7 +1110,8 @@ pub fn serve_tcp_worker_cached(
         }
     };
     let mut cfg = base.clone();
-    cfg.coherence = coherence;
+    cfg.coherence = test.is_some();
+    cfg.dirty_test = test.unwrap_or_default();
     cfg.grid_voxels = grid_voxels;
     let worker = cache.lease(scene, anim, &cfg);
     // A new enrollment always starts from a fresh unit queue on the
@@ -1130,6 +1153,7 @@ mod tests {
         FarmConfig {
             scheme,
             coherence,
+            dirty_test: DirtyTest::Exact,
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 4096,
@@ -1284,6 +1308,39 @@ mod tests {
         // real-network extras made it into the report
         assert!(result.report.bytes > 0);
         assert_eq!(result.report.machines.len(), 2, "one entry per worker");
+    }
+
+    /// The job header's coherence byte: 0 plain, 1 exact, 2 paper. The
+    /// first two are the bytes every header carried before there were
+    /// dirty tests; any other byte is refused.
+    #[test]
+    fn the_coherence_byte_names_the_dirty_test() {
+        let anim = anim();
+        let base = cfg(PartitionScheme::SequenceDivision { adaptive: true }, true);
+        let (exact, paper) = (DirtyTest::Exact, DirtyTest::Paper);
+        for (coherence, dirty_test, byte, adopted) in [
+            (false, exact, 0, None),
+            (false, paper, 0, None),
+            (true, exact, 1, Some(exact)),
+            (true, paper, 2, Some(paper)),
+        ] {
+            let cfg = FarmConfig {
+                coherence,
+                dirty_test,
+                ..base.clone()
+            };
+            let header = encode_job_header(&anim, &cfg);
+            // after the u32 version and the u64 scene fingerprint
+            assert_eq!(header[12], byte);
+            assert_eq!(
+                check_job_header(&header, &anim),
+                Ok((adopted, base.grid_voxels))
+            );
+        }
+        let mut bad = encode_job_header(&anim, &base);
+        bad[12] = 3;
+        let err = check_job_header(&bad, &anim).expect_err("byte 3 names no test");
+        assert!(err.contains("coherence byte 3"), "{err}");
     }
 
     #[test]

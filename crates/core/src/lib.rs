@@ -45,6 +45,7 @@ pub use farm::{
     WorkerCache,
 };
 pub use journal::JournalSpec;
+pub use now_coherence::DirtyTest;
 pub use partition::PartitionScheme;
 pub use service::{
     run_service_master, run_service_sim, serve_service_worker, serve_service_worker_with, JobSpec,

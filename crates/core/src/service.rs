@@ -49,7 +49,7 @@ use now_cluster::{
     SimCluster, TcpMaster, Wire, WorkCost, WorkerLogic, WorkerSummary,
 };
 use now_coherence::tiledelta::{MODE_FULL, MODE_FULL_DEFLATE};
-use now_coherence::{PixelRegion, TileUpdate};
+use now_coherence::{DirtyTest, PixelRegion, TileUpdate};
 use now_grid::GridSpec;
 use now_raytrace::RenderSettings;
 use std::cmp::Reverse;
@@ -1334,6 +1334,7 @@ fn job_farm_config(
         // tail-stealing spreads a long job's tail over idle workers
         scheme: PartitionScheme::SequenceDivision { adaptive: true },
         coherence,
+        dirty_test: DirtyTest::Exact,
         settings: settings.clone(),
         cost,
         grid_voxels,

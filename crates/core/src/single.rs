@@ -2,7 +2,7 @@
 
 use crate::cost::CostModel;
 use now_anim::Animation;
-use now_coherence::{CoherentRenderer, MoverMask};
+use now_coherence::{CoherentRenderer, DirtyTest, MoverMask};
 use now_grid::GridSpec;
 use now_raytrace::{
     render_pixels_par, Framebuffer, GridAccel, NullListener, PixelId, RayStats, RenderSettings,
@@ -59,10 +59,22 @@ pub enum SequenceMode {
     /// "they produce successive frames individually from the scene
     /// description").
     Plain,
-    /// The paper's frame-coherence algorithm at pixel granularity.
-    Coherent,
+    /// Frame coherence at pixel granularity, deciding dirty pixels with
+    /// the given test ([`DirtyTest::Paper`] is the paper's algorithm).
+    Coherent(DirtyTest),
     /// Jevans-style block coherence with the given block edge.
     BlockCoherent(u32),
+}
+
+impl SequenceMode {
+    /// The coherence block edge and dirty test, `None` for a plain run.
+    fn coherence(self) -> Option<(u32, DirtyTest)> {
+        match self {
+            SequenceMode::Plain => None,
+            SequenceMode::Coherent(test) => Some((1, test)),
+            SequenceMode::BlockCoherent(block) => Some((block, DirtyTest::Exact)),
+        }
+    }
 }
 
 /// Timing/byte report for a single-processor sequence run.
@@ -122,8 +134,8 @@ pub fn render_sequence(
     let mut peak_mem = 0usize;
     let mut threads_used = 1u32;
 
-    match mode {
-        SequenceMode::Plain => {
+    match mode.coherence() {
+        None => {
             let all_ids: Vec<PixelId> = (0..total_pixels as PixelId).collect();
             for f in 0..anim.frames {
                 let scene = anim.scene_at(f);
@@ -148,11 +160,7 @@ pub fn render_sequence(
                 sink(f, fb);
             }
         }
-        SequenceMode::Coherent | SequenceMode::BlockCoherent(_) => {
-            let block = match mode {
-                SequenceMode::BlockCoherent(b) => b,
-                _ => 1,
-            };
+        Some((block, test)) => {
             let mask = MoverMask::of_sequence(&spec, (0..anim.frames).map(|f| anim.scene_at(f)));
             let mut renderer = CoherentRenderer::with_region_and_block(
                 spec,
@@ -162,6 +170,7 @@ pub fn render_sequence(
                 block,
                 settings.clone(),
             )
+            .with_dirty_test(test)
             .with_mover_mask(Arc::new(mask));
             let mut prev_marks = 0u64;
             for f in 0..anim.frames {
@@ -235,7 +244,11 @@ mod tests {
     fn coherent_and_plain_produce_identical_frames() {
         let settings = RenderSettings::default();
         let (plain, rp) = run(&settings, SequenceMode::Plain, SingleMachine::fastest());
-        let (coh, rc) = run(&settings, SequenceMode::Coherent, SingleMachine::fastest());
+        let (coh, rc) = run(
+            &settings,
+            SequenceMode::Coherent(DirtyTest::Exact),
+            SingleMachine::fastest(),
+        );
         assert_eq!(plain.len(), 6);
         for (i, (a, b)) in plain.iter().zip(coh.iter()).enumerate() {
             assert!(a.same_image(b), "frame {i} differs");
@@ -250,7 +263,11 @@ mod tests {
     fn first_frame_overhead_is_modest() {
         let settings = RenderSettings::default();
         let (_, rp) = run(&settings, SequenceMode::Plain, SingleMachine::fastest());
-        let (_, rc) = run(&settings, SequenceMode::Coherent, SingleMachine::fastest());
+        let (_, rc) = run(
+            &settings,
+            SequenceMode::Coherent(DirtyTest::Exact),
+            SingleMachine::fastest(),
+        );
         let overhead = rc.first_frame_s / rp.first_frame_s - 1.0;
         // the paper reports ~12%; accept a sane band
         assert!(
@@ -262,7 +279,11 @@ mod tests {
     #[test]
     fn block_coherent_matches_images_but_recomputes_more() {
         let settings = RenderSettings::default();
-        let (coh, rc) = run(&settings, SequenceMode::Coherent, SingleMachine::unit());
+        let (coh, rc) = run(
+            &settings,
+            SequenceMode::Coherent(DirtyTest::Exact),
+            SingleMachine::unit(),
+        );
         let (blk, rb) = run(
             &settings,
             SequenceMode::BlockCoherent(8),
@@ -285,7 +306,7 @@ mod tests {
         };
         for mode in [
             SequenceMode::Plain,
-            SequenceMode::Coherent,
+            SequenceMode::Coherent(DirtyTest::Exact),
             SequenceMode::BlockCoherent(8),
         ] {
             let (a, ra) = run(&serial, mode, SingleMachine::unit());

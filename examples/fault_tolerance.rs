@@ -7,7 +7,7 @@
 
 use nowrender::anim::scenes::newton;
 use nowrender::cluster::{FaultPlan, RecoveryConfig, SimCluster, ThreadCluster};
-use nowrender::core::{run_sim, run_threads_on, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_sim, run_threads_on, CostModel, DirtyTest, FarmConfig, PartitionScheme};
 use nowrender::raytrace::RenderSettings;
 
 fn main() {
@@ -19,6 +19,7 @@ fn main() {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,

@@ -5,7 +5,7 @@
 
 use nowrender::anim::scenes::newton;
 use nowrender::cluster::SimCluster;
-use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_sim, CostModel, DirtyTest, FarmConfig, PartitionScheme};
 use nowrender::raytrace::RenderSettings;
 
 fn main() {
@@ -59,6 +59,7 @@ fn main() {
         let cfg = FarmConfig {
             scheme,
             coherence,
+            dirty_test: DirtyTest::Exact,
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 20 * 20 * 20,

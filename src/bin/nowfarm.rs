@@ -45,9 +45,9 @@ use nowrender::core::journal::{clear_frame_files, write_frame_file};
 use nowrender::core::service::ServiceConfig;
 use nowrender::core::{
     bind_tcp_master, render_sequence, run_service_master, run_sim_with, run_tcp_master_with,
-    run_threads_with, serve_service_worker_with, serve_tcp_worker_cached, CostModel, FarmConfig,
-    FarmResult, JobSpec, JobState, JournalSpec, PartitionScheme, SequenceMode, ServiceClient,
-    ServiceMaster, ServiceWorker, SingleMachine, TcpFarmConfig, WorkerCache,
+    run_threads_with, serve_service_worker_with, serve_tcp_worker_cached, CostModel, DirtyTest,
+    FarmConfig, FarmResult, JobSpec, JobState, JournalSpec, PartitionScheme, SequenceMode,
+    ServiceClient, ServiceMaster, ServiceWorker, SingleMachine, TcpFarmConfig, WorkerCache,
 };
 use nowrender::raytrace::image_io::{self, WriteFault};
 use nowrender::raytrace::RenderSettings;
@@ -429,7 +429,7 @@ fn cmd_render(args: &[String]) -> CliResult {
     } else if flag_value(args, "--block").is_some() {
         SequenceMode::BlockCoherent(parsed_flag(args, "--block", NonZeroU32::MIN)?.get())
     } else {
-        SequenceMode::Coherent
+        SequenceMode::Coherent(DirtyTest::Exact)
     };
     let anim = load_animation(path)?;
     let dir = outdir(args)?;

@@ -12,7 +12,7 @@ use nowrender::anim::{Animation, Segment};
 use nowrender::cluster::SimCluster;
 use nowrender::coherence::CoherentRenderer;
 use nowrender::core::farm::Canvas;
-use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_sim, CostModel, DirtyTest, FarmConfig, PartitionScheme};
 use nowrender::grid::GridSpec;
 use nowrender::raytrace::{
     render_frame, Camera, GridAccel, NullListener, RayStats, RenderSettings,
@@ -97,6 +97,7 @@ fn farm_renders_across_the_cut_exactly() {
         let cfg = FarmConfig {
             scheme,
             coherence: true,
+            dirty_test: DirtyTest::Exact,
             settings: RenderSettings::default(),
             cost: CostModel::default(),
             grid_voxels: 4096,

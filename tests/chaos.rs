@@ -9,7 +9,8 @@ use nowrender::anim::scenes::newton;
 use nowrender::cluster::journal::JournalFaultPlan;
 use nowrender::cluster::{FaultPlan, MachineSpec, RecoveryConfig, SimCluster, ThreadCluster};
 use nowrender::core::{
-    run_sim, run_threads_on, run_threads_with, CostModel, FarmConfig, JournalSpec, PartitionScheme,
+    run_sim, run_threads_on, run_threads_with, CostModel, DirtyTest, FarmConfig, JournalSpec,
+    PartitionScheme,
 };
 use nowrender::raytrace::RenderSettings;
 
@@ -25,6 +26,7 @@ fn cfg() -> FarmConfig {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,

@@ -9,7 +9,7 @@
 //! hashes are asserted.
 
 use nowrender::anim::scenes::newton;
-use nowrender::core::{run_threads, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_threads, CostModel, DirtyTest, FarmConfig, PartitionScheme};
 use nowrender::raytrace::RenderSettings;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -42,6 +42,7 @@ fn master_cfg() -> FarmConfig {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 24 * 24 * 24,

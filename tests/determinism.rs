@@ -4,7 +4,7 @@
 use nowrender::anim::scenes::newton;
 use nowrender::cluster::SimCluster;
 use nowrender::coherence::CoherentRenderer;
-use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_sim, CostModel, DirtyTest, FarmConfig, PartitionScheme};
 use nowrender::grid::GridSpec;
 use nowrender::raytrace::{image_io, RenderSettings};
 
@@ -18,6 +18,7 @@ fn sim_runs_are_bit_identical() {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,

@@ -7,8 +7,8 @@ use nowrender::anim::scenes::{glassball, newton};
 use nowrender::cluster::{MachineSpec, SimCluster};
 use nowrender::core::farm::Canvas;
 use nowrender::core::{
-    render_sequence, run_sim, run_threads, CostModel, FarmConfig, PartitionScheme, SequenceMode,
-    SingleMachine,
+    render_sequence, run_sim, run_threads, CostModel, DirtyTest, FarmConfig, PartitionScheme,
+    SequenceMode, SingleMachine,
 };
 use nowrender::raytrace::RenderSettings;
 
@@ -24,6 +24,7 @@ fn base_cfg(scheme: PartitionScheme, coherence: bool) -> FarmConfig {
     FarmConfig {
         scheme,
         coherence,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 16 * 16 * 16,
@@ -130,7 +131,7 @@ fn coherent_single_equals_plain_single_on_glassball() {
         &anim,
         &settings,
         &cost,
-        SequenceMode::Coherent,
+        SequenceMode::Coherent(DirtyTest::Exact),
         SingleMachine::unit(),
         4096,
         |_, fb| coh.push(fb),
@@ -241,7 +242,7 @@ fn soft_shadows_keep_coherence_exact() {
         &anim,
         &settings,
         &cost,
-        SequenceMode::Coherent,
+        SequenceMode::Coherent(DirtyTest::Exact),
         SingleMachine::unit(),
         4096,
         |_, fb| coh.push(fb),
@@ -283,7 +284,7 @@ fn adaptive_antialiasing_keeps_coherence_exact() {
         &anim,
         &settings,
         &cost,
-        SequenceMode::Coherent,
+        SequenceMode::Coherent(DirtyTest::Exact),
         SingleMachine::unit(),
         4096,
         |_, fb| coh.push(fb),
@@ -315,7 +316,7 @@ fn paper_shape_holds_at_test_scale() {
         &anim,
         &settings,
         &cost,
-        SequenceMode::Coherent,
+        SequenceMode::Coherent(DirtyTest::Exact),
         SingleMachine::fastest(),
         16 * 16 * 16,
         |_, _| {},

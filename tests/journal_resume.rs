@@ -16,7 +16,7 @@ use nowrender::cluster::journal::{read_log, JournalFaultPlan, MAGIC};
 use nowrender::cluster::{ChaosPlan, ConnectConfig, ThreadCluster};
 use nowrender::core::{
     bind_tcp_master, run_sim_with, run_tcp_master_with, run_threads, run_threads_with,
-    serve_tcp_worker, CostModel, FarmConfig, FarmResult, JournalSpec, PartitionScheme,
+    serve_tcp_worker, CostModel, DirtyTest, FarmConfig, FarmResult, JournalSpec, PartitionScheme,
     TcpFarmConfig,
 };
 use nowrender::math::Color;
@@ -41,6 +41,7 @@ fn cfg() -> FarmConfig {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,

@@ -8,7 +8,8 @@ use nowrender::anim::scenes::newton;
 use nowrender::cluster::{FaultPlan, MachineSpec, RecoveryConfig, SimCluster};
 use nowrender::coherence::CoherentRenderer;
 use nowrender::core::{
-    render_sequence, run_sim, CostModel, FarmConfig, PartitionScheme, SequenceMode, SingleMachine,
+    render_sequence, run_sim, CostModel, DirtyTest, FarmConfig, PartitionScheme, SequenceMode,
+    SingleMachine,
 };
 use nowrender::grid::GridSpec;
 use nowrender::raytrace::{
@@ -31,7 +32,8 @@ fn every_sequence_mode_is_byte_identical_for_any_thread_count() {
     let anim = newton::animation_sized(W, H, FRAMES);
     let modes = [
         SequenceMode::Plain,
-        SequenceMode::Coherent,
+        SequenceMode::Coherent(DirtyTest::Exact),
+        SequenceMode::Coherent(DirtyTest::Paper),
         SequenceMode::BlockCoherent(8),
     ];
     for mode in modes {
@@ -137,7 +139,7 @@ fn auto_thread_selection_changes_nothing_but_speed() {
         &anim,
         &settings(1),
         &CostModel::default(),
-        SequenceMode::Coherent,
+        SequenceMode::Coherent(DirtyTest::Exact),
         SingleMachine::unit(),
         4096,
         |_, fb| serial.push(fb),
@@ -147,7 +149,7 @@ fn auto_thread_selection_changes_nothing_but_speed() {
         &anim,
         &settings(0),
         &CostModel::default(),
-        SequenceMode::Coherent,
+        SequenceMode::Coherent(DirtyTest::Exact),
         SingleMachine::unit(),
         4096,
         |_, fb| auto.push(fb),
@@ -166,6 +168,7 @@ fn farm_cfg(threads: u32) -> FarmConfig {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: settings(threads),
         cost: CostModel::default(),
         grid_voxels: 4096,

@@ -326,7 +326,9 @@ fn coherent_equals_scratch_on_generated_scenes() {
             "seed {seed}: masked engine state differs between 1 and 3 pool threads"
         );
         let stats = masked_serial.coherence_stats();
-        masked_out += (stats.entries + stats.purged < stats.marks) as u32;
+        masked_out += (stats.entries + stats.purged
+            < serial.coherence_stats().entries + serial.coherence_stats().purged)
+            as u32;
         fell_back += (stats.fallbacks > 0) as u32;
         marks += serial.coherence_stats().marks;
     }

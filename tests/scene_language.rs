@@ -6,7 +6,7 @@ use nowrender::anim::parse::parse_animation;
 use nowrender::cluster::SimCluster;
 use nowrender::coherence::CoherentRenderer;
 use nowrender::core::farm::Canvas;
-use nowrender::core::{run_sim, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_sim, CostModel, DirtyTest, FarmConfig, PartitionScheme};
 use nowrender::grid::GridSpec;
 use nowrender::raytrace::{render_frame, GridAccel, NullListener, RayStats, RenderSettings};
 
@@ -57,6 +57,7 @@ fn parsed_scene_runs_on_the_farm() {
     let cfg = FarmConfig {
         scheme: PartitionScheme::SequenceDivision { adaptive: true },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 4096,

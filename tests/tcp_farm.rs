@@ -8,7 +8,7 @@
 //! one Targa file per frame, written once, and nothing else.
 
 use nowrender::anim::scenes::newton;
-use nowrender::core::{run_threads, CostModel, FarmConfig, PartitionScheme};
+use nowrender::core::{run_threads, CostModel, DirtyTest, FarmConfig, PartitionScheme};
 use nowrender::raytrace::image_io::tga_decode;
 use nowrender::raytrace::RenderSettings;
 use std::collections::BTreeMap;
@@ -33,6 +33,7 @@ fn master_cfg() -> FarmConfig {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings::default(),
         cost: CostModel::default(),
         grid_voxels: 24 * 24 * 24,

@@ -22,7 +22,9 @@
 
 use nowrender::anim::scenes::{glassball, newton};
 use nowrender::cluster::{MachineSpec, SimCluster};
-use nowrender::core::{run_sim, run_sim_with, CostModel, FarmConfig, JournalSpec, PartitionScheme};
+use nowrender::core::{
+    run_sim, run_sim_with, CostModel, DirtyTest, FarmConfig, JournalSpec, PartitionScheme,
+};
 use nowrender::raytrace::RenderSettings;
 use nowrender::trace;
 use nowrender::trace::export::chrome_json;
@@ -39,6 +41,7 @@ fn farm_cfg(threads: u32) -> FarmConfig {
             adaptive: true,
         },
         coherence: true,
+        dirty_test: DirtyTest::Exact,
         settings: RenderSettings {
             threads,
             trace: true,
