@@ -25,10 +25,10 @@
 
 use now_anim::scenes::{glassball, newton, orbit};
 use now_anim::Animation;
-use now_bench::{commas, paper_tiles, Cli, Outcome, Row};
+use now_bench::{commas, Cli, Outcome, Row};
 use now_cluster::{MachineSpec, SimCluster};
 use now_core::DirtyTest::Exact;
-use now_core::PartitionScheme::{FrameDivision, SequenceDivision};
+use now_core::PartitionScheme::{self, FrameDivision, SequenceDivision};
 use now_core::SequenceMode::{BlockCoherent, Coherent, Plain};
 use now_core::{SequenceReport, SingleMachine};
 use now_raytrace::RenderSettings;
@@ -171,11 +171,7 @@ fn tile_sweep(w: u32, h: u32, frames: usize) {
         (2, 2),
     ] {
         let (tile_w, tile_h) = (tw.max(1), th.max(1));
-        let scheme = FrameDivision {
-            tile_w,
-            tile_h,
-            adaptive: true,
-        };
+        let scheme = FrameDivision { tile_w, tile_h };
         let run = Row::Farm(scheme, Some(Exact), SimCluster::paper(), GRID).run(&anim);
         let r = run.farm().expect("a farm row");
         let util = 100.0 * r.report.machines.iter().map(|m| m.busy_s).sum::<f64>()
@@ -252,7 +248,7 @@ fn machine_mix(w: u32, h: u32, frames: usize) {
             .map(|i| MachineSpec::new(&format!("m{i}"), 1.0, 64.0))
             .collect()
     };
-    let mut base = None;
+    let (tiles, mut base) = (PartitionScheme::paper_frame_division(w, h), None);
     let mixes: Vec<(&str, Vec<MachineSpec>)> = vec![
         ("1x 1.0", homogeneous(1)),
         ("2x 1.0", homogeneous(2)),
@@ -272,7 +268,7 @@ fn machine_mix(w: u32, h: u32, frames: usize) {
     for (name, machines) in mixes {
         let power: f64 = machines.iter().map(|m| m.speed).sum();
         let cluster = SimCluster::new(machines);
-        let makespan_s = Row::Farm(paper_tiles(w, h), Some(Exact), cluster, GRID)
+        let makespan_s = Row::Farm(tiles, Some(Exact), cluster, GRID)
             .run(&anim)
             .total_s();
         let b = *base.get_or_insert(makespan_s);

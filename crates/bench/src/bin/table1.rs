@@ -24,10 +24,10 @@
 //! exits 2.
 
 use now_anim::scenes::newton;
-use now_bench::{commas, hms, paper_tiles, Cli, Outcome, Row};
+use now_bench::{commas, hms, Cli, Outcome, Row};
 use now_cluster::SimCluster;
 use now_core::DirtyTest::{Exact, Paper};
-use now_core::PartitionScheme::SequenceDivision;
+use now_core::PartitionScheme::{self, SequenceDivision};
 use now_core::SequenceMode::{Coherent, Plain};
 use now_core::SingleMachine;
 
@@ -52,7 +52,7 @@ fn main() {
     // the single-processor columns run on the paper's fast 200 MHz SGI
     let (fast, tiles, paper) = (
         SingleMachine::fastest(),
-        paper_tiles(w, h),
+        PartitionScheme::paper_frame_division(w, h),
         SimCluster::paper,
     );
     let seq_div = SequenceDivision { adaptive: true };

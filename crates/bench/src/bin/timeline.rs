@@ -6,10 +6,10 @@
 //! argument exits 2.
 
 use now_anim::scenes::newton;
-use now_bench::{paper_tiles, Cli, Row};
+use now_bench::{Cli, Row};
 use now_cluster::{RunReport, SimCluster, SpanKind};
 use now_core::DirtyTest::Exact;
-use now_core::PartitionScheme::SequenceDivision;
+use now_core::PartitionScheme::{self, SequenceDivision};
 
 fn main() {
     let cli = Cli::from_env(&["--frames N", "--size WxH", "--width COLS"], &[]);
@@ -18,7 +18,8 @@ fn main() {
     let mut cluster = SimCluster::paper();
     cluster.record_timeline = true;
 
-    let (tiles, seq_div) = (paper_tiles(w, h), SequenceDivision { adaptive: true });
+    let tiles = PartitionScheme::paper_frame_division(w, h);
+    let seq_div = SequenceDivision { adaptive: true };
     for (name, scheme, coherence) in [
         ("frame division, no coherence", tiles, None),
         ("sequence division + coherence", seq_div, Some(Exact)),

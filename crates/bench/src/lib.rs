@@ -131,16 +131,6 @@ impl Outcome {
     }
 }
 
-/// The paper's frame division sized for a `w`x`h` frame: 4x3 sub-areas
-/// (80x80 at 320x240), handed out on demand.
-pub fn paper_tiles(w: u32, h: u32) -> PartitionScheme {
-    PartitionScheme::FrameDivision {
-        tile_w: w.div_ceil(4),
-        tile_h: h.div_ceil(3),
-        adaptive: true,
-    }
-}
-
 /// A harness's command line. Each binary names the flags and subcommands it
 /// takes; anything else, or a count or size that is not a positive number,
 /// is refused.
@@ -282,7 +272,8 @@ mod tests {
         let anim = now_anim::scenes::newton::animation_sized(48, 36, 4);
         let exact = DirtyTest::Exact;
         let single = Row::Single(SequenceMode::Coherent(exact), SingleMachine::unit(), 4096);
-        let farm = Row::Farm(paper_tiles(48, 36), Some(exact), SimCluster::paper(), 4096);
+        let tiles = PartitionScheme::paper_frame_division(48, 36);
+        let farm = Row::Farm(tiles, Some(exact), SimCluster::paper(), 4096);
         let (single, farm) = (single.run(&anim), farm.run(&anim));
         assert_eq!(single.frame_hashes().len(), 4);
         assert_eq!(single.frame_hashes(), farm.frame_hashes());

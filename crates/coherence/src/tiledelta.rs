@@ -14,9 +14,11 @@
 //! * `FULL` / `FULL_DEFLATE` — absolute pixels, id-gap varints plus
 //!   planar RGB, optionally deflated. A `FULL` also *resets* the
 //!   receiver's region state, so it doubles as the restart marker.
-//! * `DELTA` / `DELTA_DEFLATE` — id-gap varints plus per-channel zigzag
-//!   deltas against the previous frame's value at the same pixel,
-//!   optionally deflated. Only valid on a seeded stream.
+//! * `DELTA_DEFLATE` — id-gap varints plus per-channel zigzag deltas
+//!   against the previous frame's value at the same pixel, deflated. Only
+//!   valid on a seeded stream. (Undeflated, that payload never beats
+//!   `FULL`: it has the same id gaps and at least one byte per channel
+//!   where `FULL` has exactly one, so it is not a mode.)
 //!
 //! Both ends hold a [`RegionBuffer`] per stream (worker: its own region;
 //! master: one per sending worker) that advances in lockstep. The codec
@@ -38,17 +40,16 @@ pub const MODE_RAW: u8 = 1;
 pub const MODE_FULL: u8 = 2;
 /// [`MODE_FULL`] payload, deflate-compressed.
 pub const MODE_FULL_DEFLATE: u8 = 3;
-/// Temporal delta vs the previous frame: id-gap varints + planar
-/// per-channel zigzag-varint deltas.
-pub const MODE_DELTA: u8 = 4;
-/// [`MODE_DELTA`] payload, deflate-compressed.
+/// Temporal delta vs the previous frame, deflate-compressed: id-gap
+/// varints + planar per-channel zigzag-varint deltas.
 pub const MODE_DELTA_DEFLATE: u8 = 5;
 
 /// Most bytes a `FULL` payload spends on one pixel: a 5-byte id gap (the
 /// zigzag of a difference of two `u32`s needs 33 bits) and three channels.
 const FULL_MAX_BYTES_PER_PIXEL: usize = 8;
-/// Most bytes a `DELTA` payload spends on one pixel: a 5-byte id gap and
-/// three 2-byte channel deltas (zigzag of -255..=255 is below 2^14).
+/// Most bytes an inflated `DELTA_DEFLATE` payload spends on one pixel: a
+/// 5-byte id gap and three 2-byte channel deltas (zigzag of -255..=255 is
+/// below 2^14).
 const DELTA_MAX_BYTES_PER_PIXEL: usize = 11;
 
 /// One encoded tile update as it crosses the wire.
@@ -138,8 +139,9 @@ fn full_payload(pixels: &[(u32, [u8; 3])]) -> Vec<u8> {
     full
 }
 
-/// The `DELTA` payload: id gaps, then per channel the zigzag-varint
-/// deltas of every pixel against its previous value `prevs[k]`.
+/// The delta payload `DELTA_DEFLATE` deflates: id gaps, then per channel
+/// the zigzag-varint deltas of every pixel against its previous value
+/// `prevs[k]`.
 fn delta_payload(pixels: &[(u32, [u8; 3])], prevs: &[[u8; 3]]) -> Vec<u8> {
     let mut delta = Vec::with_capacity(pixels.len() * 4);
     write_gaps(&mut delta, pixels);
@@ -217,28 +219,22 @@ impl TileUpdate {
         }
 
         // The smallest payload wins, the earlier of FULL, FULL_DEFLATE,
-        // DELTA, DELTA_DEFLATE on ties. A deflated candidate is finished
-        // only while it can still win: DELTA_DEFLATE must beat FULL and
-        // DELTA, FULL_DEFLATE must beat FULL and tie or beat both DELTA
-        // modes. A stream dropped at its cap would have lost, so the mode
-        // and bytes are those of deflating all four and comparing.
-        let len = |p: &Option<Vec<u8>>| p.as_ref().map_or(usize::MAX, Vec::len);
+        // DELTA_DEFLATE on ties. A deflated candidate is finished only
+        // while it can still win: DELTA_DEFLATE must beat FULL,
+        // FULL_DEFLATE must beat FULL and tie or beat DELTA_DEFLATE. A
+        // stream dropped at its cap would have lost, so the mode and bytes
+        // are those of deflating both payloads and comparing.
         let full = full_payload(pixels);
-        let delta = seeded.then(|| delta_payload(pixels, &prevs));
-        let delta_deflated = delta
-            .as_ref()
-            .and_then(|d| deflate_within(d, full.len().min(d.len()).saturating_sub(1)));
-        let full_cap = full
-            .len()
-            .saturating_sub(1)
-            .min(len(&delta))
-            .min(len(&delta_deflated));
+        let cap = full.len().saturating_sub(1);
+        let delta_deflated = seeded
+            .then(|| deflate_within(&delta_payload(pixels, &prevs), cap))
+            .flatten();
+        let full_cap = cap.min(delta_deflated.as_ref().map_or(usize::MAX, Vec::len));
         let full_deflated = deflate_within(&full, full_cap);
 
         let (mut mode, mut payload) = (MODE_FULL, full);
         let later = [
             (MODE_FULL_DEFLATE, full_deflated),
-            (MODE_DELTA, delta),
             (MODE_DELTA_DEFLATE, delta_deflated),
         ];
         for (m, p) in later {
@@ -267,8 +263,9 @@ impl TileUpdate {
     /// Decode an update for `region`, advancing the receiver-side
     /// `state`, and return the exact pixel list the sender encoded.
     ///
-    /// `RAW`/`FULL` reset the state; `ACK`/`DELTA` require a seeded state
-    /// covering the same region (anything else is a protocol error).
+    /// `RAW`/`FULL` reset the state; `ACK`/`DELTA_DEFLATE` require a seeded
+    /// state covering the same region (anything else is a protocol error,
+    /// and so is an unknown mode, the retired `DELTA` among them).
     pub fn decode(
         &self,
         region: PixelRegion,
@@ -324,29 +321,23 @@ impl TileUpdate {
                 *state = Some(buf);
                 Ok(pixels)
             }
-            MODE_DELTA | MODE_DELTA_DEFLATE => {
+            MODE_DELTA_DEFLATE => {
                 let buf = match state {
                     Some(b) if b.region == region => b,
-                    _ => return Err("DELTA on an unseeded tile stream"),
+                    _ => return Err("DELTA_DEFLATE on an unseeded tile stream"),
                 };
-                let raw;
-                let bytes: &[u8] = if self.mode == MODE_DELTA_DEFLATE {
-                    raw = inflate(&self.payload, n * DELTA_MAX_BYTES_PER_PIXEL)?;
-                    &raw
-                } else {
-                    &self.payload
-                };
+                let bytes = inflate(&self.payload, n * DELTA_MAX_BYTES_PER_PIXEL)?;
                 let mut pos = 0usize;
-                let ids = read_gaps(bytes, &mut pos, n)?;
+                let ids = read_gaps(&bytes, &mut pos, n)?;
                 let mut deltas = vec![[0i64; 3]; n];
                 for c in 0..3 {
                     for d in deltas.iter_mut() {
                         d[c] =
-                            unzigzag(try_read_varint(bytes, &mut pos).ok_or("truncated deltas")?);
+                            unzigzag(try_read_varint(&bytes, &mut pos).ok_or("truncated deltas")?);
                     }
                 }
                 if pos != bytes.len() {
-                    return Err("trailing bytes after DELTA stream");
+                    return Err("trailing bytes after DELTA_DEFLATE stream");
                 }
                 // sequential per-channel reconstruction, mirroring encode
                 let mut pixels: Vec<(u32, [u8; 3])> =
@@ -499,11 +490,11 @@ mod tests {
     #[test]
     fn hostile_payloads_error_instead_of_panicking() {
         let mut dec = None;
-        // DELTA without a seeded stream
+        // DELTA_DEFLATE without a seeded stream
         let up = TileUpdate {
-            mode: MODE_DELTA,
+            mode: MODE_DELTA_DEFLATE,
             count: 1,
-            payload: vec![0, 0, 0, 0],
+            payload: now_raytrace::deflate::deflate(&[0, 0, 0, 0]),
         };
         assert!(up.decode(REGION, W, &mut dec).is_err());
         // count larger than the region
@@ -545,7 +536,28 @@ mod tests {
             payload: vec![],
         };
         assert!(up.decode(REGION, W, &mut dec).is_err());
+        // the retired undeflated DELTA is unknown too, even on a seeded
+        // stream where its payload would have decoded
+        let mut seeded = None;
+        let id = 4 * W + 8;
+        TileUpdate::encode(&[(id, [5, 5, 5])], REGION, W, &mut seeded, true)
+            .decode(REGION, W, &mut dec)
+            .unwrap();
+        let up = TileUpdate {
+            mode: RETIRED_DELTA,
+            count: 1,
+            payload: delta_payload(&[(id, [6, 6, 6])], &[[5, 5, 5]]),
+        };
+        assert_eq!(
+            up.decode(REGION, W, &mut dec),
+            Err("unknown tile-update mode")
+        );
     }
+
+    /// The mode byte the undeflated delta payload had before it was
+    /// retired: the reference encoder below still weighs it, to show it
+    /// never wins.
+    const RETIRED_DELTA: u8 = 4;
 
     #[test]
     fn region_switch_reseeds_the_encoder() {
@@ -569,8 +581,9 @@ mod tests {
 
     /// `TileUpdate::encode` spelled out: deflate both payloads with the
     /// greedy reference encoder and take the shortest of all four
-    /// candidates, the earliest mode on ties. Also says whether the
-    /// shortest length was shared (a tie the mode order had to break).
+    /// candidates, the retired undeflated delta among them, the earliest
+    /// mode on ties. Also says whether the shortest length was shared (a
+    /// tie the mode order had to break).
     fn reference_encode(
         pixels: &[(u32, [u8; 3])],
         region: PixelRegion,
@@ -602,7 +615,7 @@ mod tests {
         if seeded {
             let delta = delta_payload(pixels, &prevs);
             candidates.push((MODE_DELTA_DEFLATE, deflate(&delta)));
-            candidates.push((MODE_DELTA, delta));
+            candidates.push((RETIRED_DELTA, delta));
             candidates.sort_by_key(|&(mode, _)| mode);
         }
         let (mode, payload) = candidates
@@ -763,8 +776,9 @@ mod tests {
             }
         }
         assert!(ties > 20, "{ties} ties");
-        // (DELTA itself never wins: a zigzag delta takes at least the byte
-        // its channel value does, and ties go to FULL)
+        // (the undeflated delta never wins: a zigzag delta takes at least
+        // the byte its channel value does, and ties go to FULL; were it to
+        // win, the reference would pick mode 4 and `got` would differ)
         for mode in [MODE_ACK, MODE_FULL, MODE_FULL_DEFLATE, MODE_DELTA_DEFLATE] {
             assert!(
                 modes[mode as usize] > 0,

@@ -2,8 +2,9 @@
 //! `DELTA_DEFLATE` tiles, truncated at every byte and with every single
 //! bit flipped, go through `TileUpdate::decode` and `inflate`. Each answer
 //! is an error or exactly the value the damaged bytes encode — what the
-//! undeflated mode decodes from the inflated bytes, which is the original
-//! when a flip lands in the stream's padding; nothing panics, and no
+//! inflated bytes decode to as a `FULL` payload, or as deltas against the
+//! previous frame, which is the original when a flip lands in the
+//! stream's padding; nothing panics, and no
 //! decode holds more heap than the intact tile's decode plus the mode's
 //! inflate bound — so a payload that inflates a thousandfold is refused
 //! before it is inflated.
@@ -14,10 +15,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use now_coherence::tiledelta::{MODE_DELTA, MODE_DELTA_DEFLATE, MODE_FULL, MODE_FULL_DEFLATE};
+use now_coherence::tiledelta::{MODE_DELTA_DEFLATE, MODE_FULL, MODE_FULL_DEFLATE};
+use now_coherence::varint::{try_read_varint, unzigzag};
 use now_coherence::{PixelRegion, RegionBuffer, TileUpdate};
 use now_raytrace::deflate::{deflate, inflate};
 use now_raytrace::{render_pixels_par, Framebuffer, GridAccel, NullListener, RayStats};
+use std::collections::HashMap;
 
 /// Counts the heap bytes live and their high-water mark.
 struct Counting;
@@ -118,21 +121,58 @@ struct Tally {
     other: u32,
 }
 
+/// What a delta payload's bytes say, read apart from the codec: `count`
+/// zigzag id gaps, then the red, green and blue zigzag deltas of every
+/// pixel, each added to the pixel's value in `prior` (a later duplicate
+/// id to the value the earlier one left). `None` when the bytes are not
+/// exactly that, an id is not one of `prior`'s, or a channel leaves
+/// 0..=255.
+fn delta_reference(
+    bytes: &[u8],
+    count: usize,
+    prior: &[(u32, [u8; 3])],
+) -> Option<Vec<(u32, [u8; 3])>> {
+    let mut pos = 0;
+    let mut next = || try_read_varint(bytes, &mut pos).map(unzigzag);
+    let mut id = 0i64;
+    let mut ids = Vec::new();
+    for _ in 0..count {
+        id = id.checked_add(next()?)?;
+        ids.push(u32::try_from(id).ok()?);
+    }
+    let mut deltas = vec![[0i64; 3]; count];
+    for c in 0..3 {
+        for d in &mut deltas {
+            d[c] = next()?;
+        }
+    }
+    if pos != bytes.len() {
+        return None;
+    }
+    let mut now: HashMap<u32, [u8; 3]> = prior.iter().copied().collect();
+    let mut out = Vec::new();
+    for (id, d) in ids.into_iter().zip(deltas) {
+        let rgb = now.get_mut(&id)?;
+        for c in 0..3 {
+            rgb[c] = u8::try_from(rgb[c] as i64 + d[c]).ok()?;
+        }
+        out.push((id, *rgb));
+    }
+    Some(out)
+}
+
 /// Decode every truncation and single-bit flip of `tile` and hold each
 /// answer to the properties in the file comment. The tile is received on
 /// state `before` and decodes to `pixels` intact; `bound` is the mode's
-/// inflate bound for its pixel count.
+/// inflate bound for its pixel count, and `reference` reads a damaged
+/// copy's inflated bytes apart from the decoder.
 fn damage(
     tile: &TileUpdate,
     before: &Option<RegionBuffer>,
     pixels: &[(u32, [u8; 3])],
     bound: usize,
+    reference: impl Fn(&[u8]) -> Option<Vec<(u32, [u8; 3])>>,
 ) -> Tally {
-    let plain_mode = if tile.mode == MODE_FULL_DEFLATE {
-        MODE_FULL
-    } else {
-        MODE_DELTA
-    };
     let (intact, honest) = peak_heap(|| tile.decode(REGION, WIDTH, &mut before.clone()));
     assert_eq!(intact.as_deref(), Ok(pixels), "the intact tile decodes");
 
@@ -175,13 +215,8 @@ fn damage(
         match decoded {
             Err(_) => tally.refused += 1,
             Ok(got) => {
-                let plain = TileUpdate {
-                    mode: plain_mode,
-                    count: tile.count,
-                    payload: unbounded.expect("a decoded tile inflates"),
-                };
-                let want = plain.decode(REGION, WIDTH, &mut before.clone());
-                assert_eq!(Ok(&got), want.as_ref(), "copy {k}");
+                let want = reference(&unbounded.expect("a decoded tile inflates"));
+                assert_eq!(Some(&got), want.as_ref(), "copy {k}");
                 if got == pixels {
                     tally.original += 1;
                 } else {
@@ -205,12 +240,21 @@ fn damaged_deflated_tiles_decode_to_errors_or_what_they_encode() {
     let mut seeded = None;
     full.decode(REGION, WIDTH, &mut seeded).unwrap();
 
-    let tally = damage(&full, &None, &frames[0], 8 * n);
+    let as_full = |bytes: &[u8]| {
+        let plain = TileUpdate {
+            mode: MODE_FULL,
+            count: full.count,
+            payload: bytes.to_vec(),
+        };
+        plain.decode(REGION, WIDTH, &mut None).ok()
+    };
+    let tally = damage(&full, &None, &frames[0], 8 * n, as_full);
     assert!(
         tally.refused > 1000 && tally.other > 1000,
         "FULL: {tally:?}"
     );
-    let tally = damage(&delta, &seeded, &frames[1], 11 * n);
+    let as_deltas = |bytes: &[u8]| delta_reference(bytes, n, &frames[0]);
+    let tally = damage(&delta, &seeded, &frames[1], 11 * n, as_deltas);
     assert!(tally.refused > 500 && tally.other > 100, "DELTA: {tally:?}");
 
     // a bomb: 1 MiB of zeros deflates to a few KiB and would inflate

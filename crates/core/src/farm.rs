@@ -55,7 +55,7 @@ impl FarmConfig {
     /// Coherent frame-division farm with paper-style defaults.
     pub fn paper_default() -> FarmConfig {
         FarmConfig {
-            scheme: PartitionScheme::paper_frame_division(),
+            scheme: PartitionScheme::paper_frame_division(320, 240),
             coherence: true,
             dirty_test: DirtyTest::Exact,
             settings: RenderSettings::default(),
@@ -1167,7 +1167,6 @@ mod tests {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 16,
-                adaptive: true,
             },
             true,
         );
@@ -1188,7 +1187,6 @@ mod tests {
             PartitionScheme::FrameDivision {
                 tile_w: W / 2,
                 tile_h: H,
-                adaptive: false,
             },
             true,
         );
@@ -1235,7 +1233,6 @@ mod tests {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 16,
-                adaptive: true,
             },
             false,
         );
@@ -1245,28 +1242,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_hybrid_matches_reference() {
-        let anim = anim();
-        let cfg = cfg(
-            PartitionScheme::Hybrid {
-                tile_w: 20,
-                tile_h: 16,
-                subseq: 2,
-            },
-            true,
-        );
-        let result = run_sim(&anim, &cfg, &SimCluster::paper());
-        assert_eq!(result.frame_hashes, reference_hashes(&anim, &cfg));
-    }
-
-    #[test]
     fn threads_backend_matches_reference() {
         let anim = anim();
         let cfg = cfg(
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 16,
-                adaptive: true,
             },
             true,
         );
@@ -1281,7 +1262,6 @@ mod tests {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 16,
-                adaptive: true,
             },
             true,
         );
@@ -1525,7 +1505,6 @@ mod tests {
         let scheme = PartitionScheme::FrameDivision {
             tile_w: 16,
             tile_h: 16,
-            adaptive: true,
         };
         let with = run_sim(&anim, &cfg(scheme, true), &SimCluster::paper());
         let without = run_sim(&anim, &cfg(scheme, false), &SimCluster::paper());
@@ -1571,7 +1550,6 @@ mod tests {
             PartitionScheme::FrameDivision {
                 tile_w: 24,
                 tile_h: 24,
-                adaptive: true,
             },
             true,
         );
@@ -1673,7 +1651,6 @@ mod tests {
         let scheme = PartitionScheme::FrameDivision {
             tile_w: 80,
             tile_h: 80,
-            adaptive: false,
         };
         let mut master = FarmMaster::new(&anim, &cfg(scheme, false), 1);
         let (mut peak, frame_px) = (0, (w * h) as u64);

@@ -161,28 +161,31 @@ fn run_header_payload(anim: &Animation, cfg: &FarmConfig) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u8(REC_RUN_HEADER);
     e.bytes(&crate::farm::encode_job_header(anim, cfg));
+    // frame division writes the 1 its retired `adaptive` flag held, so
+    // run directories written before it went still resume
     let (tag, a, b, c) = match cfg.scheme {
         PartitionScheme::SequenceDivision { adaptive } => (0u8, adaptive as u32, 0, 0),
-        PartitionScheme::FrameDivision {
-            tile_w,
-            tile_h,
-            adaptive,
-        } => (1, tile_w, tile_h, adaptive as u32),
-        PartitionScheme::Hybrid {
-            tile_w,
-            tile_h,
-            subseq,
-        } => (2, tile_w, tile_h, subseq),
+        PartitionScheme::FrameDivision { tile_w, tile_h } => (1, tile_w, tile_h, 1),
     };
     e.u8(tag).u32(a).u32(b).u32(c);
     e.finish()
 }
 
-/// Why a journal's RunHeader is not this run's: the job header's own
-/// complaint (another header version, another scene) when it has one.
+/// The RunHeader's scheme tag of the retired hybrid scheme (sub-areas x
+/// subsequences), which no build since resumes.
+const RETIRED_HYBRID: u8 = 2;
+
+/// Why a journal's RunHeader is not this run's: a retired scheme, else
+/// the job header's own complaint (another header version, another scene)
+/// when it has one.
 fn header_mismatch(stored: &[u8], anim: &Animation) -> String {
     let mut d = Decoder::new(stored);
     let job = d.u8().and_then(|_| d.bytes()).map_err(|e| e.to_string());
+    if job.is_ok() && d.u8() == Ok(RETIRED_HYBRID) {
+        return "it used the hybrid partition scheme, which was retired; \
+                render it afresh with sequence or frame division"
+            .into();
+    }
     let why = job.and_then(|job| crate::farm::check_job_header(job, anim));
     why.err()
         .unwrap_or_else(|| "farm configuration mismatch".into())

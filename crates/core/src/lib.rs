@@ -15,8 +15,8 @@
 //! * [`partition`] — the data-partitioning schemes of Section 3:
 //!   **sequence division** (contiguous frame subsequences per processor,
 //!   adaptively subdivided) and **frame division** (80x80 sub-areas
-//!   rendered across the whole sequence, demand-driven), plus the hybrid
-//!   and the per-pixel extreme the paper discusses.
+//!   rendered across the whole sequence, demand-driven, the longest
+//!   remaining one split in time when they run out).
 //! * [`farm`] — the render farm itself: [`farm::FarmMaster`] /
 //!   [`farm::FarmWorker`] implement the `now-cluster` master/worker
 //!   interface, so one implementation runs on both the discrete-event

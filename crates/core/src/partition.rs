@@ -18,9 +18,9 @@
 //! * **Frame division** — "each frame is divided into subareas, each of
 //!   which is computed by a separate processor for the entire animation
 //!   sequence." With more subareas than processors (the paper's 80x80
-//!   blocks of a 320x240 frame make 12), scheduling is demand-driven.
-//! * **Hybrid** — "each processor computes pixels in a subarea of a frame
-//!   for a subsequence of the entire animation."
+//!   blocks of a 320x240 frame make 12), scheduling is demand-driven, and
+//!   once every subarea is claimed an idle processor steals the tail half
+//!   of the longest remaining one, as in sequence division.
 //!
 //! The scheduler models work as a set of *task queues*: each queue is one
 //! region with a run of consecutive frames. A worker owns at most one
@@ -81,33 +81,23 @@ pub enum PartitionScheme {
         adaptive: bool,
     },
     /// Fixed sub-areas of at most `tile_w x tile_h`, each rendered across
-    /// all frames, demand-driven.
+    /// all frames, demand-driven; when tiles run out an idle worker steals
+    /// the tail half of the longest remaining one.
     FrameDivision {
         /// Tile width (the paper uses 80).
         tile_w: u32,
         /// Tile height (the paper uses 80).
         tile_h: u32,
-        /// Also adaptively subdivide in time when tiles run out.
-        adaptive: bool,
-    },
-    /// Sub-areas x subsequences.
-    Hybrid {
-        /// Tile width.
-        tile_w: u32,
-        /// Tile height.
-        tile_h: u32,
-        /// Length of each subsequence in frames.
-        subseq: u32,
     },
 }
 
 impl PartitionScheme {
-    /// The paper's frame-division configuration: 80x80 sub-areas.
-    pub fn paper_frame_division() -> PartitionScheme {
+    /// The paper's frame division sized for a `width` x `height` frame:
+    /// 4x3 sub-areas, 80x80 at the paper's 320x240.
+    pub fn paper_frame_division(width: u32, height: u32) -> PartitionScheme {
         PartitionScheme::FrameDivision {
-            tile_w: 80,
-            tile_h: 80,
-            adaptive: true,
+            tile_w: width.div_ceil(4),
+            tile_h: height.div_ceil(3),
         }
     }
 }
@@ -132,13 +122,16 @@ impl TaskQueue {
     }
 }
 
+/// Fewest remaining frames a queue must hold for a steal to split it.
+const MIN_STEAL: u32 = 4;
+
 /// Demand-driven scheduler over task queues.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     queues: Vec<TaskQueue>,
+    /// Steal the tail half of the longest owned queue when nothing is
+    /// left to claim.
     adaptive: bool,
-    /// Minimum remaining frames for a queue to be stealable.
-    min_steal: u32,
     regions_per_frame: usize,
 }
 
@@ -182,15 +175,10 @@ impl Scheduler {
                 Scheduler {
                     queues,
                     adaptive,
-                    min_steal: 4,
                     regions_per_frame: 1,
                 }
             }
-            PartitionScheme::FrameDivision {
-                tile_w,
-                tile_h,
-                adaptive,
-            } => {
+            PartitionScheme::FrameDivision { tile_w, tile_h } => {
                 let tiles = PixelRegion::tiles(width, height, tile_w, tile_h);
                 let regions_per_frame = tiles.len();
                 let queues = tiles
@@ -205,38 +193,7 @@ impl Scheduler {
                     .collect();
                 Scheduler {
                     queues,
-                    adaptive,
-                    min_steal: 4,
-                    regions_per_frame,
-                }
-            }
-            PartitionScheme::Hybrid {
-                tile_w,
-                tile_h,
-                subseq,
-            } => {
-                assert!(subseq > 0);
-                let tiles = PixelRegion::tiles(width, height, tile_w, tile_h);
-                let regions_per_frame = tiles.len();
-                let mut queues = Vec::new();
-                for region in tiles {
-                    let mut start = 0;
-                    while start < frames {
-                        let end = (start + subseq).min(frames);
-                        queues.push(TaskQueue {
-                            region,
-                            next: start,
-                            end,
-                            owner: None,
-                            fresh: true,
-                        });
-                        start = end;
-                    }
-                }
-                Scheduler {
-                    queues,
-                    adaptive: false,
-                    min_steal: u32::MAX,
+                    adaptive: true,
                     regions_per_frame,
                 }
             }
@@ -312,7 +269,7 @@ impl Scheduler {
             if let Some(victim) = self
                 .queues
                 .iter_mut()
-                .filter(|q| q.owner.is_some() && q.remaining() >= self.min_steal)
+                .filter(|q| q.owner.is_some() && q.remaining() >= MIN_STEAL)
                 .max_by_key(|q| q.remaining())
             {
                 let keep = victim.remaining() / 2 + victim.remaining() % 2;
@@ -457,7 +414,13 @@ mod tests {
     #[test]
     fn frame_division_paper_layout() {
         // 320x240 in 80x80 tiles = 12 tiles x 45 frames
-        let mut s = Scheduler::new(PartitionScheme::paper_frame_division(), 320, 240, 45, 3);
+        let mut s = Scheduler::new(
+            PartitionScheme::paper_frame_division(320, 240),
+            320,
+            240,
+            45,
+            3,
+        );
         assert_eq!(s.regions_per_frame(), 12);
         assert_eq!(s.remaining_units(), 12 * 45);
         let per_worker = drain(&mut s, &[2, 1, 1]);
@@ -472,7 +435,6 @@ mod tests {
             PartitionScheme::FrameDivision {
                 tile_w: 8,
                 tile_h: 8,
-                adaptive: false,
             },
             16,
             8,
@@ -489,28 +451,6 @@ mod tests {
                 last.insert(u.region, u.frame);
             }
         }
-    }
-
-    #[test]
-    fn hybrid_splits_time_and_space() {
-        let mut s = Scheduler::new(
-            PartitionScheme::Hybrid {
-                tile_w: 8,
-                tile_h: 8,
-                subseq: 5,
-            },
-            16,
-            16,
-            10,
-            2,
-        );
-        // 4 tiles x 2 subsequences = 8 queues
-        assert_eq!(s.remaining_units(), 40);
-        let per_worker = drain(&mut s, &[1, 1]);
-        let all: Vec<RenderUnit> = per_worker.concat();
-        assert_exact_cover(&all, 16, 10);
-        // every subsequence start restarts coherence: 8 restarts
-        assert_eq!(all.iter().filter(|u| u.restart).count(), 8);
     }
 
     #[test]

@@ -1707,14 +1707,14 @@ mod tests {
 
     /// Every `FRAME_DELTA` tile is the fresh whole-frame encoding of its
     /// frame's pixels: a worker's self-contained `FULL` tile is forwarded
-    /// as sealed, its `DELTA` tiles (which a watcher could not decode
-    /// alone) are re-encoded. Each of the plain glass ball's units ships
-    /// the whole frame, which after the first goes as a `DELTA`; a
-    /// coherent job's dirty pixels go as `FULL`, so all its frames are
-    /// forwarded.
+    /// as sealed, its `DELTA_DEFLATE` tiles (which a watcher could not
+    /// decode alone) are re-encoded. Each of the plain glass ball's units
+    /// ships the whole frame, which after the first goes as a
+    /// `DELTA_DEFLATE`; a coherent job's dirty pixels go as `FULL`, so all
+    /// its frames are forwarded.
     #[test]
     fn a_watched_frame_gets_the_fresh_encoding_of_its_pixels() {
-        use now_coherence::tiledelta::{MODE_DELTA, MODE_DELTA_DEFLATE};
+        use now_coherence::tiledelta::MODE_DELTA_DEFLATE;
         use now_coherence::RegionBuffer;
         let mut m = svc(false);
         let id = m
@@ -1745,10 +1745,7 @@ mod tests {
             }
         }
         assert_eq!(pushed, 6);
-        assert!(
-            modes.contains(&MODE_DELTA) || modes.contains(&MODE_DELTA_DEFLATE),
-            "{modes:?}"
-        );
+        assert!(modes.contains(&MODE_DELTA_DEFLATE), "{modes:?}");
         let full = modes
             .iter()
             .filter(|&&mode| matches!(mode, MODE_FULL | MODE_FULL_DEFLATE))

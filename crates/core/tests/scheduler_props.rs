@@ -10,20 +10,15 @@ use now_testkit::{cases, Rng};
 use std::collections::{HashMap, HashSet};
 
 fn random_scheme(rng: &mut Rng) -> PartitionScheme {
-    match rng.usize_in(0, 3) {
-        0 => PartitionScheme::SequenceDivision {
+    if rng.bool() {
+        PartitionScheme::SequenceDivision {
             adaptive: rng.bool(),
-        },
-        1 => PartitionScheme::FrameDivision {
+        }
+    } else {
+        PartitionScheme::FrameDivision {
             tile_w: rng.u32_in(4, 40),
             tile_h: rng.u32_in(4, 40),
-            adaptive: rng.bool(),
-        },
-        _ => PartitionScheme::Hybrid {
-            tile_w: rng.u32_in(8, 40),
-            tile_h: rng.u32_in(8, 40),
-            subseq: rng.u32_in(1, 10),
-        },
+        }
     }
 }
 

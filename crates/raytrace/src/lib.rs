@@ -21,8 +21,8 @@
 //!    [`RayListener`] together with the distance it travelled, so the
 //!    coherence engine can walk it through the scene voxel grid.
 //! 2. **Pixel purity** — the color of a pixel is a pure function of the
-//!    scene and the pixel coordinates (fixed supersample offsets, no
-//!    hidden state), so re-rendering any subset of pixels reproduces
+//!    scene and the pixel coordinates (one ray through the pixel's
+//!    centre, no hidden state), so re-rendering any subset of pixels reproduces
 //!    exactly what a full render would produce. The coherence correctness
 //!    tests compare images byte-for-byte on the strength of this.
 //!
@@ -60,7 +60,7 @@ pub use listener::{NullListener, RayKind, RayListener, RecordingListener, Sharda
 pub use material::Material;
 pub use object::{Object, ObjectId};
 pub use pool::{resolve_thread_count, ParallelStats};
-pub use render::{render_frame, render_pixels_par, Adaptive, RenderSettings, ShadeScratch};
+pub use render::{render_frame, render_pixels_par, RenderSettings, ShadeScratch};
 pub use scene::Scene;
 pub use shape::{Geometry, Hit};
 pub use stats::RayStats;

@@ -210,7 +210,7 @@ pub fn render_tiles<S: ShardableListener>(
     let tracing = settings.trace && now_trace::enabled();
     if threads == 1 || ids.len() < MIN_PAR_PIXELS {
         let before = stats.total_rays();
-        let mut scratch = ShadeScratch::new(settings);
+        let mut scratch = ShadeScratch::default();
         let width = fb.width();
         shade_ids(
             scene,
@@ -251,7 +251,7 @@ pub fn render_tiles<S: ShardableListener>(
             .map(|me| {
                 scope.spawn(move || {
                     let mut out: Vec<TileDone<S::Shard>> = Vec::new();
-                    let mut scratch = ShadeScratch::new(settings);
+                    let mut scratch = ShadeScratch::default();
                     while let Some(mut tile) = next() {
                         let mut tile_span = tracing.then(|| {
                             now_trace::global().span(POOL_TRACK_BASE + me as u32, "pool.tile")

@@ -3,9 +3,9 @@
 //! [`render_pixels_par`] is the primitive everything else builds on: the
 //! coherence engine re-renders exactly its dirty-pixel set, the render farm
 //! renders rectangular sub-areas, and [`render_frame`] renders all pixels.
-//! Pixel colors are pure functions of `(scene, pixel)` — fixed supersample
-//! offsets, no shared state — so any partition of the pixel set renders to
-//! identical bytes.
+//! Pixel colors are pure functions of `(scene, pixel)` — one ray through
+//! the pixel's centre, no shared state — so any partition of the pixel set
+//! renders to identical bytes.
 
 use crate::accel::{GridAccel, Mailbox};
 use crate::framebuffer::{Framebuffer, PixelId};
@@ -18,41 +18,11 @@ use crate::tracer::{trace, TraceCtx};
 use now_grid::dda::VoxelPathBuf;
 use now_math::Color;
 
-/// Adaptive anti-aliasing parameters (POV-Ray-style recursive pixel
-/// subdivision).
-///
-/// The pixel's four corners are sampled; where they disagree by more than
-/// `threshold` (max per-channel difference), the quadrants are subdivided
-/// recursively up to `max_level`. The sample positions are a pure function
-/// of the pixel coordinates, so adaptive rendering keeps the pixel-purity
-/// property the coherence engine relies on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Adaptive {
-    /// Per-channel color difference that triggers subdivision.
-    pub threshold: f64,
-    /// Maximum subdivision depth (1 = at most one split: 3x3 samples).
-    pub max_level: u32,
-}
-
-impl Default for Adaptive {
-    fn default() -> Adaptive {
-        Adaptive {
-            threshold: 0.1,
-            max_level: 2,
-        }
-    }
-}
-
 /// Rendering parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RenderSettings {
     /// Maximum recursion depth ("maximum ray depth of 5" in the paper).
     pub max_depth: u32,
-    /// Supersampling grid edge: 1 = one center sample, 2 = 2x2 grid, etc.
-    /// Ignored when `adaptive` is set.
-    pub sqrt_samples: u32,
-    /// Adaptive anti-aliasing; `None` uses the fixed supersample grid.
-    pub adaptive: Option<Adaptive>,
     /// Intra-worker tile-pool threads. `1` (the default) renders serially,
     /// exactly like the paper's per-workstation renderer; `0` means auto
     /// (`NOW_THREADS` if set, else the host's available parallelism);
@@ -73,8 +43,6 @@ impl Default for RenderSettings {
     fn default() -> RenderSettings {
         RenderSettings {
             max_depth: 5,
-            sqrt_samples: 1,
-            adaptive: None,
             threads: 1,
             trace: false,
         }
@@ -86,51 +54,26 @@ impl RenderSettings {
     fn resolve_threads(&self) -> u32 {
         pool::resolve_thread_count(self.threads)
     }
-    /// Fixed sub-pixel offsets for this setting (deterministic; identical
-    /// for every pixel and frame).
-    fn sample_offsets(&self) -> Vec<(f64, f64)> {
-        let n = self.sqrt_samples.max(1);
-        let mut out = Vec::with_capacity((n * n) as usize);
-        for j in 0..n {
-            for i in 0..n {
-                out.push(((i as f64 + 0.5) / n as f64, (j as f64 + 0.5) / n as f64));
-            }
-        }
-        out
-    }
 }
 
 /// Per-worker reusable buffers for the shading loop.
 ///
 /// One `ShadeScratch` lives per render thread (created outside the pixel
-/// loop), so the hot path — sample offsets, light samples, walk paths,
-/// mailboxes — never touches the allocator. The buffers carry no
-/// cross-pixel state: results are identical whether a scratch is shared
-/// across a million pixels or created fresh per pixel. The mailbox's stamp
-/// does survive from query to query, but every query starts on a stamp no
-/// object holds, so nothing it carries can be observed.
+/// loop), so the hot path — light samples, walk paths, mailboxes — never
+/// touches the allocator. The buffers carry no cross-pixel state: results
+/// are identical whether a scratch is shared across a million pixels or
+/// created fresh per pixel. The mailbox's stamp does survive from query to
+/// query, but every query starts on a stamp no object holds, so nothing it
+/// carries can be observed.
 #[derive(Debug, Default)]
 pub struct ShadeScratch {
-    offsets: Vec<(f64, f64)>,
     lights: Vec<LightSample>,
     path: VoxelPathBuf,
     mailbox: Mailbox,
 }
 
-impl ShadeScratch {
-    /// Scratch sized for `settings` (precomputes the supersample offsets).
-    pub fn new(settings: &RenderSettings) -> ShadeScratch {
-        ShadeScratch {
-            offsets: settings.sample_offsets(),
-            lights: Vec::new(),
-            path: VoxelPathBuf::default(),
-            mailbox: Mailbox::default(),
-        }
-    }
-}
-
-/// Shade a single pixel (averaging supersamples, adaptively if enabled)
-/// using caller-owned scratch buffers.
+/// Shade a single pixel, one camera ray through its centre, using
+/// caller-owned scratch buffers.
 #[allow(clippy::too_many_arguments)] // deliberate flat kernel signature: the hot path avoids a context struct per pixel
 fn shade_pixel_with<L: RayListener>(
     scene: &Scene,
@@ -153,29 +96,8 @@ fn shade_pixel_with<L: RayListener>(
         path: std::mem::take(&mut scratch.path),
         mailbox: std::mem::take(&mut scratch.mailbox),
     };
-    let color = if let Some(adaptive) = settings.adaptive {
-        // corners of the pixel (positions shared with neighbouring pixels
-        // are re-traced there: purity beats sample sharing here)
-        let c00 = sample(&mut ctx, x, y, pixel, 0.0, 0.0);
-        let c10 = sample(&mut ctx, x, y, pixel, 1.0, 0.0);
-        let c01 = sample(&mut ctx, x, y, pixel, 0.0, 1.0);
-        let c11 = sample(&mut ctx, x, y, pixel, 1.0, 1.0);
-        adaptive_quad(
-            &mut ctx,
-            (x, y, pixel),
-            (0.0, 0.0, 1.0),
-            [c00, c10, c01, c11],
-            adaptive,
-            adaptive.max_level,
-        )
-    } else {
-        let offsets = &scratch.offsets;
-        let mut sum = Color::BLACK;
-        for &(sx, sy) in offsets {
-            sum += sample(&mut ctx, x, y, pixel, sx, sy);
-        }
-        sum * (1.0 / offsets.len() as f64)
-    };
+    let ray = scene.camera.primary_ray(x, y, 0.5, 0.5);
+    let color = trace(&mut ctx, pixel, &ray, RayKind::Primary, settings.max_depth);
     scratch.lights = ctx.lights;
     scratch.path = ctx.path;
     scratch.mailbox = ctx.mailbox;
@@ -203,83 +125,6 @@ pub(crate) fn shade_ids<L: RayListener>(
         let c = shade_pixel_with(scene, accel, settings, x, y, id, listener, stats, scratch);
         sink(id, c);
     }
-}
-
-/// Trace one camera ray through sub-pixel position `(sx, sy)` of `(x, y)`.
-fn sample<L: RayListener>(
-    ctx: &mut TraceCtx<'_, L>,
-    x: u32,
-    y: u32,
-    pixel: PixelId,
-    sx: f64,
-    sy: f64,
-) -> Color {
-    let depth = ctx.settings.max_depth;
-    let ray = ctx.scene.camera.primary_ray(x, y, sx, sy);
-    trace(ctx, pixel, &ray, RayKind::Primary, depth)
-}
-
-/// Recursive quadrant subdivision over `[x0, x0+s] x [y0, y0+s]` in
-/// sub-pixel coordinates, given the quadrant's corner colors.
-fn adaptive_quad<L: RayListener>(
-    ctx: &mut TraceCtx<'_, L>,
-    (px, py, pixel): (u32, u32, PixelId),
-    (x0, y0, s): (f64, f64, f64),
-    corners: [Color; 4],
-    params: Adaptive,
-    level: u32,
-) -> Color {
-    let [c00, c10, c01, c11] = corners;
-    let spread = c00
-        .max_diff(c10)
-        .max(c00.max_diff(c01))
-        .max(c00.max_diff(c11))
-        .max(c10.max_diff(c11))
-        .max(c01.max_diff(c11));
-    if level == 0 || spread <= params.threshold {
-        return (c00 + c10 + c01 + c11) * 0.25;
-    }
-    // sample the center and the four edge midpoints, recurse per quadrant
-    let half = s * 0.5;
-    let at = (px, py, pixel);
-    let cm0 = sample(ctx, px, py, pixel, x0 + half, y0);
-    let c0m = sample(ctx, px, py, pixel, x0, y0 + half);
-    let cmm = sample(ctx, px, py, pixel, x0 + half, y0 + half);
-    let c1m = sample(ctx, px, py, pixel, x0 + s, y0 + half);
-    let cm1 = sample(ctx, px, py, pixel, x0 + half, y0 + s);
-    let q0 = adaptive_quad(
-        ctx,
-        at,
-        (x0, y0, half),
-        [c00, cm0, c0m, cmm],
-        params,
-        level - 1,
-    );
-    let q1 = adaptive_quad(
-        ctx,
-        at,
-        (x0 + half, y0, half),
-        [cm0, c10, cmm, c1m],
-        params,
-        level - 1,
-    );
-    let q2 = adaptive_quad(
-        ctx,
-        at,
-        (x0, y0 + half, half),
-        [c0m, cmm, c01, cm1],
-        params,
-        level - 1,
-    );
-    let q3 = adaptive_quad(
-        ctx,
-        at,
-        (x0 + half, y0 + half, half),
-        [cmm, c1m, cm1, c11],
-        params,
-        level - 1,
-    );
-    (q0 + q1 + q2 + q3) * 0.25
 }
 
 /// Validate that a framebuffer matches the scene camera. Hoisted out of
@@ -453,13 +298,7 @@ mod tests {
     fn rendering_is_deterministic() {
         let s = scene();
         let accel = GridAccel::build(&s);
-        let settings = RenderSettings {
-            max_depth: 5,
-            sqrt_samples: 2,
-            adaptive: None,
-            threads: 1,
-            trace: false,
-        };
+        let settings = RenderSettings::default();
         let a = render_frame(
             &s,
             &accel,
@@ -537,163 +376,5 @@ mod tests {
             &mut RayStats::default(),
         );
         assert_eq!(fb, reference);
-    }
-
-    #[test]
-    fn supersampling_offsets_tile_the_pixel() {
-        let offsets = RenderSettings {
-            max_depth: 1,
-            sqrt_samples: 3,
-            adaptive: None,
-            threads: 1,
-            trace: false,
-        }
-        .sample_offsets();
-        assert_eq!(offsets.len(), 9);
-        for (sx, sy) in offsets {
-            assert!(sx > 0.0 && sx < 1.0 && sy > 0.0 && sy < 1.0);
-        }
-        let single = RenderSettings::default().sample_offsets();
-        assert_eq!(single, vec![(0.5, 0.5)]);
-    }
-
-    #[test]
-    fn adaptive_sampling_spends_rays_on_edges() {
-        let s = scene();
-        let accel = GridAccel::build(&s);
-        let plain = RenderSettings {
-            max_depth: 2,
-            sqrt_samples: 1,
-            adaptive: None,
-            threads: 1,
-            trace: false,
-        };
-        let adaptive = RenderSettings {
-            max_depth: 2,
-            sqrt_samples: 1,
-            adaptive: Some(Adaptive {
-                threshold: 0.08,
-                max_level: 2,
-            }),
-            threads: 1,
-            trace: false,
-        };
-        let mut flat_stats = RayStats::default();
-        let _ = render_frame(&s, &accel, &plain, &mut NullListener, &mut flat_stats);
-        let mut ad_stats = RayStats::default();
-        let _ = render_frame(&s, &accel, &adaptive, &mut NullListener, &mut ad_stats);
-        // adaptive fires at least 4 primaries per pixel, but far fewer than
-        // a uniform grid at the same maximum density (9x9 = 81)
-        let per_pixel = ad_stats.primary as f64 / ad_stats.pixels as f64;
-        assert!(per_pixel >= 4.0, "per pixel {per_pixel}");
-        assert!(
-            per_pixel < 30.0,
-            "adaptivity must not degenerate: {per_pixel}"
-        );
-        assert!(ad_stats.primary > flat_stats.primary);
-    }
-
-    #[test]
-    fn adaptive_sampling_is_pure_and_deterministic() {
-        let s = scene();
-        let accel = GridAccel::build(&s);
-        let settings = RenderSettings {
-            max_depth: 2,
-            sqrt_samples: 1,
-            adaptive: Some(Adaptive::default()),
-            threads: 1,
-            trace: false,
-        };
-        let full = render_frame(
-            &s,
-            &accel,
-            &settings,
-            &mut NullListener,
-            &mut RayStats::default(),
-        );
-        // render half the pixels into a fresh buffer: identical values
-        let mut fb = Framebuffer::new(40, 30);
-        let half: Vec<PixelId> = (0..fb.len() as PixelId).filter(|i| i % 2 == 0).collect();
-        render_pixels_par(
-            &s,
-            &accel,
-            &settings,
-            &mut fb,
-            &half,
-            &mut NullListener,
-            &mut RayStats::default(),
-        );
-        for &id in &half {
-            assert_eq!(fb.get_id(id), full.get_id(id));
-        }
-    }
-
-    #[test]
-    fn adaptive_smooths_silhouettes_more_than_single_sample() {
-        let s = scene();
-        let accel = GridAccel::build(&s);
-        let one = RenderSettings {
-            max_depth: 2,
-            sqrt_samples: 1,
-            adaptive: None,
-            threads: 1,
-            trace: false,
-        };
-        let ad = RenderSettings {
-            max_depth: 2,
-            sqrt_samples: 1,
-            adaptive: Some(Adaptive {
-                threshold: 0.05,
-                max_level: 3,
-            }),
-            threads: 1,
-            trace: false,
-        };
-        let a = render_frame(
-            &s,
-            &accel,
-            &one,
-            &mut NullListener,
-            &mut RayStats::default(),
-        );
-        let b = render_frame(&s, &accel, &ad, &mut NullListener, &mut RayStats::default());
-        // images differ (edges got intermediate values)
-        assert!(!a.same_image(&b));
-    }
-
-    #[test]
-    fn supersampling_smooths_edges() {
-        let s = scene();
-        let accel = GridAccel::build(&s);
-        let one = RenderSettings {
-            max_depth: 3,
-            sqrt_samples: 1,
-            adaptive: None,
-            threads: 1,
-            trace: false,
-        };
-        let four = RenderSettings {
-            max_depth: 3,
-            sqrt_samples: 2,
-            adaptive: None,
-            threads: 1,
-            trace: false,
-        };
-        let a = render_frame(
-            &s,
-            &accel,
-            &one,
-            &mut NullListener,
-            &mut RayStats::default(),
-        );
-        let b = render_frame(
-            &s,
-            &accel,
-            &four,
-            &mut NullListener,
-            &mut RayStats::default(),
-        );
-        // images differ along silhouettes
-        assert!(!a.same_image(&b));
     }
 }

@@ -16,7 +16,6 @@ fn main() {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 40,
             tile_h: 30,
-            adaptive: true,
         },
         coherence: true,
         dirty_test: DirtyTest::Exact,

@@ -31,7 +31,6 @@ fn main() -> std::io::Result<()> {
     cfg.scheme = PartitionScheme::FrameDivision {
         tile_w: w.div_ceil(4),
         tile_h: h.div_ceil(3),
-        adaptive: true,
     };
 
     let cluster = SimCluster::paper();

@@ -19,7 +19,6 @@ fn main() {
             PartitionScheme::FrameDivision {
                 tile_w: 40,
                 tile_h: 40,
-                adaptive: true,
             },
             false,
         ),
@@ -33,16 +32,6 @@ fn main() {
             PartitionScheme::FrameDivision {
                 tile_w: 40,
                 tile_h: 40,
-                adaptive: true,
-            },
-            true,
-        ),
-        (
-            "hybrid (40x40 x 5 frames) + coherence",
-            PartitionScheme::Hybrid {
-                tile_w: 40,
-                tile_h: 40,
-                subseq: 5,
             },
             true,
         ),

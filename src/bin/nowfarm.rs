@@ -98,7 +98,7 @@ const COMMANDS: &[Command] = &[
                 "SPEC",
                 "simulated cluster, e.g. 2.0x64,1.0x32",
             ),
-            ("--scheme", "S", "seq | frame | hybrid (default: frame)"),
+            ("--scheme", "S", "seq | frame (default: frame)"),
             ("--plain", "", "disable frame coherence"),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
             ("--trace", "FILE", "Chrome trace_event JSON of the run"),
@@ -125,7 +125,7 @@ const COMMANDS: &[Command] = &[
             ("--lease", "S", "lease recovery with an S-second base lease"),
             ("--heartbeat-s", "S", "ping cadence (default 0.25)"),
             ("--accept-window-s", "S", "how long to wait for a peer"),
-            ("--scheme", "S", "seq | frame | hybrid (default: frame)"),
+            ("--scheme", "S", "seq | frame (default: frame)"),
             ("--plain", "", "disable frame coherence"),
             ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
             ("--out", "DIR", "frames + run.journal (default: out)"),
@@ -486,17 +486,8 @@ fn parse_scheme(args: &[String], anim: &Animation) -> Result<PartitionScheme, St
     let (w, h) = (anim.base.camera.width(), anim.base.camera.height());
     match flag_value(args, "--scheme").unwrap_or("frame") {
         "seq" => Ok(PartitionScheme::SequenceDivision { adaptive: true }),
-        "frame" => Ok(PartitionScheme::FrameDivision {
-            tile_w: w.div_ceil(4),
-            tile_h: h.div_ceil(3),
-            adaptive: true,
-        }),
-        "hybrid" => Ok(PartitionScheme::Hybrid {
-            tile_w: w.div_ceil(2),
-            tile_h: h.div_ceil(2),
-            subseq: (anim.frames as u32 / 4).max(1),
-        }),
-        other => Err(format!("unknown scheme `{other}` (seq|frame|hybrid)")),
+        "frame" => Ok(PartitionScheme::paper_frame_division(w, h)),
+        other => Err(format!("--scheme: unknown scheme `{other}` (seq|frame)")),
     }
 }
 
@@ -1286,6 +1277,13 @@ mod tests {
             assert!(err.contains("--machines"), "{spec}: {err}");
         }
         assert_eq!(parse_machines("2.0x64,1.0x32").unwrap().len(), 2);
+        for sub in [cmd_farm, cmd_master] {
+            let err = sub(&args("demo:newton:1:8x6 --scheme hybrid")).unwrap_err();
+            assert!(
+                err.contains("--scheme") && err.contains("seq|frame"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

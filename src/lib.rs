@@ -23,7 +23,7 @@
 //!   discrete-event simulator of heterogeneous machines on shared
 //!   Ethernet.
 //! * [`core`] — the render farm: partitioning schemes (sequence
-//!   division / frame division / hybrid), adaptive demand-driven load
+//!   division / frame division), adaptive demand-driven load
 //!   balancing, master/worker protocol, the calibrated cost model, and
 //!   the multi-tenant job-queue service (`core::service`: stride
 //!   fair-share across tenants, admission control, crash-safe job

@@ -91,7 +91,6 @@ fn farm_renders_across_the_cut_exactly() {
         PartitionScheme::FrameDivision {
             tile_w: 20,
             tile_h: 15,
-            adaptive: true,
         },
     ] {
         let cfg = FarmConfig {

@@ -23,7 +23,6 @@ fn cfg() -> FarmConfig {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 20,
             tile_h: 15,
-            adaptive: true,
         },
         coherence: true,
         dirty_test: DirtyTest::Exact,

@@ -39,7 +39,6 @@ fn master_cfg() -> FarmConfig {
         scheme: PartitionScheme::FrameDivision {
             tile_w: W.div_ceil(4),
             tile_h: H.div_ceil(3),
-            adaptive: true,
         },
         coherence: true,
         dirty_test: DirtyTest::Exact,

@@ -15,7 +15,6 @@ fn sim_runs_are_bit_identical() {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 20,
             tile_h: 15,
-            adaptive: true,
         },
         coherence: true,
         dirty_test: DirtyTest::Exact,

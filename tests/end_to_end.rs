@@ -67,7 +67,6 @@ fn all_schemes_and_backends_agree_on_newton() {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 12,
-                adaptive: true,
             },
             true,
         ),
@@ -76,18 +75,8 @@ fn all_schemes_and_backends_agree_on_newton() {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 12,
-                adaptive: true,
             },
             false,
-        ),
-        (
-            "hybrid",
-            PartitionScheme::Hybrid {
-                tile_w: 24,
-                tile_h: 18,
-                subseq: 2,
-            },
-            true,
         ),
     ];
     for (name, scheme, coh) in schemes {
@@ -102,7 +91,6 @@ fn all_schemes_and_backends_agree_on_newton() {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 12,
-                adaptive: true,
             },
             true,
         ),
@@ -166,7 +154,6 @@ fn unusual_cluster_shapes_still_correct() {
             PartitionScheme::FrameDivision {
                 tile_w: 12,
                 tile_h: 12,
-                adaptive: true,
             },
             true,
         ),
@@ -255,47 +242,6 @@ fn soft_shadows_keep_coherence_exact() {
 }
 
 #[test]
-fn adaptive_antialiasing_keeps_coherence_exact() {
-    use nowrender::raytrace::Adaptive;
-    let anim = newton_anim();
-    let settings = RenderSettings {
-        max_depth: 3,
-        sqrt_samples: 1,
-        adaptive: Some(Adaptive {
-            threshold: 0.1,
-            max_level: 2,
-        }),
-        threads: 1,
-        trace: false,
-    };
-    let cost = CostModel::default();
-    let mut plain = Vec::new();
-    render_sequence(
-        &anim,
-        &settings,
-        &cost,
-        SequenceMode::Plain,
-        SingleMachine::unit(),
-        4096,
-        |_, fb| plain.push(fb),
-    );
-    let mut coh = Vec::new();
-    let rc = render_sequence(
-        &anim,
-        &settings,
-        &cost,
-        SequenceMode::Coherent(DirtyTest::Exact),
-        SingleMachine::unit(),
-        4096,
-        |_, fb| coh.push(fb),
-    );
-    for (i, (a, b)) in plain.iter().zip(coh.iter()).enumerate() {
-        assert!(a.same_image(b), "adaptive frame {i} deviates");
-    }
-    assert!(rc.rays.total_rays() > 0);
-}
-
-#[test]
 fn paper_shape_holds_at_test_scale() {
     // the qualitative claims of Table 1, enforced at a small scale
     let anim = newton_anim();
@@ -327,7 +273,6 @@ fn paper_shape_holds_at_test_scale() {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 12,
-                adaptive: true,
             },
             false,
         ),
@@ -339,7 +284,6 @@ fn paper_shape_holds_at_test_scale() {
             PartitionScheme::FrameDivision {
                 tile_w: 16,
                 tile_h: 12,
-                adaptive: true,
             },
             true,
         ),

@@ -9,6 +9,8 @@
 //! `frame_0000.tga` as that build wrote them.
 
 use nowrender::anim::scenes::glassball;
+use nowrender::cluster::codec::Encoder;
+use nowrender::cluster::journal::{read_log, JournalFaultPlan, JournalWriter};
 use nowrender::cluster::ThreadCluster;
 use nowrender::core::{
     run_threads_with, CostModel, DirtyTest, FarmConfig, JournalSpec, PartitionScheme,
@@ -43,7 +45,6 @@ fn cfg(dirty_test: DirtyTest) -> FarmConfig {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 16,
             tile_h: 24,
-            adaptive: true,
         },
         coherence: true,
         dirty_test,
@@ -89,5 +90,43 @@ fn a_paper_run_refuses_the_older_journal() {
     )
     .expect_err("a paper run must not resume an exact run's journal");
     assert!(err.contains("refusing to resume"), "got: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A RunHeader ends in the scheme: a tag byte and three `u32`s. Tag 2 was
+/// the hybrid scheme (sub-areas x subsequences), which no build resumes
+/// any more: such a run directory is refused by naming the scheme, not
+/// as a generic configuration mismatch, and without a panic.
+#[test]
+fn a_hybrid_run_directory_is_refused_by_name() {
+    let anim = glassball::animation_sized(32, 24, 3);
+    let dir = copy_of_fixture("tag2");
+    let journal = dir.join("run.journal");
+    let mut records = read_log(&journal).expect("fixture journal").records;
+    let header = &mut records[0];
+    header.truncate(header.len() - 13);
+    let mut hybrid = Encoder::new();
+    hybrid.u8(2).u32(16).u32(24).u32(2);
+    header.extend(hybrid.finish());
+    let mut writer = JournalWriter::create(&journal, JournalFaultPlan::none()).expect("create");
+    for record in &records {
+        writer.append(record).expect("append");
+    }
+    drop(writer);
+
+    let resume = std::panic::catch_unwind(|| {
+        run_threads_with(
+            &anim,
+            &cfg(DirtyTest::Exact),
+            &ThreadCluster::new(2),
+            Some(&JournalSpec::resume(&dir)),
+        )
+    });
+    let err = resume
+        .expect("a retired scheme is refused, not a panic")
+        .expect_err("no build resumes a hybrid run");
+    assert!(err.contains("refusing to resume"), "got: {err}");
+    assert!(err.contains("hybrid partition scheme"), "got: {err}");
+    assert!(!err.contains("farm configuration mismatch"), "got: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

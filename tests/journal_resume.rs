@@ -38,7 +38,6 @@ fn cfg() -> FarmConfig {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 16,
             tile_h: 24,
-            adaptive: true,
         },
         coherence: true,
         dirty_test: DirtyTest::Exact,

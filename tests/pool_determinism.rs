@@ -165,7 +165,6 @@ fn farm_cfg(threads: u32) -> FarmConfig {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 24,
             tile_h: 18,
-            adaptive: true,
         },
         coherence: true,
         dirty_test: DirtyTest::Exact,

@@ -38,7 +38,6 @@ fn farm_cfg(threads: u32) -> FarmConfig {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 24,
             tile_h: 18,
-            adaptive: true,
         },
         coherence: true,
         dirty_test: DirtyTest::Exact,
@@ -167,11 +166,7 @@ fn a_journaled_run_syncs_once_per_frame() {
     let anim = glassball::animation_sized(32, 24, frames as usize);
     for (tile_w, units) in [(16, 6), (8, 12)] {
         let cfg = FarmConfig {
-            scheme: PartitionScheme::FrameDivision {
-                tile_w,
-                tile_h: 24,
-                adaptive: true,
-            },
+            scheme: PartitionScheme::FrameDivision { tile_w, tile_h: 24 },
             ..farm_cfg(1)
         };
         let dir =
@@ -211,7 +206,6 @@ fn farm_workers_compute_each_change_set_once() {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 12,
             tile_h: 12,
-            adaptive: true,
         },
         ..farm_cfg(1)
     };
