@@ -88,5 +88,5 @@ pub use net::{
 };
 pub use netfault::{full_jitter_delay, JitterRng, NetFault, NetFaultPlan};
 pub use report::{MachineReport, RunReport, SpanKind, TimelineSpan};
-pub use sim::{EthernetSpec, MachineSpec, SimCluster};
+pub use sim::{paged_seconds, EthernetSpec, MachineSpec, SimCluster};
 pub use threads::ThreadCluster;

@@ -68,6 +68,18 @@ impl MachineSpec {
     }
 }
 
+/// Seconds `work` CPU-seconds take on a machine of relative `speed` with
+/// `memory_mb` MB of memory when the working set is `ws_mb` MB: only the
+/// excess fraction of the working set pages, slowed by `paging_factor`.
+pub fn paged_seconds(work: f64, speed: f64, memory_mb: f64, ws_mb: f64, paging_factor: f64) -> f64 {
+    let mut t = work / speed;
+    if ws_mb > memory_mb && ws_mb > 0.0 {
+        let excess = (ws_mb - memory_mb) / ws_mb;
+        t *= 1.0 + (paging_factor - 1.0) * excess;
+    }
+    t
+}
+
 /// Shared-bus Ethernet model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EthernetSpec {
@@ -466,12 +478,8 @@ where
             self.report.faults_injected += 1;
         }
         let spec = &self.cluster.machines[worker];
-        let mut dur = cost.work_units / spec.speed;
-        if cost.working_set_mb > spec.memory_mb && cost.working_set_mb > 0.0 {
-            // only the excess fraction of the working set pages
-            let excess = (cost.working_set_mb - spec.memory_mb) / cost.working_set_mb;
-            dur *= 1.0 + (self.cluster.net.paging_factor - 1.0) * excess;
-        }
+        let (ws, paging) = (cost.working_set_mb, self.cluster.net.paging_factor);
+        let mut dur = paged_seconds(cost.work_units, spec.speed, spec.memory_mb, ws, paging);
         let slow = faults.slowdown(worker, idx);
         if slow != 1.0 {
             dur *= slow;

@@ -7,7 +7,8 @@
 //! Granularity is configurable: group size 1 is the paper's pixel-level
 //! algorithm; larger groups reproduce Jevans' block-based scheme ("if one
 //! pixel in the block needs to be updated, all pixels in the block are
-//! re-computed"), which the paper contrasts against.
+//! re-computed"), which the paper contrasts against. Plain rendering is
+//! the same renderer without an engine ([`CoherentRenderer::plain`]).
 
 use crate::change::{changed_voxels, ChangeSet, MoverMask};
 use crate::engine::{CoherenceEngine, CoherenceStats, DirtyTest};
@@ -16,8 +17,8 @@ use now_grid::dda::VoxelPath;
 use now_grid::GridSpec;
 use now_math::Ray;
 use now_raytrace::{
-    render_pixels_par, Framebuffer, GridAccel, ParallelStats, PixelId, RayKind, RayListener,
-    RayStats, RenderSettings, Scene, ShardableListener,
+    render_pixels_par, Framebuffer, GridAccel, NullListener, ParallelStats, PixelId, RayKind,
+    RayListener, RayStats, RenderSettings, Scene, ShardableListener,
 };
 use std::sync::Arc;
 
@@ -144,6 +145,8 @@ pub struct FrameReport {
     pub region_pixels: usize,
     /// Rays fired this frame.
     pub rays: RayStats,
+    /// Coherence voxel marks performed this frame.
+    pub marks: u64,
     /// Cumulative coherence bookkeeping counters after this frame.
     pub coherence: CoherenceStats,
     /// Engine memory in bytes after this frame.
@@ -187,8 +190,12 @@ pub struct CoherentRenderer {
     settings: RenderSettings,
     region: PixelRegion,
     map: GroupMap,
-    engine: CoherenceEngine,
-    prev: Option<(Scene, Framebuffer)>,
+    /// `None` for a plain renderer.
+    engine: Option<CoherenceEngine>,
+    /// The region's colours, which the next frame starts from.
+    fb: Framebuffer,
+    /// The last frame's scene, kept by a coherent renderer.
+    prev: Option<Scene>,
     frame_index: usize,
     /// Frame of the mask's sequence the renderer's frame 0 is.
     first_frame: usize,
@@ -220,13 +227,30 @@ impl CoherentRenderer {
         block: u32,
         settings: RenderSettings,
     ) -> Self {
-        let map = GroupMap::new(width, height, region, block);
+        let mut r = Self::plain(spec, width, height, region, settings);
+        r.map = GroupMap::new(width, height, region, block);
+        r.engine = Some(CoherenceEngine::new(spec, r.map.group_count()));
+        r
+    }
+
+    /// Renderer of `region` without an engine: every frame renders every
+    /// region pixel and records nothing (plain rendering). Its coherence
+    /// statistics and memory read zero; the coherence builders ignore it.
+    pub fn plain(
+        spec: GridSpec,
+        width: u32,
+        height: u32,
+        region: PixelRegion,
+        settings: RenderSettings,
+    ) -> Self {
+        let (map, r) = (GroupMap::new(width, height, region, 1), region);
         CoherentRenderer {
             spec,
             settings,
             region,
             map,
-            engine: CoherenceEngine::new(spec, map.group_count()),
+            engine: None,
+            fb: Framebuffer::window(map.width, map.height, r.x0, r.y0, r.w, r.h),
             prev: None,
             frame_index: 0,
             first_frame: 0,
@@ -257,18 +281,23 @@ impl CoherentRenderer {
     /// renderer's frames must be consecutive frames of the mask's sequence,
     /// from frame 0 or from [`CoherentRenderer::from_frame`].
     pub fn with_mover_mask(mut self, mask: Arc<MoverMask>) -> Self {
-        self.engine = self.fresh_engine(self.engine.test()).with_mask(mask);
+        self.engine = self
+            .engine
+            .as_ref()
+            .map(|e| self.fresh_engine(e.test()).with_mask(mask));
         self
     }
 
     /// Decide dirty pixels with `test` (the default is
     /// [`DirtyTest::Exact`]); a mover mask given before is kept.
     pub fn with_dirty_test(mut self, test: DirtyTest) -> Self {
-        let engine = self.fresh_engine(test);
-        self.engine = match self.engine.mask() {
-            Some(mask) => engine.with_mask(Arc::clone(mask)),
-            None => engine,
-        };
+        self.engine = self.engine.as_ref().map(|e| {
+            let engine = self.fresh_engine(test);
+            match e.mask() {
+                Some(mask) => engine.with_mask(Arc::clone(mask)),
+                None => engine,
+            }
+        });
         self
     }
 
@@ -292,18 +321,20 @@ impl CoherentRenderer {
 
     /// Engine statistics.
     pub fn coherence_stats(&self) -> CoherenceStats {
-        self.engine.stats()
+        self.engine()
+            .map(CoherenceEngine::stats)
+            .unwrap_or_default()
     }
 
     /// The engine's full state (tests compare engines across render paths
-    /// via `PartialEq`).
-    pub fn engine(&self) -> &CoherenceEngine {
-        &self.engine
+    /// via `PartialEq`); `None` for a plain renderer.
+    pub fn engine(&self) -> Option<&CoherenceEngine> {
+        self.engine.as_ref()
     }
 
     /// Approximate memory held by coherence data structures.
     pub fn memory_bytes(&self) -> usize {
-        self.engine.memory_bytes()
+        self.engine().map_or(0, CoherenceEngine::memory_bytes)
     }
 
     /// Forget all coherence state (used when a sequence is cut, e.g. the
@@ -311,7 +342,9 @@ impl CoherentRenderer {
     /// from another"). The renderer keeps its place in its mask's
     /// sequence: the next frame it renders is the one after the last.
     pub fn reset(&mut self) {
-        self.engine.clear();
+        if let Some(engine) = &mut self.engine {
+            engine.clear();
+        }
         self.prev = None;
         self.first_frame += self.frame_index;
         self.frame_index = 0;
@@ -323,7 +356,7 @@ impl CoherentRenderer {
     /// the driving thread, and the dirty set is a pure function of the
     /// scene pair — so these events are part of the golden stream.
     fn emit_trace(&self, report: &FrameReport) {
-        if !self.settings.trace || !now_trace::enabled() {
+        if self.engine.is_none() || !self.settings.trace || !now_trace::enabled() {
             return;
         }
         let rec = now_trace::global();
@@ -366,20 +399,14 @@ impl CoherentRenderer {
     /// is the renderer's own, which the next frame will update in place.
     pub fn render_next_borrowed(&mut self, scene: &Scene) -> (&Framebuffer, FrameReport) {
         let accel = GridAccel::build_with_spec(scene, self.spec);
-        // A frame differs from the next only in the framebuffer it starts
-        // from, whether it re-renders the whole region, and which groups'
-        // recorded rays go stale: none on the first frame (nothing is
-        // recorded yet), every group of the region after an `Everything`
-        // transition, the dirty groups otherwise.
-        let (mut fb, full_render, changed, stale) = match self.prev.take() {
-            None => {
-                let (map, r) = (self.map, self.region);
-                let fb = Framebuffer::window(map.width, map.height, r.x0, r.y0, r.w, r.h);
-                (fb, true, 0, Vec::new())
-            }
-            Some((prev_scene, prev_fb)) => {
+        // A frame re-renders the whole region without a previous scene (a
+        // plain renderer never has one) and the dirty groups otherwise.
+        // Stale recorded rays: none on a first frame (nothing is recorded
+        // yet), every group's after an `Everything` transition.
+        let (full_render, changed, stale) = match (&mut self.engine, self.prev.take()) {
+            (Some(engine), Some(prev_scene)) => {
                 // a masked renderer's transitions were computed with its mask
-                let mask = self.engine.mask().cloned();
+                let mask = engine.mask().cloned();
                 let transition = self.first_frame + self.frame_index - 1;
                 let computed;
                 let change = match mask.as_deref().and_then(|m| m.transition(transition)) {
@@ -392,11 +419,12 @@ impl CoherentRenderer {
                 let (full, stale) = match change {
                     ChangeSet::Everything => (true, (0..self.map.group_count() as u32).collect()),
                     ChangeSet::Voxels { voxels, movers } => {
-                        (false, self.engine.dirty_pixels(voxels, movers))
+                        (false, engine.dirty_pixels(voxels, movers))
                     }
                 };
-                (prev_fb, full, change.len(&self.spec), stale)
+                (full, change.len(&self.spec), stale)
             }
+            _ => (true, 0, Vec::new()),
         };
         let ids: Vec<PixelId> = if full_render {
             self.region.pixel_ids(self.map.width).collect()
@@ -406,28 +434,29 @@ impl CoherentRenderer {
                 .flat_map(|&g| self.map.pixels_of_group(g))
                 .collect()
         };
-        self.engine.invalidate_pixels(&stale);
-        let mut rays = RayStats::default();
-        let mut listener = GroupListener {
-            engine: &mut self.engine,
-            map: self.map,
-            track_shadows: self.track_shadows,
+        let marks_before = self.coherence_stats().marks;
+        let (fb, st, mut rays) = (&mut self.fb, &self.settings, RayStats::default());
+        let parallel = match &mut self.engine {
+            None => render_pixels_par(scene, &accel, st, fb, &ids, &mut NullListener, &mut rays),
+            Some(engine) => {
+                engine.invalidate_pixels(&stale);
+                let mut listener = GroupListener {
+                    engine: &mut *engine,
+                    map: self.map,
+                    track_shadows: self.track_shadows,
+                };
+                let parallel =
+                    render_pixels_par(scene, &accel, st, fb, &ids, &mut listener, &mut rays);
+                // bound memory: compact once the log is mostly stale records
+                if engine.stale_bytes() as u64 * 2 > engine.stats().list_bytes {
+                    engine.compact();
+                }
+                self.prev = Some(scene.clone());
+                parallel
+            }
         };
-        let parallel = render_pixels_par(
-            scene,
-            &accel,
-            &self.settings,
-            &mut fb,
-            &ids,
-            &mut listener,
-            &mut rays,
-        );
 
-        // bound memory: compact once the log is mostly stale records
-        if self.engine.stale_bytes() as u64 * 2 > self.engine.stats().list_bytes {
-            self.engine.compact();
-        }
-
+        let coherence = self.coherence_stats();
         let report = FrameReport {
             frame_index: self.frame_index,
             full_render,
@@ -436,14 +465,14 @@ impl CoherentRenderer {
             rendered: ids,
             region_pixels: self.region.len(),
             rays,
-            coherence: self.engine.stats(),
-            memory_bytes: self.engine.memory_bytes(),
+            marks: coherence.marks - marks_before,
+            coherence,
+            memory_bytes: self.memory_bytes(),
             parallel,
         };
         self.emit_trace(&report);
         self.frame_index += 1;
-        let (_, fb) = self.prev.insert((scene.clone(), fb));
-        (fb, report)
+        (&self.fb, report)
     }
 }
 
@@ -550,14 +579,14 @@ mod tests {
                 .with_dirty_test(test);
             let (_, report) = r.render_next(&scene);
             assert!(report.full_render);
-            let stats = r.engine().stats();
+            let stats = r.engine().unwrap().stats();
             match test {
                 DirtyTest::Paper => {
                     let entry_bytes = stats.list_bytes as f64 / stats.entries as f64;
                     assert!(entry_bytes <= 2.0, "{entry_bytes} log bytes per mark");
                 }
                 DirtyTest::Exact => {
-                    let parts = r.engine().record_parts();
+                    let parts = r.engine().unwrap().record_parts();
                     let heads: usize = parts.iter().map(|&(head, gen, _)| head + gen).sum();
                     assert!(parts.iter().all(|&(_, _, body)| body == 12));
                     assert_eq!(stats.list_bytes, (heads + 12 * parts.len()) as u64);
@@ -610,7 +639,7 @@ mod tests {
                 for &id in &report.rendered {
                     mix(id as u64);
                 }
-                let parts = r.engine().record_parts();
+                let parts = r.engine().unwrap().record_parts();
                 // 13-14 B, and the few records that open a generation
                 // carry it after their head
                 assert!(parts
@@ -676,6 +705,72 @@ mod tests {
         }
     }
 
+    /// A plain renderer is the record-nothing case of the region renderer:
+    /// every frame re-renders every pixel of its region, it has no engine
+    /// (the coherence builders and a reset leave it so) and emits no
+    /// coherence event with tracing on, and its frames are a coherent
+    /// renderer's byte for byte.
+    #[test]
+    fn a_plain_renderer_renders_every_pixel_and_records_nothing() {
+        let spec = sequence_spec();
+        let traced = RenderSettings {
+            trace: true,
+            ..RenderSettings::default()
+        };
+        let region = PixelRegion {
+            x0: 8,
+            y0: 6,
+            w: 24,
+            h: 18,
+        };
+        let scenes: Vec<Scene> = (0..4).map(|i| frame_scene(i as f64 * 0.4)).collect();
+        let mask = Arc::new(MoverMask::of_sequence(&spec, scenes.iter().cloned()));
+        let (plain_frames, snap) = now_trace::capture(|| {
+            let mut r = CoherentRenderer::plain(spec, 48, 36, region, traced.clone())
+                .with_dirty_test(DirtyTest::Paper)
+                .with_mover_mask(mask);
+            let mut frames = Vec::new();
+            for (f, scene) in scenes.iter().enumerate() {
+                if f == 2 {
+                    r.reset();
+                }
+                let (fb, report) = r.render_next(scene);
+                assert!(report.full_render);
+                assert_eq!(report.frame_index, f % 2);
+                assert_eq!(report.rendered, region.pixel_ids(48).collect::<Vec<_>>());
+                assert_eq!(report.pixels_rendered, region.len());
+                assert_eq!(report.rays.pixels, region.len() as u64);
+                assert_eq!(report.marks, 0);
+                assert_eq!(report.coherence, CoherenceStats::default());
+                assert_eq!(report.memory_bytes, 0);
+                frames.push(fb);
+            }
+            assert!(r.engine().is_none());
+            assert_eq!(r.memory_bytes(), 0);
+            assert_eq!(r.coherence_stats(), CoherenceStats::default());
+            frames
+        });
+        let coh_events = |snap: &now_trace::Snapshot| {
+            snap.events
+                .iter()
+                .filter(|e| e.name.starts_with("coh."))
+                .count()
+        };
+        assert_eq!(coh_events(&snap), 0);
+        assert!(!snap.counters.contains_key("coh.frames"));
+        // the coherent renderer of the same region, traced the same way,
+        // does emit them, and renders the same bytes
+        let mut r = CoherentRenderer::with_region_and_block(spec, 48, 36, region, 1, traced);
+        let (_, snap) = now_trace::capture(|| {
+            for (f, (scene, want)) in scenes.iter().zip(&plain_frames).enumerate() {
+                let (fb, report) = r.render_next(scene);
+                assert_eq!(&fb, want, "frame {f}");
+                assert_eq!(report.full_render, f == 0);
+            }
+        });
+        assert_eq!(coh_events(&snap), scenes.len());
+    }
+
     #[test]
     fn static_frames_recompute_nothing() {
         let spec = sequence_spec();
@@ -696,7 +791,7 @@ mod tests {
         for _ in 0..3 {
             let (_, report) = r.render_next(&frame_scene(0.0));
             assert_eq!(report.coherence.compactions, 0);
-            assert_eq!(r.engine().stale_bytes(), 0);
+            assert_eq!(r.engine().unwrap().stale_bytes(), 0);
         }
         // a moving ball leaves stale records behind every frame: they are
         // dropped once they outweigh the live ones, never before
@@ -705,9 +800,9 @@ mod tests {
             let (_, report) = r.render_next(&frame_scene(i as f64 * 0.05));
             if report.coherence.compactions > compactions {
                 compactions = report.coherence.compactions;
-                assert_eq!(r.engine().stale_bytes(), 0);
+                assert_eq!(r.engine().unwrap().stale_bytes(), 0);
             }
-            assert!(r.engine().stale_bytes() as u64 * 2 <= report.coherence.list_bytes);
+            assert!(r.engine().unwrap().stale_bytes() as u64 * 2 <= report.coherence.list_bytes);
         }
         assert!(compactions > 0, "40 frames of motion never compacted");
         assert!(compactions < 20, "{compactions} compactions in 40 frames");

@@ -34,7 +34,8 @@
 //!   rays passes within such a bound (an extension of the paper's
 //!   voxel-granular test).
 //! * [`CoherentRenderer`] — incremental sequence renderer: frame `t+1` is
-//!   frame `t` plus a re-render of exactly the dirty pixels.
+//!   frame `t` plus a re-render of exactly the dirty pixels;
+//!   [`CoherentRenderer::plain`] renders every pixel and records nothing.
 //! * [`CoherentRenderer::with_region_and_block`] — the cited Jevans
 //!   baseline: coherence tracked for blocks of pixels; one dirty pixel
 //!   recomputes its whole block.

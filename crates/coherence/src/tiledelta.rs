@@ -159,10 +159,10 @@ fn read_gaps(bytes: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u32>, &'
     let mut prev = 0i64;
     for _ in 0..count {
         let z = try_read_varint(bytes, pos).ok_or("truncated id gaps")?;
-        let id = prev + unzigzag(z);
-        if !(0..=u32::MAX as i64).contains(&id) {
-            return Err("pixel id out of range");
-        }
+        let id = prev
+            .checked_add(unzigzag(z))
+            .filter(|id| (0..=u32::MAX as i64).contains(id))
+            .ok_or("pixel id out of range")?;
         ids.push(id as u32);
         prev = id;
     }
@@ -348,10 +348,10 @@ impl TileUpdate {
                 }
                 for (k, (d, &local)) in deltas.iter().zip(&locals).enumerate() {
                     for (c, &dc) in d.iter().enumerate() {
-                        let v = buf.rgb[local][c] as i64 + dc;
-                        if !(0..=255).contains(&v) {
-                            return Err("delta drives channel out of range");
-                        }
+                        let v = (buf.rgb[local][c] as i64)
+                            .checked_add(dc)
+                            .filter(|v| (0..=255).contains(v))
+                            .ok_or("delta drives channel out of range")?;
                         buf.rgb[local][c] = v as u8;
                         pixels[k].1[c] = v as u8;
                     }
@@ -551,6 +551,35 @@ mod tests {
         assert_eq!(
             up.decode(REGION, W, &mut dec),
             Err("unknown tile-update mode")
+        );
+        // an id gap that overflows the running id
+        let mut payload = Vec::new();
+        write_varint(&mut payload, zigzag(id as i64));
+        write_varint(&mut payload, zigzag(i64::MAX));
+        payload.extend_from_slice(&[0; 6]);
+        let up = TileUpdate {
+            mode: MODE_FULL,
+            count: 2,
+            payload,
+        };
+        assert_eq!(
+            up.decode(REGION, W, &mut None),
+            Err("pixel id out of range")
+        );
+        // a channel delta that overflows the seeded value
+        let mut payload = Vec::new();
+        write_gaps(&mut payload, &[(id, [0; 3]), (id + 1, [0; 3])]);
+        for z in [zigzag(i64::MAX), 0, 0, 0, 0, 0] {
+            write_varint(&mut payload, z);
+        }
+        let up = TileUpdate {
+            mode: MODE_DELTA_DEFLATE,
+            count: 2,
+            payload: now_raytrace::deflate::deflate(&payload),
+        };
+        assert_eq!(
+            up.decode(REGION, W, &mut dec),
+            Err("delta drives channel out of range")
         );
     }
 

@@ -2,9 +2,10 @@
 //!
 //! The master owns the scheduler (a [`PartitionScheme`] instance), a
 //! rolling frame canvas, and the Targa writing; each worker owns a
-//! [`CoherentRenderer`] for its current region and ships back only the
-//! pixels it recomputed. One implementation runs on both the
-//! discrete-event simulator and real threads.
+//! [`CoherentRenderer`] for its current region — a plain one when the run
+//! has no coherence — and ships back the pixels it rendered as a tile
+//! delta. One implementation runs on both the discrete-event simulator
+//! and real threads.
 //!
 //! [`FarmMaster`] is also the per-job engine inside the multi-tenant
 //! service ([`crate::service`]): the service builds one lazily per
@@ -22,14 +23,9 @@ use now_cluster::{
     Wire, WorkCost, WorkerLogic, WorkerSummary,
 };
 use now_coherence::varint::{read_varint, unzigzag, write_varint, zigzag};
-use now_coherence::{
-    CoherentRenderer, DirtyTest, MoverMask, PixelRegion, RegionBuffer, TileUpdate,
-};
+use now_coherence::{CoherentRenderer, DirtyTest, MoverMask, RegionBuffer, TileUpdate};
 use now_grid::GridSpec;
-use now_raytrace::{
-    render_pixels_par, Framebuffer, GridAccel, NullListener, ParallelStats, PixelId, RayStats,
-    RenderSettings,
-};
+use now_raytrace::{Framebuffer, ParallelStats, PixelId, RayStats, RenderSettings};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -283,15 +279,17 @@ pub(crate) type FinishedFrame = (u32, Vec<PackedPixels>, u64);
 // Worker
 // ---------------------------------------------------------------------
 
+/// A worker's current region: its renderer (plain or coherent) and the
+/// sender side of its tile stream, the region as the master last saw it.
 struct WorkerState {
-    region: PixelRegion,
     renderer: CoherentRenderer,
-    prev_marks: u64,
+    wire: Option<RegionBuffer>,
+    /// The frame the region's renderer and stream expect next.
     next_frame: u32,
 }
 
-/// Worker-side logic: renders assigned units, maintaining coherence state
-/// and the outgoing tile-delta stream for its current region.
+/// Worker-side logic: renders assigned units, maintaining its region's
+/// renderer and the outgoing tile-delta stream.
 pub struct FarmWorker {
     anim: Arc<Animation>,
     spec: GridSpec,
@@ -302,12 +300,6 @@ pub struct FarmWorker {
     /// The animation's mover mask, built at the first coherent unit and
     /// shared by every renderer this worker creates.
     mask: Option<Arc<MoverMask>>,
-    /// Sender side of the tile-update stream: the region as the master
-    /// last saw it. Cleared on any discontinuity so the next update is a
-    /// stream-resetting FULL.
-    wire: Option<RegionBuffer>,
-    /// Frame the wire stream expects next (valid while `wire` is Some).
-    wire_next: u32,
 }
 
 impl FarmWorker {
@@ -324,70 +316,56 @@ impl FarmWorker {
             height,
             state: None,
             mask: None,
-            wire: None,
-            wire_next: 0,
         }
     }
 
-    /// Encode this unit's rendered pixels for the wire, advancing the
-    /// outgoing stream. Any discontinuity — restart, region switch, frame
-    /// gap — drops the stream state, forcing a FULL that re-seeds the
-    /// master's decoder too.
-    fn encode_update(&mut self, unit: &RenderUnit, pixels: &[(PixelId, [u8; 3])]) -> TileUpdate {
-        let continuous = !unit.restart
-            && self.wire_next == unit.frame
-            && matches!(&self.wire, Some(b) if b.region() == unit.region);
-        if !continuous {
-            self.wire = None;
+    /// A fresh renderer for `unit`'s region, starting at its frame.
+    fn renderer_for(&mut self, unit: &RenderUnit) -> CoherentRenderer {
+        let (spec, settings) = (self.spec, self.cfg.settings.clone());
+        if !self.cfg.coherence {
+            return CoherentRenderer::plain(spec, self.width, self.height, unit.region, settings);
         }
-        let update = TileUpdate::encode(
-            pixels,
-            unit.region,
+        let anim = &self.anim;
+        let mask = self.mask.get_or_insert_with(|| {
+            let frames = (0..anim.frames).map(|f| anim.scene_at(f));
+            Arc::new(MoverMask::of_sequence(&spec, frames))
+        });
+        CoherentRenderer::with_region_and_block(
+            spec,
             self.width,
-            &mut self.wire,
-            true, // compact: the farm has no RAW mode
-        );
-        self.wire_next = unit.frame + 1;
-        update
+            self.height,
+            unit.region,
+            1,
+            settings,
+        )
+        .with_dirty_test(self.cfg.dirty_test)
+        .with_mover_mask(Arc::clone(mask))
+        .from_frame(unit.frame as usize)
     }
+}
 
-    fn perform_coherent(&mut self, unit: &RenderUnit) -> (UnitOutput, WorkCost) {
-        let need_reset = unit.restart
-            || match &self.state {
-                Some(s) => s.region != unit.region || s.next_frame != unit.frame,
-                None => true,
-            };
-        if need_reset {
-            let anim = &self.anim;
-            let mask = self.mask.get_or_insert_with(|| {
-                let frames = (0..anim.frames).map(|f| anim.scene_at(f));
-                Arc::new(MoverMask::of_sequence(&self.spec, frames))
-            });
+impl WorkerLogic for FarmWorker {
+    type Unit = RenderUnit;
+    type Result = UnitOutput;
+
+    fn perform(&mut self, unit: &RenderUnit) -> (UnitOutput, WorkCost) {
+        // One rule for a fresh start — a restart, a region switch or a
+        // frame gap: a new renderer renders the whole region, and the
+        // dropped stream state makes the update a FULL that re-seeds the
+        // master's decoder too.
+        let continues = matches!(&self.state,
+            Some(s) if s.renderer.region() == unit.region && s.next_frame == unit.frame);
+        if unit.restart || !continues {
             self.state = Some(WorkerState {
-                region: unit.region,
-                renderer: CoherentRenderer::with_region_and_block(
-                    self.spec,
-                    self.width,
-                    self.height,
-                    unit.region,
-                    1,
-                    self.cfg.settings.clone(),
-                )
-                .with_dirty_test(self.cfg.dirty_test)
-                .with_mover_mask(Arc::clone(mask))
-                .from_frame(unit.frame as usize),
-                prev_marks: 0,
+                renderer: self.renderer_for(unit),
+                wire: None,
                 next_frame: unit.frame,
             });
         }
         let state = self.state.as_mut().expect("state just ensured");
-        debug_assert_eq!(state.next_frame, unit.frame, "frames must be consecutive");
         let scene = self.anim.scene_at(unit.frame as usize);
         let (fb, report) = state.renderer.render_next_borrowed(&scene);
         state.next_frame = unit.frame + 1;
-        let marks = report.coherence.marks - state.prev_marks;
-        state.prev_marks = report.coherence.marks;
-
         let pixels: Vec<(PixelId, [u8; 3])> = report
             .rendered
             .iter()
@@ -399,84 +377,24 @@ impl FarmWorker {
         let copied = (unit.region.len() - pixels.len()) as u64;
         // charge virtual time for the pool's critical path, not the sum of
         // per-thread work
-        let work =
-            self.cfg
-                .cost
-                .parallel_render_work(&report.rays, marks, copied, &report.parallel);
-        let update = self.encode_update(unit, &pixels);
+        let model = &self.cfg.cost;
+        let work = model.parallel_render_work(&report.rays, report.marks, copied, &report.parallel);
+        // compact: the farm has no RAW mode
+        let update = TileUpdate::encode(&pixels, unit.region, self.width, &mut state.wire, true);
         let cost = WorkCost {
             work_units: work,
             result_bytes: update.wire_len() + 32,
-            working_set_mb: self
-                .cfg
-                .cost
-                .working_set_mb(unit.region.len(), &report.coherence),
+            working_set_mb: model.working_set_mb(unit.region.len(), &report.coherence),
         };
         let mut out = UnitOutput {
             update,
             rays: report.rays,
-            marks,
+            marks: report.marks,
             parallel: report.parallel,
             checksum: 0,
         };
         out.seal();
         (out, cost)
-    }
-
-    fn perform_plain(&mut self, unit: &RenderUnit) -> (UnitOutput, WorkCost) {
-        let scene = self.anim.scene_at(unit.frame as usize);
-        let accel = GridAccel::build_with_spec(&scene, self.spec);
-        let mut rays = RayStats::default();
-        let r = unit.region;
-        let mut fb = Framebuffer::window(self.width, self.height, r.x0, r.y0, r.w, r.h);
-        let ids: Vec<PixelId> = unit.region.pixel_ids(self.width).collect();
-        let parallel = render_pixels_par(
-            &scene,
-            &accel,
-            &self.cfg.settings,
-            &mut fb,
-            &ids,
-            &mut NullListener,
-            &mut rays,
-        );
-        // the window holds the region row-major, as `ids` lists it
-        let pixels: Vec<(PixelId, [u8; 3])> = ids
-            .iter()
-            .zip(fb.pixels())
-            .map(|(&id, c)| {
-                let (r, g, b) = c.to_u8();
-                (id, [r, g, b])
-            })
-            .collect();
-        let work = self.cfg.cost.parallel_render_work(&rays, 0, 0, &parallel);
-        let update = self.encode_update(unit, &pixels);
-        let cost = WorkCost {
-            work_units: work,
-            result_bytes: update.wire_len() + 32,
-            working_set_mb: (unit.region.len() as f64 * 48.0) / (1024.0 * 1024.0),
-        };
-        let mut out = UnitOutput {
-            update,
-            rays,
-            marks: 0,
-            parallel,
-            checksum: 0,
-        };
-        out.seal();
-        (out, cost)
-    }
-}
-
-impl WorkerLogic for FarmWorker {
-    type Unit = RenderUnit;
-    type Result = UnitOutput;
-
-    fn perform(&mut self, unit: &RenderUnit) -> (UnitOutput, WorkCost) {
-        if self.cfg.coherence {
-            self.perform_coherent(unit)
-        } else {
-            self.perform_plain(unit)
-        }
     }
 
     fn corrupt(result: &mut UnitOutput) {
@@ -854,17 +772,12 @@ pub fn run_sim_with(
 
 /// Run the farm on real threads.
 pub fn run_threads(anim: &Animation, cfg: &FarmConfig, n_workers: usize) -> FarmResult {
-    run_threads_on(anim, cfg, &ThreadCluster::new(n_workers))
+    run_threads_with(anim, cfg, &ThreadCluster::new(n_workers), None)
+        .expect("unjournaled run cannot fail to start")
 }
 
 /// Run the farm on a configured [`ThreadCluster`] (fault injection and
-/// recovery policy included).
-pub fn run_threads_on(anim: &Animation, cfg: &FarmConfig, cluster: &ThreadCluster) -> FarmResult {
-    run_threads_with(anim, cfg, cluster, None).expect("unjournaled run cannot fail to start")
-}
-
-/// Run the farm on a configured [`ThreadCluster`], optionally
-/// journaled/resumed.
+/// recovery policy included), optionally journaled/resumed.
 pub fn run_threads_with(
     anim: &Animation,
     cfg: &FarmConfig,
@@ -983,25 +896,16 @@ pub use now_cluster::TcpClusterConfig as TcpFarmConfig;
 
 /// Bind the master's listening socket without starting the run, so the
 /// caller can learn the real port (e.g. after binding port 0) and hand it
-/// to worker processes before blocking in [`run_tcp_master_on`].
+/// to worker processes before blocking in [`run_tcp_master_with`].
 pub fn bind_tcp_master(listen: &str) -> Result<TcpMaster, String> {
     TcpMaster::bind(listen).map_err(|e| format!("bind {listen}: {e}"))
 }
 
-/// Run the farm master over a bound TCP listener: wait for the configured
-/// number of worker processes, hand out units, assemble frames. Frame
-/// hashes are byte-identical to the sim and thread backends (the latter is
-/// this same TCP master over loopback).
-pub fn run_tcp_master_on(
-    listener: TcpMaster,
-    anim: &Animation,
-    cfg: &FarmConfig,
-    tcp: &TcpFarmConfig,
-) -> Result<FarmResult, String> {
-    run_tcp_master_with(listener, anim, cfg, tcp, None)
-}
-
-/// Run the farm master over TCP, optionally journaled/resumed.
+/// Run the farm master over a bound TCP listener, optionally
+/// journaled/resumed: wait for the configured number of worker processes,
+/// hand out units, assemble frames. Frame hashes are byte-identical to the
+/// sim and thread backends (the latter is this same TCP master over
+/// loopback).
 pub fn run_tcp_master_with(
     listener: TcpMaster,
     anim: &Animation,
@@ -1126,6 +1030,7 @@ mod tests {
     use super::*;
     use crate::single::{render_sequence, SequenceMode};
     use now_anim::scenes::glassball;
+    use now_coherence::PixelRegion;
 
     const W: u32 = 40;
     const H: u32 = 32;
@@ -1218,6 +1123,76 @@ mod tests {
         assert_eq!(master.frame_hashes, want[..2]);
     }
 
+    /// Plain or coherent, a worker starts a region afresh on one rule — a
+    /// restart, a region switch or a frame gap: the whole region is
+    /// rendered and shipped as a stream-resetting FULL. The next frame of
+    /// the same region continues the stream (a plain worker's update is a
+    /// `DELTA_DEFLATE` of the whole region, a coherent worker's only its
+    /// dirty pixels), and every update decodes on the master's side to
+    /// the from-scratch frame.
+    #[test]
+    fn a_region_starts_afresh_on_one_rule_plain_or_coherent() {
+        use now_coherence::tiledelta::{MODE_DELTA_DEFLATE, MODE_FULL, MODE_FULL_DEFLATE};
+        let anim = Arc::new(anim());
+        let half = |x0| PixelRegion {
+            x0,
+            y0: 0,
+            w: W / 2,
+            h: H,
+        };
+        let (a, b) = (half(0), half(W / 2));
+        // (region, frame, restart, whether the unit starts afresh)
+        let script = [
+            (a, 0, false, true),  // the region's first unit
+            (a, 1, false, false), // its next frame
+            (a, 2, true, true),   // a restart
+            (a, 3, false, false),
+            (b, 4, false, true), // a region switch
+            (b, 1, false, true), // a frame gap back
+            (b, 2, false, false),
+            (b, 4, false, true), // a frame gap forward
+        ];
+        for coherence in [false, true] {
+            let cfg = cfg(PartitionScheme::paper_frame_division(W, H), coherence);
+            let mut frames = Vec::new();
+            render_sequence(
+                &anim,
+                &cfg.settings,
+                &cfg.cost,
+                SequenceMode::Plain,
+                crate::single::SingleMachine::unit(),
+                cfg.grid_voxels,
+                |_, fb| frames.push(fb),
+            );
+            let mut worker = FarmWorker::new(Arc::clone(&anim), shared_spec(&anim, &cfg), cfg);
+            let (mut receiver, mut canvas) = (None, BTreeMap::new());
+            for (step, &(region, frame, restart, afresh)) in script.iter().enumerate() {
+                let unit = RenderUnit {
+                    region,
+                    frame,
+                    restart,
+                };
+                let (out, _) = worker.perform(&unit);
+                let (mode, count) = (out.update.mode, out.update.count as usize);
+                let at = format!("coherence {coherence}, step {step}: mode {mode}, {count} px");
+                if afresh {
+                    assert!(mode == MODE_FULL || mode == MODE_FULL_DEFLATE, "{at}");
+                    assert_eq!(count, region.len(), "{at}");
+                } else if coherence {
+                    assert!(count < region.len(), "{at}");
+                } else {
+                    assert_eq!((mode, count), (MODE_DELTA_DEFLATE, region.len()), "{at}");
+                }
+                let pixels = out.update.decode(region, W, &mut receiver).expect(&at);
+                canvas.extend(pixels);
+                for id in region.pixel_ids(W) {
+                    let (r, g, b) = frames[frame as usize].get_id(id).to_u8();
+                    assert_eq!(canvas[&id], [r, g, b], "{at}: pixel {id}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn sim_sequence_division_coherent_matches_reference() {
         let anim = anim();
@@ -1275,8 +1250,8 @@ mod tests {
                 })
             })
             .collect();
-        let result =
-            run_tcp_master_on(listener, &anim, &cfg, &TcpFarmConfig::new(2)).expect("master");
+        let result = run_tcp_master_with(listener, &anim, &cfg, &TcpFarmConfig::new(2), None)
+            .expect("master");
         assert_eq!(result.frame_hashes, reference_hashes(&anim, &cfg));
         let mut units = 0;
         for w in workers {
@@ -1341,8 +1316,9 @@ mod tests {
                     .expect("worker")
             })
         };
-        let result = run_tcp_master_on(listener, &anim, &master_cfg, &TcpFarmConfig::new(1))
-            .expect("master");
+        let result =
+            run_tcp_master_with(listener, &anim, &master_cfg, &TcpFarmConfig::new(1), None)
+                .expect("master");
         assert_eq!(result.frame_hashes, reference_hashes(&anim, &master_cfg));
         assert!(result.marks > 0, "coherence was adopted from the header");
         w.join().expect("worker thread");
@@ -1367,7 +1343,7 @@ mod tests {
         // enrolls a worker and gives up when the accept window closes
         let mut tcp = TcpFarmConfig::new(1);
         tcp.net.accept_window_s = 1.0;
-        let master = run_tcp_master_on(listener, &anim, &cfg, &tcp);
+        let master = run_tcp_master_with(listener, &anim, &cfg, &tcp, None);
         assert!(master.is_err(), "master must not finish without workers");
         let err = w.join().expect("worker thread");
         assert!(err.contains("scene fingerprint mismatch"), "got: {err}");
@@ -1587,8 +1563,10 @@ mod tests {
                 cache.builds
             })
         };
-        let r1 = run_tcp_master_on(l1, &anim, &c, &TcpFarmConfig::new(1)).expect("master 1");
-        let r2 = run_tcp_master_on(l2, &anim, &c, &TcpFarmConfig::new(1)).expect("master 2");
+        let r1 =
+            run_tcp_master_with(l1, &anim, &c, &TcpFarmConfig::new(1), None).expect("master 1");
+        let r2 =
+            run_tcp_master_with(l2, &anim, &c, &TcpFarmConfig::new(1), None).expect("master 2");
         let want = reference_hashes(&anim, &c);
         assert_eq!(r1.frame_hashes, want);
         assert_eq!(

@@ -39,10 +39,9 @@ pub mod single;
 
 pub use cost::CostModel;
 pub use farm::{
-    bind_tcp_master, run_sim, run_sim_with, run_tcp_master_on, run_tcp_master_with, run_threads,
-    run_threads_on, run_threads_with, scene_fingerprint64, serve_tcp_worker,
-    serve_tcp_worker_cached, FarmConfig, FarmMaster, FarmResult, FarmWorker, TcpFarmConfig,
-    WorkerCache,
+    bind_tcp_master, run_sim, run_sim_with, run_tcp_master_with, run_threads, run_threads_with,
+    scene_fingerprint64, serve_tcp_worker, serve_tcp_worker_cached, FarmConfig, FarmMaster,
+    FarmResult, FarmWorker, TcpFarmConfig, WorkerCache,
 };
 pub use journal::JournalSpec;
 pub use now_coherence::DirtyTest;

@@ -2,11 +2,10 @@
 
 use crate::cost::CostModel;
 use now_anim::Animation;
-use now_coherence::{CoherentRenderer, DirtyTest, MoverMask};
+use now_cluster::paged_seconds;
+use now_coherence::{CoherentRenderer, DirtyTest, MoverMask, PixelRegion};
 use now_grid::GridSpec;
-use now_raytrace::{
-    render_pixels_par, Framebuffer, GridAccel, NullListener, PixelId, RayStats, RenderSettings,
-};
+use now_raytrace::{Framebuffer, RayStats, RenderSettings};
 use std::sync::Arc;
 
 /// The (virtual) workstation a single-processor run executes on.
@@ -39,17 +38,6 @@ impl SingleMachine {
             paging_factor: 1.0,
         }
     }
-
-    /// Seconds to execute `work` CPU-seconds with a working set of
-    /// `ws_mb` MB.
-    fn time_for(&self, work: f64, ws_mb: f64) -> f64 {
-        let mut t = work / self.speed;
-        if ws_mb > self.memory_mb && ws_mb > 0.0 {
-            let excess = (ws_mb - self.memory_mb) / ws_mb;
-            t *= 1.0 + (self.paging_factor - 1.0) * excess;
-        }
-        t
-    }
 }
 
 /// Whether the single-processor run uses the frame-coherence algorithm.
@@ -67,13 +55,33 @@ pub enum SequenceMode {
 }
 
 impl SequenceMode {
-    /// The coherence block edge and dirty test, `None` for a plain run.
-    fn coherence(self) -> Option<(u32, DirtyTest)> {
-        match self {
-            SequenceMode::Plain => None,
-            SequenceMode::Coherent(test) => Some((1, test)),
-            SequenceMode::BlockCoherent(block) => Some((block, DirtyTest::Exact)),
-        }
+    /// The whole-frame renderer of `anim` this mode runs.
+    fn renderer(
+        self,
+        anim: &Animation,
+        spec: GridSpec,
+        settings: &RenderSettings,
+    ) -> CoherentRenderer {
+        let (width, height) = (anim.base.camera.width(), anim.base.camera.height());
+        let region = PixelRegion::full(width, height);
+        let (block, test) = match self {
+            SequenceMode::Plain => {
+                return CoherentRenderer::plain(spec, width, height, region, settings.clone())
+            }
+            SequenceMode::Coherent(test) => (1, test),
+            SequenceMode::BlockCoherent(block) => (block, DirtyTest::Exact),
+        };
+        let mask = MoverMask::of_sequence(&spec, (0..anim.frames).map(|f| anim.scene_at(f)));
+        CoherentRenderer::with_region_and_block(
+            spec,
+            width,
+            height,
+            region,
+            block,
+            settings.clone(),
+        )
+        .with_dirty_test(test)
+        .with_mover_mask(Arc::new(mask))
     }
 }
 
@@ -108,9 +116,12 @@ pub struct SequenceReport {
 /// Render a whole animation on one (virtual) processor.
 ///
 /// The paper's single-processor baseline ran on the fast 200 MHz machine
-/// ([`SingleMachine::fastest`]). Each finished frame goes to `sink` with
-/// its index as soon as it is rendered, byte-identical to what any other
-/// mode produces; the run itself keeps no finished frame.
+/// ([`SingleMachine::fastest`]). Every mode runs one whole-frame
+/// [`CoherentRenderer`] (a plain one for [`SequenceMode::Plain`]), and a
+/// frame is priced as a farm unit is: its rays, marks and copied pixels,
+/// and its working set. Each finished frame goes to `sink` with its index
+/// as soon as it is rendered, byte-identical to what any other mode
+/// produces; the run itself keeps no finished frame.
 pub fn render_sequence(
     anim: &Animation,
     settings: &RenderSettings,
@@ -120,11 +131,9 @@ pub fn render_sequence(
     grid_voxels: u32,
     mut sink: impl FnMut(usize, Framebuffer),
 ) -> SequenceReport {
-    let width = anim.base.camera.width();
-    let height = anim.base.camera.height();
     let spec = GridSpec::for_scene(anim.swept_bounds(), grid_voxels);
-    let file_write = cost.file_write_work(width, height);
-    let total_pixels = (width as u64) * (height as u64);
+    let file_write = cost.file_write_work(anim.base.camera.width(), anim.base.camera.height());
+    let mut renderer = mode.renderer(anim, spec, settings);
 
     let mut frame_s = Vec::with_capacity(anim.frames);
     let mut pixels_per_frame = Vec::with_capacity(anim.frames);
@@ -133,66 +142,28 @@ pub fn render_sequence(
     let mut total_marks = 0u64;
     let mut peak_mem = 0usize;
     let mut threads_used = 1u32;
-
-    match mode.coherence() {
-        None => {
-            let all_ids: Vec<PixelId> = (0..total_pixels as PixelId).collect();
-            for f in 0..anim.frames {
-                let scene = anim.scene_at(f);
-                let accel = GridAccel::build_with_spec(&scene, spec);
-                let (mut fb, mut rays) = (Framebuffer::new(width, height), RayStats::default());
-                let par = render_pixels_par(
-                    &scene,
-                    &accel,
-                    settings,
-                    &mut fb,
-                    &all_ids,
-                    &mut NullListener,
-                    &mut rays,
-                );
-                let work = cost.parallel_render_work(&rays, 0, 0, &par) + file_write;
-                let ws_mb = (width as f64 * height as f64 * 48.0) / (1024.0 * 1024.0);
-                frame_s.push(machine.time_for(work, ws_mb));
-                pixels_per_frame.push(rays.pixels);
-                frame_efficiency.push(par.efficiency());
-                threads_used = threads_used.max(par.threads);
-                total_rays.merge(&rays);
-                sink(f, fb);
-            }
-        }
-        Some((block, test)) => {
-            let mask = MoverMask::of_sequence(&spec, (0..anim.frames).map(|f| anim.scene_at(f)));
-            let mut renderer = CoherentRenderer::with_region_and_block(
-                spec,
-                width,
-                height,
-                now_coherence::PixelRegion::full(width, height),
-                block,
-                settings.clone(),
-            )
-            .with_dirty_test(test)
-            .with_mover_mask(Arc::new(mask));
-            let mut prev_marks = 0u64;
-            for f in 0..anim.frames {
-                let scene = anim.scene_at(f);
-                let (fb, report) = renderer.render_next(&scene);
-                let marks = report.coherence.marks - prev_marks;
-                prev_marks = report.coherence.marks;
-                let copied = total_pixels - report.pixels_rendered as u64;
-                let work = cost.parallel_render_work(&report.rays, marks, copied, &report.parallel)
-                    + file_write;
-                let ws_mb = (report.memory_bytes as f64 + width as f64 * height as f64 * 48.0)
-                    / (1024.0 * 1024.0);
-                frame_s.push(machine.time_for(work, ws_mb));
-                pixels_per_frame.push(report.pixels_rendered as u64);
-                frame_efficiency.push(report.parallel.efficiency());
-                threads_used = threads_used.max(report.parallel.threads);
-                total_rays.merge(&report.rays);
-                total_marks += marks;
-                peak_mem = peak_mem.max(report.memory_bytes);
-                sink(f, fb);
-            }
-        }
+    for f in 0..anim.frames {
+        let scene = anim.scene_at(f);
+        let (fb, report) = renderer.render_next(&scene);
+        let copied = (report.region_pixels - report.pixels_rendered) as u64;
+        let work = cost.parallel_render_work(&report.rays, report.marks, copied, &report.parallel)
+            + file_write;
+        let ws_mb = cost.working_set_mb(report.region_pixels, &report.coherence);
+        let (speed, memory_mb) = (machine.speed, machine.memory_mb);
+        frame_s.push(paged_seconds(
+            work,
+            speed,
+            memory_mb,
+            ws_mb,
+            machine.paging_factor,
+        ));
+        pixels_per_frame.push(report.pixels_rendered as u64);
+        frame_efficiency.push(report.parallel.efficiency());
+        threads_used = threads_used.max(report.parallel.threads);
+        total_rays.merge(&report.rays);
+        total_marks += report.marks;
+        peak_mem = peak_mem.max(report.memory_bytes);
+        sink(f, fb);
     }
 
     let total_s: f64 = frame_s.iter().sum();

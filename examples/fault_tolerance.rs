@@ -7,7 +7,9 @@
 
 use nowrender::anim::scenes::newton;
 use nowrender::cluster::{FaultPlan, RecoveryConfig, SimCluster, ThreadCluster};
-use nowrender::core::{run_sim, run_threads_on, CostModel, DirtyTest, FarmConfig, PartitionScheme};
+use nowrender::core::{
+    run_sim, run_threads_with, CostModel, DirtyTest, FarmConfig, PartitionScheme,
+};
 use nowrender::raytrace::RenderSettings;
 
 fn main() {
@@ -65,7 +67,7 @@ fn main() {
         ..RecoveryConfig::default()
     };
     let t0 = std::time::Instant::now();
-    let real = run_threads_on(&anim, &cfg, &threads);
+    let real = run_threads_with(&anim, &cfg, &threads, None).expect("unjournaled run starts");
     println!(
         "threads, stalled #2 : wall {:.2}s, {} reassigned, {} lost, frames identical: {}",
         t0.elapsed().as_secs_f64(),

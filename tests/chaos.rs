@@ -9,8 +9,7 @@ use nowrender::anim::scenes::newton;
 use nowrender::cluster::journal::JournalFaultPlan;
 use nowrender::cluster::{FaultPlan, MachineSpec, RecoveryConfig, SimCluster, ThreadCluster};
 use nowrender::core::{
-    run_sim, run_threads_on, run_threads_with, CostModel, DirtyTest, FarmConfig, JournalSpec,
-    PartitionScheme,
+    run_sim, run_threads_with, CostModel, DirtyTest, FarmConfig, JournalSpec, PartitionScheme,
 };
 use nowrender::raytrace::RenderSettings;
 
@@ -116,7 +115,7 @@ fn threads_worker_crash_preserves_every_frame_byte() {
         max_worker_failures: 1,
         ..RecoveryConfig::default()
     };
-    let result = run_threads_on(&anim, &cfg(), &cluster);
+    let result = run_threads_with(&anim, &cfg(), &cluster, None).expect("unjournaled run starts");
 
     assert_eq!(result.frame_hashes.len(), FRAMES);
     assert_eq!(
@@ -228,7 +227,7 @@ fn threads_stalled_worker_completes_within_lease_budget() {
         ..RecoveryConfig::default()
     };
     let t0 = std::time::Instant::now();
-    let result = run_threads_on(&anim, &cfg(), &cluster);
+    let result = run_threads_with(&anim, &cfg(), &cluster, None).expect("unjournaled run starts");
     let wall = t0.elapsed().as_secs_f64();
 
     assert_eq!(result.frame_hashes, reference_hashes());
@@ -251,7 +250,7 @@ fn threads_lost_result_with_the_next_unit_in_hand_preserves_every_frame_byte() {
     cluster.faults = FaultPlan::none().drop_result_at(1, 1);
     cluster.recovery = RecoveryConfig::with_lease(30.0);
     let t0 = std::time::Instant::now();
-    let result = run_threads_on(&anim, &cfg(), &cluster);
+    let result = run_threads_with(&anim, &cfg(), &cluster, None).expect("unjournaled run starts");
     let wall = t0.elapsed().as_secs_f64();
 
     assert_eq!(result.frame_hashes, reference_hashes());
@@ -335,7 +334,7 @@ fn threads_midrun_join_preserves_every_frame_byte() {
     let anim = newton::animation_sized(W, H, FRAMES);
     let mut cluster = ThreadCluster::new(4);
     cluster.faults = FaultPlan::none().join_at(2, 0.15).join_at(3, 0.3);
-    let result = run_threads_on(&anim, &cfg(), &cluster);
+    let result = run_threads_with(&anim, &cfg(), &cluster, None).expect("unjournaled run starts");
     assert_eq!(
         result.frame_hashes,
         reference_hashes(),
@@ -408,7 +407,7 @@ fn threads_chaos_soak_is_byte_identical_under_combined_faults() {
 #[test]
 fn tcp_chaos_soak_quarantines_and_stays_byte_identical() {
     use nowrender::cluster::ChaosPlan;
-    use nowrender::core::{bind_tcp_master, run_tcp_master_on, serve_tcp_worker, TcpFarmConfig};
+    use nowrender::core::{bind_tcp_master, run_tcp_master_with, serve_tcp_worker, TcpFarmConfig};
 
     let chaos: ChaosPlan = "seed=7|compute=0:corrupt@0|net=1:drop@6000"
         .parse()
@@ -432,7 +431,7 @@ fn tcp_chaos_soak_quarantines_and_stays_byte_identical() {
 
     let mut tcp = TcpFarmConfig::new(3);
     tcp.chaos = chaos;
-    let result = run_tcp_master_on(listener, &anim, &cfg(), &tcp).expect("master");
+    let result = run_tcp_master_with(listener, &anim, &cfg(), &tcp, None).expect("master");
 
     assert_eq!(
         result.frame_hashes,
@@ -584,7 +583,7 @@ fn service_disk_faults_are_armed_by_the_tcp_driver() {
 #[test]
 fn tcp_leave_while_leased_requeues_byte_identically() {
     use nowrender::cluster::NetFaultPlan;
-    use nowrender::core::{bind_tcp_master, run_tcp_master_on, serve_tcp_worker, TcpFarmConfig};
+    use nowrender::core::{bind_tcp_master, run_tcp_master_with, serve_tcp_worker, TcpFarmConfig};
 
     let anim = newton::animation_sized(W, H, FRAMES);
     let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
@@ -605,7 +604,7 @@ fn tcp_leave_while_leased_requeues_byte_identically() {
     let mut tcp = TcpFarmConfig::new(2);
     // the first accepted connection dies mid-run, mid-lease
     tcp.chaos.net = NetFaultPlan::none().drop_after(0, 5_000);
-    let result = run_tcp_master_on(listener, &anim, &cfg(), &tcp).expect("master");
+    let result = run_tcp_master_with(listener, &anim, &cfg(), &tcp, None).expect("master");
 
     assert_eq!(
         result.frame_hashes,
