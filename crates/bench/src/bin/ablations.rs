@@ -286,7 +286,7 @@ fn machine_mix(w: u32, h: u32, frames: usize) {
 /// Shadow-ray coherence on vs off: turning it off saves bookkeeping but
 /// breaks conservativeness — moving shadows go stale.
 fn shadow_tracking(w: u32, h: u32, frames: usize) {
-    use now_coherence::CoherentRenderer;
+    use now_coherence::{CoherentRenderer, PixelRegion, RenderMode};
     use now_grid::GridSpec;
     use now_raytrace::{render_frame, GridAccel, NullListener, RayStats};
 
@@ -298,10 +298,15 @@ fn shadow_tracking(w: u32, h: u32, frames: usize) {
         ("with shadow tracking", true),
         ("without shadow tracking", false),
     ] {
-        let mut renderer = CoherentRenderer::new(spec, w, h, RenderSettings::default());
-        if !track {
-            renderer = renderer.without_shadow_tracking();
-        }
+        let mode = RenderMode::Coherent {
+            test: Exact,
+            mask: None,
+            block: 1,
+            track_shadows: track,
+        };
+        let region = PixelRegion::full(w, h);
+        let settings = RenderSettings::default();
+        let mut renderer = CoherentRenderer::for_region(spec, w, h, region, mode, settings);
         let mut marks = 0u64;
         let mut recomputed = 0u64;
         let mut wrong_pixels = 0usize;

@@ -456,69 +456,51 @@ fn record_body<'p>(
 }
 
 impl CoherenceEngine {
-    /// Create an exact engine ([`DirtyTest::Exact`]) for a
-    /// `pixel_count`-pixel image over the given grid.
-    pub fn new(spec: GridSpec, pixel_count: usize) -> CoherenceEngine {
-        CoherenceEngine::with_test(spec, pixel_count, DirtyTest::default())
-    }
-
-    /// Create an engine that answers with `test` for a `pixel_count`-pixel
-    /// image over the given grid.
-    pub(crate) fn with_test(
+    /// Create an engine that answers with `test` for `groups` pixel groups
+    /// over the given grid, storing only the rays whose path enters `mask`
+    /// (built over this grid) when one is given. Dirty sets stay exactly
+    /// those of an unmasked engine, as long as every changed set queried
+    /// lies inside the mask.
+    ///
+    /// Every engine is built here, and one built for a traced renderer
+    /// (`trace`, its settings' flag) counts itself in `coh.engines_built`
+    /// while the recorder is on: a renderer builds one per fresh start.
+    pub(crate) fn new(
         spec: GridSpec,
-        pixel_count: usize,
+        groups: usize,
         test: DirtyTest,
+        mask: Option<Arc<MoverMask>>,
+        trace: bool,
     ) -> CoherenceEngine {
+        let changed = vec![0; spec.voxel_count().div_ceil(64)];
+        if let Some(mask) = &mask {
+            assert_eq!(mask.bits.len(), changed.len(), "mover mask of another grid");
+        }
+        if trace && now_trace::enabled() {
+            now_trace::global().counter_add("coh.engines_built", 1);
+        }
         CoherenceEngine {
             spec,
             test,
             seg: SegmentCodec {
                 bounds: spec.bounds,
             },
-            mask: None,
+            mask,
             strides: step_strides(&spec),
             log: Vec::new(),
             tail: (0, 0),
-            gen: vec![0; pixel_count],
-            live: vec![0; pixel_count],
+            gen: vec![0; groups],
+            live: vec![0; groups],
             stale_bytes: 0,
             stats: CoherenceStats::default(),
-            changed: vec![0; spec.voxel_count().div_ceil(64)],
-            seen: vec![0; pixel_count.div_ceil(64)],
+            changed,
+            seen: vec![0; groups.div_ceil(64)],
         }
-    }
-
-    /// Store only the rays whose path enters `mask` (built over this
-    /// engine's grid). Dirty sets stay exactly those of an unmasked
-    /// engine, as long as every changed set queried lies inside the mask.
-    pub fn with_mask(mut self, mask: Arc<MoverMask>) -> CoherenceEngine {
-        assert_eq!(
-            mask.bits.len(),
-            self.changed.len(),
-            "mover mask of another grid"
-        );
-        self.mask = Some(mask);
-        self
     }
 
     /// The mover mask rays are stored under, if any.
     pub(crate) fn mask(&self) -> Option<&Arc<MoverMask>> {
         self.mask.as_ref()
-    }
-
-    /// The test the engine answers with.
-    pub(crate) fn test(&self) -> DirtyTest {
-        self.test
-    }
-
-    /// Forget every record and statistic; the grid, the pixel count, the
-    /// test and the mask stay.
-    pub fn clear(&mut self) {
-        let mask = self.mask.take();
-        *self = CoherenceEngine {
-            mask,
-            ..CoherenceEngine::with_test(self.spec, self.gen.len(), self.test)
-        };
     }
 
     /// Current statistics.
@@ -890,7 +872,7 @@ mod tests {
 
     /// A 100-pixel engine over a 4x4x4 grid of unit voxels.
     fn engine(test: DirtyTest) -> CoherenceEngine {
-        CoherenceEngine::with_test(spec4(), 100, test)
+        CoherenceEngine::new(spec4(), 100, test, None, false)
     }
 
     /// Report `ray` to `listener` the way the tracer does: with the path of
@@ -1308,7 +1290,7 @@ mod tests {
             }
         };
         let bumped = |keep: &dyn Fn(usize) -> bool| {
-            let mut e = CoherenceEngine::with_test(spec, pixels, DirtyTest::Paper);
+            let mut e = CoherenceEngine::new(spec, pixels, DirtyTest::Paper, None, false);
             for (i, &(pixel, bumps, _)) in records.iter().enumerate() {
                 for _ in 0..if keep(i) { bumps } else { 0 } {
                     e.invalidate_pixels(&[pixel]);
@@ -1393,7 +1375,7 @@ mod tests {
             }
         };
         let bumped = |keep: &dyn Fn(usize) -> bool| {
-            let mut e = CoherenceEngine::new(spec, pixels);
+            let mut e = CoherenceEngine::new(spec, pixels, DirtyTest::Exact, None, false);
             for (i, &(pixel, bumps, _)) in runs.iter().enumerate() {
                 for _ in 0..if keep(i) { bumps } else { 0 } {
                     e.invalidate_pixels(&[pixel]);
@@ -1669,7 +1651,7 @@ mod tests {
             }
         };
         let ids: Vec<PixelId> = region.pixel_ids(12).collect();
-        let map = GroupMap::new(12, 9, region, *rng.pick(&[1, 1, 2, 4]));
+        let map = GroupMap::new(12, region, *rng.pick(&[1, 1, 2, 4]));
         (spec, ids, map)
     }
 
@@ -1718,7 +1700,8 @@ mod tests {
             case.set(case.get() + 1);
             let (spec, ids, map) = random_layout(rng, case.get());
             let track_shadows = rng.u32_in(0, 4) != 0;
-            let mut engine = CoherenceEngine::with_test(spec, map.group_count(), DirtyTest::Paper);
+            let mut engine =
+                CoherenceEngine::new(spec, map.group_count(), DirtyTest::Paper, None, false);
             let mut model = Model {
                 spec,
                 lists: BTreeMap::new(),
@@ -1773,7 +1756,8 @@ mod tests {
             case.set(case.get() + 1);
             let (spec, ids, map) = random_layout(rng, case.get());
             let track_shadows = rng.u32_in(0, 4) != 0;
-            let mut engine = CoherenceEngine::new(spec, map.group_count());
+            let mut engine =
+                CoherenceEngine::new(spec, map.group_count(), DirtyTest::Exact, None, false);
             let mut model = RayModel {
                 spec,
                 codec: engine.seg,
@@ -1982,12 +1966,18 @@ mod tests {
                 bits[i >> 6] |= 1 << (i & 63);
             }
             let pixels = 60;
-            let mut plain = CoherenceEngine::new(spec, pixels);
-            let mut masked = CoherenceEngine::new(spec, pixels).with_mask(Arc::new(MoverMask {
-                bits,
-                changes: Vec::new(),
-            }));
-            let mut paper = CoherenceEngine::with_test(spec, pixels, DirtyTest::Paper);
+            let mut plain = CoherenceEngine::new(spec, pixels, DirtyTest::Exact, None, false);
+            let mut masked = CoherenceEngine::new(
+                spec,
+                pixels,
+                DirtyTest::Exact,
+                Some(Arc::new(MoverMask {
+                    bits,
+                    changes: Vec::new(),
+                })),
+                false,
+            );
+            let mut paper = CoherenceEngine::new(spec, pixels, DirtyTest::Paper, None, false);
             // the rays each pixel's current generation fired
             let mut live: Vec<Vec<(Ray, f64)>> = vec![Vec::new(); pixels];
             for query in &queries {

@@ -8,7 +8,12 @@
 //! algorithm; larger groups reproduce Jevans' block-based scheme ("if one
 //! pixel in the block needs to be updated, all pixels in the block are
 //! re-computed"), which the paper contrasts against. Plain rendering is
-//! the same renderer without an engine ([`CoherentRenderer::plain`]).
+//! the same renderer without an engine ([`RenderMode::Plain`]).
+//!
+//! A renderer is built once, by [`CoherentRenderer::for_region`], and
+//! renders its sequence to the end: a camera cut inside the sequence is a
+//! [`ChangeSet::Everything`] transition, which re-renders the whole region
+//! and keeps the engine, and a fresh start is a new renderer.
 
 use crate::change::{changed_voxels, ChangeSet, MoverMask};
 use crate::engine::{CoherenceEngine, CoherenceStats, DirtyTest};
@@ -28,9 +33,8 @@ use std::sync::Arc;
 /// block groups the frame's block-aligned squares, clipped to the region.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GroupMap {
-    /// Frame width (what pixel ids are numbered over) and height.
+    /// Frame width (what pixel ids are numbered over).
     width: u32,
-    height: u32,
     region: PixelRegion,
     block: u32,
     /// The region's first block column and row, in frame blocks.
@@ -42,12 +46,11 @@ pub(crate) struct GroupMap {
 }
 
 impl GroupMap {
-    pub(crate) fn new(width: u32, height: u32, region: PixelRegion, block: u32) -> GroupMap {
+    pub(crate) fn new(width: u32, region: PixelRegion, block: u32) -> GroupMap {
         assert!(block > 0);
         let (gx0, gy0) = (region.x0 / block, region.y0 / block);
         GroupMap {
             width,
-            height,
             region,
             block,
             gx0,
@@ -155,6 +158,40 @@ pub struct FrameReport {
     pub parallel: ParallelStats,
 }
 
+/// How a [`CoherentRenderer`] renders each frame of its region.
+#[derive(Debug, Clone)]
+pub enum RenderMode {
+    /// Every frame renders every region pixel and records nothing (plain
+    /// rendering): no engine, and zero coherence statistics and memory.
+    Plain,
+    /// Frame coherence: a frame after the first re-renders only the pixels
+    /// the renderer's engine finds dirty.
+    Coherent {
+        /// How the engine decides dirty pixels.
+        test: DirtyTest,
+        /// The [`MoverMask`] of the sequence the renderer renders, over
+        /// its grid, and the frame of that sequence the renderer renders
+        /// first (a farm worker's renderer starts wherever its first unit
+        /// does). Frames, re-rendered pixels and ray counts stay exactly
+        /// those of an unmasked renderer; the log, its compactions and the
+        /// per-frame scan shrink by the share of rays that miss every
+        /// mover. The mask's change sets stand in for computing each
+        /// transition, so the renderer's frames must be consecutive frames
+        /// of the mask's sequence from that one.
+        mask: Option<(Arc<MoverMask>, usize)>,
+        /// Coherence block edge: 1 is the paper's pixel-level algorithm; a
+        /// larger block is Jevans' scheme, where one dirty pixel
+        /// re-renders its whole block.
+        block: u32,
+        /// Whether shadow rays are recorded. The paper's algorithm records
+        /// them; without them the engine is cheaper but **no longer
+        /// conservative**: a pixel whose only connection to a moving
+        /// object is its shadow ray is not re-rendered, leaving a stale
+        /// shadow (the `ablations shadows` bench quantifies that error).
+        track_shadows: bool,
+    },
+}
+
 /// Incremental renderer for one camera-stationary sequence over one pixel
 /// region.
 ///
@@ -197,13 +234,13 @@ pub struct CoherentRenderer {
     /// The last frame's scene, kept by a coherent renderer.
     prev: Option<Scene>,
     frame_index: usize,
-    /// Frame of the mask's sequence the renderer's frame 0 is.
+    /// Frame of the mask's sequence the renderer's frame 0 is (0 unmasked).
     first_frame: usize,
     track_shadows: bool,
 }
 
 impl CoherentRenderer {
-    /// Pixel-granularity renderer over the full frame.
+    /// Exact pixel-granularity renderer over the full frame.
     pub fn new(spec: GridSpec, width: u32, height: u32, settings: RenderSettings) -> Self {
         Self::with_region_and_block(
             spec,
@@ -215,10 +252,9 @@ impl CoherentRenderer {
         )
     }
 
-    /// Renderer restricted to a region (frame-division worker) and/or with
-    /// a coherence block size (`block > 1` = Jevans-style). Everything it
-    /// keeps per pixel — the engine's tables, the previous frame's
-    /// colours — is the region's size.
+    /// Exact renderer of `region` (a frame-division worker's) with
+    /// coherence block `block` (`block > 1` = Jevans-style), unmasked,
+    /// shadow rays tracked, starting at frame 0.
     pub fn with_region_and_block(
         spec: GridSpec,
         width: u32,
@@ -227,91 +263,65 @@ impl CoherentRenderer {
         block: u32,
         settings: RenderSettings,
     ) -> Self {
-        let mut r = Self::plain(spec, width, height, region, settings);
-        r.map = GroupMap::new(width, height, region, block);
-        r.engine = Some(CoherenceEngine::new(spec, r.map.group_count()));
-        r
+        Self::for_region(
+            spec,
+            width,
+            height,
+            region,
+            RenderMode::Coherent {
+                test: DirtyTest::Exact,
+                mask: None,
+                block,
+                track_shadows: true,
+            },
+            settings,
+        )
     }
 
-    /// Renderer of `region` without an engine: every frame renders every
-    /// region pixel and records nothing (plain rendering). Its coherence
-    /// statistics and memory read zero; the coherence builders ignore it.
-    pub fn plain(
+    /// The renderer of `region` of a `width` x `height` frame in `mode`.
+    /// Everything it keeps per pixel — the engine's tables (a coherent
+    /// renderer's one engine), the previous frame's colours — is the
+    /// region's size.
+    pub fn for_region(
         spec: GridSpec,
         width: u32,
         height: u32,
         region: PixelRegion,
+        mode: RenderMode,
         settings: RenderSettings,
     ) -> Self {
-        let (map, r) = (GroupMap::new(width, height, region, 1), region);
+        let block = match mode {
+            RenderMode::Plain => 1,
+            RenderMode::Coherent { block, .. } => block,
+        };
+        let map = GroupMap::new(width, region, block);
+        let (engine, first_frame, track_shadows) = match mode {
+            RenderMode::Plain => (None, 0, true),
+            RenderMode::Coherent {
+                test,
+                mask,
+                track_shadows,
+                ..
+            } => {
+                let (mask, first_frame) = mask.map_or((None, 0), |(m, f)| (Some(m), f));
+                let engine =
+                    CoherenceEngine::new(spec, map.group_count(), test, mask, settings.trace);
+                (Some(engine), first_frame, track_shadows)
+            }
+        };
+        let PixelRegion { x0, y0, w, h } = region;
         CoherentRenderer {
             spec,
             settings,
             region,
             map,
-            engine: None,
-            fb: Framebuffer::window(map.width, map.height, r.x0, r.y0, r.w, r.h),
+            engine,
+            fb: Framebuffer::window(width, height, x0, y0, w, h),
             prev: None,
             frame_index: 0,
-            first_frame: 0,
-            track_shadows: true,
+            first_frame,
+            track_shadows,
         }
-    }
-
-    /// Disable shadow-ray tracking.
-    ///
-    /// The paper's algorithm tracks shadow rays ("we are also exploring the
-    /// use of frame coherence in the generation of shadows"); without them
-    /// the engine is cheaper but **no longer conservative**: a pixel whose
-    /// only connection to a moving object is its shadow ray will not be
-    /// recomputed, leaving a stale shadow. The `ablations shadows` bench
-    /// quantifies that error.
-    pub fn without_shadow_tracking(mut self) -> Self {
-        self.track_shadows = false;
-        self
-    }
-
-    /// Store only the rays that can reach a mover: `mask` is the
-    /// [`MoverMask`] of the sequence this renderer will render, over its
-    /// grid. Frames, re-rendered pixels and ray counts stay exactly those
-    /// of an unmasked renderer; the log, its compactions and the per-frame
-    /// scan shrink by the share of rays that miss every mover.
-    ///
-    /// The mask's change sets stand in for computing each transition: the
-    /// renderer's frames must be consecutive frames of the mask's sequence,
-    /// from frame 0 or from [`CoherentRenderer::from_frame`].
-    pub fn with_mover_mask(mut self, mask: Arc<MoverMask>) -> Self {
-        self.engine = self
-            .engine
-            .as_ref()
-            .map(|e| self.fresh_engine(e.test()).with_mask(mask));
-        self
-    }
-
-    /// Decide dirty pixels with `test` (the default is
-    /// [`DirtyTest::Exact`]); a mover mask given before is kept.
-    pub fn with_dirty_test(mut self, test: DirtyTest) -> Self {
-        self.engine = self.engine.as_ref().map(|e| {
-            let engine = self.fresh_engine(test);
-            match e.mask() {
-                Some(mask) => engine.with_mask(Arc::clone(mask)),
-                None => engine,
-            }
-        });
-        self
-    }
-
-    /// An engine with nothing recorded for this renderer's groups.
-    fn fresh_engine(&self, test: DirtyTest) -> CoherenceEngine {
-        CoherenceEngine::with_test(self.spec, self.map.group_count(), test)
-    }
-
-    /// The first frame this renderer renders is frame `frame` of its
-    /// mask's sequence (a farm worker's renderer starts wherever its first
-    /// unit does); without a mask, the number is unused.
-    pub fn from_frame(mut self, frame: usize) -> Self {
-        self.first_frame = frame;
-        self
     }
 
     /// The region this renderer owns.
@@ -335,19 +345,6 @@ impl CoherentRenderer {
     /// Approximate memory held by coherence data structures.
     pub fn memory_bytes(&self) -> usize {
         self.engine().map_or(0, CoherenceEngine::memory_bytes)
-    }
-
-    /// Forget all coherence state (used when a sequence is cut, e.g. the
-    /// camera moved: "any camera movement logically separates one sequence
-    /// from another"). The renderer keeps its place in its mask's
-    /// sequence: the next frame it renders is the one after the last.
-    pub fn reset(&mut self) {
-        if let Some(engine) = &mut self.engine {
-            engine.clear();
-        }
-        self.prev = None;
-        self.first_frame += self.frame_index;
-        self.frame_index = 0;
     }
 
     /// Emit the frame's coherence events into the global trace recorder.
@@ -524,6 +521,22 @@ mod tests {
         GridSpec::for_scene(b, 16 * 16 * 16)
     }
 
+    /// The coherent mode with `test` and `mask` at pixel granularity,
+    /// shadow rays tracked.
+    fn coherent(test: DirtyTest, mask: Option<(Arc<MoverMask>, usize)>) -> RenderMode {
+        RenderMode::Coherent {
+            test,
+            mask,
+            block: 1,
+            track_shadows: true,
+        }
+    }
+
+    /// A renderer of the whole 48x36 frame of [`frame_scene`] in `mode`.
+    fn whole_frame(spec: GridSpec, mode: RenderMode, settings: RenderSettings) -> CoherentRenderer {
+        CoherentRenderer::for_region(spec, 48, 36, PixelRegion::full(48, 36), mode, settings)
+    }
+
     fn scratch_render(scene: &Scene, spec: GridSpec) -> Framebuffer {
         let accel = GridAccel::build_with_spec(scene, spec);
         render_frame(
@@ -575,8 +588,14 @@ mod tests {
         let scene = now_anim::scenes::newton::scene(96, 72);
         let spec = GridSpec::for_scene(scene.bounds(), 24 * 24 * 24);
         for test in [DirtyTest::Paper, DirtyTest::Exact] {
-            let mut r = CoherentRenderer::new(spec, 96, 72, RenderSettings::default())
-                .with_dirty_test(test);
+            let mut r = CoherentRenderer::for_region(
+                spec,
+                96,
+                72,
+                PixelRegion::full(96, 72),
+                coherent(test, None),
+                RenderSettings::default(),
+            );
             let (_, report) = r.render_next(&scene);
             assert!(report.full_render);
             let stats = r.engine().unwrap().stats();
@@ -621,15 +640,14 @@ mod tests {
             }
         };
         for region in PixelRegion::tiles(w, h, w.div_ceil(4), h.div_ceil(3)) {
-            let mut r = CoherentRenderer::with_region_and_block(
+            let mut r = CoherentRenderer::for_region(
                 spec,
                 w,
                 h,
                 region,
-                1,
+                coherent(DirtyTest::Exact, Some((Arc::clone(&mask), 0))),
                 RenderSettings::default(),
-            )
-            .with_mover_mask(Arc::clone(&mask));
+            );
             let mut peak = 0;
             for (f, scene) in scenes.iter().enumerate() {
                 let (_, report) = r.render_next_borrowed(scene);
@@ -669,7 +687,7 @@ mod tests {
         let serial = RenderSettings::default();
         for test in [DirtyTest::Exact, DirtyTest::Paper] {
             let renderer = |settings: &RenderSettings| {
-                CoherentRenderer::new(spec, 48, 36, settings.clone()).with_dirty_test(test)
+                whole_frame(spec, coherent(test, None), settings.clone())
             };
             let mut reference = renderer(&serial);
             let mut ref_frames = Vec::new();
@@ -706,9 +724,9 @@ mod tests {
     }
 
     /// A plain renderer is the record-nothing case of the region renderer:
-    /// every frame re-renders every pixel of its region, it has no engine
-    /// (the coherence builders and a reset leave it so) and emits no
-    /// coherence event with tracing on, and its frames are a coherent
+    /// every frame re-renders every pixel of its region, it builds no
+    /// engine and emits no coherence event with tracing on (one built
+    /// afresh mid-sequence neither), and its frames are a coherent
     /// renderer's byte for byte.
     #[test]
     fn a_plain_renderer_renders_every_pixel_and_records_nothing() {
@@ -724,15 +742,15 @@ mod tests {
             h: 18,
         };
         let scenes: Vec<Scene> = (0..4).map(|i| frame_scene(i as f64 * 0.4)).collect();
-        let mask = Arc::new(MoverMask::of_sequence(&spec, scenes.iter().cloned()));
+        let plain = || {
+            CoherentRenderer::for_region(spec, 48, 36, region, RenderMode::Plain, traced.clone())
+        };
         let (plain_frames, snap) = now_trace::capture(|| {
-            let mut r = CoherentRenderer::plain(spec, 48, 36, region, traced.clone())
-                .with_dirty_test(DirtyTest::Paper)
-                .with_mover_mask(mask);
+            let mut r = plain();
             let mut frames = Vec::new();
             for (f, scene) in scenes.iter().enumerate() {
                 if f == 2 {
-                    r.reset();
+                    r = plain();
                 }
                 let (fb, report) = r.render_next(scene);
                 assert!(report.full_render);
@@ -758,10 +776,11 @@ mod tests {
         };
         assert_eq!(coh_events(&snap), 0);
         assert!(!snap.counters.contains_key("coh.frames"));
+        assert!(!snap.counters.contains_key("coh.engines_built"));
         // the coherent renderer of the same region, traced the same way,
-        // does emit them, and renders the same bytes
-        let mut r = CoherentRenderer::with_region_and_block(spec, 48, 36, region, 1, traced);
+        // builds one engine, does emit them, and renders the same bytes
         let (_, snap) = now_trace::capture(|| {
+            let mut r = CoherentRenderer::with_region_and_block(spec, 48, 36, region, 1, traced);
             for (f, (scene, want)) in scenes.iter().zip(&plain_frames).enumerate() {
                 let (fb, report) = r.render_next(scene);
                 assert_eq!(&fb, want, "frame {f}");
@@ -769,6 +788,7 @@ mod tests {
             }
         });
         assert_eq!(coh_events(&snap), scenes.len());
+        assert_eq!(snap.counters["coh.engines_built"].value, 1);
     }
 
     #[test]
@@ -864,18 +884,16 @@ mod tests {
                 let mut renderers: Vec<CoherentRenderer> = regions
                     .iter()
                     .map(|&reg| {
-                        let r = CoherentRenderer::with_region_and_block(
+                        let mask = masked.then(|| (Arc::clone(&mask), 0));
+                        let mode = coherent(DirtyTest::Exact, mask);
+                        CoherentRenderer::for_region(
                             spec,
                             48,
                             36,
                             reg,
-                            1,
+                            mode,
                             RenderSettings::default(),
-                        );
-                        match masked {
-                            true => r.with_mover_mask(Arc::clone(&mask)),
-                            false => r,
-                        }
+                        )
                     })
                     .collect();
                 for f in 0..frames {
@@ -964,8 +982,8 @@ mod tests {
 
     /// A masked renderer started at frame k of its sequence (a farm
     /// worker's restart or steal) takes transition k -> k+1 from the mask,
-    /// keeps its place across a reset, and renders every frame as a
-    /// from-scratch render does.
+    /// and so does one built afresh two frames later; both render every
+    /// frame as a from-scratch render does.
     #[test]
     fn a_renderer_started_mid_sequence_looks_up_its_own_transitions() {
         let spec = sequence_spec();
@@ -981,13 +999,15 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), counts.len(), "{counts:?}");
+        let from = |k| {
+            let mode = coherent(DirtyTest::Exact, Some((Arc::clone(&mask), k)));
+            whole_frame(spec, mode, RenderSettings::default())
+        };
         for k in 0..frames - 1 {
-            let mut r = CoherentRenderer::new(spec, 48, 36, RenderSettings::default())
-                .with_mover_mask(Arc::clone(&mask))
-                .from_frame(k);
+            let mut r = from(k);
             for f in k..frames {
                 if f == k + 2 {
-                    r.reset();
+                    r = from(f);
                 }
                 let scene = at(f);
                 let (fb, report) = r.render_next(&scene);
@@ -1095,17 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn camera_cut_via_reset() {
-        let spec = sequence_spec();
-        let mut r = CoherentRenderer::new(spec, 48, 36, RenderSettings::default());
-        let _ = r.render_next(&frame_scene(0.0));
-        r.reset();
-        let (_, report) = r.render_next(&frame_scene(1.0));
-        assert!(report.full_render);
-        assert_eq!(report.frame_index, 0);
-    }
-
-    #[test]
     fn everything_change_forces_full_render_and_stays_correct() {
         let spec = sequence_spec();
         let mut r = CoherentRenderer::new(spec, 48, 36, RenderSettings::default());
@@ -1130,8 +1139,13 @@ mod tests {
         // its shadow ray: without shadow tracking that pixel goes stale
         let spec = sequence_spec();
         let mut with = CoherentRenderer::new(spec, 48, 36, RenderSettings::default());
-        let mut without = CoherentRenderer::new(spec, 48, 36, RenderSettings::default())
-            .without_shadow_tracking();
+        let untracked = RenderMode::Coherent {
+            test: DirtyTest::Exact,
+            mask: None,
+            block: 1,
+            track_shadows: false,
+        };
+        let mut without = whole_frame(spec, untracked, RenderSettings::default());
 
         let mut with_wrong = 0usize;
         let mut without_wrong = 0usize;
@@ -1184,7 +1198,7 @@ mod tests {
                 30,
             ),
         ] {
-            let m = GroupMap::new(10, 7, region, block);
+            let m = GroupMap::new(10, region, block);
             assert_eq!(m.group_count(), groups);
             for p in region.pixel_ids(10) {
                 let g = m.group_of(p);
@@ -1205,7 +1219,6 @@ mod tests {
         // a pixel group is the pixel, numbered within its region
         let m = GroupMap::new(
             10,
-            7,
             PixelRegion {
                 x0: 3,
                 y0: 2,

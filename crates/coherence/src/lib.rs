@@ -33,12 +33,13 @@
 //!   placement; an exact engine makes a pixel dirty only when one of its
 //!   rays passes within such a bound (an extension of the paper's
 //!   voxel-granular test).
-//! * [`CoherentRenderer`] — incremental sequence renderer: frame `t+1` is
-//!   frame `t` plus a re-render of exactly the dirty pixels;
-//!   [`CoherentRenderer::plain`] renders every pixel and records nothing.
-//! * [`CoherentRenderer::with_region_and_block`] — the cited Jevans
-//!   baseline: coherence tracked for blocks of pixels; one dirty pixel
-//!   recomputes its whole block.
+//! * [`CoherentRenderer`] — incremental sequence renderer of one region,
+//!   built once by [`CoherentRenderer::for_region`] in a [`RenderMode`]:
+//!   coherent, frame `t+1` is frame `t` plus a re-render of exactly the
+//!   dirty pixels; plain, it renders every pixel and records nothing. A
+//!   coherent mode's `block` edge above 1 is the cited Jevans baseline:
+//!   coherence tracked for blocks of pixels; one dirty pixel recomputes
+//!   its whole block.
 //! * [`diff`] — actual-vs-predicted difference maps (paper Fig. 2).
 
 pub mod bound;
@@ -54,6 +55,6 @@ pub use bound::Bound;
 pub use change::{changed_voxels, ChangeSet, MoverMask};
 pub use diff::DiffMaps;
 pub use engine::{CoherenceEngine, CoherenceStats, DirtyTest};
-pub use incremental::{CoherentRenderer, FrameReport};
+pub use incremental::{CoherentRenderer, FrameReport, RenderMode};
 pub use region::PixelRegion;
 pub use tiledelta::{RegionBuffer, TileUpdate};

@@ -23,7 +23,7 @@ use now_cluster::{
     Wire, WorkCost, WorkerLogic, WorkerSummary,
 };
 use now_coherence::varint::{read_varint, unzigzag, write_varint, zigzag};
-use now_coherence::{CoherentRenderer, DirtyTest, MoverMask, RegionBuffer, TileUpdate};
+use now_coherence::{CoherentRenderer, DirtyTest, MoverMask, RegionBuffer, RenderMode, TileUpdate};
 use now_grid::GridSpec;
 use now_raytrace::{Framebuffer, ParallelStats, PixelId, RayStats, RenderSettings};
 use std::collections::BTreeMap;
@@ -321,26 +321,24 @@ impl FarmWorker {
 
     /// A fresh renderer for `unit`'s region, starting at its frame.
     fn renderer_for(&mut self, unit: &RenderUnit) -> CoherentRenderer {
-        let (spec, settings) = (self.spec, self.cfg.settings.clone());
-        if !self.cfg.coherence {
-            return CoherentRenderer::plain(spec, self.width, self.height, unit.region, settings);
-        }
-        let anim = &self.anim;
-        let mask = self.mask.get_or_insert_with(|| {
-            let frames = (0..anim.frames).map(|f| anim.scene_at(f));
-            Arc::new(MoverMask::of_sequence(&spec, frames))
-        });
-        CoherentRenderer::with_region_and_block(
-            spec,
-            self.width,
-            self.height,
-            unit.region,
-            1,
-            settings,
-        )
-        .with_dirty_test(self.cfg.dirty_test)
-        .with_mover_mask(Arc::clone(mask))
-        .from_frame(unit.frame as usize)
+        let (spec, anim) = (self.spec, &self.anim);
+        let mode = match self.cfg.coherence {
+            false => RenderMode::Plain,
+            true => RenderMode::Coherent {
+                test: self.cfg.dirty_test,
+                mask: Some((
+                    Arc::clone(self.mask.get_or_insert_with(|| {
+                        let frames = (0..anim.frames).map(|f| anim.scene_at(f));
+                        Arc::new(MoverMask::of_sequence(&spec, frames))
+                    })),
+                    unit.frame as usize,
+                )),
+                block: 1,
+                track_shadows: true,
+            },
+        };
+        let settings = self.cfg.settings.clone();
+        CoherentRenderer::for_region(spec, self.width, self.height, unit.region, mode, settings)
     }
 }
 
@@ -1129,7 +1127,8 @@ mod tests {
     /// the same region continues the stream (a plain worker's update is a
     /// `DELTA_DEFLATE` of the whole region, a coherent worker's only its
     /// dirty pixels), and every update decodes on the master's side to
-    /// the from-scratch frame.
+    /// the from-scratch frame. A coherent worker builds one engine per
+    /// fresh start (`coh.engines_built`), a plain one none.
     #[test]
     fn a_region_starts_afresh_on_one_rule_plain_or_coherent() {
         use now_coherence::tiledelta::{MODE_DELTA_DEFLATE, MODE_FULL, MODE_FULL_DEFLATE};
@@ -1153,43 +1152,51 @@ mod tests {
             (b, 4, false, true), // a frame gap forward
         ];
         for coherence in [false, true] {
-            let cfg = cfg(PartitionScheme::paper_frame_division(W, H), coherence);
-            let mut frames = Vec::new();
-            render_sequence(
-                &anim,
-                &cfg.settings,
-                &cfg.cost,
-                SequenceMode::Plain,
-                crate::single::SingleMachine::unit(),
-                cfg.grid_voxels,
-                |_, fb| frames.push(fb),
-            );
-            let mut worker = FarmWorker::new(Arc::clone(&anim), shared_spec(&anim, &cfg), cfg);
-            let (mut receiver, mut canvas) = (None, BTreeMap::new());
-            for (step, &(region, frame, restart, afresh)) in script.iter().enumerate() {
-                let unit = RenderUnit {
-                    region,
-                    frame,
-                    restart,
-                };
-                let (out, _) = worker.perform(&unit);
-                let (mode, count) = (out.update.mode, out.update.count as usize);
-                let at = format!("coherence {coherence}, step {step}: mode {mode}, {count} px");
-                if afresh {
-                    assert!(mode == MODE_FULL || mode == MODE_FULL_DEFLATE, "{at}");
-                    assert_eq!(count, region.len(), "{at}");
-                } else if coherence {
-                    assert!(count < region.len(), "{at}");
-                } else {
-                    assert_eq!((mode, count), (MODE_DELTA_DEFLATE, region.len()), "{at}");
+            let mut cfg = cfg(PartitionScheme::paper_frame_division(W, H), coherence);
+            cfg.settings.trace = true;
+            let ((), snap) = now_trace::capture(|| {
+                let mut frames = Vec::new();
+                render_sequence(
+                    &anim,
+                    &cfg.settings,
+                    &cfg.cost,
+                    SequenceMode::Plain,
+                    crate::single::SingleMachine::unit(),
+                    cfg.grid_voxels,
+                    |_, fb| frames.push(fb),
+                );
+                let spec = shared_spec(&anim, &cfg);
+                let mut worker = FarmWorker::new(Arc::clone(&anim), spec, cfg);
+                let (mut receiver, mut canvas) = (None, BTreeMap::new());
+                for (step, &(region, frame, restart, afresh)) in script.iter().enumerate() {
+                    let unit = RenderUnit {
+                        region,
+                        frame,
+                        restart,
+                    };
+                    let (out, _) = worker.perform(&unit);
+                    let (mode, count) = (out.update.mode, out.update.count as usize);
+                    let at = format!("coherence {coherence}, step {step}: mode {mode}, {count} px");
+                    if afresh {
+                        assert!(mode == MODE_FULL || mode == MODE_FULL_DEFLATE, "{at}");
+                        assert_eq!(count, region.len(), "{at}");
+                    } else if coherence {
+                        assert!(count < region.len(), "{at}");
+                    } else {
+                        assert_eq!((mode, count), (MODE_DELTA_DEFLATE, region.len()), "{at}");
+                    }
+                    let pixels = out.update.decode(region, W, &mut receiver).expect(&at);
+                    canvas.extend(pixels);
+                    for id in region.pixel_ids(W) {
+                        let (r, g, b) = frames[frame as usize].get_id(id).to_u8();
+                        assert_eq!(canvas[&id], [r, g, b], "{at}: pixel {id}");
+                    }
                 }
-                let pixels = out.update.decode(region, W, &mut receiver).expect(&at);
-                canvas.extend(pixels);
-                for id in region.pixel_ids(W) {
-                    let (r, g, b) = frames[frame as usize].get_id(id).to_u8();
-                    assert_eq!(canvas[&id], [r, g, b], "{at}: pixel {id}");
-                }
-            }
+            });
+            // one engine per fresh start of a coherent worker (five), none
+            // for a plain one
+            let engines = snap.counters.get("coh.engines_built").map(|c| c.value);
+            assert_eq!(engines, coherence.then_some(5), "coherence {coherence}");
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::cost::CostModel;
 use now_anim::Animation;
 use now_cluster::paged_seconds;
-use now_coherence::{CoherentRenderer, DirtyTest, MoverMask, PixelRegion};
+use now_coherence::{CoherentRenderer, DirtyTest, MoverMask, PixelRegion, RenderMode};
 use now_grid::GridSpec;
 use now_raytrace::{Framebuffer, RayStats, RenderSettings};
 use std::sync::Arc;
@@ -63,25 +63,25 @@ impl SequenceMode {
         settings: &RenderSettings,
     ) -> CoherentRenderer {
         let (width, height) = (anim.base.camera.width(), anim.base.camera.height());
-        let region = PixelRegion::full(width, height);
-        let (block, test) = match self {
-            SequenceMode::Plain => {
-                return CoherentRenderer::plain(spec, width, height, region, settings.clone())
-            }
-            SequenceMode::Coherent(test) => (1, test),
-            SequenceMode::BlockCoherent(block) => (block, DirtyTest::Exact),
-        };
-        let mask = MoverMask::of_sequence(&spec, (0..anim.frames).map(|f| anim.scene_at(f)));
-        CoherentRenderer::with_region_and_block(
-            spec,
-            width,
-            height,
-            region,
+        let coherent = |test, block| RenderMode::Coherent {
+            test,
+            mask: Some((
+                Arc::new(MoverMask::of_sequence(
+                    &spec,
+                    (0..anim.frames).map(|f| anim.scene_at(f)),
+                )),
+                0,
+            )),
             block,
-            settings.clone(),
-        )
-        .with_dirty_test(test)
-        .with_mover_mask(Arc::new(mask))
+            track_shadows: true,
+        };
+        let mode = match self {
+            SequenceMode::Plain => RenderMode::Plain,
+            SequenceMode::Coherent(test) => coherent(test, 1),
+            SequenceMode::BlockCoherent(block) => coherent(DirtyTest::Exact, block),
+        };
+        let region = PixelRegion::full(width, height);
+        CoherentRenderer::for_region(spec, width, height, region, mode, settings.clone())
     }
 }
 

@@ -114,7 +114,7 @@ fn farm_renders_across_the_cut_exactly() {
 
 #[test]
 fn per_segment_renderers_match_one_long_renderer() {
-    // rendering each segment with a freshly reset renderer equals the
+    // rendering each segment with a freshly built renderer equals the
     // single-renderer run (which detects the cut via ChangeSet::Everything)
     let anim = cut_animation();
     let spec = GridSpec::for_scene(anim.swept_bounds(), 4096);

@@ -43,23 +43,3 @@ fn tga_bytes_are_reproducible() {
     };
     assert_eq!(render(), render());
 }
-
-#[test]
-fn incremental_state_does_not_leak_between_sequences() {
-    // rendering sequence A, resetting, then sequence B must equal a fresh
-    // renderer on sequence B
-    let anim = newton::animation_sized(32, 24, 4);
-    let spec = GridSpec::for_scene(anim.swept_bounds(), 4096);
-    let settings = RenderSettings::default();
-
-    let mut reused = CoherentRenderer::new(spec, 32, 24, settings.clone());
-    for f in 0..3 {
-        let _ = reused.render_next(&anim.scene_at(f));
-    }
-    reused.reset();
-    let (reused_fb, _) = reused.render_next(&anim.scene_at(3));
-
-    let mut fresh = CoherentRenderer::new(spec, 32, 24, settings);
-    let (fresh_fb, _) = fresh.render_next(&anim.scene_at(3));
-    assert!(reused_fb.same_image(&fresh_fb));
-}

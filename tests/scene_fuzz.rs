@@ -14,7 +14,7 @@
 //! *not* sized to the motion.
 
 use now_testkit::Rng;
-use nowrender::coherence::{CoherentRenderer, MoverMask};
+use nowrender::coherence::{CoherentRenderer, DirtyTest, MoverMask, PixelRegion, RenderMode};
 use nowrender::grid::GridSpec;
 use nowrender::math::{Aabb, Affine, Color, Point3, Vec3};
 use nowrender::raytrace::{
@@ -257,8 +257,14 @@ fn coherent_equals_scratch_on_generated_scenes() {
         let mut serial = CoherentRenderer::new(fuzzed.spec, W, H, settings(1));
         let mut pooled = CoherentRenderer::new(fuzzed.spec, W, H, settings(3));
         let masked = |threads| {
-            CoherentRenderer::new(fuzzed.spec, W, H, settings(threads))
-                .with_mover_mask(Arc::clone(&mask))
+            let mode = RenderMode::Coherent {
+                test: DirtyTest::Exact,
+                mask: Some((Arc::clone(&mask), 0)),
+                block: 1,
+                track_shadows: true,
+            };
+            let region = PixelRegion::full(W, H);
+            CoherentRenderer::for_region(fuzzed.spec, W, H, region, mode, settings(threads))
         };
         let (mut masked_serial, mut masked_pooled) = (masked(1), masked(3));
         let mut previous: Option<Framebuffer> = None;

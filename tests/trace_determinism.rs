@@ -23,7 +23,8 @@
 use nowrender::anim::scenes::{glassball, newton};
 use nowrender::cluster::{MachineSpec, SimCluster};
 use nowrender::core::{
-    run_sim, run_sim_with, CostModel, DirtyTest, FarmConfig, JournalSpec, PartitionScheme,
+    bind_tcp_master, run_sim, run_sim_with, run_tcp_master_with, run_threads, serve_tcp_worker,
+    CostModel, DirtyTest, FarmConfig, FarmResult, JournalSpec, PartitionScheme, TcpFarmConfig,
 };
 use nowrender::raytrace::RenderSettings;
 use nowrender::trace;
@@ -81,6 +82,7 @@ fn normalized_trace_is_thread_pool_invariant() {
         "ctr coh.scan_records",
         "ctr coh.scan_voxel_hits",
         "ctr coh.scan_exact_tests",
+        "ctr coh.engines_built",
     ] {
         assert!(serial.contains(needle), "normalized stream lost {needle}");
     }
@@ -228,4 +230,49 @@ fn farm_workers_compute_each_change_set_once() {
         read > voxel_hits && voxel_hits > 0 && exact > 0,
         "{read} {voxel_hits} {exact}"
     );
+}
+
+/// A region renderer builds its one engine when it is built and never
+/// another, and it renders a frame 0 once: a coherent farm's
+/// `coh.engines_built` equals its `coh.frame` instants at `frame` 0, on
+/// the simulator, on threads and over loopback TCP.
+#[test]
+fn a_farm_builds_one_engine_per_renderer() {
+    let anim = newton::animation_sized(W, H, FRAMES);
+    let cfg = farm_cfg(1);
+    let tcp = || {
+        let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (anim, cfg, addr) = (anim.clone(), cfg.clone(), addr.clone());
+                std::thread::spawn(move || {
+                    serve_tcp_worker(&anim, &cfg, &addr, &Default::default())
+                })
+            })
+            .collect();
+        let tcp = TcpFarmConfig::new(2);
+        let result = run_tcp_master_with(listener, &anim, &cfg, &tcp, None).expect("master");
+        for worker in workers {
+            worker.join().expect("worker thread").expect("worker");
+        }
+        result
+    };
+    let runs: [(&str, &dyn Fn() -> FarmResult); 3] = [
+        ("sim", &|| run_sim(&anim, &cfg, &SimCluster::paper())),
+        ("threads", &|| run_threads(&anim, &cfg, 3)),
+        ("tcp", &tcp),
+    ];
+    for (name, run) in runs {
+        let (result, snap) = trace::capture(run);
+        assert_eq!(result.frame_hashes.len(), FRAMES, "{name}");
+        let first_frames = snap
+            .events
+            .iter()
+            .filter(|e| e.name == "coh.frame" && e.args.contains(&("frame", 0)))
+            .count() as u64;
+        let engines = snap.counters.get("coh.engines_built").map(|c| c.value);
+        assert!(first_frames > 0, "{name}: no renderer rendered a frame");
+        assert_eq!(engines, Some(first_frames), "{name}");
+    }
 }
