@@ -8,7 +8,7 @@
 //! the master and come back in as calls, each made before the master asks
 //! for the next event. DESIGN.md §13 has the table.
 
-use crate::codec::{Decoder, Encoder};
+use crate::codec::Encoder;
 use crate::message::Message;
 use crate::net::{
     check_header, encode_frame, tag, HANDSHAKE_TIMEOUT_S, HEADER_LEN, READ_TIMEOUT_S,
@@ -49,8 +49,9 @@ pub(crate) enum Role {
 /// One frame from the peer, read for the connection's phase.
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// A well-formed `HELLO`; the master answers `enrol` or `reject`.
-    Hello { identity: u64, fingerprint: Vec<u8> },
+    /// A `HELLO` and its payload, the worker's scene fingerprint (empty:
+    /// unvalidated); the master answers `enrol` or `reject`.
+    Hello(Vec<u8>),
     /// `REQUEST`, `RESULT` or `PONG` from worker slot `w`.
     Worker(usize, Message),
     /// A client request; the master answers `reply` or closes.
@@ -236,13 +237,7 @@ impl ConnCore {
             };
             let tag = msg.tag;
             let allowed = match self.phase {
-                Phase::Hello if tag == tag::HELLO => {
-                    let hello = parse_hello(&msg.payload);
-                    hello.map(|(identity, fingerprint)| Event::Hello {
-                        identity,
-                        fingerprint,
-                    })
-                }
+                Phase::Hello if tag == tag::HELLO => Some(Event::Hello(msg.payload)),
                 Phase::Hello | Phase::Client if tag::is_client(tag) => Some(Event::Client(msg)),
                 Phase::Worker(w) if matches!(tag, tag::REQUEST | tag::RESULT | tag::PONG) => {
                     Some(Event::Worker(w, msg))
@@ -378,16 +373,6 @@ impl ConnCore {
     }
 }
 
-/// The `HELLO` payload: `(identity, fingerprint)`. An empty payload is
-/// the lenient anonymous form (pre-v2 workers and hand-rolled tests).
-fn parse_hello(payload: &[u8]) -> Option<(u64, Vec<u8>)> {
-    if payload.is_empty() {
-        return Some((0, Vec::new()));
-    }
-    let mut d = Decoder::new(payload);
-    Some((d.u64().ok()?, d.bytes().ok()?.to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,16 +491,9 @@ mod tests {
     // The explorer: interleavings of a small hostile alphabet
     // -----------------------------------------------------------------
 
-    const IDENTITY: u64 = 7;
-    const FINGERPRINT: [u8; 3] = [1, 2, 3];
+    const FINGERPRINT: [u8; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
     /// The byte threshold of the `drop@N` / `stall@N` gates explored.
     const GATE_AT: u64 = 64;
-
-    fn ident_payload() -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u64(IDENTITY).bytes(&FINGERPRINT);
-        e.finish()
-    }
 
     fn header(magic: u32, version: u32, len: u32) -> Vec<u8> {
         [magic, version, len]
@@ -528,8 +506,8 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Bytes {
         HelloAnon,
-        HelloIdent,
-        /// The identified `HELLO` torn into two writes.
+        HelloPrint,
+        /// The fingerprinted `HELLO` torn into two writes.
         HelloHead,
         HelloTail,
         BadMagic,
@@ -546,11 +524,11 @@ mod tests {
 
     impl Bytes {
         fn wire(self) -> Vec<u8> {
-            let hello = frame(tag::HELLO, ident_payload());
+            let hello = frame(tag::HELLO, FINGERPRINT.to_vec());
             let torn = hello.len() / 2;
             match self {
                 Bytes::HelloAnon => frame(tag::HELLO, vec![]),
-                Bytes::HelloIdent => hello,
+                Bytes::HelloPrint => hello,
                 Bytes::HelloHead => hello[..torn].to_vec(),
                 Bytes::HelloTail => hello[torn..].to_vec(),
                 Bytes::BadMagic => header(0xDEAD_BEEF, VERSION, 0),
@@ -596,7 +574,7 @@ mod tests {
 
     const ALPHABET: [Step; 23] = [
         Step::Peer(Bytes::HelloAnon),
-        Step::Peer(Bytes::HelloIdent),
+        Step::Peer(Bytes::HelloPrint),
         Step::Peer(Bytes::HelloHead),
         Step::Peer(Bytes::HelloTail),
         Step::Peer(Bytes::BadMagic),
@@ -767,27 +745,22 @@ mod tests {
 
         fn event(&mut self, event: Event, path: &[Step]) {
             match event {
-                Event::Hello {
-                    identity,
-                    fingerprint,
-                } => {
+                Event::Hello(fingerprint) => {
                     self.hellos += 1;
                     assert_eq!(self.hellos, 1, "{path:?}: a second Hello");
                     // the first frame fed, read by the blocking decoder
                     let (first, _) = read_frame(&mut &self.fed[..])
                         .unwrap_or_else(|e| panic!("{path:?}: Hello without a frame ({e})"));
                     assert_eq!(first.tag, tag::HELLO, "{path:?}");
-                    let want = if first.payload.is_empty() {
-                        (0, vec![])
-                    } else {
-                        assert_eq!(first.payload, ident_payload(), "{path:?}");
-                        (IDENTITY, FINGERPRINT.to_vec())
-                    };
-                    assert_eq!((identity, fingerprint), want, "{path:?}");
+                    assert!(
+                        first.payload.is_empty() || first.payload == FINGERPRINT,
+                        "{path:?}"
+                    );
+                    assert_eq!(fingerprint, first.payload, "{path:?}");
                     match self.answer {
                         Answer::Welcome => self.core.enrol(0, b"job"),
                         Answer::Refuse => {
-                            self.core.reject("duplicate node id", self.now);
+                            self.core.reject("scene fingerprint mismatch", self.now);
                             self.rejected_at = Some(self.now);
                         }
                     }

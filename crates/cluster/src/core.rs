@@ -42,7 +42,7 @@ pub enum Action<U> {
         worker: usize,
     },
     /// The core excluded `worker` (lease expiries) or quarantined it (bad
-    /// results): cut it loose; refuse a quarantined identity for a while.
+    /// results): cut it loose. A reconnect is a fresh worker.
     Lost {
         /// The excluded worker.
         worker: usize,

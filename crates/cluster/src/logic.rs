@@ -185,20 +185,3 @@ pub trait WorkerLogic: Send {
     /// result bytes instead, so it needs no help from the worker.)
     fn corrupt(_result: &mut Self::Result) {}
 }
-
-/// A `&mut` borrow of a worker is itself a worker, so callers can lend a
-/// long-lived worker to a transport session (e.g. one TCP connection)
-/// and keep its warmed state — scene, grid, coherence buffers — for the
-/// next session instead of rebuilding it on every reconnect.
-impl<W: WorkerLogic> WorkerLogic for &mut W {
-    type Unit = W::Unit;
-    type Result = W::Result;
-
-    fn perform(&mut self, unit: &Self::Unit) -> (Self::Result, WorkCost) {
-        (**self).perform(unit)
-    }
-
-    fn corrupt(result: &mut Self::Result) {
-        W::corrupt(result)
-    }
-}

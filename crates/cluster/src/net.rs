@@ -20,11 +20,11 @@
 //!   reader threads. What each connection may do, and when it must close,
 //!   is decided by a socket-free core per connection (`conn.rs`).
 //! * **Elastic membership** — workers may connect at any point while the
-//!   run is live. A `HELLO` carries an optional node identity and scene
-//!   fingerprint; the master validates the fingerprint, rejects
-//!   duplicates and half-open connections with a `REJECT` frame, and
-//!   hands accepted joiners the job header so they start pulling units
-//!   immediately. A worker that disconnects, times out or sends garbage
+//!   run is live. A `HELLO` carries the worker's scene fingerprint; the
+//!   master rejects a mismatch with a `REJECT` frame, drops half-open
+//!   connections, and hands accepted joiners the job header so they start
+//!   pulling units immediately. A worker has no identity beyond its slot:
+//!   a reconnect is a fresh worker. A worker that disconnects, times out or sends garbage
 //!   has its outstanding leases requeued by the shared [`MasterCore`] —
 //!   surviving workers re-render the units byte-identically.
 //! * **Deterministic chaos** — the [`ChaosPlan`]'s net section gates
@@ -65,10 +65,10 @@ use std::time::{Duration, Instant};
 pub const MAGIC: u32 = u32::from_le_bytes(*b"NOWF");
 
 /// Wire protocol version; bumped on any incompatible frame change.
-/// v2 added the `HELLO` identity/fingerprint payload and `REJECT`;
-/// v3 appended the end-to-end content checksum to the farm's
-/// `UnitOutput` wire encoding.
-pub const VERSION: u32 = 3;
+/// v2 added the `HELLO` payload and `REJECT`; v3 appended the end-to-end
+/// content checksum to the farm's `UnitOutput` wire encoding; v4 made the
+/// `HELLO` payload the scene fingerprint bytes alone.
+pub const VERSION: u32 = 4;
 
 /// Upper bound on a frame body. A full 640x480 result frame is ~2.2 MB;
 /// anything past this limit is a hostile or corrupt length prefix and is
@@ -80,10 +80,9 @@ pub const HEADER_LEN: usize = 12;
 
 /// Protocol message tags (the PVM-style `tag` field of each frame).
 pub mod tag {
-    /// Worker → master: first frame after connecting. Payload is either
-    /// empty (anonymous, unvalidated) or `identity (u64) | fingerprint
-    /// (bytes)` — identity 0 means anonymous, an empty fingerprint skips
-    /// scene validation.
+    /// Worker → master: first frame after connecting. The payload is the
+    /// worker's scene fingerprint bytes; an empty one skips scene
+    /// validation.
     pub const HELLO: u32 = 0x4E4F_0001;
     /// Master → worker: node id assignment + job header.
     pub const WELCOME: u32 = 0x4E4F_0002;
@@ -314,10 +313,6 @@ mod sys {
     }
 }
 
-/// Seconds a quarantined node identity is turned away at `HELLO` before
-/// it may rejoin.
-const QUARANTINE_COOLDOWN_S: f64 = 60.0;
-
 /// Seconds an enrolled worker or a client may stay silent before the
 /// master hangs up (a worker's leases requeue). Heartbeat pongs keep a
 /// live worker far inside it, a watching client is kept by the pushes it
@@ -389,10 +384,6 @@ impl TcpClusterConfig {
 #[derive(Default)]
 struct Slot {
     conn: Option<usize>,
-    /// Node identity announced in `HELLO` (0 = anonymous), turned away
-    /// while it has a live slot or until its quarantine cooldown ends.
-    identity: u64,
-    quarantined_until: f64,
     rtt_s: f64,
     last_ping_s: f64,
     busy_s: f64,
@@ -465,7 +456,7 @@ where
     let mut run = MasterRun::new(master, cfg);
     for stream in enrolled {
         let ci = run.add_conn(stream, 0.0).map_err(|e| io_to_channel(&e))?;
-        run.enrol(ci, 0, 0.0);
+        run.enrol(ci, 0.0);
     }
     loop {
         let t = run.now();
@@ -675,16 +666,9 @@ where
                     self.shut_down(worker);
                     self.slots[worker].left_s = self.now();
                 }
-                Action::Lost {
-                    worker,
-                    quarantined,
-                } => {
-                    let t = self.now();
-                    if quarantined {
-                        self.slots[worker].quarantined_until = t + QUARANTINE_COOLDOWN_S;
-                    }
+                Action::Lost { worker, .. } => {
                     self.shut_down(worker);
-                    self.departed(worker, t);
+                    self.departed(worker, self.now());
                 }
             }
         }
@@ -750,10 +734,7 @@ where
             while let Some(event) = self.conn(ci).and_then(|c| c.next_event()) {
                 any = true;
                 match event {
-                    Event::Hello {
-                        identity,
-                        fingerprint,
-                    } => self.on_hello(ci, identity, &fingerprint, t),
+                    Event::Hello(fingerprint) => self.on_hello(ci, &fingerprint, t),
                     Event::Worker(w, msg) => self.on_worker_frame(w, msg, t),
                     Event::Client(msg) => served |= self.client_request(ci, &msg),
                 }
@@ -785,40 +766,26 @@ where
         served
     }
 
-    /// A `HELLO` on connection `ci`: enrol it, or refuse it for a
-    /// run-wide reason. Identity 0 is anonymous and never anyone's twin.
-    fn on_hello(&mut self, ci: usize, identity: u64, fingerprint: &[u8], t: f64) {
+    /// A `HELLO` on connection `ci`: enrol it, or refuse a worker whose
+    /// scene is not the run's. An empty fingerprint on either side skips
+    /// the check.
+    fn on_hello(&mut self, ci: usize, fingerprint: &[u8], t: f64) {
         let expected = self.cfg.fingerprint.as_slice();
-        let twin = |s: &Slot| identity != 0 && s.identity == identity;
-        let refusal = if !expected.is_empty() && !fingerprint.is_empty() && fingerprint != expected
-        {
-            Some("scene fingerprint mismatch")
-        } else if (0..self.slots.len()).any(|w| twin(&self.slots[w]) && self.core.is_live(w)) {
-            Some("duplicate node id")
-        } else if self
-            .slots
-            .iter()
-            .any(|s| twin(s) && t < s.quarantined_until)
-        {
-            Some("quarantined")
-        } else {
-            None
-        };
-        match (refusal, self.conn(ci)) {
-            (Some(reason), Some(c)) => c.reject(reason, t),
-            (None, Some(_)) => self.enrol(ci, identity, t),
+        let mismatch = !expected.is_empty() && !fingerprint.is_empty() && fingerprint != expected;
+        match (mismatch, self.conn(ci)) {
+            (true, Some(c)) => c.reject("scene fingerprint mismatch", t),
+            (false, Some(_)) => self.enrol(ci, t),
             (_, None) => {}
         }
     }
 
     /// Bind connection `ci` to a new worker slot; its core queues the
     /// `WELCOME`.
-    fn enrol(&mut self, ci: usize, identity: u64, t: f64) {
+    fn enrol(&mut self, ci: usize, t: f64) {
         let w = self.core.joined();
         debug_assert_eq!(w, self.slots.len());
         self.slots.push(Slot {
             conn: Some(ci),
-            identity,
             last_ping_s: t,
             joined_s: t,
             ..Slot::default()
@@ -1065,10 +1032,6 @@ pub struct ConnectConfig {
     /// silence (the master pings every `heartbeat_s`, so a healthy link
     /// is never silent for long). 0 disables the timeout.
     pub read_timeout_s: f64,
-    /// Stable node identity announced in `HELLO`; 0 = anonymous. The
-    /// master rejects a second live connection claiming the same
-    /// nonzero identity.
-    pub identity: u64,
     /// Scene fingerprint announced in `HELLO`; empty skips master-side
     /// validation (the job header check still applies).
     pub fingerprint: Vec<u8>,
@@ -1081,7 +1044,6 @@ impl Default for ConnectConfig {
             backoff_s: 0.1,
             backoff_cap_s: 2.0,
             read_timeout_s: 30.0,
-            identity: 0,
             fingerprint: Vec::new(),
         }
     }
@@ -1122,9 +1084,8 @@ pub struct TcpWorkerConn {
 /// the master enrolls late joiners on the fly. On success the returned
 /// connection knows its assigned node id and the master's job header;
 /// call [`TcpWorkerConn::serve`] to process units until shutdown. A
-/// master that turns the worker away (wrong scene fingerprint, duplicate
-/// identity, full farm) surfaces as [`ChannelError::Protocol`] with the
-/// rejection reason.
+/// master that turns the worker away (wrong scene fingerprint, full farm)
+/// surfaces as [`ChannelError::Protocol`] with the rejection reason.
 pub fn connect_worker(addr: &str, cfg: &ConnectConfig) -> Result<TcpWorkerConn, ChannelError> {
     let mut rng = JitterRng::from_entropy();
     let attempts = cfg.attempts.max(1);
@@ -1154,13 +1115,11 @@ pub fn connect_worker(addr: &str, cfg: &ConnectConfig) -> Result<TcpWorkerConn, 
             .set_read_timeout(Some(Duration::from_secs_f64(cfg.read_timeout_s)))
             .map_err(|e| io_to_channel(&e))?;
     }
-    let mut e = Encoder::new();
-    e.u64(cfg.identity).bytes(&cfg.fingerprint);
     let hello = Message {
         from: 0,
         to: 0,
         tag: tag::HELLO,
-        payload: e.finish(),
+        payload: cfg.fingerprint.clone(),
     };
     let bytes_out = write_frame(&mut stream, &hello)?;
     TcpWorkerConn::welcomed(stream, bytes_out)
@@ -1180,9 +1139,7 @@ impl TcpWorkerConn {
                 Ok("scene fingerprint mismatch") => {
                     "rejected by master: scene fingerprint mismatch"
                 }
-                Ok("duplicate node id") => "rejected by master: duplicate node id",
                 Ok("farm full") => "rejected by master: farm full",
-                Ok("quarantined") => "rejected by master: quarantined",
                 _ => "rejected by master",
             }));
         }
@@ -1655,46 +1612,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_identity_is_rejected_while_original_lives() {
-        let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
-        let addr = master.local_addr().expect("addr").to_string();
-        let original = {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let wcfg = ConnectConfig {
-                    identity: 42,
-                    ..ConnectConfig::default()
-                };
-                let conn = connect_worker(&addr, &wcfg).expect("connect");
-                conn.serve(SlowSquarer(3)).expect("serve")
-            })
-        };
-        let imposter = {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(60));
-                let wcfg = ConnectConfig {
-                    identity: 42,
-                    ..ConnectConfig::default()
-                };
-                connect_worker(&addr, &wcfg).map(|_| ()).unwrap_err()
-            })
-        };
-        let (m, report) = master
-            .run(CountMaster::new(60), &TcpClusterConfig::new(1))
-            .expect("run");
-        assert_eq!(m.seen.len(), 60);
-        assert_eq!(report.workers_joined, 1);
-        assert_eq!(report.workers_rejected, 1);
-        assert!(original.join().expect("original").units == 60);
-        assert_eq!(
-            imposter.join().expect("imposter"),
-            ChannelError::Protocol("rejected by master: duplicate node id")
-        );
-    }
-
-    #[test]
-    fn corrupt_worker_is_quarantined_and_its_reconnect_refused() {
+    fn corrupt_worker_is_quarantined_and_its_reconnect_starts_afresh() {
         let master = TcpMaster::bind("127.0.0.1:0").expect("bind");
         let addr = master.local_addr().expect("addr").to_string();
         // quorum 2 keeps the door open for the honest late joiner even
@@ -1711,24 +1629,24 @@ mod tests {
             })
         };
         // the byzantine worker (slot 0, every result damaged) is struck
-        // out, shut down, and its identity refused on reconnect
+        // out and shut down; a worker has no identity, so its reconnect
+        // is a fresh worker in a new slot, whose results are sound
         let byzantine = std::thread::spawn(move || {
-            let wcfg = ConnectConfig {
-                identity: 7,
-                ..ConnectConfig::default()
-            };
-            let conn = connect_worker(&addr, &wcfg).expect("connect");
+            let conn = connect_worker(&addr, &ConnectConfig::default()).expect("connect");
             let summary = conn.serve(SlowSquarer(3)).expect("shut down cleanly");
-            let refused = connect_worker(&addr, &wcfg).map(|_| ()).unwrap_err();
-            (summary, refused)
+            let conn = connect_worker(&addr, &ConnectConfig::default()).expect("readmitted");
+            let rejoined = conn.node_id();
+            conn.serve(SlowSquarer(3)).expect("serve after the rejoin");
+            (summary, rejoined)
         });
         let (m, report) = master.run(CountMaster::new(80), &cfg).expect("run");
         assert_eq!(m.seen.len(), 80, "every unit integrated despite corruption");
         assert_eq!(report.results_rejected, 3, "one strike per bad result");
         assert_eq!(report.workers_quarantined, 1);
         assert!(report.machines[0].lost);
-        assert_eq!(report.workers_rejected, 1, "the reconnect was refused");
-        let (summary, refused) = byzantine.join().expect("byzantine");
+        assert_eq!(report.workers_rejected, 0, "the reconnect was admitted");
+        assert_eq!(report.workers_joined, 3);
+        let (summary, rejoined) = byzantine.join().expect("byzantine");
         // master-side every count above is exact; worker-side it is a range:
         // each strike voids the unit queued behind the bad one (computed
         // all the same, dropped as a duplicate), and the SHUTDOWN may find
@@ -1738,10 +1656,7 @@ mod tests {
             "shut down at the strike limit, after {} units",
             summary.units
         );
-        assert_eq!(
-            refused,
-            ChannelError::Protocol("rejected by master: quarantined")
-        );
+        assert_ne!(rejoined, summary.node_id, "the rejoin got a fresh slot");
         assert!(honest.join().expect("honest").units > 0);
     }
 }

@@ -97,9 +97,9 @@ pub struct RunReport {
     /// Workers that left before the run completed (died, timed out or
     /// were excluded) — normal end-of-run shutdowns don't count.
     pub workers_left: u64,
-    /// Connections turned away: wrong scene fingerprint, duplicate node
-    /// id, garbage handshake, or a half-open connection that never
-    /// finished its HELLO.
+    /// Connections turned away: wrong scene fingerprint, full farm,
+    /// garbage handshake, or a half-open connection that never finished
+    /// its HELLO.
     pub workers_rejected: u64,
     /// Results discarded after failing master-side verification
     /// (end-to-end checksum or payload decode); each one requeued its

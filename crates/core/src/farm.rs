@@ -864,9 +864,8 @@ pub(crate) fn check_job_header(
 /// the full `Debug` rendering (deterministic: Rust's float formatting is
 /// the shortest round-trip form on every platform), plus its shape (size,
 /// frames, object/light/track counts). Two differently-spelled specs that
-/// parse to the same animation fingerprint identically, which is what
-/// the service worker's scene cache dedups on; any content difference
-/// that could make pixels diverge changes the fingerprint.
+/// parse to the same animation fingerprint identically; any content
+/// difference that could make pixels diverge changes the fingerprint.
 pub fn scene_fingerprint64(anim: &Animation) -> u64 {
     let fields: [u32; 6] = [
         anim.base.camera.width(),
@@ -936,70 +935,17 @@ pub fn run_tcp_master_with(
 /// The worker loads the scene itself; the handshake's job header is
 /// checked against it and the master's coherence/grid settings are
 /// adopted, so a mismatched scene fails fast instead of producing
-/// silently wrong pixels.
+/// silently wrong pixels. Each session builds its own [`FarmWorker`]:
+/// a reconnect starts from a fresh unit queue anyway.
 pub fn serve_tcp_worker(
     anim: &Animation,
     base: &FarmConfig,
     addr: &str,
     connect: &ConnectConfig,
 ) -> Result<WorkerSummary, String> {
-    serve_tcp_worker_cached(anim, base, addr, connect, &mut WorkerCache::new())
-}
-
-/// Worker-side state kept across TCP reconnects.
-///
-/// A worker process that loses its master and reconnects used to rebuild
-/// the whole [`FarmWorker`] — re-parse the scene, re-build the grid,
-/// reset coherence state — even though the job it rejoins is the same
-/// one it just left. The cache keys the built worker on the scene
-/// content fingerprint plus the settings the master's job header dictates
-/// (coherence on/off, grid resolution), so a rejoin with an unchanged
-/// job reuses the warmed worker and only a genuinely different job pays
-/// the rebuild.
-#[derive(Default)]
-pub struct WorkerCache {
-    key: Option<(u64, bool, DirtyTest, u32)>,
-    worker: Option<FarmWorker>,
-    /// How many times a [`FarmWorker`] was built from scratch (a rejoin
-    /// that hits the cache does not increment this).
-    builds: u64,
-}
-
-impl WorkerCache {
-    /// Empty cache; the first serve call always builds.
-    pub fn new() -> WorkerCache {
-        WorkerCache::default()
-    }
-
-    /// Borrow a worker for `(anim, cfg)` — `scene` is `anim`'s content
-    /// fingerprint — building one only when the cached worker was made
-    /// for a different scene or settings.
-    fn lease(&mut self, scene: u64, anim: &Animation, cfg: &FarmConfig) -> &mut FarmWorker {
-        let key = (scene, cfg.coherence, cfg.dirty_test, cfg.grid_voxels);
-        if self.key != Some(key) || self.worker.is_none() {
-            let spec = shared_spec(anim, cfg);
-            self.worker = Some(FarmWorker::new(Arc::new(anim.clone()), spec, cfg.clone()));
-            self.key = Some(key);
-            self.builds += 1;
-        }
-        self.worker.as_mut().expect("worker was just ensured")
-    }
-}
-
-/// [`serve_tcp_worker`] with a reconnect cache: the built worker (scene,
-/// grid, coherence state) survives in `cache` between calls, so a worker
-/// process retry loop rejoins the same job without rebuilding it.
-pub fn serve_tcp_worker_cached(
-    anim: &Animation,
-    base: &FarmConfig,
-    addr: &str,
-    connect: &ConnectConfig,
-    cache: &mut WorkerCache,
-) -> Result<WorkerSummary, String> {
-    let scene = scene_fingerprint64(anim);
     let mut connect = connect.clone();
     if connect.fingerprint.is_empty() {
-        connect.fingerprint = scene.to_le_bytes().to_vec();
+        connect.fingerprint = scene_fingerprint64(anim).to_le_bytes().to_vec();
     }
     let conn = connect_worker(addr, &connect).map_err(|e| format!("connect {addr}: {e}"))?;
     let (test, grid_voxels) = match check_job_header(conn.job_header(), anim) {
@@ -1015,11 +961,8 @@ pub fn serve_tcp_worker_cached(
     cfg.coherence = test.is_some();
     cfg.dirty_test = test.unwrap_or_default();
     cfg.grid_voxels = grid_voxels;
-    let worker = cache.lease(scene, anim, &cfg);
-    // A new enrollment always starts from a fresh unit queue on the
-    // master, and every first unit of a queue arrives with `restart`
-    // set, so the reused worker's coherence and wire state re-seed
-    // correctly; only the expensive scene/grid build is skipped.
+    let spec = shared_spec(anim, &cfg);
+    let worker = FarmWorker::new(Arc::new(anim.clone()), spec, cfg);
     conn.serve(worker).map_err(|e| format!("worker serve: {e}"))
 }
 
@@ -1549,10 +1492,10 @@ mod tests {
     }
 
     #[test]
-    fn tcp_worker_cache_survives_reconnect() {
-        // one worker process serves two back-to-back jobs for the same
-        // scene through a WorkerCache: the second join must reuse the
-        // built worker (scene, grid) instead of rebuilding it
+    fn a_worker_serves_two_masters_back_to_back() {
+        // one worker thread serves two back-to-back jobs for the same
+        // scene, building its worker afresh for each session: both must
+        // render the reference frames
         let anim = anim();
         let c = cfg(PartitionScheme::SequenceDivision { adaptive: true }, true);
         let l1 = bind_tcp_master("127.0.0.1:0").expect("bind");
@@ -1562,12 +1505,8 @@ mod tests {
         let w = {
             let (anim, c) = (anim.clone(), c.clone());
             std::thread::spawn(move || {
-                let mut cache = WorkerCache::new();
-                serve_tcp_worker_cached(&anim, &c, &a1, &ConnectConfig::default(), &mut cache)
-                    .expect("first serve");
-                serve_tcp_worker_cached(&anim, &c, &a2, &ConnectConfig::default(), &mut cache)
-                    .expect("second serve");
-                cache.builds
+                serve_tcp_worker(&anim, &c, &a1, &ConnectConfig::default()).expect("first serve");
+                serve_tcp_worker(&anim, &c, &a2, &ConnectConfig::default()).expect("second serve");
             })
         };
         let r1 =
@@ -1578,13 +1517,9 @@ mod tests {
         assert_eq!(r1.frame_hashes, want);
         assert_eq!(
             r2.frame_hashes, want,
-            "reused worker must render identically"
+            "the second session renders identically"
         );
-        assert_eq!(
-            w.join().expect("worker thread"),
-            1,
-            "one build for two joins"
-        );
+        w.join().expect("worker thread");
     }
 
     /// Packing keeps every pixel in order, duplicates and all: the

@@ -40,15 +40,15 @@ pub mod single;
 pub use cost::CostModel;
 pub use farm::{
     bind_tcp_master, run_sim, run_sim_with, run_tcp_master_with, run_threads, run_threads_with,
-    scene_fingerprint64, serve_tcp_worker, serve_tcp_worker_cached, FarmConfig, FarmMaster,
-    FarmResult, FarmWorker, TcpFarmConfig, WorkerCache,
+    scene_fingerprint64, serve_tcp_worker, FarmConfig, FarmMaster, FarmResult, FarmWorker,
+    TcpFarmConfig,
 };
 pub use journal::JournalSpec;
 pub use now_coherence::DirtyTest;
 pub use partition::PartitionScheme;
 pub use service::{
-    run_service_master, run_service_sim, serve_service_worker, serve_service_worker_with, JobSpec,
-    JobState, JobStatus, ServiceClient, ServiceConfig, ServiceCounters, ServiceMaster, ServiceUnit,
-    ServiceWorker, WatchReport,
+    run_service_master, run_service_sim, serve_service_worker, JobSpec, JobState, JobStatus,
+    ServiceClient, ServiceConfig, ServiceCounters, ServiceMaster, ServiceUnit, ServiceWorker,
+    WatchReport,
 };
 pub use single::{render_sequence, SequenceMode, SequenceReport, SingleMachine};

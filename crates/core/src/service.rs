@@ -34,8 +34,8 @@
 
 use crate::cost::CostModel;
 use crate::farm::{
-    decode_tile, encode_tile, job_hash, scene_fingerprint64, Canvas, FarmConfig, FarmMaster,
-    FarmWorker, PackedPixels, TcpFarmConfig, UnitOutput,
+    decode_tile, encode_tile, job_hash, Canvas, FarmConfig, FarmMaster, FarmWorker, PackedPixels,
+    TcpFarmConfig, UnitOutput,
 };
 use crate::journal::{JournalSpec, JOURNAL_FILE};
 use crate::partition::{PartitionScheme, RenderUnit};
@@ -278,7 +278,7 @@ impl Wire for JobStatus {
 pub struct ServiceUnit {
     /// Owning job id.
     pub job: u64,
-    /// The job's scene spec (worker rebuilds + caches the animation).
+    /// The job's scene spec, which a worker parses when it meets the job.
     pub scene: String,
     /// Render with frame coherence.
     pub coherence: bool,
@@ -1203,31 +1203,19 @@ impl MasterLogic for ServiceMaster {
 /// Per-job render states a [`ServiceWorker`] keeps before evicting the
 /// least recently used.
 const MAX_JOBS: usize = 8;
-/// Parsed scenes a [`ServiceWorker`] keeps, likewise.
-const MAX_SCENES: usize = 32;
 
 /// Scene-agnostic worker: joins the service knowing nothing, learns each
-/// job from its first [`ServiceUnit`] and keeps per-job render state (a
-/// [`FarmWorker`], including coherence state) in a small LRU cache.
-/// Evicting a job's state is always safe: the next unit rebuilds it and
-/// the coherence reset path renders the full region, producing pixels
-/// identical to the incremental path.
+/// job from its first [`ServiceUnit`] (parsing the job's scene spec
+/// itself) and keeps per-job render state (a [`FarmWorker`], including
+/// coherence state) in a small LRU cache, its only state. Evicting a
+/// job's state is always safe: the next unit rebuilds it, and a rebuilt
+/// worker renders its first unit's whole region and ships it as a `FULL`
+/// tile, pixels identical to the incremental path.
 pub struct ServiceWorker {
     settings: RenderSettings,
     cost: CostModel,
     /// job id → (last-used tick, per-job farm state)
     jobs: BTreeMap<u64, (u64, FarmWorker)>,
-    /// scene *content* fingerprint → (last-used tick, parsed animation).
-    /// Keying on the fingerprint instead of the spec text dedups
-    /// differently-spelled submissions of the same scene — tenants
-    /// commonly submit equivalent specs (`demo:x` vs `demo:x:10:160x120`),
-    /// and a text-keyed cache held one copy per spelling.
-    scenes: BTreeMap<u64, (u64, Arc<Animation>)>,
-    /// spec text → content fingerprint memo, so repeat units of a known
-    /// spelling skip the parse entirely
-    spec_fps: BTreeMap<String, u64>,
-    /// distinct scene contents built and cached (cache-efficiency metric)
-    scene_builds: u64,
     tick: u64,
 }
 
@@ -1238,53 +1226,8 @@ impl ServiceWorker {
             settings,
             cost,
             jobs: BTreeMap::new(),
-            scenes: BTreeMap::new(),
-            spec_fps: BTreeMap::new(),
-            scene_builds: 0,
             tick: 0,
         }
-    }
-
-    /// How many distinct scene contents this worker has built (a second
-    /// spelling of a cached scene is a hit, not a build).
-    pub fn scene_builds(&self) -> u64 {
-        self.scene_builds
-    }
-
-    fn scene_for(&mut self, spec: &str) -> Arc<Animation> {
-        self.tick += 1;
-        if let Some(&fp) = self.spec_fps.get(spec) {
-            if let Some((used, anim)) = self.scenes.get_mut(&fp) {
-                *used = self.tick;
-                return Arc::clone(anim);
-            }
-        }
-        // the master validated the spec at submission; a worker handed
-        // an unparsable spec is talking to a broken master
-        let anim = Arc::new(from_spec(spec).expect("master-validated scene spec must parse"));
-        let fp = scene_fingerprint64(&anim);
-        if self.spec_fps.len() >= 4 * MAX_SCENES {
-            // the memo only saves parses; dumping it on overflow is safe
-            self.spec_fps.clear();
-        }
-        self.spec_fps.insert(spec.to_string(), fp);
-        if let Some((used, cached)) = self.scenes.get_mut(&fp) {
-            // new spelling of a scene we already hold: share it
-            *used = self.tick;
-            return Arc::clone(cached);
-        }
-        while self.scenes.len() >= MAX_SCENES {
-            let oldest = self
-                .scenes
-                .iter()
-                .min_by_key(|(&k, (used, _))| (*used, k))
-                .map(|(&k, _)| k)
-                .expect("cache not empty");
-            self.scenes.remove(&oldest);
-        }
-        self.scene_builds += 1;
-        self.scenes.insert(fp, (self.tick, Arc::clone(&anim)));
-        anim
     }
 }
 
@@ -1299,7 +1242,9 @@ impl WorkerLogic for ServiceWorker {
             *used = tick;
             return w.perform(&su.unit);
         }
-        let anim = self.scene_for(&su.scene);
+        // the master validated the spec at submission; a worker handed
+        // an unparsable spec is talking to a broken master
+        let anim = Arc::new(from_spec(&su.scene).expect("master-validated scene spec must parse"));
         let cfg = job_farm_config(su.coherence, su.grid_voxels, &self.settings, self.cost);
         let spec = GridSpec::for_scene(anim.swept_bounds(), cfg.grid_voxels);
         let mut w = FarmWorker::new(anim, spec, cfg);
@@ -1398,24 +1343,13 @@ pub fn serve_service_worker(
     connect: &ConnectConfig,
     settings: &RenderSettings,
 ) -> Result<WorkerSummary, String> {
-    let mut worker = ServiceWorker::new(settings.clone(), CostModel::default());
-    serve_service_worker_with(&mut worker, addr, connect)
-}
-
-/// [`serve_service_worker`] with caller-owned worker state: the scene and
-/// per-job caches live in `worker`, so a reconnect loop that calls this
-/// repeatedly rejoins the service with its scenes already built.
-pub fn serve_service_worker_with(
-    worker: &mut ServiceWorker,
-    addr: &str,
-    connect: &ConnectConfig,
-) -> Result<WorkerSummary, String> {
     let conn = connect_worker(addr, connect).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut d = Decoder::new(conn.job_header());
     if d.u32() != Ok(SERVICE_HEADER_VERSION) {
         conn.leave();
         return Err("master is not a render service (job header mismatch)".to_string());
     }
+    let worker = ServiceWorker::new(settings.clone(), CostModel::default());
     conn.serve(worker).map_err(|e| format!("worker serve: {e}"))
 }
 
@@ -1920,5 +1854,69 @@ mod tests {
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
         assert_eq!(JobStatus::wire_decode(&mut d).unwrap(), st);
+    }
+
+    /// A unit of `job` on `scene` at 8 grid voxels.
+    fn worker_unit(job: u64, scene: &str, region: PixelRegion, frame: u32) -> ServiceUnit {
+        ServiceUnit {
+            job,
+            scene: scene.to_string(),
+            coherence: true,
+            grid_voxels: 8,
+            unit: RenderUnit {
+                region,
+                frame,
+                restart: frame == 0,
+            },
+        }
+    }
+
+    /// A job whose state was evicted renders its next frame from scratch:
+    /// nine interleaved jobs push job 1 out of the eight-job cache, and
+    /// its next frame, sent as a continuation (`restart` false), comes
+    /// back as a `FULL` tile of the whole region that decodes on its own
+    /// to the plain render of that frame.
+    #[test]
+    fn an_evicted_job_renders_its_next_frame_from_scratch() {
+        use crate::single::{render_sequence, SequenceMode, SingleMachine};
+        const SCENE: &str = "demo:newton:3:32x24";
+        let (width, height) = (32, 24);
+        let region = PixelRegion::full(width, height);
+        let mut plain = Vec::new();
+        let anim = from_spec(SCENE).expect("demo spec");
+        let settings = RenderSettings::default();
+        let (mode, machine) = (SequenceMode::Plain, SingleMachine::fastest());
+        render_sequence(
+            &anim,
+            &settings,
+            &CostModel::default(),
+            mode,
+            machine,
+            8,
+            |_, fb| plain.push(Canvas::of(&fb).hash()),
+        );
+
+        let mut w = ServiceWorker::new(settings, CostModel::default());
+        let mut perform = |job, frame| w.perform(&worker_unit(job, SCENE, region, frame)).0;
+        for job in 1..=MAX_JOBS as u64 {
+            perform(job, 0);
+        }
+        // every job but 1 moves on a frame, so job 1 is the least recent
+        for job in 2..=MAX_JOBS as u64 {
+            perform(job, 1);
+        }
+        perform(MAX_JOBS as u64 + 1, 0);
+        let update = perform(1, 1).update;
+        assert!(
+            [MODE_FULL, MODE_FULL_DEFLATE].contains(&update.mode),
+            "mode {}",
+            update.mode
+        );
+        let pixels = update
+            .decode(region, width, &mut None)
+            .expect("a FULL decodes alone");
+        assert_eq!(pixels.len(), region.len(), "the whole region re-rendered");
+        let mut canvas = Canvas::new(width, height);
+        assert_eq!(canvas.finish(pixels), Ok(plain[1]));
     }
 }

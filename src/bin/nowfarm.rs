@@ -45,9 +45,9 @@ use nowrender::core::journal::{clear_frame_files, write_frame_file};
 use nowrender::core::service::ServiceConfig;
 use nowrender::core::{
     bind_tcp_master, render_sequence, run_service_master, run_sim_with, run_tcp_master_with,
-    run_threads_with, serve_service_worker_with, serve_tcp_worker_cached, CostModel, DirtyTest,
-    FarmConfig, FarmResult, JobSpec, JobState, JournalSpec, PartitionScheme, SequenceMode,
-    ServiceClient, ServiceMaster, ServiceWorker, SingleMachine, TcpFarmConfig, WorkerCache,
+    run_threads_with, serve_service_worker, serve_tcp_worker, CostModel, DirtyTest, FarmConfig,
+    FarmResult, JobSpec, JobState, JournalSpec, PartitionScheme, SequenceMode, ServiceClient,
+    ServiceMaster, SingleMachine, TcpFarmConfig,
 };
 use nowrender::raytrace::image_io::{self, WriteFault};
 use nowrender::raytrace::RenderSettings;
@@ -160,8 +160,6 @@ const COMMANDS: &[Command] = &[
                 "N",
                 "reconnect up to N times after a dropped session",
             ),
-            ("--heartbeat-s", "S", "ping cadence (default 0.25)"),
-            ("--accept-window-s", "S", "how long to wait for a peer"),
         ],
         cmd_worker,
     ),
@@ -807,27 +805,14 @@ fn cmd_worker(args: &[String]) -> CliResult {
     let addr = flag_value(args, "--connect").ok_or("worker needs --connect ADDR")?;
     let cfg = farm_config(args)?;
     let retries: u32 = parsed_flag(args, "--retries", 0)?;
-    let mut connect = ConnectConfig::default();
-    if let Some(hb) = seconds_flag(args, "--heartbeat-s")? {
-        // hearing nothing for ~10 ping intervals means the master is gone
-        connect.read_timeout_s = (hb * 10.0).max(2.0);
-    }
-    if let Some(win) = seconds_flag(args, "--accept-window-s")? {
-        // keep knocking for roughly the master's accept window: worst-case
-        // backoff per attempt is the cap, so size the attempt budget to it
-        connect.attempts = ((win / connect.backoff_cap_s.max(0.01)).ceil() as u32).max(3);
-    }
-    // worker state lives outside the reconnect loop: a rejoin after a
-    // dropped session (or a master restart) reuses the already-built
-    // scene and grid instead of rebuilding them from the spec
-    let mut farm_cache = WorkerCache::new();
-    let mut service_worker = ServiceWorker::new(cfg.settings.clone(), CostModel::default());
+    let connect = ConnectConfig::default();
     let mut attempt = 0;
     loop {
         println!("connecting to {addr} ...");
+        // each session builds its own worker: a rejoin starts afresh
         let session = match &anim {
-            Some(anim) => serve_tcp_worker_cached(anim, &cfg, addr, &connect, &mut farm_cache),
-            None => serve_service_worker_with(&mut service_worker, addr, &connect),
+            Some(anim) => serve_tcp_worker(anim, &cfg, addr, &connect),
+            None => serve_service_worker(addr, &connect, &cfg.settings),
         };
         match session {
             Ok(s) => {
@@ -841,8 +826,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
             Err(e)
                 if e.contains("scene mismatch")
                     || e.contains("job header")
-                    || e.contains("fingerprint mismatch")
-                    || e.contains("duplicate node id") =>
+                    || e.contains("fingerprint mismatch") =>
             {
                 // misconfiguration, not a flaky network: retrying the same
                 // handshake can only fail the same way
@@ -1349,5 +1333,14 @@ mod tests {
             let line = words(&format!("demo:newton:1:32x24 {flag}"));
             assert_eq!(check_flags("master", table("master"), &line), Ok(()));
         }
+        // a worker's one knob is --retries: the master's timing flags are
+        // errors on it, and `serve` keeps --heartbeat-s
+        for flag in ["--heartbeat-s 1", "--accept-window-s 5"] {
+            let line = words(&format!("demo:newton:1:32x24 --connect a {flag}"));
+            let err = check_flags("worker", table("worker"), &line).expect_err(flag);
+            assert!(err.contains(flag.split(' ').next().unwrap()), "{err}");
+        }
+        let line = words("--heartbeat-s 1");
+        assert_eq!(check_flags("serve", table("serve"), &line), Ok(()));
     }
 }

@@ -3,8 +3,8 @@
 //! the master finishes it, applies each to one rolling canvas, and can
 //! prove bit-for-bit agreement with the master's job hash and with the
 //! farm's frame hashes — the "distributed framebuffer" contract. Also
-//! covers the worker-side scene-content cache: two spellings of the same
-//! scene share one parsed animation.
+//! covers a worker serving two tenants: two spellings of the same scene
+//! render the same unit to byte-identical updates.
 
 use nowrender::anim::scenes::from_spec;
 use nowrender::cluster::{ConnectConfig, WorkerLogic, WorkerSummary};
@@ -12,8 +12,8 @@ use nowrender::coherence::PixelRegion;
 use nowrender::core::partition::RenderUnit;
 use nowrender::core::service::{run_service_master, ServiceConfig, ServiceMaster};
 use nowrender::core::{
-    bind_tcp_master, run_threads, serve_service_worker_with, CostModel, FarmConfig, JobSpec,
-    JobState, PartitionScheme, ServiceClient, ServiceUnit, ServiceWorker, TcpFarmConfig,
+    bind_tcp_master, run_threads, serve_service_worker, CostModel, FarmConfig, JobSpec, JobState,
+    PartitionScheme, ServiceClient, ServiceUnit, ServiceWorker, TcpFarmConfig,
 };
 use nowrender::raytrace::RenderSettings;
 use std::thread::JoinHandle;
@@ -35,8 +35,7 @@ fn farm_hashes(scene: &str) -> Vec<u64> {
 fn spawn_worker(addr: &str) -> JoinHandle<WorkerSummary> {
     let addr = addr.to_string();
     std::thread::spawn(move || {
-        let mut worker = ServiceWorker::new(RenderSettings::default(), CostModel::default());
-        serve_service_worker_with(&mut worker, &addr, &ConnectConfig::default())
+        serve_service_worker(&addr, &ConnectConfig::default(), &RenderSettings::default())
             .expect("service worker")
     })
 }
@@ -151,7 +150,7 @@ fn watch_of_a_job_split_over_two_workers_matches_the_farm() {
 }
 
 #[test]
-fn worker_scene_cache_dedups_spellings_across_tenants() {
+fn two_spellings_of_one_scene_render_the_same_update() {
     let mut w = ServiceWorker::new(RenderSettings::default(), CostModel::default());
     let unit = |job: u64, scene: &str| ServiceUnit {
         job,
@@ -173,15 +172,5 @@ fn worker_scene_cache_dedups_spellings_across_tenants() {
     // content as the fully-spelled spec, submitted by a different tenant
     let (a, _) = w.perform(&unit(1, "demo:glassball"));
     let (b, _) = w.perform(&unit(2, "demo:glassball:10:160x120"));
-    assert_eq!(
-        w.scene_builds(),
-        1,
-        "two spellings of one scene must share a single parsed animation"
-    );
-    // both jobs rendered the same unit of the same scene
     assert_eq!(a.update, b.update);
-
-    // genuinely different content is a separate build
-    let _ = w.perform(&unit(3, "demo:glassball:10:161x120"));
-    assert_eq!(w.scene_builds(), 2);
 }

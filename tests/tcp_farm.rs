@@ -296,6 +296,39 @@ fn multi_process_farm_survives_killed_master_via_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker the master turns away for its scene fails at once, even with
+/// retries left: a handshake refused for a mismatch can only fail the same
+/// way again. The refusal leaves the run alone, and two good workers
+/// still finish it.
+#[test]
+fn a_refused_worker_exits_at_once_without_reconnecting() {
+    const OTHER_SCENE: &str = "demo:newton:6:48x36";
+    let dir = scratch_dir("refused");
+    let hashes = dir.join("hashes.txt");
+    let (mut master, addr) = spawn_master(&dir, &hashes);
+    let out = Command::new(env!("CARGO_BIN_EXE_nowfarm"))
+        .args(["worker", OTHER_SCENE, "--connect", &addr, "--retries", "3"])
+        .output()
+        .expect("run refused worker");
+    let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "refused worker exited with {}",
+        out.status
+    );
+    assert!(text.contains("job rejected by master"), "{text}");
+    assert!(!text.contains("reconnecting"), "{text}");
+
+    let mut w1 = spawn_worker(&addr);
+    let mut w2 = spawn_worker(&addr);
+    let status = master.wait().expect("wait master");
+    assert!(status.success(), "master exited with {status}");
+    assert!(w1.wait().expect("wait w1").success());
+    assert!(w2.wait().expect("wait w2").success());
+    assert_eq!(read_hashes(&hashes), reference_hashes());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn spawn_worker_retrying(addr: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_nowfarm"))
         .args(["worker", SCENE, "--connect", addr, "--retries", "5"])
