@@ -217,10 +217,10 @@ impl ConnCore {
         matches!(self.phase, Phase::Worker(_)) && self.queue(tag, payload)
     }
 
-    /// Queue a worker's `SHUTDOWN`; it closes once that is flushed.
-    pub(crate) fn shut_down(&mut self) {
+    /// Queue a worker's `SHUTDOWN` with `reason`; it closes once flushed.
+    pub(crate) fn shut_down(&mut self, reason: &[u8]) {
         if let Phase::Worker(w) = self.phase {
-            self.queue(tag::SHUTDOWN, Vec::new());
+            self.queue(tag::SHUTDOWN, reason.to_vec());
             let (retire_at, role) = (f64::INFINITY, Role::Worker(w));
             self.phase = Phase::Closing { retire_at, role };
         }
@@ -703,7 +703,7 @@ mod tests {
                 }
                 Step::Ping | Step::ShutDown if !worker => return false,
                 Step::Ping => assert!(self.core.send(tag::PING, vec![0; 16])),
-                Step::ShutDown => self.core.shut_down(),
+                Step::ShutDown => self.core.shut_down(&[]),
                 Step::Push if self.core.phase != Phase::Client => return false,
                 Step::Push => {
                     self.core.push(tag::FRAME_PROGRESS, vec![2], self.now);

@@ -57,7 +57,8 @@ impl Message {
     }
 }
 
-/// A channel-level failure: the peer endpoint is gone or misbehaving.
+/// A channel-level failure: the peer endpoint is gone, misbehaving, or
+/// done with this worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelError {
     /// The destination endpoint was dropped; the message was not delivered.
@@ -67,6 +68,10 @@ pub enum ChannelError {
     /// The peer spoke the wrong protocol (bad magic, version mismatch,
     /// hostile length prefix, or an undecodable frame).
     Protocol(&'static str),
+    /// The master excluded this worker for failed leases.
+    Excluded,
+    /// The master quarantined this worker for results that failed checks.
+    Quarantined,
 }
 
 impl std::fmt::Display for ChannelError {
@@ -75,6 +80,8 @@ impl std::fmt::Display for ChannelError {
             ChannelError::PeerGone => write!(f, "peer endpoint dropped"),
             ChannelError::TimedOut => write!(f, "receive timed out"),
             ChannelError::Protocol(what) => write!(f, "protocol violation: {what}"),
+            ChannelError::Excluded => write!(f, "excluded by master: failed leases"),
+            ChannelError::Quarantined => write!(f, "quarantined by master: bad results"),
         }
     }
 }

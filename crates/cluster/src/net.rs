@@ -64,11 +64,11 @@ use std::time::{Duration, Instant};
 /// anything else is not speaking this protocol.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"NOWF");
 
-/// Wire protocol version; bumped on any incompatible frame change.
-/// v2 added the `HELLO` payload and `REJECT`; v3 appended the end-to-end
-/// content checksum to the farm's `UnitOutput` wire encoding; v4 made the
-/// `HELLO` payload the scene fingerprint bytes alone.
-pub const VERSION: u32 = 4;
+/// Wire protocol version; bumped on any incompatible frame change: v2
+/// added `HELLO`'s payload and `REJECT`, v3 the `RESULT` checksum, v4 the
+/// fingerprint-only `HELLO`, v5 the [`shutdown`] reason and a `RESULT`
+/// without tile-pool statistics.
+pub const VERSION: u32 = 5;
 
 /// Upper bound on a frame body. A full 640x480 result frame is ~2.2 MB;
 /// anything past this limit is a hostile or corrupt length prefix and is
@@ -77,6 +77,17 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Bytes of frame header preceding the body (magic + version + length).
 pub const HEADER_LEN: usize = 12;
+
+/// Why the master ends a worker's session: the one byte of a `SHUTDOWN`
+/// payload. An empty payload means [`FINISHED`](shutdown::FINISHED).
+pub mod shutdown {
+    /// No work is left for the worker.
+    pub const FINISHED: u8 = 0;
+    /// Excluded for failed leases; a reconnect is a fresh worker.
+    pub const EXCLUDED: u8 = 1;
+    /// Quarantined for results that failed verification.
+    pub const QUARANTINED: u8 = 2;
+}
 
 /// Protocol message tags (the PVM-style `tag` field of each frame).
 pub mod tag {
@@ -92,7 +103,7 @@ pub mod tag {
     pub const UNIT: u32 = 0x4E4F_0004;
     /// Worker → master: assignment id + busy seconds + encoded result.
     pub const RESULT: u32 = 0x4E4F_0005;
-    /// Master → worker: no more work; close the connection.
+    /// Master → worker: close the connection; payload: a [`super::shutdown`] reason.
     pub const SHUTDOWN: u32 = 0x4E4F_0006;
     /// Master → worker: heartbeat, payload echoed verbatim in the pong.
     pub const PING: u32 = 0x4E4F_0007;
@@ -239,15 +250,6 @@ impl Wire for u64 {
     }
     fn wire_decode(d: &mut Decoder<'_>) -> Result<u64, DecodeError> {
         d.u64()
-    }
-}
-
-impl Wire for Vec<u8> {
-    fn wire_encode(&self, e: &mut Encoder) {
-        e.bytes(self);
-    }
-    fn wire_decode(d: &mut Decoder<'_>) -> Result<Vec<u8>, DecodeError> {
-        Ok(d.bytes()?.to_vec())
     }
 }
 
@@ -639,10 +641,10 @@ where
         conn.is_some_and(|c| c.send(tag, payload))
     }
 
-    /// Tell worker `w` to stop; its connection closes once that is flushed.
-    fn shut_down(&mut self, w: usize) {
+    /// Tell worker `w` to stop for `reason`; it closes once that is flushed.
+    fn shut_down(&mut self, w: usize, reason: &[u8]) {
         if let Some(c) = self.slots[w].conn.and_then(|ci| self.conn(ci)) {
-            c.shut_down();
+            c.shut_down(reason);
         }
     }
 
@@ -663,11 +665,15 @@ where
                     }
                 }
                 Action::Shutdown { worker } => {
-                    self.shut_down(worker);
+                    self.shut_down(worker, &[]);
                     self.slots[worker].left_s = self.now();
                 }
-                Action::Lost { worker, .. } => {
-                    self.shut_down(worker);
+                Action::Lost {
+                    worker,
+                    quarantined,
+                } => {
+                    let reason = [shutdown::EXCLUDED, shutdown::QUARANTINED][quarantined as usize];
+                    self.shut_down(worker, &[reason]);
                     self.departed(worker, self.now());
                 }
             }
@@ -1089,13 +1095,10 @@ pub struct TcpWorkerConn {
 pub fn connect_worker(addr: &str, cfg: &ConnectConfig) -> Result<TcpWorkerConn, ChannelError> {
     let mut rng = JitterRng::from_entropy();
     let attempts = cfg.attempts.max(1);
-    let mut stream = None;
-    for attempt in 0..attempts {
+    let mut attempt = 0;
+    let mut stream = loop {
         match TcpStream::connect(addr) {
-            Ok(s) => {
-                stream = Some(s);
-                break;
-            }
+            Ok(s) => break s,
             Err(_) if attempt + 1 < attempts => {
                 let delay = full_jitter_delay(
                     cfg.backoff_s.max(0.01),
@@ -1104,11 +1107,11 @@ pub fn connect_worker(addr: &str, cfg: &ConnectConfig) -> Result<TcpWorkerConn, 
                     &mut rng,
                 );
                 std::thread::sleep(Duration::from_secs_f64(delay));
+                attempt += 1;
             }
             Err(e) => return Err(io_to_channel(&e)),
         }
-    }
-    let mut stream = stream.ok_or(ChannelError::PeerGone)?;
+    };
     stream.set_nodelay(true).map_err(|e| io_to_channel(&e))?;
     if cfg.read_timeout_s > 0.0 {
         stream
@@ -1240,8 +1243,9 @@ impl TcpWorkerConn {
     /// Process units until the master shuts this worker down.
     ///
     /// Returns `Err` if the master disappears (socket closed or silent
-    /// past the read timeout) or violates the protocol; a worker should
-    /// treat that as "the run is over for me".
+    /// past the read timeout), violates the protocol, or cuts this worker
+    /// loose ([`ChannelError::Excluded`], [`ChannelError::Quarantined`]);
+    /// a worker should treat that as "the run is over for me".
     pub fn serve<W>(self, logic: W) -> Result<WorkerSummary, ChannelError>
     where
         W: WorkerLogic,
@@ -1314,7 +1318,12 @@ impl TcpWorkerConn {
                                 break Err(e);
                             }
                         }
-                        tag::SHUTDOWN => break Ok(()),
+                        tag::SHUTDOWN => match msg.payload[..] {
+                            [] | [shutdown::FINISHED] => break Ok(()),
+                            [shutdown::EXCLUDED] => break Err(ChannelError::Excluded),
+                            [shutdown::QUARANTINED] => break Err(ChannelError::Quarantined),
+                            _ => break Err(ChannelError::Protocol("bad SHUTDOWN reason")),
+                        },
                         // WELCOME duplicates or future tags: ignore
                         _ => {}
                     }
@@ -1629,15 +1638,16 @@ mod tests {
             })
         };
         // the byzantine worker (slot 0, every result damaged) is struck
-        // out and shut down; a worker has no identity, so its reconnect
-        // is a fresh worker in a new slot, whose results are sound
+        // out and told why; a worker has no identity, so its reconnect is
+        // a fresh worker in a new slot, whose results are sound
         let byzantine = std::thread::spawn(move || {
             let conn = connect_worker(&addr, &ConnectConfig::default()).expect("connect");
-            let summary = conn.serve(SlowSquarer(3)).expect("shut down cleanly");
+            let first = conn.node_id();
+            let err = conn.serve(SlowSquarer(3)).expect_err("quarantined");
             let conn = connect_worker(&addr, &ConnectConfig::default()).expect("readmitted");
             let rejoined = conn.node_id();
             conn.serve(SlowSquarer(3)).expect("serve after the rejoin");
-            (summary, rejoined)
+            (first, err, rejoined)
         });
         let (m, report) = master.run(CountMaster::new(80), &cfg).expect("run");
         assert_eq!(m.seen.len(), 80, "every unit integrated despite corruption");
@@ -1646,17 +1656,10 @@ mod tests {
         assert!(report.machines[0].lost);
         assert_eq!(report.workers_rejected, 0, "the reconnect was admitted");
         assert_eq!(report.workers_joined, 3);
-        let (summary, rejoined) = byzantine.join().expect("byzantine");
-        // master-side every count above is exact; worker-side it is a range:
-        // each strike voids the unit queued behind the bad one (computed
-        // all the same, dropped as a duplicate), and the SHUTDOWN may find
-        // one more prefetched unit ahead of it in the worker's inbox
-        assert!(
-            (3..=6).contains(&summary.units),
-            "shut down at the strike limit, after {} units",
-            summary.units
-        );
-        assert_ne!(rejoined, summary.node_id, "the rejoin got a fresh slot");
+        let (first, err, rejoined) = byzantine.join().expect("byzantine");
+        assert_eq!(err, ChannelError::Quarantined);
+        assert!(err.to_string().contains("quarantined"), "{err}");
+        assert_ne!(rejoined, first, "the rejoin got a fresh slot");
         assert!(honest.join().expect("honest").units > 0);
     }
 }

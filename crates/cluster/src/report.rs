@@ -113,12 +113,6 @@ pub struct RunReport {
     /// turnaround the worker rendered through instead of waiting out (0 on
     /// the simulator, which leases one unit at a time).
     pub leases_prefetched: u64,
-    /// Intra-worker tile-pool threads per worker (1 = serial workers, as in
-    /// the paper; filled in by the farm layer after the run).
-    pub worker_threads: u32,
-    /// Aggregate tile-pool parallel efficiency over all completed units
-    /// (speedup / threads; 1.0 for serial workers).
-    pub parallel_efficiency: f64,
 }
 
 impl RunReport {
@@ -150,10 +144,9 @@ impl RunReport {
     /// Replay this report into the global trace recorder.
     ///
     /// Timeline spans land on the virtual clock (`pid 1` in the Chrome
-    /// export), one track per machine. Span times come from the cost
-    /// model, which scales with the worker thread count, so spans are
-    /// recorded non-deterministic; the aggregate transfer/fault counters
-    /// are payload totals and stay in the deterministic stream.
+    /// export), one track per machine, recorded non-deterministic; the
+    /// aggregate transfer/fault counters are payload totals and stay in
+    /// the deterministic stream.
     pub fn record_trace(&self) {
         if !now_trace::enabled() {
             return;
@@ -179,9 +172,8 @@ impl RunReport {
             );
         }
         // Unit/frame totals are pure functions of the job, but lease
-        // expiries, duplicates and exclusions hinge on virtual timing,
-        // which scales with the worker thread count — keep those out of
-        // the deterministic stream.
+        // expiries, duplicates and exclusions hinge on timing — keep those
+        // out of the deterministic stream.
         rec.counter_add("farm.messages", self.messages);
         rec.counter_add("farm.bytes", self.bytes);
         rec.counter_add("farm.faults_injected", self.faults_injected);

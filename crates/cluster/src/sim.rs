@@ -21,11 +21,6 @@
 //! virtual clock's driver of that protocol: it turns its event heap into core
 //! events on the virtual clock and charges the resulting messages to the
 //! bus model; the policy itself lives in [`MasterCore`].
-//!
-//! A worker's `work_units` may itself come from multi-threaded execution
-//! (the intra-worker tile pool): the worker logic then charges the pool's
-//! deterministic critical path rather than summed thread time, so virtual
-//! timelines remain reproducible on any host.
 
 use crate::core::{Action, MasterCore};
 use crate::fault::FaultPlan;

@@ -7,14 +7,9 @@
 //! realisation and wire accounting are all the TCP driver's. Use it to
 //! measure actual parallel speedups of the render farm on the host (the
 //! simulator reproduces the paper's heterogeneous 3-SGI setup
-//! deterministically).
-//!
-//! Parallelism composes two levels: this backend supplies the paper's
-//! *across-workstation* level (one thread per worker), while the worker
-//! logic may additionally fan each unit out over an intra-worker tile
-//! pool (`RenderSettings::threads`), so a run can use up to
-//! `workers x threads` cores. Both levels preserve byte-identical
-//! output, so the composition does too.
+//! deterministically). It is how one host uses its cores: one worker
+//! thread per core, each rendering serially, as the paper's workstations
+//! did.
 
 use crate::fault::FaultPlan;
 use crate::ledger::RecoveryConfig;

@@ -60,7 +60,6 @@ impl ChangeSet {
 ///   in both frames.
 pub fn changed_voxels(spec: &GridSpec, prev: &Scene, next: &Scene) -> ChangeSet {
     if now_trace::enabled() {
-        // computed where the renderer runs, never on a pool thread
         now_trace::global().counter_add("coh.change_sets", 1);
     }
     if prev.objects.len() != next.objects.len()

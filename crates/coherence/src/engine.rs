@@ -74,7 +74,7 @@ use crate::varint::{read_varint, unzigzag, zigzag};
 use now_grid::dda::{step_strides, VoxelPath};
 use now_grid::{GridSpec, Voxel};
 use now_math::{Aabb, Axis, Interval, Point3, Ray, Vec3};
-use now_raytrace::{PixelId, RayKind, RayListener, ShardableListener};
+use now_raytrace::{PixelId, RayKind, RayListener};
 use std::sync::Arc;
 
 /// Which test makes a pixel dirty, and so what a record of the log holds
@@ -205,8 +205,7 @@ impl SegmentCodec {
 /// Equality compares the complete engine state — the test, log blocks
 /// (including stale records), generation counters, live/stale byte
 /// accounts, the mask and statistics — so tests can assert that two
-/// render paths (e.g. 1-thread and N-thread) left the engine in exactly
-/// the same state.
+/// render paths left the engine in exactly the same state.
 #[derive(Debug, Clone)]
 pub struct CoherenceEngine {
     spec: GridSpec,
@@ -423,13 +422,6 @@ fn path_hits(start: usize, codes: &[u8], strides: &[isize; 8], changed: &[u64]) 
     false
 }
 
-/// Whether a ray with `path` is stored under `mask`.
-#[inline]
-fn masked_in(mask: &Option<Arc<MoverMask>>, strides: &[isize; 8], path: &VoxelPath<'_>) -> bool {
-    mask.as_ref()
-        .is_none_or(|m| path_hits(path.start, path.codes, strides, &m.bits))
-}
-
 /// The body of the `test` record of `ray` over `[0, t_max]` with `path`:
 /// its first part and length — `seg`, or `start steps` — and its second,
 /// empty or the path's `codes`.
@@ -617,8 +609,8 @@ impl CoherenceEngine {
             }
         };
         if now_trace::enabled() {
-            // the scan runs on the renderer's own thread over a log whose
-            // bytes are the same for any pool thread count
+            // the scan's counts are functions of the log's bytes and the
+            // change set alone
             let rec = now_trace::global();
             rec.counter_add("coh.scan_records", read);
             rec.counter_add("coh.scan_voxel_hits", coarse);
@@ -700,18 +692,6 @@ impl CoherenceEngine {
         self.stats.peak_entries = self.stats.peak_entries.max(self.stats.entries);
         self.stats.list_bytes += len as u64;
     }
-
-    /// Count one observed ray whose walk made `marks` marks.
-    #[inline]
-    fn count_ray(&mut self, marks: u64) {
-        self.stats.marks += marks;
-        self.stats.rays_recorded += 1;
-        if now_trace::enabled() {
-            // rays reach the engine in canonical shard order, so the mark
-            // multiset is identical for any pool thread count
-            now_trace::global().observe("coh.marks_per_ray", marks);
-        }
-    }
 }
 
 /// One pass over the live records of `log` whose pixel is not yet dirty:
@@ -760,13 +740,22 @@ impl RayListener for CoherenceEngine {
         let marks = path.map_or(0, |path| {
             debug_assert!(path.start < self.spec.voxel_count(), "path of another grid");
             let marks = path.steps as u64 + 1;
-            if masked_in(&self.mask, &self.strides, &path) {
+            let (mask, strides) = (&self.mask, &self.strides);
+            if mask
+                .as_ref()
+                .is_none_or(|m| path_hits(path.start, path.codes, strides, &m.bits))
+            {
                 let (prefix, n, codes) = record_body(self.test, &self.seg, ray, t_max, &path);
                 self.append(pixel, entries(self.test, marks), [&prefix[..n], codes]);
             }
             marks
         });
-        self.count_ray(marks);
+        self.stats.marks += marks;
+        self.stats.rays_recorded += 1;
+        if now_trace::enabled() {
+            // a histogram is a multiset: the same for any order of rays
+            now_trace::global().observe("coh.marks_per_ray", marks);
+        }
     }
 }
 
@@ -782,75 +771,6 @@ impl CoherenceEngine {
                 (gen - r.at, r.body - gen, r.end - r.body)
             })
             .collect()
-    }
-}
-
-/// One pool tile's rays, recorded off the engine's thread: every stored
-/// record's body bytes back to back, and per observed ray whose record
-/// they are. Only `head` depends on what precedes a record in the log, so
-/// [`CoherenceEngine::absorb_shard`] writes that and copies the rest.
-#[derive(Debug)]
-pub struct PathShard {
-    test: DirtyTest,
-    seg: SegmentCodec,
-    mask: Option<Arc<MoverMask>>,
-    strides: [isize; 8],
-    bodies: Vec<u8>,
-    /// Per observed ray: its pixel, the marks its walk made and the length
-    /// of its body in `bodies` — 0 for a ray that is not stored.
-    rays: Vec<(PixelId, u32, u32)>,
-}
-
-impl RayListener for PathShard {
-    #[inline]
-    fn on_ray(
-        &mut self,
-        pixel: PixelId,
-        ray: &Ray,
-        _kind: RayKind,
-        t_max: f64,
-        path: Option<VoxelPath<'_>>,
-    ) {
-        let at = self.bodies.len();
-        let marks = path.map_or(0, |path| {
-            if masked_in(&self.mask, &self.strides, &path) {
-                let (prefix, n, codes) = record_body(self.test, &self.seg, ray, t_max, &path);
-                self.bodies.extend_from_slice(&prefix[..n]);
-                self.bodies.extend_from_slice(codes);
-            }
-            path.steps as u32 + 1
-        });
-        self.rays
-            .push((pixel, marks, (self.bodies.len() - at) as u32));
-    }
-}
-
-/// Tiles are absorbed in ascending order, so the log receives the records
-/// in the order — and therefore with the heads — of a 1-thread render.
-impl ShardableListener for CoherenceEngine {
-    type Shard = PathShard;
-
-    fn make_shard(&self) -> PathShard {
-        PathShard {
-            test: self.test,
-            seg: self.seg,
-            mask: self.mask.clone(),
-            strides: self.strides,
-            bodies: Vec::new(),
-            rays: Vec::new(),
-        }
-    }
-
-    fn absorb_shard(&mut self, shard: PathShard) {
-        let mut bodies = shard.bodies.as_slice();
-        for (pixel, marks, len) in shard.rays {
-            let (body, rest) = bodies.split_at(len as usize);
-            bodies = rest;
-            if len > 0 {
-                self.append(pixel, entries(self.test, marks as u64), [body, &[]]);
-            }
-            self.count_ray(marks as u64);
-        }
     }
 }
 

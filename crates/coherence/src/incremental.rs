@@ -22,8 +22,8 @@ use now_grid::dda::VoxelPath;
 use now_grid::GridSpec;
 use now_math::Ray;
 use now_raytrace::{
-    render_pixels_par, Framebuffer, GridAccel, NullListener, ParallelStats, PixelId, RayKind,
-    RayListener, RayStats, RenderSettings, Scene, ShardableListener,
+    render_pixels_par, Framebuffer, GridAccel, NullListener, PixelId, RayKind, RayListener,
+    RayStats, RenderSettings, Scene,
 };
 use std::sync::Arc;
 
@@ -86,8 +86,7 @@ impl GroupMap {
 }
 
 /// Listener adapter that records rays under their *group* id, optionally
-/// skipping shadow rays. Wraps the engine by `&mut` on the caller's
-/// thread and one of the engine's shards, by value, on a pool thread.
+/// skipping shadow rays. Wraps the engine by `&mut`.
 pub(crate) struct GroupListener<L> {
     pub(crate) engine: L,
     pub(crate) map: GroupMap,
@@ -111,22 +110,6 @@ impl<L: RayListener> RayListener for GroupListener<L> {
         }
         self.engine
             .on_ray(self.map.group_of(pixel), ray, kind, t_max, path);
-    }
-}
-
-impl<L: ShardableListener> ShardableListener for GroupListener<&mut L> {
-    type Shard = GroupListener<L::Shard>;
-
-    fn make_shard(&self) -> Self::Shard {
-        GroupListener {
-            engine: self.engine.make_shard(),
-            map: self.map,
-            track_shadows: self.track_shadows,
-        }
-    }
-
-    fn absorb_shard(&mut self, shard: Self::Shard) {
-        self.engine.absorb_shard(shard.engine);
     }
 }
 
@@ -154,8 +137,6 @@ pub struct FrameReport {
     pub coherence: CoherenceStats,
     /// Engine memory in bytes after this frame.
     pub memory_bytes: usize,
-    /// How the frame's pixel work parallelised over the tile pool.
-    pub parallel: ParallelStats,
 }
 
 /// How a [`CoherentRenderer`] renders each frame of its region.
@@ -433,7 +414,7 @@ impl CoherentRenderer {
         };
         let marks_before = self.coherence_stats().marks;
         let (fb, st, mut rays) = (&mut self.fb, &self.settings, RayStats::default());
-        let parallel = match &mut self.engine {
+        match &mut self.engine {
             None => render_pixels_par(scene, &accel, st, fb, &ids, &mut NullListener, &mut rays),
             Some(engine) => {
                 engine.invalidate_pixels(&stale);
@@ -442,16 +423,14 @@ impl CoherentRenderer {
                     map: self.map,
                     track_shadows: self.track_shadows,
                 };
-                let parallel =
-                    render_pixels_par(scene, &accel, st, fb, &ids, &mut listener, &mut rays);
+                render_pixels_par(scene, &accel, st, fb, &ids, &mut listener, &mut rays);
                 // bound memory: compact once the log is mostly stale records
                 if engine.stale_bytes() as u64 * 2 > engine.stats().list_bytes {
                     engine.compact();
                 }
                 self.prev = Some(scene.clone());
-                parallel
             }
-        };
+        }
 
         let coherence = self.coherence_stats();
         let report = FrameReport {
@@ -465,7 +444,6 @@ impl CoherentRenderer {
             marks: coherence.marks - marks_before,
             coherence,
             memory_bytes: self.memory_bytes(),
-            parallel,
         };
         self.emit_trace(&report);
         self.frame_index += 1;
@@ -679,48 +657,6 @@ mod tests {
         );
         assert_eq!(rendered, 23_921);
         assert_eq!(hash, 0x96c8_fe3d_7470_7190);
-    }
-
-    #[test]
-    fn pool_threads_leave_identical_engine_state() {
-        let spec = sequence_spec();
-        let serial = RenderSettings::default();
-        for test in [DirtyTest::Exact, DirtyTest::Paper] {
-            let renderer = |settings: &RenderSettings| {
-                whole_frame(spec, coherent(test, None), settings.clone())
-            };
-            let mut reference = renderer(&serial);
-            let mut ref_frames = Vec::new();
-            for i in 0..4 {
-                ref_frames.push(reference.render_next(&frame_scene(i as f64 * 0.4)));
-            }
-            for threads in [2u32, 7] {
-                let mut r = renderer(&RenderSettings {
-                    threads,
-                    ..serial.clone()
-                });
-                for (i, (ref_fb, ref_report)) in ref_frames.iter().enumerate() {
-                    let (fb, report) = r.render_next(&frame_scene(i as f64 * 0.4));
-                    assert_eq!(&fb, ref_fb, "{threads} threads: frame {i} bytes differ");
-                    assert_eq!(
-                        report.rays, ref_report.rays,
-                        "{threads} threads: frame {i} ray counts differ"
-                    );
-                    assert_eq!(
-                        report.coherence, ref_report.coherence,
-                        "{threads} threads: frame {i} coherence stats differ"
-                    );
-                    assert_eq!(report.rendered, ref_report.rendered);
-                }
-                // the whole engine — log bytes, generations, byte accounts,
-                // stats — must be indistinguishable from the serial run's
-                assert_eq!(
-                    r.engine(),
-                    reference.engine(),
-                    "{test:?}, {threads} threads: engine state differs"
-                );
-            }
-        }
     }
 
     /// A plain renderer is the record-nothing case of the region renderer:

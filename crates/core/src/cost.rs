@@ -15,7 +15,7 @@
 //! (speed 1.0): a few tens of thousands of rays per second.
 
 use now_coherence::CoherenceStats;
-use now_raytrace::{ParallelStats, RayStats};
+use now_raytrace::RayStats;
 
 /// Work pricing constants (seconds of speed-1.0 CPU per operation).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,21 +57,10 @@ impl CostModel {
     /// CPU seconds (speed 1.0) for a frame's rendering work.
     ///
     /// `copied_pixels` is the number of pixels *not* recomputed (carried
-    /// over from the previous frame by the coherence algorithm). Ray and
-    /// pixel work is charged for the tile pool's *critical path* (divided
-    /// by its achieved speedup, 1.0 for a serial [`ParallelStats`]), while
-    /// coherence marks and pixel copies stay serial — shard replay and
-    /// frame assembly happen on one thread.
-    pub fn parallel_render_work(
-        &self,
-        rays: &RayStats,
-        marks: u64,
-        copied_pixels: u64,
-        par: &ParallelStats,
-    ) -> f64 {
-        let concurrent =
-            rays.total_rays() as f64 * self.per_ray_s + rays.pixels as f64 * self.per_pixel_s;
-        concurrent / par.speedup()
+    /// over from the previous frame by the coherence algorithm).
+    pub fn render_work(&self, rays: &RayStats, marks: u64, copied_pixels: u64) -> f64 {
+        rays.total_rays() as f64 * self.per_ray_s
+            + rays.pixels as f64 * self.per_pixel_s
             + marks as f64 * self.per_mark_s
             + copied_pixels as f64 * self.per_copied_pixel_s
     }
@@ -97,16 +86,6 @@ impl CostModel {
 mod tests {
     use super::*;
 
-    /// The charge for a frame rendered serially.
-    fn serial_work(m: &CostModel, rays: &RayStats, marks: u64, copied: u64) -> f64 {
-        m.parallel_render_work(
-            rays,
-            marks,
-            copied,
-            &ParallelStats::serial(rays.total_rays()),
-        )
-    }
-
     #[test]
     fn render_work_scales_with_rays() {
         let m = CostModel::default();
@@ -116,7 +95,7 @@ mod tests {
             ..Default::default()
         };
         let b = RayStats { primary: 2000, ..a };
-        assert!(serial_work(&m, &b, 0, 0) > serial_work(&m, &a, 0, 0));
+        assert!(m.render_work(&b, 0, 0) > m.render_work(&a, 0, 0));
     }
 
     #[test]
@@ -128,9 +107,9 @@ mod tests {
             pixels: 10_000,
             ..Default::default()
         };
-        let plain = serial_work(&m, &rays, 0, 0);
+        let plain = m.render_work(&rays, 0, 0);
         // a typical ray crosses a couple dozen voxels
-        let with_marks = serial_work(&m, &rays, 20_000 * 24, 0);
+        let with_marks = m.render_work(&rays, 20_000 * 24, 0);
         let overhead = (with_marks - plain) / plain;
         // the paper reports ~12% first-frame overhead; the default model
         // must land in that neighbourhood for typical mark densities
@@ -141,7 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_work_charges_the_critical_path() {
+    fn render_work_is_the_sum_of_every_term() {
         let m = CostModel::default();
         let rays = RayStats {
             primary: 10_000,
@@ -149,25 +128,12 @@ mod tests {
             pixels: 10_000,
             ..Default::default()
         };
-        // serial stats: the sum of every term
-        let serial_t = serial_work(&m, &rays, 5000, 2000);
+        let t = m.render_work(&rays, 5000, 2000);
         let sum = 20_000.0 * m.per_ray_s
             + 10_000.0 * m.per_pixel_s
             + 5000.0 * m.per_mark_s
             + 2000.0 * m.per_copied_pixel_s;
-        assert!((serial_t - sum).abs() < 1e-12);
-        // a perfectly balanced 4-thread run quarters the ray/pixel work
-        // but leaves marks and copies serial
-        let par = ParallelStats {
-            threads: 4,
-            tiles: 16,
-            total_rays: rays.total_rays(),
-            critical_rays: rays.total_rays() / 4,
-        };
-        let t = m.parallel_render_work(&rays, 5000, 2000, &par);
-        let marks_copies = 5000.0 * m.per_mark_s + 2000.0 * m.per_copied_pixel_s;
-        assert!((t - ((serial_t - marks_copies) / 4.0 + marks_copies)).abs() < 1e-12);
-        assert!(t < serial_t);
+        assert!((t - sum).abs() < 1e-12);
     }
 
     #[test]

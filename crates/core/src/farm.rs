@@ -25,7 +25,7 @@ use now_cluster::{
 use now_coherence::varint::{read_varint, unzigzag, write_varint, zigzag};
 use now_coherence::{CoherentRenderer, DirtyTest, MoverMask, RegionBuffer, RenderMode, TileUpdate};
 use now_grid::GridSpec;
-use now_raytrace::{Framebuffer, ParallelStats, PixelId, RayStats, RenderSettings};
+use now_raytrace::{Framebuffer, PixelId, RayStats, RenderSettings};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -76,8 +76,6 @@ pub struct UnitOutput {
     pub rays: RayStats,
     /// Coherence marks performed for this unit.
     pub marks: u64,
-    /// How the unit's pixel work spread over the worker's tile pool.
-    pub parallel: ParallelStats,
     /// End-to-end content checksum (FNV-1a over every other field in
     /// wire order), computed worker-side by [`UnitOutput::seal`] and
     /// re-verified master-side before the result touches the canvas. A
@@ -96,11 +94,7 @@ impl UnitOutput {
             .u64(self.rays.shadow)
             .u64(self.rays.intersection_tests)
             .u64(self.rays.pixels)
-            .u64(self.marks)
-            .u32(self.parallel.threads)
-            .u32(self.parallel.tiles)
-            .u64(self.parallel.total_rays)
-            .u64(self.parallel.critical_rays);
+            .u64(self.marks);
     }
 
     /// The checksum the content *should* carry.
@@ -141,18 +135,11 @@ impl Wire for UnitOutput {
             pixels: d.u64()?,
         };
         let marks = d.u64()?;
-        let parallel = ParallelStats {
-            threads: d.u32()?,
-            tiles: d.u32()?,
-            total_rays: d.u64()?,
-            critical_rays: d.u64()?,
-        };
         let checksum = d.u64()?;
         Ok(UnitOutput {
             update,
             rays,
             marks,
-            parallel,
             checksum,
         })
     }
@@ -373,10 +360,8 @@ impl WorkerLogic for FarmWorker {
             })
             .collect();
         let copied = (unit.region.len() - pixels.len()) as u64;
-        // charge virtual time for the pool's critical path, not the sum of
-        // per-thread work
         let model = &self.cfg.cost;
-        let work = model.parallel_render_work(&report.rays, report.marks, copied, &report.parallel);
+        let work = model.render_work(&report.rays, report.marks, copied);
         // compact: the farm has no RAW mode
         let update = TileUpdate::encode(&pixels, unit.region, self.width, &mut state.wire, true);
         let cost = WorkCost {
@@ -388,7 +373,6 @@ impl WorkerLogic for FarmWorker {
             update,
             rays: report.rays,
             marks: report.marks,
-            parallel: report.parallel,
             checksum: 0,
         };
         out.seal();
@@ -429,8 +413,6 @@ pub struct FarmMaster {
     pub rays: RayStats,
     /// aggregate coherence marks
     pub marks: u64,
-    /// aggregate tile-pool execution stats across all units
-    pub parallel: ParallelStats,
     /// total pixels shipped by workers
     pub pixels_shipped: u64,
     /// bytes the shipped tile updates actually occupy on the wire (mode +
@@ -470,12 +452,6 @@ impl FarmMaster {
             frame_hashes: Vec::new(),
             rays: RayStats::default(),
             marks: 0,
-            parallel: ParallelStats {
-                threads: 1,
-                tiles: 0,
-                total_rays: 0,
-                critical_rays: 0,
-            },
             pixels_shipped: 0,
             frame_bytes_wire: 0,
             units_done: 0,
@@ -564,7 +540,6 @@ impl FarmMaster {
         };
         self.rays.merge(&result.rays);
         self.marks += result.marks;
-        self.parallel.merge(&result.parallel);
         self.frame_bytes_wire += result.update.wire_len();
         self.pixels_shipped += pixels.len() as u64;
         self.units_done += 1;
@@ -718,9 +693,7 @@ fn record_farm_trace(master: &FarmMaster, report: &now_cluster::RunReport) {
     }
 }
 
-fn collect(master: FarmMaster, mut report: now_cluster::RunReport, frames: u32) -> FarmResult {
-    report.worker_threads = master.parallel.threads;
-    report.parallel_efficiency = master.parallel.efficiency();
+fn collect(master: FarmMaster, report: now_cluster::RunReport, frames: u32) -> FarmResult {
     record_farm_trace(&master, &report);
     // as long as one worker survived, recovery must have completed every
     // frame; only a total loss may return a partial result
@@ -1350,12 +1323,6 @@ mod tests {
                 pixels: 6,
             },
             marks: 42,
-            parallel: ParallelStats {
-                threads: 2,
-                tiles: 4,
-                total_rays: 10,
-                critical_rays: 6,
-            },
             checksum: 0,
         };
         let mut out = out;
@@ -1371,7 +1338,6 @@ mod tests {
         assert_eq!(back.update.payload, out.update.payload);
         assert_eq!(back.rays, out.rays);
         assert_eq!(back.marks, out.marks);
-        assert_eq!(back.parallel, out.parallel);
         assert_eq!(back.checksum, out.checksum);
         assert!(back.verify(), "checksum survives the round trip");
         let mut decode = None;
@@ -1390,7 +1356,6 @@ mod tests {
             },
             rays: RayStats::default(),
             marks: 5,
-            parallel: ParallelStats::default(),
             checksum: 0,
         };
         out.seal();
@@ -1584,7 +1549,6 @@ mod tests {
                 update: TileUpdate::encode(&pixels, unit.region, w, &mut None, true),
                 rays: RayStats::default(),
                 marks: 0,
-                parallel: master.parallel,
                 checksum: 0,
             };
             out.seal();

@@ -107,10 +107,6 @@ pub struct SequenceReport {
     pub frame_s: Vec<f64>,
     /// Peak coherence memory (bytes).
     pub peak_memory_bytes: usize,
-    /// Tile-pool threads used per worker (1 = serial, the paper's mode).
-    pub threads: u32,
-    /// Per-frame parallel efficiency of the tile pool (1.0 when serial).
-    pub frame_efficiency: Vec<f64>,
 }
 
 /// Render a whole animation on one (virtual) processor.
@@ -137,17 +133,14 @@ pub fn render_sequence(
 
     let mut frame_s = Vec::with_capacity(anim.frames);
     let mut pixels_per_frame = Vec::with_capacity(anim.frames);
-    let mut frame_efficiency = Vec::with_capacity(anim.frames);
     let mut total_rays = RayStats::default();
     let mut total_marks = 0u64;
     let mut peak_mem = 0usize;
-    let mut threads_used = 1u32;
     for f in 0..anim.frames {
         let scene = anim.scene_at(f);
         let (fb, report) = renderer.render_next(&scene);
         let copied = (report.region_pixels - report.pixels_rendered) as u64;
-        let work = cost.parallel_render_work(&report.rays, report.marks, copied, &report.parallel)
-            + file_write;
+        let work = cost.render_work(&report.rays, report.marks, copied) + file_write;
         let ws_mb = cost.working_set_mb(report.region_pixels, &report.coherence);
         let (speed, memory_mb) = (machine.speed, machine.memory_mb);
         frame_s.push(paged_seconds(
@@ -158,8 +151,6 @@ pub fn render_sequence(
             machine.paging_factor,
         ));
         pixels_per_frame.push(report.pixels_rendered as u64);
-        frame_efficiency.push(report.parallel.efficiency());
-        threads_used = threads_used.max(report.parallel.threads);
         total_rays.merge(&report.rays);
         total_marks += report.marks;
         peak_mem = peak_mem.max(report.memory_bytes);
@@ -181,8 +172,6 @@ pub fn render_sequence(
         pixels_per_frame,
         frame_s,
         peak_memory_bytes: peak_mem,
-        threads: threads_used,
-        frame_efficiency,
     }
 }
 
@@ -266,37 +255,6 @@ mod tests {
         let coh_px: u64 = rc.pixels_per_frame[1..].iter().sum();
         let blk_px: u64 = rb.pixels_per_frame[1..].iter().sum();
         assert!(blk_px >= coh_px);
-    }
-
-    #[test]
-    fn pooled_sequence_keeps_frames_and_shrinks_virtual_time() {
-        let serial = RenderSettings::default();
-        let pooled = RenderSettings {
-            threads: 4,
-            ..serial.clone()
-        };
-        for mode in [
-            SequenceMode::Plain,
-            SequenceMode::Coherent(DirtyTest::Exact),
-            SequenceMode::BlockCoherent(8),
-        ] {
-            let (a, ra) = run(&serial, mode, SingleMachine::unit());
-            let (b, rb) = run(&pooled, mode, SingleMachine::unit());
-            for (i, (fa, fb)) in a.iter().zip(b.iter()).enumerate() {
-                assert!(fa.same_image(fb), "{mode:?} frame {i} differs under pool");
-            }
-            assert_eq!(ra.rays, rb.rays, "{mode:?}: ray census must not change");
-            assert_eq!(ra.marks, rb.marks, "{mode:?}: marks must not change");
-            assert_eq!(ra.threads, 1);
-            assert_eq!(rb.threads, 4);
-            // critical-path pricing can only help, never hurt
-            assert!(rb.total_s <= ra.total_s + 1e-12, "{mode:?}");
-            assert!(rb.frame_efficiency.iter().all(|&e| e > 0.0 && e <= 1.0));
-        }
-        // a full plain frame always has enough pixels to fan out
-        let (_, rp) = run(&pooled, SequenceMode::Plain, SingleMachine::unit());
-        let (_, rs) = run(&serial, SequenceMode::Plain, SingleMachine::unit());
-        assert!(rp.total_s < rs.total_s, "pool must shorten plain frames");
     }
 
     #[test]

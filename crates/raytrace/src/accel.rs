@@ -159,7 +159,7 @@ impl GridAccel {
         }
         if now_trace::enabled() {
             // the step multiset is a pure function of (scene, rays), so the
-            // histogram is identical for any tile schedule or thread count
+            // histogram is identical for any order of rays
             now_trace::global().observe("grid.steps_per_ray", steps);
         }
         best
@@ -268,7 +268,7 @@ impl GridAccel {
 /// object was tested by this query exactly when its stamp is current. The
 /// stamp is bumped once per query and the stamps are cleared when it
 /// wraps, so no state from one query is visible to the next. One mailbox
-/// serves one thread ([`crate::ShadeScratch`] owns it); it is sized to the
+/// serves one render ([`crate::tracer::TraceCtx`] owns it); it is sized to the
 /// scene on first use.
 #[derive(Debug, Clone, Default)]
 pub struct Mailbox {

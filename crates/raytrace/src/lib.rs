@@ -43,7 +43,6 @@ pub mod listener;
 pub mod material;
 pub mod mesh;
 pub mod object;
-pub mod pool;
 pub mod render;
 pub mod scene;
 pub mod shape;
@@ -56,11 +55,10 @@ pub use camera::Camera;
 pub use csg::Csg;
 pub use framebuffer::{Framebuffer, PixelId};
 pub use light::{AreaLight, Light, LightSample, PointLight, SpotLight};
-pub use listener::{NullListener, RayKind, RayListener, RecordingListener, ShardableListener};
+pub use listener::{NullListener, RayKind, RayListener, RecordingListener};
 pub use material::Material;
 pub use object::{Object, ObjectId};
-pub use pool::{resolve_thread_count, ParallelStats};
-pub use render::{render_frame, render_pixels_par, RenderSettings, ShadeScratch};
+pub use render::{render_frame, render_pixels_par, RenderSettings};
 pub use scene::Scene;
 pub use shape::{Geometry, Hit};
 pub use stats::RayStats;

@@ -128,56 +128,6 @@ impl<L: RayListener + ?Sized> RayListener for &mut L {
     }
 }
 
-/// A listener that the tile pool can split across worker threads.
-///
-/// Each pool thread observes rays through its own [`Shard`]; after the
-/// join, shards are absorbed back into the parent **in ascending tile
-/// order**, which is exactly the order a 1-thread render would have fired
-/// the same rays in. A listener whose state is order-sensitive (the
-/// coherence engine's path log is) therefore ends up in a state identical
-/// to the sequential run.
-///
-/// [`Shard`]: ShardableListener::Shard
-pub trait ShardableListener: RayListener {
-    /// Per-thread observer; moved into a pool worker. It is handed paths
-    /// exactly when the parent is (`PATHS` must agree).
-    type Shard: RayListener + Send;
-
-    /// Create an empty shard for one tile.
-    fn make_shard(&self) -> Self::Shard;
-
-    /// Merge a finished shard. Called on the pool's caller thread, once per
-    /// tile, in ascending tile order.
-    fn absorb_shard(&mut self, shard: Self::Shard);
-}
-
-/// Null shards: nothing to record, nothing to merge.
-impl ShardableListener for NullListener {
-    type Shard = NullListener;
-
-    #[inline]
-    fn make_shard(&self) -> NullListener {
-        NullListener
-    }
-
-    #[inline]
-    fn absorb_shard(&mut self, _: NullListener) {}
-}
-
-/// Recording shards append their logs in tile order, reproducing the
-/// sequential firing order.
-impl ShardableListener for RecordingListener {
-    type Shard = RecordingListener;
-
-    fn make_shard(&self) -> RecordingListener {
-        RecordingListener::default()
-    }
-
-    fn absorb_shard(&mut self, shard: RecordingListener) {
-        self.rays.extend(shard.rays);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,19 +159,5 @@ mod tests {
         feed(&mut rec);
         feed(&mut rec);
         assert_eq!(rec.rays.len(), 2);
-    }
-
-    #[test]
-    fn recording_shards_concatenate_in_absorb_order() {
-        let mut parent = RecordingListener::default();
-        let r = Ray::new(Point3::ZERO, Vec3::UNIT_X);
-        let mut s0 = parent.make_shard();
-        let mut s1 = parent.make_shard();
-        s1.on_ray(9, &r, RayKind::Shadow, 2.0, None);
-        s0.on_ray(1, &r, RayKind::Primary, 1.0, None);
-        parent.absorb_shard(s0);
-        parent.absorb_shard(s1);
-        assert_eq!(parent.rays[0].pixel, 1);
-        assert_eq!(parent.rays[1].pixel, 9);
     }
 }

@@ -17,7 +17,7 @@ use now_math::{Interval, Ray, RAY_BIAS};
 use now_raytrace::accel::Mailbox;
 use now_raytrace::{
     render_frame, GridAccel, NullListener, ObjectId, PixelId, RayKind, RayListener, RayStats,
-    RecordingListener, RenderSettings, Scene, ShardableListener,
+    RecordingListener, RenderSettings, Scene,
 };
 use std::collections::HashMap;
 
@@ -149,25 +149,6 @@ impl RayListener for Differential<'_> {
     }
 }
 
-impl<'a> ShardableListener for Differential<'a> {
-    type Shard = Differential<'a>;
-
-    fn make_shard(&self) -> Differential<'a> {
-        Differential {
-            scene: self.scene,
-            accel: self.accel,
-            dists: self.dists,
-            want: VoxelPathBuf::default(),
-            mailbox: Mailbox::default(),
-            tally: Tally::default(),
-        }
-    }
-
-    fn absorb_shard(&mut self, shard: Differential<'a>) {
-        self.tally += shard.tally;
-    }
-}
-
 /// Check every ray of `frames` of `anim`, over the grid the farm would
 /// use; returns the tally.
 fn check(anim: &Animation, voxels: u32, frames: &[usize]) -> Tally {
@@ -204,26 +185,12 @@ fn check(anim: &Animation, voxels: u32, frames: &[usize]) -> Tally {
         );
 
         // recording is invisible: same pixels and same work as a plain
-        // render, and the pool's shards see the same rays
+        // render
         let mut null = RayStats::default();
         let blind = render_frame(&scene, &accel, &settings, &mut NullListener, &mut null);
         assert_eq!((&blind, null), (&reference, plain));
         assert_eq!(fb, reference, "frame {f}: recording changed the image");
         assert_eq!(stats, plain, "frame {f}: recording changed the work done");
-        let pooled = RenderSettings {
-            threads: 3,
-            ..settings
-        };
-        listener.tally = Tally::default();
-        let fb = render_frame(
-            &scene,
-            &accel,
-            &pooled,
-            &mut listener,
-            &mut RayStats::default(),
-        );
-        assert_eq!(fb, reference);
-        assert_eq!(listener.tally, tally, "frame {f}: pool shards");
 
         total += tally;
     }

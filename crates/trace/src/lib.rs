@@ -18,10 +18,10 @@
 //!   buffer is essentially uncontended.
 //! * **Determinism is explicit.** Every event, counter and histogram carries
 //!   a `det` flag. Deterministic entries are those whose *multiset of
-//!   payloads* does not depend on wall-clock time, thread scheduling or the
-//!   tile-pool thread count. Only those appear in [`Snapshot::normalized`],
-//!   which is the contract the golden-trace harness checks byte-for-byte
-//!   across runs and across `NOW_THREADS` values.
+//!   payloads* does not depend on wall-clock time or thread scheduling.
+//!   Only those appear in [`Snapshot::normalized`], which is the contract
+//!   the golden-trace harness checks byte-for-byte across runs and across
+//!   processes.
 //!
 //! The recorder is a process-wide singleton ([`global`]) so instrumentation
 //! points deep in the renderer do not need plumbing; tests serialize access
@@ -77,8 +77,8 @@ pub struct Event {
     /// Which clock `ts_us` (and any span duration) is measured on.
     pub clock: Clock,
     /// Logical track, rendered as the `tid` in Chrome traces. Convention:
-    /// 0 = the driving thread, `100 + i` = tile-pool worker `i`, and the
-    /// simulator uses one track per machine (on the virtual clock).
+    /// 0 = the driving thread, and the simulator uses one track per
+    /// machine (on the virtual clock).
     pub track: u32,
     /// Span or instant.
     pub kind: EventKind,
@@ -429,13 +429,13 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The deterministic, normalized view of the trace: `det` events with
-    /// timestamps stripped and lines sorted (so virtual-time emission order,
-    /// which legitimately shifts with the pool thread count, cannot affect
-    /// the bytes), followed by deterministic counters and histograms.
+    /// timestamps stripped and lines sorted (so the order in which
+    /// concurrent emitters interleave cannot affect the bytes), followed by
+    /// deterministic counters and histograms.
     ///
-    /// Two runs of the same scene — including runs with different
-    /// `NOW_THREADS` values — must produce byte-identical normalized
-    /// strings; the golden-trace harness enforces exactly that.
+    /// Two runs of the same scene — including runs in different processes
+    /// — must produce byte-identical normalized strings; the golden-trace
+    /// harness enforces exactly that.
     pub fn normalized(&self) -> String {
         let mut lines: Vec<String> = self
             .events

@@ -31,9 +31,10 @@
 //!
 //! [`ChaosPlan`]: nowrender::cluster::ChaosPlan
 //!
-//! Output bytes are identical for every `--pool` value and for every
-//! backend (sim, threads, tcp); the flags only change where and how the
-//! pixels are computed.
+//! Output bytes are identical for every backend (sim, threads, tcp) and
+//! every worker count; the flags only change where the pixels are
+//! computed. `render` is the serial single-workstation baseline, and
+//! `farm --threads N` is how one machine uses N cores.
 
 use nowrender::anim::scenes::from_spec;
 use nowrender::anim::Animation;
@@ -82,7 +83,6 @@ const COMMANDS: &[Command] = &[
             ("--out", "DIR", "output directory (default: out)"),
             ("--plain", "", "disable frame coherence"),
             ("--block", "N", "Jevans block coherence with NxN blocks"),
-            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
         ],
         cmd_render,
     ),
@@ -100,7 +100,6 @@ const COMMANDS: &[Command] = &[
             ),
             ("--scheme", "S", "seq | frame (default: frame)"),
             ("--plain", "", "disable frame coherence"),
-            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
             ("--trace", "FILE", "Chrome trace_event JSON of the run"),
             (
                 "--hashes",
@@ -127,7 +126,6 @@ const COMMANDS: &[Command] = &[
             ("--accept-window-s", "S", "how long to wait for a peer"),
             ("--scheme", "S", "seq | frame (default: frame)"),
             ("--plain", "", "disable frame coherence"),
-            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
             ("--out", "DIR", "frames + run.journal (default: out)"),
             (
                 "--hashes",
@@ -154,7 +152,6 @@ const COMMANDS: &[Command] = &[
                 "",
                 "join a service instead of a one-job master",
             ),
-            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
             (
                 "--retries",
                 "N",
@@ -197,7 +194,6 @@ const COMMANDS: &[Command] = &[
                 "SPEC",
                 "seeded fault injection (grammar: DESIGN.md §8)",
             ),
-            ("--pool", "N", "tile-pool threads (0 = auto; default 1)"),
         ],
         cmd_serve,
     ),
@@ -379,14 +375,6 @@ fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// Render settings with the `--pool` thread count applied (1 = serial,
-/// 0 = auto via `NOW_THREADS` / available parallelism).
-fn render_settings(args: &[String]) -> Result<RenderSettings, String> {
-    let mut settings = RenderSettings::default();
-    settings.threads = parsed_flag(args, "--pool", settings.threads)?;
-    Ok(settings)
-}
-
 fn outdir(args: &[String]) -> Result<PathBuf, String> {
     let dir = PathBuf::from(flag_value(args, "--out").unwrap_or("out"));
     std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
@@ -435,7 +423,7 @@ fn cmd_render(args: &[String]) -> CliResult {
     let mut written = Ok(());
     let report = render_sequence(
         &anim,
-        &render_settings(args)?,
+        &RenderSettings::default(),
         &CostModel::default(),
         mode,
         SingleMachine::fastest(),
@@ -579,15 +567,14 @@ fn write_hashes(args: &[String], hashes: &[u64]) -> CliResult {
     Ok(())
 }
 
-/// The `FarmConfig` of `farm`, `master` and `worker`: `--plain` and
-/// `--pool` over the paper defaults. (A worker adopts scheme, coherence
-/// and grid from the master's job header.)
-fn farm_config(args: &[String]) -> Result<FarmConfig, String> {
-    Ok(FarmConfig {
+/// The `FarmConfig` of `farm`, `master` and `worker`: `--plain` over the
+/// paper defaults. (A worker adopts scheme, coherence and grid from the
+/// master's job header.)
+fn farm_config(args: &[String]) -> FarmConfig {
+    FarmConfig {
         coherence: !has_flag(args, "--plain"),
-        settings: render_settings(args)?,
         ..FarmConfig::paper_default()
-    })
+    }
 }
 
 /// The end of a `farm` or `master` run: the summary and `--hashes`. The
@@ -619,13 +606,6 @@ fn print_farm_summary(result: &FarmResult) {
             result.frame_bytes_wire,
             result.pixels_shipped,
             7.0 * result.pixels_shipped as f64 / result.frame_bytes_wire.max(1) as f64
-        );
-    }
-    if result.report.worker_threads > 1 {
-        println!(
-            "  tile pool: {} threads/worker, parallel efficiency {:.0}%",
-            result.report.worker_threads,
-            100.0 * result.report.parallel_efficiency
         );
     }
     if result.report.workers_joined > 0 {
@@ -720,7 +700,7 @@ fn cmd_farm(args: &[String]) -> CliResult {
     let trace_path = flag_value(args, "--trace");
     let mut cfg = FarmConfig {
         scheme: parse_scheme(args, &anim)?,
-        ..farm_config(args)?
+        ..farm_config(args)
     };
     if trace_path.is_some() {
         cfg.settings.trace = true;
@@ -779,7 +759,7 @@ fn cmd_master(args: &[String]) -> CliResult {
     }
     let cfg = FarmConfig {
         scheme: parse_scheme(args, &anim)?,
-        ..farm_config(args)?
+        ..farm_config(args)
     };
     let tcp = tcp_config(args, workers)?;
     let run = run_dir(args);
@@ -803,7 +783,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
         Some(load_animation(path)?)
     };
     let addr = flag_value(args, "--connect").ok_or("worker needs --connect ADDR")?;
-    let cfg = farm_config(args)?;
+    let cfg = farm_config(args);
     let retries: u32 = parsed_flag(args, "--retries", 0)?;
     let connect = ConnectConfig::default();
     let mut attempt = 0;
@@ -832,6 +812,8 @@ fn cmd_worker(args: &[String]) -> CliResult {
                 // handshake can only fail the same way
                 return Err(format!("job rejected by master: {e}"));
             }
+            // results that failed verification would fail it again
+            Err(e) if e.contains("quarantined") => return Err(e),
             Err(e) if attempt < retries => {
                 attempt += 1;
                 eprintln!("session ended ({e}); reconnecting ({attempt}/{retries})");
@@ -843,10 +825,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
 }
 
 fn cmd_serve(args: &[String]) -> CliResult {
-    let mut cfg = ServiceConfig {
-        settings: render_settings(args)?,
-        ..ServiceConfig::default()
-    };
+    let mut cfg = ServiceConfig::default();
     cfg.max_queued = parsed_flag(args, "--max-queued", cfg.max_queued)?;
     for spec in flag_values(args, "--weight") {
         let (tenant, w) = spec
@@ -1176,7 +1155,7 @@ fn cmd_load(args: &[String]) -> CliResult {
         t0.elapsed().as_secs_f64()
     );
 
-    // the seeded cancel sample goes out while the pool is still rendering
+    // the seeded cancel sample goes out while the workers are still rendering
     let mut cancelled = 0usize;
     for &id in &admitted {
         if cancel_frac > 0.0 && rng.f64() < cancel_frac && client.cancel(id)?.is_ok() {
@@ -1270,12 +1249,18 @@ mod tests {
         }
     }
 
+    /// There is one level of parallelism: a core is a worker, so no
+    /// subcommand takes a tile-pool thread count.
     #[test]
-    fn pool_flag_sets_the_thread_count() {
-        let args: Vec<String> = ["--pool", "4"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(render_settings(&args).unwrap().threads, 4);
-        assert_eq!(render_settings(&[]).unwrap().threads, 1);
-        assert!(render_settings(&["--pool".to_string(), "what".to_string()]).is_err());
+    fn every_subcommand_refuses_a_pool_flag() {
+        let args: Vec<String> = ["demo:newton:1:8x6", "--pool", "4"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        for &(sub, _, _, flags, _) in COMMANDS {
+            let err = check_flags(sub, flags, &args).expect_err("--pool accepted");
+            assert!(err.contains("unknown flag `--pool`"), "{sub}: {err}");
+        }
     }
 
     /// Every flag row carries its doc; the usage prints each under its

@@ -51,27 +51,3 @@ fn newton_frames_match_golden_hashes() {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/newton_64x48_png.txt");
     now_testkit::golden::assert_golden_file(golden, &listing);
 }
-
-/// The serial renderer and a 4-thread tile pool must produce bit-identical
-/// PNGs — the pool's output-determinism promise, checked at file level.
-#[test]
-fn pool_threads_do_not_change_the_png() {
-    let anim = newton::animation_sized(W, H, 2);
-    let spec = GridSpec::for_scene(anim.swept_bounds(), 24 * 24 * 24);
-    let settings = |threads| RenderSettings {
-        threads,
-        ..RenderSettings::default()
-    };
-    let mut serial = CoherentRenderer::new(spec, W, H, settings(1));
-    let mut pooled = CoherentRenderer::new(spec, W, H, settings(4));
-    for f in 0..2 {
-        let scene = anim.scene_at(f);
-        let (fb_a, _) = serial.render_next(&scene);
-        let (fb_b, _) = pooled.render_next(&scene);
-        assert_eq!(
-            image_io::png_bytes(&fb_a),
-            image_io::png_bytes(&fb_b),
-            "frame {f} differs between pool sizes"
-        );
-    }
-}

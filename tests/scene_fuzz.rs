@@ -1,10 +1,9 @@
 //! Seeded random-scene differential test of the paper's central claim, on
 //! scenes nobody hand-picked: for every generated animation the
 //! incremental (coherent) frame equals the from-scratch frame, the
-//! re-rendered set covers every pixel that actually changed, the
-//! coherence engine ends in the same state — log bytes included — whether
-//! one thread rendered or three, and a renderer under the sequence's mover
-//! mask re-renders exactly what an unmasked one does.
+//! re-rendered set covers every pixel that actually changed, and a
+//! renderer under the sequence's mover mask re-renders exactly what an
+//! unmasked one does.
 //!
 //! The generator builds scenes through the Rust API: spheres, cylinders
 //! and cuboids in every material, at least one mover thinner than a voxel,
@@ -223,9 +222,8 @@ fn generate(rng: &mut Rng) -> Fuzzed {
     }
 }
 
-fn settings(threads: u32) -> RenderSettings {
+fn settings() -> RenderSettings {
     RenderSettings {
-        threads,
         max_depth: 3,
         ..RenderSettings::default()
     }
@@ -234,7 +232,7 @@ fn settings(threads: u32) -> RenderSettings {
 fn scratch(scene: &Scene, spec: GridSpec) -> Framebuffer {
     let accel = GridAccel::build_with_spec(scene, spec);
     let mut stats = RayStats::default();
-    render_frame(scene, &accel, &settings(1), &mut NullListener, &mut stats)
+    render_frame(scene, &accel, &settings(), &mut NullListener, &mut stats)
 }
 
 #[test]
@@ -254,19 +252,16 @@ fn coherent_equals_scratch_on_generated_scenes() {
             &fuzzed.spec,
             (0..FRAMES).map(|f| fuzzed.scene_at(f)),
         ));
-        let mut serial = CoherentRenderer::new(fuzzed.spec, W, H, settings(1));
-        let mut pooled = CoherentRenderer::new(fuzzed.spec, W, H, settings(3));
-        let masked = |threads| {
-            let mode = RenderMode::Coherent {
-                test: DirtyTest::Exact,
-                mask: Some((Arc::clone(&mask), 0)),
-                block: 1,
-                track_shadows: true,
-            };
-            let region = PixelRegion::full(W, H);
-            CoherentRenderer::for_region(fuzzed.spec, W, H, region, mode, settings(threads))
+        let mut serial = CoherentRenderer::new(fuzzed.spec, W, H, settings());
+        let mode = RenderMode::Coherent {
+            test: DirtyTest::Exact,
+            mask: Some((Arc::clone(&mask), 0)),
+            block: 1,
+            track_shadows: true,
         };
-        let (mut masked_serial, mut masked_pooled) = (masked(1), masked(3));
+        let region = PixelRegion::full(W, H);
+        let mut masked_serial =
+            CoherentRenderer::for_region(fuzzed.spec, W, H, region, mode, settings());
         let mut previous: Option<Framebuffer> = None;
         for f in 0..FRAMES {
             let scene = fuzzed.scene_at(f);
@@ -277,11 +272,6 @@ fn coherent_equals_scratch_on_generated_scenes() {
                 "seed {seed} frame {f}: {} pixels deviate from the from-scratch frame",
                 fb.diff_ids(&reference).len()
             );
-            let (pooled_fb, pooled_report) = pooled.render_next(&scene);
-            assert!(pooled_fb == reference, "seed {seed} frame {f}: 3 threads");
-            assert_eq!(pooled_report.rendered, report.rendered);
-            assert_eq!(pooled_report.rays, report.rays);
-            assert_eq!(pooled_report.coherence, report.coherence);
 
             // the mask changes what is stored, never what is re-rendered
             let (masked_fb, masked_report) = masked_serial.render_next(&scene);
@@ -300,13 +290,6 @@ fn coherent_equals_scratch_on_generated_scenes() {
                 "seed {seed} frame {f}"
             );
             assert!(m.entries <= c.entries && m.list_bytes <= c.list_bytes);
-            let (masked_pooled_fb, masked_pooled_report) = masked_pooled.render_next(&scene);
-            assert!(
-                masked_pooled_fb == fb,
-                "seed {seed} frame {f}: masked, 3 threads"
-            );
-            assert_eq!(masked_pooled_report.rendered, report.rendered);
-            assert_eq!(masked_pooled_report.coherence, m);
 
             if let Some(previous) = &previous {
                 assert!(!report.full_render, "seed {seed} frame {f}");
@@ -321,16 +304,6 @@ fn coherent_equals_scratch_on_generated_scenes() {
             }
             previous = Some(reference);
         }
-        assert_eq!(
-            serial.engine(),
-            pooled.engine(),
-            "seed {seed}: engine state differs between 1 and 3 pool threads"
-        );
-        assert_eq!(
-            masked_serial.engine(),
-            masked_pooled.engine(),
-            "seed {seed}: masked engine state differs between 1 and 3 pool threads"
-        );
         let stats = masked_serial.coherence_stats();
         masked_out += (stats.entries + stats.purged
             < serial.coherence_stats().entries + serial.coherence_stats().purged)

@@ -54,8 +54,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Spawn `nowfarm master` and return the child plus the address it
 /// printed after binding (port 0, so every test run gets a fresh port).
 fn spawn_master(dir: &Path, hashes: &Path) -> (Child, String) {
+    spawn_master_with(dir, hashes, &[])
+}
+
+/// [`spawn_master`] with `extra` flags.
+fn spawn_master_with(dir: &Path, hashes: &Path, extra: &[&str]) -> (Child, String) {
     let mut master = Command::new(env!("CARGO_BIN_EXE_nowfarm"))
         .args(["master", SCENE, "--listen", "127.0.0.1:0", "--workers", "2"])
+        .args(extra)
         .arg("--hashes")
         .arg(hashes)
         .arg("--out")
@@ -325,6 +331,41 @@ fn a_refused_worker_exits_at_once_without_reconnecting() {
     assert!(status.success(), "master exited with {status}");
     assert!(w1.wait().expect("wait w1").success());
     assert!(w2.wait().expect("wait w2").success());
+    assert_eq!(read_hashes(&hashes), reference_hashes());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker whose results fail verification is quarantined, and the
+/// master's `SHUTDOWN` says so: the worker process exits non-zero with
+/// the reason and does not spend its retries on it, while the honest
+/// worker finishes the run. Both workers run the same command line;
+/// whichever enrols first takes slot 0, the one the chaos plan corrupts.
+#[test]
+fn a_quarantined_worker_exits_with_the_reason_and_does_not_retry() {
+    let dir = scratch_dir("quarantine");
+    let hashes = dir.join("hashes.txt");
+    let chaos = ["--chaos", "compute=0:corrupt@0"];
+    let (mut master, addr) = spawn_master_with(&dir, &hashes, &chaos);
+    let worker = || {
+        Command::new(env!("CARGO_BIN_EXE_nowfarm"))
+            .args(["worker", SCENE, "--connect", &addr, "--retries", "3"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn worker")
+    };
+    let workers = [worker(), worker()];
+    let status = master.wait().expect("wait master");
+    assert!(status.success(), "master exited with {status}");
+    let outs: Vec<_> = workers
+        .into_iter()
+        .map(|w| w.wait_with_output().expect("wait worker"))
+        .collect();
+    let (failed, finished): (Vec<_>, Vec<_>) = outs.iter().partition(|o| !o.status.success());
+    assert_eq!((failed.len(), finished.len()), (1, 1), "{outs:?}");
+    let stderr = String::from_utf8_lossy(&failed[0].stderr);
+    assert!(stderr.contains("quarantined"), "{stderr}");
+    assert!(!stderr.contains("reconnecting"), "{stderr}");
     assert_eq!(read_hashes(&hashes), reference_hashes());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,20 +1,20 @@
 //! Golden-trace harness: the normalized (deterministic) view of a traced
-//! farm run must be byte-identical across repeat runs and across tile-pool
-//! thread counts.
+//! farm run must be byte-identical across repeat runs, across the
+//! scheduling of a thread pool's workers and across processes.
 //!
 //! This is the acceptance test for the observability layer's central
 //! contract (DESIGN.md §10): everything flagged `det` — ray/mark/pixel
 //! counters, voxel-step and marks-per-ray histograms, per-frame coherence
 //! instants and frame fingerprints — is a pure function of (scene, config),
-//! while wall/virtual timings and tile schedules stay out of the
+//! while wall/virtual timings and per-machine splits stay out of the
 //! normalized stream. A regression here means either nondeterminism
 //! leaked into the renderer, or timing-dependent data was wrongly flagged
 //! deterministic.
 //!
 //! The `ci_normalized_trace_file` test additionally writes the normalized
-//! stream to `target/tmp/`, named by `NOW_THREADS`; CI runs it under
-//! `NOW_THREADS=1` and `NOW_THREADS=3` and diffs the two files, proving the
-//! invariance across *processes*, not just within one.
+//! stream to `target/tmp/trace-normalized.txt`; CI runs it in two
+//! processes, which seed their `HashMap`s differently, and diffs the two
+//! files, proving the invariance across *processes*, not just within one.
 //!
 //! `a_journaled_run_syncs_once_per_frame` reads the journal's counters
 //! from a trace: no other test in this file journals, so nothing else
@@ -34,7 +34,7 @@ const W: u32 = 48;
 const H: u32 = 36;
 const FRAMES: usize = 4;
 
-fn farm_cfg(threads: u32) -> FarmConfig {
+fn farm_cfg() -> FarmConfig {
     FarmConfig {
         scheme: PartitionScheme::FrameDivision {
             tile_w: 24,
@@ -43,7 +43,6 @@ fn farm_cfg(threads: u32) -> FarmConfig {
         coherence: true,
         dirty_test: DirtyTest::Exact,
         settings: RenderSettings {
-            threads,
             trace: true,
             ..RenderSettings::default()
         },
@@ -54,21 +53,40 @@ fn farm_cfg(threads: u32) -> FarmConfig {
 
 /// Run the paper cluster over the Newton scene with the recorder on and
 /// return the run's trace snapshot.
-fn traced_run(threads: u32) -> trace::Snapshot {
+fn traced_run() -> trace::Snapshot {
     let anim = newton::animation_sized(W, H, FRAMES);
-    let cfg = farm_cfg(threads);
+    let cfg = farm_cfg();
     let (result, snap) =
         trace::capture(|| run_sim(&anim, &cfg, &SimCluster::new(MachineSpec::paper_cluster())));
     assert_eq!(result.frame_hashes.len(), FRAMES);
     snap
 }
 
-/// The golden-trace acceptance check: tile-pool thread count must not leak
-/// into the normalized stream.
+/// Worker threads finish in whatever order the OS schedules them; none
+/// of that may leak into the normalized stream, and the frames must be
+/// the simulator's.
 #[test]
 fn normalized_trace_is_thread_pool_invariant() {
-    let serial = traced_run(1).normalized();
-    let pooled = traced_run(3).normalized();
+    let anim = newton::animation_sized(W, H, FRAMES);
+    let workers = MachineSpec::paper_cluster().len();
+    let pooled = || {
+        let (result, snap) = trace::capture(|| run_threads(&anim, &farm_cfg(), workers));
+        (result.frame_hashes, snap.normalized())
+    };
+    let (hashes, a) = pooled();
+    let (_, b) = pooled();
+    now_testkit::golden::assert_same_stream("thread pool run 1 vs run 2", &a, &b);
+    // captured too: the config traces, and an uncaptured run would feed
+    // whichever capture another test holds open
+    let (simulated, _) = trace::capture(|| run_sim(&anim, &farm_cfg(), &SimCluster::paper()));
+    assert_eq!(hashes, simulated.frame_hashes);
+}
+
+/// Same configuration twice must reproduce the trace exactly.
+#[test]
+fn normalized_trace_is_stable_run_to_run() {
+    let a = traced_run().normalized();
+    let b = traced_run().normalized();
     // sanity: the deterministic stream actually contains the interesting
     // signals, not just an empty header
     for needle in [
@@ -84,32 +102,20 @@ fn normalized_trace_is_thread_pool_invariant() {
         "ctr coh.scan_exact_tests",
         "ctr coh.engines_built",
     ] {
-        assert!(serial.contains(needle), "normalized stream lost {needle}");
+        assert!(a.contains(needle), "normalized stream lost {needle}");
     }
-    now_testkit::golden::assert_same_stream("threads=1 vs threads=3", &serial, &pooled);
-}
-
-/// Same configuration twice must reproduce the trace exactly.
-#[test]
-fn normalized_trace_is_stable_run_to_run() {
-    let a = traced_run(2).normalized();
-    let b = traced_run(2).normalized();
     now_testkit::golden::assert_same_stream("run 1 vs run 2", &a, &b);
 }
 
-/// Thread-count-dependent data must stay *out* of the normalized stream
+/// Schedule-dependent data must stay *out* of the normalized stream
 /// while still being recorded for the exporters.
 #[test]
 fn nondeterministic_data_is_recorded_but_not_normalized() {
-    let snap = traced_run(3);
+    let snap = traced_run();
     let norm = snap.normalized();
     assert!(
-        snap.counters.contains_key("pool.tiles"),
-        "pool counters should be recorded"
-    );
-    assert!(
-        !norm.contains("pool.tiles") && !norm.contains("pool.steal"),
-        "pool scheduling data leaked into the deterministic stream"
+        snap.hists.contains_key("farm.units_per_machine"),
+        "the per-machine unit split should be recorded"
     );
     assert!(
         !norm.contains("farm.units_per_machine"),
@@ -117,15 +123,15 @@ fn nondeterministic_data_is_recorded_but_not_normalized() {
     );
     // spans carry timestamps, so none belong in the normalized view
     // (the render.pixels_shaded *counter* is det; the span is not)
+    assert!(snap.events.iter().any(|e| e.name == "render.pixels_par"));
     assert!(!norm.contains("ev render.pixels"));
-    assert!(!norm.contains("ev pool.tile"));
 }
 
 /// The Chrome exporter must emit structurally sound JSON for a real run
 /// (the unit tests cover exact shapes; this guards the integration).
 #[test]
 fn chrome_export_shape_holds_for_a_farm_run() {
-    let snap = traced_run(2);
+    let snap = traced_run();
     let json = chrome_json(&snap);
     assert!(json.starts_with('['));
     assert!(json.trim_end().ends_with(']'));
@@ -143,17 +149,15 @@ fn chrome_export_shape_holds_for_a_farm_run() {
     assert_eq!(opens, closes, "unbalanced JSON objects");
 }
 
-/// Write the normalized stream for the CI cross-process diff. The file
-/// name carries the `NOW_THREADS` value (the pool resolves `threads: 0`
-/// from it), so two differently-threaded CI invocations produce two files
-/// that must be byte-identical.
+/// Write the normalized stream for the CI cross-process diff: CI runs
+/// this test in two processes, copying the file aside in between, and
+/// the two files must be byte-identical.
 #[test]
 fn ci_normalized_trace_file() {
-    let label = std::env::var("NOW_THREADS").unwrap_or_else(|_| "auto".into());
-    let norm = traced_run(0).normalized();
+    let norm = traced_run().normalized();
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(dir).expect("create target tmp dir");
-    let path = dir.join(format!("trace-normalized-{label}.txt"));
+    let path = dir.join("trace-normalized.txt");
     std::fs::write(&path, &norm).expect("write normalized trace");
     assert!(norm.starts_with("# now-trace normalized v1"));
 }
@@ -169,7 +173,7 @@ fn a_journaled_run_syncs_once_per_frame() {
     for (tile_w, units) in [(16, 6), (8, 12)] {
         let cfg = FarmConfig {
             scheme: PartitionScheme::FrameDivision { tile_w, tile_h: 24 },
-            ..farm_cfg(1)
+            ..farm_cfg()
         };
         let dir =
             std::env::temp_dir().join(format!("now_trace_syncs_{tile_w}_{}", std::process::id()));
@@ -209,7 +213,7 @@ fn farm_workers_compute_each_change_set_once() {
             tile_w: 12,
             tile_h: 12,
         },
-        ..farm_cfg(1)
+        ..farm_cfg()
     };
     let cluster = SimCluster::paper();
     let (result, snap) = trace::capture(|| run_sim(&anim, &cfg, &cluster));
@@ -239,7 +243,7 @@ fn farm_workers_compute_each_change_set_once() {
 #[test]
 fn a_farm_builds_one_engine_per_renderer() {
     let anim = newton::animation_sized(W, H, FRAMES);
-    let cfg = farm_cfg(1);
+    let cfg = farm_cfg();
     let tcp = || {
         let listener = bind_tcp_master("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
