@@ -7,6 +7,7 @@
 //! change occurs, and the [`Bound`]s of the placements that changed.
 
 use crate::bound::Bound;
+use crate::engine::Trigger;
 use now_grid::{GridSpec, Voxel};
 use now_math::Aabb;
 use now_raytrace::{Object, Scene};
@@ -136,43 +137,60 @@ fn object_voxels(spec: &GridSpec, obj: &Object, bound: &Bound, mut f: impl FnMut
 /// The voxels some transition of a sequence changes: the union of
 /// [`changed_voxels`] over its consecutive frame pairs. A pair that
 /// changes [`ChangeSet::Everything`] adds nothing — it re-renders the whole
-/// region and never queries the log — so camera cuts keep the mask.
+/// region and never asks which rays it dirties — so camera cuts keep the
+/// mask.
 ///
 /// Every changed set a renderer of the sequence is asked about lies inside
 /// the mask, so a ray whose walk misses it can never make its pixel dirty:
-/// the engine walks it but does not store it.
+/// the engine walks it but does not keep it.
 ///
 /// The mask keeps the change set of every transition it was built from, so
 /// the renderers that share it look each one up ([`MoverMask::transition`])
-/// instead of computing it again per renderer and frame.
+/// instead of computing it again per renderer and frame, and beside it
+/// what an engine tests a ray against: the changed-voxel bitmap (the paper
+/// test) and the movers with their reject boxes (the exact test). An
+/// engine settles each ray against them as it records it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MoverMask {
     /// One bit per voxel, by linear index.
     pub(crate) bits: Vec<u64>,
     /// `changes[f]` is [`changed_voxels`] from frame `f` to frame `f + 1`.
     pub(crate) changes: Vec<ChangeSet>,
+    /// `triggers[f]` is `changes[f]` ready to test a ray against.
+    pub(crate) triggers: Vec<Trigger>,
 }
 
 impl MoverMask {
     /// The mask of the sequence `frames` over the grid `spec`.
     pub fn of_sequence(spec: &GridSpec, frames: impl IntoIterator<Item = Scene>) -> MoverMask {
-        let mut bits = vec![0u64; spec.voxel_count().div_ceil(64)];
         let mut changes = Vec::new();
         let mut prev: Option<Scene> = None;
         for scene in frames {
             if let Some(p) = prev {
-                let change = changed_voxels(spec, &p, &scene);
-                if let ChangeSet::Voxels { voxels, .. } = &change {
-                    for &v in voxels {
-                        let i = spec.linear_index(v);
-                        bits[i >> 6] |= 1 << (i & 63);
-                    }
-                }
-                changes.push(change);
+                changes.push(changed_voxels(spec, &p, &scene));
             }
             prev = Some(scene);
         }
-        MoverMask { bits, changes }
+        MoverMask::of_changes(spec, changes)
+    }
+
+    /// The mask of a sequence whose transitions change `changes`.
+    pub(crate) fn of_changes(spec: &GridSpec, changes: Vec<ChangeSet>) -> MoverMask {
+        let mut bits = vec![0u64; spec.voxel_count().div_ceil(64)];
+        for change in &changes {
+            if let ChangeSet::Voxels { voxels, .. } = change {
+                for &v in voxels {
+                    let i = spec.linear_index(v);
+                    bits[i >> 6] |= 1 << (i & 63);
+                }
+            }
+        }
+        let triggers = changes.iter().map(|c| Trigger::of(spec, c)).collect();
+        MoverMask {
+            bits,
+            changes,
+            triggers,
+        }
     }
 
     /// What changes from frame `f` of the sequence to frame `f + 1`;

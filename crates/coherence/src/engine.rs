@@ -1,15 +1,31 @@
-//! The frame-coherence data structure: one append-only log of ray records.
+//! The frame-coherence data structure: which recorded rays each frame's
+//! change dirties.
 //!
 //! The paper keeps, per voxel, the list of pixels whose rays crossed it,
 //! and asks of each changed voxel "which pixels are on your list?". This
-//! engine stores the same relation transposed — per recorded ray, a record
-//! tagged with its pixel — and asks of each recorded ray "can you see the
-//! change?". Recording a ray is one sequential append instead of one
-//! scattered list push per voxel, and the per-frame query is one linear
-//! scan of the log.
+//! engine asks the transposed question of each recorded ray — "can you see
+//! the change?" — and keeps the rays in one of two ways, chosen by whether
+//! it knows its sequence's change sets in advance:
 //!
-//! An engine is built for one [`DirtyTest`], and each test has one record
-//! grammar (DESIGN.md §14):
+//! * **Masked** (built with a [`MoverMask`], what every farm, service and
+//!   `render_sequence` renderer is): the mask holds every transition's
+//!   change set, so a ray is *settled* when it is recorded. Once a pixel
+//!   group's rays of a frame are all in, they are tested against the
+//!   transitions from the frame being rendered onwards, stopping at the
+//!   first that dirties one of them and never testing past the group's
+//!   current `due` — the first transition at which one of its live rays is
+//!   dirtied. The dirty set of transition `t` is then the groups whose
+//!   `due` is `t`. The engine holds one `due` per group and the rays of the
+//!   group being recorded: no ray log, and no per-frame scan.
+//! * **Unmasked** (the shims [`CoherentRenderer::new`] and
+//!   [`CoherentRenderer::with_region_and_block`], which render one scene
+//!   at a time with no sequence known in advance): one append-only log of
+//!   ray records, scanned at every transition. The record grammar below is
+//!   this engine's alone.
+//!
+//! Either way the test is the engine's [`DirtyTest`] (DESIGN.md §14), and
+//! a masked engine tests exactly the (ray, transition) pairs the unmasked
+//! scan of the rays it would store tests, so both give the same dirty sets:
 //!
 //! * [`DirtyTest::Exact`] (the default): a pixel is dirty iff one of its
 //!   live rays has its segment come within a changed object's padded
@@ -18,8 +34,8 @@
 //!   its live rays crosses a changed voxel. A record is the ray's voxel
 //!   path.
 //!
-//! Record grammar (stream state starts at `(pixel, gen) = (0, 0)`; all
-//! integers LEB128 varints, see [`crate::varint`]):
+//! Record grammar of the unmasked log (stream state starts at `(pixel,
+//! gen) = (0, 0)`; all integers LEB128 varints, see [`crate::varint`]):
 //!
 //! ```text
 //! exact  = head [gen] seg
@@ -39,7 +55,8 @@
 //! `start`, `steps` and `codes` are a [`VoxelPath`] as the tracer hands it
 //! over: the walk its accelerator took to find the ray's hit is the walk
 //! that is logged, so recording a ray costs an append, not a second
-//! traversal.
+//! traversal. A masked engine tests the same segment, as `seg` round-trips
+//! it, and the same path.
 //!
 //! Consecutive rays of one pixel (its shadow feelers, its reflections)
 //! cost a 1-byte `head`, so an exact record is 13 or 14 bytes; a typical
@@ -56,25 +73,30 @@
 //! and freeing it raises glibc's threshold, after which every later log is
 //! carved from a heap that keeps its holes.)
 //!
-//! An engine given a [`MoverMask`] stores only the rays whose path enters
-//! it: no changed set of the sequence lies outside the mask, so a ray that
-//! misses it can never cross a changed voxel. Such a ray is walked (and
-//! counted in [`CoherenceStats::marks`]) but not logged.
+//! A masked engine keeps only the rays whose path enters its mask: no
+//! changed set of the sequence lies outside the mask, so a ray that misses
+//! it can never cross a changed voxel. Such a ray is walked (and counted in
+//! [`CoherenceStats::marks`]) but never tested.
 //!
-//! A record is *live* while its `gen` equals the pixel's current
+//! A log record is *live* while its `gen` equals the pixel's current
 //! generation. [`CoherenceEngine::invalidate_pixels`] bumps the generation
 //! — every older record of the pixel is stale from then on, wherever it
 //! sits in the log — and moves the pixel's bytes from the live to the
-//! stale account, so [`CoherenceEngine::compact`] knows without looking
-//! whether there is anything to drop.
+//! stale account, so compaction knows without looking whether there is
+//! anything to drop. A masked engine's invalidation resets the group's
+//! `due`.
+//!
+//! [`CoherentRenderer::new`]: crate::CoherentRenderer::new
+//! [`CoherentRenderer::with_region_and_block`]: crate::CoherentRenderer::with_region_and_block
 
 use crate::bound::{Bound, Slab};
-use crate::change::MoverMask;
+use crate::change::{ChangeSet, MoverMask};
 use crate::varint::{read_varint, unzigzag, zigzag};
 use now_grid::dda::{step_strides, VoxelPath};
 use now_grid::{GridSpec, Voxel};
 use now_math::{Aabb, Axis, Interval, Point3, Ray, Vec3};
 use now_raytrace::{PixelId, RayKind, RayListener};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which test makes a pixel dirty, and so what a record of the log holds
@@ -94,6 +116,9 @@ pub enum DirtyTest {
 /// Bookkeeping statistics; Table 1's "overhead" column comes from the work
 /// these counters represent, and the cluster cost model charges time
 /// proportional to `marks`.
+///
+/// A masked engine stores no record: its `entries`, `purged`,
+/// `peak_entries`, `list_bytes` and `compactions` stay 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoherenceStats {
     /// Voxel-mark operations performed (per ray per voxel crossed): every
@@ -101,7 +126,7 @@ pub struct CoherenceStats {
     pub marks: u64,
     /// Entries currently stored in the log, live and stale: one per record
     /// of an exact engine, one per voxel of a recorded path of a paper
-    /// engine. Under a mover mask, fewer than were walked.
+    /// engine. 0 for a masked engine.
     pub entries: u64,
     /// Entries dropped by compaction.
     pub purged: u64,
@@ -110,7 +135,7 @@ pub struct CoherenceStats {
     /// High-water mark of `entries`.
     pub peak_entries: u64,
     /// Log bytes currently stored, live and stale (the working-set cost
-    /// the cost model charges).
+    /// the cost model charges); 0 for a masked engine.
     pub list_bytes: u64,
     /// Compaction passes that had something to drop.
     pub compactions: u64,
@@ -135,6 +160,10 @@ const SEG_MAX: f64 = 65535.0;
 /// segment lies within half a quantum per axis of the decoded segment; the
 /// other half covers the f64 error of clipping and of the distance tests.
 const PAD_QUANTA: f64 = 1.0;
+
+/// A group's `due` while none of its live rays is dirtied by any
+/// transition of the sequence.
+const NEVER: u32 = u32::MAX;
 
 /// How `seg` encodes a ray segment: clipped to the grid box, endpoints at
 /// 16 bits per axis of the box.
@@ -193,29 +222,160 @@ impl SegmentCodec {
     }
 }
 
-/// The frame-coherence data structure: one record per stored ray, tagged
-/// with the pixel that fired it — its segment or its voxel path through a
-/// uniform grid, as the engine's [`DirtyTest`] asks.
+/// One transition of a sequence, ready for a masked engine to test its
+/// rays against: what [`MoverMask`] keeps beside each [`ChangeSet`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Trigger {
+    /// An empty change set: no ray is dirtied.
+    Nothing,
+    /// [`ChangeSet::Everything`]: every group is dirtied.
+    Everything,
+    /// Some voxels change.
+    Voxels {
+        /// The changed voxels, one bit per voxel by linear index: what the
+        /// paper test's paths are tested against.
+        bits: Vec<u64>,
+        /// Every mover's bound with its reject box
+        /// ([`Bound::reject_box`] at the codec's pad): what the exact
+        /// test's segments are tested against.
+        movers: Vec<(Bound, Aabb)>,
+        /// Whether every mover lies inside the grid box the segments are
+        /// clipped to; an exact engine dirties every group when one does
+        /// not.
+        covered: bool,
+    },
+}
+
+impl Trigger {
+    /// The trigger of `change` over the grid `spec`.
+    pub(crate) fn of(spec: &GridSpec, change: &ChangeSet) -> Trigger {
+        let seg = SegmentCodec {
+            bounds: spec.bounds,
+        };
+        match change {
+            ChangeSet::Everything => Trigger::Everything,
+            ChangeSet::Voxels { voxels, .. } if voxels.is_empty() => Trigger::Nothing,
+            ChangeSet::Voxels { voxels, movers } => {
+                let mut bits = vec![0u64; spec.voxel_count().div_ceil(64)];
+                for &v in voxels {
+                    let i = spec.linear_index(v);
+                    bits[i >> 6] |= 1 << (i & 63);
+                }
+                Trigger::Voxels {
+                    bits,
+                    movers: movers
+                        .iter()
+                        .map(|b| (*b, b.reject_box(seg.pad())))
+                        .collect(),
+                    covered: movers.iter().all(|b| seg.covers(b)),
+                }
+            }
+        }
+    }
+
+    /// Whether the trigger dirties every group of a `test` engine, whatever
+    /// its rays.
+    fn dirties_all(&self, test: DirtyTest) -> bool {
+        match self {
+            Trigger::Nothing => false,
+            Trigger::Everything => true,
+            Trigger::Voxels { covered, .. } => test == DirtyTest::Exact && !covered,
+        }
+    }
+}
+
+/// The exact test of one segment `p0`–`p1` (`slab` its slab set-up)
+/// against `movers`, cheapest filter first: each mover's reject box, then
+/// its exact distance test, each exact test counted in `exact_tests`.
+/// Returns whether a box let the segment through and whether it is near a
+/// mover.
+#[inline]
+fn near_movers(
+    slab: &Slab,
+    (p0, p1): (Point3, Point3),
+    movers: &[(Bound, Aabb)],
+    pad: f64,
+    exact_tests: &mut u64,
+) -> (bool, bool) {
+    let mut met = false;
+    for (b, reject) in movers {
+        if slab.meets(reject) {
+            met = true;
+            *exact_tests += 1;
+            if b.near_segment(p0, p1, pad) {
+                return (true, true);
+            }
+        }
+    }
+    (met, false)
+}
+
+/// The frame-coherence data structure over a uniform grid, for one
+/// [`DirtyTest`]: per pixel group, whether a change dirties one of its live
+/// rays — settled as the rays are recorded when the engine has a
+/// [`MoverMask`], from a log of ray records otherwise (module docs).
 ///
 /// Implements [`RayListener`]: install it as the tracer's listener while
 /// rendering — over an accelerator built on this engine's grid
-/// (`GridAccel::build_with_spec`) — and every ray's record is appended to
-/// the log under the pixel being shaded.
+/// (`GridAccel::build_with_spec`) — and every ray is recorded under the
+/// pixel being shaded.
 ///
-/// Equality compares the complete engine state — the test, log blocks
-/// (including stale records), generation counters, live/stale byte
-/// accounts, the mask and statistics — so tests can assert that two
-/// render paths left the engine in exactly the same state.
+/// Equality compares the complete engine state — the test, the log blocks
+/// (including stale records), generation counters and live/stale byte
+/// accounts, or the mask, the groups' `due` and the frame being recorded,
+/// and the statistics — so tests can assert that two render paths left
+/// the engine in exactly the same state.
 #[derive(Debug, Clone)]
 pub struct CoherenceEngine {
     spec: GridSpec,
     test: DirtyTest,
     seg: SegmentCodec,
-    /// Voxels some transition changes; `None` stores every ray.
-    mask: Option<Arc<MoverMask>>,
     strides: [isize; 8],
+    rays: Rays,
+    stats: CoherenceStats,
+}
+
+/// How an engine keeps its rays.
+#[derive(Debug, Clone)]
+enum Rays {
+    /// Unmasked: every ray's record, scanned at every transition.
+    Log(RayLog),
+    /// Masked: each group's `due`, settled as its rays are recorded.
+    Settled(Settled),
+}
+
+impl PartialEq for CoherenceEngine {
+    fn eq(&self, other: &CoherenceEngine) -> bool {
+        self.spec == other.spec
+            && self.test == other.test
+            && self.rays == other.rays
+            && self.stats == other.stats
+    }
+}
+
+impl PartialEq for Rays {
+    fn eq(&self, other: &Rays) -> bool {
+        match (self, other) {
+            (Rays::Log(a), Rays::Log(b)) => {
+                a.blocks == b.blocks
+                    && a.tail == b.tail
+                    && a.gen == b.gen
+                    && a.live == b.live
+                    && a.stale_bytes == b.stale_bytes
+            }
+            (Rays::Settled(a), Rays::Settled(b)) => {
+                a.mask == b.mask && a.due == b.due && a.frame == b.frame
+            }
+            _ => false,
+        }
+    }
+}
+
+/// An unmasked engine's rays: the record stream and its accounts.
+#[derive(Debug, Clone)]
+struct RayLog {
     /// The record stream, in blocks of whole records (module docs).
-    log: Vec<Vec<u8>>,
+    blocks: Vec<Vec<u8>>,
     /// `(pixel, gen)` of the last record: what the next `head` is relative
     /// to.
     tail: (PixelId, u32),
@@ -227,7 +387,6 @@ pub struct CoherenceEngine {
     /// Log bytes held by stale records; `list_bytes - stale_bytes` is the
     /// sum of `live`.
     stale_bytes: usize,
-    stats: CoherenceStats,
     // Scratch below: not observable state, excluded from `PartialEq`.
     /// Changed-voxel bitmap of a paper engine's `dirty_pixels` call; all
     /// zero between calls.
@@ -237,18 +396,32 @@ pub struct CoherenceEngine {
     seen: Vec<u64>,
 }
 
-impl PartialEq for CoherenceEngine {
-    fn eq(&self, other: &CoherenceEngine) -> bool {
-        self.spec == other.spec
-            && self.test == other.test
-            && self.mask == other.mask
-            && self.log == other.log
-            && self.tail == other.tail
-            && self.gen == other.gen
-            && self.live == other.live
-            && self.stale_bytes == other.stale_bytes
-            && self.stats == other.stats
-    }
+/// A masked engine's rays: each group's `due`, and the rays of the group
+/// being recorded.
+#[derive(Debug, Clone)]
+struct Settled {
+    /// The sequence's change sets, ready to test a ray against.
+    mask: Arc<MoverMask>,
+    /// Per group, the first transition at which one of its live rays is
+    /// dirtied; `NEVER` when none is.
+    due: Vec<u32>,
+    /// The frame of the sequence whose rays are being recorded: the first
+    /// transition they are tested at.
+    frame: usize,
+    // Scratch below: empty between frames, excluded from `PartialEq`.
+    /// The group whose rays `segs` or `paths` hold, if any.
+    group: Option<PixelId>,
+    /// An exact engine's rays of `group`: each segment as `seg`
+    /// round-trips it, with its slab set-up.
+    segs: Vec<(Slab, (Point3, Point3))>,
+    /// A paper engine's rays of `group`: each path's first voxel and the
+    /// range of `codes` its step codes fill.
+    paths: Vec<(usize, Range<usize>)>,
+    codes: Vec<u8>,
+    /// `coh.resolve_*` counts not yet handed to the trace recorder: (ray,
+    /// transition) pairs tested, those past the first filter, exact
+    /// tests.
+    counts: [u64; 3],
 }
 
 /// Longest `head [gen]`: 5 + 5 bytes for `u32` pixels and generations.
@@ -449,10 +622,11 @@ fn record_body<'p>(
 
 impl CoherenceEngine {
     /// Create an engine that answers with `test` for `groups` pixel groups
-    /// over the given grid, storing only the rays whose path enters `mask`
-    /// (built over this grid) when one is given. Dirty sets stay exactly
-    /// those of an unmasked engine, as long as every changed set queried
-    /// lies inside the mask.
+    /// over the given grid. Given a `mask` (built over this grid) and the
+    /// frame of its sequence the engine records first, it settles each ray
+    /// as it is recorded and keeps only the rays whose path enters the
+    /// mask; without one it logs every ray and scans the log at each
+    /// transition.
     ///
     /// Every engine is built here, and one built for a traced renderer
     /// (`trace`, its settings' flag) counts itself in `coh.engines_built`
@@ -461,38 +635,55 @@ impl CoherenceEngine {
         spec: GridSpec,
         groups: usize,
         test: DirtyTest,
-        mask: Option<Arc<MoverMask>>,
+        mask: Option<(Arc<MoverMask>, usize)>,
         trace: bool,
     ) -> CoherenceEngine {
-        let changed = vec![0; spec.voxel_count().div_ceil(64)];
-        if let Some(mask) = &mask {
-            assert_eq!(mask.bits.len(), changed.len(), "mover mask of another grid");
-        }
+        let words = spec.voxel_count().div_ceil(64);
         if trace && now_trace::enabled() {
             now_trace::global().counter_add("coh.engines_built", 1);
         }
+        let rays = match mask {
+            Some((mask, frame)) => {
+                assert_eq!(mask.bits.len(), words, "mover mask of another grid");
+                Rays::Settled(Settled {
+                    mask,
+                    due: vec![NEVER; groups],
+                    frame,
+                    group: None,
+                    segs: Vec::new(),
+                    paths: Vec::new(),
+                    codes: Vec::new(),
+                    counts: [0; 3],
+                })
+            }
+            None => Rays::Log(RayLog {
+                blocks: Vec::new(),
+                tail: (0, 0),
+                gen: vec![0; groups],
+                live: vec![0; groups],
+                stale_bytes: 0,
+                changed: vec![0; words],
+                seen: vec![0; groups.div_ceil(64)],
+            }),
+        };
         CoherenceEngine {
             spec,
             test,
             seg: SegmentCodec {
                 bounds: spec.bounds,
             },
-            mask,
             strides: step_strides(&spec),
-            log: Vec::new(),
-            tail: (0, 0),
-            gen: vec![0; groups],
-            live: vec![0; groups],
-            stale_bytes: 0,
+            rays,
             stats: CoherenceStats::default(),
-            changed,
-            seen: vec![0; groups.div_ceil(64)],
         }
     }
 
-    /// The mover mask rays are stored under, if any.
+    /// The mover mask rays are settled under, if any.
     pub(crate) fn mask(&self) -> Option<&Arc<MoverMask>> {
-        self.mask.as_ref()
+        match &self.rays {
+            Rays::Settled(s) => Some(&s.mask),
+            Rays::Log(_) => None,
+        }
     }
 
     /// Current statistics.
@@ -503,25 +694,48 @@ impl CoherenceEngine {
 
     /// Bytes held by the engine (the paper's observation that "memory
     /// requirements are directly proportional to the size of the image
-    /// area" is measured through this): the log blocks held, their unused
-    /// tails included, plus the per-pixel and per-voxel side tables. A
-    /// mover mask is shared between renderers and not counted.
+    /// area" is measured through this). Unmasked: the log blocks held,
+    /// their unused tails included, plus the per-pixel and per-voxel side
+    /// tables. Masked: the per-group `due` table and the buffers of the
+    /// group being recorded; the mover mask is shared between renderers
+    /// and not counted.
     pub fn memory_bytes(&self) -> usize {
-        self.log.iter().map(Vec::capacity).sum::<usize>()
-            + (self.gen.len() + self.live.len()) * 4
-            + (self.changed.len() + self.seen.len()) * 8
+        match &self.rays {
+            Rays::Log(log) => {
+                log.blocks.iter().map(Vec::capacity).sum::<usize>()
+                    + (log.gen.len() + log.live.len()) * 4
+                    + (log.changed.len() + log.seen.len()) * 8
+            }
+            Rays::Settled(s) => {
+                s.due.len() * 4
+                    + s.segs.capacity() * std::mem::size_of::<(Slab, (Point3, Point3))>()
+                    + s.paths.capacity() * std::mem::size_of::<(usize, Range<usize>)>()
+                    + s.codes.capacity()
+            }
+        }
+    }
+
+    /// The unmasked log; a masked engine has none.
+    fn log(&mut self) -> &mut RayLog {
+        match &mut self.rays {
+            Rays::Log(log) => log,
+            Rays::Settled(_) => panic!("a masked engine keeps no log"),
+        }
     }
 
     /// Log bytes held by stale records, of the `list_bytes` stored — what
-    /// [`CoherenceEngine::compact`] would free.
+    /// compaction would free (0 for a masked engine).
     #[inline]
     pub fn stale_bytes(&self) -> usize {
-        self.stale_bytes
+        match &self.rays {
+            Rays::Log(log) => log.stale_bytes,
+            Rays::Settled(_) => 0,
+        }
     }
 
-    /// The set of pixels (deduplicated, ascending) that must be recomputed
-    /// for the next frame, given the `changed` voxels and the `movers` (the
-    /// old and new bounds of every changed object, what
+    /// The set of pixels (deduplicated, ascending) an unmasked engine must
+    /// recompute for the next frame, given the `changed` voxels and the
+    /// `movers` (the old and new bounds of every changed object, what
     /// [`crate::changed_voxels`] produces beside `changed`): those with a
     /// live recorded ray whose segment comes within one of the `movers`
     /// (exact), or whose path crosses one of the `changed` voxels (paper).
@@ -534,76 +748,51 @@ impl CoherenceEngine {
     /// One pass over the log: stale records and records of pixels already
     /// found dirty are skipped by their length, the rest are tested. Log
     /// state is untouched (`&mut` is for the scratch bitmaps and the
-    /// fallback count).
-    pub fn dirty_pixels(&mut self, changed: &[Voxel], movers: &[Bound]) -> Vec<PixelId> {
+    /// fallback count). A masked engine answers by transition instead, and
+    /// panics here.
+    pub(crate) fn dirty_pixels(&mut self, changed: &[Voxel], movers: &[Bound]) -> Vec<PixelId> {
         debug_assert!(
             changed.windows(2).all(|w| w[0] < w[1]),
             "changed voxels must be sorted and deduplicated"
         );
-        debug_assert!(
-            self.mask.as_ref().is_none_or(|m| changed.iter().all(|&v| {
-                let i = self.spec.linear_index(v);
-                m.bits[i >> 6] >> (i & 63) & 1 != 0
-            })),
-            "a changed voxel outside the mover mask"
-        );
+        let (spec, test, seg) = (self.spec, self.test, self.seg);
+        let strides = self.strides;
+        let log = self.log();
         if changed.is_empty() {
             return Vec::new();
         }
-        let (dirty, read, coarse, exact_tests) = match self.test {
-            DirtyTest::Exact if !movers.iter().all(|b| self.seg.covers(b)) => {
+        let (dirty, read, coarse, exact_tests) = match test {
+            DirtyTest::Exact if !movers.iter().all(|b| seg.covers(b)) => {
+                let all = (0..log.gen.len() as PixelId).collect();
                 self.stats.fallbacks += 1;
-                return (0..self.gen.len() as PixelId).collect();
+                return all;
             }
             DirtyTest::Exact => {
-                let (seg, pad) = (self.seg, self.seg.pad());
+                let pad = seg.pad();
                 // the filters run cheapest first: one box per mover, then
                 // the exact distance test
-                let movers: Vec<(&Bound, Aabb)> =
-                    movers.iter().map(|b| (b, b.reject_box(pad))).collect();
+                let movers: Vec<(Bound, Aabb)> =
+                    movers.iter().map(|b| (*b, b.reject_box(pad))).collect();
                 let mut exact_tests = 0u64;
-                let (dirty, read, coarse) = scan(
-                    &self.log,
-                    self.test,
-                    &self.gen,
-                    &mut self.seen,
-                    |block, rec| {
-                        let (p0, p1) = seg.get(&block[rec.body..rec.end]);
-                        let slab = Slab::new(p0, p1);
-                        let (mut met, mut near) = (false, false);
-                        for (b, reject) in &movers {
-                            if slab.meets(reject) {
-                                met = true;
-                                exact_tests += 1;
-                                if b.near_segment(p0, p1, pad) {
-                                    near = true;
-                                    break;
-                                }
-                            }
-                        }
-                        (met, near)
-                    },
-                );
+                let (dirty, read, coarse) = log.scan(test, |block, rec| {
+                    let p = seg.get(&block[rec.body..rec.end]);
+                    near_movers(&Slab::new(p.0, p.1), p, &movers, pad, &mut exact_tests)
+                });
                 (dirty, read, coarse, exact_tests)
             }
             DirtyTest::Paper => {
                 for &v in changed {
-                    let i = self.spec.linear_index(v);
-                    self.changed[i >> 6] |= 1 << (i & 63);
+                    let i = spec.linear_index(v);
+                    log.changed[i >> 6] |= 1 << (i & 63);
                 }
-                let (strides, bits) = (&self.strides, &self.changed);
-                let (dirty, read, coarse) = scan(
-                    &self.log,
-                    self.test,
-                    &self.gen,
-                    &mut self.seen,
-                    |block, rec| {
-                        let hit = path_hits(rec.start, &block[rec.codes..rec.end], strides, bits);
-                        (hit, hit)
-                    },
-                );
+                let bits = std::mem::take(&mut log.changed);
+                let (dirty, read, coarse) = log.scan(test, |block, rec| {
+                    let hit = path_hits(rec.start, &block[rec.codes..rec.end], &strides, &bits);
+                    (hit, hit)
+                });
+                log.changed = bits;
                 for &v in changed {
-                    self.changed[self.spec.linear_index(v) >> 6] = 0;
+                    log.changed[spec.linear_index(v) >> 6] = 0;
                 }
                 (dirty, read, coarse, 0)
             }
@@ -619,27 +808,90 @@ impl CoherenceEngine {
         dirty
     }
 
-    /// Invalidate the recorded rays of the given pixels (called right
-    /// before re-rendering them, so their new rays are recorded under a
-    /// fresh generation and the old records become stale).
+    /// The groups (ascending) a masked engine must recompute for transition
+    /// `t` of its sequence, from frame `t` into the frame it is about to
+    /// record: those whose `due` is `t`; none for an empty change set,
+    /// and every group for [`ChangeSet::Everything`] and for an exact
+    /// engine's fallback (counted in [`CoherenceStats::fallbacks`], as the
+    /// unmasked scan counts it).
+    pub(crate) fn due_groups(&mut self, t: usize) -> Vec<PixelId> {
+        let test = self.test;
+        let Rays::Settled(s) = &mut self.rays else {
+            panic!("an unmasked engine answers by change set");
+        };
+        debug_assert_eq!(t + 1, s.frame, "a transition other than the last one");
+        let trigger = &s.mask.triggers[t];
+        if trigger.dirties_all(test) {
+            self.stats.fallbacks += matches!(trigger, Trigger::Voxels { .. }) as u64;
+            return (0..s.due.len() as PixelId).collect();
+        }
+        let t = t as u32;
+        (0..s.due.len() as PixelId)
+            .filter(|&g| s.due[g as usize] == t)
+            .collect()
+    }
+
+    /// Invalidate the recorded rays of the given pixel groups (called
+    /// right before re-rendering them): an unmasked engine records their
+    /// new rays under a fresh generation, so the old records become stale;
+    /// a masked engine forgets their `due`.
     pub fn invalidate_pixels(&mut self, pixels: &[PixelId]) {
-        for &p in pixels {
-            let p = p as usize;
-            self.gen[p] = self.gen[p].wrapping_add(1);
-            self.stale_bytes += self.live[p] as usize;
-            self.live[p] = 0;
+        self.settle();
+        match &mut self.rays {
+            Rays::Log(log) => {
+                for &p in pixels {
+                    let p = p as usize;
+                    log.gen[p] = log.gen[p].wrapping_add(1);
+                    log.stale_bytes += log.live[p] as usize;
+                    log.live[p] = 0;
+                }
+            }
+            Rays::Settled(s) => {
+                for &p in pixels {
+                    s.due[p as usize] = NEVER;
+                }
+            }
         }
     }
 
-    /// Drop every stale record; O(1) when there is none.
+    /// Close the frame whose rays were just recorded: a masked engine
+    /// settles the last group's rays and records the next frame from then
+    /// on; an unmasked one compacts its log once it is mostly stale
+    /// records.
+    pub(crate) fn end_frame(&mut self) {
+        self.settle();
+        match &mut self.rays {
+            Rays::Log(log) => {
+                if log.stale_bytes as u64 * 2 > self.stats.list_bytes {
+                    self.compact();
+                }
+            }
+            Rays::Settled(s) => {
+                s.frame += 1;
+                if now_trace::enabled() {
+                    // a function of the rays recorded and the mask alone
+                    let rec = now_trace::global();
+                    let [pairs, coarse, exact] = std::mem::take(&mut s.counts);
+                    rec.counter_add("coh.resolve_pairs", pairs);
+                    rec.counter_add("coh.resolve_voxel_hits", coarse);
+                    rec.counter_add("coh.resolve_exact_tests", exact);
+                }
+            }
+        }
+    }
+
+    /// Drop every stale record of an unmasked log; O(1) when there is
+    /// none.
     ///
     /// The survivors are streamed, in order, into fresh blocks, each old
     /// block dropped once it has been read. A survivor's `head` is
     /// re-encoded against the survivor before it (a larger pixel delta, or
     /// a `gen` that a dropped record used to introduce); its body does not
     /// depend on its predecessor and is copied verbatim.
-    pub fn compact(&mut self) {
-        if self.stale_bytes == 0 {
+    pub(crate) fn compact(&mut self) {
+        let test = self.test;
+        let log = self.log();
+        if log.stale_bytes == 0 {
             return;
         }
         let mut cur = Cursor::default();
@@ -647,85 +899,167 @@ impl CoherenceEngine {
         let mut written = 0;
         let mut purged = 0u64;
         let mut head = [0u8; MAX_HEAD];
-        for block in std::mem::take(&mut self.log) {
+        for block in std::mem::take(&mut log.blocks) {
             cur.pos = 0;
             while cur.pos < block.len() {
-                let rec = cur.read(&block, self.test);
+                let rec = cur.read(&block, test);
                 let p = rec.pixel as usize;
-                if rec.gen != self.gen[p] {
-                    purged += entries(self.test, rec.steps as u64 + 1);
+                if rec.gen != log.gen[p] {
+                    purged += entries(test, rec.steps as u64 + 1);
                     continue;
                 }
                 let n = put_head(&mut head, tail, rec.pixel, rec.gen);
                 let len = n + rec.end - rec.body;
-                let out = block_for(&mut self.log, len);
+                let out = block_for(&mut log.blocks, len);
                 out.extend_from_slice(&head[..n]);
                 out.extend_from_slice(&block[rec.body..rec.end]);
-                self.live[p] = self.live[p] - (rec.end - rec.at) as u32 + len as u32;
+                log.live[p] = log.live[p] - (rec.end - rec.at) as u32 + len as u32;
                 written += len;
                 tail = (rec.pixel, rec.gen);
             }
         }
-        self.tail = tail;
-        self.stale_bytes = 0;
+        log.tail = tail;
+        log.stale_bytes = 0;
         self.stats.purged += purged;
         self.stats.entries -= purged;
         self.stats.list_bytes = written as u64;
         self.stats.compactions += 1;
     }
 
+    /// Settle the rays of the group a masked engine is recording (module
+    /// docs): test them against the transitions from the frame being
+    /// recorded onwards, transition by transition and ray by ray, up to
+    /// the group's current `due`; the first transition that dirties one
+    /// of them is the group's new `due`. Nothing to do otherwise.
+    fn settle(&mut self) {
+        let (test, pad, strides) = (self.test, self.seg.pad(), &self.strides);
+        let Rays::Settled(s) = &mut self.rays else {
+            return;
+        };
+        let Some(g) = s.group.take() else {
+            return;
+        };
+        let g = g as usize;
+        let [pairs, coarse, exact] = &mut s.counts;
+        let end = (s.due[g] as usize).min(s.mask.triggers.len());
+        for t in s.frame..end {
+            let trigger = &s.mask.triggers[t];
+            let hit = trigger.dirties_all(test)
+                || match trigger {
+                    Trigger::Voxels { movers, .. } if test == DirtyTest::Exact => {
+                        s.segs.iter().any(|(slab, p)| {
+                            let (met, near) = near_movers(slab, *p, movers, pad, exact);
+                            *pairs += 1;
+                            *coarse += met as u64;
+                            near
+                        })
+                    }
+                    Trigger::Voxels { bits, .. } => s.paths.iter().any(|(start, codes)| {
+                        let hit = path_hits(*start, &s.codes[codes.clone()], strides, bits);
+                        *pairs += 1;
+                        *coarse += hit as u64;
+                        hit
+                    }),
+                    _ => false,
+                };
+            if hit {
+                s.due[g] = t as u32;
+                break;
+            }
+        }
+        s.segs.clear();
+        s.paths.clear();
+        s.codes.clear();
+    }
+}
+
+impl CoherenceEngine {
+    /// Add a ray of `group` to the rays a masked engine is recording,
+    /// settling the previous group's first when `group` is another: an
+    /// exact engine keeps the segment as `seg` round-trips it, a paper one
+    /// the path.
+    fn keep(&mut self, group: PixelId, ray: &Ray, t_max: f64, path: &VoxelPath<'_>) {
+        if matches!(&self.rays, Rays::Settled(s) if s.group != Some(group)) {
+            self.settle();
+        }
+        let (test, seg) = (self.test, self.seg);
+        let Rays::Settled(s) = &mut self.rays else {
+            unreachable!("only a masked engine keeps rays to settle");
+        };
+        s.group = Some(group);
+        match test {
+            DirtyTest::Exact => {
+                let mut buf = [0u8; SEG_BYTES];
+                seg.put(&mut buf, ray, t_max);
+                let p = seg.get(&buf);
+                s.segs.push((Slab::new(p.0, p.1), p));
+            }
+            DirtyTest::Paper => {
+                let at = s.codes.len();
+                s.codes.extend_from_slice(path.codes);
+                s.paths.push((path.start, at..s.codes.len()));
+            }
+        }
+    }
+}
+
+impl RayLog {
+    /// One pass over the live records whose pixel is not yet dirty:
+    /// `test` answers, per record, whether it passed the coarse filter and
+    /// whether it makes its pixel dirty. Returns the dirty pixels,
+    /// ascending, the records read and the coarse passes; `seen` (all zero
+    /// between calls) is the scratch set of pixels found dirty.
+    fn scan(
+        &mut self,
+        grammar: DirtyTest,
+        mut test: impl FnMut(&[u8], &Record) -> (bool, bool),
+    ) -> (Vec<PixelId>, u64, u64) {
+        let (mut read, mut coarse) = (0u64, 0u64);
+        let mut dirty: Vec<PixelId> = Vec::new();
+        for (block, rec) in Records::of(&self.blocks, grammar) {
+            read += 1;
+            let p = rec.pixel as usize;
+            if rec.gen != self.gen[p] || self.seen[p >> 6] >> (p & 63) & 1 != 0 {
+                continue;
+            }
+            let (passed, hit) = test(block, &rec);
+            coarse += passed as u64;
+            if hit {
+                self.seen[p >> 6] |= 1 << (p & 63);
+                dirty.push(rec.pixel);
+            }
+        }
+        for &p in &dirty {
+            self.seen[p as usize >> 6] = 0;
+        }
+        dirty.sort_unstable();
+        (dirty, read, coarse)
+    }
+
     /// Append one record worth `entries` entries: `head [gen]`, then the
     /// `body` parts back to back, which must make the record's body.
     #[inline]
-    fn append(&mut self, pixel: PixelId, entries: u64, body: [&[u8]; 2]) {
+    fn append(
+        &mut self,
+        stats: &mut CoherenceStats,
+        pixel: PixelId,
+        entries: u64,
+        body: [&[u8]; 2],
+    ) {
         let gen = self.gen[pixel as usize];
         let mut head = [0u8; MAX_HEAD];
         let n = put_head(&mut head, self.tail, pixel, gen);
         let len = n + body[0].len() + body[1].len();
-        let block = block_for(&mut self.log, len);
+        let block = block_for(&mut self.blocks, len);
         block.extend_from_slice(&head[..n]);
         block.extend_from_slice(body[0]);
         block.extend_from_slice(body[1]);
         self.tail = (pixel, gen);
         self.live[pixel as usize] += len as u32;
-        self.stats.entries += entries;
-        self.stats.peak_entries = self.stats.peak_entries.max(self.stats.entries);
-        self.stats.list_bytes += len as u64;
+        stats.entries += entries;
+        stats.peak_entries = stats.peak_entries.max(stats.entries);
+        stats.list_bytes += len as u64;
     }
-}
-
-/// One pass over the live records of `log` whose pixel is not yet dirty:
-/// `test` answers, per record, whether it passed the coarse filter and
-/// whether it makes its pixel dirty. Returns the dirty pixels, ascending,
-/// the records read and the coarse passes; `seen` (all zero between
-/// calls) is the scratch set of pixels found dirty.
-fn scan(
-    log: &[Vec<u8>],
-    grammar: DirtyTest,
-    gen: &[u32],
-    seen: &mut [u64],
-    mut test: impl FnMut(&[u8], &Record) -> (bool, bool),
-) -> (Vec<PixelId>, u64, u64) {
-    let (mut read, mut coarse) = (0u64, 0u64);
-    let mut dirty: Vec<PixelId> = Vec::new();
-    for (block, rec) in Records::of(log, grammar) {
-        read += 1;
-        let p = rec.pixel as usize;
-        if rec.gen != gen[p] || seen[p >> 6] >> (p & 63) & 1 != 0 {
-            continue;
-        }
-        let (passed, hit) = test(block, &rec);
-        coarse += passed as u64;
-        if hit {
-            seen[p >> 6] |= 1 << (p & 63);
-            dirty.push(rec.pixel);
-        }
-    }
-    for &p in &dirty {
-        seen[p as usize >> 6] = 0;
-    }
-    dirty.sort_unstable();
-    (dirty, read, coarse)
 }
 
 impl RayListener for CoherenceEngine {
@@ -740,13 +1074,17 @@ impl RayListener for CoherenceEngine {
         let marks = path.map_or(0, |path| {
             debug_assert!(path.start < self.spec.voxel_count(), "path of another grid");
             let marks = path.steps as u64 + 1;
-            let (mask, strides) = (&self.mask, &self.strides);
-            if mask
-                .as_ref()
-                .is_none_or(|m| path_hits(path.start, path.codes, strides, &m.bits))
-            {
-                let (prefix, n, codes) = record_body(self.test, &self.seg, ray, t_max, &path);
-                self.append(pixel, entries(self.test, marks), [&prefix[..n], codes]);
+            match &mut self.rays {
+                Rays::Log(log) => {
+                    let (prefix, n, codes) = record_body(self.test, &self.seg, ray, t_max, &path);
+                    let entries = entries(self.test, marks);
+                    log.append(&mut self.stats, pixel, entries, [&prefix[..n], codes]);
+                }
+                Rays::Settled(s) => {
+                    if path_hits(path.start, path.codes, &self.strides, &s.mask.bits) {
+                        self.keep(pixel, ray, t_max, &path);
+                    }
+                }
             }
             marks
         });
@@ -758,13 +1096,26 @@ impl RayListener for CoherenceEngine {
         }
     }
 }
-
 #[cfg(test)]
 impl CoherenceEngine {
+    /// The unmasked engine's log.
+    fn ray_log(&self) -> &RayLog {
+        match &self.rays {
+            Rays::Log(log) => log,
+            Rays::Settled(_) => panic!("a masked engine keeps no log"),
+        }
+    }
+
+    /// Whether the engine has ever allocated a log block: never, for a
+    /// masked one.
+    pub(crate) fn has_log_blocks(&self) -> bool {
+        matches!(&self.rays, Rays::Log(log) if log.blocks.capacity() > 0)
+    }
+
     /// Each stored record's `head`, `gen` (0 when it has none) and body
     /// lengths, in log order.
     pub(crate) fn record_parts(&self) -> Vec<(usize, usize, usize)> {
-        Records::of(&self.log, self.test)
+        Records::of(&self.ray_log().blocks, self.test)
             .map(|(block, r)| {
                 let mut gen = r.at;
                 read_varint(block, &mut gen);
@@ -852,10 +1203,10 @@ mod tests {
     /// block holds whole records and is `BLOCK` bytes, or exactly the one
     /// record longer than that.
     fn assert_accounts_exact(e: &CoherenceEngine) {
-        let mut live = vec![0u32; e.live.len()];
+        let mut live = vec![0u32; e.ray_log().live.len()];
         let (mut stale, mut stored, mut bytes) = (0, 0, 0);
         let mut tail = (0, 0);
-        for block in &e.log {
+        for block in &e.ray_log().blocks {
             let mut cur = Cursor {
                 pos: 0,
                 pixel: tail.0,
@@ -867,7 +1218,7 @@ mod tests {
                 if e.test == DirtyTest::Exact {
                     assert_eq!(rec.end - rec.body, SEG_BYTES, "an exact record is its seg");
                 }
-                if rec.gen == e.gen[rec.pixel as usize] {
+                if rec.gen == e.ray_log().gen[rec.pixel as usize] {
                     live[rec.pixel as usize] += (rec.end - rec.at) as u32;
                 } else {
                     stale += rec.end - rec.at;
@@ -881,12 +1232,17 @@ mod tests {
             bytes += block.len();
             tail = (cur.pixel, cur.gen);
         }
-        assert_eq!(tail, e.tail);
-        assert_eq!(live, e.live);
-        assert_eq!(stale, e.stale_bytes);
+        assert_eq!(tail, e.ray_log().tail);
+        assert_eq!(live, e.ray_log().live);
+        assert_eq!(stale, e.ray_log().stale_bytes);
         assert_eq!(stored, e.stats.entries);
         assert_eq!(bytes as u64, e.stats.list_bytes);
-        assert!(e.changed.iter().chain(&e.seen).all(|&w| w == 0));
+        assert!(e
+            .ray_log()
+            .changed
+            .iter()
+            .chain(&e.ray_log().seen)
+            .all(|&w| w == 0));
     }
 
     #[test]
@@ -1224,7 +1580,11 @@ mod tests {
             for i in 0..records.len() {
                 record(&mut e, i);
             }
-            assert_eq!(e.log.len(), 4, "three blocks and a long record's own");
+            assert_eq!(
+                e.ray_log().blocks.len(),
+                4,
+                "three blocks and a long record's own"
+            );
             let doomed: Vec<PixelId> = (0..records.len())
                 .filter(|&i| dropped(i))
                 .map(|i| records[i].0)
@@ -1239,8 +1599,8 @@ mod tests {
             for i in (0..records.len()).filter(|&i| !dropped(i)) {
                 record(&mut fresh, i);
             }
-            assert_eq!(e.log, fresh.log, "mask {mask:#b}");
-            assert_eq!(e.tail, fresh.tail, "mask {mask:#b}");
+            assert_eq!(e.ray_log().blocks, fresh.ray_log().blocks, "mask {mask:#b}");
+            assert_eq!(e.ray_log().tail, fresh.ray_log().tail, "mask {mask:#b}");
             assert_eq!(e.stats().compactions, (mask != 0) as u64);
         }
     }
@@ -1309,7 +1669,12 @@ mod tests {
             for i in 0..runs.len() {
                 record(&mut e, i);
             }
-            assert_eq!(e.log.len(), 4, "{} blocks", e.log.len());
+            assert_eq!(
+                e.ray_log().blocks.len(),
+                4,
+                "{} blocks",
+                e.ray_log().blocks.len()
+            );
             let doomed: Vec<PixelId> = (0..runs.len())
                 .filter(|&i| dropped(i))
                 .map(|i| runs[i].0)
@@ -1324,8 +1689,8 @@ mod tests {
             for i in (0..runs.len()).filter(|&i| !dropped(i)) {
                 record(&mut fresh, i);
             }
-            assert_eq!(e.log, fresh.log, "mask {mask:#b}");
-            assert_eq!(e.tail, fresh.tail, "mask {mask:#b}");
+            assert_eq!(e.ray_log().blocks, fresh.ray_log().blocks, "mask {mask:#b}");
+            assert_eq!(e.ray_log().tail, fresh.ray_log().tail, "mask {mask:#b}");
             assert_eq!(e.stats().compactions, (mask != 0) as u64);
         }
     }
@@ -1375,7 +1740,7 @@ mod tests {
                 };
                 e.on_ray(pixel, &ray, RayKind::Primary, f64::INFINITY, Some(path));
 
-                let gen = e.gen[pixel as usize];
+                let gen = e.ray_log().gen[pixel as usize];
                 let mut head = [0u8; MAX_HEAD];
                 let n = put_head(&mut head, tail, pixel, gen);
                 stream.extend_from_slice(&head[..n]);
@@ -1387,14 +1752,22 @@ mod tests {
                 let body = stream[at..].to_vec();
                 fed.push((pixel, gen, body));
             }
-            assert!(e.log.len() >= 3, "{test:?}: {} blocks", e.log.len());
+            assert!(
+                e.ray_log().blocks.len() >= 3,
+                "{test:?}: {} blocks",
+                e.ray_log().blocks.len()
+            );
             assert_eq!(
-                e.log.iter().filter(|b| b.capacity() != BLOCK).count(),
+                e.ray_log()
+                    .blocks
+                    .iter()
+                    .filter(|b| b.capacity() != BLOCK)
+                    .count(),
                 (test == DirtyTest::Paper) as usize,
                 "only a long record has a block of its own"
             );
-            assert_eq!(e.log.concat(), stream);
-            let decoded: Vec<_> = Records::of(&e.log, test)
+            assert_eq!(e.ray_log().blocks.concat(), stream);
+            let decoded: Vec<_> = Records::of(&e.ray_log().blocks, test)
                 .map(|(block, r)| {
                     assert_eq!(block[r.codes..r.end].len(), r.steps.div_ceil(2));
                     (r.pixel, r.gen, block[r.body..r.end].to_vec())
@@ -1409,21 +1782,21 @@ mod tests {
             let slack_bounded = |e: &CoherenceEngine| {
                 let tail = |b: &Vec<u8>| b.capacity() - b.len();
                 let slack = e.memory_bytes() - side_tables - e.stats().list_bytes as usize;
-                assert_eq!(slack, e.log.iter().map(tail).sum::<usize>());
-                assert!(e.log.last().is_none_or(|b| tail(b) < BLOCK));
-                for w in e.log.windows(2) {
+                assert_eq!(slack, e.ray_log().blocks.iter().map(tail).sum::<usize>());
+                assert!(e.ray_log().blocks.last().is_none_or(|b| tail(b) < BLOCK));
+                for w in e.ray_log().blocks.windows(2) {
                     let opener = Cursor::default().read(&w[1], test).end;
                     assert!(tail(&w[0]) < opener);
                 }
             };
             slack_bounded(&e);
-            let (blocks, memory) = (e.log.len(), e.memory_bytes());
+            let (blocks, memory) = (e.ray_log().blocks.len(), e.memory_bytes());
             e.invalidate_pixels(&(0..50).collect::<Vec<PixelId>>());
             let before = dirty_sets(&mut e);
             e.compact();
             assert_accounts_exact(&e);
             assert_eq!(dirty_sets(&mut e), before);
-            assert!(e.log.len() <= blocks && e.memory_bytes() <= memory);
+            assert!(e.ray_log().blocks.len() <= blocks && e.memory_bytes() <= memory);
             slack_bounded(&e);
         }
     }
@@ -1724,6 +2097,154 @@ mod tests {
         });
     }
 
+    /// The naive models of both tests fed only the rays whose walk enters
+    /// the mask `bits`: the rays a masked engine keeps. Every ray's walk
+    /// counts in `marks`.
+    struct MaskedModels {
+        bits: Vec<u64>,
+        voxels: Model,
+        rays: RayModel,
+        marks: u64,
+    }
+
+    impl RayListener for MaskedModels {
+        fn on_ray(
+            &mut self,
+            pixel: PixelId,
+            ray: &Ray,
+            kind: RayKind,
+            t_max: f64,
+            path: Option<VoxelPath<'_>>,
+        ) {
+            let spec = self.voxels.spec;
+            let walk = spec.traverse_vec(ray, Interval::new(0.0, t_max));
+            self.marks += walk.len() as u64;
+            let masked = |v: &Voxel| {
+                let i = spec.linear_index(*v);
+                self.bits[i >> 6] >> (i & 63) & 1 != 0
+            };
+            if walk.iter().any(masked) {
+                self.voxels.on_ray(pixel, ray, kind, t_max, path);
+                self.rays.on_ray(pixel, ray, kind, t_max, path);
+            }
+        }
+    }
+
+    /// A random transition over `spec`: nothing, everything, or one to
+    /// three movers with the voxels they overlap — inside the grid box, or
+    /// in a box that reaches past it (where an exact engine falls back).
+    fn random_change(rng: &mut Rng, spec: &GridSpec) -> ChangeSet {
+        match rng.u32_in(0, 8) {
+            0 => ChangeSet::Voxels {
+                voxels: Vec::new(),
+                movers: Vec::new(),
+            },
+            1 => ChangeSet::Everything,
+            k => {
+                let room = if k < 4 { 0.3 } else { -0.6 };
+                let movers: Vec<Bound> = (0..rng.usize_in(1, 4))
+                    .map(|_| random_bound(rng, &spec.bounds.expand(room), 0.6))
+                    .collect();
+                ChangeSet::Voxels {
+                    voxels: voxels_of(spec, &movers),
+                    movers,
+                }
+            }
+        }
+    }
+
+    /// The masked twin of the two naive-model oracles: seeded random
+    /// sequences of transitions — empty ones, `Everything`, movers
+    /// reaching out of the grid box and local moves — rendered as a region
+    /// renderer renders them, from a random frame of the sequence on. Each
+    /// frame re-records rays for every pixel of the groups the last
+    /// transition dirtied (some pixels fire none), and at every transition
+    /// the groups whose `due` it is equal what the naive model of the
+    /// engine's test finds among the rays the mask keeps; the engine never
+    /// allocates a log.
+    #[test]
+    fn a_masked_engine_settles_the_dirty_sets_of_the_naive_models() {
+        let case = std::cell::Cell::new(0);
+        // [empty, everything, fallback, local with a dirty group]
+        let reached = std::cell::Cell::new([0u32; 4]);
+        cases(100, |rng| {
+            case.set(case.get() + 1);
+            let (spec, _, map) = random_layout(rng, case.get());
+            let test = TESTS[case.get() as usize % 2];
+            let track_shadows = rng.u32_in(0, 4) != 0;
+            let transitions = rng.usize_in(2, 9);
+            let changes: Vec<ChangeSet> = (0..transitions)
+                .map(|_| random_change(rng, &spec))
+                .collect();
+            let mask = Arc::new(MoverMask::of_changes(&spec, changes.clone()));
+            let start = rng.usize_in(0, transitions);
+            let groups = map.group_count();
+            let mut engine =
+                CoherenceEngine::new(spec, groups, test, Some((Arc::clone(&mask), start)), false);
+            let mut models = MaskedModels {
+                bits: mask.bits.clone(),
+                voxels: Model {
+                    spec,
+                    lists: BTreeMap::new(),
+                    marks: 0,
+                },
+                rays: RayModel {
+                    spec,
+                    codec: engine.seg,
+                    live: BTreeMap::new(),
+                    marks: 0,
+                },
+                marks: 0,
+            };
+            let all: Vec<PixelId> = (0..groups as PixelId).collect();
+            let mut render = all.clone();
+            let mut fallbacks = 0;
+            for f in start..=transitions {
+                engine.invalidate_pixels(&render);
+                models.voxels.invalidate(&render);
+                models.rays.invalidate(&render);
+                for &g in &render {
+                    for pixel in map.pixels_of_group(g) {
+                        if rng.u32_in(0, 4) != 0 {
+                            let e = &mut engine;
+                            fire_burst(rng, &spec, pixel, map, track_shadows, e, &mut models);
+                        }
+                    }
+                }
+                engine.end_frame();
+                assert_eq!(engine.stats().marks, models.marks);
+                let Some(change) = changes.get(f) else {
+                    break;
+                };
+                let codec = engine.seg;
+                let (kind, want) = match change {
+                    ChangeSet::Everything => (1, all.clone()),
+                    ChangeSet::Voxels { voxels, .. } if voxels.is_empty() => (0, Vec::new()),
+                    ChangeSet::Voxels { movers, .. }
+                        if test == DirtyTest::Exact && !movers.iter().all(|b| codec.covers(b)) =>
+                    {
+                        fallbacks += 1;
+                        (2, all.clone())
+                    }
+                    ChangeSet::Voxels { voxels, movers } => match test {
+                        DirtyTest::Exact => (3, models.rays.dirty(movers)),
+                        DirtyTest::Paper => (3, models.voxels.dirty(voxels)),
+                    },
+                };
+                render = engine.due_groups(f);
+                assert_eq!(render, want, "{test:?}, from frame {start}: transition {f}");
+                let mut r = reached.get();
+                r[kind] += (kind < 3 || !want.is_empty()) as u32;
+                reached.set(r);
+            }
+            assert_eq!(engine.stats().fallbacks, fallbacks);
+            assert!(!engine.has_log_blocks());
+            assert_eq!(engine.stats().list_bytes, 0);
+        });
+        let reached = reached.get();
+        assert!(reached.iter().all(|&n| n >= 20), "{reached:?}");
+    }
+
     /// `p` with its `a` coordinate replaced by `v`.
     fn with_axis(p: Point3, a: usize, v: f64) -> Point3 {
         let mut c = [p.x, p.y, p.z];
@@ -1855,9 +2376,7 @@ mod tests {
     /// Differential oracle of the exact dirty set: it is a superset of the
     /// set an f64 reference computes from the unquantised rays (path
     /// through a changed voxel, segment meeting an unpadded bound), and a
-    /// subset of what a paper engine fed the same rays answers. An engine
-    /// masked by the union of every query's voxels answers every query
-    /// alike.
+    /// subset of what a paper engine fed the same rays answers.
     #[test]
     fn exact_dirty_sets_sit_between_the_f64_reference_and_the_voxel_set() {
         let box4 = Aabb::new(Point3::ZERO, Point3::splat(4.0));
@@ -1880,23 +2399,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let mut bits = vec![0u64; spec.voxel_count().div_ceil(64)];
-            for v in queries.iter().flat_map(|q| voxels_of(&spec, q)) {
-                let i = spec.linear_index(v);
-                bits[i >> 6] |= 1 << (i & 63);
-            }
             let pixels = 60;
             let mut plain = CoherenceEngine::new(spec, pixels, DirtyTest::Exact, None, false);
-            let mut masked = CoherenceEngine::new(
-                spec,
-                pixels,
-                DirtyTest::Exact,
-                Some(Arc::new(MoverMask {
-                    bits,
-                    changes: Vec::new(),
-                })),
-                false,
-            );
             let mut paper = CoherenceEngine::new(spec, pixels, DirtyTest::Paper, None, false);
             // the rays each pixel's current generation fired
             let mut live: Vec<Vec<(Ray, f64)>> = vec![Vec::new(); pixels];
@@ -1910,20 +2414,17 @@ mod tests {
                         rng.f64_in(0.0, 8.0)
                     };
                     plain.fire(pixel, &ray, RayKind::Primary, t_max);
-                    fire_at(&mut masked, &spec, pixel, &ray, RayKind::Primary, t_max);
                     paper.fire(pixel, &ray, RayKind::Primary, t_max);
                     live[pixel as usize].push((ray, t_max));
                 }
                 let doomed = rng.vec(0, 6, |rng| rng.u32_in(0, pixels as u32));
                 plain.invalidate_pixels(&doomed);
-                masked.invalidate_pixels(&doomed);
                 paper.invalidate_pixels(&doomed);
                 for &p in &doomed {
                     live[p as usize].clear();
                 }
                 let voxels = voxels_of(&spec, query);
                 let exact = plain.dirty_pixels(&voxels, query);
-                assert_eq!(masked.dirty_pixels(&voxels, query), exact, "seed {seed}");
                 let coarse = paper.dirty_pixels(&voxels, query);
                 assert!(exact.iter().all(|p| coarse.contains(p)), "seed {seed}");
                 let reference: Vec<PixelId> = (0..pixels as PixelId)
@@ -1950,11 +2451,8 @@ mod tests {
                 tighter += (exact.len() < coarse.len()) as u32;
                 referenced += !reference.is_empty() as u32;
             }
-            assert_eq!(plain.stats().marks, masked.stats().marks);
-            assert!(masked.stats().entries <= plain.stats().entries);
             assert_eq!(plain.stats().fallbacks, 0);
             assert_accounts_exact(&plain);
-            assert_accounts_exact(&masked);
             assert_accounts_exact(&paper);
         }
         assert!(

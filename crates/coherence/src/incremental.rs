@@ -76,7 +76,7 @@ impl GroupMap {
     }
 
     /// The frame ids of group `g`'s pixels, row-major.
-    fn pixels_of_group(&self, g: u32) -> impl Iterator<Item = PixelId> {
+    pub(crate) fn pixels_of_group(&self, g: u32) -> impl Iterator<Item = PixelId> {
         let (gx, gy) = (self.gx0 + g % self.groups_x, self.gy0 + g / self.groups_x);
         let (r, b, width) = (self.region, self.block, self.width);
         let xs = (gx * b).max(r.x0)..((gx + 1) * b).min(r.x0 + r.w);
@@ -154,11 +154,15 @@ pub enum RenderMode {
         /// its grid, and the frame of that sequence the renderer renders
         /// first (a farm worker's renderer starts wherever its first unit
         /// does). Frames, re-rendered pixels and ray counts stay exactly
-        /// those of an unmasked renderer; the log, its compactions and the
-        /// per-frame scan shrink by the share of rays that miss every
-        /// mover. The mask's change sets stand in for computing each
-        /// transition, so the renderer's frames must be consecutive frames
-        /// of the mask's sequence from that one.
+        /// those of an unmasked renderer. The engine settles each ray
+        /// against the mask's transitions as it records it and keeps one
+        /// `due` transition per group: no ray log, no compaction, no
+        /// per-frame scan and no previous scene. The mask's change sets
+        /// stand in for computing each transition, so the renderer's
+        /// frames must be consecutive frames of the mask's sequence from
+        /// that one; a frame past its end re-renders the whole region.
+        /// `None` is the unmasked engine of the shims, which logs every
+        /// ray and scans the log at each transition.
         mask: Option<(Arc<MoverMask>, usize)>,
         /// Coherence block edge: 1 is the paper's pixel-level algorithm; a
         /// larger block is Jevans' scheme, where one dirty pixel
@@ -177,8 +181,8 @@ pub enum RenderMode {
 /// region.
 ///
 /// The grid `spec` must cover the scene bounds of *every* frame of the
-/// sequence (the animation layer computes the swept bounds); the engine's
-/// path log and the intersection accelerator share it.
+/// sequence (the animation layer computes the swept bounds); the engine
+/// and the intersection accelerator share it.
 ///
 /// ```
 /// use now_coherence::CoherentRenderer;
@@ -212,7 +216,8 @@ pub struct CoherentRenderer {
     engine: Option<CoherenceEngine>,
     /// The region's colours, which the next frame starts from.
     fb: Framebuffer,
-    /// The last frame's scene, kept by a coherent renderer.
+    /// The last frame's scene, kept by an unmasked coherent renderer (a
+    /// masked one takes its transitions from its mask).
     prev: Option<Scene>,
     frame_index: usize,
     /// Frame of the mask's sequence the renderer's frame 0 is (0 unmasked).
@@ -284,7 +289,7 @@ impl CoherentRenderer {
                 track_shadows,
                 ..
             } => {
-                let (mask, first_frame) = mask.map_or((None, 0), |(m, f)| (Some(m), f));
+                let first_frame = mask.as_ref().map_or(0, |&(_, f)| f);
                 let engine =
                     CoherenceEngine::new(spec, map.group_count(), test, mask, settings.trace);
                 (Some(engine), first_frame, track_shadows)
@@ -363,6 +368,49 @@ impl CoherentRenderer {
         rec.counter_add("coh.frames", 1);
     }
 
+    /// What changed into the frame about to render, `scene`: whether it
+    /// re-renders the whole region, how many voxels changed, and the
+    /// groups whose recorded rays it dirties. A first frame (and every
+    /// frame of a plain renderer) renders the whole region with nothing
+    /// recorded to drop; an [`ChangeSet::Everything`] transition, and a
+    /// masked renderer's frame past its sequence, renders it and drops
+    /// every group's rays. Otherwise a masked engine answers from the
+    /// groups it settled as due, an unmasked one by scanning its log
+    /// against the change from the kept previous scene.
+    fn transition(&mut self, scene: &Scene) -> (bool, usize, Vec<PixelId>) {
+        let Some(engine) = self.engine.as_mut().filter(|_| self.frame_index > 0) else {
+            return (true, 0, Vec::new());
+        };
+        let t = self.first_frame + self.frame_index - 1;
+        let dirty = match engine.mask().cloned() {
+            Some(mask) => match mask.transition(t) {
+                Some(ChangeSet::Voxels { voxels, .. }) => {
+                    Some((voxels.len(), engine.due_groups(t)))
+                }
+                _ => None,
+            },
+            None => {
+                let prev = self
+                    .prev
+                    .take()
+                    .expect("an unmasked renderer keeps its last scene");
+                match changed_voxels(&self.spec, &prev, scene) {
+                    ChangeSet::Voxels { voxels, movers } => {
+                        Some((voxels.len(), engine.dirty_pixels(&voxels, &movers)))
+                    }
+                    ChangeSet::Everything => None,
+                }
+            }
+        };
+        match dirty {
+            Some((changed, groups)) => (false, changed, groups),
+            None => {
+                let all = (0..self.map.group_count() as PixelId).collect();
+                (true, self.spec.voxel_count(), all)
+            }
+        }
+    }
+
     /// Render the next frame of the sequence.
     ///
     /// Returns the region's colours (a [`Framebuffer::window`]; a
@@ -377,33 +425,7 @@ impl CoherentRenderer {
     /// is the renderer's own, which the next frame will update in place.
     pub fn render_next_borrowed(&mut self, scene: &Scene) -> (&Framebuffer, FrameReport) {
         let accel = GridAccel::build_with_spec(scene, self.spec);
-        // A frame re-renders the whole region without a previous scene (a
-        // plain renderer never has one) and the dirty groups otherwise.
-        // Stale recorded rays: none on a first frame (nothing is recorded
-        // yet), every group's after an `Everything` transition.
-        let (full_render, changed, stale) = match (&mut self.engine, self.prev.take()) {
-            (Some(engine), Some(prev_scene)) => {
-                // a masked renderer's transitions were computed with its mask
-                let mask = engine.mask().cloned();
-                let transition = self.first_frame + self.frame_index - 1;
-                let computed;
-                let change = match mask.as_deref().and_then(|m| m.transition(transition)) {
-                    Some(change) => change,
-                    None => {
-                        computed = changed_voxels(&self.spec, &prev_scene, scene);
-                        &computed
-                    }
-                };
-                let (full, stale) = match change {
-                    ChangeSet::Everything => (true, (0..self.map.group_count() as u32).collect()),
-                    ChangeSet::Voxels { voxels, movers } => {
-                        (false, engine.dirty_pixels(voxels, movers))
-                    }
-                };
-                (full, change.len(&self.spec), stale)
-            }
-            _ => (true, 0, Vec::new()),
-        };
+        let (full_render, changed, stale) = self.transition(scene);
         let ids: Vec<PixelId> = if full_render {
             self.region.pixel_ids(self.map.width).collect()
         } else {
@@ -424,11 +446,10 @@ impl CoherentRenderer {
                     track_shadows: self.track_shadows,
                 };
                 render_pixels_par(scene, &accel, st, fb, &ids, &mut listener, &mut rays);
-                // bound memory: compact once the log is mostly stale records
-                if engine.stale_bytes() as u64 * 2 > engine.stats().list_bytes {
-                    engine.compact();
+                engine.end_frame();
+                if engine.mask().is_none() {
+                    self.prev = Some(scene.clone());
                 }
-                self.prev = Some(scene.clone());
             }
         }
 
@@ -594,22 +615,21 @@ mod tests {
     }
 
     /// The glass ball's 12-frame sequence at 120x90 in the farm's 4x3
-    /// mover-masked regions on its 24^3 grid. Every exact record is a 1-2
-    /// byte head, the generation it opens if it opens one, and a 12-byte
-    /// segment; the regions' peak logs sum to at most 0.55x of what they
-    /// held when every record also carried its voxel path (2,200,468 B,
-    /// measured before the paths were dropped); and the dirty sets are the
-    /// ones the voxel-and-bound test chose then (23,921 pixels re-rendered,
-    /// fingerprint below).
+    /// mover-masked regions on its 24^3 grid. A masked engine keeps no
+    /// ray log: it never allocates a log block, and what it holds on every
+    /// frame is its `due` table, 4 B a region pixel, and the rays of the
+    /// one pixel being recorded (at most 6 KiB here). The dirty sets are
+    /// the ones the voxel-and-bound test chose when every record was
+    /// logged with its voxel path (23,921 pixels re-rendered, fingerprint
+    /// below).
     #[test]
     fn a_region_log_holds_no_voxel_path() {
-        const WITH_PATHS_PEAK_SUM: u64 = 2_200_468;
         let (w, h, frames) = (120, 90, 12);
         let anim = now_anim::scenes::glassball::animation_sized(w, h, frames);
         let spec = GridSpec::for_scene(anim.swept_bounds(), 24 * 24 * 24);
         let scenes: Vec<Scene> = (0..frames).map(|f| anim.scene_at(f)).collect();
         let mask = Arc::new(MoverMask::of_sequence(&spec, scenes.iter().cloned()));
-        let (mut peak_sum, mut rendered, mut records, mut with_gen) = (0, 0, 0, 0);
+        let mut rendered = 0;
         // FNV-1a over each region's frames and re-rendered ids
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |v: u64| {
@@ -626,35 +646,23 @@ mod tests {
                 coherent(DirtyTest::Exact, Some((Arc::clone(&mask), 0))),
                 RenderSettings::default(),
             );
-            let mut peak = 0;
             for (f, scene) in scenes.iter().enumerate() {
                 let (_, report) = r.render_next_borrowed(scene);
-                peak = peak.max(report.coherence.list_bytes);
                 rendered += report.rendered.len();
                 mix(f as u64);
                 for &id in &report.rendered {
                     mix(id as u64);
                 }
-                let parts = r.engine().unwrap().record_parts();
-                // 13-14 B, and the few records that open a generation
-                // carry it after their head
-                assert!(parts
-                    .iter()
-                    .all(|&(head, _, body)| (1..=2).contains(&head) && body == 12));
-                with_gen += parts.iter().filter(|&&(_, gen, _)| gen > 0).count();
-                records += parts.len();
+                assert!(!r.engine().unwrap().has_log_blocks());
+                assert!(
+                    report.memory_bytes <= 4 * region.len() + 8 * 1024,
+                    "frame {f}: {} B for {} pixels",
+                    report.memory_bytes,
+                    region.len()
+                );
             }
             assert_eq!(r.coherence_stats().fallbacks, 0);
-            peak_sum += peak;
         }
-        assert!(
-            with_gen * 50 < records,
-            "{with_gen} of {records} records open a generation"
-        );
-        assert!(
-            peak_sum * 100 <= WITH_PATHS_PEAK_SUM * 55,
-            "{peak_sum} B at peak, {WITH_PATHS_PEAK_SUM} B with paths"
-        );
         assert_eq!(rendered, 23_921);
         assert_eq!(hash, 0x96c8_fe3d_7470_7190);
     }

@@ -20,15 +20,18 @@
 //!         for recomputation in the next frame
 //! ```
 //!
-//! * [`CoherenceEngine`] — the pixel lists, stored transposed as one
-//!   append-only log of ray records with generation stamps; it implements
+//! * [`CoherenceEngine`] — the pixel lists, transposed: under a
+//!   [`MoverMask`] each group's rays are settled against the sequence's
+//!   transitions as they are recorded, leaving one `due` transition per
+//!   group; without one, an append-only log of ray records with
+//!   generation stamps is scanned at each transition. It implements
 //!   [`now_raytrace::RayListener`], so plugging it into the tracer records
 //!   every camera/reflected/refracted/shadow ray. Its [`DirtyTest`] says
-//!   what a record holds: the ray's segment (exact, the default) or its
+//!   what a ray is tested by: its segment (exact, the default) or its
 //!   voxel path (the paper's test).
 //! * [`change`] — conservative change-voxel detection between two scenes,
 //!   and the [`MoverMask`] of a whole sequence (a ray that misses it is
-//!   walked but never stored).
+//!   walked but never kept).
 //! * [`bound`] — the tight [`Bound`] of a changed object's old and new
 //!   placement; an exact engine makes a pixel dirty only when one of its
 //!   rays passes within such a bound (an extension of the paper's

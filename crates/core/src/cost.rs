@@ -74,7 +74,9 @@ impl CostModel {
     /// plus the engine's log. The engine term charges the log bytes the
     /// engine reports (`CoherenceStats::list_bytes`: 13-14 bytes per stored
     /// ray of an exact engine, under one byte per stored mark of a paper
-    /// engine), not a fixed 8 bytes per entry.
+    /// engine), not a fixed 8 bytes per entry. A masked engine (every
+    /// farm, service and `render_sequence` renderer) keeps no log and
+    /// reports `list_bytes` 0, so it is charged its framebuffers only.
     pub fn working_set_mb(&self, region_pixels: usize, coherence: &CoherenceStats) -> f64 {
         let fb = region_pixels as f64 * 2.0 * 24.0; // two Color buffers
         let engine = coherence.list_bytes as f64 * self.engine_bytes_factor;

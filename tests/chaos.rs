@@ -349,10 +349,12 @@ fn threads_midrun_join_preserves_every_frame_byte() {
 // ---------------------------------------------------------------------
 
 /// Thread-backend chaos soak. A single [`ChaosPlan`] string arms a
-/// byzantine worker (corrupt results from its 2nd unit on), a straggling
-/// worker (25x slowdown, covered by speculative re-execution), and two
-/// disk faults against the write-ahead journal. The corrupt worker is
-/// struck and quarantined, the journal degrades gracefully, and every
+/// byzantine worker (corrupt results from its first unit on), a
+/// straggling worker (25x slowdown, covered by speculative re-execution),
+/// and two disk faults against the write-ahead journal. The two honest
+/// workers join half a second in, so the byzantine one has the run to
+/// itself until it is struck out: the quarantine does not depend on how
+/// the threads are scheduled. The journal degrades gracefully, and every
 /// frame still hashes identically to the fault-free single-worker run.
 #[test]
 fn threads_chaos_soak_is_byte_identical_under_combined_faults() {
@@ -361,7 +363,7 @@ fn threads_chaos_soak_is_byte_identical_under_combined_faults() {
     let anim = newton::animation_sized(W, H, FRAMES);
     let dir = scratch_dir("soak");
     let chaos: ChaosPlan =
-        "seed=11|compute=1:corrupt@1,2:slow@4x25|disk=frame_:eio@0;run.journal:enospc@6"
+        "seed=11|compute=0:join@0.5,1:corrupt@0,2:join@0.5,2:slow@4x25|disk=frame_:eio@0;run.journal:enospc@6"
             .parse()
             .expect("chaos spec parses");
     let disk = chaos.disk.arm();

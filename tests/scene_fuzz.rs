@@ -3,7 +3,8 @@
 //! incremental (coherent) frame equals the from-scratch frame, the
 //! re-rendered set covers every pixel that actually changed, and a
 //! renderer under the sequence's mover mask re-renders exactly what an
-//! unmasked one does.
+//! unmasked one does, under the exact test and under the paper's voxel
+//! test.
 //!
 //! The generator builds scenes through the Rust API: spheres, cylinders
 //! and cuboids in every material, at least one mover thinner than a voxel,
@@ -253,15 +254,20 @@ fn coherent_equals_scratch_on_generated_scenes() {
             (0..FRAMES).map(|f| fuzzed.scene_at(f)),
         ));
         let mut serial = CoherentRenderer::new(fuzzed.spec, W, H, settings());
-        let mode = RenderMode::Coherent {
-            test: DirtyTest::Exact,
-            mask: Some((Arc::clone(&mask), 0)),
-            block: 1,
-            track_shadows: true,
-        };
         let region = PixelRegion::full(W, H);
-        let mut masked_serial =
-            CoherentRenderer::for_region(fuzzed.spec, W, H, region, mode, settings());
+        let renderer = |test, mask| {
+            let mode = RenderMode::Coherent {
+                test,
+                mask,
+                block: 1,
+                track_shadows: true,
+            };
+            CoherentRenderer::for_region(fuzzed.spec, W, H, region, mode, settings())
+        };
+        let mut masked_serial = renderer(DirtyTest::Exact, Some((Arc::clone(&mask), 0)));
+        // the paper's voxel test, masked and unmasked
+        let mut paper = renderer(DirtyTest::Paper, None);
+        let mut masked_paper = renderer(DirtyTest::Paper, Some((Arc::clone(&mask), 0)));
         let mut previous: Option<Framebuffer> = None;
         for f in 0..FRAMES {
             let scene = fuzzed.scene_at(f);
@@ -290,6 +296,20 @@ fn coherent_equals_scratch_on_generated_scenes() {
                 "seed {seed} frame {f}"
             );
             assert!(m.entries <= c.entries && m.list_bytes <= c.list_bytes);
+
+            // under the voxel test masked == unmasked is a theorem: a ray
+            // whose path misses the mask crosses no changed voxel
+            let (paper_fb, paper_report) = paper.render_next(&scene);
+            let (masked_fb, masked_report) = masked_paper.render_next(&scene);
+            assert!(
+                masked_fb == paper_fb,
+                "seed {seed} frame {f}: masked paper frame"
+            );
+            assert_eq!(
+                masked_report.rendered, paper_report.rendered,
+                "seed {seed} frame {f}: paper"
+            );
+            assert_eq!(masked_report.rays, paper_report.rays);
 
             if let Some(previous) = &previous {
                 assert!(!report.full_render, "seed {seed} frame {f}");

@@ -97,9 +97,9 @@ fn normalized_trace_is_stable_run_to_run() {
         "hist grid.steps_per_ray",
         "hist coh.marks_per_ray",
         "ctr coh.change_sets",
-        "ctr coh.scan_records",
-        "ctr coh.scan_voxel_hits",
-        "ctr coh.scan_exact_tests",
+        "ctr coh.resolve_pairs",
+        "ctr coh.resolve_voxel_hits",
+        "ctr coh.resolve_exact_tests",
         "ctr coh.engines_built",
     ] {
         assert!(a.contains(needle), "normalized stream lost {needle}");
@@ -202,9 +202,10 @@ fn a_journaled_run_syncs_once_per_frame() {
 /// A farm worker computes the animation's change sets once, building its
 /// mover mask, and its tile renderers look them up: W workers over F
 /// frames compute at most W x (F - 1), however many tiles, restarts and
-/// steals the run has. The scan counts the records it reads, those that
-/// cross a changed voxel, and the exact bound tests the box reject lets
-/// through.
+/// steals the run has. Their masked engines settle each ray as they
+/// record it: they count the (ray, transition) pairs they test, those
+/// whose segment meets a mover's reject box, and the exact bound tests
+/// the box lets through; no engine scans a log.
 #[test]
 fn farm_workers_compute_each_change_set_once() {
     let anim = newton::animation_sized(W, H, FRAMES);
@@ -225,14 +226,19 @@ fn farm_workers_compute_each_change_set_once() {
         change_sets >= transitions && change_sets <= workers * transitions,
         "{change_sets} change sets: {workers} workers, {transitions} transitions, 16 tiles"
     );
-    let (read, voxel_hits, exact) = (
-        counter("coh.scan_records"),
-        counter("coh.scan_voxel_hits"),
-        counter("coh.scan_exact_tests"),
+    let (pairs, box_hits, exact) = (
+        counter("coh.resolve_pairs"),
+        counter("coh.resolve_voxel_hits"),
+        counter("coh.resolve_exact_tests"),
     );
     assert!(
-        read > voxel_hits && voxel_hits > 0 && exact > 0,
-        "{read} {voxel_hits} {exact}"
+        pairs > box_hits && box_hits > 0 && exact > 0,
+        "{pairs} {box_hits} {exact}"
+    );
+    assert_eq!(
+        counter("coh.scan_records"),
+        0,
+        "a farm engine scanned a log"
     );
 }
 
