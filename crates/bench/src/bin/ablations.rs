@@ -286,13 +286,16 @@ fn machine_mix(w: u32, h: u32, frames: usize) {
 /// Shadow-ray coherence on vs off: turning it off saves bookkeeping but
 /// breaks conservativeness — moving shadows go stale.
 fn shadow_tracking(w: u32, h: u32, frames: usize) {
-    use now_coherence::{CoherentRenderer, PixelRegion, RenderMode};
+    use now_coherence::{CoherentRenderer, MoverMask, PixelRegion, RenderMode};
     use now_grid::GridSpec;
     use now_raytrace::{render_frame, GridAccel, NullListener, RayStats};
+    use std::sync::Arc;
 
     println!("\n=== ablation: shadow-ray coherence (the paper's shadow extension) ===");
     let anim = newton::animation_sized(w, h, frames);
     let spec = GridSpec::for_scene(anim.swept_bounds(), 24 * 24 * 24);
+    let scenes = (0..frames).map(|f| anim.scene_at(f));
+    let mask = Arc::new(MoverMask::of_sequence(&spec, scenes));
 
     for (name, track) in [
         ("with shadow tracking", true),
@@ -300,7 +303,7 @@ fn shadow_tracking(w: u32, h: u32, frames: usize) {
     ] {
         let mode = RenderMode::Coherent {
             test: Exact,
-            mask: None,
+            mask: Some((Arc::clone(&mask), 0)),
             block: 1,
             track_shadows: track,
         };

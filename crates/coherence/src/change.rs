@@ -74,8 +74,8 @@ pub fn changed_voxels(spec: &GridSpec, prev: &Scene, next: &Scene) -> ChangeSet 
 
     // Collect with duplicates, then sort + dedup once: far cheaper than a
     // BTreeSet insert per marked voxel (overlapping bounds and cylinder
-    // sampling mark the same voxel many times), and `dirty_pixels`
-    // requires a sorted, deduplicated slice anyway.
+    // sampling mark the same voxel many times), and `ChangeSet::Voxels`
+    // promises a sorted, deduplicated slice.
     let mut voxels: Vec<Voxel> = Vec::new();
     let mut movers = Vec::new();
     for (a, b) in prev.objects.iter().zip(next.objects.iter()) {

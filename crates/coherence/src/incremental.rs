@@ -16,7 +16,7 @@
 //! and keeps the engine, and a fresh start is a new renderer.
 
 use crate::change::{changed_voxels, ChangeSet, MoverMask};
-use crate::engine::{CoherenceEngine, CoherenceStats, DirtyTest};
+use crate::engine::{CoherenceEngine, CoherenceStats, DirtyTest, Trigger};
 use crate::region::PixelRegion;
 use now_grid::dda::VoxelPath;
 use now_grid::GridSpec;
@@ -154,15 +154,17 @@ pub enum RenderMode {
         /// its grid, and the frame of that sequence the renderer renders
         /// first (a farm worker's renderer starts wherever its first unit
         /// does). Frames, re-rendered pixels and ray counts stay exactly
-        /// those of an unmasked renderer. The engine settles each ray
-        /// against the mask's transitions as it records it and keeps one
-        /// `due` transition per group: no ray log, no compaction, no
-        /// per-frame scan and no previous scene. The mask's change sets
-        /// stand in for computing each transition, so the renderer's
-        /// frames must be consecutive frames of the mask's sequence from
-        /// that one; a frame past its end re-renders the whole region.
-        /// `None` is the unmasked engine of the shims, which logs every
-        /// ray and scans the log at each transition.
+        /// those of an unmasked renderer. The engine knows every
+        /// transition, so it settles each ray for good as it records it
+        /// and keeps one `due` transition per group and nothing of the
+        /// rays, and the renderer keeps no previous scene. The mask's
+        /// change sets stand in for computing each transition, so the
+        /// renderer's frames must be consecutive frames of the mask's
+        /// sequence from that one; a frame past its end re-renders the
+        /// whole region. `None` is the learning engine of the shims: the
+        /// renderer computes each transition from its previous scene and
+        /// hands it over, so the engine keeps the bodies of the rays of
+        /// every group not yet due until then.
         mask: Option<(Arc<MoverMask>, usize)>,
         /// Coherence block edge: 1 is the paper's pixel-level algorithm; a
         /// larger block is Jevans' scheme, where one dirty pixel
@@ -216,11 +218,12 @@ pub struct CoherentRenderer {
     engine: Option<CoherenceEngine>,
     /// The region's colours, which the next frame starts from.
     fb: Framebuffer,
-    /// The last frame's scene, kept by an unmasked coherent renderer (a
+    /// The last frame's scene, kept by a learning coherent renderer (a
     /// masked one takes its transitions from its mask).
     prev: Option<Scene>,
     frame_index: usize,
-    /// Frame of the mask's sequence the renderer's frame 0 is (0 unmasked).
+    /// Frame of the mask's sequence the renderer's frame 0 is (0 for a
+    /// learning renderer).
     first_frame: usize,
     track_shadows: bool,
 }
@@ -322,8 +325,7 @@ impl CoherentRenderer {
             .unwrap_or_default()
     }
 
-    /// The engine's full state (tests compare engines across render paths
-    /// via `PartialEq`); `None` for a plain renderer.
+    /// The renderer's engine; `None` for a plain renderer.
     pub fn engine(&self) -> Option<&CoherenceEngine> {
         self.engine.as_ref()
     }
@@ -374,37 +376,35 @@ impl CoherentRenderer {
     /// frame of a plain renderer) renders the whole region with nothing
     /// recorded to drop; an [`ChangeSet::Everything`] transition, and a
     /// masked renderer's frame past its sequence, renders it and drops
-    /// every group's rays. Otherwise a masked engine answers from the
-    /// groups it settled as due, an unmasked one by scanning its log
-    /// against the change from the kept previous scene.
+    /// every group's rays. Otherwise the engine answers with the groups
+    /// due at the transition: a masked one takes the transition from its
+    /// mask, a learning one is handed the change from the kept previous
+    /// scene.
     fn transition(&mut self, scene: &Scene) -> (bool, usize, Vec<PixelId>) {
         let Some(engine) = self.engine.as_mut().filter(|_| self.frame_index > 0) else {
             return (true, 0, Vec::new());
         };
         let t = self.first_frame + self.frame_index - 1;
-        let dirty = match engine.mask().cloned() {
-            Some(mask) => match mask.transition(t) {
-                Some(ChangeSet::Voxels { voxels, .. }) => {
-                    Some((voxels.len(), engine.due_groups(t)))
-                }
-                _ => None,
-            },
+        let mask = engine.mask().cloned();
+        let learned;
+        let step = match &mask {
+            Some(mask) => mask.transition(t).map(|change| (change, &mask.triggers[t])),
             None => {
                 let prev = self
                     .prev
                     .take()
-                    .expect("an unmasked renderer keeps its last scene");
-                match changed_voxels(&self.spec, &prev, scene) {
-                    ChangeSet::Voxels { voxels, movers } => {
-                        Some((voxels.len(), engine.dirty_pixels(&voxels, &movers)))
-                    }
-                    ChangeSet::Everything => None,
-                }
+                    .expect("a learning renderer keeps its last scene");
+                let change = changed_voxels(&self.spec, &prev, scene);
+                let trigger = Trigger::of(&self.spec, &change);
+                learned = (change, trigger);
+                Some((&learned.0, &learned.1))
             }
         };
-        match dirty {
-            Some((changed, groups)) => (false, changed, groups),
-            None => {
+        match step {
+            Some((ChangeSet::Voxels { voxels, .. }, trigger)) => {
+                (false, voxels.len(), engine.due_groups(t, trigger))
+            }
+            _ => {
                 let all = (0..self.map.group_count() as PixelId).collect();
                 (true, self.spec.voxel_count(), all)
             }
@@ -577,11 +577,11 @@ mod tests {
         }
     }
 
-    /// The log's footprint after one fully recorded Newton frame. A paper
-    /// record is its path: two 3-bit step codes per byte plus a short head
-    /// per ray, far under the 8 bytes a fixed `(pixel, gen)` pair per mark
-    /// would cost. An exact record is its head and its 12-byte segment,
-    /// nothing else.
+    /// The learning store's footprint after one fully recorded Newton
+    /// frame. A paper body is its path: two 3-bit step codes per byte and
+    /// two short varints per ray, far under the 8 bytes a fixed `(pixel,
+    /// gen)` pair per mark would cost. An exact body is its 12-byte
+    /// segment, nothing else.
     #[test]
     fn a_recorded_newton_frame_costs_under_two_bytes_per_mark() {
         let scene = now_anim::scenes::newton::scene(96, 72);
@@ -597,31 +597,27 @@ mod tests {
             );
             let (_, report) = r.render_next(&scene);
             assert!(report.full_render);
-            let stats = r.engine().unwrap().stats();
+            let engine = r.engine().unwrap();
+            let (stats, kept) = (engine.stats(), engine.kept_bytes() as u64);
+            assert!(stats.entries > 0);
             match test {
                 DirtyTest::Paper => {
-                    let entry_bytes = stats.list_bytes as f64 / stats.entries as f64;
-                    assert!(entry_bytes <= 2.0, "{entry_bytes} log bytes per mark");
+                    let mark_bytes = kept as f64 / stats.marks as f64;
+                    assert!(mark_bytes <= 2.0, "{mark_bytes} body bytes per mark");
                 }
-                DirtyTest::Exact => {
-                    let parts = r.engine().unwrap().record_parts();
-                    let heads: usize = parts.iter().map(|&(head, gen, _)| head + gen).sum();
-                    assert!(parts.iter().all(|&(_, _, body)| body == 12));
-                    assert_eq!(stats.list_bytes, (heads + 12 * parts.len()) as u64);
-                    assert_eq!(stats.entries, parts.len() as u64);
-                }
+                DirtyTest::Exact => assert_eq!(kept, 12 * stats.entries),
             }
         }
     }
 
     /// The glass ball's 12-frame sequence at 120x90 in the farm's 4x3
-    /// mover-masked regions on its 24^3 grid. A masked engine keeps no
-    /// ray log: it never allocates a log block, and what it holds on every
-    /// frame is its `due` table, 4 B a region pixel, and the rays of the
-    /// one pixel being recorded (at most 6 KiB here). The dirty sets are
-    /// the ones the voxel-and-bound test chose when every record was
-    /// logged with its voxel path (23,921 pixels re-rendered, fingerprint
-    /// below).
+    /// mover-masked regions on its 24^3 grid. A masked engine keeps
+    /// nothing of its rays: what it holds on every frame is its `due`
+    /// table, 4 B a group — at pixel groups and at 32x32 Jevans blocks,
+    /// whose dirty frames record a whole block's rays at a time. The dirty
+    /// sets are the ones the voxel-and-bound test chose when every record
+    /// was logged with its voxel path (23,921 pixels re-rendered,
+    /// fingerprint below).
     #[test]
     fn a_region_log_holds_no_voxel_path() {
         let (w, h, frames) = (120, 90, 12);
@@ -653,18 +649,34 @@ mod tests {
                 for &id in &report.rendered {
                     mix(id as u64);
                 }
-                assert!(!r.engine().unwrap().has_log_blocks());
-                assert!(
-                    report.memory_bytes <= 4 * region.len() + 8 * 1024,
-                    "frame {f}: {} B for {} pixels",
-                    report.memory_bytes,
-                    region.len()
-                );
+                assert_eq!(report.memory_bytes, 4 * region.len(), "frame {f}");
             }
             assert_eq!(r.coherence_stats().fallbacks, 0);
         }
         assert_eq!(rendered, 23_921);
         assert_eq!(hash, 0x96c8_fe3d_7470_7190);
+
+        let blocks = RenderMode::Coherent {
+            test: DirtyTest::Exact,
+            mask: Some((Arc::clone(&mask), 0)),
+            block: 32,
+            track_shadows: true,
+        };
+        let whole = PixelRegion::full(w, h);
+        let groups = GroupMap::new(w, whole, 32).group_count();
+        let mut r =
+            CoherentRenderer::for_region(spec, w, h, whole, blocks, RenderSettings::default());
+        let mut partial = 0;
+        for (f, scene) in scenes.iter().enumerate() {
+            let (_, report) = r.render_next_borrowed(scene);
+            partial += (!report.full_render && report.pixels_rendered > 0) as u32;
+            assert!(
+                report.memory_bytes <= 4 * groups + 64,
+                "frame {f}: {} B for {groups} blocks",
+                report.memory_bytes
+            );
+        }
+        assert!(partial > 0, "no block was re-rendered on its own");
     }
 
     /// A plain renderer is the record-nothing case of the region renderer:
@@ -745,31 +757,6 @@ mod tests {
         assert_eq!(report.pixels_rendered, 0);
         assert_eq!(report.changed_voxels, 0);
         assert_eq!(report.rays.total_rays(), 0);
-    }
-
-    #[test]
-    fn compaction_waits_until_the_log_is_mostly_stale() {
-        let spec = sequence_spec();
-        let mut r = CoherentRenderer::new(spec, 48, 36, RenderSettings::default());
-        // a first frame and a static sequence invalidate nothing
-        for _ in 0..3 {
-            let (_, report) = r.render_next(&frame_scene(0.0));
-            assert_eq!(report.coherence.compactions, 0);
-            assert_eq!(r.engine().unwrap().stale_bytes(), 0);
-        }
-        // a moving ball leaves stale records behind every frame: they are
-        // dropped once they outweigh the live ones, never before
-        let mut compactions = 0;
-        for i in 1..40 {
-            let (_, report) = r.render_next(&frame_scene(i as f64 * 0.05));
-            if report.coherence.compactions > compactions {
-                compactions = report.coherence.compactions;
-                assert_eq!(r.engine().unwrap().stale_bytes(), 0);
-            }
-            assert!(r.engine().unwrap().stale_bytes() as u64 * 2 <= report.coherence.list_bytes);
-        }
-        assert!(compactions > 0, "40 frames of motion never compacted");
-        assert!(compactions < 20, "{compactions} compactions in 40 frames");
     }
 
     #[test]
@@ -860,8 +847,8 @@ mod tests {
     }
 
     /// An 80x80 region of a 320x240 frame keeps region-sized state: at
-    /// most 9 B a region pixel of side tables beside the changed-voxel
-    /// bitmap, and exactly one colour per region pixel.
+    /// most 9 B a region pixel of side tables, and exactly one colour per
+    /// region pixel.
     #[test]
     fn a_region_renderer_holds_region_sized_state() {
         let scene = now_anim::scenes::newton::scene(320, 240);
@@ -880,8 +867,7 @@ mod tests {
             1,
             RenderSettings::default(),
         );
-        let voxel_bitmap = spec.voxel_count().div_ceil(64) * 8;
-        let side_tables = r.memory_bytes() - voxel_bitmap;
+        let side_tables = r.memory_bytes();
         assert!(
             side_tables <= 9 * region.len(),
             "{side_tables} B of side tables for {} pixels",

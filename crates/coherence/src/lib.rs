@@ -20,11 +20,12 @@
 //!         for recomputation in the next frame
 //! ```
 //!
-//! * [`CoherenceEngine`] — the pixel lists, transposed: under a
-//!   [`MoverMask`] each group's rays are settled against the sequence's
-//!   transitions as they are recorded, leaving one `due` transition per
-//!   group; without one, an append-only log of ray records with
-//!   generation stamps is scanned at each transition. It implements
+//! * [`CoherenceEngine`] — the pixel lists, transposed: each group's rays
+//!   are settled against the transitions the engine knows, leaving one
+//!   `due` transition per group. Under a [`MoverMask`] it knows them all
+//!   and keeps nothing of a ray; without one it learns each transition
+//!   from the renderer and keeps the rays of the groups not yet due until
+//!   then. It implements
 //!   [`now_raytrace::RayListener`], so plugging it into the tracer records
 //!   every camera/reflected/refracted/shadow ray. Its [`DirtyTest`] says
 //!   what a ray is tested by: its segment (exact, the default) or its

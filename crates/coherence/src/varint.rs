@@ -1,10 +1,9 @@
 //! Shared zigzag + LEB128 varint primitives.
 //!
-//! Two encoders use these: the [`crate::engine`] ray-path log (in-memory
-//! working set) and the [`crate::tiledelta`] tile-update codec
-//! (worker→master frame deltas). Both exploit the same structure —
-//! nearly-sorted id sequences with small gaps — so they share one
-//! delta/varint vocabulary.
+//! Two encoders use these: the [`crate::engine`]'s kept ray paths (a
+//! learning engine's in-memory working set) and the [`crate::tiledelta`]
+//! tile-update codec (worker→master frame deltas), whose nearly-sorted id
+//! sequences with small gaps are what the zigzag deltas are for.
 
 /// Map a signed delta onto the unsigned varint domain (small magnitudes
 /// stay small: 0, -1, 1, -2, 2 → 0, 1, 2, 3, 4).

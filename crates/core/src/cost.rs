@@ -14,7 +14,6 @@
 //! The default constants are calibrated to a ~1998 100 MHz SGI Indigo
 //! (speed 1.0): a few tens of thousands of rays per second.
 
-use now_coherence::CoherenceStats;
 use now_raytrace::RayStats;
 
 /// Work pricing constants (seconds of speed-1.0 CPU per operation).
@@ -22,7 +21,7 @@ use now_raytrace::RayStats;
 pub struct CostModel {
     /// Per ray traced (includes its intersection work on average).
     pub per_ray_s: f64,
-    /// Per coherence voxel mark (the DDA walk + the path-log append).
+    /// Per coherence voxel mark (the DDA walk and the ray's settling).
     pub per_mark_s: f64,
     /// Per pixel shaded (sampling, color bookkeeping).
     pub per_pixel_s: f64,
@@ -30,9 +29,6 @@ pub struct CostModel {
     pub per_copied_pixel_s: f64,
     /// Per byte written to a Targa file.
     pub per_file_byte_s: f64,
-    /// Per coherence engine byte of working set, converted to MB for the
-    /// paging model (1.0 = count engine bytes directly).
-    pub engine_bytes_factor: f64,
 }
 
 impl Default for CostModel {
@@ -48,7 +44,6 @@ impl Default for CostModel {
             per_copied_pixel_s: 0.4e-6,
             // ~2 MB/s effective write path for the 230 kB Targa frames
             per_file_byte_s: 0.5e-6,
-            engine_bytes_factor: 1.0,
         }
     }
 }
@@ -70,17 +65,14 @@ impl CostModel {
         (18 + width as u64 * height as u64 * 3) as f64 * self.per_file_byte_s
     }
 
-    /// Working-set estimate in MB for a coherent worker: framebuffer pair
-    /// plus the engine's log. The engine term charges the log bytes the
-    /// engine reports (`CoherenceStats::list_bytes`: 13-14 bytes per stored
-    /// ray of an exact engine, under one byte per stored mark of a paper
-    /// engine), not a fixed 8 bytes per entry. A masked engine (every
-    /// farm, service and `render_sequence` renderer) keeps no log and
-    /// reports `list_bytes` 0, so it is charged its framebuffers only.
-    pub fn working_set_mb(&self, region_pixels: usize, coherence: &CoherenceStats) -> f64 {
+    /// Working-set estimate in MB for a worker rendering a region of
+    /// `region_pixels`: its framebuffer pair. Every renderer the simulator
+    /// prices is masked (every farm, service and `render_sequence`
+    /// renderer), and a masked engine keeps nothing of its rays, only a
+    /// `due` table of 4 B a group, which the estimate leaves out.
+    pub fn working_set_mb(&self, region_pixels: usize) -> f64 {
         let fb = region_pixels as f64 * 2.0 * 24.0; // two Color buffers
-        let engine = coherence.list_bytes as f64 * self.engine_bytes_factor;
-        (fb + engine) / (1024.0 * 1024.0)
+        fb / (1024.0 * 1024.0)
     }
 }
 
@@ -146,27 +138,5 @@ mod tests {
         assert!(full > small * 10.0);
         // 320x240x3 bytes at 0.5 us/byte ≈ 0.115 s
         assert!((full - 230_418.0 * 0.5e-6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn working_set_grows_with_list_bytes() {
-        let m = CostModel::default();
-        let empty = CoherenceStats::default();
-        // ~1M entries at a generous 1.5 B/entry
-        let mut busy = CoherenceStats {
-            entries: 1_000_000,
-            list_bytes: 1_500_000,
-            ..Default::default()
-        };
-        assert!(m.working_set_mb(76_800, &busy) > m.working_set_mb(76_800, &empty));
-        // only when the *encoded* log outgrows the paper's 32 MB slaves
-        // does the model start charging page faults
-        busy.entries = 10_000_000;
-        busy.list_bytes = 15_000_000;
-        let mb = m.working_set_mb(76_800, &busy);
-        assert!(mb < 32.0, "{mb} MB should fit since compaction");
-        busy.list_bytes = 48_000_000;
-        let mb = m.working_set_mb(76_800, &busy);
-        assert!(mb > 32.0, "{mb} MB");
     }
 }

@@ -367,7 +367,7 @@ impl WorkerLogic for FarmWorker {
         let cost = WorkCost {
             work_units: work,
             result_bytes: update.wire_len() + 32,
-            working_set_mb: model.working_set_mb(unit.region.len(), &report.coherence),
+            working_set_mb: model.working_set_mb(unit.region.len()),
         };
         let mut out = UnitOutput {
             update,

@@ -141,7 +141,7 @@ pub fn render_sequence(
         let (fb, report) = renderer.render_next(&scene);
         let copied = (report.region_pixels - report.pixels_rendered) as u64;
         let work = cost.render_work(&report.rays, report.marks, copied) + file_write;
-        let ws_mb = cost.working_set_mb(report.region_pixels, &report.coherence);
+        let ws_mb = cost.working_set_mb(report.region_pixels);
         let (speed, memory_mb) = (machine.speed, machine.memory_mb);
         frame_s.push(paged_seconds(
             work,

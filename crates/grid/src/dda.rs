@@ -4,8 +4,8 @@
 //! to determine which voxels they traverse." This module is that algorithm,
 //! exposed as [`IndexWalk`] — the one walker a traced ray takes: it steps a
 //! linear cell index through the grid, so the accelerator reads its cell
-//! lists and the coherence engine's path log gets its step codes from the
-//! same walk ([`VoxelPathBuf`] packs them as the log stores them). The
+//! lists and the coherence engine gets its step codes from the same walk
+//! ([`VoxelPathBuf`] packs them as the engine tests and keeps them). The
 //! voxel-coordinate iterator [`GridTraversal`] (and the visitor helper
 //! [`GridSpec::traverse`] via the extension trait below) is the reference
 //! form: `IndexWalk` is set up by it and tested against it.
@@ -352,8 +352,8 @@ pub fn step_strides(spec: &GridSpec) -> [isize; 8] {
 /// fills the unused half of an odd path's last byte.
 const PAD: u8 = 6;
 
-/// The voxels one ray crossed, in the form the coherence engine's path log
-/// stores them: the first voxel and one step code per further voxel.
+/// The voxels one ray crossed, in the form the coherence engine tests and
+/// keeps them: the first voxel and one step code per further voxel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoxelPath<'a> {
     /// Linear index of the first voxel crossed.

@@ -295,7 +295,10 @@ fn coherent_equals_scratch_on_generated_scenes() {
                 (c.marks, c.rays_recorded, c.fallbacks),
                 "seed {seed} frame {f}"
             );
-            assert!(m.entries <= c.entries && m.list_bytes <= c.list_bytes);
+            // a masked engine tests no ray an unmasked one does not, and
+            // holds no more
+            assert!(m.entries <= c.entries, "seed {seed} frame {f}");
+            assert!(masked_report.memory_bytes <= report.memory_bytes);
 
             // under the voxel test masked == unmasked is a theorem: a ray
             // whose path misses the mask crosses no changed voxel
@@ -325,9 +328,7 @@ fn coherent_equals_scratch_on_generated_scenes() {
             previous = Some(reference);
         }
         let stats = masked_serial.coherence_stats();
-        masked_out += (stats.entries + stats.purged
-            < serial.coherence_stats().entries + serial.coherence_stats().purged)
-            as u32;
+        masked_out += (stats.entries < serial.coherence_stats().entries) as u32;
         fell_back += (stats.fallbacks > 0) as u32;
         marks += serial.coherence_stats().marks;
     }
