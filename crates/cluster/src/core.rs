@@ -117,10 +117,9 @@ impl<M: MasterLogic> MasterCore<M> {
     }
 
     /// `worker` asks for work and is topped up to the lease depth: requeued
-    /// units first, then fresh assignments, then — only if it holds nothing
-    /// — a speculative backup of a straggler's unit; with nothing to draw
-    /// and nothing in hand it parks or is dismissed. Ignored once the
-    /// worker is done.
+    /// units first, then fresh assignments; with nothing to draw and
+    /// nothing in hand it parks or is dismissed. Ignored once the worker is
+    /// done.
     pub fn request(&mut self, worker: usize, now: f64) {
         if self.is_live(worker) {
             self.fill(worker, now, false);
@@ -191,8 +190,8 @@ impl<M: MasterLogic> MasterCore<M> {
     }
 
     /// How long a blocked driver may sleep: until the next lease deadline
-    /// ([`MasterCore::tick`]) or, with speculation on, the next moment
-    /// after `now` a pending lease becomes a straggler (wake).
+    /// ([`MasterCore::tick`]) or the end of the patience
+    /// [`MasterCore::wake`] keeps with silent workers.
     pub fn next_deadline(&self, now: f64) -> Option<f64> {
         self.ledger.next_deadline(now)
     }
@@ -205,11 +204,10 @@ impl<M: MasterLogic> MasterCore<M> {
     }
 
     /// True when [`MasterCore::wake`] has something to do: a parked worker
-    /// could draw a requeued unit or a straggler's backup, or nothing is
-    /// certain any more and whoever is still around must be resolved.
-    pub fn wakeable(&self, now: f64) -> bool {
-        let parked = self.workers.contains(&WState::Parked);
-        (parked && (self.ledger.has_retry() || self.ledger.has_straggler(now)))
+    /// could draw a requeued unit, or nothing is certain any more and
+    /// whoever is still around must be resolved.
+    pub fn wakeable(&self) -> bool {
+        (self.workers.contains(&WState::Parked) && self.ledger.has_retry())
             || (self.idle() && !self.finished() && self.releasable())
     }
 
@@ -241,7 +239,9 @@ impl<M: MasterLogic> MasterCore<M> {
         let release = self.idle() && self.releasable();
         for w in 0..self.workers.len() {
             if self.workers[w] == WState::Parked {
-                self.fill(w, now, release);
+                // an earlier parked worker may have drawn every requeued
+                // unit: its answers are now certain, so this one parks
+                self.fill(w, now, release && self.idle());
             }
         }
         let patient = self.ledger.has_retry() && now < self.ledger.patience_until();
@@ -286,34 +286,21 @@ impl<M: MasterLogic> MasterCore<M> {
     }
 
     /// Lease `w` one unit if there is one for it; returns whether there
-    /// was. `prefetch`: `w` already holds a lease, so it is not idle — it
-    /// draws no speculative backup, and drawing nothing neither parks nor
-    /// dismisses it (its pending result is a message certain to arrive).
+    /// was. `prefetch`: `w` already holds a lease, so it is not idle —
+    /// drawing nothing neither parks nor dismisses it (its pending result
+    /// is a message certain to arrive).
     fn give_work(&mut self, w: usize, now: f64, release: bool, prefetch: bool) -> bool {
-        // requeued units take priority over fresh assignments; with no
-        // other work, an idle worker may re-execute a straggler's unit as
-        // a speculative backup (first valid result wins, the loser drops
-        // through the duplicate path)
+        // requeued units take priority over fresh assignments
         let next = match self.ledger.take_retry() {
             Some((mut unit, attempt, from)) => {
                 self.master.on_reassign(from, &mut unit);
-                Some((unit, attempt, None))
+                Some((unit, attempt))
             }
-            None => match self.master.assign(w) {
-                Some(unit) => Some((unit, 0, None)),
-                None if prefetch => None,
-                None => self
-                    .ledger
-                    .straggler_for(w, now)
-                    .map(|(orig, mut unit, attempt, from)| {
-                        self.master.on_reassign(from, &mut unit);
-                        (unit, attempt, Some(orig))
-                    }),
-            },
+            None => self.master.assign(w).map(|unit| (unit, 0)),
         };
         match next {
-            Some((unit, attempt, twin_of)) => {
-                let assign_id = self.ledger.issue(unit.clone(), w, now, attempt, twin_of);
+            Some((unit, attempt)) => {
+                let assign_id = self.ledger.issue(unit.clone(), w, now, attempt);
                 self.workers[w] = WState::Active;
                 self.actions.push_back(Action::Send {
                     worker: w,

@@ -1,4 +1,4 @@
-//! Master-side recovery policy: leases, retries, strikes, speculation.
+//! Master-side recovery policy: leases, retries, strikes.
 //!
 //! [`RecoveryConfig`] is the lease/timeout/backoff/exclusion policy and
 //! [`Ledger`] the bookkeeping that makes the demand-driven loop robust:
@@ -16,9 +16,9 @@
 //! starts when the one ahead of it is answered. The results build on each
 //! other (a worker's coherence state and tile-delta stream run through
 //! consecutive units), so a lease that ends any other way — expired,
-//! rejected, skipped, beaten by its speculative twin — takes the holder's
-//! other leases with it: they are *voided*, requeued at no cost to the
-//! worker, and their results drop through the duplicate path.
+//! rejected or skipped — takes the holder's other leases with it: they
+//! are *voided*, requeued at no cost to the worker, and their results
+//! drop through the duplicate path.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -36,20 +36,12 @@ pub struct RecoveryConfig {
     /// A worker is excluded (counted lost, never assigned again) after
     /// this many consecutive lease expiries.
     pub max_worker_failures: u32,
-    /// A worker is quarantined (excluded, reconnects rejected for a
-    /// cooldown on the TCP backend) after this many *rejected results* —
-    /// payloads whose end-to-end checksum or decode failed verification.
-    /// Unlike lease expiries, strikes never reset: a Byzantine worker
-    /// that interleaves good and bad results is still evicted.
+    /// A worker is quarantined (excluded and told why; a reconnect is a
+    /// fresh worker) after this many *rejected results* — payloads whose
+    /// end-to-end checksum or decode failed verification. Unlike lease
+    /// expiries, strikes never reset: a Byzantine worker that interleaves
+    /// good and bad results is still evicted.
     pub max_worker_strikes: u32,
-    /// Issue speculative backup leases for stragglers: when a pending
-    /// lease has been outstanding longer than `speculate_factor` × the
-    /// EWMA of completed-unit times, an idle worker re-executes the unit
-    /// and the first valid result wins (the loser is discarded by the
-    /// at-most-once ledger, so output bytes are unchanged).
-    pub speculate: bool,
-    /// Straggler threshold as a multiple of the completed-unit EWMA.
-    pub speculate_factor: f64,
 }
 
 impl Default for RecoveryConfig {
@@ -58,8 +50,6 @@ impl Default for RecoveryConfig {
             lease_timeout_s: f64::INFINITY,
             max_worker_failures: 2,
             max_worker_strikes: 3,
-            speculate: false,
-            speculate_factor: 3.0,
         }
     }
 }
@@ -100,8 +90,6 @@ pub struct FaultCounters {
     pub results_rejected: u64,
     /// Workers quarantined after crossing the strike threshold.
     pub workers_quarantined: u64,
-    /// Speculative backup leases issued against stragglers.
-    pub backup_leases: u64,
     /// Leases issued to a worker that already held one (not a fault: the
     /// overlap the lease depth buys).
     pub leases_prefetched: u64,
@@ -114,18 +102,11 @@ pub(crate) struct Lease<U> {
     pub(crate) unit: U,
     /// Worker it was assigned to.
     pub(crate) worker: usize,
-    /// Absolute deadline in seconds; infinite while queued.
+    /// Absolute deadline in seconds; infinite while queued behind the
+    /// holder's earlier lease.
     deadline: f64,
     /// Re-issue attempt (0 = first issue).
     attempt: u32,
-    /// Time the lease's clock started (for straggler detection and the
-    /// unit-time EWMA); infinite while queued behind the holder's
-    /// earlier lease.
-    issued_at: f64,
-    /// Assignment id of this lease's speculative twin, if a backup lease
-    /// for the same unit is also outstanding. First completion wins and
-    /// removes the twin, so the pair integrates at most once.
-    twin: Option<u64>,
 }
 
 /// A lease that expired and was requeued.
@@ -157,9 +138,6 @@ pub struct Ledger<U> {
     excluded: Vec<bool>,
     /// Lifetime count of rejected results per worker; never resets.
     strikes: Vec<u32>,
-    /// EWMA of completed-unit wall/virtual time and its sample count.
-    ewma_unit_s: f64,
-    ewma_samples: u64,
     /// Time of the most recent lease expiry.
     last_expiry: f64,
     /// Aggregate counters, exported into `RunReport` by the backends.
@@ -178,8 +156,6 @@ impl<U: Clone> Ledger<U> {
             total_fails: vec![0; workers],
             excluded: vec![false; workers],
             strikes: vec![0; workers],
-            ewma_unit_s: 0.0,
-            ewma_samples: 0,
             last_expiry: f64::NEG_INFINITY,
             counters: FaultCounters::default(),
         }
@@ -197,32 +173,20 @@ impl<U: Clone> Ledger<U> {
     }
 
     /// Record the assignment of `unit` to `worker` at time `now`; returns
-    /// the assignment id. The deadline honours the attempt's backoff. With
-    /// `twin_of`, this is a speculative backup of that straggling
-    /// assignment and the two leases are linked as twins. If `worker`
-    /// already holds a lease this one queues behind it: lease timeouts and
-    /// the straggler factor keep meaning "one unit's time" only if its
-    /// clock starts when the worker can start on it.
-    pub(crate) fn issue(
-        &mut self,
-        unit: U,
-        worker: usize,
-        now: f64,
-        attempt: u32,
-        twin_of: Option<u64>,
-    ) -> u64 {
+    /// the assignment id. The deadline honours the attempt's backoff. If
+    /// `worker` already holds a lease this one queues behind it with no
+    /// deadline: a lease timeout keeps meaning "one unit's time" only if
+    /// its clock starts when the worker can start on it.
+    pub(crate) fn issue(&mut self, unit: U, worker: usize, now: f64, attempt: u32) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let queued = self.held_by(worker) > 0;
-        if queued {
+        let deadline = if queued {
             self.counters.leases_prefetched += 1;
-        }
-        let issued_at = if queued { f64::INFINITY } else { now };
-        let deadline = issued_at + self.cfg.lease_for_attempt(attempt);
-        if let Some(orig) = twin_of.and_then(|t| self.pending.get_mut(&t)) {
-            orig.twin = Some(id);
-            self.counters.backup_leases += 1;
-        }
+            f64::INFINITY
+        } else {
+            now + self.cfg.lease_for_attempt(attempt)
+        };
         self.pending.insert(
             id,
             Lease {
@@ -230,8 +194,6 @@ impl<U: Clone> Ledger<U> {
                 worker,
                 deadline,
                 attempt,
-                issued_at,
-                twin: twin_of,
             },
         );
         id
@@ -269,11 +231,10 @@ impl<U: Clone> Ledger<U> {
     }
 
     /// `worker` answered assignment `id` at time `now`. `Some` means it is
-    /// the first answer (integrate it; the worker's failure streak resets,
-    /// the lease's duration feeds the straggler EWMA and the clock of the
-    /// lease queued behind it starts); `None` means the assignment is stale
-    /// — a late duplicate to discard — or was never this worker's to
-    /// answer.
+    /// the first answer (integrate it; the worker's failure streak resets
+    /// and the clock of the lease queued behind it starts); `None` means
+    /// the assignment is stale — a late duplicate to discard — or was
+    /// never this worker's to answer.
     pub(crate) fn complete_at(&mut self, id: u64, worker: usize, now: f64) -> Option<Lease<U>> {
         if !self.holds(worker, id) {
             self.counters.duplicates_dropped += 1;
@@ -281,25 +242,9 @@ impl<U: Clone> Ledger<U> {
         }
         let lease = self.pending.remove(&id)?;
         self.consecutive_fails[worker] = 0;
-        if let Some(loser) = lease.twin.and_then(|t| self.pending.remove(&t)) {
-            // first of a speculative pair wins: retire the twin so its
-            // (slower) result drops through the duplicate path, and with
-            // it whatever its holder computes on top of that result
-            self.void_leases(loser.worker);
-        }
-        let dt = (now - lease.issued_at).max(0.0);
-        if dt.is_finite() && lease.issued_at.is_finite() {
-            self.ewma_samples += 1;
-            if self.ewma_samples == 1 {
-                self.ewma_unit_s = dt;
-            } else {
-                self.ewma_unit_s = 0.7 * self.ewma_unit_s + 0.3 * dt;
-            }
-        }
         let cfg = self.cfg;
         let next = self.pending.values_mut().find(|l| l.worker == worker);
-        if let Some(next) = next.filter(|l| !l.issued_at.is_finite()) {
-            next.issued_at = now;
+        if let Some(next) = next.filter(|l| !l.deadline.is_finite()) {
             next.deadline = now + cfg.lease_for_attempt(next.attempt);
         }
         Some(lease)
@@ -328,12 +273,9 @@ impl<U: Clone> Ledger<U> {
         Some(self.worker_died(w))
     }
 
-    /// Earliest time something is due: the first finite lease deadline or,
-    /// with speculation enabled, the first moment after `now` at which a
-    /// pending lease becomes a straggler — so a blocked master wakes in
-    /// time to issue backup leases — or the end of its patience with
-    /// silent workers ([`Ledger::patience_until`]). Leases that already
-    /// straggle need no timer: a requesting worker draws them directly.
+    /// Earliest time something is due: the first finite lease deadline or
+    /// the end of the master's patience with silent workers
+    /// ([`Ledger::patience_until`]).
     pub(crate) fn next_deadline(&self, now: f64) -> Option<f64> {
         let lease = self
             .pending
@@ -341,52 +283,10 @@ impl<U: Clone> Ledger<U> {
             .map(|l| l.deadline)
             .filter(|d| d.is_finite())
             .min_by(f64::total_cmp);
-        let spec = self.straggler_threshold().and_then(|thr| {
-            self.pending
-                .values()
-                .filter(|l| l.twin.is_none())
-                .map(|l| l.issued_at + thr)
-                .filter(|&d| d > now && d.is_finite())
-                .min_by(f64::total_cmp)
-        });
         let patience = (self.pending.is_empty() && !self.retry.is_empty())
             .then(|| self.patience_until())
             .filter(|&d| d > now && d.is_finite());
-        [lease, spec, patience]
-            .into_iter()
-            .flatten()
-            .min_by(f64::total_cmp)
-    }
-
-    /// The straggler deadline in seconds, once the EWMA has warmed up.
-    fn straggler_threshold(&self) -> Option<f64> {
-        (self.cfg.speculate && self.ewma_samples >= 3)
-            .then(|| (self.cfg.speculate_factor * self.ewma_unit_s).max(1e-9))
-    }
-
-    /// True if any un-twinned pending lease is past its straggler
-    /// deadline (speculation enabled and warmed up).
-    pub(crate) fn has_straggler(&self, now: f64) -> bool {
-        self.straggler_threshold().is_some_and(|thr| {
-            self.pending
-                .values()
-                .any(|l| l.twin.is_none() && now - l.issued_at >= thr)
-        })
-    }
-
-    /// Pick the longest-overdue straggler a backup lease could cover:
-    /// an un-twinned pending lease past the straggler deadline, not held
-    /// by `worker` itself. Returns the original assignment id plus a
-    /// clone of its unit, attempt and owner; follow up with
-    /// [`Ledger::issue`] (`twin_of` the original) once the unit has been
-    /// prepared for re-execution (`on_reassign`).
-    pub(crate) fn straggler_for(&self, worker: usize, now: f64) -> Option<(u64, U, u32, usize)> {
-        let thr = self.straggler_threshold()?;
-        self.pending
-            .iter()
-            .filter(|(_, l)| l.twin.is_none() && l.worker != worker && now - l.issued_at >= thr)
-            .min_by(|(_, a), (_, b)| f64::total_cmp(&a.issued_at, &b.issued_at))
-            .map(|(&id, l)| (id, l.unit.clone(), l.attempt, l.worker))
+        lease.into_iter().chain(patience).min_by(f64::total_cmp)
     }
 
     /// Expire every lease whose deadline has passed: units move to the
@@ -469,17 +369,10 @@ impl<U: Clone> Ledger<U> {
     }
 
     /// A lease left the ledger without a result: its unit goes back on the
-    /// retry queue as attempt `attempt` — unless its speculative twin is
-    /// still running, which covers the work, so requeueing would make a
-    /// third copy.
+    /// retry queue as attempt `attempt`.
     fn requeue(&mut self, lease: Lease<U>, attempt: u32) {
-        match lease.twin.and_then(|t| self.pending.get_mut(&t)) {
-            Some(twin) => twin.twin = None,
-            None => {
-                self.retry.push_back((lease.unit, attempt, lease.worker));
-                self.counters.units_reassigned += 1;
-            }
-        }
+        self.retry.push_back((lease.unit, attempt, lease.worker));
+        self.counters.units_reassigned += 1;
     }
 
     /// Pop the next unit awaiting re-issue, with its attempt number and
@@ -528,7 +421,7 @@ mod tests {
         let w1 = led.add_worker();
         assert_eq!((w0, w1), (0, 1));
         assert_eq!(led.excluded.len(), 2);
-        led.issue(7, w1, 0.0, 0, None);
+        led.issue(7, w1, 0.0, 0);
         let ex = led.worker_died(w1);
         assert!(ex.newly_lost);
         assert!(led.is_excluded(w1));
@@ -539,7 +432,7 @@ mod tests {
     #[test]
     fn lease_completes_exactly_once() {
         let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 2);
-        let id = led.issue(7, 0, 0.0, 0, None);
+        let id = led.issue(7, 0, 0.0, 0);
         assert!(led.has_pending());
         assert!(led.complete_at(id, 0, 1.0).is_some());
         assert!(
@@ -553,7 +446,7 @@ mod tests {
     #[test]
     fn a_lease_is_only_its_holders_to_answer() {
         let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 2);
-        let id = led.issue(7, 0, 0.0, 0, None);
+        let id = led.issue(7, 0, 0.0, 0);
         assert!(
             led.complete_at(id, 1, 1.0).is_none(),
             "worker 1 never held this lease"
@@ -565,7 +458,7 @@ mod tests {
     #[test]
     fn expiry_requeues_with_backoff_and_excludes() {
         let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 2);
-        let id0 = led.issue(7, 0, 0.0, 0, None);
+        let id0 = led.issue(7, 0, 0.0, 0);
         assert_eq!(led.next_deadline(0.0), Some(10.0));
         assert!(led.expire_due(9.9).is_empty());
         let ex = led.expire_due(10.0);
@@ -582,7 +475,7 @@ mod tests {
         // retry carries attempt 1 → doubled lease, tagged with the loser
         let (unit, attempt, from) = led.take_retry().unwrap();
         assert_eq!((unit, attempt, from), (7, 1, 0));
-        led.issue(unit, 0, 100.0, attempt, None);
+        led.issue(unit, 0, 100.0, attempt);
         assert_eq!(led.next_deadline(100.0), Some(120.0));
         // second consecutive failure crosses the threshold
         let ex = led.expire_due(120.0);
@@ -601,12 +494,12 @@ mod tests {
     #[test]
     fn success_resets_consecutive_failures() {
         let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 2), 1);
-        let _ = led.issue(1, 0, 0.0, 0, None);
+        let _ = led.issue(1, 0, 0.0, 0);
         led.expire_due(10.0);
-        let id = led.issue(2, 0, 20.0, 0, None);
+        let id = led.issue(2, 0, 20.0, 0);
         assert!(led.complete_at(id, 0, 21.0).is_some());
         // streak reset: one more failure does not exclude
-        let _ = led.issue(3, 0, 40.0, 0, None);
+        let _ = led.issue(3, 0, 40.0, 0);
         let ex = led.expire_due(50.0);
         assert!(!ex[0].newly_lost);
         assert!(!led.is_excluded(0));
@@ -615,9 +508,9 @@ mod tests {
     #[test]
     fn observed_death_requeues_everything_at_once() {
         let mut led: Ledger<u32> = Ledger::new(cfg(1000.0, 5), 3);
-        led.issue(1, 2, 0.0, 0, None);
-        led.issue(2, 2, 0.0, 0, None);
-        led.issue(3, 1, 0.0, 0, None);
+        led.issue(1, 2, 0.0, 0);
+        led.issue(2, 2, 0.0, 0);
+        led.issue(3, 1, 0.0, 0);
         let ex = led.worker_died(2);
         assert!(ex.newly_lost);
         assert!(led.is_excluded(2));
@@ -640,7 +533,7 @@ mod tests {
         // and the caller must still be told so it can release the
         // worker's queues (`on_worker_lost`)
         let mut led: Ledger<u32> = Ledger::new(cfg(1000.0, 1), 2);
-        led.issue(1, 0, 0.0, 0, None);
+        led.issue(1, 0, 0.0, 0);
         let ex = led.worker_died(0);
         assert!(ex.newly_lost);
         assert_eq!(led.counters.workers_lost, 1, "counted once");
@@ -650,7 +543,7 @@ mod tests {
     #[test]
     fn patience_with_silent_workers_lasts_one_backed_off_lease() {
         let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 5), 1);
-        led.issue(1, 0, 0.0, 0, None);
+        led.issue(1, 0, 0.0, 0);
         assert_eq!(led.expire_due(10.0).len(), 1);
         // nothing leased, a unit requeued: wait until 10 + 2 x 10
         assert_eq!(led.patience_until(), 30.0);
@@ -658,7 +551,7 @@ mod tests {
         assert_eq!(led.next_deadline(30.0), None, "patience is over");
         // once the retry is taken the lease is the only deadline again
         let (unit, attempt, _) = led.take_retry().expect("requeued");
-        led.issue(unit, 0, 15.0, attempt, None);
+        led.issue(unit, 0, 15.0, attempt);
         assert_eq!(led.next_deadline(15.0), Some(35.0));
     }
 
@@ -666,7 +559,7 @@ mod tests {
     fn disabled_recovery_never_expires() {
         let mut led: Ledger<u32> = Ledger::new(RecoveryConfig::default(), 1);
         assert!(!led.cfg.enabled());
-        led.issue(1, 0, 0.0, 0, None);
+        led.issue(1, 0, 0.0, 0);
         assert!(led.expire_due(f64::MAX).is_empty());
         assert_eq!(led.next_deadline(0.0), None);
     }
@@ -675,7 +568,7 @@ mod tests {
     fn rejected_results_strike_and_quarantine() {
         let mut led: Ledger<u32> = Ledger::new(cfg(1000.0, 5), 2);
         for round in 0..3u32 {
-            let id = led.issue(round, 1, round as f64, 0, None);
+            let id = led.issue(round, 1, round as f64, 0);
             let lease = led.complete_at(id, 1, round as f64 + 1.0).expect("fresh");
             let quarantine = led.reject(lease);
             assert_eq!(
@@ -692,83 +585,31 @@ mod tests {
         assert_eq!(led.counters.workers_quarantined, 1);
         assert_eq!(led.counters.workers_lost, 1);
         // a further bad result from the quarantined worker changes nothing
-        let id = led.issue(9, 1, 9.0, 0, None);
+        let id = led.issue(9, 1, 9.0, 0);
         let lease = led.complete_at(id, 1, 9.5).expect("fresh");
         assert_eq!(led.reject(lease), None);
         assert_eq!(led.counters.workers_quarantined, 1);
     }
 
     #[test]
-    fn speculation_issues_one_backup_and_first_result_wins() {
-        let mut c = cfg(1e6, 5);
-        c.speculate = true;
-        c.speculate_factor = 2.0;
-        let mut led: Ledger<u32> = Ledger::new(c, 2);
-        // warm the EWMA with three 1-second completions
-        for i in 0..3u32 {
-            let id = led.issue(i, 0, i as f64, 0, None);
-            assert!(led.complete_at(id, 0, i as f64 + 1.0).is_some());
-        }
-        let slow = led.issue(100, 0, 10.0, 0, None);
-        assert!(!led.has_straggler(11.9), "not overdue yet");
-        assert_eq!(
-            led.next_deadline(11.0),
-            Some(12.0),
-            "wake when the lease starts to straggle"
-        );
-        assert_eq!(
-            led.next_deadline(12.5),
-            Some(10.0 + 1e6),
-            "an overdue straggler needs no timer, only its lease does"
-        );
-        assert!(led.has_straggler(12.1), "2x the ~1s EWMA has passed");
-        assert_eq!(
-            led.straggler_for(0, 12.1),
-            None,
-            "the straggling worker itself never gets the backup"
-        );
-        let (orig, unit, attempt, from) = led.straggler_for(1, 12.1).expect("straggler");
-        assert_eq!((orig, unit, attempt, from), (slow, 100, 0, 0));
-        let backup = led.issue(unit, 1, 12.1, attempt, Some(orig));
-        assert_eq!(led.counters.backup_leases, 1);
-        assert!(
-            led.straggler_for(1, 50.0).is_none(),
-            "a twinned lease is never speculated on again"
-        );
-        // the backup finishes first: it wins, the original becomes stale
-        assert!(led.complete_at(backup, 1, 13.0).is_some());
-        assert!(
-            led.complete_at(slow, 0, 14.0).is_none(),
-            "loser is a duplicate"
-        );
-        assert_eq!(led.counters.duplicates_dropped, 1);
-        assert!(!led.has_pending());
-    }
-
-    #[test]
     fn a_queued_lease_starts_its_clock_when_the_one_ahead_is_answered() {
-        let mut c = cfg(10.0, 5);
-        c.speculate = true;
-        c.speculate_factor = 2.0;
-        let mut led: Ledger<u32> = Ledger::new(c, 1);
-        let a = led.issue(1, 0, 0.0, 0, None);
-        let b = led.issue(2, 0, 0.0, 0, None);
+        let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 5), 1);
+        let a = led.issue(1, 0, 0.0, 0);
+        let b = led.issue(2, 0, 0.0, 0);
         assert_eq!((led.held_by(0), led.counters.leases_prefetched), (2, 1));
         // only the running lease has a deadline, however long the other queues
         assert_eq!(led.next_deadline(0.0), Some(10.0));
         assert!(led.complete_at(a, 0, 7.0).is_some());
         assert_eq!(led.next_deadline(7.0), Some(17.0), "a full lease from 7");
-        // and its EWMA sample is its own 1 s, not the 8 s since it was sent
         assert!(led.complete_at(b, 0, 8.0).is_some());
-        assert_eq!(led.ewma_unit_s, 0.7 * 7.0 + 0.3 * 1.0);
     }
 
     #[test]
     fn one_fault_voids_the_holders_other_lease_at_no_cost() {
         // expiry: the running lease fails, the queued one just requeues
         let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 5), 1);
-        led.issue(1, 0, 0.0, 0, None);
-        let queued = led.issue(2, 0, 0.0, 0, None);
+        led.issue(1, 0, 0.0, 0);
+        let queued = led.issue(2, 0, 0.0, 0);
         assert_eq!(led.expire_due(10.0).len(), 1, "one expiry, not two");
         assert_eq!(led.total_failures(0), 1);
         assert_eq!(led.counters.units_reassigned, 2);
@@ -781,8 +622,8 @@ mod tests {
 
         // rejection: one strike, and the lease behind the bad result is void
         let mut led: Ledger<u32> = Ledger::new(cfg(10.0, 5), 1);
-        let bad = led.issue(1, 0, 0.0, 0, None);
-        let behind = led.issue(2, 0, 0.0, 0, None);
+        let bad = led.issue(1, 0, 0.0, 0);
+        let behind = led.issue(2, 0, 0.0, 0);
         let lease = led.complete_at(bad, 0, 1.0).expect("fresh");
         assert_eq!(led.reject(lease), None);
         assert_eq!((led.strikes[0], led.held_by(0)), (1, 0));
@@ -795,8 +636,8 @@ mod tests {
     #[test]
     fn answering_past_a_lease_expires_it_on_the_spot() {
         let mut led: Ledger<u32> = Ledger::new(cfg(1000.0, 5), 2);
-        let first = led.issue(1, 0, 0.0, 0, None);
-        let second = led.issue(2, 0, 0.0, 0, None);
+        let first = led.issue(1, 0, 0.0, 0);
+        let second = led.issue(2, 0, 0.0, 0);
         assert_eq!(led.expire_skipped(0, first, 1.0), None, "in order");
         assert_eq!(led.expire_skipped(1, second, 1.0), None, "not its lease");
         let ex = led
@@ -805,61 +646,5 @@ mod tests {
         assert_eq!((ex.worker, ex.newly_lost), (0, false));
         assert_eq!((led.total_failures(0), led.held_by(0)), (1, 0));
         assert!(led.complete_at(second, 0, 1.0).is_none(), "voided with it");
-    }
-
-    #[test]
-    fn a_retired_twin_takes_its_holders_queue_with_it() {
-        let mut c = cfg(1e6, 5);
-        c.speculate = true;
-        c.speculate_factor = 2.0;
-        let mut led: Ledger<u32> = Ledger::new(c, 2);
-        for i in 0..3u32 {
-            let id = led.issue(i, 0, 0.0, 0, None);
-            assert!(led.complete_at(id, 0, 1.0).is_some());
-        }
-        // worker 0 straggles on unit 100 with unit 101 queued behind it
-        let slow = led.issue(100, 0, 10.0, 0, None);
-        let behind = led.issue(101, 0, 10.0, 0, None);
-        let (orig, unit, attempt, _) = led.straggler_for(1, 20.0).expect("straggler");
-        let backup = led.issue(unit, 1, 20.0, attempt, Some(orig));
-        assert!(led.complete_at(backup, 1, 21.0).is_some(), "backup wins");
-        // 101 was computed on top of a result the master never took
-        assert_eq!(led.held_by(0), 0);
-        assert!(led.complete_at(slow, 0, 30.0).is_none());
-        assert!(led.complete_at(behind, 0, 31.0).is_none());
-        assert_eq!(led.take_retry(), Some((101, 0, 0)));
-        assert_eq!(led.total_failures(0), 0, "slow is not a fault");
-    }
-
-    #[test]
-    fn expiring_a_twinned_lease_does_not_requeue_a_third_copy() {
-        let mut c = cfg(10.0, 5);
-        c.speculate = true;
-        c.speculate_factor = 2.0;
-        let mut led: Ledger<u32> = Ledger::new(c, 2);
-        for i in 0..3u32 {
-            let id = led.issue(i, 0, 0.0, 0, None);
-            assert!(led.complete_at(id, 0, 0.1).is_some());
-        }
-        let slow = led.issue(100, 0, 0.0, 0, None);
-        let (orig, unit, attempt, _) = led.straggler_for(1, 5.0).expect("straggler");
-        let backup = led.issue(unit, 1, 5.0, attempt, Some(orig));
-        // the original lease times out while the backup still runs: the
-        // worker takes the failure but the unit must not requeue
-        let reassigned_before = led.counters.units_reassigned;
-        let ex = led.expire_due(10.0);
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].worker, 0);
-        assert_eq!(led.counters.units_reassigned, reassigned_before);
-        assert!(!led.has_retry(), "twin covers the unit");
-        assert_eq!(
-            led.complete_at(slow, 0, 10.5),
-            None,
-            "expired original is stale"
-        );
-        assert!(
-            led.complete_at(backup, 1, 11.0).is_some(),
-            "backup integrates"
-        );
     }
 }

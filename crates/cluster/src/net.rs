@@ -34,8 +34,7 @@
 //! The master is a *driver* of the sans-IO [`MasterCore`]: decoded
 //! `REQUEST`/`RESULT` frames, closed sockets and the sweep clock become
 //! core events, and the core's actions become `UNIT`/`SHUTDOWN` frames.
-//! Who gets which unit, leases, strikes and speculation are decided
-//! there, not here.
+//! Who gets which unit, leases and strikes are decided there, not here.
 //!
 //! Unit and result types cross the wire through the [`Wire`] trait,
 //! encoded with the honest [`crate::codec`] byte codec.
@@ -895,7 +894,7 @@ where
     /// Re-poll parked workers when the core has reason to. (Frames queued
     /// here go out on the next sweep; they do not count as activity.)
     fn schedule(&mut self, t: f64) {
-        if self.core.wakeable(t) {
+        if self.core.wakeable() {
             self.core.wake(t);
         }
         self.pump();
@@ -1029,11 +1028,9 @@ pub struct ConnectConfig {
     /// Connect attempts before giving up.
     pub attempts: u32,
     /// Base retry delay: attempt `k` sleeps uniform in
-    /// `[0, min(backoff_cap_s, backoff_s * 2^k))` — *full jitter*, so a
-    /// fleet reconnecting after a master restart doesn't stampede.
+    /// `[0, min(CONNECT_BACKOFF_CAP_S, backoff_s * 2^k))` — *full jitter*,
+    /// so a fleet reconnecting after a master restart doesn't stampede.
     pub backoff_s: f64,
-    /// Ceiling on the jitter window.
-    pub backoff_cap_s: f64,
     /// Treat the master as gone after this many seconds of socket
     /// silence (the master pings every `heartbeat_s`, so a healthy link
     /// is never silent for long). 0 disables the timeout.
@@ -1048,7 +1045,6 @@ impl Default for ConnectConfig {
         ConnectConfig {
             attempts: 20,
             backoff_s: 0.1,
-            backoff_cap_s: 2.0,
             read_timeout_s: 30.0,
             fingerprint: Vec::new(),
         }
@@ -1083,6 +1079,9 @@ pub struct TcpWorkerConn {
     bytes_in: u64,
 }
 
+/// Ceiling in seconds on [`connect_worker`]'s jitter window.
+const CONNECT_BACKOFF_CAP_S: f64 = 2.0;
+
 /// Connect to a master with jittered retry/backoff and perform the
 /// handshake.
 ///
@@ -1102,7 +1101,7 @@ pub fn connect_worker(addr: &str, cfg: &ConnectConfig) -> Result<TcpWorkerConn, 
             Err(_) if attempt + 1 < attempts => {
                 let delay = full_jitter_delay(
                     cfg.backoff_s.max(0.01),
-                    cfg.backoff_cap_s.max(0.01),
+                    CONNECT_BACKOFF_CAP_S,
                     attempt,
                     &mut rng,
                 );
@@ -1514,7 +1513,6 @@ mod tests {
             let cfg = ConnectConfig {
                 attempts: 200,
                 backoff_s: 0.02,
-                backoff_cap_s: 0.1,
                 read_timeout_s: 10.0,
                 ..ConnectConfig::default()
             };

@@ -107,7 +107,9 @@ pub struct RunReport {
     pub results_rejected: u64,
     /// Workers quarantined after repeatedly returning bad results.
     pub workers_quarantined: u64,
-    /// Speculative backup leases issued against stragglers.
+    /// Always 0: the farm issues no backup leases (a slow worker's tail is
+    /// finished by stealing, lease expiry and retry). `nowbench` still
+    /// reports it as `cluster.backup_leases`.
     pub backup_leases: u64,
     /// Units issued to a worker that already held one: each is a master
     /// turnaround the worker rendered through instead of waiting out (0 on
@@ -133,7 +135,6 @@ impl RunReport {
         self.workers_lost = c.workers_lost;
         self.results_rejected = c.results_rejected;
         self.workers_quarantined = c.workers_quarantined;
-        self.backup_leases = c.backup_leases;
         self.leases_prefetched = c.leases_prefetched;
         for (m, &(failures, lost)) in self.machines.iter_mut().zip(health) {
             m.failures = failures;
@@ -189,7 +190,6 @@ impl RunReport {
             ("farm.workers_rejected", self.workers_rejected),
             ("farm.results_rejected", self.results_rejected),
             ("farm.workers_quarantined", self.workers_quarantined),
-            ("farm.backup_leases", self.backup_leases),
             ("farm.prefetch", self.leases_prefetched),
         ];
         for (name, n) in guarded.into_iter().filter(|&(_, n)| n > 0) {

@@ -373,36 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_backup_covers_a_straggling_worker() {
-        // worker 0 turns 50x slower after its first unit; with
-        // speculation on, an idle survivor draws a backup lease against
-        // the straggler instead of the run waiting out a huge lease
-        let mut cluster = ThreadCluster::new(3);
-        cluster.faults = FaultPlan::none().slow_from(0, 1, 50.0);
-        cluster.recovery = RecoveryConfig {
-            lease_timeout_s: 1e9, // leases never expire: only speculation helps
-            speculate: true,
-            speculate_factor: 3.0,
-            ..RecoveryConfig::default()
-        };
-        let master = CountMaster {
-            next: 0,
-            limit: 60,
-            seen: BTreeSet::new(),
-        };
-        let workers = (0..3)
-            .map(|_| SlowSquarer(Duration::from_millis(4)))
-            .collect();
-        let t0 = Instant::now();
-        let (m, r) = cluster.run(master, workers);
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(m.seen.len(), 60, "at-most-once integration holds");
-        assert!(r.backup_leases >= 1, "straggler must draw a backup lease");
-        assert_eq!(r.workers_lost, 0, "slow-but-alive worker stays in the pool");
-        assert!(wall < 30.0, "speculation must beat the 1e9 s lease");
-    }
-
-    #[test]
     fn slow_lone_worker_outlives_a_too_short_lease() {
         // every lease expires before its ~60 ms unit is done and nobody
         // else can take the retry: the master waits one more backed-off

@@ -427,8 +427,7 @@ pub struct FarmMaster {
     /// results discarded by integrity verification (checksum mismatch or
     /// undecodable tile stream); each one requeued its unit
     pub results_rejected: u64,
-    /// units handed back for reassignment (lease expiry, rejection retry,
-    /// speculative backup)
+    /// units handed back for reassignment (lease expiry, rejection retry)
     pub units_requeued: u64,
     /// workers this master was told it lost (death or quarantine)
     pub workers_lost_seen: u64,

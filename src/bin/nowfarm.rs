@@ -622,12 +622,6 @@ fn print_farm_summary(result: &FarmResult) {
             result.report.results_rejected, result.report.workers_quarantined
         );
     }
-    if result.report.backup_leases > 0 {
-        println!(
-            "  speculation: {} backup leases, {} duplicate results dropped",
-            result.report.backup_leases, result.report.duplicates_dropped
-        );
-    }
     if result.resumed_units > 0 {
         println!(
             "  resumed: {} units skipped via the journal",

@@ -350,7 +350,8 @@ fn threads_midrun_join_preserves_every_frame_byte() {
 
 /// Thread-backend chaos soak. A single [`ChaosPlan`] string arms a
 /// byzantine worker (corrupt results from its first unit on), a
-/// straggling worker (25x slowdown, covered by speculative re-execution),
+/// straggling worker (25x slowdown: the others take the rest of the work
+/// while it finishes its unit),
 /// and two disk faults against the write-ahead journal. The two honest
 /// workers join half a second in, so the byzantine one has the run to
 /// itself until it is struck out: the quarantine does not depend on how
@@ -372,8 +373,6 @@ fn threads_chaos_soak_is_byte_identical_under_combined_faults() {
     cluster.faults = chaos.compute.clone();
     cluster.recovery = RecoveryConfig {
         lease_timeout_s: 30.0,
-        speculate: true,
-        speculate_factor: 3.0,
         ..RecoveryConfig::default()
     };
     let spec = JournalSpec::new(&dir).with_disk_faults(disk.clone());
